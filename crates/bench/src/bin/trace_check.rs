@@ -1,131 +1,18 @@
 //! Validates a `--trace-out` JSON document written by an experiment
-//! binary: structure, event vocabulary, per-kind required fields, and
-//! cross-checks between the raw event list and the aggregated metrics.
+//! binary against `aggcache_bench::trace::validate`: structure, the event
+//! schema declared in `aggcache-obs`, and cross-checks between the raw
+//! event list and the aggregated metrics.
 //!
 //! Usage: `trace_check <path>` — exits non-zero with a message on the
 //! first violation.
 
 use aggcache_bench::args::Args;
+use aggcache_bench::trace::validate;
 use aggcache_obs::json::JsonValue;
-
-const KNOWN_KINDS: [&str; 31] = [
-    "probe_start",
-    "chunk_lookup",
-    "probe_end",
-    "plan_chosen",
-    "fetch_retry",
-    "fetch_timeout",
-    "fetch_failed",
-    "degraded_serve",
-    "backend_fetch",
-    "cache_insert",
-    "evict",
-    "group_boost",
-    "count_update",
-    "cost_update",
-    "shard_agg",
-    "spill_write",
-    "spill_read",
-    "spill_promote",
-    "warm_start",
-    "spill_corrupt",
-    "spill_quarantine",
-    "index_rebuild",
-    "scrub_pass",
-    "remote_serve",
-    "handoff",
-    "delta_ingest",
-    "chunk_patch",
-    "chunk_invalidate",
-    "node_down",
-    "node_up",
-    "query_done",
-];
-
-/// Fields every event of a kind must carry (beyond `type`).
-fn required_fields(kind: &str) -> &'static [&'static str] {
-    match kind {
-        "probe_start" => &["query", "gb", "chunks", "version", "strategy"],
-        "chunk_lookup" => &["query", "gb", "chunk", "outcome", "nodes"],
-        "probe_end" => &[
-            "query",
-            "gb",
-            "version",
-            "hits",
-            "computable",
-            "missing",
-            "demoted",
-        ],
-        "plan_chosen" => &[
-            "query",
-            "gb",
-            "chunk",
-            "leaves",
-            "predicted_tuples",
-            "actual_tuples",
-        ],
-        "fetch_retry" => &["gb", "chunks", "attempt", "backoff_virtual_ms", "error"],
-        "fetch_timeout" => &["gb", "chunks", "virtual_ms"],
-        "fetch_failed" => &["gb", "chunks", "attempts", "virtual_ms"],
-        "degraded_serve" => &["gb", "chunk", "leaves", "tuples"],
-        "backend_fetch" => &[
-            "gb",
-            "chunks",
-            "tuples_scanned",
-            "result_tuples",
-            "virtual_ms",
-        ],
-        "cache_insert" => &["gb", "chunk", "tier", "bytes", "admitted"],
-        "evict" => &["gb", "chunk", "tier", "clock_round"],
-        "group_boost" => &["chunks", "amount"],
-        "count_update" | "cost_update" => &["gb", "chunk", "writes", "evict"],
-        "shard_agg" => &["phase", "shard", "shards", "cells", "wall_ns"],
-        "spill_write" | "spill_read" => &["gb", "chunk", "bytes", "virtual_ms"],
-        "spill_promote" => &["gb", "chunk", "admitted"],
-        "warm_start" => &["chunks", "bytes", "virtual_ms"],
-        "spill_corrupt" => &["gb", "chunk", "reason"],
-        "spill_quarantine" => &["gb", "chunk", "bytes"],
-        "index_rebuild" => &["scanned", "recovered", "quarantined"],
-        "scrub_pass" => &["scanned", "corrupt", "quarantined", "virtual_ms"],
-        "remote_serve" => &["gb", "chunk", "from_node", "to_node", "bytes", "virtual_ms"],
-        "handoff" => &["gb", "chunk", "from_node", "to_node", "bytes"],
-        "delta_ingest" => &[
-            "inserts",
-            "deletes",
-            "unmatched",
-            "base_chunks",
-            "patched",
-            "invalidated",
-            "table_writes",
-            "virtual_ms",
-        ],
-        "chunk_patch" => &["gb", "chunk", "cells", "tuples"],
-        "chunk_invalidate" => &["gb", "chunk", "reason"],
-        "node_down" | "node_up" => &["node"],
-        "query_done" => &[
-            "query",
-            "tenant",
-            "gb",
-            "complete_hit",
-            "chunks_degraded",
-            "backend_virtual_ms",
-            "agg_virtual_ms",
-            "lookup_virtual_ms",
-            "update_virtual_ms",
-            "total_virtual_ms",
-        ],
-        _ => &[],
-    }
-}
 
 fn fail(msg: &str) -> ! {
     eprintln!("trace_check: FAIL: {msg}");
     std::process::exit(1);
-}
-
-fn expect<'a>(v: &'a JsonValue, key: &str, ctx: &str) -> &'a JsonValue {
-    v.get(key)
-        .unwrap_or_else(|| fail(&format!("{ctx}: missing key {key:?}")))
 }
 
 fn main() {
@@ -138,88 +25,9 @@ fn main() {
     let src =
         std::fs::read_to_string(&path).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")));
     let doc = JsonValue::parse(&src).unwrap_or_else(|e| fail(&format!("parsing {path}: {e}")));
-
-    // Top-level shape.
-    let meta = expect(&doc, "meta", "document");
-    if !meta.is_obj() {
-        fail("meta is not an object");
-    }
-    let metrics = expect(&doc, "metrics", "document");
-    for key in ["counters", "levels", "wall_ns", "virtual_us"] {
-        expect(metrics, key, "metrics");
-    }
-    let events = expect(&doc, "events", "document")
-        .as_arr()
-        .unwrap_or_else(|| fail("events is not an array"));
-    if events.is_empty() {
-        fail("events array is empty");
-    }
-
-    // Event vocabulary and required fields.
-    let mut query_dones = 0u64;
-    for (i, event) in events.iter().enumerate() {
-        let ctx = format!("event #{i}");
-        let kind = expect(event, "type", &ctx)
-            .as_str()
-            .unwrap_or_else(|| fail(&format!("{ctx}: type is not a string")));
-        if !KNOWN_KINDS.contains(&kind) {
-            fail(&format!("{ctx}: unknown kind {kind:?}"));
-        }
-        for field in required_fields(kind) {
-            expect(event, field, &format!("{ctx} ({kind})"));
-        }
-        if kind == "query_done" {
-            query_dones += 1;
-            // Virtual time is additive: total = backend + agg + lookup +
-            // update, exactly (all four are sums of exact cost-model
-            // terms; serialization is round-trip precise).
-            let f = |k: &str| expect(event, k, &ctx).as_f64().unwrap();
-            let sum = f("backend_virtual_ms")
-                + f("agg_virtual_ms")
-                + f("lookup_virtual_ms")
-                + f("update_virtual_ms");
-            let total = f("total_virtual_ms");
-            if (sum - total).abs() > 1e-9 * total.abs().max(1.0) {
-                fail(&format!(
-                    "{ctx}: total_virtual_ms {total} != component sum {sum}"
-                ));
-            }
-        }
-    }
-
-    // Cross-checks against the aggregated registry.
-    let counters = expect(metrics, "counters", "metrics");
-    let counter = |k: &str| counters.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
-    if counter("events") != events.len() as f64 {
-        fail(&format!(
-            "metrics.counters.events {} != event count {}",
-            counter("events"),
-            events.len()
-        ));
-    }
-    if counter("queries") != query_dones as f64 {
-        fail(&format!(
-            "metrics.counters.queries {} != query_done events {query_dones}",
-            counter("queries")
-        ));
-    }
-    let levels = expect(metrics, "levels", "metrics")
-        .as_arr()
-        .unwrap_or_else(|| fail("metrics.levels is not an array"));
-    let level_queries: f64 = levels
-        .iter()
-        .map(|l| expect(l, "queries", "level").as_f64().unwrap_or(0.0))
-        .sum();
-    if level_queries != query_dones as f64 {
-        fail(&format!(
-            "per-level query sum {level_queries} != query_done events {query_dones}"
-        ));
-    }
-
+    let summary = validate(&doc).unwrap_or_else(|e| fail(&e));
     println!(
         "trace_check: OK: {path}: {} events, {} queries, {} group-by levels",
-        events.len(),
-        query_dones,
-        levels.len()
+        summary.events, summary.queries, summary.levels
     );
 }

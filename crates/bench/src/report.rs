@@ -65,11 +65,6 @@ pub fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// Formats microseconds from nanoseconds.
-pub fn us(ns: u64) -> String {
-    format!("{:.1}", ns as f64 / 1000.0)
-}
-
 /// Min/max/average accumulator.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinMaxAvg {

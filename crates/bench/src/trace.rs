@@ -21,8 +21,8 @@ use crate::rig::{apb_dataset, MB};
 use crate::stream::{run_stream_traced, StreamRun};
 use aggcache_cache::PolicyKind;
 use aggcache_core::Strategy;
-use aggcache_obs::json::{push_f64, push_str};
-use aggcache_obs::{FanoutTracer, MetricsRegistry, RecordingTracer, Tracer};
+use aggcache_obs::json::{push_f64, push_str, JsonValue};
+use aggcache_obs::{Event, FanoutTracer, MetricsRegistry, RecordingTracer, Tracer};
 use std::sync::Arc;
 
 /// Collects the events and aggregated metrics of one traced run and
@@ -138,11 +138,127 @@ pub fn maybe_write_trace(args: &Args, experiment: &str, tuples: u64, seed: u64) 
     Some(path)
 }
 
+/// What a valid trace document holds (the numbers `trace_check` reports).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceSummary {
+    /// Events in the document.
+    pub events: usize,
+    /// `query_done` events among them.
+    pub queries: u64,
+    /// Group-by levels in the aggregated metrics.
+    pub levels: usize,
+}
+
+/// Validates a `--trace-out` document: top-level shape, every event
+/// against [`Event::SCHEMA`] (known kind, every declared field present,
+/// no undeclared field), virtual-time additivity of each `query_done`,
+/// and the raw event list against the aggregated metrics. Returns the
+/// first violation as a message.
+pub fn validate(doc: &JsonValue) -> Result<TraceSummary, String> {
+    fn expect<'a>(v: &'a JsonValue, key: &str, ctx: &str) -> Result<&'a JsonValue, String> {
+        v.get(key)
+            .ok_or_else(|| format!("{ctx}: missing key {key:?}"))
+    }
+
+    if !expect(doc, "meta", "document")?.is_obj() {
+        return Err("meta is not an object".into());
+    }
+    let metrics = expect(doc, "metrics", "document")?;
+    let counters = expect(metrics, "counters", "metrics")?;
+    let levels = expect(metrics, "levels", "metrics")?
+        .as_arr()
+        .ok_or("metrics.levels is not an array")?;
+    for key in ["wall_ns", "virtual_us"] {
+        expect(metrics, key, "metrics")?;
+    }
+    let events = expect(doc, "events", "document")?
+        .as_arr()
+        .ok_or("events is not an array")?;
+    if events.is_empty() {
+        return Err("events array is empty".into());
+    }
+
+    let mut query_dones = 0u64;
+    for (i, event) in events.iter().enumerate() {
+        let ctx = format!("event #{i}");
+        let JsonValue::Obj(pairs) = event else {
+            return Err(format!("{ctx}: not an object"));
+        };
+        let kind = expect(event, "type", &ctx)?
+            .as_str()
+            .ok_or_else(|| format!("{ctx}: type is not a string"))?;
+        let (_, fields) = Event::SCHEMA
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .ok_or_else(|| format!("{ctx}: unknown kind {kind:?}"))?;
+        let ctx = format!("{ctx} ({kind})");
+        for field in *fields {
+            expect(event, field, &ctx)?;
+        }
+        if let Some((extra, _)) = pairs
+            .iter()
+            .find(|(k, _)| k != "type" && !fields.contains(&k.as_str()))
+        {
+            return Err(format!("{ctx}: undeclared field {extra:?}"));
+        }
+        if kind == "query_done" {
+            query_dones += 1;
+            // Virtual time is additive: total = backend + agg + lookup +
+            // update, exactly (all four are sums of exact cost-model
+            // terms; serialization is round-trip precise).
+            let f = |k: &str| {
+                expect(event, k, &ctx)?
+                    .as_f64()
+                    .ok_or_else(|| format!("{ctx}: {k} is not a number"))
+            };
+            let sum = f("backend_virtual_ms")?
+                + f("agg_virtual_ms")?
+                + f("lookup_virtual_ms")?
+                + f("update_virtual_ms")?;
+            let total = f("total_virtual_ms")?;
+            if (sum - total).abs() > 1e-9 * total.abs().max(1.0) {
+                return Err(format!(
+                    "{ctx}: total_virtual_ms {total} != component sum {sum}"
+                ));
+            }
+        }
+    }
+
+    // Cross-checks against the aggregated registry.
+    let counter = |k: &str| counters.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
+    if counter("events") != events.len() as f64 {
+        return Err(format!(
+            "metrics.counters.events {} != event count {}",
+            counter("events"),
+            events.len()
+        ));
+    }
+    if counter("queries") != query_dones as f64 {
+        return Err(format!(
+            "metrics.counters.queries {} != query_done events {query_dones}",
+            counter("queries")
+        ));
+    }
+    let mut level_queries = 0.0;
+    for level in levels {
+        level_queries += expect(level, "queries", "level")?.as_f64().unwrap_or(0.0);
+    }
+    if level_queries != query_dones as f64 {
+        return Err(format!(
+            "per-level query sum {level_queries} != query_done events {query_dones}"
+        ));
+    }
+
+    Ok(TraceSummary {
+        events: events.len(),
+        queries: query_dones,
+        levels: levels.len(),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aggcache_obs::json::JsonValue;
-    use aggcache_obs::Event;
 
     #[test]
     fn rendered_trace_parses_and_round_trips_meta() {
@@ -180,8 +296,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn traced_stream_writes_rich_trace() {
+    /// The document of a ten-query traced stream, as text.
+    fn traced_stream_doc() -> String {
         let dataset = apb_dataset(4_000, 5);
         let sink = TraceSink::new();
         let run = StreamRun {
@@ -190,8 +306,12 @@ mod tests {
         };
         let result = run_stream_traced(&dataset, run, Some(sink.tracer()));
         assert!(sink.events_recorded() > 0);
-        let doc = sink.render(&[("avg_ms", result.avg_ms.to_string())]);
-        let v = JsonValue::parse(&doc).unwrap();
+        sink.render(&[("avg_ms", result.avg_ms.to_string())])
+    }
+
+    #[test]
+    fn traced_stream_writes_rich_valid_trace() {
+        let v = JsonValue::parse(&traced_stream_doc()).unwrap();
         let events = v.get("events").unwrap().as_arr().unwrap();
         let kinds: std::collections::HashSet<&str> = events
             .iter()
@@ -210,5 +330,33 @@ mod tests {
                 .as_f64(),
             Some(10.0)
         );
+        let summary = validate(&v).unwrap();
+        assert_eq!((summary.events, summary.queries), (events.len(), 10));
+    }
+
+    #[test]
+    fn validate_rejects_missing_undeclared_and_unknown() {
+        let doc = traced_stream_doc();
+        let reject = |broken: String| validate(&JsonValue::parse(&broken).unwrap()).unwrap_err();
+
+        // Cut `,"wall_ns":N` (the last field) out of the first probe_end.
+        let start = doc.find("{\"type\":\"probe_end\"").unwrap();
+        let field = start + doc[start..].find(",\"wall_ns\":").unwrap();
+        let end = field + doc[field..].find('}').unwrap();
+        let err = reject(format!("{}{}", &doc[..field], &doc[end..]));
+        assert!(
+            err.contains("probe_end") && err.contains("wall_ns"),
+            "{err}"
+        );
+
+        let err = reject(doc.replacen(
+            "{\"type\":\"probe_start\",",
+            "{\"type\":\"probe_start\",\"surprise\":1,",
+            1,
+        ));
+        assert!(err.contains("undeclared field \"surprise\""), "{err}");
+
+        let err = reject(doc.replacen("\"type\":\"probe_start\"", "\"type\":\"probe_begin\"", 1));
+        assert!(err.contains("unknown kind \"probe_begin\""), "{err}");
     }
 }

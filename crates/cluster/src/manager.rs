@@ -414,12 +414,12 @@ impl ClusterManager {
                     if single_group {
                         merged_metrics = result.metrics;
                     } else {
-                        merge_metrics(&mut merged_metrics, &result.metrics);
+                        merged_metrics.merge(&result.metrics);
                     }
                 }
                 Some(data) => {
                     data.append(&result.data);
-                    merge_metrics(&mut merged_metrics, &result.metrics);
+                    merged_metrics.merge(&result.metrics);
                 }
             }
         }
@@ -596,31 +596,6 @@ impl ClusterManager {
             self.owners_buf = owners;
         }
     }
-}
-
-/// Folds one sub-query's metrics into the merged request metrics: numeric
-/// fields sum, `complete_hit` ANDs. Wall-clock fields sum too — they stay
-/// diagnostics, never part of virtual totals.
-fn merge_metrics(acc: &mut QueryMetrics, m: &QueryMetrics) {
-    acc.lookup_ns += m.lookup_ns;
-    acc.probe_ns += m.probe_ns;
-    acc.apply_ns += m.apply_ns;
-    acc.agg_ns += m.agg_ns;
-    acc.update_ns += m.update_ns;
-    acc.backend_virtual_ms += m.backend_virtual_ms;
-    acc.agg_virtual_ms += m.agg_virtual_ms;
-    acc.lookup_virtual_ms += m.lookup_virtual_ms;
-    acc.update_virtual_ms += m.update_virtual_ms;
-    acc.table_writes += m.table_writes;
-    acc.chunks_hit += m.chunks_hit;
-    acc.chunks_computed += m.chunks_computed;
-    acc.chunks_missed += m.chunks_missed;
-    acc.chunks_demoted += m.chunks_demoted;
-    acc.chunks_degraded += m.chunks_degraded;
-    acc.tuples_aggregated += m.tuples_aggregated;
-    acc.backend_tuples += m.backend_tuples;
-    acc.lookup_nodes += m.lookup_nodes;
-    acc.complete_hit &= m.complete_hit;
 }
 
 #[cfg(test)]

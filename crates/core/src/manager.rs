@@ -1631,13 +1631,7 @@ impl CacheManager {
         let n_dims = self.grid.num_dims();
         let writes_before = self.tables.updates();
 
-        // Pin every plan leaf: inserting computed chunks mid-query must not
-        // evict the inputs of a later plan.
-        for plan in &plans {
-            for leaf in &plan.leaves {
-                self.cache.pin(*leaf);
-            }
-        }
+        self.pin_leaves(&plans);
 
         let mut result = ChunkData::new(n_dims);
 
@@ -1650,21 +1644,11 @@ impl CacheManager {
                 }
             } else {
                 metrics.chunks_computed += 1;
-                let t_agg = Instant::now();
-                let (data, tuples) = execute_plan_parallel_traced(
-                    &self.grid,
-                    &self.cache,
-                    self.backend.agg(),
-                    plan,
-                    self.config.threads,
-                    self.tracer.as_deref(),
-                );
-                metrics.agg_ns += t_agg.elapsed().as_nanos() as u64;
-                if let Some(tracer) = &self.tracer {
+                self.compute_and_admit(plan, &mut result, &mut metrics, |tuples| {
                     let mut levels: Vec<u32> = plan.leaves.iter().map(|l| l.gb.0).collect();
                     levels.sort_unstable();
                     levels.dedup();
-                    tracer.emit(&Event::PlanChosen {
+                    Event::PlanChosen {
                         query: trace_id,
                         gb: plan.target.gb.0,
                         chunk: plan.target.chunk,
@@ -1672,47 +1656,11 @@ impl CacheManager {
                         levels,
                         predicted_tuples: plan.cost,
                         actual_tuples: tuples,
-                    });
-                }
-                metrics.tuples_aggregated += tuples;
-                let benefit_ms = tuples as f64 * self.config.cache_per_tuple_us / 1000.0;
-                metrics.agg_virtual_ms += benefit_ms;
-                result.append(&data);
-                // Two-level policy: reward the group that made this
-                // aggregation possible (§6.3, rule 2).
-                if self.config.group_boost {
-                    self.cache.boost_group(plan.leaves.iter(), benefit_ms);
-                }
-                for leaf in &plan.leaves {
-                    let _ = self.cache.get(leaf); // LRU touch
-                }
-                // Benefit of the computed chunk, per policy. Two-level:
-                // the aggregation cost (§6.1 — it can be reproduced from
-                // its still-cached inputs). Plain benefit / LRU baselines
-                // (\[DRSN98\]): the *backend* recomputation cost — which
-                // is what makes aggregated computed chunks displace
-                // detailed base chunks there, the weakness the two-level
-                // policy fixes (§7.2's Fig. 7 discussion).
-                let benefit = match self.config.policy {
-                    PolicyKind::TwoLevel => benefit_ms,
-                    _ => {
-                        let (per_query, marginal) = self
-                            .backend
-                            .estimate_fetch_ms(query.gb, &[plan.target.chunk])
-                            .unwrap_or((0.0, benefit_ms));
-                        per_query + marginal
                     }
-                };
-                let (_, update_ns) = self.admit_chunk(plan.target, data, Origin::Computed, benefit);
-                metrics.update_ns += update_ns;
+                });
             }
         }
-
-        for plan in &plans {
-            for leaf in &plan.leaves {
-                self.cache.unpin(leaf);
-            }
-        }
+        self.unpin_leaves(&plans);
 
         // Phase 3: promote spilled chunks, then one batched backend query
         // for whatever is still missing. `complete_hit` keeps meaning
@@ -1774,6 +1722,75 @@ impl CacheManager {
             data: result,
             metrics,
         })
+    }
+
+    /// Pins every plan leaf: inserting computed chunks mid-query must not
+    /// evict the inputs of a later plan.
+    fn pin_leaves(&mut self, plans: &[ComputationPlan]) {
+        for leaf in plans.iter().flat_map(|p| &p.leaves) {
+            self.cache.pin(*leaf);
+        }
+    }
+
+    fn unpin_leaves(&mut self, plans: &[ComputationPlan]) {
+        for leaf in plans.iter().flat_map(|p| &p.leaves) {
+            self.cache.unpin(leaf);
+        }
+    }
+
+    /// Executes one aggregation plan: rolls its leaves up into the target
+    /// chunk, charges the aggregation to `metrics`, emits `event(tuples)`,
+    /// rewards the leaves and admits the computed chunk.
+    fn compute_and_admit(
+        &mut self,
+        plan: &ComputationPlan,
+        result: &mut ChunkData,
+        metrics: &mut QueryMetrics,
+        event: impl FnOnce(u64) -> Event,
+    ) {
+        let t_agg = Instant::now();
+        let (data, tuples) = execute_plan_parallel_traced(
+            &self.grid,
+            &self.cache,
+            self.backend.agg(),
+            plan,
+            self.config.threads,
+            self.tracer.as_deref(),
+        );
+        metrics.agg_ns += t_agg.elapsed().as_nanos() as u64;
+        if let Some(tracer) = &self.tracer {
+            tracer.emit(&event(tuples));
+        }
+        metrics.tuples_aggregated += tuples;
+        let benefit_ms = tuples as f64 * self.config.cache_per_tuple_us / 1000.0;
+        metrics.agg_virtual_ms += benefit_ms;
+        result.append(&data);
+        // Two-level policy: reward the group that made this aggregation
+        // possible (§6.3, rule 2).
+        if self.config.group_boost {
+            self.cache.boost_group(plan.leaves.iter(), benefit_ms);
+        }
+        for leaf in &plan.leaves {
+            let _ = self.cache.get(leaf); // LRU touch
+        }
+        // Benefit of the computed chunk, per policy. Two-level: the
+        // aggregation cost (§6.1 — it can be reproduced from its
+        // still-cached inputs). Plain benefit / LRU baselines (\[DRSN98\]):
+        // the *backend* recomputation cost — which is what makes aggregated
+        // computed chunks displace detailed base chunks there, the weakness
+        // the two-level policy fixes (§7.2's Fig. 7 discussion).
+        let benefit = match self.config.policy {
+            PolicyKind::TwoLevel => benefit_ms,
+            _ => {
+                let (per_query, marginal) = self
+                    .backend
+                    .estimate_fetch_ms(plan.target.gb, &[plan.target.chunk])
+                    .unwrap_or((0.0, benefit_ms));
+                per_query + marginal
+            }
+        };
+        let (_, update_ns) = self.admit_chunk(plan.target, data, Origin::Computed, benefit);
+        metrics.update_ns += update_ns;
     }
 
     /// Advances the scrub clock by one query's virtual time and runs
@@ -1846,59 +1863,17 @@ impl CacheManager {
                 chunks: unservable,
             });
         }
-        for plan in &plans {
-            for leaf in &plan.leaves {
-                self.cache.pin(*leaf);
-            }
-        }
+        self.pin_leaves(&plans);
         for plan in &plans {
             metrics.chunks_degraded += 1;
-            let t_agg = Instant::now();
-            let (data, tuples) = execute_plan_parallel_traced(
-                &self.grid,
-                &self.cache,
-                self.backend.agg(),
-                plan,
-                self.config.threads,
-                self.tracer.as_deref(),
-            );
-            metrics.agg_ns += t_agg.elapsed().as_nanos() as u64;
-            metrics.tuples_aggregated += tuples;
-            let benefit_ms = tuples as f64 * self.config.cache_per_tuple_us / 1000.0;
-            metrics.agg_virtual_ms += benefit_ms;
-            result.append(&data);
-            if let Some(tracer) = &self.tracer {
-                tracer.emit(&Event::DegradedServe {
-                    gb: plan.target.gb.0,
-                    chunk: plan.target.chunk,
-                    leaves: plan.leaves.len() as u64,
-                    tuples,
-                });
-            }
-            if self.config.group_boost {
-                self.cache.boost_group(plan.leaves.iter(), benefit_ms);
-            }
-            for leaf in &plan.leaves {
-                let _ = self.cache.get(leaf);
-            }
-            let benefit = match self.config.policy {
-                PolicyKind::TwoLevel => benefit_ms,
-                _ => {
-                    let (per_query, marginal) = self
-                        .backend
-                        .estimate_fetch_ms(query.gb, &[plan.target.chunk])
-                        .unwrap_or((0.0, benefit_ms));
-                    per_query + marginal
-                }
-            };
-            let (_, update_ns) = self.admit_chunk(plan.target, data, Origin::Computed, benefit);
-            metrics.update_ns += update_ns;
+            self.compute_and_admit(plan, result, metrics, |tuples| Event::DegradedServe {
+                gb: plan.target.gb.0,
+                chunk: plan.target.chunk,
+                leaves: plan.leaves.len() as u64,
+                tuples,
+            });
         }
-        for plan in &plans {
-            for leaf in &plan.leaves {
-                self.cache.unpin(leaf);
-            }
-        }
+        self.unpin_leaves(&plans);
         Ok(())
     }
 

@@ -83,6 +83,54 @@ impl QueryMetrics {
             + self.lookup_virtual_ms
             + self.update_virtual_ms
     }
+
+    /// Folds another sub-query's metrics into this one (a cluster request
+    /// split across node groups): numeric fields sum, `complete_hit` ANDs.
+    /// Wall-clock fields sum too — they stay diagnostics, never part of
+    /// virtual totals.
+    pub fn merge(&mut self, other: &QueryMetrics) {
+        // Exhaustive on purpose: a new field must decide how it merges.
+        let QueryMetrics {
+            lookup_ns,
+            probe_ns,
+            apply_ns,
+            agg_ns,
+            update_ns,
+            backend_virtual_ms,
+            agg_virtual_ms,
+            lookup_virtual_ms,
+            update_virtual_ms,
+            table_writes,
+            chunks_hit,
+            chunks_computed,
+            chunks_missed,
+            chunks_demoted,
+            chunks_degraded,
+            tuples_aggregated,
+            backend_tuples,
+            lookup_nodes,
+            complete_hit,
+        } = *other;
+        self.lookup_ns += lookup_ns;
+        self.probe_ns += probe_ns;
+        self.apply_ns += apply_ns;
+        self.agg_ns += agg_ns;
+        self.update_ns += update_ns;
+        self.backend_virtual_ms += backend_virtual_ms;
+        self.agg_virtual_ms += agg_virtual_ms;
+        self.lookup_virtual_ms += lookup_virtual_ms;
+        self.update_virtual_ms += update_virtual_ms;
+        self.table_writes += table_writes;
+        self.chunks_hit += chunks_hit;
+        self.chunks_computed += chunks_computed;
+        self.chunks_missed += chunks_missed;
+        self.chunks_demoted += chunks_demoted;
+        self.chunks_degraded += chunks_degraded;
+        self.tuples_aggregated += tuples_aggregated;
+        self.backend_tuples += backend_tuples;
+        self.lookup_nodes += lookup_nodes;
+        self.complete_hit &= complete_hit;
+    }
 }
 
 /// Running aggregates over a query session.

@@ -11,6 +11,9 @@
 //! milliseconds from the cost model. The two are never mixed in one field,
 //! and [`crate::MetricsRegistry`] keeps them in separate namespaces.
 
+use crate::json::{push_f64, push_str};
+use std::fmt::Write as _;
+
 /// How one chunk lookup resolved (paper §3–§5: hit / computable / miss).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LookupOutcome {
@@ -58,14 +61,115 @@ impl Tier {
     }
 }
 
-/// One structured trace event.
-///
-/// `query` fields carry a per-manager monotonically increasing probe id so
-/// concurrent probes interleaved in the event stream can be re-associated.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
+/// How a field type renders as a JSON value.
+trait JsonField {
+    fn write_value(&self, out: &mut String);
+}
+
+macro_rules! json_field_display {
+    ($($ty:ty),*) => {$(
+        impl JsonField for $ty {
+            fn write_value(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+json_field_display!(u8, u32, u64, bool);
+
+impl JsonField for f64 {
+    fn write_value(&self, out: &mut String) {
+        push_f64(out, *self);
+    }
+}
+
+impl JsonField for &'static str {
+    fn write_value(&self, out: &mut String) {
+        push_str(out, self);
+    }
+}
+
+impl JsonField for Tier {
+    fn write_value(&self, out: &mut String) {
+        push_str(out, self.name());
+    }
+}
+
+impl JsonField for LookupOutcome {
+    fn write_value(&self, out: &mut String) {
+        push_str(out, self.name());
+    }
+}
+
+impl JsonField for Vec<u32> {
+    fn write_value(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write_value(out);
+        }
+        out.push(']');
+    }
+}
+
+/// The single declaration of the event vocabulary: each
+/// `Variant = "kind" { field: type, … }` entry yields the [`Event`]
+/// variant, its [`Event::kind`] string, its [`Event::write_json`] arm
+/// (fields in declaration order) and its [`Event::SCHEMA`] row.
+macro_rules! events {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident = $kind:literal {
+            $( $(#[$fmeta:meta])* $field:ident: $ty:ty, )*
+        },
+    )*) => {
+        /// One structured trace event.
+        ///
+        /// `query` fields carry a per-manager monotonically increasing probe
+        /// id so concurrent probes interleaved in the event stream can be
+        /// re-associated.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Event {
+            $( $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field: $ty, )* }, )*
+        }
+
+        impl Event {
+            /// Every event kind with its field names, in declaration
+            /// (= JSON) order: what a trace validator checks against.
+            pub const SCHEMA: &'static [(&'static str, &'static [&'static str])] =
+                &[ $( ($kind, &[ $( stringify!($field), )* ]), )* ];
+
+            /// Stable snake_case name of the event kind (the JSON `type` field).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( Event::$variant { .. } => $kind, )*
+                }
+            }
+
+            /// Serializes the event as one JSON object into `out`.
+            pub fn write_json(&self, out: &mut String) {
+                out.push_str("{\"type\":\"");
+                out.push_str(self.kind());
+                out.push('"');
+                match self {
+                    $( Event::$variant { $( $field, )* } => {
+                        $(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            $field.write_value(out);
+                        )*
+                    } )*
+                }
+                out.push('}');
+            }
+        }
+    };
+}
+
+events! {
     /// A query probe began.
-    ProbeStart {
+    ProbeStart = "probe_start" {
         /// Probe id (correlates the probe's events).
         query: u64,
         /// Group-by id of the query.
@@ -78,7 +182,7 @@ pub enum Event {
         strategy: &'static str,
     },
     /// One chunk lookup resolved during a probe.
-    ChunkLookup {
+    ChunkLookup = "chunk_lookup" {
         /// Probe id.
         query: u64,
         /// Group-by id of the chunk.
@@ -91,7 +195,7 @@ pub enum Event {
         nodes: u64,
     },
     /// A query probe finished.
-    ProbeEnd {
+    ProbeEnd = "probe_end" {
         /// Probe id.
         query: u64,
         /// Group-by id of the query.
@@ -111,7 +215,7 @@ pub enum Event {
         wall_ns: u64,
     },
     /// A computation plan was executed for a computable chunk.
-    PlanChosen {
+    PlanChosen = "plan_chosen" {
         /// Probe id of the probe that produced the plan.
         query: u64,
         /// Group-by id of the target chunk.
@@ -130,7 +234,7 @@ pub enum Event {
     },
     /// A retrying backend decorator scheduled a re-attempt after a
     /// transient fetch failure, charging the backoff delay to virtual time.
-    FetchRetry {
+    FetchRetry = "fetch_retry" {
         /// Group-by id of the failed fetch.
         gb: u32,
         /// Chunks the fetch requested.
@@ -144,7 +248,7 @@ pub enum Event {
         error: &'static str,
     },
     /// A backend fetch attempt exceeded its per-fetch timeout budget.
-    FetchTimeout {
+    FetchTimeout = "fetch_timeout" {
         /// Group-by id of the timed-out fetch.
         gb: u32,
         /// Chunks the fetch requested.
@@ -154,7 +258,7 @@ pub enum Event {
     },
     /// A backend fetch failed permanently (retries exhausted, or no retry
     /// decorator installed): the serving layer must degrade or error.
-    FetchFailed {
+    FetchFailed = "fetch_failed" {
         /// Group-by id of the failed fetch.
         gb: u32,
         /// Chunks the fetch requested.
@@ -167,7 +271,7 @@ pub enum Event {
     },
     /// A chunk whose backend fetch failed was answered from the cache by
     /// an aggregation path instead (graceful degradation, VCM fallback).
-    DegradedServe {
+    DegradedServe = "degraded_serve" {
         /// Group-by id of the served chunk.
         gb: u32,
         /// Chunk number served.
@@ -178,7 +282,7 @@ pub enum Event {
         tuples: u64,
     },
     /// The backend executed one batched fetch.
-    BackendFetch {
+    BackendFetch = "backend_fetch" {
         /// Group-by id fetched.
         gb: u32,
         /// Chunks requested.
@@ -191,7 +295,7 @@ pub enum Event {
         virtual_ms: f64,
     },
     /// A chunk was offered to the cache.
-    CacheInsert {
+    CacheInsert = "cache_insert" {
         /// Group-by id.
         gb: u32,
         /// Chunk number.
@@ -204,7 +308,7 @@ pub enum Event {
         admitted: bool,
     },
     /// The replacement policy evicted a chunk.
-    Evict {
+    Evict = "evict" {
         /// Group-by id of the victim.
         gb: u32,
         /// Chunk number of the victim.
@@ -219,14 +323,14 @@ pub enum Event {
     },
     /// The two-level policy boosted a group of chunks that together
     /// computed an aggregate (§6.3 rule 2).
-    GroupBoost {
+    GroupBoost = "group_boost" {
         /// Chunks in the boosted group.
         chunks: u64,
         /// Normalized clock amount added to each chunk.
         amount: f64,
     },
     /// The VCM count table absorbed an insert or evict.
-    CountUpdate {
+    CountUpdate = "count_update" {
         /// Group-by id of the inserted/evicted chunk.
         gb: u32,
         /// Chunk number.
@@ -237,7 +341,7 @@ pub enum Event {
         evict: bool,
     },
     /// The VCMC cost table absorbed an insert or evict.
-    CostUpdate {
+    CostUpdate = "cost_update" {
         /// Group-by id of the inserted/evicted chunk.
         gb: u32,
         /// Chunk number.
@@ -248,7 +352,7 @@ pub enum Event {
         evict: bool,
     },
     /// One worker of the parallel aggregation kernel finished its share.
-    ShardAgg {
+    ShardAgg = "shard_agg" {
         /// Exchange phase: 0 = partition (roll-up + encode), 1 = reduce.
         phase: u8,
         /// Worker/shard index.
@@ -263,7 +367,7 @@ pub enum Event {
     /// A cluster peer answered a chunk that missed on its owner node: the
     /// peer computed it from its own cache and shipped the cells over the
     /// simulated network (cooperative lookup).
-    RemoteServe {
+    RemoteServe = "remote_serve" {
         /// Group-by id of the served chunk.
         gb: u32,
         /// Chunk number served.
@@ -279,7 +383,7 @@ pub enum Event {
     },
     /// A ring membership change moved a resident chunk to its new owner
     /// (key-slice handoff during rebalancing).
-    Handoff {
+    Handoff = "handoff" {
         /// Group-by id of the moved chunk.
         gb: u32,
         /// Chunk number moved.
@@ -293,7 +397,7 @@ pub enum Event {
     },
     /// An evicted chunk was demoted to the disk spill tier instead of
     /// being dropped.
-    SpillWrite {
+    SpillWrite = "spill_write" {
         /// Group-by id of the demoted chunk.
         gb: u32,
         /// Chunk number demoted.
@@ -304,7 +408,7 @@ pub enum Event {
         virtual_ms: f64,
     },
     /// A spilled chunk was read back from disk to answer a query miss.
-    SpillRead {
+    SpillRead = "spill_read" {
         /// Group-by id of the chunk read.
         gb: u32,
         /// Chunk number read.
@@ -316,7 +420,7 @@ pub enum Event {
     },
     /// A chunk read from the spill tier was offered back to the RAM cache
     /// (the promotion following a [`Event::SpillRead`]).
-    SpillPromote {
+    SpillPromote = "spill_promote" {
         /// Group-by id of the promoted chunk.
         gb: u32,
         /// Chunk number promoted.
@@ -327,7 +431,7 @@ pub enum Event {
     },
     /// A restarted cache manager rebuilt its RAM population from the spill
     /// tier's checkpoint.
-    WarmStart {
+    WarmStart = "warm_start" {
         /// Chunks re-admitted from the checkpoint.
         chunks: u64,
         /// Serialized bytes read from disk.
@@ -337,7 +441,7 @@ pub enum Event {
     },
     /// A spill-tier record failed its integrity checks (bad magic,
     /// version, checksum or structure) when read back from disk.
-    SpillCorrupt {
+    SpillCorrupt = "spill_corrupt" {
         /// Group-by id of the damaged chunk.
         gb: u32,
         /// Chunk number of the damaged chunk.
@@ -347,7 +451,7 @@ pub enum Event {
     },
     /// A corrupt spill record was quarantined: dropped from the index and
     /// its file set aside, so the chunk re-enters the normal miss path.
-    SpillQuarantine {
+    SpillQuarantine = "spill_quarantine" {
         /// Group-by id of the quarantined chunk.
         gb: u32,
         /// Chunk number of the quarantined chunk.
@@ -357,7 +461,7 @@ pub enum Event {
     },
     /// A missing/truncated/corrupt spill index was rebuilt by scanning the
     /// data files (index scavenge).
-    IndexRebuild {
+    IndexRebuild = "index_rebuild" {
         /// Chunk files scanned.
         scanned: u64,
         /// Records recovered into the rebuilt index.
@@ -367,7 +471,7 @@ pub enum Event {
     },
     /// A proactive scrub pass verified the checksums of every indexed
     /// spill record.
-    ScrubPass {
+    ScrubPass = "scrub_pass" {
         /// Records scanned.
         scanned: u64,
         /// Records found corrupt.
@@ -379,7 +483,7 @@ pub enum Event {
     },
     /// A delta batch of base-data inserts/deletes was ingested and its
     /// effects propagated up the lattice to resident chunks.
-    DeltaIngest {
+    DeltaIngest = "delta_ingest" {
         /// Fact tuples inserted.
         inserts: u64,
         /// Fact tuples removed by matched deletes.
@@ -399,7 +503,7 @@ pub enum Event {
     },
     /// A resident chunk absorbed a delta in place through the roll-up
     /// kernel (self-maintainable aggregate).
-    ChunkPatch {
+    ChunkPatch = "chunk_patch" {
         /// Group-by id of the patched chunk.
         gb: u32,
         /// Chunk number patched.
@@ -411,7 +515,7 @@ pub enum Event {
     },
     /// A resident chunk affected by a delta could not be patched in place
     /// and was evicted to re-serve through the normal miss path.
-    ChunkInvalidate {
+    ChunkInvalidate = "chunk_invalidate" {
         /// Group-by id of the invalidated chunk.
         gb: u32,
         /// Chunk number invalidated.
@@ -424,17 +528,17 @@ pub enum Event {
         reason: &'static str,
     },
     /// A cluster node went down (its cache contents are lost).
-    NodeDown {
+    NodeDown = "node_down" {
         /// The failed node.
         node: u32,
     },
     /// A cluster node came back up (cold cache).
-    NodeUp {
+    NodeUp = "node_up" {
         /// The revived node.
         node: u32,
     },
     /// A query finished end to end (probe + apply).
-    QueryDone {
+    QueryDone = "query_done" {
         /// Probe id of the probe that produced the answer.
         query: u64,
         /// Tenant that issued the query (0 for single-tenant sessions).
@@ -483,458 +587,4 @@ pub enum Event {
         /// Wall-clock nanoseconds spent maintaining tables.
         update_ns: u64,
     },
-}
-
-impl Event {
-    /// Stable snake_case name of the event kind (the JSON `type` field).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::ProbeStart { .. } => "probe_start",
-            Event::ChunkLookup { .. } => "chunk_lookup",
-            Event::ProbeEnd { .. } => "probe_end",
-            Event::PlanChosen { .. } => "plan_chosen",
-            Event::FetchRetry { .. } => "fetch_retry",
-            Event::FetchTimeout { .. } => "fetch_timeout",
-            Event::FetchFailed { .. } => "fetch_failed",
-            Event::DegradedServe { .. } => "degraded_serve",
-            Event::BackendFetch { .. } => "backend_fetch",
-            Event::CacheInsert { .. } => "cache_insert",
-            Event::Evict { .. } => "evict",
-            Event::GroupBoost { .. } => "group_boost",
-            Event::CountUpdate { .. } => "count_update",
-            Event::CostUpdate { .. } => "cost_update",
-            Event::ShardAgg { .. } => "shard_agg",
-            Event::RemoteServe { .. } => "remote_serve",
-            Event::Handoff { .. } => "handoff",
-            Event::SpillWrite { .. } => "spill_write",
-            Event::SpillRead { .. } => "spill_read",
-            Event::SpillPromote { .. } => "spill_promote",
-            Event::WarmStart { .. } => "warm_start",
-            Event::SpillCorrupt { .. } => "spill_corrupt",
-            Event::SpillQuarantine { .. } => "spill_quarantine",
-            Event::IndexRebuild { .. } => "index_rebuild",
-            Event::ScrubPass { .. } => "scrub_pass",
-            Event::DeltaIngest { .. } => "delta_ingest",
-            Event::ChunkPatch { .. } => "chunk_patch",
-            Event::ChunkInvalidate { .. } => "chunk_invalidate",
-            Event::NodeDown { .. } => "node_down",
-            Event::NodeUp { .. } => "node_up",
-            Event::QueryDone { .. } => "query_done",
-        }
-    }
-
-    /// Serializes the event as one JSON object into `out`.
-    pub fn write_json(&self, out: &mut String) {
-        use crate::json::{push_f64, push_str};
-        out.push_str("{\"type\":\"");
-        out.push_str(self.kind());
-        out.push('"');
-        let field_u = |out: &mut String, k: &str, v: u64| {
-            out.push(',');
-            push_str(out, k);
-            out.push(':');
-            out.push_str(&v.to_string());
-        };
-        match self {
-            Event::ProbeStart {
-                query,
-                gb,
-                chunks,
-                version,
-                strategy,
-            } => {
-                field_u(out, "query", *query);
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "chunks", *chunks);
-                field_u(out, "version", *version);
-                out.push_str(",\"strategy\":");
-                push_str(out, strategy);
-            }
-            Event::ChunkLookup {
-                query,
-                gb,
-                chunk,
-                outcome,
-                nodes,
-            } => {
-                field_u(out, "query", *query);
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "chunk", *chunk);
-                out.push_str(",\"outcome\":");
-                push_str(out, outcome.name());
-                field_u(out, "nodes", *nodes);
-            }
-            Event::ProbeEnd {
-                query,
-                gb,
-                version,
-                hits,
-                computable,
-                missing,
-                demoted,
-                wall_ns,
-            } => {
-                field_u(out, "query", *query);
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "version", *version);
-                field_u(out, "hits", *hits);
-                field_u(out, "computable", *computable);
-                field_u(out, "missing", *missing);
-                field_u(out, "demoted", *demoted);
-                field_u(out, "wall_ns", *wall_ns);
-            }
-            Event::PlanChosen {
-                query,
-                gb,
-                chunk,
-                leaves,
-                levels,
-                predicted_tuples,
-                actual_tuples,
-            } => {
-                field_u(out, "query", *query);
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "chunk", *chunk);
-                field_u(out, "leaves", *leaves);
-                out.push_str(",\"levels\":[");
-                for (i, l) in levels.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&l.to_string());
-                }
-                out.push(']');
-                field_u(out, "predicted_tuples", *predicted_tuples);
-                field_u(out, "actual_tuples", *actual_tuples);
-            }
-            Event::FetchRetry {
-                gb,
-                chunks,
-                attempt,
-                backoff_virtual_ms,
-                error,
-            } => {
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "chunks", *chunks);
-                field_u(out, "attempt", u64::from(*attempt));
-                out.push_str(",\"backoff_virtual_ms\":");
-                push_f64(out, *backoff_virtual_ms);
-                out.push_str(",\"error\":");
-                push_str(out, error);
-            }
-            Event::FetchTimeout {
-                gb,
-                chunks,
-                virtual_ms,
-            } => {
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "chunks", *chunks);
-                out.push_str(",\"virtual_ms\":");
-                push_f64(out, *virtual_ms);
-            }
-            Event::FetchFailed {
-                gb,
-                chunks,
-                attempts,
-                virtual_ms,
-            } => {
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "chunks", *chunks);
-                field_u(out, "attempts", u64::from(*attempts));
-                out.push_str(",\"virtual_ms\":");
-                push_f64(out, *virtual_ms);
-            }
-            Event::DegradedServe {
-                gb,
-                chunk,
-                leaves,
-                tuples,
-            } => {
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "chunk", *chunk);
-                field_u(out, "leaves", *leaves);
-                field_u(out, "tuples", *tuples);
-            }
-            Event::BackendFetch {
-                gb,
-                chunks,
-                tuples_scanned,
-                result_tuples,
-                virtual_ms,
-            } => {
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "chunks", *chunks);
-                field_u(out, "tuples_scanned", *tuples_scanned);
-                field_u(out, "result_tuples", *result_tuples);
-                out.push_str(",\"virtual_ms\":");
-                push_f64(out, *virtual_ms);
-            }
-            Event::CacheInsert {
-                gb,
-                chunk,
-                tier,
-                bytes,
-                admitted,
-            } => {
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "chunk", *chunk);
-                out.push_str(",\"tier\":");
-                push_str(out, tier.name());
-                field_u(out, "bytes", *bytes);
-                out.push_str(",\"admitted\":");
-                out.push_str(if *admitted { "true" } else { "false" });
-            }
-            Event::Evict {
-                gb,
-                chunk,
-                tier,
-                clock_round,
-                clock,
-            } => {
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "chunk", *chunk);
-                out.push_str(",\"tier\":");
-                push_str(out, tier.name());
-                field_u(out, "clock_round", *clock_round);
-                out.push_str(",\"clock\":");
-                push_f64(out, *clock);
-            }
-            Event::GroupBoost { chunks, amount } => {
-                field_u(out, "chunks", *chunks);
-                out.push_str(",\"amount\":");
-                push_f64(out, *amount);
-            }
-            Event::CountUpdate {
-                gb,
-                chunk,
-                writes,
-                evict,
-            }
-            | Event::CostUpdate {
-                gb,
-                chunk,
-                writes,
-                evict,
-            } => {
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "chunk", *chunk);
-                field_u(out, "writes", *writes);
-                out.push_str(",\"evict\":");
-                out.push_str(if *evict { "true" } else { "false" });
-            }
-            Event::ShardAgg {
-                phase,
-                shard,
-                shards,
-                cells,
-                wall_ns,
-            } => {
-                field_u(out, "phase", u64::from(*phase));
-                field_u(out, "shard", u64::from(*shard));
-                field_u(out, "shards", u64::from(*shards));
-                field_u(out, "cells", *cells);
-                field_u(out, "wall_ns", *wall_ns);
-            }
-            Event::RemoteServe {
-                gb,
-                chunk,
-                from_node,
-                to_node,
-                bytes,
-                virtual_ms,
-            } => {
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "chunk", *chunk);
-                field_u(out, "from_node", u64::from(*from_node));
-                field_u(out, "to_node", u64::from(*to_node));
-                field_u(out, "bytes", *bytes);
-                out.push_str(",\"virtual_ms\":");
-                push_f64(out, *virtual_ms);
-            }
-            Event::Handoff {
-                gb,
-                chunk,
-                from_node,
-                to_node,
-                bytes,
-            } => {
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "chunk", *chunk);
-                field_u(out, "from_node", u64::from(*from_node));
-                field_u(out, "to_node", u64::from(*to_node));
-                field_u(out, "bytes", *bytes);
-            }
-            Event::SpillWrite {
-                gb,
-                chunk,
-                bytes,
-                virtual_ms,
-            }
-            | Event::SpillRead {
-                gb,
-                chunk,
-                bytes,
-                virtual_ms,
-            } => {
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "chunk", *chunk);
-                field_u(out, "bytes", *bytes);
-                out.push_str(",\"virtual_ms\":");
-                push_f64(out, *virtual_ms);
-            }
-            Event::SpillPromote {
-                gb,
-                chunk,
-                admitted,
-            } => {
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "chunk", *chunk);
-                out.push_str(",\"admitted\":");
-                out.push_str(if *admitted { "true" } else { "false" });
-            }
-            Event::WarmStart {
-                chunks,
-                bytes,
-                virtual_ms,
-            } => {
-                field_u(out, "chunks", *chunks);
-                field_u(out, "bytes", *bytes);
-                out.push_str(",\"virtual_ms\":");
-                push_f64(out, *virtual_ms);
-            }
-            Event::SpillCorrupt { gb, chunk, reason } => {
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "chunk", *chunk);
-                out.push_str(",\"reason\":");
-                push_str(out, reason);
-            }
-            Event::SpillQuarantine { gb, chunk, bytes } => {
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "chunk", *chunk);
-                field_u(out, "bytes", *bytes);
-            }
-            Event::IndexRebuild {
-                scanned,
-                recovered,
-                quarantined,
-            } => {
-                field_u(out, "scanned", *scanned);
-                field_u(out, "recovered", *recovered);
-                field_u(out, "quarantined", *quarantined);
-            }
-            Event::ScrubPass {
-                scanned,
-                corrupt,
-                quarantined,
-                virtual_ms,
-            } => {
-                field_u(out, "scanned", *scanned);
-                field_u(out, "corrupt", *corrupt);
-                field_u(out, "quarantined", *quarantined);
-                out.push_str(",\"virtual_ms\":");
-                push_f64(out, *virtual_ms);
-            }
-            Event::DeltaIngest {
-                inserts,
-                deletes,
-                unmatched,
-                base_chunks,
-                patched,
-                invalidated,
-                table_writes,
-                virtual_ms,
-            } => {
-                field_u(out, "inserts", *inserts);
-                field_u(out, "deletes", *deletes);
-                field_u(out, "unmatched", *unmatched);
-                field_u(out, "base_chunks", *base_chunks);
-                field_u(out, "patched", *patched);
-                field_u(out, "invalidated", *invalidated);
-                field_u(out, "table_writes", *table_writes);
-                out.push_str(",\"virtual_ms\":");
-                push_f64(out, *virtual_ms);
-            }
-            Event::ChunkPatch {
-                gb,
-                chunk,
-                cells,
-                tuples,
-            } => {
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "chunk", *chunk);
-                field_u(out, "cells", *cells);
-                field_u(out, "tuples", *tuples);
-            }
-            Event::ChunkInvalidate { gb, chunk, reason } => {
-                field_u(out, "gb", u64::from(*gb));
-                field_u(out, "chunk", *chunk);
-                out.push_str(",\"reason\":");
-                push_str(out, reason);
-            }
-            Event::NodeDown { node } => {
-                field_u(out, "node", u64::from(*node));
-            }
-            Event::NodeUp { node } => {
-                field_u(out, "node", u64::from(*node));
-            }
-            Event::QueryDone {
-                query,
-                tenant,
-                gb,
-                complete_hit,
-                chunks_hit,
-                chunks_computed,
-                chunks_missed,
-                chunks_demoted,
-                chunks_degraded,
-                tuples_aggregated,
-                backend_tuples,
-                lookup_nodes,
-                table_writes,
-                backend_virtual_ms,
-                agg_virtual_ms,
-                lookup_virtual_ms,
-                update_virtual_ms,
-                total_virtual_ms,
-                probe_ns,
-                apply_ns,
-                agg_ns,
-                lookup_ns,
-                update_ns,
-            } => {
-                field_u(out, "query", *query);
-                field_u(out, "tenant", u64::from(*tenant));
-                field_u(out, "gb", u64::from(*gb));
-                out.push_str(",\"complete_hit\":");
-                out.push_str(if *complete_hit { "true" } else { "false" });
-                field_u(out, "chunks_hit", *chunks_hit);
-                field_u(out, "chunks_computed", *chunks_computed);
-                field_u(out, "chunks_missed", *chunks_missed);
-                field_u(out, "chunks_demoted", *chunks_demoted);
-                field_u(out, "chunks_degraded", *chunks_degraded);
-                field_u(out, "tuples_aggregated", *tuples_aggregated);
-                field_u(out, "backend_tuples", *backend_tuples);
-                field_u(out, "lookup_nodes", *lookup_nodes);
-                field_u(out, "table_writes", *table_writes);
-                for (k, v) in [
-                    ("backend_virtual_ms", backend_virtual_ms),
-                    ("agg_virtual_ms", agg_virtual_ms),
-                    ("lookup_virtual_ms", lookup_virtual_ms),
-                    ("update_virtual_ms", update_virtual_ms),
-                    ("total_virtual_ms", total_virtual_ms),
-                ] {
-                    out.push(',');
-                    push_str(out, k);
-                    out.push(':');
-                    push_f64(out, *v);
-                }
-                field_u(out, "probe_ns", *probe_ns);
-                field_u(out, "apply_ns", *apply_ns);
-                field_u(out, "agg_ns", *agg_ns);
-                field_u(out, "lookup_ns", *lookup_ns);
-                field_u(out, "update_ns", *update_ns);
-            }
-        }
-        out.push('}');
-    }
 }

@@ -4,14 +4,14 @@ use std::sync::{Arc, Mutex};
 /// A sink for trace [`Event`]s.
 ///
 /// Implementations must be `Send + Sync`: probes run concurrently over one
-/// manager ([`CacheManager::execute_batch`]), and the parallel aggregation
+/// manager ([`CacheManager::run_batch`]), and the parallel aggregation
 /// kernel emits per-shard events from scoped worker threads.
 ///
 /// **Zero cost when disabled.** Components hold an `Option<Arc<dyn
 /// Tracer>>` and construct events only inside an `if let Some(..)` — with
 /// no tracer installed the entire subsystem is one branch per site.
 ///
-/// [`CacheManager::execute_batch`]: ../aggcache_core/struct.CacheManager.html#method.execute_batch
+/// [`CacheManager::run_batch`]: ../aggcache_core/struct.CacheManager.html#method.run_batch
 pub trait Tracer: Send + Sync {
     /// Consumes one event. Must not block for long: called on the query
     /// path, sometimes under concurrency.

@@ -336,9 +336,8 @@ impl TrafficEngine {
         (0..n).map(|_| self.next_arrival()).collect()
     }
 
-    /// Generates `n` arrivals as `(tenant, query)` pairs. Kept for the
-    /// deprecated `CacheManager::execute_batch_tagged` path; new code
-    /// should use [`TrafficEngine::requests`].
+    /// Generates `n` arrivals as `(tenant, query)` pairs; to feed
+    /// `CacheManager::run_batch` use [`TrafficEngine::requests`].
     pub fn tagged_queries(&mut self, n: usize) -> Vec<(u32, Query)> {
         (0..n)
             .map(|_| {

@@ -89,7 +89,7 @@ fn digest(r: ExecOutcome) -> Digest {
     )
 }
 
-/// The original single-stream pipeline: `QueryStream` + `execute_batch`.
+/// The original single-stream pipeline: `QueryStream` + `run_batch`.
 fn single_stream_run(ds: &Dataset, strategy: Strategy, threads: usize) -> Vec<ExecOutcome> {
     let mut mgr = manager(ds, strategy, AdmissionKind::BenefitMean, threads);
     mgr.preload_best().unwrap();

@@ -1,9 +1,9 @@
 //! Equivalence and stress tests for the concurrent probe/aggregate
 //! pipeline.
 //!
-//! The contract under test (DESIGN.md §6): [`CacheManager::execute_batch`]
+//! The contract under test (DESIGN.md §6): [`CacheManager::run_batch`]
 //! — concurrent probes plus sharded plan execution — is *bit-identical* to
-//! a sequential [`CacheManager::execute`] loop over the same queries, for
+//! a sequential [`CacheManager::run`] loop over the same queries, for
 //! every lookup strategy, every replacement policy and any thread count.
 //! "Bit-identical" covers the returned cells (compared via `f64::to_bits`),
 //! the per-query virtual-time metrics, the final cache contents and the
@@ -164,8 +164,8 @@ fn assert_sessions_identical(a: &SessionMetrics, b: &SessionMetrics, ctx: &str) 
 }
 
 /// Runs the full equivalence check for one strategy: for each policy and
-/// thread count, `execute_batch` (in windows, so later batches see cache
-/// state mutated by earlier ones) must match a sequential `execute` loop.
+/// thread count, `run_batch` (in windows, so later batches see cache
+/// state mutated by earlier ones) must match a sequential `run` loop.
 ///
 /// The cache budget is deliberately small — a fraction of the base cube —
 /// so the stream churns through admissions and evictions and the version-
