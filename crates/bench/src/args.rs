@@ -14,9 +14,12 @@ impl Args {
     /// Parses the process arguments. `--key value` pairs become values;
     /// bare `--flag`s (followed by another `--` or nothing) become flags.
     pub fn parse() -> Self {
+        Self::from_argv(std::env::args().skip(1).collect())
+    }
+
+    fn from_argv(argv: Vec<String>) -> Self {
         let mut values = HashMap::new();
         let mut flags = Vec::new();
-        let argv: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         while i < argv.len() {
             let arg = &argv[i];
@@ -35,12 +38,28 @@ impl Args {
         Self { values, flags }
     }
 
-    /// A typed value with a default.
+    /// A typed value with a default. A value that is present but does not
+    /// parse is a usage error: the process prints a message naming the
+    /// flag and the value, and exits with code 2 — it never runs the
+    /// experiment at the default instead.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.values
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.try_get(key, default).unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`Args::get`], returning the usage error instead of exiting.
+    fn try_get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.values.get(key) {
+            None => Ok(default),
+            Some(raw) => raw.parse().map_err(|_| {
+                format!(
+                    "invalid value `{raw}` for --{key}: expected {}",
+                    std::any::type_name::<T>()
+                )
+            }),
+        }
     }
 
     /// The raw string value of `--key value`, if present.
@@ -70,5 +89,24 @@ mod tests {
         let a = Args::default();
         assert_eq!(a.get("tuples", 42u64), 42);
         assert!(!a.flag("full"));
+    }
+
+    fn args(argv: &[&str]) -> Args {
+        Args::from_argv(argv.iter().map(|s| s.to_string()).collect())
+    }
+
+    #[test]
+    fn unparseable_values_are_usage_errors_not_defaults() {
+        assert_eq!(args(&["--threads", "4"]).try_get("threads", 1usize), Ok(4));
+        assert_eq!(args(&["--threads", "4"]).threads(), 4);
+        let err = args(&["--threads", "abc"])
+            .try_get("threads", 1usize)
+            .unwrap_err();
+        assert!(err.contains("--threads") && err.contains("abc"), "{err}");
+        // The letter O in place of a zero must not run the 1M-tuple default.
+        let err = args(&["--smoke", "--tuples", "2O000"])
+            .try_get("tuples", 1_000_000u64)
+            .unwrap_err();
+        assert!(err.contains("--tuples") && err.contains("2O000"), "{err}");
     }
 }

@@ -12,12 +12,11 @@
 //!    pre-load vs pre-loading the most detailed group-by that fits.
 
 use crate::report::{f2, Table};
-use crate::rig::{apb_dataset, backend_for, MB};
+use crate::rig::{apb_dataset, backend_for, paper_stream, MB};
 use crate::stream::{run_stream, StreamRun};
 use aggcache_cache::PolicyKind;
 use aggcache_core::{CacheManager, Strategy};
 use aggcache_gen::Dataset;
-use aggcache_workload::{QueryStream, WorkloadConfig};
 
 /// Options for the ablation suite.
 #[derive(Debug, Clone, Copy)]
@@ -204,11 +203,7 @@ fn run_preload_variant(
             }
         }
     }
-    let max_level = dataset.grid.geom(dataset.fact_gb).level().to_vec();
-    let mut stream = QueryStream::new(
-        dataset.grid.clone(),
-        WorkloadConfig::paper(max_level, opts.workload_seed),
-    );
+    let mut stream = paper_stream(dataset, opts.workload_seed);
     for _ in 0..opts.queries {
         let (q, _) = stream.next_with_kind();
         mgr.run(&(&q).into()).unwrap();

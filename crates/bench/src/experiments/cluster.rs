@@ -19,13 +19,12 @@
 //! thread counts — all reported numbers are virtual-time.
 
 use crate::report::{f2, Table};
-use crate::rig::{apb_dataset, backend_for};
+use crate::rig::{apb_dataset, backend_for, paper_stream, SplitMix64};
 use aggcache_cache::PolicyKind;
 use aggcache_cluster::{ClusterManager, NodeStats};
 use aggcache_core::{CacheManager, ExecOutcome, QueryRequest, RemoteMetrics, Strategy};
 use aggcache_gen::Dataset;
 use aggcache_obs::json::push_f64;
-use aggcache_workload::{QueryStream, WorkloadConfig};
 
 /// Options for the cluster sweep.
 #[derive(Debug, Clone, Copy)]
@@ -86,24 +85,6 @@ pub const REPLICATIONS: [usize; 2] = [1, 2];
 /// kills one live node).
 pub const FAILURE_RATES: [f64; 2] = [0.0, 0.2];
 
-/// SplitMix64 — the churn schedule's deterministic randomness source.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`, from the top 53 bits.
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
 /// Per-node outcome of one cell.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeOutcome {
@@ -159,9 +140,7 @@ pub struct CellResult {
 }
 
 fn paper_requests(dataset: &Dataset, n: usize, seed: u64) -> Vec<QueryRequest> {
-    let max_level = dataset.grid.geom(dataset.fact_gb).level().to_vec();
-    let mut stream = QueryStream::new(dataset.grid.clone(), WorkloadConfig::paper(max_level, seed));
-    QueryRequest::batch(&stream.take_queries(n))
+    QueryRequest::batch(&paper_stream(dataset, seed).take_queries(n))
 }
 
 fn build_cluster(

@@ -18,15 +18,14 @@
 //! afterwards and never appear in any output.
 
 use crate::report::{f2, Table};
-use crate::rig::{apb_dataset, backend_for};
+use crate::rig::{apb_dataset, backend_for, paper_stream, scratch_root};
 use aggcache_cache::PolicyKind;
 use aggcache_core::{CacheManager, QueryRequest, Strategy};
 use aggcache_gen::Dataset;
 use aggcache_obs::json::push_f64;
 use aggcache_obs::Tracer;
 use aggcache_store::SpillConfig;
-use aggcache_workload::{QueryStream, WorkloadConfig};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Options for the cold-start sweep.
@@ -122,11 +121,6 @@ pub struct CellResult {
     pub spill_writes: u64,
     /// Virtual milliseconds of measurement-time spill traffic.
     pub spill_virtual_ms: f64,
-}
-
-fn paper_stream(dataset: &Dataset, seed: u64) -> QueryStream {
-    let max_level = dataset.grid.geom(dataset.fact_gb).level().to_vec();
-    QueryStream::new(dataset.grid.clone(), WorkloadConfig::paper(max_level, seed))
 }
 
 fn manager(
@@ -261,18 +255,12 @@ pub struct ColdstartResults {
     pub cells: Vec<CellResult>,
 }
 
-/// Process-unique scratch root for the sweep's spill directories; never
-/// serialized into any output.
-fn scratch_root(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("aggcache-coldstart-{tag}-{}", std::process::id()))
-}
-
 /// Runs the sweep over [`BUDGET_SCALES`] × {cold, warm}. `tag` isolates
 /// concurrent sweeps' scratch directories (tests); the experiment
 /// binaries pass a constant.
 pub fn run_experiment(opts: Opts, tag: &str) -> ColdstartResults {
     let dataset = apb_dataset(opts.tuples, opts.seed);
-    let root = scratch_root(tag);
+    let root = scratch_root("coldstart", tag);
     let _ = std::fs::remove_dir_all(&root);
     let mut cells = Vec::new();
     for (i, &scale) in BUDGET_SCALES.iter().enumerate() {
@@ -436,7 +424,7 @@ mod tests {
 
     fn cell(tag: &str, opts: Opts, warm: bool) -> CellResult {
         let ds = apb_dataset(opts.tuples, opts.seed);
-        let root = scratch_root(tag);
+        let root = scratch_root("coldstart", tag);
         let _ = std::fs::remove_dir_all(&root);
         let out = run_cell(&ds, opts, warm, opts.cache_bytes, &root.join("cell"));
         let _ = std::fs::remove_dir_all(&root);
@@ -511,7 +499,7 @@ mod tests {
         assert!(!to_csv(&a).contains(&tmp));
         assert!(to_csv(&a).starts_with("mode,cache_bytes,batch,hit_ratio\n"));
         // Scratch directories are cleaned up.
-        assert!(!scratch_root("exports-a").exists());
-        assert!(!scratch_root("exports-b").exists());
+        assert!(!scratch_root("coldstart", "exports-a").exists());
+        assert!(!scratch_root("coldstart", "exports-b").exists());
     }
 }

@@ -13,13 +13,12 @@
 //! cache cannot reconstruct at all fail.
 
 use crate::report::{f2, Table};
-use crate::rig::{apb_dataset, backend_for, MB};
+use crate::rig::{apb_dataset, backend_for, paper_stream, MB};
 use aggcache_cache::PolicyKind;
 use aggcache_core::{CacheError, CacheManager, Strategy};
 use aggcache_gen::Dataset;
 use aggcache_obs::Tracer;
 use aggcache_store::{FaultInjectingBackend, FaultProfile, RetryPolicy, RetryingBackend};
-use aggcache_workload::{QueryStream, WorkloadConfig};
 use std::sync::Arc;
 
 /// Options for the fault sweep.
@@ -156,11 +155,7 @@ pub fn run_stream_faulty(
     // pre-load fetch can fail, which simply leaves the cache cold.
     let _ = mgr.preload_best();
 
-    let max_level = dataset.grid.geom(dataset.fact_gb).level().to_vec();
-    let mut stream = QueryStream::new(
-        dataset.grid.clone(),
-        WorkloadConfig::paper(max_level, opts.workload_seed),
-    );
+    let mut stream = paper_stream(dataset, opts.workload_seed);
 
     let mut r = FaultStreamResult {
         queries: opts.queries as u64,

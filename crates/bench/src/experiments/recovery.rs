@@ -19,16 +19,14 @@
 //! and never appear in any output.
 
 use crate::report::{f2, Table};
-use crate::rig::{apb_dataset, backend_for};
+use crate::rig::{apb_dataset, backend_for, oracle, paper_stream, scratch_root};
 use aggcache_cache::PolicyKind;
-use aggcache_chunks::ChunkData;
-use aggcache_core::{CacheManager, Query, QueryRequest, Strategy};
+use aggcache_core::{CacheManager, QueryRequest, Strategy};
 use aggcache_gen::Dataset;
 use aggcache_obs::json::push_f64;
 use aggcache_obs::Tracer;
 use aggcache_store::{DiskFaultProfile, SpillConfig};
-use aggcache_workload::{QueryStream, WorkloadConfig};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Options for the recovery sweep.
@@ -131,11 +129,6 @@ pub struct CellResult {
     pub total_virtual_ms: f64,
 }
 
-fn paper_stream(dataset: &Dataset, seed: u64) -> QueryStream {
-    let max_level = dataset.grid.geom(dataset.fact_gb).level().to_vec();
-    QueryStream::new(dataset.grid.clone(), WorkloadConfig::paper(max_level, seed))
-}
-
 fn spill_config(dir: &Path, rate: f64, seed: u64, scrub: Option<f64>) -> SpillConfig {
     let mut config = SpillConfig::new(dir).fault(DiskFaultProfile::uniform(rate, seed));
     if let Some(interval) = scrub {
@@ -161,21 +154,6 @@ fn manager(
     }
     b.build(backend_for(dataset))
         .expect("sweep configuration is valid")
-}
-
-/// The brute-force oracle: the query's chunks fetched straight from a
-/// pristine backend, bypassing cache, spill and faults entirely.
-fn oracle(backend: &aggcache_store::Backend, q: &Query) -> ChunkData {
-    let mut all = ChunkData::new(backend.grid().num_dims());
-    for (_, data) in backend
-        .fetch(q.gb, &q.chunks)
-        .expect("oracle backend cannot fail")
-        .chunks
-    {
-        all.append(&data);
-    }
-    all.sort_by_coords();
-    all
 }
 
 /// Runs one (rate, scrub) cell. Deterministic for fixed opts: the
@@ -288,18 +266,12 @@ pub struct RecoveryResults {
     pub cells: Vec<CellResult>,
 }
 
-/// Process-unique scratch root for the sweep's spill directories; never
-/// serialized into any output.
-fn scratch_root(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("aggcache-recovery-{tag}-{}", std::process::id()))
-}
-
 /// Runs the sweep over [`FAULT_RATES`] × {scrub off, scrub on}. `tag`
 /// isolates concurrent sweeps' scratch directories (tests); the
 /// experiment binaries pass a constant.
 pub fn run_experiment(opts: Opts, tag: &str) -> RecoveryResults {
     let dataset = apb_dataset(opts.tuples, opts.seed);
-    let root = scratch_root(tag);
+    let root = scratch_root("recovery", tag);
     let _ = std::fs::remove_dir_all(&root);
     let mut cells = Vec::new();
     for (i, &rate) in FAULT_RATES.iter().enumerate() {
@@ -452,7 +424,7 @@ mod tests {
 
     fn cell(tag: &str, opts: Opts, rate: f64, scrub: bool) -> CellResult {
         let ds = apb_dataset(opts.tuples, opts.seed);
-        let root = scratch_root(tag);
+        let root = scratch_root("recovery", tag);
         let _ = std::fs::remove_dir_all(&root);
         let out = run_cell(&ds, opts, rate, scrub, &root.join("cell"));
         let _ = std::fs::remove_dir_all(&root);
@@ -530,7 +502,7 @@ mod tests {
         let tmp = std::env::temp_dir().display().to_string();
         assert!(!ja.contains(&tmp));
         assert!(!to_csv(&a).contains(&tmp));
-        assert!(!scratch_root("exports-a").exists());
-        assert!(!scratch_root("exports-b").exists());
+        assert!(!scratch_root("recovery", "exports-a").exists());
+        assert!(!scratch_root("recovery", "exports-b").exists());
     }
 }

@@ -27,16 +27,15 @@
 //! — at any thread count — produce bit-identical documents.
 
 use crate::report::{f2, Table};
-use crate::rig::{apb_dataset, backend_for, strategy_name};
+use crate::rig::{apb_dataset, backend_for, oracle, paper_stream, strategy_name, SplitMix64};
 use aggcache_cache::PolicyKind;
 use aggcache_chunks::ChunkData;
 use aggcache_core::{
-    CacheManager, DeltaBatch, Query, QueryMetrics, QueryRequest, Strategy, UpdateMetrics,
+    CacheManager, DeltaBatch, QueryMetrics, QueryRequest, Strategy, UpdateMetrics,
 };
 use aggcache_gen::Dataset;
 use aggcache_obs::json::push_f64;
 use aggcache_obs::Tracer;
-use aggcache_workload::{QueryStream, WorkloadConfig};
 use std::sync::Arc;
 
 /// Options for the update sweep.
@@ -127,11 +126,6 @@ pub struct CellResult {
     pub read_virtual_ms: f64,
 }
 
-fn paper_stream(dataset: &Dataset, seed: u64) -> QueryStream {
-    let max_level = dataset.grid.geom(dataset.fact_gb).level().to_vec();
-    QueryStream::new(dataset.grid.clone(), WorkloadConfig::paper(max_level, seed))
-}
-
 fn manager(
     dataset: &Dataset,
     opts: Opts,
@@ -150,30 +144,6 @@ fn manager(
         .expect("sweep configuration is valid")
 }
 
-/// The brute-force oracle: the query's chunks fetched straight from the
-/// shadow backend — which received exactly the same delta batches — with
-/// no cache in between.
-fn oracle(backend: &aggcache_store::Backend, q: &Query) -> ChunkData {
-    let mut all = ChunkData::new(backend.grid().num_dims());
-    for (_, data) in backend
-        .fetch(q.gb, &q.chunks)
-        .expect("oracle backend cannot fail")
-        .chunks
-    {
-        all.append(&data);
-    }
-    all.sort_by_coords();
-    all
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Deterministic delta-batch generator. Inserts draw fresh coordinates and
 /// integer values from a seeded stream; deletes walk a seeded shuffle of
 /// the fact table's initial tuples, so each delete matches a real resident
@@ -183,7 +153,7 @@ struct DeltaGen {
     pool: Vec<(Vec<u32>, f64)>,
     next_del: usize,
     cards: Vec<u32>,
-    state: u64,
+    rng: SplitMix64,
 }
 
 impl DeltaGen {
@@ -201,16 +171,16 @@ impl DeltaGen {
         }
         // Seeded Fisher–Yates so deletes land all over the cube instead of
         // draining it in clustered scan order.
-        let mut state = seed;
+        let mut rng = SplitMix64(seed);
         for i in (1..pool.len()).rev() {
-            let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
+            let j = (rng.next_u64() % (i as u64 + 1)) as usize;
             pool.swap(i, j);
         }
         Self {
             pool,
             next_del: 0,
             cards,
-            state,
+            rng,
         }
     }
 
@@ -229,7 +199,7 @@ impl DeltaGen {
                 }
             } else {
                 let coords = self.fresh_coords();
-                let value = f64::from((splitmix64(&mut self.state) % 1000 + 1) as u32);
+                let value = f64::from((self.rng.next_u64() % 1000 + 1) as u32);
                 batch.insert(&coords, value);
             }
         }
@@ -239,7 +209,7 @@ impl DeltaGen {
     fn fresh_coords(&mut self) -> Vec<u32> {
         self.cards
             .iter()
-            .map(|&c| (splitmix64(&mut self.state) % u64::from(c)) as u32)
+            .map(|&c| (self.rng.next_u64() % u64::from(c)) as u32)
             .collect()
     }
 }

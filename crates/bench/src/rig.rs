@@ -1,9 +1,14 @@
-//! Shared experiment setup: the APB-1 dataset and manager construction.
+//! Shared experiment setup: the APB-1 dataset, manager construction, the
+//! paper's query stream, the brute-force oracle, sweep scratch space and
+//! the sweeps' seeded randomness.
 
 use aggcache_cache::PolicyKind;
-use aggcache_core::{CacheManager, Strategy};
+use aggcache_chunks::ChunkData;
+use aggcache_core::{CacheManager, Query, Strategy};
 use aggcache_gen::{Apb1Config, Dataset};
 use aggcache_store::{AggFn, Backend, BackendCostModel};
+use aggcache_workload::{QueryStream, WorkloadConfig};
+use std::path::PathBuf;
 
 /// One megabyte of accounting bytes.
 pub const MB: usize = 1_000_000;
@@ -48,6 +53,53 @@ pub fn manager_for(
         .cache_bytes(cache_bytes)
         .build(backend_for(dataset))
         .expect("bench configuration is valid")
+}
+
+/// The paper's §7.2 query stream over `dataset`, seeded.
+pub fn paper_stream(dataset: &Dataset, seed: u64) -> QueryStream {
+    let max_level = dataset.grid.geom(dataset.fact_gb).level().to_vec();
+    QueryStream::new(dataset.grid.clone(), WorkloadConfig::paper(max_level, seed))
+}
+
+/// The brute-force oracle: the query's chunks fetched straight from
+/// `backend` — a pristine one, or a shadow that received exactly the same
+/// delta batches — bypassing cache, spill and faults entirely.
+pub fn oracle(backend: &Backend, q: &Query) -> ChunkData {
+    let mut all = ChunkData::new(backend.grid().num_dims());
+    for (_, data) in backend
+        .fetch(q.gb, &q.chunks)
+        .expect("oracle backend cannot fail")
+        .chunks
+    {
+        all.append(&data);
+    }
+    all.sort_by_coords();
+    all
+}
+
+/// Process-unique scratch root for a sweep's spill directories; never
+/// serialized into any output. `tag` isolates concurrent sweeps (tests).
+pub fn scratch_root(sweep: &str, tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("aggcache-{sweep}-{tag}-{}", std::process::id()))
+}
+
+/// SplitMix64 — the sweeps' deterministic randomness source.
+pub struct SplitMix64(pub u64);
+
+impl SplitMix64 {
+    /// The next 64 bits of the stream.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, 1)`, from the top 53 bits.
+    pub fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
 }
 
 /// Human label of a strategy for report tables.

@@ -1,11 +1,11 @@
 //! Query-stream experiment runner (paper §7.2).
 
 use crate::report::MinMaxAvg;
+use crate::rig::paper_stream;
 use aggcache_cache::PolicyKind;
 use aggcache_core::{CacheManager, PreloadReport, Strategy};
 use aggcache_gen::Dataset;
 use aggcache_obs::Tracer;
-use aggcache_workload::{QueryStream, WorkloadConfig};
 use std::sync::Arc;
 
 /// Configuration of one stream run.
@@ -155,11 +155,7 @@ pub fn run_stream_traced(
         None
     };
 
-    let max_level = dataset.grid.geom(dataset.fact_gb).level().to_vec();
-    let mut stream = QueryStream::new(
-        dataset.grid.clone(),
-        WorkloadConfig::paper(max_level, run.seed),
-    );
+    let mut stream = paper_stream(dataset, run.seed);
 
     let mut hit_lookup = MinMaxAvg::default();
     let mut hit_agg = MinMaxAvg::default();

@@ -48,15 +48,19 @@ pub enum PolicyKind {
 }
 
 /// The outcome of an insert.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct InsertOutcome {
     /// Whether the chunk was admitted. A computed chunk is refused when
     /// admitting it would require evicting backend chunks (two-level
     /// policy), or when the chunk alone exceeds the budget.
     pub admitted: bool,
-    /// Chunks evicted to make room, in eviction order. The caller (the
-    /// cache manager) must propagate these to the virtual-count tables.
-    pub evicted: Vec<ChunkKey>,
+    /// The entries evicted to make room, in eviction order, data included.
+    /// The caller owns them from here on — the cache keeps no copy. The
+    /// cache manager propagates the keys to the virtual-count tables and
+    /// may demote the data to a spill tier; a caller that only wants the
+    /// keys drops the rest. An entry replaced under the inserted key is
+    /// superseded, not evicted, and is not listed.
+    pub evicted: Vec<(ChunkKey, CachedChunk)>,
 }
 
 enum Rings {
@@ -103,14 +107,6 @@ pub struct ChunkCache {
     admission: AdmissionState,
     /// Inserts refused by the admission policy (not by feasibility).
     admission_rejects: u64,
-    /// When `true`, policy victims evicted by [`ChunkCache::insert`] are
-    /// retained (with their data) in `evicted_buf` for the owner to drain
-    /// — the spill tier's demotion hook. Off by default: eviction then
-    /// drops entries immediately, exactly the historical behaviour.
-    capture_evicted: bool,
-    /// Victims captured since the last [`ChunkCache::drain_evicted`], in
-    /// eviction order (aligned with [`InsertOutcome::evicted`]).
-    evicted_buf: Vec<(ChunkKey, CachedChunk)>,
     /// Optional event sink; `None` keeps every emission site down to one
     /// branch.
     tracer: Option<Arc<dyn Tracer>>,
@@ -160,8 +156,6 @@ impl ChunkCache {
             admission_kind: admission,
             admission: AdmissionState::new(admission),
             admission_rejects: 0,
-            capture_evicted: false,
-            evicted_buf: Vec::new(),
             tracer: None,
         }
     }
@@ -316,7 +310,7 @@ impl ChunkCache {
     }
 
     /// Inserts (or replaces) a chunk, evicting per policy to fit the
-    /// budget. Returns the admission decision and the evicted keys.
+    /// budget. Returns the admission decision and the evicted entries.
     ///
     /// A *refused* replace leaves the previously cached entry untouched:
     /// the oversize and feasibility checks run before the old entry is
@@ -372,31 +366,25 @@ impl ChunkCache {
         }
 
         // Admission is now guaranteed: drop the entry being replaced.
-        let replaced = self.remove_internal(packed);
+        let replaced = self.take_internal(packed);
 
         while self.used + bytes > self.budget {
             let victim = self.find_victim(origin);
             match victim {
                 Some(v) => {
                     self.trace_evict(v);
-                    let entry = self.take_internal(v);
-                    let victim_key = ChunkKey::unpack(v);
-                    if self.capture_evicted {
-                        if let Some(entry) = entry {
-                            // Demotion hook: keep the victim's data for the
-                            // owner to spill to disk.
-                            self.evicted_buf.push((victim_key, entry));
-                        }
-                    }
-                    evicted.push(victim_key);
+                    let entry = self
+                        .take_internal(v)
+                        .expect("clock rings hold only resident keys");
+                    evicted.push((ChunkKey::unpack(v), entry));
                 }
                 None => {
                     // Unreachable given the precheck, but stay safe: refuse
                     // admission rather than over-commit. The replaced entry
                     // (if any) is already gone, so report it as evicted to
                     // keep the caller's count tables consistent.
-                    if replaced {
-                        evicted.push(key);
+                    if let Some(old) = replaced {
+                        evicted.push((key, old));
                     }
                     self.trace_insert(key, origin, bytes, false);
                     return InsertOutcome {
@@ -487,7 +475,7 @@ impl ChunkCache {
 
     /// Removes a chunk explicitly; returns whether it was present.
     pub fn remove(&mut self, key: &ChunkKey) -> bool {
-        self.remove_internal(key.pack())
+        self.take_internal(key.pack()).is_some()
     }
 
     /// Ownership-aware eviction: drains every resident chunk for which
@@ -616,10 +604,6 @@ impl ChunkCache {
         }
     }
 
-    fn remove_internal(&mut self, key: PackedChunkKey) -> bool {
-        self.take_internal(key).is_some()
-    }
-
     /// Removes an entry and returns it, maintaining byte accounting, the
     /// resident benefit mean and the clock rings.
     fn take_internal(&mut self, key: PackedChunkKey) -> Option<CachedChunk> {
@@ -648,26 +632,6 @@ impl ChunkCache {
             }
         }
         Some(entry)
-    }
-
-    /// Enables (or disables) eviction capture: while on, policy victims
-    /// evicted by [`ChunkCache::insert`] keep their data in an internal
-    /// buffer until [`ChunkCache::drain_evicted`] — the spill tier's
-    /// demotion hook. Explicit [`ChunkCache::remove`], replaced entries and
-    /// ownership drains are *not* captured: only replacement-policy
-    /// victims are demotion candidates.
-    pub fn set_capture_evicted(&mut self, on: bool) {
-        self.capture_evicted = on;
-        if !on {
-            self.evicted_buf.clear();
-        }
-    }
-
-    /// Takes the victims captured since the last drain, in eviction order
-    /// (each aligned with its [`InsertOutcome::evicted`] report). Empty
-    /// unless [`ChunkCache::set_capture_evicted`] is on.
-    pub fn drain_evicted(&mut self) -> Vec<(ChunkKey, CachedChunk)> {
-        std::mem::take(&mut self.evicted_buf)
     }
 
     /// Iterates the resident entries in ascending packed-key order — the
@@ -728,6 +692,10 @@ mod tests {
         ChunkKey::new(GroupById(0), i)
     }
 
+    fn keys(out: &InsertOutcome) -> Vec<ChunkKey> {
+        out.evicted.iter().map(|(key, _)| *key).collect()
+    }
+
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut c = ChunkCache::new(400, PolicyKind::Lru);
@@ -737,7 +705,7 @@ mod tests {
         let _ = c.get(&k(1));
         let out = c.insert(k(3), chunk(10), Origin::Backend, 1.0);
         assert!(out.admitted);
-        assert_eq!(out.evicted, vec![k(2)]);
+        assert_eq!(keys(&out), vec![k(2)]);
         assert_eq!(c.policy(), PolicyKind::Lru);
     }
 
@@ -750,7 +718,7 @@ mod tests {
         let out = c.insert(k(3), chunk(10), Origin::Backend, 0.0);
         assert!(out.admitted);
         assert_eq!(
-            out.evicted,
+            keys(&out),
             vec![k(1)],
             "huge benefit must not protect under LRU"
         );
@@ -796,7 +764,7 @@ mod tests {
         c.insert(k(2), chunk(10), Origin::Backend, 0.1);
         let out = c.insert(k(3), chunk(10), Origin::Backend, 100.0);
         assert!(out.admitted);
-        assert_eq!(out.evicted, vec![k(2)]);
+        assert_eq!(keys(&out), vec![k(2)]);
     }
 
     #[test]
@@ -820,7 +788,7 @@ mod tests {
         let out = c.insert(k(3), chunk(10), Origin::Backend, 1.0);
         assert!(out.admitted);
         // Even a high-benefit computed chunk falls before any backend chunk.
-        assert_eq!(out.evicted, vec![k(2)]);
+        assert_eq!(keys(&out), vec![k(2)]);
     }
 
     #[test]
@@ -841,7 +809,7 @@ mod tests {
         c.pin(k(1));
         let out = c.insert(k(3), chunk(10), Origin::Backend, 1.0);
         assert!(out.admitted);
-        assert_eq!(out.evicted, vec![k(2)]);
+        assert_eq!(keys(&out), vec![k(2)]);
         // Now both survivors are pinned or new; pin everything → reject.
         c.pin(k(3));
         let out = c.insert(k(4), chunk(10), Origin::Backend, 1.0);
@@ -849,7 +817,7 @@ mod tests {
         c.unpin(&k(1));
         let out = c.insert(k(4), chunk(10), Origin::Backend, 1.0);
         assert!(out.admitted);
-        assert_eq!(out.evicted, vec![k(1)]);
+        assert_eq!(keys(&out), vec![k(1)]);
     }
 
     #[test]
@@ -926,7 +894,7 @@ mod tests {
         let out = c.insert(k(3), chunk(10), Origin::Backend, 2000.0);
         assert!(out.admitted);
         assert_eq!(
-            out.evicted,
+            keys(&out),
             vec![k(2)],
             "normalization must rank residents by benefit after churn"
         );
@@ -1099,6 +1067,6 @@ mod tests {
         c.boost_group(group.iter(), 50.0);
         let out = c.insert(k(4), chunk(10), Origin::Computed, 1.0);
         assert!(out.admitted);
-        assert_eq!(out.evicted, vec![k(3)]);
+        assert_eq!(keys(&out), vec![k(3)]);
     }
 }

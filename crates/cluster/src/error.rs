@@ -18,8 +18,9 @@ pub enum ClusterError {
         /// The offending node id.
         node: u32,
     },
-    /// An invalid ring/builder parameter.
-    BadConfig(&'static str),
+    /// An invalid ring/builder parameter, or a node configuration the
+    /// cluster tier does not support (the message names it).
+    BadConfig(String),
     /// The message-cost model failed validation.
     BadNet(MessageCostError),
 }

@@ -175,9 +175,18 @@ impl ClusterBuilder {
             return Err(ClusterError::NoNodes);
         }
         let grid = nodes[0].grid().clone();
-        for (i, node) in nodes.iter().enumerate().skip(1) {
+        for (i, node) in nodes.iter().enumerate() {
             if !Arc::ptr_eq(node.grid(), &grid) {
                 return Err(ClusterError::MismatchedGrids { node: i as u32 });
+            }
+            // `ClusterManager::run` merges each node's `QueryMetrics` and
+            // its own `RemoteMetrics`; a node's disk traffic would vanish
+            // from `ExecOutcome::total_virtual_ms`. Refuse rather than
+            // mis-account.
+            if node.spill_store().is_some() {
+                return Err(ClusterError::BadConfig(format!(
+                    "node {i} has a spill tier, which cluster execution does not account for"
+                )));
             }
         }
         net.validate()?;
@@ -429,7 +438,7 @@ impl ClusterManager {
             data: merged_data.unwrap_or_else(|| ChunkData::new(self.nodes[0].grid().num_dims())),
             metrics: merged_metrics,
             remote,
-            // Cluster nodes run without a spill tier.
+            // No node has a spill tier: `ClusterBuilder::build` refuses one.
             spill: aggcache_core::SpillMetrics::default(),
             critical_path_ms,
         })
@@ -682,6 +691,28 @@ mod tests {
             .replication(0)
             .build();
         assert!(matches!(err, Err(ClusterError::BadConfig(_))));
+    }
+
+    #[test]
+    fn builder_refuses_a_node_with_a_spill_tier() {
+        let grid = shared_grid();
+        let dir =
+            std::env::temp_dir().join(format!("aggcache-cluster-spill-{}", std::process::id()));
+        let spilling = CacheManager::builder()
+            .cache_bytes(usize::MAX >> 1)
+            .spill(aggcache_store::SpillConfig::new(&dir))
+            .build(backend_for(&grid))
+            .unwrap();
+        let err = ClusterManager::builder()
+            .node(node(&grid))
+            .node(spilling)
+            .build()
+            .unwrap_err();
+        let _ = std::fs::remove_dir_all(&dir);
+        match err {
+            ClusterError::BadConfig(msg) => assert!(msg.contains("node 1"), "{msg}"),
+            other => panic!("expected BadConfig, got {other:?}"),
+        }
     }
 
     #[test]

@@ -65,13 +65,17 @@ impl HashRing {
     /// virtual nodes per node.
     pub fn new(nodes: u32, replication: usize, vnodes: u32) -> Result<Self, ClusterError> {
         if nodes == 0 {
-            return Err(ClusterError::BadConfig("ring needs at least one node"));
+            return Err(ClusterError::BadConfig(
+                "ring needs at least one node".into(),
+            ));
         }
         if replication == 0 {
-            return Err(ClusterError::BadConfig("replication must be at least 1"));
+            return Err(ClusterError::BadConfig(
+                "replication must be at least 1".into(),
+            ));
         }
         if vnodes == 0 {
-            return Err(ClusterError::BadConfig("vnodes must be at least 1"));
+            return Err(ClusterError::BadConfig("vnodes must be at least 1".into()));
         }
         let mut ring = Self {
             points: Vec::with_capacity(nodes as usize * vnodes as usize),

@@ -399,6 +399,43 @@ mod tests {
         }
     }
 
+    /// A sparse table must behave identically to a dense one — same
+    /// costs, same best parents, same write counts — through a mixed
+    /// insert/evict workload over every chunk of the lattice.
+    #[test]
+    fn sparse_matches_dense() {
+        let grid = fig4_grid();
+        let lattice = grid.schema().lattice().clone();
+        let mut dense = CostTable::new(grid.clone());
+        let mut sparse = CostTable::new_sparse(grid.clone());
+        let all_keys: Vec<ChunkKey> = lattice
+            .iter_ids()
+            .flat_map(|gb| (0..grid.n_chunks(gb)).map(move |c| ChunkKey::new(gb, c)))
+            .collect();
+        let mut cached = std::collections::HashSet::new();
+        let mut state = 0x5eed_u64;
+        for step in 0..200 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let key = all_keys[(state >> 33) as usize % all_keys.len()];
+            if cached.insert(key) {
+                let size = (state % 20) as u32 + 1;
+                assert_eq!(dense.on_insert(key, size), sparse.on_insert(key, size));
+            } else {
+                cached.remove(&key);
+                assert_eq!(dense.on_evict(key), sparse.on_evict(key));
+            }
+            for &k in &all_keys {
+                assert_eq!(dense.cost(k), sparse.cost(k), "{k:?} after step {step}");
+                assert_eq!(dense.best_parent(k), sparse.best_parent(k), "{k:?}");
+            }
+            dense.counts().assert_same(sparse.counts());
+        }
+        assert_eq!(dense.updates(), sparse.updates());
+        assert_eq!(dense.array_bytes(), sparse.array_bytes());
+    }
+
     #[test]
     fn table3_accounting() {
         let grid = fig4_grid();

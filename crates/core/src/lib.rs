@@ -51,14 +51,13 @@ pub use executor::{
     execute_plan, execute_plan_parallel, execute_plan_parallel_traced, PARALLEL_MIN_COST,
 };
 pub use lookup::{
-    esm, esmc, lookup, no_aggregation, vcm, vcmc, ComputationPlan, LookupOutcome, LookupStats,
-    Strategy,
+    esm, esmc, no_aggregation, vcm, vcmc, ComputationPlan, LookupOutcome, LookupStats, Strategy,
 };
 pub use manager::{
     CacheManager, CacheManagerBuilder, CheckpointReport, ManagerConfig, PreloadReport, QueryProbe,
     WarmStartReport,
 };
-pub use metrics::{QueryMetrics, SessionMetrics};
+pub use metrics::{QueryMetrics, SessionMetrics, LOOKUP_PER_NODE_US, UPDATE_PER_WRITE_US};
 pub use query::{Query, QueryResult, ValueQuery};
 pub use request::{
     Consistency, ExecOutcome, QueryRequest, RemoteMetrics, Routing, SpillMetrics, UpdateMetrics,

@@ -379,38 +379,6 @@ fn vcmc_rec(
     }
 }
 
-/// Dispatches a lookup according to `strategy`, given whichever tables the
-/// strategy needs.
-pub fn lookup(
-    strategy: Strategy,
-    cache: &ChunkCache,
-    grid: &ChunkGrid,
-    counts: Option<&CountTable>,
-    costs: Option<&CostTable>,
-    key: ChunkKey,
-    stats: &mut LookupStats,
-) -> Option<ComputationPlan> {
-    match strategy {
-        Strategy::NoAggregation => no_aggregation(cache, key, stats),
-        Strategy::Esm => esm(cache, grid, key, stats),
-        Strategy::Esmc { node_budget } => esmc(cache, grid, key, stats, node_budget),
-        Strategy::Vcm => vcm(
-            counts.expect("VCM needs a CountTable"),
-            cache,
-            grid,
-            key,
-            stats,
-        ),
-        Strategy::Vcmc => vcmc(
-            costs.expect("VCMC needs a CostTable"),
-            cache,
-            grid,
-            key,
-            stats,
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,3 +1,14 @@
+/// Virtual microseconds charged per lattice node visited during lookup.
+/// Node visits and tuple aggregations are both small memory-bound
+/// operations; 0.2 µs (≈0.4× the default aggregation rate) reproduces the
+/// magnitude of the paper's Table 4 speedups and Figure 10 breakdown on
+/// its 1997 hardware.
+pub const LOOKUP_PER_NODE_US: f64 = 0.2;
+
+/// Virtual microseconds charged per count/cost table cell written — by a
+/// query's admissions and evictions, and by delta maintenance.
+pub const UPDATE_PER_WRITE_US: f64 = 1.0;
+
 /// Per-query cost breakdown, mirroring the paper's Figure 10 split into
 /// cache lookup time, aggregation time and (count/cost) update time, plus
 /// the backend portion.

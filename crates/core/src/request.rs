@@ -340,22 +340,15 @@ mod tests {
 
     #[test]
     fn total_includes_remote_cost() {
-        let out = ExecOutcome {
+        let mut out = ExecOutcome::from(QueryResult {
             data: ChunkData::new(1),
             metrics: QueryMetrics {
                 backend_virtual_ms: 10.0,
                 ..Default::default()
             },
-            remote: RemoteMetrics {
-                remote_virtual_ms: 2.5,
-                ..Default::default()
-            },
-            spill: SpillMetrics {
-                spill_virtual_ms: 0.5,
-                ..Default::default()
-            },
-            critical_path_ms: 13.0,
-        };
+        });
+        out.remote.remote_virtual_ms = 2.5;
+        out.spill.spill_virtual_ms = 0.5;
         assert!((out.total_virtual_ms() - 13.0).abs() < 1e-12);
         let r = out.into_result();
         assert!((r.metrics.total_ms() - 10.0).abs() < 1e-12);

@@ -140,7 +140,8 @@ mod cache_behavior {
         // starts from the hand, evicting k1 first.
         let out = c.insert(ChunkKey::new(GroupById(0), 3), cell(), Origin::Backend, 1.0);
         assert!(out.admitted);
-        assert_eq!(out.evicted, vec![k1]);
+        let evicted: Vec<ChunkKey> = out.evicted.iter().map(|(key, _)| *key).collect();
+        assert_eq!(evicted, vec![k1]);
     }
 }
 

@@ -8,12 +8,33 @@ fn key(gb: u32, chunk: u64) -> ChunkKey {
     ChunkKey::new(GroupById(gb), chunk)
 }
 
-fn chunk_of(cells: usize) -> ChunkData {
+/// A chunk of `cells` cells that all carry `stamp`, so a victim's data can
+/// be told apart from any other version of the same key.
+fn chunk_of(cells: usize, stamp: f64) -> ChunkData {
     let mut d = ChunkData::new(1);
     for i in 0..cells {
-        d.push(&[i as u32], 1.0);
+        d.push(&[i as u32], stamp);
     }
     d
+}
+
+/// What the shadow model remembers of a resident entry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Resident {
+    cells: usize,
+    origin: Origin,
+    benefit: f64,
+    stamp: f64,
+}
+
+impl Resident {
+    /// Asserts `entry` is exactly what was inserted under this record.
+    fn assert_intact(&self, entry: &CachedChunk) {
+        assert_eq!(entry.data, chunk_of(self.cells, self.stamp), "data damaged");
+        assert_eq!(entry.origin, self.origin);
+        assert_eq!(entry.benefit, self.benefit);
+        assert_eq!(entry.bytes, self.cells * PAPER_TUPLE_BYTES);
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -66,9 +87,12 @@ fn arb_op() -> impl PropStrategy<Value = Op> {
 
 fn run_ops(policy: PolicyKind, budget: usize, ops: &[Op]) {
     let mut cache = ChunkCache::new(budget, policy);
+    // The `Evict` events are the independent witness of eviction order.
+    let tracer = std::sync::Arc::new(RecordingTracer::new());
+    cache.set_tracer(Some(tracer.clone()));
     let mut pinned: std::collections::HashSet<u64> = Default::default();
-    let mut shadow: std::collections::HashMap<u64, (usize, Origin)> = Default::default();
-    for op in ops {
+    let mut shadow: std::collections::HashMap<u64, Resident> = Default::default();
+    for (step, op) in ops.iter().enumerate() {
         match *op {
             Op::Insert {
                 id,
@@ -76,22 +100,48 @@ fn run_ops(policy: PolicyKind, budget: usize, ops: &[Op]) {
                 origin,
                 benefit,
             } => {
-                let out = cache.insert(key(0, id), chunk_of(cells), origin, benefit);
-                if out.admitted {
-                    shadow.insert(id, (cells, origin));
-                }
+                let stamp = step as f64;
+                tracer.take();
+                let out = cache.insert(key(0, id), chunk_of(cells, stamp), origin, benefit);
+                // The victims come back in the order the policy chose them.
+                let evict_events: Vec<u64> = tracer
+                    .take()
+                    .iter()
+                    .filter_map(|e| match e {
+                        Event::Evict { chunk, .. } => Some(*chunk),
+                        _ => None,
+                    })
+                    .collect();
+                let victims: Vec<u64> = out.evicted.iter().map(|(k, _)| k.chunk).collect();
+                assert_eq!(victims, evict_events, "victims out of eviction order");
                 // A refused insert — including a refused *replace* — leaves
                 // the previous entry (if any) untouched, so the shadow
-                // model changes only on admission.
-                for ev in &out.evicted {
+                // model changes only on admission; the per-step sweep below
+                // then checks the old entry is still resident and intact.
+                if out.admitted {
+                    shadow.insert(
+                        id,
+                        Resident {
+                            cells,
+                            origin,
+                            benefit,
+                            stamp,
+                        },
+                    );
+                } else {
+                    assert!(out.evicted.is_empty(), "a refusal evicts nothing");
+                }
+                for (victim, entry) in &out.evicted {
                     // Invariant: evicted chunks are never pinned…
-                    assert!(!pinned.contains(&ev.chunk), "evicted a pinned chunk");
-                    let (_, evicted_origin) =
-                        shadow.remove(&ev.chunk).expect("evicted unknown chunk");
+                    assert!(!pinned.contains(&victim.chunk), "evicted a pinned chunk");
+                    // …the caller receives each victim's entry undamaged…
+                    let was = shadow.remove(&victim.chunk).expect("evicted unknown chunk");
+                    was.assert_intact(entry);
+                    assert!(!cache.contains(victim), "victim still resident");
                     // …and under two-level, a computed insert never evicts
                     // backend chunks.
                     if policy == PolicyKind::TwoLevel && origin == Origin::Computed {
-                        assert_eq!(evicted_origin, Origin::Computed, "computed evicted backend");
+                        assert_eq!(was.origin, Origin::Computed, "computed evicted backend");
                     }
                 }
             }
@@ -120,7 +170,7 @@ fn run_ops(policy: PolicyKind, budget: usize, ops: &[Op]) {
         }
         // Global invariants after every operation.
         assert!(cache.used_bytes() <= budget, "budget exceeded");
-        let shadow_bytes: usize = shadow.values().map(|(c, _)| c * PAPER_TUPLE_BYTES).sum();
+        let shadow_bytes: usize = shadow.values().map(|r| r.cells * PAPER_TUPLE_BYTES).sum();
         assert_eq!(cache.used_bytes(), shadow_bytes, "byte accounting drifted");
         let resident_bytes: usize = cache
             .keys()
@@ -132,9 +182,8 @@ fn run_ops(policy: PolicyKind, budget: usize, ops: &[Op]) {
             "used_bytes != sum of resident chunk bytes"
         );
         assert_eq!(cache.len(), shadow.len(), "entry accounting drifted");
-        for (&id, &(cells, _)) in &shadow {
-            let entry = cache.peek(&key(0, id)).expect("shadow chunk missing");
-            assert_eq!(entry.data.len(), cells);
+        for (&id, resident) in &shadow {
+            resident.assert_intact(cache.peek(&key(0, id)).expect("shadow chunk missing"));
         }
     }
 }
@@ -143,8 +192,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The cache never exceeds its budget, never evicts pinned chunks,
-    /// keeps exact byte accounting, and (two-level) never lets computed
-    /// chunks displace backend chunks — under arbitrary operation streams.
+    /// keeps exact byte accounting, hands every victim back intact and in
+    /// eviction order, keeps the old entry through a refused replace, and
+    /// (two-level) never lets computed chunks displace backend chunks —
+    /// under arbitrary operation streams.
     #[test]
     fn cache_invariants_hold(
         ops in proptest::collection::vec(arb_op(), 1..120),
