@@ -19,8 +19,9 @@
 //! thread counts — all reported numbers are virtual-time.
 
 use crate::report::{f2, Table};
-use crate::rig::{apb_dataset, backend_for, paper_stream, SplitMix64};
+use crate::rig::{apb_dataset, backend_for, paper_stream};
 use aggcache_cache::PolicyKind;
+use aggcache_chunks::hash::SplitMix64;
 use aggcache_cluster::{ClusterManager, NodeStats};
 use aggcache_core::{CacheManager, ExecOutcome, QueryRequest, RemoteMetrics, Strategy};
 use aggcache_gen::Dataset;

@@ -27,8 +27,9 @@
 //! — at any thread count — produce bit-identical documents.
 
 use crate::report::{f2, Table};
-use crate::rig::{apb_dataset, backend_for, oracle, paper_stream, strategy_name, SplitMix64};
+use crate::rig::{apb_dataset, backend_for, oracle, paper_stream, strategy_name};
 use aggcache_cache::PolicyKind;
+use aggcache_chunks::hash::SplitMix64;
 use aggcache_chunks::ChunkData;
 use aggcache_core::{
     CacheManager, DeltaBatch, QueryMetrics, QueryRequest, Strategy, UpdateMetrics,

@@ -83,25 +83,6 @@ pub fn scratch_root(sweep: &str, tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("aggcache-{sweep}-{tag}-{}", std::process::id()))
 }
 
-/// SplitMix64 — the sweeps' deterministic randomness source.
-pub struct SplitMix64(pub u64);
-
-impl SplitMix64 {
-    /// The next 64 bits of the stream.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`, from the top 53 bits.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
 /// Human label of a strategy for report tables.
 pub fn strategy_name(strategy: Strategy) -> &'static str {
     match strategy {

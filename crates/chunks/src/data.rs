@@ -100,9 +100,10 @@ impl ChunkData {
             .zip(self.values.iter().copied())
     }
 
-    /// Fast path for aggregation kernels: iterates `(encoded_key, value)`
-    /// pairs, where the key is computed from per-dimension contribution
-    /// tables as `Σ_d tables[d][coords[d]]`.
+    /// The aggregation kernels' path off the columnar arrays: iterates the
+    /// `(encoded_key, value)` pairs of the cells in `range`, where the key
+    /// is computed from per-dimension contribution tables as
+    /// `Σ_d tables[d][coords[d]]`.
     ///
     /// Callers build `tables` by fusing a per-dimension roll-up map with a
     /// row-major linearization weight (`tables[d][src] = weight_d *
@@ -111,16 +112,10 @@ impl ChunkData {
     /// no scratch coordinate buffer, no per-cell slicing. The sum is
     /// evaluated in dimension order, so keys are identical to encoding the
     /// rolled-up coordinates directly.
-    pub fn encoded_coords<'a>(
-        &'a self,
-        tables: &'a [Vec<u64>],
-    ) -> impl Iterator<Item = (u64, f64)> + 'a {
-        self.encoded_coords_range(tables, 0..self.len())
-    }
-
-    /// [`ChunkData::encoded_coords`] over the cell range `range` — the
-    /// partition phase of the parallel aggregation kernel walks contiguous
-    /// sub-ranges of each source chunk.
+    ///
+    /// A range because a backend scan reads one chunk's tuple run of the
+    /// clustered fact file, and the partition phase of the parallel kernel
+    /// walks contiguous sub-ranges of each source chunk.
     pub fn encoded_coords_range<'a>(
         &'a self,
         tables: &'a [Vec<u64>],
@@ -128,7 +123,7 @@ impl ChunkData {
     ) -> impl Iterator<Item = (u64, f64)> + 'a {
         debug_assert_eq!(tables.len(), self.n_dims);
         let coords = &self.coords[range.start * self.n_dims..range.end * self.n_dims];
-        let values = &self.values[range.clone()];
+        let values = &self.values[range];
         coords
             .chunks_exact(self.n_dims)
             .zip(values.iter().copied())
@@ -198,57 +193,6 @@ impl ChunkData {
     }
 }
 
-/// Incremental builder accumulating cells keyed by coordinates, summing (or
-/// otherwise combining) duplicate keys — a tiny hash-aggregation helper for
-/// constructing chunk data.
-#[derive(Debug)]
-pub struct ChunkDataBuilder {
-    n_dims: usize,
-    map: std::collections::HashMap<Box<[u32]>, f64>,
-}
-
-impl ChunkDataBuilder {
-    /// Creates a builder for cells with `n_dims` coordinates.
-    pub fn new(n_dims: usize) -> Self {
-        Self {
-            n_dims,
-            map: std::collections::HashMap::new(),
-        }
-    }
-
-    /// Adds `value` to the cell at `coords`, combining with `combine` when
-    /// the cell already exists.
-    pub fn merge(&mut self, coords: &[u32], value: f64, combine: impl Fn(f64, f64) -> f64) {
-        debug_assert_eq!(coords.len(), self.n_dims);
-        match self.map.get_mut(coords) {
-            Some(v) => *v = combine(*v, value),
-            None => {
-                self.map.insert(coords.into(), value);
-            }
-        }
-    }
-
-    /// Number of distinct cells accumulated so far.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no cells have been accumulated.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Finishes into a coordinate-sorted [`ChunkData`].
-    pub fn finish(self) -> ChunkData {
-        let mut data = ChunkData::with_capacity(self.n_dims, self.map.len());
-        for (coords, value) in &self.map {
-            data.push(coords, *value);
-        }
-        data.sort_by_coords();
-        data
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,19 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_merges_duplicates() {
-        let mut b = ChunkDataBuilder::new(2);
-        b.merge(&[1, 1], 2.0, |a, b| a + b);
-        b.merge(&[0, 0], 5.0, |a, b| a + b);
-        b.merge(&[1, 1], 3.0, |a, b| a + b);
-        assert_eq!(b.len(), 2);
-        let d = b.finish();
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.coords_of(0), &[0, 0]);
-        assert_eq!(d.value_of(1), 5.0);
-    }
-
-    #[test]
     fn encoded_coords_matches_manual_encoding() {
         let mut d = ChunkData::new(2);
         d.push(&[1, 2], 3.0);
@@ -310,7 +241,7 @@ mod tests {
         // dim 0: identity with weight 3 (cardinality of dim 1);
         // dim 1: roll pairs {0,1}->0, {2,3}->1 with weight 1.
         let tables = vec![vec![0, 3, 6, 9], vec![0, 0, 1, 1]];
-        let got: Vec<(u64, f64)> = d.encoded_coords(&tables).collect();
+        let got: Vec<(u64, f64)> = d.encoded_coords_range(&tables, 0..3).collect();
         assert_eq!(got, vec![(4, 3.0), (9, 7.0), (0, -1.5)]);
         let mid: Vec<(u64, f64)> = d.encoded_coords_range(&tables, 1..3).collect();
         assert_eq!(mid, vec![(9, 7.0), (0, -1.5)]);

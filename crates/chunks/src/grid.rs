@@ -1,4 +1,4 @@
-use crate::{ChunkError, ChunkNumber, DimChunking};
+use crate::{ChunkError, ChunkNumber, DimChunking, PACK_CHUNK_BITS};
 use aggcache_schema::{GroupById, Schema};
 use std::sync::Arc;
 
@@ -131,8 +131,18 @@ impl ChunkGrid {
         Self::from_parts(schema, dims)
     }
 
+    /// Refuses a grid some of whose chunk keys would not survive
+    /// [`ChunkKey::pack`](crate::ChunkKey::pack) — more group-bys than the
+    /// id bits hold, or more chunks at one group-by than
+    /// [`PACK_CHUNK_BITS`] hold — so no two keys of a built grid share a
+    /// packed `u64`.
     fn from_parts(schema: Arc<Schema>, dims: Vec<DimChunking>) -> Result<Self, ChunkError> {
         let lattice = schema.lattice();
+        if u64::from(lattice.num_group_bys()) > 1 << (64 - PACK_CHUNK_BITS) {
+            return Err(ChunkError::TooManyChunks {
+                level: schema.base_level(),
+            });
+        }
         let mut geoms = Vec::with_capacity(lattice.num_group_bys() as usize);
         for (_, level) in lattice.iter_levels() {
             let n_chunks: Vec<u32> = level
@@ -140,7 +150,11 @@ impl ChunkGrid {
                 .enumerate()
                 .map(|(d, &l)| dims[d].n_chunks(l))
                 .collect();
-            geoms.push(LevelGeometry::new(level, n_chunks)?);
+            let geom = LevelGeometry::new(level, n_chunks)?;
+            if geom.total > 1 << PACK_CHUNK_BITS {
+                return Err(ChunkError::TooManyChunks { level: geom.level });
+            }
+            geoms.push(geom);
         }
         let lattice_weights = (0..dims.len())
             .map(|d| lattice_weight(lattice, d))
@@ -384,6 +398,33 @@ mod tests {
         assert_eq!(g.total_chunk_census(), 28);
         let census: u64 = lattice.iter_ids().map(|id| g.n_chunks(id)).sum();
         assert_eq!(census, 28);
+    }
+
+    #[test]
+    fn refuses_a_grid_whose_chunk_numbers_outgrow_the_packed_key() {
+        // Two flat dimensions at one chunk per value.
+        let square = |values: u32| {
+            let schema = Schema::new(
+                vec![
+                    Dimension::flat("a", values).unwrap(),
+                    Dimension::flat("b", values).unwrap(),
+                ],
+                "m",
+            )
+            .unwrap();
+            ChunkGrid::build(Arc::new(schema), &[vec![1, values], vec![1, values]])
+        };
+        // 2^42 base chunks: distinct keys would share a packed u64.
+        assert_eq!(
+            square(1 << 21).unwrap_err(),
+            ChunkError::TooManyChunks { level: vec![1, 1] }
+        );
+        // Exactly 2^40: the largest chunk number is 2^40 - 1, which fits.
+        let g = square(1 << 20).unwrap();
+        assert_eq!(
+            g.n_chunks(g.schema().lattice().base()),
+            1 << PACK_CHUNK_BITS
+        );
     }
 
     #[test]

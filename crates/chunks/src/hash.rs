@@ -13,6 +13,10 @@
 //! is fully deterministic — the same key set always produces the same
 //! table layout and iteration order, which keeps runs reproducible —
 //! and must only be used with trusted keys (no DoS resistance).
+//!
+//! The module is also home to the repo's one [`SplitMix64`] stream and its
+//! stateless step [`mix64`]: like the hasher, deterministic by
+//! construction and shared by every crate above this one.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -87,6 +91,40 @@ pub type PackedMap<V> = std::collections::HashMap<PackedChunkKey, V, FxBuildHash
 /// A hash set of packed chunk keys behind the fast hasher.
 pub type PackedSet = std::collections::HashSet<PackedChunkKey, FxBuildHasher>;
 
+/// SplitMix64's state increment (the golden-ratio "gamma").
+const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 step: the output for state `z` after one increment — a
+/// stateless 64-bit mixer (seed derivation, ring points, per-cell values).
+#[inline]
+pub fn mix64(z: u64) -> u64 {
+    let mut z = z.wrapping_add(SPLITMIX_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// SplitMix64: the repo's seeded deterministic random stream (fault
+/// injectors, sweep rigs) — the same seed always yields the same sequence.
+#[derive(Debug, Clone, Copy)]
+pub struct SplitMix64(pub u64);
+
+impl SplitMix64 {
+    /// The next 64 bits of the stream.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        let out = mix64(self.0);
+        self.0 = self.0.wrapping_add(SPLITMIX_GAMMA);
+        out
+    }
+
+    /// Uniform in `[0, 1)`, from the top 53 bits.
+    #[inline]
+    pub fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,6 +155,18 @@ mod tests {
         let mut b = FxHasher::default();
         b.write(&0x0123_4567_89ab_cdefu64.to_le_bytes());
         assert_eq!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn splitmix64_matches_the_published_stream() {
+        // The reference implementation's first outputs for seed 0.
+        let mut rng = SplitMix64(0);
+        assert_eq!(rng.next_u64(), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(rng.next_u64(), 0x6E78_9E6A_A1B9_65F4);
+        assert_eq!(rng.next_u64(), 0x06C4_5D18_8009_454F);
+        assert_eq!(mix64(0), 0xE220_A839_7B1D_CDAF);
+        let x = SplitMix64(7).next_f64();
+        assert!((0.0..1.0).contains(&x));
     }
 
     #[test]

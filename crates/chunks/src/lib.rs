@@ -24,7 +24,7 @@ mod error;
 mod grid;
 pub mod hash;
 
-pub use data::{ChunkData, ChunkDataBuilder, PAPER_TUPLE_BYTES};
+pub use data::{ChunkData, PAPER_TUPLE_BYTES};
 pub use dimchunk::DimChunking;
 pub use error::ChunkError;
 pub use grid::{ChunkGrid, LevelGeometry};
@@ -62,9 +62,11 @@ impl ChunkKey {
     /// `a.pack() < b.pack()` (group-by major, chunk minor), so sorting
     /// packed keys matches sorting [`ChunkKey`]s.
     ///
-    /// Debug builds assert the id/ordinal fit (gb id < 2^24, chunk < 2^40);
-    /// real schemas are orders of magnitude below both limits — APB-1 has
-    /// 336 group-bys and at most tens of thousands of chunks per group-by.
+    /// The id and the chunk number fit (gb id < 2^24, chunk < 2^40) for
+    /// every key of a grid that built: [`ChunkGrid`] construction refuses
+    /// any grid that exceeds either limit. Real schemas are orders of
+    /// magnitude below both — APB-1 has 336 group-bys and at most tens of
+    /// thousands of chunks per group-by.
     #[inline]
     pub fn pack(self) -> u64 {
         debug_assert!(u64::from(self.gb.0) < (1 << (64 - PACK_CHUNK_BITS)));

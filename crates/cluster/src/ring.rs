@@ -8,19 +8,10 @@
 //! node's points — everything else keeps its owner set. Both properties
 //! are enforced by the ring property tests.
 
+use aggcache_chunks::hash::mix64;
 use aggcache_chunks::ChunkKey;
 
 use crate::ClusterError;
-
-/// SplitMix64 finalizer — the same deterministic mixer the workload layer
-/// seeds its streams with. No `RandomState`, no platform dependence.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A consistent-hash ring assigning packed chunk keys to nodes.
 ///

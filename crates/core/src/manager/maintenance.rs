@@ -210,19 +210,15 @@ impl CacheManager {
             // to the chunk's level (deletes as negated lifted values),
             // then fold the delta cells into the cached cells.
             let gb_level = grid.geom(key.gb).level();
+            let mut share = ChunkData::new(grid.num_dims());
+            for (c, v) in gbd.inserts.share(&eff.inserted, key.chunk) {
+                share.push(c, agg.lift(v));
+            }
+            for (c, v) in gbd.deletes.share(&eff.deleted, key.chunk) {
+                share.push(c, -agg.lift(v));
+            }
             let mut patch = Aggregator::new(grid.schema(), gb_level, agg);
-            let inserts = gbd.inserts.share(&eff.inserted, key.chunk);
-            patch.add(
-                &fact_level,
-                inserts.map(|(c, v)| (c, agg.lift(v))),
-                Lift::Lifted,
-            );
-            let deletes = gbd.deletes.share(&eff.deleted, key.chunk);
-            patch.add(
-                &fact_level,
-                deletes.map(|(c, v)| (c, -agg.lift(v))),
-                Lift::Lifted,
-            );
+            patch.add_chunk(&fact_level, &share, Lift::Lifted);
             let tuples = patch.cells_added();
             let delta_cells = patch.finish();
             let mut merged = Aggregator::new(grid.schema(), gb_level, agg);
@@ -431,6 +427,40 @@ mod tests {
         );
         assert_counts_consistent(&mgr);
         check_lattice(&mut mgr);
+        assert_counts_consistent(&mgr);
+    }
+
+    #[test]
+    fn ingest_count_patch_takes_inserts_and_deletes_in_one_chunk() {
+        let mut mgr = manager_with(Strategy::Vcm, AggFn::Count);
+        populate_lattice(&mut mgr);
+        // All four records land in base chunk 0 (x in {0,1} × y in {0,1}):
+        // a delete between two inserts, one insert into the deleted cell.
+        let mut batch = DeltaBatch::new();
+        batch
+            .insert(&[0, 0], 5.0)
+            .delete(&[1, 1], 11.0)
+            .insert(&[1, 1], 3.0)
+            .insert(&[0, 1], 9.0);
+        let m = mgr.ingest(&batch).unwrap();
+        assert_eq!((m.tuples_inserted, m.tuples_deleted), (3, 1));
+        assert!(m.chunks_patched > 0);
+        assert_eq!(m.chunks_invalidated, 0, "COUNT patches through deletes");
+        // Every patched chunk equals a fresh recompute bit for bit.
+        let keys: Vec<ChunkKey> = mgr.cache().keys().collect();
+        for key in keys {
+            let fresh = mgr.backend().fetch(key.gb, &[key.chunk]).unwrap();
+            let (want, got) = (&fresh.chunks[0].1, &mgr.cache().peek(&key).unwrap().data);
+            assert_eq!(got.raw_coords(), want.raw_coords(), "{key:?}");
+            let same_bits = |(a, b): (&f64, &f64)| a.to_bits() == b.to_bits();
+            assert!(
+                got.raw_values()
+                    .iter()
+                    .zip(want.raw_values())
+                    .all(same_bits),
+                "{key:?}"
+            );
+        }
         assert_counts_consistent(&mgr);
     }
 

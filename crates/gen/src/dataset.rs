@@ -1,3 +1,4 @@
+use aggcache_chunks::hash::mix64;
 use aggcache_chunks::{ChunkData, ChunkGrid, ChunkNumber};
 use aggcache_schema::{GroupById, Schema};
 use aggcache_store::FactTable;
@@ -88,12 +89,7 @@ impl Dataset {
 /// Deterministic per-cell value in `[1, 1000]` derived from the local cell
 /// index (keeps generation order-independent).
 fn rng_value(local: u64) -> u32 {
-    // SplitMix64 finalizer.
-    let mut z = local.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % 1000) as u32 + 1
+    (mix64(local) % 1000) as u32 + 1
 }
 
 /// Samples `want` distinct local cell indices within the chunk's value box

@@ -11,17 +11,14 @@
 //! the *shape* of that benchmark — lattice, cardinalities, chunk counts,
 //! tuple count, density — which is what drives every quantity the paper
 //! measures. [`SyntheticSpec`] builds arbitrary smaller schemas for tests
-//! and property checks; [`save_dataset`]/[`load_dataset`] persist generated
-//! data between runs.
+//! and property checks.
 
 #![warn(missing_docs)]
 
 mod apb1;
 mod dataset;
-mod io;
 mod synthetic;
 
 pub use apb1::{apb1_chunk_counts, apb1_schema, hist_sale_gb, Apb1Config};
 pub use dataset::Dataset;
-pub use io::{load_dataset, save_dataset, IoError};
 pub use synthetic::{fig4_spec, SyntheticSpec};

@@ -300,34 +300,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Serializes the per-tenant table as CSV (header + one row per
-    /// tenant). Virtual-time only, like the per-level table; the p95/p99
-    /// columns are log2-bucket upper bounds in virtual microseconds.
-    pub fn tenants_to_csv(&self) -> String {
-        let inner = self.inner.lock().unwrap();
-        let mut out = String::from(
-            "tenant,queries,complete_hits,chunks_hit,chunks_computed,chunks_missed,\
-             chunks_degraded,degraded_queries,total_virtual_ms,p95_virtual_us,p99_virtual_us\n",
-        );
-        for (tenant, s) in &inner.tenants {
-            let _ = writeln!(
-                out,
-                "{tenant},{},{},{},{},{},{},{},{},{},{}",
-                s.queries,
-                s.complete_hits,
-                s.chunks_hit,
-                s.chunks_computed,
-                s.chunks_missed,
-                s.chunks_degraded,
-                s.degraded_queries,
-                s.total_virtual_ms,
-                s.latency_virtual_us.quantile(0.95).unwrap_or(0.0),
-                s.latency_virtual_us.quantile(0.99).unwrap_or(0.0),
-            );
-        }
-        out
-    }
 }
 
 /// A borrowed, lock-holding view of the per-tenant aggregation:
@@ -695,7 +667,7 @@ mod tests {
             assert_eq!(total, 4);
         }
         assert_eq!(r.counter("queries"), 4);
-        // Tenant rows appear in JSON and CSV exports.
+        // Tenant rows appear in the JSON export.
         let json = r.to_json();
         let v = JsonValue::parse(&json).expect("valid JSON");
         let rows = v.get("tenants").and_then(JsonValue::as_arr).unwrap();
@@ -705,9 +677,6 @@ mod tests {
             rows[1].get("chunks_degraded").and_then(JsonValue::as_f64),
             Some(2.0)
         );
-        let csv = r.tenants_to_csv();
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.lines().nth(1).unwrap().starts_with("0,1,1,"));
     }
 
     #[test]

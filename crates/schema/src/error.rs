@@ -61,6 +61,10 @@ pub enum SchemaError {
         /// The number of lattice nodes the schema implies.
         total: u128,
     },
+    /// The base level's cell space `Π card_d(h_d)` overflows `u64`, so cells
+    /// cannot be keyed by one row-major `u64` (every other level is no
+    /// larger than the base).
+    TooManyCells,
     /// A level tuple's length does not match the number of dimensions.
     BadLevelArity {
         /// Expected number of dimensions.
@@ -113,6 +117,9 @@ impl fmt::Display for SchemaError {
             Self::NoDimensions => write!(f, "schema has no dimensions"),
             Self::TooManyGroupBys { total } => {
                 write!(f, "lattice would have {total} group-bys (max {})", u32::MAX)
+            }
+            Self::TooManyCells => {
+                write!(f, "the base level has more than {} cells", u64::MAX)
             }
             Self::BadLevelArity { expected, got } => {
                 write!(f, "level tuple has {got} entries, schema has {expected} dimensions")

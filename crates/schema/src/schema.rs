@@ -15,6 +15,10 @@ pub struct Schema {
 
 impl Schema {
     /// Builds a schema from dimensions and a measure name.
+    ///
+    /// Refuses ([`SchemaError::TooManyCells`]) a schema whose base-level
+    /// cell space overflows `u64`: the aggregation kernel keys every cell
+    /// of a level by one row-major `u64`.
     pub fn new(
         dimensions: Vec<Dimension>,
         measure: impl Into<String>,
@@ -24,6 +28,13 @@ impl Schema {
         }
         let sizes: Vec<u8> = dimensions.iter().map(Dimension::hierarchy_size).collect();
         let lattice = Lattice::new(&sizes)?;
+        dimensions
+            .iter()
+            .zip(&sizes)
+            .try_fold(1u64, |cells, (d, &h)| {
+                cells.checked_mul(u64::from(d.cardinality(h)))
+            })
+            .ok_or(SchemaError::TooManyCells)?;
         Ok(Self {
             dimensions,
             measure: measure.into(),
@@ -135,6 +146,20 @@ mod tests {
         let few = s.estimated_distinct_cells(&[2, 1], 5);
         let more = s.estimated_distinct_cells(&[2, 1], 20);
         assert!(few <= more && more <= 24);
+    }
+
+    #[test]
+    fn refuses_a_cell_space_beyond_u64() {
+        let flat = |n: usize| {
+            let dims = (0..n)
+                .map(|d| Dimension::flat(format!("d{d}"), 1 << 17).unwrap())
+                .collect();
+            Schema::new(dims, "m")
+        };
+        // 2^68 cells.
+        assert_eq!(flat(4).unwrap_err(), SchemaError::TooManyCells);
+        // 2^51 cells.
+        assert_eq!(flat(3).unwrap().cells_at(&[1, 1, 1]), 1 << 51);
     }
 
     #[test]

@@ -2,6 +2,7 @@ use aggcache_chunks::hash::FxBuildHasher;
 use aggcache_chunks::ChunkData;
 use aggcache_schema::Schema;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// A distributive aggregate function over the cube measure.
 ///
@@ -105,9 +106,10 @@ impl Rollup {
     }
 }
 
-/// Row-major value-coordinate codec for a level, used to key the
-/// hash-aggregation map with a single `u64` when the level's cell space
-/// fits; falls back to boxed coordinate keys otherwise.
+/// Row-major value-coordinate codec for a level: one `u64` keys each cell
+/// of the hash-aggregation map. It exists for every level because
+/// [`Schema::new`] refuses a schema whose base-level cell space overflows
+/// `u64`, and no other level is larger.
 #[derive(Debug)]
 struct Codec {
     weights: Vec<u64>,
@@ -115,30 +117,18 @@ struct Codec {
 }
 
 impl Codec {
-    fn new(schema: &Schema, level: &[u8]) -> Option<Self> {
+    fn new(schema: &Schema, level: &[u8]) -> Self {
         let n = schema.num_dims();
-        let mut weights = vec![0u64; n];
-        let mut total: u128 = 1;
         let cards: Vec<u32> = (0..n)
             .map(|d| schema.dimension(d).cardinality(level[d]))
             .collect();
+        let mut weights = vec![0u64; n];
+        let mut total = 1u64;
         for d in (0..n).rev() {
-            if total > u128::from(u64::MAX) {
-                return None;
-            }
-            weights[d] = total as u64;
-            total *= u128::from(cards[d]);
+            weights[d] = total;
+            total *= u64::from(cards[d]);
         }
-        (total <= u128::from(u64::MAX)).then_some(Self { weights, cards })
-    }
-
-    #[inline]
-    fn encode(&self, coords: &[u32]) -> u64 {
-        coords
-            .iter()
-            .zip(&self.weights)
-            .map(|(&c, &w)| u64::from(c) * w)
-            .sum()
+        Self { weights, cards }
     }
 
     #[inline]
@@ -152,12 +142,12 @@ impl Codec {
 
     /// Fuses a roll-up with this codec into per-dimension contribution
     /// tables: `table[d][src] = weights[d] * rollup_d(src)`, so summing
-    /// `table[d][coords[d]]` over dimensions yields exactly
-    /// `encode(rollup(coords))` — one lookup and add per dimension in the
-    /// aggregation hot loop (see [`ChunkData::encoded_coords`]), with no
-    /// scratch coordinate buffer. The products cannot overflow: every
-    /// rolled-up coordinate is below its target cardinality, and the codec
-    /// only exists when the full target cell space fits a `u64`.
+    /// `table[d][coords[d]]` over dimensions yields exactly the row-major
+    /// key of the rolled-up coordinates — one lookup and add per dimension
+    /// in the aggregation hot loop ([`ChunkData::encoded_coords_range`]),
+    /// with no scratch coordinate buffer. The products cannot overflow:
+    /// every rolled-up coordinate is below its target cardinality, and the
+    /// full target cell space fits a `u64`.
     fn contribution_tables(&self, schema: &Schema, from: &[u8], rollup: &Rollup) -> Vec<Vec<u64>> {
         (0..schema.num_dims())
             .map(|d| {
@@ -175,10 +165,69 @@ impl Codec {
     }
 }
 
-/// One source level's cached roll-up: the level, its composed per-dimension
-/// roll-up maps, and (when the target has a codec) the fused
-/// roll-up×codec contribution tables.
-type LevelRollup = (Vec<u8>, Rollup, Option<Vec<Vec<u64>>>);
+/// The fused roll-up×codec contribution tables into one target level, built
+/// once per source level. Streams usually touch a handful of levels, so a
+/// linear scan beats hashing.
+struct LevelTables<'s> {
+    schema: &'s Schema,
+    target: Vec<u8>,
+    codec: Codec,
+    levels: Vec<(Vec<u8>, Vec<Vec<u64>>)>,
+}
+
+impl<'s> LevelTables<'s> {
+    fn new(schema: &'s Schema, target: &[u8]) -> Self {
+        Self {
+            schema,
+            target: target.to_vec(),
+            codec: Codec::new(schema, target),
+            levels: Vec::new(),
+        }
+    }
+
+    fn for_source(&mut self, from: &[u8]) -> &[Vec<u64>] {
+        let i = match self.levels.iter().position(|(l, _)| l == from) {
+            Some(i) => i,
+            None => {
+                let rollup = Rollup::new(self.schema, from, &self.target);
+                let tables = self.codec.contribution_tables(self.schema, from, &rollup);
+                self.levels.push((from.to_vec(), tables));
+                self.levels.len() - 1
+            }
+        };
+        &self.levels[i].1
+    }
+}
+
+/// The cells `range` of `data` as `(target key, cube value)` pairs, in
+/// order: keyed through `tables`, raw fact measures lifted.
+#[inline]
+fn keyed_cells<'a>(
+    data: &'a ChunkData,
+    tables: &'a [Vec<u64>],
+    range: Range<usize>,
+    agg: AggFn,
+    lift: Lift,
+) -> impl Iterator<Item = (u64, f64)> + 'a {
+    data.encoded_coords_range(tables, range)
+        .map(move |(key, v)| match lift {
+            Lift::Raw => (key, agg.lift(v)),
+            Lift::Lifted => (key, v),
+        })
+}
+
+type CellMap = HashMap<u64, f64, FxBuildHasher>;
+
+/// The ingest loop: combines each pair into its target cell, in order.
+#[inline]
+fn upsert(cells: &mut CellMap, agg: AggFn, pairs: impl Iterator<Item = (u64, f64)>) {
+    for (key, v) in pairs {
+        cells
+            .entry(key)
+            .and_modify(|acc| *acc = agg.combine(*acc, v))
+            .or_insert(v);
+    }
+}
 
 /// Streaming hash-aggregator rolling cells from arbitrary source levels up
 /// to one target level.
@@ -188,227 +237,75 @@ type LevelRollup = (Vec<u8>, Rollup, Option<Vec<Vec<u64>>>);
 /// a computed chunk). Costs are linear in the number of cells added,
 /// matching the paper's §5 cost model.
 pub struct Aggregator<'s> {
-    schema: &'s Schema,
-    target: Vec<u8>,
+    tables: LevelTables<'s>,
     agg: AggFn,
-    codec: Option<Codec>,
-    map_u64: HashMap<u64, f64, FxBuildHasher>,
-    map_box: HashMap<Box<[u32]>, f64, FxBuildHasher>,
-    /// Cache of composed roll-ups, keyed by source level, alongside the
-    /// fused roll-up×codec contribution tables when a codec exists. Streams
-    /// usually touch a handful of levels, so a linear scan beats hashing.
-    rollups: Vec<LevelRollup>,
+    cells: CellMap,
     cells_added: u64,
-    /// `(shard, num_shards)` when this aggregator owns only the target
-    /// cells hashing to its shard; `None` accepts every cell.
-    shard: Option<(u32, u32)>,
 }
 
 impl<'s> Aggregator<'s> {
     /// Creates an aggregator producing cells at `target` with `agg`.
     pub fn new(schema: &'s Schema, target: &[u8], agg: AggFn) -> Self {
         Self {
-            schema,
-            target: target.to_vec(),
+            tables: LevelTables::new(schema, target),
             agg,
-            codec: Codec::new(schema, target),
-            map_u64: HashMap::default(),
-            map_box: HashMap::default(),
-            rollups: Vec::new(),
+            cells: CellMap::default(),
             cells_added: 0,
-            shard: None,
         }
     }
 
-    /// Creates one shard of a partitioned aggregation: it consumes the same
-    /// input stream as [`Aggregator::new`] but accumulates only the target
-    /// cells it *owns* (cell identity hashed modulo `num_shards`).
+    /// Adds an entire [`ChunkData`] of cells at level `from`, rolling them
+    /// up into the target level.
+    pub fn add_chunk(&mut self, from: &[u8], data: &ChunkData, lift: Lift) {
+        self.add_chunk_range(from, data, 0..data.len(), lift);
+    }
+
+    /// Adds the cells `range` of `data` — how the backend scans one chunk's
+    /// tuple run out of the clustered fact file.
     ///
-    /// Because ownership partitions by **target cell** — not by input chunk
-    /// — every contribution to a given cell lands in the same shard, in the
-    /// same order the unsharded aggregator would see, so merging the
-    /// `num_shards` disjoint shards with [`Aggregator::merge`] reproduces
-    /// the single-threaded result *bit-exactly*, including non-associative
-    /// floating-point SUM.
-    pub fn new_sharded(
-        schema: &'s Schema,
-        target: &[u8],
-        agg: AggFn,
-        shard: u32,
-        num_shards: u32,
-    ) -> Self {
-        assert!(
-            num_shards > 0 && shard < num_shards,
-            "invalid shard {shard}/{num_shards}"
-        );
-        let mut a = Self::new(schema, target, agg);
-        if num_shards > 1 {
-            a.shard = Some((shard, num_shards));
-        }
-        a
-    }
-
-    fn rollup_for(&mut self, from: &[u8]) -> usize {
-        if let Some(i) = self.rollups.iter().position(|(l, _, _)| l == from) {
-            return i;
-        }
-        let r = Rollup::new(self.schema, from, &self.target);
-        let tables = self
-            .codec
-            .as_ref()
-            .map(|c| c.contribution_tables(self.schema, from, &r));
-        self.rollups.push((from.to_vec(), r, tables));
-        self.rollups.len() - 1
-    }
-
-    /// Adds cells at level `from`, rolling them up into the target level.
-    pub fn add<'a>(
+    /// Cells stream off the columnar arrays through
+    /// [`ChunkData::encoded_coords_range`] against the fused roll-up×codec
+    /// tables and combine into their target cells in input order.
+    pub fn add_chunk_range(
         &mut self,
         from: &[u8],
-        cells: impl Iterator<Item = (&'a [u32], f64)>,
+        data: &ChunkData,
+        range: Range<usize>,
         lift: Lift,
     ) {
-        let ri = self.rollup_for(from);
-        let n = self.schema.num_dims();
-        let mut dst = vec![0u32; n];
-        let agg = self.agg;
-        for (coords, v) in cells {
-            let v = match lift {
-                Lift::Raw => agg.lift(v),
-                Lift::Lifted => v,
-            };
-            // The indexed re-borrow keeps the borrow checker happy while the
-            // roll-up table lives inside `self`.
-            let rollup = &self.rollups[ri].1;
-            rollup.map_into(coords, &mut dst);
-            match &self.codec {
-                Some(c) => {
-                    let key = c.encode(&dst);
-                    if let Some((shard, n)) = self.shard {
-                        if key % u64::from(n) != u64::from(shard) {
-                            continue;
-                        }
-                    }
-                    self.cells_added += 1;
-                    self.map_u64
-                        .entry(key)
-                        .and_modify(|acc| *acc = agg.combine(*acc, v))
-                        .or_insert(v);
-                }
-                None => {
-                    if let Some((shard, n)) = self.shard {
-                        if fnv1a(&dst) % u64::from(n) != u64::from(shard) {
-                            continue;
-                        }
-                    }
-                    self.cells_added += 1;
-                    match self.map_box.get_mut(dst.as_slice()) {
-                        Some(acc) => *acc = agg.combine(*acc, v),
-                        None => {
-                            self.map_box.insert(dst.clone().into_boxed_slice(), v);
-                        }
-                    }
-                }
-            }
-        }
+        self.cells_added += range.len() as u64;
+        let tables = self.tables.for_source(from);
+        upsert(
+            &mut self.cells,
+            self.agg,
+            keyed_cells(data, tables, range, self.agg, lift),
+        );
     }
 
     /// Folds another aggregator (same schema, target and function) into this
     /// one, combining cells present in both with the aggregate's combine
     /// rule and summing the consumed-cell counts.
     ///
-    /// When the two aggregators are *disjoint shards* of one partitioned
-    /// aggregation (see [`Aggregator::new_sharded`]) no key collides, so the
-    /// merged state — and hence [`Aggregator::finish`] — is bit-identical
-    /// to the unsharded computation. Overlapping aggregators merge with
+    /// When the two aggregators hold *disjoint* target cells (the shards of
+    /// [`aggregate_to_level_parallel`]) no key collides, so the merged
+    /// state — and hence [`Aggregator::finish`] — is bit-identical to one
+    /// aggregator fed both inputs. Overlapping aggregators merge with
     /// correct SUM/COUNT/MIN/MAX semantics but, for floating-point SUM, in
     /// merge order rather than input order.
     pub fn merge(&mut self, other: Aggregator<'s>) {
-        assert_eq!(self.target, other.target, "merge targets differ");
+        assert_eq!(
+            self.tables.target, other.tables.target,
+            "merge targets differ"
+        );
         assert_eq!(self.agg, other.agg, "merge aggregate functions differ");
         let agg = self.agg;
-        for (key, v) in other.map_u64 {
-            self.map_u64
+        for (key, v) in other.cells {
+            self.cells
                 .entry(key)
                 .and_modify(|acc| *acc = agg.combine(*acc, v))
                 .or_insert(v);
-        }
-        for (coords, v) in other.map_box {
-            match self.map_box.get_mut(&coords) {
-                Some(acc) => *acc = agg.combine(*acc, v),
-                None => {
-                    self.map_box.insert(coords, v);
-                }
-            }
         }
         self.cells_added += other.cells_added;
-    }
-
-    /// Adds an entire [`ChunkData`].
-    ///
-    /// When the target level has a `u64` codec this takes the columnar
-    /// fast path: cells stream through [`ChunkData::encoded_coords`]
-    /// against the fused roll-up×codec tables, skipping the per-cell
-    /// coordinate buffer of the generic [`Aggregator::add`]. Keys, cell
-    /// order and combine order are identical, so results are bit-identical.
-    pub fn add_chunk(&mut self, from: &[u8], data: &ChunkData, lift: Lift) {
-        if self.codec.is_none() {
-            self.add(from, data.iter(), lift);
-            return;
-        }
-        let ri = self.rollup_for(from);
-        let tables = self.rollups[ri]
-            .2
-            .as_ref()
-            .expect("tables are built whenever a codec exists");
-        let agg = self.agg;
-        let shard = self.shard;
-        let mut added = 0u64;
-        for (key, v) in data.encoded_coords(tables) {
-            let v = match lift {
-                Lift::Raw => agg.lift(v),
-                Lift::Lifted => v,
-            };
-            if let Some((shard, n)) = shard {
-                if key % u64::from(n) != u64::from(shard) {
-                    continue;
-                }
-            }
-            added += 1;
-            self.map_u64
-                .entry(key)
-                .and_modify(|acc| *acc = agg.combine(*acc, v))
-                .or_insert(v);
-        }
-        self.cells_added += added;
-    }
-
-    /// Adds cells already rolled up to the target level and encoded with
-    /// the target level's `u64` codec, combining them in iteration order.
-    ///
-    /// This is the fast path of the two-phase parallel executor: a
-    /// partition pass rolls up and encodes each input cell exactly once,
-    /// and hands each shard its owned `(key, value)` runs in global input
-    /// order. Panics when the target level's cell space does not fit the
-    /// `u64` codec.
-    pub fn add_encoded(&mut self, pairs: impl IntoIterator<Item = (u64, f64)>) {
-        assert!(
-            self.codec.is_some(),
-            "add_encoded requires a u64 codec for the target level"
-        );
-        let agg = self.agg;
-        for (key, v) in pairs {
-            if let Some((shard, n)) = self.shard {
-                if key % u64::from(n) != u64::from(shard) {
-                    continue;
-                }
-            }
-            self.cells_added += 1;
-            self.map_u64
-                .entry(key)
-                .and_modify(|acc| *acc = agg.combine(*acc, v))
-                .or_insert(v);
-        }
     }
 
     /// Number of input cells consumed so far — the paper's aggregation cost
@@ -419,44 +316,17 @@ impl<'s> Aggregator<'s> {
 
     /// Finishes into coordinate-sorted [`ChunkData`] at the target level.
     pub fn finish(self) -> ChunkData {
-        let n = self.schema.num_dims();
-        match self.codec {
-            Some(codec) => {
-                let mut keys: Vec<(u64, f64)> = self.map_u64.into_iter().collect();
-                keys.sort_unstable_by_key(|&(k, _)| k);
-                let mut out = ChunkData::with_capacity(n, keys.len());
-                let mut coords = vec![0u32; n];
-                for (k, v) in keys {
-                    codec.decode(k, &mut coords);
-                    out.push(&coords, v);
-                }
-                out
-            }
-            None => {
-                let mut cells: Vec<(Box<[u32]>, f64)> = self.map_box.into_iter().collect();
-                cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                let mut out = ChunkData::with_capacity(n, cells.len());
-                for (c, v) in cells {
-                    out.push(&c, v);
-                }
-                out
-            }
+        let n = self.tables.schema.num_dims();
+        let mut keys: Vec<(u64, f64)> = self.cells.into_iter().collect();
+        keys.sort_unstable_by_key(|&(k, _)| k);
+        let mut out = ChunkData::with_capacity(n, keys.len());
+        let mut coords = vec![0u32; n];
+        for (k, v) in keys {
+            self.tables.codec.decode(k, &mut coords);
+            out.push(&coords, v);
         }
+        out
     }
-}
-
-/// Deterministic FNV-1a over target-cell coordinates: the shard-ownership
-/// hash for levels whose cell space does not fit the `u64` codec.
-#[inline]
-fn fnv1a(coords: &[u32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &c in coords {
-        for b in c.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// One-shot convenience: aggregates `sources` (level, cells) up to `target`.
@@ -467,11 +337,7 @@ pub fn aggregate_to_level(
     agg: AggFn,
     lift: Lift,
 ) -> ChunkData {
-    let mut a = Aggregator::new(schema, target, agg);
-    for (level, data) in sources {
-        a.add_chunk(level, data, lift);
-    }
-    a.finish()
+    aggregate_to_level_parallel(schema, sources, target, agg, lift, 1).0
 }
 
 /// Parallel, bit-exact counterpart of [`aggregate_to_level`]: a two-phase
@@ -488,14 +354,12 @@ pub fn aggregate_to_level(
 ///   into a partial [`Aggregator`]; the disjoint partials are then folded
 ///   together with [`Aggregator::merge`].
 ///
-/// Because ownership partitions by target cell and buckets are consumed in
-/// range order, every target cell sees its contributions in exactly the
-/// global input order — so the result is bit-identical to the sequential
-/// kernel, including non-associative floating-point SUM.
+/// Because the buckets partition by target cell and are consumed in range
+/// order, every target cell sees its contributions in exactly the global
+/// input order — so the result is bit-identical to the sequential kernel,
+/// including non-associative floating-point SUM.
 ///
-/// Falls back to the sequential kernel when `threads <= 1`, when the input
-/// is empty, or when the target level's cell space does not fit the `u64`
-/// codec.
+/// Runs the sequential kernel when `threads <= 1` or the input is empty.
 pub fn aggregate_to_level_parallel(
     schema: &Schema,
     sources: &[(&[u8], &ChunkData)],
@@ -522,27 +386,31 @@ pub fn aggregate_to_level_parallel_traced(
     tracer: Option<&dyn aggcache_obs::Tracer>,
 ) -> (ChunkData, u64) {
     let total: usize = sources.iter().map(|(_, d)| d.len()).sum();
-    let sequential = |schema: &Schema| {
+    if threads <= 1 || total == 0 {
         let mut a = Aggregator::new(schema, target, agg);
         for (level, data) in sources {
             a.add_chunk(level, data, lift);
         }
         let cells = a.cells_added();
-        (a.finish(), cells)
-    };
-    let Some(codec) = Codec::new(schema, target) else {
-        return sequential(schema);
-    };
-    if threads <= 1 || total == 0 {
-        return sequential(schema);
+        return (a.finish(), cells);
     }
     let nshards = threads.min(total);
+    let shard_agg = |phase: u8, shard: usize, cells: u64, start: std::time::Instant| {
+        if let Some(tracer) = tracer {
+            tracer.emit(&aggcache_obs::Event::ShardAgg {
+                phase,
+                shard: shard as u32,
+                shards: nshards as u32,
+                cells,
+                wall_ns: start.elapsed().as_nanos() as u64,
+            });
+        }
+    };
 
     // Phase A: contiguous global cell ranges → per-shard ordered runs.
     let bounds: Vec<usize> = (0..=nshards).map(|i| i * total / nshards).collect();
     let runs: Vec<Vec<Vec<(u64, f64)>>> = std::thread::scope(|s| {
-        let codec = &codec;
-        let bounds = &bounds;
+        let (bounds, shard_agg) = (&bounds, &shard_agg);
         let handles: Vec<_> = (0..nshards)
             .map(|r| {
                 s.spawn(move || {
@@ -553,47 +421,21 @@ pub fn aggregate_to_level_parallel_traced(
                     let headroom = (hi - lo) / nshards + (hi - lo) / (4 * nshards) + 8;
                     let mut buckets: Vec<Vec<(u64, f64)>> =
                         (0..nshards).map(|_| Vec::with_capacity(headroom)).collect();
-                    // Fused roll-up×codec tables per source level: the range
-                    // then streams through the columnar fast path with no
-                    // per-cell coordinate buffer (keys are identical to
-                    // rolling up and encoding each cell individually).
-                    let mut tables: Vec<(&[u8], Vec<Vec<u64>>)> = Vec::new();
+                    let mut levels = LevelTables::new(schema, target);
                     let mut pos = 0usize;
                     for &(level, data) in sources {
                         let len = data.len();
                         let start = lo.saturating_sub(pos).min(len);
                         let end = hi.saturating_sub(pos).min(len);
                         if start < end {
-                            let ti = match tables.iter().position(|(l, _)| *l == level) {
-                                Some(i) => i,
-                                None => {
-                                    let rollup = Rollup::new(schema, level, target);
-                                    tables.push((
-                                        level,
-                                        codec.contribution_tables(schema, level, &rollup),
-                                    ));
-                                    tables.len() - 1
-                                }
-                            };
-                            for (key, v) in data.encoded_coords_range(&tables[ti].1, start..end) {
-                                let v = match lift {
-                                    Lift::Raw => agg.lift(v),
-                                    Lift::Lifted => v,
-                                };
+                            let tables = levels.for_source(level);
+                            for (key, v) in keyed_cells(data, tables, start..end, agg, lift) {
                                 buckets[(key % nshards as u64) as usize].push((key, v));
                             }
                         }
                         pos += len;
                     }
-                    if let Some(tracer) = tracer {
-                        tracer.emit(&aggcache_obs::Event::ShardAgg {
-                            phase: 0,
-                            shard: r as u32,
-                            shards: nshards as u32,
-                            cells: (hi - lo) as u64,
-                            wall_ns: t_start.elapsed().as_nanos() as u64,
-                        });
-                    }
+                    shard_agg(0, r, (hi - lo) as u64, t_start);
                     buckets
                 })
             })
@@ -603,25 +445,17 @@ pub fn aggregate_to_level_parallel_traced(
 
     // Phase B: per-shard reduction in range order, then a disjoint merge.
     let partials: Vec<Aggregator> = std::thread::scope(|s| {
-        let runs = &runs;
+        let (runs, shard_agg) = (&runs, &shard_agg);
         let handles: Vec<_> = (0..nshards)
             .map(|t| {
                 s.spawn(move || {
                     let t_start = std::time::Instant::now();
-                    let mut a =
-                        Aggregator::new_sharded(schema, target, agg, t as u32, nshards as u32);
+                    let mut a = Aggregator::new(schema, target, agg);
                     for range in runs {
-                        a.add_encoded(range[t].iter().copied());
+                        a.cells_added += range[t].len() as u64;
+                        upsert(&mut a.cells, agg, range[t].iter().copied());
                     }
-                    if let Some(tracer) = tracer {
-                        tracer.emit(&aggcache_obs::Event::ShardAgg {
-                            phase: 1,
-                            shard: t as u32,
-                            shards: nshards as u32,
-                            cells: a.cells_added(),
-                            wall_ns: t_start.elapsed().as_nanos() as u64,
-                        });
-                    }
+                    shard_agg(1, t, a.cells_added(), t_start);
                     a
                 })
             })
@@ -638,9 +472,10 @@ pub fn aggregate_to_level_parallel_traced(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use aggcache_schema::Dimension;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     fn schema() -> Arc<Schema> {
@@ -665,6 +500,49 @@ mod tests {
             }
         }
         d
+    }
+
+    /// The roll-up written the slow way, independent of the fused tables:
+    /// each coordinate through [`Rollup::map_into`], combined per target
+    /// coordinate in input order.
+    pub(crate) fn reference_rollup(
+        schema: &Schema,
+        sources: &[(&[u8], &ChunkData)],
+        target: &[u8],
+        agg: AggFn,
+        lift: Lift,
+    ) -> ChunkData {
+        let n = schema.num_dims();
+        let mut cells: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
+        let mut dst = vec![0u32; n];
+        for (from, data) in sources {
+            let rollup = Rollup::new(schema, from, target);
+            for (coords, v) in data.iter() {
+                let v = match lift {
+                    Lift::Raw => agg.lift(v),
+                    Lift::Lifted => v,
+                };
+                rollup.map_into(coords, &mut dst);
+                cells
+                    .entry(dst.clone())
+                    .and_modify(|acc| *acc = agg.combine(*acc, v))
+                    .or_insert(v);
+            }
+        }
+        let mut out = ChunkData::with_capacity(n, cells.len());
+        for (coords, v) in cells {
+            out.push(&coords, v);
+        }
+        out
+    }
+
+    /// Same cells, same order, same `f64` bit patterns.
+    pub(crate) fn assert_same_bits(got: &ChunkData, want: &ChunkData, ctx: &str) {
+        assert_eq!(got.len(), want.len(), "{ctx}");
+        for (i, (c, v)) in got.iter().enumerate() {
+            assert_eq!(c, want.coords_of(i), "{ctx}");
+            assert_eq!(v.to_bits(), want.value_of(i).to_bits(), "{ctx} cell {c:?}");
+        }
     }
 
     #[test]
@@ -749,11 +627,7 @@ mod tests {
         let out = a.finish();
         let total: f64 = base.raw_values().iter().sum();
         assert_eq!(out.value_of(0), total);
-        assert_eq!(a_cells(&out), 1);
-    }
-
-    fn a_cells(d: &ChunkData) -> usize {
-        d.len()
+        assert_eq!(out.len(), 1);
     }
 
     #[test]
@@ -851,74 +725,54 @@ mod tests {
         assert_eq!(cnt.value_of(0), 3.0);
     }
 
+    /// `base_cells` with values that exercise float non-associativity, so
+    /// any reordering or re-bracketing of a SUM would flip bits.
+    fn jagged_cells() -> ChunkData {
+        let mut jagged = ChunkData::new(2);
+        for (i, (c, _)) in base_cells().iter().enumerate() {
+            jagged.push(c, 0.1 + i as f64 * 1e10 + (i as f64).sin());
+        }
+        jagged
+    }
+
     #[test]
     fn sharded_merge_is_bit_identical_to_sequential() {
         let s = schema();
-        let base = base_cells();
-        // Values that exercise float non-associativity.
-        let mut jagged = ChunkData::new(2);
-        for (i, (c, _)) in base.iter().enumerate() {
-            jagged.push(c, 0.1 + i as f64 * 1e10 + (i as f64).sin());
-        }
+        let jagged = jagged_cells();
+        let sources: [(&[u8], &ChunkData); 1] = [(&[2, 1], &jagged)];
         for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
             for target in [[0u8, 0], [1, 1], [2, 1], [0, 1]] {
-                let expected =
-                    aggregate_to_level(&s, &[(&[2, 1], &jagged)], &target, agg, Lift::Raw);
-                for nshards in [1u32, 2, 3, 8] {
-                    let mut shards: Vec<Aggregator> = (0..nshards)
-                        .map(|t| Aggregator::new_sharded(&s, &target, agg, t, nshards))
-                        .collect();
-                    for shard in &mut shards {
-                        shard.add_chunk(&[2, 1], &jagged, Lift::Raw);
-                    }
-                    let mut it = shards.into_iter();
-                    let mut merged = it.next().unwrap();
-                    for shard in it {
-                        merged.merge(shard);
-                    }
-                    assert_eq!(merged.cells_added(), jagged.len() as u64);
-                    let got = merged.finish();
-                    assert_eq!(got.len(), expected.len());
-                    for (i, (c, v)) in got.iter().enumerate() {
-                        assert_eq!(c, expected.coords_of(i));
-                        assert_eq!(
-                            v.to_bits(),
-                            expected.value_of(i).to_bits(),
-                            "{agg:?} {target:?} nshards={nshards} cell {c:?}"
-                        );
-                    }
+                let expected = aggregate_to_level(&s, &sources, &target, agg, Lift::Raw);
+                for threads in [1usize, 2, 3, 8] {
+                    let (got, cells) =
+                        aggregate_to_level_parallel(&s, &sources, &target, agg, Lift::Raw, threads);
+                    assert_eq!(cells, jagged.len() as u64);
+                    assert_same_bits(
+                        &got,
+                        &expected,
+                        &format!("{agg:?} {target:?} threads={threads}"),
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn add_chunk_fast_path_is_bit_identical_to_add() {
+    fn add_chunk_is_bit_identical_to_the_row_reference() {
         let s = schema();
-        // Values that exercise float non-associativity so any reordering
-        // or re-bracketing of the SUM would flip bits.
-        let mut jagged = ChunkData::new(2);
-        for (i, (c, _)) in base_cells().iter().enumerate() {
-            jagged.push(c, 0.1 + i as f64 * 1e10 + (i as f64).sin());
-        }
+        let jagged = jagged_cells();
         for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
             for lift in [Lift::Raw, Lift::Lifted] {
                 for target in [[0u8, 0], [1, 1], [2, 1], [0, 1]] {
-                    let mut fast = Aggregator::new(&s, &target, agg);
-                    fast.add_chunk(&[2, 1], &jagged, lift);
-                    let mut slow = Aggregator::new(&s, &target, agg);
-                    slow.add(&[2, 1], jagged.iter(), lift);
-                    assert_eq!(fast.cells_added(), slow.cells_added());
-                    let (fast, slow) = (fast.finish(), slow.finish());
-                    assert_eq!(fast.len(), slow.len());
-                    for (i, (c, v)) in fast.iter().enumerate() {
-                        assert_eq!(c, slow.coords_of(i));
-                        assert_eq!(
-                            v.to_bits(),
-                            slow.value_of(i).to_bits(),
-                            "{agg:?} {lift:?} {target:?} cell {c:?}"
-                        );
-                    }
+                    let mut kernel = Aggregator::new(&s, &target, agg);
+                    kernel.add_chunk(&[2, 1], &jagged, lift);
+                    assert_eq!(kernel.cells_added(), jagged.len() as u64);
+                    let want = reference_rollup(&s, &[(&[2, 1], &jagged)], &target, agg, lift);
+                    assert_same_bits(
+                        &kernel.finish(),
+                        &want,
+                        &format!("{agg:?} {lift:?} {target:?}"),
+                    );
                 }
             }
         }

@@ -229,19 +229,24 @@ impl Backend {
     /// Adds pre-computed aggregate tables at the given group-bys. Each must
     /// be computable from the fact data. Returns `self` for chaining.
     pub fn with_materialized(mut self, gbs: &[GroupById]) -> Result<Self, StoreError> {
-        let grid = self.fact.grid().clone();
         for &gb in gbs {
-            let fetched = self.fetch(gb, &(0..grid.n_chunks(gb)).collect::<Vec<_>>())?;
-            let mut cells = aggcache_chunks::ChunkData::new(grid.num_dims());
-            for (_, data) in fetched.chunks {
-                cells.append(&data);
-            }
-            self.materialized
-                .push(FactTable::load(grid.clone(), gb, cells));
+            let table = self.materialize(gb)?;
+            self.materialized.push(table);
         }
         // Prefer scanning the smallest usable table.
         self.materialized.sort_by_key(FactTable::num_tuples);
         Ok(self)
+    }
+
+    /// Computes group-by `gb` in full from the best current source and
+    /// loads it as a table of its own.
+    fn materialize(&self, gb: GroupById) -> Result<FactTable, StoreError> {
+        let grid = self.fact.grid();
+        let mut cells = ChunkData::new(grid.num_dims());
+        for (_, data) in self.fetch_group_by(gb)?.chunks {
+            cells.append(&data);
+        }
+        Ok(FactTable::load(grid.clone(), gb, cells))
     }
 
     /// The group-bys with materialized aggregates.
@@ -308,8 +313,9 @@ impl Backend {
             let source_chunks = grid.enumerate_region(source.gb(), &cover);
             let mut agg = Aggregator::new(grid.schema(), &target_level, self.agg);
             for bc in source_chunks {
-                scanned += source.tuples_in(bc);
-                agg.add(&source_level, source.scan_chunk(bc), lift);
+                let (cells, run) = source.chunk_cells(bc);
+                scanned += run.len() as u64;
+                agg.add_chunk_range(&source_level, cells, run, lift);
             }
             let data = agg.finish();
             returned += data.len() as u64;
@@ -363,17 +369,11 @@ impl Backend {
             let gbs = self.materialized_gbs();
             self.materialized.clear();
             let tracer = self.tracer.take();
-            let grid = self.fact.grid().clone();
             for gb in gbs {
-                let fetched = self
-                    .fetch(gb, &(0..grid.n_chunks(gb)).collect::<Vec<_>>())
+                let table = self
+                    .materialize(gb)
                     .expect("materialized group-by was computable before the delta");
-                let mut cells = ChunkData::new(grid.num_dims());
-                for (_, data) in fetched.chunks {
-                    cells.append(&data);
-                }
-                self.materialized
-                    .push(FactTable::load(grid.clone(), gb, cells));
+                self.materialized.push(table);
             }
             self.materialized.sort_by_key(FactTable::num_tuples);
             self.tracer = tracer;
@@ -556,6 +556,67 @@ mod tests {
         let base = lattice.base();
         let r = b.fetch(base, &[0]).unwrap();
         assert_eq!(r.chunks[0].1.len() as u64, b.fact().tuples_in(0));
+    }
+
+    /// Every tuple of `t` in clustered (scan) order.
+    fn clustered(t: &FactTable) -> ChunkData {
+        let mut all = ChunkData::new(t.grid().num_dims());
+        for c in 0..t.grid().n_chunks(t.gb()) {
+            for (coords, v) in t.scan_chunk(c) {
+                all.push(coords, v);
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn fetch_matches_the_row_reference_at_every_level() {
+        use crate::aggregate::tests::{assert_same_bits, reference_rollup};
+        let grid = backend().grid().clone();
+        let lattice = grid.schema().lattice().clone();
+        // Jagged measures (SUM order shows in the last bits), scrambled
+        // load order, and a duplicate coordinate in every third cell.
+        let mut cells = ChunkData::new(2);
+        for i in (0..32u32).rev() {
+            let v = 0.1 + f64::from(i) * 1e10 + f64::from(i).sin();
+            cells.push(&[i % 8, i / 8], v);
+            if i % 3 == 0 {
+                cells.push(&[i % 8, i / 8], -v / 7.0);
+            }
+        }
+        let fact = FactTable::load(grid.clone(), lattice.base(), cells);
+        let fact_level = grid.geom(fact.gb()).level().to_vec();
+        let mid = lattice.id_of(&[1, 1]).unwrap();
+        for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
+            let plain = Backend::new(fact.clone(), agg, BackendCostModel::default());
+            let with_mv = Backend::new(fact.clone(), agg, BackendCostModel::default())
+                .with_materialized(&[mid])
+                .unwrap();
+            let facts = clustered(&fact);
+            let view = clustered(&with_mv.materialized[0]);
+            for gb in lattice.iter_ids() {
+                let level = lattice.level_of(gb);
+                let reference = |from: &[u8], cells: &ChunkData, lift: Lift| {
+                    reference_rollup(grid.schema(), &[(from, cells)], &level, agg, lift)
+                };
+                let from_facts = reference(&fact_level, &facts, Lift::Raw);
+                let from_view = if lattice.computable_from(gb, mid) {
+                    reference(&lattice.level_of(mid), &view, Lift::Lifted)
+                } else {
+                    from_facts.clone()
+                };
+                for (backend, want) in [(&plain, &from_facts), (&with_mv, &from_view)] {
+                    // Chunks partition the group-by's cells, so sorting
+                    // their concatenation gives the reference's order.
+                    let mut got = ChunkData::new(2);
+                    for (_, data) in backend.fetch_group_by(gb).unwrap().chunks {
+                        got.append(&data);
+                    }
+                    got.sort_by_coords();
+                    assert_same_bits(&got, want, &format!("{agg:?} {level:?}"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 use crate::delta::{delete_multiset, DeltaBatch, DeltaOp, EffectiveDelta};
 use aggcache_chunks::{ChunkData, ChunkError, ChunkGrid, ChunkNumber};
 use aggcache_schema::GroupById;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The base fact table with the paper's *chunked file organization*:
@@ -97,19 +98,20 @@ impl FactTable {
         self.offsets[chunk as usize + 1] - self.offsets[chunk as usize]
     }
 
-    /// Iterates the `(coords, value)` tuples of `chunk`.
-    pub fn scan_chunk(&self, chunk: ChunkNumber) -> impl Iterator<Item = (&[u32], f64)> + '_ {
+    /// The tuple run of `chunk` as a cell range of the clustered fact
+    /// file — what the aggregation kernel scans
+    /// ([`Aggregator::add_chunk_range`](crate::Aggregator::add_chunk_range)).
+    #[inline]
+    pub fn chunk_cells(&self, chunk: ChunkNumber) -> (&ChunkData, Range<usize>) {
         let lo = self.offsets[chunk as usize] as usize;
         let hi = self.offsets[chunk as usize + 1] as usize;
-        (lo..hi).map(move |i| (self.data.coords_of(i), self.data.value_of(i)))
+        (&self.data, lo..hi)
     }
 
-    /// Iterates tuples of several chunks in order.
-    pub fn scan_chunks<'a>(
-        &'a self,
-        chunks: &'a [ChunkNumber],
-    ) -> impl Iterator<Item = (&'a [u32], f64)> + 'a {
-        chunks.iter().flat_map(move |&c| self.scan_chunk(c))
+    /// Iterates the `(coords, value)` tuples of `chunk`.
+    pub fn scan_chunk(&self, chunk: ChunkNumber) -> impl Iterator<Item = (&[u32], f64)> + '_ {
+        let (data, range) = self.chunk_cells(chunk);
+        range.map(move |i| (data.coords_of(i), data.value_of(i)))
     }
 
     /// Applies a batch of inserts and deletes, re-clustering the fact file,
@@ -252,10 +254,16 @@ mod tests {
     }
 
     #[test]
-    fn scan_chunks_concatenates() {
+    fn chunk_cells_tile_the_fact_file_in_chunk_order() {
         let t = table();
-        let n: usize = t.scan_chunks(&[0, 1]).count();
-        assert_eq!(n as u64, t.tuples_in(0) + t.tuples_in(1));
+        let mut next = 0usize;
+        for c in 0..t.grid().n_chunks(t.gb()) {
+            let (_, range) = t.chunk_cells(c);
+            assert_eq!(range.start, next, "gap or overlap before chunk {c}");
+            assert_eq!(range.len() as u64, t.tuples_in(c));
+            next = range.end;
+        }
+        assert_eq!(next as u64, t.num_tuples());
     }
 
     #[test]

@@ -9,32 +9,12 @@
 
 use crate::source::BackendSource;
 use crate::{AggFn, BackendCostModel, FactTable, FetchResult, StoreError};
+use aggcache_chunks::hash::SplitMix64;
 use aggcache_chunks::{ChunkGrid, ChunkNumber};
 use aggcache_obs::{Event, Tracer};
 use aggcache_schema::GroupById;
 use std::fmt;
 use std::sync::{Arc, Mutex};
-
-/// SplitMix64: tiny, high-quality, deterministic. Kept private to the
-/// store crate so fault sequences depend only on (seed, fetch index).
-/// Shared with the disk-fault injector in `io.rs`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SplitMix64(pub(crate) u64);
-
-impl SplitMix64 {
-    pub(crate) fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in [0, 1).
-    pub(crate) fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
 
 /// Validation errors for a [`FaultProfile`].
 #[derive(Debug, Clone, PartialEq)]

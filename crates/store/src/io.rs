@@ -11,8 +11,8 @@
 //! bytes on disk, the errors raised and the random stream consumed are
 //! identical to the plain [`FsSpillIo`] backend.
 
-use crate::fault::SplitMix64;
 use crate::spill::SpillError;
+use aggcache_chunks::hash::SplitMix64;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 

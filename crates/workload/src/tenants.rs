@@ -23,6 +23,7 @@
 //! that bit-identity.
 
 use crate::{QueryKind, QueryMix, QueryStream, WorkloadConfig, WorkloadError};
+use aggcache_chunks::hash::mix64;
 use aggcache_chunks::ChunkGrid;
 use aggcache_core::{Query, QueryRequest};
 use aggcache_schema::Level;
@@ -231,17 +232,6 @@ pub struct Arrival {
     pub query: Query,
 }
 
-/// splitmix64: the standard 64-bit seed-derivation hop — one application
-/// per derived stream keeps tenant RNGs statistically independent while
-/// staying a pure function of the base seed.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 struct TenantState {
     stream: QueryStream,
     /// RNG driving this tenant's arrival process — separate from the query
@@ -270,7 +260,7 @@ impl TrafficEngine {
             let query_seed = if i == 0 {
                 cfg.seed
             } else {
-                splitmix64(cfg.seed ^ (u64::from(i)).wrapping_mul(0xd6e8_feb8_6659_fd93))
+                mix64(cfg.seed ^ (u64::from(i)).wrapping_mul(0xd6e8_feb8_6659_fd93))
             };
             let workload = WorkloadConfig {
                 mix: profile.mix,
@@ -285,7 +275,7 @@ impl TrafficEngine {
             // i.e. its mean inter-arrival time grows as (i+1)^skew.
             let mean_vms = profile.arrival_mean_vms * (f64::from(i) + 1.0).powf(cfg.skew);
             let mut arrivals =
-                StdRng::seed_from_u64(splitmix64(cfg.seed ^ 0xa5a5_a5a5_a5a5_a5a5 ^ u64::from(i)));
+                StdRng::seed_from_u64(mix64(cfg.seed ^ 0xa5a5_a5a5_a5a5_a5a5 ^ u64::from(i)));
             let next_vms = exponential(&mut arrivals, mean_vms);
             tenants.push(TenantState {
                 stream,

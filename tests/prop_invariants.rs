@@ -3,7 +3,7 @@
 
 use aggcache::core::{esm, vcm, vcmc, LookupStats};
 use aggcache::prelude::*;
-use aggcache::store::{aggregate_to_level, Aggregator};
+use aggcache::store::{aggregate_to_level, aggregate_to_level_parallel};
 use proptest::prelude::*;
 // Our `Strategy` enum (from the prelude glob) shadows proptest's trait of
 // the same name; re-import the trait under an alias.
@@ -54,6 +54,21 @@ fn all_keys(grid: &ChunkGrid) -> Vec<ChunkKey> {
         .iter_ids()
         .flat_map(|gb| (0..grid.n_chunks(gb)).map(move |c| ChunkKey::new(gb, c)))
         .collect()
+}
+
+/// Base-level cells from random `(bits, value)` pairs: coordinate `k` is a
+/// byte-shifted slice of the bits, folded into the dimension's base
+/// cardinality so roll-up tables apply.
+fn base_cells(schema: &Schema, cells: &[(u64, f64)]) -> ChunkData {
+    let base = schema.base_level();
+    let mut d = ChunkData::new(schema.num_dims());
+    for &(raw, v) in cells {
+        let coords: Vec<u32> = (0..schema.num_dims())
+            .map(|k| ((raw >> (8 * k)) as u32) % schema.dimension(k).cardinality(base[k]))
+            .collect();
+        d.push(&coords, v);
+    }
+    d
 }
 
 fn cached_cell(n_dims: usize, cells: usize) -> ChunkData {
@@ -207,11 +222,12 @@ proptest! {
         }
     }
 
-    /// Sharded parallel aggregation is bit-exact: splitting an aggregation
-    /// across N target-cell-owning shards and merging the partials with
-    /// [`Aggregator::merge`] yields the same `f64` bit patterns as the
-    /// single-threaded [`aggregate_to_level`] kernel — for random chunk
-    /// sets, every aggregate function and 1/2/3/8 shards.
+    /// Parallel aggregation is bit-exact: the two-phase exchange of
+    /// [`aggregate_to_level_parallel`] — cells partitioned by owning
+    /// target-cell shard, partials folded with `Aggregator::merge` — yields
+    /// the same `f64` bit patterns as the single-threaded
+    /// [`aggregate_to_level`] kernel — for random chunk sets, every
+    /// aggregate function and 1/2/3/8 threads.
     #[test]
     fn sharded_merge_matches_sequential_kernel(
         grid in arb_grid(),
@@ -221,28 +237,10 @@ proptest! {
         ),
     ) {
         let schema = grid.schema();
-        let n_dims = grid.num_dims();
         let base = schema.base_level();
-        // Random cells with jagged values (sums of these are order-
-        // sensitive in the last ulp, which is exactly what the ownership
-        // sharding must preserve). Coordinates stay within each
-        // dimension's base cardinality so roll-up tables apply.
-        let datas: Vec<ChunkData> = chunks
-            .iter()
-            .map(|cells| {
-                let mut d = ChunkData::new(n_dims);
-                for &(raw, v) in cells {
-                    let coords: Vec<u32> = (0..n_dims)
-                        .map(|k| {
-                            let card = schema.dimension(k).cardinality(base[k]);
-                            ((raw >> (8 * k)) as u32) % card
-                        })
-                        .collect();
-                    d.push(&coords, v);
-                }
-                d
-            })
-            .collect();
+        // Jagged values: sums of these are order-sensitive in the last
+        // ulp, which is exactly what the exchange must preserve.
+        let datas: Vec<ChunkData> = chunks.iter().map(|c| base_cells(schema, c)).collect();
         let sources: Vec<(&[u8], &ChunkData)> =
             datas.iter().map(|d| (base.as_slice(), d)).collect();
 
@@ -250,27 +248,16 @@ proptest! {
             let target = schema.lattice().level_of(gb);
             for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
                 let expected = aggregate_to_level(schema, &sources, &target, agg, Lift::Lifted);
-                for nshards in [1u32, 2, 3, 8] {
-                    let mut shards: Vec<Aggregator> = (0..nshards)
-                        .map(|t| Aggregator::new_sharded(schema, &target, agg, t, nshards))
-                        .collect();
-                    for shard in &mut shards {
-                        for (level, data) in &sources {
-                            shard.add_chunk(level, data, Lift::Lifted);
-                        }
-                    }
-                    let mut it = shards.into_iter();
-                    let mut merged = it.next().unwrap();
-                    for partial in it {
-                        merged.merge(partial);
-                    }
+                for nshards in [1usize, 2, 3, 8] {
+                    let (got, cells) = aggregate_to_level_parallel(
+                        schema, &sources, &target, agg, Lift::Lifted, nshards,
+                    );
                     let total_inputs: u64 = datas.iter().map(|d| d.len() as u64).sum();
                     prop_assert_eq!(
-                        merged.cells_added(),
+                        cells,
                         total_inputs,
                         "every input cell must be owned by exactly one shard"
                     );
-                    let got = merged.finish();
                     prop_assert_eq!(got.len(), expected.len());
                     for i in 0..got.len() {
                         prop_assert_eq!(got.coords_of(i), expected.coords_of(i));
@@ -295,38 +282,18 @@ proptest! {
         cells in proptest::collection::vec((0u64..u64::MAX, -1.0e6f64..1.0e6), 1..40),
     ) {
         let schema = grid.schema();
-        let n_dims = grid.num_dims();
         let base = schema.base_level();
-        let mut data = ChunkData::new(n_dims);
-        for &(raw, v) in &cells {
-            let coords: Vec<u32> = (0..n_dims)
-                .map(|k| {
-                    let card = schema.dimension(k).cardinality(base[k]);
-                    ((raw >> (8 * k)) as u32) % card
-                })
-                .collect();
-            data.push(&coords, v);
-        }
+        let data = base_cells(schema, &cells);
         let sources: Vec<(&[u8], &ChunkData)> = vec![(base.as_slice(), &data)];
         let top = schema.lattice().level_of(schema.lattice().top());
 
-        let cube = |agg: AggFn, nshards: u32| -> ChunkData {
-            let mut shards: Vec<Aggregator> = (0..nshards)
-                .map(|t| Aggregator::new_sharded(schema, &top, agg, t, nshards))
-                .collect();
-            for shard in &mut shards {
-                for (level, d) in &sources {
-                    shard.add_chunk(level, d, Lift::Lifted);
-                }
-            }
-            let mut it = shards.into_iter();
-            let mut merged = it.next().unwrap();
-            for partial in it {
-                merged.merge(partial);
-            }
-            merged.finish()
+        let cube = |agg: AggFn, nshards: usize| -> ChunkData {
+            let (cells, consumed) =
+                aggregate_to_level_parallel(schema, &sources, &top, agg, Lift::Lifted, nshards);
+            assert_eq!(consumed, data.len() as u64);
+            cells
         };
-        let avg_of = |nshards: u32| -> Vec<u64> {
+        let avg_of = |nshards: usize| -> Vec<u64> {
             let sums = cube(AggFn::Sum, nshards);
             let counts = cube(AggFn::Count, nshards);
             assert_eq!(sums.len(), counts.len());
@@ -336,7 +303,7 @@ proptest! {
         };
 
         let sequential = avg_of(1);
-        for nshards in [2u32, 8] {
+        for nshards in [2usize, 3, 8] {
             prop_assert_eq!(&avg_of(nshards), &sequential, "nshards={}", nshards);
         }
     }
