@@ -1,13 +1,17 @@
 //! Minimal `--key value` argument parsing for the experiment binaries —
 //! keeps the dependency footprint to the sanctioned offline crates.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 
 /// Parsed `--key value` arguments.
 #[derive(Debug, Default)]
 pub struct Args {
     values: HashMap<String, String>,
     flags: Vec<String>,
+    /// Every key the binary has asked for — what [`Args::finish`] checks
+    /// the parsed keys against.
+    asked: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -35,7 +39,43 @@ impl Args {
                 i += 1;
             }
         }
-        Self { values, flags }
+        Self {
+            values,
+            flags,
+            asked: RefCell::default(),
+        }
+    }
+
+    /// Ends argument reading: a `--key` on the command line that the
+    /// binary never asked for (through [`Args::get`], [`Args::value`],
+    /// [`Args::flag`] or [`Args::threads`]) is a usage error — the process
+    /// names it and exits with code 2 instead of running the experiment
+    /// without it. Call once, after the last read and before any work.
+    pub fn finish(&self) {
+        if let Err(message) = self.try_finish() {
+            eprintln!("error: {message}");
+            std::process::exit(2);
+        }
+    }
+
+    /// [`Args::finish`], returning the usage error instead of exiting.
+    fn try_finish(&self) -> Result<(), String> {
+        let asked = self.asked.borrow();
+        // The smallest, so the message does not depend on hash order.
+        let unknown = self
+            .values
+            .keys()
+            .chain(&self.flags)
+            .filter(|key| !asked.contains(*key))
+            .min();
+        match unknown {
+            None => Ok(()),
+            Some(key) => Err(format!("unknown flag `--{key}`")),
+        }
+    }
+
+    fn ask(&self, key: &str) {
+        self.asked.borrow_mut().insert(key.to_string());
     }
 
     /// A typed value with a default. A value that is present but does not
@@ -51,6 +91,7 @@ impl Args {
 
     /// [`Args::get`], returning the usage error instead of exiting.
     fn try_get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        self.ask(key);
         match self.values.get(key) {
             None => Ok(default),
             Some(raw) => raw.parse().map_err(|_| {
@@ -64,11 +105,13 @@ impl Args {
 
     /// The raw string value of `--key value`, if present.
     pub fn value(&self, key: &str) -> Option<&str> {
+        self.ask(key);
         self.values.get(key).map(String::as_str)
     }
 
     /// Whether a bare flag was passed.
     pub fn flag(&self, key: &str) -> bool {
+        self.ask(key);
         self.flags.iter().any(|f| f == key)
     }
 
@@ -108,5 +151,21 @@ mod tests {
             .try_get("tuples", 1_000_000u64)
             .unwrap_err();
         assert!(err.contains("--tuples") && err.contains("2O000"), "{err}");
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors_not_ignored() {
+        // A typo of --threads must not run the sweep at one thread.
+        let a = args(&["--smoke", "--thread", "4", "--json-out", "a.json"]);
+        assert!(a.flag("smoke"));
+        assert_eq!(a.threads(), 1);
+        assert_eq!(a.value("json-out"), Some("a.json"));
+        assert_eq!(a.try_finish(), Err("unknown flag `--thread`".to_string()));
+        // Every way of asking counts, given or not; a bare flag is checked too.
+        let a = args(&["--smoke", "--threads", "4", "--csv-out", "a.csv"]);
+        let _ = (a.flag("smoke"), a.threads(), a.value("csv-out"));
+        let _ = (a.get("tuples", 1u64), a.value("json-out"));
+        assert_eq!(a.try_finish(), Ok(()));
+        assert!(args(&["--smok"]).try_finish().is_err());
     }
 }

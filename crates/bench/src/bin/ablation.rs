@@ -3,11 +3,13 @@ use aggcache_bench::{args::Args, experiments::ablation};
 
 fn main() {
     let a = Args::parse();
+    let d = ablation::Opts::default();
     let opts = ablation::Opts {
-        tuples: a.get("tuples", ablation::Opts::default().tuples),
-        seed: a.get("seed", ablation::Opts::default().seed),
-        queries: a.get("queries", ablation::Opts::default().queries),
-        workload_seed: a.get("workload-seed", ablation::Opts::default().workload_seed),
+        tuples: a.get("tuples", d.tuples),
+        seed: a.get("seed", d.seed),
+        queries: a.get("queries", d.queries),
+        ..d
     };
+    a.finish();
     println!("{}", ablation::run(opts));
 }

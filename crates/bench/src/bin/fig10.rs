@@ -3,15 +3,17 @@ use aggcache_bench::{args::Args, experiments::comparison, trace::maybe_write_tra
 
 fn main() {
     let a = Args::parse();
+    let d = comparison::Opts::default();
     let opts = comparison::Opts {
-        tuples: a.get("tuples", comparison::Opts::default().tuples),
-        seed: a.get("seed", comparison::Opts::default().seed),
-        queries: a.get("queries", comparison::Opts::default().queries),
-        workload_seed: a.get("workload-seed", comparison::Opts::default().workload_seed),
+        tuples: a.get("tuples", d.tuples),
+        seed: a.get("seed", d.seed),
+        queries: a.get("queries", d.queries),
         threads: a.threads(),
-        repeats: a.get("repeats", comparison::Opts::default().repeats),
+        ..d
     };
+    let trace_out = a.value("trace-out");
+    a.finish();
     let results = comparison::run_experiment(opts);
     println!("{}", comparison::render_fig10(&results));
-    maybe_write_trace(&a, "fig10", opts.tuples, opts.seed);
+    maybe_write_trace(trace_out, opts.threads, "fig10", opts.tuples, opts.seed);
 }

@@ -3,15 +3,17 @@ use aggcache_bench::{args::Args, experiments::policy, trace::maybe_write_trace};
 
 fn main() {
     let a = Args::parse();
+    let d = policy::Opts::default();
     let opts = policy::Opts {
-        tuples: a.get("tuples", policy::Opts::default().tuples),
-        seed: a.get("seed", policy::Opts::default().seed),
-        queries: a.get("queries", policy::Opts::default().queries),
-        workload_seed: a.get("workload-seed", policy::Opts::default().workload_seed),
+        tuples: a.get("tuples", d.tuples),
+        seed: a.get("seed", d.seed),
+        queries: a.get("queries", d.queries),
         threads: a.threads(),
-        repeats: a.get("repeats", policy::Opts::default().repeats),
+        ..d
     };
+    let trace_out = a.value("trace-out");
+    a.finish();
     let results = policy::run_experiment(opts);
     println!("{}", policy::render_fig7(&results));
-    maybe_write_trace(&a, "fig7", opts.tuples, opts.seed);
+    maybe_write_trace(trace_out, opts.threads, "fig7", opts.tuples, opts.seed);
 }

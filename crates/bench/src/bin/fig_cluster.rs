@@ -19,20 +19,20 @@ fn main() {
         tuples: a.get("tuples", d.tuples),
         seed: a.get("seed", d.seed),
         queries: a.get("queries", d.queries),
-        workload_seed: a.get("workload-seed", d.workload_seed),
-        node_cache_bytes: a.get("node-cache-bytes", d.node_cache_bytes),
-        batch: a.get("batch", d.batch),
         threads: a.threads(),
+        ..d
     };
+    let (json_out, csv_out) = (a.value("json-out"), a.value("csv-out"));
+    a.finish();
     let results = cluster::run_experiment(opts);
     println!("{}", cluster::render(&results));
 
-    if let Some(path) = a.value("json-out") {
+    if let Some(path) = json_out {
         std::fs::write(path, cluster::to_json(opts, &results))
             .unwrap_or_else(|e| panic!("writing JSON to {path}: {e}"));
         eprintln!("json: {} cells -> {path}", results.cells.len());
     }
-    if let Some(path) = a.value("csv-out") {
+    if let Some(path) = csv_out {
         std::fs::write(path, cluster::to_csv(&results))
             .unwrap_or_else(|e| panic!("writing CSV to {path}: {e}"));
         eprintln!("csv: {} cells -> {path}", results.cells.len());

@@ -27,28 +27,27 @@ fn main() {
     let opts = coldstart::Opts {
         tuples: a.get("tuples", d.tuples),
         seed: a.get("seed", d.seed),
-        warmup: a.get("warmup", d.warmup),
         queries: a.get("queries", d.queries),
-        workload_seed: a.get("workload-seed", d.workload_seed),
-        cache_bytes: a.get("cache-bytes", d.cache_bytes),
-        batch: a.get("batch", d.batch),
-        target: a.get("target", d.target),
         threads: a.threads(),
+        ..d
     };
+    let (json_out, csv_out) = (a.value("json-out"), a.value("csv-out"));
+    let trace_out = a.value("trace-out");
+    a.finish();
     let results = coldstart::run_experiment(opts, "bin");
     println!("{}", coldstart::render(&results));
 
-    if let Some(path) = a.value("json-out") {
+    if let Some(path) = json_out {
         std::fs::write(path, coldstart::to_json(opts, &results))
             .unwrap_or_else(|e| panic!("writing JSON to {path}: {e}"));
         eprintln!("json: {} cells -> {path}", results.cells.len());
     }
-    if let Some(path) = a.value("csv-out") {
+    if let Some(path) = csv_out {
         std::fs::write(path, coldstart::to_csv(&results))
             .unwrap_or_else(|e| panic!("writing CSV to {path}: {e}"));
         eprintln!("csv: {} cells -> {path}", results.cells.len());
     }
-    if let Some(path) = a.value("trace-out") {
+    if let Some(path) = trace_out {
         let dataset = apb_dataset(opts.tuples, opts.seed);
         let sink = TraceSink::new();
         let root =

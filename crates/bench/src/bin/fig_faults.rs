@@ -19,17 +19,19 @@ fn main() {
         tuples,
         seed: a.get("seed", d.seed),
         queries: a.get("queries", d.queries),
-        workload_seed: a.get("workload-seed", d.workload_seed),
         fault_seed: a.get("fault-seed", d.fault_seed),
         attempts: a.get("attempts", d.attempts),
-        cache_bytes: a.get("cache-bytes", faults::Opts::scaled_cache_bytes(tuples)),
+        cache_bytes: faults::Opts::scaled_cache_bytes(tuples),
         node_budget: a.get("node-budget", d.node_budget),
         threads: a.threads(),
+        ..d
     };
+    let trace_out = a.value("trace-out");
+    a.finish();
     let results = faults::run_experiment(opts);
     println!("{}", faults::render(&results));
 
-    if let Some(path) = a.value("trace-out") {
+    if let Some(path) = trace_out {
         let dataset = apb_dataset(opts.tuples, opts.seed);
         let sink = TraceSink::new();
         let run = faults::run_stream_faulty(&dataset, opts, TRACE_RATE, Some(sink.tracer()));

@@ -18,19 +18,20 @@ fn main() {
         tuples: a.get("tuples", d.tuples),
         seed: a.get("seed", d.seed),
         queries: a.get("queries", d.queries),
-        workload_seed: a.get("workload-seed", d.workload_seed),
-        cache_bytes: a.get("cache-bytes", d.cache_bytes),
         threads: a.threads(),
+        ..d
     };
+    let (json_out, csv_out) = (a.value("json-out"), a.value("csv-out"));
+    a.finish();
     let results = tenants::run_experiment(opts);
     println!("{}", tenants::render(&results));
 
-    if let Some(path) = a.value("json-out") {
+    if let Some(path) = json_out {
         std::fs::write(path, tenants::to_json(opts, &results))
             .unwrap_or_else(|e| panic!("writing JSON to {path}: {e}"));
         eprintln!("json: {} cells -> {path}", results.cells.len());
     }
-    if let Some(path) = a.value("csv-out") {
+    if let Some(path) = csv_out {
         std::fs::write(path, tenants::to_csv(&results))
             .unwrap_or_else(|e| panic!("writing CSV to {path}: {e}"));
         eprintln!("csv: {} cells -> {path}", results.cells.len());

@@ -30,12 +30,12 @@ fn main() {
         tuples: a.get("tuples", d.tuples),
         seed: a.get("seed", d.seed),
         queries: a.get("queries", d.queries),
-        workload_seed: a.get("workload-seed", d.workload_seed),
-        cache_bytes: a.get("cache-bytes", d.cache_bytes),
-        batch: a.get("batch", d.batch),
-        delta_seed: a.get("delta-seed", d.delta_seed),
         threads: a.threads(),
+        ..d
     };
+    let (json_out, csv_out) = (a.value("json-out"), a.value("csv-out"));
+    let trace_out = a.value("trace-out");
+    a.finish();
     let results = updates::run_experiment(opts);
     println!("{}", updates::render(&results));
     let mismatches: u64 = results.cells.iter().map(|c| c.oracle_mismatches).sum();
@@ -49,17 +49,17 @@ fn main() {
         results.transparency_diffs
     );
 
-    if let Some(path) = a.value("json-out") {
+    if let Some(path) = json_out {
         std::fs::write(path, updates::to_json(opts, &results))
             .unwrap_or_else(|e| panic!("writing JSON to {path}: {e}"));
         eprintln!("json: {} cells -> {path}", results.cells.len());
     }
-    if let Some(path) = a.value("csv-out") {
+    if let Some(path) = csv_out {
         std::fs::write(path, updates::to_csv(&results))
             .unwrap_or_else(|e| panic!("writing CSV to {path}: {e}"));
         eprintln!("csv: {} cells -> {path}", results.cells.len());
     }
-    if let Some(path) = a.value("trace-out") {
+    if let Some(path) = trace_out {
         let dataset = apb_dataset(opts.tuples, opts.seed);
         let sink = TraceSink::new();
         let cell =

@@ -11,6 +11,7 @@ fn main() {
     let tuples: u64 = a.get("tuples", 1_000_000);
     let queries: usize = a.get("queries", 100);
     let seed: u64 = a.get("seed", 0xA9B1);
+    a.finish();
 
     println!(
         "=== aggcache reproduction: all experiments (tuples={tuples}, queries={queries}) ===\n"

@@ -16,11 +16,10 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
-    let args = Args::parse();
+    // The path is positional; there are no flags to accept.
+    Args::parse().finish();
     let path = std::env::args()
-        .skip(1)
-        .find(|a| !a.starts_with("--"))
-        .or_else(|| args.value("path").map(str::to_string))
+        .nth(1)
         .unwrap_or_else(|| fail("usage: trace_check <path>"));
     let src =
         std::fs::read_to_string(&path).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")));

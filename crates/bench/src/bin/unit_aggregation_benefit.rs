@@ -11,5 +11,6 @@ fn main() {
             unit_a::Opts::default().cache_per_tuple_us,
         ),
     };
+    a.finish();
     println!("{}", unit_a::run(opts));
 }

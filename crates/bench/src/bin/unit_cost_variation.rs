@@ -7,5 +7,6 @@ fn main() {
         tuples: a.get("tuples", unit_b::Opts::default().tuples),
         seed: a.get("seed", unit_b::Opts::default().seed),
     };
+    a.finish();
     println!("{}", unit_b::run(opts));
 }

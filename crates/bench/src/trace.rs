@@ -16,7 +16,6 @@
 //! observes wall-clock time but no virtual time, so the traced stream's
 //! virtual-time outputs are bit-identical to the untraced run's.
 
-use crate::args::Args;
 use crate::rig::{apb_dataset, MB};
 use crate::stream::{run_stream_traced, StreamRun};
 use aggcache_cache::PolicyKind;
@@ -98,19 +97,27 @@ impl TraceSink {
 }
 
 /// If `--trace-out <path>` was passed, runs the representative traced
-/// stream for `experiment` and writes the trace file, returning the path.
+/// stream for `experiment` at `threads` and writes the trace file.
 ///
 /// The stream uses the paper-default configuration (VCMC, two-level policy
 /// with pre-load, 100 queries) over a fresh copy of the experiment's
 /// dataset, with the 15 MB paper budget scaled to the dataset size the
 /// same way the figure experiments scale their cache sweeps.
-pub fn maybe_write_trace(args: &Args, experiment: &str, tuples: u64, seed: u64) -> Option<String> {
-    let path = args.value("trace-out")?.to_string();
+pub fn maybe_write_trace(
+    trace_out: Option<&str>,
+    threads: usize,
+    experiment: &str,
+    tuples: u64,
+    seed: u64,
+) {
+    let Some(path) = trace_out else {
+        return;
+    };
     let dataset = apb_dataset(tuples, seed);
     // 15 MB : 1.1 M tuples, as in the cache-size sweeps.
     let cache_bytes = ((15 * MB) as f64 * tuples as f64 / 1_100_000.0).max(64.0 * 1024.0) as usize;
     let run = StreamRun {
-        threads: args.threads(),
+        threads,
         ..StreamRun::paper(Strategy::Vcmc, PolicyKind::TwoLevel, cache_bytes)
     };
     let sink = TraceSink::new();
@@ -128,14 +135,13 @@ pub fn maybe_write_trace(args: &Args, experiment: &str, tuples: u64, seed: u64) 
         ("complete_hit_pct", result.complete_hit_pct.to_string()),
         ("avg_ms", result.avg_ms.to_string()),
     ];
-    sink.write(&path, &meta)
+    sink.write(path, &meta)
         .unwrap_or_else(|e| panic!("writing trace to {path}: {e}"));
     eprintln!(
         "trace: {} events from {} queries -> {path}",
         sink.events_recorded(),
         run.queries
     );
-    Some(path)
 }
 
 /// What a valid trace document holds (the numbers `trace_check` reports).

@@ -26,8 +26,8 @@
 //!   one integer mix per row), and an insert that requires eviction is
 //!   admitted only if the candidate's estimated frequency *exceeds* the
 //!   coldest eviction-eligible resident's. Sketch counters are 4-bit
-//!   (capped at 15) and halved every `sample_window` references, so the
-//!   filter ages: yesterday's hot chunks cannot block today's.
+//!   (capped at 15) and halved every 1024 references, so the filter
+//!   ages: yesterday's hot chunks cannot block today's.
 //!
 //! Admission only ever gates inserts that need to evict: while the cache
 //! has room, every policy admits everything (an empty cache has nothing
@@ -49,31 +49,27 @@ pub enum AdmissionKind {
     /// Backend chunks always enter; computed chunks displace residents
     /// only when their benefit meets the resident mean.
     TwoLevel,
-    /// TinyLFU-style frequency filter over a count-min sketch.
-    TinyLfu {
-        /// Counters per sketch row (rounded up to a power of two, min 16).
-        counters: u32,
-        /// References between aging steps (each step halves every
-        /// counter). Must be > 0.
-        sample_window: u32,
-    },
+    /// TinyLFU-style frequency filter over a count-min sketch of 4096
+    /// counters per row, aged every 1024 references.
+    TinyLfu,
 }
 
+/// Counters per row of the TinyLFU sketch.
+const TINY_LFU_COUNTERS: u32 = 4096;
+
+/// References between TinyLFU aging steps (each step halves every counter).
+///
+/// The short window matters: it bounds how long a stale-hot resident's
+/// estimate can block new admissions after the working set drifts. For
+/// budgets of a few hundred resident chunks, halving every ~1024 references
+/// tracks drift closely; windows much larger than the resident population
+/// lock the cache into yesterday's working set.
+const TINY_LFU_SAMPLE_WINDOW: u32 = 1024;
+
 impl AdmissionKind {
-    /// A TinyLFU filter with the default sketch geometry: 4096 counters
-    /// per row, aged every 1024 references.
-    ///
-    /// The short aging window matters: the window bounds how long a
-    /// stale-hot resident's estimate can block new admissions after the
-    /// working set drifts. For budgets of a few hundred resident chunks,
-    /// halving every ~1024 references tracks drift closely; windows much
-    /// larger than the resident population lock the cache into yesterday's
-    /// working set.
+    /// The TinyLFU filter.
     pub fn tiny_lfu() -> Self {
-        Self::TinyLfu {
-            counters: 4096,
-            sample_window: 1024,
-        }
+        Self::TinyLfu
     }
 
     /// Stable lowercase name (reports, CLI parsing).
@@ -81,12 +77,11 @@ impl AdmissionKind {
         match self {
             Self::BenefitMean => "benefit_mean",
             Self::TwoLevel => "two_level",
-            Self::TinyLfu { .. } => "tiny_lfu",
+            Self::TinyLfu => "tiny_lfu",
         }
     }
 
-    /// Parses a policy name as produced by [`AdmissionKind::name`]
-    /// (TinyLFU gets the default geometry).
+    /// Parses a policy name as produced by [`AdmissionKind::name`].
     pub fn parse(name: &str) -> Option<Self> {
         match name {
             "benefit_mean" => Some(Self::BenefitMean),
@@ -216,10 +211,10 @@ impl AdmissionState {
         match kind {
             AdmissionKind::BenefitMean => Self::BenefitMean,
             AdmissionKind::TwoLevel => Self::TwoLevel,
-            AdmissionKind::TinyLfu {
-                counters,
-                sample_window,
-            } => Self::TinyLfu(CountMinSketch::new(counters, sample_window)),
+            AdmissionKind::TinyLfu => Self::TinyLfu(CountMinSketch::new(
+                TINY_LFU_COUNTERS,
+                TINY_LFU_SAMPLE_WINDOW,
+            )),
         }
     }
 

@@ -63,20 +63,6 @@ pub struct InsertOutcome {
     pub evicted: Vec<(ChunkKey, CachedChunk)>,
 }
 
-enum Rings {
-    Lru(ClockRing),
-    Benefit(ClockRing),
-    TwoLevel {
-        backend: ClockRing,
-        computed: ClockRing,
-        /// Third replacement level (the spill tier's promotions): victims
-        /// are drawn here before any computed or backend chunk. Empty —
-        /// and therefore behaviourally invisible — unless a spill tier
-        /// feeds `Origin::Spilled` inserts.
-        spilled: ClockRing,
-    },
-}
-
 /// A byte-budgeted chunk cache.
 ///
 /// Insertions that exceed the budget trigger policy-driven eviction; the
@@ -90,7 +76,13 @@ pub struct ChunkCache {
     /// Resident chunks, keyed by packed chunk key ([`ChunkKey::pack`]) so
     /// the hot probe path hashes one `u64` through the FxHash-style hasher.
     map: PackedMap<CachedChunk>,
-    rings: Rings,
+    policy: PolicyKind,
+    /// One clock ring per replacement level, indexed by
+    /// [`ChunkCache::level`]; victims are drawn from the lowest level up.
+    /// Only `rings[0]` is populated outside the two-level policy, and the
+    /// spilled level stays empty — behaviourally invisible — unless a
+    /// spill tier feeds `Origin::Spilled` inserts.
+    rings: [ClockRing; 3],
     pinned: PackedSet,
     /// Mean benefit of the *resident* chunks, used to normalize clock
     /// seeds. Contributions are added on admission and subtracted on
@@ -134,20 +126,12 @@ impl ChunkCache {
         policy: PolicyKind,
         admission: AdmissionKind,
     ) -> Self {
-        let rings = match policy {
-            PolicyKind::Lru => Rings::Lru(ClockRing::new()),
-            PolicyKind::Benefit => Rings::Benefit(ClockRing::new()),
-            PolicyKind::TwoLevel => Rings::TwoLevel {
-                backend: ClockRing::new(),
-                computed: ClockRing::new(),
-                spilled: ClockRing::new(),
-            },
-        };
         Self {
             budget: budget_bytes,
             used: 0,
             map: PackedMap::default(),
-            rings,
+            policy,
+            rings: Default::default(),
             pinned: PackedSet::default(),
             benefit_sum: 0.0,
             benefit_count: 0,
@@ -167,11 +151,37 @@ impl ChunkCache {
 
     /// The policy in use.
     pub fn policy(&self) -> PolicyKind {
-        match self.rings {
-            Rings::Lru(_) => PolicyKind::Lru,
-            Rings::Benefit(_) => PolicyKind::Benefit,
-            Rings::TwoLevel { .. } => PolicyKind::TwoLevel,
+        self.policy
+    }
+
+    /// The replacement level of an origin — the one place origins are
+    /// ordered. Under the two-level policy spilled chunks (still on disk)
+    /// fall first, then computed chunks, and backend chunks fall only to
+    /// other backend chunks; the other policies keep a single level.
+    fn level(&self, origin: Origin) -> usize {
+        match (self.policy, origin) {
+            (PolicyKind::TwoLevel, Origin::Computed) => 1,
+            (PolicyKind::TwoLevel, Origin::Backend) => 2,
+            _ => 0,
         }
+    }
+
+    /// The residents an insert of `inserting` origin may evict: unpinned,
+    /// at or below its own level, and not `except` (the key being
+    /// inserted). Feasibility and the TinyLFU bar both scan this set, and
+    /// [`ChunkCache::find_victim`] searches the same levels.
+    fn evictable(
+        &self,
+        inserting: Origin,
+        except: PackedChunkKey,
+    ) -> impl Iterator<Item = (PackedChunkKey, &CachedChunk)> {
+        let top = self.level(inserting);
+        self.map
+            .iter()
+            .filter(move |(&k, e)| {
+                k != except && !self.pinned.contains(&k) && self.level(e.origin) <= top
+            })
+            .map(|(&k, e)| (k, e))
     }
 
     /// The byte budget.
@@ -238,22 +248,13 @@ impl ChunkCache {
         self.admission.record(packed);
         if let Some(entry) = self.map.get(&packed) {
             self.hits += 1;
-            let clock = self.normalized(entry.benefit);
-            match &mut self.rings {
-                // LRU: a use sets the reference weight above the insert
-                // seed (0.5), so recently-used entries survive the sweep.
-                Rings::Lru(r) => r.touch(packed, 1.0),
-                Rings::Benefit(r) => r.touch(packed, clock),
-                Rings::TwoLevel {
-                    backend,
-                    computed,
-                    spilled,
-                } => match entry.origin {
-                    Origin::Backend => backend.touch(packed, clock),
-                    Origin::Computed => computed.touch(packed, clock),
-                    Origin::Spilled => spilled.touch(packed, clock),
-                },
-            }
+            // LRU: a use sets the reference weight above the insert seed
+            // (0.5), so recently-used entries survive the sweep.
+            let clock = match self.policy {
+                PolicyKind::Lru => 1.0,
+                _ => self.normalized(entry.benefit),
+            };
+            self.rings[self.level(entry.origin)].touch(packed, clock);
             self.map.get(&packed)
         } else {
             self.misses += 1;
@@ -288,24 +289,20 @@ impl ChunkCache {
     /// event reports only the chunks actually present in a ring, not every
     /// key the caller passed.
     pub fn boost_group<'a>(&mut self, keys: impl Iterator<Item = &'a ChunkKey>, benefit: f64) {
+        if self.policy != PolicyKind::TwoLevel {
+            return;
+        }
         let amount = self.normalized(benefit);
-        if let Rings::TwoLevel {
-            backend,
-            computed,
-            spilled,
-        } = &mut self.rings
-        {
-            let mut chunks = 0u64;
-            for key in keys {
-                let packed = key.pack();
-                let present = backend.boost(packed, amount)
-                    | computed.boost(packed, amount)
-                    | spilled.boost(packed, amount);
-                chunks += u64::from(present);
+        let mut chunks = 0u64;
+        for key in keys {
+            let packed = key.pack();
+            if let Some(entry) = self.map.get(&packed) {
+                self.rings[self.level(entry.origin)].boost(packed, amount);
+                chunks += 1;
             }
-            if let Some(tracer) = &self.tracer {
-                tracer.emit(&Event::GroupBoost { chunks, amount });
-            }
+        }
+        if let Some(tracer) = &self.tracer {
+            tracer.emit(&Event::GroupBoost { chunks, amount });
         }
     }
 
@@ -369,48 +366,34 @@ impl ChunkCache {
         let replaced = self.take_internal(packed);
 
         while self.used + bytes > self.budget {
-            let victim = self.find_victim(origin);
-            match victim {
-                Some(v) => {
-                    self.trace_evict(v);
-                    let entry = self
-                        .take_internal(v)
-                        .expect("clock rings hold only resident keys");
-                    evicted.push((ChunkKey::unpack(v), entry));
-                }
-                None => {
-                    // Unreachable given the precheck, but stay safe: refuse
-                    // admission rather than over-commit. The replaced entry
-                    // (if any) is already gone, so report it as evicted to
-                    // keep the caller's count tables consistent.
-                    if let Some(old) = replaced {
-                        evicted.push((key, old));
-                    }
-                    self.trace_insert(key, origin, bytes, false);
-                    return InsertOutcome {
-                        admitted: false,
-                        evicted,
-                    };
-                }
-            }
+            let Some(victim) = self.find_victim(origin) else {
+                // The precheck and the victim search order origins through
+                // the same `level`, so this is a bug if it happens; in a
+                // release build refuse admission rather than over-commit.
+                // The replaced entry (if any) is already gone, so report it
+                // as evicted to keep the caller's count tables consistent.
+                debug_assert!(false, "feasible insert found no victim");
+                evicted.extend(replaced.map(|old| (key, old)));
+                self.trace_insert(key, origin, bytes, false);
+                return InsertOutcome {
+                    admitted: false,
+                    evicted,
+                };
+            };
+            self.trace_evict(victim);
+            let entry = self
+                .take_internal(victim)
+                .expect("clock rings hold only resident keys");
+            evicted.push((ChunkKey::unpack(victim), entry));
         }
 
         self.benefit_sum += benefit.max(0.0);
         self.benefit_count += 1;
-        let clock = self.normalized(benefit);
-        match &mut self.rings {
-            Rings::Lru(r) => r.insert(packed, 0.5),
-            Rings::Benefit(r) => r.insert(packed, clock),
-            Rings::TwoLevel {
-                backend,
-                computed,
-                spilled,
-            } => match origin {
-                Origin::Backend => backend.insert(packed, clock),
-                Origin::Computed => computed.insert(packed, clock),
-                Origin::Spilled => spilled.insert(packed, clock),
-            },
-        }
+        let clock = match self.policy {
+            PolicyKind::Lru => 0.5,
+            _ => self.normalized(benefit),
+        };
+        self.rings[self.level(origin)].insert(packed, clock);
         self.used += bytes;
         self.map.insert(
             packed,
@@ -446,30 +429,15 @@ impl ChunkCache {
         let Some(tracer) = &self.tracer else {
             return;
         };
-        let tier = self
-            .map
-            .get(&victim)
-            .map(|e| tier_of(e.origin))
-            .unwrap_or(Tier::Fetched);
-        let (clock_round, clock) = match &self.rings {
-            Rings::Lru(r) | Rings::Benefit(r) => (r.rounds(), r.clock_of(victim)),
-            Rings::TwoLevel {
-                backend,
-                computed,
-                spilled,
-            } => match (spilled.clock_of(victim), computed.clock_of(victim)) {
-                (Some(c), _) => (spilled.rounds(), Some(c)),
-                (None, Some(c)) => (computed.rounds(), Some(c)),
-                (None, None) => (backend.rounds(), backend.clock_of(victim)),
-            },
-        };
+        let entry = &self.map[&victim];
+        let ring = &self.rings[self.level(entry.origin)];
         let key = ChunkKey::unpack(victim);
         tracer.emit(&Event::Evict {
             gb: key.gb.0,
             chunk: key.chunk,
-            tier,
-            clock_round,
-            clock: clock.unwrap_or(0.0),
+            tier: tier_of(entry.origin),
+            clock_round: ring.rounds(),
+            clock: ring.clock_of(victim).unwrap_or(0.0),
         });
     }
 
@@ -527,8 +495,8 @@ impl ChunkCache {
     ///   only when its benefit meets the resident mean — cheap
     ///   recomputables must not churn the cache under contention.
     /// * TinyLFU: the candidate's sketch frequency must *exceed* the
-    ///   coldest eviction-eligible resident's (same eligibility rule as
-    ///   [`ChunkCache::freeable_bytes`]); ties keep the resident.
+    ///   coldest [`ChunkCache::evictable`] resident's; ties keep the
+    ///   resident.
     fn admission_allows(&self, candidate: PackedChunkKey, origin: Origin, benefit: f64) -> bool {
         match &self.admission {
             AdmissionState::BenefitMean => true,
@@ -543,14 +511,8 @@ impl ChunkCache {
             AdmissionState::TinyLfu(sketch) => {
                 let candidate_est = sketch.estimate(candidate);
                 let victim_est = self
-                    .map
-                    .iter()
-                    .filter(|(&k, e)| {
-                        k != candidate
-                            && !self.pinned.contains(&k)
-                            && may_evict(self.policy(), origin, e.origin)
-                    })
-                    .map(|(&k, _)| sketch.estimate(k))
+                    .evictable(origin, candidate)
+                    .map(|(k, _)| sketch.estimate(k))
                     .min();
                 match victim_est {
                     Some(coldest) => candidate_est > coldest,
@@ -563,45 +525,19 @@ impl ChunkCache {
     }
 
     fn freeable_bytes(&self, origin: Origin, replacing: PackedChunkKey) -> usize {
-        self.map
-            .iter()
-            .filter(|(&k, e)| {
-                k != replacing
-                    && !self.pinned.contains(&k)
-                    && may_evict(self.policy(), origin, e.origin)
-            })
+        self.evictable(origin, replacing)
             .map(|(_, e)| e.bytes)
             .sum()
     }
 
-    fn find_victim(&mut self, origin: Origin) -> Option<PackedChunkKey> {
+    /// The first victim the rings offer, searched from the lowest level
+    /// up to the inserting origin's own.
+    fn find_victim(&mut self, inserting: Origin) -> Option<PackedChunkKey> {
+        let top = self.level(inserting);
         let pinned = &self.pinned;
-        match &mut self.rings {
-            Rings::Lru(r) | Rings::Benefit(r) => r.find_victim(|k| pinned.contains(&k)),
-            Rings::TwoLevel {
-                backend,
-                computed,
-                spilled,
-            } => {
-                // Three-level order: spilled chunks (still on disk) fall
-                // first, then computed chunks; backend chunks fall only to
-                // other backend chunks. An inserting chunk may only claim
-                // victims at or below its own level.
-                if let Some(v) = spilled.find_victim(|k| pinned.contains(&k)) {
-                    return Some(v);
-                }
-                if origin == Origin::Spilled {
-                    return None;
-                }
-                if let Some(v) = computed.find_victim(|k| pinned.contains(&k)) {
-                    return Some(v);
-                }
-                match origin {
-                    Origin::Backend => backend.find_victim(|k| pinned.contains(&k)),
-                    _ => None,
-                }
-            }
-        }
+        self.rings[..=top]
+            .iter_mut()
+            .find_map(|ring| ring.find_victim(|k| pinned.contains(&k)))
     }
 
     /// Removes an entry and returns it, maintaining byte accounting, the
@@ -617,20 +553,7 @@ impl ChunkCache {
         if self.benefit_count == 0 || self.benefit_sum < 0.0 {
             self.benefit_sum = 0.0;
         }
-        match &mut self.rings {
-            Rings::Lru(r) | Rings::Benefit(r) => {
-                r.remove(key);
-            }
-            Rings::TwoLevel {
-                backend,
-                computed,
-                spilled,
-            } => {
-                backend.remove(key);
-                computed.remove(key);
-                spilled.remove(key);
-            }
-        }
+        self.rings[self.level(entry.origin)].remove(key);
         Some(entry)
     }
 
@@ -647,20 +570,6 @@ impl ChunkCache {
                 )
             })
             .collect()
-    }
-}
-
-/// Whether an insert of `inserting` origin may evict a resident of
-/// `victim` origin — the tiered-policy eviction lattice (backend >
-/// computed > spilled; non-tiered policies allow everything).
-fn may_evict(policy: PolicyKind, inserting: Origin, victim: Origin) -> bool {
-    if policy != PolicyKind::TwoLevel {
-        return true;
-    }
-    match inserting {
-        Origin::Backend => true,
-        Origin::Computed => victim != Origin::Backend,
-        Origin::Spilled => victim == Origin::Spilled,
     }
 }
 

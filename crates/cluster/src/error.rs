@@ -1,7 +1,6 @@
 //! Typed errors for cluster construction and execution.
 
 use aggcache_core::CacheError;
-use aggcache_store::MessageCostError;
 
 /// Errors raised by the cluster tier.
 #[derive(Debug)]
@@ -21,8 +20,6 @@ pub enum ClusterError {
     /// An invalid ring/builder parameter, or a node configuration the
     /// cluster tier does not support (the message names it).
     BadConfig(String),
-    /// The message-cost model failed validation.
-    BadNet(MessageCostError),
 }
 
 impl std::fmt::Display for ClusterError {
@@ -35,7 +32,6 @@ impl std::fmt::Display for ClusterError {
                 write!(f, "node {node} was built over a different chunk grid")
             }
             Self::BadConfig(msg) => write!(f, "bad cluster config: {msg}"),
-            Self::BadNet(e) => write!(f, "bad message-cost model: {e}"),
         }
     }
 }
@@ -44,7 +40,6 @@ impl std::error::Error for ClusterError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Cache(e) => Some(e),
-            Self::BadNet(e) => Some(e),
             _ => None,
         }
     }
@@ -53,11 +48,5 @@ impl std::error::Error for ClusterError {
 impl From<CacheError> for ClusterError {
     fn from(e: CacheError) -> Self {
         Self::Cache(e)
-    }
-}
-
-impl From<MessageCostError> for ClusterError {
-    fn from(e: MessageCostError) -> Self {
-        Self::BadNet(e)
     }
 }

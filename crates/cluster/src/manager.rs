@@ -8,17 +8,16 @@
 //! then drives each node through the same probe/apply split the
 //! single-node pipeline uses:
 //!
-//! 1. **Route** — each chunk goes to its primary owner
-//!    ([`Routing::Owner`]) or to a pinned node ([`Routing::Node`]).
+//! 1. **Route** — each chunk goes to its primary ring owner.
 //! 2. **Probe** — the owner probes its sub-query immutably.
-//! 3. **Cooperate** — under [`Consistency::Cooperative`], each chunk the
-//!    owner would send to the backend is first offered to its replica
-//!    peers (then any other live node): a peer that holds it ships the
-//!    cells to the owner, which admits them. Peer selection is gated by
-//!    free summary checks (nodes exchange digests of their resident
-//!    keys), so only peers whose summary claims the chunk are probed and
-//!    a cold miss pays no hops. Probe and transfer hops are charged to
-//!    [`RemoteMetrics`] via the [`MessageCostModel`] — never to
+//! 3. **Cooperate** — each chunk the owner would send to the backend is
+//!    first offered to its replica peers (then any other live node): a
+//!    peer that holds it ships the cells to the owner, which admits them.
+//!    Peer selection is gated by free summary checks (nodes exchange
+//!    digests of their resident keys), so only peers whose summary claims
+//!    the chunk are probed and a cold miss pays no hops. Probe and
+//!    transfer hops are charged to [`RemoteMetrics`] at the
+//!    [`MessageCostModel`]'s fixed rates — never to
 //!    [`aggcache_core::QueryMetrics`], whose total remains exactly the
 //!    sum of its four local components.
 //! 4. **Apply** — the owner applies the original probe. Cooperative
@@ -36,17 +35,14 @@ use std::sync::Arc;
 
 use aggcache_cache::Origin;
 use aggcache_chunks::{ChunkData, ChunkKey};
-use aggcache_core::{
-    CacheManager, Consistency, ExecOutcome, Query, QueryMetrics, QueryRequest, RemoteMetrics,
-    Routing,
-};
+use aggcache_core::{CacheManager, ExecOutcome, Query, QueryMetrics, QueryRequest, RemoteMetrics};
 use aggcache_obs::{Event, Tracer};
 use aggcache_schema::GroupById;
 use aggcache_store::MessageCostModel;
 
 use crate::{ClusterError, HashRing};
 
-/// Default virtual nodes per node on the ring.
+/// Virtual nodes per node on the ring.
 pub const DEFAULT_VNODES: u32 = 64;
 
 /// Per-node cluster counters not tracked by the node's own manager.
@@ -97,8 +93,8 @@ pub struct NodeStats {
 }
 
 /// Builder for [`ClusterManager`]: collect per-node managers, set the
-/// replication factor, virtual-node count and message-cost model, then
-/// [`ClusterBuilder::build`].
+/// replication factor, then [`ClusterBuilder::build`]. The ring carries
+/// [`DEFAULT_VNODES`] virtual nodes per node.
 ///
 /// Every node must be built over the **same** shared
 /// [`aggcache_chunks::ChunkGrid`] `Arc` (same schema, same chunking) —
@@ -106,8 +102,6 @@ pub struct NodeStats {
 pub struct ClusterBuilder {
     nodes: Vec<CacheManager>,
     replication: usize,
-    vnodes: u32,
-    net: MessageCostModel,
     tracer: Option<Arc<dyn Tracer>>,
 }
 
@@ -118,14 +112,11 @@ impl Default for ClusterBuilder {
 }
 
 impl ClusterBuilder {
-    /// An empty builder: replication 1, [`DEFAULT_VNODES`] virtual nodes,
-    /// default [`MessageCostModel`].
+    /// An empty builder: replication 1.
     pub fn new() -> Self {
         Self {
             nodes: Vec::new(),
             replication: 1,
-            vnodes: DEFAULT_VNODES,
-            net: MessageCostModel::default(),
             tracer: None,
         }
     }
@@ -143,18 +134,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sets the virtual nodes per node on the ring.
-    pub fn vnodes(mut self, vnodes: u32) -> Self {
-        self.vnodes = vnodes;
-        self
-    }
-
-    /// Sets the message-cost model (validated at build time).
-    pub fn net(mut self, net: MessageCostModel) -> Self {
-        self.net = net;
-        self
-    }
-
     /// Attaches a tracer, propagated to every node so per-node events and
     /// cluster events land in the same sink.
     pub fn tracer(mut self, tracer: Arc<dyn Tracer>) -> Self {
@@ -167,8 +146,6 @@ impl ClusterBuilder {
         let Self {
             mut nodes,
             replication,
-            vnodes,
-            net,
             tracer,
         } = self;
         if nodes.is_empty() {
@@ -189,8 +166,7 @@ impl ClusterBuilder {
                 )));
             }
         }
-        net.validate()?;
-        let ring = HashRing::new(nodes.len() as u32, replication, vnodes)?;
+        let ring = HashRing::new(nodes.len() as u32, replication, DEFAULT_VNODES)?;
         if let Some(t) = &tracer {
             for node in &mut nodes {
                 node.set_tracer(Some(t.clone()));
@@ -200,7 +176,6 @@ impl ClusterBuilder {
         Ok(ClusterManager {
             nodes,
             ring,
-            net,
             tracer,
             counters,
             session_remote: RemoteMetrics::default(),
@@ -218,7 +193,6 @@ impl ClusterBuilder {
 pub struct ClusterManager {
     nodes: Vec<CacheManager>,
     ring: HashRing,
-    net: MessageCostModel,
     tracer: Option<Arc<dyn Tracer>>,
     counters: Vec<NodeCounters>,
     session_remote: RemoteMetrics,
@@ -374,9 +348,8 @@ impl ClusterManager {
             return Err(ClusterError::NoLiveNodes);
         }
         let gb = request.query.gb;
-        let groups = self.assign(&request.query, request.routing);
-        let cooperative =
-            request.consistency == Consistency::Cooperative && self.ring.live_count() > 1;
+        let groups = self.assign(&request.query);
+        let cooperative = self.ring.live_count() > 1;
         let replicate = self.ring.replication() > 1 && self.ring.live_count() > 1;
 
         let mut remote = RemoteMetrics::default();
@@ -458,26 +431,23 @@ impl ClusterManager {
 
     /// Partitions a query's chunks into per-node sub-queries:
     /// `(node, chunks)` groups in first-appearance order, intra-group
-    /// chunk order preserved. An empty query still routes (to the pinned
-    /// or first live node) so its metrics match the single-node pipeline.
-    fn assign(&self, query: &Query, routing: Routing) -> Vec<(u32, Vec<u64>)> {
-        let pinned = match routing {
-            Routing::Node(n) if self.ring.is_alive(n) => Some(n),
-            _ => None,
-        };
+    /// chunk order preserved. An empty query still routes (to the first
+    /// live node) so its metrics match the single-node pipeline.
+    fn assign(&self, query: &Query) -> Vec<(u32, Vec<u64>)> {
         if query.chunks.is_empty() {
-            let node = pinned
-                .or_else(|| self.ring.live_nodes().next())
+            let node = self
+                .ring
+                .live_nodes()
+                .next()
                 .expect("live_count checked by run");
             return vec![(node, Vec::new())];
         }
         let mut groups: Vec<(u32, Vec<u64>)> = Vec::new();
         for &chunk in &query.chunks {
-            let node = pinned.unwrap_or_else(|| {
-                self.ring
-                    .primary(ChunkKey::new(query.gb, chunk))
-                    .expect("live_count checked by run")
-            });
+            let node = self
+                .ring
+                .primary(ChunkKey::new(query.gb, chunk))
+                .expect("live_count checked by run");
             match groups.iter_mut().find(|(n, _)| *n == node) {
                 Some((_, v)) => v.push(chunk),
                 None => groups.push((node, vec![chunk])),
@@ -526,7 +496,7 @@ impl ClusterManager {
                 continue;
             }
             remote.probe_hops += 1;
-            remote.remote_virtual_ms += self.net.probe_ms();
+            remote.remote_virtual_ms += MessageCostModel::probe_ms();
             let single = Query::new(gb, vec![chunk]);
             let probe = self.nodes[peer as usize].probe_as(&single, tenant);
             if !probe.is_complete_hit() {
@@ -537,7 +507,7 @@ impl ClusterManager {
                 .apply(&single, probe)
                 .map_err(ClusterError::Cache)?;
             let bytes = served.data.accounting_bytes() as u64;
-            let cost = self.net.transfer_ms(bytes);
+            let cost = MessageCostModel::transfer_ms(bytes);
             remote.serve_hops += 1;
             remote.remote_chunks += 1;
             remote.bytes_on_wire += bytes;
@@ -739,15 +709,20 @@ mod tests {
     #[test]
     fn cooperative_serve_avoids_backend() {
         let mut c = cluster(3, 1);
-        // Warm every node's slice.
-        let warm = base_query(&c, (0..4).collect());
-        c.run(&warm).unwrap();
+        let req = base_query(&c, (0..4).collect());
+        // Warm every node's slice, then fail one owner over: its slice is
+        // re-fetched by, and cached at, the failover owners.
+        c.run(&req).unwrap();
+        let base = req.query.gb;
+        let victim = c.ring().primary(ChunkKey::new(base, 0)).unwrap();
+        c.kill_node(victim);
+        c.run(&req).unwrap();
+        c.revive_node(victim);
         let before: f64 = c.session_remote().remote_virtual_ms;
-        // Pin the same query to one node: its locally-unowned chunks are
-        // cached at their owners, so cooperation must serve them without
-        // touching the backend.
-        let pinned = base_query(&c, (0..4).collect()).routing(Routing::Node(0));
-        let out = c.run(&pinned).unwrap();
+        // Ownership failed back to a cold node while its peers still hold
+        // its chunks, so cooperation must serve them without touching the
+        // backend.
+        let out = c.run(&req).unwrap();
         assert_eq!(out.metrics.backend_virtual_ms, 0.0, "backend touched");
         assert!(out.remote.remote_chunks > 0, "no cooperative serves");
         assert!(out.remote.bytes_on_wire > 0);
@@ -756,25 +731,11 @@ mod tests {
         // The answer matches a fresh single-node oracle.
         let g = c.node(0).grid().clone();
         let mut oracle = ClusterManager::builder().node(node(&g)).build().unwrap();
-        let mut want = oracle.run(&base_query(&c, (0..4).collect())).unwrap().data;
+        let mut want = oracle.run(&req).unwrap().data;
         let mut got = out.data;
         want.sort_by_coords();
         got.sort_by_coords();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn local_only_skips_peers() {
-        let mut c = cluster(3, 1);
-        let warm = base_query(&c, (0..4).collect());
-        c.run(&warm).unwrap();
-        let pinned = base_query(&c, (0..4).collect())
-            .routing(Routing::Node(0))
-            .consistency(Consistency::LocalOnly);
-        let out = c.run(&pinned).unwrap();
-        assert_eq!(out.remote.probe_hops, 0);
-        assert_eq!(out.remote.remote_chunks, 0);
-        assert!(out.metrics.backend_virtual_ms > 0.0 || out.metrics.chunks_hit > 0);
     }
 
     #[test]

@@ -66,7 +66,7 @@ impl CostTable {
     }
 
     /// Creates a table with the given storage layout.
-    pub fn with_kind(grid: Arc<ChunkGrid>, kind: TableKind) -> Self {
+    pub(crate) fn with_kind(grid: Arc<ChunkGrid>, kind: TableKind) -> Self {
         Self {
             counts: CountTable::with_kind(grid.clone(), kind),
             cost: Cells::new(&grid, kind, COST_INF),

@@ -51,7 +51,7 @@ impl CountTable {
     }
 
     /// Creates a table with the given storage layout.
-    pub fn with_kind(grid: Arc<ChunkGrid>, kind: TableKind) -> Self {
+    pub(crate) fn with_kind(grid: Arc<ChunkGrid>, kind: TableKind) -> Self {
         let counts = Cells::new(&grid, kind, 0u8);
         Self {
             grid,

@@ -59,10 +59,7 @@ pub use manager::{
 };
 pub use metrics::{QueryMetrics, SessionMetrics, LOOKUP_PER_NODE_US, UPDATE_PER_WRITE_US};
 pub use query::{Query, QueryResult, ValueQuery};
-pub use request::{
-    Consistency, ExecOutcome, QueryRequest, RemoteMetrics, Routing, SpillMetrics, UpdateMetrics,
-};
-pub use storage::TableKind;
+pub use request::{ExecOutcome, QueryRequest, RemoteMetrics, SpillMetrics, UpdateMetrics};
 
 // The delta-batch vocabulary of [`CacheManager::ingest`], re-exported so
 // callers of the core crate need not depend on the store crate directly.

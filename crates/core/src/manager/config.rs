@@ -34,10 +34,9 @@ pub struct ManagerConfig {
     /// group of chunks computes an aggregate (§6.3 rule 2). On by default;
     /// disabling it is an ablation knob.
     pub group_boost: bool,
-    /// Worker threads: [`CacheManager::run_batch`] probes queries
-    /// concurrently across this many threads and large in-cache
-    /// aggregations are sharded across them (default 1). Results are
-    /// bit-identical at any setting; only wall-clock time changes.
+    /// Worker threads: large in-cache aggregations are sharded across
+    /// this many threads (default 1). Results are bit-identical at any
+    /// setting; only wall-clock time changes.
     pub threads: usize,
     /// Cost-based cache-vs-backend arbitration (paper §5.2: VCMC's
     /// instantaneous least cost is "very useful for a cost-based optimizer,
@@ -162,7 +161,7 @@ impl CacheManagerBuilder {
         self
     }
 
-    /// Sets the worker-thread count for batched execution (must be ≥ 1).
+    /// Sets the worker-thread count for sharded aggregation (must be ≥ 1).
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
         self

@@ -134,8 +134,8 @@ pub struct CacheManager {
     version: u64,
     /// Shared with the cache, the backend and the spill tier.
     tracer: Option<Arc<dyn Tracer>>,
-    /// Monotonic probe-id source; atomic because concurrent batch probes
-    /// run against `&self`.
+    /// Monotonic probe-id source; atomic because probes run against
+    /// `&self`, possibly from several threads.
     probe_seq: AtomicU64,
     /// The disk spill tier and its ledger; inert until a store is attached.
     tiering: Tiering,

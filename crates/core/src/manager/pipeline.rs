@@ -378,9 +378,8 @@ impl CacheManager {
     }
 
     /// Executes one [`QueryRequest`] through the active cache: one probe,
-    /// one apply. The request's routing/consistency hints are cluster-tier
-    /// concerns and are ignored here (a single manager *is* its only
-    /// node); the tenant tag feeds the obs layer's per-tenant breakdowns.
+    /// one apply. The tenant tag feeds the obs layer's per-tenant
+    /// breakdowns.
     /// The [`ExecOutcome`] carries an all-zero [`crate::RemoteMetrics`] and
     /// this request's [`crate::SpillMetrics`] (zero without a spill tier).
     pub fn run(&mut self, request: &QueryRequest) -> Result<ExecOutcome, CacheError> {
@@ -401,33 +400,21 @@ impl CacheManager {
         Ok(out)
     }
 
-    /// Executes a batch of [`QueryRequest`]s: all probes run concurrently
-    /// across [`super::ManagerConfig::threads`] scoped threads, then the
-    /// applies run sequentially in submission order (the cache is
-    /// single-writer, like the paper's middle tier). Probes invalidated by
-    /// an earlier request's admissions/evictions are re-probed during
+    /// Executes a batch of [`QueryRequest`]s: every request is probed in
+    /// submission order, then the applies run in the same order (the cache
+    /// is single-writer, like the paper's middle tier). Probes invalidated
+    /// by an earlier request's admissions/evictions are re-probed during
     /// their apply, so outcomes, final cache contents and every
     /// virtual-time metric are **identical** to a loop over
-    /// [`CacheManager::run`] — batching changes wall-clock time only.
+    /// [`CacheManager::run`]. [`super::ManagerConfig::threads`] parallelizes
+    /// the aggregation inside each apply, not the probes: nearly every apply
+    /// admits or evicts, so probes taken ahead on other threads were being
+    /// thrown away for the price of a spawn and join per batch.
     pub fn run_batch(&mut self, requests: &[QueryRequest]) -> Result<Vec<ExecOutcome>, CacheError> {
-        let threads = self.config.threads.clamp(1, requests.len().max(1));
-        let probe = |r: &QueryRequest| self.probe_as(&r.query, r.tenant);
-        let probes: Vec<QueryProbe> = if threads <= 1 {
-            requests.iter().map(probe).collect()
-        } else {
-            // One contiguous block of requests per thread, joined in order.
-            let probe = &probe;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = requests
-                    .chunks(requests.len().div_ceil(threads))
-                    .map(|block| scope.spawn(move || block.iter().map(probe).collect::<Vec<_>>()))
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("probe thread panicked"))
-                    .collect()
-            })
-        };
+        let probes: Vec<QueryProbe> = requests
+            .iter()
+            .map(|r| self.probe_as(&r.query, r.tenant))
+            .collect();
         requests
             .iter()
             .zip(probes)

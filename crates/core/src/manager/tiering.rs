@@ -13,8 +13,8 @@ use aggcache_chunks::{ChunkData, ChunkKey};
 use aggcache_obs::{Event, Tracer};
 use aggcache_schema::GroupById;
 use aggcache_store::{
-    SpillConfig, SpillError, SpillRecord, SpillStore, ORIGIN_BACKEND, ORIGIN_COMPUTED,
-    ORIGIN_SPILLED,
+    SpillConfig, SpillCostModel, SpillError, SpillRecord, SpillStore, ORIGIN_BACKEND,
+    ORIGIN_COMPUTED, ORIGIN_SPILLED,
 };
 use std::sync::Arc;
 
@@ -78,7 +78,7 @@ fn read_recovering(
     delta: &mut SpillMetrics,
 ) -> Option<(SpillRecord, u64, f64)> {
     let bytes = store.bytes_of(key)?;
-    let read_ms = store.cost().read_ms(bytes);
+    let read_ms = SpillCostModel::read_ms(bytes);
     let outcome = store.read_retrying(key);
     delta.spill_retries += outcome.attempts - 1;
     delta.spill_virtual_ms += outcome.retry_virtual_ms;
@@ -233,7 +233,7 @@ impl Tiering {
                 delta.demote_failures += 1;
                 continue;
             };
-            let virtual_ms = store.cost().write_ms(bytes);
+            let virtual_ms = SpillCostModel::write_ms(bytes);
             delta.spill_writes += 1;
             delta.bytes_written += bytes;
             delta.spill_virtual_ms += virtual_ms;
@@ -315,10 +315,7 @@ impl Tiering {
                 .into_iter()
                 .map(|(key, e)| (key, origin_code(e.origin), e.benefit, &e.data)),
         )?;
-        // One per-op charge per chunk plus the byte rate over the total.
-        let cost = store.cost();
-        let virtual_ms = stats.chunks as f64 * cost.write_per_op_ms
-            + stats.bytes as f64 * cost.write_per_byte_us / 1000.0;
+        let virtual_ms = SpillCostModel::checkpoint_ms(stats.chunks, stats.bytes);
         self.session.merge(&SpillMetrics {
             spill_writes: stats.chunks,
             bytes_written: stats.bytes,
@@ -448,7 +445,7 @@ mod tests {
     use super::*;
     use crate::error::CacheError;
     use crate::lookup::Strategy;
-    use aggcache_store::DiskFaultProfile;
+    use aggcache_store::{DiskFaultProfile, DEFAULT_MAX_CORRUPT_FILES};
     use std::sync::Arc;
 
     #[test]
@@ -954,22 +951,20 @@ mod tests {
             a.checkpoint().unwrap();
         }
         corrupt_chunk_file(&dir, ChunkKey::new(base, 0));
-        // Cap of zero: the quarantine tombstone is purged immediately.
-        let b = CacheManager::builder()
-            .strategy(Strategy::Vcm)
-            .policy(PolicyKind::TwoLevel)
-            .cache_bytes(usize::MAX >> 1)
-            .spill(SpillConfig::new(dir.clone()).max_corrupt_files(0))
-            .build(make_backend())
-            .unwrap();
+        // A backlog two past the cap: the open purges two, and the warm
+        // start's own quarantine pushes one more over.
+        for i in 0..DEFAULT_MAX_CORRUPT_FILES + 2 {
+            std::fs::write(dir.join(format!("backlog{i:02}.corrupt")), b"junk").unwrap();
+        }
+        let b = spill_manager_over(dir.clone(), usize::MAX >> 1);
         assert_eq!(b.session_spill().spill_quarantined, 1);
-        assert_eq!(b.session_spill().corrupt_purged, 1);
-        let leftovers: Vec<String> = std::fs::read_dir(&dir)
+        assert_eq!(b.session_spill().corrupt_purged, 3);
+        let leftovers = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .filter(|n| n.ends_with(".corrupt"))
-            .collect();
-        assert!(leftovers.is_empty(), "tombstones past the cap are deleted");
+            .count();
+        assert_eq!(leftovers, DEFAULT_MAX_CORRUPT_FILES, "the cap holds");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,54 +2,19 @@
 //! single-node, multi-tenant and clustered execution.
 //!
 //! [`QueryRequest`] is a single value carrying the query plus its tenant
-//! tag and routing/consistency hints.
-//! A plain [`crate::CacheManager`] ignores the hints (there is only one
-//! node); the cluster tier interprets them.
+//! tag. The cluster tier routes every request the same way — each chunk
+//! to its ring owner, peers probed before the backend — so there is
+//! nothing else to say about one.
 
 use aggcache_chunks::ChunkData;
 
 use crate::{Query, QueryMetrics, QueryResult};
 
-/// Where a clustered request may be executed.
-///
-/// Ignored by a single [`crate::CacheManager`]; interpreted by the cluster
-/// tier's router.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub enum Routing {
-    /// Route each chunk to its ring owner (the default).
-    #[default]
-    Owner,
-    /// Pin the whole query to one node (ownership ignored). Useful for
-    /// experiments isolating a node; falls back to [`Routing::Owner`] when
-    /// the pinned node is down.
-    Node(u32),
-}
-
-/// How far a clustered lookup may reach on a local miss.
-///
-/// Ignored by a single [`crate::CacheManager`]; interpreted by the cluster
-/// tier.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub enum Consistency {
-    /// On a local miss, probe peer nodes before falling back to the
-    /// backend (the default — the distributed analogue of the paper's
-    /// virtual-count lookup).
-    #[default]
-    Cooperative,
-    /// Answer from the routed node's cache and backend only — N
-    /// independent caches, the baseline cooperative lookup is measured
-    /// against.
-    LocalOnly,
-}
-
-/// One query submission: the query itself plus execution context — the
-/// tenant it is attributed to and routing/consistency hints for the
-/// cluster tier.
-///
-/// Built with [`QueryRequest::new`] and chained setters:
+/// One query submission: the query itself plus the tenant it is
+/// attributed to.
 ///
 /// ```ignore
-/// let req = QueryRequest::new(query).tenant(3).consistency(Consistency::LocalOnly);
+/// let req = QueryRequest::new(query).tenant(3);
 /// let out = manager.run(&req)?;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,22 +24,12 @@ pub struct QueryRequest {
     /// The tenant the query is attributed to (obs-layer breakdowns only;
     /// results and virtual time are tenant-independent).
     pub tenant: u32,
-    /// Cluster routing hint.
-    pub routing: Routing,
-    /// Cluster consistency hint.
-    pub consistency: Consistency,
 }
 
 impl QueryRequest {
-    /// A request with default context: tenant 0, owner routing,
-    /// cooperative consistency.
+    /// A request attributed to tenant 0.
     pub fn new(query: Query) -> Self {
-        Self {
-            query,
-            tenant: 0,
-            routing: Routing::default(),
-            consistency: Consistency::default(),
-        }
+        Self { query, tenant: 0 }
     }
 
     /// Sets the tenant tag.
@@ -83,20 +38,8 @@ impl QueryRequest {
         self
     }
 
-    /// Sets the routing hint.
-    pub fn routing(mut self, routing: Routing) -> Self {
-        self.routing = routing;
-        self
-    }
-
-    /// Sets the consistency hint.
-    pub fn consistency(mut self, consistency: Consistency) -> Self {
-        self.consistency = consistency;
-        self
-    }
-
-    /// Wraps plain queries into default-context requests (tenant 0, owner
-    /// routing) — the batch analogue of [`QueryRequest::from`].
+    /// Wraps plain queries into tenant-0 requests — the batch analogue of
+    /// [`QueryRequest::from`].
     pub fn batch(queries: &[Query]) -> Vec<QueryRequest> {
         queries.iter().map(Self::from).collect()
     }
@@ -325,17 +268,11 @@ mod tests {
     #[test]
     fn builder_chain_sets_context() {
         let q = Query::new(GroupById(0), vec![1, 2]);
-        let req = QueryRequest::new(q.clone())
-            .tenant(7)
-            .routing(Routing::Node(2))
-            .consistency(Consistency::LocalOnly);
+        let req = QueryRequest::new(q.clone()).tenant(7);
         assert_eq!(req.query, q);
         assert_eq!(req.tenant, 7);
-        assert_eq!(req.routing, Routing::Node(2));
-        assert_eq!(req.consistency, Consistency::LocalOnly);
         let via_from: QueryRequest = (&q).into();
         assert_eq!(via_from.tenant, 0);
-        assert_eq!(via_from.routing, Routing::Owner);
     }
 
     #[test]

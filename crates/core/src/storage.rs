@@ -8,10 +8,9 @@ use aggcache_chunks::{ChunkGrid, ChunkKey};
 /// representation can be used to reduce storage" (§7, Table 3 discussion):
 /// most chunks of most group-bys are neither cached nor computable, so
 /// their cells hold the default value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TableKind {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TableKind {
     /// One slot per chunk of every group-by, allocated up front.
-    #[default]
     Dense,
     /// A hash map holding only non-default cells.
     Sparse,

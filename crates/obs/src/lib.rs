@@ -1,7 +1,7 @@
 //! Observability for the aggregate-aware cache: typed trace events, a
 //! zero-cost-when-disabled [`Tracer`] trait, and a [`MetricsRegistry`]
 //! that aggregates events into per-group-by-level counters and latency
-//! histograms with JSON/CSV exporters.
+//! histograms with a JSON exporter.
 //!
 //! This crate sits at the bottom of the workspace dependency graph (it
 //! depends on nothing), so the cache, store and core layers can all emit
@@ -48,4 +48,4 @@ mod tracer;
 pub use event::{Event, LookupOutcome, Tier};
 pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
 pub use registry::{LevelStats, MetricsRegistry, TenantStats, TenantsView};
-pub use tracer::{FanoutTracer, NoopTracer, RecordingTracer, Tracer};
+pub use tracer::{FanoutTracer, RecordingTracer, Tracer};

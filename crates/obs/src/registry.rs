@@ -112,7 +112,7 @@ impl Inner {
 }
 
 /// Aggregates the event stream into per-group-by-level counters plus
-/// latency histograms, with JSON and CSV exporters.
+/// latency histograms, with a JSON exporter.
 ///
 /// Implements [`Tracer`], so it can be installed directly or composed with
 /// a [`crate::RecordingTracer`] behind a [`crate::FanoutTracer`].
@@ -266,39 +266,6 @@ impl MetricsRegistry {
             h.write_json(out);
         }
         out.push_str("}}");
-    }
-
-    /// Serializes the per-level table as CSV (header + one row per
-    /// group-by). Wall-clock columns are deliberately absent: per-level
-    /// aggregates are virtual-time only.
-    pub fn to_csv(&self) -> String {
-        let inner = self.inner.lock().unwrap();
-        let mut out = String::from(
-            "gb,queries,complete_hits,chunks_hit,chunks_computed,chunks_missed,\
-             chunks_demoted,tuples_aggregated,backend_tuples,lookup_nodes,table_writes,\
-             backend_virtual_ms,agg_virtual_ms,lookup_virtual_ms,update_virtual_ms\n",
-        );
-        for (gb, s) in &inner.levels {
-            let _ = writeln!(
-                out,
-                "{gb},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                s.queries,
-                s.complete_hits,
-                s.chunks_hit,
-                s.chunks_computed,
-                s.chunks_missed,
-                s.chunks_demoted,
-                s.tuples_aggregated,
-                s.backend_tuples,
-                s.lookup_nodes,
-                s.table_writes,
-                s.backend_virtual_ms,
-                s.agg_virtual_ms,
-                s.lookup_virtual_ms,
-                s.update_virtual_ms,
-            );
-        }
-        out
     }
 }
 
@@ -735,19 +702,6 @@ mod tests {
         );
         assert!(v.get("wall_ns").unwrap().get("query_probe").is_some());
         assert!(v.get("virtual_us").unwrap().get("query_total").is_some());
-    }
-
-    #[test]
-    fn csv_export_has_one_row_per_level() {
-        let r = MetricsRegistry::new();
-        r.emit(&query_done(1, true));
-        r.emit(&query_done(4, false));
-        let csv = r.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("gb,queries,complete_hits"));
-        assert!(lines[1].starts_with("1,1,1,"));
-        assert!(lines[2].starts_with("4,1,0,"));
     }
 
     #[test]

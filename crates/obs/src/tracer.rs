@@ -3,28 +3,18 @@ use std::sync::{Arc, Mutex};
 
 /// A sink for trace [`Event`]s.
 ///
-/// Implementations must be `Send + Sync`: probes run concurrently over one
-/// manager ([`CacheManager::run_batch`]), and the parallel aggregation
-/// kernel emits per-shard events from scoped worker threads.
+/// Implementations must be `Send + Sync`: callers may probe one manager
+/// from several threads (`CacheManager::probe` takes `&self`), and the
+/// parallel aggregation kernel emits per-shard events from scoped worker
+/// threads.
 ///
 /// **Zero cost when disabled.** Components hold an `Option<Arc<dyn
 /// Tracer>>` and construct events only inside an `if let Some(..)` — with
 /// no tracer installed the entire subsystem is one branch per site.
-///
-/// [`CacheManager::run_batch`]: ../aggcache_core/struct.CacheManager.html#method.run_batch
 pub trait Tracer: Send + Sync {
     /// Consumes one event. Must not block for long: called on the query
     /// path, sometimes under concurrency.
     fn emit(&self, event: &Event);
-}
-
-/// A tracer that drops every event — for measuring the cost of the
-/// emission sites themselves (event construction included, sink excluded).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {
-    fn emit(&self, _event: &Event) {}
 }
 
 /// A tracer that records every event in order.

@@ -80,11 +80,6 @@ impl Schema {
             .collect()
     }
 
-    /// Validates a level tuple against this schema.
-    pub fn check_level(&self, level: &[u8]) -> Result<(), SchemaError> {
-        self.lattice.id_of(level).map(|_| ())
-    }
-
     /// Total number of cells (value combinations) at the given level:
     /// `Π card_d(l_d)`. Saturates at `u64::MAX`.
     pub fn cells_at(&self, level: &[u8]) -> u64 {

@@ -37,12 +37,12 @@ pub use delta::{DeltaBatch, DeltaOp, DeltaRecord, EffectiveDelta};
 pub use fact::FactTable;
 pub use fault::{FaultInjectingBackend, FaultProfile, FaultProfileError};
 pub use io::{DiskFaultProfile, FaultInjectingSpillIo, FsSpillIo, SpillIo};
-pub use net::{MessageCostError, MessageCostModel};
+pub use net::MessageCostModel;
 pub use retry::{RetryPolicy, RetryPolicyError, RetryingBackend};
 pub use source::BackendSource;
 pub use spill::{
     decode_record, encode_record, spill_checksum, IndexRebuildReport, ScrubReport,
     SpillCheckpointStats, SpillConfig, SpillCostModel, SpillError, SpillReadOutcome, SpillRecord,
-    SpillStore, ORIGIN_BACKEND, ORIGIN_COMPUTED, ORIGIN_SPILLED, SPILL_FORMAT_VERSION,
-    SPILL_HEADER_BYTES, SPILL_INDEX_MAGIC, SPILL_MAGIC,
+    SpillStore, DEFAULT_MAX_CORRUPT_FILES, ORIGIN_BACKEND, ORIGIN_COMPUTED, ORIGIN_SPILLED,
+    SPILL_FORMAT_VERSION, SPILL_HEADER_BYTES, SPILL_INDEX_MAGIC, SPILL_MAGIC,
 };

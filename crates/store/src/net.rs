@@ -5,94 +5,38 @@
 //! deterministic virtual clock — a per-hop round-trip latency plus a
 //! per-byte transfer cost. The model lives next to [`crate::BackendCostModel`]
 //! because the two are calibrated against each other: cooperative lookup
-//! only pays when a two-hop transfer undercuts a backend scan.
-
-/// Validation errors for a [`MessageCostModel`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum MessageCostError {
-    /// A cost field is negative, NaN or infinite.
-    BadCost {
-        /// The offending field name.
-        field: &'static str,
-        /// The offending value.
-        value: f64,
-    },
-}
-
-impl std::fmt::Display for MessageCostError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::BadCost { field, value } => {
-                write!(
-                    f,
-                    "message cost model: {field} = {value} must be finite and >= 0"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for MessageCostError {}
+//! only pays when a two-hop transfer undercuts a backend scan. That is also
+//! why its rates are constants — a cost-based cache is only coherent when
+//! every cost is priced in one unit against the others.
 
 /// Virtual cost of inter-node messages: per-hop latency plus per-byte
 /// transfer time.
 ///
 /// A *hop* is one request/response round trip between two nodes. Costs are
 /// virtual milliseconds / microseconds, in the same deterministic domain
-/// as [`crate::BackendCostModel`] — never wall clock.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MessageCostModel {
-    /// Virtual milliseconds per request/response round trip.
-    pub per_hop_ms: f64,
-    /// Virtual microseconds per payload byte shipped.
-    pub per_byte_us: f64,
-}
-
-impl Default for MessageCostModel {
-    /// Defaults tuned against [`crate::BackendCostModel::default`]'s
-    /// ≈4 µs/tuple scan: a 0.5 ms round trip plus 0.02 µs/byte
-    /// (≈0.4 µs per 20-byte accounting tuple) keeps a peer serve roughly
-    /// an order of magnitude cheaper than re-scanning the backend, mirroring
-    /// the paper's in-cache-aggregation advantage.
-    fn default() -> Self {
-        Self {
-            per_hop_ms: 0.5,
-            per_byte_us: 0.02,
-        }
-    }
-}
+/// as [`crate::BackendCostModel`] — never wall clock. The rates are tuned
+/// against [`crate::BackendCostModel::default`]'s ≈4 µs/tuple scan: a
+/// 0.5 ms round trip plus 0.02 µs/byte (≈0.4 µs per 20-byte accounting
+/// tuple) keeps a peer serve roughly an order of magnitude cheaper than
+/// re-scanning the backend, mirroring the paper's in-cache-aggregation
+/// advantage.
+#[derive(Debug, Clone, Copy)]
+pub struct MessageCostModel;
 
 impl MessageCostModel {
-    /// A free network: every message costs zero virtual time. Useful for
-    /// isolating placement effects from transfer costs.
-    pub fn free() -> Self {
-        Self {
-            per_hop_ms: 0.0,
-            per_byte_us: 0.0,
-        }
-    }
-
-    /// Validates that every cost is finite and non-negative.
-    pub fn validate(&self) -> Result<(), MessageCostError> {
-        for (field, value) in [
-            ("per_hop_ms", self.per_hop_ms),
-            ("per_byte_us", self.per_byte_us),
-        ] {
-            if !value.is_finite() || value < 0.0 {
-                return Err(MessageCostError::BadCost { field, value });
-            }
-        }
-        Ok(())
-    }
+    /// Virtual milliseconds per request/response round trip.
+    pub const PER_HOP_MS: f64 = 0.5;
+    /// Virtual microseconds per payload byte shipped.
+    pub const PER_BYTE_US: f64 = 0.02;
 
     /// Virtual milliseconds for one round trip carrying `bytes` of payload.
-    pub fn transfer_ms(&self, bytes: u64) -> f64 {
-        self.per_hop_ms + bytes as f64 * self.per_byte_us / 1000.0
+    pub fn transfer_ms(bytes: u64) -> f64 {
+        Self::PER_HOP_MS + bytes as f64 * Self::PER_BYTE_US / 1000.0
     }
 
     /// Virtual milliseconds for a payload-less round trip (a probe).
-    pub fn probe_ms(&self) -> f64 {
-        self.per_hop_ms
+    pub fn probe_ms() -> f64 {
+        Self::PER_HOP_MS
     }
 }
 
@@ -102,33 +46,8 @@ mod tests {
 
     #[test]
     fn transfer_charges_hop_plus_bytes() {
-        let m = MessageCostModel {
-            per_hop_ms: 1.0,
-            per_byte_us: 10.0,
-        };
-        assert!((m.transfer_ms(500) - 6.0).abs() < 1e-12);
-        assert!((m.probe_ms() - 1.0).abs() < 1e-12);
-        assert_eq!(MessageCostModel::free().transfer_ms(1 << 20), 0.0);
-    }
-
-    #[test]
-    fn validation_rejects_bad_costs() {
-        assert!(MessageCostModel::default().validate().is_ok());
-        let bad = MessageCostModel {
-            per_hop_ms: -1.0,
-            per_byte_us: 0.0,
-        };
-        assert!(matches!(
-            bad.validate(),
-            Err(MessageCostError::BadCost {
-                field: "per_hop_ms",
-                ..
-            })
-        ));
-        let nan = MessageCostModel {
-            per_hop_ms: 0.0,
-            per_byte_us: f64::NAN,
-        };
-        assert!(nan.validate().is_err());
+        assert_eq!(MessageCostModel::probe_ms(), 0.5);
+        assert_eq!(MessageCostModel::transfer_ms(0), 0.5);
+        assert!((MessageCostModel::transfer_ms(50_000) - 1.5).abs() < 1e-12);
     }
 }

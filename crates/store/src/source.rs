@@ -28,8 +28,8 @@ use std::sync::Arc;
 /// sequence of calls yields the same results, costs and errors, which is
 /// what keeps every experiment and the chaos suite reproducible.
 ///
-/// `Send + Sync` are required because the cache manager probes concurrently
-/// against `&self` during batched execution.
+/// `Send + Sync` are required because the cache manager's probe runs
+/// against `&self` and may be called from several threads.
 ///
 /// [`fetch`]: BackendSource::fetch
 pub trait BackendSource: Send + Sync + fmt::Debug {

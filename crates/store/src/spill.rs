@@ -73,13 +73,6 @@ pub enum SpillError {
     },
     /// The trailing checksum does not match the record bytes.
     BadChecksum,
-    /// A cost-model rate is negative, NaN or infinite.
-    BadCost {
-        /// The offending field name.
-        field: &'static str,
-        /// The offending value.
-        value: f64,
-    },
     /// A deterministic write failure injected by
     /// `SpillStore::fail_next_writes` (test support).
     Injected,
@@ -102,11 +95,6 @@ pub enum SpillError {
         field: &'static str,
         /// The offending value.
         value: f64,
-    },
-    /// The spill tier's [`RetryPolicy`] failed validation.
-    BadRetry {
-        /// The policy validation error, rendered as text.
-        reason: String,
     },
     /// The scrub interval is not finite and positive.
     BadScrubInterval {
@@ -140,13 +128,11 @@ impl SpillError {
             Self::BadVersion { .. } => "bad_version",
             Self::Corrupt { .. } => "corrupt",
             Self::BadChecksum => "bad_checksum",
-            Self::BadCost { .. } => "bad_cost",
             Self::Injected => "injected",
             Self::NoSpace => "no_space",
             Self::TransientRead { .. } => "transient_read",
             Self::NotAttached => "not_attached",
             Self::BadRate { .. } => "bad_rate",
-            Self::BadRetry { .. } => "bad_retry",
             Self::BadScrubInterval { .. } => "bad_scrub_interval",
         }
     }
@@ -165,12 +151,6 @@ impl std::fmt::Display for SpillError {
             }
             Self::Corrupt { reason } => write!(f, "spill record corrupt: {reason}"),
             Self::BadChecksum => write!(f, "spill record: checksum mismatch"),
-            Self::BadCost { field, value } => {
-                write!(
-                    f,
-                    "spill cost model: {field} = {value} must be finite and >= 0"
-                )
-            }
             Self::Injected => write!(f, "spill write failure (injected)"),
             Self::NoSpace => write!(f, "spill write: no space left on device"),
             Self::TransientRead { seq } => {
@@ -183,7 +163,6 @@ impl std::fmt::Display for SpillError {
                     "disk fault profile: {field} = {value} must be a probability in [0, 1]"
                 )
             }
-            Self::BadRetry { reason } => write!(f, "spill retry policy: {reason}"),
             Self::BadScrubInterval { value } => {
                 write!(f, "spill scrub interval {value} must be finite and > 0")
             }
@@ -209,134 +188,86 @@ pub fn spill_checksum(bytes: &[u8]) -> u64 {
 /// checkpoints) and reads (promotions, warm starts) separately.
 ///
 /// Costs are deterministic virtual milliseconds / microseconds in the same
-/// domain as [`crate::BackendCostModel`] — never wall clock. The defaults
-/// make a promotion read of a 20-byte accounting tuple cost ≈1 µs, about
-/// 4× cheaper than the backend's ≈4 µs/tuple scan: the disk tier pays off
+/// domain as [`crate::BackendCostModel`] — never wall clock. The rates are
+/// constants because they only mean something against that model: a
+/// promotion read of a 20-byte accounting tuple costs ≈1 µs, about 4×
+/// cheaper than the backend's ≈4 µs/tuple scan, so the disk tier pays off
 /// exactly when it spares a backend round trip.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpillCostModel {
-    /// Virtual milliseconds per write operation (seek + dispatch).
-    pub write_per_op_ms: f64,
-    /// Virtual microseconds per byte written.
-    pub write_per_byte_us: f64,
-    /// Virtual milliseconds per read operation (seek + dispatch).
-    pub read_per_op_ms: f64,
-    /// Virtual microseconds per byte read.
-    pub read_per_byte_us: f64,
-}
-
-impl Default for SpillCostModel {
-    fn default() -> Self {
-        Self {
-            write_per_op_ms: 0.2,
-            write_per_byte_us: 0.05,
-            read_per_op_ms: 0.2,
-            read_per_byte_us: 0.05,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy)]
+pub struct SpillCostModel;
 
 impl SpillCostModel {
-    /// A free disk: every operation costs zero virtual time. Useful for
-    /// isolating population effects from transfer costs.
-    pub fn free() -> Self {
-        Self {
-            write_per_op_ms: 0.0,
-            write_per_byte_us: 0.0,
-            read_per_op_ms: 0.0,
-            read_per_byte_us: 0.0,
-        }
-    }
-
-    /// Validates that every rate is finite and non-negative.
-    pub fn validate(&self) -> Result<(), SpillError> {
-        for (field, value) in [
-            ("write_per_op_ms", self.write_per_op_ms),
-            ("write_per_byte_us", self.write_per_byte_us),
-            ("read_per_op_ms", self.read_per_op_ms),
-            ("read_per_byte_us", self.read_per_byte_us),
-        ] {
-            if !value.is_finite() || value < 0.0 {
-                return Err(SpillError::BadCost { field, value });
-            }
-        }
-        Ok(())
-    }
+    /// Virtual milliseconds per write operation (seek + dispatch).
+    pub const WRITE_PER_OP_MS: f64 = 0.2;
+    /// Virtual microseconds per byte written.
+    pub const WRITE_PER_BYTE_US: f64 = 0.05;
+    /// Virtual milliseconds per read operation (seek + dispatch).
+    pub const READ_PER_OP_MS: f64 = 0.2;
+    /// Virtual microseconds per byte read.
+    pub const READ_PER_BYTE_US: f64 = 0.05;
 
     /// Virtual milliseconds for one write of `bytes`.
-    pub fn write_ms(&self, bytes: u64) -> f64 {
-        self.write_per_op_ms + bytes as f64 * self.write_per_byte_us / 1000.0
+    pub fn write_ms(bytes: u64) -> f64 {
+        Self::WRITE_PER_OP_MS + bytes as f64 * Self::WRITE_PER_BYTE_US / 1000.0
     }
 
     /// Virtual milliseconds for one read of `bytes`.
-    pub fn read_ms(&self, bytes: u64) -> f64 {
-        self.read_per_op_ms + bytes as f64 * self.read_per_byte_us / 1000.0
+    pub fn read_ms(bytes: u64) -> f64 {
+        Self::READ_PER_OP_MS + bytes as f64 * Self::READ_PER_BYTE_US / 1000.0
+    }
+
+    /// Virtual milliseconds for a checkpoint of `chunks` records totalling
+    /// `bytes`: one per-op charge per chunk plus the byte rate over the
+    /// total.
+    pub fn checkpoint_ms(chunks: u64, bytes: u64) -> f64 {
+        chunks as f64 * Self::WRITE_PER_OP_MS + bytes as f64 * Self::WRITE_PER_BYTE_US / 1000.0
     }
 }
 
-/// Configuration of a [`SpillStore`]: the spill directory, the virtual
-/// cost model its traffic is charged under, and the robustness knobs —
-/// an optional [`DiskFaultProfile`] (fault injection for chaos testing),
-/// the [`RetryPolicy`] governing transient read errors, and an optional
-/// virtual-time scrub interval.
+/// Configuration of a [`SpillStore`]: the spill directory plus the two
+/// robustness knobs the recovery sweep varies — an optional
+/// [`DiskFaultProfile`] (fault injection for chaos testing) and an optional
+/// virtual-time scrub interval. Disk traffic is priced by
+/// [`SpillCostModel`], transient read errors retry under
+/// [`RetryPolicy::default`], and at most [`DEFAULT_MAX_CORRUPT_FILES`]
+/// quarantined files are retained.
 #[derive(Debug, Clone)]
 pub struct SpillConfig {
     /// Directory holding the chunk files and the index (created if absent).
     pub dir: PathBuf,
-    /// Virtual cost model for disk traffic.
-    pub cost: SpillCostModel,
     /// Optional deterministic disk-fault injection; `None` (the default)
     /// uses the plain filesystem backend, and `Some(Default::default())`
     /// is bit-transparent to it.
     pub fault: Option<DiskFaultProfile>,
-    /// Retry policy for transient read errors (virtual-time budgeted).
-    pub retry: RetryPolicy,
     /// When set, a proactive scrub pass verifies every stored checksum
     /// each time this much query virtual time elapses; `None` (the
     /// default) disables scrubbing.
     pub scrub_interval_ms: Option<f64>,
-    /// Maximum number of quarantined `*.corrupt` files retained in the
-    /// spill directory. Quarantine keeps damaged files for post-mortem
-    /// inspection rather than deleting them, but a long-lived session over
-    /// a flaky disk would otherwise accumulate them without bound; once
-    /// the cap is exceeded the excess is purged in ascending file-name
-    /// order (deterministic — no timestamps). `0` retains none.
-    pub max_corrupt_files: usize,
 }
 
-/// Default [`SpillConfig::max_corrupt_files`]: enough retained casualties
-/// to diagnose a bad disk, small enough that quarantine can never fill it.
+/// Maximum number of quarantined `*.corrupt` files retained in a spill
+/// directory: enough casualties to diagnose a bad disk, small enough that
+/// quarantine can never fill it. Quarantine keeps damaged files for
+/// post-mortem inspection rather than deleting them, but a long-lived
+/// session over a flaky disk would otherwise accumulate them without
+/// bound; past the cap the excess is purged in ascending file-name order
+/// (deterministic — no timestamps).
 pub const DEFAULT_MAX_CORRUPT_FILES: usize = 16;
 
 impl SpillConfig {
-    /// A configuration over `dir` with the default cost model, no fault
-    /// injection, the default retry policy and no scrubbing.
+    /// A configuration over `dir` with no fault injection and no
+    /// scrubbing.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
-            cost: SpillCostModel::default(),
             fault: None,
-            retry: RetryPolicy::default(),
             scrub_interval_ms: None,
-            max_corrupt_files: DEFAULT_MAX_CORRUPT_FILES,
         }
-    }
-
-    /// Replaces the cost model.
-    pub fn cost(mut self, cost: SpillCostModel) -> Self {
-        self.cost = cost;
-        self
     }
 
     /// Enables deterministic disk-fault injection.
     pub fn fault(mut self, profile: DiskFaultProfile) -> Self {
         self.fault = Some(profile);
-        self
-    }
-
-    /// Replaces the transient-read retry policy.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
         self
     }
 
@@ -347,22 +278,11 @@ impl SpillConfig {
         self
     }
 
-    /// Caps the retained quarantined `*.corrupt` files (see
-    /// [`SpillConfig::max_corrupt_files`]).
-    pub fn max_corrupt_files(mut self, cap: usize) -> Self {
-        self.max_corrupt_files = cap;
-        self
-    }
-
     /// Validates every knob (the directory is validated on open).
     pub fn validate(&self) -> Result<(), SpillError> {
-        self.cost.validate()?;
         if let Some(profile) = &self.fault {
             profile.validate()?;
         }
-        self.retry.validate().map_err(|e| SpillError::BadRetry {
-            reason: e.to_string(),
-        })?;
         if let Some(interval) = self.scrub_interval_ms {
             if !interval.is_finite() || interval <= 0.0 {
                 return Err(SpillError::BadScrubInterval { value: interval });
@@ -576,17 +496,13 @@ pub struct SpillReadOutcome {
 /// exercises a single code path in both healthy and chaos runs.
 pub struct SpillStore {
     dir: PathBuf,
-    cost: SpillCostModel,
     io: Box<dyn SpillIo>,
-    retry: RetryPolicy,
-    /// Precomputed once: the policy is immutable after open.
+    /// [`RetryPolicy::default`]'s backoff delays, precomputed once.
     backoff: Vec<f64>,
     scrub_interval_ms: Option<f64>,
     index: BTreeMap<u64, IndexEntry>,
     rebuild: Option<IndexRebuildReport>,
     fail_writes: u64,
-    /// Cap on retained `*.corrupt` files ([`SpillConfig::max_corrupt_files`]).
-    max_corrupt: usize,
     /// Quarantined files purged past the cap since the last
     /// [`SpillStore::take_corrupt_purged`].
     corrupt_purged: u64,
@@ -621,15 +537,12 @@ impl SpillStore {
         io.create_dir_all(&config.dir)?;
         let mut store = Self {
             dir: config.dir,
-            cost: config.cost,
             io,
-            retry: config.retry,
-            backoff: config.retry.backoff_schedule(),
+            backoff: RetryPolicy::default().backoff_schedule(),
             scrub_interval_ms: config.scrub_interval_ms,
             index: BTreeMap::new(),
             rebuild: None,
             fail_writes: 0,
-            max_corrupt: config.max_corrupt_files,
             corrupt_purged: 0,
         };
         let idx = store.index_path();
@@ -658,16 +571,6 @@ impl SpillStore {
     /// The spill directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The cost model disk traffic is charged under.
-    pub fn cost(&self) -> &SpillCostModel {
-        &self.cost
-    }
-
-    /// The transient-read retry policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
     }
 
     /// The proactive scrub interval in query virtual ms, if enabled.
@@ -784,7 +687,7 @@ impl SpillStore {
     }
 
     /// [`SpillStore::read`], re-attempting transient read errors under
-    /// the store's [`RetryPolicy`]. Each failed attempt is charged one
+    /// [`RetryPolicy::default`]. Each failed attempt is charged one
     /// read dispatch plus its backoff delay into
     /// [`SpillReadOutcome::retry_virtual_ms`]; a first-attempt success
     /// charges nothing extra, keeping the healthy path bit-transparent.
@@ -796,7 +699,7 @@ impl SpillStore {
             match self.read(key) {
                 Err(e) if e.is_retryable() => {
                     // A transient error costs the dispatch, not the bytes.
-                    wasted += self.cost.read_ms(0);
+                    wasted += SpillCostModel::read_ms(0);
                     let Some(&backoff) = self.backoff.get((attempts - 1) as usize) else {
                         return SpillReadOutcome {
                             result: Err(e),
@@ -835,7 +738,7 @@ impl SpillStore {
         Some(u64::from(entry.bytes))
     }
 
-    /// Enforces [`SpillConfig::max_corrupt_files`]: deletes quarantined
+    /// Enforces [`DEFAULT_MAX_CORRUPT_FILES`]: deletes quarantined
     /// `*.corrupt` files past the cap, in ascending file-name order (the
     /// deterministic stand-in for age — quarantine stamps no timestamps).
     /// Purges are counted for [`SpillStore::take_corrupt_purged`];
@@ -843,10 +746,7 @@ impl SpillStore {
     /// quarantine).
     fn purge_corrupt_overflow(&mut self) {
         let files = self.io.list_files(&self.dir, "corrupt").unwrap_or_default();
-        if files.len() <= self.max_corrupt {
-            return;
-        }
-        let excess = files.len() - self.max_corrupt;
+        let excess = files.len().saturating_sub(DEFAULT_MAX_CORRUPT_FILES);
         for path in files.into_iter().take(excess) {
             if self.io.remove(&path).is_ok() {
                 self.corrupt_purged += 1;
@@ -855,7 +755,7 @@ impl SpillStore {
     }
 
     /// Drains the count of quarantined files purged past the
-    /// [`SpillConfig::max_corrupt_files`] cap since the last call — the
+    /// [`DEFAULT_MAX_CORRUPT_FILES`] cap since the last call — the
     /// feed for `SpillMetrics::corrupt_purged`.
     pub fn take_corrupt_purged(&mut self) -> u64 {
         std::mem::take(&mut self.corrupt_purged)
@@ -924,9 +824,9 @@ impl SpillStore {
             report.retries += outcome.attempts - 1;
             report.virtual_ms += outcome.retry_virtual_ms;
             match outcome.result {
-                Ok(_) => report.virtual_ms += self.cost.read_ms(bytes),
+                Ok(_) => report.virtual_ms += SpillCostModel::read_ms(bytes),
                 Err(e) if e.is_corruption() => {
-                    report.virtual_ms += self.cost.read_ms(bytes);
+                    report.virtual_ms += SpillCostModel::read_ms(bytes);
                     self.quarantine(key);
                     report.corrupt += 1;
                     report.quarantined += 1;
@@ -1287,15 +1187,6 @@ mod tests {
             })
         ));
         assert!(matches!(
-            SpillConfig::new(&dir)
-                .retry(RetryPolicy {
-                    max_attempts: 0,
-                    ..RetryPolicy::default()
-                })
-                .validate(),
-            Err(SpillError::BadRetry { .. })
-        ));
-        assert!(matches!(
             SpillConfig::new(&dir).scrub_interval_ms(0.0).validate(),
             Err(SpillError::BadScrubInterval { value }) if value == 0.0
         ));
@@ -1476,18 +1367,11 @@ mod tests {
     #[test]
     fn read_retrying_rides_out_transient_errors() {
         let dir = tmpdir("retry");
-        let mut store = SpillStore::open(
-            SpillConfig::new(&dir)
-                .fault(DiskFaultProfile {
-                    read_error_rate: 0.4,
-                    seed: 11,
-                    ..DiskFaultProfile::default()
-                })
-                .retry(RetryPolicy {
-                    max_attempts: 8,
-                    ..RetryPolicy::default()
-                }),
-        )
+        let mut store = SpillStore::open(SpillConfig::new(&dir).fault(DiskFaultProfile {
+            read_error_rate: 0.4,
+            seed: 11,
+            ..DiskFaultProfile::default()
+        }))
         .unwrap();
         let data = sample_chunk();
         store
@@ -1563,49 +1447,41 @@ mod tests {
             names
         }
         let dir = tmpdir("corruptcap");
-        let mut store = SpillStore::open(SpillConfig::new(&dir).max_corrupt_files(2)).unwrap();
+        let cap = DEFAULT_MAX_CORRUPT_FILES as u64;
+        let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
         let d = sample_chunk();
-        for i in 0..5u64 {
+        for i in 0..cap + 3 {
             let key = ChunkKey::new(GroupById(2), i);
             store.write(key, ORIGIN_BACKEND, 1.0, &d).unwrap();
             assert!(store.quarantine(key).is_some());
         }
         // Only the cap's worth of tombstones survive; the excess was
         // purged in ascending file-name order (oldest keys first).
-        assert_eq!(corrupt_names(&dir).len(), 2);
+        let kept = corrupt_names(&dir);
+        assert_eq!(kept.len() as u64, cap);
+        assert_eq!(
+            kept[0],
+            format!("{:016x}.corrupt", ChunkKey::new(GroupById(2), 3).pack())
+        );
         assert_eq!(store.take_corrupt_purged(), 3);
         assert_eq!(store.take_corrupt_purged(), 0, "take drains the counter");
         drop(store);
-        // Reopening with a tighter cap clears the backlog a previous
-        // session left behind.
-        let mut store = SpillStore::open(SpillConfig::new(&dir).max_corrupt_files(0)).unwrap();
-        assert!(corrupt_names(&dir).is_empty());
+        // Reopening clears the backlog a previous session left behind.
+        for i in 0..2u64 {
+            std::fs::write(dir.join(format!("{i:016x}.corrupt")), b"junk").unwrap();
+        }
+        let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
+        assert_eq!(corrupt_names(&dir).len() as u64, cap);
         assert_eq!(store.take_corrupt_purged(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn cost_model_validates_and_charges() {
-        assert!(SpillCostModel::default().validate().is_ok());
-        assert!(SpillCostModel::free().validate().is_ok());
-        let bad = SpillCostModel {
-            read_per_byte_us: f64::NAN,
-            ..SpillCostModel::default()
-        };
-        assert!(matches!(
-            bad.validate(),
-            Err(SpillError::BadCost {
-                field: "read_per_byte_us",
-                ..
-            })
-        ));
-        let m = SpillCostModel {
-            write_per_op_ms: 1.0,
-            write_per_byte_us: 10.0,
-            read_per_op_ms: 2.0,
-            read_per_byte_us: 20.0,
-        };
-        assert!((m.write_ms(500) - 6.0).abs() < 1e-12);
-        assert!((m.read_ms(500) - 12.0).abs() < 1e-12);
+    fn cost_model_charges_per_op_plus_per_byte() {
+        assert!((SpillCostModel::write_ms(20_000) - 1.2).abs() < 1e-12);
+        assert!((SpillCostModel::read_ms(20_000) - 1.2).abs() < 1e-12);
+        assert_eq!(SpillCostModel::read_ms(0), SpillCostModel::READ_PER_OP_MS);
+        // A checkpoint pays the dispatch once per chunk, the byte rate once.
+        assert!((SpillCostModel::checkpoint_ms(3, 20_000) - 1.6).abs() < 1e-12);
     }
 }

@@ -287,11 +287,6 @@ impl TrafficEngine {
         Ok(Self { tenants })
     }
 
-    /// Number of tenants.
-    pub fn num_tenants(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Generates the next arrival of the merged stream: the tenant with
     /// the earliest next virtual arrival time issues one query from its
     /// stream, then schedules its next arrival. Ties (identical f64

@@ -94,16 +94,6 @@ impl AvgCache {
         self.sum.grid()
     }
 
-    /// The underlying SUM cache.
-    pub fn sum_manager(&self) -> &CacheManager {
-        &self.sum
-    }
-
-    /// The underlying COUNT cache.
-    pub fn count_manager(&self) -> &CacheManager {
-        &self.count
-    }
-
     /// Pre-loads both cubes per the two-level policy.
     pub fn preload_best(&mut self) -> Result<(), CacheError> {
         self.sum.preload_best()?;

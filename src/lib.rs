@@ -80,10 +80,9 @@ pub mod prelude {
     pub use aggcache_cluster::{ClusterBuilder, ClusterError, ClusterManager, HashRing, NodeStats};
     pub use aggcache_core::{
         CacheError, CacheManager, CacheManagerBuilder, CheckpointReport, ComputationPlan,
-        ConfigError, Consistency, CostTable, CountTable, ExecOutcome, LookupOutcome, LookupStats,
-        ManagerConfig, PreloadReport, Query, QueryMetrics, QueryProbe, QueryRequest, QueryResult,
-        RemoteMetrics, Routing, SessionMetrics, SpillMetrics, Strategy, TableKind, UpdateMetrics,
-        ValueQuery, WarmStartReport,
+        ConfigError, CostTable, CountTable, ExecOutcome, LookupOutcome, LookupStats, ManagerConfig,
+        PreloadReport, Query, QueryMetrics, QueryProbe, QueryRequest, QueryResult, RemoteMetrics,
+        SessionMetrics, SpillMetrics, Strategy, UpdateMetrics, ValueQuery, WarmStartReport,
     };
     pub use aggcache_gen::{apb1_schema, Apb1Config, Dataset, SyntheticSpec};
     pub use aggcache_obs::{

@@ -17,7 +17,7 @@
 //! * **Determinism** — identical runs (any thread count) produce
 //!   bit-identical virtual times and wire accounting.
 
-use aggcache::cluster::{ClusterManager, DEFAULT_VNODES};
+use aggcache::cluster::ClusterManager;
 use aggcache::prelude::*;
 use aggcache::workload::{QueryStream, WorkloadConfig};
 
@@ -52,9 +52,7 @@ fn cluster(
     threads: usize,
     budget: usize,
 ) -> ClusterManager {
-    let mut b = ClusterManager::builder()
-        .replication(replication)
-        .vnodes(DEFAULT_VNODES);
+    let mut b = ClusterManager::builder().replication(replication);
     for _ in 0..n {
         b = b.node(node_manager(ds, strategy, threads, budget));
     }

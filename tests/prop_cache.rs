@@ -37,6 +37,18 @@ impl Resident {
     }
 }
 
+/// The eviction lattice, restated independently of the cache: under the
+/// two-level policy an insert may only claim victims at or below its own
+/// level (spilled < computed < backend); the other policies have one level.
+fn may_evict(policy: PolicyKind, inserting: Origin, victim: Origin) -> bool {
+    let level = |o| match o {
+        Origin::Spilled => 0,
+        Origin::Computed => 1,
+        Origin::Backend => 2,
+    };
+    policy != PolicyKind::TwoLevel || level(victim) <= level(inserting)
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Insert {
@@ -65,18 +77,14 @@ enum Op {
 
 fn arb_op() -> impl PropStrategy<Value = Op> {
     prop_oneof![
-        (0u64..24, 0usize..12, proptest::bool::ANY, 0.0f64..50.0).prop_map(
-            |(id, cells, backend, benefit)| Op::Insert {
+        (0u64..24, 0usize..12, 0usize..3, 0.0f64..50.0).prop_map(|(id, cells, origin, benefit)| {
+            Op::Insert {
                 id,
                 cells,
-                origin: if backend {
-                    Origin::Backend
-                } else {
-                    Origin::Computed
-                },
+                origin: [Origin::Backend, Origin::Computed, Origin::Spilled][origin],
                 benefit,
             }
-        ),
+        }),
         (0u64..24).prop_map(|id| Op::Get { id }),
         (0u64..24).prop_map(|id| Op::Remove { id }),
         (0u64..24).prop_map(|id| Op::Pin { id }),
@@ -101,6 +109,23 @@ fn run_ops(policy: PolicyKind, budget: usize, ops: &[Op]) {
                 benefit,
             } => {
                 let stamp = step as f64;
+                // The feasibility precheck, from the shadow model: the
+                // chunk fits the budget, and the unpinned residents this
+                // origin may evict (the entry being replaced aside) cover
+                // the shortfall.
+                let bytes = cells * PAPER_TUPLE_BYTES;
+                let old_bytes = shadow.get(&id).map_or(0, |r| r.cells * PAPER_TUPLE_BYTES);
+                let need = (cache.used_bytes() - old_bytes + bytes).saturating_sub(budget);
+                let freeable: usize = shadow
+                    .iter()
+                    .filter(|&(&other, r)| {
+                        other != id
+                            && !pinned.contains(&other)
+                            && may_evict(policy, origin, r.origin)
+                    })
+                    .map(|(_, r)| r.cells * PAPER_TUPLE_BYTES)
+                    .sum();
+                let feasible = bytes <= budget && freeable >= need;
                 tracer.take();
                 let out = cache.insert(key(0, id), chunk_of(cells, stamp), origin, benefit);
                 // The victims come back in the order the policy chose them.
@@ -114,6 +139,13 @@ fn run_ops(policy: PolicyKind, budget: usize, ops: &[Op]) {
                     .collect();
                 let victims: Vec<u64> = out.evicted.iter().map(|(k, _)| k.chunk).collect();
                 assert_eq!(victims, evict_events, "victims out of eviction order");
+                // Feasibility and the victim search agree: whenever the
+                // precheck passes, the eviction loop frees enough (the
+                // default admission turns nothing feasible away).
+                assert_eq!(
+                    out.admitted, feasible,
+                    "precheck and eviction loop disagree"
+                );
                 // A refused insert — including a refused *replace* — leaves
                 // the previous entry (if any) untouched, so the shadow
                 // model changes only on admission; the per-step sweep below
@@ -138,11 +170,12 @@ fn run_ops(policy: PolicyKind, budget: usize, ops: &[Op]) {
                     let was = shadow.remove(&victim.chunk).expect("evicted unknown chunk");
                     was.assert_intact(entry);
                     assert!(!cache.contains(victim), "victim still resident");
-                    // …and under two-level, a computed insert never evicts
-                    // backend chunks.
-                    if policy == PolicyKind::TwoLevel && origin == Origin::Computed {
-                        assert_eq!(was.origin, Origin::Computed, "computed evicted backend");
-                    }
+                    // …and every victim sits at or below the insert's level.
+                    assert!(
+                        may_evict(policy, origin, was.origin),
+                        "{origin:?} insert evicted a {:?} chunk",
+                        was.origin
+                    );
                 }
             }
             Op::Get { id } => {
@@ -150,8 +183,9 @@ fn run_ops(policy: PolicyKind, budget: usize, ops: &[Op]) {
             }
             Op::Remove { id } => {
                 let was = cache.remove(&key(0, id));
+                // A pin outlives the entry (the cache keeps it until
+                // `unpin`), so it is not dropped from the model either.
                 assert_eq!(was, shadow.remove(&id).is_some());
-                pinned.remove(&id);
             }
             Op::Pin { id } => {
                 if shadow.contains_key(&id) {
@@ -193,9 +227,10 @@ proptest! {
 
     /// The cache never exceeds its budget, never evicts pinned chunks,
     /// keeps exact byte accounting, hands every victim back intact and in
-    /// eviction order, keeps the old entry through a refused replace, and
-    /// (two-level) never lets computed chunks displace backend chunks —
-    /// under arbitrary operation streams.
+    /// eviction order, keeps the old entry through a refused replace,
+    /// admits exactly the inserts its feasibility precheck passes, and
+    /// never lets an insert evict above its own level — under arbitrary
+    /// operation streams.
     #[test]
     fn cache_invariants_hold(
         ops in proptest::collection::vec(arb_op(), 1..120),
