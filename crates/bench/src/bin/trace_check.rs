@@ -6,7 +6,6 @@
 //! Usage: `trace_check <path>` — exits non-zero with a message on the
 //! first violation.
 
-use aggcache_bench::args::Args;
 use aggcache_bench::trace::validate;
 use aggcache_obs::json::JsonValue;
 
@@ -16,11 +15,10 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
-    // The path is positional; there are no flags to accept.
-    Args::parse().finish();
-    let path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| fail("usage: trace_check <path>"));
+    let mut argv = std::env::args().skip(1);
+    let (Some(path), None) = (argv.next(), argv.next()) else {
+        fail("usage: trace_check <path>");
+    };
     let src =
         std::fs::read_to_string(&path).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")));
     let doc = JsonValue::parse(&src).unwrap_or_else(|e| fail(&format!("parsing {path}: {e}")));

@@ -12,10 +12,10 @@
 //!    pre-load vs pre-loading the most detailed group-by that fits.
 
 use crate::report::{f2, Table};
-use crate::rig::{apb_dataset, backend_for, paper_stream, MB};
+use crate::rig::{apb_dataset, manager_for, paper_stream, MB};
 use crate::stream::{run_stream, StreamRun};
 use aggcache_cache::PolicyKind;
-use aggcache_core::{CacheManager, Strategy};
+use aggcache_core::Strategy;
 use aggcache_gen::Dataset;
 
 /// Options for the ablation suite.
@@ -167,12 +167,7 @@ fn run_preload_variant(
     opts: Opts,
     mode: PreloadMode,
 ) -> (f64, f64) {
-    let mut mgr = CacheManager::builder()
-        .strategy(Strategy::Vcmc)
-        .policy(PolicyKind::TwoLevel)
-        .cache_bytes(cache_bytes)
-        .build(backend_for(dataset))
-        .expect("ablation configuration is valid");
+    let mut mgr = manager_for(dataset, Strategy::Vcmc, PolicyKind::TwoLevel, cache_bytes);
     match mode {
         PreloadMode::Best => {
             let _ = mgr.preload_best().unwrap();

@@ -19,11 +19,11 @@
 //! thread counts — all reported numbers are virtual-time.
 
 use crate::report::{f2, Table};
-use crate::rig::{apb_dataset, backend_for, paper_stream};
+use crate::rig::{apb_dataset, backend_for, builder_for, paper_stream};
 use aggcache_cache::PolicyKind;
 use aggcache_chunks::hash::SplitMix64;
-use aggcache_cluster::{ClusterManager, NodeStats};
-use aggcache_core::{CacheManager, ExecOutcome, QueryRequest, RemoteMetrics, Strategy};
+use aggcache_cluster::{ClusterManager, NodeTraffic};
+use aggcache_core::{ExecOutcome, QueryRequest, RemoteMetrics, Strategy};
 use aggcache_gen::Dataset;
 use aggcache_obs::json::push_f64;
 
@@ -97,12 +97,9 @@ pub struct NodeOutcome {
     pub resident_chunks: usize,
     /// Accounting bytes used at the end of the run.
     pub used_bytes: usize,
-    /// Chunks the node served to peers.
-    pub serves_out: u64,
-    /// Chunks the node received from peers.
-    pub remote_chunks_in: u64,
-    /// Times the node was killed by the churn schedule.
-    pub downs: u64,
+    /// Peer serves, cooperative fills and churn kills attributed to the
+    /// node.
+    pub traffic: NodeTraffic,
 }
 
 /// Outcome of one (nodes, replication, failure rate) cell.
@@ -152,12 +149,9 @@ fn build_cluster(
 ) -> ClusterManager {
     let mut b = ClusterManager::builder().replication(replication);
     for _ in 0..nodes {
+        let (strategy, policy) = (Strategy::Vcmc, PolicyKind::TwoLevel);
         b = b.node(
-            CacheManager::builder()
-                .strategy(Strategy::Vcmc)
-                .policy(PolicyKind::TwoLevel)
-                .cache_bytes(opts.node_cache_bytes)
-                .threads(opts.threads)
+            builder_for(strategy, policy, opts.node_cache_bytes, opts.threads, None)
                 .build(backend_for(dataset))
                 .expect("sweep configuration is valid"),
         );
@@ -197,7 +191,7 @@ fn summarize(
     replication: usize,
     failure_rate: f64,
     outs: &[ExecOutcome],
-    stats: &[NodeStats],
+    per_node: Vec<NodeOutcome>,
     remote: RemoteMetrics,
     kills: u64,
 ) -> CellResult {
@@ -251,18 +245,7 @@ fn summarize(
         bytes_on_wire: remote.bytes_on_wire,
         remote_virtual_ms: remote.remote_virtual_ms,
         kills,
-        per_node: stats
-            .iter()
-            .map(|s| NodeOutcome {
-                node: s.node,
-                queries: s.queries,
-                resident_chunks: s.resident_chunks,
-                used_bytes: s.used_bytes,
-                serves_out: s.serves_out,
-                remote_chunks_in: s.remote_chunks_in,
-                downs: s.downs,
-            })
-            .collect(),
+        per_node,
     }
 }
 
@@ -299,12 +282,21 @@ pub fn run_cell(
     // The session totals include rebalance handoff bytes, which per-query
     // outcomes do not see.
     let remote = *cluster.session_remote();
+    let per_node = (0..nodes as u32)
+        .map(|n| NodeOutcome {
+            node: n,
+            queries: cluster.node(n).session().queries,
+            resident_chunks: cluster.node(n).cache().len(),
+            used_bytes: cluster.node(n).cache().used_bytes(),
+            traffic: cluster.traffic(n),
+        })
+        .collect();
     summarize(
         nodes,
         replication,
         failure_rate,
         &outs,
-        &cluster.node_stats(),
+        per_node,
         remote,
         kills,
     )
@@ -432,11 +424,11 @@ pub fn to_json(opts: Opts, r: &ClusterResults) -> String {
             out.push_str(",\"used_bytes\":");
             push_f64(&mut out, n.used_bytes as f64);
             out.push_str(",\"serves_out\":");
-            push_f64(&mut out, n.serves_out as f64);
+            push_f64(&mut out, n.traffic.serves_out as f64);
             out.push_str(",\"remote_chunks_in\":");
-            push_f64(&mut out, n.remote_chunks_in as f64);
+            push_f64(&mut out, n.traffic.remote_chunks_in as f64);
             out.push_str(",\"downs\":");
-            push_f64(&mut out, n.downs as f64);
+            push_f64(&mut out, n.traffic.downs as f64);
             out.push('}');
         }
         out.push_str("]}");
@@ -462,9 +454,9 @@ pub fn to_csv(r: &ClusterResults) -> String {
                 n.queries,
                 n.resident_chunks,
                 n.used_bytes,
-                n.serves_out,
-                n.remote_chunks_in,
-                n.downs,
+                n.traffic.serves_out,
+                n.traffic.remote_chunks_in,
+                n.traffic.downs,
             ));
         }
     }
@@ -505,7 +497,7 @@ mod tests {
             for (x, y) in a.per_node.iter().zip(&other.per_node) {
                 assert_eq!(x.queries, y.queries);
                 assert_eq!(x.resident_chunks, y.resident_chunks);
-                assert_eq!(x.serves_out, y.serves_out);
+                assert_eq!(x.traffic, y.traffic);
             }
         }
     }
@@ -547,7 +539,7 @@ mod tests {
         let ds = apb_dataset(4_000, 3);
         let cell = run_cell(&ds, small_opts(), 3, 2, 0.8);
         assert!(cell.kills > 0, "churn schedule never fired at rate 0.8");
-        let downs: u64 = cell.per_node.iter().map(|n| n.downs).sum();
+        let downs: u64 = cell.per_node.iter().map(|n| n.traffic.downs).sum();
         assert_eq!(downs, cell.kills);
         // Every node ends the run live and useful.
         assert!(cell.per_node.iter().all(|n| n.queries > 0));

@@ -18,9 +18,9 @@
 //! afterwards and never appear in any output.
 
 use crate::report::{f2, Table};
-use crate::rig::{apb_dataset, backend_for, paper_stream, scratch_root};
+use crate::rig::{apb_dataset, backend_for, builder_for, paper_stream, scratch_root};
 use aggcache_cache::PolicyKind;
-use aggcache_core::{CacheManager, QueryRequest, Strategy};
+use aggcache_core::{QueryRequest, Strategy};
 use aggcache_gen::Dataset;
 use aggcache_obs::json::push_f64;
 use aggcache_obs::Tracer;
@@ -123,28 +123,6 @@ pub struct CellResult {
     pub spill_virtual_ms: f64,
 }
 
-fn manager(
-    dataset: &Dataset,
-    opts: Opts,
-    cache_bytes: usize,
-    spill: Option<&Path>,
-    tracer: Option<Arc<dyn Tracer>>,
-) -> CacheManager {
-    let mut b = CacheManager::builder()
-        .strategy(Strategy::Vcmc)
-        .policy(PolicyKind::TwoLevel)
-        .cache_bytes(cache_bytes)
-        .threads(opts.threads);
-    if let Some(dir) = spill {
-        b = b.spill(SpillConfig::new(dir));
-    }
-    if let Some(t) = tracer {
-        b = b.tracer(t);
-    }
-    b.build(backend_for(dataset))
-        .expect("sweep configuration is valid")
-}
-
 /// Replays one (warm, cache budget) cell. Deterministic for fixed opts:
 /// the workload is seeded and every reported number is virtual-time.
 /// `dir` is this cell's private spill directory (removed by the caller);
@@ -175,10 +153,17 @@ pub fn run_cell_traced(
     let mut stream = paper_stream(dataset, opts.workload_seed);
     let warmup = QueryRequest::batch(&stream.take_queries(opts.warmup));
     let measure = QueryRequest::batch(&stream.take_queries(opts.queries));
+    let builder = |tracer| {
+        let (strategy, policy) = (Strategy::Vcmc, PolicyKind::TwoLevel);
+        builder_for(strategy, policy, cache_bytes, opts.threads, tracer)
+    };
 
     // Session 1: warm up and checkpoint through the spill tier.
     {
-        let mut first = manager(dataset, opts, cache_bytes, Some(dir), None);
+        let mut first = builder(None)
+            .spill(SpillConfig::new(dir))
+            .build(backend_for(dataset))
+            .expect("sweep configuration is valid");
         for batch in warmup.chunks(opts.batch.max(1)) {
             first
                 .run_batch(batch)
@@ -188,11 +173,13 @@ pub fn run_cell_traced(
     }
 
     // Session 2: the restart. Cold forgets the disk; warm recovers it.
-    let mut mgr = if warm {
-        manager(dataset, opts, cache_bytes, Some(dir), tracer)
-    } else {
-        manager(dataset, opts, cache_bytes, None, tracer)
-    };
+    let mut restart = builder(tracer);
+    if warm {
+        restart = restart.spill(SpillConfig::new(dir));
+    }
+    let mut mgr = restart
+        .build(backend_for(dataset))
+        .expect("sweep configuration is valid");
     let recovery = *mgr.session_spill();
     let warm_start_chunks = recovery.spill_reads;
 

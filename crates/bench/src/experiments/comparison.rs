@@ -8,9 +8,11 @@
 //! ESM's time dominated by lookup at small caches while VCMC's lookup is
 //! negligible throughout.
 
+use crate::args::Args;
 use crate::report::{f2, Table};
 use crate::rig::{apb_dataset, MB, PAPER_CACHE_SIZES_MB};
 use crate::stream::{run_stream_averaged, AveragedResult, StreamRun};
+use crate::trace::maybe_write_trace;
 use aggcache_cache::PolicyKind;
 use aggcache_core::Strategy;
 
@@ -27,7 +29,7 @@ pub struct Opts {
     pub workload_seed: u64,
     /// Number of streams (consecutive seeds) to average.
     pub repeats: u64,
-    /// Worker threads for batched probing and sharded aggregation
+    /// Worker threads for sharded aggregation
     /// (wall-clock only; virtual outputs are unchanged).
     pub threads: usize,
 }
@@ -106,6 +108,26 @@ pub fn run_experiment(opts: Opts) -> ComparisonResults {
         esm,
         vcmc,
     }
+}
+
+/// The `main` of `fig9`, `fig10` and `table4`: reads `--tuples --seed
+/// --queries --threads --trace-out`, runs the experiment, prints
+/// `render`'s view of it and writes the trace document, if asked for,
+/// under `name`.
+pub fn main_with(name: &str, render: fn(&ComparisonResults) -> String) {
+    let a = Args::parse();
+    let d = Opts::default();
+    let opts = Opts {
+        tuples: a.get("tuples", d.tuples),
+        seed: a.get("seed", d.seed),
+        queries: a.get("queries", d.queries),
+        threads: a.threads(),
+        ..d
+    };
+    let trace_out = a.value("trace-out");
+    a.finish();
+    println!("{}", render(&run_experiment(opts)));
+    maybe_write_trace(trace_out, opts.threads, name, opts.tuples, opts.seed);
 }
 
 /// Renders Figure 9 (average execution times of the three schemes).

@@ -13,9 +13,9 @@
 //! cache cannot reconstruct at all fail.
 
 use crate::report::{f2, Table};
-use crate::rig::{apb_dataset, backend_for, paper_stream, MB};
+use crate::rig::{apb_dataset, backend_for, builder_for, paper_stream, MB};
 use aggcache_cache::PolicyKind;
-use aggcache_core::{CacheError, CacheManager, Strategy};
+use aggcache_core::{CacheError, Strategy};
 use aggcache_gen::Dataset;
 use aggcache_obs::Tracer;
 use aggcache_store::{FaultInjectingBackend, FaultProfile, RetryPolicy, RetryingBackend};
@@ -141,16 +141,13 @@ pub fn run_stream_faulty(
         },
     )
     .expect("retry policy is valid");
-    let mut mgr = CacheManager::builder()
-        .strategy(Strategy::Esmc {
-            node_budget: Some(opts.node_budget.max(1)),
-        })
-        .policy(PolicyKind::TwoLevel)
-        .cache_bytes(opts.cache_bytes)
-        .threads(opts.threads)
+    let strategy = Strategy::Esmc {
+        node_budget: Some(opts.node_budget.max(1)),
+    };
+    let policy = PolicyKind::TwoLevel;
+    let mut mgr = builder_for(strategy, policy, opts.cache_bytes, opts.threads, tracer)
         .build(retrying)
         .expect("fault-sweep configuration is valid");
-    mgr.set_tracer(tracer);
     // Pre-load as in the paper's runs; under heavy faults even the
     // pre-load fetch can fail, which simply leaves the cache cold.
     let _ = mgr.preload_best();

@@ -6,9 +6,11 @@
 //! complete-hit ratio at every cache size and therefore lower average
 //! times; at 25 MB it holds the entire base table → 100% complete hits.
 
+use crate::args::Args;
 use crate::report::{f2, Table};
 use crate::rig::{apb_dataset, MB, PAPER_CACHE_SIZES_MB};
 use crate::stream::{run_stream_averaged, AveragedResult, StreamRun};
+use crate::trace::maybe_write_trace;
 use aggcache_cache::PolicyKind;
 use aggcache_core::Strategy;
 
@@ -25,7 +27,7 @@ pub struct Opts {
     pub workload_seed: u64,
     /// Number of streams (consecutive seeds) to average.
     pub repeats: u64,
-    /// Worker threads for batched probing and sharded aggregation
+    /// Worker threads for sharded aggregation
     /// (wall-clock only; virtual outputs are unchanged).
     pub threads: usize,
 }
@@ -104,6 +106,25 @@ pub fn run_experiment(opts: Opts) -> PolicyResults {
         two_level,
         benefit,
     }
+}
+
+/// The `main` of `fig7` and `fig8`: reads `--tuples --seed --queries
+/// --threads --trace-out`, runs the experiment, prints `render`'s view of
+/// it and writes the trace document, if asked for, under `name`.
+pub fn main_with(name: &str, render: fn(&PolicyResults) -> String) {
+    let a = Args::parse();
+    let d = Opts::default();
+    let opts = Opts {
+        tuples: a.get("tuples", d.tuples),
+        seed: a.get("seed", d.seed),
+        queries: a.get("queries", d.queries),
+        threads: a.threads(),
+        ..d
+    };
+    let trace_out = a.value("trace-out");
+    a.finish();
+    println!("{}", render(&run_experiment(opts)));
+    maybe_write_trace(trace_out, opts.threads, name, opts.tuples, opts.seed);
 }
 
 /// Renders Figure 7 (complete-hit ratios).

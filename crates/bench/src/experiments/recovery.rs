@@ -19,9 +19,9 @@
 //! and never appear in any output.
 
 use crate::report::{f2, Table};
-use crate::rig::{apb_dataset, backend_for, oracle, paper_stream, scratch_root};
+use crate::rig::{apb_dataset, backend_for, builder_for, oracle, paper_stream, scratch_root};
 use aggcache_cache::PolicyKind;
-use aggcache_core::{CacheManager, QueryRequest, Strategy};
+use aggcache_core::{QueryRequest, Strategy};
 use aggcache_gen::Dataset;
 use aggcache_obs::json::push_f64;
 use aggcache_obs::Tracer;
@@ -137,25 +137,6 @@ fn spill_config(dir: &Path, rate: f64, seed: u64, scrub: Option<f64>) -> SpillCo
     config
 }
 
-fn manager(
-    dataset: &Dataset,
-    opts: Opts,
-    spill: SpillConfig,
-    tracer: Option<Arc<dyn Tracer>>,
-) -> CacheManager {
-    let mut b = CacheManager::builder()
-        .strategy(Strategy::Vcmc)
-        .policy(PolicyKind::TwoLevel)
-        .cache_bytes(opts.cache_bytes)
-        .threads(opts.threads)
-        .spill(spill);
-    if let Some(t) = tracer {
-        b = b.tracer(t);
-    }
-    b.build(backend_for(dataset))
-        .expect("sweep configuration is valid")
-}
-
 /// Runs one (rate, scrub) cell. Deterministic for fixed opts: the
 /// workload and fault profile are seeded and every reported number is
 /// virtual-time. `dir` is this cell's private spill directory (removed by
@@ -181,16 +162,18 @@ pub fn run_cell_traced(
     let warmup = QueryRequest::batch(&stream.take_queries(opts.warmup));
     let measure_queries = stream.take_queries(opts.queries);
     let measure = QueryRequest::batch(&measure_queries);
+    let build = |fault_seed: u64, tracer| {
+        let (strategy, policy) = (Strategy::Vcmc, PolicyKind::TwoLevel);
+        builder_for(strategy, policy, opts.cache_bytes, opts.threads, tracer)
+            .spill(spill_config(dir, rate, fault_seed, scrub_interval))
+            .build(backend_for(dataset))
+            .expect("sweep configuration is valid")
+    };
 
     // Session 1: warm up *under faults* (torn demotions land on disk as
     // damage the restart must absorb) and checkpoint.
     let checkpointed = {
-        let mut first = manager(
-            dataset,
-            opts,
-            spill_config(dir, rate, opts.fault_seed, scrub_interval),
-            None,
-        );
+        let mut first = build(opts.fault_seed, None);
         for batch in warmup.chunks(opts.batch.max(1)) {
             first
                 .run_batch(batch)
@@ -202,12 +185,7 @@ pub fn run_cell_traced(
 
     // Session 2: restart over the damaged directory, still under faults
     // (fresh fault stream), and measure.
-    let mut mgr = manager(
-        dataset,
-        opts,
-        spill_config(dir, rate, opts.fault_seed ^ 0x9E37, scrub_interval),
-        tracer,
-    );
+    let mut mgr = build(opts.fault_seed ^ 0x9E37, tracer);
     let recovery = *mgr.session_spill();
     let oracle_backend = backend_for(dataset);
 

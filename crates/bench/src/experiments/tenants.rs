@@ -32,9 +32,9 @@
 //! across runs and thread counts.
 
 use crate::report::{f2, Table};
-use crate::rig::{apb_dataset, backend_for};
+use crate::rig::{apb_dataset, backend_for, builder_for};
 use aggcache_cache::{AdmissionKind, PolicyKind};
-use aggcache_core::{CacheManager, Strategy};
+use aggcache_core::Strategy;
 use aggcache_gen::Dataset;
 use aggcache_obs::json::{push_f64, push_str};
 use aggcache_obs::{MetricsRegistry, TenantStats, Tracer};
@@ -183,35 +183,26 @@ pub fn run_cell(
     let requests = engine.requests(opts.queries);
 
     let registry = Arc::new(MetricsRegistry::new());
-    let mut mgr = CacheManager::builder()
-        .strategy(Strategy::Vcmc)
-        .policy(PolicyKind::TwoLevel)
+    let (strategy, policy) = (Strategy::Vcmc, PolicyKind::TwoLevel);
+    let tracer = Some(registry.clone() as Arc<dyn Tracer>);
+    let mut mgr = builder_for(strategy, policy, opts.cache_bytes, opts.threads, tracer)
         .admission(admission)
-        .cache_bytes(opts.cache_bytes)
-        .threads(opts.threads)
         .build(backend_for(dataset))
         .expect("sweep configuration is valid");
-    mgr.set_tracer(Some(registry.clone() as Arc<dyn Tracer>));
     mgr.run_batch(&requests)
         .expect("fault-free backend answers everything");
 
-    // Borrowed view: no per-call clone of the whole tenant map. Scoped —
-    // the view holds the registry lock, which `virtual_histogram` below
-    // needs too.
-    let (total, per_tenant) = {
-        let stats = registry.tenants_view();
-        let mut total = TenantStats::default();
-        for (_, s) in stats.iter() {
-            total.queries += s.queries;
-            total.complete_hits += s.complete_hits;
-            total.chunks_hit += s.chunks_hit;
-            total.chunks_computed += s.chunks_computed;
-            total.chunks_missed += s.chunks_missed;
-            total.total_virtual_ms += s.total_virtual_ms;
-        }
-        let per_tenant: Vec<TenantOutcome> = stats.iter().map(|(t, s)| outcome(t, s)).collect();
-        (total, per_tenant)
-    };
+    let stats = registry.tenants();
+    let mut total = TenantStats::default();
+    for s in stats.values() {
+        total.queries += s.queries;
+        total.complete_hits += s.complete_hits;
+        total.chunks_hit += s.chunks_hit;
+        total.chunks_computed += s.chunks_computed;
+        total.chunks_missed += s.chunks_missed;
+        total.total_virtual_ms += s.total_virtual_ms;
+    }
+    let per_tenant: Vec<TenantOutcome> = stats.iter().map(|(&t, s)| outcome(t, s)).collect();
     let all = registry
         .virtual_histogram("query_total")
         .unwrap_or_default();

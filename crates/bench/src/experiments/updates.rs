@@ -27,7 +27,7 @@
 //! — at any thread count — produce bit-identical documents.
 
 use crate::report::{f2, Table};
-use crate::rig::{apb_dataset, backend_for, oracle, paper_stream, strategy_name};
+use crate::rig::{apb_dataset, backend_for, builder_for, oracle, paper_stream, strategy_name};
 use aggcache_cache::PolicyKind;
 use aggcache_chunks::hash::SplitMix64;
 use aggcache_chunks::ChunkData;
@@ -127,24 +127,6 @@ pub struct CellResult {
     pub read_virtual_ms: f64,
 }
 
-fn manager(
-    dataset: &Dataset,
-    opts: Opts,
-    strategy: Strategy,
-    tracer: Option<Arc<dyn Tracer>>,
-) -> CacheManager {
-    let mut b = CacheManager::builder()
-        .strategy(strategy)
-        .policy(PolicyKind::TwoLevel)
-        .cache_bytes(opts.cache_bytes)
-        .threads(opts.threads);
-    if let Some(t) = tracer {
-        b = b.tracer(t);
-    }
-    b.build(backend_for(dataset))
-        .expect("sweep configuration is valid")
-}
-
 /// Deterministic delta-batch generator. Inserts draw fresh coordinates and
 /// integer values from a seeded stream; deletes walk a seeded shuffle of
 /// the fact table's initial tuples, so each delete matches a real resident
@@ -237,7 +219,15 @@ pub fn run_cell_traced(
     let batch = opts.batch.max(1);
     let writes_per_batch = (mix * batch as f64).round() as usize;
 
-    let mut mgr = manager(dataset, opts, strategy, tracer);
+    let mut mgr = builder_for(
+        strategy,
+        PolicyKind::TwoLevel,
+        opts.cache_bytes,
+        opts.threads,
+        tracer,
+    )
+    .build(backend_for(dataset))
+    .expect("sweep configuration is valid");
     let mut shadow = backend_for(dataset);
     let mut gen = DeltaGen::new(dataset, opts.delta_seed ^ mix.to_bits());
 
@@ -332,14 +322,23 @@ pub fn empty_delta_divergences(
     strategy: Strategy,
     threads: usize,
 ) -> u64 {
-    let opts = Opts { threads, ..opts };
     let mut stream = paper_stream(dataset, opts.workload_seed);
     let queries = stream.take_queries(opts.queries);
     let requests = QueryRequest::batch(&queries);
     let batch = opts.batch.max(1);
 
-    let mut plain = manager(dataset, opts, strategy, None);
-    let mut noisy = manager(dataset, opts, strategy, None);
+    let build = || {
+        builder_for(
+            strategy,
+            PolicyKind::TwoLevel,
+            opts.cache_bytes,
+            threads,
+            None,
+        )
+        .build(backend_for(dataset))
+        .expect("sweep configuration is valid")
+    };
+    let (mut plain, mut noisy) = (build(), build());
     let empty = DeltaBatch::new();
 
     let mut diffs = 0u64;

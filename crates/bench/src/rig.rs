@@ -4,11 +4,13 @@
 
 use aggcache_cache::PolicyKind;
 use aggcache_chunks::ChunkData;
-use aggcache_core::{CacheManager, Query, Strategy};
+use aggcache_core::{CacheManager, CacheManagerBuilder, Query, Strategy};
 use aggcache_gen::{Apb1Config, Dataset};
+use aggcache_obs::Tracer;
 use aggcache_store::{AggFn, Backend, BackendCostModel};
 use aggcache_workload::{QueryStream, WorkloadConfig};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// One megabyte of accounting bytes.
 pub const MB: usize = 1_000_000;
@@ -40,17 +42,36 @@ pub fn backend_for(dataset: &Dataset) -> Backend {
     )
 }
 
-/// Builds a manager over (a clone of) the dataset's fact table.
+/// The builder chain every experiment's manager starts from. Callers add
+/// what is theirs (a spill tier, an admission policy) and `build` over
+/// [`backend_for`] or a decorated backend.
+pub fn builder_for(
+    strategy: Strategy,
+    policy: PolicyKind,
+    cache_bytes: usize,
+    threads: usize,
+    tracer: Option<Arc<dyn Tracer>>,
+) -> CacheManagerBuilder {
+    let builder = CacheManager::builder()
+        .strategy(strategy)
+        .policy(policy)
+        .cache_bytes(cache_bytes)
+        .threads(threads);
+    match tracer {
+        Some(tracer) => builder.tracer(tracer),
+        None => builder,
+    }
+}
+
+/// Builds a single-threaded, untraced manager over (a clone of) the
+/// dataset's fact table.
 pub fn manager_for(
     dataset: &Dataset,
     strategy: Strategy,
     policy: PolicyKind,
     cache_bytes: usize,
 ) -> CacheManager {
-    CacheManager::builder()
-        .strategy(strategy)
-        .policy(policy)
-        .cache_bytes(cache_bytes)
+    builder_for(strategy, policy, cache_bytes, 1, None)
         .build(backend_for(dataset))
         .expect("bench configuration is valid")
 }

@@ -1,9 +1,9 @@
 //! Query-stream experiment runner (paper §7.2).
 
 use crate::report::MinMaxAvg;
-use crate::rig::paper_stream;
+use crate::rig::{backend_for, builder_for, paper_stream};
 use aggcache_cache::PolicyKind;
-use aggcache_core::{CacheManager, PreloadReport, Strategy};
+use aggcache_core::{PreloadReport, Strategy};
 use aggcache_gen::Dataset;
 use aggcache_obs::Tracer;
 use std::sync::Arc;
@@ -26,9 +26,8 @@ pub struct StreamRun {
     pub seed: u64,
     /// Two-level group clock-boost (ablation knob; true = paper behaviour).
     pub group_boost: bool,
-    /// Worker threads for batched probing and sharded aggregation. Only
-    /// wall-clock time is affected; all virtual-time outputs are
-    /// bit-identical at any setting.
+    /// Worker threads for sharded aggregation. Only wall-clock time is
+    /// affected; all virtual-time outputs are bit-identical at any setting.
     pub threads: usize,
 }
 
@@ -139,15 +138,16 @@ pub fn run_stream_traced(
     run: StreamRun,
     tracer: Option<Arc<dyn Tracer>>,
 ) -> StreamResult {
-    let mut mgr = CacheManager::builder()
-        .strategy(run.strategy)
-        .policy(run.policy)
-        .cache_bytes(run.cache_bytes)
-        .threads(run.threads)
-        .group_boost(run.group_boost)
-        .build(crate::rig::backend_for(dataset))
-        .expect("stream-run configuration is valid");
-    mgr.set_tracer(tracer);
+    let mut mgr = builder_for(
+        run.strategy,
+        run.policy,
+        run.cache_bytes,
+        run.threads,
+        tracer,
+    )
+    .group_boost(run.group_boost)
+    .build(backend_for(dataset))
+    .expect("stream-run configuration is valid");
     let preload = if run.preload {
         mgr.preload_best()
             .expect("preload group-bys are backend-computable")
@@ -191,8 +191,8 @@ pub fn run_stream_traced(
             0.0
         },
         preload,
-        tuples_aggregated: s.tuples_aggregated,
-        backend_tuples: s.backend_tuples,
+        tuples_aggregated: s.sum.tuples_aggregated,
+        backend_tuples: s.sum.backend_tuples,
     }
 }
 

@@ -25,5 +25,5 @@ mod manager;
 mod ring;
 
 pub use error::ClusterError;
-pub use manager::{ClusterBuilder, ClusterManager, NodeStats, DEFAULT_VNODES};
+pub use manager::{ClusterBuilder, ClusterManager, NodeTraffic, DEFAULT_VNODES};
 pub use ring::HashRing;

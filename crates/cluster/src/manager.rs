@@ -24,18 +24,20 @@
 //!    inserts bumped its cache version, so apply transparently re-probes
 //!    and the shipped chunks are direct hits.
 //! 5. **Replicate** — with replication > 1, chunks now resident at the
-//!    owner are pushed to replica owners that lack them (bytes charged,
-//!    no latency: replication rides outside the query's critical path).
+//!    owner are handed to replica owners that lack them — the same
+//!    bytes-only, off-the-critical-path handoff `rebalance` uses.
 //!
-//! A 1-node replication-1 cluster skips steps 1, 3 and 5 entirely —
-//! `run` collapses to `probe_as` + `apply` on the single node, which is
-//! what makes it bit-identical to the non-clustered pipeline.
+//! Every request takes this one path. On a 1-node cluster steps 3 and 5
+//! have no peer to talk to and the merge of one group is the identity,
+//! which is what makes it bit-identical to the non-clustered pipeline.
 
 use std::sync::Arc;
 
 use aggcache_cache::Origin;
 use aggcache_chunks::{ChunkData, ChunkKey};
-use aggcache_core::{CacheManager, ExecOutcome, Query, QueryMetrics, QueryRequest, RemoteMetrics};
+use aggcache_core::{
+    CacheManager, ExecOutcome, Query, QueryMetrics, QueryRequest, QueryResult, RemoteMetrics,
+};
 use aggcache_obs::{Event, Tracer};
 use aggcache_schema::GroupById;
 use aggcache_store::MessageCostModel;
@@ -45,39 +47,11 @@ use crate::{ClusterError, HashRing};
 /// Virtual nodes per node on the ring.
 pub const DEFAULT_VNODES: u32 = 64;
 
-/// Per-node cluster counters not tracked by the node's own manager.
-#[derive(Debug, Default, Clone, Copy)]
-struct NodeCounters {
-    serves_out: u64,
-    remote_chunks_in: u64,
-    bytes_out: u64,
-    handoffs_out: u64,
-    handoffs_in: u64,
-    downs: u64,
-}
-
-/// A per-node snapshot for observability: cache occupancy, hit counters
-/// and cluster traffic attributed to the node.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeStats {
-    /// The node id.
-    pub node: u32,
-    /// Whether the node is live.
-    pub alive: bool,
-    /// Chunks resident in the node's cache.
-    pub resident_chunks: usize,
-    /// Accounting bytes used by the node's cache.
-    pub used_bytes: usize,
-    /// The node's cache budget.
-    pub budget_bytes: usize,
-    /// Cache-level hits (chunk granularity).
-    pub cache_hits: u64,
-    /// Cache-level misses.
-    pub cache_misses: u64,
-    /// Queries (sub-queries included) the node executed.
-    pub queries: u64,
-    /// Queries the node answered entirely from its cache.
-    pub complete_hits: u64,
+/// Cluster traffic attributed to one node — what its own
+/// [`CacheManager`] cannot see. Occupancy and hit counters are read from
+/// [`ClusterManager::node`]`.cache()` / `.session()`.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct NodeTraffic {
     /// Chunks this node served to peers.
     pub serves_out: u64,
     /// Chunks this node received from peers (cooperative fills).
@@ -86,7 +60,7 @@ pub struct NodeStats {
     pub bytes_out: u64,
     /// Chunks this node handed off during rebalancing/replication.
     pub handoffs_out: u64,
-    /// Chunks handed to this node.
+    /// Handed-off chunks this node admitted.
     pub handoffs_in: u64,
     /// Times this node was killed.
     pub downs: u64,
@@ -172,12 +146,12 @@ impl ClusterBuilder {
                 node.set_tracer(Some(t.clone()));
             }
         }
-        let counters = vec![NodeCounters::default(); nodes.len()];
+        let traffic = vec![NodeTraffic::default(); nodes.len()];
         Ok(ClusterManager {
             nodes,
             ring,
             tracer,
-            counters,
+            traffic,
             session_remote: RemoteMetrics::default(),
             owners_buf: Vec::with_capacity(replication),
         })
@@ -194,7 +168,7 @@ pub struct ClusterManager {
     nodes: Vec<CacheManager>,
     ring: HashRing,
     tracer: Option<Arc<dyn Tracer>>,
-    counters: Vec<NodeCounters>,
+    traffic: Vec<NodeTraffic>,
     session_remote: RemoteMetrics,
     /// Scratch for owner lookups — avoids a per-chunk allocation.
     owners_buf: Vec<u32>,
@@ -244,32 +218,9 @@ impl ClusterManager {
         self.tracer = tracer;
     }
 
-    /// Per-node observability snapshots.
-    pub fn node_stats(&self) -> Vec<NodeStats> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let c = &self.counters[i];
-                NodeStats {
-                    node: i as u32,
-                    alive: self.ring.is_alive(i as u32),
-                    resident_chunks: m.cache().len(),
-                    used_bytes: m.cache().used_bytes(),
-                    budget_bytes: m.cache().budget_bytes(),
-                    cache_hits: m.cache().hits(),
-                    cache_misses: m.cache().misses(),
-                    queries: m.session().queries,
-                    complete_hits: m.session().complete_hits,
-                    serves_out: c.serves_out,
-                    remote_chunks_in: c.remote_chunks_in,
-                    bytes_out: c.bytes_out,
-                    handoffs_out: c.handoffs_out,
-                    handoffs_in: c.handoffs_in,
-                    downs: c.downs,
-                }
-            })
-            .collect()
+    /// The cluster traffic attributed to `node` so far.
+    pub fn traffic(&self, node: u32) -> NodeTraffic {
+        self.traffic[node as usize]
     }
 
     /// Kills a node: it leaves the ring (ownership fails over with
@@ -282,10 +233,8 @@ impl ClusterManager {
         }
         self.ring.set_alive(node, false);
         let _lost = self.nodes[node as usize].evict_unowned(|_| false);
-        self.counters[node as usize].downs += 1;
-        if let Some(t) = &self.tracer {
-            t.emit(&Event::NodeDown { node });
-        }
+        self.traffic[node as usize].downs += 1;
+        self.emit(Event::NodeDown { node });
     }
 
     /// Revives a killed node with a cold cache; ownership fails back to
@@ -295,9 +244,7 @@ impl ClusterManager {
             return;
         }
         self.ring.set_alive(node, true);
-        if let Some(t) = &self.tracer {
-            t.emit(&Event::NodeUp { node });
-        }
+        self.emit(Event::NodeUp { node });
     }
 
     /// Key-slice handoff after membership changes: every live node drains
@@ -306,37 +253,53 @@ impl ClusterManager {
     /// chunks moved.
     pub fn rebalance(&mut self) -> u64 {
         let mut moved = 0;
+        let mut remote = RemoteMetrics::default();
         let live: Vec<u32> = self.ring.live_nodes().collect();
         let ring = self.ring.clone();
         for &node in &live {
             let drained =
                 self.nodes[node as usize].evict_unowned(|key| ring.owners(key).contains(&node));
-            for (key, data, origin, benefit) in drained {
-                let Some(target) = self.ring.primary(key) else {
-                    continue;
-                };
-                let bytes = data.accounting_bytes() as u64;
-                let (admitted, _) =
-                    self.nodes[target as usize].insert_chunk(key, data, origin, benefit);
-                moved += 1;
-                self.counters[node as usize].handoffs_out += 1;
-                self.counters[node as usize].bytes_out += bytes;
-                if admitted {
-                    self.counters[target as usize].handoffs_in += 1;
-                }
-                self.session_remote.bytes_on_wire += bytes;
-                if let Some(t) = &self.tracer {
-                    t.emit(&Event::Handoff {
-                        gb: key.gb.0,
-                        chunk: key.chunk,
-                        from_node: node,
-                        to_node: target,
-                        bytes,
-                    });
+            for entry in drained {
+                if let Some(target) = self.ring.primary(entry.0) {
+                    self.handoff(node, target, entry, &mut remote);
+                    moved += 1;
                 }
             }
         }
+        self.session_remote.merge(&remote);
         moved
+    }
+
+    /// Ships one drained or copied cache entry from node `from` to node
+    /// `to`, which admits it under its own policy. Bytes are charged to
+    /// the sender and to `remote`; no latency — handoffs ride outside any
+    /// query's critical path.
+    fn handoff(
+        &mut self,
+        from: u32,
+        to: u32,
+        (key, data, origin, benefit): (ChunkKey, ChunkData, Origin, f64),
+        remote: &mut RemoteMetrics,
+    ) {
+        let bytes = data.accounting_bytes() as u64;
+        let (admitted, _) = self.nodes[to as usize].insert_chunk(key, data, origin, benefit);
+        self.traffic[from as usize].handoffs_out += 1;
+        self.traffic[from as usize].bytes_out += bytes;
+        self.traffic[to as usize].handoffs_in += u64::from(admitted);
+        remote.bytes_on_wire += bytes;
+        self.emit(Event::Handoff {
+            gb: key.gb.0,
+            chunk: key.chunk,
+            from_node: from,
+            to_node: to,
+            bytes,
+        });
+    }
+
+    fn emit(&self, event: Event) {
+        if let Some(t) = &self.tracer {
+            t.emit(&event);
+        }
     }
 
     /// Executes one request across the cluster. See the
@@ -348,73 +311,73 @@ impl ClusterManager {
             return Err(ClusterError::NoLiveNodes);
         }
         let gb = request.query.gb;
-        let groups = self.assign(&request.query);
-        let cooperative = self.ring.live_count() > 1;
-        let replicate = self.ring.replication() > 1 && self.ring.live_count() > 1;
-
-        let mut remote = RemoteMetrics::default();
-        let mut merged_data: Option<ChunkData> = None;
-        let mut merged_metrics = QueryMetrics::default();
-        let mut critical_path_ms = 0.0f64;
-        let single_group = groups.len() == 1;
-        if !single_group {
-            merged_metrics.complete_hit = true;
-        }
-
-        for (node, chunks) in groups {
-            let sub = Query::new(gb, chunks);
-            let probe = self.nodes[node as usize].probe_as(&sub, request.tenant);
+        let mut out = ExecOutcome {
+            data: ChunkData::new(self.nodes[0].grid().num_dims()),
+            // The identity of `QueryMetrics::merge` (`0 + x`, `true & x`):
+            // a one-group request reports exactly its node's metrics.
+            metrics: QueryMetrics {
+                complete_hit: true,
+                ..QueryMetrics::default()
+            },
+            remote: RemoteMetrics::default(),
+            // No node has a spill tier: `ClusterBuilder::build` refuses one.
+            spill: aggcache_core::SpillMetrics::default(),
+            critical_path_ms: 0.0,
+        };
+        let mut groups = self.assign(&request.query).into_iter();
+        let result = groups.try_for_each(|(node, chunks)| {
             // Per-group remote accounting, so the group's critical path
             // can include its own cooperative hops before folding into
             // the request totals.
-            let mut group_remote = RemoteMetrics::default();
-            if cooperative && !probe.missing().is_empty() {
-                let missing: Vec<u64> = probe.missing().to_vec();
-                for chunk in missing {
-                    self.cooperative_fill(node, gb, chunk, request.tenant, &mut group_remote)?;
-                }
-                // Apply re-probes transparently: every admitted fill bumped
-                // the owner's cache version, so shipped chunks land as
-                // direct hits below.
-            }
-            let result = self.nodes[node as usize]
-                .apply(&sub, probe)
-                .map_err(ClusterError::Cache)?;
-            if replicate {
-                // Off the critical path: bytes only, no latency.
-                self.replicate(gb, &sub.chunks, node, &mut group_remote);
-            }
+            let mut remote = RemoteMetrics::default();
+            let group = self.run_group(node, &Query::new(gb, chunks), request.tenant, &mut remote);
+            out.remote.merge(&remote);
+            let group = group?;
             // Node groups execute concurrently in a real deployment: the
             // request's latency is the slowest group's end-to-end path,
-            // while the metrics below keep charging the summed work.
-            critical_path_ms =
-                critical_path_ms.max(result.metrics.total_ms() + group_remote.remote_virtual_ms);
-            remote.merge(&group_remote);
-            match &mut merged_data {
-                None => {
-                    merged_data = Some(result.data);
-                    if single_group {
-                        merged_metrics = result.metrics;
-                    } else {
-                        merged_metrics.merge(&result.metrics);
-                    }
-                }
-                Some(data) => {
-                    data.append(&result.data);
-                    merged_metrics.merge(&result.metrics);
-                }
+            // while the metrics keep charging the summed work.
+            let path_ms = group.metrics.total_ms() + remote.remote_virtual_ms;
+            out.critical_path_ms = out.critical_path_ms.max(path_ms);
+            out.metrics.merge(&group.metrics);
+            if out.data.is_empty() {
+                out.data = group.data; // moved, not copied
+            } else {
+                out.data.append(&group.data);
             }
-        }
+            Ok(())
+        });
+        // A failed request is charged too: its cooperative fills already
+        // shipped, and the peers' `NodeTraffic` already counts them.
+        self.session_remote.merge(&out.remote);
+        result.map(|()| out)
+    }
 
-        self.session_remote.merge(&remote);
-        Ok(ExecOutcome {
-            data: merged_data.unwrap_or_else(|| ChunkData::new(self.nodes[0].grid().num_dims())),
-            metrics: merged_metrics,
-            remote,
-            // No node has a spill tier: `ClusterBuilder::build` refuses one.
-            spill: aggcache_core::SpillMetrics::default(),
-            critical_path_ms,
-        })
+    /// Steps 2–5 of the flow for one node group: probe at the owner, offer
+    /// its misses to peers, apply, replicate.
+    fn run_group(
+        &mut self,
+        node: u32,
+        sub: &Query,
+        tenant: u32,
+        remote: &mut RemoteMetrics,
+    ) -> Result<QueryResult, ClusterError> {
+        let live = self.ring.live_count();
+        let probe = self.nodes[node as usize].probe_as(sub, tenant);
+        if live > 1 {
+            for chunk in probe.missing().to_vec() {
+                self.cooperative_fill(node, sub.gb, chunk, tenant, remote)?;
+            }
+            // Apply re-probes transparently: every admitted fill bumped
+            // the owner's cache version, so shipped chunks land as
+            // direct hits below.
+        }
+        let result = self.nodes[node as usize]
+            .apply(sub, probe)
+            .map_err(ClusterError::Cache)?;
+        if live > 1 && self.ring.replication() > 1 {
+            self.replicate(sub.gb, &sub.chunks, node, remote);
+        }
+        Ok(result)
     }
 
     /// Executes requests in order. Sequential by design: cross-node
@@ -486,7 +449,6 @@ impl ClusterManager {
                 candidates.push(n);
             }
         }
-        owners.clear();
         self.owners_buf = owners;
 
         for peer in candidates {
@@ -512,66 +474,45 @@ impl ClusterManager {
             remote.remote_chunks += 1;
             remote.bytes_on_wire += bytes;
             remote.remote_virtual_ms += cost;
-            self.counters[peer as usize].serves_out += 1;
-            self.counters[peer as usize].bytes_out += bytes;
-            self.counters[owner as usize].remote_chunks_in += 1;
+            self.traffic[peer as usize].serves_out += 1;
+            self.traffic[peer as usize].bytes_out += bytes;
+            self.traffic[owner as usize].remote_chunks_in += 1;
             // Benefit: what answering remotely cost end to end — losing
             // this chunk means paying a peer (or the backend) again.
             let benefit = served.metrics.total_ms() + cost;
             self.nodes[owner as usize].insert_chunk(key, served.data, Origin::Computed, benefit);
-            if let Some(t) = &self.tracer {
-                t.emit(&Event::RemoteServe {
-                    gb: gb.0,
-                    chunk,
-                    from_node: peer,
-                    to_node: owner,
-                    bytes,
-                    virtual_ms: cost,
-                });
-            }
+            self.emit(Event::RemoteServe {
+                gb: gb.0,
+                chunk,
+                from_node: peer,
+                to_node: owner,
+                bytes,
+                virtual_ms: cost,
+            });
             return Ok(());
         }
         Ok(())
     }
 
-    /// Pushes chunks resident at `node` to replica owners that lack them.
-    /// Bytes are charged to the wire; no latency — replication is
-    /// modeled off the query's critical path.
+    /// Pushes chunks resident at `node` to replica owners that lack them
+    /// (off the critical path: see [`ClusterManager::handoff`]).
     fn replicate(&mut self, gb: GroupById, chunks: &[u64], node: u32, remote: &mut RemoteMetrics) {
         for &chunk in chunks {
             let key = ChunkKey::new(gb, chunk);
-            let Some((data, origin, benefit, bytes)) = self.nodes[node as usize]
+            let Some(entry) = self.nodes[node as usize]
                 .cache()
                 .peek(&key)
-                .map(|e| (e.data.clone(), e.origin, e.benefit, e.bytes as u64))
+                .map(|e| (key, e.data.clone(), e.origin, e.benefit))
             else {
                 continue;
             };
             let mut owners = std::mem::take(&mut self.owners_buf);
             self.ring.owners_into(key, &mut owners);
             for &other in &owners {
-                if other == node || self.nodes[other as usize].cache().contains(&key) {
-                    continue;
-                }
-                let (admitted, _) =
-                    self.nodes[other as usize].insert_chunk(key, data.clone(), origin, benefit);
-                remote.bytes_on_wire += bytes;
-                self.counters[node as usize].handoffs_out += 1;
-                self.counters[node as usize].bytes_out += bytes;
-                if admitted {
-                    self.counters[other as usize].handoffs_in += 1;
-                }
-                if let Some(t) = &self.tracer {
-                    t.emit(&Event::Handoff {
-                        gb: gb.0,
-                        chunk,
-                        from_node: node,
-                        to_node: other,
-                        bytes,
-                    });
+                if other != node && !self.nodes[other as usize].cache().contains(&key) {
+                    self.handoff(node, other, entry.clone(), remote);
                 }
             }
-            owners.clear();
             self.owners_buf = owners;
         }
     }
@@ -739,6 +680,46 @@ mod tests {
     }
 
     #[test]
+    fn failed_request_still_charges_its_cooperative_fills() {
+        use aggcache_store::{FaultInjectingBackend, FaultProfile};
+        // Node 0's backend is permanently down; node 1's is healthy.
+        let grid = shared_grid();
+        let down = FaultInjectingBackend::new(
+            backend_for(&grid),
+            FaultProfile::fail_then_recover(u64::MAX),
+        )
+        .unwrap();
+        let broken = CacheManager::builder()
+            .cache_bytes(usize::MAX >> 1)
+            .build(down)
+            .unwrap();
+        let mut c = ClusterManager::builder()
+            .node(broken)
+            .node(node(&grid))
+            .build()
+            .unwrap();
+        let base = grid.schema().lattice().base();
+        let mine: Vec<u64> = (0..grid.n_chunks(base))
+            .filter(|&chunk| c.ring().primary(ChunkKey::new(base, chunk)) == Some(0))
+            .collect();
+        let (held, cold) = (mine[0], mine[1]);
+        // With node 0 dead its slice lands on node 1, which caches `held`.
+        c.kill_node(0);
+        c.run(&base_query(&c, vec![held])).unwrap();
+        c.revive_node(0);
+        // Node 1 ships `held`; `cold` is nowhere and node 0 cannot fetch it.
+        let err = c.run(&base_query(&c, vec![held, cold])).unwrap_err();
+        assert!(matches!(err, ClusterError::Cache(_)), "{err:?}");
+        let shipped: u64 = (0..2).map(|n| c.traffic(n).bytes_out).sum();
+        assert!(shipped > 0, "the fill happened before the failure");
+        assert_eq!(c.session_remote().bytes_on_wire, shipped);
+        assert_eq!(
+            c.session_remote().remote_chunks,
+            c.traffic(0).remote_chunks_in
+        );
+    }
+
+    #[test]
     fn replication_pushes_copies() {
         let mut c = cluster(3, 2);
         let req = base_query(&c, (0..4).collect());
@@ -750,7 +731,7 @@ mod tests {
             let copies = (0..3).filter(|&n| c.node(n).cache().contains(&key)).count();
             assert!(copies >= 2, "chunk {chunk} resident at {copies} nodes");
         }
-        let handoffs: u64 = c.node_stats().iter().map(|s| s.handoffs_out).sum();
+        let handoffs: u64 = (0..3).map(|n| c.traffic(n).handoffs_out).sum();
         assert!(handoffs > 0);
     }
 

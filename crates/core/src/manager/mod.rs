@@ -130,7 +130,8 @@ pub struct CacheManager {
     /// table change). Clock touches, pins and boosts do *not* bump it: they
     /// only steer *future* evictions. A [`QueryProbe`] carries the version
     /// it was computed against; apply re-probes iff the versions differ,
-    /// which makes batched execution bit-identical to the sequential loop.
+    /// so a probe taken before an interleaved mutation (a cluster tier's
+    /// cooperative fill) is never applied stale.
     version: u64,
     /// Shared with the cache, the backend and the spill tier.
     tracer: Option<Arc<dyn Tracer>>,

@@ -381,45 +381,21 @@ impl CacheManager {
     /// one apply. The tenant tag feeds the obs layer's per-tenant
     /// breakdowns.
     /// The [`ExecOutcome`] carries an all-zero [`crate::RemoteMetrics`] and
-    /// this request's [`crate::SpillMetrics`] (zero without a spill tier).
+    /// this request's [`crate::SpillMetrics`] (zero without a spill tier),
+    /// its disk time on the critical path.
     pub fn run(&mut self, request: &QueryRequest) -> Result<ExecOutcome, CacheError> {
         let probe = self.probe_as(&request.query, request.tenant);
-        self.apply_to_outcome(&request.query, probe)
-    }
-
-    /// [`CacheManager::apply`], with the query's spill accounting attached
-    /// and its disk time on the critical path.
-    fn apply_to_outcome(
-        &mut self,
-        query: &Query,
-        probe: QueryProbe,
-    ) -> Result<ExecOutcome, CacheError> {
-        let mut out = ExecOutcome::from(self.apply(query, probe)?);
+        let mut out = ExecOutcome::from(self.apply(&request.query, probe)?);
         out.spill = self.tiering.last_query();
         out.critical_path_ms += out.spill.spill_virtual_ms;
         Ok(out)
     }
 
-    /// Executes a batch of [`QueryRequest`]s: every request is probed in
-    /// submission order, then the applies run in the same order (the cache
-    /// is single-writer, like the paper's middle tier). Probes invalidated
-    /// by an earlier request's admissions/evictions are re-probed during
-    /// their apply, so outcomes, final cache contents and every
-    /// virtual-time metric are **identical** to a loop over
-    /// [`CacheManager::run`]. [`super::ManagerConfig::threads`] parallelizes
-    /// the aggregation inside each apply, not the probes: nearly every apply
-    /// admits or evicts, so probes taken ahead on other threads were being
-    /// thrown away for the price of a spawn and join per batch.
+    /// Executes a batch of [`QueryRequest`]s in submission order: exactly
+    /// a loop over [`CacheManager::run`] (the cache is single-writer, like
+    /// the paper's middle tier), stopping at the first error.
     pub fn run_batch(&mut self, requests: &[QueryRequest]) -> Result<Vec<ExecOutcome>, CacheError> {
-        let probes: Vec<QueryProbe> = requests
-            .iter()
-            .map(|r| self.probe_as(&r.query, r.tenant))
-            .collect();
-        requests
-            .iter()
-            .zip(probes)
-            .map(|(request, probe)| self.apply_to_outcome(&request.query, probe))
-            .collect()
+        requests.iter().map(|r| self.run(r)).collect()
     }
 
     /// Executes a semantic value-range query: validates its arity against
@@ -648,8 +624,11 @@ mod tests {
         assert!(m.complete_hit);
     }
 
+    /// `run_batch` is the loop over `run`, and `threads` selects only the
+    /// aggregation exchange: answers, counters and cache contents do not
+    /// depend on either.
     #[test]
-    fn execute_batch_matches_sequential_loop() {
+    fn run_batch_matches_sequential_loop() {
         for threads in [1usize, 2, 8] {
             for strategy in [
                 Strategy::NoAggregation,
@@ -693,6 +672,36 @@ mod tests {
                 assert_eq!(ka, kb, "cache contents diverged");
             }
         }
+    }
+
+    #[test]
+    fn run_batch_probes_each_request_once() {
+        // A budget of a few chunks: nearly every apply admits or evicts,
+        // so a probe taken ahead of its apply would be stale and redone.
+        let tracer = Arc::new(RecordingTracer::new());
+        let mut mgr = CacheManager::builder()
+            .strategy(Strategy::Vcmc)
+            .policy(PolicyKind::TwoLevel)
+            .cache_bytes(2000)
+            .tracer(tracer.clone())
+            .build(make_backend())
+            .unwrap();
+        let grid = mgr.grid().clone();
+        let queries: Vec<Query> = grid
+            .schema()
+            .lattice()
+            .iter_ids()
+            .map(|gb| Query::full_group_by(&grid, gb))
+            .collect();
+        let outs = mgr.run_batch(&QueryRequest::batch(&queries)).unwrap();
+        assert_eq!(outs.len(), queries.len());
+        assert!(mgr.version() > 1, "the budget is meant to churn");
+        let probes = tracer
+            .take()
+            .iter()
+            .filter(|e| e.kind() == "probe_start")
+            .count();
+        assert_eq!(probes, queries.len(), "one probe per request");
     }
 
     #[test]
@@ -795,7 +804,7 @@ mod tests {
             r.metrics.backend_virtual_ms > 0.0,
             "the failed attempts' virtual time is charged"
         );
-        assert_eq!(mgr.session().chunks_degraded, 1);
+        assert_eq!(mgr.session().sum.chunks_degraded, 1);
         assert_eq!(mgr.session().degraded_queries, 1);
         // The degraded chunk was admitted: the next query is a direct hit
         // and no longer touches the backend.

@@ -23,9 +23,9 @@ pub struct QueryMetrics {
     /// Wall-clock time spent deciding hit/computable/miss for every chunk.
     pub lookup_ns: u64,
     /// Wall-clock time of the whole immutable probe phase (lookup plus
-    /// cost-based arbitration). In a batched execution this is the probe
-    /// that actually produced the answer — a stale probe redone during
-    /// apply replaces the discarded one. Wall-clock only; never enters
+    /// cost-based arbitration). This is the probe that actually produced
+    /// the answer — a stale probe redone during apply replaces the
+    /// discarded one. Wall-clock only; never enters
     /// [`QueryMetrics::total_ms`].
     pub probe_ns: u64,
     /// Wall-clock time of the mutating apply phase (aggregation, backend
@@ -144,41 +144,24 @@ impl QueryMetrics {
     }
 }
 
-/// Running aggregates over a query session.
+/// Running aggregates over a query session: three per-query counters,
+/// the running total, and the field-by-field [`QueryMetrics::merge`] of
+/// every recorded query.
 #[derive(Debug, Default, Clone)]
 pub struct SessionMetrics {
     /// Number of queries executed.
     pub queries: u64,
     /// Number of complete hits.
     pub complete_hits: u64,
-    /// Sum of per-query totals.
-    pub total_ms: f64,
-    /// Sum of lookup times.
-    pub lookup_ns: u64,
-    /// Sum of probe-phase wall-clock times.
-    pub probe_ns: u64,
-    /// Sum of apply-phase wall-clock times.
-    pub apply_ns: u64,
-    /// Sum of aggregation times.
-    pub agg_ns: u64,
-    /// Sum of update times.
-    pub update_ns: u64,
-    /// Sum of backend virtual costs.
-    pub backend_virtual_ms: f64,
-    /// Sum of aggregation virtual costs.
-    pub agg_virtual_ms: f64,
-    /// Sum of lookup virtual costs.
-    pub lookup_virtual_ms: f64,
-    /// Sum of update virtual costs.
-    pub update_virtual_ms: f64,
-    /// Sum of tuples aggregated in cache.
-    pub tuples_aggregated: u64,
-    /// Sum of base tuples scanned at the backend.
-    pub backend_tuples: u64,
-    /// Sum of chunks served degraded after backend outages.
-    pub chunks_degraded: u64,
     /// Number of queries that served at least one degraded chunk.
     pub degraded_queries: u64,
+    /// Sum of per-query totals, accumulated as `Σ q.total_ms()` in query
+    /// order — not `sum.total_ms()`, which adds the same terms in another
+    /// order and differs in the last bits.
+    pub total_ms: f64,
+    /// Every recorded query's metrics, summed field by field
+    /// (`sum.complete_hit` is meaningless: use `complete_hits`).
+    pub sum: QueryMetrics,
 }
 
 impl SessionMetrics {
@@ -186,20 +169,9 @@ impl SessionMetrics {
     pub fn record(&mut self, q: &QueryMetrics) {
         self.queries += 1;
         self.complete_hits += u64::from(q.complete_hit);
-        self.total_ms += q.total_ms();
-        self.lookup_ns += q.lookup_ns;
-        self.probe_ns += q.probe_ns;
-        self.apply_ns += q.apply_ns;
-        self.agg_ns += q.agg_ns;
-        self.update_ns += q.update_ns;
-        self.backend_virtual_ms += q.backend_virtual_ms;
-        self.agg_virtual_ms += q.agg_virtual_ms;
-        self.lookup_virtual_ms += q.lookup_virtual_ms;
-        self.update_virtual_ms += q.update_virtual_ms;
-        self.tuples_aggregated += q.tuples_aggregated;
-        self.backend_tuples += q.backend_tuples;
-        self.chunks_degraded += q.chunks_degraded as u64;
         self.degraded_queries += u64::from(q.chunks_degraded > 0);
+        self.total_ms += q.total_ms();
+        self.sum.merge(q);
     }
 
     /// Fraction of queries that were complete hits (paper Fig. 7).
@@ -255,6 +227,51 @@ mod tests {
         assert_eq!(s.complete_hits, 1);
         assert!((s.complete_hit_ratio() - 0.5).abs() < 1e-9);
         assert!((s.avg_ms() - 5.0).abs() < 1e-9);
+    }
+
+    /// A session is the summed query ledger: every field of `sum` equals
+    /// the fold of `merge`, and `total_ms` keeps the per-query order of
+    /// additions (`Σ q.total_ms()`), which `avg_ms` divides.
+    #[test]
+    fn session_sum_is_the_fold_of_merge() {
+        let stream: Vec<QueryMetrics> = (1..=7u64)
+            .map(|i| QueryMetrics {
+                lookup_ns: i,
+                probe_ns: 2 * i,
+                apply_ns: 3 * i,
+                agg_ns: 5 * i,
+                update_ns: 7 * i,
+                backend_virtual_ms: 0.1 * i as f64,
+                agg_virtual_ms: 0.7 / i as f64,
+                lookup_virtual_ms: 1e-3 * i as f64,
+                update_virtual_ms: 3e-4 * i as f64,
+                table_writes: i,
+                chunks_hit: i as usize,
+                chunks_computed: 1,
+                chunks_missed: (i % 3) as usize,
+                chunks_demoted: (i % 2) as usize,
+                chunks_degraded: usize::from(i % 3 == 0),
+                tuples_aggregated: 100 * i,
+                backend_tuples: 10 * i,
+                lookup_nodes: 4 * i,
+                complete_hit: i % 3 != 0,
+            })
+            .collect();
+        let mut s = SessionMetrics::default();
+        let mut fold = QueryMetrics::default();
+        let mut total_ms = 0.0f64;
+        for q in &stream {
+            s.record(q);
+            fold.merge(q);
+            total_ms += q.total_ms();
+        }
+        assert_eq!((s.queries, s.complete_hits, s.degraded_queries), (7, 5, 2));
+        assert_eq!(s.total_ms.to_bits(), total_ms.to_bits());
+        assert_eq!(s.avg_ms().to_bits(), (total_ms / 7.0).to_bits());
+        // `{:?}` prints every field, floats in round-trip form: equal
+        // text is equal bits, and a new field is compared without an edit.
+        assert_eq!(format!("{:?}", s.sum), format!("{fold:?}"));
+        assert_eq!(s.sum.chunks_degraded, 2);
     }
 
     #[test]

@@ -47,5 +47,5 @@ mod tracer;
 
 pub use event::{Event, LookupOutcome, Tier};
 pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
-pub use registry::{LevelStats, MetricsRegistry, TenantStats, TenantsView};
+pub use registry::{LevelStats, MetricsRegistry, TenantStats};
 pub use tracer::{FanoutTracer, RecordingTracer, Tracer};

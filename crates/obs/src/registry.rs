@@ -136,13 +136,9 @@ impl MetricsRegistry {
         self.inner.lock().unwrap().levels.clone()
     }
 
-    /// Borrowed view of the per-tenant stats: no per-call allocation or
-    /// histogram copy. The view holds the registry lock, so keep it short-
-    /// lived — concurrent `emit`s block until it is dropped.
-    pub fn tenants_view(&self) -> TenantsView<'_> {
-        TenantsView {
-            guard: self.inner.lock().unwrap(),
-        }
+    /// Snapshot of the per-tenant stats, keyed by tenant id.
+    pub fn tenants(&self) -> BTreeMap<u32, TenantStats> {
+        self.inner.lock().unwrap().tenants.clone()
     }
 
     /// Snapshot of one named counter (0 when never bumped).
@@ -164,13 +160,6 @@ impl MetricsRegistry {
     /// Snapshot of a virtual-time histogram (microseconds), if recorded.
     pub fn virtual_histogram(&self, name: &str) -> Option<Histogram> {
         self.inner.lock().unwrap().virtual_us.get(name).cloned()
-    }
-
-    /// Serializes the registry as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        self.write_json(&mut out);
-        out
     }
 
     /// Serializes the registry as one JSON object into `out`.
@@ -266,34 +255,6 @@ impl MetricsRegistry {
             h.write_json(out);
         }
         out.push_str("}}");
-    }
-}
-
-/// A borrowed, lock-holding view of the per-tenant aggregation:
-/// allocation-free per-tenant stats, cheap enough for per-query hot paths.
-pub struct TenantsView<'a> {
-    guard: std::sync::MutexGuard<'a, Inner>,
-}
-
-impl TenantsView<'_> {
-    /// One tenant's stats, if it has completed any queries.
-    pub fn get(&self, tenant: u32) -> Option<&TenantStats> {
-        self.guard.tenants.get(&tenant)
-    }
-
-    /// Iterates tenants in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &TenantStats)> {
-        self.guard.tenants.iter().map(|(&t, s)| (t, s))
-    }
-
-    /// Number of tenants seen so far.
-    pub fn len(&self) -> usize {
-        self.guard.tenants.len()
-    }
-
-    /// Whether no tenant has completed a query yet.
-    pub fn is_empty(&self) -> bool {
-        self.guard.tenants.is_empty()
     }
 }
 
@@ -552,6 +513,12 @@ mod tests {
     use super::*;
     use crate::json::JsonValue;
 
+    fn json_of(r: &MetricsRegistry) -> String {
+        let mut out = String::new();
+        r.write_json(&mut out);
+        out
+    }
+
     fn query_done(gb: u32, hit: bool) -> Event {
         query_done_for(0, gb, hit)
     }
@@ -616,26 +583,23 @@ mod tests {
             *chunks_degraded = 2;
         }
         r.emit(&degraded);
-        {
-            let tenants = r.tenants_view();
-            assert_eq!(tenants.len(), 2);
-            let t0 = tenants.get(0).expect("tenant 0 present");
-            let t1 = tenants.get(1).expect("tenant 1 present");
-            assert_eq!(t0.queries, 1);
-            assert_eq!(t0.complete_hits, 1);
-            assert_eq!(t1.queries, 3);
-            assert_eq!(t1.chunks_degraded, 2);
-            assert_eq!(t1.degraded_queries, 1);
-            assert_eq!(t1.latency_virtual_us.count(), 3);
-            assert!((t0.complete_hit_ratio() - 1.0).abs() < 1e-12);
-            // Per-tenant queries sum to the session total. (The view holds
-            // the registry lock, so the counter check waits for the drop.)
-            let total: u64 = tenants.iter().map(|(_, t)| t.queries).sum();
-            assert_eq!(total, 4);
-        }
+        let tenants = r.tenants();
+        assert_eq!(tenants.keys().copied().collect::<Vec<_>>(), vec![0, 1]);
+        let (t0, t1) = (&tenants[&0], &tenants[&1]);
+        assert_eq!(t0.queries, 1);
+        assert_eq!(t0.complete_hits, 1);
+        assert_eq!(t0.latency_virtual_us.count(), 1);
+        assert_eq!(t1.queries, 3);
+        assert_eq!(t1.chunks_degraded, 2);
+        assert_eq!(t1.degraded_queries, 1);
+        assert_eq!(t1.latency_virtual_us.count(), 3);
+        assert!((t0.complete_hit_ratio() - 1.0).abs() < 1e-12);
+        // Per-tenant queries sum to the session total.
+        let total: u64 = tenants.values().map(|t| t.queries).sum();
+        assert_eq!(total, 4);
         assert_eq!(r.counter("queries"), 4);
         // Tenant rows appear in the JSON export.
-        let json = r.to_json();
+        let json = json_of(&r);
         let v = JsonValue::parse(&json).expect("valid JSON");
         let rows = v.get("tenants").and_then(JsonValue::as_arr).unwrap();
         assert_eq!(rows.len(), 2);
@@ -680,7 +644,7 @@ mod tests {
             outcome: LookupOutcome::Hit,
             nodes: 1,
         });
-        let json = r.to_json();
+        let json = json_of(&r);
         let v = JsonValue::parse(&json).expect("valid JSON");
         let counters = v.get("counters").unwrap();
         assert_eq!(
@@ -702,28 +666,6 @@ mod tests {
         );
         assert!(v.get("wall_ns").unwrap().get("query_probe").is_some());
         assert!(v.get("virtual_us").unwrap().get("query_total").is_some());
-    }
-
-    #[test]
-    fn tenants_view_exposes_per_tenant_stats() {
-        let r = MetricsRegistry::new();
-        r.emit(&query_done_for(0, 1, true));
-        r.emit(&query_done_for(3, 1, false));
-        r.emit(&query_done_for(3, 2, true));
-        let view = r.tenants_view();
-        assert_eq!(view.len(), 2);
-        assert!(!view.is_empty());
-        let t0 = view.get(0).expect("tenant 0 present");
-        assert_eq!(t0.queries, 1);
-        assert_eq!(t0.complete_hits, 1);
-        assert_eq!(t0.latency_virtual_us.count(), 1);
-        let t3 = view.get(3).expect("tenant 3 present");
-        assert_eq!(t3.queries, 2);
-        assert_eq!(t3.complete_hits, 1);
-        assert_eq!(t3.latency_virtual_us.count(), 2);
-        let ids: Vec<u32> = view.iter().map(|(t, _)| t).collect();
-        assert_eq!(ids, vec![0, 3]);
-        assert!(view.get(7).is_none());
     }
 
     #[test]
@@ -833,29 +775,5 @@ mod tests {
         assert_eq!(r.counter("events"), 4);
         let h = r.virtual_histogram("remote_serve").unwrap();
         assert_eq!(h.sum(), 1500.0);
-    }
-
-    /// Perf probe for the borrowed per-tenant view: run with
-    /// `cargo test -p aggcache-obs --release -- --ignored --nocapture`
-    /// (numbers go in EXPERIMENTS.md).
-    #[test]
-    #[ignore = "perf probe; run manually with --release --nocapture"]
-    fn tenants_view_perf_probe() {
-        use std::time::Instant;
-        let r = MetricsRegistry::new();
-        for tenant in 0..16 {
-            for _ in 0..64 {
-                r.emit(&query_done_for(tenant, 1, true));
-            }
-        }
-        const CALLS: usize = 100_000;
-        let t = Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..CALLS {
-            acc += r.tenants_view().iter().map(|(_, s)| s.queries).sum::<u64>();
-        }
-        let viewed = t.elapsed();
-        assert_eq!(acc % 2, 0);
-        println!("tenants_view(): {:?} / {CALLS} calls", viewed);
     }
 }

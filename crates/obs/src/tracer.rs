@@ -52,21 +52,6 @@ impl RecordingTracer {
     pub fn take(&self) -> Vec<Event> {
         std::mem::take(&mut *self.events.lock().unwrap())
     }
-
-    /// Serializes the recorded events as a JSON array.
-    pub fn to_json(&self) -> String {
-        let events = self.events.lock().unwrap();
-        let mut out = String::with_capacity(events.len() * 64 + 2);
-        out.push('[');
-        for (i, e) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            e.write_json(&mut out);
-        }
-        out.push(']');
-        out
-    }
 }
 
 impl Tracer for RecordingTracer {

@@ -882,17 +882,6 @@ impl SpillStore {
             entry.resident = false;
         }
         let mut stats = SpillCheckpointStats::default();
-        match self.checkpoint_inner(resident, &mut stats) {
-            Ok(()) => Ok(stats),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn checkpoint_inner<'a>(
-        &mut self,
-        resident: impl Iterator<Item = (ChunkKey, u8, f64, &'a ChunkData)>,
-        stats: &mut SpillCheckpointStats,
-    ) -> Result<(), SpillError> {
         for (key, origin, benefit, data) in resident {
             match self.write_flagged(key, origin, benefit, data, true) {
                 Ok(written) => {
@@ -902,7 +891,8 @@ impl SpillStore {
                 Err(_) => stats.failed += 1,
             }
         }
-        self.persist_index()
+        self.persist_index()?;
+        Ok(stats)
     }
 
     /// The chunks marked resident by the last checkpoint, in ascending

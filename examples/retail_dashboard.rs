@@ -107,6 +107,6 @@ fn main() {
     );
     println!(
         "aggregated {} tuples in cache; scanned {} tuples at the backend",
-        s.tuples_aggregated, s.backend_tuples
+        s.sum.tuples_aggregated, s.sum.backend_tuples
     );
 }

@@ -8,7 +8,6 @@
 use aggcache_chunks::ChunkData;
 use aggcache_core::{
     CacheError, CacheManager, CacheManagerBuilder, ConfigError, ManagerConfig, Query, QueryMetrics,
-    QueryRequest,
 };
 use aggcache_obs::Tracer;
 use aggcache_store::{AggFn, Backend, BackendCostModel, FactTable};
@@ -108,26 +107,6 @@ impl AvgCache {
         let sums = self.sum.run(&query.into())?.into_result();
         let counts = self.count.run(&query.into())?.into_result();
         Self::join(sums, counts)
-    }
-
-    /// Executes a batch of queries on both cubes via
-    /// [`CacheManager::run_batch`] — each cube probes its queries
-    /// concurrently and shards large aggregations across
-    /// [`ManagerConfig::threads`] — and joins each query's cells into
-    /// averages. Results are identical to calling [`AvgCache::execute`] in
-    /// a loop; the SUM+COUNT decomposition is preserved because both cubes
-    /// stay independently bit-exact.
-    pub fn execute_batch(
-        &mut self,
-        queries: &[Query],
-    ) -> Result<Vec<(ChunkData, AvgMetrics)>, CacheError> {
-        let requests = QueryRequest::batch(queries);
-        let sums = self.sum.run_batch(&requests)?;
-        let counts = self.count.run_batch(&requests)?;
-        sums.into_iter()
-            .zip(counts)
-            .map(|(s, c)| Self::join(s.into_result(), c.into_result()))
-            .collect()
     }
 
     /// Joins the SUM and COUNT halves cell by cell. The two cubes run the

@@ -77,7 +77,9 @@ pub mod prelude {
         AdmissionKind, CachedChunk, ChunkCache, CountMinSketch, Origin, PolicyKind,
     };
     pub use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey, ChunkNumber, PAPER_TUPLE_BYTES};
-    pub use aggcache_cluster::{ClusterBuilder, ClusterError, ClusterManager, HashRing, NodeStats};
+    pub use aggcache_cluster::{
+        ClusterBuilder, ClusterError, ClusterManager, HashRing, NodeTraffic,
+    };
     pub use aggcache_core::{
         CacheError, CacheManager, CacheManagerBuilder, CheckpointReport, ComputationPlan,
         ConfigError, CostTable, CountTable, ExecOutcome, LookupOutcome, LookupStats, ManagerConfig,
@@ -85,9 +87,7 @@ pub mod prelude {
         SessionMetrics, SpillMetrics, Strategy, UpdateMetrics, ValueQuery, WarmStartReport,
     };
     pub use aggcache_gen::{apb1_schema, Apb1Config, Dataset, SyntheticSpec};
-    pub use aggcache_obs::{
-        Event, MetricsRegistry, RecordingTracer, TenantStats, TenantsView, Tracer,
-    };
+    pub use aggcache_obs::{Event, MetricsRegistry, RecordingTracer, TenantStats, Tracer};
     pub use aggcache_schema::{Dimension, GroupById, Lattice, Level, Schema};
     pub use aggcache_store::{
         decode_record, encode_record, spill_checksum, AggFn, Backend, BackendCostModel,

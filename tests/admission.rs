@@ -14,20 +14,14 @@
 //!   from-scratch [`CountTable`] rebuild over the resident set matches
 //!   the incrementally maintained table.
 
+mod common;
+
 use aggcache::cache::AdmissionKind;
 use aggcache::prelude::*;
+use common::{backend, stream_queries};
 
 fn dataset() -> Dataset {
-    Apb1Config {
-        n_tuples: 20_000,
-        density: 0.7,
-        seed: 99,
-    }
-    .build()
-}
-
-fn backend(ds: &Dataset) -> Backend {
-    Backend::new(ds.fact.clone(), AggFn::Sum, BackendCostModel::default())
+    common::apb_dataset(99)
 }
 
 fn manager(
@@ -93,10 +87,8 @@ fn digest(r: ExecOutcome) -> Digest {
 fn single_stream_run(ds: &Dataset, strategy: Strategy, threads: usize) -> Vec<ExecOutcome> {
     let mut mgr = manager(ds, strategy, AdmissionKind::BenefitMean, threads);
     mgr.preload_best().unwrap();
-    let max_level = ds.grid.geom(ds.fact_gb).level().to_vec();
-    let mut stream = QueryStream::new(ds.grid.clone(), WorkloadConfig::paper(max_level, 2000));
-    let queries = stream.take_queries(60);
-    mgr.run_batch(&QueryRequest::batch(&queries)).unwrap()
+    mgr.run_batch(&QueryRequest::batch(&stream_queries(ds, 60, 2000)))
+        .unwrap()
 }
 
 /// The multi-tenant rig collapsed to one tenant, same seed.
@@ -148,10 +140,9 @@ fn benefit_mean_admission_is_a_pure_noop() {
     let a = single_stream_run(&ds, Strategy::Vcmc, 1);
     let mut mgr = manager(&ds, Strategy::Vcmc, AdmissionKind::BenefitMean, 1);
     mgr.preload_best().unwrap();
-    let max_level = ds.grid.geom(ds.fact_gb).level().to_vec();
-    let mut stream = QueryStream::new(ds.grid.clone(), WorkloadConfig::paper(max_level, 2000));
-    let queries = stream.take_queries(60);
-    let b = mgr.run_batch(&QueryRequest::batch(&queries)).unwrap();
+    let b = mgr
+        .run_batch(&QueryRequest::batch(&stream_queries(&ds, 60, 2000)))
+        .unwrap();
     assert_eq!(mgr.cache().admission_rejects(), 0);
     let da: Vec<_> = a.into_iter().map(digest).collect();
     let db: Vec<_> = b.into_iter().map(digest).collect();

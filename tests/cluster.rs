@@ -17,17 +17,14 @@
 //! * **Determinism** — identical runs (any thread count) produce
 //!   bit-identical virtual times and wire accounting.
 
+mod common;
+
 use aggcache::cluster::ClusterManager;
 use aggcache::prelude::*;
-use aggcache::workload::{QueryStream, WorkloadConfig};
+use common::sorted_keys as cache_keys;
 
 fn dataset() -> Dataset {
-    Apb1Config {
-        n_tuples: 20_000,
-        density: 0.7,
-        seed: 42,
-    }
-    .build()
+    common::apb_dataset(42)
 }
 
 fn node_manager(ds: &Dataset, strategy: Strategy, threads: usize, budget: usize) -> CacheManager {
@@ -36,11 +33,7 @@ fn node_manager(ds: &Dataset, strategy: Strategy, threads: usize, budget: usize)
         .policy(PolicyKind::TwoLevel)
         .cache_bytes(budget)
         .threads(threads)
-        .build(Backend::new(
-            ds.fact.clone(),
-            AggFn::Sum,
-            BackendCostModel::default(),
-        ))
+        .build(common::backend(ds))
         .unwrap()
 }
 
@@ -60,9 +53,7 @@ fn cluster(
 }
 
 fn stream_requests(ds: &Dataset, n: usize, seed: u64) -> Vec<QueryRequest> {
-    let max_level = ds.grid.geom(ds.fact_gb).level().to_vec();
-    let mut stream = QueryStream::new(ds.grid.clone(), WorkloadConfig::paper(max_level, seed));
-    QueryRequest::batch(&stream.take_queries(n))
+    QueryRequest::batch(&common::stream_queries(ds, n, seed))
 }
 
 const STRATEGIES: [Strategy; 5] = [
@@ -96,12 +87,6 @@ fn metrics_bits(m: &QueryMetrics) -> Vec<u64> {
         m.lookup_nodes,
         u64::from(m.complete_hit),
     ]
-}
-
-fn cache_keys(mgr: &CacheManager) -> Vec<u64> {
-    let mut keys: Vec<u64> = mgr.cache().keys().map(|k| k.pack()).collect();
-    keys.sort_unstable();
-    keys
 }
 
 #[test]
@@ -170,11 +155,10 @@ fn sharded_cluster_answers_match_single_node_oracle() {
         "no cooperative serves in a 4-node session"
     );
     assert!(c.session_remote().bytes_on_wire > 0);
-    let stats = c.node_stats();
-    assert!(stats.iter().any(|s| s.serves_out > 0));
-    assert!(stats.iter().any(|s| s.remote_chunks_in > 0));
+    assert!((0..4).any(|n| c.traffic(n).serves_out > 0));
+    assert!((0..4).any(|n| c.traffic(n).remote_chunks_in > 0));
     // Every node took a share of the traffic.
-    assert!(stats.iter().all(|s| s.queries > 0));
+    assert!((0..4).all(|n| c.node(n).session().queries > 0));
 }
 
 #[test]

@@ -1,38 +1,23 @@
-//! Equivalence and stress tests for the concurrent probe/aggregate
-//! pipeline.
+//! Thread-invariance and probe-stress tests for the query pipeline.
 //!
-//! The contract under test (DESIGN.md §6): [`CacheManager::run_batch`]
-//! — concurrent probes plus sharded plan execution — is *bit-identical* to
-//! a sequential [`CacheManager::run`] loop over the same queries, for
-//! every lookup strategy, every replacement policy and any thread count.
-//! "Bit-identical" covers the returned cells (compared via `f64::to_bits`),
-//! the per-query virtual-time metrics, the final cache contents and the
-//! session totals.
+//! The contract under test (DESIGN.md §6): [`CacheManager::run_batch`] is
+//! the loop over [`CacheManager::run`], and `threads` selects only the
+//! aggregation exchange inside an apply — so a windowed `run_batch`
+//! session at 1, 2 or 8 threads is *bit-identical* to a single-threaded
+//! `run` loop over the same queries, for every lookup strategy and every
+//! replacement policy. "Bit-identical" covers the returned cells
+//! (compared via `f64::to_bits`), the per-query virtual-time metrics, the
+//! final cache contents and the session totals. The `&self` probe phase
+//! stays safe to call from many threads at once.
 
-use aggcache::avg::AvgCache;
+mod common;
+
 use aggcache::core::{esm, LookupStats};
 use aggcache::prelude::*;
+use common::{
+    assert_data_bit_identical, sorted_keys, stream_queries, synthetic_dataset as dataset,
+};
 use std::thread;
-
-/// A 3-dimensional cube small enough to sweep the full strategy × policy
-/// matrix quickly, but with enough lattice structure (3 × 2 × 2 levels)
-/// for drill-downs, roll-ups and computable hits.
-fn dataset() -> Dataset {
-    SyntheticSpec::new()
-        .dim("product", vec![1, 3, 12], vec![1, 3, 6])
-        .dim("store", vec![1, 8], vec![1, 4])
-        .dim("time", vec![1, 4], vec![1, 2])
-        .tuples(2_500)
-        .seed(7)
-        .build()
-}
-
-/// A deterministic paper-mix query stream over the dataset's grid.
-fn stream_queries(ds: &Dataset, n: usize, seed: u64) -> Vec<Query> {
-    let max_level = ds.grid.geom(ds.fact_gb).level().to_vec();
-    let mut stream = QueryStream::new(ds.grid.clone(), WorkloadConfig::paper(max_level, seed));
-    stream.take_queries(n)
-}
 
 fn manager_for(
     ds: &Dataset,
@@ -41,28 +26,13 @@ fn manager_for(
     cache_bytes: usize,
     threads: usize,
 ) -> CacheManager {
-    let backend = Backend::new(ds.fact.clone(), AggFn::Sum, BackendCostModel::default());
     CacheManager::builder()
         .strategy(strategy)
         .policy(policy)
         .cache_bytes(cache_bytes)
         .threads(threads)
-        .build(backend)
+        .build(common::backend(ds))
         .unwrap()
-}
-
-fn assert_data_bit_identical(a: &ChunkData, b: &ChunkData, ctx: &str) {
-    assert_eq!(a.len(), b.len(), "{ctx}: cell counts differ");
-    for i in 0..a.len() {
-        assert_eq!(a.coords_of(i), b.coords_of(i), "{ctx}: coords of cell {i}");
-        assert_eq!(
-            a.value_of(i).to_bits(),
-            b.value_of(i).to_bits(),
-            "{ctx}: value bits of cell {i} ({} vs {})",
-            a.value_of(i),
-            b.value_of(i),
-        );
-    }
 }
 
 /// All deterministic (virtual-time and count) metric fields; the `*_ns`
@@ -105,12 +75,6 @@ fn assert_metrics_identical(a: &QueryMetrics, b: &QueryMetrics, ctx: &str) {
     }
 }
 
-fn sorted_keys(mgr: &CacheManager) -> Vec<ChunkKey> {
-    let mut keys: Vec<ChunkKey> = mgr.cache().keys().collect();
-    keys.sort_by_key(|k| (k.gb.index(), k.chunk));
-    keys
-}
-
 fn assert_caches_identical(a: &CacheManager, b: &CacheManager, ctx: &str) {
     let ka = sorted_keys(a);
     let kb = sorted_keys(b);
@@ -129,47 +93,22 @@ fn assert_sessions_identical(a: &SessionMetrics, b: &SessionMetrics, ctx: &str) 
         "{ctx}: session complete_hits"
     );
     assert_eq!(
-        a.tuples_aggregated, b.tuples_aggregated,
-        "{ctx}: session tuples_aggregated"
+        a.total_ms.to_bits(),
+        b.total_ms.to_bits(),
+        "{ctx}: session total_ms ({} vs {})",
+        a.total_ms,
+        b.total_ms
     );
-    assert_eq!(
-        a.backend_tuples, b.backend_tuples,
-        "{ctx}: session backend_tuples"
-    );
-    for (name, x, y) in [
-        ("total_ms", a.total_ms, b.total_ms),
-        (
-            "backend_virtual_ms",
-            a.backend_virtual_ms,
-            b.backend_virtual_ms,
-        ),
-        ("agg_virtual_ms", a.agg_virtual_ms, b.agg_virtual_ms),
-        (
-            "lookup_virtual_ms",
-            a.lookup_virtual_ms,
-            b.lookup_virtual_ms,
-        ),
-        (
-            "update_virtual_ms",
-            a.update_virtual_ms,
-            b.update_virtual_ms,
-        ),
-    ] {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{ctx}: session {name} ({x} vs {y})"
-        );
-    }
+    assert_metrics_identical(&a.sum, &b.sum, &format!("{ctx}: session"));
 }
 
 /// Runs the full equivalence check for one strategy: for each policy and
-/// thread count, `run_batch` (in windows, so later batches see cache
-/// state mutated by earlier ones) must match a sequential `run` loop.
+/// thread count, `run_batch` (in windows) must match a single-threaded
+/// `run` loop.
 ///
 /// The cache budget is deliberately small — a fraction of the base cube —
-/// so the stream churns through admissions and evictions and the version-
-/// stamped re-probe path is genuinely exercised.
+/// so the stream churns through admissions and evictions and the
+/// aggregation exchange runs over ever-changing plans.
 fn assert_equivalence_for(strategy: Strategy) {
     let ds = dataset();
     let queries = stream_queries(&ds, 36, 2_000);
@@ -233,39 +172,6 @@ fn vcm_batch_equals_sequential() {
 #[test]
 fn vcmc_batch_equals_sequential() {
     assert_equivalence_for(Strategy::Vcmc);
-}
-
-/// The AVG dual-cube wrapper preserves equivalence: batching both the SUM
-/// and COUNT cubes yields bit-identical averages to a sequential loop.
-#[test]
-fn avg_batch_equals_sequential() {
-    let ds = dataset();
-    let queries = stream_queries(&ds, 24, 4_000);
-    let builder = || {
-        CacheManagerBuilder::new()
-            .strategy(Strategy::Vcmc)
-            .policy(PolicyKind::TwoLevel)
-            .cache_bytes(900 * PAPER_TUPLE_BYTES)
-    };
-    let config = builder().config().unwrap();
-    let batched = builder().threads(4).config().unwrap();
-    let mut seq = AvgCache::new(ds.fact.clone(), BackendCostModel::default(), config).unwrap();
-    let mut bat = AvgCache::new(ds.fact.clone(), BackendCostModel::default(), batched).unwrap();
-    seq.preload_best().unwrap();
-    bat.preload_best().unwrap();
-    let seq_results: Vec<_> = queries.iter().map(|q| seq.execute(q).unwrap()).collect();
-    let bat_results = bat.execute_batch(&queries).unwrap();
-    assert_eq!(seq_results.len(), bat_results.len());
-    for (i, ((sd, sm), (bd, bm))) in seq_results.iter().zip(&bat_results).enumerate() {
-        let ctx = format!("avg query {i}");
-        assert_data_bit_identical(sd, bd, &ctx);
-        assert_eq!(sm.complete_hit(), bm.complete_hit(), "{ctx}: complete_hit");
-        assert_eq!(
-            sm.total_ms().to_bits(),
-            bm.total_ms().to_bits(),
-            "{ctx}: total_ms"
-        );
-    }
 }
 
 /// All chunk keys of a grid, across every group-by.

@@ -3,15 +3,13 @@
 //! and both policies — with answers checked against the backend and the
 //! acceleration tables cross-checked against a from-scratch rebuild.
 
+mod common;
+
 use aggcache::prelude::*;
+use common::{backend, oracle_answer};
 
 fn dataset() -> Dataset {
-    Apb1Config {
-        n_tuples: 20_000,
-        density: 0.7,
-        seed: 99,
-    }
-    .build()
+    common::apb_dataset(99)
 }
 
 fn run_session(
@@ -22,21 +20,12 @@ fn run_session(
     preload: bool,
     queries: usize,
 ) -> (CacheManager, u64) {
-    let backend = Backend::new(
-        dataset.fact.clone(),
-        AggFn::Sum,
-        BackendCostModel::default(),
-    );
-    let oracle = Backend::new(
-        dataset.fact.clone(),
-        AggFn::Sum,
-        BackendCostModel::default(),
-    );
+    let oracle = backend(dataset);
     let mut mgr = CacheManager::builder()
         .strategy(strategy)
         .policy(policy)
         .cache_bytes(cache_bytes)
-        .build(backend)
+        .build(backend(dataset))
         .unwrap();
     if preload {
         mgr.preload_best().unwrap();
@@ -51,11 +40,7 @@ fn run_session(
         // all of them is covered by the smaller oracle test).
         if i % 5 == 0 {
             got.data.sort_by_coords();
-            let mut expected = ChunkData::new(dataset.grid.num_dims());
-            for (_, d) in oracle.fetch(q.gb, &q.chunks).unwrap().chunks {
-                expected.append(&d);
-            }
-            expected.sort_by_coords();
+            let expected = oracle_answer(&oracle, &q);
             assert_eq!(got.data, expected, "query #{i} ({kind:?}) {q:?}");
             checked += 1;
         }
@@ -133,14 +118,13 @@ fn vcmc_costs_consistent_after_apb_stream() {
 #[test]
 fn preload_then_aggregated_queries_never_touch_backend() {
     let ds = dataset();
-    let backend = Backend::new(ds.fact.clone(), AggFn::Sum, BackendCostModel::default());
     // Budget comfortably above the base table: pre-load takes the fact
     // level and every answerable query becomes a complete hit.
     let mut mgr = CacheManager::builder()
         .strategy(Strategy::Vcmc)
         .policy(PolicyKind::TwoLevel)
         .cache_bytes(4_000_000)
-        .build(backend)
+        .build(backend(&ds))
         .unwrap();
     let report = mgr.preload_best().unwrap().unwrap();
     assert_eq!(report.gb, ds.fact_gb);
@@ -150,7 +134,7 @@ fn preload_then_aggregated_queries_never_touch_backend() {
         let m = mgr.run(&(&q).into()).unwrap().metrics;
         assert!(m.complete_hit, "{gb:?}");
     }
-    assert_eq!(mgr.session().backend_tuples, 0);
+    assert_eq!(mgr.session().sum.backend_tuples, 0);
 }
 
 #[test]
@@ -158,16 +142,12 @@ fn value_queries_match_filtered_oracle() {
     let ds = dataset();
     let grid = ds.grid.clone();
     let lattice = grid.schema().lattice().clone();
-    let oracle = Backend::new(ds.fact.clone(), AggFn::Sum, BackendCostModel::default());
+    let oracle = backend(&ds);
     let mut mgr = CacheManager::builder()
         .strategy(Strategy::Vcmc)
         .policy(PolicyKind::TwoLevel)
         .cache_bytes(2_000_000)
-        .build(Backend::new(
-            ds.fact.clone(),
-            AggFn::Sum,
-            BackendCostModel::default(),
-        ))
+        .build(backend(&ds))
         .unwrap();
     let gb = lattice.id_of(&[2, 1, 2, 0, 0]).unwrap();
     let schema = grid.schema().clone();

@@ -7,30 +7,13 @@
 //! fault seed at any thread count, and must never corrupt an answer or
 //! the replacement bookkeeping no matter how many fetches fail.
 
+mod common;
+
 use aggcache::prelude::*;
-
-/// The concurrency suite's 3-dimensional cube: enough lattice structure
-/// for drill-downs, roll-ups and computable hits, small enough to sweep.
-fn dataset() -> Dataset {
-    SyntheticSpec::new()
-        .dim("product", vec![1, 3, 12], vec![1, 3, 6])
-        .dim("store", vec![1, 8], vec![1, 4])
-        .dim("time", vec![1, 4], vec![1, 2])
-        .tuples(2_500)
-        .seed(7)
-        .build()
-}
-
-/// A deterministic paper-mix query stream over the dataset's grid.
-fn stream_queries(ds: &Dataset, n: usize, seed: u64) -> Vec<Query> {
-    let max_level = ds.grid.geom(ds.fact_gb).level().to_vec();
-    let mut stream = QueryStream::new(ds.grid.clone(), WorkloadConfig::paper(max_level, seed));
-    stream.take_queries(n)
-}
-
-fn raw_backend(ds: &Dataset) -> Backend {
-    Backend::new(ds.fact.clone(), AggFn::Sum, BackendCostModel::default())
-}
+use common::{
+    assert_data_bit_identical, backend as raw_backend, oracle_answer, sorted_keys, stream_queries,
+    synthetic_dataset as dataset,
+};
 
 fn manager_with(
     backend: impl BackendSource + 'static,
@@ -69,24 +52,6 @@ fn decorated_manager(
     )
     .unwrap();
     manager_with(retrying, strategy, cache_bytes, threads)
-}
-
-fn assert_data_bit_identical(a: &ChunkData, b: &ChunkData, ctx: &str) {
-    assert_eq!(a.len(), b.len(), "{ctx}: cell counts differ");
-    for i in 0..a.len() {
-        assert_eq!(a.coords_of(i), b.coords_of(i), "{ctx}: coords of cell {i}");
-        assert_eq!(
-            a.value_of(i).to_bits(),
-            b.value_of(i).to_bits(),
-            "{ctx}: value bits of cell {i}"
-        );
-    }
-}
-
-fn sorted_keys(mgr: &CacheManager) -> Vec<ChunkKey> {
-    let mut keys: Vec<ChunkKey> = mgr.cache().keys().collect();
-    keys.sort_by_key(|k| (k.gb.index(), k.chunk));
-    keys
 }
 
 /// Everything deterministic about one executed query, bit-exact. Failed
@@ -188,8 +153,8 @@ fn zero_fault_rate_is_bit_transparent() {
             "{ctx}: session total_ms"
         );
         assert_eq!(
-            sa.backend_virtual_ms.to_bits(),
-            sb.backend_virtual_ms.to_bits(),
+            sa.sum.backend_virtual_ms.to_bits(),
+            sb.sum.backend_virtual_ms.to_bits(),
             "{ctx}: session backend_virtual_ms"
         );
         assert_eq!(
@@ -219,9 +184,9 @@ fn faulty_runs_are_deterministic_per_seed() {
             let totals = (
                 mgr.session().queries,
                 mgr.session().degraded_queries,
-                mgr.session().chunks_degraded,
+                mgr.session().sum.chunks_degraded,
                 mgr.session().total_ms.to_bits(),
-                mgr.session().backend_virtual_ms.to_bits(),
+                mgr.session().sum.backend_virtual_ms.to_bits(),
             );
             (outcomes, totals, sorted_keys(&mgr))
         };
@@ -255,11 +220,7 @@ fn fault_injection_never_corrupts_answers() {
     let mut answered = 0u64;
     let mut failed = 0u64;
     for (i, q) in queries.iter().enumerate() {
-        let mut expected = ChunkData::new(ds.grid.num_dims());
-        for (_, data) in oracle.fetch(q.gb, &q.chunks).unwrap().chunks {
-            expected.append(&data);
-        }
-        expected.sort_by_coords();
+        let expected = oracle_answer(&oracle, q);
         match mgr.run(&(q).into()) {
             Ok(mut r) => {
                 answered += 1;

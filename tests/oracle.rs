@@ -2,19 +2,10 @@
 //! query stream, must return exactly the answers a brute-force oracle
 //! computes from the raw fact table.
 
-use aggcache::prelude::*;
+mod common;
 
-/// Answers a query by scanning every fact tuple and rolling up by hand —
-/// independent of all chunk/cache machinery except the grid geometry used
-/// to select the requested chunks.
-fn oracle_answer(dataset_grid: &ChunkGrid, backend: &Backend, q: &Query) -> ChunkData {
-    let mut out = ChunkData::new(dataset_grid.num_dims());
-    for (_, data) in backend.fetch(q.gb, &q.chunks).unwrap().chunks {
-        out.append(&data);
-    }
-    out.sort_by_coords();
-    out
-}
+use aggcache::prelude::*;
+use common::{backend, oracle_answer};
 
 fn stream_against_oracle(strategy: Strategy, policy: PolicyKind, cache_bytes: usize) {
     let dataset = SyntheticSpec::new()
@@ -25,28 +16,19 @@ fn stream_against_oracle(strategy: Strategy, policy: PolicyKind, cache_bytes: us
         .seed(17)
         .build();
     let grid = dataset.grid.clone();
-    let oracle_backend = Backend::new(
-        dataset.fact.clone(),
-        AggFn::Sum,
-        BackendCostModel::default(),
-    );
-    let backend = Backend::new(
-        dataset.fact.clone(),
-        AggFn::Sum,
-        BackendCostModel::default(),
-    );
+    let oracle_backend = backend(&dataset);
     let mut manager = CacheManager::builder()
         .strategy(strategy)
         .policy(policy)
         .cache_bytes(cache_bytes)
-        .build(backend)
+        .build(backend(&dataset))
         .unwrap();
 
     let max_level = grid.schema().base_level();
     let mut stream = QueryStream::new(grid.clone(), WorkloadConfig::paper(max_level, 99));
     for i in 0..120 {
         let (q, kind) = stream.next_with_kind();
-        let expected = oracle_answer(&grid, &oracle_backend, &q);
+        let expected = oracle_answer(&oracle_backend, &q);
         let mut got = manager.run(&(&q).into()).unwrap();
         got.data.sort_by_coords();
         assert_eq!(

@@ -5,7 +5,10 @@
 //! per-seed determinism across thread counts, and warm restarts over a
 //! corrupted checkpoint keeping the count tables consistent.
 
+mod common;
+
 use aggcache::prelude::*;
+use common::{backend, oracle_answer, stream_queries};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,10 +30,6 @@ fn dataset() -> Dataset {
         .build()
 }
 
-fn backend(ds: &Dataset) -> Backend {
-    Backend::new(ds.fact.clone(), AggFn::Sum, BackendCostModel::default())
-}
-
 fn chaotic_manager(
     ds: &Dataset,
     strategy: Strategy,
@@ -48,20 +47,7 @@ fn chaotic_manager(
 }
 
 fn stream(ds: &Dataset, seed: u64, n: usize) -> Vec<QueryRequest> {
-    let max_level = ds.grid.geom(ds.fact_gb).level().to_vec();
-    let mut s = QueryStream::new(ds.grid.clone(), WorkloadConfig::paper(max_level, seed));
-    QueryRequest::batch(&s.take_queries(n))
-}
-
-/// Brute-force oracle: the query's chunks straight from a pristine
-/// backend, bypassing cache, spill and faults.
-fn oracle(ds: &Dataset, q: &Query) -> ChunkData {
-    let mut all = ChunkData::new(ds.grid.num_dims());
-    for (_, data) in backend(ds).fetch(q.gb, &q.chunks).unwrap().chunks {
-        all.append(&data);
-    }
-    all.sort_by_coords();
-    all
+    QueryRequest::batch(&stream_queries(ds, n, seed))
 }
 
 fn value_bits(data: &ChunkData) -> Vec<u64> {
@@ -164,7 +150,7 @@ fn answers_equal_oracle_at_every_fault_rate() {
             });
             let mut got = out.data.clone();
             got.sort_by_coords();
-            let want = oracle(&ds, &q.query);
+            let want = oracle_answer(&backend(&ds), &q.query);
             assert_eq!(got.raw_coords(), want.raw_coords(), "rate {rate}");
             assert_eq!(value_bits(&got), value_bits(&want), "rate {rate}");
         }
@@ -274,7 +260,7 @@ fn warm_restart_after_corrupted_checkpoint_stays_consistent() {
         let out = warm.run(q).unwrap();
         let mut got = out.data.clone();
         got.sort_by_coords();
-        let want = oracle(&ds, &q.query);
+        let want = oracle_answer(&backend(&ds), &q.query);
         assert_eq!(got.raw_coords(), want.raw_coords());
         assert_eq!(value_bits(&got), value_bits(&want));
     }

@@ -8,26 +8,13 @@
 //! and query counts aggregated by the `MetricsRegistry` sum exactly to
 //! the manager's session totals.
 
+mod common;
+
 use aggcache::cache::AdmissionKind;
 use aggcache::obs::MetricsRegistry;
 use aggcache::prelude::*;
+use common::{backend as raw_backend, oracle_answer, synthetic_dataset as dataset};
 use std::sync::Arc;
-
-/// A 3-dimensional cube with enough lattice structure for drill-downs,
-/// roll-ups and computable (degraded-servable) chunks.
-fn dataset() -> Dataset {
-    SyntheticSpec::new()
-        .dim("product", vec![1, 3, 12], vec![1, 3, 6])
-        .dim("store", vec![1, 8], vec![1, 4])
-        .dim("time", vec![1, 4], vec![1, 2])
-        .tuples(2_500)
-        .seed(7)
-        .build()
-}
-
-fn raw_backend(ds: &Dataset) -> Backend {
-    Backend::new(ds.fact.clone(), AggFn::Sum, BackendCostModel::default())
-}
 
 /// Multi-tenant arrivals: all three lab profiles, Zipf-skewed.
 fn tagged_arrivals(ds: &Dataset, n: usize, seed: u64) -> Vec<(u32, Query)> {
@@ -71,11 +58,7 @@ fn faulty_multi_tenant_streams_never_corrupt_answers() {
         let _ = mgr.preload_best();
         let (mut answered, mut failed, mut degraded) = (0u64, 0u64, 0u64);
         for (i, (tenant, q)) in arrivals.iter().enumerate() {
-            let mut expected = ChunkData::new(ds.grid.num_dims());
-            for (_, data) in oracle.fetch(q.gb, &q.chunks).unwrap().chunks {
-                expected.append(&data);
-            }
-            expected.sort_by_coords();
+            let expected = oracle_answer(&oracle, q);
             match mgr.run(&QueryRequest::new(q.clone()).tenant(*tenant)) {
                 Ok(mut r) => {
                     answered += 1;
@@ -113,12 +96,12 @@ fn per_tenant_degraded_counts_sum_to_session_totals() {
                 Err(e) => panic!("{admission:?}: unexpected error under faults: {e}"),
             }
         }
-        let tenants = registry.tenants_view();
+        let tenants = registry.tenants();
         assert!(
             tenants.len() > 1,
             "{admission:?}: expected several tenants to be attributed"
         );
-        let sum = |f: fn(&TenantStats) -> u64| tenants.iter().map(|(_, t)| f(t)).sum::<u64>();
+        let sum = |f: fn(&TenantStats) -> u64| tenants.values().map(f).sum::<u64>();
         assert_eq!(
             sum(|t| t.queries) + failed,
             arrivals.len() as u64,
@@ -131,7 +114,7 @@ fn per_tenant_degraded_counts_sum_to_session_totals() {
         );
         assert_eq!(
             sum(|t| t.chunks_degraded),
-            mgr.session().chunks_degraded,
+            mgr.session().sum.chunks_degraded as u64,
             "{admission:?}: tenant degraded chunks vs session"
         );
         assert_eq!(
@@ -140,7 +123,7 @@ fn per_tenant_degraded_counts_sum_to_session_totals() {
             "{admission:?}: tenant degraded queries vs session"
         );
         assert!(
-            mgr.session().chunks_degraded > 0,
+            mgr.session().sum.chunks_degraded > 0,
             "{admission:?}: rate 0.4 should force some degraded serves"
         );
     }
@@ -170,7 +153,7 @@ fn chaotic_multi_tenant_sessions_are_deterministic() {
         }
         (
             outcomes,
-            mgr.session().chunks_degraded,
+            mgr.session().sum.chunks_degraded,
             mgr.cache().admission_rejects(),
         )
     };
