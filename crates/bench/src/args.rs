@@ -179,6 +179,15 @@ mod tests {
         let _ = (a.get("tuples", 1u64), a.value("json-out"));
         assert_eq!(a.try_finish(), Ok(()));
         assert!(args(&["--smok"]).try_finish().is_err());
+        // Since PR 19 `fig7` no longer reads `--trace-out`, nor `table2`
+        // `--threads`: each reads what it does read, then refuses the rest.
+        let a = args(&["--tuples", "20000", "--trace-out", "x"]);
+        let _ = (a.get("tuples", 1u64), a.get("seed", 1u64));
+        let _ = (a.get("queries", 1usize), a.threads());
+        assert_eq!(a.try_finish(), Err("unknown flag `--trace-out`".into()));
+        let a = args(&["--threads", "4"]);
+        let _ = (a.get("tuples", 1u64), a.get("seed", 1u64));
+        assert_eq!(a.try_finish(), Err("unknown flag `--threads`".into()));
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Reproduces paper Fig7 via the replacement-policy experiment.
-use aggcache_bench::experiments::policy;
+//! Reproduces paper Fig7 as a view of the §7.2 stream experiment.
+use aggcache_bench::experiments::streams;
 
 fn main() {
-    policy::main_with("fig7", policy::render_fig7);
+    streams::main_with(&streams::POLICIES, streams::render_fig7);
 }

@@ -1,6 +1,6 @@
-//! Reproduces paper Fig8 via the replacement-policy experiment.
-use aggcache_bench::experiments::policy;
+//! Reproduces paper Fig8 as a view of the §7.2 stream experiment.
+use aggcache_bench::experiments::streams;
 
 fn main() {
-    policy::main_with("fig8", policy::render_fig8);
+    streams::main_with(&streams::POLICIES, streams::render_fig8);
 }

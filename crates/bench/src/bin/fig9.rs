@@ -1,6 +1,6 @@
-//! Reproduces paper Fig9 via the three-scheme comparison experiment.
-use aggcache_bench::experiments::comparison;
+//! Reproduces paper Fig9 as a view of the §7.2 stream experiment.
+use aggcache_bench::experiments::streams;
 
 fn main() {
-    comparison::main_with("fig9", comparison::render_fig9);
+    streams::main_with(&streams::COMPARISON, streams::render_fig9);
 }

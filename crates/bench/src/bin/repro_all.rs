@@ -2,8 +2,8 @@
 //! reproduction report (used to populate EXPERIMENTS.md).
 use aggcache_bench::args::Args;
 use aggcache_bench::experiments::{
-    cluster, coldstart, comparison, faults, policy, recovery, table1, table2, table3, tenants,
-    unit_a, unit_b, updates,
+    cluster, coldstart, faults, recovery, streams, table1, table2, table3, tenants, unit_a, unit_b,
+    updates,
 };
 
 fn main() {
@@ -28,24 +28,19 @@ fn main() {
     println!("{}", table2::run(table2::Opts { tuples, seed }));
     println!("{}", table3::run(table3::Opts { tuples, seed }));
 
-    let p = policy::run_experiment(policy::Opts {
+    // One run of all four schemes; the five artefacts are views of it.
+    let opts = streams::Opts {
         tuples,
         seed,
         queries,
         ..Default::default()
-    });
-    println!("{}", policy::render_fig7(&p));
-    println!("{}", policy::render_fig8(&p));
-
-    let c = comparison::run_experiment(comparison::Opts {
-        tuples,
-        seed,
-        queries,
-        ..Default::default()
-    });
-    println!("{}", comparison::render_fig9(&c));
-    println!("{}", comparison::render_fig10(&c));
-    println!("{}", comparison::render_table4(&c));
+    };
+    let s = streams::run_experiment(opts, &streams::SCHEMES.map(|(label, ..)| label));
+    println!("{}", streams::render_fig7(&s));
+    println!("{}", streams::render_fig8(&s));
+    println!("{}", streams::render_fig9(&s));
+    println!("{}", streams::render_fig10(&s));
+    println!("{}", streams::render_table4(&s));
 
     println!(
         "{}",

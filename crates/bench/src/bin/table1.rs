@@ -12,5 +12,5 @@ fn main() {
     let (trace_out, threads) = (a.value("trace-out"), a.threads());
     a.finish();
     println!("{}", table1::run(opts));
-    maybe_write_trace(trace_out, threads, "table1", opts.tuples, opts.seed);
+    maybe_write_trace(trace_out, threads, opts.tuples, opts.seed);
 }

@@ -1,6 +1,6 @@
-//! Reproduces paper Table4 via the three-scheme comparison experiment.
-use aggcache_bench::experiments::comparison;
+//! Reproduces paper Table4 as a view of the §7.2 stream experiment.
+use aggcache_bench::experiments::streams;
 
 fn main() {
-    comparison::main_with("table4", comparison::render_table4);
+    streams::main_with(&streams::COMPARISON, streams::render_table4);
 }

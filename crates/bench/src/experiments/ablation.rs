@@ -48,14 +48,9 @@ pub fn run(opts: Opts) -> String {
     let scale = opts.tuples as f64 / 1_100_000.0;
     let cache_bytes = ((15 * MB) as f64 * scale) as usize; // mid-size cache
     let base_run = |strategy| StreamRun {
-        strategy,
-        policy: PolicyKind::TwoLevel,
-        cache_bytes,
-        preload: true,
         queries: opts.queries,
         seed: opts.workload_seed,
-        group_boost: true,
-        threads: 1,
+        ..StreamRun::paper(strategy, PolicyKind::TwoLevel, cache_bytes)
     };
 
     let mut out = String::from("Ablations (15 MB-equivalent cache, 100-query paper stream)\n\n");

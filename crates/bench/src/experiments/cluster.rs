@@ -18,12 +18,13 @@
 //! SplitMix64 stream, so every cell is bit-identical across runs and
 //! thread counts — all reported numbers are virtual-time.
 
-use crate::report::{f2, Table};
+use crate::report::{f2, mean, Table, Tally};
 use crate::rig::{apb_dataset, backend_for, builder_for, paper_stream};
+use crate::sweep::{smoke_opts, Sweep};
 use aggcache_cache::PolicyKind;
 use aggcache_chunks::hash::SplitMix64;
 use aggcache_cluster::{ClusterManager, NodeTraffic};
-use aggcache_core::{ExecOutcome, QueryRequest, RemoteMetrics, Strategy};
+use aggcache_core::{QueryRequest, Strategy};
 use aggcache_gen::Dataset;
 use aggcache_obs::json::push_f64;
 
@@ -75,6 +76,16 @@ impl Opts {
         }
     }
 }
+
+/// `fig_cluster`, as [`crate::sweep::sweep_main`] runs it.
+pub const SWEEP: Sweep<Opts, ClusterResults> = Sweep {
+    opts: smoke_opts!(Opts),
+    run: run_experiment,
+    render,
+    check: None,
+    exports: Some((to_json, to_csv, |r| r.cells.len())),
+    traced: None,
+};
 
 /// The node counts swept.
 pub const NODE_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -137,28 +148,6 @@ pub struct CellResult {
     pub per_node: Vec<NodeOutcome>,
 }
 
-fn paper_requests(dataset: &Dataset, n: usize, seed: u64) -> Vec<QueryRequest> {
-    QueryRequest::batch(&paper_stream(dataset, seed).take_queries(n))
-}
-
-fn build_cluster(
-    dataset: &Dataset,
-    opts: Opts,
-    nodes: usize,
-    replication: usize,
-) -> ClusterManager {
-    let mut b = ClusterManager::builder().replication(replication);
-    for _ in 0..nodes {
-        let (strategy, policy) = (Strategy::Vcmc, PolicyKind::TwoLevel);
-        b = b.node(
-            builder_for(strategy, policy, opts.node_cache_bytes, opts.threads, None)
-                .build(backend_for(dataset))
-                .expect("sweep configuration is valid"),
-        );
-    }
-    b.build().expect("sweep configuration is valid")
-}
-
 /// One churn step between batches: revive-and-rebalance any dead node,
 /// else maybe kill one. Kills and revivals never overlap in one step, so
 /// every failure leaves a full batch of degraded operation behind it.
@@ -186,69 +175,6 @@ fn churn_step(
     }
 }
 
-fn summarize(
-    nodes: usize,
-    replication: usize,
-    failure_rate: f64,
-    outs: &[ExecOutcome],
-    per_node: Vec<NodeOutcome>,
-    remote: RemoteMetrics,
-    kills: u64,
-) -> CellResult {
-    let queries = outs.len() as f64;
-    let complete_hits = outs.iter().filter(|o| o.metrics.complete_hit).count() as f64;
-    let (mut hit, mut computed, mut missed) = (0u64, 0u64, 0u64);
-    let mut total_lat_ms = 0.0;
-    let mut total_work_ms = 0.0;
-    let mut lat: Vec<f64> = Vec::with_capacity(outs.len());
-    for o in outs {
-        hit += o.metrics.chunks_hit as u64;
-        computed += o.metrics.chunks_computed as u64;
-        missed += o.metrics.chunks_missed as u64;
-        total_lat_ms += o.critical_path_ms;
-        total_work_ms += o.total_virtual_ms();
-        lat.push(o.critical_path_ms);
-    }
-    lat.sort_by(f64::total_cmp);
-    let p95 = if lat.is_empty() {
-        0.0
-    } else {
-        lat[((lat.len() as f64 * 0.95).ceil() as usize).clamp(1, lat.len()) - 1]
-    };
-    let served = hit + computed;
-    CellResult {
-        nodes,
-        replication,
-        failure_rate,
-        hit_ratio: if queries == 0.0 {
-            0.0
-        } else {
-            complete_hits / queries
-        },
-        chunk_hit_ratio: if served + missed == 0 {
-            0.0
-        } else {
-            served as f64 / (served + missed) as f64
-        },
-        avg_virtual_ms: if queries == 0.0 {
-            0.0
-        } else {
-            total_lat_ms / queries
-        },
-        p95_virtual_ms: p95,
-        avg_work_ms: if queries == 0.0 {
-            0.0
-        } else {
-            total_work_ms / queries
-        },
-        remote_chunks: remote.remote_chunks,
-        bytes_on_wire: remote.bytes_on_wire,
-        remote_virtual_ms: remote.remote_virtual_ms,
-        kills,
-        per_node,
-    }
-}
-
 /// Replays the paper stream against one (nodes, replication, failure
 /// rate) cluster. Deterministic for fixed opts: the workload, ring and
 /// churn schedule are all seeded, and every reported number is
@@ -261,24 +187,44 @@ pub fn run_cell(
     replication: usize,
     failure_rate: f64,
 ) -> CellResult {
-    let requests = paper_requests(dataset, opts.queries, opts.workload_seed);
-    let mut cluster = build_cluster(dataset, opts, nodes, replication);
+    let requests =
+        QueryRequest::batch(&paper_stream(dataset, opts.workload_seed).take_queries(opts.queries));
+    let mut builder = ClusterManager::builder().replication(replication);
+    for _ in 0..nodes {
+        let (strategy, policy) = (Strategy::Vcmc, PolicyKind::TwoLevel);
+        let node = builder_for(strategy, policy, opts.node_cache_bytes, opts.threads, None)
+            .build(backend_for(dataset))
+            .expect("sweep configuration is valid");
+        builder = builder.node(node);
+    }
+    let mut cluster = builder.build().expect("sweep configuration is valid");
     // Distinct churn stream per cell shape, derived from the dataset seed.
     let mut rng = SplitMix64(
         opts.seed ^ (nodes as u64) << 32 ^ (replication as u64) << 16 ^ failure_rate.to_bits(),
     );
     let mut kills = 0u64;
-    let mut outs = Vec::with_capacity(requests.len());
+    let mut tally = Tally::default();
+    let mut total_lat_ms = 0.0;
+    let mut lat: Vec<f64> = Vec::with_capacity(requests.len());
     for batch in requests.chunks(opts.batch.max(1)) {
-        outs.extend(
-            cluster
-                .run_batch(batch)
-                .expect("at least one node stays live"),
-        );
+        let outs = cluster
+            .run_batch(batch)
+            .expect("at least one node stays live");
+        for o in &outs {
+            tally.add(o);
+            total_lat_ms += o.critical_path_ms;
+            lat.push(o.critical_path_ms);
+        }
         if failure_rate > 0.0 {
             churn_step(&mut cluster, &mut rng, failure_rate, &mut kills);
         }
     }
+    lat.sort_by(f64::total_cmp);
+    let p95 = if lat.is_empty() {
+        0.0
+    } else {
+        lat[((lat.len() as f64 * 0.95).ceil() as usize).clamp(1, lat.len()) - 1]
+    };
     // The session totals include rebalance handoff bytes, which per-query
     // outcomes do not see.
     let remote = *cluster.session_remote();
@@ -291,15 +237,21 @@ pub fn run_cell(
             traffic: cluster.traffic(n),
         })
         .collect();
-    summarize(
+    CellResult {
         nodes,
         replication,
         failure_rate,
-        &outs,
-        per_node,
-        remote,
+        hit_ratio: tally.hit_ratio(),
+        chunk_hit_ratio: tally.chunk_hit_ratio(),
+        avg_virtual_ms: mean(total_lat_ms, tally.queries),
+        p95_virtual_ms: p95,
+        avg_work_ms: mean(tally.total_virtual_ms, tally.queries),
+        remote_chunks: remote.remote_chunks,
+        bytes_on_wire: remote.bytes_on_wire,
+        remote_virtual_ms: remote.remote_virtual_ms,
         kills,
-    )
+        per_node,
+    }
 }
 
 /// Results of the full sweep.

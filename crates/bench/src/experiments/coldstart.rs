@@ -17,8 +17,10 @@
 //! Spill directories are process-unique temp paths that are removed
 //! afterwards and never appear in any output.
 
-use crate::report::{f2, Table};
+use crate::report::{f2, Table, Tally};
 use crate::rig::{apb_dataset, backend_for, builder_for, paper_stream, scratch_root};
+use crate::sweep::{smoke_opts, Sweep};
+use crate::trace::Meta;
 use aggcache_cache::PolicyKind;
 use aggcache_core::{QueryRequest, Strategy};
 use aggcache_gen::Dataset;
@@ -81,6 +83,41 @@ impl Opts {
         }
     }
 }
+
+/// `fig_coldstart`, as [`crate::sweep::sweep_main`] runs it.
+/// `--trace-out` traces the cell that exercises this sweep's events: a
+/// *warm restart* over a checkpointed spill directory, so `warm_start`,
+/// `spill_read`, `spill_promote` and `spill_write` all appear.
+pub const SWEEP: Sweep<Opts, ColdstartResults> = Sweep {
+    opts: smoke_opts!(Opts),
+    run: |opts| run_experiment(opts, "bin"),
+    render,
+    check: None,
+    exports: Some((to_json, to_csv, |r| r.cells.len())),
+    traced: Some(|opts, tracer| -> Meta {
+        let dataset = apb_dataset(opts.tuples, opts.seed);
+        let root = scratch_root("coldstart", "trace");
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = root.join("traced");
+        let cell = run_cell_traced(&dataset, opts, true, opts.cache_bytes, &dir, Some(tracer));
+        let _ = std::fs::remove_dir_all(&root);
+        vec![
+            ("experiment", "fig_coldstart".to_string()),
+            ("tuples", opts.tuples.to_string()),
+            ("seed", opts.seed.to_string()),
+            ("warmup", opts.warmup.to_string()),
+            ("queries", opts.queries.to_string()),
+            ("workload_seed", opts.workload_seed.to_string()),
+            ("cache_bytes", opts.cache_bytes.to_string()),
+            ("strategy", "vcmc".to_string()),
+            ("policy", "two_level".to_string()),
+            ("threads", opts.threads.to_string()),
+            ("warm_start_chunks", cell.warm_start_chunks.to_string()),
+            ("spill_reads", cell.spill_reads.to_string()),
+            ("spill_writes", cell.spill_writes.to_string()),
+        ]
+    }),
+};
 
 /// Cache-budget multiples swept for every mode.
 pub const BUDGET_SCALES: [usize; 2] = [1, 3];
@@ -164,11 +201,9 @@ pub fn run_cell_traced(
             .spill(SpillConfig::new(dir))
             .build(backend_for(dataset))
             .expect("sweep configuration is valid");
-        for batch in warmup.chunks(opts.batch.max(1)) {
-            first
-                .run_batch(batch)
-                .expect("simulated backend cannot fail");
-        }
+        first
+            .run_batch(&warmup)
+            .expect("simulated backend cannot fail");
         first.checkpoint().expect("checkpoint to a fresh temp dir");
     }
 
@@ -181,25 +216,15 @@ pub fn run_cell_traced(
         .build(backend_for(dataset))
         .expect("sweep configuration is valid");
     let recovery = *mgr.session_spill();
-    let warm_start_chunks = recovery.spill_reads;
 
     let mut batch_hit = Vec::new();
-    let mut hits = 0usize;
-    let (mut chunks_served, mut chunks_missed) = (0u64, 0u64);
-    let mut total_virtual_ms = 0.0;
-    let mut backend_virtual_ms = 0.0;
+    let mut tally = Tally::default();
     let mut reached_target = false;
     let mut queries_to_target = measure.len();
     for batch in measure.chunks(opts.batch.max(1)) {
         let outs = mgr.run_batch(batch).expect("simulated backend cannot fail");
+        outs.iter().for_each(|o| tally.add(o));
         let batch_hits = outs.iter().filter(|o| o.metrics.complete_hit).count();
-        hits += batch_hits;
-        for o in &outs {
-            chunks_served += (o.metrics.chunks_hit + o.metrics.chunks_computed) as u64;
-            chunks_missed += o.metrics.chunks_missed as u64;
-            total_virtual_ms += o.total_virtual_ms();
-            backend_virtual_ms += o.metrics.backend_virtual_ms;
-        }
         let ratio = batch_hits as f64 / batch.len() as f64;
         batch_hit.push(ratio);
         if !reached_target && ratio >= opts.target {
@@ -212,24 +237,16 @@ pub fn run_cell_traced(
     CellResult {
         warm,
         cache_bytes,
-        warm_start_chunks,
+        warm_start_chunks: recovery.spill_reads,
         warm_start_bytes: recovery.bytes_read,
         warm_start_virtual_ms: recovery.spill_virtual_ms,
         batch_hit,
         reached_target,
-        queries_to_target: queries_to_target.min(measure.len()),
-        final_hit_ratio: if measure.is_empty() {
-            0.0
-        } else {
-            hits as f64 / measure.len() as f64
-        },
-        chunk_hit_ratio: if chunks_served + chunks_missed == 0 {
-            0.0
-        } else {
-            chunks_served as f64 / (chunks_served + chunks_missed) as f64
-        },
-        total_virtual_ms,
-        backend_virtual_ms,
+        queries_to_target,
+        final_hit_ratio: tally.hit_ratio(),
+        chunk_hit_ratio: tally.chunk_hit_ratio(),
+        total_virtual_ms: tally.total_virtual_ms,
+        backend_virtual_ms: tally.backend_virtual_ms,
         spill_reads: session.spill_reads - recovery.spill_reads,
         spill_writes: session.spill_writes - recovery.spill_writes,
         spill_virtual_ms: session.spill_virtual_ms - recovery.spill_virtual_ms,

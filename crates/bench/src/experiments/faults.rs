@@ -12,8 +12,11 @@
 //! progressively replaced by degraded cache serves, and only queries the
 //! cache cannot reconstruct at all fail.
 
-use crate::report::{f2, Table};
+use crate::args::Args;
+use crate::report::{f2, mean, Table};
 use crate::rig::{apb_dataset, backend_for, builder_for, paper_stream, MB};
+use crate::sweep::Sweep;
+use crate::trace::Meta;
 use aggcache_cache::PolicyKind;
 use aggcache_core::{CacheError, Strategy};
 use aggcache_gen::Dataset;
@@ -74,7 +77,63 @@ impl Opts {
     pub fn scaled_cache_bytes(tuples: u64) -> usize {
         (((10 * MB) as f64 * tuples as f64 / 1_100_000.0).max(64.0 * 1024.0)) as usize
     }
+
+    /// `--tuples --seed --queries --fault-seed --attempts --node-budget
+    /// --threads` over the defaults; the cache budget follows `--tuples`.
+    fn from_args(a: &Args) -> Self {
+        let d = Self::default();
+        let tuples = a.get("tuples", d.tuples);
+        Self {
+            tuples,
+            seed: a.get("seed", d.seed),
+            queries: a.get("queries", d.queries),
+            fault_seed: a.get("fault-seed", d.fault_seed),
+            attempts: a.get("attempts", d.attempts),
+            cache_bytes: Self::scaled_cache_bytes(tuples),
+            node_budget: a.get("node-budget", d.node_budget),
+            threads: a.threads(),
+            ..d
+        }
+    }
 }
+
+/// The fault rate of the traced stream — high enough that retries,
+/// failures and degraded serves all appear in the trace.
+const TRACE_RATE: f64 = 0.8;
+
+/// `fig_faults`, as [`crate::sweep::sweep_main`] runs it. `--trace-out`
+/// traces a *faulty* stream (rate `TRACE_RATE`) so the trace exercises
+/// the fault events (`fetch_retry`, `fetch_timeout`, `fetch_failed`,
+/// `degraded_serve`).
+pub const SWEEP: Sweep<Opts, FaultResults> = Sweep {
+    opts: Opts::from_args,
+    run: run_experiment,
+    render,
+    check: None,
+    exports: None,
+    traced: Some(|opts, tracer| -> Meta {
+        let dataset = apb_dataset(opts.tuples, opts.seed);
+        let run = run_stream_faulty(&dataset, opts, TRACE_RATE, Some(tracer));
+        vec![
+            ("experiment", "fig_faults".to_string()),
+            ("tuples", opts.tuples.to_string()),
+            ("seed", opts.seed.to_string()),
+            ("queries", opts.queries.to_string()),
+            ("workload_seed", opts.workload_seed.to_string()),
+            ("fault_seed", opts.fault_seed.to_string()),
+            ("fault_rate", TRACE_RATE.to_string()),
+            ("attempts", opts.attempts.to_string()),
+            ("cache_bytes", opts.cache_bytes.to_string()),
+            ("node_budget", opts.node_budget.to_string()),
+            ("strategy", "esmc".to_string()),
+            ("policy", "two_level".to_string()),
+            ("threads", opts.threads.to_string()),
+            ("answered", run.answered.to_string()),
+            ("degraded_queries", run.degraded_queries.to_string()),
+            ("failed", run.failed.to_string()),
+        ]
+    }),
+};
 
 /// The fault rates swept (probability per fetch of *any* injected fault).
 pub const FAULT_RATES: [f64; 6] = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8];
@@ -103,18 +162,15 @@ impl FaultStreamResult {
     /// Fraction of *all* queries answered from the cache: complete hits
     /// plus fully-degraded serves.
     pub fn from_cache_fraction(&self) -> f64 {
-        if self.queries == 0 {
-            return 0.0;
-        }
-        (self.complete_hits + self.degraded_queries) as f64 / self.queries as f64
+        mean(
+            (self.complete_hits + self.degraded_queries) as f64,
+            self.queries,
+        )
     }
 
     /// Fraction of all queries answered at all.
     pub fn answered_fraction(&self) -> f64 {
-        if self.queries == 0 {
-            return 0.0;
-        }
-        self.answered as f64 / self.queries as f64
+        mean(self.answered as f64, self.queries)
     }
 }
 
@@ -177,31 +233,24 @@ pub fn run_stream_faulty(
             Err(e) => panic!("unexpected error in fault sweep: {e}"),
         }
     }
-    r.avg_ms = if r.answered > 0 {
-        total_ms / r.answered as f64
-    } else {
-        0.0
-    };
+    r.avg_ms = mean(total_ms, r.answered);
     r
 }
 
 /// Results of the full sweep.
 pub struct FaultResults {
-    /// The swept rates.
-    pub rates: Vec<f64>,
-    /// One stream result per rate.
+    /// One stream result per entry of [`FAULT_RATES`].
     pub runs: Vec<FaultStreamResult>,
 }
 
 /// Runs the sweep over [`FAULT_RATES`].
 pub fn run_experiment(opts: Opts) -> FaultResults {
     let dataset = apb_dataset(opts.tuples, opts.seed);
-    let rates: Vec<f64> = FAULT_RATES.to_vec();
-    let runs = rates
+    let runs = FAULT_RATES
         .iter()
         .map(|&rate| run_stream_faulty(&dataset, opts, rate, None))
         .collect();
-    FaultResults { rates, runs }
+    FaultResults { runs }
 }
 
 /// Renders the sweep as a table: fault rate vs. how queries were answered.
@@ -218,8 +267,7 @@ pub fn render(r: &FaultResults) -> String {
         "degr chunks",
         "avg ms",
     ]);
-    for (i, &rate) in r.rates.iter().enumerate() {
-        let run = &r.runs[i];
+    for (&rate, run) in FAULT_RATES.iter().zip(&r.runs) {
         let pct = |n: u64| f2(100.0 * n as f64 / run.queries.max(1) as f64);
         table.row(vec![
             f2(rate),

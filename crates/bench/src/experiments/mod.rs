@@ -3,10 +3,9 @@
 pub mod ablation;
 pub mod cluster;
 pub mod coldstart;
-pub mod comparison;
 pub mod faults;
-pub mod policy;
 pub mod recovery;
+pub mod streams;
 pub mod table1;
 pub mod table2;
 pub mod table3;

@@ -18,8 +18,12 @@
 //! directories are process-unique temp paths that are removed afterwards
 //! and never appear in any output.
 
-use crate::report::{f2, Table};
-use crate::rig::{apb_dataset, backend_for, builder_for, oracle, paper_stream, scratch_root};
+use crate::report::{f2, mean, Table, Tally};
+use crate::rig::{
+    apb_dataset, backend_for, builder_for, matches_oracle, paper_stream, scratch_root,
+};
+use crate::sweep::{smoke_opts, Sweep};
+use crate::trace::Meta;
 use aggcache_cache::PolicyKind;
 use aggcache_core::{QueryRequest, Strategy};
 use aggcache_gen::Dataset;
@@ -45,8 +49,6 @@ pub struct Opts {
     /// Cache budget in accounting bytes — tight, so demotions and
     /// promotions keep the faulty disk on the hot path.
     pub cache_bytes: usize,
-    /// Queries per execution batch.
-    pub batch: usize,
     /// Disk-fault profile seed (each cell offsets it for independence).
     pub fault_seed: u64,
     /// Virtual milliseconds of query time between scrub passes, for the
@@ -65,7 +67,6 @@ impl Default for Opts {
             queries: 400,
             workload_seed: 9_000,
             cache_bytes: 24 * 1024,
-            batch: 25,
             fault_seed: 0xFA11,
             scrub_interval_ms: 500.0,
             threads: 1,
@@ -85,6 +86,50 @@ impl Opts {
         }
     }
 }
+
+/// `fig_recovery`, as [`crate::sweep::sweep_main`] runs it. The process
+/// exits non-zero if any cell reports an oracle mismatch. `--trace-out`
+/// traces the cell that exercises this sweep's events: a faulty warm
+/// restart with scrubbing on, so `spill_corrupt`, `spill_quarantine` and
+/// `scrub_pass` appear.
+pub const SWEEP: Sweep<Opts, RecoveryResults> = Sweep {
+    opts: smoke_opts!(Opts),
+    run: |opts| run_experiment(opts, "bin"),
+    render,
+    check: Some(
+        |r| match r.cells.iter().map(|c| c.oracle_mismatches).sum::<u64>() {
+            0 => Ok(()),
+            n => Err(format!(
+                "self-healing contract violated: {n} answer(s) diverged from the oracle"
+            )),
+        },
+    ),
+    exports: Some((to_json, to_csv, |r| r.cells.len())),
+    traced: Some(|opts, tracer| -> Meta {
+        let dataset = apb_dataset(opts.tuples, opts.seed);
+        let root = scratch_root("recovery", "trace");
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = root.join("traced");
+        let cell = run_cell_traced(&dataset, opts, 0.2, true, &dir, Some(tracer));
+        let _ = std::fs::remove_dir_all(&root);
+        vec![
+            ("experiment", "fig_recovery".to_string()),
+            ("tuples", opts.tuples.to_string()),
+            ("seed", opts.seed.to_string()),
+            ("warmup", opts.warmup.to_string()),
+            ("queries", opts.queries.to_string()),
+            ("workload_seed", opts.workload_seed.to_string()),
+            ("cache_bytes", opts.cache_bytes.to_string()),
+            ("fault_rate", "0.2".to_string()),
+            ("strategy", "vcmc".to_string()),
+            ("policy", "two_level".to_string()),
+            ("threads", opts.threads.to_string()),
+            ("corrupt", cell.corrupt.to_string()),
+            ("quarantined", cell.quarantined.to_string()),
+            ("scrub_passes", cell.scrub_passes.to_string()),
+        ]
+    }),
+};
 
 /// Disk-fault rates swept (bit-flip and torn-write rate; transient-read
 /// rate is half of each, per [`DiskFaultProfile::uniform`]).
@@ -129,14 +174,6 @@ pub struct CellResult {
     pub total_virtual_ms: f64,
 }
 
-fn spill_config(dir: &Path, rate: f64, seed: u64, scrub: Option<f64>) -> SpillConfig {
-    let mut config = SpillConfig::new(dir).fault(DiskFaultProfile::uniform(rate, seed));
-    if let Some(interval) = scrub {
-        config = config.scrub_interval_ms(interval);
-    }
-    config
-}
-
 /// Runs one (rate, scrub) cell. Deterministic for fixed opts: the
 /// workload and fault profile are seeded and every reported number is
 /// virtual-time. `dir` is this cell's private spill directory (removed by
@@ -157,15 +194,17 @@ pub fn run_cell_traced(
     dir: &Path,
     tracer: Option<Arc<dyn Tracer>>,
 ) -> CellResult {
-    let scrub_interval = scrub.then_some(opts.scrub_interval_ms);
     let mut stream = paper_stream(dataset, opts.workload_seed);
     let warmup = QueryRequest::batch(&stream.take_queries(opts.warmup));
-    let measure_queries = stream.take_queries(opts.queries);
-    let measure = QueryRequest::batch(&measure_queries);
+    let measure = QueryRequest::batch(&stream.take_queries(opts.queries));
     let build = |fault_seed: u64, tracer| {
+        let mut spill = SpillConfig::new(dir).fault(DiskFaultProfile::uniform(rate, fault_seed));
+        if scrub {
+            spill = spill.scrub_interval_ms(opts.scrub_interval_ms);
+        }
         let (strategy, policy) = (Strategy::Vcmc, PolicyKind::TwoLevel);
         builder_for(strategy, policy, opts.cache_bytes, opts.threads, tracer)
-            .spill(spill_config(dir, rate, fault_seed, scrub_interval))
+            .spill(spill)
             .build(backend_for(dataset))
             .expect("sweep configuration is valid")
     };
@@ -174,11 +213,9 @@ pub fn run_cell_traced(
     // damage the restart must absorb) and checkpoint.
     let checkpointed = {
         let mut first = build(opts.fault_seed, None);
-        for batch in warmup.chunks(opts.batch.max(1)) {
-            first
-                .run_batch(batch)
-                .expect("simulated backend cannot fail");
-        }
+        first
+            .run_batch(&warmup)
+            .expect("simulated backend cannot fail");
         let report = first.checkpoint().expect("checkpoint index persists");
         report.chunks
     };
@@ -189,52 +226,31 @@ pub fn run_cell_traced(
     let recovery = *mgr.session_spill();
     let oracle_backend = backend_for(dataset);
 
-    let mut hits = 0usize;
+    let mut tally = Tally::default();
     let mut oracle_mismatches = 0u64;
-    let mut backend_virtual_ms = 0.0;
-    let mut total_virtual_ms = 0.0;
-    for (batch, queries) in measure
-        .chunks(opts.batch.max(1))
-        .zip(measure_queries.chunks(opts.batch.max(1)))
-    {
-        let outs = mgr.run_batch(batch).expect("simulated backend cannot fail");
-        for (out, q) in outs.iter().zip(queries) {
-            hits += usize::from(out.metrics.complete_hit);
-            backend_virtual_ms += out.metrics.backend_virtual_ms;
-            total_virtual_ms += out.total_virtual_ms();
-            let mut got = out.data.clone();
-            got.sort_by_coords();
-            if got != oracle(&oracle_backend, q) {
-                oracle_mismatches += 1;
-            }
-        }
+    for request in &measure {
+        let out = mgr.run(request).expect("simulated backend cannot fail");
+        tally.add(&out);
+        oracle_mismatches += u64::from(!matches_oracle(&oracle_backend, &request.query, &out.data));
     }
 
     let session = *mgr.session_spill();
     CellResult {
         rate,
         scrub,
-        answered: measure.len() as u64,
+        answered: tally.queries,
         oracle_mismatches,
         warm_start_chunks: recovery.spill_reads,
-        warm_restart_hit_ratio: if checkpointed == 0 {
-            0.0
-        } else {
-            recovery.spill_reads as f64 / checkpointed as f64
-        },
+        warm_restart_hit_ratio: mean(recovery.spill_reads as f64, checkpointed),
         corrupt: session.spill_corrupt,
         quarantined: session.spill_quarantined,
         retries: session.spill_retries,
         demote_failures: session.demote_failures,
         scrub_passes: session.scrub_passes,
         index_rebuilds: session.index_rebuilds,
-        final_hit_ratio: if measure.is_empty() {
-            0.0
-        } else {
-            hits as f64 / measure.len() as f64
-        },
-        backend_virtual_ms,
-        total_virtual_ms,
+        final_hit_ratio: tally.hit_ratio(),
+        backend_virtual_ms: tally.backend_virtual_ms,
+        total_virtual_ms: tally.total_virtual_ms,
     }
 }
 
@@ -395,7 +411,6 @@ mod tests {
             warmup: 60,
             queries: 60,
             cache_bytes: 8 * 1024,
-            batch: 10,
             ..Opts::default()
         }
     }

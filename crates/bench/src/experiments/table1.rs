@@ -10,7 +10,7 @@
 
 use crate::report::{f3, MinMaxAvg, Table};
 use crate::rig::{apb_dataset, manager_for, strategy_name};
-use aggcache_cache::{Origin, PolicyKind};
+use aggcache_cache::PolicyKind;
 use aggcache_chunks::ChunkKey;
 use aggcache_core::{CacheManager, LookupOutcome, Strategy};
 use aggcache_gen::Dataset;
@@ -95,18 +95,8 @@ pub fn run(opts: Opts) -> String {
         for strategy in strategies {
             let mut mgr = manager_for(&dataset, strategy, PolicyKind::Benefit, usize::MAX >> 1);
             if warm {
-                let fetch = mgr
-                    .backend()
-                    .fetch_group_by(dataset.fact_gb)
+                mgr.preload_group_by(dataset.fact_gb, 0)
                     .expect("fact level is computable");
-                for (chunk, data) in fetch.chunks {
-                    mgr.insert_chunk(
-                        ChunkKey::new(dataset.fact_gb, chunk),
-                        data,
-                        Origin::Backend,
-                        1.0,
-                    );
-                }
             }
             let r = measure(&mgr, &dataset, strategy_name(strategy));
             table.row(vec![

@@ -10,22 +10,7 @@ use aggcache_chunks::{ChunkKey, PAPER_TUPLE_BYTES};
 use aggcache_core::{CostTable, CountTable};
 
 /// Options for the Table 3 run.
-#[derive(Debug, Clone, Copy)]
-pub struct Opts {
-    /// Fact tuples.
-    pub tuples: u64,
-    /// Dataset seed.
-    pub seed: u64,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Self {
-            tuples: 1_000_000,
-            seed: 0xA9B1,
-        }
-    }
-}
+pub use crate::rig::DatasetOpts as Opts;
 
 /// Runs the experiment and renders the report.
 pub fn run(opts: Opts) -> String {

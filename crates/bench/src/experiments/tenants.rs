@@ -31,8 +31,9 @@
 //! All reported numbers are virtual-time, so every cell is bit-identical
 //! across runs and thread counts.
 
-use crate::report::{f2, Table};
+use crate::report::{f2, mean, Table};
 use crate::rig::{apb_dataset, backend_for, builder_for};
+use crate::sweep::{smoke_opts, Sweep};
 use aggcache_cache::{AdmissionKind, PolicyKind};
 use aggcache_core::Strategy;
 use aggcache_gen::Dataset;
@@ -82,6 +83,16 @@ impl Opts {
         }
     }
 }
+
+/// `fig_tenants`, as [`crate::sweep::sweep_main`] runs it.
+pub const SWEEP: Sweep<Opts, TenantResults> = Sweep {
+    opts: smoke_opts!(Opts),
+    run: run_experiment,
+    render,
+    check: None,
+    exports: Some((to_json, to_csv, |r| r.cells.len())),
+    traced: None,
+};
 
 /// The tenant counts swept.
 pub const TENANT_COUNTS: [u32; 3] = [1, 4, 8];
@@ -152,11 +163,7 @@ fn outcome(tenant: u32, s: &TenantStats) -> TenantOutcome {
         queries: s.queries,
         complete_hit_ratio: s.complete_hit_ratio(),
         chunk_hit_ratio: s.chunk_hit_ratio(),
-        avg_virtual_ms: if s.queries == 0 {
-            0.0
-        } else {
-            s.total_virtual_ms / s.queries as f64
-        },
+        avg_virtual_ms: mean(s.total_virtual_ms, s.queries),
         p95_virtual_us: s.latency_virtual_us.quantile(0.95).unwrap_or(0.0),
         p99_virtual_us: s.latency_virtual_us.quantile(0.99).unwrap_or(0.0),
     }
@@ -214,11 +221,7 @@ pub fn run_cell(
         hit_ratio: total.complete_hit_ratio(),
         chunk_hit_ratio: total.chunk_hit_ratio(),
         admission_rejects: mgr.cache().admission_rejects(),
-        avg_virtual_ms: if total.queries == 0 {
-            0.0
-        } else {
-            total.total_virtual_ms / total.queries as f64
-        },
+        avg_virtual_ms: mean(total.total_virtual_ms, total.queries),
         p95_virtual_us: all.quantile(0.95).unwrap_or(0.0),
         per_tenant,
     }

@@ -10,7 +10,7 @@
 
 use crate::report::{f2, MinMaxAvg, Table};
 use crate::rig::{apb_dataset, manager_for};
-use aggcache_cache::{Origin, PolicyKind};
+use aggcache_cache::PolicyKind;
 use aggcache_chunks::ChunkKey;
 use aggcache_core::Strategy;
 
@@ -48,10 +48,8 @@ pub fn run(opts: Opts) -> String {
     // Materialize and cache the entire (answerable) cube so every path is
     // available.
     for gb in lattice.iter_ids_under(dataset.fact_gb) {
-        let fetch = mgr.backend().fetch_group_by(gb).unwrap();
-        for (chunk, data) in fetch.chunks {
-            mgr.insert_chunk(ChunkKey::new(gb, chunk), data, Origin::Backend, 1.0);
-        }
+        mgr.preload_group_by(gb, 0)
+            .expect("answerable group-bys are backend-computable");
     }
 
     // Per group-by, chunk 0: the spread between the cheapest and the most
@@ -98,10 +96,14 @@ pub fn run(opts: Opts) -> String {
                 }
             }
         }
-        if parent_costs.len() >= 2 {
+        // The per-step spread, where there are two parents to choose between.
+        let step = (parent_costs.len() >= 2).then(|| {
             let fastest = *parent_costs.iter().min().unwrap() as f64;
             let slowest = *parent_costs.iter().max().unwrap() as f64;
-            step_ratios.add(slowest / fastest);
+            slowest / fastest
+        });
+        if let Some(step) = step {
+            step_ratios.add(step);
         }
         // (b) End-to-end: cheapest path vs the fact-level scan.
         let cover = dataset.grid.cover_at(gb, 0, dataset.fact_gb);
@@ -120,13 +122,7 @@ pub fn run(opts: Opts) -> String {
                 .enumerate()
                 .map(|(d, &l)| u32::from(lattice.hierarchy_size(d)) - u32::from(l))
                 .sum();
-            let step = if parent_costs.len() >= 2 {
-                *parent_costs.iter().max().unwrap() as f64
-                    / *parent_costs.iter().min().unwrap() as f64
-            } else {
-                1.0
-            };
-            rows.push((depth, step, e2e));
+            rows.push((depth, step.unwrap_or(1.0), e2e));
         }
     }
 

@@ -26,8 +26,12 @@
 //! `QueryMetrics`), and every reported number is virtual-time, so two runs
 //! — at any thread count — produce bit-identical documents.
 
-use crate::report::{f2, Table};
-use crate::rig::{apb_dataset, backend_for, builder_for, oracle, paper_stream, strategy_name};
+use crate::report::{f2, Table, Tally};
+use crate::rig::{
+    apb_dataset, backend_for, builder_for, matches_oracle, paper_stream, strategy_name,
+};
+use crate::sweep::{smoke_opts, Sweep};
+use crate::trace::Meta;
 use aggcache_cache::PolicyKind;
 use aggcache_chunks::hash::SplitMix64;
 use aggcache_chunks::ChunkData;
@@ -86,6 +90,51 @@ impl Opts {
         }
     }
 }
+
+/// `fig_updates`, as [`crate::sweep::sweep_main`] runs it. The process
+/// exits non-zero if any cell reports an oracle mismatch or the
+/// transparency check reports a divergence. `--trace-out` traces one
+/// write-heavy VCMC cell, so `delta_ingest`, `chunk_patch` and
+/// `chunk_invalidate` appear.
+pub const SWEEP: Sweep<Opts, UpdateResults> = Sweep {
+    opts: smoke_opts!(Opts),
+    run: run_experiment,
+    render,
+    check: Some(
+        |r| match r.cells.iter().map(|c| c.oracle_mismatches).sum::<u64>() {
+            0 if r.transparency_diffs == 0 => Ok(()),
+            0 => Err(format!(
+                "empty-delta transparency violated: {} divergence(s) from the no-update session",
+                r.transparency_diffs
+            )),
+            n => Err(format!(
+                "update propagation violated: {n} answer(s) diverged from the oracle"
+            )),
+        },
+    ),
+    exports: Some((to_json, to_csv, |r| r.cells.len())),
+    traced: Some(|opts, tracer| -> Meta {
+        let dataset = apb_dataset(opts.tuples, opts.seed);
+        let cell = run_cell_traced(&dataset, opts, 0.5, Strategy::Vcmc, Some(tracer));
+        vec![
+            ("experiment", "fig_updates".to_string()),
+            ("tuples", opts.tuples.to_string()),
+            ("seed", opts.seed.to_string()),
+            ("queries", opts.queries.to_string()),
+            ("workload_seed", opts.workload_seed.to_string()),
+            ("cache_bytes", opts.cache_bytes.to_string()),
+            ("write_mix", "0.5".to_string()),
+            ("strategy", "vcmc".to_string()),
+            ("policy", "two_level".to_string()),
+            ("threads", opts.threads.to_string()),
+            ("chunks_patched", cell.updates.chunks_patched.to_string()),
+            (
+                "chunks_invalidated",
+                cell.updates.chunks_invalidated.to_string(),
+            ),
+        ]
+    }),
+};
 
 /// Write fractions swept: delta records ingested per read query.
 pub const WRITE_MIXES: [f64; 4] = [0.0, 0.05, 0.2, 0.5];
@@ -197,6 +246,25 @@ impl DeltaGen {
     }
 }
 
+/// A two-level manager at the sweep's budget over a fresh backend.
+fn manager(
+    dataset: &Dataset,
+    opts: Opts,
+    strategy: Strategy,
+    threads: usize,
+    tracer: Option<Arc<dyn Tracer>>,
+) -> CacheManager {
+    builder_for(
+        strategy,
+        PolicyKind::TwoLevel,
+        opts.cache_bytes,
+        threads,
+        tracer,
+    )
+    .build(backend_for(dataset))
+    .expect("sweep configuration is valid")
+}
+
 /// Runs one (mix, strategy) cell. Deterministic for fixed opts: the
 /// workload and delta generator are seeded and every reported number is
 /// virtual-time.
@@ -213,39 +281,22 @@ pub fn run_cell_traced(
     strategy: Strategy,
     tracer: Option<Arc<dyn Tracer>>,
 ) -> CellResult {
-    let mut stream = paper_stream(dataset, opts.workload_seed);
-    let queries = stream.take_queries(opts.queries);
-    let requests = QueryRequest::batch(&queries);
+    let requests =
+        QueryRequest::batch(&paper_stream(dataset, opts.workload_seed).take_queries(opts.queries));
     let batch = opts.batch.max(1);
     let writes_per_batch = (mix * batch as f64).round() as usize;
 
-    let mut mgr = builder_for(
-        strategy,
-        PolicyKind::TwoLevel,
-        opts.cache_bytes,
-        opts.threads,
-        tracer,
-    )
-    .build(backend_for(dataset))
-    .expect("sweep configuration is valid");
+    let mut mgr = manager(dataset, opts, strategy, opts.threads, tracer);
     let mut shadow = backend_for(dataset);
     let mut gen = DeltaGen::new(dataset, opts.delta_seed ^ mix.to_bits());
 
-    let mut hits = 0usize;
+    let mut tally = Tally::default();
     let mut oracle_mismatches = 0u64;
-    let mut backend_virtual_ms = 0.0;
-    let mut read_virtual_ms = 0.0;
-    for (reqs, qs) in requests.chunks(batch).zip(queries.chunks(batch)) {
+    for reqs in requests.chunks(batch) {
         let outs = mgr.run_batch(reqs).expect("simulated backend cannot fail");
-        for (out, q) in outs.iter().zip(qs) {
-            hits += usize::from(out.metrics.complete_hit);
-            backend_virtual_ms += out.metrics.backend_virtual_ms;
-            read_virtual_ms += out.total_virtual_ms();
-            let mut got = out.data.clone();
-            got.sort_by_coords();
-            if got != oracle(&shadow, q) {
-                oracle_mismatches += 1;
-            }
+        for (out, req) in outs.iter().zip(reqs) {
+            tally.add(out);
+            oracle_mismatches += u64::from(!matches_oracle(&shadow, &req.query, &out.data));
         }
         if writes_per_batch > 0 {
             let delta = gen.next_batch(writes_per_batch);
@@ -259,16 +310,12 @@ pub fn run_cell_traced(
     CellResult {
         mix,
         strategy: strategy_name(strategy),
-        answered: requests.len() as u64,
+        answered: tally.queries,
         oracle_mismatches,
-        hit_ratio: if requests.is_empty() {
-            0.0
-        } else {
-            hits as f64 / requests.len() as f64
-        },
+        hit_ratio: tally.hit_ratio(),
         updates: *mgr.session_updates(),
-        backend_virtual_ms,
-        read_virtual_ms,
+        backend_virtual_ms: tally.backend_virtual_ms,
+        read_virtual_ms: tally.total_virtual_ms,
     }
 }
 
@@ -322,22 +369,10 @@ pub fn empty_delta_divergences(
     strategy: Strategy,
     threads: usize,
 ) -> u64 {
-    let mut stream = paper_stream(dataset, opts.workload_seed);
-    let queries = stream.take_queries(opts.queries);
-    let requests = QueryRequest::batch(&queries);
+    let requests =
+        QueryRequest::batch(&paper_stream(dataset, opts.workload_seed).take_queries(opts.queries));
     let batch = opts.batch.max(1);
-
-    let build = || {
-        builder_for(
-            strategy,
-            PolicyKind::TwoLevel,
-            opts.cache_bytes,
-            threads,
-            None,
-        )
-        .build(backend_for(dataset))
-        .expect("sweep configuration is valid")
-    };
+    let build = || manager(dataset, opts, strategy, threads, None);
     let (mut plain, mut noisy) = (build(), build());
     let empty = DeltaBatch::new();
 

@@ -8,7 +8,8 @@
 //! * [`rig`] — builds the APB-1 dataset and cache managers;
 //! * [`stream`] — runs a query stream against a manager configuration and
 //!   collects the paper's metrics;
-//! * [`report`] — plain-text table formatting.
+//! * [`report`] — plain-text table formatting and outcome tallies;
+//! * [`sweep`] — the one `main` of the six `fig_*` sweep binaries.
 //!
 //! Run everything at once with `--bin repro_all` (writes a combined
 //! summary).
@@ -20,4 +21,5 @@ pub mod experiments;
 pub mod report;
 pub mod rig;
 pub mod stream;
+pub mod sweep;
 pub mod trace;

@@ -1,4 +1,6 @@
-//! Plain-text table rendering for experiment reports.
+//! Plain-text table rendering and outcome tallies for experiment reports.
+
+use aggcache_core::ExecOutcome;
 
 /// A simple aligned text table.
 #[derive(Debug, Default)]
@@ -65,6 +67,60 @@ pub fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
+/// `sum / n`, or 0 when nothing was counted — every ratio and average a
+/// report prints goes through this one guard.
+pub fn mean(sum: f64, n: u64) -> f64 {
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
+}
+
+/// What a sweep cell reports about the stream it ran: outcomes folded in
+/// arrival order, so every sum is the same bits as a loop over them.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Tally {
+    /// Queries answered.
+    pub queries: u64,
+    /// Queries answered entirely from the cache.
+    pub complete_hits: u64,
+    /// Chunk demands served without a backend fetch (hit or computed).
+    pub chunks_served: u64,
+    /// Chunk demands that missed.
+    pub chunks_missed: u64,
+    /// Σ [`ExecOutcome::total_virtual_ms`] — work, spill and wire included.
+    pub total_virtual_ms: f64,
+    /// Σ virtual milliseconds charged by the backend.
+    pub backend_virtual_ms: f64,
+}
+
+impl Tally {
+    /// Folds in one answered query.
+    pub fn add(&mut self, out: &ExecOutcome) {
+        let m = &out.metrics;
+        self.queries += 1;
+        self.complete_hits += u64::from(m.complete_hit);
+        self.chunks_served += (m.chunks_hit + m.chunks_computed) as u64;
+        self.chunks_missed += m.chunks_missed as u64;
+        self.total_virtual_ms += out.total_virtual_ms();
+        self.backend_virtual_ms += m.backend_virtual_ms;
+    }
+
+    /// Fraction of queries answered entirely from the cache.
+    pub fn hit_ratio(&self) -> f64 {
+        mean(self.complete_hits as f64, self.queries)
+    }
+
+    /// Fraction of chunk demands served without a backend fetch.
+    pub fn chunk_hit_ratio(&self) -> f64 {
+        mean(
+            self.chunks_served as f64,
+            self.chunks_served + self.chunks_missed,
+        )
+    }
+}
+
 /// Min/max/average accumulator.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinMaxAvg {
@@ -92,11 +148,7 @@ impl MinMaxAvg {
 
     /// The mean of the observations (0 when empty).
     pub fn avg(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / self.n as f64
-        }
+        mean(self.sum, self.n)
     }
 
     /// Number of observations.
@@ -108,6 +160,7 @@ impl MinMaxAvg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aggcache_cache::PolicyKind;
 
     #[test]
     fn table_renders_aligned() {
@@ -118,6 +171,43 @@ mod tests {
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[2].ends_with(" 1"));
+    }
+
+    #[test]
+    fn tally_is_zero_guarded_and_sums_in_arrival_order() {
+        use crate::rig::{apb_dataset, manager_for, paper_stream, MB};
+        use aggcache_core::QueryRequest;
+
+        let empty = Tally::default();
+        assert_eq!((empty.hit_ratio(), empty.chunk_hit_ratio()), (0.0, 0.0));
+        assert_eq!(mean(3.0, 0), 0.0);
+
+        let dataset = apb_dataset(3_000, 7);
+        let (strategy, policy) = (aggcache_core::Strategy::Vcmc, PolicyKind::TwoLevel);
+        let mut mgr = manager_for(&dataset, strategy, policy, MB / 50);
+        let requests = QueryRequest::batch(&paper_stream(&dataset, 11).take_queries(50));
+        let outs = mgr.run_batch(&requests).unwrap();
+        // The hand loops `Tally` replaced, term for term.
+        let mut tally = Tally::default();
+        let (mut hits, mut served, mut missed) = (0usize, 0u64, 0u64);
+        let (mut total_ms, mut backend_ms) = (0.0f64, 0.0f64);
+        for o in &outs {
+            tally.add(o);
+            hits += usize::from(o.metrics.complete_hit);
+            served += (o.metrics.chunks_hit + o.metrics.chunks_computed) as u64;
+            missed += o.metrics.chunks_missed as u64;
+            total_ms += o.total_virtual_ms();
+            backend_ms += o.metrics.backend_virtual_ms;
+        }
+        assert!(missed > 0 && hits > 0, "the stream exercises both outcomes");
+        let bits = f64::to_bits;
+        assert_eq!(bits(tally.total_virtual_ms), bits(total_ms));
+        assert_eq!(bits(tally.backend_virtual_ms), bits(backend_ms));
+        assert_eq!(tally.hit_ratio(), hits as f64 / outs.len() as f64);
+        assert_eq!(
+            tally.chunk_hit_ratio(),
+            served as f64 / (served + missed) as f64
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Shared experiment setup: the APB-1 dataset, manager construction, the
-//! paper's query stream, the brute-force oracle, sweep scratch space and
-//! the sweeps' seeded randomness.
+//! Shared experiment setup: the APB-1 dataset (and the options and `main`
+//! of the binaries that need nothing else), manager construction, the
+//! paper's query stream, the brute-force oracle and sweep scratch space.
 
+use crate::args::Args;
 use aggcache_cache::PolicyKind;
 use aggcache_chunks::ChunkData;
 use aggcache_core::{CacheManager, CacheManagerBuilder, Query, Strategy};
@@ -29,6 +30,37 @@ pub fn apb_dataset(tuples: u64, seed: u64) -> Dataset {
         seed,
     }
     .build()
+}
+
+/// Options of the experiments that need only the dataset (Tables 2, 3).
+#[derive(Debug, Clone, Copy)]
+pub struct DatasetOpts {
+    /// Fact tuples.
+    pub tuples: u64,
+    /// Dataset seed.
+    pub seed: u64,
+}
+
+impl Default for DatasetOpts {
+    fn default() -> Self {
+        Self {
+            tuples: 1_000_000,
+            seed: 0xA9B1,
+        }
+    }
+}
+
+/// The `main` of `table2` and `table3`: reads `--tuples --seed` and prints
+/// `run`'s report.
+pub fn dataset_main(run: fn(DatasetOpts) -> String) {
+    let a = Args::parse();
+    let d = DatasetOpts::default();
+    let opts = DatasetOpts {
+        tuples: a.get("tuples", d.tuples),
+        seed: a.get("seed", d.seed),
+    };
+    a.finish();
+    println!("{}", run(opts));
 }
 
 /// Wraps a dataset's fact table in a backend with the default cost model.
@@ -82,20 +114,23 @@ pub fn paper_stream(dataset: &Dataset, seed: u64) -> QueryStream {
     QueryStream::new(dataset.grid.clone(), WorkloadConfig::paper(max_level, seed))
 }
 
-/// The brute-force oracle: the query's chunks fetched straight from
-/// `backend` — a pristine one, or a shadow that received exactly the same
-/// delta batches — bypassing cache, spill and faults entirely.
-pub fn oracle(backend: &Backend, q: &Query) -> ChunkData {
-    let mut all = ChunkData::new(backend.grid().num_dims());
+/// The brute-force oracle: whether `got` — a manager's answer to `q`,
+/// cells in any order — is exactly the query's chunks fetched straight
+/// from `backend` (a pristine one, or a shadow that received exactly the
+/// same delta batches), bypassing cache, spill and faults entirely.
+pub fn matches_oracle(backend: &Backend, q: &Query, got: &ChunkData) -> bool {
+    let mut want = ChunkData::new(backend.grid().num_dims());
     for (_, data) in backend
         .fetch(q.gb, &q.chunks)
         .expect("oracle backend cannot fail")
         .chunks
     {
-        all.append(&data);
+        want.append(&data);
     }
-    all.sort_by_coords();
-    all
+    want.sort_by_coords();
+    let mut got = got.clone();
+    got.sort_by_coords();
+    got == want
 }
 
 /// Process-unique scratch root for a sweep's spill directories; never

@@ -1,6 +1,6 @@
 //! Query-stream experiment runner (paper §7.2).
 
-use crate::report::MinMaxAvg;
+use crate::report::{mean, MinMaxAvg};
 use crate::rig::{backend_for, builder_for, paper_stream};
 use aggcache_cache::PolicyKind;
 use aggcache_core::{PreloadReport, Strategy};
@@ -185,11 +185,7 @@ pub fn run_stream_traced(
         hit_lookup_ms: hit_lookup,
         hit_agg_ms: hit_agg,
         hit_update_ms: hit_update,
-        hit_total_ms: if hits > 0 {
-            hit_total / hits as f64
-        } else {
-            0.0
-        },
+        hit_total_ms: mean(hit_total, hits),
         preload,
         tuples_aggregated: s.sum.tuples_aggregated,
         backend_tuples: s.sum.backend_tuples,

@@ -1,20 +1,24 @@
 //! `--trace-out` support for the experiment binaries.
 //!
-//! Every experiment binary accepts `--trace-out <path>`. When present, the
-//! binary runs one *representative* traced stream over its dataset — the
-//! paper-default VCMC + two-level configuration at the 15 MB-equivalent
-//! budget — and writes the collected events plus the aggregated
-//! [`MetricsRegistry`] as a single JSON document:
+//! `table1` accepts `--trace-out <path>`: it then also runs one
+//! *representative* traced stream over its dataset — the paper-default
+//! VCMC + two-level configuration at the 15 MB-equivalent budget — and
+//! writes the collected events plus the aggregated [`MetricsRegistry`] as
+//! a single JSON document:
 //!
 //! ```json
 //! {"meta": {...}, "metrics": {...}, "events": [...]}
 //! ```
 //!
+//! The four sweeps whose events no paper stream emits (`fig_faults`,
+//! `fig_coldstart`, `fig_recovery`, `fig_updates`) take the same flag and
+//! trace one cell of their own through [`write_trace`].
+//!
 //! The traced run is separate from the experiment's own measurement loops,
-//! so a multi-configuration experiment (e.g. Fig. 7's policy sweep) never
-//! mixes events from different configurations into one trace. Tracing
-//! observes wall-clock time but no virtual time, so the traced stream's
-//! virtual-time outputs are bit-identical to the untraced run's.
+//! so a multi-configuration experiment never mixes events from different
+//! configurations into one trace. Tracing observes wall-clock time but no
+//! virtual time, so the traced stream's virtual-time outputs are
+//! bit-identical to the untraced run's.
 
 use crate::rig::{apb_dataset, MB};
 use crate::stream::{run_stream_traced, StreamRun};
@@ -89,27 +93,29 @@ impl TraceSink {
         out.push_str("]}");
         out
     }
-
-    /// Renders the document and writes it to `path`.
-    pub fn write(&self, path: &str, meta: &[(&str, String)]) -> std::io::Result<()> {
-        std::fs::write(path, self.render(meta))
-    }
 }
 
-/// If `--trace-out <path>` was passed, runs the representative traced
-/// stream for `experiment` at `threads` and writes the trace file.
+/// What a traced run says about itself: the document's `meta` entries.
+pub type Meta = Vec<(&'static str, String)>;
+
+/// Runs `traced` with a fresh sink's tracer attached and writes the
+/// document to `path`, with a one-line receipt on stderr.
+pub fn write_trace(path: &str, traced: impl FnOnce(Arc<dyn Tracer>) -> Meta) {
+    let sink = TraceSink::new();
+    let meta = traced(sink.tracer());
+    std::fs::write(path, sink.render(&meta))
+        .unwrap_or_else(|e| panic!("writing trace to {path}: {e}"));
+    eprintln!("trace: {} events -> {path}", sink.events_recorded());
+}
+
+/// If `table1` was passed `--trace-out <path>`, runs the representative
+/// traced stream at `threads` and writes the trace file.
 ///
 /// The stream uses the paper-default configuration (VCMC, two-level policy
 /// with pre-load, 100 queries) over a fresh copy of the experiment's
 /// dataset, with the 15 MB paper budget scaled to the dataset size the
 /// same way the figure experiments scale their cache sweeps.
-pub fn maybe_write_trace(
-    trace_out: Option<&str>,
-    threads: usize,
-    experiment: &str,
-    tuples: u64,
-    seed: u64,
-) {
+pub fn maybe_write_trace(trace_out: Option<&str>, threads: usize, tuples: u64, seed: u64) {
     let Some(path) = trace_out else {
         return;
     };
@@ -120,28 +126,22 @@ pub fn maybe_write_trace(
         threads,
         ..StreamRun::paper(Strategy::Vcmc, PolicyKind::TwoLevel, cache_bytes)
     };
-    let sink = TraceSink::new();
-    let result = run_stream_traced(&dataset, run, Some(sink.tracer()));
-    let meta = [
-        ("experiment", experiment.to_string()),
-        ("tuples", tuples.to_string()),
-        ("seed", seed.to_string()),
-        ("queries", run.queries.to_string()),
-        ("workload_seed", run.seed.to_string()),
-        ("cache_bytes", cache_bytes.to_string()),
-        ("strategy", "vcmc".to_string()),
-        ("policy", "two_level".to_string()),
-        ("threads", run.threads.to_string()),
-        ("complete_hit_pct", result.complete_hit_pct.to_string()),
-        ("avg_ms", result.avg_ms.to_string()),
-    ];
-    sink.write(path, &meta)
-        .unwrap_or_else(|e| panic!("writing trace to {path}: {e}"));
-    eprintln!(
-        "trace: {} events from {} queries -> {path}",
-        sink.events_recorded(),
-        run.queries
-    );
+    write_trace(path, |tracer| {
+        let result = run_stream_traced(&dataset, run, Some(tracer));
+        vec![
+            ("experiment", "table1".to_string()),
+            ("tuples", tuples.to_string()),
+            ("seed", seed.to_string()),
+            ("queries", run.queries.to_string()),
+            ("workload_seed", run.seed.to_string()),
+            ("cache_bytes", cache_bytes.to_string()),
+            ("strategy", "vcmc".to_string()),
+            ("policy", "two_level".to_string()),
+            ("threads", run.threads.to_string()),
+            ("complete_hit_pct", result.complete_hit_pct.to_string()),
+            ("avg_ms", result.avg_ms.to_string()),
+        ]
+    });
 }
 
 /// What a valid trace document holds (the numbers `trace_check` reports).

@@ -191,6 +191,18 @@ impl ChunkGrid {
         &self.geoms[gb.index()]
     }
 
+    /// [`ChunkGrid::geom`] for a group-by id that arrived from outside
+    /// (a request): an id the lattice does not have is a typed error, not
+    /// an index panic.
+    pub fn checked_geom(&self, gb: GroupById) -> Result<&LevelGeometry, ChunkError> {
+        self.geoms
+            .get(gb.index())
+            .ok_or(ChunkError::UnknownGroupBy {
+                gb: gb.0,
+                group_bys: self.geoms.len(),
+            })
+    }
+
     /// Number of chunks at group-by `gb`.
     #[inline]
     pub fn n_chunks(&self, gb: GroupById) -> u64 {

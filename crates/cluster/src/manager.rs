@@ -36,7 +36,8 @@ use std::sync::Arc;
 use aggcache_cache::Origin;
 use aggcache_chunks::{ChunkData, ChunkKey};
 use aggcache_core::{
-    CacheManager, ExecOutcome, Query, QueryMetrics, QueryRequest, QueryResult, RemoteMetrics,
+    CacheError, CacheManager, ExecOutcome, Query, QueryMetrics, QueryRequest, QueryResult,
+    RemoteMetrics,
 };
 use aggcache_obs::{Event, Tracer};
 use aggcache_schema::GroupById;
@@ -147,13 +148,16 @@ impl ClusterBuilder {
             }
         }
         let traffic = vec![NodeTraffic::default(); nodes.len()];
+        // Replication above the node count is legal; an owner set is never
+        // larger than the cluster.
+        let owners_buf = Vec::with_capacity(replication.min(nodes.len()));
         Ok(ClusterManager {
             nodes,
             ring,
             tracer,
             traffic,
             session_remote: RemoteMetrics::default(),
-            owners_buf: Vec::with_capacity(replication),
+            owners_buf,
         })
     }
 }
@@ -310,9 +314,12 @@ impl ClusterManager {
         if self.ring.live_count() == 0 {
             return Err(ClusterError::NoLiveNodes);
         }
+        // The request boundary, before routing hashes a key no node has.
+        let grid = self.nodes[0].grid();
+        request.query.validate(grid).map_err(CacheError::Query)?;
         let gb = request.query.gb;
         let mut out = ExecOutcome {
-            data: ChunkData::new(self.nodes[0].grid().num_dims()),
+            data: ChunkData::new(grid.num_dims()),
             // The identity of `QueryMetrics::merge` (`0 + x`, `true & x`):
             // a one-group request reports exactly its node's metrics.
             metrics: QueryMetrics {
@@ -602,6 +609,14 @@ mod tests {
             .replication(0)
             .build();
         assert!(matches!(err, Err(ClusterError::BadConfig(_))));
+    }
+
+    #[test]
+    fn replication_above_the_node_count_builds_and_serves() {
+        // `usize::MAX` used to panic with "capacity overflow" in `build`.
+        let mut c = cluster(2, usize::MAX);
+        let request = base_query(&c, vec![0]);
+        assert!(c.run(&request).is_ok());
     }
 
     #[test]

@@ -166,7 +166,7 @@ impl HashRing {
 
     /// The key's owner set as a fresh vector (see [`HashRing::owners_into`]).
     pub fn owners(&self, key: ChunkKey) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.replication);
+        let mut out = Vec::with_capacity(self.replication.min(self.len()));
         self.owners_into(key, &mut out);
         out
     }
@@ -254,6 +254,16 @@ mod tests {
         ring.set_alive(1, false);
         assert!(ring.owners(key(0, 0)).is_empty());
         assert_eq!(ring.primary(key(0, 0)), None);
+    }
+
+    #[test]
+    fn replication_far_above_the_node_count_allocates_for_the_nodes() {
+        // The owner set is capped by the node count, so the capacity is
+        // too: `usize::MAX / 8` used to abort on allocation.
+        for replication in [usize::MAX, usize::MAX / 8] {
+            let ring = HashRing::new(2, replication, 16).unwrap();
+            assert_eq!(ring.owners(key(0, 0)).len(), 2);
+        }
     }
 
     #[test]

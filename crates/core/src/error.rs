@@ -84,6 +84,11 @@ pub enum CacheError {
     /// (wrong coordinate arity or an out-of-range coordinate). The fact
     /// table, the cache and every table are untouched.
     Delta(aggcache_chunks::ChunkError),
+    /// A [`crate::Query`] or [`crate::ValueQuery`] failed validation at
+    /// the request boundary (unknown group-by, chunk number out of range,
+    /// empty or out-of-range value range). Nothing was looked up; the
+    /// cache, every table and the version are untouched.
+    Query(aggcache_chunks::ChunkError),
     /// Two cube results that must share one cell set diverged — e.g. the
     /// SUM and COUNT halves of an AVG decomposition returned different
     /// non-empty cells. Returning an answer would silently produce wrong
@@ -107,6 +112,7 @@ impl fmt::Display for CacheError {
             Self::Config(e) => write!(f, "config error: {e}"),
             Self::Spill(e) => write!(f, "spill tier error: {e}"),
             Self::Delta(e) => write!(f, "delta batch rejected: {e}"),
+            Self::Query(e) => write!(f, "query rejected: {e}"),
             Self::BackendUnavailable { gb, chunks } => write!(
                 f,
                 "backend unavailable and {} chunk(s) of group-by {} not computable from cache",
@@ -138,7 +144,7 @@ impl std::error::Error for CacheError {
             Self::Schema(e) => Some(e),
             Self::Config(e) => Some(e),
             Self::Spill(e) => Some(e),
-            Self::Delta(e) => Some(e),
+            Self::Delta(e) | Self::Query(e) => Some(e),
             Self::BackendUnavailable { .. } | Self::CellMisalignment { .. } => None,
         }
     }

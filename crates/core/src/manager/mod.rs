@@ -260,10 +260,17 @@ impl CacheManager {
     /// Runs one cache lookup without executing anything — the probe used by
     /// the paper's Table 1 lookup-time experiment and by the cluster tier's
     /// cooperative peer probes. Returns the plan (if the chunk is
-    /// answerable) together with the lookup statistics.
+    /// answerable) together with the lookup statistics. A key outside the
+    /// grid is a miss that visited nothing.
     pub fn lookup_chunk(&self, key: ChunkKey) -> LookupOutcome {
         let (cache, grid) = (&self.cache, &*self.grid);
         let mut stats = LookupStats::default();
+        if !grid
+            .checked_geom(key.gb)
+            .is_ok_and(|geom| key.chunk < geom.total_chunks())
+        {
+            return LookupOutcome { plan: None, stats };
+        }
         // The strategy only tells the table-less searches apart.
         let plan = match (&self.tables, self.config.strategy) {
             (Tables::Counts(t), _) => vcm(t, cache, grid, key, &mut stats),
@@ -282,8 +289,10 @@ impl CacheManager {
     /// keeps the count/cost tables consistent — including the replace case
     /// (a key already cached counts as an eviction of the old entry, or its
     /// count would be incremented twice and never return to zero). Returns
-    /// whether the chunk was admitted and the wall-clock nanoseconds spent
-    /// (the paper's Table 2 "update time").
+    /// whether the chunk was admitted and the wall-clock nanoseconds the
+    /// count/cost-table maintenance took (the paper's Table 2 "update
+    /// time") — the cache insert and the victims' spill writes are not
+    /// table updates and are not in it.
     ///
     /// A *refused* replace leaves the old entry resident (the cache checks
     /// feasibility before dropping it), so the old entry's `on_evict` fires
@@ -296,11 +305,11 @@ impl CacheManager {
         origin: Origin,
         benefit: f64,
     ) -> (bool, u64) {
-        let t = Instant::now();
         let replacing = self.cache.contains(&key);
         let size = data.len() as u32;
         let outcome = self.cache.insert(key, data, origin, benefit);
         self.tiering.demote(&outcome.evicted, key);
+        let t = Instant::now();
         let tracer = self.tracer.as_deref();
         // The old entry under `key` went when its replacement landed — or,
         // on the cache's defensive refuse-after-partial-eviction path, is

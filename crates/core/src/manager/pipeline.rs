@@ -10,7 +10,7 @@ use crate::metrics::{LOOKUP_PER_NODE_US, UPDATE_PER_WRITE_US};
 use crate::request::{ExecOutcome, QueryRequest};
 use crate::{Query, QueryMetrics, QueryResult};
 use aggcache_cache::{Origin, PolicyKind};
-use aggcache_chunks::{ChunkData, ChunkKey};
+use aggcache_chunks::{ChunkData, ChunkError, ChunkKey};
 use aggcache_obs::{Event, LookupOutcome as ChunkLookupKind};
 use aggcache_schema::{GroupById, SchemaError};
 use aggcache_store::StoreError;
@@ -31,6 +31,9 @@ pub struct QueryProbe {
     version: u64,
     trace_id: u64,
     tenant: u32,
+    /// Why the query failed [`Query::validate`]; such a probe looked
+    /// nothing up and [`CacheManager::apply`] returns the error.
+    invalid: Option<ChunkError>,
 }
 
 impl QueryProbe {
@@ -69,8 +72,20 @@ impl CacheManager {
     /// Attribution changes only the tenant tag on the closing
     /// [`Event::QueryDone`] (and thus the per-tenant breakdowns in
     /// `MetricsRegistry`); results, cache state and virtual time are
-    /// untouched.
+    /// untouched. A query that fails [`Query::validate`] is not looked up:
+    /// its probe carries the error for [`CacheManager::apply`] to return.
     pub fn probe_as(&self, query: &Query, tenant: u32) -> QueryProbe {
+        if let Err(invalid) = query.validate(&self.grid) {
+            return QueryProbe {
+                plans: Vec::new(),
+                missing: Vec::new(),
+                metrics: QueryMetrics::default(),
+                version: self.version,
+                trace_id: 0,
+                tenant,
+                invalid: Some(invalid),
+            };
+        }
         let t_probe = Instant::now();
         let trace_id = match &self.tracer {
             Some(_) => self.probe_seq.fetch_add(1, Ordering::Relaxed),
@@ -165,6 +180,7 @@ impl CacheManager {
             version: self.version,
             trace_id,
             tenant,
+            invalid: None,
         }
     }
 
@@ -173,15 +189,20 @@ impl CacheManager {
     /// results under the replacement policy. If the cache mutated since the
     /// probe was taken (version mismatch) the probe is recomputed first, so
     /// results, cache state and virtual-time metrics are always exactly
-    /// what a fresh sequential [`CacheManager::run`] would produce.
+    /// what a fresh sequential [`CacheManager::run`] would produce. An
+    /// invalid query fails with [`CacheError::Query`] before anything
+    /// mutates.
     pub fn apply(&mut self, query: &Query, probe: QueryProbe) -> Result<QueryResult, CacheError> {
         let t_apply = Instant::now();
-        self.tiering.begin_query();
         let probe = if probe.version == self.version {
             probe
         } else {
             self.probe_as(query, probe.tenant)
         };
+        if let Some(invalid) = probe.invalid {
+            return Err(CacheError::Query(invalid));
+        }
+        self.tiering.begin_query();
         let (plans, trace_id) = (&probe.plans, probe.trace_id);
         let mut metrics = probe.metrics;
         let writes_before = self.tables.updates();
@@ -399,8 +420,9 @@ impl CacheManager {
     }
 
     /// Executes a semantic value-range query: validates its arity against
-    /// the schema, normalizes it to chunks, runs it through the active
-    /// cache, and filters the result cells to the exact ranges.
+    /// the schema and its ranges against the level's cardinalities,
+    /// normalizes it to chunks, runs it through the active cache, and
+    /// filters the result cells to the exact ranges.
     pub fn execute_values(&mut self, query: &crate::ValueQuery) -> Result<QueryResult, CacheError> {
         let n_dims = self.grid.num_dims();
         if query.ranges.len() != n_dims {
@@ -409,6 +431,7 @@ impl CacheManager {
                 got: query.ranges.len(),
             }));
         }
+        query.validate(&self.grid).map_err(CacheError::Query)?;
         let chunk_query = query.to_chunk_query(&self.grid.clone());
         let result = self.run(&QueryRequest::new(chunk_query))?;
         Ok(QueryResult {

@@ -490,6 +490,33 @@ mod tests {
     }
 
     #[test]
+    fn update_ns_times_the_tables_not_the_spill_demotion() {
+        // NoAggregation maintains no table, so a demoting insert's "update
+        // time" is two clock reads — not the victim's encode + `fs::write`,
+        // microseconds on any disk. The fastest demoting query is judged,
+        // so a descheduled thread cannot fail this.
+        let mut mgr = CacheManager::builder()
+            .strategy(Strategy::NoAggregation)
+            .policy(PolicyKind::TwoLevel)
+            .cache_bytes(160)
+            .spill(SpillConfig::new(spill_dir("update-ns")))
+            .build(make_backend())
+            .unwrap();
+        let base = mgr.grid().schema().lattice().base();
+        let fastest = (0..8u64)
+            .filter_map(|chunk| {
+                let out = mgr.run(&(&Query::new(base, vec![chunk])).into()).unwrap();
+                (out.spill.spill_writes > 0).then_some(out.metrics.update_ns)
+            })
+            .min()
+            .expect("a two-chunk budget demotes");
+        assert!(
+            fastest < 1_000,
+            "update_ns {fastest} includes the spill write"
+        );
+    }
+
+    #[test]
     fn promotion_is_admitted_when_room_exists() {
         let mut mgr = spill_manager("promote", usize::MAX >> 1);
         let base = mgr.grid().schema().lattice().base();

@@ -1,4 +1,4 @@
-use aggcache_chunks::{ChunkData, ChunkGrid, ChunkNumber};
+use aggcache_chunks::{ChunkData, ChunkError, ChunkGrid, ChunkNumber};
 use aggcache_schema::GroupById;
 
 use crate::QueryMetrics;
@@ -26,6 +26,23 @@ impl Query {
         Self {
             gb,
             chunks: grid.enumerate_region(gb, ranges),
+        }
+    }
+
+    /// The request boundary: the group-by is one of `grid`'s and every
+    /// chunk number is below its chunk count. [`crate::CacheManager`]
+    /// checks this before a request touches the cache, so the lookups
+    /// behind it may index by chunk number.
+    pub fn validate(&self, grid: &ChunkGrid) -> Result<(), ChunkError> {
+        let geom = grid.checked_geom(self.gb)?;
+        let max = geom.total_chunks();
+        match self.chunks.iter().find(|&&chunk| chunk >= max) {
+            None => Ok(()),
+            Some(&chunk) => Err(ChunkError::ChunkOutOfRange {
+                level: geom.level().to_vec(),
+                chunk,
+                max,
+            }),
         }
     }
 
@@ -66,9 +83,28 @@ pub struct ValueQuery {
 
 impl ValueQuery {
     /// Creates a value-range query. Ranges must be within the level's
-    /// cardinalities and non-empty.
+    /// cardinalities and non-empty — [`ValueQuery::validate`] checks it.
     pub fn new(gb: GroupById, ranges: Vec<(u32, u32)>) -> Self {
         Self { gb, ranges }
+    }
+
+    /// The request boundary: the group-by is one of `grid`'s and every
+    /// range is non-empty and within its dimension's cardinality at that
+    /// level (`lo < hi ≤ cardinality`), which is what
+    /// [`ValueQuery::to_chunk_query`] indexes by.
+    pub fn validate(&self, grid: &ChunkGrid) -> Result<(), ChunkError> {
+        let level = grid.checked_geom(self.gb)?.level();
+        for (dim, (&range, &l)) in self.ranges.iter().zip(level).enumerate() {
+            let cardinality = grid.schema().dimension(dim).cardinality(l);
+            if range.0 >= range.1 || range.1 > cardinality {
+                return Err(ChunkError::BadValueRange {
+                    dim,
+                    range,
+                    cardinality,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// The chunk-granular [`Query`] covering these ranges.

@@ -1,6 +1,8 @@
 //! Focused behavioural tests of public-API corners not covered by the
 //! larger oracle/property suites.
 
+mod common;
+
 use aggcache::prelude::*;
 use std::sync::Arc;
 
@@ -294,13 +296,16 @@ mod manager_api {
         let grid = tiny_grid();
         let gb = grid.schema().lattice().id_of(&[1, 0]).unwrap();
         let dataset = Dataset::generate(grid.clone(), gb, 10, 1.0, 4);
-        let backend = Backend::new(dataset.fact, AggFn::Sum, BackendCostModel::default());
-        let mut mgr = CacheManager::builder()
-            .strategy(Strategy::Vcm)
-            .policy(PolicyKind::TwoLevel)
-            .cache_bytes(usize::MAX >> 1)
-            .build(backend)
-            .unwrap();
+        let manager = |strategy| {
+            let fact = dataset.fact.clone();
+            CacheManager::builder()
+                .strategy(strategy)
+                .policy(PolicyKind::TwoLevel)
+                .cache_bytes(usize::MAX >> 1)
+                .build(Backend::new(fact, AggFn::Sum, BackendCostModel::default()))
+                .unwrap()
+        };
+        let mut mgr = manager(Strategy::Vcm);
         let base = grid.schema().lattice().base();
         assert!(matches!(
             mgr.run(&(&Query::new(base, vec![0])).into()),
@@ -314,6 +319,62 @@ mod manager_api {
             mgr.run_batch(&batch),
             Err(CacheError::Store(StoreError::NotComputable { .. }))
         ));
+
+        // Malformed requests: typed CacheError::Query at the request
+        // boundary under every strategy — never a panic, never an answer —
+        // with the version and the residents left untouched.
+        let hit = QueryRequest::from(&Query::new(gb, vec![0]));
+        for strategy in [
+            Strategy::NoAggregation,
+            Strategy::Esm,
+            Strategy::Esmc { node_budget: None },
+            Strategy::Vcm,
+            Strategy::Vcmc,
+        ] {
+            let mut mgr = manager(strategy);
+            mgr.run(&hit).unwrap();
+            let before = (mgr.version(), common::sorted_keys(&mgr));
+            let past_the_end = Query::new(gb, vec![0, grid.n_chunks(gb) + 9_993]);
+            assert!(
+                matches!(
+                    mgr.run(&(&past_the_end).into()),
+                    Err(CacheError::Query(ChunkError::ChunkOutOfRange { chunk, max, .. }))
+                        if chunk == max + 9_993
+                ),
+                "{strategy:?}"
+            );
+            let unknown = QueryRequest::from(&Query::new(GroupById(777), vec![0]));
+            for batch in [vec![unknown.clone()], vec![hit.clone(), unknown]] {
+                assert!(
+                    matches!(
+                        mgr.run_batch(&batch),
+                        Err(CacheError::Query(ChunkError::UnknownGroupBy {
+                            gb: 777,
+                            ..
+                        }))
+                    ),
+                    "{strategy:?}"
+                );
+            }
+            // Empty, past the cardinality (2), inverted.
+            for bad in [(0, 0), (0, 99), (3, 1)] {
+                assert!(
+                    matches!(
+                        mgr.execute_values(&ValueQuery::new(gb, vec![bad, (0, 1)])),
+                        Err(CacheError::Query(ChunkError::BadValueRange { dim: 0, range, .. }))
+                            if range == bad
+                    ),
+                    "{strategy:?} {bad:?}"
+                );
+            }
+            let probe = mgr.probe(&past_the_end);
+            assert!(probe.plans().is_empty() && probe.missing().is_empty());
+            assert!(mgr
+                .lookup_chunk(ChunkKey::new(GroupById(777), 0))
+                .plan
+                .is_none());
+            assert_eq!((mgr.version(), common::sorted_keys(&mgr)), before);
+        }
 
         // Malformed delta batches: typed CacheError::Delta at the ingestion
         // boundary, with the session left untouched.

@@ -162,6 +162,28 @@ fn sharded_cluster_answers_match_single_node_oracle() {
 }
 
 #[test]
+fn malformed_request_is_refused_before_routing() {
+    let ds = dataset();
+    let mut c = cluster(&ds, 4, 2, Strategy::Vcmc, 1, 60_000);
+    c.run_batch(&stream_requests(&ds, 10, 3_000)).unwrap();
+    let state = |c: &ClusterManager| -> Vec<_> {
+        (0..4)
+            .map(|n| (c.node(n).version(), cache_keys(c.node(n))))
+            .collect()
+    };
+    let before = state(&c);
+    for bad in [
+        Query::new(ds.fact_gb, vec![0, ds.grid.n_chunks(ds.fact_gb)]),
+        Query::new(GroupById(777), vec![0]),
+    ] {
+        let refused = c.run(&QueryRequest::new(bad));
+        let typed = matches!(refused, Err(ClusterError::Cache(CacheError::Query(_))));
+        assert!(typed, "expected a typed refusal, got {refused:?}");
+    }
+    assert_eq!(state(&c), before);
+}
+
+#[test]
 fn count_tables_stay_consistent_through_failures_and_rebalance() {
     let ds = dataset();
     for strategy in [Strategy::Vcm, Strategy::Vcmc] {
