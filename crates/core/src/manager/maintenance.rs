@@ -9,8 +9,9 @@ use crate::request::UpdateMetrics;
 use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey, ChunkNumber};
 use aggcache_obs::Event;
 use aggcache_schema::GroupById;
-use aggcache_store::{AggFn, Aggregator, DeltaBatch, EffectiveDelta, Lift, Rollup};
+use aggcache_store::{AggFn, Aggregator, DeltaBatch, EffectiveDelta, Lift};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Where one side (inserts or deletes) of an effective delta lands in one
 /// group-by: each tuple's target chunk, in order, and the sorted set hit.
@@ -20,17 +21,17 @@ struct Landing {
 }
 
 impl Landing {
-    fn of(grid: &ChunkGrid, rollup: &Rollup, gb: GroupById, data: &ChunkData) -> Self {
+    fn of(grid: &ChunkGrid, fact_level: &[u8], gb: GroupById, data: &ChunkData) -> Self {
         let geom = grid.geom(gb);
         let level = geom.level();
         let n = grid.num_dims();
-        let mut rolled = vec![0u32; n];
         let mut chunk_coords = vec![0u32; n];
         let mut chunks = Vec::with_capacity(data.len());
         for (coords, _) in data.iter() {
-            rollup.map_into(coords, &mut rolled);
             for d in 0..n {
-                chunk_coords[d] = grid.dim(d).chunk_of_value(level[d], rolled[d]);
+                let dim = grid.schema().dimension(d);
+                let rolled = dim.ancestor_value(fact_level[d], level[d], coords[d]);
+                chunk_coords[d] = grid.dim(d).chunk_of_value(level[d], rolled);
             }
             chunks.push(geom.linearize(&chunk_coords));
         }
@@ -66,15 +67,17 @@ struct GbDelta {
 
 impl GbDelta {
     fn build(grid: &ChunkGrid, fact_level: &[u8], gb: GroupById, eff: &EffectiveDelta) -> Self {
-        let gb_level = grid.geom(gb).level();
         debug_assert!(
-            gb_level.iter().zip(fact_level).all(|(g, f)| g <= f),
+            grid.geom(gb)
+                .level()
+                .iter()
+                .zip(fact_level)
+                .all(|(g, f)| g <= f),
             "resident chunks always live at levels computable from the fact table"
         );
-        let rollup = Rollup::new(grid.schema(), fact_level, gb_level);
         Self {
-            inserts: Landing::of(grid, &rollup, gb, &eff.inserted),
-            deletes: Landing::of(grid, &rollup, gb, &eff.deleted),
+            inserts: Landing::of(grid, fact_level, gb, &eff.inserted),
+            deletes: Landing::of(grid, fact_level, gb, &eff.deleted),
         }
     }
 
@@ -82,6 +85,60 @@ impl GbDelta {
     fn affects(&self, chunk: ChunkNumber) -> bool {
         self.inserts.hits(chunk) || self.deletes.hits(chunk)
     }
+}
+
+/// The first cell of `data[range]` whose coordinates do not sort before
+/// `coords` (`range.end` if none), for coordinate-sorted `data`.
+fn lower_bound(data: &ChunkData, range: Range<usize>, coords: &[u32]) -> usize {
+    let (mut lo, mut hi) = (range.start, range.end);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if data.coords_of(mid) < coords {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Folds a patch's few coordinate-sorted `delta` cells into a resident
+/// chunk's `old` cells. A cell in both becomes `agg.combine(old, delta)` —
+/// the operand order the aggregation kernel combines in, so the bits are
+/// those of re-aggregating both — and a delta cell that matched nothing
+/// enters at its sorted position.
+///
+/// Each *old* cell is looked up in `delta`, not the reverse, so the content
+/// is right whatever order `old` is in; the order equals a fresh
+/// recompute's because every producer of resident data
+/// ([`Aggregator::finish`], a spill decode or peer copy of one) emits
+/// coordinate-sorted cells.
+fn merge_cells(old: &ChunkData, delta: &ChunkData, agg: AggFn) -> ChunkData {
+    let n = old.n_dims();
+    let mut values = old.raw_values().to_vec();
+    let mut matched = vec![false; delta.len()];
+    for (value, coords) in values.iter_mut().zip(old.raw_coords().chunks_exact(n)) {
+        let j = lower_bound(delta, 0..delta.len(), coords);
+        if j < delta.len() && delta.coords_of(j) == coords {
+            *value = agg.combine(*value, delta.value_of(j));
+            matched[j] = true;
+        }
+    }
+    let new_cells = matched.iter().filter(|&&m| !m).count();
+    let mut out_coords = Vec::with_capacity((old.len() + new_cells) * n);
+    let mut out_values = Vec::with_capacity(old.len() + new_cells);
+    let mut from = 0;
+    for j in (0..delta.len()).filter(|&j| !matched[j]) {
+        let at = lower_bound(old, from..old.len(), delta.coords_of(j));
+        out_coords.extend_from_slice(&old.raw_coords()[from * n..at * n]);
+        out_values.extend_from_slice(&values[from..at]);
+        out_coords.extend_from_slice(delta.coords_of(j));
+        out_values.push(delta.value_of(j));
+        from = at;
+    }
+    out_coords.extend_from_slice(&old.raw_coords()[from * n..]);
+    out_values.extend_from_slice(&values[from..]);
+    ChunkData::from_raw(n, out_coords, out_values)
 }
 
 impl CacheManager {
@@ -190,11 +247,7 @@ impl CacheManager {
             // Re-check residency: an earlier re-admission may have evicted
             // this chunk as a policy victim (the spill sweep below catches
             // any demoted copy).
-            let Some((old_data, origin, benefit)) = self
-                .cache
-                .peek(&key)
-                .map(|e| (e.data.clone(), e.origin, e.benefit))
-            else {
+            let Some(old) = self.cache.peek(&key) else {
                 continue;
             };
             let reason = match agg {
@@ -208,8 +261,8 @@ impl CacheManager {
             }
             // Self-maintainable: roll the chunk's share of the delta up
             // to the chunk's level (deletes as negated lifted values),
-            // then fold the delta cells into the cached cells.
-            let gb_level = grid.geom(key.gb).level();
+            // then merge the few sorted delta cells into the cached cells.
+            let (origin, benefit) = (old.origin, old.benefit);
             let mut share = ChunkData::new(grid.num_dims());
             for (c, v) in gbd.inserts.share(&eff.inserted, key.chunk) {
                 share.push(c, agg.lift(v));
@@ -217,15 +270,12 @@ impl CacheManager {
             for (c, v) in gbd.deletes.share(&eff.deleted, key.chunk) {
                 share.push(c, -agg.lift(v));
             }
-            let mut patch = Aggregator::new(grid.schema(), gb_level, agg);
+            let mut patch = Aggregator::new(grid.schema(), grid.geom(key.gb).level(), agg);
             patch.add_chunk(&fact_level, &share, Lift::Lifted);
             let tuples = patch.cells_added();
             let delta_cells = patch.finish();
-            let mut merged = Aggregator::new(grid.schema(), gb_level, agg);
-            merged.add_chunk(gb_level, &old_data, Lift::Lifted);
-            merged.add_chunk(gb_level, &delta_cells, Lift::Lifted);
-            rolled_up += tuples + merged.cells_added();
-            let merged_data = merged.finish();
+            rolled_up += tuples + (old.data.len() + delta_cells.len()) as u64;
+            let merged_data = merge_cells(&old.data, &delta_cells, agg);
             // COUNT cells whose count returned to zero hold no tuples:
             // drop them so the patched chunk matches a fresh recompute.
             let new_data = if matches!(agg, AggFn::Count) {
@@ -462,6 +512,84 @@ mod tests {
             );
         }
         assert_counts_consistent(&mgr);
+    }
+
+    fn assert_same_bits(got: &ChunkData, want: &ChunkData, ctx: &str) {
+        assert_eq!(got.raw_coords(), want.raw_coords(), "{ctx}: coords");
+        let bits = |d: &ChunkData| {
+            d.raw_values()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(got), bits(want), "{ctx}: value bits");
+    }
+
+    #[test]
+    fn sum_patch_is_right_whatever_order_the_residents_cells_are_in() {
+        for reversed in [false, true] {
+            let mut mgr = manager(Strategy::Vcm);
+            let base = mgr.grid().schema().lattice().base();
+            let key = ChunkKey::new(base, 0);
+            let fetch =
+                |mgr: &CacheManager| mgr.backend().fetch(base, &[0]).unwrap().chunks.remove(0).1;
+            let sorted = fetch(&mgr);
+            let mut resident = ChunkData::new(2);
+            for i in 0..sorted.len() {
+                let i = if reversed { sorted.len() - 1 - i } else { i };
+                resident.push(sorted.coords_of(i), sorted.value_of(i));
+            }
+            assert!(mgr.insert_chunk(key, resident, Origin::Backend, 1.0).0);
+            let mut batch = DeltaBatch::new();
+            batch.insert(&[0, 1], 2.5).insert(&[1, 0], 0.25);
+            let m = mgr.ingest(&batch).unwrap();
+            assert_eq!((m.chunks_patched, m.chunks_invalidated), (1, 0));
+            let mut got = mgr.cache().peek(&key).unwrap().data.clone();
+            if reversed {
+                // Each old cell found its delta; the order is the resident's.
+                assert_eq!(got.coords_of(0), &[1, 1]);
+                got.sort_by_coords();
+            }
+            assert_same_bits(&got, &fetch(&mgr), &format!("reversed={reversed}"));
+        }
+    }
+
+    #[test]
+    fn merge_cells_places_new_cells_where_a_recompute_would() {
+        let backend = make_backend();
+        let schema = backend.grid().schema().clone();
+        let level = schema.base_level();
+        let cells = |cells: &[([u32; 2], f64)]| {
+            let mut data = ChunkData::new(2);
+            for (coords, value) in cells {
+                data.push(coords, *value);
+            }
+            data
+        };
+        let old = cells(&[([1, 1], 0.1), ([3, 0], 0.2), ([5, 2], 0.3)]);
+        // Before the first old cell, on one, between two (twice), after the last.
+        let delta = cells(&[
+            ([0, 3], 1.5),
+            ([1, 1], 0.7),
+            ([2, 0], 2.5),
+            ([4, 1], 3.5),
+            ([7, 3], 4.5),
+        ]);
+        // The recompute: both shares through the aggregation kernel.
+        let mut recompute = Aggregator::new(&schema, &level, AggFn::Sum);
+        recompute.add_chunk(&level, &old, Lift::Lifted);
+        recompute.add_chunk(&level, &delta, Lift::Lifted);
+        let want = recompute.finish();
+        assert_same_bits(&merge_cells(&old, &delta, AggFn::Sum), &want, "sorted");
+
+        let reversed = cells(&[([5, 2], 0.3), ([3, 0], 0.2), ([1, 1], 0.1)]);
+        let mut got = merge_cells(&reversed, &delta, AggFn::Sum);
+        got.sort_by_coords();
+        assert_same_bits(&got, &want, "reversed");
+
+        let none = ChunkData::new(2);
+        assert_same_bits(&merge_cells(&old, &none, AggFn::Sum), &old, "empty delta");
+        assert_same_bits(&merge_cells(&none, &delta, AggFn::Sum), &delta, "empty old");
     }
 
     #[test]

@@ -126,8 +126,11 @@ impl DeltaBatch {
 pub struct EffectiveDelta {
     /// Tuples inserted, in batch order.
     pub inserted: ChunkData,
-    /// Tuples removed (one instance per matched delete), in fact-scan
-    /// order.
+    /// Tuples removed (one instance per matched delete), in fact-file
+    /// order — ascending chunk, then position in the chunk's run — not
+    /// batch order: a delete takes the first instances the file holds, and
+    /// the cache rolls its patches up from these in this order, so it is
+    /// part of the bit-identity contract.
     pub deleted: ChunkData,
     /// Deletes that matched no resident tuple (coords + value bits).
     pub unmatched_deletes: u64,
