@@ -107,43 +107,6 @@ impl ChunkData {
             .zip(self.values.iter().copied())
     }
 
-    /// The aggregation kernels' path off the columnar arrays: iterates the
-    /// `(encoded_key, value)` pairs of the cells in `range`, where the key
-    /// is computed from per-dimension contribution tables as
-    /// `Σ_d tables[d][coords[d]]`.
-    ///
-    /// Callers build `tables` by fusing a per-dimension roll-up map with a
-    /// row-major linearization weight (`tables[d][src] = weight_d *
-    /// rollup_d(src)`), which turns the per-cell roll-up + encode of the
-    /// aggregation hot loop into one table lookup and add per dimension —
-    /// no scratch coordinate buffer, no per-cell slicing. The sum is
-    /// evaluated in dimension order, so keys are identical to encoding the
-    /// rolled-up coordinates directly.
-    ///
-    /// A range because a backend scan reads one chunk's tuple run of the
-    /// clustered fact file, and the partition phase of the parallel kernel
-    /// walks contiguous sub-ranges of each source chunk.
-    pub fn encoded_coords_range<'a>(
-        &'a self,
-        tables: &'a [Vec<u64>],
-        range: std::ops::Range<usize>,
-    ) -> impl Iterator<Item = (u64, f64)> + 'a {
-        debug_assert_eq!(tables.len(), self.n_dims);
-        let coords = &self.coords[range.start * self.n_dims..range.end * self.n_dims];
-        let values = &self.values[range];
-        coords
-            .chunks_exact(self.n_dims)
-            .zip(values.iter().copied())
-            .map(move |(c, v)| {
-                let key = c
-                    .iter()
-                    .zip(tables)
-                    .map(|(&ci, t)| t[ci as usize])
-                    .sum::<u64>();
-                (key, v)
-            })
-    }
-
     /// The flattened coordinate array (`len() * n_dims()` entries).
     #[inline]
     pub fn raw_coords(&self) -> &[u32] {
@@ -237,21 +200,6 @@ mod tests {
         assert_eq!(d.coords_of(1), &[0, 9]);
         assert_eq!(d.coords_of(2), &[2, 0]);
         assert_eq!(d.value_of(0), 4.0);
-    }
-
-    #[test]
-    fn encoded_coords_matches_manual_encoding() {
-        let mut d = ChunkData::new(2);
-        d.push(&[1, 2], 3.0);
-        d.push(&[3, 0], 7.0);
-        d.push(&[0, 1], -1.5);
-        // dim 0: identity with weight 3 (cardinality of dim 1);
-        // dim 1: roll pairs {0,1}->0, {2,3}->1 with weight 1.
-        let tables = vec![vec![0, 3, 6, 9], vec![0, 0, 1, 1]];
-        let got: Vec<(u64, f64)> = d.encoded_coords_range(&tables, 0..3).collect();
-        assert_eq!(got, vec![(4, 3.0), (9, 7.0), (0, -1.5)]);
-        let mid: Vec<(u64, f64)> = d.encoded_coords_range(&tables, 1..3).collect();
-        assert_eq!(mid, vec![(9, 7.0), (0, -1.5)]);
     }
 
     #[test]

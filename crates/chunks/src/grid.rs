@@ -320,6 +320,17 @@ impl ChunkGrid {
         num
     }
 
+    /// The cell box of `chunk` of `gb`: per dimension, the half-open range
+    /// of values (at `gb`'s own level) a cell of that chunk can carry. By
+    /// the closure property every cell of every chunk that
+    /// [ascends](ChunkGrid::ascend_chunk) to this one rolls up into it.
+    pub fn cell_box(&self, gb: GroupById, chunk: ChunkNumber) -> Vec<(u32, u32)> {
+        let geom = self.geom(gb);
+        (0..self.dims.len())
+            .map(|d| self.dims[d].value_range(geom.level()[d], geom.coord(chunk, d)))
+            .collect()
+    }
+
     /// Enumerates the chunk numbers of the axis-aligned region given by
     /// per-dimension chunk-coordinate ranges (half-open) at group-by `gb`.
     pub fn enumerate_region(&self, gb: GroupById, ranges: &[(u32, u32)]) -> Vec<ChunkNumber> {
@@ -502,6 +513,37 @@ mod tests {
                     assert_eq!(g.ascend_chunk(base, b, gb), chunk);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn cell_box_holds_every_value_that_ascends_into_the_chunk() {
+        let g = grid();
+        let schema = g.schema().clone();
+        let lattice = schema.lattice();
+        let (base, base_level) = (lattice.base(), schema.base_level());
+        for gb in lattice.iter_ids() {
+            let level = lattice.level_of(gb);
+            let mut cells = 0u64;
+            for chunk in 0..g.n_chunks(gb) {
+                let target = g.cell_box(gb, chunk);
+                cells += target
+                    .iter()
+                    .map(|&(lo, hi)| u64::from(hi - lo))
+                    .product::<u64>();
+                for b in g.enumerate_region(base, &g.cover_at(gb, chunk, base)) {
+                    for (d, &(lo, hi)) in g.cell_box(base, b).iter().enumerate() {
+                        for v in lo..hi {
+                            let up = schema
+                                .dimension(d)
+                                .ancestor_value(base_level[d], level[d], v);
+                            assert!(target[d].0 <= up && up < target[d].1);
+                        }
+                    }
+                }
+            }
+            // The boxes of a group-by's chunks tile its level.
+            assert_eq!(cells, schema.cells_at(&level));
         }
     }
 

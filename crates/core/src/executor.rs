@@ -1,13 +1,15 @@
 use crate::ComputationPlan;
 use aggcache_cache::ChunkCache;
-use aggcache_chunks::{ChunkData, ChunkGrid};
+use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey};
 use aggcache_obs::Tracer;
 use aggcache_store::{aggregate_to_level_parallel_traced, AggFn, Aggregator, Lift};
 
 /// Executes a [`ComputationPlan`]: aggregates the plan's cached leaf chunks
-/// (at whatever mixed levels they live) straight up to the target chunk's
-/// group-by level in a single hash-aggregation pass — legal because the
-/// cube's aggregate is distributive.
+/// (at whatever mixed levels they live) straight up into the target chunk
+/// in a single pass — legal because the cube's aggregate is distributive.
+/// The kernel is told the target chunk and the leaves' total length, so it
+/// accumulates into a dense array over the chunk's cell box wherever that
+/// box is small next to the input ([`Aggregator::for_chunk`]).
 ///
 /// Returns the computed chunk's cells and the number of tuples aggregated
 /// (the realized cost, which equals `plan.cost` whenever plan costs are
@@ -16,25 +18,35 @@ use aggcache_store::{aggregate_to_level_parallel_traced, AggFn, Aggregator, Lift
 /// # Panics
 ///
 /// Panics if a leaf is missing from the cache — the caller must pin plan
-/// leaves between lookup and execution.
+/// leaves between lookup and execution — or does not roll up into the
+/// plan's target chunk.
 pub fn execute_plan(
     grid: &ChunkGrid,
     cache: &ChunkCache,
     agg: AggFn,
     plan: &ComputationPlan,
 ) -> (ChunkData, u64) {
-    let schema = grid.schema();
-    let target_level = grid.geom(plan.target.gb).level().to_vec();
-    let mut aggregator = Aggregator::new(schema, &target_level, agg);
-    for leaf in &plan.leaves {
-        let entry = cache
-            .peek(leaf)
-            .expect("plan leaf evicted before execution; pin leaves");
-        let leaf_level = grid.geom(leaf.gb).level();
-        aggregator.add_chunk(leaf_level, &entry.data, Lift::Lifted);
+    let leaves = leaf_cells(cache, plan);
+    let expected = leaves.iter().map(|(_, data)| data.len() as u64).sum();
+    let mut aggregator = Aggregator::for_chunk(grid, plan.target, agg, expected);
+    for (leaf, data) in leaves {
+        aggregator.add_source_chunk(leaf, data, 0..data.len(), Lift::Lifted);
     }
     let tuples = aggregator.cells_added();
     (aggregator.finish(), tuples)
+}
+
+/// The cached cells of each leaf of `plan`, in plan order.
+fn leaf_cells<'c>(cache: &'c ChunkCache, plan: &ComputationPlan) -> Vec<(ChunkKey, &'c ChunkData)> {
+    plan.leaves
+        .iter()
+        .map(|leaf| {
+            let entry = cache
+                .peek(leaf)
+                .expect("plan leaf evicted before execution; pin leaves");
+            (*leaf, &entry.data)
+        })
+        .collect()
 }
 
 /// Plans cheaper than this (in cells to aggregate) run single-threaded:
@@ -85,15 +97,9 @@ pub fn execute_plan_parallel_traced(
     let schema = grid.schema();
     let target_level = grid.geom(plan.target.gb).level();
     // Resolve leaves once; workers share the read-only borrows.
-    let leaves: Vec<(&[u8], &ChunkData)> = plan
-        .leaves
-        .iter()
-        .map(|leaf| {
-            let entry = cache
-                .peek(leaf)
-                .expect("plan leaf evicted before execution; pin leaves");
-            (grid.geom(leaf.gb).level(), &entry.data)
-        })
+    let leaves: Vec<(&[u8], &ChunkData)> = leaf_cells(cache, plan)
+        .into_iter()
+        .map(|(leaf, data)| (grid.geom(leaf.gb).level(), data))
         .collect();
     aggregate_to_level_parallel_traced(
         schema,
@@ -165,6 +171,60 @@ mod tests {
         }
     }
 
+    /// The same fork on the paper's lattice: the HistSale level of
+    /// `Apb1Config::small()` cached, one chunk of every group-by it can
+    /// answer computed through `execute_plan` — dense boxes at the
+    /// aggregated nodes, sparse at the detailed ones — equals the backend's
+    /// answer and the same leaves rolled into a level-wide
+    /// `Aggregator::new`, bit for bit.
+    #[test]
+    fn every_apb1_group_by_matches_the_backend_and_the_level_wide_kernel() {
+        let dataset = aggcache_gen::Apb1Config::small().build();
+        let grid = dataset.grid.clone();
+        let fact_gb = dataset.fact_gb;
+        let backend = Backend::new(dataset.fact, AggFn::Sum, BackendCostModel::default());
+        let mut cache = ChunkCache::new(usize::MAX, PolicyKind::Benefit);
+        for (chunk, data) in backend.fetch_group_by(fact_gb).unwrap().chunks {
+            cache.insert(ChunkKey::new(fact_gb, chunk), data, Origin::Backend, 1.0);
+        }
+        let lattice = grid.schema().lattice();
+        let mut answered = 0;
+        for (gb, level) in lattice.iter_levels() {
+            let key = ChunkKey::new(gb, u64::from(gb.0) % grid.n_chunks(gb));
+            let mut stats = LookupStats::default();
+            let Some(plan) = esm(&cache, &grid, key, &mut stats) else {
+                assert!(!lattice.computable_from(gb, fact_gb));
+                continue;
+            };
+            answered += 1;
+            let (data, tuples) = execute_plan(&grid, &cache, AggFn::Sum, &plan);
+            assert_eq!(tuples, plan.cost);
+            let mut whole = Aggregator::new(grid.schema(), &level, AggFn::Sum);
+            for leaf in &plan.leaves {
+                let cells = &cache.peek(leaf).unwrap().data;
+                whole.add_chunk(grid.geom(leaf.gb).level(), cells, Lift::Lifted);
+            }
+            let whole = whole.finish();
+            assert_eq!(data.len(), whole.len(), "chunk {key:?}");
+            for (i, (c, v)) in data.iter().enumerate() {
+                assert_eq!(c, whole.coords_of(i), "chunk {key:?}");
+                assert_eq!(
+                    v.to_bits(),
+                    whole.value_of(i).to_bits(),
+                    "chunk {key:?} {c:?}"
+                );
+            }
+            // The backend adds the facts themselves, in another order.
+            let fetched = backend.fetch(key.gb, &[key.chunk]).unwrap();
+            let fetched = &fetched.chunks[0].1;
+            assert_eq!(data.raw_coords(), fetched.raw_coords(), "chunk {key:?}");
+            for (v, w) in data.raw_values().iter().zip(fetched.raw_values()) {
+                assert!((v - w).abs() <= 1e-9 * w.abs(), "chunk {key:?}: {v} vs {w}");
+            }
+        }
+        assert_eq!(answered, 168);
+    }
+
     #[test]
     fn parallel_execution_is_bit_identical() {
         let schema = Arc::new(
@@ -231,6 +291,27 @@ mod tests {
             target: ChunkKey::new(grid.schema().lattice().top(), 0),
             leaves: vec![ChunkKey::new(grid.schema().lattice().base(), 0)],
             cost: 0,
+            direct_hit: false,
+        };
+        let _ = execute_plan(&grid, &cache, AggFn::Sum, &plan);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not roll up into target chunk")]
+    fn panics_on_a_leaf_outside_the_target() {
+        let schema = Arc::new(Schema::new(vec![Dimension::flat("x", 4).unwrap()], "m").unwrap());
+        let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 2]]).unwrap());
+        let base = grid.schema().lattice().base();
+        let mut cache = ChunkCache::new(usize::MAX, PolicyKind::Benefit);
+        let mut cells = ChunkData::new(1);
+        cells.push(&[3], 1.0);
+        cache.insert(ChunkKey::new(base, 1), cells, Origin::Backend, 1.0);
+        // Base chunk 1 is chunk 0's sibling: its cell would alias one of
+        // chunk 0's in a box keyed relative to chunk 0.
+        let plan = ComputationPlan {
+            target: ChunkKey::new(base, 0),
+            leaves: vec![ChunkKey::new(base, 1)],
+            cost: 1,
             direct_hit: false,
         };
         let _ = execute_plan(&grid, &cache, AggFn::Sum, &plan);

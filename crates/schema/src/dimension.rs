@@ -22,6 +22,11 @@ pub struct Dimension {
     /// `rollups[l][v]` = ancestor at level `l - 1` of value `v` at level `l`.
     /// `rollups[0]` is empty.
     rollups: Vec<Vec<u32>>,
+    /// The roll-up chain composed once per `(from, to <= from)` pair, at
+    /// `composed[from * (from + 1) / 2 + to]` — what the aggregation kernel
+    /// indexes per cell, so no plan or fetch builds a table of its own.
+    /// A function of `rollups` alone, so the derived equality still holds.
+    composed: Vec<Vec<u32>>,
 }
 
 impl Dimension {
@@ -94,10 +99,23 @@ impl Dimension {
                 });
             }
         }
+        let mut composed = Vec::new();
+        for from in 0..cardinalities.len() {
+            for to in 0..=from {
+                let mut table: Vec<u32> = (0..cardinalities[from]).collect();
+                for map in rollups[to + 1..=from].iter().rev() {
+                    for t in table.iter_mut() {
+                        *t = map[*t as usize];
+                    }
+                }
+                composed.push(table);
+            }
+        }
         Ok(Self {
             name,
             cardinalities,
             rollups,
+            composed,
         })
     }
 
@@ -164,19 +182,14 @@ impl Dimension {
         v
     }
 
-    /// Composes roll-up maps into a single lookup table from level `from`
-    /// down to level `to` (`to <= from`). Entry `i` is the ancestor of value
-    /// `i`. Returns an identity table when `from == to`.
-    pub fn composed_rollup(&self, from: u8, to: u8) -> Vec<u32> {
-        debug_assert!(to <= from);
-        let mut table: Vec<u32> = (0..self.cardinality(from)).collect();
-        for l in ((to + 1)..=from).rev() {
-            let map = &self.rollups[l as usize];
-            for t in table.iter_mut() {
-                *t = map[*t as usize];
-            }
-        }
-        table
+    /// The roll-up maps from level `from` down to level `to` (`to <= from`)
+    /// composed into a single lookup table, built once when the dimension
+    /// was. Entry `i` is the ancestor of value `i`; the identity table when
+    /// `from == to`.
+    pub fn composed_rollup(&self, from: u8, to: u8) -> &[u32] {
+        assert!(to <= from, "ancestor level must be more aggregated");
+        let (from, to) = (usize::from(from), usize::from(to));
+        &self.composed[from * (from + 1) / 2 + to]
     }
 
     /// The half-open range of level-`from` values rolling up to aggregated

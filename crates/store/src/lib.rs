@@ -30,7 +30,7 @@ mod spill;
 
 pub use aggregate::{
     aggregate_to_level, aggregate_to_level_parallel, aggregate_to_level_parallel_traced, AggFn,
-    Aggregator, Lift, Rollup,
+    Aggregator, Lift,
 };
 pub use backend::{Backend, BackendCostModel, FetchResult, StoreError};
 pub use delta::{DeltaBatch, DeltaOp, DeltaRecord, EffectiveDelta};

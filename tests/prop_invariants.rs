@@ -1,14 +1,14 @@
 //! Property-based tests of the core invariants, on randomly generated
 //! schemas, chunkings and cache states.
 
-use aggcache::core::{esm, vcm, vcmc, LookupStats};
+use aggcache::core::{esm, execute_plan, vcm, vcmc, ComputationPlan, LookupStats};
 use aggcache::prelude::*;
 use aggcache::store::{aggregate_to_level, aggregate_to_level_parallel};
 use proptest::prelude::*;
 // Our `Strategy` enum (from the prelude glob) shadows proptest's trait of
 // the same name; re-import the trait under an alias.
 use proptest::strategy::Strategy as PropStrategy;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Strategy: a random small schema + aligned chunking (1-3 dims, hierarchy
@@ -269,6 +269,119 @@ proptest! {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// The roll-up kernel behind a complete hit: a random target chunk
+    /// computed by `execute_plan` from random cached leaves at mixed
+    /// levels under it equals the row-at-a-time reference over those
+    /// leaves bit for bit and in cell order — whichever way the kernel
+    /// held the box — having consumed exactly the leaves' cells; and
+    /// `Backend::fetch` of the same chunk equals the reference over the
+    /// facts themselves. The two agree with each other exactly for
+    /// COUNT/MIN/MAX and up to SUM's re-association.
+    #[test]
+    fn a_plan_over_mixed_level_leaves_matches_the_backend_and_the_row_reference(
+        grid in arb_grid(),
+        facts in proptest::collection::vec(
+            (0u64..u64::MAX, prop_oneof![Just(-0.0f64), -1.0e6f64..1.0e6]),
+            1..60,
+        ),
+        agg in prop_oneof![Just(AggFn::Sum), Just(AggFn::Count), Just(AggFn::Min), Just(AggFn::Max)],
+        target_pick in 0usize..10_000,
+        splits in proptest::collection::vec((0usize..64, 0usize..3), 0..6),
+    ) {
+        let schema = grid.schema().clone();
+        let lattice = schema.lattice();
+        let base = lattice.base();
+        let backend = Backend::new(
+            FactTable::load(grid.clone(), base, base_cells(&schema, &facts)),
+            agg,
+            BackendCostModel::default(),
+        );
+        let keys = all_keys(&grid);
+        let target = keys[target_pick % keys.len()];
+        // Split the target into leaves: each step replaces one leaf by its
+        // parent chunks along one dimension, where that dimension has one.
+        let mut leaves = vec![target];
+        for (pick, dim) in splits {
+            let i = pick % leaves.len();
+            let (leaf, dim) = (leaves[i], dim % grid.num_dims());
+            let level = grid.geom(leaf.gb).level()[dim];
+            if level < schema.dimension(dim).hierarchy_size() {
+                let (parent_gb, parents) = grid.parent_chunks(leaf.gb, leaf.chunk, dim);
+                leaves.swap_remove(i);
+                leaves.extend(parents.into_iter().map(|c| ChunkKey::new(parent_gb, c)));
+            }
+        }
+        let mut cache = ChunkCache::new(usize::MAX >> 1, PolicyKind::Benefit);
+        let mut leaf_cells = 0u64;
+        for &leaf in &leaves {
+            let mut fetched = backend.fetch(leaf.gb, &[leaf.chunk]).unwrap();
+            let data = fetched.chunks.pop().unwrap().1;
+            leaf_cells += data.len() as u64;
+            cache.insert(leaf, data, Origin::Backend, 1.0);
+        }
+        let plan = ComputationPlan { target, leaves, cost: leaf_cells, direct_hit: false };
+        let (computed, consumed) = execute_plan(&grid, &cache, agg, &plan);
+        prop_assert_eq!(consumed, leaf_cells);
+
+        // Row at a time: every coordinate through `ancestor_value`, cells
+        // combined per target coordinate in input order.
+        let level = lattice.level_of(target.gb);
+        let reference = |sources: &[(&[u8], &ChunkData)], lift: Lift| {
+            let mut cells: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
+            for &(from, data) in sources {
+                for (c, v) in data.iter() {
+                    let to: Vec<u32> = (0..c.len())
+                        .map(|d| schema.dimension(d).ancestor_value(from[d], level[d], c[d]))
+                        .collect();
+                    let v = if lift == Lift::Raw { agg.lift(v) } else { v };
+                    cells.entry(to).and_modify(|acc| *acc = agg.combine(*acc, v)).or_insert(v);
+                }
+            }
+            cells.into_iter().collect::<Vec<_>>()
+        };
+        let same_bits = |got: &ChunkData, want: &[(Vec<u32>, f64)]| {
+            got.len() == want.len()
+                && got.iter().zip(want).all(|((c, v), (wc, wv))| c == &wc[..] && v.to_bits() == wv.to_bits())
+        };
+        let from_leaves: Vec<(&[u8], &ChunkData)> = plan
+            .leaves
+            .iter()
+            .map(|leaf| (grid.geom(leaf.gb).level(), &cache.peek(leaf).unwrap().data))
+            .collect();
+        prop_assert!(
+            same_bits(&computed, &reference(&from_leaves, Lift::Lifted)),
+            "execute_plan vs reference over the leaves, {:?} {:?}", agg, plan
+        );
+
+        let fetched = backend.fetch(target.gb, &[target.chunk]).unwrap();
+        let fetched = &fetched.chunks[0].1;
+        let under: Vec<ChunkData> = grid
+            .enumerate_region(base, &grid.cover_at(target.gb, target.chunk, base))
+            .into_iter()
+            .map(|c| {
+                let mut run = ChunkData::new(grid.num_dims());
+                backend.fact().scan_chunk(c).for_each(|(c, v)| run.push(c, v));
+                run
+            })
+            .collect();
+        let base_level = schema.base_level();
+        let from_facts: Vec<(&[u8], &ChunkData)> =
+            under.iter().map(|d| (&base_level[..], d)).collect();
+        prop_assert!(
+            same_bits(fetched, &reference(&from_facts, Lift::Raw)),
+            "Backend::fetch vs reference over the facts, {:?} {:?}", agg, target
+        );
+
+        prop_assert_eq!(computed.raw_coords(), fetched.raw_coords());
+        for (v, w) in computed.raw_values().iter().zip(fetched.raw_values()) {
+            if agg == AggFn::Sum {
+                prop_assert!((v - w).abs() <= 1e-3, "{} vs {}", v, w);
+            } else {
+                prop_assert_eq!(v.to_bits(), w.to_bits());
             }
         }
     }
