@@ -26,7 +26,7 @@ use aggcache_chunks::hash::SplitMix64;
 use aggcache_cluster::{ClusterManager, NodeTraffic};
 use aggcache_core::{QueryRequest, Strategy};
 use aggcache_gen::Dataset;
-use aggcache_obs::json::push_f64;
+use aggcache_obs::json::JsonObject;
 
 /// Options for the cluster sweep.
 #[derive(Debug, Clone, Copy)]
@@ -327,65 +327,35 @@ pub fn render(r: &ClusterResults) -> String {
 /// so the document is bit-identical across runs and thread counts.
 pub fn to_json(opts: Opts, r: &ClusterResults) -> String {
     let mut out = String::with_capacity(1 << 14);
-    out.push_str("{\"experiment\":\"fig_cluster\",\"tuples\":");
-    push_f64(&mut out, opts.tuples as f64);
-    out.push_str(",\"queries\":");
-    push_f64(&mut out, opts.queries as f64);
-    out.push_str(",\"node_cache_bytes\":");
-    push_f64(&mut out, opts.node_cache_bytes as f64);
-    out.push_str(",\"cells\":[");
-    for (i, cell) in r.cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"nodes\":");
-        push_f64(&mut out, cell.nodes as f64);
-        out.push_str(",\"replication\":");
-        push_f64(&mut out, cell.replication as f64);
-        out.push_str(",\"failure_rate\":");
-        push_f64(&mut out, cell.failure_rate);
-        out.push_str(",\"hit_ratio\":");
-        push_f64(&mut out, cell.hit_ratio);
-        out.push_str(",\"chunk_hit_ratio\":");
-        push_f64(&mut out, cell.chunk_hit_ratio);
-        out.push_str(",\"avg_virtual_ms\":");
-        push_f64(&mut out, cell.avg_virtual_ms);
-        out.push_str(",\"p95_virtual_ms\":");
-        push_f64(&mut out, cell.p95_virtual_ms);
-        out.push_str(",\"avg_work_ms\":");
-        push_f64(&mut out, cell.avg_work_ms);
-        out.push_str(",\"remote_chunks\":");
-        push_f64(&mut out, cell.remote_chunks as f64);
-        out.push_str(",\"bytes_on_wire\":");
-        push_f64(&mut out, cell.bytes_on_wire as f64);
-        out.push_str(",\"remote_virtual_ms\":");
-        push_f64(&mut out, cell.remote_virtual_ms);
-        out.push_str(",\"kills\":");
-        push_f64(&mut out, cell.kills as f64);
-        out.push_str(",\"per_node\":[");
-        for (j, n) in cell.per_node.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"node\":");
-            push_f64(&mut out, f64::from(n.node));
-            out.push_str(",\"queries\":");
-            push_f64(&mut out, n.queries as f64);
-            out.push_str(",\"resident_chunks\":");
-            push_f64(&mut out, n.resident_chunks as f64);
-            out.push_str(",\"used_bytes\":");
-            push_f64(&mut out, n.used_bytes as f64);
-            out.push_str(",\"serves_out\":");
-            push_f64(&mut out, n.traffic.serves_out as f64);
-            out.push_str(",\"remote_chunks_in\":");
-            push_f64(&mut out, n.traffic.remote_chunks_in as f64);
-            out.push_str(",\"downs\":");
-            push_f64(&mut out, n.traffic.downs as f64);
-            out.push('}');
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
+    JsonObject::open(&mut out)
+        .field("experiment", "fig_cluster")
+        .field("tuples", opts.tuples)
+        .field("queries", opts.queries)
+        .field("node_cache_bytes", opts.node_cache_bytes)
+        .array("cells", &r.cells, |o, cell| {
+            o.field("nodes", cell.nodes)
+                .field("replication", cell.replication)
+                .field("failure_rate", cell.failure_rate)
+                .field("hit_ratio", cell.hit_ratio)
+                .field("chunk_hit_ratio", cell.chunk_hit_ratio)
+                .field("avg_virtual_ms", cell.avg_virtual_ms)
+                .field("p95_virtual_ms", cell.p95_virtual_ms)
+                .field("avg_work_ms", cell.avg_work_ms)
+                .field("remote_chunks", cell.remote_chunks)
+                .field("bytes_on_wire", cell.bytes_on_wire)
+                .field("remote_virtual_ms", cell.remote_virtual_ms)
+                .field("kills", cell.kills)
+                .array("per_node", &cell.per_node, |o, n| {
+                    o.field("node", n.node)
+                        .field("queries", n.queries)
+                        .field("resident_chunks", n.resident_chunks)
+                        .field("used_bytes", n.used_bytes)
+                        .field("serves_out", n.traffic.serves_out)
+                        .field("remote_chunks_in", n.traffic.remote_chunks_in)
+                        .field("downs", n.traffic.downs);
+                });
+        })
+        .close();
     out
 }
 

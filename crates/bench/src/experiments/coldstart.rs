@@ -24,7 +24,7 @@ use crate::trace::Meta;
 use aggcache_cache::PolicyKind;
 use aggcache_core::{QueryRequest, Strategy};
 use aggcache_gen::Dataset;
-use aggcache_obs::json::push_f64;
+use aggcache_obs::json::JsonObject;
 use aggcache_obs::Tracer;
 use aggcache_store::SpillConfig;
 use std::path::Path;
@@ -102,19 +102,19 @@ pub const SWEEP: Sweep<Opts, ColdstartResults> = Sweep {
         let cell = run_cell_traced(&dataset, opts, true, opts.cache_bytes, &dir, Some(tracer));
         let _ = std::fs::remove_dir_all(&root);
         vec![
-            ("experiment", "fig_coldstart".to_string()),
-            ("tuples", opts.tuples.to_string()),
-            ("seed", opts.seed.to_string()),
-            ("warmup", opts.warmup.to_string()),
-            ("queries", opts.queries.to_string()),
-            ("workload_seed", opts.workload_seed.to_string()),
-            ("cache_bytes", opts.cache_bytes.to_string()),
-            ("strategy", "vcmc".to_string()),
-            ("policy", "two_level".to_string()),
-            ("threads", opts.threads.to_string()),
-            ("warm_start_chunks", cell.warm_start_chunks.to_string()),
-            ("spill_reads", cell.spill_reads.to_string()),
-            ("spill_writes", cell.spill_writes.to_string()),
+            ("experiment", Box::new("fig_coldstart")),
+            ("tuples", Box::new(opts.tuples)),
+            ("seed", Box::new(opts.seed)),
+            ("warmup", Box::new(opts.warmup)),
+            ("queries", Box::new(opts.queries)),
+            ("workload_seed", Box::new(opts.workload_seed)),
+            ("cache_bytes", Box::new(opts.cache_bytes)),
+            ("strategy", Box::new("vcmc")),
+            ("policy", Box::new("two_level")),
+            ("threads", Box::new(opts.threads)),
+            ("warm_start_chunks", Box::new(cell.warm_start_chunks)),
+            ("spill_reads", Box::new(cell.spill_reads)),
+            ("spill_writes", Box::new(cell.spill_writes)),
         ]
     }),
 };
@@ -339,57 +339,30 @@ pub fn render(r: &ColdstartResults) -> String {
 /// runs and thread counts.
 pub fn to_json(opts: Opts, r: &ColdstartResults) -> String {
     let mut out = String::with_capacity(1 << 14);
-    out.push_str("{\"experiment\":\"fig_coldstart\",\"tuples\":");
-    push_f64(&mut out, opts.tuples as f64);
-    out.push_str(",\"warmup\":");
-    push_f64(&mut out, opts.warmup as f64);
-    out.push_str(",\"queries\":");
-    push_f64(&mut out, opts.queries as f64);
-    out.push_str(",\"target\":");
-    push_f64(&mut out, opts.target);
-    out.push_str(",\"cells\":[");
-    for (i, cell) in r.cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"warm\":");
-        out.push_str(if cell.warm { "true" } else { "false" });
-        out.push_str(",\"cache_bytes\":");
-        push_f64(&mut out, cell.cache_bytes as f64);
-        out.push_str(",\"warm_start_chunks\":");
-        push_f64(&mut out, cell.warm_start_chunks as f64);
-        out.push_str(",\"warm_start_bytes\":");
-        push_f64(&mut out, cell.warm_start_bytes as f64);
-        out.push_str(",\"warm_start_virtual_ms\":");
-        push_f64(&mut out, cell.warm_start_virtual_ms);
-        out.push_str(",\"reached_target\":");
-        out.push_str(if cell.reached_target { "true" } else { "false" });
-        out.push_str(",\"queries_to_target\":");
-        push_f64(&mut out, cell.queries_to_target as f64);
-        out.push_str(",\"final_hit_ratio\":");
-        push_f64(&mut out, cell.final_hit_ratio);
-        out.push_str(",\"chunk_hit_ratio\":");
-        push_f64(&mut out, cell.chunk_hit_ratio);
-        out.push_str(",\"total_virtual_ms\":");
-        push_f64(&mut out, cell.total_virtual_ms);
-        out.push_str(",\"backend_virtual_ms\":");
-        push_f64(&mut out, cell.backend_virtual_ms);
-        out.push_str(",\"spill_reads\":");
-        push_f64(&mut out, cell.spill_reads as f64);
-        out.push_str(",\"spill_writes\":");
-        push_f64(&mut out, cell.spill_writes as f64);
-        out.push_str(",\"spill_virtual_ms\":");
-        push_f64(&mut out, cell.spill_virtual_ms);
-        out.push_str(",\"batch_hit\":[");
-        for (j, h) in cell.batch_hit.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            push_f64(&mut out, *h);
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
+    JsonObject::open(&mut out)
+        .field("experiment", "fig_coldstart")
+        .field("tuples", opts.tuples)
+        .field("warmup", opts.warmup)
+        .field("queries", opts.queries)
+        .field("target", opts.target)
+        .array("cells", &r.cells, |o, cell| {
+            o.field("warm", cell.warm)
+                .field("cache_bytes", cell.cache_bytes)
+                .field("warm_start_chunks", cell.warm_start_chunks)
+                .field("warm_start_bytes", cell.warm_start_bytes)
+                .field("warm_start_virtual_ms", cell.warm_start_virtual_ms)
+                .field("reached_target", cell.reached_target)
+                .field("queries_to_target", cell.queries_to_target)
+                .field("final_hit_ratio", cell.final_hit_ratio)
+                .field("chunk_hit_ratio", cell.chunk_hit_ratio)
+                .field("total_virtual_ms", cell.total_virtual_ms)
+                .field("backend_virtual_ms", cell.backend_virtual_ms)
+                .field("spill_reads", cell.spill_reads)
+                .field("spill_writes", cell.spill_writes)
+                .field("spill_virtual_ms", cell.spill_virtual_ms)
+                .field("batch_hit", &cell.batch_hit);
+        })
+        .close();
     out
 }
 

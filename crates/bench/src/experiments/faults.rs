@@ -115,22 +115,22 @@ pub const SWEEP: Sweep<Opts, FaultResults> = Sweep {
         let dataset = apb_dataset(opts.tuples, opts.seed);
         let run = run_stream_faulty(&dataset, opts, TRACE_RATE, Some(tracer));
         vec![
-            ("experiment", "fig_faults".to_string()),
-            ("tuples", opts.tuples.to_string()),
-            ("seed", opts.seed.to_string()),
-            ("queries", opts.queries.to_string()),
-            ("workload_seed", opts.workload_seed.to_string()),
-            ("fault_seed", opts.fault_seed.to_string()),
-            ("fault_rate", TRACE_RATE.to_string()),
-            ("attempts", opts.attempts.to_string()),
-            ("cache_bytes", opts.cache_bytes.to_string()),
-            ("node_budget", opts.node_budget.to_string()),
-            ("strategy", "esmc".to_string()),
-            ("policy", "two_level".to_string()),
-            ("threads", opts.threads.to_string()),
-            ("answered", run.answered.to_string()),
-            ("degraded_queries", run.degraded_queries.to_string()),
-            ("failed", run.failed.to_string()),
+            ("experiment", Box::new("fig_faults")),
+            ("tuples", Box::new(opts.tuples)),
+            ("seed", Box::new(opts.seed)),
+            ("queries", Box::new(opts.queries)),
+            ("workload_seed", Box::new(opts.workload_seed)),
+            ("fault_seed", Box::new(opts.fault_seed)),
+            ("fault_rate", Box::new(TRACE_RATE)),
+            ("attempts", Box::new(opts.attempts)),
+            ("cache_bytes", Box::new(opts.cache_bytes)),
+            ("node_budget", Box::new(opts.node_budget)),
+            ("strategy", Box::new("esmc")),
+            ("policy", Box::new("two_level")),
+            ("threads", Box::new(opts.threads)),
+            ("answered", Box::new(run.answered)),
+            ("degraded_queries", Box::new(run.degraded_queries)),
+            ("failed", Box::new(run.failed)),
         ]
     }),
 };

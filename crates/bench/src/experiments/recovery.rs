@@ -27,7 +27,7 @@ use crate::trace::Meta;
 use aggcache_cache::PolicyKind;
 use aggcache_core::{QueryRequest, Strategy};
 use aggcache_gen::Dataset;
-use aggcache_obs::json::push_f64;
+use aggcache_obs::json::JsonObject;
 use aggcache_obs::Tracer;
 use aggcache_store::{DiskFaultProfile, SpillConfig};
 use std::path::Path;
@@ -113,20 +113,20 @@ pub const SWEEP: Sweep<Opts, RecoveryResults> = Sweep {
         let cell = run_cell_traced(&dataset, opts, 0.2, true, &dir, Some(tracer));
         let _ = std::fs::remove_dir_all(&root);
         vec![
-            ("experiment", "fig_recovery".to_string()),
-            ("tuples", opts.tuples.to_string()),
-            ("seed", opts.seed.to_string()),
-            ("warmup", opts.warmup.to_string()),
-            ("queries", opts.queries.to_string()),
-            ("workload_seed", opts.workload_seed.to_string()),
-            ("cache_bytes", opts.cache_bytes.to_string()),
-            ("fault_rate", "0.2".to_string()),
-            ("strategy", "vcmc".to_string()),
-            ("policy", "two_level".to_string()),
-            ("threads", opts.threads.to_string()),
-            ("corrupt", cell.corrupt.to_string()),
-            ("quarantined", cell.quarantined.to_string()),
-            ("scrub_passes", cell.scrub_passes.to_string()),
+            ("experiment", Box::new("fig_recovery")),
+            ("tuples", Box::new(opts.tuples)),
+            ("seed", Box::new(opts.seed)),
+            ("warmup", Box::new(opts.warmup)),
+            ("queries", Box::new(opts.queries)),
+            ("workload_seed", Box::new(opts.workload_seed)),
+            ("cache_bytes", Box::new(opts.cache_bytes)),
+            ("fault_rate", Box::new(0.2)),
+            ("strategy", Box::new("vcmc")),
+            ("policy", Box::new("two_level")),
+            ("threads", Box::new(opts.threads)),
+            ("corrupt", Box::new(cell.corrupt)),
+            ("quarantined", Box::new(cell.quarantined)),
+            ("scrub_passes", Box::new(cell.scrub_passes)),
         ]
     }),
 };
@@ -333,46 +333,30 @@ pub fn render(r: &RecoveryResults) -> String {
 /// and thread counts.
 pub fn to_json(opts: Opts, r: &RecoveryResults) -> String {
     let mut out = String::with_capacity(1 << 13);
-    out.push_str("{\"experiment\":\"fig_recovery\",\"tuples\":");
-    push_f64(&mut out, opts.tuples as f64);
-    out.push_str(",\"warmup\":");
-    push_f64(&mut out, opts.warmup as f64);
-    out.push_str(",\"queries\":");
-    push_f64(&mut out, opts.queries as f64);
-    out.push_str(",\"scrub_interval_ms\":");
-    push_f64(&mut out, opts.scrub_interval_ms);
-    out.push_str(",\"cells\":[");
-    for (i, cell) in r.cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"rate\":");
-        push_f64(&mut out, cell.rate);
-        out.push_str(",\"scrub\":");
-        out.push_str(if cell.scrub { "true" } else { "false" });
-        for (k, v) in [
-            ("answered", cell.answered as f64),
-            ("oracle_mismatches", cell.oracle_mismatches as f64),
-            ("warm_start_chunks", cell.warm_start_chunks as f64),
-            ("warm_restart_hit_ratio", cell.warm_restart_hit_ratio),
-            ("corrupt", cell.corrupt as f64),
-            ("quarantined", cell.quarantined as f64),
-            ("retries", cell.retries as f64),
-            ("demote_failures", cell.demote_failures as f64),
-            ("scrub_passes", cell.scrub_passes as f64),
-            ("index_rebuilds", cell.index_rebuilds as f64),
-            ("final_hit_ratio", cell.final_hit_ratio),
-            ("backend_virtual_ms", cell.backend_virtual_ms),
-            ("total_virtual_ms", cell.total_virtual_ms),
-        ] {
-            out.push_str(",\"");
-            out.push_str(k);
-            out.push_str("\":");
-            push_f64(&mut out, v);
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
+    JsonObject::open(&mut out)
+        .field("experiment", "fig_recovery")
+        .field("tuples", opts.tuples)
+        .field("warmup", opts.warmup)
+        .field("queries", opts.queries)
+        .field("scrub_interval_ms", opts.scrub_interval_ms)
+        .array("cells", &r.cells, |o, cell| {
+            o.field("rate", cell.rate)
+                .field("scrub", cell.scrub)
+                .field("answered", cell.answered)
+                .field("oracle_mismatches", cell.oracle_mismatches)
+                .field("warm_start_chunks", cell.warm_start_chunks)
+                .field("warm_restart_hit_ratio", cell.warm_restart_hit_ratio)
+                .field("corrupt", cell.corrupt)
+                .field("quarantined", cell.quarantined)
+                .field("retries", cell.retries)
+                .field("demote_failures", cell.demote_failures)
+                .field("scrub_passes", cell.scrub_passes)
+                .field("index_rebuilds", cell.index_rebuilds)
+                .field("final_hit_ratio", cell.final_hit_ratio)
+                .field("backend_virtual_ms", cell.backend_virtual_ms)
+                .field("total_virtual_ms", cell.total_virtual_ms);
+        })
+        .close();
     out
 }
 

@@ -37,7 +37,7 @@ use crate::sweep::{smoke_opts, Sweep};
 use aggcache_cache::{AdmissionKind, PolicyKind};
 use aggcache_core::Strategy;
 use aggcache_gen::Dataset;
-use aggcache_obs::json::{push_f64, push_str};
+use aggcache_obs::json::JsonObject;
 use aggcache_obs::{MetricsRegistry, TenantStats, Tracer};
 use aggcache_workload::{MultiTenantConfig, TenantProfile, TrafficEngine};
 use std::sync::Arc;
@@ -297,59 +297,32 @@ pub fn render(r: &TenantResults) -> String {
 /// so the document is bit-identical across runs and thread counts.
 pub fn to_json(opts: Opts, r: &TenantResults) -> String {
     let mut out = String::with_capacity(1 << 14);
-    out.push_str("{\"experiment\":\"fig_tenants\",\"tuples\":");
-    push_f64(&mut out, opts.tuples as f64);
-    out.push_str(",\"queries\":");
-    push_f64(&mut out, opts.queries as f64);
-    out.push_str(",\"cache_bytes\":");
-    push_f64(&mut out, opts.cache_bytes as f64);
-    out.push_str(",\"cells\":[");
-    for (i, cell) in r.cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"family\":");
-        push_str(&mut out, cell.family);
-        out.push_str(",\"tenants\":");
-        push_f64(&mut out, f64::from(cell.tenants));
-        out.push_str(",\"skew\":");
-        push_f64(&mut out, cell.skew);
-        out.push_str(",\"admission\":");
-        push_str(&mut out, cell.admission.name());
-        out.push_str(",\"hit_ratio\":");
-        push_f64(&mut out, cell.hit_ratio);
-        out.push_str(",\"chunk_hit_ratio\":");
-        push_f64(&mut out, cell.chunk_hit_ratio);
-        out.push_str(",\"admission_rejects\":");
-        push_f64(&mut out, cell.admission_rejects as f64);
-        out.push_str(",\"avg_virtual_ms\":");
-        push_f64(&mut out, cell.avg_virtual_ms);
-        out.push_str(",\"p95_virtual_us\":");
-        push_f64(&mut out, cell.p95_virtual_us);
-        out.push_str(",\"per_tenant\":[");
-        for (j, t) in cell.per_tenant.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"tenant\":");
-            push_f64(&mut out, f64::from(t.tenant));
-            out.push_str(",\"queries\":");
-            push_f64(&mut out, t.queries as f64);
-            out.push_str(",\"complete_hit_ratio\":");
-            push_f64(&mut out, t.complete_hit_ratio);
-            out.push_str(",\"chunk_hit_ratio\":");
-            push_f64(&mut out, t.chunk_hit_ratio);
-            out.push_str(",\"avg_virtual_ms\":");
-            push_f64(&mut out, t.avg_virtual_ms);
-            out.push_str(",\"p95_virtual_us\":");
-            push_f64(&mut out, t.p95_virtual_us);
-            out.push_str(",\"p99_virtual_us\":");
-            push_f64(&mut out, t.p99_virtual_us);
-            out.push('}');
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
+    JsonObject::open(&mut out)
+        .field("experiment", "fig_tenants")
+        .field("tuples", opts.tuples)
+        .field("queries", opts.queries)
+        .field("cache_bytes", opts.cache_bytes)
+        .array("cells", &r.cells, |o, cell| {
+            o.field("family", cell.family)
+                .field("tenants", cell.tenants)
+                .field("skew", cell.skew)
+                .field("admission", cell.admission.name())
+                .field("hit_ratio", cell.hit_ratio)
+                .field("chunk_hit_ratio", cell.chunk_hit_ratio)
+                .field("admission_rejects", cell.admission_rejects)
+                .field("avg_virtual_ms", cell.avg_virtual_ms)
+                .field("p95_virtual_us", cell.p95_virtual_us)
+                .array("per_tenant", &cell.per_tenant, |o, t| {
+                    o.field("tenant", t.tenant)
+                        .field("queries", t.queries)
+                        .field("complete_hit_ratio", t.complete_hit_ratio)
+                        .field("chunk_hit_ratio", t.chunk_hit_ratio)
+                        .field("avg_virtual_ms", t.avg_virtual_ms)
+                        .field("p95_virtual_us", t.p95_virtual_us)
+                        .field("p99_virtual_us", t.p99_virtual_us);
+                });
+        })
+        .close();
     out
 }
 

@@ -39,7 +39,7 @@ use aggcache_core::{
     CacheManager, DeltaBatch, QueryMetrics, QueryRequest, Strategy, UpdateMetrics,
 };
 use aggcache_gen::Dataset;
-use aggcache_obs::json::push_f64;
+use aggcache_obs::json::JsonObject;
 use aggcache_obs::Tracer;
 use std::sync::Arc;
 
@@ -117,20 +117,20 @@ pub const SWEEP: Sweep<Opts, UpdateResults> = Sweep {
         let dataset = apb_dataset(opts.tuples, opts.seed);
         let cell = run_cell_traced(&dataset, opts, 0.5, Strategy::Vcmc, Some(tracer));
         vec![
-            ("experiment", "fig_updates".to_string()),
-            ("tuples", opts.tuples.to_string()),
-            ("seed", opts.seed.to_string()),
-            ("queries", opts.queries.to_string()),
-            ("workload_seed", opts.workload_seed.to_string()),
-            ("cache_bytes", opts.cache_bytes.to_string()),
-            ("write_mix", "0.5".to_string()),
-            ("strategy", "vcmc".to_string()),
-            ("policy", "two_level".to_string()),
-            ("threads", opts.threads.to_string()),
-            ("chunks_patched", cell.updates.chunks_patched.to_string()),
+            ("experiment", Box::new("fig_updates")),
+            ("tuples", Box::new(opts.tuples)),
+            ("seed", Box::new(opts.seed)),
+            ("queries", Box::new(opts.queries)),
+            ("workload_seed", Box::new(opts.workload_seed)),
+            ("cache_bytes", Box::new(opts.cache_bytes)),
+            ("write_mix", Box::new(0.5)),
+            ("strategy", Box::new("vcmc")),
+            ("policy", Box::new("two_level")),
+            ("threads", Box::new(opts.threads)),
+            ("chunks_patched", Box::new(cell.updates.chunks_patched)),
             (
                 "chunks_invalidated",
-                cell.updates.chunks_invalidated.to_string(),
+                Box::new(cell.updates.chunks_invalidated),
             ),
         ]
     }),
@@ -489,50 +489,33 @@ pub fn render(r: &UpdateResults) -> String {
 /// thread counts.
 pub fn to_json(opts: Opts, r: &UpdateResults) -> String {
     let mut out = String::with_capacity(1 << 13);
-    out.push_str("{\"experiment\":\"fig_updates\",\"tuples\":");
-    push_f64(&mut out, opts.tuples as f64);
-    out.push_str(",\"queries\":");
-    push_f64(&mut out, opts.queries as f64);
-    out.push_str(",\"batch\":");
-    push_f64(&mut out, opts.batch as f64);
-    out.push_str(",\"transparency_diffs\":");
-    push_f64(&mut out, r.transparency_diffs as f64);
-    out.push_str(",\"cells\":[");
-    for (i, cell) in r.cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"mix\":");
-        push_f64(&mut out, cell.mix);
-        out.push_str(",\"strategy\":\"");
-        out.push_str(cell.strategy);
-        out.push('"');
-        let u = &cell.updates;
-        for (k, v) in [
-            ("answered", cell.answered as f64),
-            ("oracle_mismatches", cell.oracle_mismatches as f64),
-            ("hit_ratio", cell.hit_ratio),
-            ("delta_batches", u.delta_batches as f64),
-            ("tuples_inserted", u.tuples_inserted as f64),
-            ("tuples_deleted", u.tuples_deleted as f64),
-            ("deletes_unmatched", u.deletes_unmatched as f64),
-            ("base_chunks_touched", u.base_chunks_touched as f64),
-            ("chunks_patched", u.chunks_patched as f64),
-            ("cells_patched", u.cells_patched as f64),
-            ("chunks_invalidated", u.chunks_invalidated as f64),
-            ("table_writes", u.table_writes as f64),
-            ("update_virtual_ms", u.update_virtual_ms),
-            ("backend_virtual_ms", cell.backend_virtual_ms),
-            ("read_virtual_ms", cell.read_virtual_ms),
-        ] {
-            out.push_str(",\"");
-            out.push_str(k);
-            out.push_str("\":");
-            push_f64(&mut out, v);
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
+    JsonObject::open(&mut out)
+        .field("experiment", "fig_updates")
+        .field("tuples", opts.tuples)
+        .field("queries", opts.queries)
+        .field("batch", opts.batch)
+        .field("transparency_diffs", r.transparency_diffs)
+        .array("cells", &r.cells, |o, cell| {
+            let u = &cell.updates;
+            o.field("mix", cell.mix)
+                .field("strategy", cell.strategy)
+                .field("answered", cell.answered)
+                .field("oracle_mismatches", cell.oracle_mismatches)
+                .field("hit_ratio", cell.hit_ratio)
+                .field("delta_batches", u.delta_batches)
+                .field("tuples_inserted", u.tuples_inserted)
+                .field("tuples_deleted", u.tuples_deleted)
+                .field("deletes_unmatched", u.deletes_unmatched)
+                .field("base_chunks_touched", u.base_chunks_touched)
+                .field("chunks_patched", u.chunks_patched)
+                .field("cells_patched", u.cells_patched)
+                .field("chunks_invalidated", u.chunks_invalidated)
+                .field("table_writes", u.table_writes)
+                .field("update_virtual_ms", u.update_virtual_ms)
+                .field("backend_virtual_ms", cell.backend_virtual_ms)
+                .field("read_virtual_ms", cell.read_virtual_ms);
+        })
+        .close();
     out
 }
 

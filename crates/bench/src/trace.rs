@@ -24,7 +24,7 @@ use crate::rig::{apb_dataset, MB};
 use crate::stream::{run_stream_traced, StreamRun};
 use aggcache_cache::PolicyKind;
 use aggcache_core::Strategy;
-use aggcache_obs::json::{push_f64, push_str, JsonValue};
+use aggcache_obs::json::{JsonField, JsonObject, JsonValue};
 use aggcache_obs::{Event, FanoutTracer, MetricsRegistry, RecordingTracer, Tracer};
 use std::sync::Arc;
 
@@ -64,39 +64,25 @@ impl TraceSink {
         self.recorder.len()
     }
 
-    /// Renders the `{"meta", "metrics", "events"}` document. `meta`
-    /// entries are written as JSON strings or numbers based on whether the
-    /// value parses as `f64`.
-    pub fn render(&self, meta: &[(&str, String)]) -> String {
+    /// Renders the `{"meta", "metrics", "events"}` document.
+    pub fn render(&self, meta: &[(&str, Box<dyn JsonField>)]) -> String {
         let mut out = String::with_capacity(1 << 16);
-        out.push_str("{\"meta\":{");
-        for (i, (k, v)) in meta.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_str(&mut out, k);
-            out.push(':');
-            match v.parse::<f64>() {
-                Ok(n) if n.is_finite() => push_f64(&mut out, n),
-                _ => push_str(&mut out, v),
-            }
-        }
-        out.push_str("},\"metrics\":");
-        self.registry.write_json(&mut out);
-        out.push_str(",\"events\":[");
-        for (i, event) in self.recorder.events().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            event.write_json(&mut out);
-        }
-        out.push_str("]}");
+        JsonObject::open(&mut out)
+            .object("meta", |object| {
+                for (k, v) in meta {
+                    object.field(k, v);
+                }
+            })
+            .field("metrics", &*self.registry)
+            .field("events", self.recorder.events())
+            .close();
         out
     }
 }
 
-/// What a traced run says about itself: the document's `meta` entries.
-pub type Meta = Vec<(&'static str, String)>;
+/// What a traced run says about itself: the document's `meta` entries,
+/// each value rendering as its own type.
+pub type Meta = Vec<(&'static str, Box<dyn JsonField>)>;
 
 /// Runs `traced` with a fresh sink's tracer attached and writes the
 /// document to `path`, with a one-line receipt on stderr.
@@ -129,17 +115,17 @@ pub fn maybe_write_trace(trace_out: Option<&str>, threads: usize, tuples: u64, s
     write_trace(path, |tracer| {
         let result = run_stream_traced(&dataset, run, Some(tracer));
         vec![
-            ("experiment", "table1".to_string()),
-            ("tuples", tuples.to_string()),
-            ("seed", seed.to_string()),
-            ("queries", run.queries.to_string()),
-            ("workload_seed", run.seed.to_string()),
-            ("cache_bytes", cache_bytes.to_string()),
-            ("strategy", "vcmc".to_string()),
-            ("policy", "two_level".to_string()),
-            ("threads", run.threads.to_string()),
-            ("complete_hit_pct", result.complete_hit_pct.to_string()),
-            ("avg_ms", result.avg_ms.to_string()),
+            ("experiment", Box::new("table1")),
+            ("tuples", Box::new(tuples)),
+            ("seed", Box::new(seed)),
+            ("queries", Box::new(run.queries)),
+            ("workload_seed", Box::new(run.seed)),
+            ("cache_bytes", Box::new(cache_bytes)),
+            ("strategy", Box::new("vcmc")),
+            ("policy", Box::new("two_level")),
+            ("threads", Box::new(run.threads)),
+            ("complete_hit_pct", Box::new(result.complete_hit_pct)),
+            ("avg_ms", Box::new(result.avg_ms)),
         ]
     });
 }
@@ -274,8 +260,8 @@ mod tests {
             amount: 2.5,
         });
         let doc = sink.render(&[
-            ("experiment", "table1".to_string()),
-            ("tuples", "20000".to_string()),
+            ("experiment", Box::new("table1")),
+            ("tuples", Box::new(20_000u64)),
         ]);
         let v = JsonValue::parse(&doc).unwrap();
         assert_eq!(
@@ -312,7 +298,7 @@ mod tests {
         };
         let result = run_stream_traced(&dataset, run, Some(sink.tracer()));
         assert!(sink.events_recorded() > 0);
-        sink.render(&[("avg_ms", result.avg_ms.to_string())])
+        sink.render(&[("avg_ms", Box::new(result.avg_ms))])
     }
 
     #[test]

@@ -49,13 +49,6 @@ impl ChunkData {
         }
     }
 
-    /// The inverse of [`ChunkData::from_raw`]: the flattened coordinate
-    /// array and the measure array, for a caller that edits both in place
-    /// and hands them back.
-    pub fn into_raw(self) -> (Vec<u32>, Vec<f64>) {
-        (self.coords, self.values)
-    }
-
     /// Number of coordinate slots per cell.
     #[inline]
     pub fn n_dims(&self) -> usize {
@@ -206,7 +199,6 @@ mod tests {
     fn from_raw_checks_arity() {
         let d = ChunkData::from_raw(2, vec![1, 2, 3, 4], vec![1.0, 2.0]);
         assert_eq!(d.len(), 2);
-        assert_eq!(d.into_raw(), (vec![1, 2, 3, 4], vec![1.0, 2.0]));
     }
 
     #[test]

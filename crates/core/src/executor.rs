@@ -30,7 +30,7 @@ pub fn execute_plan(
     let expected = leaves.iter().map(|(_, data)| data.len() as u64).sum();
     let mut aggregator = Aggregator::for_chunk(grid, plan.target, agg, expected);
     for (leaf, data) in leaves {
-        aggregator.add_source_chunk(leaf, data, 0..data.len(), Lift::Lifted);
+        aggregator.add_source_chunk(leaf, data, Lift::Lifted);
     }
     let tuples = aggregator.cells_added();
     (aggregator.finish(), tuples)

@@ -11,8 +11,7 @@
 //! milliseconds from the cost model. The two are never mixed in one field,
 //! and [`crate::MetricsRegistry`] keeps them in separate namespaces.
 
-use crate::json::{push_f64, push_str};
-use std::fmt::Write as _;
+use crate::json::{push_str, JsonField, JsonObject};
 
 /// How one chunk lookup resolved (paper §3–§5: hit / computable / miss).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,34 +60,6 @@ impl Tier {
     }
 }
 
-/// How a field type renders as a JSON value.
-trait JsonField {
-    fn write_value(&self, out: &mut String);
-}
-
-macro_rules! json_field_display {
-    ($($ty:ty),*) => {$(
-        impl JsonField for $ty {
-            fn write_value(&self, out: &mut String) {
-                let _ = write!(out, "{self}");
-            }
-        }
-    )*};
-}
-json_field_display!(u8, u32, u64, bool);
-
-impl JsonField for f64 {
-    fn write_value(&self, out: &mut String) {
-        push_f64(out, *self);
-    }
-}
-
-impl JsonField for &'static str {
-    fn write_value(&self, out: &mut String) {
-        push_str(out, self);
-    }
-}
-
 impl JsonField for Tier {
     fn write_value(&self, out: &mut String) {
         push_str(out, self.name());
@@ -101,16 +72,9 @@ impl JsonField for LookupOutcome {
     }
 }
 
-impl JsonField for Vec<u32> {
+impl JsonField for Event {
     fn write_value(&self, out: &mut String) {
-        out.push('[');
-        for (i, v) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            v.write_value(out);
-        }
-        out.push(']');
+        self.write_json(out);
     }
 }
 
@@ -150,18 +114,14 @@ macro_rules! events {
 
             /// Serializes the event as one JSON object into `out`.
             pub fn write_json(&self, out: &mut String) {
-                out.push_str("{\"type\":\"");
-                out.push_str(self.kind());
-                out.push('"');
+                let mut object = JsonObject::open(out);
+                object.field("type", self.kind());
                 match self {
                     $( Event::$variant { $( $field, )* } => {
-                        $(
-                            out.push_str(concat!(",\"", stringify!($field), "\":"));
-                            $field.write_value(out);
-                        )*
+                        $( object.field(stringify!($field), $field); )*
                     } )*
                 }
-                out.push('}');
+                object.close();
             }
         }
     };

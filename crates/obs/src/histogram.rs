@@ -1,3 +1,5 @@
+use crate::json::{JsonField, JsonObject};
+
 /// Number of log2 buckets: bucket 0 holds values `< 1`, bucket `i` holds
 /// `[2^(i-1), 2^i)`, and the last bucket absorbs everything larger.
 pub const HISTOGRAM_BUCKETS: usize = 64;
@@ -11,6 +13,8 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 pub struct Histogram {
     buckets: [u64; HISTOGRAM_BUCKETS],
     count: u64,
+    /// How many of `count` were finite: what `sum` adds up.
+    finite: u64,
     sum: f64,
     min: f64,
     max: f64,
@@ -21,6 +25,7 @@ impl Default for Histogram {
         Self {
             buckets: [0; HISTOGRAM_BUCKETS],
             count: 0,
+            finite: 0,
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
@@ -34,11 +39,12 @@ impl Histogram {
         Self::default()
     }
 
-    /// The bucket index a value falls into: 0 for `v < 1`, otherwise
-    /// `floor(log2 v) + 1`, clamped to the last bucket.
+    /// The bucket index a value falls into: 0 for `v < 1` and for
+    /// non-finite `v`, otherwise `floor(log2 v) + 1`, clamped to the last
+    /// bucket.
     pub fn bucket_index(v: f64) -> usize {
-        if v.is_nan() || v < 1.0 {
-            // Negative, sub-1 and NaN all land in bucket 0.
+        if !v.is_finite() || v < 1.0 {
+            // Negative, sub-1, NaN and ±∞ all land in bucket 0.
             return 0;
         }
         let truncated = if v >= u64::MAX as f64 {
@@ -70,6 +76,7 @@ impl Histogram {
         self.buckets[Self::bucket_index(v)] += 1;
         self.count += 1;
         if v.is_finite() {
+            self.finite += 1;
             self.sum += v;
             self.min = self.min.min(v);
             self.max = self.max.max(v);
@@ -96,9 +103,9 @@ impl Histogram {
         (self.max.is_finite()).then_some(self.max)
     }
 
-    /// Mean of recorded values, `None` when empty.
+    /// Mean of recorded finite values, `None` when there are none.
     pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
+        (self.finite > 0).then(|| self.sum / self.finite as f64)
     }
 
     /// The raw bucket counts.
@@ -135,35 +142,19 @@ impl Histogram {
 
     /// Serializes as a JSON object into `out`.
     pub fn write_json(&self, out: &mut String) {
-        use crate::json::push_f64;
-        out.push_str("{\"count\":");
-        out.push_str(&self.count.to_string());
-        out.push_str(",\"sum\":");
-        push_f64(out, self.sum);
-        out.push_str(",\"min\":");
-        match self.min() {
-            Some(v) => push_f64(out, v),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"max\":");
-        match self.max() {
-            Some(v) => push_f64(out, v),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"buckets\":[");
-        for (i, (lo, hi, c)) in self.nonzero_buckets().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            push_f64(out, lo);
-            out.push(',');
-            push_f64(out, hi);
-            out.push(',');
-            out.push_str(&c.to_string());
-            out.push(']');
-        }
-        out.push_str("]}");
+        JsonObject::open(out)
+            .field("count", self.count)
+            .field("sum", self.sum)
+            .field("min", self.min())
+            .field("max", self.max())
+            .field("buckets", self.nonzero_buckets().collect::<Vec<_>>())
+            .close();
+    }
+}
+
+impl JsonField for Histogram {
+    fn write_value(&self, out: &mut String) {
+        self.write_json(out);
     }
 }
 
@@ -184,7 +175,8 @@ mod tests {
         assert_eq!(Histogram::bucket_index(1024.0), 11);
         assert_eq!(Histogram::bucket_index(-5.0), 0);
         assert_eq!(Histogram::bucket_index(f64::NAN), 0);
-        assert_eq!(Histogram::bucket_index(f64::INFINITY), 63);
+        assert_eq!(Histogram::bucket_index(f64::INFINITY), 0);
+        assert_eq!(Histogram::bucket_index(f64::NEG_INFINITY), 0);
         assert_eq!(Histogram::bucket_index(1e300), 63);
     }
 
@@ -241,5 +233,9 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 2.0);
         assert_eq!(h.min(), Some(2.0));
+        h.record(f64::INFINITY);
+        h.record(f64::NEG_INFINITY);
+        assert_eq!((h.count(), h.buckets()[0]), (4, 3), "as `record` documents");
+        assert_eq!(h.mean(), Some(2.0), "the mean of what `sum` holds");
     }
 }

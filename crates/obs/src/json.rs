@@ -1,10 +1,12 @@
 //! A minimal, dependency-free JSON writer/parser.
 //!
-//! The writer half (`push_str`, `push_f64`) backs the trace exporters; the
+//! The writer half (`push_str`, `push_f64`, [`JsonField`], [`JsonObject`])
+//! backs the trace and sweep exporters; the
 //! parser half exists so exports can be round-trip-validated offline —
 //! both in unit tests and by the `trace_check` CI binary — without pulling
 //! in serde (the build environment has no registry access).
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Appends `s` as a JSON string literal (quoted, escaped).
@@ -33,6 +35,167 @@ pub fn push_f64(out: &mut String, v: f64) {
         let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
+    }
+}
+
+/// How a value renders as JSON.
+pub trait JsonField {
+    /// Appends the value to `out`.
+    fn write_value(&self, out: &mut String);
+}
+
+macro_rules! json_field_display {
+    ($($ty:ty),*) => {$(
+        impl JsonField for $ty {
+            fn write_value(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+json_field_display!(u8, u32, u64, usize, bool);
+
+impl JsonField for f64 {
+    fn write_value(&self, out: &mut String) {
+        push_f64(out, *self);
+    }
+}
+
+impl JsonField for str {
+    fn write_value(&self, out: &mut String) {
+        push_str(out, self);
+    }
+}
+
+impl<T: JsonField + ?Sized> JsonField for &T {
+    fn write_value(&self, out: &mut String) {
+        (**self).write_value(out);
+    }
+}
+
+impl<T: JsonField + ?Sized> JsonField for Box<T> {
+    fn write_value(&self, out: &mut String) {
+        (**self).write_value(out);
+    }
+}
+
+/// `None` is `null`.
+impl<T: JsonField> JsonField for Option<T> {
+    fn write_value(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_value(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+/// A slice is an array of its items.
+impl<T: JsonField> JsonField for [T] {
+    fn write_value(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write_value(out);
+        }
+        out.push(']');
+    }
+}
+
+impl<T: JsonField> JsonField for Vec<T> {
+    fn write_value(&self, out: &mut String) {
+        self[..].write_value(out);
+    }
+}
+
+/// A triple is an array of three (a histogram bucket: `[lo, hi, count]`).
+impl<A: JsonField, B: JsonField, C: JsonField> JsonField for (A, B, C) {
+    fn write_value(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_value(out);
+        out.push(',');
+        self.1.write_value(out);
+        out.push(',');
+        self.2.write_value(out);
+        out.push(']');
+    }
+}
+
+/// A map is an object, in key order.
+impl<K: AsRef<str>, V: JsonField> JsonField for BTreeMap<K, V> {
+    fn write_value(&self, out: &mut String) {
+        let mut object = JsonObject::open(out);
+        for (k, v) in self {
+            object.field(k.as_ref(), v);
+        }
+        object.close();
+    }
+}
+
+/// Writes one JSON object into a string field by field, keeping track of
+/// the comma.
+pub struct JsonObject<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> JsonObject<'a> {
+    /// Opens an object at the end of `out`.
+    pub fn open(out: &'a mut String) -> Self {
+        out.push('{');
+        Self { out, empty: true }
+    }
+
+    /// Appends `"key":` — after a comma, unless it is the first — and
+    /// returns the string for the value.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !std::mem::take(&mut self.empty) {
+            self.out.push(',');
+        }
+        push_str(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// Appends `"key":value`.
+    pub fn field(&mut self, key: &str, value: impl JsonField) -> &mut Self {
+        value.write_value(self.key(key));
+        self
+    }
+
+    /// Appends `"key":{…}`: a nested object, which `fields` fills.
+    pub fn object(&mut self, key: &str, fields: impl FnOnce(&mut JsonObject<'_>)) -> &mut Self {
+        let mut object = JsonObject::open(self.key(key));
+        fields(&mut object);
+        object.close();
+        self
+    }
+
+    /// Appends `"key":[{…},…]`: one object per item, which `fields` fills.
+    pub fn array<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut fields: impl FnMut(&mut JsonObject<'_>, T),
+    ) -> &mut Self {
+        let out = self.key(key);
+        out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let mut object = JsonObject::open(out);
+            fields(&mut object, item);
+            object.close();
+        }
+        out.push(']');
+        self
+    }
+
+    /// Closes the object.
+    pub fn close(&mut self) {
+        self.out.push('}');
     }
 }
 

@@ -1,7 +1,6 @@
-use crate::json::{push_f64, push_str};
+use crate::json::{JsonField, JsonObject};
 use crate::{Event, Histogram, LookupOutcome, Tier, Tracer};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 
 /// Per-group-by-level counters aggregated from [`Event::QueryDone`] and
@@ -165,96 +164,47 @@ impl MetricsRegistry {
     /// Serializes the registry as one JSON object into `out`.
     pub fn write_json(&self, out: &mut String) {
         let inner = self.inner.lock().unwrap();
-        out.push_str("{\"counters\":{");
-        for (i, (k, v)) in inner.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_str(out, k);
-            out.push(':');
-            out.push_str(&v.to_string());
-        }
-        out.push_str("},\"levels\":[");
-        for (i, (gb, s)) in inner.levels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"gb\":{gb}");
-            for (k, v) in [
-                ("queries", s.queries),
-                ("complete_hits", s.complete_hits),
-                ("chunks_hit", s.chunks_hit),
-                ("chunks_computed", s.chunks_computed),
-                ("chunks_missed", s.chunks_missed),
-                ("chunks_demoted", s.chunks_demoted),
-                ("tuples_aggregated", s.tuples_aggregated),
-                ("backend_tuples", s.backend_tuples),
-                ("lookup_nodes", s.lookup_nodes),
-                ("table_writes", s.table_writes),
-            ] {
-                out.push(',');
-                push_str(out, k);
-                out.push(':');
-                out.push_str(&v.to_string());
-            }
-            for (k, v) in [
-                ("backend_virtual_ms", s.backend_virtual_ms),
-                ("agg_virtual_ms", s.agg_virtual_ms),
-                ("lookup_virtual_ms", s.lookup_virtual_ms),
-                ("update_virtual_ms", s.update_virtual_ms),
-            ] {
-                out.push(',');
-                push_str(out, k);
-                out.push(':');
-                push_f64(out, v);
-            }
-            out.push('}');
-        }
-        out.push_str("],\"tenants\":[");
-        for (i, (tenant, s)) in inner.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"tenant\":{tenant}");
-            for (k, v) in [
-                ("queries", s.queries),
-                ("complete_hits", s.complete_hits),
-                ("chunks_hit", s.chunks_hit),
-                ("chunks_computed", s.chunks_computed),
-                ("chunks_missed", s.chunks_missed),
-                ("chunks_degraded", s.chunks_degraded),
-                ("degraded_queries", s.degraded_queries),
-            ] {
-                out.push(',');
-                push_str(out, k);
-                out.push(':');
-                out.push_str(&v.to_string());
-            }
-            out.push_str(",\"total_virtual_ms\":");
-            push_f64(out, s.total_virtual_ms);
-            out.push_str(",\"latency_virtual_us\":");
-            s.latency_virtual_us.write_json(out);
-            out.push('}');
-        }
-        out.push_str("],\"wall_ns\":{");
-        for (i, (k, h)) in inner.wall_ns.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_str(out, k);
-            out.push(':');
-            h.write_json(out);
-        }
-        out.push_str("},\"virtual_us\":{");
-        for (i, (k, h)) in inner.virtual_us.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_str(out, k);
-            out.push(':');
-            h.write_json(out);
-        }
-        out.push_str("}}");
+        JsonObject::open(out)
+            .field("counters", &inner.counters)
+            .array("levels", &inner.levels, |level, (gb, s)| {
+                level
+                    .field("gb", gb)
+                    .field("queries", s.queries)
+                    .field("complete_hits", s.complete_hits)
+                    .field("chunks_hit", s.chunks_hit)
+                    .field("chunks_computed", s.chunks_computed)
+                    .field("chunks_missed", s.chunks_missed)
+                    .field("chunks_demoted", s.chunks_demoted)
+                    .field("tuples_aggregated", s.tuples_aggregated)
+                    .field("backend_tuples", s.backend_tuples)
+                    .field("lookup_nodes", s.lookup_nodes)
+                    .field("table_writes", s.table_writes)
+                    .field("backend_virtual_ms", s.backend_virtual_ms)
+                    .field("agg_virtual_ms", s.agg_virtual_ms)
+                    .field("lookup_virtual_ms", s.lookup_virtual_ms)
+                    .field("update_virtual_ms", s.update_virtual_ms);
+            })
+            .array("tenants", &inner.tenants, |row, (tenant, s)| {
+                row.field("tenant", tenant)
+                    .field("queries", s.queries)
+                    .field("complete_hits", s.complete_hits)
+                    .field("chunks_hit", s.chunks_hit)
+                    .field("chunks_computed", s.chunks_computed)
+                    .field("chunks_missed", s.chunks_missed)
+                    .field("chunks_degraded", s.chunks_degraded)
+                    .field("degraded_queries", s.degraded_queries)
+                    .field("total_virtual_ms", s.total_virtual_ms)
+                    .field("latency_virtual_us", &s.latency_virtual_us);
+            })
+            .field("wall_ns", &inner.wall_ns)
+            .field("virtual_us", &inner.virtual_us)
+            .close();
+    }
+}
+
+impl JsonField for MetricsRegistry {
+    fn write_value(&self, out: &mut String) {
+        self.write_json(out);
     }
 }
 
@@ -666,6 +616,43 @@ mod tests {
         );
         assert!(v.get("wall_ns").unwrap().get("query_probe").is_some());
         assert!(v.get("virtual_us").unwrap().get("query_total").is_some());
+    }
+
+    /// The export byte for byte — key order, separators, number forms —
+    /// for a stream that fills every section.
+    #[test]
+    fn write_json_bytes_are_pinned() {
+        let empty = MetricsRegistry::new();
+        assert_eq!(
+            json_of(&empty),
+            r#"{"counters":{},"levels":[],"tenants":[],"wall_ns":{},"virtual_us":{}}"#
+        );
+        let r = MetricsRegistry::new();
+        r.emit(&query_done_for(1, 2, true));
+        r.emit(&Event::ChunkLookup {
+            query: 1,
+            gb: 2,
+            chunk: 0,
+            outcome: LookupOutcome::Hit,
+            nodes: 1,
+        });
+        let want = concat!(
+            r#"{"counters":{"events":2,"lookup_hit":1,"lookup_nodes":1,"queries":1},"#,
+            r#""levels":[{"gb":2,"queries":1,"complete_hits":1,"chunks_hit":2,"chunks_computed":1,"#,
+            r#""chunks_missed":0,"chunks_demoted":0,"tuples_aggregated":100,"backend_tuples":50,"#,
+            r#""lookup_nodes":7,"table_writes":3,"backend_virtual_ms":10,"agg_virtual_ms":0.05,"#,
+            r#""lookup_virtual_ms":0.0014,"update_virtual_ms":0.003}],"#,
+            r#""tenants":[{"tenant":1,"queries":1,"complete_hits":1,"chunks_hit":2,"chunks_computed":1,"#,
+            r#""chunks_missed":0,"chunks_degraded":0,"degraded_queries":0,"total_virtual_ms":10.0544,"#,
+            r#""latency_virtual_us":{"count":1,"sum":10054.4,"min":10054.4,"max":10054.4,"buckets":[[8192,16384,1]]}}],"#,
+            r#""wall_ns":{"query_agg":{"count":1,"sum":2000,"min":2000,"max":2000,"buckets":[[1024,2048,1]]},"#,
+            r#""query_apply":{"count":1,"sum":5000,"min":5000,"max":5000,"buckets":[[4096,8192,1]]},"#,
+            r#""query_lookup":{"count":1,"sum":900,"min":900,"max":900,"buckets":[[512,1024,1]]},"#,
+            r#""query_probe":{"count":1,"sum":1000,"min":1000,"max":1000,"buckets":[[512,1024,1]]},"#,
+            r#""query_update":{"count":1,"sum":100,"min":100,"max":100,"buckets":[[64,128,1]]}},"#,
+            r#""virtual_us":{"query_total":{"count":1,"sum":10054.4,"min":10054.4,"max":10054.4,"buckets":[[8192,16384,1]]}}}"#,
+        );
+        assert_eq!(json_of(&r), want);
     }
 
     #[test]

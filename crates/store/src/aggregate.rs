@@ -345,48 +345,29 @@ impl<'s> Aggregator<'s> {
     }
 
     /// Adds an entire [`ChunkData`] of cells at level `from`, rolling them
-    /// up into the target level.
+    /// up into the target level: cells stream off the columnar arrays
+    /// against the dimensions' memoised roll-up tables and combine into
+    /// their target cells in input order.
     pub fn add_chunk(&mut self, from: &[u8], data: &ChunkData, lift: Lift) {
-        self.add_chunk_range(from, data, 0..data.len(), lift);
-    }
-
-    /// Adds the cells `range` of `data` — how the backend scans one chunk's
-    /// tuple run out of the clustered fact file.
-    ///
-    /// Cells stream off the columnar arrays against the dimensions'
-    /// memoised roll-up tables and combine into their target cells in
-    /// input order.
-    pub fn add_chunk_range(
-        &mut self,
-        from: &[u8],
-        data: &ChunkData,
-        range: Range<usize>,
-        lift: Lift,
-    ) {
-        self.cells_added += range.len() as u64;
+        self.cells_added += data.len() as u64;
         let (agg, cells) = (self.agg, &mut self.cells);
         self.cell_box
             .source(from)
-            .keyed_blocks(data, range, |keys, values| {
+            .keyed_blocks(data, 0..data.len(), |keys, values| {
                 cells.fold(agg, lifted(keys, values, agg, lift))
             });
     }
 
-    /// [`Aggregator::add_chunk_range`] for the cells of source chunk `src`,
-    /// into an aggregator built by [`Aggregator::for_chunk`].
+    /// [`Aggregator::add_chunk`] for the cells of source chunk `src` — a
+    /// cached chunk, or one chunk's run of the fact table — into an
+    /// aggregator built by [`Aggregator::for_chunk`].
     ///
     /// # Panics
     ///
     /// In release builds too, unless `src` rolls up into the target chunk:
     /// a cell from elsewhere would land outside the box or, worse, on a
     /// neighbour inside it. By closure that is O(dims) per chunk, not per cell.
-    pub fn add_source_chunk(
-        &mut self,
-        src: ChunkKey,
-        data: &ChunkData,
-        range: Range<usize>,
-        lift: Lift,
-    ) {
+    pub fn add_source_chunk(&mut self, src: ChunkKey, data: &ChunkData, lift: Lift) {
         let (grid, target) = self
             .chunk
             .expect("add_source_chunk needs an aggregator built by for_chunk");
@@ -395,7 +376,7 @@ impl<'s> Aggregator<'s> {
                 && grid.ascend_chunk(src.gb, src.chunk, target.gb) == target.chunk,
             "source chunk {src:?} does not roll up into target chunk {target:?}"
         );
-        self.add_chunk_range(grid.geom(src.gb).level(), data, range, lift);
+        self.add_chunk(grid.geom(src.gb).level(), data, lift);
     }
 
     /// Folds another aggregator (same schema, target and function) into this
@@ -702,7 +683,7 @@ pub(crate) mod tests {
         let mut kernel = Aggregator::for_chunk(grid, target, agg, expected_cells);
         assert_eq!(kernel.is_dense(), expected_cells > 0);
         for &(src, data) in sources {
-            kernel.add_source_chunk(src, data, 0..data.len(), lift);
+            kernel.add_source_chunk(src, data, lift);
         }
         let added: usize = sources.iter().map(|(_, d)| d.len()).sum();
         assert_eq!(kernel.cells_added(), added as u64);
@@ -1215,7 +1196,7 @@ pub(crate) mod tests {
         assert_eq!(g.ascend_chunk(lattice.base(), 3, mid), 3);
         let mut kernel = Aggregator::for_chunk(&g, ChunkKey::new(mid, 0), AggFn::Sum, u64::MAX);
         let stray = ChunkData::new(2);
-        kernel.add_source_chunk(ChunkKey::new(lattice.base(), 3), &stray, 0..0, Lift::Raw);
+        kernel.add_source_chunk(ChunkKey::new(lattice.base(), 3), &stray, Lift::Raw);
     }
 
     #[test]

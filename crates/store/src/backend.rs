@@ -313,8 +313,7 @@ impl Backend {
             let mut agg =
                 Aggregator::for_chunk(grid, ChunkKey::new(gb, chunk), self.agg, run_cells);
             for sc in source_chunks {
-                let (cells, run) = source.chunk_cells(sc);
-                agg.add_source_chunk(ChunkKey::new(source.gb(), sc), cells, run, lift);
+                agg.add_source_chunk(ChunkKey::new(source.gb(), sc), source.chunk(sc), lift);
             }
             let data = agg.finish();
             returned += data.len() as u64;
@@ -673,8 +672,7 @@ mod tests {
             let mut whole = Aggregator::new(grid.schema(), &lattice.level_of(gb), AggFn::Sum);
             let cover = grid.cover_at(gb, chunk, fact_gb);
             for sc in grid.enumerate_region(fact_gb, &cover) {
-                let (cells, run) = backend.fact().chunk_cells(sc);
-                whole.add_chunk_range(&fact_level, cells, run, Lift::Raw);
+                whole.add_chunk(&fact_level, backend.fact().chunk(sc), Lift::Raw);
             }
             assert_eq!(whole.cells_added(), scanned);
             assert_same_bits(

@@ -1,13 +1,13 @@
 use crate::delta::{delete_multiset, DeltaBatch, DeltaOp, DeltaRecord, EffectiveDelta};
 use aggcache_chunks::{ChunkData, ChunkError, ChunkGrid, ChunkNumber};
 use aggcache_schema::GroupById;
-use std::ops::Range;
 use std::sync::Arc;
 
-/// The base fact table with the paper's *chunked file organization*:
-/// tuples sorted (clustered) by chunk number, with an offset index mapping
-/// each chunk to its tuple run — the in-memory analogue of "building a
-/// clustered index on the chunk number for the fact file" (§7).
+/// The base fact table with the paper's *chunked file organization*: the
+/// tuples of each chunk of its group-by held together as one run, in load
+/// order — what "building a clustered index on the chunk number for the
+/// fact file" (§7) gives a reader, with the chunk number as the only
+/// address.
 ///
 /// The table lives at a fixed group-by — for APB-1, HistSale lives at
 /// `(6, 2, 3, 1, 0)`: detailed in Product/Customer/Time/Channel, fully
@@ -16,61 +16,57 @@ use std::sync::Arc;
 pub struct FactTable {
     grid: Arc<ChunkGrid>,
     gb: GroupById,
-    data: ChunkData,
-    /// `offsets[c] .. offsets[c + 1]` is the tuple range of chunk `c`.
-    offsets: Vec<u64>,
+    /// `runs[c]` holds the tuples of chunk `c`, at exact capacity.
+    runs: Vec<ChunkData>,
+    num_tuples: u64,
+}
+
+/// The chunk of `gb` each of `tuples` (value coordinates at `gb`'s level)
+/// lies in: per dimension, the value→chunk table and the linearization
+/// weight of its chunk coordinate.
+fn chunk_numbers<'a>(
+    grid: &ChunkGrid,
+    gb: GroupById,
+    tuples: impl Iterator<Item = &'a [u32]>,
+) -> Vec<ChunkNumber> {
+    let geom = grid.geom(gb);
+    let dims: Vec<(&[u32], u64)> = (0..grid.num_dims())
+        .map(|d| (grid.dim(d).chunk_of_table(geom.level()[d]), geom.weight(d)))
+        .collect();
+    let chunk_of = |coords: &[u32]| -> ChunkNumber {
+        let parts = dims.iter().zip(coords);
+        parts
+            .map(|(&(table, w), &c)| w * u64::from(table[c as usize]))
+            .sum()
+    };
+    tuples.map(chunk_of).collect()
 }
 
 impl FactTable {
     /// Loads raw fact tuples (value coordinates at `gb`'s level) and
-    /// clusters them by chunk number. Duplicate coordinates are kept as
-    /// separate tuples, as in a real fact table.
+    /// clusters them by chunk number, keeping load order within a chunk.
+    /// Duplicate coordinates are kept as separate tuples, as in a real
+    /// fact table.
     pub fn load(grid: Arc<ChunkGrid>, gb: GroupById, cells: ChunkData) -> Self {
-        let geom = grid.geom(gb);
-        let level = geom.level().to_vec();
-        let n_dims = grid.num_dims();
-        let n_chunks = geom.total_chunks();
+        let chunk_nums = chunk_numbers(&grid, gb, cells.iter().map(|(coords, _)| coords));
 
-        // Chunk number per tuple via the per-dimension value→chunk tables.
-        let tables: Vec<&[u32]> = (0..n_dims)
-            .map(|d| grid.dim(d).chunk_of_table(level[d]))
-            .collect();
-        let mut chunk_nums: Vec<u64> = Vec::with_capacity(cells.len());
-        let mut chunk_coords = vec![0u32; n_dims];
-        for i in 0..cells.len() {
-            let c = cells.coords_of(i);
-            for d in 0..n_dims {
-                chunk_coords[d] = tables[d][c[d] as usize];
-            }
-            chunk_nums.push(geom.linearize(&chunk_coords));
-        }
-
-        // Counting sort by chunk number (stable, O(n + chunks)).
-        let mut counts = vec![0u64; n_chunks as usize + 1];
+        // A size pass, then one push per tuple into its chunk's run.
+        let mut sizes = vec![0usize; grid.n_chunks(gb) as usize];
         for &cn in &chunk_nums {
-            counts[cn as usize + 1] += 1;
+            sizes[cn as usize] += 1;
         }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
+        let mut runs: Vec<ChunkData> = sizes
+            .iter()
+            .map(|&n| ChunkData::with_capacity(cells.n_dims(), n))
+            .collect();
+        for (&cn, (coords, value)) in chunk_nums.iter().zip(cells.iter()) {
+            runs[cn as usize].push(coords, value);
         }
-        let offsets = counts.clone();
-        let mut sorted = ChunkData::with_capacity(n_dims, cells.len());
-        // Build a permutation rather than moving cells twice.
-        let mut order = vec![0u64; cells.len()];
-        let mut cursor = counts;
-        for (i, &cn) in chunk_nums.iter().enumerate() {
-            order[cursor[cn as usize] as usize] = i as u64;
-            cursor[cn as usize] += 1;
-        }
-        for &i in &order {
-            sorted.push(cells.coords_of(i as usize), cells.value_of(i as usize));
-        }
-
         Self {
             grid,
             gb,
-            data: sorted,
-            offsets,
+            runs,
+            num_tuples: cells.len() as u64,
         }
     }
 
@@ -89,90 +85,74 @@ impl FactTable {
     /// Total number of tuples.
     #[inline]
     pub fn num_tuples(&self) -> u64 {
-        self.data.len() as u64
+        self.num_tuples
     }
 
     /// Number of tuples in `chunk`.
     #[inline]
     pub fn tuples_in(&self, chunk: ChunkNumber) -> u64 {
-        self.offsets[chunk as usize + 1] - self.offsets[chunk as usize]
+        self.runs[chunk as usize].len() as u64
     }
 
-    /// The tuple run of `chunk` as a cell range of the clustered fact
-    /// file — what the aggregation kernel scans
-    /// ([`Aggregator::add_chunk_range`](crate::Aggregator::add_chunk_range)).
+    /// The tuples of `chunk`, in load order — what the aggregation kernel
+    /// scans ([`Aggregator::add_source_chunk`](crate::Aggregator::add_source_chunk)).
     #[inline]
-    pub fn chunk_cells(&self, chunk: ChunkNumber) -> (&ChunkData, Range<usize>) {
-        let lo = self.offsets[chunk as usize] as usize;
-        let hi = self.offsets[chunk as usize + 1] as usize;
-        (&self.data, lo..hi)
+    pub fn chunk(&self, chunk: ChunkNumber) -> &ChunkData {
+        &self.runs[chunk as usize]
     }
 
     /// Iterates the `(coords, value)` tuples of `chunk`.
     pub fn scan_chunk(&self, chunk: ChunkNumber) -> impl Iterator<Item = (&[u32], f64)> + '_ {
-        let (data, range) = self.chunk_cells(chunk);
-        range.map(move |i| (data.coords_of(i), data.value_of(i)))
+        self.chunk(chunk).iter()
     }
 
-    /// Applies a batch of inserts and deletes by editing the clustered
-    /// fact file in place through its chunk index, and reports the
-    /// [`EffectiveDelta`] that actually landed.
+    /// Applies a batch of inserts and deletes by rebuilding the runs of the
+    /// chunks it names, and reports the [`EffectiveDelta`] that actually
+    /// landed.
     ///
     /// The batch is validated first ([`DeltaBatch::validate`]); on error
     /// the table is untouched. Deletes match on coordinates plus exact
-    /// value bits against the **pre-batch** file — a delete naming a tuple
+    /// value bits against the **pre-batch** table — a delete naming a tuple
     /// the same batch inserts is unmatched — and a multiset count of *n*
-    /// removes the first *n* instances in file order. Deletes that match
-    /// nothing are counted in
+    /// removes the first *n* instances in scan order (ascending chunk, run
+    /// order within it). Deletes that match nothing are counted in
     /// [`unmatched_deletes`](EffectiveDelta::unmatched_deletes) and
-    /// otherwise ignored; a batch whose effective delta is empty leaves
-    /// the file and its index untouched.
+    /// otherwise ignored; a run that neither loses nor gains a tuple is
+    /// not written.
     ///
     /// A tuple's chunk is a function of its coordinates, so only the runs
     /// of the chunks the batch names are scanned. A changed chunk's new run
     /// is its survivors in order followed by its inserts in batch order —
-    /// what the stable counting sort of [`FactTable::load`] yields — so the
-    /// updated table is bit-identical to one loaded fresh from the
-    /// post-update tuple set. The cost is the touched runs plus one move of
-    /// each span of the file between two changed runs; no second copy of
-    /// the file is made, and a batch that does not grow it never
-    /// reallocates.
+    /// what [`FactTable::load`]'s push per tuple yields — so the updated
+    /// table is bit-identical, run by run, to one loaded fresh from the
+    /// post-update tuple set. The cost is the touched runs; every other
+    /// run stays where it is.
     pub fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<EffectiveDelta, ChunkError> {
         batch.validate(&self.grid, self.gb)?;
         let n_dims = self.grid.num_dims();
 
         // Each record's base chunk, through the tables `load` clusters by.
         // The stable sort keeps batch order within a chunk.
-        let geom = self.grid.geom(self.gb);
-        let level = geom.level();
-        let tables: Vec<&[u32]> = (0..n_dims)
-            .map(|d| self.grid.dim(d).chunk_of_table(level[d]))
-            .collect();
-        let mut chunk_coords = vec![0u32; n_dims];
-        let mut by_chunk: Vec<(ChunkNumber, &DeltaRecord)> = batch
-            .records()
-            .iter()
-            .map(|rec| {
-                for d in 0..n_dims {
-                    chunk_coords[d] = tables[d][rec.coords[d] as usize];
-                }
-                (geom.linearize(&chunk_coords), rec)
-            })
-            .collect();
+        let coords = batch.records().iter().map(|rec| &rec.coords[..]);
+        let mut by_chunk: Vec<(ChunkNumber, &DeltaRecord)> =
+            chunk_numbers(&self.grid, self.gb, coords)
+                .into_iter()
+                .zip(batch.records())
+                .collect();
         by_chunk.sort_by_key(|&(chunk, _)| chunk);
 
-        // Ascending chunk × in-run order is file-scan order, which
-        // `deleted` (and the float sums patched from it) depends on.
+        // Ascending chunk × in-run order is scan order, which `deleted`
+        // (and the float sums patched from it) depends on.
         let mut pending = delete_multiset(batch);
         let mut probe = (Vec::with_capacity(n_dims), 0u64);
         let mut deleted = ChunkData::new(n_dims);
-        let mut edits: Vec<RunEdit> = Vec::new();
+        let mut base_chunks = Vec::new();
         for group in by_chunk.chunk_by(|a, b| a.0 == b.0) {
             let chunk = group[0].0;
             let has_delete = group.iter().any(|(_, rec)| rec.op == DeltaOp::Delete);
-            let (_, old) = self.chunk_cells(chunk);
+            let old = &self.runs[chunk as usize];
             let mut new = ChunkData::with_capacity(n_dims, old.len() + group.len());
-            for (coords, value) in self.scan_chunk(chunk) {
+            for (coords, value) in old.iter() {
                 let goes = has_delete && {
                     probe.0.clear();
                     probe.0.extend_from_slice(coords);
@@ -194,7 +174,10 @@ impl FactTable {
             }
             // A run changed if it lost a tuple or gained one.
             if survivors < old.len() || survivors < new.len() {
-                edits.push(RunEdit { chunk, old, new });
+                self.num_tuples = self.num_tuples - old.len() as u64 + new.len() as u64;
+                new.shrink_to_fit();
+                self.runs[chunk as usize] = new;
+                base_chunks.push(chunk);
             }
         }
         let unmatched_deletes: u64 = pending.values().sum();
@@ -205,96 +188,20 @@ impl FactTable {
                 inserted.push(&rec.coords, rec.value);
             }
         }
-
-        if !edits.is_empty() {
-            // `shift[j]`: how far the span after `edits[j]` moves, in tuples.
-            let mut total = 0isize;
-            let shift: Vec<isize> = edits
-                .iter()
-                .map(|e| {
-                    total += e.new.len() as isize - e.old.len() as isize;
-                    total
-                })
-                .collect();
-            let (mut coords, mut values) = std::mem::take(&mut self.data).into_raw();
-            splice(&mut coords, n_dims, &edits, &shift, |e| e.new.raw_coords());
-            splice(&mut values, 1, &edits, &shift, |e| e.new.raw_values());
-            self.data = ChunkData::from_raw(n_dims, coords, values);
-            for (j, e) in edits.iter().enumerate() {
-                let until = edits
-                    .get(j + 1)
-                    .map_or(self.offsets.len() - 1, |e| e.chunk as usize);
-                for offset in &mut self.offsets[e.chunk as usize + 1..=until] {
-                    *offset = offset.wrapping_add_signed(shift[j] as i64);
-                }
-            }
-        }
         Ok(EffectiveDelta {
             inserted,
             deleted,
             unmatched_deletes,
-            base_chunks: edits.iter().map(|e| e.chunk).collect(),
+            base_chunks,
         })
     }
 
     /// All chunk numbers that contain at least one tuple.
     pub fn non_empty_chunks(&self) -> Vec<ChunkNumber> {
-        (0..self.offsets.len() - 1)
-            .filter(|&c| self.offsets[c + 1] > self.offsets[c])
-            .map(|c| c as ChunkNumber)
+        (0..self.runs.len() as ChunkNumber)
+            .filter(|&c| self.tuples_in(c) > 0)
             .collect()
     }
-}
-
-/// One chunk's run as [`FactTable::apply_delta`] rewrites it: where the
-/// run sat in the pre-batch file, and the run that replaces it.
-struct RunEdit {
-    chunk: ChunkNumber,
-    old: Range<usize>,
-    new: ChunkData,
-}
-
-/// Replaces each edit's old run in `buf` (`width` slots per tuple) with its
-/// new one, moving every span of the file between two edited runs once.
-/// `shift[j]` is how far the span after `edits[j]` moves, in tuples.
-///
-/// Left-shifting spans move first, in ascending order, then right-shifting
-/// spans in descending order: a span's destination lies between those of
-/// its neighbours, so a left-shifting span can only overlap sources to its
-/// left, which have already moved, and a right-shifting one only sources to
-/// its right. The new runs land last, from their side buffers.
-fn splice<T: Copy + Default>(
-    buf: &mut Vec<T>,
-    width: usize,
-    edits: &[RunEdit],
-    shift: &[isize],
-    new_run: impl Fn(&RunEdit) -> &[T],
-) {
-    let old_len = buf.len() / width;
-    let new_len = old_len.wrapping_add_signed(shift[shift.len() - 1]);
-    if new_len > old_len {
-        buf.resize(new_len * width, T::default());
-    }
-    let mut move_span = |(j, &by): (usize, &isize)| {
-        let start = edits[j].old.end;
-        let end = edits.get(j + 1).map_or(old_len, |e| e.old.start);
-        let dest = start.wrapping_add_signed(by);
-        buf.copy_within(start * width..end * width, dest * width);
-    };
-    let spans = || shift.iter().enumerate();
-    spans().filter(|(_, &by)| by < 0).for_each(&mut move_span);
-    spans()
-        .rev()
-        .filter(|(_, &by)| by > 0)
-        .for_each(&mut move_span);
-    let mut before = 0;
-    for (e, &after) in edits.iter().zip(shift) {
-        let dest = e.old.start.wrapping_add_signed(before) * width;
-        let run = new_run(e);
-        buf[dest..dest + run.len()].copy_from_slice(run);
-        before = after;
-    }
-    buf.truncate(new_len * width);
 }
 
 #[cfg(test)]
@@ -348,22 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_cells_tile_the_fact_file_in_chunk_order() {
-        assert_chunk_cells_tile(&table());
-    }
-
-    fn assert_chunk_cells_tile(t: &FactTable) {
-        let mut next = 0usize;
-        for c in 0..t.grid().n_chunks(t.gb()) {
-            let (_, range) = t.chunk_cells(c);
-            assert_eq!(range.start, next, "gap or overlap before chunk {c}");
-            assert_eq!(range.len() as u64, t.tuples_in(c));
-            next = range.end;
-        }
-        assert_eq!(next as u64, t.num_tuples());
-    }
-
-    #[test]
     fn keeps_duplicate_tuples() {
         let grid = grid();
         let base = grid.schema().lattice().base();
@@ -409,8 +300,7 @@ mod tests {
         cells.push(&[0, 0], 7.0);
         cells.push(&[7, 3], 9.0);
         let fresh = FactTable::load(t.grid().clone(), t.gb(), cells);
-        assert_eq!(t.data, fresh.data);
-        assert_eq!(t.offsets, fresh.offsets);
+        assert_eq!(t.runs, fresh.runs);
     }
 
     #[test]
@@ -457,11 +347,11 @@ mod tests {
     #[test]
     fn apply_delta_empty_batch_is_noop() {
         let mut t = table();
-        let before = t.data.clone();
+        let before = t.runs.clone();
         let eff = t.apply_delta(&DeltaBatch::new()).unwrap();
         assert!(eff.is_empty());
         assert_eq!(eff.num_tuples(), 0);
-        assert_eq!(t.data, before);
+        assert_eq!(t.runs, before);
     }
 
     #[test]
@@ -480,34 +370,46 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_edits_the_file_in_place() {
+    fn apply_delta_writes_nothing_when_every_delete_is_unmatched() {
         let mut t = table();
-        let buffers = |t: &FactTable| (t.data.raw_coords().as_ptr(), t.data.raw_values().as_ptr());
-        let before = buffers(&t);
-        // Delete-only, in the first, a middle and the last chunk: the file
-        // shrinks inside the buffers it already has.
+        let runs_at = |t: &FactTable| -> Vec<*const f64> {
+            t.runs.iter().map(|r| r.raw_values().as_ptr()).collect()
+        };
+        let (runs, at) = (t.runs.clone(), runs_at(&t));
         let mut batch = DeltaBatch::new();
-        batch
-            .delete(&[0, 0], 0.0)
-            .delete(&[3, 2], 302.0)
-            .delete(&[7, 3], 703.0);
-        let eff = t.apply_delta(&batch).unwrap();
-        assert_eq!(eff.deleted.len(), 3);
-        assert_eq!(t.num_tuples(), 29);
-        assert_eq!(buffers(&t), before, "a delete-only batch never reallocates");
-        assert_chunk_cells_tile(&t);
-
-        // Every delete unmatched: nothing is written at all.
-        let (data, offsets) = (t.data.clone(), t.offsets.clone());
-        let offsets_at = t.offsets.as_ptr();
-        let mut batch = DeltaBatch::new();
-        batch.delete(&[0, 0], 0.0).delete(&[1, 1], 12345.0);
+        batch.delete(&[0, 0], 1.0).delete(&[1, 1], 12345.0);
         let eff = t.apply_delta(&batch).unwrap();
         assert!(eff.is_empty());
         assert_eq!(eff.unmatched_deletes, 2);
-        assert_eq!((&t.data, &t.offsets), (&data, &offsets));
-        assert_eq!(buffers(&t), before);
-        assert_eq!(t.offsets.as_ptr(), offsets_at);
+        assert_eq!((t.num_tuples(), &t.runs), (32, &runs));
+        assert_eq!(runs_at(&t), at, "an unchanged run is not reassigned");
+    }
+
+    #[test]
+    fn a_chunk_named_in_non_adjacent_records_is_survivors_then_inserts_in_batch_order() {
+        let mut t = table();
+        let last = t.grid().n_chunks(t.gb()) - 1;
+        let before: Vec<(Vec<u32>, f64)> = t.scan_chunk(0).map(|(c, v)| (c.to_vec(), v)).collect();
+        // Chunk 0, the last chunk, then chunk 0 again — a delete and a
+        // second insert behind another chunk's record.
+        let mut batch = DeltaBatch::new();
+        batch
+            .insert(&[0, 0], 7.0)
+            .insert(&[7, 3], 9.0)
+            .delete(&[0, 0], 0.0)
+            .insert(&[1, 1], 8.0);
+        let eff = t.apply_delta(&batch).unwrap();
+        assert_eq!(eff.base_chunks, vec![0, last]);
+        assert_eq!(eff.deleted.len(), 1);
+        let mut want: Vec<(Vec<u32>, f64)> = before
+            .into_iter()
+            .filter(|(c, v)| !(c[..] == [0, 0] && *v == 0.0))
+            .collect();
+        want.push((vec![0, 0], 7.0));
+        want.push((vec![1, 1], 8.0));
+        let got: Vec<(Vec<u32>, f64)> = t.scan_chunk(0).map(|(c, v)| (c.to_vec(), v)).collect();
+        assert_eq!(got, want);
+        assert_eq!(t.num_tuples(), 34);
     }
 
     /// A fact tuple of the property test's model.
@@ -685,9 +587,10 @@ mod tests {
                 base_chunks.dedup();
 
                 let fresh = FactTable::load(grid.clone(), gb, cells_of(&model));
-                assert_same_bits(&t.data, &fresh.data, "fact file");
-                prop_assert_eq!(&t.offsets, &fresh.offsets);
-                assert_chunk_cells_tile(&t);
+                prop_assert_eq!(t.num_tuples(), model.len() as u64);
+                for (c, (got, want)) in t.runs.iter().zip(&fresh.runs).enumerate() {
+                    assert_same_bits(got, want, &format!("run of chunk {c}"));
+                }
                 assert_same_bits(&eff.inserted, &cells_of(&inserts), "inserted");
                 assert_same_bits(&eff.deleted, &cells_of(&deleted), "deleted");
                 prop_assert_eq!(eff.unmatched_deletes, pending.len() as u64);

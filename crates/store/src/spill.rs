@@ -728,14 +728,17 @@ impl SpillStore {
     /// system side — the index update is what guarantees safety.
     pub fn quarantine(&mut self, key: ChunkKey) -> Option<u64> {
         let entry = self.index.remove(&key.pack())?;
-        let from = self.chunk_path(key);
-        let to = self.dir.join(format!("{:016x}.corrupt", key.pack()));
-        if self.io.rename(&from, &to).is_err() {
-            let _ = self.io.remove(&from);
-        }
+        let _ = self.set_aside(&self.chunk_path(key));
         let _ = self.persist_index();
         self.purge_corrupt_overflow();
         Some(u64::from(entry.bytes))
+    }
+
+    /// Takes the record file `path` out of [`SpillStore::scavenge_index`]'s
+    /// reach: renamed to `*.corrupt`, or deleted when the rename fails.
+    fn set_aside(&self, path: &Path) -> Result<(), SpillError> {
+        let renamed = self.io.rename(path, &path.with_extension("corrupt"));
+        renamed.or_else(|_| self.io.remove(path))
     }
 
     /// Enforces [`DEFAULT_MAX_CORRUPT_FILES`]: deletes quarantined
@@ -794,10 +797,7 @@ impl SpillStore {
                 }
                 _ => {
                     // Undecodable, misnamed, or key-mismatched: set aside.
-                    let to = path.with_extension("corrupt");
-                    if self.io.rename(&path, &to).is_err() {
-                        let _ = self.io.remove(&path);
-                    }
+                    let _ = self.set_aside(&path);
                     report.quarantined += 1;
                 }
             }
@@ -854,12 +854,17 @@ impl SpillStore {
     }
 
     /// Removes one chunk from disk and the index; returns whether it was
-    /// present.
+    /// present. The key leaves the index only once its file is deleted or
+    /// set aside — a record left behind under its own name would be
+    /// re-indexed by the next [`SpillStore::scavenge_index`]. On `Err`
+    /// neither happened and the key is still indexed.
     pub fn remove(&mut self, key: ChunkKey) -> Result<bool, SpillError> {
-        if self.index.remove(&key.pack()).is_none() {
+        if !self.contains(key) {
             return Ok(false);
         }
-        self.io.remove(&self.chunk_path(key))?;
+        let path = self.chunk_path(key);
+        self.io.remove(&path).or_else(|_| self.set_aside(&path))?;
+        self.index.remove(&key.pack());
         Ok(true)
     }
 
@@ -1099,6 +1104,53 @@ mod tests {
         assert!(store.remove(sample_key()).unwrap());
         assert!(!store.remove(sample_key()).unwrap());
         assert!(store.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The file system with a `remove` that always fails.
+    #[derive(Debug)]
+    struct NoRemoveIo;
+
+    impl SpillIo for NoRemoveIo {
+        fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), SpillError> {
+            FsSpillIo.write(path, bytes)
+        }
+        fn read(&self, path: &Path) -> Result<Vec<u8>, SpillError> {
+            FsSpillIo.read(path)
+        }
+        fn remove(&self, _: &Path) -> Result<(), SpillError> {
+            Err(SpillError::Io {
+                op: "remove",
+                error: "injected".into(),
+            })
+        }
+        fn rename(&self, from: &Path, to: &Path) -> Result<(), SpillError> {
+            FsSpillIo.rename(from, to)
+        }
+        fn create_dir_all(&self, dir: &Path) -> Result<(), SpillError> {
+            FsSpillIo.create_dir_all(dir)
+        }
+        fn list_files(&self, dir: &Path, extension: &str) -> Result<Vec<PathBuf>, SpillError> {
+            FsSpillIo.list_files(dir, extension)
+        }
+    }
+
+    #[test]
+    fn a_removed_record_cannot_be_scavenged_back_when_the_delete_fails() {
+        let dir = tmpdir("rm-fails");
+        let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
+        store
+            .write(sample_key(), ORIGIN_BACKEND, 3.0, &sample_chunk())
+            .unwrap();
+        store.io = Box::new(NoRemoveIo);
+        let removed = store.remove(sample_key());
+        assert!(!store.contains(sample_key()));
+        store.scavenge_index();
+        assert!(
+            !store.contains(sample_key()),
+            "the stale record was re-indexed"
+        );
+        assert!(matches!(removed, Ok(true)), "{removed:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

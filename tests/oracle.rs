@@ -163,8 +163,8 @@ fn apply_to_model(model: &mut Vec<Tuple>, batch: &DeltaBatch) {
 }
 
 /// Every other post-update oracle applies the batch to its shadow with the
-/// `apply_delta` under test, so a wrong splice of the fact file is wrong on
-/// both sides. This one never calls it: the oracle backend is loaded fresh
+/// `apply_delta` under test, so a wrongly rebuilt run of the fact table is
+/// wrong on both sides. This one never calls it: the oracle backend is loaded fresh
 /// from the test's own tuple list after every batch.
 #[test]
 fn ingest_answers_match_a_freshly_loaded_backend() {
