@@ -193,7 +193,6 @@ pub fn run_stream_faulty(
         RetryPolicy {
             max_attempts: opts.attempts,
             seed: opts.fault_seed,
-            ..RetryPolicy::default()
         },
     )
     .expect("retry policy is valid");

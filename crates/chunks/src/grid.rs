@@ -1,4 +1,4 @@
-use crate::{ChunkError, ChunkNumber, DimChunking, PACK_CHUNK_BITS};
+use crate::{ChunkError, ChunkKey, ChunkNumber, DimChunking, PACK_CHUNK_BITS};
 use aggcache_schema::{GroupById, Schema};
 use std::sync::Arc;
 
@@ -201,6 +201,14 @@ impl ChunkGrid {
                 gb: gb.0,
                 group_bys: self.geoms.len(),
             })
+    }
+
+    /// Whether `key` names a chunk of this grid — for a key that arrived
+    /// from outside (a peer's probe, a spill directory another schema may
+    /// have written).
+    pub fn has_chunk(&self, key: ChunkKey) -> bool {
+        self.checked_geom(key.gb)
+            .is_ok_and(|geom| key.chunk < geom.total_chunks())
     }
 
     /// Number of chunks at group-by `gb`.

@@ -1,15 +1,15 @@
 use crate::ComputationPlan;
 use aggcache_cache::ChunkCache;
-use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey};
+use aggcache_chunks::{ChunkData, ChunkGrid};
 use aggcache_obs::Tracer;
-use aggcache_store::{aggregate_to_level_parallel_traced, AggFn, Aggregator, Lift};
+use aggcache_store::{aggregate_to_chunk, AggFn, Lift};
 
 /// Executes a [`ComputationPlan`]: aggregates the plan's cached leaf chunks
 /// (at whatever mixed levels they live) straight up into the target chunk
 /// in a single pass — legal because the cube's aggregate is distributive.
 /// The kernel is told the target chunk and the leaves' total length, so it
 /// accumulates into a dense array over the chunk's cell box wherever that
-/// box is small next to the input ([`Aggregator::for_chunk`]).
+/// box is small next to the input ([`aggregate_to_chunk`]).
 ///
 /// Returns the computed chunk's cells and the number of tuples aggregated
 /// (the realized cost, which equals `plan.cost` whenever plan costs are
@@ -26,50 +26,24 @@ pub fn execute_plan(
     agg: AggFn,
     plan: &ComputationPlan,
 ) -> (ChunkData, u64) {
-    let leaves = leaf_cells(cache, plan);
-    let expected = leaves.iter().map(|(_, data)| data.len() as u64).sum();
-    let mut aggregator = Aggregator::for_chunk(grid, plan.target, agg, expected);
-    for (leaf, data) in leaves {
-        aggregator.add_source_chunk(leaf, data, Lift::Lifted);
-    }
-    let tuples = aggregator.cells_added();
-    (aggregator.finish(), tuples)
-}
-
-/// The cached cells of each leaf of `plan`, in plan order.
-fn leaf_cells<'c>(cache: &'c ChunkCache, plan: &ComputationPlan) -> Vec<(ChunkKey, &'c ChunkData)> {
-    plan.leaves
-        .iter()
-        .map(|leaf| {
-            let entry = cache
-                .peek(leaf)
-                .expect("plan leaf evicted before execution; pin leaves");
-            (*leaf, &entry.data)
-        })
-        .collect()
+    execute_plan_parallel_traced(grid, cache, agg, plan, 1, None)
 }
 
 /// Plans cheaper than this (in cells to aggregate) run single-threaded:
 /// below it, spawning scoped threads costs more than the aggregation.
 pub const PARALLEL_MIN_COST: u64 = 8_192;
 
-/// [`execute_plan`], parallelized across `threads` scoped threads via the
-/// two-phase exchange in [`aggregate_to_level_parallel_traced`]: a partition pass
-/// rolls up and encodes every leaf cell exactly once (split by contiguous
-/// input ranges), then each target-cell shard reduces its `(key, value)`
-/// runs in global input order and the disjoint partial [`Aggregator`]s are
-/// merged. Each target cell's contributions combine in exactly the
-/// sequential order, so the result is bit-identical to [`execute_plan`] —
-/// including floating-point SUM, which leaf-sharding would silently
-/// re-associate.
+/// [`execute_plan`] on `threads` scoped threads: the same kernel, each
+/// worker owning a share of the target chunk's cell box and combining its
+/// cells in the sequential order ([`aggregate_to_chunk`]), so the result is
+/// bit-identical to [`execute_plan`] — including floating-point SUM, which
+/// leaf-sharding would silently re-associate.
 ///
-/// Falls back to the sequential path when `threads <= 1` or the plan is
-/// below [`PARALLEL_MIN_COST`].
+/// A plan below [`PARALLEL_MIN_COST`] runs on the calling thread alone.
 ///
 /// # Panics
 ///
-/// Panics if a leaf is missing from the cache — the caller must pin plan
-/// leaves between lookup and execution.
+/// As [`execute_plan`].
 pub fn execute_plan_parallel(
     grid: &ChunkGrid,
     cache: &ChunkCache,
@@ -80,9 +54,8 @@ pub fn execute_plan_parallel(
     execute_plan_parallel_traced(grid, cache, agg, plan, threads, None)
 }
 
-/// [`execute_plan_parallel`] with an optional [`Tracer`] receiving a
-/// per-worker `ShardAgg` event from each partition and reduce worker of the
-/// two-phase exchange. Tracing never changes the computed cells.
+/// [`execute_plan_parallel`] with an optional [`Tracer`] receiving one
+/// `ShardAgg` event per worker. Tracing never changes the computed cells.
 pub fn execute_plan_parallel_traced(
     grid: &ChunkGrid,
     cache: &ChunkCache,
@@ -91,20 +64,26 @@ pub fn execute_plan_parallel_traced(
     threads: usize,
     tracer: Option<&dyn Tracer>,
 ) -> (ChunkData, u64) {
-    if threads <= 1 || plan.cost < PARALLEL_MIN_COST {
-        return execute_plan(grid, cache, agg, plan);
-    }
-    let schema = grid.schema();
-    let target_level = grid.geom(plan.target.gb).level();
-    // Resolve leaves once; workers share the read-only borrows.
-    let leaves: Vec<(&[u8], &ChunkData)> = leaf_cells(cache, plan)
-        .into_iter()
-        .map(|(leaf, data)| (grid.geom(leaf.gb).level(), data))
+    let threads = if plan.cost < PARALLEL_MIN_COST {
+        1
+    } else {
+        threads
+    };
+    // Resolved once; workers share the read-only borrows.
+    let leaves: Vec<_> = plan
+        .leaves
+        .iter()
+        .map(|leaf| {
+            let entry = cache
+                .peek(leaf)
+                .expect("plan leaf evicted before execution; pin leaves");
+            (*leaf, &entry.data)
+        })
         .collect();
-    aggregate_to_level_parallel_traced(
-        schema,
+    aggregate_to_chunk(
+        grid,
+        plan.target,
         &leaves,
-        target_level,
         agg,
         Lift::Lifted,
         threads,
@@ -119,7 +98,7 @@ mod tests {
     use aggcache_cache::{Origin, PolicyKind};
     use aggcache_chunks::ChunkKey;
     use aggcache_schema::{Dimension, Schema};
-    use aggcache_store::{Backend, BackendCostModel, FactTable};
+    use aggcache_store::{Aggregator, Backend, BackendCostModel, FactTable};
     use std::sync::Arc;
 
     /// End-to-end: cache the base level via backend fetches, compute an
@@ -278,6 +257,36 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A target of one row has one owner: at eight threads seven shares
+    /// are empty and do nothing, and the answer is `execute_plan`'s.
+    #[test]
+    fn a_single_row_target_runs_at_eight_threads() {
+        let schema = Arc::new(Schema::new(vec![Dimension::flat("x", 4).unwrap()], "m").unwrap());
+        let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 2]]).unwrap());
+        let lattice = grid.schema().lattice();
+        let mut cache = ChunkCache::new(usize::MAX, PolicyKind::Benefit);
+        for chunk in 0..2u32 {
+            let mut cells = ChunkData::new(1);
+            for x in 2 * chunk..2 * chunk + 2 {
+                cells.push(&[x], 0.1 + f64::from(x) * 1e9);
+            }
+            let key = ChunkKey::new(lattice.base(), u64::from(chunk));
+            cache.insert(key, cells, Origin::Backend, 1.0);
+        }
+        for target in [
+            ChunkKey::new(lattice.top(), 0),
+            ChunkKey::new(lattice.base(), 1),
+        ] {
+            let mut stats = LookupStats::default();
+            let mut plan = esm(&cache, &grid, target, &mut stats).unwrap();
+            plan.cost = PARALLEL_MIN_COST;
+            let seq = execute_plan(&grid, &cache, AggFn::Sum, &plan);
+            let par = execute_plan_parallel(&grid, &cache, AggFn::Sum, &plan, 8);
+            assert_eq!(par, seq, "{target:?}");
+            assert!(!seq.0.is_empty());
         }
     }
 

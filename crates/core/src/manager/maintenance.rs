@@ -316,10 +316,13 @@ impl CacheManager {
         // demoted during the sweep above, which are re-fetched rather
         // than trusted.
         let dropped = self.tiering.discard(|key| {
-            per_gb
-                .entry(key.gb.0)
-                .or_insert_with(|| GbDelta::build(&grid, &fact_level, key.gb, eff))
-                .affects(key.chunk)
+            // A copy of a chunk the grid does not have (a directory another
+            // schema wrote) was never valid.
+            !grid.has_chunk(key)
+                || per_gb
+                    .entry(key.gb.0)
+                    .or_insert_with(|| GbDelta::build(&grid, &fact_level, key.gb, eff))
+                    .affects(key.chunk)
         });
         for key in dropped {
             m.spill_invalidated += 1;

@@ -265,10 +265,7 @@ impl CacheManager {
     pub fn lookup_chunk(&self, key: ChunkKey) -> LookupOutcome {
         let (cache, grid) = (&self.cache, &*self.grid);
         let mut stats = LookupStats::default();
-        if !grid
-            .checked_geom(key.gb)
-            .is_ok_and(|geom| key.chunk < geom.total_chunks())
-        {
+        if !grid.has_chunk(key) {
             return LookupOutcome { plan: None, stats };
         }
         // The strategy only tells the table-less searches apart.

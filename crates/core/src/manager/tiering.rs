@@ -9,7 +9,7 @@ use super::CacheManager;
 use crate::request::SpillMetrics;
 use crate::QueryMetrics;
 use aggcache_cache::{CachedChunk, Origin};
-use aggcache_chunks::{ChunkData, ChunkKey};
+use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey};
 use aggcache_obs::{Event, Tracer};
 use aggcache_schema::GroupById;
 use aggcache_store::{
@@ -66,13 +66,17 @@ fn origin_from_code(code: u8) -> Origin {
 /// The read both warm start and promote-on-miss go through, charged to
 /// `delta`. Transient errors retry under the store's
 /// [`aggcache_store::RetryPolicy`]; a record that fails its checksum or
-/// decode is *quarantined* (counted, evented, file set aside) and the
-/// chunk falls back to the miss path — corruption costs time, never
-/// correctness. Returns the record with its on-disk size and read cost;
-/// `None` when the key is not spilled or unreadable (a transient error
-/// that outlasts its retries leaves the file in place: it may be intact).
+/// decode — or is intact but not of `grid`: a key the grid does not have,
+/// cells of another dimension count, what a directory checkpointed under
+/// another schema holds — is *quarantined* (counted, evented, file set
+/// aside) and the chunk falls back to the miss path — corruption costs
+/// time, never correctness. Returns the record with its on-disk size and
+/// read cost; `None` when the key is not spilled or unreadable (a
+/// transient error that outlasts its retries leaves the file in place: it
+/// may be intact).
 fn read_recovering(
     store: &mut SpillStore,
+    grid: &ChunkGrid,
     key: ChunkKey,
     tracer: Option<&dyn Tracer>,
     delta: &mut SpillMetrics,
@@ -82,7 +86,14 @@ fn read_recovering(
     let outcome = store.read_retrying(key);
     delta.spill_retries += outcome.attempts - 1;
     delta.spill_virtual_ms += outcome.retry_virtual_ms;
-    match outcome.result {
+    let of_grid = |r: &SpillRecord| grid.has_chunk(key) && r.data.n_dims() == grid.num_dims();
+    let result = outcome.result.and_then(|record| match record {
+        Some(record) if !of_grid(&record) => Err(SpillError::Corrupt {
+            reason: "record of another grid",
+        }),
+        record => Ok(record),
+    });
+    match result {
         Ok(Some(record)) => {
             delta.spill_reads += 1;
             delta.bytes_read += bytes;
@@ -250,10 +261,15 @@ impl Tiering {
     }
 
     /// Reads one missing chunk back for the running query.
-    fn read(&mut self, key: ChunkKey, delta: &mut SpillMetrics) -> Option<SpillRecord> {
+    fn read(
+        &mut self,
+        grid: &ChunkGrid,
+        key: ChunkKey,
+        delta: &mut SpillMetrics,
+    ) -> Option<SpillRecord> {
         let store = self.store.as_mut()?;
         let (record, bytes, virtual_ms) =
-            read_recovering(store, key, self.tracer.as_deref(), delta)?;
+            read_recovering(store, grid, key, self.tracer.as_deref(), delta)?;
         self.emit(Event::SpillRead {
             gb: key.gb.0,
             chunk: key.chunk,
@@ -388,7 +404,8 @@ impl CacheManager {
         let mut reads = SpillMetrics::default();
         for (key, code, benefit, _) in store.resident_entries() {
             let tracer = self.tiering.tracer.as_deref();
-            if let Some((record, ..)) = read_recovering(&mut store, key, tracer, &mut reads) {
+            let read = read_recovering(&mut store, &self.grid, key, tracer, &mut reads);
+            if let Some((record, ..)) = read {
                 self.insert_chunk(key, record.data, origin_from_code(code), benefit);
             }
         }
@@ -429,7 +446,7 @@ impl CacheManager {
         let mut still_missing = Vec::with_capacity(missing.len());
         for chunk in missing {
             let key = ChunkKey::new(gb, chunk);
-            let Some(record) = self.tiering.read(key, &mut delta) else {
+            let Some(record) = self.tiering.read(&self.grid, key, &mut delta) else {
                 still_missing.push(chunk);
                 continue;
             };
@@ -731,7 +748,8 @@ mod tests {
                 let store = SpillStore::open(config).unwrap();
                 tiering.install(store, &SpillMetrics::default());
                 let mut delta = SpillMetrics::default();
-                assert!(tiering.read(key_of_test(), &mut delta).is_none());
+                let grid = make_backend().grid().clone();
+                assert!(tiering.read(&grid, key_of_test(), &mut delta).is_none());
                 tiering.charge_query(&delta);
                 tiering.fold_corrupt_purged();
                 tiering.session
@@ -755,6 +773,80 @@ mod tests {
             ["spill_corrupt", "spill_quarantine"]
         );
         assert_eq!(warm_events, promote_events);
+    }
+
+    /// A spill directory written under another schema (a stale path) holds
+    /// intact records of keys this grid does not have, or has with cells of
+    /// another shape. The build succeeds; warm start quarantines every
+    /// checkpointed one and admits none; an ingest drops the demoted copies
+    /// of chunks the grid lacks instead of indexing it by them; a miss on a
+    /// key both grids have quarantines the copy and goes to the backend.
+    #[test]
+    fn a_spill_directory_from_another_grid_is_quarantined_not_admitted() {
+        use aggcache_schema::{Dimension, Schema};
+        use aggcache_store::DeltaBatch;
+        let dir = spill_dir("foreign-grid");
+        // Room for two base chunks: most of what is queried gets demoted.
+        let mut a = spill_manager_over(dir.clone(), 160);
+        for gb in a.grid().schema().lattice().clone().iter_ids() {
+            for chunk in 0..a.grid().n_chunks(gb) {
+                run_and_check(&mut a, &Query::new(gb, vec![chunk]));
+            }
+        }
+        let checkpointed = a.checkpoint().unwrap().chunks;
+        let spilled = a.spill_store().unwrap().len() as u64;
+        assert!(0 < checkpointed && checkpointed < spilled);
+        drop(a);
+
+        let schema = Arc::new(Schema::new(vec![Dimension::flat("x", 4).unwrap()], "m").unwrap());
+        let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 2]]).unwrap());
+        let lattice = grid.schema().lattice().clone();
+        let mut cells = ChunkData::new(1);
+        for x in 0..4u32 {
+            cells.push(&[x], f64::from(x));
+        }
+        let backend = Backend::new(
+            FactTable::load(grid.clone(), lattice.base(), cells),
+            AggFn::Sum,
+            BackendCostModel::default(),
+        );
+        let tracer = Arc::new(RecordingTracer::new());
+        let mut b = CacheManager::builder()
+            .strategy(Strategy::Vcm)
+            .policy(PolicyKind::TwoLevel)
+            .cache_bytes(usize::MAX >> 1)
+            .tracer(tracer.clone())
+            .spill(SpillConfig::new(dir.clone()))
+            .build(backend)
+            .expect("a foreign checkpoint is recovered from, not fatal");
+        assert!(b.cache().is_empty(), "nothing foreign is admitted");
+        let warm = *b.session_spill();
+        assert_eq!(warm.spill_reads, 0);
+        assert_eq!(warm.spill_corrupt, checkpointed);
+        assert_eq!(warm.spill_quarantined, checkpointed);
+        let kinds: Vec<_> = tracer.take().iter().map(Event::kind).collect();
+        assert_eq!(kinds.len() as u64, 2 * checkpointed);
+        assert!(kinds
+            .chunks(2)
+            .all(|pair| pair == ["spill_corrupt", "spill_quarantine"]));
+
+        let mut batch = DeltaBatch::new();
+        batch.insert(&[3], 7.0);
+        b.ingest(&batch).unwrap();
+        let store = b.spill_store().unwrap();
+        assert!(store.keys().iter().all(|&key| grid.has_chunk(key)));
+
+        let m = run_and_check(&mut b, &Query::new(lattice.base(), vec![0, 1]));
+        assert!(
+            m.backend_virtual_ms > 0.0,
+            "re-served through the miss path"
+        );
+        run_and_check(&mut b, &Query::new(lattice.top(), vec![0]));
+        assert!(b.spill_store().unwrap().is_empty());
+        assert!(b.session_spill().spill_corrupt > warm.spill_corrupt);
+        assert_eq!(b.session_spill().spill_reads, 0);
+        assert_counts_consistent(&b);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The tentpole's recovery guarantee, end to end: a chunk file

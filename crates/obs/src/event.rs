@@ -311,15 +311,14 @@ events! {
         /// `true` for an eviction, `false` for an insert.
         evict: bool,
     },
-    /// One worker of the parallel aggregation kernel finished its share.
+    /// One worker of a `threads > 1` aggregation finished its share of the
+    /// target box.
     ShardAgg = "shard_agg" {
-        /// Exchange phase: 0 = partition (roll-up + encode), 1 = reduce.
-        phase: u8,
-        /// Worker/shard index.
+        /// Share index.
         shard: u32,
-        /// Total workers/shards.
+        /// Shares the box was cut into (the thread count).
         shards: u32,
-        /// Cells this worker processed.
+        /// Target cells this worker produced.
         cells: u64,
         /// Wall-clock nanoseconds this worker ran.
         wall_ns: u64,

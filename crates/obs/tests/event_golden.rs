@@ -119,7 +119,6 @@ fn samples() -> Vec<Event> {
             evict: false,
         },
         Event::ShardAgg {
-            phase: 1,
             shard: 2,
             shards: 4,
             cells: 1000,

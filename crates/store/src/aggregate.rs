@@ -1,8 +1,9 @@
 use aggcache_chunks::hash::FxBuildHasher;
 use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey};
+use aggcache_obs::{Event, Tracer};
 use aggcache_schema::Schema;
 use std::collections::HashMap;
-use std::ops::Range;
+use std::time::Instant;
 
 /// A distributive aggregate function over the cube measure.
 ///
@@ -103,6 +104,9 @@ pub enum Lift {
 /// ascending coordinates. A `u64` key always exists because
 /// [`Schema::new`] refuses a schema whose base-level cell space overflows
 /// `u64`, and no box is larger than that.
+///
+/// An aggregator may own only a *share* of its box ([`CellBox::share`]):
+/// the keys `first..first + mine`, re-keyed from 0.
 #[derive(Debug)]
 struct CellBox<'s> {
     schema: &'s Schema,
@@ -114,9 +118,13 @@ struct CellBox<'s> {
     /// The dimensions the box is longer than one value along. A dead one
     /// adds 0 to every key, so neither keying nor decoding visits it.
     live: Vec<usize>,
-    /// `Σ_d weights[d] · lo[d]`: the key of the box's corner in level-wide
-    /// terms, subtracted once per cell.
+    /// `Σ_d weights[d] · lo[d] + first`: the key of the share's first cell
+    /// in level-wide terms, subtracted once per cell.
     base: u64,
+    /// The whole-box key of the share's first cell.
+    first: u64,
+    /// Cells in the share: a cell is this aggregator's iff its key is below it.
+    mine: u64,
 }
 
 /// How the cells of one source level key into a [`CellBox`]: per live
@@ -125,7 +133,9 @@ struct CellBox<'s> {
 struct SourceKeys<'s> {
     dims: Vec<(usize, &'s [u32], u64)>,
     base: u64,
-    /// Cells in the box: every key is below it.
+    /// The share's `first` and the cells of the whole box: every key plus
+    /// the former is below the latter.
+    first: u64,
     cells: u64,
 }
 
@@ -150,12 +160,40 @@ impl<'s> CellBox<'s> {
             cells,
             live,
             base,
+            first: 0,
+            mine: cells,
         }
     }
 
     fn whole_level(schema: &'s Schema, level: &[u8]) -> Self {
         let cards = (0..level.len()).map(|d| (0, schema.dimension(d).cardinality(level[d])));
         Self::new(schema, level, cards)
+    }
+
+    fn of_chunk(grid: &'s ChunkGrid, target: ChunkKey) -> Self {
+        let level = grid.geom(target.gb).level();
+        let ranges = grid.cell_box(target.gb, target.chunk);
+        Self::new(grid.schema(), level, ranges.into_iter())
+    }
+
+    /// The innermost live dimension. Its weight is 1 (only dead dimensions
+    /// follow it), so the keys along it are contiguous: a *row*.
+    fn inner(&self) -> usize {
+        self.live.last().copied().unwrap_or(self.lo.len() - 1)
+    }
+
+    /// Part `p` of `of` of a whole box: a contiguous run of whole rows,
+    /// keyed from 0 by moving the corner every key subtracts to its first
+    /// cell. The parts, in order, tile the box; with fewer rows than parts
+    /// some own nothing.
+    fn share(mut self, p: usize, of: usize) -> Self {
+        let row_len = u64::from(self.len[self.inner()]);
+        let rows = u128::from(self.cells / row_len);
+        let key_at = |p: usize| (p as u128 * rows / of as u128) as u64 * row_len;
+        self.first = key_at(p);
+        self.mine = key_at(p + 1) - self.first;
+        self.base += self.first;
+        self
     }
 
     fn source(&self, from: &[u8]) -> SourceKeys<'s> {
@@ -167,14 +205,16 @@ impl<'s> CellBox<'s> {
         SourceKeys {
             dims: self.live.iter().map(dim).collect(),
             base: self.base,
+            first: self.first,
             cells: self.cells,
         }
     }
 
-    /// The coordinates of the cell `key`, into `out` (which already holds
-    /// `lo` along every dead dimension).
+    /// The coordinates of the share's cell `key`, into `out` (which already
+    /// holds `lo` along every dead dimension).
     #[inline]
-    fn decode(&self, mut key: u64, out: &mut [u32]) {
+    fn decode(&self, key: u64, out: &mut [u32]) {
+        let mut key = self.first + key;
         for &d in &self.live {
             out[d] = self.lo[d] + (key / self.weights[d]) as u32;
             key %= self.weights[d];
@@ -188,36 +228,33 @@ impl<'s> CellBox<'s> {
 const KEY_BLOCK: usize = 256;
 
 impl SourceKeys<'_> {
-    /// Hands `sink` the target keys and raw values of the cells `range` of
-    /// `data`, in order, a block at a time straight off the columnar arrays.
-    /// Keys are computed one live dimension at a time — a lookup and a
+    /// Hands `sink` the target keys and raw values of the cells of `data`,
+    /// in order, a block at a time straight off the columnar arrays. Keys
+    /// are computed one live dimension at a time — a lookup and a
     /// multiply-add per cell, table and weight in registers — and equal
-    /// "roll each coordinate up, then Horner-encode". Which cells lie in the
-    /// box is a per-*chunk* check ([`Aggregator::add_source_chunk`]).
+    /// "roll each coordinate up, then Horner-encode", less the share's
+    /// `first`: a cell of the box before the share wraps past any share's
+    /// size, one after it keys at `mine` or more. Which cells lie in the box
+    /// is a per-*chunk* check ([`Aggregator::add_source_chunk`]).
     #[inline]
-    fn keyed_blocks(
-        &self,
-        data: &ChunkData,
-        range: Range<usize>,
-        mut sink: impl FnMut(&[u64], &[f64]),
-    ) {
+    fn keyed_blocks(&self, data: &ChunkData, mut sink: impl FnMut(&[u64], &[f64])) {
         let n = data.n_dims();
         let mut keys = [0u64; KEY_BLOCK];
-        for start in range.clone().step_by(KEY_BLOCK) {
-            let end = range.end.min(start + KEY_BLOCK);
-            let keys = &mut keys[..end - start];
+        let blocks = data.raw_coords().chunks(KEY_BLOCK * n);
+        for (coords, values) in blocks.zip(data.raw_values().chunks(KEY_BLOCK)) {
+            let keys = &mut keys[..values.len()];
             keys.fill(0u64.wrapping_sub(self.base));
-            let coords = &data.raw_coords()[start * n..end * n];
             for &(d, table, w) in &self.dims {
                 for (key, c) in keys.iter_mut().zip(coords.chunks_exact(n)) {
                     *key = key.wrapping_add(w * u64::from(table[c[d] as usize]));
                 }
             }
             debug_assert!(
-                keys.iter().all(|&key| key < self.cells),
+                keys.iter()
+                    .all(|&key| key.wrapping_add(self.first) < self.cells),
                 "a source cell rolls up outside the target box"
             );
-            sink(keys, &data.raw_values()[start..end]);
+            sink(keys, values);
         }
     }
 }
@@ -301,13 +338,7 @@ impl<'s> Aggregator<'s> {
     /// Creates an aggregator producing cells anywhere at level `target`
     /// with `agg`: the box is the whole level, held sparse.
     pub fn new(schema: &'s Schema, target: &[u8], agg: AggFn) -> Self {
-        Self {
-            cell_box: CellBox::whole_level(schema, target),
-            chunk: None,
-            agg,
-            cells: Cells::Sparse(CellMap::default()),
-            cells_added: 0,
-        }
+        Self::share(CellBox::whole_level(schema, target), None, agg, 0, (0, 1))
     }
 
     /// Creates an aggregator producing the cells of one chunk, `target`,
@@ -323,11 +354,26 @@ impl<'s> Aggregator<'s> {
         agg: AggFn,
         expected_cells: u64,
     ) -> Self {
-        let level = grid.geom(target.gb).level();
-        let ranges = grid.cell_box(target.gb, target.chunk);
-        let cell_box = CellBox::new(grid.schema(), level, ranges.into_iter());
-        let cells = if cell_box.cells <= DENSE_BOX_PER_INPUT_CELL.saturating_mul(expected_cells) {
-            let slots = usize::try_from(cell_box.cells).expect("a dense box is addressable");
+        let chunk = Some((grid, target));
+        let cell_box = CellBox::of_chunk(grid, target);
+        Self::share(cell_box, chunk, agg, expected_cells, (0, 1))
+    }
+
+    /// An aggregator owning part `p` of `of` of `cell_box`
+    /// ([`CellBox::share`]). Dense or sparse is decided on the *whole* box,
+    /// so every share holds its cells the way the undivided aggregator
+    /// would — the same representation, hence the same bits.
+    fn share(
+        cell_box: CellBox<'s>,
+        chunk: Option<(&'s ChunkGrid, ChunkKey)>,
+        agg: AggFn,
+        expected_cells: u64,
+        (p, of): (usize, usize),
+    ) -> Self {
+        let dense = cell_box.cells <= DENSE_BOX_PER_INPUT_CELL.saturating_mul(expected_cells);
+        let cell_box = cell_box.share(p, of);
+        let cells = if dense {
+            let slots = usize::try_from(cell_box.mine).expect("a dense box is addressable");
             Cells::Dense {
                 vals: vec![agg.identity(); slots],
                 occupied: vec![0; slots],
@@ -337,7 +383,7 @@ impl<'s> Aggregator<'s> {
         };
         Self {
             cell_box,
-            chunk: Some((grid, target)),
+            chunk,
             agg,
             cells,
             cells_added: 0,
@@ -346,15 +392,24 @@ impl<'s> Aggregator<'s> {
 
     /// Adds an entire [`ChunkData`] of cells at level `from`, rolling them
     /// up into the target level: cells stream off the columnar arrays
-    /// against the dimensions' memoised roll-up tables and combine into
-    /// their target cells in input order.
+    /// against the dimensions' memoised roll-up tables and those the
+    /// aggregator owns combine into their target cells in input order.
     pub fn add_chunk(&mut self, from: &[u8], data: &ChunkData, lift: Lift) {
         self.cells_added += data.len() as u64;
-        let (agg, cells) = (self.agg, &mut self.cells);
+        let (agg, cells, mine) = (self.agg, &mut self.cells, self.cell_box.mine);
+        if mine == 0 {
+            return;
+        }
+        let whole = mine == self.cell_box.cells;
         self.cell_box
             .source(from)
-            .keyed_blocks(data, 0..data.len(), |keys, values| {
-                cells.fold(agg, lifted(keys, values, agg, lift))
+            .keyed_blocks(data, |keys, values| {
+                let pairs = lifted(keys, values, agg, lift);
+                if whole {
+                    cells.fold(agg, pairs)
+                } else {
+                    cells.fold(agg, pairs.filter(|&(key, _)| key < mine))
+                }
             });
     }
 
@@ -379,34 +434,6 @@ impl<'s> Aggregator<'s> {
         self.add_chunk(grid.geom(src.gb).level(), data, lift);
     }
 
-    /// Folds another aggregator (same schema, target and function) into this
-    /// one, combining cells present in both with the aggregate's combine
-    /// rule and summing the consumed-cell counts. Defined on level-wide
-    /// aggregators ([`Aggregator::new`]) only.
-    ///
-    /// When the two aggregators hold *disjoint* target cells (the shards of
-    /// [`aggregate_to_level_parallel`]) no key collides, so the merged
-    /// state — and hence [`Aggregator::finish`] — is bit-identical to one
-    /// aggregator fed both inputs. Overlapping aggregators merge with
-    /// correct SUM/COUNT/MIN/MAX semantics but, for floating-point SUM, in
-    /// merge order rather than input order.
-    pub fn merge(&mut self, other: Aggregator<'s>) {
-        assert_eq!(
-            self.cell_box.level, other.cell_box.level,
-            "merge targets differ"
-        );
-        assert_eq!(self.agg, other.agg, "merge aggregate functions differ");
-        assert!(
-            self.chunk.is_none() && other.chunk.is_none(),
-            "merge is defined on level-wide aggregators"
-        );
-        let Cells::Sparse(theirs) = other.cells else {
-            unreachable!("a level-wide aggregator holds its cells sparse")
-        };
-        self.cells.fold(self.agg, theirs.into_iter());
-        self.cells_added += other.cells_added;
-    }
-
     /// Number of input cells consumed so far — the paper's aggregation cost
     /// unit ("number of tuples aggregated").
     pub fn cells_added(&self) -> u64 {
@@ -415,7 +442,8 @@ impl<'s> Aggregator<'s> {
 
     /// Finishes into coordinate-sorted [`ChunkData`] at the target level.
     /// Row-major box keys *are* coordinate order: the dense side walks its
-    /// slots in place — no collect, no sort — dividing once per row.
+    /// slots in place — no collect, no sort — dividing once per row. So the
+    /// shares of a box, finished and appended in order, are the box.
     pub fn finish(self) -> ChunkData {
         let cell_box = &self.cell_box;
         let n = cell_box.lo.len();
@@ -424,9 +452,7 @@ impl<'s> Aggregator<'s> {
             Cells::Dense { vals, occupied } => {
                 let reached = occupied.iter().filter(|&&o| o != 0).count();
                 let mut out = ChunkData::with_capacity(n, reached);
-                // A row: the keys along the innermost live dimension, whose
-                // weight is 1 (only dead dimensions follow it).
-                let inner = cell_box.live.last().copied().unwrap_or(n - 1);
+                let inner = cell_box.inner();
                 let row_len = cell_box.len[inner] as usize;
                 for (row, slots) in occupied.chunks(row_len).enumerate() {
                     if slots.iter().all(|&o| o == 0) {
@@ -471,26 +497,10 @@ pub fn aggregate_to_level(
     aggregate_to_level_parallel(schema, sources, target, agg, lift, 1).0
 }
 
-/// Parallel, bit-exact counterpart of [`aggregate_to_level`]: a two-phase
-/// exchange across `threads` worker threads. Returns the aggregated cells
-/// and the number of input cells consumed (the paper's aggregation cost).
-///
-/// * **Phase A (partition)** — the input cell stream is split into
-///   `threads` contiguous ranges; each worker rolls its cells up to the
-///   target level, encodes them with the target codec and appends
-///   `(key, value)` to the owning shard's bucket (`key % threads`),
-///   preserving input order. Every cell is rolled up and encoded exactly
-///   once, so total work matches the sequential kernel.
-/// * **Phase B (reduce)** — each shard folds its buckets *in range order*
-///   into a partial [`Aggregator`]; the disjoint partials are then folded
-///   together with [`Aggregator::merge`].
-///
-/// Because the buckets partition by target cell and are consumed in range
-/// order, every target cell sees its contributions in exactly the global
-/// input order — so the result is bit-identical to the sequential kernel,
-/// including non-associative floating-point SUM.
-///
-/// Runs the sequential kernel when `threads <= 1` or the input is empty.
+/// [`aggregate_to_level`] on `threads` workers, each owning a share of the
+/// level-wide box ([`aggregate_to_chunk`] has the argument). Returns the
+/// aggregated cells and the number of input cells consumed (the paper's
+/// aggregation cost).
 pub fn aggregate_to_level_parallel(
     schema: &Schema,
     sources: &[(&[u8], &ChunkData)],
@@ -499,109 +509,91 @@ pub fn aggregate_to_level_parallel(
     lift: Lift,
     threads: usize,
 ) -> (ChunkData, u64) {
-    aggregate_to_level_parallel_traced(schema, sources, target, agg, lift, threads, None)
+    let cells = in_shares(threads, None, |part| {
+        let cell_box = CellBox::whole_level(schema, target);
+        let mut share = Aggregator::share(cell_box, None, agg, 0, part);
+        for (level, data) in sources {
+            share.add_chunk(level, data, lift);
+        }
+        share
+    });
+    (cells, sources.iter().map(|(_, d)| d.len() as u64).sum())
 }
 
-/// [`aggregate_to_level_parallel`] with an optional trace sink: each
-/// partition worker (phase 0) and each shard reducer (phase 1) emits one
-/// `ShardAgg` event carrying its cell count and wall-clock time, so load
-/// imbalance across the exchange is visible per shard. Tracing never
-/// touches the aggregation itself — results stay bit-identical.
-pub fn aggregate_to_level_parallel_traced(
-    schema: &Schema,
-    sources: &[(&[u8], &ChunkData)],
-    target: &[u8],
+/// Rolls `sources` — chunks lying under `target` — up into that chunk's
+/// cells on `threads` workers, the caller being the first. Returns the
+/// cells and the number of input cells consumed.
+///
+/// One kernel at any thread count: worker `p` builds share `p` of the
+/// [`Aggregator::for_chunk`] box (a run of its rows), is fed **every**
+/// source, and combines only the cells it owns, in input order. Each cell
+/// so has one owner, which sees its contributions in the sequential order
+/// and holds it the way the undivided box would: the shares appended in
+/// order are bit-identical to `threads = 1`, floating-point SUM included.
+/// The price: every worker keys all of the input (`threads ×` the keying
+/// in total), so two threads match one per tuple rather than halve it.
+/// With a `tracer` and `threads > 1`, each worker emits one `ShardAgg`.
+///
+/// # Panics
+///
+/// As [`Aggregator::add_source_chunk`], once per source per worker.
+pub fn aggregate_to_chunk(
+    grid: &ChunkGrid,
+    target: ChunkKey,
+    sources: &[(ChunkKey, &ChunkData)],
     agg: AggFn,
     lift: Lift,
     threads: usize,
-    tracer: Option<&dyn aggcache_obs::Tracer>,
+    tracer: Option<&dyn Tracer>,
 ) -> (ChunkData, u64) {
-    let total: usize = sources.iter().map(|(_, d)| d.len()).sum();
-    if threads <= 1 || total == 0 {
-        let mut a = Aggregator::new(schema, target, agg);
-        for (level, data) in sources {
-            a.add_chunk(level, data, lift);
+    let expected = sources.iter().map(|(_, d)| d.len() as u64).sum();
+    let cells = in_shares(threads, tracer, |part| {
+        let cell_box = CellBox::of_chunk(grid, target);
+        let mut share = Aggregator::share(cell_box, Some((grid, target)), agg, expected, part);
+        for &(src, data) in sources {
+            share.add_source_chunk(src, data, lift);
         }
-        let cells = a.cells_added();
-        return (a.finish(), cells);
-    }
-    let nshards = threads.min(total);
-    let shard_agg = |phase: u8, shard: usize, cells: u64, start: std::time::Instant| {
-        if let Some(tracer) = tracer {
-            tracer.emit(&aggcache_obs::Event::ShardAgg {
-                phase,
-                shard: shard as u32,
-                shards: nshards as u32,
-                cells,
+        share
+    });
+    (cells, expected)
+}
+
+/// Runs `fill((p, of))` — share `p` of `of` of one box, fed every source —
+/// on `of = threads` scoped workers and appends the finished shares in
+/// order.
+fn in_shares<'s>(
+    threads: usize,
+    tracer: Option<&dyn Tracer>,
+    fill: impl Fn((usize, usize)) -> Aggregator<'s> + Sync,
+) -> ChunkData {
+    let of = threads.max(1);
+    let work = |p: usize| {
+        let start = Instant::now();
+        let cells = fill((p, of)).finish();
+        if let Some(tracer) = tracer.filter(|_| of > 1) {
+            tracer.emit(&Event::ShardAgg {
+                shard: p as u32,
+                shards: of as u32,
+                cells: cells.len() as u64,
                 wall_ns: start.elapsed().as_nanos() as u64,
             });
         }
+        cells
     };
-
-    // Phase A: contiguous global cell ranges → per-shard ordered runs.
-    let bounds: Vec<usize> = (0..=nshards).map(|i| i * total / nshards).collect();
-    let runs: Vec<Vec<Vec<(u64, f64)>>> = std::thread::scope(|s| {
-        let (bounds, shard_agg) = (&bounds, &shard_agg);
-        let handles: Vec<_> = (0..nshards)
-            .map(|r| {
-                s.spawn(move || {
-                    let t_start = std::time::Instant::now();
-                    let (lo, hi) = (bounds[r], bounds[r + 1]);
-                    // Expected bucket fill is range/nshards; slight headroom
-                    // avoids most reallocation without overcommitting.
-                    let headroom = (hi - lo) / nshards + (hi - lo) / (4 * nshards) + 8;
-                    let mut buckets: Vec<Vec<(u64, f64)>> =
-                        (0..nshards).map(|_| Vec::with_capacity(headroom)).collect();
-                    let level_box = CellBox::whole_level(schema, target);
-                    let mut pos = 0usize;
-                    for &(level, data) in sources {
-                        let len = data.len();
-                        let start = lo.saturating_sub(pos).min(len);
-                        let end = hi.saturating_sub(pos).min(len);
-                        if start < end {
-                            let keys = level_box.source(level);
-                            keys.keyed_blocks(data, start..end, |keys, values| {
-                                for (key, v) in lifted(keys, values, agg, lift) {
-                                    buckets[(key % nshards as u64) as usize].push((key, v));
-                                }
-                            });
-                        }
-                        pos += len;
-                    }
-                    shard_agg(0, r, (hi - lo) as u64, t_start);
-                    buckets
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    // Phase B: per-shard reduction in range order, then a disjoint merge.
-    let partials: Vec<Aggregator> = std::thread::scope(|s| {
-        let (runs, shard_agg) = (&runs, &shard_agg);
-        let handles: Vec<_> = (0..nshards)
-            .map(|t| {
-                s.spawn(move || {
-                    let t_start = std::time::Instant::now();
-                    let mut a = Aggregator::new(schema, target, agg);
-                    for range in runs {
-                        a.cells_added += range[t].len() as u64;
-                        a.cells.fold(agg, range[t].iter().copied());
-                    }
-                    shard_agg(1, t, a.cells_added(), t_start);
-                    a
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let mut it = partials.into_iter();
-    let mut merged = it.next().expect("nshards >= 1");
-    for partial in it {
-        merged.merge(partial);
-    }
-    let cells = merged.cells_added();
-    (merged.finish(), cells)
+    std::thread::scope(|s| {
+        let work = &work;
+        let others: Vec<_> = (1..of).map(|p| s.spawn(move || work(p))).collect();
+        let mut cells = work(0);
+        for other in others {
+            // A worker's panic (a source from elsewhere) is the caller's.
+            cells.append(
+                &other
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+            );
+        }
+        cells
+    })
 }
 
 #[cfg(test)]
@@ -920,13 +912,6 @@ pub(crate) mod tests {
                     }
                 }
             }
-            // The merge path combines through the same kernel.
-            let mut a = Aggregator::new(&s, &[0, 0], agg);
-            a.add_chunk(&[2, 1], &d, Lift::Raw);
-            let mut b = Aggregator::new(&s, &[0, 0], agg);
-            b.add_chunk(&[2, 1], &base_cells(), Lift::Raw);
-            a.merge(b);
-            assert!(a.finish().value_of(0).is_nan(), "{agg:?} merge lost NaN");
         }
         // COUNT never looks at the measure: NaN tuples still count.
         let cnt = aggregate_to_level(&s, &[(&[2, 1], &d)], &[0, 0], AggFn::Count, Lift::Raw);
@@ -1048,6 +1033,76 @@ pub(crate) mod tests {
         }
     }
 
+    /// The shares of a box — each fed every source, finished, appended in
+    /// order — are the undivided `for_chunk` result, bit for bit: every
+    /// target chunk of the test grid and of one with a single chunk per
+    /// level (a base box of four rows), dense and sparse, cut in 2, 3 and 8,
+    /// over jagged sums and over −0.0, ±∞, subnormals and a NaN.
+    #[test]
+    fn shares_appended_in_order_are_the_undivided_box() {
+        let mut specials = special_cells();
+        specials.push(&[2, 2], f64::NAN);
+        let one_chunk = ChunkGrid::build(schema(), &[vec![1, 1, 1], vec![1, 1]]).unwrap();
+        let (mut one_cell, mut outermost_only, mut most_rows) = (false, false, 0);
+        for g in [grid(), one_chunk] {
+            let lattice = g.schema().lattice();
+            let base = lattice.base();
+            for cells in [jagged_cells(), specials.clone()] {
+                let by_base = by_chunk(&g, base, &cells);
+                for gb in lattice.iter_ids() {
+                    for chunk in 0..g.n_chunks(gb) {
+                        let target = ChunkKey::new(gb, chunk);
+                        let whole = CellBox::of_chunk(&g, target);
+                        one_cell |= whole.cells == 1;
+                        outermost_only |= whole.live == [0];
+                        most_rows =
+                            most_rows.max(whole.cells / u64::from(whole.len[whole.inner()]));
+                        let sources = sources_under(&g, target, base, &by_base);
+                        for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
+                            for expected_cells in [u64::MAX, 0] {
+                                let want = chunk_result(
+                                    &g,
+                                    target,
+                                    &sources,
+                                    agg,
+                                    Lift::Raw,
+                                    expected_cells,
+                                );
+                                for of in [2usize, 3, 8] {
+                                    let mut got = ChunkData::new(2);
+                                    let mut owned = 0;
+                                    for p in 0..of {
+                                        let mut share = Aggregator::share(
+                                            CellBox::of_chunk(&g, target),
+                                            Some((&g, target)),
+                                            agg,
+                                            expected_cells,
+                                            (p, of),
+                                        );
+                                        assert_eq!(share.is_dense(), expected_cells > 0);
+                                        assert_eq!(share.cell_box.first, owned);
+                                        owned += share.cell_box.mine;
+                                        for &(src, data) in &sources {
+                                            share.add_source_chunk(src, data, Lift::Raw);
+                                        }
+                                        got.append(&share.finish());
+                                    }
+                                    assert_eq!(owned, whole.cells);
+                                    let ctx = format!("{agg:?} {target:?} x{expected_cells} /{of}");
+                                    assert_same_bits(&got, &want, &ctx);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Among them: a one-cell box, a box live along the outermost
+        // dimension only, and none with as many rows as the widest cut.
+        assert!(one_cell && outermost_only);
+        assert_eq!(most_rows, 4);
+    }
+
     /// The rule is a function of (box cells, expected cells): dense up to
     /// and including a box twice the input, sparse from one cell beyond —
     /// a box of one cell included, and an empty input on either side
@@ -1085,6 +1140,27 @@ pub(crate) mod tests {
         assert!(!Aggregator::new(g.schema(), &[0, 0], AggFn::Min).is_dense());
     }
 
+    /// One special value per base cell, alone in its cell at the base
+    /// level and meeting its neighbours at the aggregated ones; cells
+    /// (2, 2) and (3, *) stay empty.
+    fn special_cells() -> ChunkData {
+        let specials = [
+            -0.0,
+            0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE / 2.0,
+            f64::MAX,
+        ];
+        let mut cells = ChunkData::new(2);
+        for (i, &v) in specials.iter().enumerate() {
+            cells.push(&[i as u32 / 3, i as u32 % 3], v);
+        }
+        cells
+    }
+
     /// What the identity fill must not disturb: a lone `-0.0` comes back
     /// `-0.0` (a `+0.0` fill would answer `+0.0`), `±∞` and subnormals keep
     /// their bits, a cell nothing reached is absent (not an identity-valued
@@ -1097,24 +1173,7 @@ pub(crate) mod tests {
         let lattice = s.lattice();
         let base = lattice.base();
         let base_level = s.base_level();
-        let specials = [
-            -0.0,
-            0.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            5e-324,
-            -5e-324,
-            f64::MIN_POSITIVE / 2.0,
-            f64::MAX,
-        ];
-        // One special per base cell, alone in its cell at the base level
-        // and meeting its neighbours at the aggregated ones; cells (3, *)
-        // stay empty.
-        let mut cells = ChunkData::new(2);
-        for (i, &v) in specials.iter().enumerate() {
-            cells.push(&[i as u32 / 3, i as u32 % 3], v);
-        }
-        let by_base = by_chunk(&g, base, &cells);
+        let by_base = by_chunk(&g, base, &special_cells());
         for agg in [AggFn::Sum, AggFn::Min, AggFn::Max] {
             for gb in lattice.iter_ids() {
                 let level = lattice.level_of(gb);
@@ -1145,7 +1204,8 @@ pub(crate) mod tests {
 
     /// Keys through the memoised tables equal "roll each coordinate up,
     /// subtract the box corner, Horner-encode" — across block boundaries
-    /// and for sub-ranges, dead dimensions contributing nothing.
+    /// and for inputs that end mid-block, dead dimensions contributing
+    /// nothing.
     #[test]
     fn keyed_blocks_match_manual_encoding() {
         let s = schema();
@@ -1162,8 +1222,10 @@ pub(crate) mod tests {
             (&dead_a, 3..KEY_BLOCK + 9),
             (&corner, 1..2),
         ] {
+            let mut slice = ChunkData::new(2);
             let mut want = Vec::new();
-            for i in range.clone() {
+            for i in range {
+                slice.push(d.coords_of(i), d.value_of(i));
                 let key: u64 = (0..2)
                     .map(|k| {
                         let to = cell_box.level[k];
@@ -1178,7 +1240,7 @@ pub(crate) mod tests {
             let mut got = Vec::new();
             cell_box
                 .source(&[2, 1])
-                .keyed_blocks(&d, range, |keys, values| {
+                .keyed_blocks(&slice, |keys, values| {
                     got.extend(lifted(keys, values, AggFn::Sum, Lift::Raw));
                 });
             assert_eq!(got, want);
@@ -1197,29 +1259,6 @@ pub(crate) mod tests {
         let mut kernel = Aggregator::for_chunk(&g, ChunkKey::new(mid, 0), AggFn::Sum, u64::MAX);
         let stray = ChunkData::new(2);
         kernel.add_source_chunk(ChunkKey::new(lattice.base(), 3), &stray, Lift::Raw);
-    }
-
-    #[test]
-    fn merge_combines_overlapping_cells() {
-        let s = schema();
-        let mut a = Aggregator::new(&s, &[0, 0], AggFn::Sum);
-        let mut b = Aggregator::new(&s, &[0, 0], AggFn::Sum);
-        let base = base_cells();
-        a.add_chunk(&[2, 1], &base, Lift::Raw);
-        b.add_chunk(&[2, 1], &base, Lift::Raw);
-        a.merge(b);
-        assert_eq!(a.cells_added(), 24);
-        let total: f64 = base.raw_values().iter().sum();
-        assert_eq!(a.finish().value_of(0), total * 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "merge aggregate functions differ")]
-    fn merge_rejects_mismatched_aggregates() {
-        let s = schema();
-        let mut a = Aggregator::new(&s, &[0, 0], AggFn::Sum);
-        let b = Aggregator::new(&s, &[0, 0], AggFn::Min);
-        a.merge(b);
     }
 
     #[test]

@@ -29,8 +29,7 @@ mod source;
 mod spill;
 
 pub use aggregate::{
-    aggregate_to_level, aggregate_to_level_parallel, aggregate_to_level_parallel_traced, AggFn,
-    Aggregator, Lift,
+    aggregate_to_chunk, aggregate_to_level, aggregate_to_level_parallel, AggFn, Aggregator, Lift,
 };
 pub use backend::{Backend, BackendCostModel, FetchResult, StoreError};
 pub use delta::{DeltaBatch, DeltaOp, DeltaRecord, EffectiveDelta};

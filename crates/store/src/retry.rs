@@ -20,36 +20,28 @@ use std::sync::Arc;
 pub enum RetryPolicyError {
     /// `max_attempts` must be at least 1 (1 = no retries).
     ZeroAttempts,
-    /// A numeric field is out of range (see its doc for the valid range).
-    InvalidValue {
-        /// Which field was invalid.
-        name: &'static str,
-        /// The offending value.
-        value: f64,
-    },
 }
 
 impl fmt::Display for RetryPolicyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::ZeroAttempts => write!(f, "retry policy needs max_attempts >= 1"),
-            Self::InvalidValue { name, value } => {
-                write!(f, "retry policy field `{name}` is out of range: {value}")
-            }
         }
     }
 }
 
 impl std::error::Error for RetryPolicyError {}
 
-/// A validated retry policy: attempt count, exponential backoff with
-/// deterministic jitter, and a total virtual-time budget for backoff.
+/// A validated retry policy: the attempt count and the seed of the
+/// jitter. The shape of the backoff is fixed — every caller used one.
 ///
 /// The backoff before re-attempt *k* (1-based) starts from
-/// `base_backoff_ms × backoff_multiplier^(k-1)`, capped at
-/// `max_backoff_ms`, with a deterministic jitter of up to `jitter` of the
-/// step added on top. The schedule is then forced monotone non-decreasing
-/// and truncated so its sum never exceeds `budget_ms` — so a policy can be
+/// [`BASE_BACKOFF_MS`](Self::BASE_BACKOFF_MS) `×`
+/// [`BACKOFF_MULTIPLIER`](Self::BACKOFF_MULTIPLIER)`^(k-1)`, capped at
+/// [`MAX_BACKOFF_MS`](Self::MAX_BACKOFF_MS), with a deterministic jitter
+/// of up to [`JITTER`](Self::JITTER) of the step added on top. The
+/// schedule is then forced monotone non-decreasing and truncated so its
+/// sum never exceeds [`BUDGET_MS`](Self::BUDGET_MS) — so a policy can be
 /// exhausted by either the attempt count or the budget, whichever comes
 /// first.
 ///
@@ -59,7 +51,6 @@ impl std::error::Error for RetryPolicyError {}
 /// let policy = RetryPolicy {
 ///     max_attempts: 5,
 ///     seed: 42,
-///     ..RetryPolicy::default()
 /// };
 /// policy.validate().unwrap();
 /// let schedule = policy.backoff_schedule();
@@ -67,41 +58,23 @@ impl std::error::Error for RetryPolicyError {}
 /// assert!(schedule.len() as u32 <= policy.max_attempts - 1);
 /// // Monotone non-decreasing, and bounded by the budget.
 /// assert!(schedule.windows(2).all(|w| w[0] <= w[1]));
-/// assert!(schedule.iter().sum::<f64>() <= policy.budget_ms);
+/// assert!(schedule.iter().sum::<f64>() <= RetryPolicy::BUDGET_MS);
 /// // Deterministic: the same policy always yields the same schedule.
 /// assert_eq!(schedule, policy.backoff_schedule());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total fetch attempts, including the first (≥ 1; 1 = no retries).
     pub max_attempts: u32,
-    /// Backoff before the first re-attempt, in virtual ms (> 0, finite).
-    pub base_backoff_ms: f64,
-    /// Exponential growth factor per re-attempt (≥ 1, finite).
-    pub backoff_multiplier: f64,
-    /// Cap on any single backoff step, in virtual ms (> 0, finite).
-    pub max_backoff_ms: f64,
-    /// Jitter fraction in [0, 1): each step is stretched by up to this
-    /// fraction of itself, deterministically from the seed.
-    pub jitter: f64,
-    /// Total virtual ms the whole backoff schedule may spend (> 0,
-    /// finite). Attempts stop when the next backoff would exceed it.
-    pub budget_ms: f64,
     /// Seed of the deterministic jitter sequence.
     pub seed: u64,
 }
 
 impl Default for RetryPolicy {
-    /// Three retries, 50 ms base doubling to a 1 s cap, 10 % jitter, 5 s
-    /// total backoff budget.
+    /// Three retries, seed 0.
     fn default() -> Self {
         Self {
             max_attempts: 4,
-            base_backoff_ms: 50.0,
-            backoff_multiplier: 2.0,
-            max_backoff_ms: 1_000.0,
-            jitter: 0.1,
-            budget_ms: 5_000.0,
             seed: 0,
         }
     }
@@ -119,31 +92,23 @@ fn jitter_variate(seed: u64, i: u64) -> f64 {
 }
 
 impl RetryPolicy {
-    /// Checks every field's range (see the field docs).
+    /// Backoff before the first re-attempt, in virtual ms.
+    pub const BASE_BACKOFF_MS: f64 = 50.0;
+    /// Exponential growth factor per re-attempt.
+    pub const BACKOFF_MULTIPLIER: f64 = 2.0;
+    /// Cap on any single backoff step before jitter, in virtual ms.
+    pub const MAX_BACKOFF_MS: f64 = 1_000.0;
+    /// Jitter fraction: each step is stretched by up to this fraction of
+    /// itself, deterministically from the seed.
+    pub const JITTER: f64 = 0.1;
+    /// Total virtual ms the whole backoff schedule may spend. Attempts
+    /// stop when the next backoff would exceed it.
+    pub const BUDGET_MS: f64 = 5_000.0;
+
+    /// Checks that there is at least one attempt.
     pub fn validate(&self) -> Result<(), RetryPolicyError> {
         if self.max_attempts == 0 {
             return Err(RetryPolicyError::ZeroAttempts);
-        }
-        for (name, value, min_exclusive) in [
-            ("base_backoff_ms", self.base_backoff_ms, 0.0),
-            ("max_backoff_ms", self.max_backoff_ms, 0.0),
-            ("budget_ms", self.budget_ms, 0.0),
-        ] {
-            if !value.is_finite() || value <= min_exclusive {
-                return Err(RetryPolicyError::InvalidValue { name, value });
-            }
-        }
-        if !self.backoff_multiplier.is_finite() || self.backoff_multiplier < 1.0 {
-            return Err(RetryPolicyError::InvalidValue {
-                name: "backoff_multiplier",
-                value: self.backoff_multiplier,
-            });
-        }
-        if !self.jitter.is_finite() || !(0.0..1.0).contains(&self.jitter) {
-            return Err(RetryPolicyError::InvalidValue {
-                name: "jitter",
-                value: self.jitter,
-            });
         }
         Ok(())
     }
@@ -151,20 +116,20 @@ impl RetryPolicy {
     /// The full backoff schedule in virtual ms: element `k` is the delay
     /// between attempt `k+1` and attempt `k+2`. Monotone non-decreasing,
     /// each step jittered deterministically from the seed, total bounded
-    /// by [`RetryPolicy::budget_ms`].
+    /// by [`RetryPolicy::BUDGET_MS`].
     pub fn backoff_schedule(&self) -> Vec<f64> {
         let retries = self.max_attempts.saturating_sub(1) as usize;
         let mut schedule = Vec::with_capacity(retries);
         let mut spent = 0.0f64;
         let mut prev = 0.0f64;
         for i in 0..retries {
-            let raw = (self.base_backoff_ms * self.backoff_multiplier.powi(i as i32))
-                .min(self.max_backoff_ms);
-            let jittered = raw * (1.0 + self.jitter * jitter_variate(self.seed, i as u64));
+            let raw = (Self::BASE_BACKOFF_MS * Self::BACKOFF_MULTIPLIER.powi(i as i32))
+                .min(Self::MAX_BACKOFF_MS);
+            let jittered = raw * (1.0 + Self::JITTER * jitter_variate(self.seed, i as u64));
             // Monotone by construction: never shrink below the previous
             // step (the cap can otherwise flatten while jitter wiggles).
             let step = jittered.max(prev);
-            if spent + step > self.budget_ms {
+            if spent + step > Self::BUDGET_MS {
                 break;
             }
             spent += step;
@@ -366,7 +331,7 @@ mod tests {
     fn exhausted_retries_return_unavailable() {
         let policy = RetryPolicy {
             max_attempts: 3,
-            ..RetryPolicy::default()
+            seed: 0,
         };
         let faulty =
             FaultInjectingBackend::new(backend(), FaultProfile::fail_then_recover(100)).unwrap();
@@ -441,70 +406,27 @@ mod tests {
     }
 
     #[test]
-    fn policy_validation_rejects_bad_fields() {
-        let bad = |p: RetryPolicy| p.validate().unwrap_err();
-        assert_eq!(
-            bad(RetryPolicy {
-                max_attempts: 0,
-                ..RetryPolicy::default()
-            }),
-            RetryPolicyError::ZeroAttempts
-        );
-        assert!(matches!(
-            bad(RetryPolicy {
-                base_backoff_ms: 0.0,
-                ..RetryPolicy::default()
-            }),
-            RetryPolicyError::InvalidValue {
-                name: "base_backoff_ms",
-                ..
-            }
-        ));
-        assert!(matches!(
-            bad(RetryPolicy {
-                backoff_multiplier: 0.5,
-                ..RetryPolicy::default()
-            }),
-            RetryPolicyError::InvalidValue {
-                name: "backoff_multiplier",
-                ..
-            }
-        ));
-        assert!(matches!(
-            bad(RetryPolicy {
-                jitter: 1.0,
-                ..RetryPolicy::default()
-            }),
-            RetryPolicyError::InvalidValue { name: "jitter", .. }
-        ));
-        assert!(matches!(
-            bad(RetryPolicy {
-                budget_ms: f64::INFINITY,
-                ..RetryPolicy::default()
-            }),
-            RetryPolicyError::InvalidValue {
-                name: "budget_ms",
-                ..
-            }
-        ));
+    fn policy_validation_rejects_zero_attempts() {
+        let none = RetryPolicy {
+            max_attempts: 0,
+            seed: 0,
+        };
+        assert_eq!(none.validate(), Err(RetryPolicyError::ZeroAttempts));
+        assert!(RetryingBackend::new(backend(), none).is_err());
     }
 
     #[test]
     fn budget_truncates_schedule() {
         let policy = RetryPolicy {
             max_attempts: 50,
-            base_backoff_ms: 100.0,
-            backoff_multiplier: 2.0,
-            max_backoff_ms: 10_000.0,
-            jitter: 0.0,
-            budget_ms: 1_000.0,
             seed: 0,
         };
         let schedule = policy.backoff_schedule();
-        // 100 + 200 + 400 = 700; adding 800 would exceed 1000.
-        assert_eq!(schedule.len(), 3);
-        assert!(schedule.iter().sum::<f64>() <= policy.budget_ms);
-        assert_eq!(policy.backoff_ms(1), Some(100.0));
-        assert_eq!(policy.backoff_ms(4), None);
+        // 50 + 100 + 200 + 400 + 800 = 1,550, then steps of at least
+        // 1,000: a fourth of those would pass 5,000.
+        assert_eq!(schedule.len(), 8);
+        assert!(schedule.iter().sum::<f64>() <= RetryPolicy::BUDGET_MS);
+        assert!((50.0..55.0).contains(&policy.backoff_ms(1).unwrap()));
+        assert_eq!(policy.backoff_ms(9), None);
     }
 }

@@ -47,7 +47,6 @@ fn decorated_manager(
         RetryPolicy {
             max_attempts: 3,
             seed: fault_seed,
-            ..RetryPolicy::default()
         },
     )
     .unwrap();
@@ -295,7 +294,6 @@ fn permanent_outage_serves_degraded_or_fails_cleanly() {
         RetryPolicy {
             max_attempts: 2,
             seed: 9,
-            ..RetryPolicy::default()
         },
     )
     .unwrap();

@@ -222,9 +222,9 @@ proptest! {
         }
     }
 
-    /// Parallel aggregation is bit-exact: the two-phase exchange of
-    /// [`aggregate_to_level_parallel`] — cells partitioned by owning
-    /// target-cell shard, partials folded with `Aggregator::merge` — yields
+    /// Parallel aggregation is bit-exact: [`aggregate_to_level_parallel`]
+    /// — each worker owning a share of the target box, fed every source,
+    /// combining only its own cells, the shares appended in order — yields
     /// the same `f64` bit patterns as the single-threaded
     /// [`aggregate_to_level`] kernel — for random chunk sets, every
     /// aggregate function and 1/2/3/8 threads.

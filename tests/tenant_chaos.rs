@@ -33,7 +33,6 @@ fn chaotic_manager(ds: &Dataset, admission: AdmissionKind, rate: f64) -> CacheMa
         RetryPolicy {
             max_attempts: 3,
             seed: 0xFA57,
-            ..RetryPolicy::default()
         },
     )
     .unwrap();
