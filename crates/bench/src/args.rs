@@ -48,8 +48,8 @@ impl Args {
 
     /// Ends argument reading: a token on the command line that is neither
     /// a `--key` nor a key's value, or a `--key` that the binary never
-    /// asked for (through [`Args::get`], [`Args::value`], [`Args::flag`]
-    /// or [`Args::threads`]), is a usage error — the process names it and
+    /// asked for (through [`Args::get`], [`Args::value`] or
+    /// [`Args::flag`]), is a usage error — the process names it and
     /// exits with code 2 instead of running the experiment without it.
     /// Call once, after the last read and before any work.
     pub fn finish(&self) {
@@ -126,13 +126,6 @@ impl Args {
             Some(Some(raw)) => Err(format!("--{key} takes no value, got `{raw}`")),
         }
     }
-
-    /// Worker threads for sharded aggregation
-    /// (`--threads N`, default 1). Only wall-clock time is affected; all
-    /// virtual-time outputs are bit-identical at any setting.
-    pub fn threads(&self) -> usize {
-        self.get("threads", 1usize).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -152,12 +145,11 @@ mod tests {
 
     #[test]
     fn unparseable_values_are_usage_errors_not_defaults() {
-        assert_eq!(args(&["--threads", "4"]).try_get("threads", 1usize), Ok(4));
-        assert_eq!(args(&["--threads", "4"]).threads(), 4);
-        let err = args(&["--threads", "abc"])
-            .try_get("threads", 1usize)
+        assert_eq!(args(&["--queries", "4"]).try_get("queries", 1usize), Ok(4));
+        let err = args(&["--queries", "abc"])
+            .try_get("queries", 1usize)
             .unwrap_err();
-        assert!(err.contains("--threads") && err.contains("abc"), "{err}");
+        assert!(err.contains("--queries") && err.contains("abc"), "{err}");
         // The letter O in place of a zero must not run the 1M-tuple default.
         let err = args(&["--smoke", "--tuples", "2O000"])
             .try_get("tuples", 1_000_000u64)
@@ -167,23 +159,27 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_usage_errors_not_ignored() {
-        // A typo of --threads must not run the sweep at one thread.
-        let a = args(&["--smoke", "--thread", "4", "--json-out", "a.json"]);
+        // A typo of --queries must not run the sweep at the default.
+        let a = args(&["--smoke", "--querie", "4", "--json-out", "a.json"]);
         assert!(a.flag("smoke"));
-        assert_eq!(a.threads(), 1);
+        assert_eq!(a.get("queries", 1usize), 1);
         assert_eq!(a.value("json-out"), Some("a.json"));
-        assert_eq!(a.try_finish(), Err("unknown flag `--thread`".to_string()));
+        assert_eq!(a.try_finish(), Err("unknown flag `--querie`".to_string()));
         // Every way of asking counts, given or not; a bare flag is checked too.
-        let a = args(&["--smoke", "--threads", "4", "--csv-out", "a.csv"]);
-        let _ = (a.flag("smoke"), a.threads(), a.value("csv-out"));
+        let a = args(&["--smoke", "--queries", "4", "--csv-out", "a.csv"]);
+        let _ = (
+            a.flag("smoke"),
+            a.get("queries", 1usize),
+            a.value("csv-out"),
+        );
         let _ = (a.get("tuples", 1u64), a.value("json-out"));
         assert_eq!(a.try_finish(), Ok(()));
         assert!(args(&["--smok"]).try_finish().is_err());
-        // Since PR 19 `fig7` no longer reads `--trace-out`, nor `table2`
+        // `fig7` does not read `--trace-out`, and no binary reads
         // `--threads`: each reads what it does read, then refuses the rest.
         let a = args(&["--tuples", "20000", "--trace-out", "x"]);
         let _ = (a.get("tuples", 1u64), a.get("seed", 1u64));
-        let _ = (a.get("queries", 1usize), a.threads());
+        let _ = a.get("queries", 1usize);
         assert_eq!(a.try_finish(), Err("unknown flag `--trace-out`".into()));
         let a = args(&["--threads", "4"]);
         let _ = (a.get("tuples", 1u64), a.get("seed", 1u64));
@@ -192,19 +188,19 @@ mod tests {
 
     #[test]
     fn wrong_arity_and_stray_tokens_are_usage_errors_not_dropped() {
-        // `--threads` lost its value: it must not become a bare flag that
+        // `--queries` lost its value: it must not become a bare flag that
         // `get` never looks at.
-        let a = args(&["--smoke", "--threads", "--json-out", "a.json"]);
-        let err = a.try_get("threads", 1usize).unwrap_err();
-        assert!(err.contains("--threads needs a value"), "{err}");
+        let a = args(&["--smoke", "--queries", "--json-out", "a.json"]);
+        let err = a.try_get("queries", 1usize).unwrap_err();
+        assert!(err.contains("--queries needs a value"), "{err}");
         let err = args(&["--trace-out"]).try_value("trace-out").unwrap_err();
         assert!(err.contains("--trace-out needs a value"), "{err}");
         // `--smoke 20000` must not read as "not smoke" and run the full
         // 1M-tuple sweep.
-        let a = args(&["--smoke", "20000", "--threads", "4"]);
+        let a = args(&["--smoke", "20000", "--queries", "4"]);
         let err = a.try_flag("smoke").unwrap_err();
         assert!(err.contains("--smoke") && err.contains("20000"), "{err}");
-        assert_eq!(a.try_get("threads", 1usize), Ok(4));
+        assert_eq!(a.try_get("queries", 1usize), Ok(4));
         // A positional token no key consumed (`fig7 smoke`).
         let a = args(&["smoke", "--tuples", "5"]);
         assert_eq!(a.try_get("tuples", 1u64), Ok(5));

@@ -9,8 +9,8 @@ fn main() {
         seed: a.get("seed", d.seed),
         ..d
     };
-    let (trace_out, threads) = (a.value("trace-out"), a.threads());
+    let trace_out = a.value("trace-out");
     a.finish();
     println!("{}", table1::run(opts));
-    maybe_write_trace(trace_out, threads, opts.tuples, opts.seed);
+    maybe_write_trace(trace_out, opts.tuples, opts.seed);
 }

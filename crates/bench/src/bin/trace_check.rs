@@ -3,8 +3,8 @@
 //! schema declared in `aggcache-obs`, and cross-checks between the raw
 //! event list and the aggregated metrics.
 //!
-//! Usage: `trace_check <path>` — exits non-zero with a message on the
-//! first violation.
+//! Usage: `trace_check <path>` — exits 1 with a message on the first
+//! violation, 2 on a usage error (it reads no `--flag`).
 
 use aggcache_bench::trace::validate;
 use aggcache_obs::json::JsonValue;
@@ -15,12 +15,17 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
-    let mut argv = std::env::args().skip(1);
-    let (Some(path), None) = (argv.next(), argv.next()) else {
-        fail("usage: trace_check <path>");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let flag = argv.iter().find(|a| a.starts_with("--"));
+    let (None, [path]) = (flag, &argv[..]) else {
+        match flag {
+            Some(flag) => eprintln!("error: unknown flag `{flag}`"),
+            None => eprintln!("error: usage: trace_check <path>"),
+        }
+        std::process::exit(2);
     };
     let src =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")));
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")));
     let doc = JsonValue::parse(&src).unwrap_or_else(|e| fail(&format!("parsing {path}: {e}")));
     let summary = validate(&doc).unwrap_or_else(|e| fail(&e));
     println!(

@@ -15,8 +15,8 @@
 //! node may be killed (its cache drained, ownership failing over to
 //! ring successors) and any dead node is later revived and the ring
 //! rebalanced, paying handoff bytes. The schedule derives from a
-//! SplitMix64 stream, so every cell is bit-identical across runs and
-//! thread counts — all reported numbers are virtual-time.
+//! SplitMix64 stream, so every cell is bit-identical across runs — all
+//! reported numbers are virtual-time.
 
 use crate::report::{f2, mean, Table, Tally};
 use crate::rig::{apb_dataset, backend_for, builder_for, paper_stream};
@@ -44,9 +44,6 @@ pub struct Opts {
     pub node_cache_bytes: usize,
     /// Queries per batch; churn steps run between batches.
     pub batch: usize,
-    /// Worker threads per node (wall-clock only; virtual outputs are
-    /// identical).
-    pub threads: usize,
 }
 
 impl Default for Opts {
@@ -58,7 +55,6 @@ impl Default for Opts {
             workload_seed: 2000,
             node_cache_bytes: 24 * 1024,
             batch: 25,
-            threads: 1,
         }
     }
 }
@@ -178,8 +174,7 @@ fn churn_step(
 /// Replays the paper stream against one (nodes, replication, failure
 /// rate) cluster. Deterministic for fixed opts: the workload, ring and
 /// churn schedule are all seeded, and every reported number is
-/// virtual-time, so two runs — at any thread count — produce
-/// bit-identical cells.
+/// virtual-time, so two runs produce bit-identical cells.
 pub fn run_cell(
     dataset: &Dataset,
     opts: Opts,
@@ -192,7 +187,7 @@ pub fn run_cell(
     let mut builder = ClusterManager::builder().replication(replication);
     for _ in 0..nodes {
         let (strategy, policy) = (Strategy::Vcmc, PolicyKind::TwoLevel);
-        let node = builder_for(strategy, policy, opts.node_cache_bytes, opts.threads, None)
+        let node = builder_for(strategy, policy, opts.node_cache_bytes, None)
             .build(backend_for(dataset))
             .expect("sweep configuration is valid");
         builder = builder.node(node);
@@ -324,7 +319,7 @@ pub fn render(r: &ClusterResults) -> String {
 }
 
 /// Serializes the sweep as one JSON document. Virtual-time numbers only,
-/// so the document is bit-identical across runs and thread counts.
+/// so the document is bit-identical across runs.
 pub fn to_json(opts: Opts, r: &ClusterResults) -> String {
     let mut out = String::with_capacity(1 << 14);
     JsonObject::open(&mut out)
@@ -399,28 +394,21 @@ mod tests {
     }
 
     #[test]
-    fn cells_are_deterministic_and_thread_invariant() {
+    fn cells_are_deterministic() {
         let ds = apb_dataset(4_000, 3);
         let a = run_cell(&ds, small_opts(), 4, 2, 0.3);
         let b = run_cell(&ds, small_opts(), 4, 2, 0.3);
-        let threaded = Opts {
-            threads: 4,
-            ..small_opts()
-        };
-        let c = run_cell(&ds, threaded, 4, 2, 0.3);
-        for other in [&b, &c] {
-            assert_eq!(a.hit_ratio.to_bits(), other.hit_ratio.to_bits());
-            assert_eq!(a.avg_virtual_ms.to_bits(), other.avg_virtual_ms.to_bits());
-            assert_eq!(a.p95_virtual_ms.to_bits(), other.p95_virtual_ms.to_bits());
-            assert_eq!(a.bytes_on_wire, other.bytes_on_wire);
-            assert_eq!(a.remote_chunks, other.remote_chunks);
-            assert_eq!(a.kills, other.kills);
-            assert_eq!(a.per_node.len(), other.per_node.len());
-            for (x, y) in a.per_node.iter().zip(&other.per_node) {
-                assert_eq!(x.queries, y.queries);
-                assert_eq!(x.resident_chunks, y.resident_chunks);
-                assert_eq!(x.traffic, y.traffic);
-            }
+        assert_eq!(a.hit_ratio.to_bits(), b.hit_ratio.to_bits());
+        assert_eq!(a.avg_virtual_ms.to_bits(), b.avg_virtual_ms.to_bits());
+        assert_eq!(a.p95_virtual_ms.to_bits(), b.p95_virtual_ms.to_bits());
+        assert_eq!(a.bytes_on_wire, b.bytes_on_wire);
+        assert_eq!(a.remote_chunks, b.remote_chunks);
+        assert_eq!(a.kills, b.kills);
+        assert_eq!(a.per_node.len(), b.per_node.len());
+        for (x, y) in a.per_node.iter().zip(&b.per_node) {
+            assert_eq!(x.queries, y.queries);
+            assert_eq!(x.resident_chunks, y.resident_chunks);
+            assert_eq!(x.traffic, y.traffic);
         }
     }
 

@@ -13,7 +13,7 @@
 //!
 //! All reported numbers are virtual-time (the spill tier's disk traffic
 //! is charged through the validated `SpillCostModel`, never wall-clock),
-//! so two runs — at any thread count — produce bit-identical documents.
+//! so two runs produce bit-identical documents.
 //! Spill directories are process-unique temp paths that are removed
 //! afterwards and never appear in any output.
 
@@ -50,8 +50,6 @@ pub struct Opts {
     pub batch: usize,
     /// Complete-hit ratio a batch must reach to count as "warmed up".
     pub target: f64,
-    /// Worker threads (wall-clock only; virtual outputs are identical).
-    pub threads: usize,
 }
 
 impl Default for Opts {
@@ -65,7 +63,6 @@ impl Default for Opts {
             cache_bytes: 24 * 1024,
             batch: 25,
             target: 0.5,
-            threads: 1,
         }
     }
 }
@@ -111,7 +108,6 @@ pub const SWEEP: Sweep<Opts, ColdstartResults> = Sweep {
             ("cache_bytes", Box::new(opts.cache_bytes)),
             ("strategy", Box::new("vcmc")),
             ("policy", Box::new("two_level")),
-            ("threads", Box::new(opts.threads)),
             ("warm_start_chunks", Box::new(cell.warm_start_chunks)),
             ("spill_reads", Box::new(cell.spill_reads)),
             ("spill_writes", Box::new(cell.spill_writes)),
@@ -192,7 +188,7 @@ pub fn run_cell_traced(
     let measure = QueryRequest::batch(&stream.take_queries(opts.queries));
     let builder = |tracer| {
         let (strategy, policy) = (Strategy::Vcmc, PolicyKind::TwoLevel);
-        builder_for(strategy, policy, cache_bytes, opts.threads, tracer)
+        builder_for(strategy, policy, cache_bytes, tracer)
     };
 
     // Session 1: warm up and checkpoint through the spill tier.
@@ -336,7 +332,7 @@ pub fn render(r: &ColdstartResults) -> String {
 
 /// Serializes the sweep as one JSON document. Virtual-time numbers only —
 /// no paths, no wall-clock — so the document is bit-identical across
-/// runs and thread counts.
+/// runs.
 pub fn to_json(opts: Opts, r: &ColdstartResults) -> String {
     let mut out = String::with_capacity(1 << 14);
     JsonObject::open(&mut out)
@@ -436,28 +432,18 @@ mod tests {
     }
 
     #[test]
-    fn cells_are_deterministic_and_thread_invariant() {
+    fn cells_are_deterministic() {
         let a = cell("det-a", small_opts(), true);
         let b = cell("det-b", small_opts(), true);
-        let threaded = Opts {
-            threads: 4,
-            ..small_opts()
-        };
-        let c = cell("det-c", threaded, true);
-        for other in [&b, &c] {
-            assert_eq!(a.final_hit_ratio.to_bits(), other.final_hit_ratio.to_bits());
-            assert_eq!(
-                a.total_virtual_ms.to_bits(),
-                other.total_virtual_ms.to_bits()
-            );
-            assert_eq!(a.warm_start_chunks, other.warm_start_chunks);
-            assert_eq!(a.warm_start_bytes, other.warm_start_bytes);
-            assert_eq!(a.spill_reads, other.spill_reads);
-            assert_eq!(a.spill_writes, other.spill_writes);
-            assert_eq!(a.batch_hit.len(), other.batch_hit.len());
-            for (x, y) in a.batch_hit.iter().zip(&other.batch_hit) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
+        assert_eq!(a.final_hit_ratio.to_bits(), b.final_hit_ratio.to_bits());
+        assert_eq!(a.total_virtual_ms.to_bits(), b.total_virtual_ms.to_bits());
+        assert_eq!(a.warm_start_chunks, b.warm_start_chunks);
+        assert_eq!(a.warm_start_bytes, b.warm_start_bytes);
+        assert_eq!(a.spill_reads, b.spill_reads);
+        assert_eq!(a.spill_writes, b.spill_writes);
+        assert_eq!(a.batch_hit.len(), b.batch_hit.len());
+        for (x, y) in a.batch_hit.iter().zip(&b.batch_hit) {
+            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 

@@ -48,8 +48,6 @@ pub struct Opts {
     /// is down. (Under exact VCM/VCMC a probe miss is provably
     /// uncomputable and degradation can never add availability.)
     pub node_budget: u64,
-    /// Worker threads (wall-clock only).
-    pub threads: usize,
 }
 
 impl Default for Opts {
@@ -67,7 +65,6 @@ impl Default for Opts {
             // sweep is about. See [`Opts::scaled_cache_bytes`].
             cache_bytes: Opts::scaled_cache_bytes(200_000),
             node_budget: 128,
-            threads: 1,
         }
     }
 }
@@ -78,8 +75,8 @@ impl Opts {
         (((10 * MB) as f64 * tuples as f64 / 1_100_000.0).max(64.0 * 1024.0)) as usize
     }
 
-    /// `--tuples --seed --queries --fault-seed --attempts --node-budget
-    /// --threads` over the defaults; the cache budget follows `--tuples`.
+    /// `--tuples --seed --queries --fault-seed --attempts --node-budget`
+    /// over the defaults; the cache budget follows `--tuples`.
     fn from_args(a: &Args) -> Self {
         let d = Self::default();
         let tuples = a.get("tuples", d.tuples);
@@ -91,7 +88,6 @@ impl Opts {
             attempts: a.get("attempts", d.attempts),
             cache_bytes: Self::scaled_cache_bytes(tuples),
             node_budget: a.get("node-budget", d.node_budget),
-            threads: a.threads(),
             ..d
         }
     }
@@ -127,7 +123,6 @@ pub const SWEEP: Sweep<Opts, FaultResults> = Sweep {
             ("node_budget", Box::new(opts.node_budget)),
             ("strategy", Box::new("esmc")),
             ("policy", Box::new("two_level")),
-            ("threads", Box::new(opts.threads)),
             ("answered", Box::new(run.answered)),
             ("degraded_queries", Box::new(run.degraded_queries)),
             ("failed", Box::new(run.failed)),
@@ -200,7 +195,7 @@ pub fn run_stream_faulty(
         node_budget: Some(opts.node_budget.max(1)),
     };
     let policy = PolicyKind::TwoLevel;
-    let mut mgr = builder_for(strategy, policy, opts.cache_bytes, opts.threads, tracer)
+    let mut mgr = builder_for(strategy, policy, opts.cache_bytes, tracer)
         .build(retrying)
         .expect("fault-sweep configuration is valid");
     // Pre-load as in the paper's runs; under heavy faults even the

@@ -14,7 +14,7 @@
 //!
 //! All reported numbers are virtual-time (retries, backoff and scrub
 //! passes are charged through `SpillMetrics`, never wall-clock), so two
-//! runs — at any thread count — produce bit-identical documents. Spill
+//! runs produce bit-identical documents. Spill
 //! directories are process-unique temp paths that are removed afterwards
 //! and never appear in any output.
 
@@ -54,8 +54,6 @@ pub struct Opts {
     /// Virtual milliseconds of query time between scrub passes, for the
     /// scrub-enabled half of the sweep.
     pub scrub_interval_ms: f64,
-    /// Worker threads (wall-clock only; virtual outputs are identical).
-    pub threads: usize,
 }
 
 impl Default for Opts {
@@ -69,7 +67,6 @@ impl Default for Opts {
             cache_bytes: 24 * 1024,
             fault_seed: 0xFA11,
             scrub_interval_ms: 500.0,
-            threads: 1,
         }
     }
 }
@@ -123,7 +120,6 @@ pub const SWEEP: Sweep<Opts, RecoveryResults> = Sweep {
             ("fault_rate", Box::new(0.2)),
             ("strategy", Box::new("vcmc")),
             ("policy", Box::new("two_level")),
-            ("threads", Box::new(opts.threads)),
             ("corrupt", Box::new(cell.corrupt)),
             ("quarantined", Box::new(cell.quarantined)),
             ("scrub_passes", Box::new(cell.scrub_passes)),
@@ -203,7 +199,7 @@ pub fn run_cell_traced(
             spill = spill.scrub_interval_ms(opts.scrub_interval_ms);
         }
         let (strategy, policy) = (Strategy::Vcmc, PolicyKind::TwoLevel);
-        builder_for(strategy, policy, opts.cache_bytes, opts.threads, tracer)
+        builder_for(strategy, policy, opts.cache_bytes, tracer)
             .spill(spill)
             .build(backend_for(dataset))
             .expect("sweep configuration is valid")
@@ -329,8 +325,8 @@ pub fn render(r: &RecoveryResults) -> String {
 }
 
 /// Serializes the sweep as one JSON document. Virtual-time numbers only —
-/// no paths, no wall-clock — so the document is bit-identical across runs
-/// and thread counts.
+/// no paths, no wall-clock — so the document is bit-identical across
+/// runs.
 pub fn to_json(opts: Opts, r: &RecoveryResults) -> String {
     let mut out = String::with_capacity(1 << 13);
     JsonObject::open(&mut out)
@@ -445,26 +441,16 @@ mod tests {
     }
 
     #[test]
-    fn cells_are_deterministic_and_thread_invariant() {
+    fn cells_are_deterministic() {
         let a = cell("det-a", small_opts(), 0.2, true);
         let b = cell("det-b", small_opts(), 0.2, true);
-        let threaded = Opts {
-            threads: 4,
-            ..small_opts()
-        };
-        let c = cell("det-c", threaded, 0.2, true);
-        for other in [&b, &c] {
-            assert_eq!(a.corrupt, other.corrupt);
-            assert_eq!(a.quarantined, other.quarantined);
-            assert_eq!(a.retries, other.retries);
-            assert_eq!(a.scrub_passes, other.scrub_passes);
-            assert_eq!(a.warm_start_chunks, other.warm_start_chunks);
-            assert_eq!(a.final_hit_ratio.to_bits(), other.final_hit_ratio.to_bits());
-            assert_eq!(
-                a.total_virtual_ms.to_bits(),
-                other.total_virtual_ms.to_bits()
-            );
-        }
+        assert_eq!(a.corrupt, b.corrupt);
+        assert_eq!(a.quarantined, b.quarantined);
+        assert_eq!(a.retries, b.retries);
+        assert_eq!(a.scrub_passes, b.scrub_passes);
+        assert_eq!(a.warm_start_chunks, b.warm_start_chunks);
+        assert_eq!(a.final_hit_ratio.to_bits(), b.final_hit_ratio.to_bits());
+        assert_eq!(a.total_virtual_ms.to_bits(), b.total_virtual_ms.to_bits());
     }
 
     #[test]

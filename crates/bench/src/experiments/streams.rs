@@ -33,9 +33,6 @@ pub struct Opts {
     pub queries: usize,
     /// Number of streams (consecutive seeds) to average.
     pub repeats: u64,
-    /// Worker threads for sharded aggregation
-    /// (wall-clock only; virtual outputs are unchanged).
-    pub threads: usize,
 }
 
 impl Default for Opts {
@@ -48,7 +45,6 @@ impl Default for Opts {
             seed: 0xA9B1,
             queries: 100,
             repeats: 3,
-            threads: 1,
         }
     }
 }
@@ -106,7 +102,6 @@ pub fn run_experiment(opts: Opts, schemes: &[&str]) -> StreamResults {
                 let run = StreamRun {
                     preload,
                     queries: opts.queries,
-                    threads: opts.threads,
                     ..StreamRun::paper(strategy, policy, ((mb * MB) as f64 * scale) as usize)
                 };
                 run_stream_averaged(&dataset, run, opts.repeats)
@@ -118,7 +113,7 @@ pub fn run_experiment(opts: Opts, schemes: &[&str]) -> StreamResults {
 }
 
 /// The `main` of `fig7`–`fig10` and `table4`: reads `--tuples --seed
-/// --queries --threads`, runs `schemes` and prints `render`'s view of them.
+/// --queries`, runs `schemes` and prints `render`'s view of them.
 pub fn main_with(schemes: &[&str], render: fn(&StreamResults) -> String) {
     let a = Args::parse();
     let d = Opts::default();
@@ -126,7 +121,6 @@ pub fn main_with(schemes: &[&str], render: fn(&StreamResults) -> String) {
         tuples: a.get("tuples", d.tuples),
         seed: a.get("seed", d.seed),
         queries: a.get("queries", d.queries),
-        threads: a.threads(),
         ..d
     };
     a.finish();

@@ -29,7 +29,7 @@
 //! from pollution and wins on aggregate hit ratio.
 //!
 //! All reported numbers are virtual-time, so every cell is bit-identical
-//! across runs and thread counts.
+//! across runs.
 
 use crate::report::{f2, mean, Table};
 use crate::rig::{apb_dataset, backend_for, builder_for};
@@ -56,8 +56,6 @@ pub struct Opts {
     /// Shared cache budget in accounting bytes. Deliberately tight —
     /// admission only matters when tenants contend for room.
     pub cache_bytes: usize,
-    /// Worker threads (wall-clock only; virtual outputs are identical).
-    pub threads: usize,
 }
 
 impl Default for Opts {
@@ -68,7 +66,6 @@ impl Default for Opts {
             queries: 1_200,
             workload_seed: 2000,
             cache_bytes: 64 * 1024,
-            threads: 1,
         }
     }
 }
@@ -171,7 +168,7 @@ fn outcome(tenant: u32, s: &TenantStats) -> TenantOutcome {
 
 /// Runs one merged multi-tenant stream under one admission policy.
 /// Deterministic for fixed opts: every reported number is virtual-time,
-/// so two runs — at any thread count — produce bit-identical cells.
+/// so two runs produce bit-identical cells.
 pub fn run_cell(
     dataset: &Dataset,
     opts: Opts,
@@ -192,7 +189,7 @@ pub fn run_cell(
     let registry = Arc::new(MetricsRegistry::new());
     let (strategy, policy) = (Strategy::Vcmc, PolicyKind::TwoLevel);
     let tracer = Some(registry.clone() as Arc<dyn Tracer>);
-    let mut mgr = builder_for(strategy, policy, opts.cache_bytes, opts.threads, tracer)
+    let mut mgr = builder_for(strategy, policy, opts.cache_bytes, tracer)
         .admission(admission)
         .build(backend_for(dataset))
         .expect("sweep configuration is valid");
@@ -294,7 +291,7 @@ pub fn render(r: &TenantResults) -> String {
 }
 
 /// Serializes the sweep as one JSON document. Virtual-time numbers only,
-/// so the document is bit-identical across runs and thread counts.
+/// so the document is bit-identical across runs.
 pub fn to_json(opts: Opts, r: &TenantResults) -> String {
     let mut out = String::with_capacity(1 << 14);
     JsonObject::open(&mut out)
@@ -366,7 +363,7 @@ mod tests {
     }
 
     #[test]
-    fn cells_are_deterministic_and_thread_invariant() {
+    fn cells_are_deterministic() {
         let ds = apb_dataset(4_000, 3);
         let a = run_cell(
             &ds,
@@ -384,25 +381,18 @@ mod tests {
             1.2,
             AdmissionKind::tiny_lfu(),
         );
-        let threaded = Opts {
-            threads: 4,
-            ..small_opts()
-        };
-        let c = run_cell(&ds, threaded, "mixed", 3, 1.2, AdmissionKind::tiny_lfu());
-        for other in [&b, &c] {
-            assert_eq!(a.hit_ratio.to_bits(), other.hit_ratio.to_bits());
-            assert_eq!(a.admission_rejects, other.admission_rejects);
-            assert_eq!(a.avg_virtual_ms.to_bits(), other.avg_virtual_ms.to_bits());
-            assert_eq!(a.p95_virtual_us.to_bits(), other.p95_virtual_us.to_bits());
-            assert_eq!(a.per_tenant.len(), other.per_tenant.len());
-            for (x, y) in a.per_tenant.iter().zip(&other.per_tenant) {
-                assert_eq!(x.queries, y.queries);
-                assert_eq!(
-                    x.complete_hit_ratio.to_bits(),
-                    y.complete_hit_ratio.to_bits()
-                );
-                assert_eq!(x.p99_virtual_us.to_bits(), y.p99_virtual_us.to_bits());
-            }
+        assert_eq!(a.hit_ratio.to_bits(), b.hit_ratio.to_bits());
+        assert_eq!(a.admission_rejects, b.admission_rejects);
+        assert_eq!(a.avg_virtual_ms.to_bits(), b.avg_virtual_ms.to_bits());
+        assert_eq!(a.p95_virtual_us.to_bits(), b.p95_virtual_us.to_bits());
+        assert_eq!(a.per_tenant.len(), b.per_tenant.len());
+        for (x, y) in a.per_tenant.iter().zip(&b.per_tenant) {
+            assert_eq!(x.queries, y.queries);
+            assert_eq!(
+                x.complete_hit_ratio.to_bits(),
+                y.complete_hit_ratio.to_bits()
+            );
+            assert_eq!(x.p99_virtual_us.to_bits(), y.p99_virtual_us.to_bits());
         }
     }
 

@@ -20,11 +20,11 @@
 //! that ingests an **empty** delta batch between every read batch produces
 //! bit-identical answers, cache contents and deterministic `QueryMetrics`
 //! fields to a session that never calls [`CacheManager::ingest`] at all —
-//! across all five strategies and at one and four worker threads.
+//! across all five strategies.
 //!
 //! All maintenance cost is charged to [`UpdateMetrics`] (never to
 //! `QueryMetrics`), and every reported number is virtual-time, so two runs
-//! — at any thread count — produce bit-identical documents.
+//! produce bit-identical documents.
 
 use crate::report::{f2, Table, Tally};
 use crate::rig::{
@@ -60,8 +60,6 @@ pub struct Opts {
     pub batch: usize,
     /// Delta-generator seed.
     pub delta_seed: u64,
-    /// Worker threads (wall-clock only; virtual outputs are identical).
-    pub threads: usize,
 }
 
 impl Default for Opts {
@@ -74,7 +72,6 @@ impl Default for Opts {
             cache_bytes: 64 * 1024,
             batch: 25,
             delta_seed: 0xF00D,
-            threads: 1,
         }
     }
 }
@@ -126,7 +123,6 @@ pub const SWEEP: Sweep<Opts, UpdateResults> = Sweep {
             ("write_mix", Box::new(0.5)),
             ("strategy", Box::new("vcmc")),
             ("policy", Box::new("two_level")),
-            ("threads", Box::new(opts.threads)),
             ("chunks_patched", Box::new(cell.updates.chunks_patched)),
             (
                 "chunks_invalidated",
@@ -251,18 +247,11 @@ fn manager(
     dataset: &Dataset,
     opts: Opts,
     strategy: Strategy,
-    threads: usize,
     tracer: Option<Arc<dyn Tracer>>,
 ) -> CacheManager {
-    builder_for(
-        strategy,
-        PolicyKind::TwoLevel,
-        opts.cache_bytes,
-        threads,
-        tracer,
-    )
-    .build(backend_for(dataset))
-    .expect("sweep configuration is valid")
+    builder_for(strategy, PolicyKind::TwoLevel, opts.cache_bytes, tracer)
+        .build(backend_for(dataset))
+        .expect("sweep configuration is valid")
 }
 
 /// Runs one (mix, strategy) cell. Deterministic for fixed opts: the
@@ -286,7 +275,7 @@ pub fn run_cell_traced(
     let batch = opts.batch.max(1);
     let writes_per_batch = (mix * batch as f64).round() as usize;
 
-    let mut mgr = manager(dataset, opts, strategy, opts.threads, tracer);
+    let mut mgr = manager(dataset, opts, strategy, tracer);
     let mut shadow = backend_for(dataset);
     let mut gen = DeltaGen::new(dataset, opts.delta_seed ^ mix.to_bits());
 
@@ -358,21 +347,16 @@ fn cache_contents(mgr: &CacheManager) -> Vec<(u64, ChunkData, u8, u64)> {
         .collect()
 }
 
-/// Verifies the transparency contract for one strategy × thread count:
+/// Verifies the transparency contract for one strategy:
 /// a session that ingests an empty [`DeltaBatch`] after every read batch
 /// must be indistinguishable — answers, deterministic `QueryMetrics`
 /// fields, final cache contents — from one that never ingests at all.
 /// Returns the number of divergences (0 = bit-transparent).
-pub fn empty_delta_divergences(
-    dataset: &Dataset,
-    opts: Opts,
-    strategy: Strategy,
-    threads: usize,
-) -> u64 {
+pub fn empty_delta_divergences(dataset: &Dataset, opts: Opts, strategy: Strategy) -> u64 {
     let requests =
         QueryRequest::batch(&paper_stream(dataset, opts.workload_seed).take_queries(opts.queries));
     let batch = opts.batch.max(1);
-    let build = || manager(dataset, opts, strategy, threads, None);
+    let build = || manager(dataset, opts, strategy, None);
     let (mut plain, mut noisy) = (build(), build());
     let empty = DeltaBatch::new();
 
@@ -405,13 +389,13 @@ pub fn empty_delta_divergences(
 pub struct UpdateResults {
     /// The swept cells, mix-major, strategy-minor.
     pub cells: Vec<CellResult>,
-    /// Empty-delta divergences summed over all 5 strategies × {1, 4}
-    /// threads. The transparency contract makes this zero.
+    /// Empty-delta divergences summed over all 5 strategies. The
+    /// transparency contract makes this zero.
     pub transparency_diffs: u64,
 }
 
 /// Runs the sweep over [`WRITE_MIXES`] × [`strategies`], then the
-/// empty-delta transparency check over all strategies at 1 and 4 threads.
+/// empty-delta transparency check over all strategies.
 pub fn run_experiment(opts: Opts) -> UpdateResults {
     let dataset = apb_dataset(opts.tuples, opts.seed);
     let mut cells = Vec::new();
@@ -420,12 +404,10 @@ pub fn run_experiment(opts: Opts) -> UpdateResults {
             cells.push(run_cell(&dataset, opts, mix, strategy));
         }
     }
-    let mut transparency_diffs = 0u64;
-    for strategy in strategies() {
-        for threads in [1usize, 4] {
-            transparency_diffs += empty_delta_divergences(&dataset, opts, strategy, threads);
-        }
-    }
+    let transparency_diffs = strategies()
+        .into_iter()
+        .map(|strategy| empty_delta_divergences(&dataset, opts, strategy))
+        .sum();
     UpdateResults {
         cells,
         transparency_diffs,
@@ -471,8 +453,7 @@ pub fn render(r: &UpdateResults) -> String {
     }
     out.push_str(&table.render());
     out.push_str(&format!(
-        "\nEmpty-delta transparency divergences (5 strategies x 1/4\n\
-         threads): {}\n\
+        "\nEmpty-delta transparency divergences (5 strategies): {}\n\
          Shape: the mismatch column is identically zero — inserts patch\n\
          SUM chunks in place through the roll-up kernel, deletes\n\
          invalidate what they touch, and invalidated chunks re-serve\n\
@@ -485,8 +466,7 @@ pub fn render(r: &UpdateResults) -> String {
 }
 
 /// Serializes the sweep as one JSON document. Virtual-time numbers only —
-/// no wall-clock — so the document is bit-identical across runs and
-/// thread counts.
+/// no wall-clock — so the document is bit-identical across runs.
 pub fn to_json(opts: Opts, r: &UpdateResults) -> String {
     let mut out = String::with_capacity(1 << 13);
     JsonObject::open(&mut out)
@@ -603,35 +583,26 @@ mod tests {
     fn empty_delta_streams_are_bit_transparent() {
         let ds = apb_dataset(small_opts().tuples, small_opts().seed);
         for strategy in strategies() {
-            for threads in [1usize, 4] {
-                assert_eq!(
-                    empty_delta_divergences(&ds, small_opts(), strategy, threads),
-                    0,
-                    "{strategy:?} at {threads} threads: empty ingest perturbed the session"
-                );
-            }
+            assert_eq!(
+                empty_delta_divergences(&ds, small_opts(), strategy),
+                0,
+                "{strategy:?}: empty ingest perturbed the session"
+            );
         }
     }
 
     #[test]
-    fn cells_are_deterministic_and_thread_invariant() {
+    fn cells_are_deterministic() {
         let ds = apb_dataset(small_opts().tuples, small_opts().seed);
         let a = run_cell(&ds, small_opts(), 0.2, Strategy::Vcmc);
         let b = run_cell(&ds, small_opts(), 0.2, Strategy::Vcmc);
-        let threaded = Opts {
-            threads: 4,
-            ..small_opts()
-        };
-        let c = run_cell(&ds, threaded, 0.2, Strategy::Vcmc);
-        for other in [&b, &c] {
-            assert_eq!(a.updates, other.updates);
-            assert_eq!(a.hit_ratio.to_bits(), other.hit_ratio.to_bits());
-            assert_eq!(
-                a.backend_virtual_ms.to_bits(),
-                other.backend_virtual_ms.to_bits()
-            );
-            assert_eq!(a.read_virtual_ms.to_bits(), other.read_virtual_ms.to_bits());
-        }
+        assert_eq!(a.updates, b.updates);
+        assert_eq!(a.hit_ratio.to_bits(), b.hit_ratio.to_bits());
+        assert_eq!(
+            a.backend_virtual_ms.to_bits(),
+            b.backend_virtual_ms.to_bits()
+        );
+        assert_eq!(a.read_virtual_ms.to_bits(), b.read_virtual_ms.to_bits());
     }
 
     #[test]

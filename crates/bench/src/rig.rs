@@ -81,29 +81,26 @@ pub fn builder_for(
     strategy: Strategy,
     policy: PolicyKind,
     cache_bytes: usize,
-    threads: usize,
     tracer: Option<Arc<dyn Tracer>>,
 ) -> CacheManagerBuilder {
     let builder = CacheManager::builder()
         .strategy(strategy)
         .policy(policy)
-        .cache_bytes(cache_bytes)
-        .threads(threads);
+        .cache_bytes(cache_bytes);
     match tracer {
         Some(tracer) => builder.tracer(tracer),
         None => builder,
     }
 }
 
-/// Builds a single-threaded, untraced manager over (a clone of) the
-/// dataset's fact table.
+/// Builds an untraced manager over (a clone of) the dataset's fact table.
 pub fn manager_for(
     dataset: &Dataset,
     strategy: Strategy,
     policy: PolicyKind,
     cache_bytes: usize,
 ) -> CacheManager {
-    builder_for(strategy, policy, cache_bytes, 1, None)
+    builder_for(strategy, policy, cache_bytes, None)
         .build(backend_for(dataset))
         .expect("bench configuration is valid")
 }

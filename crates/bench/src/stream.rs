@@ -26,9 +26,6 @@ pub struct StreamRun {
     pub seed: u64,
     /// Two-level group clock-boost (ablation knob; true = paper behaviour).
     pub group_boost: bool,
-    /// Worker threads for sharded aggregation. Only wall-clock time is
-    /// affected; all virtual-time outputs are bit-identical at any setting.
-    pub threads: usize,
 }
 
 impl StreamRun {
@@ -42,7 +39,6 @@ impl StreamRun {
             queries: 100,
             seed: 2000,
             group_boost: true,
-            threads: 1,
         }
     }
 }
@@ -138,16 +134,10 @@ pub fn run_stream_traced(
     run: StreamRun,
     tracer: Option<Arc<dyn Tracer>>,
 ) -> StreamResult {
-    let mut mgr = builder_for(
-        run.strategy,
-        run.policy,
-        run.cache_bytes,
-        run.threads,
-        tracer,
-    )
-    .group_boost(run.group_boost)
-    .build(backend_for(dataset))
-    .expect("stream-run configuration is valid");
+    let mut mgr = builder_for(run.strategy, run.policy, run.cache_bytes, tracer)
+        .group_boost(run.group_boost)
+        .build(backend_for(dataset))
+        .expect("stream-run configuration is valid");
     let preload = if run.preload {
         mgr.preload_best()
             .expect("preload group-bys are backend-computable")
@@ -210,7 +200,6 @@ mod tests {
                 queries: 20,
                 seed: 7,
                 group_boost: true,
-                threads: 1,
             },
         );
         assert!(r.complete_hit_pct >= 0.0 && r.complete_hit_pct <= 100.0);
@@ -229,7 +218,6 @@ mod tests {
             queries: 15,
             seed: 11,
             group_boost: true,
-            threads: 1,
         };
         // VCM and VCMC answer the same set of queries from the cache, so
         // their complete-hit percentages must be identical.

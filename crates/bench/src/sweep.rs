@@ -8,9 +8,9 @@
 //!
 //! `--smoke` runs a sweep's CI configuration (tiny dataset, short
 //! streams); `--json-out <path>` / `--csv-out <path>` write its
-//! virtual-time results — bit-identical across runs and `--threads`
-//! settings. Spill data lives in process-unique temp directories that are
-//! removed on exit and never appear in any output.
+//! virtual-time results — bit-identical across runs. Spill data lives in
+//! process-unique temp directories that are removed on exit and never
+//! appear in any output.
 
 use crate::args::Args;
 use crate::trace::{write_trace, Meta};
@@ -48,7 +48,7 @@ pub type Exports<O, R> = (fn(O, &R) -> String, fn(&R) -> String, fn(&R) -> usize
 
 /// The flag → `Opts` mapping of the five sweeps with a `--smoke`
 /// configuration: `--smoke` picks `Opts::smoke()` over the default, then
-/// `--tuples --seed --queries --threads` override their fields.
+/// `--tuples --seed --queries` override their fields.
 macro_rules! smoke_opts {
     ($Opts:ident) => {
         |a| {
@@ -61,7 +61,6 @@ macro_rules! smoke_opts {
                 tuples: a.get("tuples", d.tuples),
                 seed: a.get("seed", d.seed),
                 queries: a.get("queries", d.queries),
-                threads: a.threads(),
                 ..d
             }
         }

@@ -95,23 +95,20 @@ pub fn write_trace(path: &str, traced: impl FnOnce(Arc<dyn Tracer>) -> Meta) {
 }
 
 /// If `table1` was passed `--trace-out <path>`, runs the representative
-/// traced stream at `threads` and writes the trace file.
+/// traced stream and writes the trace file.
 ///
 /// The stream uses the paper-default configuration (VCMC, two-level policy
 /// with pre-load, 100 queries) over a fresh copy of the experiment's
 /// dataset, with the 15 MB paper budget scaled to the dataset size the
 /// same way the figure experiments scale their cache sweeps.
-pub fn maybe_write_trace(trace_out: Option<&str>, threads: usize, tuples: u64, seed: u64) {
+pub fn maybe_write_trace(trace_out: Option<&str>, tuples: u64, seed: u64) {
     let Some(path) = trace_out else {
         return;
     };
     let dataset = apb_dataset(tuples, seed);
     // 15 MB : 1.1 M tuples, as in the cache-size sweeps.
     let cache_bytes = ((15 * MB) as f64 * tuples as f64 / 1_100_000.0).max(64.0 * 1024.0) as usize;
-    let run = StreamRun {
-        threads,
-        ..StreamRun::paper(Strategy::Vcmc, PolicyKind::TwoLevel, cache_bytes)
-    };
+    let run = StreamRun::paper(Strategy::Vcmc, PolicyKind::TwoLevel, cache_bytes);
     write_trace(path, |tracer| {
         let result = run_stream_traced(&dataset, run, Some(tracer));
         vec![
@@ -123,7 +120,6 @@ pub fn maybe_write_trace(trace_out: Option<&str>, threads: usize, tuples: u64, s
             ("cache_bytes", Box::new(cache_bytes)),
             ("strategy", Box::new("vcmc")),
             ("policy", Box::new("two_level")),
-            ("threads", Box::new(run.threads)),
             ("complete_hit_pct", Box::new(result.complete_hit_pct)),
             ("avg_ms", Box::new(result.avg_ms)),
         ]

@@ -77,27 +77,3 @@ fn traced_streams_are_bit_identical_to_untraced() {
         );
     }
 }
-
-#[test]
-fn traced_stream_is_bit_identical_across_thread_counts() {
-    // Batched probing plus sharded aggregation plus tracing — the full
-    // concurrent pipeline — must still leave virtual time untouched.
-    let dataset = apb_dataset(8_000, 11);
-    let mk = |threads| StreamRun {
-        queries: 25,
-        threads,
-        ..StreamRun::paper(Strategy::Vcmc, PolicyKind::TwoLevel, 128 * 1024)
-    };
-    let plain = run_stream(&dataset, mk(1));
-    let sink = TraceSink::new();
-    let traced = run_stream_traced(&dataset, mk(4), Some(sink.tracer()));
-    assert!(sink.events_recorded() > 0);
-    assert_eq!(plain.avg_ms.to_bits(), traced.avg_ms.to_bits());
-    assert_eq!(
-        plain.complete_hit_pct.to_bits(),
-        traced.complete_hit_pct.to_bits()
-    );
-    assert_eq!(plain.hit_total_ms.to_bits(), traced.hit_total_ms.to_bits());
-    assert_eq!(plain.tuples_aggregated, traced.tuples_aggregated);
-    assert_eq!(plain.backend_tuples, traced.backend_tuples);
-}

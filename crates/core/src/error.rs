@@ -10,8 +10,6 @@ pub enum ConfigError {
     MissingCacheBudget,
     /// A cache budget of zero bytes can never admit a chunk.
     ZeroCacheBudget,
-    /// Batched execution needs at least one worker thread.
-    ZeroThreads,
     /// [`crate::Strategy::Esmc`] with a node budget of zero gives up on
     /// every lookup; use `None` for the paper's unbounded search.
     ZeroNodeBudget,
@@ -39,7 +37,6 @@ impl fmt::Display for ConfigError {
                 write!(f, "no cache budget configured (call cache_bytes)")
             }
             Self::ZeroCacheBudget => write!(f, "cache budget must be > 0 bytes"),
-            Self::ZeroThreads => write!(f, "thread count must be >= 1"),
             Self::ZeroNodeBudget => {
                 write!(f, "ESMC node budget must be > 0 (None = unbounded)")
             }
@@ -191,8 +188,8 @@ mod tests {
             fact: aggcache_schema::GroupById(0),
         });
         assert!(e.to_string().contains("backend error"));
-        let e = CacheError::from(ConfigError::ZeroThreads);
-        assert!(e.to_string().contains("thread count"));
+        let e = CacheError::from(ConfigError::ZeroCacheBudget);
+        assert!(e.to_string().contains("cache budget"));
         let e = CacheError::from(SchemaError::NoDimensions);
         assert!(e.to_string().contains("schema error"));
     }

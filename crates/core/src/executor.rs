@@ -1,15 +1,14 @@
 use crate::ComputationPlan;
 use aggcache_cache::ChunkCache;
 use aggcache_chunks::{ChunkData, ChunkGrid};
-use aggcache_obs::Tracer;
-use aggcache_store::{aggregate_to_chunk, AggFn, Lift};
+use aggcache_store::{AggFn, Aggregator, Lift};
 
 /// Executes a [`ComputationPlan`]: aggregates the plan's cached leaf chunks
 /// (at whatever mixed levels they live) straight up into the target chunk
 /// in a single pass — legal because the cube's aggregate is distributive.
 /// The kernel is told the target chunk and the leaves' total length, so it
 /// accumulates into a dense array over the chunk's cell box wherever that
-/// box is small next to the input ([`aggregate_to_chunk`]).
+/// box is small next to the input ([`Aggregator::for_chunk`]).
 ///
 /// Returns the computed chunk's cells and the number of tuples aggregated
 /// (the realized cost, which equals `plan.cost` whenever plan costs are
@@ -26,50 +25,6 @@ pub fn execute_plan(
     agg: AggFn,
     plan: &ComputationPlan,
 ) -> (ChunkData, u64) {
-    execute_plan_parallel_traced(grid, cache, agg, plan, 1, None)
-}
-
-/// Plans cheaper than this (in cells to aggregate) run single-threaded:
-/// below it, spawning scoped threads costs more than the aggregation.
-pub const PARALLEL_MIN_COST: u64 = 8_192;
-
-/// [`execute_plan`] on `threads` scoped threads: the same kernel, each
-/// worker owning a share of the target chunk's cell box and combining its
-/// cells in the sequential order ([`aggregate_to_chunk`]), so the result is
-/// bit-identical to [`execute_plan`] — including floating-point SUM, which
-/// leaf-sharding would silently re-associate.
-///
-/// A plan below [`PARALLEL_MIN_COST`] runs on the calling thread alone.
-///
-/// # Panics
-///
-/// As [`execute_plan`].
-pub fn execute_plan_parallel(
-    grid: &ChunkGrid,
-    cache: &ChunkCache,
-    agg: AggFn,
-    plan: &ComputationPlan,
-    threads: usize,
-) -> (ChunkData, u64) {
-    execute_plan_parallel_traced(grid, cache, agg, plan, threads, None)
-}
-
-/// [`execute_plan_parallel`] with an optional [`Tracer`] receiving one
-/// `ShardAgg` event per worker. Tracing never changes the computed cells.
-pub fn execute_plan_parallel_traced(
-    grid: &ChunkGrid,
-    cache: &ChunkCache,
-    agg: AggFn,
-    plan: &ComputationPlan,
-    threads: usize,
-    tracer: Option<&dyn Tracer>,
-) -> (ChunkData, u64) {
-    let threads = if plan.cost < PARALLEL_MIN_COST {
-        1
-    } else {
-        threads
-    };
-    // Resolved once; workers share the read-only borrows.
     let leaves: Vec<_> = plan
         .leaves
         .iter()
@@ -80,15 +35,25 @@ pub fn execute_plan_parallel_traced(
             (*leaf, &entry.data)
         })
         .collect();
-    aggregate_to_chunk(
-        grid,
-        plan.target,
-        &leaves,
-        agg,
-        Lift::Lifted,
-        threads,
-        tracer,
-    )
+    let tuples = leaves.iter().map(|(_, data)| data.len() as u64).sum();
+    let mut kernel = Aggregator::for_chunk(grid, plan.target, agg, tuples);
+    for (leaf, data) in leaves {
+        kernel.add_source_chunk(leaf, data, Lift::Lifted);
+    }
+    (kernel.finish(), tuples)
+}
+
+/// [`execute_plan`]; `threads` is ignored. Kept for `benchmark/` only:
+/// ROADMAP item 1(a) removes it.
+#[doc(hidden)]
+pub fn execute_plan_parallel(
+    grid: &ChunkGrid,
+    cache: &ChunkCache,
+    agg: AggFn,
+    plan: &ComputationPlan,
+    _threads: usize,
+) -> (ChunkData, u64) {
+    execute_plan(grid, cache, agg, plan)
 }
 
 #[cfg(test)]
@@ -98,7 +63,7 @@ mod tests {
     use aggcache_cache::{Origin, PolicyKind};
     use aggcache_chunks::ChunkKey;
     use aggcache_schema::{Dimension, Schema};
-    use aggcache_store::{Aggregator, Backend, BackendCostModel, FactTable};
+    use aggcache_store::{Backend, BackendCostModel, FactTable};
     use std::sync::Arc;
 
     /// End-to-end: cache the base level via backend fetches, compute an
@@ -202,92 +167,6 @@ mod tests {
             }
         }
         assert_eq!(answered, 168);
-    }
-
-    #[test]
-    fn parallel_execution_is_bit_identical() {
-        let schema = Arc::new(
-            Schema::new(
-                vec![
-                    Dimension::balanced("x", vec![1, 2, 6]).unwrap(),
-                    Dimension::flat("y", 4).unwrap(),
-                ],
-                "m",
-            )
-            .unwrap(),
-        );
-        let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 2, 3], vec![1, 2]]).unwrap());
-        let lattice = grid.schema().lattice().clone();
-        let base = lattice.base();
-        let mut cells = ChunkData::new(2);
-        for x in 0..6u32 {
-            for y in 0..4u32 {
-                // Non-associative float mix: re-association would change bits.
-                cells.push(&[x, y], 0.1 + f64::from(x) * 1e9 + f64::from(y).sin());
-            }
-        }
-        let backend = Backend::new(
-            FactTable::load(grid.clone(), base, cells),
-            AggFn::Sum,
-            BackendCostModel::default(),
-        );
-        let mut cache = ChunkCache::new(usize::MAX, PolicyKind::Benefit);
-        for (chunk, data) in backend.fetch_group_by(base).unwrap().chunks {
-            cache.insert(ChunkKey::new(base, chunk), data, Origin::Backend, 1.0);
-        }
-        for gb in lattice.iter_ids() {
-            for chunk in 0..grid.n_chunks(gb) {
-                let mut stats = LookupStats::default();
-                let mut plan = esm(&cache, &grid, ChunkKey::new(gb, chunk), &mut stats).unwrap();
-                // Force the parallel path regardless of the real plan cost.
-                plan.cost = plan.cost.max(PARALLEL_MIN_COST);
-                let (seq, seq_tuples) = execute_plan(&grid, &cache, AggFn::Sum, &plan);
-                for threads in [2usize, 3, 8] {
-                    let (par, par_tuples) =
-                        execute_plan_parallel(&grid, &cache, AggFn::Sum, &plan, threads);
-                    assert_eq!(par_tuples, seq_tuples);
-                    assert_eq!(par.len(), seq.len());
-                    for i in 0..par.len() {
-                        assert_eq!(par.coords_of(i), seq.coords_of(i));
-                        assert_eq!(
-                            par.value_of(i).to_bits(),
-                            seq.value_of(i).to_bits(),
-                            "gb {gb:?} chunk {chunk} threads {threads}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// A target of one row has one owner: at eight threads seven shares
-    /// are empty and do nothing, and the answer is `execute_plan`'s.
-    #[test]
-    fn a_single_row_target_runs_at_eight_threads() {
-        let schema = Arc::new(Schema::new(vec![Dimension::flat("x", 4).unwrap()], "m").unwrap());
-        let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 2]]).unwrap());
-        let lattice = grid.schema().lattice();
-        let mut cache = ChunkCache::new(usize::MAX, PolicyKind::Benefit);
-        for chunk in 0..2u32 {
-            let mut cells = ChunkData::new(1);
-            for x in 2 * chunk..2 * chunk + 2 {
-                cells.push(&[x], 0.1 + f64::from(x) * 1e9);
-            }
-            let key = ChunkKey::new(lattice.base(), u64::from(chunk));
-            cache.insert(key, cells, Origin::Backend, 1.0);
-        }
-        for target in [
-            ChunkKey::new(lattice.top(), 0),
-            ChunkKey::new(lattice.base(), 1),
-        ] {
-            let mut stats = LookupStats::default();
-            let mut plan = esm(&cache, &grid, target, &mut stats).unwrap();
-            plan.cost = PARALLEL_MIN_COST;
-            let seq = execute_plan(&grid, &cache, AggFn::Sum, &plan);
-            let par = execute_plan_parallel(&grid, &cache, AggFn::Sum, &plan, 8);
-            assert_eq!(par, seq, "{target:?}");
-            assert!(!seq.0.is_empty());
-        }
     }
 
     #[test]

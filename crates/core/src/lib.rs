@@ -47,9 +47,7 @@ mod storage;
 pub use cost::{CostTable, COST_INF, PARENT_NONE, PARENT_SELF};
 pub use counts::CountTable;
 pub use error::{CacheError, ConfigError};
-pub use executor::{
-    execute_plan, execute_plan_parallel, execute_plan_parallel_traced, PARALLEL_MIN_COST,
-};
+pub use executor::{execute_plan, execute_plan_parallel};
 pub use lookup::{
     esm, esmc, no_aggregation, vcm, vcmc, ComputationPlan, LookupOutcome, LookupStats, Strategy,
 };

@@ -34,10 +34,6 @@ pub struct ManagerConfig {
     /// group of chunks computes an aggregate (§6.3 rule 2). On by default;
     /// disabling it is an ablation knob.
     pub group_boost: bool,
-    /// Worker threads: large in-cache aggregations are sharded across
-    /// this many threads (default 1). Results are bit-identical at any
-    /// setting; only wall-clock time changes.
-    pub threads: usize,
     /// Cost-based cache-vs-backend arbitration (paper §5.2: VCMC's
     /// instantaneous least cost is "very useful for a cost-based optimizer,
     /// which can then decide whether to aggregate in the cache or go to the
@@ -50,14 +46,11 @@ pub struct ManagerConfig {
 
 impl ManagerConfig {
     /// Checks the invariants [`CacheManagerBuilder`] enforces: a positive
-    /// cache budget, at least one thread, a finite non-negative
-    /// aggregation rate, and a positive ESMC node budget.
+    /// cache budget, a finite non-negative aggregation rate, and a positive
+    /// ESMC node budget.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cache_bytes == 0 {
             return Err(ConfigError::ZeroCacheBudget);
-        }
-        if self.threads == 0 {
-            return Err(ConfigError::ZeroThreads);
         }
         if let Strategy::Esmc {
             node_budget: Some(0),
@@ -86,7 +79,6 @@ impl ManagerConfig {
 ///     .strategy(Strategy::Vcmc)
 ///     .policy(PolicyKind::TwoLevel)
 ///     .cache_bytes(1 << 20)
-///     .threads(4)
 ///     .build(backend)?;
 /// # let _ = manager; Ok(())
 /// # }
@@ -118,7 +110,6 @@ impl CacheManagerBuilder {
                 cache_bytes: 0,
                 cache_per_tuple_us: 0.5,
                 group_boost: true,
-                threads: 1,
                 optimizer: false,
             },
             cache_bytes: None,
@@ -161,9 +152,10 @@ impl CacheManagerBuilder {
         self
     }
 
-    /// Sets the worker-thread count for sharded aggregation (must be ≥ 1).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
+    /// Returns the builder unchanged: aggregation runs on one thread.
+    /// Kept for `benchmark/` only: ROADMAP item 1(a) removes it.
+    #[doc(hidden)]
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -186,8 +178,8 @@ impl CacheManagerBuilder {
     }
 
     /// Attaches a tracer receiving every [`aggcache_obs::Event`] the
-    /// manager, cache, backend and aggregation kernel emit. Without one,
-    /// tracing costs a single `Option` check per site.
+    /// manager, cache and backend emit. Without one, tracing costs a
+    /// single `Option` check per site.
     pub fn tracer(mut self, tracer: Arc<dyn Tracer>) -> Self {
         self.tracer = Some(tracer);
         self
@@ -250,14 +242,6 @@ mod tests {
                 .build(make_backend())
                 .unwrap_err(),
             ConfigError::ZeroCacheBudget
-        );
-        assert_eq!(
-            CacheManager::builder()
-                .cache_bytes(1000)
-                .threads(0)
-                .build(make_backend())
-                .unwrap_err(),
-            ConfigError::ZeroThreads
         );
         assert_eq!(
             CacheManager::builder()

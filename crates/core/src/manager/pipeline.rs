@@ -4,7 +4,7 @@
 
 use super::CacheManager;
 use crate::error::CacheError;
-use crate::executor::execute_plan_parallel_traced;
+use crate::executor::execute_plan;
 use crate::lookup::{esm, ComputationPlan, LookupOutcome, LookupStats};
 use crate::metrics::{LOOKUP_PER_NODE_US, UPDATE_PER_WRITE_US};
 use crate::request::{ExecOutcome, QueryRequest};
@@ -311,14 +311,7 @@ impl CacheManager {
         event: impl FnOnce(u64) -> Event,
     ) {
         let t_agg = Instant::now();
-        let (data, tuples) = execute_plan_parallel_traced(
-            &self.grid,
-            &self.cache,
-            self.backend.agg(),
-            plan,
-            self.config.threads,
-            self.tracer.as_deref(),
-        );
+        let (data, tuples) = execute_plan(&self.grid, &self.cache, self.backend.agg(), plan);
         metrics.agg_ns += t_agg.elapsed().as_nanos() as u64;
         self.emit(|| event(tuples));
         metrics.tuples_aggregated += tuples;
@@ -647,53 +640,49 @@ mod tests {
         assert!(m.complete_hit);
     }
 
-    /// `run_batch` is the loop over `run`, and `threads` selects only the
-    /// aggregation exchange: answers, counters and cache contents do not
-    /// depend on either.
+    /// `run_batch` is the loop over `run`: answers, counters and cache
+    /// contents do not depend on which one issued the queries.
     #[test]
     fn run_batch_matches_sequential_loop() {
-        for threads in [1usize, 2, 8] {
-            for strategy in [
-                Strategy::NoAggregation,
-                Strategy::Esm,
-                Strategy::Vcm,
-                Strategy::Vcmc,
-            ] {
-                let mk = || {
-                    CacheManager::builder()
-                        .strategy(strategy)
-                        .policy(PolicyKind::TwoLevel)
-                        .cache_bytes(usize::MAX >> 1)
-                        .threads(threads)
-                        .build(make_backend())
-                        .unwrap()
-                };
-                let mut seq = mk();
-                let mut bat = mk();
-                let lattice = seq.grid().schema().lattice().clone();
-                let grid = seq.grid().clone();
-                let queries: Vec<Query> = lattice
-                    .iter_ids()
-                    .map(|gb| Query::full_group_by(&grid, gb))
-                    .collect();
-                let seq_results: Vec<ExecOutcome> = queries
-                    .iter()
-                    .map(|q| seq.run(&(q).into()).unwrap())
-                    .collect();
-                let bat_results = bat.run_batch(&QueryRequest::batch(&queries)).unwrap();
-                assert_eq!(seq_results.len(), bat_results.len());
-                for (a, b) in seq_results.iter().zip(&bat_results) {
-                    assert_eq!(a.data, b.data, "{strategy:?} threads={threads}");
-                    assert_eq!(a.metrics.lookup_nodes, b.metrics.lookup_nodes);
-                    assert_eq!(a.metrics.complete_hit, b.metrics.complete_hit);
-                    assert_eq!(a.metrics.table_writes, b.metrics.table_writes);
-                }
-                let mut ka: Vec<ChunkKey> = seq.cache().keys().collect();
-                let mut kb: Vec<ChunkKey> = bat.cache().keys().collect();
-                ka.sort_unstable();
-                kb.sort_unstable();
-                assert_eq!(ka, kb, "cache contents diverged");
+        for strategy in [
+            Strategy::NoAggregation,
+            Strategy::Esm,
+            Strategy::Vcm,
+            Strategy::Vcmc,
+        ] {
+            let mk = || {
+                CacheManager::builder()
+                    .strategy(strategy)
+                    .policy(PolicyKind::TwoLevel)
+                    .cache_bytes(usize::MAX >> 1)
+                    .build(make_backend())
+                    .unwrap()
+            };
+            let mut seq = mk();
+            let mut bat = mk();
+            let lattice = seq.grid().schema().lattice().clone();
+            let grid = seq.grid().clone();
+            let queries: Vec<Query> = lattice
+                .iter_ids()
+                .map(|gb| Query::full_group_by(&grid, gb))
+                .collect();
+            let seq_results: Vec<ExecOutcome> = queries
+                .iter()
+                .map(|q| seq.run(&(q).into()).unwrap())
+                .collect();
+            let bat_results = bat.run_batch(&QueryRequest::batch(&queries)).unwrap();
+            assert_eq!(seq_results.len(), bat_results.len());
+            for (a, b) in seq_results.iter().zip(&bat_results) {
+                assert_eq!(a.data, b.data, "{strategy:?}");
+                assert_eq!(a.metrics.lookup_nodes, b.metrics.lookup_nodes);
+                assert_eq!(a.metrics.complete_hit, b.metrics.complete_hit);
+                assert_eq!(a.metrics.table_writes, b.metrics.table_writes);
             }
+            let mut ka: Vec<ChunkKey> = seq.cache().keys().collect();
+            let mut kb: Vec<ChunkKey> = bat.cache().keys().collect();
+            ka.sort_unstable();
+            kb.sort_unstable();
+            assert_eq!(ka, kb, "cache contents diverged");
         }
     }
 

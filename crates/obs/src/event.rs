@@ -311,18 +311,6 @@ events! {
         /// `true` for an eviction, `false` for an insert.
         evict: bool,
     },
-    /// One worker of a `threads > 1` aggregation finished its share of the
-    /// target box.
-    ShardAgg = "shard_agg" {
-        /// Share index.
-        shard: u32,
-        /// Shares the box was cut into (the thread count).
-        shards: u32,
-        /// Target cells this worker produced.
-        cells: u64,
-        /// Wall-clock nanoseconds this worker ran.
-        wall_ns: u64,
-    },
     /// A cluster peer answered a chunk that missed on its owner node: the
     /// peer computed it from its own cache and shipped the cells over the
     /// simulated network (cooperative lookup).

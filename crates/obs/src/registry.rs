@@ -354,10 +354,6 @@ impl Tracer for MetricsRegistry {
                 inner.bump("cost_updates", 1);
                 inner.bump("cost_update_writes", *writes);
             }
-            Event::ShardAgg { wall_ns, .. } => {
-                inner.bump("shard_aggs", 1);
-                inner.wall("shard_agg", *wall_ns);
-            }
             Event::RemoteServe {
                 bytes, virtual_ms, ..
             } => {

@@ -4,9 +4,7 @@ use std::sync::{Arc, Mutex};
 /// A sink for trace [`Event`]s.
 ///
 /// Implementations must be `Send + Sync`: callers may probe one manager
-/// from several threads (`CacheManager::probe` takes `&self`), and the
-/// parallel aggregation kernel emits per-shard events from scoped worker
-/// threads.
+/// from several threads (`CacheManager::probe` takes `&self`).
 ///
 /// **Zero cost when disabled.** Components hold an `Option<Arc<dyn
 /// Tracer>>` and construct events only inside an `if let Some(..)` — with

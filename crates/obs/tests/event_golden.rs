@@ -118,12 +118,6 @@ fn samples() -> Vec<Event> {
             writes: 18,
             evict: false,
         },
-        Event::ShardAgg {
-            shard: 2,
-            shards: 4,
-            cells: 1000,
-            wall_ns: 55,
-        },
         Event::RemoteServe {
             gb: 4,
             chunk: 5,

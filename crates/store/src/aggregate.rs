@@ -1,9 +1,7 @@
 use aggcache_chunks::hash::FxBuildHasher;
 use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey};
-use aggcache_obs::{Event, Tracer};
 use aggcache_schema::Schema;
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// A distributive aggregate function over the cube measure.
 ///
@@ -104,9 +102,6 @@ pub enum Lift {
 /// ascending coordinates. A `u64` key always exists because
 /// [`Schema::new`] refuses a schema whose base-level cell space overflows
 /// `u64`, and no box is larger than that.
-///
-/// An aggregator may own only a *share* of its box ([`CellBox::share`]):
-/// the keys `first..first + mine`, re-keyed from 0.
 #[derive(Debug)]
 struct CellBox<'s> {
     schema: &'s Schema,
@@ -118,24 +113,17 @@ struct CellBox<'s> {
     /// The dimensions the box is longer than one value along. A dead one
     /// adds 0 to every key, so neither keying nor decoding visits it.
     live: Vec<usize>,
-    /// `Σ_d weights[d] · lo[d] + first`: the key of the share's first cell
-    /// in level-wide terms, subtracted once per cell.
+    /// `Σ_d weights[d] · lo[d]`: the key of the box's first cell in
+    /// level-wide terms, subtracted once per cell.
     base: u64,
-    /// The whole-box key of the share's first cell.
-    first: u64,
-    /// Cells in the share: a cell is this aggregator's iff its key is below it.
-    mine: u64,
 }
 
 /// How the cells of one source level key into a [`CellBox`]: per live
 /// dimension its index, the dimension's memoised roll-up table and the box
-/// weight, and the box's `base`.
+/// weight, the box's `base`, and its cells (every key is below them).
 struct SourceKeys<'s> {
     dims: Vec<(usize, &'s [u32], u64)>,
     base: u64,
-    /// The share's `first` and the cells of the whole box: every key plus
-    /// the former is below the latter.
-    first: u64,
     cells: u64,
 }
 
@@ -160,8 +148,6 @@ impl<'s> CellBox<'s> {
             cells,
             live,
             base,
-            first: 0,
-            mine: cells,
         }
     }
 
@@ -182,20 +168,6 @@ impl<'s> CellBox<'s> {
         self.live.last().copied().unwrap_or(self.lo.len() - 1)
     }
 
-    /// Part `p` of `of` of a whole box: a contiguous run of whole rows,
-    /// keyed from 0 by moving the corner every key subtracts to its first
-    /// cell. The parts, in order, tile the box; with fewer rows than parts
-    /// some own nothing.
-    fn share(mut self, p: usize, of: usize) -> Self {
-        let row_len = u64::from(self.len[self.inner()]);
-        let rows = u128::from(self.cells / row_len);
-        let key_at = |p: usize| (p as u128 * rows / of as u128) as u64 * row_len;
-        self.first = key_at(p);
-        self.mine = key_at(p + 1) - self.first;
-        self.base += self.first;
-        self
-    }
-
     fn source(&self, from: &[u8]) -> SourceKeys<'s> {
         let dim = |&d: &usize| {
             let dimension = self.schema.dimension(d);
@@ -205,16 +177,14 @@ impl<'s> CellBox<'s> {
         SourceKeys {
             dims: self.live.iter().map(dim).collect(),
             base: self.base,
-            first: self.first,
             cells: self.cells,
         }
     }
 
-    /// The coordinates of the share's cell `key`, into `out` (which already
-    /// holds `lo` along every dead dimension).
+    /// The coordinates of cell `key`, into `out` (which already holds `lo`
+    /// along every dead dimension).
     #[inline]
-    fn decode(&self, key: u64, out: &mut [u32]) {
-        let mut key = self.first + key;
+    fn decode(&self, mut key: u64, out: &mut [u32]) {
         for &d in &self.live {
             out[d] = self.lo[d] + (key / self.weights[d]) as u32;
             key %= self.weights[d];
@@ -232,10 +202,8 @@ impl SourceKeys<'_> {
     /// in order, a block at a time straight off the columnar arrays. Keys
     /// are computed one live dimension at a time — a lookup and a
     /// multiply-add per cell, table and weight in registers — and equal
-    /// "roll each coordinate up, then Horner-encode", less the share's
-    /// `first`: a cell of the box before the share wraps past any share's
-    /// size, one after it keys at `mine` or more. Which cells lie in the box
-    /// is a per-*chunk* check ([`Aggregator::add_source_chunk`]).
+    /// "roll each coordinate up, then Horner-encode". Which cells lie in
+    /// the box is a per-*chunk* check ([`Aggregator::add_source_chunk`]).
     #[inline]
     fn keyed_blocks(&self, data: &ChunkData, mut sink: impl FnMut(&[u64], &[f64])) {
         let n = data.n_dims();
@@ -250,8 +218,7 @@ impl SourceKeys<'_> {
                 }
             }
             debug_assert!(
-                keys.iter()
-                    .all(|&key| key.wrapping_add(self.first) < self.cells),
+                keys.iter().all(|&key| key < self.cells),
                 "a source cell rolls up outside the target box"
             );
             sink(keys, values);
@@ -338,7 +305,13 @@ impl<'s> Aggregator<'s> {
     /// Creates an aggregator producing cells anywhere at level `target`
     /// with `agg`: the box is the whole level, held sparse.
     pub fn new(schema: &'s Schema, target: &[u8], agg: AggFn) -> Self {
-        Self::share(CellBox::whole_level(schema, target), None, agg, 0, (0, 1))
+        Self {
+            cell_box: CellBox::whole_level(schema, target),
+            chunk: None,
+            agg,
+            cells: Cells::Sparse(CellMap::default()),
+            cells_added: 0,
+        }
     }
 
     /// Creates an aggregator producing the cells of one chunk, `target`,
@@ -354,26 +327,9 @@ impl<'s> Aggregator<'s> {
         agg: AggFn,
         expected_cells: u64,
     ) -> Self {
-        let chunk = Some((grid, target));
         let cell_box = CellBox::of_chunk(grid, target);
-        Self::share(cell_box, chunk, agg, expected_cells, (0, 1))
-    }
-
-    /// An aggregator owning part `p` of `of` of `cell_box`
-    /// ([`CellBox::share`]). Dense or sparse is decided on the *whole* box,
-    /// so every share holds its cells the way the undivided aggregator
-    /// would — the same representation, hence the same bits.
-    fn share(
-        cell_box: CellBox<'s>,
-        chunk: Option<(&'s ChunkGrid, ChunkKey)>,
-        agg: AggFn,
-        expected_cells: u64,
-        (p, of): (usize, usize),
-    ) -> Self {
-        let dense = cell_box.cells <= DENSE_BOX_PER_INPUT_CELL.saturating_mul(expected_cells);
-        let cell_box = cell_box.share(p, of);
-        let cells = if dense {
-            let slots = usize::try_from(cell_box.mine).expect("a dense box is addressable");
+        let cells = if cell_box.cells <= DENSE_BOX_PER_INPUT_CELL.saturating_mul(expected_cells) {
+            let slots = usize::try_from(cell_box.cells).expect("a dense box is addressable");
             Cells::Dense {
                 vals: vec![agg.identity(); slots],
                 occupied: vec![0; slots],
@@ -383,7 +339,7 @@ impl<'s> Aggregator<'s> {
         };
         Self {
             cell_box,
-            chunk,
+            chunk: Some((grid, target)),
             agg,
             cells,
             cells_added: 0,
@@ -392,24 +348,15 @@ impl<'s> Aggregator<'s> {
 
     /// Adds an entire [`ChunkData`] of cells at level `from`, rolling them
     /// up into the target level: cells stream off the columnar arrays
-    /// against the dimensions' memoised roll-up tables and those the
-    /// aggregator owns combine into their target cells in input order.
+    /// against the dimensions' memoised roll-up tables and combine into
+    /// their target cells in input order.
     pub fn add_chunk(&mut self, from: &[u8], data: &ChunkData, lift: Lift) {
         self.cells_added += data.len() as u64;
-        let (agg, cells, mine) = (self.agg, &mut self.cells, self.cell_box.mine);
-        if mine == 0 {
-            return;
-        }
-        let whole = mine == self.cell_box.cells;
+        let (agg, cells) = (self.agg, &mut self.cells);
         self.cell_box
             .source(from)
             .keyed_blocks(data, |keys, values| {
-                let pairs = lifted(keys, values, agg, lift);
-                if whole {
-                    cells.fold(agg, pairs)
-                } else {
-                    cells.fold(agg, pairs.filter(|&(key, _)| key < mine))
-                }
+                cells.fold(agg, lifted(keys, values, agg, lift))
             });
     }
 
@@ -442,8 +389,7 @@ impl<'s> Aggregator<'s> {
 
     /// Finishes into coordinate-sorted [`ChunkData`] at the target level.
     /// Row-major box keys *are* coordinate order: the dense side walks its
-    /// slots in place — no collect, no sort — dividing once per row. So the
-    /// shares of a box, finished and appended in order, are the box.
+    /// slots in place — no collect, no sort — dividing once per row.
     pub fn finish(self) -> ChunkData {
         let cell_box = &self.cell_box;
         let n = cell_box.lo.len();
@@ -494,106 +440,29 @@ pub fn aggregate_to_level(
     agg: AggFn,
     lift: Lift,
 ) -> ChunkData {
-    aggregate_to_level_parallel(schema, sources, target, agg, lift, 1).0
+    let mut kernel = Aggregator::new(schema, target, agg);
+    for (level, data) in sources {
+        kernel.add_chunk(level, data, lift);
+    }
+    kernel.finish()
 }
 
-/// [`aggregate_to_level`] on `threads` workers, each owning a share of the
-/// level-wide box ([`aggregate_to_chunk`] has the argument). Returns the
-/// aggregated cells and the number of input cells consumed (the paper's
-/// aggregation cost).
+/// [`aggregate_to_level`] and the input cells it consumed; `threads` is
+/// ignored. Kept for `benchmark/` only: ROADMAP item 1(a) removes it.
+#[doc(hidden)]
 pub fn aggregate_to_level_parallel(
     schema: &Schema,
     sources: &[(&[u8], &ChunkData)],
     target: &[u8],
     agg: AggFn,
     lift: Lift,
-    threads: usize,
+    _threads: usize,
 ) -> (ChunkData, u64) {
-    let cells = in_shares(threads, None, |part| {
-        let cell_box = CellBox::whole_level(schema, target);
-        let mut share = Aggregator::share(cell_box, None, agg, 0, part);
-        for (level, data) in sources {
-            share.add_chunk(level, data, lift);
-        }
-        share
-    });
-    (cells, sources.iter().map(|(_, d)| d.len() as u64).sum())
-}
-
-/// Rolls `sources` — chunks lying under `target` — up into that chunk's
-/// cells on `threads` workers, the caller being the first. Returns the
-/// cells and the number of input cells consumed.
-///
-/// One kernel at any thread count: worker `p` builds share `p` of the
-/// [`Aggregator::for_chunk`] box (a run of its rows), is fed **every**
-/// source, and combines only the cells it owns, in input order. Each cell
-/// so has one owner, which sees its contributions in the sequential order
-/// and holds it the way the undivided box would: the shares appended in
-/// order are bit-identical to `threads = 1`, floating-point SUM included.
-/// The price: every worker keys all of the input (`threads ×` the keying
-/// in total), so two threads match one per tuple rather than halve it.
-/// With a `tracer` and `threads > 1`, each worker emits one `ShardAgg`.
-///
-/// # Panics
-///
-/// As [`Aggregator::add_source_chunk`], once per source per worker.
-pub fn aggregate_to_chunk(
-    grid: &ChunkGrid,
-    target: ChunkKey,
-    sources: &[(ChunkKey, &ChunkData)],
-    agg: AggFn,
-    lift: Lift,
-    threads: usize,
-    tracer: Option<&dyn Tracer>,
-) -> (ChunkData, u64) {
-    let expected = sources.iter().map(|(_, d)| d.len() as u64).sum();
-    let cells = in_shares(threads, tracer, |part| {
-        let cell_box = CellBox::of_chunk(grid, target);
-        let mut share = Aggregator::share(cell_box, Some((grid, target)), agg, expected, part);
-        for &(src, data) in sources {
-            share.add_source_chunk(src, data, lift);
-        }
-        share
-    });
-    (cells, expected)
-}
-
-/// Runs `fill((p, of))` — share `p` of `of` of one box, fed every source —
-/// on `of = threads` scoped workers and appends the finished shares in
-/// order.
-fn in_shares<'s>(
-    threads: usize,
-    tracer: Option<&dyn Tracer>,
-    fill: impl Fn((usize, usize)) -> Aggregator<'s> + Sync,
-) -> ChunkData {
-    let of = threads.max(1);
-    let work = |p: usize| {
-        let start = Instant::now();
-        let cells = fill((p, of)).finish();
-        if let Some(tracer) = tracer.filter(|_| of > 1) {
-            tracer.emit(&Event::ShardAgg {
-                shard: p as u32,
-                shards: of as u32,
-                cells: cells.len() as u64,
-                wall_ns: start.elapsed().as_nanos() as u64,
-            });
-        }
-        cells
-    };
-    std::thread::scope(|s| {
-        let work = &work;
-        let others: Vec<_> = (1..of).map(|p| s.spawn(move || work(p))).collect();
-        let mut cells = work(0);
-        for other in others {
-            // A worker's panic (a source from elsewhere) is the caller's.
-            cells.append(
-                &other
-                    .join()
-                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
-            );
-        }
-        cells
-    })
+    let cells = sources.iter().map(|(_, d)| d.len() as u64).sum();
+    (
+        aggregate_to_level(schema, sources, target, agg, lift),
+        cells,
+    )
 }
 
 #[cfg(test)]
@@ -929,28 +798,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn sharded_merge_is_bit_identical_to_sequential() {
-        let s = schema();
-        let jagged = jagged_cells();
-        let sources: [(&[u8], &ChunkData); 1] = [(&[2, 1], &jagged)];
-        for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
-            for target in [[0u8, 0], [1, 1], [2, 1], [0, 1]] {
-                let expected = aggregate_to_level(&s, &sources, &target, agg, Lift::Raw);
-                for threads in [1usize, 2, 3, 8] {
-                    let (got, cells) =
-                        aggregate_to_level_parallel(&s, &sources, &target, agg, Lift::Raw, threads);
-                    assert_eq!(cells, jagged.len() as u64);
-                    assert_same_bits(
-                        &got,
-                        &expected,
-                        &format!("{agg:?} {target:?} threads={threads}"),
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn add_chunk_is_bit_identical_to_the_row_reference() {
         let s = schema();
         let jagged = jagged_cells();
@@ -1031,76 +878,6 @@ pub(crate) mod tests {
                 }
             }
         }
-    }
-
-    /// The shares of a box — each fed every source, finished, appended in
-    /// order — are the undivided `for_chunk` result, bit for bit: every
-    /// target chunk of the test grid and of one with a single chunk per
-    /// level (a base box of four rows), dense and sparse, cut in 2, 3 and 8,
-    /// over jagged sums and over −0.0, ±∞, subnormals and a NaN.
-    #[test]
-    fn shares_appended_in_order_are_the_undivided_box() {
-        let mut specials = special_cells();
-        specials.push(&[2, 2], f64::NAN);
-        let one_chunk = ChunkGrid::build(schema(), &[vec![1, 1, 1], vec![1, 1]]).unwrap();
-        let (mut one_cell, mut outermost_only, mut most_rows) = (false, false, 0);
-        for g in [grid(), one_chunk] {
-            let lattice = g.schema().lattice();
-            let base = lattice.base();
-            for cells in [jagged_cells(), specials.clone()] {
-                let by_base = by_chunk(&g, base, &cells);
-                for gb in lattice.iter_ids() {
-                    for chunk in 0..g.n_chunks(gb) {
-                        let target = ChunkKey::new(gb, chunk);
-                        let whole = CellBox::of_chunk(&g, target);
-                        one_cell |= whole.cells == 1;
-                        outermost_only |= whole.live == [0];
-                        most_rows =
-                            most_rows.max(whole.cells / u64::from(whole.len[whole.inner()]));
-                        let sources = sources_under(&g, target, base, &by_base);
-                        for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
-                            for expected_cells in [u64::MAX, 0] {
-                                let want = chunk_result(
-                                    &g,
-                                    target,
-                                    &sources,
-                                    agg,
-                                    Lift::Raw,
-                                    expected_cells,
-                                );
-                                for of in [2usize, 3, 8] {
-                                    let mut got = ChunkData::new(2);
-                                    let mut owned = 0;
-                                    for p in 0..of {
-                                        let mut share = Aggregator::share(
-                                            CellBox::of_chunk(&g, target),
-                                            Some((&g, target)),
-                                            agg,
-                                            expected_cells,
-                                            (p, of),
-                                        );
-                                        assert_eq!(share.is_dense(), expected_cells > 0);
-                                        assert_eq!(share.cell_box.first, owned);
-                                        owned += share.cell_box.mine;
-                                        for &(src, data) in &sources {
-                                            share.add_source_chunk(src, data, Lift::Raw);
-                                        }
-                                        got.append(&share.finish());
-                                    }
-                                    assert_eq!(owned, whole.cells);
-                                    let ctx = format!("{agg:?} {target:?} x{expected_cells} /{of}");
-                                    assert_same_bits(&got, &want, &ctx);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Among them: a one-cell box, a box live along the outermost
-        // dimension only, and none with as many rows as the widest cut.
-        assert!(one_cell && outermost_only);
-        assert_eq!(most_rows, 4);
     }
 
     /// The rule is a function of (box cells, expected cells): dense up to

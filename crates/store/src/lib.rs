@@ -28,9 +28,7 @@ mod retry;
 mod source;
 mod spill;
 
-pub use aggregate::{
-    aggregate_to_chunk, aggregate_to_level, aggregate_to_level_parallel, AggFn, Aggregator, Lift,
-};
+pub use aggregate::{aggregate_to_level, aggregate_to_level_parallel, AggFn, Aggregator, Lift};
 pub use backend::{Backend, BackendCostModel, FetchResult, StoreError};
 pub use delta::{DeltaBatch, DeltaOp, DeltaRecord, EffectiveDelta};
 pub use fact::FactTable;

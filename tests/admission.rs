@@ -5,7 +5,7 @@
 //! * **Single-stream bit-identity** — a one-tenant `TrafficEngine` under
 //!   the default `benefit_mean` admission reproduces the original
 //!   single-stream pipeline bit for bit (same queries, same answers, same
-//!   virtual costs), across every lookup strategy and thread count. The
+//!   virtual costs), across every lookup strategy. The
 //!   multi-tenant rig is a strict superset of the paper pipeline, not a
 //!   fork of it.
 //! * **Table consistency** — admission refusals must leave the virtual
@@ -24,18 +24,12 @@ fn dataset() -> Dataset {
     common::apb_dataset(99)
 }
 
-fn manager(
-    ds: &Dataset,
-    strategy: Strategy,
-    admission: AdmissionKind,
-    threads: usize,
-) -> CacheManager {
+fn manager(ds: &Dataset, strategy: Strategy, admission: AdmissionKind) -> CacheManager {
     CacheManager::builder()
         .strategy(strategy)
         .policy(PolicyKind::TwoLevel)
         .admission(admission)
         .cache_bytes(120_000)
-        .threads(threads)
         .build(backend(ds))
         .unwrap()
 }
@@ -84,16 +78,16 @@ fn digest(r: ExecOutcome) -> Digest {
 }
 
 /// The original single-stream pipeline: `QueryStream` + `run_batch`.
-fn single_stream_run(ds: &Dataset, strategy: Strategy, threads: usize) -> Vec<ExecOutcome> {
-    let mut mgr = manager(ds, strategy, AdmissionKind::BenefitMean, threads);
+fn single_stream_run(ds: &Dataset, strategy: Strategy) -> Vec<ExecOutcome> {
+    let mut mgr = manager(ds, strategy, AdmissionKind::BenefitMean);
     mgr.preload_best().unwrap();
     mgr.run_batch(&QueryRequest::batch(&stream_queries(ds, 60, 2000)))
         .unwrap()
 }
 
 /// The multi-tenant rig collapsed to one tenant, same seed.
-fn one_tenant_run(ds: &Dataset, strategy: Strategy, threads: usize) -> Vec<ExecOutcome> {
-    let mut mgr = manager(ds, strategy, AdmissionKind::BenefitMean, threads);
+fn one_tenant_run(ds: &Dataset, strategy: Strategy) -> Vec<ExecOutcome> {
+    let mut mgr = manager(ds, strategy, AdmissionKind::BenefitMean);
     mgr.preload_best().unwrap();
     let max_level = ds.grid.geom(ds.fact_gb).level().to_vec();
     let cfg = MultiTenantConfig::uniform(1, max_level, 2000);
@@ -104,31 +98,18 @@ fn one_tenant_run(ds: &Dataset, strategy: Strategy, threads: usize) -> Vec<ExecO
 }
 
 #[test]
-fn one_tenant_engine_matches_single_stream_for_every_strategy_and_threads() {
+fn one_tenant_engine_matches_single_stream_for_every_strategy() {
     let ds = dataset();
     for strategy in STRATEGIES {
-        let reference: Vec<_> = single_stream_run(&ds, strategy, 1)
+        let single: Vec<_> = single_stream_run(&ds, strategy)
             .into_iter()
             .map(digest)
             .collect();
-        for threads in [1usize, 4] {
-            let single: Vec<_> = single_stream_run(&ds, strategy, threads)
-                .into_iter()
-                .map(digest)
-                .collect();
-            let tenant: Vec<_> = one_tenant_run(&ds, strategy, threads)
-                .into_iter()
-                .map(digest)
-                .collect();
-            assert_eq!(
-                single, reference,
-                "{strategy:?}: single-stream run not thread-invariant at {threads} threads"
-            );
-            assert_eq!(
-                tenant, reference,
-                "{strategy:?}: one-tenant engine diverged at {threads} threads"
-            );
-        }
+        let tenant: Vec<_> = one_tenant_run(&ds, strategy)
+            .into_iter()
+            .map(digest)
+            .collect();
+        assert_eq!(tenant, single, "{strategy:?}: one-tenant engine diverged");
     }
 }
 
@@ -137,8 +118,8 @@ fn benefit_mean_admission_is_a_pure_noop() {
     // The default admission kind must leave the whole session identical —
     // including the cache's resident set — and never refuse an insert.
     let ds = dataset();
-    let a = single_stream_run(&ds, Strategy::Vcmc, 1);
-    let mut mgr = manager(&ds, Strategy::Vcmc, AdmissionKind::BenefitMean, 1);
+    let a = single_stream_run(&ds, Strategy::Vcmc);
+    let mut mgr = manager(&ds, Strategy::Vcmc, AdmissionKind::BenefitMean);
     mgr.preload_best().unwrap();
     let b = mgr
         .run_batch(&QueryRequest::batch(&stream_queries(&ds, 60, 2000)))

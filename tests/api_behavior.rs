@@ -259,7 +259,7 @@ mod manager_api {
         use aggcache::store::StoreError;
 
         // Builder misconfiguration: typed ConfigError variants.
-        let build = |budget: Option<usize>, threads: usize, node_budget: Option<u64>| {
+        let build = |budget: Option<usize>, node_budget: Option<u64>| {
             let ds = SyntheticSpec::new()
                 .dim("a", vec![1, 4], vec![1, 2])
                 .tuples(20)
@@ -267,27 +267,22 @@ mod manager_api {
             let backend = Backend::new(ds.fact, AggFn::Sum, BackendCostModel::default());
             let mut b = CacheManager::builder()
                 .strategy(Strategy::Esmc { node_budget })
-                .policy(PolicyKind::TwoLevel)
-                .threads(threads);
+                .policy(PolicyKind::TwoLevel);
             if let Some(bytes) = budget {
                 b = b.cache_bytes(bytes);
             }
             b.build(backend)
         };
         assert!(matches!(
-            build(None, 1, None),
+            build(None, None),
             Err(ConfigError::MissingCacheBudget)
         ));
         assert!(matches!(
-            build(Some(0), 1, None),
+            build(Some(0), None),
             Err(ConfigError::ZeroCacheBudget)
         ));
         assert!(matches!(
-            build(Some(1024), 0, None),
-            Err(ConfigError::ZeroThreads)
-        ));
-        assert!(matches!(
-            build(Some(1024), 1, Some(0)),
+            build(Some(1024), Some(0)),
             Err(ConfigError::ZeroNodeBudget)
         ));
 
@@ -454,5 +449,72 @@ mod manager_api {
             .build(backend)
             .unwrap();
         assert!(mgr.preload_best().unwrap().is_none());
+    }
+}
+
+/// The three names `benchmark/` links that no longer do anything of their
+/// own: each ignores its thread count and answers exactly as the path it
+/// delegates to. ROADMAP item 1(a) deletes them; until then this pins them.
+mod benchmark_delegates {
+    use super::*;
+    use aggcache::core::{esm, execute_plan, execute_plan_parallel, LookupStats};
+    use aggcache::store::{aggregate_to_level, aggregate_to_level_parallel};
+
+    /// Same cells, same order, same `f64` bits.
+    fn bits(d: &ChunkData) -> Vec<(Vec<u32>, u64)> {
+        d.iter().map(|(c, v)| (c.to_vec(), v.to_bits())).collect()
+    }
+
+    #[test]
+    fn benchmark_only_delegates_answer_like_the_sequential_paths() {
+        let grid = tiny_grid();
+        let schema = grid.schema();
+        let lattice = schema.lattice();
+        let base = lattice.base();
+        // Non-associative values: any re-bracketing of a SUM flips bits.
+        let mut cells = ChunkData::new(2);
+        for a in 0..8u32 {
+            for b in 0..4u32 {
+                cells.push(&[a, b], 0.1 + f64::from(a) * 1e9 + f64::from(b).sin());
+            }
+        }
+        let fact = FactTable::load(grid.clone(), base, cells.clone());
+        let backend = || Backend::new(fact.clone(), AggFn::Sum, BackendCostModel::default());
+        let mut cache = ChunkCache::new(usize::MAX >> 1, PolicyKind::Benefit);
+        for (chunk, data) in backend().fetch_group_by(base).unwrap().chunks {
+            cache.insert(ChunkKey::new(base, chunk), data, Origin::Backend, 1.0);
+        }
+        let base_level = schema.base_level();
+        let sources: [(&[u8], &ChunkData); 1] = [(&base_level, &cells)];
+        for (gb, level) in lattice.iter_levels() {
+            let (cells_par, consumed) =
+                aggregate_to_level_parallel(schema, &sources, &level, AggFn::Sum, Lift::Raw, 4);
+            let cells_seq = aggregate_to_level(schema, &sources, &level, AggFn::Sum, Lift::Raw);
+            assert_eq!(bits(&cells_par), bits(&cells_seq), "{level:?}");
+            assert_eq!(consumed, cells.len() as u64);
+            for chunk in 0..grid.n_chunks(gb) {
+                let mut stats = LookupStats::default();
+                let plan = esm(&cache, &grid, ChunkKey::new(gb, chunk), &mut stats).unwrap();
+                let (par, par_tuples) = execute_plan_parallel(&grid, &cache, AggFn::Sum, &plan, 8);
+                let (seq, seq_tuples) = execute_plan(&grid, &cache, AggFn::Sum, &plan);
+                assert_eq!(bits(&par), bits(&seq), "{gb:?} chunk {chunk}");
+                assert_eq!(par_tuples, seq_tuples);
+            }
+        }
+
+        // `threads(0)` builds, and the manager answers like one built
+        // without the call.
+        let builder = || CacheManager::builder().cache_bytes(usize::MAX >> 1);
+        let mut with = builder().threads(0).build(backend()).unwrap();
+        let mut without = builder().build(backend()).unwrap();
+        for (gb, _) in lattice.iter_levels() {
+            let req = QueryRequest::from(&Query::full_group_by(&grid, gb));
+            let (a, b) = (with.run(&req).unwrap(), without.run(&req).unwrap());
+            assert_eq!(bits(&a.data), bits(&b.data), "{gb:?}");
+            assert_eq!(
+                a.total_virtual_ms().to_bits(),
+                b.total_virtual_ms().to_bits()
+            );
+        }
     }
 }

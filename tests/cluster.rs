@@ -14,8 +14,8 @@
 //!   cooperative fills, node failure, revival and rebalancing: a
 //!   from-scratch rebuild over each node's resident set matches the
 //!   incrementally maintained table.
-//! * **Determinism** — identical runs (any thread count) produce
-//!   bit-identical virtual times and wire accounting.
+//! * **Determinism** — identical runs produce bit-identical virtual times
+//!   and wire accounting.
 
 mod common;
 
@@ -27,12 +27,11 @@ fn dataset() -> Dataset {
     common::apb_dataset(42)
 }
 
-fn node_manager(ds: &Dataset, strategy: Strategy, threads: usize, budget: usize) -> CacheManager {
+fn node_manager(ds: &Dataset, strategy: Strategy, budget: usize) -> CacheManager {
     CacheManager::builder()
         .strategy(strategy)
         .policy(PolicyKind::TwoLevel)
         .cache_bytes(budget)
-        .threads(threads)
         .build(common::backend(ds))
         .unwrap()
 }
@@ -42,12 +41,11 @@ fn cluster(
     n: usize,
     replication: usize,
     strategy: Strategy,
-    threads: usize,
     budget: usize,
 ) -> ClusterManager {
     let mut b = ClusterManager::builder().replication(replication);
     for _ in 0..n {
-        b = b.node(node_manager(ds, strategy, threads, budget));
+        b = b.node(node_manager(ds, strategy, budget));
     }
     b.build().unwrap()
 }
@@ -95,8 +93,8 @@ fn one_node_cluster_is_bit_identical_to_plain_pipeline() {
     let budget = 120_000;
     for strategy in STRATEGIES {
         let requests = stream_requests(&ds, 60, 2_000);
-        let mut plain = node_manager(&ds, strategy, 1, budget);
-        let mut clustered = cluster(&ds, 1, 1, strategy, 1, budget);
+        let mut plain = node_manager(&ds, strategy, budget);
+        let mut clustered = cluster(&ds, 1, 1, strategy, budget);
         for req in &requests {
             let a = plain.run(req).unwrap();
             let b = clustered.run(req).unwrap();
@@ -142,8 +140,8 @@ fn sharded_cluster_answers_match_single_node_oracle() {
     // Replication 2 and a tight per-node budget: primaries evict under
     // pressure while replicas still hold copies, which is what drives
     // summary-gated cooperative serves.
-    let mut c = cluster(&ds, 4, 2, Strategy::Vcmc, 1, 60_000);
-    let mut oracle = node_manager(&ds, Strategy::Vcmc, 1, usize::MAX >> 1);
+    let mut c = cluster(&ds, 4, 2, Strategy::Vcmc, 60_000);
+    let mut oracle = node_manager(&ds, Strategy::Vcmc, usize::MAX >> 1);
     let outs = c.run_batch(&requests).unwrap();
     for (req, out) in requests.iter().zip(&outs) {
         let want = oracle.run(req).unwrap();
@@ -164,7 +162,7 @@ fn sharded_cluster_answers_match_single_node_oracle() {
 #[test]
 fn malformed_request_is_refused_before_routing() {
     let ds = dataset();
-    let mut c = cluster(&ds, 4, 2, Strategy::Vcmc, 1, 60_000);
+    let mut c = cluster(&ds, 4, 2, Strategy::Vcmc, 60_000);
     c.run_batch(&stream_requests(&ds, 10, 3_000)).unwrap();
     let state = |c: &ClusterManager| -> Vec<_> {
         (0..4)
@@ -187,7 +185,7 @@ fn malformed_request_is_refused_before_routing() {
 fn count_tables_stay_consistent_through_failures_and_rebalance() {
     let ds = dataset();
     for strategy in [Strategy::Vcm, Strategy::Vcmc] {
-        let mut c = cluster(&ds, 3, 2, strategy, 1, 120_000);
+        let mut c = cluster(&ds, 3, 2, strategy, 120_000);
         let check = |c: &ClusterManager, when: &str| {
             for n in 0..3u32 {
                 let mgr = c.node(n);
@@ -213,10 +211,10 @@ fn count_tables_stay_consistent_through_failures_and_rebalance() {
 }
 
 #[test]
-fn cluster_sessions_are_deterministic_across_runs_and_threads() {
+fn cluster_sessions_are_deterministic_across_runs() {
     let ds = dataset();
-    let run = |threads: usize| {
-        let mut c = cluster(&ds, 4, 2, Strategy::Vcmc, threads, 120_000);
+    let run = || {
+        let mut c = cluster(&ds, 4, 2, Strategy::Vcmc, 120_000);
         let outs = c.run_batch(&stream_requests(&ds, 50, 7_000)).unwrap();
         let digest: Vec<(u64, u64)> = outs
             .iter()
@@ -228,9 +226,5 @@ fn cluster_sessions_are_deterministic_across_runs_and_threads() {
             c.session_remote().remote_virtual_ms.to_bits(),
         )
     };
-    let a = run(1);
-    let b = run(1);
-    assert_eq!(a, b, "same-seed cluster runs diverged");
-    let c = run(4);
-    assert_eq!(a, c, "cluster session is thread-count dependent");
+    assert_eq!(run(), run(), "same-seed cluster runs diverged");
 }

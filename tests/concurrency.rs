@@ -1,14 +1,12 @@
-//! Thread-invariance and probe-stress tests for the query pipeline.
+//! Batch-equivalence and probe-stress tests for the query pipeline.
 //!
 //! The contract under test (DESIGN.md §6): [`CacheManager::run_batch`] is
-//! the loop over [`CacheManager::run`], and `threads` selects only the
-//! aggregation exchange inside an apply — so a windowed `run_batch`
-//! session at 1, 2 or 8 threads is *bit-identical* to a single-threaded
-//! `run` loop over the same queries, for every lookup strategy and every
-//! replacement policy. "Bit-identical" covers the returned cells
-//! (compared via `f64::to_bits`), the per-query virtual-time metrics, the
-//! final cache contents and the session totals. The `&self` probe phase
-//! stays safe to call from many threads at once.
+//! the loop over [`CacheManager::run`] — so a windowed `run_batch` session
+//! is *bit-identical* to a `run` loop over the same queries, for every
+//! lookup strategy and every replacement policy. "Bit-identical" covers
+//! the returned cells (compared via `f64::to_bits`), the per-query
+//! virtual-time metrics, the final cache contents and the session totals.
+//! The `&self` probe phase stays safe to call from many threads at once.
 
 mod common;
 
@@ -24,13 +22,11 @@ fn manager_for(
     strategy: Strategy,
     policy: PolicyKind,
     cache_bytes: usize,
-    threads: usize,
 ) -> CacheManager {
     CacheManager::builder()
         .strategy(strategy)
         .policy(policy)
         .cache_bytes(cache_bytes)
-        .threads(threads)
         .build(common::backend(ds))
         .unwrap()
 }
@@ -102,43 +98,40 @@ fn assert_sessions_identical(a: &SessionMetrics, b: &SessionMetrics, ctx: &str) 
     assert_metrics_identical(&a.sum, &b.sum, &format!("{ctx}: session"));
 }
 
-/// Runs the full equivalence check for one strategy: for each policy and
-/// thread count, `run_batch` (in windows) must match a single-threaded
-/// `run` loop.
+/// Runs the full equivalence check for one strategy: for each policy,
+/// `run_batch` (in windows) must match a `run` loop.
 ///
 /// The cache budget is deliberately small — a fraction of the base cube —
-/// so the stream churns through admissions and evictions and the
-/// aggregation exchange runs over ever-changing plans.
+/// so the stream churns through admissions and evictions and aggregation
+/// runs over ever-changing plans.
 fn assert_equivalence_for(strategy: Strategy) {
     let ds = dataset();
     let queries = stream_queries(&ds, 36, 2_000);
     let budget = 600 * PAPER_TUPLE_BYTES;
     for policy in [PolicyKind::Lru, PolicyKind::Benefit, PolicyKind::TwoLevel] {
-        // Sequential baseline (threads = 1, plain execute loop).
-        let mut seq = manager_for(&ds, strategy, policy, budget, 1);
+        // Baseline: the plain `run` loop.
+        let mut seq = manager_for(&ds, strategy, policy, budget);
         seq.preload_best().unwrap();
         let seq_results: Vec<ExecOutcome> = queries
             .iter()
             .map(|q| seq.run(&(q).into()).unwrap())
             .collect();
 
-        for threads in [1usize, 2, 8] {
-            let ctx = format!("{strategy:?}/{policy:?}/threads={threads}");
-            let mut bat = manager_for(&ds, strategy, policy, budget, threads);
-            bat.preload_best().unwrap();
-            let mut bat_results = Vec::with_capacity(queries.len());
-            for window in queries.chunks(9) {
-                bat_results.extend(bat.run_batch(&QueryRequest::batch(window)).unwrap());
-            }
-            assert_eq!(bat_results.len(), seq_results.len());
-            for (i, (s, b)) in seq_results.iter().zip(&bat_results).enumerate() {
-                let ctx = format!("{ctx}, query {i}");
-                assert_data_bit_identical(&s.data, &b.data, &ctx);
-                assert_metrics_identical(&s.metrics, &b.metrics, &ctx);
-            }
-            assert_caches_identical(&seq, &bat, &ctx);
-            assert_sessions_identical(seq.session(), bat.session(), &ctx);
+        let ctx = format!("{strategy:?}/{policy:?}");
+        let mut bat = manager_for(&ds, strategy, policy, budget);
+        bat.preload_best().unwrap();
+        let mut bat_results = Vec::with_capacity(queries.len());
+        for window in queries.chunks(9) {
+            bat_results.extend(bat.run_batch(&QueryRequest::batch(window)).unwrap());
         }
+        assert_eq!(bat_results.len(), seq_results.len());
+        for (i, (s, b)) in seq_results.iter().zip(&bat_results).enumerate() {
+            let ctx = format!("{ctx}, query {i}");
+            assert_data_bit_identical(&s.data, &b.data, &ctx);
+            assert_metrics_identical(&s.metrics, &b.metrics, &ctx);
+        }
+        assert_caches_identical(&seq, &bat, &ctx);
+        assert_sessions_identical(seq.session(), bat.session(), &ctx);
     }
 }
 
@@ -196,7 +189,6 @@ fn concurrent_probes_with_interleaved_writer_keep_count_oracle() {
         Strategy::Vcm,
         PolicyKind::Benefit,
         4_000 * PAPER_TUPLE_BYTES,
-        1,
     );
     let queries = stream_queries(&ds, 24, 99);
     let keys = all_keys(&ds.grid);
@@ -277,7 +269,6 @@ fn concurrent_probes_are_deterministic() {
         Strategy::Vcmc,
         PolicyKind::TwoLevel,
         2_000 * PAPER_TUPLE_BYTES,
-        1,
     );
     mgr.preload_best().unwrap();
     for q in stream_queries(&ds, 8, 11) {

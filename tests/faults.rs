@@ -4,7 +4,7 @@
 //! decorator stack — `RetryingBackend` over `FaultInjectingBackend` —
 //! must be *bit-transparent* at fault rate 0 (identical answers, virtual
 //! times, cache contents and session totals), fully deterministic per
-//! fault seed at any thread count, and must never corrupt an answer or
+//! fault seed, and must never corrupt an answer or
 //! the replacement bookkeeping no matter how many fetches fail.
 
 mod common;
@@ -19,13 +19,11 @@ fn manager_with(
     backend: impl BackendSource + 'static,
     strategy: Strategy,
     cache_bytes: usize,
-    threads: usize,
 ) -> CacheManager {
     CacheManager::builder()
         .strategy(strategy)
         .policy(PolicyKind::TwoLevel)
         .cache_bytes(cache_bytes)
-        .threads(threads)
         .build(backend)
         .unwrap()
 }
@@ -35,7 +33,6 @@ fn decorated_manager(
     ds: &Dataset,
     strategy: Strategy,
     cache_bytes: usize,
-    threads: usize,
     rate: f64,
     fault_seed: u64,
 ) -> CacheManager {
@@ -50,7 +47,7 @@ fn decorated_manager(
         },
     )
     .unwrap();
-    manager_with(retrying, strategy, cache_bytes, threads)
+    manager_with(retrying, strategy, cache_bytes)
 }
 
 /// Everything deterministic about one executed query, bit-exact. Failed
@@ -105,8 +102,8 @@ fn zero_fault_rate_is_bit_transparent() {
         Strategy::Vcmc,
     ] {
         let ctx = format!("{strategy:?}");
-        let mut plain = manager_with(raw_backend(&ds), strategy, budget, 1);
-        let mut stacked = decorated_manager(&ds, strategy, budget, 1, 0.0, 0xFA57);
+        let mut plain = manager_with(raw_backend(&ds), strategy, budget);
+        let mut stacked = decorated_manager(&ds, strategy, budget, 0.0, 0xFA57);
         plain.preload_best().unwrap();
         stacked.preload_best().unwrap();
 
@@ -165,8 +162,7 @@ fn zero_fault_rate_is_bit_transparent() {
 
 /// For each fault seed, two identical faulty runs produce identical
 /// per-query outcomes (answers, virtual times, failures) and identical
-/// session totals — at 1 thread and at 4 (worker threads shard the
-/// aggregation wall-clock only, never the virtual-time results).
+/// session totals.
 #[test]
 fn faulty_runs_are_deterministic_per_seed() {
     let ds = dataset();
@@ -176,8 +172,8 @@ fn faulty_runs_are_deterministic_per_seed() {
         node_budget: Some(64),
     };
     for fault_seed in [1u64, 7, 0xFA57] {
-        let run = |threads: usize| {
-            let mut mgr = decorated_manager(&ds, strategy, budget, threads, 0.4, fault_seed);
+        let run = || {
+            let mut mgr = decorated_manager(&ds, strategy, budget, 0.4, fault_seed);
             let _ = mgr.preload_best();
             let outcomes = run_stream(&mut mgr, &queries);
             let totals = (
@@ -189,14 +185,7 @@ fn faulty_runs_are_deterministic_per_seed() {
             );
             (outcomes, totals, sorted_keys(&mgr))
         };
-        let first = run(1);
-        for threads in [1usize, 4] {
-            let again = run(threads);
-            assert_eq!(
-                first, again,
-                "seed {fault_seed:#x}: outcomes diverged at {threads} threads"
-            );
-        }
+        assert_eq!(run(), run(), "seed {fault_seed:#x}: outcomes diverged");
     }
 }
 
@@ -214,7 +203,7 @@ fn fault_injection_never_corrupts_answers() {
         node_budget: Some(64),
     };
     let oracle = raw_backend(&ds);
-    let mut mgr = decorated_manager(&ds, strategy, budget, 1, 0.5, 0xC0A5);
+    let mut mgr = decorated_manager(&ds, strategy, budget, 0.5, 0xC0A5);
     let _ = mgr.preload_best();
     let mut answered = 0u64;
     let mut failed = 0u64;
@@ -253,7 +242,7 @@ fn count_tables_stay_consistent_under_faults() {
     // way through, with eviction churn between failures.
     let budget = 200 * PAPER_TUPLE_BYTES;
     for fault_seed in [5u64, 0xFA57] {
-        let mut mgr = decorated_manager(&ds, Strategy::Vcmc, budget, 1, 0.5, fault_seed);
+        let mut mgr = decorated_manager(&ds, Strategy::Vcmc, budget, 0.5, fault_seed);
         let _ = mgr.preload_best();
         let mut failed = 0u64;
         for q in &queries {
@@ -297,7 +286,7 @@ fn permanent_outage_serves_degraded_or_fails_cleanly() {
         },
     )
     .unwrap();
-    let mut down = manager_with(retrying, strategy, budget, 1);
+    let mut down = manager_with(retrying, strategy, budget);
     assert!(down.preload_best().is_err(), "preload needs the backend");
 
     // Seed part of the base cube from a healthy twin — the budget holds

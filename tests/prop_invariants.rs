@@ -3,7 +3,6 @@
 
 use aggcache::core::{esm, execute_plan, vcm, vcmc, ComputationPlan, LookupStats};
 use aggcache::prelude::*;
-use aggcache::store::{aggregate_to_level, aggregate_to_level_parallel};
 use proptest::prelude::*;
 // Our `Strategy` enum (from the prelude glob) shadows proptest's trait of
 // the same name; re-import the trait under an alias.
@@ -222,57 +221,6 @@ proptest! {
         }
     }
 
-    /// Parallel aggregation is bit-exact: [`aggregate_to_level_parallel`]
-    /// — each worker owning a share of the target box, fed every source,
-    /// combining only its own cells, the shares appended in order — yields
-    /// the same `f64` bit patterns as the single-threaded
-    /// [`aggregate_to_level`] kernel — for random chunk sets, every
-    /// aggregate function and 1/2/3/8 threads.
-    #[test]
-    fn sharded_merge_matches_sequential_kernel(
-        grid in arb_grid(),
-        chunks in proptest::collection::vec(
-            proptest::collection::vec((0u64..u64::MAX, -1.0e6f64..1.0e6), 1..16),
-            1..5,
-        ),
-    ) {
-        let schema = grid.schema();
-        let base = schema.base_level();
-        // Jagged values: sums of these are order-sensitive in the last
-        // ulp, which is exactly what the exchange must preserve.
-        let datas: Vec<ChunkData> = chunks.iter().map(|c| base_cells(schema, c)).collect();
-        let sources: Vec<(&[u8], &ChunkData)> =
-            datas.iter().map(|d| (base.as_slice(), d)).collect();
-
-        for gb in schema.lattice().iter_ids() {
-            let target = schema.lattice().level_of(gb);
-            for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
-                let expected = aggregate_to_level(schema, &sources, &target, agg, Lift::Lifted);
-                for nshards in [1usize, 2, 3, 8] {
-                    let (got, cells) = aggregate_to_level_parallel(
-                        schema, &sources, &target, agg, Lift::Lifted, nshards,
-                    );
-                    let total_inputs: u64 = datas.iter().map(|d| d.len() as u64).sum();
-                    prop_assert_eq!(
-                        cells,
-                        total_inputs,
-                        "every input cell must be owned by exactly one shard"
-                    );
-                    prop_assert_eq!(got.len(), expected.len());
-                    for i in 0..got.len() {
-                        prop_assert_eq!(got.coords_of(i), expected.coords_of(i));
-                        prop_assert_eq!(
-                            got.value_of(i).to_bits(),
-                            expected.value_of(i).to_bits(),
-                            "{:?} nshards={} cell {}: {} vs {}",
-                            agg, nshards, i, got.value_of(i), expected.value_of(i)
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// The roll-up kernel behind a complete hit: a random target chunk
     /// computed by `execute_plan` from random cached leaves at mixed
     /// levels under it equals the row-at-a-time reference over those
@@ -383,41 +331,6 @@ proptest! {
             } else {
                 prop_assert_eq!(v.to_bits(), w.to_bits());
             }
-        }
-    }
-
-    /// The AVG dual-cube path stays bit-exact under sharding: a sharded
-    /// SUM cube joined with a sharded COUNT cube gives the same averages,
-    /// bit for bit, as the single-threaded SUM/COUNT join.
-    #[test]
-    fn sharded_avg_dual_cube_matches_sequential(
-        grid in arb_grid(),
-        cells in proptest::collection::vec((0u64..u64::MAX, -1.0e6f64..1.0e6), 1..40),
-    ) {
-        let schema = grid.schema();
-        let base = schema.base_level();
-        let data = base_cells(schema, &cells);
-        let sources: Vec<(&[u8], &ChunkData)> = vec![(base.as_slice(), &data)];
-        let top = schema.lattice().level_of(schema.lattice().top());
-
-        let cube = |agg: AggFn, nshards: usize| -> ChunkData {
-            let (cells, consumed) =
-                aggregate_to_level_parallel(schema, &sources, &top, agg, Lift::Lifted, nshards);
-            assert_eq!(consumed, data.len() as u64);
-            cells
-        };
-        let avg_of = |nshards: usize| -> Vec<u64> {
-            let sums = cube(AggFn::Sum, nshards);
-            let counts = cube(AggFn::Count, nshards);
-            assert_eq!(sums.len(), counts.len());
-            (0..sums.len())
-                .map(|i| (sums.value_of(i) / counts.value_of(i)).to_bits())
-                .collect()
-        };
-
-        let sequential = avg_of(1);
-        for nshards in [2usize, 3, 8] {
-            prop_assert_eq!(&avg_of(nshards), &sequential, "nshards={}", nshards);
         }
     }
 

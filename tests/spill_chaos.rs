@@ -2,7 +2,7 @@
 //! public API: fault-rate-0 bit-transparency (answers, metrics, cache
 //! contents *and on-disk bytes* identical to a fault-free build, under
 //! all five strategies), answers-vs-oracle equality at every fault rate,
-//! per-seed determinism across thread counts, and warm restarts over a
+//! per-seed determinism, and warm restarts over a
 //! corrupted checkpoint keeping the count tables consistent.
 
 mod common;
@@ -30,17 +30,11 @@ fn dataset() -> Dataset {
         .build()
 }
 
-fn chaotic_manager(
-    ds: &Dataset,
-    strategy: Strategy,
-    spill: SpillConfig,
-    threads: usize,
-) -> CacheManager {
+fn chaotic_manager(ds: &Dataset, strategy: Strategy, spill: SpillConfig) -> CacheManager {
     CacheManager::builder()
         .strategy(strategy)
         .policy(PolicyKind::TwoLevel)
         .cache_bytes(1024) // tight: demotions and promotions stay hot
-        .threads(threads)
         .spill(spill)
         .build(backend(ds))
         .unwrap()
@@ -88,12 +82,11 @@ fn rate_zero_is_bit_transparent_for_all_strategies() {
     for (i, &strategy) in strategies.iter().enumerate() {
         let plain_dir = tmpdir(&format!("transparent-plain-{i}"));
         let faulty_dir = tmpdir(&format!("transparent-faulty-{i}"));
-        let mut plain = chaotic_manager(&ds, strategy, SpillConfig::new(&plain_dir), 1);
+        let mut plain = chaotic_manager(&ds, strategy, SpillConfig::new(&plain_dir));
         let mut faulty = chaotic_manager(
             &ds,
             strategy,
             SpillConfig::new(&faulty_dir).fault(DiskFaultProfile::uniform(0.0, 0xFEED)),
-            1,
         );
         for q in &queries {
             let a = plain.run(q).unwrap();
@@ -143,7 +136,7 @@ fn answers_equal_oracle_at_every_fault_rate() {
         let spill = SpillConfig::new(&dir)
             .fault(DiskFaultProfile::uniform(rate, 0xBAD))
             .scrub_interval_ms(400.0);
-        let mut mgr = chaotic_manager(&ds, Strategy::Vcmc, spill, 1);
+        let mut mgr = chaotic_manager(&ds, Strategy::Vcmc, spill);
         for q in &queries {
             let out = mgr.run(q).unwrap_or_else(|e| {
                 panic!("rate {rate}: disk faults must never fail a query: {e}")
@@ -165,12 +158,12 @@ fn answers_equal_oracle_at_every_fault_rate() {
 }
 
 /// One chaotic session's full outcome, reduced to comparable bits.
-fn chaos_run(ds: &Dataset, seed: u64, threads: usize, tag: &str) -> (Vec<Vec<u64>>, Vec<u64>, u64) {
+fn chaos_run(ds: &Dataset, seed: u64, tag: &str) -> (Vec<Vec<u64>>, Vec<u64>, u64) {
     let dir = tmpdir(tag);
     let spill = SpillConfig::new(&dir)
         .fault(DiskFaultProfile::uniform(0.3, seed))
         .scrub_interval_ms(300.0);
-    let mut mgr = chaotic_manager(ds, Strategy::Vcmc, spill, threads);
+    let mut mgr = chaotic_manager(ds, Strategy::Vcmc, spill);
     let queries = stream(ds, seed, 50);
     let mut answers = Vec::new();
     let mut totals = Vec::new();
@@ -188,21 +181,18 @@ fn chaos_run(ds: &Dataset, seed: u64, threads: usize, tag: &str) -> (Vec<Vec<u64
 }
 
 /// For a fixed seed the whole chaotic session — answers, virtual totals,
-/// quarantine counts — is bit-identical across repeat runs and across
-/// thread counts.
+/// quarantine counts — is bit-identical across repeat runs.
 #[test]
-fn chaos_is_deterministic_per_seed_and_thread_invariant() {
+fn chaos_is_deterministic_per_seed() {
     let ds = dataset();
     for seed in [5u64, 6] {
-        let a = chaos_run(&ds, seed, 1, "det-a");
-        let b = chaos_run(&ds, seed, 1, "det-b");
-        let c = chaos_run(&ds, seed, 4, "det-c");
+        let a = chaos_run(&ds, seed, "det-a");
+        let b = chaos_run(&ds, seed, "det-b");
         assert_eq!(a, b, "seed {seed}: repeat run diverged");
-        assert_eq!(a, c, "seed {seed}: thread count changed virtual outcome");
     }
     // Different seeds genuinely vary the fault sequence.
-    let x = chaos_run(&ds, 5, 1, "det-x");
-    let y = chaos_run(&ds, 6, 1, "det-y");
+    let x = chaos_run(&ds, 5, "det-x");
+    let y = chaos_run(&ds, 6, "det-y");
     assert!(
         x.1 != y.1 || x.2 != y.2,
         "seeds 5 and 6 behaved identically"
