@@ -42,14 +42,7 @@ fn main() {
     println!("{}", streams::render_fig10(&s));
     println!("{}", streams::render_table4(&s));
 
-    println!(
-        "{}",
-        unit_a::run(unit_a::Opts {
-            tuples,
-            seed,
-            ..Default::default()
-        })
-    );
+    println!("{}", unit_a::run(unit_a::Opts { tuples, seed }));
     println!(
         "{}",
         unit_b::run(unit_b::Opts {

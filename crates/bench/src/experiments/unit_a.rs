@@ -15,29 +15,11 @@ use crate::report::{f2, MinMaxAvg, Table};
 use crate::rig::{apb_dataset, backend_for};
 use aggcache_cache::{ChunkCache, Origin, PolicyKind};
 use aggcache_chunks::ChunkKey;
-use aggcache_core::{esm, execute_plan, LookupStats};
+use aggcache_core::{esm, execute_plan, LookupStats, CACHE_PER_TUPLE_US};
 use std::time::Instant;
 
-/// Options for unit experiment A.
-#[derive(Debug, Clone, Copy)]
-pub struct Opts {
-    /// Fact tuples.
-    pub tuples: u64,
-    /// Dataset seed.
-    pub seed: u64,
-    /// Virtual µs per tuple for in-cache aggregation (manager default 0.5).
-    pub cache_per_tuple_us: f64,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Self {
-            tuples: 1_000_000,
-            seed: 0xA9B1,
-            cache_per_tuple_us: 0.5,
-        }
-    }
-}
+/// Options for unit experiment A: the dataset only.
+pub use crate::rig::DatasetOpts as Opts;
 
 /// Runs the experiment and renders the report.
 pub fn run(opts: Opts) -> String {
@@ -80,7 +62,7 @@ pub fn run(opts: Opts) -> String {
             tuples_total += tuples;
         }
         real_cache_ms.add(t.elapsed().as_secs_f64() * 1e3);
-        let cache_ms = tuples_total as f64 * opts.cache_per_tuple_us / 1000.0;
+        let cache_ms = tuples_total as f64 * CACHE_PER_TUPLE_US / 1000.0;
 
         // Backend: one batched SQL query for the same group-by.
         let t = Instant::now();

@@ -310,7 +310,7 @@ pub fn run_cell_traced(
 
 /// The deterministic slice of [`QueryMetrics`]: every field except the
 /// five wall-clock `*_ns` measurements, `f64`s captured as exact bits.
-fn metrics_bits(m: &QueryMetrics) -> [u64; 14] {
+fn metrics_bits(m: &QueryMetrics) -> [u64; 13] {
     [
         m.backend_virtual_ms.to_bits(),
         m.agg_virtual_ms.to_bits(),
@@ -320,7 +320,6 @@ fn metrics_bits(m: &QueryMetrics) -> [u64; 14] {
         m.chunks_hit as u64,
         m.chunks_computed as u64,
         m.chunks_missed as u64,
-        m.chunks_demoted as u64,
         m.chunks_degraded as u64,
         m.tuples_aggregated,
         m.backend_tuples,

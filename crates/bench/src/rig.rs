@@ -32,7 +32,8 @@ pub fn apb_dataset(tuples: u64, seed: u64) -> Dataset {
     .build()
 }
 
-/// Options of the experiments that need only the dataset (Tables 2, 3).
+/// Options of the experiments that need only the dataset (Tables 2, 3 and
+/// unit A).
 #[derive(Debug, Clone, Copy)]
 pub struct DatasetOpts {
     /// Fact tuples.
@@ -50,8 +51,8 @@ impl Default for DatasetOpts {
     }
 }
 
-/// The `main` of `table2` and `table3`: reads `--tuples --seed` and prints
-/// `run`'s report.
+/// The `main` of `table2`, `table3` and `unit_aggregation_benefit`: reads
+/// `--tuples --seed` and prints `run`'s report.
 pub fn dataset_main(run: fn(DatasetOpts) -> String) {
     let a = Args::parse();
     let d = DatasetOpts::default();

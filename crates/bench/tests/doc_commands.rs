@@ -1,6 +1,7 @@
 //! Every `cargo run … -p aggcache-bench --bin NAME -- FLAGS` line in a
 //! fenced block of the docs names a binary that exists and that accepts
-//! every flag shown (ROADMAP item 11, scoped to this crate).
+//! every flag shown, and every example the docs name is a file in
+//! `examples/` (ROADMAP item 11).
 //!
 //! Nothing is run: each binary gets the documented flags plus a sentinel
 //! flag no binary reads, and must exit 2 naming only the sentinel. A
@@ -8,6 +9,7 @@
 //! (`--threads`) is what it would name instead. A binary that takes a
 //! positional argument (`trace_check`) is checked for existence only.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::Command;
 
@@ -138,4 +140,91 @@ fn a_stale_flag_is_caught() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(stderr.trim(), "error: unknown flag `--threads`");
+}
+
+/// The names in README's examples table: the first, backticked column of
+/// the table whose header is `| example | shows |`.
+fn example_table(readme: &str) -> BTreeSet<String> {
+    readme
+        .lines()
+        .skip_while(|l| !l.starts_with("| example |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .filter_map(|l| l.split('`').nth(1))
+        .map(str::to_string)
+        .collect()
+}
+
+/// Every mismatch between the docs and `files` (the stems of
+/// `examples/*.rs`): a README table row or an `--example NAME` in any doc
+/// with no file, or a file missing from the README table.
+fn example_errors(docs: &[(&str, String)], files: &BTreeSet<String>) -> Vec<String> {
+    let mut errors = Vec::new();
+    for (doc, text) in docs {
+        if *doc == "README.md" {
+            let table = example_table(text);
+            for name in files.difference(&table) {
+                errors.push(format!("README.md: examples table lacks `{name}`"));
+            }
+            for name in table.difference(files) {
+                errors.push(format!(
+                    "README.md: examples table lists `{name}`, no such file"
+                ));
+            }
+        }
+        for (i, line) in text.lines().enumerate() {
+            let mut rest = line;
+            while let Some(at) = rest.find("--example ") {
+                rest = &rest[at + "--example ".len()..];
+                let name: String = rest
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                    .collect();
+                if !name.is_empty() && !files.contains(&name) {
+                    errors.push(format!("{doc}:{}: no example `{name}`", i + 1));
+                }
+            }
+        }
+    }
+    errors
+}
+
+#[test]
+fn documented_examples_are_the_example_files() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let files: BTreeSet<String> = std::fs::read_dir(root.join("examples"))
+        .unwrap()
+        .filter_map(|e| {
+            let path = e.unwrap().path();
+            let rs = path.extension().is_some_and(|x| x == "rs");
+            rs.then(|| path.file_stem().unwrap().to_string_lossy().into_owned())
+        })
+        .collect();
+    assert!(files.len() >= 4, "only {files:?} found");
+    let docs: Vec<(&str, String)> = DOCS
+        .iter()
+        .map(|&doc| (doc, std::fs::read_to_string(root.join(doc)).unwrap()))
+        .collect();
+    let errors = example_errors(&docs, &files);
+    assert!(errors.is_empty(), "{errors:#?}");
+}
+
+#[test]
+fn a_stale_example_is_caught() {
+    let files: BTreeSet<String> = ["quickstart".to_string()].into();
+    let readme = "Runnable examples:\n\n| example | shows |\n|---|---|\n\
+                  | `quickstart` | hello |\n| `materialized_optimizer` | gone |\n\n\
+                  Run `cargo run --release --example <name>`.\n";
+    let design = "```\ncargo run --release --example materialized_optimizer\n```\n";
+    let docs = [
+        ("README.md", readme.to_string()),
+        ("DESIGN.md", design.to_string()),
+    ];
+    assert_eq!(
+        example_errors(&docs, &files),
+        [
+            "README.md: examples table lists `materialized_optimizer`, no such file",
+            "DESIGN.md:2: no example `materialized_optimizer`",
+        ]
+    );
 }

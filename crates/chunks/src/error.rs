@@ -56,16 +56,6 @@ pub enum ChunkError {
         /// The number of group-bys the grid has.
         group_bys: usize,
     },
-    /// A value range is empty, inverted or reaches past its dimension's
-    /// cardinality.
-    BadValueRange {
-        /// Dimension index.
-        dim: usize,
-        /// The half-open range as requested.
-        range: (u32, u32),
-        /// Cardinality of the dimension at the queried level.
-        cardinality: u32,
-    },
     /// A cell's coordinate vector has the wrong number of dimensions.
     ///
     /// Inside the engine this invariant is a `debug_assert` on the hot
@@ -127,14 +117,6 @@ impl fmt::Display for ChunkError {
             Self::UnknownGroupBy { gb, group_bys } => {
                 write!(f, "group-by {gb} is not one of the grid's {group_bys}")
             }
-            Self::BadValueRange {
-                dim,
-                range: (lo, hi),
-                cardinality,
-            } => write!(
-                f,
-                "value range [{lo}, {hi}) of dimension {dim} is empty or exceeds cardinality {cardinality}"
-            ),
             Self::BadCellArity {
                 record,
                 expected,

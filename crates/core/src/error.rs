@@ -1,4 +1,3 @@
-use aggcache_schema::SchemaError;
 use aggcache_store::{SpillError, StoreError};
 use std::fmt;
 
@@ -13,13 +12,6 @@ pub enum ConfigError {
     /// [`crate::Strategy::Esmc`] with a node budget of zero gives up on
     /// every lookup; use `None` for the paper's unbounded search.
     ZeroNodeBudget,
-    /// A virtual-time rate is negative or not finite.
-    InvalidRate {
-        /// Which rate field was invalid.
-        name: &'static str,
-        /// The offending value.
-        value: f64,
-    },
     /// The spill tier could not be opened or warm-started (invalid cost
     /// model, unreadable directory or a corrupt index). Carries the
     /// rendered [`aggcache_store::SpillError`] so `ConfigError` stays
@@ -40,9 +32,6 @@ impl fmt::Display for ConfigError {
             Self::ZeroNodeBudget => {
                 write!(f, "ESMC node budget must be > 0 (None = unbounded)")
             }
-            Self::InvalidRate { name, value } => {
-                write!(f, "rate `{name}` must be finite and >= 0, got {value}")
-            }
             Self::Spill { reason } => write!(f, "spill tier error: {reason}"),
         }
     }
@@ -51,15 +40,12 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// The unified error surface of the cache manager: everything
-/// [`crate::CacheManager::run`], [`crate::CacheManager::run_batch`]
-/// and [`crate::CacheManager::execute_values`] (plus the pre-load entry
-/// points and the builder) can fail with.
+/// [`crate::CacheManager::run`] and [`crate::CacheManager::run_batch`]
+/// (plus the pre-load entry points and the builder) can fail with.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CacheError {
     /// The backend could not answer a fetch.
     Store(StoreError),
-    /// A query referenced levels the schema does not have.
-    Schema(SchemaError),
     /// The manager configuration was invalid.
     Config(ConfigError),
     /// A spill-tier operation failed in a way recovery could not absorb
@@ -81,31 +67,16 @@ pub enum CacheError {
     /// (wrong coordinate arity or an out-of-range coordinate). The fact
     /// table, the cache and every table are untouched.
     Delta(aggcache_chunks::ChunkError),
-    /// A [`crate::Query`] or [`crate::ValueQuery`] failed validation at
-    /// the request boundary (unknown group-by, chunk number out of range,
-    /// empty or out-of-range value range). Nothing was looked up; the
-    /// cache, every table and the version are untouched.
+    /// A [`crate::Query`] failed validation at the request boundary
+    /// (unknown group-by or chunk number out of range). Nothing was looked
+    /// up; the cache, every table and the version are untouched.
     Query(aggcache_chunks::ChunkError),
-    /// Two cube results that must share one cell set diverged — e.g. the
-    /// SUM and COUNT halves of an AVG decomposition returned different
-    /// non-empty cells. Returning an answer would silently produce wrong
-    /// values, so the join refuses instead.
-    CellMisalignment {
-        /// Cell count of the first (e.g. SUM) result.
-        left_cells: usize,
-        /// Cell count of the second (e.g. COUNT) result.
-        right_cells: usize,
-        /// Index of the first cell whose coordinates differ, when both
-        /// results have the same length.
-        diverges_at: Option<usize>,
-    },
 }
 
 impl fmt::Display for CacheError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Store(e) => write!(f, "backend error: {e}"),
-            Self::Schema(e) => write!(f, "schema error: {e}"),
             Self::Config(e) => write!(f, "config error: {e}"),
             Self::Spill(e) => write!(f, "spill tier error: {e}"),
             Self::Delta(e) => write!(f, "delta batch rejected: {e}"),
@@ -116,20 +87,6 @@ impl fmt::Display for CacheError {
                 chunks.len(),
                 gb.0
             ),
-            Self::CellMisalignment {
-                left_cells,
-                right_cells,
-                diverges_at,
-            } => match diverges_at {
-                Some(i) => write!(
-                    f,
-                    "joined cube results disagree on cell coordinates at index {i}"
-                ),
-                None => write!(
-                    f,
-                    "joined cube results have different cell sets ({left_cells} vs {right_cells} cells)"
-                ),
-            },
         }
     }
 }
@@ -138,11 +95,10 @@ impl std::error::Error for CacheError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Store(e) => Some(e),
-            Self::Schema(e) => Some(e),
             Self::Config(e) => Some(e),
             Self::Spill(e) => Some(e),
             Self::Delta(e) | Self::Query(e) => Some(e),
-            Self::BackendUnavailable { .. } | Self::CellMisalignment { .. } => None,
+            Self::BackendUnavailable { .. } => None,
         }
     }
 }
@@ -165,12 +121,6 @@ impl From<aggcache_chunks::ChunkError> for CacheError {
     }
 }
 
-impl From<SchemaError> for CacheError {
-    fn from(e: SchemaError) -> Self {
-        Self::Schema(e)
-    }
-}
-
 impl From<ConfigError> for CacheError {
     fn from(e: ConfigError) -> Self {
         Self::Config(e)
@@ -190,8 +140,6 @@ mod tests {
         assert!(e.to_string().contains("backend error"));
         let e = CacheError::from(ConfigError::ZeroCacheBudget);
         assert!(e.to_string().contains("cache budget"));
-        let e = CacheError::from(SchemaError::NoDimensions);
-        assert!(e.to_string().contains("schema error"));
     }
 
     #[test]

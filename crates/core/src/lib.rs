@@ -55,8 +55,10 @@ pub use manager::{
     CacheManager, CacheManagerBuilder, CheckpointReport, ManagerConfig, PreloadReport, QueryProbe,
     WarmStartReport,
 };
-pub use metrics::{QueryMetrics, SessionMetrics, LOOKUP_PER_NODE_US, UPDATE_PER_WRITE_US};
-pub use query::{Query, QueryResult, ValueQuery};
+pub use metrics::{
+    QueryMetrics, SessionMetrics, CACHE_PER_TUPLE_US, LOOKUP_PER_NODE_US, UPDATE_PER_WRITE_US,
+};
+pub use query::{Query, QueryResult};
 pub use request::{ExecOutcome, QueryRequest, RemoteMetrics, SpillMetrics, UpdateMetrics};
 
 // The delta-batch vocabulary of [`CacheManager::ingest`], re-exported so

@@ -25,29 +25,15 @@ pub struct ManagerConfig {
     pub admission: AdmissionKind,
     /// Cache budget in accounting bytes (20 bytes/tuple, as in the paper).
     pub cache_bytes: usize,
-    /// Virtual microseconds charged per tuple aggregated in the cache.
-    /// Together with the backend cost model's ≈4 µs/tuple + per-query
-    /// overhead, the default of 0.5 µs reproduces the paper's observed ≈8×
-    /// advantage of in-cache aggregation (§7.1).
-    pub cache_per_tuple_us: f64,
     /// Whether the two-level policy's group clock-boost is applied when a
     /// group of chunks computes an aggregate (§6.3 rule 2). On by default;
     /// disabling it is an ablation knob.
     pub group_boost: bool,
-    /// Cost-based cache-vs-backend arbitration (paper §5.2: VCMC's
-    /// instantaneous least cost is "very useful for a cost-based optimizer,
-    /// which can then decide whether to aggregate in the cache or go to the
-    /// backend"). When enabled, a computable chunk is still fetched from
-    /// the backend if the modeled backend cost (e.g. a materialized
-    /// aggregate) undercuts in-cache aggregation. Off by default — the
-    /// paper's main experiments always aggregate in cache when possible.
-    pub optimizer: bool,
 }
 
 impl ManagerConfig {
     /// Checks the invariants [`CacheManagerBuilder`] enforces: a positive
-    /// cache budget, a finite non-negative aggregation rate, and a positive
-    /// ESMC node budget.
+    /// cache budget and a positive ESMC node budget.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cache_bytes == 0 {
             return Err(ConfigError::ZeroCacheBudget);
@@ -57,12 +43,6 @@ impl ManagerConfig {
         } = self.strategy
         {
             return Err(ConfigError::ZeroNodeBudget);
-        }
-        if !self.cache_per_tuple_us.is_finite() || self.cache_per_tuple_us < 0.0 {
-            return Err(ConfigError::InvalidRate {
-                name: "cache_per_tuple_us",
-                value: self.cache_per_tuple_us,
-            });
         }
         Ok(())
     }
@@ -108,9 +88,7 @@ impl CacheManagerBuilder {
                 policy: PolicyKind::TwoLevel,
                 admission: AdmissionKind::BenefitMean,
                 cache_bytes: 0,
-                cache_per_tuple_us: 0.5,
                 group_boost: true,
-                optimizer: false,
             },
             cache_bytes: None,
             tracer: None,
@@ -162,18 +140,6 @@ impl CacheManagerBuilder {
     /// Enables or disables the two-level policy's group boost.
     pub fn group_boost(mut self, on: bool) -> Self {
         self.config.group_boost = on;
-        self
-    }
-
-    /// Enables or disables the §5.2 cost-based cache-vs-backend arbitration.
-    pub fn optimizer(mut self, on: bool) -> Self {
-        self.config.optimizer = on;
-        self
-    }
-
-    /// Sets the virtual µs charged per tuple aggregated in cache.
-    pub fn cache_per_tuple_us(mut self, rate: f64) -> Self {
-        self.config.cache_per_tuple_us = rate;
         self
     }
 
@@ -253,18 +219,6 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ZeroNodeBudget
         );
-        let err = CacheManager::builder()
-            .cache_bytes(1000)
-            .cache_per_tuple_us(f64::NAN)
-            .build(make_backend())
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ConfigError::InvalidRate {
-                name: "cache_per_tuple_us",
-                ..
-            }
-        ));
         // Unbounded ESMC is fine.
         assert!(CacheManager::builder()
             .cache_bytes(1000)

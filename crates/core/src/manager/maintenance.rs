@@ -4,7 +4,7 @@
 
 use super::CacheManager;
 use crate::error::CacheError;
-use crate::metrics::UPDATE_PER_WRITE_US;
+use crate::metrics::{CACHE_PER_TUPLE_US, UPDATE_PER_WRITE_US};
 use crate::request::UpdateMetrics;
 use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey, ChunkNumber};
 use aggcache_obs::Event;
@@ -204,9 +204,8 @@ impl CacheManager {
             self.propagate_delta(&eff, &mut m)
         };
         m.table_writes = self.tables.updates() - writes_before;
-        m.update_virtual_ms =
-            (eff.num_tuples() + rolled_up) as f64 * self.config.cache_per_tuple_us / 1000.0
-                + m.table_writes as f64 * UPDATE_PER_WRITE_US / 1000.0;
+        m.update_virtual_ms = (eff.num_tuples() + rolled_up) as f64 * CACHE_PER_TUPLE_US / 1000.0
+            + m.table_writes as f64 * UPDATE_PER_WRITE_US / 1000.0;
         self.update_session.merge(&m);
         self.emit(|| Event::DeltaIngest {
             inserts: m.tuples_inserted,

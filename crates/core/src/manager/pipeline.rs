@@ -6,13 +6,13 @@ use super::CacheManager;
 use crate::error::CacheError;
 use crate::executor::execute_plan;
 use crate::lookup::{esm, ComputationPlan, LookupOutcome, LookupStats};
-use crate::metrics::{LOOKUP_PER_NODE_US, UPDATE_PER_WRITE_US};
+use crate::metrics::{CACHE_PER_TUPLE_US, LOOKUP_PER_NODE_US, UPDATE_PER_WRITE_US};
 use crate::request::{ExecOutcome, QueryRequest};
 use crate::{Query, QueryMetrics, QueryResult};
 use aggcache_cache::{Origin, PolicyKind};
 use aggcache_chunks::{ChunkData, ChunkError, ChunkKey};
 use aggcache_obs::{Event, LookupOutcome as ChunkLookupKind};
-use aggcache_schema::{GroupById, SchemaError};
+use aggcache_schema::GroupById;
 use aggcache_store::StoreError;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -61,9 +61,9 @@ impl QueryProbe {
 impl CacheManager {
     /// The immutable probe phase: partitions the query's chunks into
     /// computation plans and backend misses (paper: answerable / missing)
-    /// and applies the cost-based §5.2 arbitration — all against `&self`,
-    /// so any number of probes can run concurrently. Applying a probe
-    /// after an intervening mutation transparently re-probes.
+    /// against `&self`, so any number of probes can run concurrently.
+    /// Applying a probe after an intervening mutation transparently
+    /// re-probes.
     pub fn probe(&self, query: &Query) -> QueryProbe {
         self.probe_as(query, 0)
     }
@@ -124,40 +124,6 @@ impl CacheManager {
             metrics.lookup_nodes += stats.nodes_visited;
         }
         metrics.lookup_ns = t_lookup.elapsed().as_nanos() as u64;
-
-        // Cost-based arbitration (§5.2): computable chunks whose in-cache
-        // aggregation would cost more than the backend's marginal price are
-        // demoted to backend fetches. The per-query overhead is charged
-        // only when this query wouldn't hit the backend anyway.
-        if self.config.optimizer {
-            let mut will_fetch = !missing.is_empty();
-            let cost_model = *self.backend.cost_model();
-            let per_tuple_us = self.config.cache_per_tuple_us;
-            plans.retain(|plan| {
-                if plan.direct_hit {
-                    return true;
-                }
-                let cache_ms = plan.cost as f64 * per_tuple_us / 1000.0;
-                let Some(scan) = self.backend.estimate_scan(query.gb, &[plan.target.chunk]) else {
-                    return true;
-                };
-                let marginal = cost_model.per_tuple_us * scan as f64 / 1000.0;
-                let overhead = if will_fetch {
-                    0.0
-                } else {
-                    cost_model.per_query_ms
-                };
-                if cache_ms > marginal + overhead {
-                    missing.push(plan.target.chunk);
-                    will_fetch = true;
-                    metrics.chunks_demoted += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-
         metrics.probe_ns = t_probe.elapsed().as_nanos() as u64;
         self.emit(|| {
             let hits = plans.iter().filter(|p| p.direct_hit).count() as u64;
@@ -168,7 +134,6 @@ impl CacheManager {
                 hits,
                 computable: plans.len() as u64 - hits,
                 missing: missing.len() as u64,
-                demoted: metrics.chunks_demoted as u64,
                 wall_ns: metrics.probe_ns,
             }
         });
@@ -315,7 +280,7 @@ impl CacheManager {
         metrics.agg_ns += t_agg.elapsed().as_nanos() as u64;
         self.emit(|| event(tuples));
         metrics.tuples_aggregated += tuples;
-        let benefit_ms = tuples as f64 * self.config.cache_per_tuple_us / 1000.0;
+        let benefit_ms = tuples as f64 * CACHE_PER_TUPLE_US / 1000.0;
         metrics.agg_virtual_ms += benefit_ms;
         result.append(&data);
         // Two-level policy: reward the group that made this aggregation
@@ -347,8 +312,8 @@ impl CacheManager {
 
     /// The backend-outage fallback: serves each missing chunk *degraded*
     /// by computing it from cached data at any cost — an exhaustive ESM
-    /// search, ignoring the configured strategy's budget and the §5.2
-    /// arbitration, because the backend alternative no longer exists.
+    /// search, ignoring the configured strategy's budget, because the
+    /// backend alternative no longer exists.
     /// All-or-nothing: every chunk is planned before anything mutates, so
     /// a query that cannot be fully served fails with
     /// [`CacheError::BackendUnavailable`] leaving the cache untouched.
@@ -412,27 +377,6 @@ impl CacheManager {
         requests.iter().map(|r| self.run(r)).collect()
     }
 
-    /// Executes a semantic value-range query: validates its arity against
-    /// the schema and its ranges against the level's cardinalities,
-    /// normalizes it to chunks, runs it through the active cache, and
-    /// filters the result cells to the exact ranges.
-    pub fn execute_values(&mut self, query: &crate::ValueQuery) -> Result<QueryResult, CacheError> {
-        let n_dims = self.grid.num_dims();
-        if query.ranges.len() != n_dims {
-            return Err(CacheError::Schema(SchemaError::BadLevelArity {
-                expected: n_dims,
-                got: query.ranges.len(),
-            }));
-        }
-        query.validate(&self.grid).map_err(CacheError::Query)?;
-        let chunk_query = query.to_chunk_query(&self.grid.clone());
-        let result = self.run(&QueryRequest::new(chunk_query))?;
-        Ok(QueryResult {
-            data: query.filter(&result.data),
-            metrics: result.metrics,
-        })
-    }
-
     fn finish_metrics(
         &mut self,
         metrics: &mut QueryMetrics,
@@ -451,7 +395,6 @@ impl CacheManager {
             chunks_hit: metrics.chunks_hit as u64,
             chunks_computed: metrics.chunks_computed as u64,
             chunks_missed: metrics.chunks_missed as u64,
-            chunks_demoted: metrics.chunks_demoted as u64,
             chunks_degraded: metrics.chunks_degraded as u64,
             tuples_aggregated: metrics.tuples_aggregated,
             backend_tuples: metrics.backend_tuples,
@@ -553,91 +496,6 @@ mod tests {
         assert_eq!(mgr.session().complete_hits, 1);
         mgr.reset_session();
         assert_eq!(mgr.session().queries, 0);
-    }
-
-    #[test]
-    fn optimizer_demotes_expensive_plans_to_backend() {
-        // Backend with a materialized aggregate at the exact query level:
-        // the backend answers the top from 1 tuple, while the cache's best
-        // plan aggregates the whole cached base. With an expensive
-        // in-cache rate, the optimizer must go to the backend.
-        let plain = make_backend();
-        let lattice = plain.grid().schema().lattice().clone();
-        let top = lattice.top();
-        let backend = Backend::new(
-            plain.fact().clone(),
-            aggcache_store::AggFn::Sum,
-            aggcache_store::BackendCostModel {
-                per_query_ms: 0.1,
-                per_tuple_us: 1.0,
-                per_result_tuple_us: 0.0,
-            },
-        )
-        .with_materialized(&[top])
-        .unwrap();
-        let mut mgr = CacheManager::builder()
-            .strategy(Strategy::Vcmc)
-            .policy(PolicyKind::TwoLevel)
-            .cache_bytes(usize::MAX >> 1)
-            .cache_per_tuple_us(50.0) // busy middle tier
-            .optimizer(true)
-            .build(backend)
-            .unwrap();
-        let grid = mgr.grid().clone();
-        mgr.run(&Query::full_group_by(&grid, lattice.base()).into())
-            .unwrap();
-        let m = mgr
-            .run(&Query::full_group_by(&grid, top).into())
-            .unwrap()
-            .metrics;
-        assert_eq!(m.chunks_demoted, 1, "plan should be demoted");
-        assert_eq!(m.chunks_missed, 1);
-        assert!(!m.complete_hit);
-        // With the optimizer off, the same chunk is computed in cache.
-        let plain2 = make_backend();
-        let backend2 = Backend::new(
-            plain2.fact().clone(),
-            aggcache_store::AggFn::Sum,
-            aggcache_store::BackendCostModel::default(),
-        )
-        .with_materialized(&[top])
-        .unwrap();
-        let mut mgr2 = CacheManager::builder()
-            .strategy(Strategy::Vcmc)
-            .policy(PolicyKind::TwoLevel)
-            .cache_bytes(usize::MAX >> 1)
-            .cache_per_tuple_us(50.0)
-            .optimizer(false)
-            .build(backend2)
-            .unwrap();
-        mgr2.run(&Query::full_group_by(&grid, lattice.base()).into())
-            .unwrap();
-        let m2 = mgr2
-            .run(&Query::full_group_by(&grid, top).into())
-            .unwrap()
-            .metrics;
-        assert_eq!(m2.chunks_demoted, 0);
-        assert_eq!(m2.chunks_computed, 1);
-        assert!(m2.complete_hit);
-    }
-
-    #[test]
-    fn optimizer_keeps_cheap_plans_in_cache() {
-        // Default rates: in-cache aggregation is ~8x cheaper, so nothing
-        // is demoted and results still match the oracle.
-        let mut mgr = CacheManager::builder()
-            .strategy(Strategy::Vcmc)
-            .policy(PolicyKind::TwoLevel)
-            .cache_bytes(usize::MAX >> 1)
-            .optimizer(true)
-            .build(make_backend())
-            .unwrap();
-        let lattice = mgr.grid().schema().lattice().clone();
-        let grid = mgr.grid().clone();
-        run_and_check(&mut mgr, &Query::full_group_by(&grid, lattice.base()));
-        let m = run_and_check(&mut mgr, &Query::full_group_by(&grid, lattice.top()));
-        assert_eq!(m.chunks_demoted, 0);
-        assert!(m.complete_hit);
     }
 
     /// `run_batch` is the loop over `run`: answers, counters and cache
@@ -959,18 +817,5 @@ mod tests {
             plain.session().total_ms.to_bits(),
             traced.session().total_ms.to_bits()
         );
-    }
-
-    #[test]
-    fn execute_values_rejects_bad_arity() {
-        let mut mgr = manager(Strategy::Vcmc);
-        let base = mgr.grid().schema().lattice().base();
-        let bad = crate::ValueQuery::new(base, vec![(0, 1)]); // grid has 2 dims
-        match mgr.execute_values(&bad) {
-            Err(CacheError::Schema(SchemaError::BadLevelArity { expected, got })) => {
-                assert_eq!((expected, got), (2, 1));
-            }
-            other => panic!("expected BadLevelArity, got {other:?}"),
-        }
     }
 }

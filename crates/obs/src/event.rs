@@ -168,9 +168,6 @@ events! {
         computable: u64,
         /// Chunks missing (backend fetches).
         missing: u64,
-        /// Computable chunks demoted to backend fetches by the §5.2
-        /// cost-based arbitration.
-        demoted: u64,
         /// Wall-clock nanoseconds of the whole probe.
         wall_ns: u64,
     },
@@ -500,8 +497,6 @@ events! {
         chunks_computed: u64,
         /// Chunks fetched from the backend.
         chunks_missed: u64,
-        /// Chunks demoted by the cost-based optimizer.
-        chunks_demoted: u64,
         /// Chunks served degraded (backend fetch failed, answered from
         /// cached aggregates instead).
         chunks_degraded: u64,

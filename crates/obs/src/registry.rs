@@ -17,8 +17,6 @@ pub struct LevelStats {
     pub chunks_computed: u64,
     /// Chunks fetched from the backend.
     pub chunks_missed: u64,
-    /// Chunks demoted to backend fetches by the cost-based optimizer.
-    pub chunks_demoted: u64,
     /// Tuples aggregated in the cache.
     pub tuples_aggregated: u64,
     /// Base tuples scanned by the backend.
@@ -174,7 +172,6 @@ impl MetricsRegistry {
                     .field("chunks_hit", s.chunks_hit)
                     .field("chunks_computed", s.chunks_computed)
                     .field("chunks_missed", s.chunks_missed)
-                    .field("chunks_demoted", s.chunks_demoted)
                     .field("tuples_aggregated", s.tuples_aggregated)
                     .field("backend_tuples", s.backend_tuples)
                     .field("lookup_nodes", s.lookup_nodes)
@@ -399,7 +396,6 @@ impl Tracer for MetricsRegistry {
                 chunks_hit,
                 chunks_computed,
                 chunks_missed,
-                chunks_demoted,
                 chunks_degraded,
                 tuples_aggregated,
                 backend_tuples,
@@ -424,7 +420,6 @@ impl Tracer for MetricsRegistry {
                 s.chunks_hit += chunks_hit;
                 s.chunks_computed += chunks_computed;
                 s.chunks_missed += chunks_missed;
-                s.chunks_demoted += chunks_demoted;
                 s.tuples_aggregated += tuples_aggregated;
                 s.backend_tuples += backend_tuples;
                 s.lookup_nodes += lookup_nodes;
@@ -478,7 +473,6 @@ mod tests {
             chunks_hit: 2,
             chunks_computed: 1,
             chunks_missed: u64::from(!hit),
-            chunks_demoted: 0,
             chunks_degraded: 0,
             tuples_aggregated: 100,
             backend_tuples: 50,
@@ -635,7 +629,7 @@ mod tests {
         let want = concat!(
             r#"{"counters":{"events":2,"lookup_hit":1,"lookup_nodes":1,"queries":1},"#,
             r#""levels":[{"gb":2,"queries":1,"complete_hits":1,"chunks_hit":2,"chunks_computed":1,"#,
-            r#""chunks_missed":0,"chunks_demoted":0,"tuples_aggregated":100,"backend_tuples":50,"#,
+            r#""chunks_missed":0,"tuples_aggregated":100,"backend_tuples":50,"#,
             r#""lookup_nodes":7,"table_writes":3,"backend_virtual_ms":10,"agg_virtual_ms":0.05,"#,
             r#""lookup_virtual_ms":0.0014,"update_virtual_ms":0.003}],"#,
             r#""tenants":[{"tenant":1,"queries":1,"complete_hits":1,"chunks_hit":2,"chunks_computed":1,"#,

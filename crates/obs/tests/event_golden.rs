@@ -36,7 +36,6 @@ fn samples() -> Vec<Event> {
             hits: 1,
             computable: 2,
             missing: 3,
-            demoted: 4,
             wall_ns: 123_456_789,
         },
         Event::PlanChosen {
@@ -207,7 +206,6 @@ fn samples() -> Vec<Event> {
             chunks_hit: 1,
             chunks_computed: 2,
             chunks_missed: 3,
-            chunks_demoted: 4,
             chunks_degraded: 5,
             tuples_aggregated: 6,
             backend_tuples: 7,

@@ -179,18 +179,8 @@ pub struct FetchResult {
 
 /// The simulated remote backend: executes multi-chunk aggregation queries
 /// against the chunked [`FactTable`], charging virtual costs.
-///
-/// Optionally holds **materialized aggregates** — pre-computed group-by
-/// tables, the warehouse-side optimization of Harinarayan et al. that the
-/// paper's §7.1 names as one of the factors behind the backend-vs-cache
-/// ratio. A fetch answers from the smallest table that can compute the
-/// requested group-by, exactly like a view-matching optimizer.
 pub struct Backend {
     fact: FactTable,
-    /// Pre-computed aggregate tables (values already lifted), as a DBA
-    /// would maintain them. Their construction cost is not charged — it
-    /// happened offline.
-    materialized: Vec<FactTable>,
     agg: AggFn,
     cost: BackendCostModel,
     /// Optional trace sink: emits one `BackendFetch` per fetch call.
@@ -201,7 +191,6 @@ impl fmt::Debug for Backend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Backend")
             .field("fact", &self.fact)
-            .field("materialized", &self.materialized)
             .field("agg", &self.agg)
             .field("cost", &self.cost)
             .field("traced", &self.tracer.is_some())
@@ -214,7 +203,6 @@ impl Backend {
     pub fn new(fact: FactTable, agg: AggFn, cost: BackendCostModel) -> Self {
         Self {
             fact,
-            materialized: Vec::new(),
             agg,
             cost,
             tracer: None,
@@ -224,50 +212,6 @@ impl Backend {
     /// Installs (or removes) the trace event sink.
     pub fn set_tracer(&mut self, tracer: Option<Arc<dyn Tracer>>) {
         self.tracer = tracer;
-    }
-
-    /// Adds pre-computed aggregate tables at the given group-bys. Each must
-    /// be computable from the fact data. Returns `self` for chaining.
-    pub fn with_materialized(mut self, gbs: &[GroupById]) -> Result<Self, StoreError> {
-        for &gb in gbs {
-            let table = self.materialize(gb)?;
-            self.materialized.push(table);
-        }
-        // Prefer scanning the smallest usable table.
-        self.materialized.sort_by_key(FactTable::num_tuples);
-        Ok(self)
-    }
-
-    /// Computes group-by `gb` in full from the best current source and
-    /// loads it as a table of its own.
-    fn materialize(&self, gb: GroupById) -> Result<FactTable, StoreError> {
-        let grid = self.fact.grid();
-        let mut cells = ChunkData::new(grid.num_dims());
-        for (_, data) in self.fetch_group_by(gb)?.chunks {
-            cells.append(&data);
-        }
-        Ok(FactTable::load(grid.clone(), gb, cells))
-    }
-
-    /// The group-bys with materialized aggregates.
-    pub fn materialized_gbs(&self) -> Vec<GroupById> {
-        self.materialized.iter().map(FactTable::gb).collect()
-    }
-
-    /// The smallest table (materialized aggregate or the fact table itself)
-    /// that can answer group-by `gb`, along with how its values must be
-    /// interpreted. `None` if nothing can (more detailed than the facts).
-    fn best_source(&self, gb: GroupById) -> Option<(&FactTable, Lift)> {
-        let lattice = self.fact.grid().schema().lattice();
-        self.materialized
-            .iter()
-            .find(|t| lattice.computable_from(gb, t.gb()))
-            .map(|t| (t, Lift::Lifted))
-            .or_else(|| {
-                lattice
-                    .computable_from(gb, self.fact.gb())
-                    .then_some((&self.fact, Lift::Raw))
-            })
     }
 
     /// The grid the backend serves.
@@ -296,24 +240,28 @@ impl Backend {
     /// predicate of a single SQL statement.
     pub fn fetch(&self, gb: GroupById, chunks: &[ChunkNumber]) -> Result<FetchResult, StoreError> {
         let grid = self.fact.grid();
-        let Some((source, lift)) = self.best_source(gb) else {
+        let fact_gb = self.fact.gb();
+        if !grid.schema().lattice().computable_from(gb, fact_gb) {
             return Err(StoreError::NotComputable {
                 requested: gb,
-                fact: self.fact.gb(),
+                fact: fact_gb,
             });
-        };
+        }
         let mut out = Vec::with_capacity(chunks.len());
         let mut scanned = 0u64;
         let mut returned = 0u64;
         for &chunk in chunks {
-            let cover = grid.cover_at(gb, chunk, source.gb());
-            let source_chunks = grid.enumerate_region(source.gb(), &cover);
-            let run_cells: u64 = source_chunks.iter().map(|&sc| source.tuples_in(sc)).sum();
+            let cover = grid.cover_at(gb, chunk, fact_gb);
+            let source_chunks = grid.enumerate_region(fact_gb, &cover);
+            let run_cells: u64 = source_chunks
+                .iter()
+                .map(|&sc| self.fact.tuples_in(sc))
+                .sum();
             scanned += run_cells;
             let mut agg =
                 Aggregator::for_chunk(grid, ChunkKey::new(gb, chunk), self.agg, run_cells);
             for sc in source_chunks {
-                agg.add_source_chunk(ChunkKey::new(source.gb(), sc), source.chunk(sc), lift);
+                agg.add_source_chunk(ChunkKey::new(fact_gb, sc), self.fact.chunk(sc), Lift::Raw);
             }
             let data = agg.finish();
             returned += data.len() as u64;
@@ -337,30 +285,11 @@ impl Backend {
         })
     }
 
-    /// Applies a batch of base-data inserts/deletes to the fact table and
-    /// refreshes every materialized aggregate from the updated facts, so
-    /// subsequent fetches answer from post-update data regardless of which
-    /// source the view-matching optimizer picks.
-    ///
-    /// Like [`Backend::with_materialized`], the refresh models the DBA's
-    /// offline maintenance pipeline: it charges no virtual time and emits
-    /// no trace events. On a validation error nothing changes.
+    /// Applies a batch of base-data inserts/deletes to the fact table. It
+    /// charges no virtual time and emits no trace events; on a validation
+    /// error nothing changes.
     pub fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<EffectiveDelta, ChunkError> {
-        let eff = self.fact.apply_delta(batch)?;
-        if !eff.is_empty() && !self.materialized.is_empty() {
-            let gbs = self.materialized_gbs();
-            self.materialized.clear();
-            let tracer = self.tracer.take();
-            for gb in gbs {
-                let table = self
-                    .materialize(gb)
-                    .expect("materialized group-by was computable before the delta");
-                self.materialized.push(table);
-            }
-            self.materialized.sort_by_key(FactTable::num_tuples);
-            self.tracer = tracer;
-        }
-        Ok(eff)
+        self.fact.apply_delta(batch)
     }
 
     /// Computes **all** chunks of a group-by in one scan of the fact table —
@@ -372,31 +301,23 @@ impl Backend {
         self.fetch(gb, &all)
     }
 
-    /// Exact number of source tuples a fetch of these chunks would scan,
-    /// accounting for materialized aggregates — the statistic a cost-based
-    /// optimizer uses to weigh cache aggregation against a backend trip
-    /// (paper §5.2). `None` if the group-by is not answerable.
+    /// Exact number of fact tuples a fetch of these chunks would scan
+    /// (paper §5.2's cost statistic). `None` if the group-by is not
+    /// answerable.
     pub fn estimate_scan(&self, gb: GroupById, chunks: &[ChunkNumber]) -> Option<u64> {
         let grid = self.fact.grid();
-        let (source, _) = self.best_source(gb)?;
+        let fact_gb = self.fact.gb();
+        if !grid.schema().lattice().computable_from(gb, fact_gb) {
+            return None;
+        }
         let mut total = 0u64;
         for &chunk in chunks {
-            let cover = grid.cover_at(gb, chunk, source.gb());
-            for sc in grid.enumerate_region(source.gb(), &cover) {
-                total += source.tuples_in(sc);
+            let cover = grid.cover_at(gb, chunk, fact_gb);
+            for sc in grid.enumerate_region(fact_gb, &cover) {
+                total += self.fact.tuples_in(sc);
             }
         }
         Some(total)
-    }
-
-    /// Modeled cost of fetching these chunks, split into the per-query
-    /// overhead and the marginal scan cost (result-transfer cost is
-    /// estimated at one result tuple per source tuple scanned upper bound —
-    /// negligible at the default rates).
-    pub fn estimate_fetch_ms(&self, gb: GroupById, chunks: &[ChunkNumber]) -> Option<(f64, f64)> {
-        let scanned = self.estimate_scan(gb, chunks)?;
-        let marginal = self.cost.per_tuple_us * scanned as f64 / 1000.0;
-        Some((self.cost.per_query_ms, marginal))
     }
 }
 
@@ -517,29 +438,6 @@ mod tests {
         assert_eq!(total, 32.0);
     }
 
-    #[test]
-    fn materialized_aggregate_is_preferred() {
-        let b = backend();
-        let lattice = b.grid().schema().lattice().clone();
-        let mid = lattice.id_of(&[1, 1]).unwrap();
-        let top = lattice.top();
-        // Materialize (1,1): 2x2 values summed from 32 tuples.
-        let gbs = [mid];
-        let b = Backend::new(b.fact().clone(), AggFn::Sum, BackendCostModel::default())
-            .with_materialized(&gbs)
-            .unwrap();
-        assert_eq!(b.materialized_gbs(), vec![mid]);
-        // The top chunk is now computed from the 8-cell aggregate (2 x 4
-        // values at level (1,1)), not the 32-tuple fact table.
-        let r = b.fetch(top, &[0]).unwrap();
-        assert_eq!(r.tuples_scanned, 8);
-        assert_eq!(r.chunks[0].1.value_of(0), 32.0);
-        // A group-by not covered by the aggregate still scans the facts.
-        let base = lattice.base();
-        let r = b.fetch(base, &[0]).unwrap();
-        assert_eq!(r.chunks[0].1.len() as u64, b.fact().tuples_in(0));
-    }
-
     /// Every tuple of `t` in clustered (scan) order.
     fn clustered(t: &FactTable) -> ChunkData {
         let mut all = ChunkData::new(t.grid().num_dims());
@@ -568,35 +466,26 @@ mod tests {
         }
         let fact = FactTable::load(grid.clone(), lattice.base(), cells);
         let fact_level = grid.geom(fact.gb()).level().to_vec();
-        let mid = lattice.id_of(&[1, 1]).unwrap();
+        let facts = clustered(&fact);
         for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
-            let plain = Backend::new(fact.clone(), agg, BackendCostModel::default());
-            let with_mv = Backend::new(fact.clone(), agg, BackendCostModel::default())
-                .with_materialized(&[mid])
-                .unwrap();
-            let facts = clustered(&fact);
-            let view = clustered(&with_mv.materialized[0]);
+            let backend = Backend::new(fact.clone(), agg, BackendCostModel::default());
             for gb in lattice.iter_ids() {
                 let level = lattice.level_of(gb);
-                let reference = |from: &[u8], cells: &ChunkData, lift: Lift| {
-                    reference_rollup(grid.schema(), &[(from, cells)], &level, agg, lift)
-                };
-                let from_facts = reference(&fact_level, &facts, Lift::Raw);
-                let from_view = if lattice.computable_from(gb, mid) {
-                    reference(&lattice.level_of(mid), &view, Lift::Lifted)
-                } else {
-                    from_facts.clone()
-                };
-                for (backend, want) in [(&plain, &from_facts), (&with_mv, &from_view)] {
-                    // Chunks partition the group-by's cells, so sorting
-                    // their concatenation gives the reference's order.
-                    let mut got = ChunkData::new(2);
-                    for (_, data) in backend.fetch_group_by(gb).unwrap().chunks {
-                        got.append(&data);
-                    }
-                    got.sort_by_coords();
-                    assert_same_bits(&got, want, &format!("{agg:?} {level:?}"));
+                let want = reference_rollup(
+                    grid.schema(),
+                    &[(&fact_level, &facts)],
+                    &level,
+                    agg,
+                    Lift::Raw,
+                );
+                // Chunks partition the group-by's cells, so sorting their
+                // concatenation gives the reference's order.
+                let mut got = ChunkData::new(2);
+                for (_, data) in backend.fetch_group_by(gb).unwrap().chunks {
+                    got.append(&data);
                 }
+                got.sort_by_coords();
+                assert_same_bits(&got, &want, &format!("{agg:?} {level:?}"));
             }
         }
     }
@@ -686,63 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn materialized_results_match_fact_scan() {
-        let plain = backend();
-        let lattice = plain.grid().schema().lattice().clone();
-        let mid = lattice.id_of(&[1, 1]).unwrap();
-        let with_mv = Backend::new(
-            plain.fact().clone(),
-            AggFn::Sum,
-            BackendCostModel::default(),
-        )
-        .with_materialized(&[mid])
-        .unwrap();
-        for gb in lattice.iter_ids() {
-            let a = plain.fetch_group_by(gb).unwrap();
-            let b = with_mv.fetch_group_by(gb).unwrap();
-            for ((ca, da), (cb, db)) in a.chunks.iter().zip(&b.chunks) {
-                assert_eq!(ca, cb);
-                assert_eq!(da, db, "answers must not depend on the source at {gb:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn apply_delta_refreshes_materialized_aggregates() {
-        use crate::DeltaBatch;
-        let plain = backend();
-        let lattice = plain.grid().schema().lattice().clone();
-        let mid = lattice.id_of(&[1, 1]).unwrap();
-        let mut b = Backend::new(
-            plain.fact().clone(),
-            AggFn::Sum,
-            BackendCostModel::default(),
-        )
-        .with_materialized(&[mid])
-        .unwrap();
-        let mut batch = DeltaBatch::new();
-        batch.insert(&[0, 0], 100.0).delete(&[7, 3], 1.0);
-        let eff = b.apply_delta(&batch).unwrap();
-        assert_eq!(eff.inserted.len(), 1);
-        assert_eq!(eff.deleted.len(), 1);
-        // Every group-by — including ones served by the materialized view —
-        // matches a backend freshly loaded from the post-update facts.
-        let fresh = Backend::new(b.fact().clone(), AggFn::Sum, BackendCostModel::default());
-        for gb in lattice.iter_ids() {
-            let got = b.fetch_group_by(gb).unwrap();
-            let want = fresh.fetch_group_by(gb).unwrap();
-            for ((ca, da), (cb, db)) in got.chunks.iter().zip(&want.chunks) {
-                assert_eq!(ca, cb);
-                assert_eq!(da, db, "stale materialized answer at {gb:?}");
-            }
-        }
-        // The mid view still answers the top from 8 cells, not the facts.
-        let r = b.fetch(lattice.top(), &[0]).unwrap();
-        assert_eq!(r.tuples_scanned, 8);
-        assert_eq!(r.chunks[0].1.value_of(0), 32.0 + 100.0 - 1.0);
-    }
-
-    #[test]
     fn estimate_scan_matches_fetch() {
         let b = backend();
         let lattice = b.grid().schema().lattice().clone();
@@ -752,27 +584,10 @@ mod tests {
             let real = b.fetch(gb, &chunks).unwrap().tuples_scanned;
             assert_eq!(est, real);
         }
-        let (per_query, marginal) = b.estimate_fetch_ms(lattice.top(), &[0]).unwrap();
+        let (per_query, marginal) =
+            crate::BackendSource::estimate_fetch_ms(&b, lattice.top(), &[0]).unwrap();
         assert_eq!(per_query, b.cost_model().per_query_ms);
         assert!(marginal > 0.0);
-    }
-
-    #[test]
-    fn smallest_materialization_wins() {
-        let plain = backend();
-        let lattice = plain.grid().schema().lattice().clone();
-        let mid = lattice.id_of(&[1, 1]).unwrap();
-        let coarse = lattice.id_of(&[0, 1]).unwrap();
-        let b = Backend::new(
-            plain.fact().clone(),
-            AggFn::Sum,
-            BackendCostModel::default(),
-        )
-        .with_materialized(&[mid, coarse])
-        .unwrap();
-        // (0,1) has 4 cells, (1,1) has 8; the top should use (0,1).
-        let r = b.fetch(lattice.top(), &[0]).unwrap();
-        assert_eq!(r.tuples_scanned, 4);
     }
 
     #[test]

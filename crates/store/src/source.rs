@@ -78,8 +78,7 @@ pub trait BackendSource: Send + Sync + fmt::Debug {
     }
 
     /// Applies a batch of base-data inserts/deletes to the backing fact
-    /// data (and any materialized aggregates), returning the effective
-    /// delta that landed. Validation errors leave the source untouched.
+    /// data, returning the effective delta that landed. Validation errors leave the source untouched.
     ///
     /// Maintenance is a *local* data-plane operation — it models the
     /// warehouse's own load pipeline, not a client round trip — so it is
@@ -120,10 +119,6 @@ impl BackendSource for Backend {
 
     fn estimate_scan(&self, gb: GroupById, chunks: &[ChunkNumber]) -> Option<u64> {
         Backend::estimate_scan(self, gb, chunks)
-    }
-
-    fn estimate_fetch_ms(&self, gb: GroupById, chunks: &[ChunkNumber]) -> Option<(f64, f64)> {
-        Backend::estimate_fetch_ms(self, gb, chunks)
     }
 
     fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<EffectiveDelta, ChunkError> {

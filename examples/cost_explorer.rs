@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --release --example cost_explorer`
 
+use aggcache::core::CACHE_PER_TUPLE_US;
 use aggcache::prelude::*;
 
 fn main() {
@@ -43,7 +44,6 @@ fn main() {
     );
     println!("{}", "-".repeat(62));
 
-    let per_tuple_us = manager.config().cache_per_tuple_us;
     let costs = manager.costs().expect("VCMC maintains a cost table");
     for (gb, level) in lattice.iter_levels() {
         // Show one chunk per group-by at a few interesting levels.
@@ -58,7 +58,7 @@ fn main() {
         let backend_ms = cost_model.fetch_ms(scanned, 64);
         match cache_cost {
             Some(tuples) => {
-                let cache_ms = f64::from(tuples) * per_tuple_us / 1000.0;
+                let cache_ms = f64::from(tuples) * CACHE_PER_TUPLE_US / 1000.0;
                 let decision = if cache_ms <= backend_ms {
                     "CACHE"
                 } else {

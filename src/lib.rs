@@ -59,8 +59,6 @@
 
 #![warn(missing_docs)]
 
-pub mod avg;
-
 pub use aggcache_cache as cache;
 pub use aggcache_chunks as chunks;
 pub use aggcache_cluster as cluster;
@@ -84,7 +82,7 @@ pub mod prelude {
         CacheError, CacheManager, CacheManagerBuilder, CheckpointReport, ComputationPlan,
         ConfigError, CostTable, CountTable, ExecOutcome, LookupOutcome, LookupStats, ManagerConfig,
         PreloadReport, Query, QueryMetrics, QueryProbe, QueryRequest, QueryResult, RemoteMetrics,
-        SessionMetrics, SpillMetrics, Strategy, UpdateMetrics, ValueQuery, WarmStartReport,
+        SessionMetrics, SpillMetrics, Strategy, UpdateMetrics, WarmStartReport,
     };
     pub use aggcache_gen::{apb1_schema, Apb1Config, Dataset, SyntheticSpec};
     pub use aggcache_obs::{Event, MetricsRegistry, RecordingTracer, TenantStats, Tracer};

@@ -351,17 +351,6 @@ mod manager_api {
                     "{strategy:?}"
                 );
             }
-            // Empty, past the cardinality (2), inverted.
-            for bad in [(0, 0), (0, 99), (3, 1)] {
-                assert!(
-                    matches!(
-                        mgr.execute_values(&ValueQuery::new(gb, vec![bad, (0, 1)])),
-                        Err(CacheError::Query(ChunkError::BadValueRange { dim: 0, range, .. }))
-                            if range == bad
-                    ),
-                    "{strategy:?} {bad:?}"
-                );
-            }
             let probe = mgr.probe(&past_the_end);
             assert!(probe.plans().is_empty() && probe.missing().is_empty());
             assert!(mgr

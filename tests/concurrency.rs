@@ -40,7 +40,6 @@ fn assert_metrics_identical(a: &QueryMetrics, b: &QueryMetrics, ctx: &str) {
         "{ctx}: chunks_computed"
     );
     assert_eq!(a.chunks_missed, b.chunks_missed, "{ctx}: chunks_missed");
-    assert_eq!(a.chunks_demoted, b.chunks_demoted, "{ctx}: chunks_demoted");
     assert_eq!(a.complete_hit, b.complete_hit, "{ctx}: complete_hit");
     assert_eq!(a.lookup_nodes, b.lookup_nodes, "{ctx}: lookup_nodes");
     assert_eq!(a.table_writes, b.table_writes, "{ctx}: table_writes");

@@ -136,44 +136,3 @@ fn preload_then_aggregated_queries_never_touch_backend() {
     }
     assert_eq!(mgr.session().sum.backend_tuples, 0);
 }
-
-#[test]
-fn value_queries_match_filtered_oracle() {
-    let ds = dataset();
-    let grid = ds.grid.clone();
-    let lattice = grid.schema().lattice().clone();
-    let oracle = backend(&ds);
-    let mut mgr = CacheManager::builder()
-        .strategy(Strategy::Vcmc)
-        .policy(PolicyKind::TwoLevel)
-        .cache_bytes(2_000_000)
-        .build(backend(&ds))
-        .unwrap();
-    let gb = lattice.id_of(&[2, 1, 2, 0, 0]).unwrap();
-    let schema = grid.schema().clone();
-    let level = [2u8, 1, 2, 0, 0];
-    // A few value windows across the space.
-    for shift in 0..4u32 {
-        let ranges: Vec<(u32, u32)> = (0..schema.num_dims())
-            .map(|d| {
-                let card = schema.dimension(d).cardinality(level[d]);
-                let lo = (shift * card / 6).min(card - 1);
-                let hi = (lo + card.div_ceil(2)).min(card);
-                (lo, hi.max(lo + 1))
-            })
-            .collect();
-        let vq = ValueQuery::new(gb, ranges);
-        let mut got = mgr.execute_values(&vq).unwrap().data;
-        got.sort_by_coords();
-        // Oracle: full chunks, filtered.
-        let cq = vq.to_chunk_query(&grid);
-        let mut all = ChunkData::new(grid.num_dims());
-        for (_, d) in oracle.fetch(cq.gb, &cq.chunks).unwrap().chunks {
-            all.append(&d);
-        }
-        let mut expected = vq.filter(&all);
-        expected.sort_by_coords();
-        assert_eq!(got, expected, "shift {shift}");
-        assert!(got.iter().all(|(c, _)| vq.contains(c)));
-    }
-}
