@@ -65,8 +65,8 @@ pub fn dataset_main(run: fn(DatasetOpts) -> String) {
 }
 
 /// Wraps a dataset's fact table in a backend with the default cost model.
-/// The fact table is cloned so that one generated dataset can feed many
-/// manager configurations.
+/// The backend shares the dataset's runs, so one generated dataset feeds
+/// many manager configurations without a copy of its facts.
 pub fn backend_for(dataset: &Dataset) -> Backend {
     Backend::new(
         dataset.fact.clone(),

@@ -165,8 +165,9 @@ impl ClusterBuilder {
 /// A simulated N-node sharded cache tier with cooperative lookup.
 ///
 /// See the [crate docs](crate) for the execution flow. All state lives in
-/// one process; "nodes" are independent [`CacheManager`]s over the same
-/// backend dataset, and message costs are *modeled* (charged to virtual
+/// one process; "nodes" are independent [`CacheManager`]s, each with its
+/// own backend. Backends built from clones of one fact table share one
+/// copy of the facts. Message costs are *modeled* (charged to virtual
 /// time), not measured.
 pub struct ClusterManager {
     nodes: Vec<CacheManager>,

@@ -200,6 +200,9 @@ impl fmt::Debug for Backend {
 
 impl Backend {
     /// Wraps a fact table with an aggregate function and cost model.
+    /// Backends built from clones of one table share its runs: a clone
+    /// costs one pointer per chunk, and each backend's deltas stay its own
+    /// ([`FactTable`]).
     pub fn new(fact: FactTable, agg: AggFn, cost: BackendCostModel) -> Self {
         Self {
             fact,
@@ -588,6 +591,26 @@ mod tests {
             crate::BackendSource::estimate_fetch_ms(&b, lattice.top(), &[0]).unwrap();
         assert_eq!(per_query, b.cost_model().per_query_ms);
         assert!(marginal > 0.0);
+    }
+
+    #[test]
+    fn debug_output_does_not_grow_with_the_fact_table() {
+        let grid = backend().grid().clone();
+        let base = grid.schema().lattice().base();
+        let debug_len = |n: u32| {
+            let mut cells = ChunkData::new(2);
+            for i in 0..n {
+                cells.push(&[i % 8, i / 8 % 4], f64::from(i));
+            }
+            let b = Backend::new(
+                FactTable::load(grid.clone(), base, cells),
+                AggFn::Sum,
+                BackendCostModel::default(),
+            );
+            // The tuple count is printed; its digits are all that may grow.
+            format!("{b:?}").len() - n.to_string().len()
+        };
+        assert_eq!(debug_len(200), debug_len(20_000));
     }
 
     #[test]

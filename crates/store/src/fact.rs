@@ -1,6 +1,7 @@
 use crate::delta::{delete_multiset, DeltaBatch, DeltaOp, DeltaRecord, EffectiveDelta};
 use aggcache_chunks::{ChunkData, ChunkError, ChunkGrid, ChunkNumber};
 use aggcache_schema::GroupById;
+use std::fmt;
 use std::sync::Arc;
 
 /// The base fact table with the paper's *chunked file organization*: the
@@ -12,13 +13,29 @@ use std::sync::Arc;
 /// The table lives at a fixed group-by — for APB-1, HistSale lives at
 /// `(6, 2, 3, 1, 0)`: detailed in Product/Customer/Time/Channel, fully
 /// aggregated in Scenario.
-#[derive(Debug, Clone)]
+///
+/// Runs are immutable and shared: `clone` copies one pointer per chunk,
+/// so every backend built from one table reads the same tuples. A clone
+/// is a snapshot — [`apply_delta`](Self::apply_delta) replaces the runs
+/// it rewrites and never writes into a shared one.
+#[derive(Clone)]
 pub struct FactTable {
     grid: Arc<ChunkGrid>,
     gb: GroupById,
     /// `runs[c]` holds the tuples of chunk `c`, at exact capacity.
-    runs: Vec<ChunkData>,
+    runs: Vec<Arc<ChunkData>>,
     num_tuples: u64,
+}
+
+/// A summary: the tuples themselves are a million lines at paper scale.
+impl fmt::Debug for FactTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FactTable")
+            .field("gb", &self.gb)
+            .field("chunks", &self.runs.len())
+            .field("tuples", &self.num_tuples)
+            .finish_non_exhaustive()
+    }
 }
 
 /// The chunk of `gb` each of `tuples` (value coordinates at `gb`'s level)
@@ -65,7 +82,7 @@ impl FactTable {
         Self {
             grid,
             gb,
-            runs,
+            runs: runs.into_iter().map(Arc::new).collect(),
             num_tuples: cells.len() as u64,
         }
     }
@@ -176,7 +193,7 @@ impl FactTable {
             if survivors < old.len() || survivors < new.len() {
                 self.num_tuples = self.num_tuples - old.len() as u64 + new.len() as u64;
                 new.shrink_to_fit();
-                self.runs[chunk as usize] = new;
+                self.runs[chunk as usize] = Arc::new(new);
                 base_chunks.push(chunk);
             }
         }
@@ -224,17 +241,21 @@ mod tests {
         Arc::new(ChunkGrid::build(schema, &[vec![1, 2, 4], vec![1, 2]]).unwrap())
     }
 
-    fn table() -> FactTable {
-        let grid = grid();
-        let base = grid.schema().lattice().base();
+    /// Every cell once, in scrambled order; the value encodes the coords.
+    fn cells() -> ChunkData {
         let mut cells = ChunkData::new(2);
-        // Insert in scrambled order; value encodes the coords.
         for a in (0..8u32).rev() {
             for b in 0..4u32 {
                 cells.push(&[a, b], f64::from(a * 100 + b));
             }
         }
-        FactTable::load(grid, base, cells)
+        cells
+    }
+
+    fn table() -> FactTable {
+        let grid = grid();
+        let base = grid.schema().lattice().base();
+        FactTable::load(grid, base, cells())
     }
 
     #[test]
@@ -291,12 +312,7 @@ mod tests {
         let last = geom.total_chunks() - 1;
         assert_eq!(eff.base_chunks, vec![0, last]);
         // Rebuilt table is bit-identical to a fresh load of the same set.
-        let mut cells = ChunkData::new(2);
-        for a in (0..8u32).rev() {
-            for b in 0..4u32 {
-                cells.push(&[a, b], f64::from(a * 100 + b));
-            }
-        }
+        let mut cells = cells();
         cells.push(&[0, 0], 7.0);
         cells.push(&[7, 3], 9.0);
         let fresh = FactTable::load(t.grid().clone(), t.gb(), cells);
@@ -410,6 +426,39 @@ mod tests {
         let got: Vec<(Vec<u32>, f64)> = t.scan_chunk(0).map(|(c, v)| (c.to_vec(), v)).collect();
         assert_eq!(got, want);
         assert_eq!(t.num_tuples(), 34);
+    }
+
+    #[test]
+    fn a_clone_shares_every_run_and_stays_a_snapshot_through_a_delta() {
+        let a = table();
+        let mut b = a.clone();
+        let chunks = 0..a.grid().n_chunks(a.gb());
+        for c in chunks.clone() {
+            assert!(std::ptr::eq(a.chunk(c), b.chunk(c)), "run {c} copied");
+        }
+        let before: Vec<ChunkData> = a.runs.iter().map(|r| ChunkData::clone(r)).collect();
+
+        let mut batch = DeltaBatch::new();
+        batch.insert(&[0, 0], 7.0).delete(&[7, 3], 703.0);
+        let eff = b.apply_delta(&batch).unwrap();
+        assert_eq!(eff.base_chunks, vec![0, chunks.end - 1]);
+
+        for c in chunks.clone() {
+            assert_same_bits(a.chunk(c), &before[c as usize], &format!("a's run {c}"));
+        }
+        let mut cells_after = ChunkData::new(2);
+        for (coords, value) in cells().iter() {
+            if !(coords == [7, 3] && value == 703.0) {
+                cells_after.push(coords, value);
+            }
+        }
+        cells_after.push(&[0, 0], 7.0);
+        let fresh = FactTable::load(a.grid().clone(), a.gb(), cells_after);
+        for c in chunks.clone() {
+            assert_same_bits(b.chunk(c), fresh.chunk(c), &format!("b's run {c}"));
+            let rewritten = eff.base_chunks.contains(&c);
+            assert_eq!(std::ptr::eq(a.chunk(c), b.chunk(c)), !rewritten, "run {c}");
+        }
     }
 
     /// A fact tuple of the property test's model.

@@ -16,6 +16,8 @@
 //!   incrementally maintained table.
 //! * **Determinism** — identical runs produce bit-identical virtual times
 //!   and wire accounting.
+//! * **One copy of the facts** — every node's backend reads the dataset's
+//!   own fact runs, not a copy of them.
 
 mod common;
 
@@ -207,6 +209,19 @@ fn count_tables_stay_consistent_through_failures_and_rebalance() {
         check(&c, "after rebalance");
         c.run_batch(&stream_requests(&ds, 20, 6_000)).unwrap();
         check(&c, "after failback");
+    }
+}
+
+#[test]
+fn every_node_shares_the_datasets_fact_runs() {
+    let ds = dataset();
+    let c = cluster(&ds, 4, 2, Strategy::Vcmc, 60_000);
+    for n in 0..4u32 {
+        let fact = c.node(n).backend().fact();
+        for chunk in 0..ds.grid.n_chunks(ds.fact_gb) {
+            let shared = std::ptr::eq(fact.chunk(chunk), ds.fact.chunk(chunk));
+            assert!(shared, "node {n} holds its own copy of run {chunk}");
+        }
     }
 }
 
