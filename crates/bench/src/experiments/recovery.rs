@@ -212,8 +212,8 @@ pub fn run_cell_traced(
         first
             .run_batch(&warmup)
             .expect("simulated backend cannot fail");
-        let report = first.checkpoint().expect("checkpoint index persists");
-        report.chunks
+        let written = first.checkpoint().expect("checkpoint index persists");
+        written.spill_writes
     };
 
     // Session 2: restart over the damaged directory, still under faults

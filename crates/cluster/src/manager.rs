@@ -388,11 +388,10 @@ impl ClusterManager {
         Ok(result)
     }
 
-    /// Executes requests in order. Sequential by design: cross-node
-    /// parallelism would make cooperative fills order-dependent, and the
-    /// determinism contract (bit-identical across thread counts) matters
-    /// more than simulated concurrency — parallelism stays inside each
-    /// node's aggregation kernel.
+    /// Executes requests in order: exactly a loop over
+    /// [`ClusterManager::run`]. Cross-node parallelism would make
+    /// cooperative fills order-dependent, and bit-identical runs matter
+    /// more than simulated concurrency.
     pub fn run_batch(
         &mut self,
         requests: &[QueryRequest],

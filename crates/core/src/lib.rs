@@ -51,16 +51,14 @@ pub use executor::{execute_plan, execute_plan_parallel};
 pub use lookup::{
     esm, esmc, no_aggregation, vcm, vcmc, ComputationPlan, LookupOutcome, LookupStats, Strategy,
 };
-pub use manager::{
-    CacheManager, CacheManagerBuilder, CheckpointReport, ManagerConfig, PreloadReport, QueryProbe,
-    WarmStartReport,
-};
+pub use manager::{CacheManager, CacheManagerBuilder, ManagerConfig, PreloadReport, QueryProbe};
 pub use metrics::{
     QueryMetrics, SessionMetrics, CACHE_PER_TUPLE_US, LOOKUP_PER_NODE_US, UPDATE_PER_WRITE_US,
 };
 pub use query::{Query, QueryResult};
-pub use request::{ExecOutcome, QueryRequest, RemoteMetrics, SpillMetrics, UpdateMetrics};
+pub use request::{ExecOutcome, QueryRequest, RemoteMetrics, UpdateMetrics};
 
-// The delta-batch vocabulary of [`CacheManager::ingest`], re-exported so
-// callers of the core crate need not depend on the store crate directly.
-pub use aggcache_store::{DeltaBatch, DeltaOp, DeltaRecord, EffectiveDelta};
+// The delta-batch vocabulary of [`CacheManager::ingest`] and the spill
+// tier's ledger, re-exported so callers of the core crate need not depend
+// on the store crate directly.
+pub use aggcache_store::{DeltaBatch, DeltaOp, DeltaRecord, EffectiveDelta, SpillMetrics};

@@ -12,7 +12,6 @@ mod tiering;
 
 pub use config::{CacheManagerBuilder, ManagerConfig};
 pub use pipeline::QueryProbe;
-pub use tiering::{CheckpointReport, WarmStartReport};
 
 use crate::error::CacheError;
 use crate::lookup::{esm, esmc, no_aggregation, vcm, vcmc, LookupOutcome, LookupStats, Strategy};

@@ -1,47 +1,21 @@
 //! The disk tier below the RAM cache — demote-on-evict, promote-on-miss,
-//! checkpointed warm starts, scrubbing — and the one ledger
-//! ([`SpillMetrics`]) all of it is charged to. Nothing outside this file
-//! builds a `SpillMetrics` delta, maps an [`Origin`] to its on-disk code,
-//! quarantines a record or emits a spill event; the [`CacheManager`]
-//! methods at the bottom are the glue that also needs the admission path.
+//! checkpointed warm starts, scrubbing. Every [`SpillStore`] operation
+//! hands back a [`SpillMetrics`] delta; this file folds the deltas into the
+//! per-query and session ledgers, maps an [`Origin`] to its on-disk code
+//! and emits every spill event. The [`CacheManager`] methods at the bottom
+//! are the glue that also needs the admission path.
 
 use super::CacheManager;
-use crate::request::SpillMetrics;
 use crate::QueryMetrics;
 use aggcache_cache::{CachedChunk, Origin};
 use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey};
 use aggcache_obs::{Event, Tracer};
 use aggcache_schema::GroupById;
 use aggcache_store::{
-    SpillConfig, SpillCostModel, SpillError, SpillRecord, SpillStore, ORIGIN_BACKEND,
+    SpillConfig, SpillCostModel, SpillError, SpillMetrics, SpillRecord, SpillStore, ORIGIN_BACKEND,
     ORIGIN_COMPUTED, ORIGIN_SPILLED,
 };
 use std::sync::Arc;
-
-/// What a warm start recovered from the spill tier's checkpoint.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WarmStartReport {
-    /// Chunks re-admitted into RAM.
-    pub chunks: u64,
-    /// Serialized bytes read from disk.
-    pub bytes: u64,
-    /// Virtual milliseconds charged for the recovery reads.
-    pub virtual_ms: f64,
-}
-
-/// What a [`CacheManager::checkpoint`] wrote to the spill tier.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CheckpointReport {
-    /// Resident chunks recorded in the checkpoint.
-    pub chunks: u64,
-    /// Serialized bytes written (0 for chunks already spilled).
-    pub bytes: u64,
-    /// Resident chunks whose write failed and were salvaged past
-    /// (excluded from the checkpoint, never aborting it).
-    pub failed: u64,
-    /// Virtual milliseconds charged for the checkpoint writes.
-    pub virtual_ms: f64,
-}
 
 /// Maps a RAM-side [`Origin`] to its on-disk code (`docs/FORMAT.md` §origin).
 fn origin_code(origin: Origin) -> u8 {
@@ -63,51 +37,23 @@ fn origin_from_code(code: u8) -> Origin {
     }
 }
 
-/// The read both warm start and promote-on-miss go through, charged to
-/// `delta`. Transient errors retry under the store's
-/// [`aggcache_store::RetryPolicy`]; a record that fails its checksum or
-/// decode — or is intact but not of `grid`: a key the grid does not have,
-/// cells of another dimension count, what a directory checkpointed under
-/// another schema holds — is *quarantined* (counted, evented, file set
-/// aside) and the chunk falls back to the miss path — corruption costs
-/// time, never correctness. Returns the record with its on-disk size and
-/// read cost; `None` when the key is not spilled or unreadable (a
-/// transient error that outlasts its retries leaves the file in place: it
-/// may be intact).
-fn read_recovering(
+/// The read both warm start and promote-on-miss go through:
+/// [`SpillStore::read_checked`], charged to `delta`, with a record the
+/// store quarantined reported as a `SpillCorrupt` + `SpillQuarantine`
+/// pair. Returns the record with its on-disk size; `None` sends the chunk
+/// to the miss path.
+fn read_checked(
     store: &mut SpillStore,
     grid: &ChunkGrid,
     key: ChunkKey,
     tracer: Option<&dyn Tracer>,
     delta: &mut SpillMetrics,
-) -> Option<(SpillRecord, u64, f64)> {
+) -> Option<(SpillRecord, u64)> {
     let bytes = store.bytes_of(key)?;
-    let read_ms = SpillCostModel::read_ms(bytes);
-    let outcome = store.read_retrying(key);
-    delta.spill_retries += outcome.attempts - 1;
-    delta.spill_virtual_ms += outcome.retry_virtual_ms;
-    let of_grid = |r: &SpillRecord| grid.has_chunk(key) && r.data.n_dims() == grid.num_dims();
-    let result = outcome.result.and_then(|record| match record {
-        Some(record) if !of_grid(&record) => Err(SpillError::Corrupt {
-            reason: "record of another grid",
-        }),
-        record => Ok(record),
-    });
-    match result {
-        Ok(Some(record)) => {
-            delta.spill_reads += 1;
-            delta.bytes_read += bytes;
-            delta.spill_virtual_ms += read_ms;
-            Some((record, bytes, read_ms))
-        }
-        Err(e) if e.is_corruption() => {
-            // The wasted read is still charged.
-            delta.spill_virtual_ms += read_ms;
-            delta.spill_corrupt += 1;
-            if store.quarantine(key).is_some() {
-                delta.spill_quarantined += 1;
-            }
-            if let Some(tracer) = tracer {
+    match store.read_checked(grid, key, delta) {
+        Ok(record) => record.map(|record| (record, bytes)),
+        Err(e) => {
+            if let (true, Some(tracer)) = (e.is_corruption(), tracer) {
                 tracer.emit(&Event::SpillCorrupt {
                     gb: key.gb.0,
                     chunk: key.chunk,
@@ -121,12 +67,12 @@ fn read_recovering(
             }
             None
         }
-        Ok(None) | Err(_) => None,
     }
 }
 
-/// The spill tier's state: the store (when one is attached), its ledger
-/// and the scrub clock. Without a store every method is a no-op.
+/// The spill tier's state: the store (when one is attached), its
+/// per-query and session ledgers and the scrub clock. Without a store
+/// every method is a no-op.
 #[derive(Default)]
 pub(super) struct Tiering {
     store: Option<SpillStore>,
@@ -162,63 +108,6 @@ impl Tiering {
         if let Some(tracer) = &self.tracer {
             tracer.emit(&event);
         }
-    }
-
-    /// Charges work a query caused to that query and to the session.
-    fn charge_query(&mut self, delta: &SpillMetrics) {
-        self.query.merge(delta);
-        self.session.merge(delta);
-    }
-
-    /// Folds any `.corrupt` tombstones the store purged (cap enforcement)
-    /// into the session — background hygiene no single query owns.
-    fn fold_corrupt_purged(&mut self) {
-        if let Some(store) = self.store.as_mut() {
-            self.session.corrupt_purged += store.take_corrupt_purged();
-        }
-    }
-
-    /// Opens a store, reporting the index scavenge if opening needed one.
-    /// The store is attached only by [`Tiering::install`], after the warm
-    /// start: evictions during it (budget smaller than the checkpoint)
-    /// stay plain drops — those chunks are still on disk anyway.
-    fn open(&mut self, config: SpillConfig) -> Result<SpillStore, SpillError> {
-        let mut store = SpillStore::open(config)?;
-        if let Some(rebuild) = store.take_index_rebuild() {
-            self.session.merge(&SpillMetrics {
-                index_rebuilds: 1,
-                spill_corrupt: rebuild.quarantined,
-                spill_quarantined: rebuild.quarantined,
-                ..SpillMetrics::default()
-            });
-            self.emit(Event::IndexRebuild {
-                scanned: rebuild.scanned,
-                recovered: rebuild.recovered,
-                quarantined: rebuild.quarantined,
-            });
-        }
-        Ok(store)
-    }
-
-    /// Attaches a warm-started store; `reads` (its recovery reads) is
-    /// session accounting, not any query's.
-    fn install(&mut self, store: SpillStore, reads: &SpillMetrics) -> Option<WarmStartReport> {
-        self.session.merge(reads);
-        let report = (reads.spill_reads > 0).then_some(WarmStartReport {
-            chunks: reads.spill_reads,
-            bytes: reads.bytes_read,
-            virtual_ms: reads.spill_virtual_ms,
-        });
-        if let Some(report) = report {
-            self.emit(Event::WarmStart {
-                chunks: report.chunks,
-                bytes: report.bytes,
-                virtual_ms: report.virtual_ms,
-            });
-        }
-        self.store = Some(store);
-        self.fold_corrupt_purged();
-        report
     }
 
     /// Demotes the victims of one insert to disk; without a store they
@@ -257,110 +146,47 @@ impl Tiering {
                 });
             }
         }
-        self.charge_query(&delta);
-    }
-
-    /// Reads one missing chunk back for the running query.
-    fn read(
-        &mut self,
-        grid: &ChunkGrid,
-        key: ChunkKey,
-        delta: &mut SpillMetrics,
-    ) -> Option<SpillRecord> {
-        let store = self.store.as_mut()?;
-        let (record, bytes, virtual_ms) =
-            read_recovering(store, grid, key, self.tracer.as_deref(), delta)?;
-        self.emit(Event::SpillRead {
-            gb: key.gb.0,
-            chunk: key.chunk,
-            bytes,
-            virtual_ms,
-        });
-        Some(record)
-    }
-
-    /// Records whether the RAM cache took a read-back chunk.
-    fn promoted(&self, key: ChunkKey, admitted: bool, delta: &mut SpillMetrics) {
-        delta.spill_promotes += u64::from(admitted);
-        self.emit(Event::SpillPromote {
-            gb: key.gb.0,
-            chunk: key.chunk,
-            admitted,
-        });
+        self.query.merge(&delta);
+        self.session.merge(&delta);
     }
 
     /// Advances the scrub clock by one query's virtual time and runs a
     /// scrub pass each time [`SpillConfig::scrub_interval_ms`] elapses (a
     /// no-op without one). Scrub costs are charged to the *session* only —
     /// background maintenance no single query owns. Driven by virtual
-    /// time, the schedule is bit-identical across runs and thread counts.
+    /// time, the schedule is bit-identical across runs.
     pub(super) fn end_query(&mut self, query_ms: f64) {
-        let Some(interval) = self.store.as_ref().and_then(|s| s.scrub_interval_ms()) else {
+        let Some(store) = self.store.as_mut() else {
+            return;
+        };
+        let Some(interval) = store.scrub_interval_ms() else {
             return;
         };
         self.scrub_accum_ms += query_ms;
         while self.scrub_accum_ms >= interval {
             self.scrub_accum_ms -= interval;
-            let report = self.store.as_mut().expect("checked above").scrub();
-            self.session.merge(&SpillMetrics {
-                spill_corrupt: report.corrupt,
-                spill_quarantined: report.quarantined,
-                spill_retries: report.retries,
-                scrub_passes: 1,
-                spill_virtual_ms: report.virtual_ms,
-                ..SpillMetrics::default()
-            });
-            self.emit(Event::ScrubPass {
-                scanned: report.scanned,
-                corrupt: report.corrupt,
-                quarantined: report.quarantined,
-                virtual_ms: report.virtual_ms,
-            });
+            let scanned = store.len() as u64;
+            let pass = store.scrub();
+            self.session.merge(&pass);
+            if let Some(tracer) = &self.tracer {
+                tracer.emit(&Event::ScrubPass {
+                    scanned,
+                    corrupt: pass.spill_corrupt,
+                    quarantined: pass.spill_quarantined,
+                    virtual_ms: pass.spill_virtual_ms,
+                });
+            }
         }
-        self.fold_corrupt_purged();
     }
 
-    /// Writes `resident` (the RAM population) as the store's checkpoint.
-    fn checkpoint(
-        &mut self,
-        resident: Vec<(ChunkKey, &CachedChunk)>,
-    ) -> Result<CheckpointReport, SpillError> {
-        let store = self.store.as_mut().ok_or(SpillError::NotAttached)?;
-        let stats = store.checkpoint(
-            resident
-                .into_iter()
-                .map(|(key, e)| (key, origin_code(e.origin), e.benefit, &e.data)),
-        )?;
-        let virtual_ms = SpillCostModel::checkpoint_ms(stats.chunks, stats.bytes);
-        self.session.merge(&SpillMetrics {
-            spill_writes: stats.chunks,
-            bytes_written: stats.bytes,
-            demote_failures: stats.failed,
-            spill_virtual_ms: virtual_ms,
-            ..SpillMetrics::default()
-        });
-        Ok(CheckpointReport {
-            chunks: stats.chunks,
-            bytes: stats.bytes,
-            failed: stats.failed,
-            virtual_ms,
-        })
-    }
-
-    /// Drops every spilled copy `stale` selects (ascending key sweep);
-    /// returns the keys dropped. A copy whose file can be neither deleted
-    /// nor set aside still leaves the index, so it is never promoted.
-    pub(super) fn discard(&mut self, mut stale: impl FnMut(ChunkKey) -> bool) -> Vec<ChunkKey> {
+    /// Drops every spilled copy `stale` selects ([`SpillStore::discard`]);
+    /// returns the keys dropped.
+    pub(super) fn discard(&mut self, stale: impl FnMut(ChunkKey) -> bool) -> Vec<ChunkKey> {
         let Some(store) = self.store.as_mut() else {
             return Vec::new();
         };
-        let mut dropped = store.keys();
-        dropped.retain(|&key| {
-            stale(key)
-                && store
-                    .remove(key)
-                    .unwrap_or_else(|_| store.quarantine(key).is_some())
-        });
+        let (dropped, delta) = store.discard(stale);
+        self.session.merge(&delta);
         dropped
     }
 }
@@ -385,46 +211,70 @@ impl CacheManager {
     /// Warm start re-admits every chunk the checkpoint marked resident, in
     /// ascending packed-key order, with its original origin and benefit —
     /// through the normal admission path, so count/cost tables are rebuilt
-    /// exactly as if the chunks had just been inserted. Recovery reads are
-    /// charged to the session's spill accounting, and one
-    /// [`Event::WarmStart`] is emitted. Returns `None` when the directory
-    /// held no checkpoint.
+    /// exactly as if the chunks had just been inserted. When it read
+    /// anything, one [`Event::WarmStart`] is emitted.
     ///
     /// Attachment *self-heals* rather than failing: a missing or corrupt
-    /// index is scavenged by [`SpillStore::open`] (reported via
+    /// index is scavenged by [`SpillStore::open_metered`] (reported via
     /// [`Event::IndexRebuild`]), a resident record that fails its checksum
     /// is quarantined and skipped (a cold miss later), and transient read
     /// errors retry under the store's policy. Only an unopenable directory
-    /// or invalid configuration is an error.
-    pub fn attach_spill(
-        &mut self,
-        config: SpillConfig,
-    ) -> Result<Option<WarmStartReport>, SpillError> {
-        let mut store = self.tiering.open(config)?;
+    /// or invalid configuration is an error. Returns what opening and the
+    /// warm start cost and found, which is also charged to the session —
+    /// all zeros over an empty directory.
+    pub fn attach_spill(&mut self, config: SpillConfig) -> Result<SpillMetrics, SpillError> {
+        let (mut store, mut delta) = SpillStore::open_metered(config)?;
+        if delta.index_rebuilds > 0 {
+            let recovered = store.len() as u64;
+            self.tiering.emit(Event::IndexRebuild {
+                scanned: recovered + delta.spill_quarantined,
+                recovered,
+                quarantined: delta.spill_quarantined,
+            });
+        }
+        // The store is attached only after the warm start: evictions
+        // during it (budget smaller than the checkpoint) stay plain drops —
+        // those chunks are still on disk anyway.
         let mut reads = SpillMetrics::default();
         for (key, code, benefit, _) in store.resident_entries() {
             let tracer = self.tiering.tracer.as_deref();
-            let read = read_recovering(&mut store, &self.grid, key, tracer, &mut reads);
-            if let Some((record, ..)) = read {
+            let read = read_checked(&mut store, &self.grid, key, tracer, &mut reads);
+            if let Some((record, _)) = read {
                 self.insert_chunk(key, record.data, origin_from_code(code), benefit);
             }
         }
-        Ok(self.tiering.install(store, &reads))
+        if reads.spill_reads > 0 {
+            self.tiering.emit(Event::WarmStart {
+                chunks: reads.spill_reads,
+                bytes: reads.bytes_read,
+                virtual_ms: reads.spill_virtual_ms,
+            });
+        }
+        delta.merge(&reads);
+        self.tiering.session.merge(&delta);
+        self.tiering.store = Some(store);
+        Ok(delta)
     }
 
     /// Checkpoints the RAM-resident population to the spill tier, so the
     /// next session's [`CacheManager::attach_spill`] warm-starts from it.
     /// Every resident chunk is (re)written and marked resident, replacing
-    /// any previous checkpoint's marks; writes are charged to the
-    /// session's spill accounting.
+    /// any previous checkpoint's marks. Returns the writes, which are also
+    /// charged to the session.
     ///
     /// Checkpoints are salvaged record-by-record: a chunk whose write
     /// fails (ENOSPC, injected fault, OS error) is skipped and counted in
-    /// [`CheckpointReport::failed`] while the rest proceeds. Fails with
+    /// `demote_failures` while the rest proceeds. Fails with
     /// [`SpillError::NotAttached`] when no spill tier is attached, or when
     /// the index itself cannot be persisted.
-    pub fn checkpoint(&mut self) -> Result<CheckpointReport, SpillError> {
-        self.tiering.checkpoint(self.cache.entries_sorted())
+    pub fn checkpoint(&mut self) -> Result<SpillMetrics, SpillError> {
+        let store = self.tiering.store.as_mut().ok_or(SpillError::NotAttached)?;
+        let resident = self.cache.entries_sorted().into_iter();
+        let delta = store.checkpoint(
+            resident.map(|(key, e)| (key, origin_code(e.origin), e.benefit, &e.data)),
+        )?;
+        self.tiering.session.merge(&delta);
+        Ok(delta)
     }
 
     /// Serves what it can of a query's miss set from the spill tier:
@@ -446,18 +296,32 @@ impl CacheManager {
         let mut still_missing = Vec::with_capacity(missing.len());
         for chunk in missing {
             let key = ChunkKey::new(gb, chunk);
-            let Some(record) = self.tiering.read(&self.grid, key, &mut delta) else {
+            let store = self.tiering.store.as_mut().expect("checked above");
+            let tracer = self.tiering.tracer.as_deref();
+            let Some((record, bytes)) = read_checked(store, &self.grid, key, tracer, &mut delta)
+            else {
                 still_missing.push(chunk);
                 continue;
             };
+            self.tiering.emit(Event::SpillRead {
+                gb: gb.0,
+                chunk,
+                bytes,
+                virtual_ms: SpillCostModel::read_ms(bytes),
+            });
             result.append(&record.data);
             let (admitted, update_ns) =
                 self.insert_chunk(key, record.data, Origin::Spilled, record.benefit);
             metrics.update_ns += update_ns;
-            self.tiering.promoted(key, admitted, &mut delta);
+            delta.spill_promotes += u64::from(admitted);
+            self.tiering.emit(Event::SpillPromote {
+                gb: gb.0,
+                chunk,
+                admitted,
+            });
         }
-        self.tiering.charge_query(&delta);
-        self.tiering.fold_corrupt_purged();
+        self.tiering.query.merge(&delta);
+        self.tiering.session.merge(&delta);
         still_missing
     }
 }
@@ -581,9 +445,9 @@ mod tests {
             run_and_check(&mut a, &Query::full_group_by(&grid, lattice.base()));
             top_q = Query::full_group_by(&grid, lattice.top());
             run_and_check(&mut a, &top_q);
-            let report = a.checkpoint().unwrap();
-            assert!(report.chunks > 0);
-            assert!(report.virtual_ms > 0.0);
+            let written = a.checkpoint().unwrap();
+            assert!(written.spill_writes > 0);
+            assert!(written.spill_virtual_ms > 0.0);
         }
         // Session B: a fresh manager over the same directory warm-starts.
         let mut b = CacheManager::builder()
@@ -629,13 +493,11 @@ mod tests {
             .cache_bytes(160)
             .build(make_backend())
             .unwrap();
-        let report = b
-            .attach_spill(SpillConfig::new(dir))
-            .unwrap()
-            .expect("checkpoint present");
-        assert_eq!(report.chunks, 1);
-        assert!(report.bytes > 0);
-        assert!(report.virtual_ms > 0.0);
+        let warm = b.attach_spill(SpillConfig::new(dir)).unwrap();
+        assert_eq!(warm.spill_reads, 1);
+        assert!(warm.bytes_read > 0);
+        assert!(warm.spill_virtual_ms > 0.0);
+        assert_eq!(warm, *b.session_spill());
         let m = run_and_check(&mut b, &Query::new(base, vec![0]));
         assert!(m.complete_hit);
     }
@@ -714,7 +576,7 @@ mod tests {
     }
 
     /// One corrupt record, met once at warm start and once at
-    /// promote-on-miss: both go through `read_recovering`, so both charge
+    /// promote-on-miss: both go through `read_checked`, so both charge
     /// the same `SpillMetrics` delta and emit the same two events.
     #[test]
     fn a_corrupt_record_costs_the_same_at_warm_start_and_at_promotion() {
@@ -737,22 +599,22 @@ mod tests {
             ("warm-start", |config, tracer| {
                 let mut mgr = manager(Strategy::Vcm);
                 mgr.set_tracer(Some(tracer));
-                assert!(mgr.attach_spill(config).unwrap().is_none());
+                assert_eq!(mgr.attach_spill(config).unwrap().spill_reads, 0);
                 *mgr.session_spill()
             }),
             ("promote", |config, tracer| {
-                // A bare `Tiering` over the same directory, nothing warm
-                // started: the record is first read when a query misses.
-                let mut tiering = Tiering::default();
-                tiering.set_tracer(Some(tracer));
-                let store = SpillStore::open(config).unwrap();
-                tiering.install(store, &SpillMetrics::default());
-                let mut delta = SpillMetrics::default();
-                let grid = make_backend().grid().clone();
-                assert!(tiering.read(&grid, key_of_test(), &mut delta).is_none());
-                tiering.charge_query(&delta);
-                tiering.fold_corrupt_purged();
-                tiering.session
+                // The store attached as is, nothing warm started: the
+                // record is first read when a query misses.
+                let mut mgr = manager(Strategy::Vcm);
+                mgr.set_tracer(Some(tracer));
+                mgr.tiering.store = Some(SpillStore::open(config).unwrap());
+                let key = key_of_test();
+                let mut data = ChunkData::new(mgr.grid().num_dims());
+                let mut metrics = QueryMetrics::default();
+                let missing =
+                    mgr.promote_from_spill(key.gb, vec![key.chunk], &mut data, &mut metrics);
+                assert_eq!(missing, [key.chunk]);
+                *mgr.session_spill()
             }),
         ];
         let outcomes = entry_points.map(|(tag, enter)| {
@@ -793,7 +655,7 @@ mod tests {
                 run_and_check(&mut a, &Query::new(gb, vec![chunk]));
             }
         }
-        let checkpointed = a.checkpoint().unwrap().chunks;
+        let checkpointed = a.checkpoint().unwrap().spill_writes;
         let spilled = a.spill_store().unwrap().len() as u64;
         assert!(0 < checkpointed && checkpointed < spilled);
         drop(a);
@@ -1046,9 +908,9 @@ mod tests {
         let base = mgr.grid().schema().lattice().base();
         run_and_check(&mut mgr, &Query::new(base, vec![0, 1]));
         mgr.tiering.store.as_mut().unwrap().fail_next_writes(1);
-        let report = mgr.checkpoint().unwrap();
-        assert_eq!(report.failed, 1);
-        assert_eq!(report.chunks, 1);
+        let written = mgr.checkpoint().unwrap();
+        assert_eq!(written.demote_failures, 1);
+        assert_eq!(written.spill_writes, 1);
         assert_eq!(mgr.session_spill().demote_failures, 1);
         assert_eq!(mgr.spill_store().unwrap().len(), 1);
     }
@@ -1093,6 +955,75 @@ mod tests {
             .filter(|n| n.ends_with(".corrupt"))
             .count();
         assert_eq!(leftovers, DEFAULT_MAX_CORRUPT_FILES, "the cap holds");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An ingest that drops a checkpointed spill copy persists the index,
+    /// so a reopened store neither lists the dropped key nor counts the
+    /// bytes of a file that is gone.
+    #[test]
+    fn an_ingest_leaves_no_ghost_entry_in_the_spill_index() {
+        use aggcache_store::DeltaBatch;
+        let dir = spill_dir("ghost");
+        let mut mgr = spill_manager_over(dir.clone(), 160);
+        let base = mgr.grid().schema().lattice().base();
+        let demoted = ChunkKey::new(base, 0);
+        for chunk in 0..3 {
+            run_and_check(&mut mgr, &Query::new(base, vec![chunk]));
+        }
+        assert!(mgr.spill_store().unwrap().contains(demoted));
+        mgr.checkpoint().unwrap();
+        let mut batch = DeltaBatch::new();
+        batch.insert(&[0, 0], 1000.0);
+        assert_eq!(mgr.ingest(&batch).unwrap().spill_invalidated, 1);
+        drop(mgr);
+
+        let store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
+        assert!(
+            !store.contains(demoted),
+            "the dropped copy is still indexed"
+        );
+        let live: u64 = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "chunk"))
+            .map(|p| std::fs::metadata(p).unwrap().len())
+            .sum();
+        assert_eq!(store.bytes_on_disk(), live);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The session ledger is the fold of the deltas the manager hands
+    /// back — the warm start's, every request's and every checkpoint's, in
+    /// call order. Scrubbing is off: a scrub pass is session-only work.
+    #[test]
+    fn the_session_ledger_is_the_fold_of_the_returned_deltas() {
+        let dir = spill_dir("fold");
+        let base = make_backend().grid().schema().lattice().base();
+        let mut first = spill_manager_over(dir.clone(), usize::MAX >> 1);
+        run_and_check(&mut first, &Query::new(base, vec![0, 1]));
+        first.checkpoint().unwrap();
+        drop(first);
+        corrupt_chunk_file(&dir, ChunkKey::new(base, 0));
+
+        let mut mgr = CacheManager::builder()
+            .strategy(Strategy::Vcm)
+            .policy(PolicyKind::TwoLevel)
+            .cache_bytes(160)
+            .build(make_backend())
+            .unwrap();
+        let mut fold = mgr.attach_spill(SpillConfig::new(dir.clone())).unwrap();
+        assert_eq!((fold.spill_reads, fold.spill_corrupt), (1, 1));
+        for chunk in [2, 3, 1, 4, 2, 3, 5, 1, 0] {
+            let out = mgr.run(&(&Query::new(base, vec![chunk])).into()).unwrap();
+            fold.merge(&out.spill);
+        }
+        fold.merge(&mgr.checkpoint().unwrap());
+        let session = *mgr.session_spill();
+        assert!(session.spill_writes > 0, "{session:?}");
+        assert!(session.spill_reads > 1, "{session:?}");
+        // `{:?}` prints floats in round-trip form: equal text is equal bits.
+        assert_eq!(format!("{session:?}"), format!("{fold:?}"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,6 +7,7 @@
 //! nothing else to say about one.
 
 use aggcache_chunks::ChunkData;
+use aggcache_store::SpillMetrics;
 
 use crate::{Query, QueryMetrics, QueryResult};
 
@@ -88,68 +89,6 @@ impl RemoteMetrics {
         self.bytes_on_wire += other.bytes_on_wire;
         self.remote_chunks += other.remote_chunks;
         self.remote_virtual_ms += other.remote_virtual_ms;
-    }
-}
-
-/// Spill-tier accounting for one request: demotions written, promotions
-/// read from disk, with their modeled virtual cost.
-///
-/// All zeros when no spill tier is attached — which is what keeps the
-/// spill-disabled pipeline bit-identical to every pre-spill figure.
-/// Deliberately kept *outside* [`QueryMetrics`], exactly like
-/// [`RemoteMetrics`]: `QueryMetrics::total_ms` remains the sum of its four
-/// local virtual components (an invariant `trace_check` enforces), and the
-/// end-to-end time including disk traffic is
-/// [`ExecOutcome::total_virtual_ms`].
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub struct SpillMetrics {
-    /// Chunks demoted to disk by evictions this request triggered.
-    pub spill_writes: u64,
-    /// Chunks read back from the spill tier for this request.
-    pub spill_reads: u64,
-    /// Read-back chunks the RAM cache re-admitted.
-    pub spill_promotes: u64,
-    /// Serialized bytes written to disk.
-    pub bytes_written: u64,
-    /// Serialized bytes read from disk.
-    pub bytes_read: u64,
-    /// Records found corrupt (checksum/decode failure) on any spill path.
-    pub spill_corrupt: u64,
-    /// Records quarantined (removed from the index, file set aside).
-    pub spill_quarantined: u64,
-    /// Transient-read re-attempts spent under the retry policy.
-    pub spill_retries: u64,
-    /// Demotions that failed and degraded to a plain eviction.
-    pub demote_failures: u64,
-    /// Index scavenges performed (a missing/corrupt `spill.idx` rebuilt
-    /// by scanning data files at open).
-    pub index_rebuilds: u64,
-    /// Proactive scrub passes completed.
-    pub scrub_passes: u64,
-    /// Quarantined `.corrupt` files deleted to enforce the retention cap
-    /// (oldest evidence dropped first once the cap is exceeded).
-    pub corrupt_purged: u64,
-    /// Virtual milliseconds charged by the spill cost model (including
-    /// retries, backoff and scrub passes).
-    pub spill_virtual_ms: f64,
-}
-
-impl SpillMetrics {
-    /// Folds another request's spill accounting into this one.
-    pub fn merge(&mut self, other: &SpillMetrics) {
-        self.spill_writes += other.spill_writes;
-        self.spill_reads += other.spill_reads;
-        self.spill_promotes += other.spill_promotes;
-        self.bytes_written += other.bytes_written;
-        self.bytes_read += other.bytes_read;
-        self.spill_corrupt += other.spill_corrupt;
-        self.spill_quarantined += other.spill_quarantined;
-        self.spill_retries += other.spill_retries;
-        self.demote_failures += other.demote_failures;
-        self.index_rebuilds += other.index_rebuilds;
-        self.scrub_passes += other.scrub_passes;
-        self.corrupt_purged += other.corrupt_purged;
-        self.spill_virtual_ms += other.spill_virtual_ms;
     }
 }
 

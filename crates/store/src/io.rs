@@ -21,7 +21,7 @@ use std::sync::Mutex;
 ///
 /// Implementations must be deterministic for a deterministic call
 /// sequence — the spill tier's virtual-time guarantees (bit-identical
-/// runs across repeats and thread counts) hold only if the I/O layer
+/// runs across repeats) hold only if the I/O layer
 /// introduces no hidden nondeterminism.
 pub trait SpillIo: std::fmt::Debug + Send + Sync {
     /// Writes `bytes` to `path`, replacing any existing file.

@@ -11,14 +11,14 @@
 //! warm-start with exactly the chunk population it shut down with.
 //!
 //! Disk traffic is charged to the same deterministic virtual clock as
-//! backend fetches, through a validated [`SpillCostModel`] — and kept
-//! strictly *outside* `QueryMetrics`, like the cluster tier's
-//! `RemoteMetrics`, so the `total = backend + agg + lookup + update`
-//! invariant is untouched.
+//! backend fetches, through [`SpillCostModel`], into one ledger:
+//! [`SpillMetrics`]. Every store operation that costs virtual time or
+//! finds damage hands back its own `SpillMetrics` delta, which the cache
+//! manager folds into its per-query and session ledgers.
 
 use crate::io::{DiskFaultProfile, FaultInjectingSpillIo, FsSpillIo, SpillIo};
 use crate::retry::RetryPolicy;
-use aggcache_chunks::{ChunkData, ChunkKey};
+use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -224,6 +224,73 @@ impl SpillCostModel {
     }
 }
 
+/// Spill-tier accounting: demotions written, promotions read from disk,
+/// damage found and repaired, with their virtual cost under
+/// [`SpillCostModel`]. It is the only type the spill tier reports in: every
+/// [`SpillStore`] operation that costs virtual time or finds damage hands
+/// back one of these as a delta, and the cache manager folds the deltas
+/// into one per request and one per session.
+///
+/// All zeros when no spill tier is attached — which is what keeps the
+/// spill-disabled pipeline bit-identical to every pre-spill figure.
+/// Deliberately kept *outside* the cache manager's `QueryMetrics`, like
+/// the cluster tier's `RemoteMetrics`: a query's `total_ms` remains the sum
+/// of its four local virtual components (an invariant `trace_check`
+/// enforces), and the end-to-end time including disk traffic is
+/// `ExecOutcome::total_virtual_ms`.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+pub struct SpillMetrics {
+    /// Chunks written to disk: demotions, and checkpointed residents.
+    pub spill_writes: u64,
+    /// Chunks read back from the spill tier (promotions and warm starts).
+    pub spill_reads: u64,
+    /// Read-back chunks the RAM cache re-admitted.
+    pub spill_promotes: u64,
+    /// Serialized bytes written to disk.
+    pub bytes_written: u64,
+    /// Serialized bytes read from disk.
+    pub bytes_read: u64,
+    /// Records found corrupt (checksum/decode failure) on any spill path.
+    pub spill_corrupt: u64,
+    /// Records quarantined (removed from the index, file set aside).
+    pub spill_quarantined: u64,
+    /// Transient-read re-attempts spent under the retry policy.
+    pub spill_retries: u64,
+    /// Writes that failed: demotions degraded to a plain eviction, and
+    /// checkpoint records skipped.
+    pub demote_failures: u64,
+    /// Index scavenges performed (a missing/corrupt `spill.idx` rebuilt
+    /// by scanning data files at open).
+    pub index_rebuilds: u64,
+    /// Proactive scrub passes completed.
+    pub scrub_passes: u64,
+    /// Quarantined `.corrupt` files deleted to enforce the retention cap
+    /// (oldest evidence dropped first once the cap is exceeded).
+    pub corrupt_purged: u64,
+    /// Virtual milliseconds charged by the spill cost model (including
+    /// retries, backoff and scrub passes).
+    pub spill_virtual_ms: f64,
+}
+
+impl SpillMetrics {
+    /// Folds another delta into this one.
+    pub fn merge(&mut self, other: &SpillMetrics) {
+        self.spill_writes += other.spill_writes;
+        self.spill_reads += other.spill_reads;
+        self.spill_promotes += other.spill_promotes;
+        self.bytes_written += other.bytes_written;
+        self.bytes_read += other.bytes_read;
+        self.spill_corrupt += other.spill_corrupt;
+        self.spill_quarantined += other.spill_quarantined;
+        self.spill_retries += other.spill_retries;
+        self.demote_failures += other.demote_failures;
+        self.index_rebuilds += other.index_rebuilds;
+        self.scrub_passes += other.scrub_passes;
+        self.corrupt_purged += other.corrupt_purged;
+        self.spill_virtual_ms += other.spill_virtual_ms;
+    }
+}
+
 /// Configuration of a [`SpillStore`]: the spill directory plus the two
 /// robustness knobs the recovery sweep varies — an optional
 /// [`DiskFaultProfile`] (fault injection for chaos testing) and an optional
@@ -415,70 +482,24 @@ pub fn decode_record(bytes: &[u8]) -> Result<SpillRecord, SpillError> {
     })
 }
 
+/// [`decode_record`] of the file indexed under `key`: a valid record of
+/// another key is corrupt.
+fn decode_as(key: ChunkKey, bytes: &[u8]) -> Result<SpillRecord, SpillError> {
+    let record = decode_record(bytes)?;
+    if record.key != key {
+        return Err(SpillError::Corrupt {
+            reason: "record key disagrees with index",
+        });
+    }
+    Ok(record)
+}
+
 #[derive(Debug, Clone, Copy)]
 struct IndexEntry {
     benefit: f64,
     bytes: u32,
     origin: u8,
     resident: bool,
-}
-
-/// What an index scavenge recovered: data files scanned, entries rebuilt,
-/// and corrupt files quarantined. Produced when [`SpillStore::open`]
-/// finds the `spill.idx` index missing, truncated or corrupt and rebuilds
-/// it by scanning the chunk files themselves.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct IndexRebuildReport {
-    /// Chunk data files examined.
-    pub scanned: u64,
-    /// Valid records re-indexed (always non-resident: residency is a
-    /// checkpoint-time property the scavenge cannot reconstruct).
-    pub recovered: u64,
-    /// Damaged files set aside as `*.corrupt`.
-    pub quarantined: u64,
-}
-
-/// What one proactive scrub pass did: records verified, corruption found
-/// and quarantined, transient-read retries spent, and the virtual time
-/// the pass cost (charged to `SpillMetrics`, never `QueryMetrics`).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ScrubReport {
-    /// Records whose checksums were verified.
-    pub scanned: u64,
-    /// Records found corrupt.
-    pub corrupt: u64,
-    /// Records quarantined (removed from the index, file set aside).
-    pub quarantined: u64,
-    /// Transient-read re-attempts spent during the pass.
-    pub retries: u64,
-    /// Total virtual milliseconds the pass cost.
-    pub virtual_ms: f64,
-}
-
-/// What a checkpoint persisted: records written, their total bytes, and
-/// records that failed to write and were salvaged past (skipped, left
-/// non-resident, never aborting the rest of the checkpoint).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SpillCheckpointStats {
-    /// Records written and marked resident.
-    pub chunks: u64,
-    /// Total serialized bytes written.
-    pub bytes: u64,
-    /// Records whose write failed (excluded from the warm-start set).
-    pub failed: u64,
-}
-
-/// One [`SpillStore::read_retrying`] outcome: the final result plus how
-/// many attempts it took and the virtual time wasted on failed attempts
-/// and backoff (zero on first-attempt success — bit-transparent).
-#[derive(Debug)]
-pub struct SpillReadOutcome {
-    /// The final read result after retries.
-    pub result: Result<Option<SpillRecord>, SpillError>,
-    /// Total attempts made (1 = no retries).
-    pub attempts: u64,
-    /// Virtual milliseconds spent on failed attempts and backoff.
-    pub retry_virtual_ms: f64,
 }
 
 /// The disk tier: one `SpillFormat` file per demoted chunk plus a
@@ -501,11 +522,7 @@ pub struct SpillStore {
     backoff: Vec<f64>,
     scrub_interval_ms: Option<f64>,
     index: BTreeMap<u64, IndexEntry>,
-    rebuild: Option<IndexRebuildReport>,
     fail_writes: u64,
-    /// Quarantined files purged past the cap since the last
-    /// [`SpillStore::take_corrupt_purged`].
-    corrupt_purged: u64,
 }
 
 impl std::fmt::Debug for SpillStore {
@@ -518,17 +535,24 @@ impl std::fmt::Debug for SpillStore {
 }
 
 impl SpillStore {
+    /// [`SpillStore::open_metered`] with its delta dropped.
+    pub fn open(config: SpillConfig) -> Result<Self, SpillError> {
+        Self::open_metered(config).map(|(store, _)| store)
+    }
+
     /// Opens (creating if necessary) the spill directory, validates the
     /// configuration, and loads the persisted index if one exists — the
-    /// warm half of a warm restart.
+    /// warm half of a warm restart. Returns the store with what opening
+    /// found and repaired.
     ///
     /// Opening *self-heals*: a missing, truncated or corrupt index is
-    /// rebuilt by scanning the chunk data files (an *index scavenge*,
-    /// reported via [`SpillStore::take_index_rebuild`]) instead of
-    /// failing the open — scavenged entries are never resident, so the
-    /// restart degrades to a cold cache over an intact disk population,
-    /// never an outage.
-    pub fn open(config: SpillConfig) -> Result<Self, SpillError> {
+    /// rebuilt by scanning the chunk data files — an *index scavenge*,
+    /// counted in `index_rebuilds`, with every file it sets aside counted
+    /// corrupt and quarantined — instead of failing the open. Scavenged
+    /// entries are never resident, so the restart degrades to a cold cache
+    /// over an intact disk population, never an outage. A `.corrupt`
+    /// backlog past [`DEFAULT_MAX_CORRUPT_FILES`] is purged.
+    pub fn open_metered(config: SpillConfig) -> Result<(Self, SpillMetrics), SpillError> {
         config.validate()?;
         let io: Box<dyn SpillIo> = match config.fault {
             Some(profile) => Box::new(FaultInjectingSpillIo::new(FsSpillIo, profile)?),
@@ -541,31 +565,24 @@ impl SpillStore {
             backoff: RetryPolicy::default().backoff_schedule(),
             scrub_interval_ms: config.scrub_interval_ms,
             index: BTreeMap::new(),
-            rebuild: None,
             fail_writes: 0,
-            corrupt_purged: 0,
         };
+        let mut delta = SpillMetrics::default();
         let idx = store.index_path();
-        if idx.exists() {
-            let loaded = match store.read_path_retrying(&idx) {
-                Ok(bytes) => store.load_index(&bytes),
-                Err(e) => Err(e),
-            };
-            if loaded.is_err() {
-                store.scavenge_index();
-            }
-        } else if !store
-            .io
-            .list_files(&store.dir, "chunk")
-            .unwrap_or_default()
-            .is_empty()
-        {
+        let scavenge = if idx.exists() {
+            let (bytes, _) = store.read_retrying(&idx);
+            bytes.and_then(|bytes| store.load_index(&bytes)).is_err()
+        } else {
             // Data files with no index at all: same scavenge path.
-            store.scavenge_index();
+            let files = store.io.list_files(&store.dir, "chunk");
+            !files.unwrap_or_default().is_empty()
+        };
+        if scavenge {
+            store.scavenge_index(&mut delta);
         }
         // Cap any `.corrupt` backlog a previous session left behind.
-        store.purge_corrupt_overflow();
-        Ok(store)
+        store.purge_corrupt_overflow(&mut delta);
+        Ok((store, delta))
     }
 
     /// The spill directory.
@@ -576,12 +593,6 @@ impl SpillStore {
     /// The proactive scrub interval in query virtual ms, if enabled.
     pub fn scrub_interval_ms(&self) -> Option<f64> {
         self.scrub_interval_ms
-    }
-
-    /// Takes the index-scavenge report, if [`SpillStore::open`] had to
-    /// rebuild a missing or corrupt index (at most once per open).
-    pub fn take_index_rebuild(&mut self) -> Option<IndexRebuildReport> {
-        self.rebuild.take()
     }
 
     /// Number of chunks in the store.
@@ -677,45 +688,97 @@ impl SpillStore {
             return Ok(None);
         }
         let bytes = self.io.read(&self.chunk_path(key))?;
-        let record = decode_record(&bytes)?;
-        if record.key != key {
-            return Err(SpillError::Corrupt {
-                reason: "record key disagrees with index",
-            });
-        }
-        Ok(Some(record))
+        decode_as(key, &bytes).map(Some)
     }
 
-    /// [`SpillStore::read`], re-attempting transient read errors under
-    /// [`RetryPolicy::default`]. Each failed attempt is charged one
-    /// read dispatch plus its backoff delay into
-    /// [`SpillReadOutcome::retry_virtual_ms`]; a first-attempt success
-    /// charges nothing extra, keeping the healthy path bit-transparent.
-    pub fn read_retrying(&self, key: ChunkKey) -> SpillReadOutcome {
-        let mut attempts = 0u64;
-        let mut wasted = 0.0f64;
+    /// The read warm start and promote-on-miss go through, charged to
+    /// `delta`: [`SpillStore::read`] with transient errors retried under
+    /// [`RetryPolicy::default`], and a record that fails its checksum or
+    /// decode — or is intact but not of `grid`: a key the grid does not
+    /// have, cells of another dimension count, what a directory
+    /// checkpointed under another schema holds — *quarantined*, so the
+    /// chunk falls back to the miss path: corruption costs time, never
+    /// correctness.
+    ///
+    /// Returns `Ok(None)` when the key is not spilled, and an error that
+    /// [`SpillError::is_corruption`] when the record was quarantined. Any
+    /// other error is a transient one that outlasted its retries; the
+    /// file stays in place, since it may be intact.
+    pub fn read_checked(
+        &mut self,
+        grid: &ChunkGrid,
+        key: ChunkKey,
+        delta: &mut SpillMetrics,
+    ) -> Result<Option<SpillRecord>, SpillError> {
+        let read = self.read_charged(key, Some(grid), delta)?;
+        Ok(read.map(|(record, bytes)| {
+            delta.spill_reads += 1;
+            delta.bytes_read += bytes;
+            record
+        }))
+    }
+
+    /// The charged read behind [`SpillStore::read_checked`] and
+    /// [`SpillStore::scrub`]: retry waste first, then
+    /// [`SpillCostModel::read_ms`] of the indexed size for a read that
+    /// completes, intact or not; a damaged record (or one not of `grid`,
+    /// when given) is counted corrupt and quarantined. Returns the record
+    /// with its indexed size.
+    fn read_charged(
+        &mut self,
+        key: ChunkKey,
+        grid: Option<&ChunkGrid>,
+        delta: &mut SpillMetrics,
+    ) -> Result<Option<(SpillRecord, u64)>, SpillError> {
+        let Some(bytes) = self.bytes_of(key) else {
+            return Ok(None);
+        };
+        let (read, retries) = self.read_retrying(&self.chunk_path(key));
+        delta.merge(&retries);
+        let of_grid = |r: &SpillRecord| {
+            grid.is_none_or(|g| g.has_chunk(key) && r.data.n_dims() == g.num_dims())
+        };
+        let record = read.and_then(|read| decode_as(key, &read)).and_then(|r| {
+            of_grid(&r).then_some(r).ok_or(SpillError::Corrupt {
+                reason: "record of another grid",
+            })
+        });
+        match record {
+            Ok(record) => {
+                delta.spill_virtual_ms += SpillCostModel::read_ms(bytes);
+                Ok(Some((record, bytes)))
+            }
+            Err(e) if e.is_corruption() => {
+                // The wasted read is still charged.
+                delta.spill_virtual_ms += SpillCostModel::read_ms(bytes);
+                delta.spill_corrupt += 1;
+                self.quarantine(key, delta);
+                Err(e)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Reads `path` through the I/O backend, re-attempting transient
+    /// errors under [`RetryPolicy::default`] — the one retry loop behind
+    /// the checked read, the index load and the scavenge. The delta
+    /// charges each failed attempt one read dispatch plus its backoff
+    /// delay; a first-attempt success charges nothing, keeping the healthy
+    /// path bit-transparent.
+    fn read_retrying(&self, path: &Path) -> (Result<Vec<u8>, SpillError>, SpillMetrics) {
+        let mut delta = SpillMetrics::default();
         loop {
-            attempts += 1;
-            match self.read(key) {
+            match self.io.read(path) {
                 Err(e) if e.is_retryable() => {
                     // A transient error costs the dispatch, not the bytes.
-                    wasted += SpillCostModel::read_ms(0);
-                    let Some(&backoff) = self.backoff.get((attempts - 1) as usize) else {
-                        return SpillReadOutcome {
-                            result: Err(e),
-                            attempts,
-                            retry_virtual_ms: wasted,
-                        };
+                    delta.spill_virtual_ms += SpillCostModel::read_ms(0);
+                    let Some(&backoff) = self.backoff.get(delta.spill_retries as usize) else {
+                        return (Err(e), delta);
                     };
-                    wasted += backoff;
+                    delta.spill_virtual_ms += backoff;
+                    delta.spill_retries += 1;
                 }
-                result => {
-                    return SpillReadOutcome {
-                        result,
-                        attempts,
-                        retry_virtual_ms: wasted,
-                    }
-                }
+                result => return (result, delta),
             }
         }
     }
@@ -723,15 +786,16 @@ impl SpillStore {
     /// Quarantines one record: removes it from the index and sets its
     /// data file aside as `*.corrupt` (falling back to deletion), so the
     /// chunk is re-served through the normal miss path and a damaged file
-    /// can never be promoted again. Returns its indexed byte size, or
-    /// `None` when the key was not spilled. Best-effort on the file
-    /// system side — the index update is what guarantees safety.
-    pub fn quarantine(&mut self, key: ChunkKey) -> Option<u64> {
-        let entry = self.index.remove(&key.pack())?;
+    /// can never be promoted again. Best-effort on the file system side —
+    /// the index update is what guarantees safety.
+    fn quarantine(&mut self, key: ChunkKey, delta: &mut SpillMetrics) {
+        if self.index.remove(&key.pack()).is_none() {
+            return;
+        }
+        delta.spill_quarantined += 1;
         let _ = self.set_aside(&self.chunk_path(key));
         let _ = self.persist_index();
-        self.purge_corrupt_overflow();
-        Some(u64::from(entry.bytes))
+        self.purge_corrupt_overflow(delta);
     }
 
     /// Takes the record file `path` out of [`SpillStore::scavenge_index`]'s
@@ -743,45 +807,34 @@ impl SpillStore {
 
     /// Enforces [`DEFAULT_MAX_CORRUPT_FILES`]: deletes quarantined
     /// `*.corrupt` files past the cap, in ascending file-name order (the
-    /// deterministic stand-in for age — quarantine stamps no timestamps).
-    /// Purges are counted for [`SpillStore::take_corrupt_purged`];
-    /// file-system failures are ignored (a purge retries on the next
-    /// quarantine).
-    fn purge_corrupt_overflow(&mut self) {
+    /// deterministic stand-in for age — quarantine stamps no timestamps),
+    /// counting each in `corrupt_purged`. File-system failures are ignored
+    /// (a purge retries on the next quarantine).
+    fn purge_corrupt_overflow(&self, delta: &mut SpillMetrics) {
         let files = self.io.list_files(&self.dir, "corrupt").unwrap_or_default();
         let excess = files.len().saturating_sub(DEFAULT_MAX_CORRUPT_FILES);
         for path in files.into_iter().take(excess) {
             if self.io.remove(&path).is_ok() {
-                self.corrupt_purged += 1;
+                delta.corrupt_purged += 1;
             }
         }
-    }
-
-    /// Drains the count of quarantined files purged past the
-    /// [`DEFAULT_MAX_CORRUPT_FILES`] cap since the last call — the
-    /// feed for `SpillMetrics::corrupt_purged`.
-    pub fn take_corrupt_purged(&mut self) -> u64 {
-        std::mem::take(&mut self.corrupt_purged)
     }
 
     /// Rebuilds the index by scanning the chunk data files: every file
     /// that decodes to a valid record whose key matches its file name is
     /// re-indexed (non-resident), everything else is quarantined. Invoked
-    /// by [`SpillStore::open`] when `spill.idx` is missing or corrupt;
-    /// the report is also retained for [`SpillStore::take_index_rebuild`].
-    pub fn scavenge_index(&mut self) -> IndexRebuildReport {
+    /// by [`SpillStore::open_metered`] when `spill.idx` is missing or
+    /// corrupt.
+    fn scavenge_index(&mut self, delta: &mut SpillMetrics) {
         self.index.clear();
         let files = self.io.list_files(&self.dir, "chunk").unwrap_or_default();
-        let mut report = IndexRebuildReport::default();
         for path in files {
-            report.scanned += 1;
             let named_key = path
                 .file_stem()
                 .and_then(|s| s.to_str())
                 .and_then(|s| u64::from_str_radix(s, 16).ok());
-            let decoded = self
-                .read_path_retrying(&path)
-                .and_then(|bytes| decode_record(&bytes).map(|r| (r, bytes.len())));
+            let (read, _) = self.read_retrying(&path);
+            let decoded = read.and_then(|bytes| decode_record(&bytes).map(|r| (r, bytes.len())));
             match (named_key, decoded) {
                 (Some(packed), Ok((record, len))) if record.key.pack() == packed => {
                     self.index.insert(
@@ -793,79 +846,62 @@ impl SpillStore {
                             resident: false,
                         },
                     );
-                    report.recovered += 1;
                 }
                 _ => {
                     // Undecodable, misnamed, or key-mismatched: set aside.
                     let _ = self.set_aside(&path);
-                    report.quarantined += 1;
+                    delta.spill_corrupt += 1;
+                    delta.spill_quarantined += 1;
                 }
             }
         }
+        delta.index_rebuilds += 1;
         let _ = self.persist_index();
-        self.purge_corrupt_overflow();
-        self.rebuild = Some(report);
-        report
+        self.purge_corrupt_overflow(delta);
     }
 
     /// One proactive scrub pass: reads and checksum-verifies every
     /// indexed record (with transient-read retries), quarantining the
-    /// corrupt ones ahead of demand. The pass's read, retry and backoff
-    /// costs are summed into [`ScrubReport::virtual_ms`] for the caller
-    /// to charge to `SpillMetrics` — strictly outside `QueryMetrics`.
-    pub fn scrub(&mut self) -> ScrubReport {
+    /// corrupt ones ahead of demand. A transient error that outlasts its
+    /// retries leaves the record for the next pass rather than
+    /// quarantining a file that may be intact. The pass is summed on its
+    /// own and returned with `scrub_passes` 1; it is background work no
+    /// query owns.
+    pub fn scrub(&mut self) -> SpillMetrics {
         let keys: Vec<u64> = self.index.keys().copied().collect();
-        let mut report = ScrubReport::default();
+        let mut pass = SpillMetrics {
+            scrub_passes: 1,
+            ..SpillMetrics::default()
+        };
         for packed in keys {
-            let key = ChunkKey::unpack(packed);
-            report.scanned += 1;
-            let bytes = self.bytes_of(key).unwrap_or(0);
-            let outcome = self.read_retrying(key);
-            report.retries += outcome.attempts - 1;
-            report.virtual_ms += outcome.retry_virtual_ms;
-            match outcome.result {
-                Ok(_) => report.virtual_ms += SpillCostModel::read_ms(bytes),
-                Err(e) if e.is_corruption() => {
-                    report.virtual_ms += SpillCostModel::read_ms(bytes);
-                    self.quarantine(key);
-                    report.corrupt += 1;
-                    report.quarantined += 1;
-                }
-                // Retries exhausted on a transient error: leave the
-                // record for the next pass rather than quarantining a
-                // file that may be intact.
-                Err(_) => {}
-            }
+            let _ = self.read_charged(ChunkKey::unpack(packed), None, &mut pass);
         }
-        report
+        pass
     }
 
-    /// Reads a file through the I/O backend, re-attempting transient
-    /// errors (no cost accounting — used on open-time recovery paths
-    /// outside the virtual clock).
-    fn read_path_retrying(&self, path: &Path) -> Result<Vec<u8>, SpillError> {
-        let mut attempt = 0usize;
-        loop {
-            match self.io.read(path) {
-                Err(e) if e.is_retryable() && attempt < self.backoff.len() => attempt += 1,
-                result => return result,
-            }
+    /// Drops every spilled copy `stale` selects, in ascending key order,
+    /// and returns the keys dropped with what the sweep purged. A copy's
+    /// file is deleted, or set aside when deletion fails; the key leaves
+    /// the index either way, so it is never promoted again. A sweep that
+    /// dropped anything persists the index once, so a reopened store does
+    /// not list the dropped keys.
+    pub fn discard(
+        &mut self,
+        mut stale: impl FnMut(ChunkKey) -> bool,
+    ) -> (Vec<ChunkKey>, SpillMetrics) {
+        let mut dropped = self.keys();
+        dropped.retain(|&key| stale(key));
+        for &key in &dropped {
+            let path = self.chunk_path(key);
+            let _ = self.io.remove(&path).or_else(|_| self.set_aside(&path));
+            self.index.remove(&key.pack());
         }
-    }
-
-    /// Removes one chunk from disk and the index; returns whether it was
-    /// present. The key leaves the index only once its file is deleted or
-    /// set aside — a record left behind under its own name would be
-    /// re-indexed by the next [`SpillStore::scavenge_index`]. On `Err`
-    /// neither happened and the key is still indexed.
-    pub fn remove(&mut self, key: ChunkKey) -> Result<bool, SpillError> {
-        if !self.contains(key) {
-            return Ok(false);
+        let mut delta = SpillMetrics::default();
+        if !dropped.is_empty() {
+            let _ = self.persist_index();
+            self.purge_corrupt_overflow(&mut delta);
         }
-        let path = self.chunk_path(key);
-        self.io.remove(&path).or_else(|_| self.set_aside(&path))?;
-        self.index.remove(&key.pack());
-        Ok(true)
+        (dropped, delta)
     }
 
     /// Checkpoints the RAM-resident population: writes every entry to disk,
@@ -874,30 +910,34 @@ impl SpillStore {
     /// directory then reports them via [`SpillStore::resident_entries`] —
     /// the durable half of a warm restart.
     ///
-    /// Checkpoints are salvaged record-by-record: a failed write (ENOSPC,
-    /// injected fault, OS error) skips that record — counted in
-    /// [`SpillCheckpointStats::failed`], left non-resident, never
-    /// aborting the remainder. Only a failure to persist the index itself
-    /// is an error (and even then the next open scavenges).
+    /// Returns the records written (`spill_writes`, `bytes_written`),
+    /// priced by [`SpillCostModel::checkpoint_ms`]. Checkpoints are
+    /// salvaged record-by-record: a failed write (ENOSPC, injected fault,
+    /// OS error) skips that record — counted in `demote_failures`, left
+    /// non-resident, never aborting the remainder. Only a failure to
+    /// persist the index itself is an error (and even then the next open
+    /// scavenges).
     pub fn checkpoint<'a>(
         &mut self,
         resident: impl Iterator<Item = (ChunkKey, u8, f64, &'a ChunkData)>,
-    ) -> Result<SpillCheckpointStats, SpillError> {
+    ) -> Result<SpillMetrics, SpillError> {
         for entry in self.index.values_mut() {
             entry.resident = false;
         }
-        let mut stats = SpillCheckpointStats::default();
+        let mut delta = SpillMetrics::default();
         for (key, origin, benefit, data) in resident {
             match self.write_flagged(key, origin, benefit, data, true) {
                 Ok(written) => {
-                    stats.bytes += written;
-                    stats.chunks += 1;
+                    delta.bytes_written += written;
+                    delta.spill_writes += 1;
                 }
-                Err(_) => stats.failed += 1,
+                Err(_) => delta.demote_failures += 1,
             }
         }
         self.persist_index()?;
-        Ok(stats)
+        delta.spill_virtual_ms =
+            SpillCostModel::checkpoint_ms(delta.spill_writes, delta.bytes_written);
+        Ok(delta)
     }
 
     /// The chunks marked resident by the last checkpoint, in ascending
@@ -920,7 +960,7 @@ impl SpillStore {
 
     /// Persists the index to `spill.idx` (binary, checksummed — layout in
     /// `docs/FORMAT.md`).
-    pub fn persist_index(&self) -> Result<(), SpillError> {
+    fn persist_index(&self) -> Result<(), SpillError> {
         let mut out =
             Vec::with_capacity(INDEX_HEADER_BYTES + self.index.len() * INDEX_ENTRY_BYTES + 8);
         out.extend_from_slice(&SPILL_INDEX_MAGIC);
@@ -1085,7 +1125,7 @@ mod tests {
     }
 
     #[test]
-    fn store_write_read_remove() {
+    fn store_write_read_discard() {
         let dir = tmpdir("wrr");
         let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
         assert!(store.is_empty());
@@ -1101,9 +1141,12 @@ mod tests {
             .read(ChunkKey::new(GroupById(0), 0))
             .unwrap()
             .is_none());
-        assert!(store.remove(sample_key()).unwrap());
-        assert!(!store.remove(sample_key()).unwrap());
+        let (dropped, _) = store.discard(|_| true);
+        assert_eq!(dropped, [sample_key()]);
+        assert!(store.discard(|_| true).0.is_empty());
         assert!(store.is_empty());
+        let reopened = SpillStore::open(SpillConfig::new(&dir)).unwrap();
+        assert!(reopened.is_empty(), "the discard reached spill.idx");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1143,14 +1186,14 @@ mod tests {
             .write(sample_key(), ORIGIN_BACKEND, 3.0, &sample_chunk())
             .unwrap();
         store.io = Box::new(NoRemoveIo);
-        let removed = store.remove(sample_key());
+        let (dropped, _) = store.discard(|_| true);
+        assert_eq!(dropped, [sample_key()]);
         assert!(!store.contains(sample_key()));
-        store.scavenge_index();
+        store.scavenge_index(&mut SpillMetrics::default());
         assert!(
             !store.contains(sample_key()),
             "the stale record was re-indexed"
         );
-        assert!(matches!(removed, Ok(true)), "{removed:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1177,9 +1220,13 @@ mod tests {
                     .into_iter(),
                 )
                 .unwrap();
-            assert_eq!(stats.chunks, 2);
-            assert!(stats.bytes > 0);
-            assert_eq!(stats.failed, 0);
+            assert_eq!(stats.spill_writes, 2);
+            assert!(stats.bytes_written > 0);
+            assert_eq!(stats.demote_failures, 0);
+            assert_eq!(
+                stats.spill_virtual_ms.to_bits(),
+                SpillCostModel::checkpoint_ms(2, stats.bytes_written).to_bits()
+            );
         }
         let store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
         assert_eq!(store.len(), 3);
@@ -1253,8 +1300,9 @@ mod tests {
             .unwrap();
         let err = store.read(sample_key()).unwrap_err();
         assert!(err.is_corruption(), "torn record must fail decode: {err}");
-        let bytes = store.quarantine(sample_key()).unwrap();
-        assert!(bytes > 0);
+        let mut delta = SpillMetrics::default();
+        store.quarantine(sample_key(), &mut delta);
+        assert_eq!(delta.spill_quarantined, 1);
         assert!(!store.contains(sample_key()));
         assert!(dir
             .join(format!("{:016x}.corrupt", sample_key().pack()))
@@ -1303,8 +1351,8 @@ mod tests {
                     .into_iter(),
                 )
                 .unwrap();
-            assert_eq!(stats.failed, 1, "first record's write fails");
-            assert_eq!(stats.chunks, 1, "second record still lands");
+            assert_eq!(stats.demote_failures, 1, "first record's write fails");
+            assert_eq!(stats.spill_writes, 1, "second record still lands");
         }
         let store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
         let resident = store.resident_entries();
@@ -1334,16 +1382,14 @@ mod tests {
                 )
                 .unwrap();
         }
-        let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
-        let report = store.take_index_rebuild().expect("scavenge must run");
-        assert_eq!(report.scanned, 2);
-        assert_eq!(report.recovered, 2);
-        assert_eq!(report.quarantined, 0);
+        let (store, opened) = SpillStore::open_metered(SpillConfig::new(&dir)).unwrap();
+        assert_eq!(opened.index_rebuilds, 1, "scavenge must run");
+        assert_eq!(opened.spill_quarantined, 0);
         assert_eq!(store.len(), 2, "data files fully recovered");
         assert_eq!(store.resident_count(), 0, "residency is not reconstructed");
         // The scavenge persisted a fresh index: the next open is clean.
-        let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
-        assert!(store.take_index_rebuild().is_none());
+        let (store, opened) = SpillStore::open_metered(SpillConfig::new(&dir)).unwrap();
+        assert_eq!(opened, SpillMetrics::default());
         assert_eq!(store.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1365,11 +1411,10 @@ mod tests {
         std::fs::write(dir.join("00000000000000aa.chunk"), b"garbage").unwrap();
         // No index at all: open must scavenge.
         let _ = std::fs::remove_file(dir.join("spill.idx"));
-        let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
-        let report = store.take_index_rebuild().expect("scavenge must run");
-        assert_eq!(report.scanned, 3);
-        assert_eq!(report.recovered, 1);
-        assert_eq!(report.quarantined, 2);
+        let (store, opened) = SpillStore::open_metered(SpillConfig::new(&dir)).unwrap();
+        assert_eq!(opened.index_rebuilds, 1, "scavenge must run");
+        assert_eq!(opened.spill_corrupt, 2);
+        assert_eq!(opened.spill_quarantined, 2);
         assert!(store.contains(ka));
         assert_eq!(store.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1392,22 +1437,24 @@ mod tests {
         let mut bytes = std::fs::read(&victim).unwrap();
         bytes[SPILL_HEADER_BYTES + 6] ^= 0x40;
         std::fs::write(&victim, &bytes).unwrap();
-        let report = store.scrub();
-        assert_eq!(report.scanned, 2);
-        assert_eq!(report.corrupt, 1);
-        assert_eq!(report.quarantined, 1);
-        assert!(report.virtual_ms > 0.0, "scrub reads are charged");
+        let pass = store.scrub();
+        assert_eq!(pass.scrub_passes, 1);
+        assert_eq!(pass.spill_corrupt, 1);
+        assert_eq!(pass.spill_quarantined, 1);
+        assert_eq!((pass.spill_reads, pass.bytes_read), (0, 0), "no promotion");
+        let two_reads = SpillCostModel::read_ms(store.bytes_of(kb).unwrap()) * 2.0;
+        assert_eq!(pass.spill_virtual_ms, two_reads, "both reads are charged");
         assert!(!store.contains(ka), "corrupt record quarantined");
         assert!(store.read(kb).unwrap().is_some(), "clean record untouched");
         // A second pass over the now-clean store finds nothing.
         let clean = store.scrub();
-        assert_eq!(clean.scanned, 1);
-        assert_eq!(clean.corrupt, 0);
+        assert_eq!(clean.spill_corrupt, 0);
+        assert_eq!(clean.spill_virtual_ms, two_reads / 2.0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn read_retrying_rides_out_transient_errors() {
+    fn charged_read_rides_out_transient_errors() {
         let dir = tmpdir("retry");
         let mut store = SpillStore::open(SpillConfig::new(&dir).fault(DiskFaultProfile {
             read_error_rate: 0.4,
@@ -1416,24 +1463,29 @@ mod tests {
         }))
         .unwrap();
         let data = sample_chunk();
-        store
+        let bytes = store
             .write(sample_key(), ORIGIN_BACKEND, 1.0, &data)
             .unwrap();
         let mut retried = 0u64;
         for _ in 0..20 {
-            let outcome = store.read_retrying(sample_key());
-            let rec = outcome.result.unwrap().unwrap();
+            let mut delta = SpillMetrics::default();
+            let (rec, _) = store
+                .read_charged(sample_key(), None, &mut delta)
+                .unwrap()
+                .unwrap();
             assert_eq!(rec.data.raw_coords(), data.raw_coords());
-            if outcome.attempts > 1 {
+            let read_ms = SpillCostModel::read_ms(bytes);
+            if delta.spill_retries > 0 {
                 retried += 1;
-                assert!(outcome.retry_virtual_ms > 0.0, "retries cost virtual time");
+                assert!(
+                    delta.spill_virtual_ms > read_ms,
+                    "retries cost virtual time"
+                );
             } else {
-                assert_eq!(outcome.retry_virtual_ms, 0.0, "clean reads are free");
+                assert_eq!(delta.spill_virtual_ms, read_ms, "clean reads cost the read");
             }
         }
         assert!(retried > 0, "a 40% error rate must trigger some retries");
-        // Determinism: a fresh store over the same seed sees the same
-        // outcome sequence.
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1492,11 +1544,13 @@ mod tests {
         let cap = DEFAULT_MAX_CORRUPT_FILES as u64;
         let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
         let d = sample_chunk();
+        let mut delta = SpillMetrics::default();
         for i in 0..cap + 3 {
             let key = ChunkKey::new(GroupById(2), i);
             store.write(key, ORIGIN_BACKEND, 1.0, &d).unwrap();
-            assert!(store.quarantine(key).is_some());
+            store.quarantine(key, &mut delta);
         }
+        assert_eq!(delta.spill_quarantined, cap + 3);
         // Only the cap's worth of tombstones survive; the excess was
         // purged in ascending file-name order (oldest keys first).
         let kept = corrupt_names(&dir);
@@ -1505,16 +1559,15 @@ mod tests {
             kept[0],
             format!("{:016x}.corrupt", ChunkKey::new(GroupById(2), 3).pack())
         );
-        assert_eq!(store.take_corrupt_purged(), 3);
-        assert_eq!(store.take_corrupt_purged(), 0, "take drains the counter");
+        assert_eq!(delta.corrupt_purged, 3);
         drop(store);
         // Reopening clears the backlog a previous session left behind.
         for i in 0..2u64 {
             std::fs::write(dir.join(format!("{i:016x}.corrupt")), b"junk").unwrap();
         }
-        let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
+        let (_, opened) = SpillStore::open_metered(SpillConfig::new(&dir)).unwrap();
         assert_eq!(corrupt_names(&dir).len() as u64, cap);
-        assert_eq!(store.take_corrupt_purged(), 2);
+        assert_eq!(opened.corrupt_purged, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -15,7 +15,7 @@
 //! * arrivals are an open-loop Poisson process in *virtual time*
 //!   (exponential inter-arrival times from each tenant's own RNG), merged
 //!   into one globally ordered stream — deterministic per seed, byte for
-//!   byte, independent of thread count or wall-clock speed.
+//!   byte, independent of wall-clock speed.
 //!
 //! With one tenant and the default profile the merged stream degenerates
 //! to exactly the single [`QueryStream`] (same seed, same queries, same
@@ -150,14 +150,13 @@ impl TenantProfile {
 pub struct MultiTenantConfig {
     /// Number of tenants.
     pub tenants: u32,
-    /// Zipf exponent of tenant popularity: tenant `i` (0-based) arrives at
-    /// a rate proportional to `1/(i+1)^skew`. `0.0` = uniform rates.
-    pub skew: f64,
-    /// Zipf exponent over group-by levels for random jumps (applied to
-    /// every tenant's stream). `0.0` disables it, keeping each profile's
-    /// geometric `aggregated_bias` — required for single-stream
+    /// Zipf exponent of tenant popularity *and* of group-by levels: tenant
+    /// `i` (0-based) arrives at a rate proportional to `1/(i+1)^skew`, and
+    /// every tenant's random jumps pick levels by the same power law.
+    /// `0.0` means uniform rates and each profile's geometric
+    /// `aggregated_bias` instead — required for single-stream
     /// bit-identity.
-    pub level_skew: f64,
+    pub skew: f64,
     /// Tenant profiles, assigned round-robin (tenant `i` gets
     /// `profiles[i % len]`).
     pub profiles: Vec<TenantProfile>,
@@ -179,7 +178,6 @@ impl MultiTenantConfig {
         Self {
             tenants,
             skew: 0.0,
-            level_skew: 0.0,
             profiles: vec![TenantProfile::drill_down_session()],
             max_level,
             seed,
@@ -192,7 +190,6 @@ impl MultiTenantConfig {
         Self {
             tenants,
             skew,
-            level_skew: skew,
             profiles: TenantProfile::lab(),
             max_level,
             seed,
@@ -207,10 +204,11 @@ impl MultiTenantConfig {
         if self.profiles.is_empty() {
             return Err(WorkloadError::NoProfiles);
         }
-        for (name, value) in [("skew", self.skew), ("level_skew", self.level_skew)] {
-            if !value.is_finite() || value < 0.0 {
-                return Err(WorkloadError::BadSkew { name, value });
-            }
+        if !self.skew.is_finite() || self.skew < 0.0 {
+            return Err(WorkloadError::BadSkew {
+                name: "skew",
+                value: self.skew,
+            });
         }
         for profile in &self.profiles {
             profile.validate()?;
@@ -267,7 +265,7 @@ impl TrafficEngine {
                 max_level: cfg.max_level.clone(),
                 max_span: profile.max_span,
                 aggregated_bias: profile.aggregated_bias,
-                level_zipf: (cfg.level_skew > 0.0).then_some(cfg.level_skew),
+                level_zipf: (cfg.skew > 0.0).then_some(cfg.skew),
                 seed: query_seed,
             };
             let stream = QueryStream::try_new(grid.clone(), workload)?;
@@ -480,7 +478,6 @@ mod tests {
         let cfg = MultiTenantConfig {
             tenants: 2,
             skew: 0.0,
-            level_skew: 0.0,
             profiles: vec![
                 TenantProfile::drill_down_session(),
                 TenantProfile::ad_hoc_scan(),

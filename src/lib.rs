@@ -79,10 +79,10 @@ pub mod prelude {
         ClusterBuilder, ClusterError, ClusterManager, HashRing, NodeTraffic,
     };
     pub use aggcache_core::{
-        CacheError, CacheManager, CacheManagerBuilder, CheckpointReport, ComputationPlan,
-        ConfigError, CostTable, CountTable, ExecOutcome, LookupOutcome, LookupStats, ManagerConfig,
-        PreloadReport, Query, QueryMetrics, QueryProbe, QueryRequest, QueryResult, RemoteMetrics,
-        SessionMetrics, SpillMetrics, Strategy, UpdateMetrics, WarmStartReport,
+        CacheError, CacheManager, CacheManagerBuilder, ComputationPlan, ConfigError, CostTable,
+        CountTable, ExecOutcome, LookupOutcome, LookupStats, ManagerConfig, PreloadReport, Query,
+        QueryMetrics, QueryProbe, QueryRequest, QueryResult, RemoteMetrics, SessionMetrics,
+        SpillMetrics, Strategy, UpdateMetrics,
     };
     pub use aggcache_gen::{apb1_schema, Apb1Config, Dataset, SyntheticSpec};
     pub use aggcache_obs::{Event, MetricsRegistry, RecordingTracer, TenantStats, Tracer};
@@ -90,10 +90,9 @@ pub mod prelude {
     pub use aggcache_store::{
         decode_record, encode_record, spill_checksum, AggFn, Backend, BackendCostModel,
         BackendSource, DeltaBatch, DeltaOp, DeltaRecord, DiskFaultProfile, EffectiveDelta,
-        FactTable, FaultInjectingBackend, FaultInjectingSpillIo, FaultProfile, FsSpillIo,
-        IndexRebuildReport, Lift, MessageCostModel, RetryPolicy, RetryingBackend, ScrubReport,
-        SpillCheckpointStats, SpillConfig, SpillCostModel, SpillError, SpillIo, SpillRecord,
-        SpillStore,
+        FactTable, FaultInjectingBackend, FaultInjectingSpillIo, FaultProfile, FsSpillIo, Lift,
+        MessageCostModel, RetryPolicy, RetryingBackend, SpillConfig, SpillCostModel, SpillError,
+        SpillIo, SpillRecord, SpillStore,
     };
     pub use aggcache_workload::{
         Arrival, MultiTenantConfig, QueryKind, QueryMix, QueryStream, TenantProfile, TrafficEngine,

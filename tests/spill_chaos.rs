@@ -217,8 +217,11 @@ fn warm_restart_after_corrupted_checkpoint_stays_consistent() {
         for q in &stream(&ds, 44, 30) {
             first.run(q).unwrap();
         }
-        let report = first.checkpoint().unwrap();
-        assert!(report.chunks > 1, "need several records to corrupt one");
+        let written = first.checkpoint().unwrap();
+        assert!(
+            written.spill_writes > 1,
+            "need several records to corrupt one"
+        );
     }
     // Corrupt one checkpointed chunk file in place (index stays intact).
     let victim = std::fs::read_dir(&dir)
