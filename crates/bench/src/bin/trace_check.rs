@@ -1,7 +1,7 @@
 //! Validates a `--trace-out` JSON document written by an experiment
 //! binary against `aggcache_bench::trace::validate`: structure, the event
-//! schema declared in `aggcache-obs`, and cross-checks between the raw
-//! event list and the aggregated metrics.
+//! schema declared in `aggcache-obs`, and the virtual-time additivity of
+//! every `query_done`.
 //!
 //! Usage: `trace_check <path>` — exits 1 with a message on the first
 //! violation, 2 on a usage error (it reads no `--flag`).
@@ -29,7 +29,7 @@ fn main() {
     let doc = JsonValue::parse(&src).unwrap_or_else(|e| fail(&format!("parsing {path}: {e}")));
     let summary = validate(&doc).unwrap_or_else(|e| fail(&e));
     println!(
-        "trace_check: OK: {path}: {} events, {} queries, {} group-by levels",
-        summary.events, summary.queries, summary.levels
+        "trace_check: OK: {path}: {} events, {} queries",
+        summary.events, summary.queries
     );
 }

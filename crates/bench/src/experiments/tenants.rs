@@ -31,16 +31,16 @@
 //! All reported numbers are virtual-time, so every cell is bit-identical
 //! across runs.
 
-use crate::report::{f2, mean, Table};
+use crate::report::{f2, mean, Table, Tally};
 use crate::rig::{apb_dataset, backend_for, builder_for};
 use crate::sweep::{smoke_opts, Sweep};
 use aggcache_cache::{AdmissionKind, PolicyKind};
 use aggcache_core::Strategy;
 use aggcache_gen::Dataset;
 use aggcache_obs::json::JsonObject;
-use aggcache_obs::{MetricsRegistry, TenantStats, Tracer};
+use aggcache_obs::Histogram;
 use aggcache_workload::{MultiTenantConfig, TenantProfile, TrafficEngine};
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
 /// Options for the multi-tenant sweep.
 #[derive(Debug, Clone, Copy)]
@@ -154,15 +154,17 @@ pub struct CellResult {
     pub per_tenant: Vec<TenantOutcome>,
 }
 
-fn outcome(tenant: u32, s: &TenantStats) -> TenantOutcome {
+/// One tenant's answers, folded in arrival order: the tally plus each
+/// query's virtual latency in microseconds, for the tail quantiles.
+fn outcome(tenant: u32, (tally, latency_us): &(Tally, Histogram)) -> TenantOutcome {
     TenantOutcome {
         tenant,
-        queries: s.queries,
-        complete_hit_ratio: s.complete_hit_ratio(),
-        chunk_hit_ratio: s.chunk_hit_ratio(),
-        avg_virtual_ms: mean(s.total_virtual_ms, s.queries),
-        p95_virtual_us: s.latency_virtual_us.quantile(0.95).unwrap_or(0.0),
-        p99_virtual_us: s.latency_virtual_us.quantile(0.99).unwrap_or(0.0),
+        queries: tally.queries,
+        complete_hit_ratio: tally.hit_ratio(),
+        chunk_hit_ratio: tally.chunk_hit_ratio(),
+        avg_virtual_ms: mean(tally.total_virtual_ms, tally.queries),
+        p95_virtual_us: latency_us.quantile(0.95).unwrap_or(0.0),
+        p99_virtual_us: latency_us.quantile(0.99).unwrap_or(0.0),
     }
 }
 
@@ -186,41 +188,44 @@ pub fn run_cell(
         TrafficEngine::new(dataset.grid.clone(), &cfg).expect("sweep configuration is valid");
     let requests = engine.requests(opts.queries);
 
-    let registry = Arc::new(MetricsRegistry::new());
     let (strategy, policy) = (Strategy::Vcmc, PolicyKind::TwoLevel);
-    let tracer = Some(registry.clone() as Arc<dyn Tracer>);
-    let mut mgr = builder_for(strategy, policy, opts.cache_bytes, tracer)
+    let mut mgr = builder_for(strategy, policy, opts.cache_bytes, None)
         .admission(admission)
         .build(backend_for(dataset))
         .expect("sweep configuration is valid");
-    mgr.run_batch(&requests)
+    let outcomes = mgr
+        .run_batch(&requests)
         .expect("fault-free backend answers everything");
 
-    let stats = registry.tenants();
-    let mut total = TenantStats::default();
-    for s in stats.values() {
-        total.queries += s.queries;
-        total.complete_hits += s.complete_hits;
-        total.chunks_hit += s.chunks_hit;
-        total.chunks_computed += s.chunks_computed;
-        total.chunks_missed += s.chunks_missed;
-        total.total_virtual_ms += s.total_virtual_ms;
+    let mut by_tenant: BTreeMap<u32, (Tally, Histogram)> = BTreeMap::new();
+    let mut all = Histogram::new();
+    for (request, out) in requests.iter().zip(&outcomes) {
+        let latency_us = out.metrics.total_ms() * 1000.0;
+        let (tally, latency) = by_tenant.entry(request.tenant).or_default();
+        tally.add(out);
+        latency.record(latency_us);
+        all.record(latency_us);
     }
-    let per_tenant: Vec<TenantOutcome> = stats.iter().map(|(&t, s)| outcome(t, s)).collect();
-    let all = registry
-        .virtual_histogram("query_total")
-        .unwrap_or_default();
+    // The cell adds up its tenants' sums in ascending tenant order.
+    let mut total = Tally::default();
+    for (tally, _) in by_tenant.values() {
+        total.queries += tally.queries;
+        total.complete_hits += tally.complete_hits;
+        total.chunks_served += tally.chunks_served;
+        total.chunks_missed += tally.chunks_missed;
+        total.total_virtual_ms += tally.total_virtual_ms;
+    }
     CellResult {
         family,
         tenants,
         skew,
         admission,
-        hit_ratio: total.complete_hit_ratio(),
+        hit_ratio: total.hit_ratio(),
         chunk_hit_ratio: total.chunk_hit_ratio(),
         admission_rejects: mgr.cache().admission_rejects(),
         avg_virtual_ms: mean(total.total_virtual_ms, total.queries),
         p95_virtual_us: all.quantile(0.95).unwrap_or(0.0),
-        per_tenant,
+        per_tenant: by_tenant.iter().map(|(&t, s)| outcome(t, s)).collect(),
     }
 }
 

@@ -32,7 +32,7 @@ use crate::rig::{
 };
 use crate::sweep::{smoke_opts, Sweep};
 use crate::trace::Meta;
-use aggcache_cache::PolicyKind;
+use aggcache_cache::{Origin, PolicyKind};
 use aggcache_chunks::hash::SplitMix64;
 use aggcache_chunks::ChunkData;
 use aggcache_core::{
@@ -328,20 +328,15 @@ fn metrics_bits(m: &QueryMetrics) -> [u64; 13] {
     ]
 }
 
-/// Everything a cache holds, in key order: `(packed key, cells, origin
-/// discriminant, benefit bits)` per resident chunk.
-fn cache_contents(mgr: &CacheManager) -> Vec<(u64, ChunkData, u8, u64)> {
+/// Everything a cache holds, in key order: `(packed key, cells, origin,
+/// benefit bits)` per resident chunk.
+fn cache_contents(mgr: &CacheManager) -> Vec<(u64, ChunkData, Origin, u64)> {
     let mut keys: Vec<_> = mgr.cache().keys().collect();
     keys.sort_unstable_by_key(|k| k.pack());
     keys.into_iter()
         .map(|k| {
             let c = mgr.cache().peek(&k).expect("listed key is resident");
-            let origin = match c.origin {
-                aggcache_cache::Origin::Backend => 0u8,
-                aggcache_cache::Origin::Computed => 1,
-                aggcache_cache::Origin::Spilled => 2,
-            };
-            (k.pack(), c.data.clone(), origin, c.benefit.to_bits())
+            (k.pack(), c.data.clone(), c.origin, c.benefit.to_bits())
         })
         .collect()
 }

@@ -3,11 +3,11 @@
 //! `table1` accepts `--trace-out <path>`: it then also runs one
 //! *representative* traced stream over its dataset — the paper-default
 //! VCMC + two-level configuration at the 15 MB-equivalent budget — and
-//! writes the collected events plus the aggregated [`MetricsRegistry`] as
-//! a single JSON document:
+//! writes what the run says about itself and the events it emitted as a
+//! single JSON document:
 //!
 //! ```json
-//! {"meta": {...}, "metrics": {...}, "events": [...]}
+//! {"meta": {...}, "events": [...]}
 //! ```
 //!
 //! The four sweeps whose events no paper stream emits (`fig_faults`,
@@ -25,38 +25,25 @@ use crate::stream::{run_stream_traced, StreamRun};
 use aggcache_cache::PolicyKind;
 use aggcache_core::Strategy;
 use aggcache_obs::json::{JsonField, JsonObject, JsonValue};
-use aggcache_obs::{Event, FanoutTracer, MetricsRegistry, RecordingTracer, Tracer};
+use aggcache_obs::{Event, RecordingTracer, Tracer};
 use std::sync::Arc;
 
-/// Collects the events and aggregated metrics of one traced run and
-/// serializes them as a single JSON document.
+/// Records the events of one traced run and serializes them as a single
+/// JSON document.
+#[derive(Default)]
 pub struct TraceSink {
     recorder: Arc<RecordingTracer>,
-    registry: Arc<MetricsRegistry>,
-}
-
-impl Default for TraceSink {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl TraceSink {
     /// An empty sink.
     pub fn new() -> Self {
-        Self {
-            recorder: Arc::new(RecordingTracer::new()),
-            registry: Arc::new(MetricsRegistry::new()),
-        }
+        Self::default()
     }
 
-    /// The tracer to attach: fans every event out to the raw event
-    /// recorder and the metrics registry.
+    /// The tracer to attach: it records every event.
     pub fn tracer(&self) -> Arc<dyn Tracer> {
-        Arc::new(FanoutTracer::new(vec![
-            self.recorder.clone() as Arc<dyn Tracer>,
-            self.registry.clone() as Arc<dyn Tracer>,
-        ]))
+        self.recorder.clone()
     }
 
     /// Number of events recorded so far.
@@ -64,7 +51,7 @@ impl TraceSink {
         self.recorder.len()
     }
 
-    /// Renders the `{"meta", "metrics", "events"}` document.
+    /// Renders the `{"meta", "events"}` document.
     pub fn render(&self, meta: &[(&str, Box<dyn JsonField>)]) -> String {
         let mut out = String::with_capacity(1 << 16);
         JsonObject::open(&mut out)
@@ -73,7 +60,6 @@ impl TraceSink {
                     object.field(k, v);
                 }
             })
-            .field("metrics", &*self.registry)
             .field("events", self.recorder.events())
             .close();
         out
@@ -133,15 +119,12 @@ pub struct TraceSummary {
     pub events: usize,
     /// `query_done` events among them.
     pub queries: u64,
-    /// Group-by levels in the aggregated metrics.
-    pub levels: usize,
 }
 
 /// Validates a `--trace-out` document: top-level shape, every event
 /// against [`Event::SCHEMA`] (known kind, every declared field present,
-/// no undeclared field), virtual-time additivity of each `query_done`,
-/// and the raw event list against the aggregated metrics. Returns the
-/// first violation as a message.
+/// no undeclared field) and virtual-time additivity of each
+/// `query_done`. Returns the first violation as a message.
 pub fn validate(doc: &JsonValue) -> Result<TraceSummary, String> {
     fn expect<'a>(v: &'a JsonValue, key: &str, ctx: &str) -> Result<&'a JsonValue, String> {
         v.get(key)
@@ -150,14 +133,6 @@ pub fn validate(doc: &JsonValue) -> Result<TraceSummary, String> {
 
     if !expect(doc, "meta", "document")?.is_obj() {
         return Err("meta is not an object".into());
-    }
-    let metrics = expect(doc, "metrics", "document")?;
-    let counters = expect(metrics, "counters", "metrics")?;
-    let levels = expect(metrics, "levels", "metrics")?
-        .as_arr()
-        .ok_or("metrics.levels is not an array")?;
-    for key in ["wall_ns", "virtual_us"] {
-        expect(metrics, key, "metrics")?;
     }
     let events = expect(doc, "events", "document")?
         .as_arr()
@@ -212,35 +187,9 @@ pub fn validate(doc: &JsonValue) -> Result<TraceSummary, String> {
         }
     }
 
-    // Cross-checks against the aggregated registry.
-    let counter = |k: &str| counters.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
-    if counter("events") != events.len() as f64 {
-        return Err(format!(
-            "metrics.counters.events {} != event count {}",
-            counter("events"),
-            events.len()
-        ));
-    }
-    if counter("queries") != query_dones as f64 {
-        return Err(format!(
-            "metrics.counters.queries {} != query_done events {query_dones}",
-            counter("queries")
-        ));
-    }
-    let mut level_queries = 0.0;
-    for level in levels {
-        level_queries += expect(level, "queries", "level")?.as_f64().unwrap_or(0.0);
-    }
-    if level_queries != query_dones as f64 {
-        return Err(format!(
-            "per-level query sum {level_queries} != query_done events {query_dones}"
-        ));
-    }
-
     Ok(TraceSummary {
         events: events.len(),
         queries: query_dones,
-        levels: levels.len(),
     })
 }
 
@@ -271,17 +220,12 @@ mod tests {
         let events = v.get("events").unwrap().as_arr().unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].get("type").unwrap().as_str(), Some("group_boost"));
-        // The registry saw the same event through the fanout.
-        assert_eq!(
-            v.get("metrics")
-                .unwrap()
-                .get("counters")
-                .unwrap()
-                .get("group_boosts")
-                .unwrap()
-                .as_f64(),
-            Some(1.0)
-        );
+        // The document is its meta and its events, nothing else.
+        let JsonValue::Obj(top) = &v else {
+            panic!("not an object")
+        };
+        let keys: Vec<&str> = top.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["meta", "events"]);
     }
 
     /// The document of a ten-query traced stream, as text.
@@ -308,16 +252,6 @@ mod tests {
         for expected in ["probe_start", "probe_end", "query_done"] {
             assert!(kinds.contains(expected), "missing {expected}: {kinds:?}");
         }
-        assert_eq!(
-            v.get("metrics")
-                .unwrap()
-                .get("counters")
-                .unwrap()
-                .get("probe_start")
-                .unwrap()
-                .as_f64(),
-            Some(10.0)
-        );
         let summary = validate(&v).unwrap();
         assert_eq!((summary.events, summary.queries), (events.len(), 10));
     }
@@ -346,5 +280,9 @@ mod tests {
 
         let err = reject(doc.replacen("\"type\":\"probe_start\"", "\"type\":\"probe_begin\"", 1));
         assert!(err.contains("unknown kind \"probe_begin\""), "{err}");
+
+        // Prefixing "-1" to a non-negative total breaks additivity.
+        let err = reject(doc.replacen("\"total_virtual_ms\":", "\"total_virtual_ms\":-1", 1));
+        assert!(err.contains("!= component sum"), "{err}");
     }
 }

@@ -70,8 +70,7 @@ impl CacheManager {
 
     /// Like [`CacheManager::probe`], attributing the query to `tenant`.
     /// Attribution changes only the tenant tag on the closing
-    /// [`Event::QueryDone`] (and thus the per-tenant breakdowns in
-    /// `MetricsRegistry`); results, cache state and virtual time are
+    /// [`Event::QueryDone`]; results, cache state and virtual time are
     /// untouched. A query that fails [`Query::validate`] is not looked up:
     /// its probe carries the error for [`CacheManager::apply`] to return.
     pub fn probe_as(&self, query: &Query, tenant: u32) -> QueryProbe {

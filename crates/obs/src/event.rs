@@ -8,8 +8,9 @@
 //!
 //! **Virtual vs. wall time.** Fields named `*_ns` are measured wall-clock
 //! nanoseconds; fields named `*_virtual_ms` are deterministic virtual
-//! milliseconds from the cost model. The two are never mixed in one field,
-//! and [`crate::MetricsRegistry`] keeps them in separate namespaces.
+//! milliseconds from the cost model. The two are never mixed in one field:
+//! the suffix is the whole time discipline, so a consumer that drops every
+//! `*_ns` field keeps exactly the deterministic part of an event.
 
 use crate::json::{push_str, JsonField, JsonObject};
 

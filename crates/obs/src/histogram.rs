@@ -1,14 +1,11 @@
-use crate::json::{JsonField, JsonObject};
-
 /// Number of log2 buckets: bucket 0 holds values `< 1`, bucket `i` holds
 /// `[2^(i-1), 2^i)`, and the last bucket absorbs everything larger.
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
 /// A fixed-size log2 latency histogram.
 ///
-/// Values are unitless here; the [`crate::MetricsRegistry`] keeps separate
-/// histogram namespaces for wall-clock nanoseconds and virtual
-/// microseconds so the two time domains never share a histogram.
+/// Values are unitless here; a caller keeps one histogram per time domain
+/// (wall-clock nanoseconds or virtual microseconds), never one for both.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: [u64; HISTOGRAM_BUCKETS],
@@ -129,32 +126,6 @@ impl Histogram {
             }
         }
         Some(Self::bucket_hi(HISTOGRAM_BUCKETS - 1))
-    }
-
-    /// Iterates over non-empty buckets as `(lo, hi, count)`.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_lo(i), Self::bucket_hi(i), c))
-    }
-
-    /// Serializes as a JSON object into `out`.
-    pub fn write_json(&self, out: &mut String) {
-        JsonObject::open(out)
-            .field("count", self.count)
-            .field("sum", self.sum)
-            .field("min", self.min())
-            .field("max", self.max())
-            .field("buckets", self.nonzero_buckets().collect::<Vec<_>>())
-            .close();
-    }
-}
-
-impl JsonField for Histogram {
-    fn write_value(&self, out: &mut String) {
-        self.write_json(out);
     }
 }
 

@@ -6,7 +6,6 @@
 //! both in unit tests and by the `trace_check` CI binary — without pulling
 //! in serde (the build environment has no registry access).
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Appends `s` as a JSON string literal (quoted, escaped).
@@ -79,16 +78,6 @@ impl<T: JsonField + ?Sized> JsonField for Box<T> {
     }
 }
 
-/// `None` is `null`.
-impl<T: JsonField> JsonField for Option<T> {
-    fn write_value(&self, out: &mut String) {
-        match self {
-            Some(v) => v.write_value(out),
-            None => out.push_str("null"),
-        }
-    }
-}
-
 /// A slice is an array of its items.
 impl<T: JsonField> JsonField for [T] {
     fn write_value(&self, out: &mut String) {
@@ -106,30 +95,6 @@ impl<T: JsonField> JsonField for [T] {
 impl<T: JsonField> JsonField for Vec<T> {
     fn write_value(&self, out: &mut String) {
         self[..].write_value(out);
-    }
-}
-
-/// A triple is an array of three (a histogram bucket: `[lo, hi, count]`).
-impl<A: JsonField, B: JsonField, C: JsonField> JsonField for (A, B, C) {
-    fn write_value(&self, out: &mut String) {
-        out.push('[');
-        self.0.write_value(out);
-        out.push(',');
-        self.1.write_value(out);
-        out.push(',');
-        self.2.write_value(out);
-        out.push(']');
-    }
-}
-
-/// A map is an object, in key order.
-impl<K: AsRef<str>, V: JsonField> JsonField for BTreeMap<K, V> {
-    fn write_value(&self, out: &mut String) {
-        let mut object = JsonObject::open(out);
-        for (k, v) in self {
-            object.field(k.as_ref(), v);
-        }
-        object.close();
     }
 }
 
@@ -218,10 +183,13 @@ pub enum JsonValue {
 
 impl JsonValue {
     /// Parses a complete JSON document (trailing whitespace allowed).
+    /// Malformed input — an unpaired surrogate escape, nesting deeper than
+    /// [`MAX_DEPTH`] included — is a [`JsonError`], never a panic.
     pub fn parse(src: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -295,9 +263,14 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deep arrays and objects may nest in a parsed document.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -333,8 +306,21 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                // Each level is a stack frame: cap it, so hostile input
+                // is an error rather than a stack overflow.
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nested deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -393,22 +379,7 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             self.pos += 1;
-                            let cp = self.hex4()?;
-                            // Surrogate pairs (we never emit them, but
-                            // accept them for robustness).
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(c.unwrap_or('\u{FFFD}'));
+                            out.push(self.unicode_escape()?);
                             continue;
                         }
                         _ => return Err(self.err("bad escape")),
@@ -427,16 +398,39 @@ impl Parser<'_> {
         }
     }
 
+    /// The character of a `\u` escape whose four hex digits start at
+    /// `self.pos`: a non-surrogate code point, or a high surrogate
+    /// (`D800..=DBFF`) followed by `\u` and a low one (`DC00..=DFFF`).
+    /// Any other surrogate is an error.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let hi = self.hex4()?;
+        let cp = if (0xD800..=0xDBFF).contains(&hi) {
+            if !self.bytes[self.pos..].starts_with(b"\\u") {
+                return Err(self.err("unpaired surrogate"));
+            }
+            self.pos += 2;
+            let lo = self.hex4()?;
+            if !(0xDC00..=0xDFFF).contains(&lo) {
+                return Err(self.err("unpaired surrogate"));
+            }
+            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+        } else {
+            hi
+        };
+        char::from_u32(cp).ok_or_else(|| self.err("unpaired surrogate"))
+    }
+
     fn hex4(&mut self) -> Result<u32, JsonError> {
         // self.pos is at the first of four hex digits.
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("short \\u escape"));
-        }
-        let text = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("bad \\u escape"))?;
-        let cp = u32::from_str_radix(text, 16).map_err(|_| self.err("bad \\u escape"))?;
-        self.pos = end;
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .filter(|d| d.iter().all(u8::is_ascii_hexdigit))
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        let cp = digits.iter().fold(0, |cp, &d| {
+            cp * 16 + char::from(d).to_digit(16).expect("checked a hex digit")
+        });
+        self.pos += 4;
         Ok(cp)
     }
 
@@ -560,5 +554,53 @@ mod tests {
         );
         // Raw multi-byte characters pass through unescaped too.
         assert_eq!(JsonValue::parse(r#""é😀""#).unwrap().as_str(), Some("é😀"));
+    }
+
+    #[test]
+    fn unpaired_surrogates_are_errors() {
+        // A JSON string of one `\uXXXX` escape per code unit.
+        let escaped = |units: &[&str]| {
+            let body: String = units.iter().map(|hex| format!("\\u{hex}")).collect();
+            format!("\"{body}\"")
+        };
+        // A high surrogate followed by a non-surrogate escape, by a second
+        // high surrogate, by a code point past the low range, by a plain
+        // character or by nothing; and a lone low surrogate.
+        for src in [
+            escaped(&["d800", "0041"]),
+            escaped(&["d800", "d800"]),
+            escaped(&["d800", "e000"]),
+            r#""\ud800A""#.to_string(),
+            escaped(&["d800"]),
+            escaped(&["dc00"]),
+        ] {
+            let err = JsonValue::parse(&src).unwrap_err();
+            assert_eq!(err.message, "unpaired surrogate", "{src}");
+        }
+        // Both ends of the ranges pair up.
+        assert_eq!(
+            JsonValue::parse(&escaped(&["dbff", "dfff", "d800", "dc00"]))
+                .unwrap()
+                .as_str(),
+            Some("\u{10FFFF}\u{10000}")
+        );
+        for src in [r#""\u12""#, r#""\u+041""#, r#""\u00g1""#] {
+            let err = JsonValue::parse(src).unwrap_err();
+            assert_eq!(err.message, "bad \\u escape", "{src}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (MAX_DEPTH, "nested deeper than 128")
+        );
+        // A million open brackets: an error, not a stack overflow.
+        assert!(JsonValue::parse(&"[".repeat(1_000_000)).is_err());
+        assert!(JsonValue::parse(&"{\"a\":".repeat(1_000_000)).is_err());
     }
 }

@@ -1,7 +1,10 @@
 //! Observability for the aggregate-aware cache: typed trace events, a
-//! zero-cost-when-disabled [`Tracer`] trait, and a [`MetricsRegistry`]
-//! that aggregates events into per-group-by-level counters and latency
-//! histograms with a JSON exporter.
+//! zero-cost-when-disabled [`Tracer`] trait, a [`RecordingTracer`] that
+//! keeps the event stream and a [`MetricsRegistry`] that counts it by kind.
+//!
+//! Tracers observe; no reported result is folded from them. The paper's
+//! numbers come from the answers themselves (`QueryMetrics` and the
+//! ledgers beside it).
 //!
 //! This crate sits at the bottom of the workspace dependency graph (it
 //! depends on nothing), so the cache, store and core layers can all emit
@@ -15,9 +18,9 @@
 //! * **Virtual time** — deterministic milliseconds charged by the cost
 //!   models (backend fetch cost, per-tuple aggregation rates). Identical
 //!   across runs and hardware; this is what the paper's tables/figures
-//!   report. Fields: `*_virtual_ms`; registry namespace: `virtual_us`.
+//!   report. Fields: `*_virtual_ms`.
 //! * **Wall time** — measured nanoseconds of the real implementation.
-//!   Fields: `*_ns`; registry namespace: `wall_ns`.
+//!   Fields: `*_ns`.
 //!
 //! Tracing reads both clocks but mutates neither: enabling a tracer
 //! changes no virtual-time output bit.
@@ -34,7 +37,7 @@
 //!
 //! let registry = MetricsRegistry::new();
 //! registry.emit(&recorder.events()[0]);
-//! assert_eq!(registry.counter("group_boosts"), 1);
+//! assert_eq!(registry.counter("group_boost"), 1);
 //! ```
 
 #![deny(missing_docs)]
@@ -47,5 +50,5 @@ mod tracer;
 
 pub use event::{Event, LookupOutcome, Tier};
 pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
-pub use registry::{LevelStats, MetricsRegistry, TenantStats};
-pub use tracer::{FanoutTracer, RecordingTracer, Tracer};
+pub use registry::MetricsRegistry;
+pub use tracer::{RecordingTracer, Tracer};

@@ -1,5 +1,5 @@
 use crate::Event;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// A sink for trace [`Event`]s.
 ///
@@ -58,36 +58,10 @@ impl Tracer for RecordingTracer {
     }
 }
 
-/// Forwards every event to several tracers (e.g. a [`RecordingTracer`] for
-/// the raw stream plus a [`crate::MetricsRegistry`] for aggregates).
-#[derive(Default)]
-pub struct FanoutTracer {
-    sinks: Vec<Arc<dyn Tracer>>,
-}
-
-impl FanoutTracer {
-    /// Creates a fanout over the given sinks.
-    pub fn new(sinks: Vec<Arc<dyn Tracer>>) -> Self {
-        Self { sinks }
-    }
-
-    /// Adds a sink.
-    pub fn push(&mut self, sink: Arc<dyn Tracer>) {
-        self.sinks.push(sink);
-    }
-}
-
-impl Tracer for FanoutTracer {
-    fn emit(&self, event: &Event) {
-        for sink in &self.sinks {
-            sink.emit(event);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn sample() -> Event {
         Event::GroupBoost {
@@ -113,16 +87,6 @@ mod tests {
         assert_eq!(events[1].kind(), "probe_start");
         assert_eq!(t.take().len(), 2);
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn fanout_reaches_every_sink() {
-        let a = Arc::new(RecordingTracer::new());
-        let b = Arc::new(RecordingTracer::new());
-        let f = FanoutTracer::new(vec![a.clone(), b.clone()]);
-        f.emit(&sample());
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
     }
 
     #[test]

@@ -54,7 +54,7 @@
 //! | [`cache`] | byte-budgeted chunk cache, benefit & two-level policies |
 //! | [`core`] | ESM/ESMC/VCM/VCMC lookup, count/cost tables, manager |
 //! | [`workload`] | drill-down/roll-up/proximity/random query streams |
-//! | [`obs`] | trace events, tracer trait, metrics registry, exporters |
+//! | [`obs`] | trace events, tracer trait, recording and counting tracers, JSON |
 //! | [`cluster`] | sharded multi-node tier: hash ring, cooperative lookup |
 
 #![warn(missing_docs)]
@@ -85,7 +85,7 @@ pub mod prelude {
         SpillMetrics, Strategy, UpdateMetrics,
     };
     pub use aggcache_gen::{apb1_schema, Apb1Config, Dataset, SyntheticSpec};
-    pub use aggcache_obs::{Event, MetricsRegistry, RecordingTracer, TenantStats, Tracer};
+    pub use aggcache_obs::{Event, MetricsRegistry, RecordingTracer, Tracer};
     pub use aggcache_schema::{Dimension, GroupById, Lattice, Level, Schema};
     pub use aggcache_store::{
         decode_record, encode_record, spill_checksum, AggFn, Backend, BackendCostModel,

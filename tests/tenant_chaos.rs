@@ -4,16 +4,16 @@
 //!
 //! The contract: faults change availability and virtual cost, never
 //! values — for every tenant, under every admission policy. And the
-//! per-tenant attribution must stay conservative: tenant-level degraded
-//! and query counts aggregated by the `MetricsRegistry` sum exactly to
-//! the manager's session totals.
+//! per-tenant attribution must stay conservative: every `query_done`
+//! event carries its request's tenant, and tenant-level degraded and query
+//! counts summed from those events equal the manager's session totals.
 
 mod common;
 
 use aggcache::cache::AdmissionKind;
-use aggcache::obs::MetricsRegistry;
 use aggcache::prelude::*;
 use common::{backend as raw_backend, oracle_answer, synthetic_dataset as dataset};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Multi-tenant arrivals: all three lab profiles, Zipf-skewed.
@@ -83,41 +83,68 @@ fn per_tenant_degraded_counts_sum_to_session_totals() {
     let ds = dataset();
     let arrivals = tagged_arrivals(&ds, 120, 5_000);
     for admission in AdmissionKind::lab() {
-        let registry = Arc::new(MetricsRegistry::new());
+        let recorder = Arc::new(RecordingTracer::new());
         let mut mgr = chaotic_manager(&ds, admission, 0.4);
-        mgr.set_tracer(Some(registry.clone() as Arc<dyn Tracer>));
+        mgr.set_tracer(Some(recorder.clone() as Arc<dyn Tracer>));
         let _ = mgr.preload_best();
+        recorder.take();
+        // Per tenant: queries, degraded chunks, degraded queries.
+        let mut tenants: BTreeMap<u32, [u64; 3]> = BTreeMap::new();
         let mut failed = 0u64;
         for (tenant, q) in &arrivals {
-            match mgr.run(&QueryRequest::new(q.clone()).tenant(*tenant)) {
-                Ok(_) => {}
-                Err(CacheError::BackendUnavailable { .. }) => failed += 1,
+            let answered = match mgr.run(&QueryRequest::new(q.clone()).tenant(*tenant)) {
+                Ok(_) => true,
+                Err(CacheError::BackendUnavailable { .. }) => false,
                 Err(e) => panic!("{admission:?}: unexpected error under faults: {e}"),
+            };
+            failed += u64::from(!answered);
+            let done: Vec<(u32, u64)> = recorder
+                .take()
+                .into_iter()
+                .filter_map(|e| match e {
+                    Event::QueryDone {
+                        tenant,
+                        chunks_degraded,
+                        ..
+                    } => Some((tenant, chunks_degraded)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                done.len(),
+                usize::from(answered),
+                "{admission:?}: one query_done per answered query"
+            );
+            for (event_tenant, degraded) in done {
+                assert_eq!(event_tenant, *tenant, "{admission:?}: query_done tenant");
+                let t = tenants.entry(event_tenant).or_default();
+                t[0] += 1;
+                t[1] += degraded;
+                t[2] += u64::from(degraded > 0);
             }
         }
-        let tenants = registry.tenants();
         assert!(
             tenants.len() > 1,
             "{admission:?}: expected several tenants to be attributed"
         );
-        let sum = |f: fn(&TenantStats) -> u64| tenants.values().map(f).sum::<u64>();
+        let sum = |i: usize| tenants.values().map(|t| t[i]).sum::<u64>();
         assert_eq!(
-            sum(|t| t.queries) + failed,
+            sum(0) + failed,
             arrivals.len() as u64,
             "{admission:?}: answered queries must all be attributed to a tenant"
         );
         assert_eq!(
-            sum(|t| t.queries),
+            sum(0),
             mgr.session().queries,
             "{admission:?}: tenant query counts vs session"
         );
         assert_eq!(
-            sum(|t| t.chunks_degraded),
+            sum(1),
             mgr.session().sum.chunks_degraded as u64,
             "{admission:?}: tenant degraded chunks vs session"
         );
         assert_eq!(
-            sum(|t| t.degraded_queries),
+            sum(2),
             mgr.session().degraded_queries,
             "{admission:?}: tenant degraded queries vs session"
         );
