@@ -38,10 +38,10 @@ fn origin_from_code(code: u8) -> Origin {
 }
 
 /// The read both warm start and promote-on-miss go through:
-/// [`SpillStore::read_checked`], charged to `delta`, with a record the
-/// store quarantined reported as a `SpillCorrupt` + `SpillQuarantine`
-/// pair. Returns the record with its on-disk size; `None` sends the chunk
-/// to the miss path.
+/// [`SpillStore::read_checked`] against the grid, charged to `delta` and
+/// counted as a read, with a record the store quarantined reported as a
+/// `SpillCorrupt` + `SpillQuarantine` pair. Returns the record with its
+/// on-disk size; `None` sends the chunk to the miss path.
 fn read_checked(
     store: &mut SpillStore,
     grid: &ChunkGrid,
@@ -50,8 +50,12 @@ fn read_checked(
     delta: &mut SpillMetrics,
 ) -> Option<(SpillRecord, u64)> {
     let bytes = store.bytes_of(key)?;
-    match store.read_checked(grid, key, delta) {
-        Ok(record) => record.map(|record| (record, bytes)),
+    match store.read_checked(key, Some(grid), delta) {
+        Ok(record) => record.map(|record| {
+            delta.spill_reads += 1;
+            delta.bytes_read += bytes;
+            (record, bytes)
+        }),
         Err(e) => {
             if let (true, Some(tracer)) = (e.is_corruption(), tracer) {
                 tracer.emit(&Event::SpillCorrupt {
@@ -185,9 +189,7 @@ impl Tiering {
         let Some(store) = self.store.as_mut() else {
             return Vec::new();
         };
-        let (dropped, delta) = store.discard(stale);
-        self.session.merge(&delta);
-        dropped
+        store.discard(stale)
     }
 }
 
@@ -209,10 +211,10 @@ impl CacheManager {
     /// time; it also works on an already-built manager).
     ///
     /// Warm start re-admits every chunk the checkpoint marked resident, in
-    /// ascending packed-key order, with its original origin and benefit —
-    /// through the normal admission path, so count/cost tables are rebuilt
-    /// exactly as if the chunks had just been inserted. When it read
-    /// anything, one [`Event::WarmStart`] is emitted.
+    /// ascending packed-key order, with the origin and benefit its record
+    /// carries — through the normal admission path, so count/cost tables
+    /// are rebuilt exactly as if the chunks had just been inserted. When it
+    /// read anything, one [`Event::WarmStart`] is emitted.
     ///
     /// Attachment *self-heals* rather than failing: a missing or corrupt
     /// index is scavenged by [`SpillStore::open_metered`] (reported via
@@ -236,11 +238,10 @@ impl CacheManager {
         // during it (budget smaller than the checkpoint) stay plain drops —
         // those chunks are still on disk anyway.
         let mut reads = SpillMetrics::default();
-        for (key, code, benefit, _) in store.resident_entries() {
+        for key in store.resident_keys() {
             let tracer = self.tiering.tracer.as_deref();
-            let read = read_checked(&mut store, &self.grid, key, tracer, &mut reads);
-            if let Some((record, _)) = read {
-                self.insert_chunk(key, record.data, origin_from_code(code), benefit);
+            if let Some((r, _)) = read_checked(&mut store, &self.grid, key, tracer, &mut reads) {
+                self.insert_chunk(key, r.data, origin_from_code(r.origin), r.benefit);
             }
         }
         if reads.spill_reads > 0 {
@@ -332,7 +333,9 @@ mod tests {
     use super::*;
     use crate::error::CacheError;
     use crate::lookup::Strategy;
-    use aggcache_store::{DiskFaultProfile, DEFAULT_MAX_CORRUPT_FILES};
+    use aggcache_store::{
+        encode_record, DiskFaultProfile, FsSpillIo, SpillIo, SPILL_FORMAT_VERSION, SPILL_MAGIC,
+    };
     use std::sync::Arc;
 
     #[test]
@@ -380,7 +383,7 @@ mod tests {
     fn update_ns_times_the_tables_not_the_spill_demotion() {
         // NoAggregation maintains no table, so a demoting insert's "update
         // time" is two clock reads, while the query's `apply_ns` holds the
-        // victim's encode + `fs::write`: were the demotion on the update
+        // victim's encode + append: were the demotion on the update
         // clock it would be most of `apply_ns`, not a sliver of it. A ratio
         // within one query, the best of several, so neither a slow machine
         // nor a descheduled thread can fail this.
@@ -565,13 +568,25 @@ mod tests {
         assert!(kinds.contains(&"warm_start"));
     }
 
-    /// Flips one byte in the spill file of `key` under `dir`, simulating
-    /// at-rest corruption between sessions.
+    /// Flips one byte of `key`'s latest record in the segments under
+    /// `dir` — the one the index names — simulating at-rest corruption
+    /// between sessions.
     fn corrupt_chunk_file(dir: &std::path::Path, key: ChunkKey) {
-        let path = dir.join(format!("{:016x}.chunk", key.pack()));
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
+        let mut head = SPILL_MAGIC.to_vec();
+        head.extend_from_slice(&SPILL_FORMAT_VERSION.to_le_bytes());
+        head.extend_from_slice(&[0, 0]);
+        head.extend_from_slice(&key.pack().to_le_bytes());
+        let segments = FsSpillIo.list_files(dir, "seg").unwrap();
+        let (path, mut bytes, at) = segments
+            .into_iter()
+            .rev()
+            .find_map(|(path, _)| {
+                let bytes = std::fs::read(&path).unwrap();
+                let at = bytes.windows(head.len()).rposition(|w| w == head)?;
+                Some((path, bytes, at))
+            })
+            .expect("a record of the key");
+        bytes[at + 24] ^= 0xFF; // its benefit
         std::fs::write(&path, &bytes).unwrap();
     }
 
@@ -772,7 +787,7 @@ mod tests {
         assert_counts_consistent(&mgr);
     }
 
-    /// A deleted index is scavenged from the data files at attach time and
+    /// A deleted index is scavenged from the segments at attach time and
     /// reported through the obs layer.
     #[test]
     fn missing_index_is_scavenged_and_reported() {
@@ -928,39 +943,83 @@ mod tests {
         assert!(matches!(e, CacheError::Spill(SpillError::NotAttached)));
     }
 
-    /// Satellite regression: `.corrupt` tombstones past the retention cap
-    /// are purged, and the purge is visible in `SpillMetrics`.
+    /// An ingest's discard survives an index loss: the tombstone it
+    /// appends keeps the scavenge from re-indexing the pre-delta record,
+    /// so the chunk is re-fetched, not promoted stale.
     #[test]
-    fn quarantine_purge_folds_into_spill_metrics() {
-        let dir = spill_dir("purgefold");
-        let base;
-        {
-            let mut a = spill_manager_over(dir.clone(), usize::MAX >> 1);
-            base = a.grid().schema().lattice().base();
-            run_and_check(&mut a, &Query::new(base, vec![0]));
-            a.checkpoint().unwrap();
+    fn an_ingests_discard_survives_an_index_loss() {
+        use aggcache_store::DeltaBatch;
+        let dir = spill_dir("discard-scavenge");
+        let mut mgr = spill_manager_over(dir.clone(), 160);
+        let base = mgr.grid().schema().lattice().base();
+        let stale = ChunkKey::new(base, 0);
+        for chunk in 0..3 {
+            run_and_check(&mut mgr, &Query::new(base, vec![chunk]));
         }
-        corrupt_chunk_file(&dir, ChunkKey::new(base, 0));
-        // A backlog two past the cap: the open purges two, and the warm
-        // start's own quarantine pushes one more over.
-        for i in 0..DEFAULT_MAX_CORRUPT_FILES + 2 {
-            std::fs::write(dir.join(format!("backlog{i:02}.corrupt")), b"junk").unwrap();
+        assert!(mgr.spill_store().unwrap().contains(stale));
+        let mut batch = DeltaBatch::new();
+        batch.insert(&[0, 0], 1000.0);
+        assert_eq!(mgr.ingest(&batch).unwrap().spill_invalidated, 1);
+        std::fs::remove_file(dir.join("spill.idx")).unwrap();
+        let opened = mgr.attach_spill(SpillConfig::new(&dir)).unwrap();
+        assert_eq!(opened.index_rebuilds, 1);
+        assert_eq!(opened.spill_corrupt, 0);
+        assert!(
+            !mgr.spill_store().unwrap().contains(stale),
+            "the scavenge re-indexed the pre-delta record"
+        );
+        let m = run_and_check(&mut mgr, &Query::new(base, vec![0]));
+        assert!(m.backend_virtual_ms > 0.0, "re-fetched, not promoted");
+        assert_counts_consistent(&mgr);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A record a scrub quarantined after a bit flip in transit is intact
+    /// on disk, and an ingest that stales it cannot retire it (the key is
+    /// no longer indexed). The quarantine's own tombstone keeps a later
+    /// scavenge from re-indexing it, so the answer still equals the oracle.
+    #[test]
+    fn a_quarantined_record_stays_out_through_an_ingest_and_an_index_loss() {
+        use aggcache_store::DeltaBatch;
+        let dir = spill_dir("quarantine-scavenge");
+        let mut mgr = CacheManager::builder()
+            .strategy(Strategy::Vcm)
+            .policy(PolicyKind::TwoLevel)
+            .cache_bytes(160)
+            .spill(SpillConfig::new(&dir).scrub_interval_ms(1.0))
+            .build(make_backend())
+            .unwrap();
+        let base = mgr.grid().schema().lattice().base();
+        let stale = ChunkKey::new(base, 0);
+        for chunk in 0..3 {
+            run_and_check(&mut mgr, &Query::new(base, vec![chunk]));
         }
-        let b = spill_manager_over(dir.clone(), usize::MAX >> 1);
-        assert_eq!(b.session_spill().spill_quarantined, 1);
-        assert_eq!(b.session_spill().corrupt_purged, 3);
-        let leftovers = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .filter(|n| n.ends_with(".corrupt"))
-            .count();
-        assert_eq!(leftovers, DEFAULT_MAX_CORRUPT_FILES, "the cap holds");
+        assert!(mgr.spill_store().unwrap().contains(stale));
+        // Damage the record for one scrub pass, then undo it: the flip
+        // happened in transit, and the bytes on disk are intact.
+        corrupt_chunk_file(&dir, stale);
+        // A backend fetch: far more than 1 virtual ms, firing the scrub.
+        run_and_check(&mut mgr, &Query::new(base, vec![3]));
+        corrupt_chunk_file(&dir, stale);
+        assert!(!mgr.spill_store().unwrap().contains(stale), "quarantined");
+        let mut batch = DeltaBatch::new();
+        batch.insert(&[0, 0], 1000.0);
+        assert_eq!(mgr.ingest(&batch).unwrap().spill_invalidated, 0);
+        std::fs::remove_file(dir.join("spill.idx")).unwrap();
+        let opened = mgr.attach_spill(SpillConfig::new(&dir)).unwrap();
+        assert_eq!(opened.index_rebuilds, 1);
+        assert!(
+            !mgr.spill_store().unwrap().contains(stale),
+            "the scavenge re-indexed the quarantined pre-delta record"
+        );
+        let m = run_and_check(&mut mgr, &Query::new(base, vec![0]));
+        assert!(m.backend_virtual_ms > 0.0, "re-fetched, not promoted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// An ingest that drops a checkpointed spill copy persists the index,
-    /// so a reopened store neither lists the dropped key nor counts the
-    /// bytes of a file that is gone.
+    /// so a reopened store neither lists the dropped key nor counts its
+    /// bytes: every entry it keeps reads back.
     #[test]
     fn an_ingest_leaves_no_ghost_entry_in_the_spill_index() {
         use aggcache_store::DeltaBatch;
@@ -983,11 +1042,13 @@ mod tests {
             !store.contains(demoted),
             "the dropped copy is still indexed"
         );
-        let live: u64 = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|x| x == "chunk"))
-            .map(|p| std::fs::metadata(p).unwrap().len())
+        let live: u64 = store
+            .keys()
+            .into_iter()
+            .map(|key| {
+                let r = store.read(key).unwrap().expect("an indexed record");
+                encode_record(r.key, r.origin, r.benefit, &r.data).len() as u64
+            })
             .sum();
         assert_eq!(store.bytes_on_disk(), live);
         let _ = std::fs::remove_dir_all(&dir);

@@ -405,13 +405,13 @@ events! {
         bytes: u64,
     },
     /// A missing/truncated/corrupt spill index was rebuilt by scanning the
-    /// data files (index scavenge).
+    /// segments (index scavenge).
     IndexRebuild = "index_rebuild" {
-        /// Chunk files scanned.
+        /// Records recovered plus damaged spans quarantined.
         scanned: u64,
         /// Records recovered into the rebuilt index.
         recovered: u64,
-        /// Damaged/misnamed files quarantined during the scan.
+        /// Damaged spans quarantined during the scan.
         quarantined: u64,
     },
     /// A proactive scrub pass verified the checksums of every indexed

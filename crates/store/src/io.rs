@@ -13,11 +13,16 @@
 
 use crate::spill::SpillError;
 use aggcache_chunks::hash::SplitMix64;
+use std::fs::{File, OpenOptions};
+use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Object-safe storage backend of a `SpillStore`: five primitive file
-/// operations, each returning typed [`SpillError`]s.
+/// Object-safe storage backend of a `SpillStore`: the primitive file
+/// operations it needs, each returning typed [`SpillError`]s. Records go
+/// through `append` and `read_at` on segment files, tombstones through
+/// `append_tombstone` and compaction through `copy`; `write` and `read`
+/// serve the index, and `read` a whole segment when the index is rebuilt.
 ///
 /// Implementations must be deterministic for a deterministic call
 /// sequence — the spill tier's virtual-time guarantees (bit-identical
@@ -30,19 +35,40 @@ pub trait SpillIo: std::fmt::Debug + Send + Sync {
     /// Reads the full contents of `path`.
     fn read(&self, path: &Path) -> Result<Vec<u8>, SpillError>;
 
+    /// Appends `bytes` to `path`, creating it if absent, and returns the
+    /// offset they start at: the file's real length before the append.
+    fn append(&self, path: &Path, bytes: &[u8]) -> Result<u64, SpillError>;
+
+    /// Reads `len` bytes of `path` at `offset`. A range past the file's
+    /// end, or a missing file, is [`SpillError::Corrupt`] — whoever named
+    /// the range named nothing — found before anything is allocated.
+    fn read_at(&self, path: &Path, offset: u64, len: usize) -> Result<Vec<u8>, SpillError>;
+
+    /// [`SpillIo::append`] of a tombstone. Retiring a record is
+    /// housekeeping, so the fault injector passes it through, as it does
+    /// `copy` and `remove`: a torn write or a spent ENOSPC budget never
+    /// loses one, and the fault draws stay one set per record operation.
+    fn append_tombstone(&self, path: &Path, bytes: &[u8]) -> Result<u64, SpillError> {
+        self.append(path, bytes)
+    }
+
+    /// Copies `len` bytes of `from` at `offset` to the end of `to` and
+    /// returns where they landed: compaction's one operation. It is
+    /// housekeeping, so the fault injector passes it through, as it does
+    /// `remove`.
+    fn copy(&self, from: &Path, offset: u64, len: usize, to: &Path) -> Result<u64, SpillError> {
+        self.append(to, &self.read_at(from, offset, len)?)
+    }
+
     /// Removes the file at `path`.
     fn remove(&self, path: &Path) -> Result<(), SpillError>;
-
-    /// Renames `from` to `to` (same directory — used to set corrupt
-    /// records aside as `*.corrupt` during quarantine).
-    fn rename(&self, from: &Path, to: &Path) -> Result<(), SpillError>;
 
     /// Creates `dir` and any missing parents.
     fn create_dir_all(&self, dir: &Path) -> Result<(), SpillError>;
 
-    /// Lists the files under `dir` whose extension is `extension`,
-    /// sorted by file name (deterministic scavenge order).
-    fn list_files(&self, dir: &Path, extension: &str) -> Result<Vec<PathBuf>, SpillError>;
+    /// Lists the files under `dir` whose extension is `extension`, with
+    /// their lengths, sorted by file name (deterministic scavenge order).
+    fn list_files(&self, dir: &Path, extension: &str) -> Result<Vec<(PathBuf, u64)>, SpillError>;
 }
 
 fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> SpillError {
@@ -66,26 +92,50 @@ impl SpillIo for FsSpillIo {
         std::fs::read(path).map_err(|e| io_err("read", path, e))
     }
 
-    fn remove(&self, path: &Path) -> Result<(), SpillError> {
-        std::fs::remove_file(path).map_err(|e| io_err("remove", path, e))
+    fn append(&self, path: &Path, bytes: &[u8]) -> Result<u64, SpillError> {
+        let err = |e| io_err("append", path, e);
+        let mut file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .map_err(err)?;
+        let offset = file.metadata().map_err(err)?.len();
+        file.write_all(bytes).map_err(err)?;
+        Ok(offset)
     }
 
-    fn rename(&self, from: &Path, to: &Path) -> Result<(), SpillError> {
-        std::fs::rename(from, to).map_err(|e| io_err("rename", from, e))
+    fn read_at(&self, path: &Path, offset: u64, len: usize) -> Result<Vec<u8>, SpillError> {
+        let err = |e| io_err("read at", path, e);
+        let corrupt = |reason| SpillError::Corrupt { reason };
+        let mut file = File::open(path).map_err(|e| match e.kind() {
+            ErrorKind::NotFound => corrupt("segment missing"),
+            _ => err(e),
+        })?;
+        let size = file.metadata().map_err(err)?.len();
+        if offset.checked_add(len as u64).is_none_or(|end| end > size) {
+            return Err(corrupt("record past the end of its segment"));
+        }
+        let mut bytes = vec![0; len];
+        file.seek(SeekFrom::Start(offset)).map_err(err)?;
+        file.read_exact(&mut bytes).map_err(err)?;
+        Ok(bytes)
+    }
+
+    fn remove(&self, path: &Path) -> Result<(), SpillError> {
+        std::fs::remove_file(path).map_err(|e| io_err("remove", path, e))
     }
 
     fn create_dir_all(&self, dir: &Path) -> Result<(), SpillError> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("create dir", dir, e))
     }
 
-    fn list_files(&self, dir: &Path, extension: &str) -> Result<Vec<PathBuf>, SpillError> {
-        let entries = std::fs::read_dir(dir).map_err(|e| io_err("list dir", dir, e))?;
+    fn list_files(&self, dir: &Path, extension: &str) -> Result<Vec<(PathBuf, u64)>, SpillError> {
+        let err = |e| io_err("list dir", dir, e);
         let mut files = Vec::new();
-        for entry in entries {
-            let entry = entry.map_err(|e| io_err("list dir", dir, e))?;
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) == Some(extension) {
-                files.push(path);
+        for entry in std::fs::read_dir(dir).map_err(err)? {
+            let entry = entry.map_err(err)?;
+            if entry.path().extension().is_some_and(|e| e == extension) {
+                files.push((entry.path(), entry.metadata().map_err(err)?.len()));
             }
         }
         files.sort();
@@ -95,14 +145,15 @@ impl SpillIo for FsSpillIo {
 
 /// The deterministic disk-fault model of a [`FaultInjectingSpillIo`].
 ///
-/// Every `write` draws exactly two uniform variates (torn?, torn length)
-/// and every `read` exactly three (transient error?, bit flip?, flip
-/// position) from the seeded PRNG — *always*, whatever the rates — so
-/// the random stream stays aligned across rate settings and the injected
-/// fault sequence depends only on `(seed, operation index)`. The
-/// remaining two knobs are deterministic scripts, not draws: an
-/// ENOSPC-after-N-bytes budget and a truncate-the-next-N-index-writes
-/// crash script modelling a checkpoint torn mid-`spill.idx`.
+/// Every `write` or `append` draws exactly two uniform variates (torn?,
+/// torn length) and every `read` or `read_at` exactly three (transient
+/// error?, bit flip?, flip position) from the seeded PRNG — *always*,
+/// whatever the rates — so the random stream stays aligned across rate
+/// settings and the injected fault sequence depends only on `(seed,
+/// operation index)`. The remaining two knobs are deterministic scripts,
+/// not draws: an ENOSPC-after-N-bytes budget and a
+/// truncate-the-next-N-index-writes crash script modelling a checkpoint
+/// torn mid-`spill.idx`.
 ///
 /// The default profile is all-zero: wrapping [`FsSpillIo`] with it
 /// changes nothing, bit for bit.
@@ -192,9 +243,10 @@ struct DiskFaultState {
 /// validated [`DiskFaultProfile`] — the spill tier's analogue of the
 /// backend's `FaultInjectingBackend`.
 ///
-/// Directory operations (`create_dir_all`, `list_files`, `rename`,
-/// `remove`) pass through unfaulted: the model targets data-path
-/// corruption, not metadata loss.
+/// Directory operations (`create_dir_all`, `list_files`, `remove`) and
+/// housekeeping (`append_tombstone`, compaction's `copy`) pass through
+/// unfaulted: the model targets data-path corruption, not metadata loss,
+/// and its streams stay aligned per logical record operation.
 #[derive(Debug)]
 pub struct FaultInjectingSpillIo<I = FsSpillIo> {
     inner: I,
@@ -222,10 +274,16 @@ impl<I: SpillIo> FaultInjectingSpillIo<I> {
     pub fn profile(&self) -> &DiskFaultProfile {
         &self.profile
     }
-}
 
-impl<I: SpillIo> SpillIo for FaultInjectingSpillIo<I> {
-    fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), SpillError> {
+    /// Draws one write's variates and hands `write` what lands: nothing
+    /// (ENOSPC), half (an `index` write under the crash script), a torn
+    /// prefix, or all of `bytes`.
+    fn faulted_write<T>(
+        &self,
+        bytes: &[u8],
+        index: bool,
+        write: impl FnOnce(&[u8]) -> Result<T, SpillError>,
+    ) -> Result<T, SpillError> {
         let mut st = self.state.lock().unwrap();
         // Always draw both variates so the stream stays rate-aligned.
         let u_torn = st.rng.next_f64();
@@ -235,8 +293,7 @@ impl<I: SpillIo> SpillIo for FaultInjectingSpillIo<I> {
             .profile
             .enospc_after_bytes
             .is_some_and(|budget| st.bytes_submitted > budget);
-        let is_index = path.file_name().and_then(|n| n.to_str()) == Some("spill.idx");
-        let truncate_index = is_index && st.index_truncations_left > 0;
+        let truncate_index = index && st.index_truncations_left > 0;
         if truncate_index {
             st.index_truncations_left -= 1;
         }
@@ -246,16 +303,21 @@ impl<I: SpillIo> SpillIo for FaultInjectingSpillIo<I> {
         }
         if truncate_index {
             // Crash mid-checkpoint: half the index lands, success reported.
-            return self.inner.write(path, &bytes[..bytes.len() / 2]);
+            return write(&bytes[..bytes.len() / 2]);
         }
         if u_torn < self.profile.torn_write_rate && bytes.len() > 1 {
             let keep = ((u_len * bytes.len() as f64) as usize).clamp(1, bytes.len() - 1);
-            return self.inner.write(path, &bytes[..keep]);
+            return write(&bytes[..keep]);
         }
-        self.inner.write(path, bytes)
+        write(bytes)
     }
 
-    fn read(&self, path: &Path) -> Result<Vec<u8>, SpillError> {
+    /// Draws one read's variates: a transient error, or what `read`
+    /// returns with maybe one bit flipped.
+    fn faulted_read(
+        &self,
+        read: impl FnOnce() -> Result<Vec<u8>, SpillError>,
+    ) -> Result<Vec<u8>, SpillError> {
         let mut st = self.state.lock().unwrap();
         // Always draw all three variates so the stream stays rate-aligned.
         let u_err = st.rng.next_f64();
@@ -267,7 +329,7 @@ impl<I: SpillIo> SpillIo for FaultInjectingSpillIo<I> {
         if u_err < self.profile.read_error_rate {
             return Err(SpillError::TransientRead { seq });
         }
-        let mut bytes = self.inner.read(path)?;
+        let mut bytes = read()?;
         if u_flip < self.profile.bit_flip_rate && !bytes.is_empty() {
             let bit = (u_pos * (bytes.len() * 8) as f64) as usize;
             let bit = bit.min(bytes.len() * 8 - 1);
@@ -275,20 +337,42 @@ impl<I: SpillIo> SpillIo for FaultInjectingSpillIo<I> {
         }
         Ok(bytes)
     }
+}
+
+impl<I: SpillIo> SpillIo for FaultInjectingSpillIo<I> {
+    fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), SpillError> {
+        self.faulted_write(bytes, true, |b| self.inner.write(path, b))
+    }
+
+    fn read(&self, path: &Path) -> Result<Vec<u8>, SpillError> {
+        self.faulted_read(|| self.inner.read(path))
+    }
+
+    fn append(&self, path: &Path, bytes: &[u8]) -> Result<u64, SpillError> {
+        self.faulted_write(bytes, false, |b| self.inner.append(path, b))
+    }
+
+    fn read_at(&self, path: &Path, offset: u64, len: usize) -> Result<Vec<u8>, SpillError> {
+        self.faulted_read(|| self.inner.read_at(path, offset, len))
+    }
+
+    fn append_tombstone(&self, path: &Path, bytes: &[u8]) -> Result<u64, SpillError> {
+        self.inner.append_tombstone(path, bytes)
+    }
+
+    fn copy(&self, from: &Path, offset: u64, len: usize, to: &Path) -> Result<u64, SpillError> {
+        self.inner.copy(from, offset, len, to)
+    }
 
     fn remove(&self, path: &Path) -> Result<(), SpillError> {
         self.inner.remove(path)
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> Result<(), SpillError> {
-        self.inner.rename(from, to)
     }
 
     fn create_dir_all(&self, dir: &Path) -> Result<(), SpillError> {
         self.inner.create_dir_all(dir)
     }
 
-    fn list_files(&self, dir: &Path, extension: &str) -> Result<Vec<PathBuf>, SpillError> {
+    fn list_files(&self, dir: &Path, extension: &str) -> Result<Vec<(PathBuf, u64)>, SpillError> {
         self.inner.list_files(dir, extension)
     }
 }
@@ -310,12 +394,45 @@ mod tests {
         let plain = FsSpillIo;
         let faulty = FaultInjectingSpillIo::new(FsSpillIo, DiskFaultProfile::default()).unwrap();
         let payload: Vec<u8> = (0..=255).collect();
-        let a = dir.join("a.chunk");
-        let b = dir.join("b.chunk");
+        let a = dir.join("a.seg");
+        let b = dir.join("b.seg");
         plain.write(&a, &payload).unwrap();
         faulty.write(&b, &payload).unwrap();
         assert_eq!(plain.read(&a).unwrap(), faulty.read(&b).unwrap());
+        assert_eq!(plain.append(&a, &payload).unwrap(), 256);
+        assert_eq!(faulty.append(&b, &payload).unwrap(), 256);
+        assert_eq!(
+            plain.read_at(&a, 250, 10).unwrap(),
+            faulty.read_at(&b, 250, 10).unwrap()
+        );
         assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_reports_the_real_length_and_read_at_checks_it() {
+        let dir = tmpdir("append");
+        let seg = dir.join("00000000.seg");
+        assert_eq!(FsSpillIo.append(&seg, &[1, 2, 3]).unwrap(), 0);
+        // Whatever lands behind the store's back, the next offset is real.
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(&seg)
+            .unwrap()
+            .write_all(&[9; 4])
+            .unwrap();
+        assert_eq!(FsSpillIo.append(&seg, &[4, 5]).unwrap(), 7);
+        assert_eq!(FsSpillIo.read_at(&seg, 7, 2).unwrap(), [4, 5]);
+        assert_eq!(FsSpillIo.read_at(&seg, 9, 0).unwrap(), [0u8; 0]);
+        for (path, offset, len) in [
+            (&seg, 8, 2),
+            (&seg, u64::MAX, 1),
+            (&seg, 0, u32::MAX as usize),
+            (&dir.join("00000001.seg"), 0, 1),
+        ] {
+            let err = FsSpillIo.read_at(path, offset, len).unwrap_err();
+            assert!(err.is_corruption(), "({offset}, {len}): {err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -334,10 +451,10 @@ mod tests {
                 },
             )
             .unwrap();
-            let path = dir.join(format!("s{seed}.chunk"));
-            io.write(&path, &payload).unwrap();
+            let path = dir.join(format!("s{seed}.seg"));
+            io.append(&path, &payload).unwrap();
             (0..40)
-                .map(|_| match io.read(&path) {
+                .map(|_| match io.read_at(&path, 0, payload.len()) {
                     Ok(bytes) if bytes == payload => "clean",
                     Ok(_) => "flipped",
                     Err(SpillError::TransientRead { .. }) => "transient",
@@ -366,11 +483,40 @@ mod tests {
         )
         .unwrap();
         let payload: Vec<u8> = (0..100).collect();
-        let path = dir.join("t.chunk");
-        io.write(&path, &payload).unwrap();
+        let path = dir.join("t.seg");
+        assert_eq!(io.append(&path, &payload).unwrap(), 0);
         let on_disk = std::fs::read(&path).unwrap();
         assert!(!on_disk.is_empty() && on_disk.len() < payload.len());
         assert_eq!(on_disk[..], payload[..on_disk.len()], "prefix, not garbage");
+        // The next append starts where the torn one really ended.
+        let next = io.append(&path, &payload).unwrap();
+        assert_eq!(next, on_disk.len() as u64);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tombstones_pass_the_injector_whole_and_draw_nothing() {
+        let dir = tmpdir("tombstone");
+        let io = FaultInjectingSpillIo::new(
+            FsSpillIo,
+            DiskFaultProfile {
+                torn_write_rate: 1.0,
+                enospc_after_bytes: Some(0),
+                ..DiskFaultProfile::default()
+            },
+        )
+        .unwrap();
+        let path = dir.join("t.seg");
+        assert_eq!(io.append_tombstone(&path, &[7; 48]).unwrap(), 0);
+        assert_eq!(io.append_tombstone(&path, &[7; 48]).unwrap(), 48);
+        assert_eq!(std::fs::read(&path).unwrap(), [7; 96], "neither torn");
+        assert!(matches!(
+            io.append(&path, &[7; 48]),
+            Err(SpillError::NoSpace)
+        ));
+        let st = io.state.lock().unwrap();
+        assert_eq!(st.bytes_submitted, 48, "only the record append counted");
+        drop(st);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -385,10 +531,10 @@ mod tests {
             },
         )
         .unwrap();
-        let path = dir.join("e.chunk");
-        assert!(io.write(&path, &[0u8; 60]).is_ok());
+        let path = dir.join("e.seg");
+        assert!(io.append(&path, &[0u8; 60]).is_ok());
         assert!(matches!(
-            io.write(&path, &[0u8; 60]),
+            io.append(&path, &[0u8; 60]),
             Err(SpillError::NoSpace)
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -400,10 +546,14 @@ mod tests {
         let io = FaultInjectingSpillIo::new(FsSpillIo, DiskFaultProfile::truncate_index_writes(1))
             .unwrap();
         let payload = vec![7u8; 80];
-        let chunk = dir.join("c.chunk");
+        let segment = dir.join("00000000.seg");
         let idx = dir.join("spill.idx");
-        io.write(&chunk, &payload).unwrap();
-        assert_eq!(std::fs::read(&chunk).unwrap().len(), 80, "chunks untouched");
+        io.append(&segment, &payload).unwrap();
+        assert_eq!(
+            std::fs::read(&segment).unwrap().len(),
+            80,
+            "records untouched"
+        );
         io.write(&idx, &payload).unwrap();
         assert_eq!(std::fs::read(&idx).unwrap().len(), 40, "index halved");
         io.write(&idx, &payload).unwrap();
@@ -430,15 +580,18 @@ mod tests {
     #[test]
     fn list_files_is_sorted_and_filtered() {
         let dir = tmpdir("list");
-        for name in ["b.chunk", "a.chunk", "spill.idx", "x.corrupt"] {
+        for name in ["00000001.seg", "00000000.seg", "spill.idx", "x.chunk"] {
             std::fs::write(dir.join(name), b"x").unwrap();
         }
-        let files = FsSpillIo.list_files(&dir, "chunk").unwrap();
+        let files = FsSpillIo.list_files(&dir, "seg").unwrap();
         let names: Vec<_> = files
             .iter()
-            .map(|p| p.file_name().unwrap().to_str().unwrap().to_string())
+            .map(|(p, len)| (p.file_name().unwrap().to_str().unwrap().to_string(), *len))
             .collect();
-        assert_eq!(names, ["a.chunk", "b.chunk"]);
+        assert_eq!(
+            names,
+            [("00000000.seg".into(), 1), ("00000001.seg".into(), 1)]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -39,7 +39,6 @@ pub use retry::{RetryPolicy, RetryPolicyError, RetryingBackend};
 pub use source::BackendSource;
 pub use spill::{
     decode_record, encode_record, spill_checksum, SpillConfig, SpillCostModel, SpillError,
-    SpillMetrics, SpillRecord, SpillStore, DEFAULT_MAX_CORRUPT_FILES, ORIGIN_BACKEND,
-    ORIGIN_COMPUTED, ORIGIN_SPILLED, SPILL_FORMAT_VERSION, SPILL_HEADER_BYTES, SPILL_INDEX_MAGIC,
-    SPILL_MAGIC,
+    SpillMetrics, SpillRecord, SpillStore, ORIGIN_BACKEND, ORIGIN_COMPUTED, ORIGIN_SPILLED,
+    SPILL_FORMAT_VERSION, SPILL_HEADER_BYTES, SPILL_INDEX_MAGIC, SPILL_MAGIC,
 };

@@ -1,14 +1,15 @@
 //! The persistent second-tier chunk store: chunks evicted from RAM are
 //! *demoted* to disk instead of destroyed, and promoted back on demand.
 //!
-//! The on-disk representation is `SpillFormat` v1 — a versioned,
+//! The on-disk representation is `SpillFormat` v2 — a versioned,
 //! length-prefixed, checksummed serialization of one columnar
-//! [`ChunkData`] per file, specified byte-for-byte in `docs/FORMAT.md`
-//! (the normative spec; the golden-file test in `tests/spill.rs` fails if
-//! the bytes drift from it). Alongside the chunk files, [`SpillStore`]
-//! persists a small index (`spill.idx`) recording which chunks were
-//! RAM-resident at the last checkpoint, so a restarted cache manager can
-//! warm-start with exactly the chunk population it shut down with.
+//! [`ChunkData`] per record, records appended back to back to segment
+//! files, specified byte-for-byte in `docs/FORMAT.md` (the normative
+//! spec; the golden-file tests in `tests/spill.rs` fail if the bytes
+//! drift from it). Alongside the segments, [`SpillStore`] persists a small
+//! index (`spill.idx`) recording where each record lies and which chunks
+//! were RAM-resident at the last checkpoint, so a restarted cache manager
+//! can warm-start with exactly the chunk population it shut down with.
 //!
 //! Disk traffic is charged to the same deterministic virtual clock as
 //! backend fetches, through [`SpillCostModel`], into one ledger:
@@ -22,13 +23,13 @@ use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Magic bytes opening every `SpillFormat` chunk record (`b"ACSP"`).
+/// Magic bytes opening every `SpillFormat` record (`b"ACSP"`).
 pub const SPILL_MAGIC: [u8; 4] = *b"ACSP";
 /// Magic bytes opening the spill index file (`b"ACSI"`).
 pub const SPILL_INDEX_MAGIC: [u8; 4] = *b"ACSI";
 /// The `SpillFormat` version this build writes and reads.
-pub const SPILL_FORMAT_VERSION: u16 = 1;
-/// Fixed byte length of the v1 record header (everything before the
+pub const SPILL_FORMAT_VERSION: u16 = 2;
+/// Fixed byte length of the record header (everything before the
 /// coordinate block's length prefix).
 pub const SPILL_HEADER_BYTES: usize = 32;
 /// Origin code for a backend-fetched chunk (see `docs/FORMAT.md`).
@@ -38,7 +39,13 @@ pub const ORIGIN_COMPUTED: u8 = 1;
 /// Origin code for a chunk that re-entered RAM from the spill tier.
 pub const ORIGIN_SPILLED: u8 = 2;
 
-const INDEX_ENTRY_BYTES: usize = 24;
+/// The record flag of a tombstone: a record with no cells that retires
+/// every earlier record of its key from an index scavenge.
+const FLAG_TOMBSTONE: u16 = 1;
+/// A segment grown to this many bytes is sealed: the next append starts
+/// a new one.
+const SEGMENT_BYTES: u64 = 8 << 20;
+const INDEX_ENTRY_BYTES: usize = 28;
 const INDEX_HEADER_BYTES: usize = 12;
 const INDEX_FILE: &str = "spill.idx";
 
@@ -52,7 +59,7 @@ const INDEX_FILE: &str = "spill.idx";
 pub enum SpillError {
     /// An operating-system I/O failure (message includes the operation).
     Io {
-        /// The operation that failed (`"create dir"`, `"write chunk"`, …).
+        /// The operation that failed (`"create dir"`, `"append"`, …).
         op: &'static str,
         /// The OS error rendered as text.
         error: String,
@@ -66,7 +73,8 @@ pub enum SpillError {
         found: u16,
     },
     /// A structural violation: truncated buffer, length prefix mismatch,
-    /// or a key that disagrees with the index.
+    /// a key that disagrees with the index, or an index entry naming
+    /// bytes its segment does not hold.
     Corrupt {
         /// What was violated.
         reason: &'static str,
@@ -172,15 +180,21 @@ impl std::fmt::Display for SpillError {
 
 impl std::error::Error for SpillError {}
 
-/// FNV-1a 64-bit over `bytes` — the `SpillFormat` checksum (no
+/// FNV-1a 64 over `bytes` read as little-endian `u64` words, then the
+/// 0–7 tail bytes one at a time — the `SpillFormat` checksum (no
 /// dependencies, byte-order independent, specified in `docs/FORMAT.md`).
+/// Each step is a bijection of the running hash, so a change to any one
+/// byte always changes the result.
 pub fn spill_checksum(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder().iter().map(|&b| u64::from(b));
+    words
+        .map(|w| u64::from_le_bytes(w.try_into().expect("eight bytes")))
+        .chain(tail)
+        .fold(0xcbf2_9ce4_8422_2325, |hash, x| {
+            (hash ^ x).wrapping_mul(PRIME)
+        })
 }
 
 /// Virtual cost of spill-tier disk traffic: a per-operation seek/dispatch
@@ -192,7 +206,8 @@ pub fn spill_checksum(bytes: &[u8]) -> u64 {
 /// constants because they only mean something against that model: a
 /// promotion read of a 20-byte accounting tuple costs ≈1 µs, about 4×
 /// cheaper than the backend's ≈4 µs/tuple scan, so the disk tier pays off
-/// exactly when it spares a backend round trip.
+/// exactly when it spares a backend round trip. They price logical record
+/// operations, whatever the on-disk layout.
 #[derive(Debug, Clone, Copy)]
 pub struct SpillCostModel;
 
@@ -252,7 +267,8 @@ pub struct SpillMetrics {
     pub bytes_read: u64,
     /// Records found corrupt (checksum/decode failure) on any spill path.
     pub spill_corrupt: u64,
-    /// Records quarantined (removed from the index, file set aside).
+    /// Records quarantined (dropped from the index; the bytes stay dead
+    /// in their segment until a compaction).
     pub spill_quarantined: u64,
     /// Transient-read re-attempts spent under the retry policy.
     pub spill_retries: u64,
@@ -260,13 +276,10 @@ pub struct SpillMetrics {
     /// checkpoint records skipped.
     pub demote_failures: u64,
     /// Index scavenges performed (a missing/corrupt `spill.idx` rebuilt
-    /// by scanning data files at open).
+    /// by scanning the segments at open).
     pub index_rebuilds: u64,
     /// Proactive scrub passes completed.
     pub scrub_passes: u64,
-    /// Quarantined `.corrupt` files deleted to enforce the retention cap
-    /// (oldest evidence dropped first once the cap is exceeded).
-    pub corrupt_purged: u64,
     /// Virtual milliseconds charged by the spill cost model (including
     /// retries, backoff and scrub passes).
     pub spill_virtual_ms: f64,
@@ -286,7 +299,6 @@ impl SpillMetrics {
         self.demote_failures += other.demote_failures;
         self.index_rebuilds += other.index_rebuilds;
         self.scrub_passes += other.scrub_passes;
-        self.corrupt_purged += other.corrupt_purged;
         self.spill_virtual_ms += other.spill_virtual_ms;
     }
 }
@@ -295,12 +307,11 @@ impl SpillMetrics {
 /// robustness knobs the recovery sweep varies — an optional
 /// [`DiskFaultProfile`] (fault injection for chaos testing) and an optional
 /// virtual-time scrub interval. Disk traffic is priced by
-/// [`SpillCostModel`], transient read errors retry under
-/// [`RetryPolicy::default`], and at most [`DEFAULT_MAX_CORRUPT_FILES`]
-/// quarantined files are retained.
+/// [`SpillCostModel`], and transient read errors retry under
+/// [`RetryPolicy::default`].
 #[derive(Debug, Clone)]
 pub struct SpillConfig {
-    /// Directory holding the chunk files and the index (created if absent).
+    /// Directory holding the segments and the index (created if absent).
     pub dir: PathBuf,
     /// Optional deterministic disk-fault injection; `None` (the default)
     /// uses the plain filesystem backend, and `Some(Default::default())`
@@ -311,15 +322,6 @@ pub struct SpillConfig {
     /// default) disables scrubbing.
     pub scrub_interval_ms: Option<f64>,
 }
-
-/// Maximum number of quarantined `*.corrupt` files retained in a spill
-/// directory: enough casualties to diagnose a bad disk, small enough that
-/// quarantine can never fill it. Quarantine keeps damaged files for
-/// post-mortem inspection rather than deleting them, but a long-lived
-/// session over a flaky disk would otherwise accumulate them without
-/// bound; past the cap the excess is purged in ascending file-name order
-/// (deterministic — no timestamps).
-pub const DEFAULT_MAX_CORRUPT_FILES: usize = 16;
 
 impl SpillConfig {
     /// A configuration over `dir` with no fault injection and no
@@ -374,11 +376,20 @@ pub struct SpillRecord {
     pub data: ChunkData,
 }
 
-/// Serializes one chunk as a `SpillFormat` v1 record — the byte-level
+/// Serializes one chunk as a `SpillFormat` record — the byte-level
 /// layout is specified normatively in `docs/FORMAT.md`. The encoding is a
 /// pure function of its inputs (no timestamps, no platform state), so
 /// records are bit-identical across runs and machines.
 pub fn encode_record(key: ChunkKey, origin: u8, benefit: f64, data: &ChunkData) -> Vec<u8> {
+    encode(key, 0, origin, benefit, data)
+}
+
+/// The tombstone of `key`: a record flagged [`FLAG_TOMBSTONE`], no cells.
+fn encode_tombstone(key: ChunkKey) -> Vec<u8> {
+    encode(key, FLAG_TOMBSTONE, 0, 0.0, &ChunkData::new(0))
+}
+
+fn encode(key: ChunkKey, flags: u16, origin: u8, benefit: f64, data: &ChunkData) -> Vec<u8> {
     let n_dims = data.n_dims();
     let n_cells = data.len();
     let coord_bytes = n_cells * n_dims * 4;
@@ -386,7 +397,7 @@ pub fn encode_record(key: ChunkKey, origin: u8, benefit: f64, data: &ChunkData) 
     let mut out = Vec::with_capacity(SPILL_HEADER_BYTES + 8 + coord_bytes + value_bytes + 8);
     out.extend_from_slice(&SPILL_MAGIC);
     out.extend_from_slice(&SPILL_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes()); // flags (reserved, must be 0)
+    out.extend_from_slice(&flags.to_le_bytes());
     out.extend_from_slice(&key.pack().to_le_bytes());
     out.push(origin);
     out.push(0); // reserved, must be 0
@@ -407,6 +418,29 @@ pub fn encode_record(key: ChunkKey, origin: u8, benefit: f64, data: &ChunkData) 
     out
 }
 
+/// Checks what every checksummed `SpillFormat` object — a record, the
+/// index — opens and ends with: at least `min_len` bytes, `magic`, this
+/// build's version and the trailing checksum. Returns the checked body.
+fn checked_body(bytes: &[u8], magic: [u8; 4], min_len: usize) -> Result<&[u8], SpillError> {
+    if bytes.len() < min_len {
+        return Err(SpillError::Corrupt {
+            reason: "shorter than its header and checksum",
+        });
+    }
+    if bytes[0..4] != magic {
+        return Err(SpillError::BadMagic);
+    }
+    let version = u16::from_le_bytes(take::<2>(bytes, 4)?);
+    if version != SPILL_FORMAT_VERSION {
+        return Err(SpillError::BadVersion { found: version });
+    }
+    let (body, stored) = bytes.split_at(bytes.len() - 8);
+    if spill_checksum(body).to_le_bytes() != stored {
+        return Err(SpillError::BadChecksum);
+    }
+    Ok(body)
+}
+
 fn take<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], SpillError> {
     bytes
         .get(at..at + N)
@@ -416,73 +450,73 @@ fn take<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], SpillError> 
         })
 }
 
-/// Decodes (and fully validates) one `SpillFormat` record: magic, version,
-/// length prefixes, structural consistency and the trailing checksum. The
-/// round trip `decode_record(&encode_record(..))` is bit-identical —
-/// coordinates and IEEE-754 value bit patterns survive exactly.
+/// Decodes (and fully validates) one `SpillFormat` chunk record: magic,
+/// version, flags, length prefixes, structural consistency and the
+/// trailing checksum; a tombstone is not a chunk record and is `Corrupt`
+/// here. The round trip `decode_record(&encode_record(..))` is
+/// bit-identical — coordinates and IEEE-754 value bit patterns survive
+/// exactly.
 pub fn decode_record(bytes: &[u8]) -> Result<SpillRecord, SpillError> {
-    if bytes.len() < SPILL_HEADER_BYTES + 8 + 8 {
-        return Err(SpillError::Corrupt {
-            reason: "record shorter than header + prefix + checksum",
-        });
+    match decode(bytes)? {
+        (record, false) => Ok(record),
+        (_, true) => Err(SpillError::Corrupt {
+            reason: "a tombstone, not a chunk record",
+        }),
     }
-    if bytes[0..4] != SPILL_MAGIC {
-        return Err(SpillError::BadMagic);
-    }
-    let version = u16::from_le_bytes(take::<2>(bytes, 4)?);
-    if version != SPILL_FORMAT_VERSION {
-        return Err(SpillError::BadVersion { found: version });
-    }
-    let body_len = bytes.len() - 8;
-    let stored = u64::from_le_bytes(take::<8>(bytes, body_len)?);
-    if spill_checksum(&bytes[..body_len]) != stored {
-        return Err(SpillError::BadChecksum);
-    }
+}
+
+/// The length of the record whose header opens `bytes`, from its cell
+/// count and dimensionality: how far a scan steps to the next record.
+fn record_len(bytes: &[u8]) -> Result<usize, SpillError> {
+    let n_dims = u64::from(u16::from_le_bytes(take::<2>(bytes, 18)?));
+    let n_cells = u64::from(u32::from_le_bytes(take::<4>(bytes, 20)?));
+    let len = SPILL_HEADER_BYTES as u64 + 16 + n_cells * (n_dims * 4 + 8);
+    usize::try_from(len).map_err(|_| SpillError::Corrupt {
+        reason: "record longer than memory",
+    })
+}
+
+/// [`decode_record`] of records and tombstones alike: the record, and
+/// whether it is a tombstone.
+fn decode(bytes: &[u8]) -> Result<(SpillRecord, bool), SpillError> {
+    let body_len = checked_body(bytes, SPILL_MAGIC, SPILL_HEADER_BYTES + 16)?.len();
+    let flags = u16::from_le_bytes(take::<2>(bytes, 6)?);
     let packed = u64::from_le_bytes(take::<8>(bytes, 8)?);
     let origin = bytes[16];
     let n_dims = u16::from_le_bytes(take::<2>(bytes, 18)?) as usize;
     let n_cells = u32::from_le_bytes(take::<4>(bytes, 20)?) as usize;
     let benefit = f64::from_bits(u64::from_le_bytes(take::<8>(bytes, 24)?));
+    let tombstone = flags == FLAG_TOMBSTONE;
     let coord_len = u32::from_le_bytes(take::<4>(bytes, SPILL_HEADER_BYTES)?) as usize;
-    if coord_len != n_cells * n_dims * 4 {
-        return Err(SpillError::Corrupt {
-            reason: "coord block length disagrees with n_cells * n_dims",
-        });
-    }
     let coords_at = SPILL_HEADER_BYTES + 4;
     let values_len_at = coords_at + coord_len;
     let value_len = u32::from_le_bytes(take::<4>(bytes, values_len_at)?) as usize;
-    if value_len != n_cells * 8 {
-        return Err(SpillError::Corrupt {
-            reason: "value block length disagrees with n_cells",
-        });
-    }
     let values_at = values_len_at + 4;
-    if values_at + value_len != body_len {
+    let bad_flags = flags & !FLAG_TOMBSTONE != 0 || (tombstone && n_cells != 0);
+    let bad_blocks = coord_len != n_cells * n_dims * 4 || value_len != n_cells * 8;
+    if bad_flags || bad_blocks || values_at + value_len != body_len {
         return Err(SpillError::Corrupt {
-            reason: "record length disagrees with block prefixes",
+            reason: "flags or block lengths disagree with the header or the record's length",
         });
     }
-    let mut coords = Vec::with_capacity(n_cells * n_dims);
-    for i in 0..n_cells * n_dims {
-        coords.push(u32::from_le_bytes(take::<4>(bytes, coords_at + i * 4)?));
-    }
-    let mut values = Vec::with_capacity(n_cells);
-    for i in 0..n_cells {
-        values.push(f64::from_bits(u64::from_le_bytes(take::<8>(
-            bytes,
-            values_at + i * 8,
-        )?)));
-    }
-    Ok(SpillRecord {
+    let coords = bytes[coords_at..values_len_at]
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("four bytes")))
+        .collect();
+    let values = bytes[values_at..body_len]
+        .chunks_exact(8)
+        .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("eight bytes"))))
+        .collect();
+    let record = SpillRecord {
         key: ChunkKey::unpack(packed),
         origin,
         benefit,
         data: ChunkData::from_raw(n_dims, coords, values),
-    })
+    };
+    Ok((record, tombstone))
 }
 
-/// [`decode_record`] of the file indexed under `key`: a valid record of
+/// [`decode_record`] of the record indexed under `key`: a valid record of
 /// another key is corrupt.
 fn decode_as(key: ChunkKey, bytes: &[u8]) -> Result<SpillRecord, SpillError> {
     let record = decode_record(bytes)?;
@@ -494,16 +528,24 @@ fn decode_as(key: ChunkKey, bytes: &[u8]) -> Result<SpillRecord, SpillError> {
     Ok(record)
 }
 
+/// The number of a listed segment file (`{n:08x}.seg`).
+fn segment_number((path, _): &(PathBuf, u64)) -> Option<u32> {
+    u32::from_str_radix(path.file_stem()?.to_str()?, 16).ok()
+}
+
+/// Where one chunk's record lies, and whether the last checkpoint found
+/// the chunk RAM-resident. Its origin and benefit are in the record.
 #[derive(Debug, Clone, Copy)]
 struct IndexEntry {
-    benefit: f64,
+    segment: u32,
+    offset: u64,
     bytes: u32,
-    origin: u8,
     resident: bool,
 }
 
-/// The disk tier: one `SpillFormat` file per demoted chunk plus a
-/// persisted index, all under one directory.
+/// The disk tier: `SpillFormat` records appended to segment files plus a
+/// persisted index, all under one directory (layout in `docs/FORMAT.md`).
+/// A demotion is one append, a promotion one positioned read.
 ///
 /// The in-memory index (a `BTreeMap` keyed on packed chunk keys) makes
 /// [`SpillStore::contains`] free on the query path; iteration order —
@@ -522,6 +564,8 @@ pub struct SpillStore {
     backoff: Vec<f64>,
     scrub_interval_ms: Option<f64>,
     index: BTreeMap<u64, IndexEntry>,
+    /// The segment the next append goes to: the highest-numbered one.
+    active: u32,
     fail_writes: u64,
 }
 
@@ -543,15 +587,14 @@ impl SpillStore {
     /// Opens (creating if necessary) the spill directory, validates the
     /// configuration, and loads the persisted index if one exists — the
     /// warm half of a warm restart. Returns the store with what opening
-    /// found and repaired.
+    /// found and repaired. Appends go on at the end of the last segment.
     ///
     /// Opening *self-heals*: a missing, truncated or corrupt index is
-    /// rebuilt by scanning the chunk data files — an *index scavenge*,
-    /// counted in `index_rebuilds`, with every file it sets aside counted
-    /// corrupt and quarantined — instead of failing the open. Scavenged
-    /// entries are never resident, so the restart degrades to a cold cache
-    /// over an intact disk population, never an outage. A `.corrupt`
-    /// backlog past [`DEFAULT_MAX_CORRUPT_FILES`] is purged.
+    /// rebuilt by scanning the segments — an *index scavenge*, counted in
+    /// `index_rebuilds`, with every damaged span it skips counted corrupt
+    /// and quarantined — instead of failing the open. Scavenged entries
+    /// are never resident, so the restart degrades to a cold cache over an
+    /// intact disk population, never an outage.
     pub fn open_metered(config: SpillConfig) -> Result<(Self, SpillMetrics), SpillError> {
         config.validate()?;
         let io: Box<dyn SpillIo> = match config.fault {
@@ -559,29 +602,32 @@ impl SpillStore {
             None => Box::new(FsSpillIo),
         };
         io.create_dir_all(&config.dir)?;
+        let segments = io.list_files(&config.dir, "seg")?;
         let mut store = Self {
             dir: config.dir,
             io,
             backoff: RetryPolicy::default().backoff_schedule(),
             scrub_interval_ms: config.scrub_interval_ms,
             index: BTreeMap::new(),
+            active: segments
+                .iter()
+                .filter_map(segment_number)
+                .max()
+                .unwrap_or(0),
             fail_writes: 0,
         };
         let mut delta = SpillMetrics::default();
         let idx = store.index_path();
         let scavenge = if idx.exists() {
-            let (bytes, _) = store.read_retrying(&idx);
+            let (bytes, _) = store.read_retrying(|| store.io.read(&idx));
             bytes.and_then(|bytes| store.load_index(&bytes)).is_err()
         } else {
-            // Data files with no index at all: same scavenge path.
-            let files = store.io.list_files(&store.dir, "chunk");
-            !files.unwrap_or_default().is_empty()
+            // Segments with no index at all: same scavenge path.
+            !segments.is_empty()
         };
         if scavenge {
             store.scavenge_index(&mut delta);
         }
-        // Cap any `.corrupt` backlog a previous session left behind.
-        store.purge_corrupt_overflow(&mut delta);
         Ok((store, delta))
     }
 
@@ -605,7 +651,8 @@ impl SpillStore {
         self.index.is_empty()
     }
 
-    /// Total serialized bytes of all indexed chunks.
+    /// Total serialized bytes of all indexed chunks: the live records,
+    /// not the dead bytes beside them.
     pub fn bytes_on_disk(&self) -> u64 {
         self.index.values().map(|e| u64::from(e.bytes)).sum()
     }
@@ -627,12 +674,28 @@ impl SpillStore {
         self.index.values().filter(|e| e.resident).count()
     }
 
-    fn chunk_path(&self, key: ChunkKey) -> PathBuf {
-        self.dir.join(format!("{:016x}.chunk", key.pack()))
+    fn segment_path(&self, segment: u32) -> PathBuf {
+        self.dir.join(format!("{segment:08x}.seg"))
     }
 
     fn index_path(&self) -> PathBuf {
         self.dir.join(INDEX_FILE)
+    }
+
+    /// Adds `len` bytes to the active segment through `add` (an append or
+    /// a copy) and returns where they start — the offset the I/O layer
+    /// reports. A segment grown to [`SEGMENT_BYTES`] is sealed.
+    fn append(
+        &mut self,
+        len: usize,
+        add: impl FnOnce(&dyn SpillIo, &Path) -> Result<u64, SpillError>,
+    ) -> Result<(u32, u64), SpillError> {
+        let segment = self.active;
+        let offset = add(&*self.io, &self.segment_path(segment))?;
+        if offset + len as u64 >= SEGMENT_BYTES {
+            self.active += 1;
+        }
+        Ok((segment, offset))
     }
 
     /// Demotes one chunk to disk. Returns the serialized byte count (the
@@ -645,33 +708,26 @@ impl SpillStore {
         benefit: f64,
         data: &ChunkData,
     ) -> Result<u64, SpillError> {
-        self.write_flagged(key, origin, benefit, data, false)
-    }
-
-    fn write_flagged(
-        &mut self,
-        key: ChunkKey,
-        origin: u8,
-        benefit: f64,
-        data: &ChunkData,
-        resident: bool,
-    ) -> Result<u64, SpillError> {
         if self.fail_writes > 0 {
             self.fail_writes -= 1;
             return Err(SpillError::Injected);
         }
         let encoded = encode_record(key, origin, benefit, data);
-        self.io.write(&self.chunk_path(key), &encoded)?;
-        self.index.insert(
-            key.pack(),
-            IndexEntry {
-                benefit,
-                bytes: encoded.len() as u32,
-                origin,
-                resident,
-            },
-        );
-        Ok(encoded.len() as u64)
+        let (segment, offset) = self.append(encoded.len(), |io, to| io.append(to, &encoded))?;
+        let bytes = encoded.len() as u32;
+        let entry = IndexEntry {
+            segment,
+            offset,
+            bytes,
+            resident: false,
+        };
+        self.index.insert(key.pack(), entry);
+        // Sealing a segment is when dead bytes get reclaimed, checkpoint
+        // or not, so the segments never grow past the live set for long.
+        if self.active != segment && self.wasteful() {
+            let _ = self.compact();
+        }
+        Ok(u64::from(bytes))
     }
 
     /// Serialized size on disk of one spilled chunk, from the index (no
@@ -680,60 +736,49 @@ impl SpillStore {
         self.index.get(&key.pack()).map(|e| u64::from(e.bytes))
     }
 
-    /// Promotes one chunk from disk: `Ok(None)` when the key is not
-    /// spilled, the fully validated record otherwise. The disk copy is
-    /// retained — a later re-demotion of an unchanged chunk costs nothing.
+    /// Promotes one chunk from disk with one positioned read: `Ok(None)`
+    /// when the key is not spilled, the fully validated record otherwise.
+    /// The disk copy is retained — a later re-demotion of an unchanged
+    /// chunk costs nothing.
     pub fn read(&self, key: ChunkKey) -> Result<Option<SpillRecord>, SpillError> {
-        if !self.contains(key) {
+        let Some(entry) = self.index.get(&key.pack()) else {
             return Ok(None);
-        }
-        let bytes = self.io.read(&self.chunk_path(key))?;
-        decode_as(key, &bytes).map(Some)
+        };
+        decode_as(key, &self.read_entry(entry)?).map(Some)
     }
 
-    /// The read warm start and promote-on-miss go through, charged to
-    /// `delta`: [`SpillStore::read`] with transient errors retried under
-    /// [`RetryPolicy::default`], and a record that fails its checksum or
-    /// decode — or is intact but not of `grid`: a key the grid does not
-    /// have, cells of another dimension count, what a directory
-    /// checkpointed under another schema holds — *quarantined*, so the
-    /// chunk falls back to the miss path: corruption costs time, never
-    /// correctness.
+    /// One positioned read of the record `entry` names.
+    fn read_entry(&self, entry: &IndexEntry) -> Result<Vec<u8>, SpillError> {
+        let path = self.segment_path(entry.segment);
+        self.io.read_at(&path, entry.offset, entry.bytes as usize)
+    }
+
+    /// The read warm start, promote-on-miss and scrubbing go through,
+    /// charged to `delta`: [`SpillStore::read`] with transient errors
+    /// retried under [`RetryPolicy::default`] (retry waste first, then
+    /// [`SpillCostModel::read_ms`] of the indexed size for a read that
+    /// completes, intact or not), and a record that fails its checksum or
+    /// decode — or, when `grid` is given, is intact but not of it: a key
+    /// the grid does not have, cells of another dimension count, what a
+    /// directory checkpointed under another schema holds — counted corrupt
+    /// and *quarantined*, so the chunk falls back to the miss path:
+    /// corruption costs time, never correctness.
     ///
     /// Returns `Ok(None)` when the key is not spilled, and an error that
     /// [`SpillError::is_corruption`] when the record was quarantined. Any
     /// other error is a transient one that outlasted its retries; the
-    /// file stays in place, since it may be intact.
+    /// record stays indexed, since it may be intact.
     pub fn read_checked(
-        &mut self,
-        grid: &ChunkGrid,
-        key: ChunkKey,
-        delta: &mut SpillMetrics,
-    ) -> Result<Option<SpillRecord>, SpillError> {
-        let read = self.read_charged(key, Some(grid), delta)?;
-        Ok(read.map(|(record, bytes)| {
-            delta.spill_reads += 1;
-            delta.bytes_read += bytes;
-            record
-        }))
-    }
-
-    /// The charged read behind [`SpillStore::read_checked`] and
-    /// [`SpillStore::scrub`]: retry waste first, then
-    /// [`SpillCostModel::read_ms`] of the indexed size for a read that
-    /// completes, intact or not; a damaged record (or one not of `grid`,
-    /// when given) is counted corrupt and quarantined. Returns the record
-    /// with its indexed size.
-    fn read_charged(
         &mut self,
         key: ChunkKey,
         grid: Option<&ChunkGrid>,
         delta: &mut SpillMetrics,
-    ) -> Result<Option<(SpillRecord, u64)>, SpillError> {
-        let Some(bytes) = self.bytes_of(key) else {
+    ) -> Result<Option<SpillRecord>, SpillError> {
+        let Some(&entry) = self.index.get(&key.pack()) else {
             return Ok(None);
         };
-        let (read, retries) = self.read_retrying(&self.chunk_path(key));
+        let bytes = u64::from(entry.bytes);
+        let (read, retries) = self.read_retrying(|| self.read_entry(&entry));
         delta.merge(&retries);
         let of_grid = |r: &SpillRecord| {
             grid.is_none_or(|g| g.has_chunk(key) && r.data.n_dims() == g.num_dims())
@@ -746,7 +791,7 @@ impl SpillStore {
         match record {
             Ok(record) => {
                 delta.spill_virtual_ms += SpillCostModel::read_ms(bytes);
-                Ok(Some((record, bytes)))
+                Ok(Some(record))
             }
             Err(e) if e.is_corruption() => {
                 // The wasted read is still charged.
@@ -759,16 +804,19 @@ impl SpillStore {
         }
     }
 
-    /// Reads `path` through the I/O backend, re-attempting transient
+    /// Runs `read` through the I/O backend, re-attempting transient
     /// errors under [`RetryPolicy::default`] — the one retry loop behind
     /// the checked read, the index load and the scavenge. The delta
     /// charges each failed attempt one read dispatch plus its backoff
     /// delay; a first-attempt success charges nothing, keeping the healthy
     /// path bit-transparent.
-    fn read_retrying(&self, path: &Path) -> (Result<Vec<u8>, SpillError>, SpillMetrics) {
+    fn read_retrying(
+        &self,
+        read: impl Fn() -> Result<Vec<u8>, SpillError>,
+    ) -> (Result<Vec<u8>, SpillError>, SpillMetrics) {
         let mut delta = SpillMetrics::default();
         loop {
-            match self.io.read(path) {
+            match read() {
                 Err(e) if e.is_retryable() => {
                     // A transient error costs the dispatch, not the bytes.
                     delta.spill_virtual_ms += SpillCostModel::read_ms(0);
@@ -783,88 +831,98 @@ impl SpillStore {
         }
     }
 
-    /// Quarantines one record: removes it from the index and sets its
-    /// data file aside as `*.corrupt` (falling back to deletion), so the
-    /// chunk is re-served through the normal miss path and a damaged file
-    /// can never be promoted again. Best-effort on the file system side —
-    /// the index update is what guarantees safety.
+    /// Quarantines one record: [`SpillStore::retire`]s it, so the chunk
+    /// is re-served through the normal miss path and the record — damaged
+    /// on disk, or only in transit — can never be promoted again, nor
+    /// re-indexed by a later scavenge.
     fn quarantine(&mut self, key: ChunkKey, delta: &mut SpillMetrics) {
-        if self.index.remove(&key.pack()).is_none() {
+        if !self.contains(key) {
             return;
         }
         delta.spill_quarantined += 1;
-        let _ = self.set_aside(&self.chunk_path(key));
-        let _ = self.persist_index();
-        self.purge_corrupt_overflow(delta);
+        self.retire(&[key]);
     }
 
-    /// Takes the record file `path` out of [`SpillStore::scavenge_index`]'s
-    /// reach: renamed to `*.corrupt`, or deleted when the rename fails.
-    fn set_aside(&self, path: &Path) -> Result<(), SpillError> {
-        let renamed = self.io.rename(path, &path.with_extension("corrupt"));
-        renamed.or_else(|_| self.io.remove(path))
-    }
-
-    /// Enforces [`DEFAULT_MAX_CORRUPT_FILES`]: deletes quarantined
-    /// `*.corrupt` files past the cap, in ascending file-name order (the
-    /// deterministic stand-in for age — quarantine stamps no timestamps),
-    /// counting each in `corrupt_purged`. File-system failures are ignored
-    /// (a purge retries on the next quarantine).
-    fn purge_corrupt_overflow(&self, delta: &mut SpillMetrics) {
-        let files = self.io.list_files(&self.dir, "corrupt").unwrap_or_default();
-        let excess = files.len().saturating_sub(DEFAULT_MAX_CORRUPT_FILES);
-        for path in files.into_iter().take(excess) {
-            if self.io.remove(&path).is_ok() {
-                delta.corrupt_purged += 1;
-            }
+    /// Takes `keys` out of the index and out of any later scavenge's
+    /// reach: appends a tombstone for each, then persists the index once.
+    /// Should a tombstone not land, the segments are compacted instead,
+    /// which leaves the record it would retire behind on the old segments
+    /// it deletes; only a compaction that fails too leaves a window in
+    /// which a lost index could bring the record back.
+    fn retire(&mut self, keys: &[ChunkKey]) {
+        let mut lost = false;
+        for &key in keys {
+            self.index.remove(&key.pack());
+            let tombstone = encode_tombstone(key);
+            let appended = self.append(tombstone.len(), |io, to| {
+                io.append_tombstone(to, &tombstone)
+            });
+            lost |= appended.is_err();
         }
+        let _ = if lost {
+            self.compact()
+        } else {
+            self.persist_index()
+        };
     }
 
-    /// Rebuilds the index by scanning the chunk data files: every file
-    /// that decodes to a valid record whose key matches its file name is
-    /// re-indexed (non-resident), everything else is quarantined. Invoked
-    /// by [`SpillStore::open_metered`] when `spill.idx` is missing or
-    /// corrupt.
+    /// Rebuilds the index by scanning the segments in order: a record
+    /// supersedes earlier ones of its key, a tombstone drops its key, and
+    /// a span that does not decode counts as one quarantined corruption
+    /// and is skipped to the next [`SPILL_MAGIC`].
     fn scavenge_index(&mut self, delta: &mut SpillMetrics) {
         self.index.clear();
-        let files = self.io.list_files(&self.dir, "chunk").unwrap_or_default();
-        for path in files {
-            let named_key = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .and_then(|s| u64::from_str_radix(s, 16).ok());
-            let (read, _) = self.read_retrying(&path);
-            let decoded = read.and_then(|bytes| decode_record(&bytes).map(|r| (r, bytes.len())));
-            match (named_key, decoded) {
-                (Some(packed), Ok((record, len))) if record.key.pack() == packed => {
-                    self.index.insert(
-                        packed,
-                        IndexEntry {
-                            benefit: record.benefit,
-                            bytes: len as u32,
-                            origin: record.origin,
-                            resident: false,
-                        },
-                    );
+        let segments = self.io.list_files(&self.dir, "seg").unwrap_or_default();
+        for listed @ (path, _) in &segments {
+            let Some(segment) = segment_number(listed) else {
+                continue;
+            };
+            let (read, _) = self.read_retrying(|| self.io.read(path));
+            let bytes = read.unwrap_or_default();
+            let (mut at, mut damaged) = (0, false);
+            while at < bytes.len() {
+                let rest = &bytes[at..];
+                let record = record_len(rest).and_then(|len| {
+                    let bytes = rest.get(..len).ok_or(SpillError::Corrupt {
+                        reason: "record runs past its segment's end",
+                    })?;
+                    decode(bytes).map(|decoded| (decoded, len))
+                });
+                let Ok(((record, tombstone), len)) = record else {
+                    if !damaged {
+                        delta.spill_corrupt += 1;
+                        delta.spill_quarantined += 1;
+                    }
+                    damaged = true;
+                    let next = rest[1..].windows(4).position(|w| w == SPILL_MAGIC);
+                    at += next.map_or(rest.len(), |i| i + 1);
+                    continue;
+                };
+                damaged = false;
+                let packed = record.key.pack();
+                if tombstone {
+                    self.index.remove(&packed);
+                } else {
+                    let entry = IndexEntry {
+                        segment,
+                        offset: at as u64,
+                        bytes: len as u32,
+                        resident: false,
+                    };
+                    self.index.insert(packed, entry);
                 }
-                _ => {
-                    // Undecodable, misnamed, or key-mismatched: set aside.
-                    let _ = self.set_aside(&path);
-                    delta.spill_corrupt += 1;
-                    delta.spill_quarantined += 1;
-                }
+                at += len;
             }
         }
         delta.index_rebuilds += 1;
         let _ = self.persist_index();
-        self.purge_corrupt_overflow(delta);
     }
 
     /// One proactive scrub pass: reads and checksum-verifies every
     /// indexed record (with transient-read retries), quarantining the
     /// corrupt ones ahead of demand. A transient error that outlasts its
     /// retries leaves the record for the next pass rather than
-    /// quarantining a file that may be intact. The pass is summed on its
+    /// quarantining a record that may be intact. The pass is summed on its
     /// own and returned with `scrub_passes` 1; it is background work no
     /// query owns.
     pub fn scrub(&mut self) -> SpillMetrics {
@@ -874,49 +932,40 @@ impl SpillStore {
             ..SpillMetrics::default()
         };
         for packed in keys {
-            let _ = self.read_charged(ChunkKey::unpack(packed), None, &mut pass);
+            let _ = self.read_checked(ChunkKey::unpack(packed), None, &mut pass);
         }
         pass
     }
 
     /// Drops every spilled copy `stale` selects, in ascending key order,
-    /// and returns the keys dropped with what the sweep purged. A copy's
-    /// file is deleted, or set aside when deletion fails; the key leaves
-    /// the index either way, so it is never promoted again. A sweep that
+    /// and returns the keys dropped. Each copy is [`SpillStore::retire`]d:
+    /// it leaves the index, so it is never promoted again, and a tombstone
+    /// keeps a later index scavenge from bringing it back. A sweep that
     /// dropped anything persists the index once, so a reopened store does
     /// not list the dropped keys.
-    pub fn discard(
-        &mut self,
-        mut stale: impl FnMut(ChunkKey) -> bool,
-    ) -> (Vec<ChunkKey>, SpillMetrics) {
+    pub fn discard(&mut self, mut stale: impl FnMut(ChunkKey) -> bool) -> Vec<ChunkKey> {
         let mut dropped = self.keys();
         dropped.retain(|&key| stale(key));
-        for &key in &dropped {
-            let path = self.chunk_path(key);
-            let _ = self.io.remove(&path).or_else(|_| self.set_aside(&path));
-            self.index.remove(&key.pack());
-        }
-        let mut delta = SpillMetrics::default();
         if !dropped.is_empty() {
-            let _ = self.persist_index();
-            self.purge_corrupt_overflow(&mut delta);
+            self.retire(&dropped);
         }
-        (dropped, delta)
+        dropped
     }
 
-    /// Checkpoints the RAM-resident population: writes every entry to disk,
-    /// marks exactly those keys resident (clearing the flag on all others),
-    /// and persists the index. A [`SpillStore::open`] over the same
-    /// directory then reports them via [`SpillStore::resident_entries`] —
-    /// the durable half of a warm restart.
+    /// Checkpoints the RAM-resident population: appends every entry,
+    /// marks exactly those keys resident (clearing the flag on all
+    /// others), and persists the index. A [`SpillStore::open`] over the
+    /// same directory then reports them via [`SpillStore::resident_keys`]
+    /// — the durable half of a warm restart. The segments are compacted
+    /// first when they hold more dead bytes than live ones.
     ///
     /// Returns the records written (`spill_writes`, `bytes_written`),
-    /// priced by [`SpillCostModel::checkpoint_ms`]. Checkpoints are
-    /// salvaged record-by-record: a failed write (ENOSPC, injected fault,
-    /// OS error) skips that record — counted in `demote_failures`, left
-    /// non-resident, never aborting the remainder. Only a failure to
-    /// persist the index itself is an error (and even then the next open
-    /// scavenges).
+    /// priced by [`SpillCostModel::checkpoint_ms`]; compaction charges
+    /// nothing. Checkpoints are salvaged record-by-record: a failed write
+    /// (ENOSPC, injected fault, OS error) skips that record — counted in
+    /// `demote_failures`, left non-resident, never aborting the
+    /// remainder. Only a failure to persist the index itself is an error
+    /// (and even then the next open scavenges).
     pub fn checkpoint<'a>(
         &mut self,
         resident: impl Iterator<Item = (ChunkKey, u8, f64, &'a ChunkData)>,
@@ -926,35 +975,83 @@ impl SpillStore {
         }
         let mut delta = SpillMetrics::default();
         for (key, origin, benefit, data) in resident {
-            match self.write_flagged(key, origin, benefit, data, true) {
+            match self.write(key, origin, benefit, data) {
                 Ok(written) => {
+                    if let Some(entry) = self.index.get_mut(&key.pack()) {
+                        entry.resident = true;
+                    }
                     delta.bytes_written += written;
                     delta.spill_writes += 1;
                 }
                 Err(_) => delta.demote_failures += 1,
             }
         }
-        self.persist_index()?;
+        if self.wasteful() {
+            self.compact()?;
+        } else {
+            self.persist_index()?;
+        }
         delta.spill_virtual_ms =
             SpillCostModel::checkpoint_ms(delta.spill_writes, delta.bytes_written);
         Ok(delta)
     }
 
+    /// Whether the segments hold more dead bytes — superseded, retired and
+    /// quarantined records, tombstones, torn tails — than live ones.
+    fn wasteful(&self) -> bool {
+        let segments = self.io.list_files(&self.dir, "seg").unwrap_or_default();
+        let held: u64 = segments.iter().map(|(_, len)| len).sum();
+        let live = self.bytes_on_disk();
+        held.saturating_sub(live) > live
+    }
+
+    /// Copies every live record verbatim, in log order, into fresh
+    /// segments, persists the index naming the copies, then deletes the
+    /// old segments, and every dead byte with them. A record that reads as
+    /// corruption stays behind, so its next read reports it; any other
+    /// failure stops the copying and deletes nothing. Only failing to
+    /// persist the index is an error.
+    fn compact(&mut self) -> Result<(), SpillError> {
+        let Ok(old) = self.io.list_files(&self.dir, "seg") else {
+            return self.persist_index();
+        };
+        self.active += 1;
+        let mut live: Vec<(u64, IndexEntry)> = self.index.iter().map(|(&k, &e)| (k, e)).collect();
+        live.sort_unstable_by_key(|&(_, e)| (e.segment, e.offset));
+        let mut copied = true;
+        for (packed, entry) in live {
+            let (from, len) = (self.segment_path(entry.segment), entry.bytes as usize);
+            match self.append(len, |io, to| io.copy(&from, entry.offset, len, to)) {
+                Ok((segment, offset)) => {
+                    let moved = IndexEntry {
+                        segment,
+                        offset,
+                        ..entry
+                    };
+                    self.index.insert(packed, moved);
+                }
+                Err(e) if e.is_corruption() => {}
+                Err(_) => {
+                    copied = false;
+                    break;
+                }
+            }
+        }
+        self.persist_index()?;
+        if copied {
+            for (segment, _) in old {
+                let _ = self.io.remove(&segment);
+            }
+        }
+        Ok(())
+    }
+
     /// The chunks marked resident by the last checkpoint, in ascending
-    /// packed-key order (the deterministic warm-start insertion order):
-    /// `(key, origin, benefit, serialized bytes)`.
-    pub fn resident_entries(&self) -> Vec<(ChunkKey, u8, f64, u64)> {
-        self.index
-            .iter()
-            .filter(|(_, e)| e.resident)
-            .map(|(&packed, e)| {
-                (
-                    ChunkKey::unpack(packed),
-                    e.origin,
-                    e.benefit,
-                    u64::from(e.bytes),
-                )
-            })
+    /// packed-key order: the deterministic warm-start insertion order.
+    pub fn resident_keys(&self) -> Vec<ChunkKey> {
+        let resident = self.index.iter().filter(|(_, e)| e.resident);
+        resident
+            .map(|(&packed, _)| ChunkKey::unpack(packed))
             .collect()
     }
 
@@ -969,11 +1066,10 @@ impl SpillStore {
         out.extend_from_slice(&(self.index.len() as u32).to_le_bytes());
         for (&packed, e) in &self.index {
             out.extend_from_slice(&packed.to_le_bytes());
-            out.extend_from_slice(&e.benefit.to_bits().to_le_bytes());
+            out.extend_from_slice(&e.offset.to_le_bytes());
+            out.extend_from_slice(&e.segment.to_le_bytes());
             out.extend_from_slice(&e.bytes.to_le_bytes());
-            out.push(e.origin);
-            out.push(u8::from(e.resident));
-            out.extend_from_slice(&0u16.to_le_bytes()); // pad (reserved)
+            out.extend_from_slice(&[u8::from(e.resident), 0, 0, 0]); // resident, pad
         }
         let checksum = spill_checksum(&out);
         out.extend_from_slice(&checksum.to_le_bytes());
@@ -981,23 +1077,7 @@ impl SpillStore {
     }
 
     fn load_index(&mut self, bytes: &[u8]) -> Result<(), SpillError> {
-        if bytes.len() < INDEX_HEADER_BYTES + 8 {
-            return Err(SpillError::Corrupt {
-                reason: "index shorter than header + checksum",
-            });
-        }
-        if bytes[0..4] != SPILL_INDEX_MAGIC {
-            return Err(SpillError::BadMagic);
-        }
-        let version = u16::from_le_bytes(take::<2>(bytes, 4)?);
-        if version != SPILL_FORMAT_VERSION {
-            return Err(SpillError::BadVersion { found: version });
-        }
-        let body_len = bytes.len() - 8;
-        let stored = u64::from_le_bytes(take::<8>(bytes, body_len)?);
-        if spill_checksum(&bytes[..body_len]) != stored {
-            return Err(SpillError::BadChecksum);
-        }
+        let body_len = checked_body(bytes, SPILL_INDEX_MAGIC, INDEX_HEADER_BYTES + 8)?.len();
         let count = u32::from_le_bytes(take::<4>(bytes, 8)?) as usize;
         if INDEX_HEADER_BYTES + count * INDEX_ENTRY_BYTES != body_len {
             return Err(SpillError::Corrupt {
@@ -1008,19 +1088,13 @@ impl SpillStore {
         for i in 0..count {
             let at = INDEX_HEADER_BYTES + i * INDEX_ENTRY_BYTES;
             let packed = u64::from_le_bytes(take::<8>(bytes, at)?);
-            let benefit = f64::from_bits(u64::from_le_bytes(take::<8>(bytes, at + 8)?));
-            let size = u32::from_le_bytes(take::<4>(bytes, at + 16)?);
-            let origin = bytes[at + 20];
-            let resident = bytes[at + 21] != 0;
-            self.index.insert(
-                packed,
-                IndexEntry {
-                    benefit,
-                    bytes: size,
-                    origin,
-                    resident,
-                },
-            );
+            let entry = IndexEntry {
+                offset: u64::from_le_bytes(take::<8>(bytes, at + 8)?),
+                segment: u32::from_le_bytes(take::<4>(bytes, at + 16)?),
+                bytes: u32::from_le_bytes(take::<4>(bytes, at + 20)?),
+                resident: bytes[at + 24] != 0,
+            };
+            self.index.insert(packed, entry);
         }
         Ok(())
     }
@@ -1056,6 +1130,45 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("aggcache-spill-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Flips one payload byte of `key`'s record where its segment holds it.
+    fn flip_record_byte(store: &SpillStore, key: ChunkKey) {
+        let entry = store.index[&key.pack()];
+        let path = store.segment_path(entry.segment);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[entry.offset as usize + SPILL_HEADER_BYTES + 6] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+    }
+
+    /// The bytes every segment under `dir` holds.
+    fn segment_bytes(dir: &Path) -> u64 {
+        let segments = FsSpillIo.list_files(dir, "seg").unwrap();
+        segments.iter().map(|(_, len)| len).sum()
+    }
+
+    #[test]
+    fn checksum_hashes_words_then_the_tail_bytes() {
+        const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        assert_eq!(spill_checksum(&[]), BASIS);
+        let bytes: Vec<u8> = (1..=10).collect();
+        let word = u64::from_le_bytes(bytes[..8].try_into().unwrap());
+        let mut want = (BASIS ^ word).wrapping_mul(PRIME);
+        for &b in &bytes[8..] {
+            want = (want ^ u64::from(b)).wrapping_mul(PRIME);
+        }
+        assert_eq!(spill_checksum(&bytes), want);
+    }
+
+    #[test]
+    fn a_tombstone_is_a_record_but_not_a_chunk_record() {
+        let bytes = encode_tombstone(sample_key());
+        assert_eq!(bytes.len(), SPILL_HEADER_BYTES + 16);
+        let (record, tombstone) = decode(&bytes).unwrap();
+        assert!(tombstone && record.data.is_empty());
+        assert_eq!(record.key, sample_key());
+        assert!(decode_record(&bytes).unwrap_err().is_corruption());
     }
 
     #[test]
@@ -1112,15 +1225,15 @@ mod tests {
         let mut bad = enc.clone();
         bad[0] = b'X';
         assert!(matches!(decode_record(&bad), Err(SpillError::BadMagic)));
-        // Future version (checksum fixed up so only the version differs).
+        // Another version (checksum fixed up so only the version differs).
         let mut bad = enc.clone();
-        bad[4] = 2;
+        bad[4] = 1;
         let body = bad.len() - 8;
         let sum = spill_checksum(&bad[..body]).to_le_bytes();
         bad[body..].copy_from_slice(&sum);
         assert!(matches!(
             decode_record(&bad),
-            Err(SpillError::BadVersion { found: 2 })
+            Err(SpillError::BadVersion { found: 1 })
         ));
     }
 
@@ -1141,59 +1254,130 @@ mod tests {
             .read(ChunkKey::new(GroupById(0), 0))
             .unwrap()
             .is_none());
-        let (dropped, _) = store.discard(|_| true);
-        assert_eq!(dropped, [sample_key()]);
-        assert!(store.discard(|_| true).0.is_empty());
+        assert_eq!(store.discard(|_| true), [sample_key()]);
+        assert!(store.discard(|_| true).is_empty());
         assert!(store.is_empty());
         let reopened = SpillStore::open(SpillConfig::new(&dir)).unwrap();
         assert!(reopened.is_empty(), "the discard reached spill.idx");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The file system with a `remove` that always fails.
-    #[derive(Debug)]
-    struct NoRemoveIo;
+    /// A discard's tombstone retires the records before it, not after: a
+    /// scavenge leaves the discarded key out until it is written again.
+    #[test]
+    fn a_discarded_record_cannot_be_scavenged_back() {
+        let dir = tmpdir("discard");
+        let (ka, kb) = (sample_key(), ChunkKey::new(GroupById(1), 1));
+        let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
+        store
+            .write(ka, ORIGIN_BACKEND, 3.0, &sample_chunk())
+            .unwrap();
+        store
+            .write(kb, ORIGIN_BACKEND, 3.0, &sample_chunk())
+            .unwrap();
+        assert_eq!(store.discard(|key| key == ka), [ka]);
+        store.scavenge_index(&mut SpillMetrics::default());
+        assert_eq!(store.keys(), [kb], "the stale record was re-indexed");
+        store
+            .write(ka, ORIGIN_COMPUTED, 5.0, &sample_chunk())
+            .unwrap();
+        let mut delta = SpillMetrics::default();
+        store.scavenge_index(&mut delta);
+        assert_eq!(store.keys(), [kb, ka]);
+        assert_eq!(store.read(ka).unwrap().unwrap().origin, ORIGIN_COMPUTED);
+        assert_eq!(delta.spill_corrupt, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-    impl SpillIo for NoRemoveIo {
+    /// The file system, except that no tombstone ever lands.
+    #[derive(Debug)]
+    struct NoTombstoneIo;
+
+    impl SpillIo for NoTombstoneIo {
         fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), SpillError> {
             FsSpillIo.write(path, bytes)
         }
         fn read(&self, path: &Path) -> Result<Vec<u8>, SpillError> {
             FsSpillIo.read(path)
         }
-        fn remove(&self, _: &Path) -> Result<(), SpillError> {
-            Err(SpillError::Io {
-                op: "remove",
-                error: "injected".into(),
-            })
+        fn append(&self, path: &Path, bytes: &[u8]) -> Result<u64, SpillError> {
+            FsSpillIo.append(path, bytes)
         }
-        fn rename(&self, from: &Path, to: &Path) -> Result<(), SpillError> {
-            FsSpillIo.rename(from, to)
+        fn read_at(&self, path: &Path, offset: u64, len: usize) -> Result<Vec<u8>, SpillError> {
+            FsSpillIo.read_at(path, offset, len)
+        }
+        fn append_tombstone(&self, _: &Path, _: &[u8]) -> Result<u64, SpillError> {
+            Err(SpillError::NoSpace)
+        }
+        fn remove(&self, path: &Path) -> Result<(), SpillError> {
+            FsSpillIo.remove(path)
         }
         fn create_dir_all(&self, dir: &Path) -> Result<(), SpillError> {
             FsSpillIo.create_dir_all(dir)
         }
-        fn list_files(&self, dir: &Path, extension: &str) -> Result<Vec<PathBuf>, SpillError> {
-            FsSpillIo.list_files(dir, extension)
+        fn list_files(&self, dir: &Path, ext: &str) -> Result<Vec<(PathBuf, u64)>, SpillError> {
+            FsSpillIo.list_files(dir, ext)
         }
     }
 
+    /// A tombstone that does not land is made up for by a compaction: the
+    /// retired record leaves the disk with the old segments, so a scavenge
+    /// cannot bring it back — after a discard and a quarantine alike.
     #[test]
-    fn a_removed_record_cannot_be_scavenged_back_when_the_delete_fails() {
-        let dir = tmpdir("rm-fails");
+    fn a_retired_record_cannot_be_scavenged_back_when_its_tombstone_fails() {
+        let dir = tmpdir("no-tombstone");
+        let keys: Vec<ChunkKey> = (0..3).map(|c| ChunkKey::new(GroupById(1), c)).collect();
         let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
-        store
-            .write(sample_key(), ORIGIN_BACKEND, 3.0, &sample_chunk())
-            .unwrap();
-        store.io = Box::new(NoRemoveIo);
-        let (dropped, _) = store.discard(|_| true);
-        assert_eq!(dropped, [sample_key()]);
-        assert!(!store.contains(sample_key()));
+        for &key in &keys {
+            store
+                .write(key, ORIGIN_BACKEND, 3.0, &sample_chunk())
+                .unwrap();
+        }
+        store.io = Box::new(NoTombstoneIo);
+        assert_eq!(store.discard(|key| key == keys[0]), [keys[0]]);
+        // What a bit flip in transit leaves: a quarantined, intact record.
+        let mut delta = SpillMetrics::default();
+        store.quarantine(keys[1], &mut delta);
+        assert_eq!(delta.spill_quarantined, 1);
+        assert_eq!(segment_bytes(&dir), store.bytes_on_disk(), "compacted");
         store.scavenge_index(&mut SpillMetrics::default());
-        assert!(
-            !store.contains(sample_key()),
-            "the stale record was re-indexed"
-        );
+        assert_eq!(store.keys(), [keys[2]], "a retired record was re-indexed");
+        assert_eq!(store.read(keys[2]).unwrap().unwrap().data, sample_chunk());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Sealing a segment reclaims dead bytes with no checkpoint: a live
+    /// set demoted over and over keeps the segments within twice its size
+    /// plus the segment being filled, and reads back bit-identical.
+    #[test]
+    fn sealing_a_segment_keeps_the_segments_near_the_live_bytes() {
+        let dir = tmpdir("bounded");
+        let mut data = ChunkData::new(2);
+        for x in 0..16_384u32 {
+            data.push(&[x, x / 7], f64::from(x) * 0.5);
+        }
+        let keys: Vec<ChunkKey> = (0..20).map(|c| ChunkKey::new(GroupById(1), c)).collect();
+        let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
+        let mut written = 0;
+        for round in 0..6 {
+            for &key in &keys {
+                let len = store
+                    .write(key, ORIGIN_BACKEND, f64::from(round), &data)
+                    .unwrap();
+                written += len;
+                let bound = 2 * store.bytes_on_disk() + SEGMENT_BYTES + len;
+                assert!(segment_bytes(&dir) <= bound, "round {round}, {key:?}");
+            }
+        }
+        let bound = 2 * store.bytes_on_disk() + SEGMENT_BYTES;
+        assert!(written > bound, "enough writes to outgrow it uncompacted");
+        for &key in &keys {
+            let record = store.read(key).unwrap().unwrap();
+            assert_eq!(
+                encode_record(record.key, record.origin, record.benefit, &record.data),
+                encode_record(key, ORIGIN_BACKEND, 5.0, &data)
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1231,13 +1415,16 @@ mod tests {
         let store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
         assert_eq!(store.len(), 3);
         assert_eq!(store.resident_count(), 2);
-        let resident = store.resident_entries();
-        let keys: Vec<ChunkKey> = resident.iter().map(|&(k, ..)| k).collect();
-        assert_eq!(keys, vec![ka, kb], "ascending packed-key order");
-        assert_eq!(resident[0].1, ORIGIN_BACKEND);
-        assert_eq!(resident[1].2.to_bits(), 4.0f64.to_bits());
+        assert_eq!(
+            store.resident_keys(),
+            [ka, kb],
+            "ascending packed-key order"
+        );
         let rec = store.read(ka).unwrap().unwrap();
         assert_eq!(rec.data.raw_coords(), a.raw_coords());
+        assert_eq!(rec.origin, ORIGIN_BACKEND);
+        let rec = store.read(kb).unwrap().unwrap();
+        assert_eq!(rec.benefit.to_bits(), 4.0f64.to_bits());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1304,9 +1491,6 @@ mod tests {
         store.quarantine(sample_key(), &mut delta);
         assert_eq!(delta.spill_quarantined, 1);
         assert!(!store.contains(sample_key()));
-        assert!(dir
-            .join(format!("{:016x}.corrupt", sample_key().pack()))
-            .exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1355,9 +1539,8 @@ mod tests {
             assert_eq!(stats.spill_writes, 1, "second record still lands");
         }
         let store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
-        let resident = store.resident_entries();
-        assert_eq!(resident.len(), 1, "only the salvaged record warm-starts");
-        assert_eq!(resident[0].0, kb);
+        let resident = store.resident_keys();
+        assert_eq!(resident, [kb], "only the salvaged record warm-starts");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1385,7 +1568,7 @@ mod tests {
         let (store, opened) = SpillStore::open_metered(SpillConfig::new(&dir)).unwrap();
         assert_eq!(opened.index_rebuilds, 1, "scavenge must run");
         assert_eq!(opened.spill_quarantined, 0);
-        assert_eq!(store.len(), 2, "data files fully recovered");
+        assert_eq!(store.len(), 2, "segments fully recovered");
         assert_eq!(store.resident_count(), 0, "residency is not reconstructed");
         // The scavenge persisted a fresh index: the next open is clean.
         let (store, opened) = SpillStore::open_metered(SpillConfig::new(&dir)).unwrap();
@@ -1394,29 +1577,147 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The scan behind a lost index: the last record of a key wins, and
+    /// each damaged span — a corrupt record, a torn tail — counts once
+    /// and is skipped to the next record.
     #[test]
-    fn scavenge_quarantines_damaged_and_misnamed_files() {
+    fn scavenge_lets_the_last_record_win_and_skips_damage() {
         let dir = tmpdir("scavbad");
-        let ka = ChunkKey::new(GroupById(1), 5);
+        let (ka, kb, kc) = (
+            ChunkKey::new(GroupById(1), 5),
+            ChunkKey::new(GroupById(1), 6),
+            ChunkKey::new(GroupById(1), 7),
+        );
+        let mut newer = sample_chunk();
+        newer.push(&[9, 9], 9.0);
         {
             let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
-            store
-                .write(ka, ORIGIN_BACKEND, 2.0, &sample_chunk())
-                .unwrap();
+            for (key, origin, data) in [
+                (ka, ORIGIN_BACKEND, &sample_chunk()),
+                (kb, ORIGIN_BACKEND, &sample_chunk()),
+                (ka, ORIGIN_COMPUTED, &newer),
+                (kc, ORIGIN_BACKEND, &sample_chunk()),
+            ] {
+                store.write(key, origin, 2.0, data).unwrap();
+            }
+            flip_record_byte(&store, kb);
+            // What a torn append leaves at the tail.
+            let _ = FsSpillIo.append(&store.segment_path(0), b"ACSPgarbage");
         }
-        // A valid record parked under the wrong key's file name.
-        let good = dir.join(format!("{:016x}.chunk", ka.pack()));
-        std::fs::copy(&good, dir.join("00000000000000ff.chunk")).unwrap();
-        // A flat-out corrupt file.
-        std::fs::write(dir.join("00000000000000aa.chunk"), b"garbage").unwrap();
         // No index at all: open must scavenge.
-        let _ = std::fs::remove_file(dir.join("spill.idx"));
         let (store, opened) = SpillStore::open_metered(SpillConfig::new(&dir)).unwrap();
         assert_eq!(opened.index_rebuilds, 1, "scavenge must run");
         assert_eq!(opened.spill_corrupt, 2);
         assert_eq!(opened.spill_quarantined, 2);
-        assert!(store.contains(ka));
-        assert_eq!(store.len(), 1);
+        assert_eq!(store.keys(), [ka, kc]);
+        let record = store.read(ka).unwrap().unwrap();
+        assert_eq!((record.origin, record.data), (ORIGIN_COMPUTED, newer));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A crash mid-append leaves a torn record at the active segment's
+    /// end. Reopened, every earlier record is served, the cut one is
+    /// quarantined as corruption (not an `Io` error), and the next
+    /// demotion lands after the segment's real end and reads back bit for
+    /// bit.
+    #[test]
+    fn a_torn_tail_is_harmless() {
+        let dir = tmpdir("torntail");
+        let keys: Vec<ChunkKey> = (0..3).map(|c| ChunkKey::new(GroupById(1), c)).collect();
+        let cut = {
+            let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
+            for &key in &keys {
+                store
+                    .write(key, ORIGIN_BACKEND, 1.0, &sample_chunk())
+                    .unwrap();
+            }
+            store.checkpoint(std::iter::empty()).unwrap();
+            let last = store.index[&keys[2].pack()];
+            last.offset + u64::from(last.bytes) / 2
+        };
+        let segment = std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join("00000000.seg"))
+            .unwrap();
+        segment.set_len(cut).unwrap();
+        let (mut store, opened) = SpillStore::open_metered(SpillConfig::new(&dir)).unwrap();
+        assert_eq!(opened, SpillMetrics::default(), "the index is intact");
+        let mut delta = SpillMetrics::default();
+        for &key in &keys[..2] {
+            let record = store.read_checked(key, None, &mut delta).unwrap().unwrap();
+            assert_eq!(record.data, sample_chunk());
+        }
+        let err = store.read_checked(keys[2], None, &mut delta).unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        assert_eq!((delta.spill_corrupt, delta.spill_quarantined), (1, 1));
+        assert!(!store.contains(keys[2]));
+        let mut data = ChunkData::new(2);
+        data.push(&[4, 4], 0.25);
+        let key = ChunkKey::new(GroupById(2), 9);
+        store.write(key, ORIGIN_COMPUTED, 3.0, &data).unwrap();
+        // The quarantine's tombstone went first, at the segment's real end.
+        let tombstone = encode_tombstone(keys[2]).len() as u64;
+        assert_eq!(store.index[&key.pack()].offset, cut + tombstone);
+        let record = store.read(key).unwrap().unwrap();
+        assert_eq!(
+            encode_record(record.key, record.origin, record.benefit, &record.data),
+            encode_record(key, ORIGIN_COMPUTED, 3.0, &data)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint over segments whose dead bytes outweigh their live
+    /// ones compacts them: the segments shrink to the live records, each
+    /// reads back bit-identical, and a discarded key stays gone after a
+    /// later index loss.
+    #[test]
+    fn checkpoint_compacts_once_dead_bytes_outweigh_live_ones() {
+        let dir = tmpdir("compact");
+        let keys: Vec<ChunkKey> = (0..4).map(|c| ChunkKey::new(GroupById(1), c)).collect();
+        let data = |c: u64| {
+            let mut d = ChunkData::new(2);
+            for x in 0..=c as u32 {
+                d.push(&[x, 1], f64::from(x) + 0.5);
+            }
+            d
+        };
+        let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
+        for benefit in [0.0, 1.0, 2.0] {
+            for &key in &keys {
+                store
+                    .write(key, ORIGIN_BACKEND, benefit, &data(key.chunk))
+                    .unwrap();
+            }
+        }
+        assert_eq!(store.discard(|key| key == keys[0]), [keys[0]]);
+        let live = store.bytes_on_disk();
+        assert!(
+            segment_bytes(&dir) > 2 * live,
+            "dead bytes outweigh live ones"
+        );
+        let written = store.checkpoint(std::iter::empty()).unwrap();
+        assert_eq!(
+            written,
+            SpillMetrics::default(),
+            "compaction charges nothing"
+        );
+        assert_eq!(segment_bytes(&dir), live, "only the live records remain");
+        assert!(
+            !dir.join("00000000.seg").exists(),
+            "the old segment is gone"
+        );
+        for &key in &keys[1..] {
+            let record = store.read(key).unwrap().unwrap();
+            assert_eq!(
+                encode_record(record.key, record.origin, record.benefit, &record.data),
+                encode_record(key, ORIGIN_BACKEND, 2.0, &data(key.chunk))
+            );
+        }
+        drop(store);
+        std::fs::remove_file(dir.join(INDEX_FILE)).unwrap();
+        let (store, opened) = SpillStore::open_metered(SpillConfig::new(&dir)).unwrap();
+        assert_eq!((opened.index_rebuilds, opened.spill_corrupt), (1, 0));
+        assert_eq!(store.keys(), keys[1..], "the discarded key stays gone");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1433,10 +1734,7 @@ mod tests {
             .write(kb, ORIGIN_COMPUTED, 4.0, &sample_chunk())
             .unwrap();
         // Corrupt one record behind the store's back.
-        let victim = dir.join(format!("{:016x}.chunk", ka.pack()));
-        let mut bytes = std::fs::read(&victim).unwrap();
-        bytes[SPILL_HEADER_BYTES + 6] ^= 0x40;
-        std::fs::write(&victim, &bytes).unwrap();
+        flip_record_byte(&store, ka);
         let pass = store.scrub();
         assert_eq!(pass.scrub_passes, 1);
         assert_eq!(pass.spill_corrupt, 1);
@@ -1469,8 +1767,8 @@ mod tests {
         let mut retried = 0u64;
         for _ in 0..20 {
             let mut delta = SpillMetrics::default();
-            let (rec, _) = store
-                .read_charged(sample_key(), None, &mut delta)
+            let rec = store
+                .read_checked(sample_key(), None, &mut delta)
                 .unwrap()
                 .unwrap();
             assert_eq!(rec.data.raw_coords(), data.raw_coords());
@@ -1527,48 +1825,6 @@ mod tests {
         }
         let _ = std::fs::remove_dir_all(&plain_dir);
         let _ = std::fs::remove_dir_all(&faulty_dir);
-    }
-
-    #[test]
-    fn corrupt_backlog_is_capped() {
-        fn corrupt_names(dir: &Path) -> Vec<String> {
-            let mut names: Vec<String> = std::fs::read_dir(dir)
-                .unwrap()
-                .map(|e| e.unwrap().file_name().into_string().unwrap())
-                .filter(|n| n.ends_with(".corrupt"))
-                .collect();
-            names.sort();
-            names
-        }
-        let dir = tmpdir("corruptcap");
-        let cap = DEFAULT_MAX_CORRUPT_FILES as u64;
-        let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
-        let d = sample_chunk();
-        let mut delta = SpillMetrics::default();
-        for i in 0..cap + 3 {
-            let key = ChunkKey::new(GroupById(2), i);
-            store.write(key, ORIGIN_BACKEND, 1.0, &d).unwrap();
-            store.quarantine(key, &mut delta);
-        }
-        assert_eq!(delta.spill_quarantined, cap + 3);
-        // Only the cap's worth of tombstones survive; the excess was
-        // purged in ascending file-name order (oldest keys first).
-        let kept = corrupt_names(&dir);
-        assert_eq!(kept.len() as u64, cap);
-        assert_eq!(
-            kept[0],
-            format!("{:016x}.corrupt", ChunkKey::new(GroupById(2), 3).pack())
-        );
-        assert_eq!(delta.corrupt_purged, 3);
-        drop(store);
-        // Reopening clears the backlog a previous session left behind.
-        for i in 0..2u64 {
-            std::fs::write(dir.join(format!("{i:016x}.corrupt")), b"junk").unwrap();
-        }
-        let (_, opened) = SpillStore::open_metered(SpillConfig::new(&dir)).unwrap();
-        assert_eq!(corrupt_names(&dir).len() as u64, cap);
-        assert_eq!(opened.corrupt_purged, 2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -10,8 +10,9 @@ use proptest::prelude::*;
 // Our `Strategy` enum collides with proptest's trait of the same name
 // under the two glob imports; re-import both under unambiguous names.
 use aggcache::prelude::Strategy;
+use aggcache::store::{SPILL_FORMAT_VERSION, SPILL_HEADER_BYTES};
 use proptest::strategy::Strategy as PropStrategy;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A process- and call-unique scratch directory (removed by each test).
@@ -24,6 +25,20 @@ fn tmpdir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The segment files under `dir`, in log order.
+fn segments(dir: &Path) -> Vec<PathBuf> {
+    let listed = FsSpillIo.list_files(dir, "seg").unwrap();
+    listed.into_iter().map(|(path, _)| path).collect()
+}
+
+/// The length of the record whose header opens `bytes`: header, two
+/// length prefixes and the checksum, then `n_cells × (n_dims × 4 + 8)`.
+fn record_len(bytes: &[u8]) -> usize {
+    let n_dims = u16::from_le_bytes([bytes[18], bytes[19]]) as usize;
+    let n_cells = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
+    SPILL_HEADER_BYTES + 16 + n_cells * (n_dims * 4 + 8)
 }
 
 fn assert_records_equal(a: &SpillRecord, b: &SpillRecord) {
@@ -106,8 +121,8 @@ proptest! {
 }
 
 /// Every chunk a paper query stream spills — under each of the five
-/// lookup strategies, over a random small grid — round-trips through the
-/// on-disk file bit-identically (the file re-encodes to its own bytes).
+/// lookup strategies, over a random small grid — round-trips through its
+/// segment bit-identically (each record re-encodes to its own bytes).
 #[test]
 fn every_spilled_chunk_round_trips_under_all_strategies() {
     let strategies = [
@@ -148,21 +163,25 @@ fn every_spilled_chunk_round_trips_under_all_strategies() {
         mgr.checkpoint().unwrap();
         let store = mgr.spill_store().unwrap();
         assert!(!store.is_empty(), "strategy {i}: nothing was spilled");
-        // Decode every chunk file straight off the disk and re-encode:
+        // Decode every record straight off the segments and re-encode:
         // the bytes must reproduce exactly.
-        let mut files = 0;
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path.extension().and_then(|e| e.to_str()) != Some("chunk") {
-                continue;
-            }
-            files += 1;
+        let mut records = 0;
+        for path in segments(&dir) {
             let bytes = std::fs::read(&path).unwrap();
-            let rec = decode_record(&bytes).unwrap();
-            let re = encode_record(rec.key, rec.origin, rec.benefit, &rec.data);
-            assert_eq!(re, bytes, "strategy {i}: {} drifted", path.display());
+            let mut at = 0;
+            while at < bytes.len() {
+                let len = record_len(&bytes[at..]);
+                let rec = decode_record(&bytes[at..at + len]).unwrap();
+                let re = encode_record(rec.key, rec.origin, rec.benefit, &rec.data);
+                assert_eq!(re, &bytes[at..at + len], "strategy {i}: a record drifted");
+                records += 1;
+                at += len;
+            }
         }
-        assert_eq!(files, store.len(), "index and directory disagree");
+        assert!(records >= store.len(), "the index names missing records");
+        for key in store.keys() {
+            assert!(store.read(key).unwrap().is_some(), "strategy {i}: {key:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -338,7 +357,8 @@ fn format_md_golden_record_matches_implementation() {
 }
 
 /// Same for the index file: a store checkpointed with exactly the worked
-/// example produces the spec's `spill.idx` bytes.
+/// example produces the spec's `spill.idx` bytes, and its one segment
+/// holds exactly the worked-example record.
 #[test]
 fn format_md_golden_index_matches_implementation() {
     let (key, origin, benefit, data) = golden_fixture();
@@ -348,12 +368,109 @@ fn format_md_golden_index_matches_implementation() {
         .checkpoint([(key, origin, benefit, &data)].into_iter())
         .unwrap();
     let bytes = std::fs::read(dir.join("spill.idx")).unwrap();
+    let segment = std::fs::read(dir.join("00000000.seg")).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
     let want = to_hex(&bytes);
+    let doc = format_md();
     assert_eq!(
-        golden_hex(&format_md(), "INDEX"),
+        golden_hex(&doc, "INDEX"),
         want,
         "docs/FORMAT.md index fixture drifted from the implementation;\n\
          the bytes this build writes are:\n{want}"
     );
+    assert_eq!(golden_hex(&doc, "RECORD"), to_hex(&segment));
+}
+
+/// And for the tombstone a discard appends: after the worked-example
+/// record, the segment holds exactly the spec's tombstone bytes.
+#[test]
+fn format_md_golden_tombstone_matches_implementation() {
+    let (key, origin, benefit, data) = golden_fixture();
+    let dir = tmpdir("golden-tomb");
+    let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
+    store.write(key, origin, benefit, &data).unwrap();
+    assert_eq!(store.discard(|_| true), [key]);
+    let segment = std::fs::read(dir.join("00000000.seg")).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let want = to_hex(&segment[96..]);
+    assert_eq!(
+        golden_hex(&format_md(), "TOMBSTONE"),
+        want,
+        "docs/FORMAT.md tombstone fixture drifted from the implementation;\n\
+         the bytes this build writes are:\n{want}"
+    );
+}
+
+/// `spill.idx` bytes laid out per `docs/FORMAT.md`, with a valid
+/// checksum: each entry is `(key, segment, offset, bytes)`, resident.
+fn index_bytes(entries: &[(ChunkKey, u32, u64, u32)]) -> Vec<u8> {
+    let mut out = b"ACSI".to_vec();
+    out.extend_from_slice(&SPILL_FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&[0, 0]);
+    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for &(key, segment, offset, bytes) in entries {
+        out.extend_from_slice(&key.pack().to_le_bytes());
+        out.extend_from_slice(&offset.to_le_bytes());
+        out.extend_from_slice(&segment.to_le_bytes());
+        out.extend_from_slice(&bytes.to_le_bytes());
+        out.extend_from_slice(&[1, 0, 0, 0]);
+    }
+    let checksum = spill_checksum(&out);
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+/// Index entries that carry a valid checksum but name no record — past
+/// their segment's end, in a missing segment, `u32::MAX` bytes long —
+/// read as corruption and are quarantined; the length is checked against
+/// the segment before anything is allocated. Opening never panics, even
+/// over an index claiming `u32::MAX` entries.
+#[test]
+fn hostile_index_entries_read_as_corruption() {
+    let dir = tmpdir("hostile");
+    let (key, origin, benefit, data) = golden_fixture();
+    let len = {
+        let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
+        store.write(key, origin, benefit, &data).unwrap() as u32
+    };
+    let at = |chunk| ChunkKey::new(GroupById(3), chunk);
+    let hostile = [
+        (at(1), 0, 1, len),             // one byte past the segment's end
+        (at(2), 0, u64::from(len), 48), // wholly past it
+        (at(3), 7, 0, len),             // segment 7 does not exist
+        (at(4), 0, 0, u32::MAX),        // 4 GiB from a 96-byte segment
+        (at(5), 0, u64::MAX, 48),       // offset + bytes overflows
+    ];
+    let mut entries = vec![(key, 0, 0, len)];
+    entries.extend(hostile);
+    std::fs::write(dir.join("spill.idx"), index_bytes(&entries)).unwrap();
+    let (mut store, opened) = SpillStore::open_metered(SpillConfig::new(&dir)).unwrap();
+    assert_eq!(opened, SpillMetrics::default(), "the index itself is valid");
+    assert_eq!(store.resident_count(), entries.len());
+    for (hostile_key, ..) in hostile {
+        let mut delta = SpillMetrics::default();
+        let err = store
+            .read_checked(hostile_key, None, &mut delta)
+            .unwrap_err();
+        assert!(err.is_corruption(), "{hostile_key:?}: {err}");
+        assert_eq!((delta.spill_corrupt, delta.spill_quarantined), (1, 1));
+    }
+    assert_eq!(store.keys(), [key], "every hostile entry was quarantined");
+    assert!(
+        store.read(key).unwrap().is_some(),
+        "the honest entry still reads"
+    );
+    drop(store);
+
+    // An index claiming u32::MAX entries is refused, not allocated for.
+    let mut lying = index_bytes(&entries);
+    lying[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+    let body = lying.len() - 8;
+    let checksum = spill_checksum(&lying[..body]);
+    lying[body..].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(dir.join("spill.idx"), lying).unwrap();
+    let (store, opened) = SpillStore::open_metered(SpillConfig::new(&dir)).unwrap();
+    assert_eq!(opened.index_rebuilds, 1);
+    assert_eq!(store.keys(), [key]);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -223,15 +223,16 @@ fn warm_restart_after_corrupted_checkpoint_stays_consistent() {
             "need several records to corrupt one"
         );
     }
-    // Corrupt one checkpointed chunk file in place (index stays intact).
-    let victim = std::fs::read_dir(&dir)
+    // Corrupt the last checkpointed record in place (index stays intact):
+    // the checkpoint appended it last, so it ends the newest segment.
+    let (victim, _) = FsSpillIo
+        .list_files(&dir, "seg")
         .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| p.extension().and_then(|e| e.to_str()) == Some("chunk"))
-        .expect("checkpoint wrote chunk files");
+        .pop()
+        .expect("checkpoint wrote a segment");
     let mut bytes = std::fs::read(&victim).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
+    let at = bytes.len() - 20;
+    bytes[at] ^= 0x40;
     std::fs::write(&victim, &bytes).unwrap();
 
     let mut warm = CacheManager::builder()
