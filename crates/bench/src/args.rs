@@ -11,6 +11,8 @@ pub struct Args {
     given: HashMap<String, Option<String>>,
     /// Tokens that are neither a `--key` nor a key's value.
     strays: Vec<String>,
+    /// The first `--key` given more than once.
+    repeated: Option<String>,
     /// Every key the binary has asked for — what [`Args::finish`] checks
     /// the parsed keys against.
     asked: RefCell<BTreeSet<String>>,
@@ -38,7 +40,9 @@ impl Args {
             match arg.strip_prefix("--") {
                 Some(key) => {
                     let value = argv.next_if(|next| !next.starts_with("--"));
-                    args.given.insert(key.to_string(), value);
+                    if args.given.insert(key.to_string(), value).is_some() {
+                        args.repeated.get_or_insert_with(|| key.to_string());
+                    }
                 }
                 None => args.strays.push(arg),
             }
@@ -47,11 +51,11 @@ impl Args {
     }
 
     /// Ends argument reading: a token on the command line that is neither
-    /// a `--key` nor a key's value, or a `--key` that the binary never
-    /// asked for (through [`Args::get`], [`Args::value`] or
-    /// [`Args::flag`]), is a usage error — the process names it and
-    /// exits with code 2 instead of running the experiment without it.
-    /// Call once, after the last read and before any work.
+    /// a `--key` nor a key's value, a `--key` given twice, or a `--key`
+    /// that the binary never asked for (through [`Args::get`],
+    /// [`Args::value`] or `Args::flag`), is a usage error — the process
+    /// names it and exits with code 2 instead of running the experiment
+    /// without it. Call once, after the last read and before any work.
     pub fn finish(&self) {
         or_exit(self.try_finish());
     }
@@ -60,6 +64,9 @@ impl Args {
     fn try_finish(&self) -> Result<(), String> {
         if let Some(stray) = self.strays.first() {
             return Err(format!("unexpected argument `{stray}`"));
+        }
+        if let Some(key) = &self.repeated {
+            return Err(format!("flag `--{key}` given more than once"));
         }
         let asked = self.asked.borrow();
         // The smallest, so the message does not depend on hash order.
@@ -114,7 +121,7 @@ impl Args {
 
     /// Whether a bare flag was passed. A flag given a value
     /// (`--smoke 20000`) is a usage error (exit code 2).
-    pub fn flag(&self, key: &str) -> bool {
+    pub(crate) fn flag(&self, key: &str) -> bool {
         or_exit(self.try_flag(key))
     }
 
@@ -184,6 +191,19 @@ mod tests {
         let a = args(&["--threads", "4"]);
         let _ = (a.get("tuples", 1u64), a.get("seed", 1u64));
         assert_eq!(a.try_finish(), Err("unknown flag `--threads`".into()));
+    }
+
+    #[test]
+    fn a_repeated_flag_is_a_usage_error_not_overwritten() {
+        // `--tuples 20000 --tuples 1000000` must not run at 1M silently.
+        let a = args(&["--tuples", "20000", "--seed", "3", "--tuples", "1000000"]);
+        let _ = (a.get("tuples", 1u64), a.get("seed", 1u64));
+        let err = a.try_finish().unwrap_err();
+        assert_eq!(err, "flag `--tuples` given more than once");
+        // A bare flag twice, too.
+        let a = args(&["--smoke", "--smoke"]);
+        let _ = a.flag("smoke");
+        assert!(a.try_finish().unwrap_err().contains("--smoke"));
     }
 
     #[test]

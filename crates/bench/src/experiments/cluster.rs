@@ -84,64 +84,64 @@ pub const SWEEP: Sweep<Opts, ClusterResults> = Sweep {
 };
 
 /// The node counts swept.
-pub const NODE_COUNTS: [usize; 4] = [1, 2, 4, 8];
+pub(crate) const NODE_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The replication factors swept.
-pub const REPLICATIONS: [usize; 2] = [1, 2];
+pub(crate) const REPLICATIONS: [usize; 2] = [1, 2];
 
 /// The per-batch failure rates swept (probability that a churn step
 /// kills one live node).
-pub const FAILURE_RATES: [f64; 2] = [0.0, 0.2];
+pub(crate) const FAILURE_RATES: [f64; 2] = [0.0, 0.2];
 
 /// Per-node outcome of one cell.
 #[derive(Debug, Clone, Copy)]
-pub struct NodeOutcome {
+pub(crate) struct NodeOutcome {
     /// Node id.
-    pub node: u32,
+    pub(crate) node: u32,
     /// Queries (sub-queries included) the node executed.
-    pub queries: u64,
+    pub(crate) queries: u64,
     /// Chunks resident at the end of the run.
-    pub resident_chunks: usize,
+    pub(crate) resident_chunks: usize,
     /// Accounting bytes used at the end of the run.
-    pub used_bytes: usize,
+    pub(crate) used_bytes: usize,
     /// Peer serves, cooperative fills and churn kills attributed to the
     /// node.
-    pub traffic: NodeTraffic,
+    pub(crate) traffic: NodeTraffic,
 }
 
 /// Outcome of one (nodes, replication, failure rate) cell.
 #[derive(Debug, Clone)]
-pub struct CellResult {
+pub(crate) struct CellResult {
     /// Nodes in the cell.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Replication factor.
-    pub replication: usize,
+    pub(crate) replication: usize,
     /// Per-batch kill probability.
-    pub failure_rate: f64,
+    pub(crate) failure_rate: f64,
     /// Fraction of queries answered entirely from the cache tier
     /// (locally or by a peer).
-    pub hit_ratio: f64,
+    pub(crate) hit_ratio: f64,
     /// Fraction of chunk demands served without a backend fetch.
-    pub chunk_hit_ratio: f64,
+    pub(crate) chunk_hit_ratio: f64,
     /// Mean end-to-end virtual *latency* in milliseconds: node groups
     /// fan out in parallel, so this is the per-query critical path.
-    pub avg_virtual_ms: f64,
+    pub(crate) avg_virtual_ms: f64,
     /// p95 end-to-end virtual latency (critical path) in milliseconds.
-    pub p95_virtual_ms: f64,
+    pub(crate) p95_virtual_ms: f64,
     /// Mean virtual *work* per query in milliseconds: every node group's
     /// local total plus remote costs, summed.
-    pub avg_work_ms: f64,
+    pub(crate) avg_work_ms: f64,
     /// Chunks served by peers instead of the backend.
-    pub remote_chunks: u64,
+    pub(crate) remote_chunks: u64,
     /// Payload bytes shipped between nodes (serves, replication and
     /// rebalance handoffs).
-    pub bytes_on_wire: u64,
+    pub(crate) bytes_on_wire: u64,
     /// Virtual milliseconds charged by the message-cost model.
-    pub remote_virtual_ms: f64,
+    pub(crate) remote_virtual_ms: f64,
     /// Nodes killed by the churn schedule.
-    pub kills: u64,
+    pub(crate) kills: u64,
     /// Per-node breakdown, ordered by node id.
-    pub per_node: Vec<NodeOutcome>,
+    pub(crate) per_node: Vec<NodeOutcome>,
 }
 
 /// One churn step between batches: revive-and-rebalance any dead node,
@@ -175,7 +175,7 @@ fn churn_step(
 /// rate) cluster. Deterministic for fixed opts: the workload, ring and
 /// churn schedule are all seeded, and every reported number is
 /// virtual-time, so two runs produce bit-identical cells.
-pub fn run_cell(
+pub(crate) fn run_cell(
     dataset: &Dataset,
     opts: Opts,
     nodes: usize,
@@ -252,11 +252,11 @@ pub fn run_cell(
 /// Results of the full sweep.
 pub struct ClusterResults {
     /// The swept cells, in (nodes, replication, failure rate) order.
-    pub cells: Vec<CellResult>,
+    pub(crate) cells: Vec<CellResult>,
 }
 
-/// Runs the sweep over [`NODE_COUNTS`] × [`REPLICATIONS`] ×
-/// [`FAILURE_RATES`].
+/// Runs the sweep over `NODE_COUNTS` × `REPLICATIONS` ×
+/// `FAILURE_RATES`.
 pub fn run_experiment(opts: Opts) -> ClusterResults {
     let dataset = apb_dataset(opts.tuples, opts.seed);
     let mut cells = Vec::new();
@@ -320,7 +320,7 @@ pub fn render(r: &ClusterResults) -> String {
 
 /// Serializes the sweep as one JSON document. Virtual-time numbers only,
 /// so the document is bit-identical across runs.
-pub fn to_json(opts: Opts, r: &ClusterResults) -> String {
+pub(crate) fn to_json(opts: Opts, r: &ClusterResults) -> String {
     let mut out = String::with_capacity(1 << 14);
     JsonObject::open(&mut out)
         .field("experiment", "fig_cluster")
@@ -355,7 +355,7 @@ pub fn to_json(opts: Opts, r: &ClusterResults) -> String {
 }
 
 /// Serializes the per-node breakdown of every cell as CSV.
-pub fn to_csv(r: &ClusterResults) -> String {
+pub(crate) fn to_csv(r: &ClusterResults) -> String {
     let mut out = String::from(
         "nodes,replication,failure_rate,node,queries,resident_chunks,\
          used_bytes,serves_out,remote_chunks_in,downs\n",

@@ -44,7 +44,7 @@ pub struct Opts {
     /// Workload seed (one stream; the measurement segment continues it).
     pub workload_seed: u64,
     /// Base cache budget in accounting bytes; the sweep also runs every
-    /// mode at [`BUDGET_SCALES`] multiples of it.
+    /// mode at `BUDGET_SCALES` multiples of it.
     pub cache_bytes: usize,
     /// Queries per measurement batch (the hit-ratio sampling window).
     pub batch: usize,
@@ -116,44 +116,44 @@ pub const SWEEP: Sweep<Opts, ColdstartResults> = Sweep {
 };
 
 /// Cache-budget multiples swept for every mode.
-pub const BUDGET_SCALES: [usize; 2] = [1, 3];
+pub(crate) const BUDGET_SCALES: [usize; 2] = [1, 3];
 
 /// Outcome of one (warm, cache budget) cell.
 #[derive(Debug, Clone)]
-pub struct CellResult {
+pub(crate) struct CellResult {
     /// Whether the restart warm-started from the spill checkpoint.
-    pub warm: bool,
+    pub(crate) warm: bool,
     /// Cache budget in accounting bytes.
-    pub cache_bytes: usize,
+    pub(crate) cache_bytes: usize,
     /// Chunks the warm start re-admitted (0 when cold).
-    pub warm_start_chunks: u64,
+    pub(crate) warm_start_chunks: u64,
     /// Serialized bytes the warm start read (0 when cold).
-    pub warm_start_bytes: u64,
+    pub(crate) warm_start_bytes: u64,
     /// Virtual milliseconds the warm start charged (0 when cold).
-    pub warm_start_virtual_ms: f64,
+    pub(crate) warm_start_virtual_ms: f64,
     /// Per-batch complete-hit ratios over the measurement segment.
-    pub batch_hit: Vec<f64>,
+    pub(crate) batch_hit: Vec<f64>,
     /// Whether any batch reached [`Opts::target`].
-    pub reached_target: bool,
+    pub(crate) reached_target: bool,
     /// Measurement queries executed up to and including the first batch
     /// that reached the target (the whole segment when never reached).
-    pub queries_to_target: usize,
+    pub(crate) queries_to_target: usize,
     /// Complete-hit ratio over the whole measurement segment.
-    pub final_hit_ratio: f64,
+    pub(crate) final_hit_ratio: f64,
     /// Fraction of chunk demands served without a backend fetch.
-    pub chunk_hit_ratio: f64,
+    pub(crate) chunk_hit_ratio: f64,
     /// Total virtual milliseconds over the measurement segment, spill
     /// traffic included (warm-start recovery reported separately).
-    pub total_virtual_ms: f64,
+    pub(crate) total_virtual_ms: f64,
     /// Virtual milliseconds spent fetching from the backend — the work
     /// the warm tier exists to avoid.
-    pub backend_virtual_ms: f64,
+    pub(crate) backend_virtual_ms: f64,
     /// Spill reads during measurement (promotions; excludes warm start).
-    pub spill_reads: u64,
+    pub(crate) spill_reads: u64,
     /// Spill writes during measurement (demotions).
-    pub spill_writes: u64,
+    pub(crate) spill_writes: u64,
     /// Virtual milliseconds of measurement-time spill traffic.
-    pub spill_virtual_ms: f64,
+    pub(crate) spill_virtual_ms: f64,
 }
 
 /// Replays one (warm, cache budget) cell. Deterministic for fixed opts:
@@ -161,7 +161,7 @@ pub struct CellResult {
 /// `dir` is this cell's private spill directory (removed by the caller);
 /// it is used even in cold mode's warm-up session so both modes pay the
 /// same warm-up — cold mode then simply abandons it.
-pub fn run_cell(
+pub(crate) fn run_cell(
     dataset: &Dataset,
     opts: Opts,
     warm: bool,
@@ -175,7 +175,7 @@ pub fn run_cell(
 /// session — the one that emits `warm_start` at build and
 /// `spill_read`/`spill_promote`/`spill_write` while measuring. The
 /// warm-up session stays untraced so the trace covers one configuration.
-pub fn run_cell_traced(
+pub(crate) fn run_cell_traced(
     dataset: &Dataset,
     opts: Opts,
     warm: bool,
@@ -252,10 +252,10 @@ pub fn run_cell_traced(
 /// Results of the full sweep.
 pub struct ColdstartResults {
     /// The swept cells, in (budget scale, mode) order — cold before warm.
-    pub cells: Vec<CellResult>,
+    pub(crate) cells: Vec<CellResult>,
 }
 
-/// Runs the sweep over [`BUDGET_SCALES`] × {cold, warm}. `tag` isolates
+/// Runs the sweep over `BUDGET_SCALES` × {cold, warm}. `tag` isolates
 /// concurrent sweeps' scratch directories (tests); the experiment
 /// binaries pass a constant.
 pub fn run_experiment(opts: Opts, tag: &str) -> ColdstartResults {
@@ -333,7 +333,7 @@ pub fn render(r: &ColdstartResults) -> String {
 /// Serializes the sweep as one JSON document. Virtual-time numbers only —
 /// no paths, no wall-clock — so the document is bit-identical across
 /// runs.
-pub fn to_json(opts: Opts, r: &ColdstartResults) -> String {
+pub(crate) fn to_json(opts: Opts, r: &ColdstartResults) -> String {
     let mut out = String::with_capacity(1 << 14);
     JsonObject::open(&mut out)
         .field("experiment", "fig_coldstart")
@@ -364,7 +364,7 @@ pub fn to_json(opts: Opts, r: &ColdstartResults) -> String {
 
 /// Serializes the per-batch hit-ratio curves as CSV: one row per
 /// (cell, batch).
-pub fn to_csv(r: &ColdstartResults) -> String {
+pub(crate) fn to_csv(r: &ColdstartResults) -> String {
     let mut out = String::from("mode,cache_bytes,batch,hit_ratio\n");
     for cell in &r.cells {
         for (i, h) in cell.batch_hit.iter().enumerate() {

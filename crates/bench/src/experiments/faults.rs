@@ -131,32 +131,32 @@ pub const SWEEP: Sweep<Opts, FaultResults> = Sweep {
 };
 
 /// The fault rates swept (probability per fetch of *any* injected fault).
-pub const FAULT_RATES: [f64; 6] = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8];
+pub(crate) const FAULT_RATES: [f64; 6] = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8];
 
 /// Outcome of one stream at one fault rate.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FaultStreamResult {
+pub(crate) struct FaultStreamResult {
     /// Queries issued.
-    pub queries: u64,
+    pub(crate) queries: u64,
     /// Queries answered (from any source).
-    pub answered: u64,
+    pub(crate) answered: u64,
     /// Queries answered entirely from the cache by the normal lookup path.
-    pub complete_hits: u64,
+    pub(crate) complete_hits: u64,
     /// Queries whose misses were all served degraded (answered from cache
     /// despite a backend outage).
-    pub degraded_queries: u64,
+    pub(crate) degraded_queries: u64,
     /// Queries that failed with `BackendUnavailable`.
-    pub failed: u64,
+    pub(crate) failed: u64,
     /// Chunks served degraded across the stream.
-    pub chunks_degraded: u64,
+    pub(crate) chunks_degraded: u64,
     /// Mean end-to-end virtual ms over answered queries.
-    pub avg_ms: f64,
+    pub(crate) avg_ms: f64,
 }
 
 impl FaultStreamResult {
     /// Fraction of *all* queries answered from the cache: complete hits
     /// plus fully-degraded serves.
-    pub fn from_cache_fraction(&self) -> f64 {
+    pub(crate) fn cache_served_fraction(&self) -> f64 {
         mean(
             (self.complete_hits + self.degraded_queries) as f64,
             self.queries,
@@ -164,7 +164,7 @@ impl FaultStreamResult {
     }
 
     /// Fraction of all queries answered at all.
-    pub fn answered_fraction(&self) -> f64 {
+    pub(crate) fn answered_fraction(&self) -> f64 {
         mean(self.answered as f64, self.queries)
     }
 }
@@ -172,7 +172,7 @@ impl FaultStreamResult {
 /// Runs one query stream against a faulty, retrying backend at the given
 /// fault rate. Deterministic for fixed opts and rate; an attached tracer
 /// changes no output.
-pub fn run_stream_faulty(
+pub(crate) fn run_stream_faulty(
     dataset: &Dataset,
     opts: Opts,
     rate: f64,
@@ -234,10 +234,10 @@ pub fn run_stream_faulty(
 /// Results of the full sweep.
 pub struct FaultResults {
     /// One stream result per entry of [`FAULT_RATES`].
-    pub runs: Vec<FaultStreamResult>,
+    pub(crate) runs: Vec<FaultStreamResult>,
 }
 
-/// Runs the sweep over [`FAULT_RATES`].
+/// Runs the sweep over `FAULT_RATES`.
 pub fn run_experiment(opts: Opts) -> FaultResults {
     let dataset = apb_dataset(opts.tuples, opts.seed);
     let runs = FAULT_RATES
@@ -266,7 +266,7 @@ pub fn render(r: &FaultResults) -> String {
         table.row(vec![
             f2(rate),
             f2(100.0 * run.answered_fraction()),
-            f2(100.0 * run.from_cache_fraction()),
+            f2(100.0 * run.cache_served_fraction()),
             pct(run.complete_hits),
             pct(run.degraded_queries),
             pct(run.failed),

@@ -129,52 +129,58 @@ pub const SWEEP: Sweep<Opts, RecoveryResults> = Sweep {
 
 /// Disk-fault rates swept (bit-flip and torn-write rate; transient-read
 /// rate is half of each, per [`DiskFaultProfile::uniform`]).
-pub const FAULT_RATES: [f64; 3] = [0.0, 0.05, 0.2];
+pub(crate) const FAULT_RATES: [f64; 3] = [0.0, 0.05, 0.2];
 
 /// Outcome of one (fault rate, scrub) cell.
 #[derive(Debug, Clone)]
-pub struct CellResult {
+pub(crate) struct CellResult {
     /// Injected fault rate.
-    pub rate: f64,
+    pub(crate) rate: f64,
     /// Whether the virtual-time scrub pass was enabled.
-    pub scrub: bool,
+    pub(crate) scrub: bool,
     /// Measurement queries answered (all of them — corruption is
     /// absorbed, never surfaced).
-    pub answered: u64,
+    pub(crate) answered: u64,
     /// Measurement answers that differed from the brute-force backend
     /// oracle. The self-healing contract makes this zero at every rate.
-    pub oracle_mismatches: u64,
+    pub(crate) oracle_mismatches: u64,
     /// Chunks the warm restart re-admitted from the (faulty) checkpoint.
-    pub warm_start_chunks: u64,
+    pub(crate) warm_start_chunks: u64,
     /// Fraction of checkpointed records the warm restart recovered.
-    pub warm_restart_hit_ratio: f64,
+    pub(crate) warm_restart_hit_ratio: f64,
     /// Corrupt records detected across both sessions.
-    pub corrupt: u64,
+    pub(crate) corrupt: u64,
     /// Records quarantined across both sessions.
-    pub quarantined: u64,
+    pub(crate) quarantined: u64,
     /// Transient-read retries spent under the retry policy.
-    pub retries: u64,
+    pub(crate) retries: u64,
     /// Demotions that failed and degraded to plain evictions.
-    pub demote_failures: u64,
+    pub(crate) demote_failures: u64,
     /// Scrub passes completed (0 with scrubbing off).
-    pub scrub_passes: u64,
+    pub(crate) scrub_passes: u64,
     /// Index scavenges performed at either open.
-    pub index_rebuilds: u64,
+    pub(crate) index_rebuilds: u64,
     /// Complete-hit ratio over the measurement segment.
-    pub final_hit_ratio: f64,
+    pub(crate) final_hit_ratio: f64,
     /// Virtual backend milliseconds over the measurement segment — the
     /// cost of re-fetching what corruption destroyed.
-    pub backend_virtual_ms: f64,
+    pub(crate) backend_virtual_ms: f64,
     /// Total virtual milliseconds over the measurement segment, spill
     /// traffic (retries and scrubbing included) counted.
-    pub total_virtual_ms: f64,
+    pub(crate) total_virtual_ms: f64,
 }
 
 /// Runs one (rate, scrub) cell. Deterministic for fixed opts: the
 /// workload and fault profile are seeded and every reported number is
 /// virtual-time. `dir` is this cell's private spill directory (removed by
 /// the caller).
-pub fn run_cell(dataset: &Dataset, opts: Opts, rate: f64, scrub: bool, dir: &Path) -> CellResult {
+pub(crate) fn run_cell(
+    dataset: &Dataset,
+    opts: Opts,
+    rate: f64,
+    scrub: bool,
+    dir: &Path,
+) -> CellResult {
     run_cell_traced(dataset, opts, rate, scrub, dir, None)
 }
 
@@ -182,7 +188,7 @@ pub fn run_cell(dataset: &Dataset, opts: Opts, rate: f64, scrub: bool, dir: &Pat
 /// session — the one that emits `spill_corrupt`, `spill_quarantine`,
 /// `index_rebuild` and `scrub_pass` while recovering and measuring. The
 /// warm-up session stays untraced so the trace covers one configuration.
-pub fn run_cell_traced(
+pub(crate) fn run_cell_traced(
     dataset: &Dataset,
     opts: Opts,
     rate: f64,
@@ -253,10 +259,10 @@ pub fn run_cell_traced(
 /// Results of the full sweep.
 pub struct RecoveryResults {
     /// The swept cells, in (rate, scrub off/on) order.
-    pub cells: Vec<CellResult>,
+    pub(crate) cells: Vec<CellResult>,
 }
 
-/// Runs the sweep over [`FAULT_RATES`] × {scrub off, scrub on}. `tag`
+/// Runs the sweep over `FAULT_RATES` × {scrub off, scrub on}. `tag`
 /// isolates concurrent sweeps' scratch directories (tests); the
 /// experiment binaries pass a constant.
 pub fn run_experiment(opts: Opts, tag: &str) -> RecoveryResults {
@@ -327,7 +333,7 @@ pub fn render(r: &RecoveryResults) -> String {
 /// Serializes the sweep as one JSON document. Virtual-time numbers only —
 /// no paths, no wall-clock — so the document is bit-identical across
 /// runs.
-pub fn to_json(opts: Opts, r: &RecoveryResults) -> String {
+pub(crate) fn to_json(opts: Opts, r: &RecoveryResults) -> String {
     let mut out = String::with_capacity(1 << 13);
     JsonObject::open(&mut out)
         .field("experiment", "fig_recovery")
@@ -357,7 +363,7 @@ pub fn to_json(opts: Opts, r: &RecoveryResults) -> String {
 }
 
 /// Serializes the sweep as CSV: one row per cell.
-pub fn to_csv(r: &RecoveryResults) -> String {
+pub(crate) fn to_csv(r: &RecoveryResults) -> String {
     let mut out = String::from(
         "rate,scrub,answered,oracle_mismatches,warm_start_chunks,corrupt,\
          quarantined,retries,scrub_passes,final_hit_ratio,backend_virtual_ms\n",

@@ -82,7 +82,7 @@ pub struct StreamResults {
 
 impl StreamResults {
     /// One scheme's results by label, one per paper cache size.
-    pub fn of(&self, scheme: &str) -> &[AveragedResult] {
+    pub(crate) fn of(&self, scheme: &str) -> &[AveragedResult] {
         let run = self.runs.iter().find(|(label, _)| *label == scheme);
         &run.expect("a view asks only for schemes that were run").1
     }

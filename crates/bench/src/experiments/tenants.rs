@@ -92,16 +92,16 @@ pub const SWEEP: Sweep<Opts, TenantResults> = Sweep {
 };
 
 /// The tenant counts swept.
-pub const TENANT_COUNTS: [u32; 3] = [1, 4, 8];
+pub(crate) const TENANT_COUNTS: [u32; 3] = [1, 4, 8];
 
 /// The Zipf popularity skews swept (also applied to level popularity).
-pub const SKEWS: [f64; 2] = [0.0, 1.2];
+pub(crate) const SKEWS: [f64; 2] = [0.0, 1.2];
 
 /// The profile families swept.
-pub const FAMILIES: [&str; 2] = ["mixed", "scan"];
+pub(crate) const FAMILIES: [&str; 2] = ["mixed", "scan"];
 
 /// The tenant profiles of a family.
-pub fn family_profiles(family: &str) -> Vec<TenantProfile> {
+pub(crate) fn family_profiles(family: &str) -> Vec<TenantProfile> {
     match family {
         "scan" => vec![TenantProfile::ad_hoc_scan()],
         _ => TenantProfile::lab(),
@@ -110,48 +110,48 @@ pub fn family_profiles(family: &str) -> Vec<TenantProfile> {
 
 /// Per-tenant outcome of one cell, distilled to virtual-time numbers.
 #[derive(Debug, Clone)]
-pub struct TenantOutcome {
+pub(crate) struct TenantOutcome {
     /// Tenant id.
-    pub tenant: u32,
+    pub(crate) tenant: u32,
     /// Queries the tenant issued.
-    pub queries: u64,
+    pub(crate) queries: u64,
     /// Fraction of its queries answered entirely from the cache.
-    pub complete_hit_ratio: f64,
+    pub(crate) complete_hit_ratio: f64,
     /// Fraction of its chunk demands served without a backend fetch.
-    pub chunk_hit_ratio: f64,
+    pub(crate) chunk_hit_ratio: f64,
     /// Mean per-query virtual latency in milliseconds.
-    pub avg_virtual_ms: f64,
+    pub(crate) avg_virtual_ms: f64,
     /// p95 per-query virtual latency in microseconds (log2-bucket upper
     /// bound).
-    pub p95_virtual_us: f64,
+    pub(crate) p95_virtual_us: f64,
     /// p99 per-query virtual latency in microseconds (log2-bucket upper
     /// bound).
-    pub p99_virtual_us: f64,
+    pub(crate) p99_virtual_us: f64,
 }
 
 /// Outcome of one (family, tenants, skew, admission) cell.
 #[derive(Debug, Clone)]
-pub struct CellResult {
+pub(crate) struct CellResult {
     /// Profile family of the cell.
-    pub family: &'static str,
+    pub(crate) family: &'static str,
     /// Tenants in the cell.
-    pub tenants: u32,
+    pub(crate) tenants: u32,
     /// Zipf skew of the cell.
-    pub skew: f64,
+    pub(crate) skew: f64,
     /// Admission policy of the cell.
-    pub admission: AdmissionKind,
+    pub(crate) admission: AdmissionKind,
     /// Aggregate complete-hit ratio over all queries.
-    pub hit_ratio: f64,
+    pub(crate) hit_ratio: f64,
     /// Aggregate chunk-hit ratio over all chunk demands.
-    pub chunk_hit_ratio: f64,
+    pub(crate) chunk_hit_ratio: f64,
     /// Inserts refused by the admission policy.
-    pub admission_rejects: u64,
+    pub(crate) admission_rejects: u64,
     /// Mean virtual latency over all queries, in milliseconds.
-    pub avg_virtual_ms: f64,
+    pub(crate) avg_virtual_ms: f64,
     /// p95 virtual latency over all queries, in microseconds.
-    pub p95_virtual_us: f64,
+    pub(crate) p95_virtual_us: f64,
     /// Per-tenant breakdown, ordered by tenant id.
-    pub per_tenant: Vec<TenantOutcome>,
+    pub(crate) per_tenant: Vec<TenantOutcome>,
 }
 
 /// One tenant's answers, folded in arrival order: the tally plus each
@@ -171,7 +171,7 @@ fn outcome(tenant: u32, (tally, latency_us): &(Tally, Histogram)) -> TenantOutco
 /// Runs one merged multi-tenant stream under one admission policy.
 /// Deterministic for fixed opts: every reported number is virtual-time,
 /// so two runs produce bit-identical cells.
-pub fn run_cell(
+pub(crate) fn run_cell(
     dataset: &Dataset,
     opts: Opts,
     family: &'static str,
@@ -232,10 +232,10 @@ pub fn run_cell(
 /// Results of the full sweep.
 pub struct TenantResults {
     /// The swept cells, in (family, tenants, skew, admission) order.
-    pub cells: Vec<CellResult>,
+    pub(crate) cells: Vec<CellResult>,
 }
 
-/// Runs the sweep over [`FAMILIES`] × [`TENANT_COUNTS`] × [`SKEWS`] × the
+/// Runs the sweep over `FAMILIES` × `TENANT_COUNTS` × `SKEWS` × the
 /// admission lab.
 pub fn run_experiment(opts: Opts) -> TenantResults {
     let dataset = apb_dataset(opts.tuples, opts.seed);
@@ -297,7 +297,7 @@ pub fn render(r: &TenantResults) -> String {
 
 /// Serializes the sweep as one JSON document. Virtual-time numbers only,
 /// so the document is bit-identical across runs.
-pub fn to_json(opts: Opts, r: &TenantResults) -> String {
+pub(crate) fn to_json(opts: Opts, r: &TenantResults) -> String {
     let mut out = String::with_capacity(1 << 14);
     JsonObject::open(&mut out)
         .field("experiment", "fig_tenants")
@@ -329,7 +329,7 @@ pub fn to_json(opts: Opts, r: &TenantResults) -> String {
 }
 
 /// Serializes the per-tenant breakdown of every cell as CSV.
-pub fn to_csv(r: &TenantResults) -> String {
+pub(crate) fn to_csv(r: &TenantResults) -> String {
     let mut out = String::from(
         "family,tenants,skew,admission,tenant,queries,complete_hit_ratio,\
          chunk_hit_ratio,avg_virtual_ms,p95_virtual_us,p99_virtual_us\n",

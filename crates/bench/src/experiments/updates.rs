@@ -133,10 +133,10 @@ pub const SWEEP: Sweep<Opts, UpdateResults> = Sweep {
 };
 
 /// Write fractions swept: delta records ingested per read query.
-pub const WRITE_MIXES: [f64; 4] = [0.0, 0.05, 0.2, 0.5];
+pub(crate) const WRITE_MIXES: [f64; 4] = [0.0, 0.05, 0.2, 0.5];
 
 /// The five lookup strategies of the paper, as swept here.
-pub fn strategies() -> [Strategy; 5] {
+pub(crate) fn strategies() -> [Strategy; 5] {
     [
         Strategy::NoAggregation,
         Strategy::Esm,
@@ -150,26 +150,26 @@ pub fn strategies() -> [Strategy; 5] {
 
 /// Outcome of one (write mix, strategy) cell.
 #[derive(Debug, Clone)]
-pub struct CellResult {
+pub(crate) struct CellResult {
     /// Delta records ingested per read query.
-    pub mix: f64,
+    pub(crate) mix: f64,
     /// Lookup strategy label.
-    pub strategy: &'static str,
+    pub(crate) strategy: &'static str,
     /// Read queries answered.
-    pub answered: u64,
+    pub(crate) answered: u64,
     /// Answers that differed from the brute-force shadow backend. The
     /// propagation contract makes this zero in every cell.
-    pub oracle_mismatches: u64,
+    pub(crate) oracle_mismatches: u64,
     /// Complete-hit ratio over the read stream.
-    pub hit_ratio: f64,
+    pub(crate) hit_ratio: f64,
     /// Maintenance totals across every ingested batch, straight from
     /// [`CacheManager::session_updates`].
-    pub updates: UpdateMetrics,
+    pub(crate) updates: UpdateMetrics,
     /// Virtual backend milliseconds over the read stream.
-    pub backend_virtual_ms: f64,
+    pub(crate) backend_virtual_ms: f64,
     /// Virtual milliseconds of the read stream (maintenance excluded —
     /// it is charged to [`UpdateMetrics::update_virtual_ms`] instead).
-    pub read_virtual_ms: f64,
+    pub(crate) read_virtual_ms: f64,
 }
 
 /// Deterministic delta-batch generator. Inserts draw fresh coordinates and
@@ -257,13 +257,13 @@ fn manager(
 /// Runs one (mix, strategy) cell. Deterministic for fixed opts: the
 /// workload and delta generator are seeded and every reported number is
 /// virtual-time.
-pub fn run_cell(dataset: &Dataset, opts: Opts, mix: f64, strategy: Strategy) -> CellResult {
+pub(crate) fn run_cell(dataset: &Dataset, opts: Opts, mix: f64, strategy: Strategy) -> CellResult {
     run_cell_traced(dataset, opts, mix, strategy, None)
 }
 
 /// [`run_cell`] with an optional tracer, so `delta_ingest`, `chunk_patch`
 /// and `chunk_invalidate` events land in a `--trace-out` document.
-pub fn run_cell_traced(
+pub(crate) fn run_cell_traced(
     dataset: &Dataset,
     opts: Opts,
     mix: f64,
@@ -346,7 +346,7 @@ fn cache_contents(mgr: &CacheManager) -> Vec<(u64, ChunkData, Origin, u64)> {
 /// must be indistinguishable — answers, deterministic `QueryMetrics`
 /// fields, final cache contents — from one that never ingests at all.
 /// Returns the number of divergences (0 = bit-transparent).
-pub fn empty_delta_divergences(dataset: &Dataset, opts: Opts, strategy: Strategy) -> u64 {
+pub(crate) fn empty_delta_divergences(dataset: &Dataset, opts: Opts, strategy: Strategy) -> u64 {
     let requests =
         QueryRequest::batch(&paper_stream(dataset, opts.workload_seed).take_queries(opts.queries));
     let batch = opts.batch.max(1);
@@ -382,13 +382,13 @@ pub fn empty_delta_divergences(dataset: &Dataset, opts: Opts, strategy: Strategy
 /// Results of the full sweep.
 pub struct UpdateResults {
     /// The swept cells, mix-major, strategy-minor.
-    pub cells: Vec<CellResult>,
+    pub(crate) cells: Vec<CellResult>,
     /// Empty-delta divergences summed over all 5 strategies. The
     /// transparency contract makes this zero.
-    pub transparency_diffs: u64,
+    pub(crate) transparency_diffs: u64,
 }
 
-/// Runs the sweep over [`WRITE_MIXES`] × [`strategies`], then the
+/// Runs the sweep over `WRITE_MIXES` × `strategies`, then the
 /// empty-delta transparency check over all strategies.
 pub fn run_experiment(opts: Opts) -> UpdateResults {
     let dataset = apb_dataset(opts.tuples, opts.seed);
@@ -461,7 +461,7 @@ pub fn render(r: &UpdateResults) -> String {
 
 /// Serializes the sweep as one JSON document. Virtual-time numbers only —
 /// no wall-clock — so the document is bit-identical across runs.
-pub fn to_json(opts: Opts, r: &UpdateResults) -> String {
+pub(crate) fn to_json(opts: Opts, r: &UpdateResults) -> String {
     let mut out = String::with_capacity(1 << 13);
     JsonObject::open(&mut out)
         .field("experiment", "fig_updates")
@@ -494,7 +494,7 @@ pub fn to_json(opts: Opts, r: &UpdateResults) -> String {
 }
 
 /// Serializes the sweep as CSV: one row per cell.
-pub fn to_csv(r: &UpdateResults) -> String {
+pub(crate) fn to_csv(r: &UpdateResults) -> String {
     let mut out = String::from(
         "mix,strategy,answered,oracle_mismatches,hit_ratio,tuples_inserted,\
          tuples_deleted,deletes_unmatched,chunks_patched,chunks_invalidated,\

@@ -4,14 +4,14 @@ use aggcache_core::ExecOutcome;
 
 /// A simple aligned text table.
 #[derive(Debug, Default)]
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Starts a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
+    pub(crate) fn new(header: &[&str]) -> Self {
         Self {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
@@ -19,14 +19,14 @@ impl Table {
     }
 
     /// Appends a row (stringified cells).
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
         self.rows.push(cells);
         self
     }
 
     /// Renders with padded columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
@@ -58,18 +58,18 @@ impl Table {
 }
 
 /// Formats a float with 2 decimals.
-pub fn f2(v: f64) -> String {
+pub(crate) fn f2(v: f64) -> String {
     format!("{v:.2}")
 }
 
 /// Formats a float with 3 decimals.
-pub fn f3(v: f64) -> String {
+pub(crate) fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
 /// `sum / n`, or 0 when nothing was counted — every ratio and average a
 /// report prints goes through this one guard.
-pub fn mean(sum: f64, n: u64) -> f64 {
+pub(crate) fn mean(sum: f64, n: u64) -> f64 {
     if n == 0 {
         0.0
     } else {
@@ -80,24 +80,24 @@ pub fn mean(sum: f64, n: u64) -> f64 {
 /// What a sweep cell reports about the stream it ran: outcomes folded in
 /// arrival order, so every sum is the same bits as a loop over them.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Tally {
+pub(crate) struct Tally {
     /// Queries answered.
-    pub queries: u64,
+    pub(crate) queries: u64,
     /// Queries answered entirely from the cache.
-    pub complete_hits: u64,
+    pub(crate) complete_hits: u64,
     /// Chunk demands served without a backend fetch (hit or computed).
-    pub chunks_served: u64,
+    pub(crate) chunks_served: u64,
     /// Chunk demands that missed.
-    pub chunks_missed: u64,
+    pub(crate) chunks_missed: u64,
     /// Σ [`ExecOutcome::total_virtual_ms`] — work, spill and wire included.
-    pub total_virtual_ms: f64,
+    pub(crate) total_virtual_ms: f64,
     /// Σ virtual milliseconds charged by the backend.
-    pub backend_virtual_ms: f64,
+    pub(crate) backend_virtual_ms: f64,
 }
 
 impl Tally {
     /// Folds in one answered query.
-    pub fn add(&mut self, out: &ExecOutcome) {
+    pub(crate) fn add(&mut self, out: &ExecOutcome) {
         let m = &out.metrics;
         self.queries += 1;
         self.complete_hits += u64::from(m.complete_hit);
@@ -108,12 +108,12 @@ impl Tally {
     }
 
     /// Fraction of queries answered entirely from the cache.
-    pub fn hit_ratio(&self) -> f64 {
+    pub(crate) fn hit_ratio(&self) -> f64 {
         mean(self.complete_hits as f64, self.queries)
     }
 
     /// Fraction of chunk demands served without a backend fetch.
-    pub fn chunk_hit_ratio(&self) -> f64 {
+    pub(crate) fn chunk_hit_ratio(&self) -> f64 {
         mean(
             self.chunks_served as f64,
             self.chunks_served + self.chunks_missed,
@@ -134,7 +134,7 @@ pub struct MinMaxAvg {
 
 impl MinMaxAvg {
     /// Folds in one observation.
-    pub fn add(&mut self, v: f64) {
+    pub(crate) fn add(&mut self, v: f64) {
         if self.n == 0 {
             self.min = v;
             self.max = v;
@@ -152,7 +152,7 @@ impl MinMaxAvg {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.n
     }
 }

@@ -14,10 +14,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// One megabyte of accounting bytes.
-pub const MB: usize = 1_000_000;
+pub(crate) const MB: usize = 1_000_000;
 
 /// The cache sizes of the paper's query-stream experiments (§7.2).
-pub const PAPER_CACHE_SIZES_MB: [usize; 4] = [10, 15, 20, 25];
+pub(crate) const PAPER_CACHE_SIZES_MB: [usize; 4] = [10, 15, 20, 25];
 
 /// Builds the APB-1-like dataset used by all experiments.
 ///
@@ -67,7 +67,7 @@ pub fn dataset_main(run: fn(DatasetOpts) -> String) {
 /// Wraps a dataset's fact table in a backend with the default cost model.
 /// The backend shares the dataset's runs, so one generated dataset feeds
 /// many manager configurations without a copy of its facts.
-pub fn backend_for(dataset: &Dataset) -> Backend {
+pub(crate) fn backend_for(dataset: &Dataset) -> Backend {
     Backend::new(
         dataset.fact.clone(),
         AggFn::Sum,
@@ -78,7 +78,7 @@ pub fn backend_for(dataset: &Dataset) -> Backend {
 /// The builder chain every experiment's manager starts from. Callers add
 /// what is theirs (a spill tier, an admission policy) and `build` over
 /// [`backend_for`] or a decorated backend.
-pub fn builder_for(
+pub(crate) fn builder_for(
     strategy: Strategy,
     policy: PolicyKind,
     cache_bytes: usize,
@@ -95,7 +95,7 @@ pub fn builder_for(
 }
 
 /// Builds an untraced manager over (a clone of) the dataset's fact table.
-pub fn manager_for(
+pub(crate) fn manager_for(
     dataset: &Dataset,
     strategy: Strategy,
     policy: PolicyKind,
@@ -107,7 +107,7 @@ pub fn manager_for(
 }
 
 /// The paper's §7.2 query stream over `dataset`, seeded.
-pub fn paper_stream(dataset: &Dataset, seed: u64) -> QueryStream {
+pub(crate) fn paper_stream(dataset: &Dataset, seed: u64) -> QueryStream {
     let max_level = dataset.grid.geom(dataset.fact_gb).level().to_vec();
     QueryStream::new(dataset.grid.clone(), WorkloadConfig::paper(max_level, seed))
 }
@@ -116,7 +116,7 @@ pub fn paper_stream(dataset: &Dataset, seed: u64) -> QueryStream {
 /// cells in any order — is exactly the query's chunks fetched straight
 /// from `backend` (a pristine one, or a shadow that received exactly the
 /// same delta batches), bypassing cache, spill and faults entirely.
-pub fn matches_oracle(backend: &Backend, q: &Query, got: &ChunkData) -> bool {
+pub(crate) fn matches_oracle(backend: &Backend, q: &Query, got: &ChunkData) -> bool {
     let mut want = ChunkData::new(backend.grid().num_dims());
     for (_, data) in backend
         .fetch(q.gb, &q.chunks)
@@ -133,12 +133,12 @@ pub fn matches_oracle(backend: &Backend, q: &Query, got: &ChunkData) -> bool {
 
 /// Process-unique scratch root for a sweep's spill directories; never
 /// serialized into any output. `tag` isolates concurrent sweeps (tests).
-pub fn scratch_root(sweep: &str, tag: &str) -> PathBuf {
+pub(crate) fn scratch_root(sweep: &str, tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("aggcache-{sweep}-{tag}-{}", std::process::id()))
 }
 
 /// Human label of a strategy for report tables.
-pub fn strategy_name(strategy: Strategy) -> &'static str {
+pub(crate) fn strategy_name(strategy: Strategy) -> &'static str {
     match strategy {
         Strategy::NoAggregation => "NoAgg",
         Strategy::Esm => "ESM",

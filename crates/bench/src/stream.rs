@@ -71,23 +71,27 @@ pub struct StreamResult {
 /// single 100-query stream; averaging smooths single-stream variance
 /// without changing any trend).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct AveragedResult {
+pub(crate) struct AveragedResult {
     /// Mean complete-hit percentage.
-    pub complete_hit_pct: f64,
+    pub(crate) complete_hit_pct: f64,
     /// Mean per-query end-to-end virtual ms.
-    pub avg_ms: f64,
+    pub(crate) avg_ms: f64,
     /// Mean lookup virtual ms over complete-hit queries.
-    pub hit_lookup_ms: f64,
+    pub(crate) hit_lookup_ms: f64,
     /// Mean aggregation virtual ms over complete-hit queries.
-    pub hit_agg_ms: f64,
+    pub(crate) hit_agg_ms: f64,
     /// Mean update virtual ms over complete-hit queries.
-    pub hit_update_ms: f64,
+    pub(crate) hit_update_ms: f64,
     /// Mean total virtual ms over complete-hit queries.
-    pub hit_total_ms: f64,
+    pub(crate) hit_total_ms: f64,
 }
 
 /// Runs `repeats` streams with consecutive seeds and averages the summary.
-pub fn run_stream_averaged(dataset: &Dataset, run: StreamRun, repeats: u64) -> AveragedResult {
+pub(crate) fn run_stream_averaged(
+    dataset: &Dataset,
+    run: StreamRun,
+    repeats: u64,
+) -> AveragedResult {
     let mut acc = AveragedResult::default();
     let n = repeats.max(1);
     for i in 0..n {

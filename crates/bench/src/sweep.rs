@@ -20,31 +20,31 @@ use std::sync::Arc;
 /// One sweep experiment, as [`sweep_main`] drives it.
 pub struct Sweep<O, R> {
     /// Reads the sweep's flags into its options.
-    pub opts: fn(&Args) -> O,
+    pub(crate) opts: fn(&Args) -> O,
     /// Runs every cell.
     pub run: fn(O) -> R,
     /// The table printed on stdout.
-    pub render: fn(&R) -> String,
+    pub(crate) render: fn(&R) -> String,
     /// The sweep's contract over its results (oracle mismatches,
     /// transparency divergences), if it has one; a violation is printed
     /// and the process exits 1 before anything is written.
-    pub check: Option<Check<R>>,
+    pub(crate) check: Option<Check<R>>,
     /// `--json-out` / `--csv-out`, for the sweeps that have them: the JSON
     /// document, the CSV, and the cell count their receipts quote.
     pub exports: Option<Exports<O, R>>,
     /// `--trace-out`, for the sweeps whose events no paper stream emits:
     /// runs the one cell that emits them with the tracer attached.
-    pub traced: Option<TracedCell<O>>,
+    pub(crate) traced: Option<TracedCell<O>>,
 }
 
 /// A sweep's contract: the violation, if its results show one.
-pub type Check<R> = fn(&R) -> Result<(), String>;
+pub(crate) type Check<R> = fn(&R) -> Result<(), String>;
 
 /// Runs a sweep's traced cell with the tracer attached; returns its `meta`.
-pub type TracedCell<O> = fn(O, Arc<dyn Tracer>) -> Meta;
+pub(crate) type TracedCell<O> = fn(O, Arc<dyn Tracer>) -> Meta;
 
 /// A sweep's JSON writer, CSV writer and cell count.
-pub type Exports<O, R> = (fn(O, &R) -> String, fn(&R) -> String, fn(&R) -> usize);
+pub(crate) type Exports<O, R> = (fn(O, &R) -> String, fn(&R) -> String, fn(&R) -> usize);
 
 /// The flag → `Opts` mapping of the five sweeps with a `--smoke`
 /// configuration: `--smoke` picks `Opts::smoke()` over the default, then

@@ -12,7 +12,7 @@
 //!
 //! The four sweeps whose events no paper stream emits (`fig_faults`,
 //! `fig_coldstart`, `fig_recovery`, `fig_updates`) take the same flag and
-//! trace one cell of their own through [`write_trace`].
+//! trace one cell of their own through `write_trace`.
 //!
 //! The traced run is separate from the experiment's own measurement loops,
 //! so a multi-configuration experiment never mixes events from different
@@ -52,7 +52,7 @@ impl TraceSink {
     }
 
     /// Renders the `{"meta", "events"}` document.
-    pub fn render(&self, meta: &[(&str, Box<dyn JsonField>)]) -> String {
+    pub(crate) fn render(&self, meta: &[(&str, Box<dyn JsonField>)]) -> String {
         let mut out = String::with_capacity(1 << 16);
         JsonObject::open(&mut out)
             .object("meta", |object| {
@@ -68,11 +68,11 @@ impl TraceSink {
 
 /// What a traced run says about itself: the document's `meta` entries,
 /// each value rendering as its own type.
-pub type Meta = Vec<(&'static str, Box<dyn JsonField>)>;
+pub(crate) type Meta = Vec<(&'static str, Box<dyn JsonField>)>;
 
 /// Runs `traced` with a fresh sink's tracer attached and writes the
 /// document to `path`, with a one-line receipt on stderr.
-pub fn write_trace(path: &str, traced: impl FnOnce(Arc<dyn Tracer>) -> Meta) {
+pub(crate) fn write_trace(path: &str, traced: impl FnOnce(Arc<dyn Tracer>) -> Meta) {
     let sink = TraceSink::new();
     let meta = traced(sink.tracer());
     std::fs::write(path, sink.render(&meta))

@@ -72,22 +72,12 @@ impl AdmissionKind {
         Self::TinyLfu
     }
 
-    /// Stable lowercase name (reports, CLI parsing).
+    /// Stable lowercase name (reports).
     pub fn name(&self) -> &'static str {
         match self {
             Self::BenefitMean => "benefit_mean",
             Self::TwoLevel => "two_level",
             Self::TinyLfu => "tiny_lfu",
-        }
-    }
-
-    /// Parses a policy name as produced by [`AdmissionKind::name`].
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "benefit_mean" => Some(Self::BenefitMean),
-            "two_level" => Some(Self::TwoLevel),
-            "tiny_lfu" => Some(Self::tiny_lfu()),
-            _ => None,
         }
     }
 
@@ -136,7 +126,7 @@ impl CountMinSketch {
     /// Creates a sketch with at least `counters` counters per row
     /// (rounded up to a power of two, min 16), aged every `sample_window`
     /// references.
-    pub fn new(counters: u32, sample_window: u32) -> Self {
+    pub(crate) fn new(counters: u32, sample_window: u32) -> Self {
         let width = counters.max(16).next_power_of_two() as usize;
         Self {
             mask: width - 1,
@@ -155,7 +145,7 @@ impl CountMinSketch {
     /// Records one reference to `key` (conservative update: only the
     /// minimal counters are bumped), aging the sketch when the sample
     /// window fills.
-    pub fn record(&mut self, key: PackedChunkKey) {
+    pub(crate) fn record(&mut self, key: PackedChunkKey) {
         let est = self.estimate(key);
         if est < COUNTER_MAX {
             for row in 0..SKETCH_ROWS {
@@ -174,7 +164,7 @@ impl CountMinSketch {
 
     /// The estimated reference frequency of `key` (min over rows; an
     /// upper bound on the true count since the last few aging steps).
-    pub fn estimate(&self, key: PackedChunkKey) -> u8 {
+    pub(crate) fn estimate(&self, key: PackedChunkKey) -> u8 {
         (0..SKETCH_ROWS)
             .map(|row| self.rows[row][self.slot(key, row)])
             .min()
@@ -290,10 +280,11 @@ mod tests {
 
     #[test]
     fn kind_names_round_trip() {
-        for kind in AdmissionKind::lab() {
-            assert_eq!(AdmissionKind::parse(kind.name()), Some(kind));
+        let lab = AdmissionKind::lab();
+        for kind in lab {
+            let named = lab.into_iter().filter(|k| k.name() == kind.name());
+            assert_eq!(named.collect::<Vec<_>>(), [kind]);
         }
-        assert_eq!(AdmissionKind::parse("nope"), None);
         assert_eq!(AdmissionKind::default(), AdmissionKind::BenefitMean);
     }
 }

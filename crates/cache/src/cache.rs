@@ -91,9 +91,6 @@ pub struct ChunkCache {
     benefit_count: u64,
     hits: u64,
     misses: u64,
-    /// Admission-policy selector (kept alongside the state so callers can
-    /// read back the configured kind, sketch geometry included).
-    admission_kind: AdmissionKind,
     /// Admission-policy state; a no-op under the default
     /// [`AdmissionKind::BenefitMean`].
     admission: AdmissionState,
@@ -137,7 +134,6 @@ impl ChunkCache {
             benefit_count: 0,
             hits: 0,
             misses: 0,
-            admission_kind: admission,
             admission: AdmissionState::new(admission),
             admission_rejects: 0,
             tracer: None,
@@ -150,7 +146,7 @@ impl ChunkCache {
     }
 
     /// The policy in use.
-    pub fn policy(&self) -> PolicyKind {
+    pub(crate) fn policy(&self) -> PolicyKind {
         self.policy
     }
 
@@ -212,11 +208,6 @@ impl ChunkCache {
     /// Cache misses observed via [`ChunkCache::get`].
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// The configured admission policy.
-    pub fn admission(&self) -> AdmissionKind {
-        self.admission_kind
     }
 
     /// Inserts refused by the admission policy (feasible inserts turned
@@ -901,7 +892,6 @@ mod tests {
     #[test]
     fn default_admission_is_benefit_mean() {
         let c = ChunkCache::new(400, PolicyKind::TwoLevel);
-        assert_eq!(c.admission(), AdmissionKind::BenefitMean);
         assert!(c.admission_sketch().is_none());
         assert_eq!(c.admission_rejects(), 0);
     }

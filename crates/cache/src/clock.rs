@@ -36,21 +36,6 @@ impl ClockRing {
         Self::default()
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: PackedChunkKey) -> bool {
-        self.pos.contains_key(&key)
-    }
-
     /// Inserts `key` with an initial clock value. Panics if already present.
     pub fn insert(&mut self, key: PackedChunkKey, clock: f64) {
         let prev = self.pos.insert(key, self.keys.len());
@@ -93,7 +78,7 @@ impl ClockRing {
     }
 
     /// Refreshes `key`'s clock to at least `clock` (a cache hit).
-    pub fn touch(&mut self, key: PackedChunkKey, clock: f64) {
+    pub(crate) fn touch(&mut self, key: PackedChunkKey, clock: f64) {
         if let Some(&i) = self.pos.get(&key) {
             self.clocks[i] = self.clocks[i].max(clock.clamp(0.0, MAX_CLOCK));
         }
@@ -101,7 +86,7 @@ impl ClockRing {
 
     /// Adds `amount` to `key`'s clock (the two-level policy's group boost).
     /// Returns whether the key was present.
-    pub fn boost(&mut self, key: PackedChunkKey, amount: f64) -> bool {
+    pub(crate) fn boost(&mut self, key: PackedChunkKey, amount: f64) -> bool {
         if let Some(&i) = self.pos.get(&key) {
             self.clocks[i] = (self.clocks[i] + amount.max(0.0)).min(MAX_CLOCK);
             true
@@ -111,14 +96,14 @@ impl ClockRing {
     }
 
     /// The current clock value of `key`, if present (for tests/inspection).
-    pub fn clock_of(&self, key: PackedChunkKey) -> Option<f64> {
+    pub(crate) fn clock_of(&self, key: PackedChunkKey) -> Option<f64> {
         self.pos.get(&key).map(|&i| self.clocks[i])
     }
 
     /// Completed sweep rounds: how many times the hand wrapped past the
     /// end of the ring while searching for victims. Exported in the
     /// `Evict` trace event.
-    pub fn rounds(&self) -> u64 {
+    pub(crate) fn rounds(&self) -> u64 {
         self.rounds
     }
 
@@ -180,11 +165,6 @@ impl ClockRing {
         }
         None
     }
-
-    /// Iterates over the keys currently in the ring (arbitrary order).
-    pub fn keys(&self) -> impl Iterator<Item = PackedChunkKey> + '_ {
-        self.keys.iter().copied()
-    }
 }
 
 #[cfg(test)]
@@ -202,12 +182,12 @@ mod tests {
         let mut r = ClockRing::new();
         r.insert(k(1), 1.0);
         r.insert(k(2), 2.0);
-        assert_eq!(r.len(), 2);
-        assert!(r.contains(k(1)));
+        assert_eq!(r.keys.len(), 2);
+        assert!(r.pos.contains_key(&k(1)));
         assert!(r.remove(k(1)));
         assert!(!r.remove(k(1)));
-        assert_eq!(r.len(), 1);
-        assert!(r.contains(k(2)));
+        assert_eq!(r.keys.len(), 1);
+        assert!(r.pos.contains_key(&k(2)));
     }
 
     #[test]
@@ -303,11 +283,15 @@ mod tests {
         r.remove(k(0));
         r.remove(k(4));
         // All remaining keys still reachable and consistent.
-        let mut left: Vec<u64> = r.keys().map(|key| ChunkKey::unpack(key).chunk).collect();
+        let mut left: Vec<u64> = r
+            .keys
+            .iter()
+            .map(|&key| ChunkKey::unpack(key).chunk)
+            .collect();
         left.sort_unstable();
         assert_eq!(left, vec![1, 2, 3]);
         for i in [1u64, 2, 3] {
-            assert!(r.contains(k(i)));
+            assert!(r.pos.contains_key(&k(i)));
         }
         assert!(r.find_victim(|_| false).is_some());
     }

@@ -8,7 +8,7 @@ use aggcache_schema::Dimension;
 /// contiguous ranges. Boundaries are *aligned across levels*: the set of
 /// values at level `l + 1` rolling up into one level-`l` chunk is exactly a
 /// union of whole level-`l + 1` chunks, so an aggregated chunk corresponds
-/// to a contiguous run of detailed chunks ([`DimChunking::detail_range`]).
+/// to a contiguous run of detailed chunks (`DimChunking::detail_range`).
 #[derive(Debug, Clone)]
 pub struct DimChunking {
     /// `value_starts[l]` has `n_chunks(l) + 1` entries; chunk `c` at level
@@ -33,7 +33,7 @@ impl DimChunking {
     /// each deeper level inherits the (preimages of) the boundaries above it
     /// as mandatory splits and adds further near-uniform splits inside the
     /// widest segments until the requested count is reached.
-    pub fn build(dim: &Dimension, chunks_per_level: &[u32]) -> Result<Self, ChunkError> {
+    pub(crate) fn build(dim: &Dimension, chunks_per_level: &[u32]) -> Result<Self, ChunkError> {
         let levels = dim.num_levels();
         if chunks_per_level.len() != levels {
             return Err(ChunkError::BadChunkCountArity {
@@ -124,20 +124,6 @@ impl DimChunking {
         })
     }
 
-    /// Builds a chunking with approximately `values_per_chunk` values per
-    /// chunk at every level (at least one chunk per level).
-    pub fn build_uniform(dim: &Dimension, values_per_chunk: u32) -> Result<Self, ChunkError> {
-        let vpc = values_per_chunk.max(1);
-        let mut counts: Vec<u32> = (0..dim.num_levels())
-            .map(|l| dim.cardinality(l as u8).div_ceil(vpc))
-            .collect();
-        // Enforce closure feasibility: counts must be non-decreasing.
-        for l in 1..counts.len() {
-            counts[l] = counts[l].max(counts[l - 1]);
-        }
-        Self::build(dim, &counts)
-    }
-
     /// Number of hierarchy levels.
     #[inline]
     pub fn num_levels(&self) -> usize {
@@ -172,7 +158,7 @@ impl DimChunking {
     /// The half-open range of level-`level + 1` chunks that aggregate into
     /// chunk `c` at `level` (requires `level < h`).
     #[inline]
-    pub fn detail_range(&self, level: u8, c: u32) -> (u32, u32) {
+    pub(crate) fn detail_range(&self, level: u8, c: u32) -> (u32, u32) {
         let s = &self.detail_starts[level as usize];
         (s[c as usize], s[c as usize + 1])
     }
@@ -180,7 +166,7 @@ impl DimChunking {
     /// The level-`level - 1` chunk that chunk `c` at `level` contributes to
     /// (requires `level >= 1`).
     #[inline]
-    pub fn agg_chunk(&self, level: u8, c: u32) -> u32 {
+    pub(crate) fn agg_chunk(&self, level: u8, c: u32) -> u32 {
         self.agg_of[level as usize][c as usize]
     }
 
@@ -210,7 +196,7 @@ impl DimChunking {
     /// Total number of chunks across all levels of this dimension
     /// (`Σ_l n_chunks(l)` — the per-dimension factor of the whole-cube chunk
     /// census used for the paper's space-overhead accounting, Table 3).
-    pub fn total_chunks(&self) -> u64 {
+    pub(crate) fn total_chunks(&self) -> u64 {
         (0..self.num_levels())
             .map(|l| u64::from(self.n_chunks(l as u8)))
             .sum()
@@ -344,16 +330,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn build_uniform_is_feasible() {
-        let d = dim();
-        let ck = DimChunking::build_uniform(&d, 8).unwrap();
-        for l in 1..4u8 {
-            assert!(ck.n_chunks(l) >= ck.n_chunks(l - 1));
-        }
-        assert_eq!(ck.n_chunks(3), 10); // ceil(75 / 8)
     }
 
     #[test]

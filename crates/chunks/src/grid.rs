@@ -40,12 +40,6 @@ impl LevelGeometry {
         &self.level
     }
 
-    /// Per-dimension chunk counts.
-    #[inline]
-    pub fn n_chunks(&self) -> &[u32] {
-        &self.n_chunks
-    }
-
     /// Total number of chunks at this group-by.
     #[inline]
     pub fn total_chunks(&self) -> u64 {
@@ -105,6 +99,12 @@ pub struct ChunkGrid {
 
 impl ChunkGrid {
     /// Builds a grid from per-dimension, per-level chunk counts.
+    ///
+    /// Refuses a grid some of whose chunk keys would not survive
+    /// [`ChunkKey::pack`](crate::ChunkKey::pack) — more group-bys than the
+    /// id bits hold, or more chunks at one group-by than
+    /// `PACK_CHUNK_BITS` hold — so no two keys of a built grid share a
+    /// packed `u64`.
     pub fn build(schema: Arc<Schema>, chunks_per_level: &[Vec<u32>]) -> Result<Self, ChunkError> {
         assert_eq!(
             chunks_per_level.len(),
@@ -117,26 +117,6 @@ impl ChunkGrid {
             .zip(chunks_per_level)
             .map(|(d, counts)| DimChunking::build(d, counts))
             .collect::<Result<_, _>>()?;
-        Self::from_parts(schema, dims)
-    }
-
-    /// Builds a grid with approximately `values_per_chunk` values per chunk
-    /// on every dimension level.
-    pub fn build_uniform(schema: Arc<Schema>, values_per_chunk: u32) -> Result<Self, ChunkError> {
-        let dims: Vec<DimChunking> = schema
-            .dimensions()
-            .iter()
-            .map(|d| DimChunking::build_uniform(d, values_per_chunk))
-            .collect::<Result<_, _>>()?;
-        Self::from_parts(schema, dims)
-    }
-
-    /// Refuses a grid some of whose chunk keys would not survive
-    /// [`ChunkKey::pack`](crate::ChunkKey::pack) — more group-bys than the
-    /// id bits hold, or more chunks at one group-by than
-    /// [`PACK_CHUNK_BITS`] hold — so no two keys of a built grid share a
-    /// packed `u64`.
-    fn from_parts(schema: Arc<Schema>, dims: Vec<DimChunking>) -> Result<Self, ChunkError> {
         let lattice = schema.lattice();
         if u64::from(lattice.num_group_bys()) > 1 << (64 - PACK_CHUNK_BITS) {
             return Err(ChunkError::TooManyChunks {
@@ -406,13 +386,10 @@ mod tests {
 
     fn grid() -> ChunkGrid {
         let schema = Arc::new(
-            Schema::new(
-                vec![
-                    Dimension::balanced("a", vec![1, 4, 12]).unwrap(),
-                    Dimension::balanced("b", vec![1, 6]).unwrap(),
-                ],
-                "m",
-            )
+            Schema::new(vec![
+                Dimension::balanced("a", vec![1, 4, 12]).unwrap(),
+                Dimension::balanced("b", vec![1, 6]).unwrap(),
+            ])
             .unwrap(),
         );
         ChunkGrid::build(schema, &[vec![1, 2, 4], vec![1, 3]]).unwrap()
@@ -435,13 +412,10 @@ mod tests {
     fn refuses_a_grid_whose_chunk_numbers_outgrow_the_packed_key() {
         // Two flat dimensions at one chunk per value.
         let square = |values: u32| {
-            let schema = Schema::new(
-                vec![
-                    Dimension::flat("a", values).unwrap(),
-                    Dimension::flat("b", values).unwrap(),
-                ],
-                "m",
-            )
+            let schema = Schema::new(vec![
+                Dimension::flat("a", values).unwrap(),
+                Dimension::flat("b", values).unwrap(),
+            ])
             .unwrap();
             ChunkGrid::build(Arc::new(schema), &[vec![1, values], vec![1, values]])
         };

@@ -45,7 +45,7 @@ pub struct ChunkKey {
 /// Bit position of the group-by id in a packed chunk key: the low
 /// [`PACK_CHUNK_BITS`] bits hold the chunk number, the bits above it the
 /// group-by id.
-pub const PACK_CHUNK_BITS: u32 = 40;
+pub(crate) const PACK_CHUNK_BITS: u32 = 40;
 
 impl ChunkKey {
     /// Convenience constructor.
@@ -54,7 +54,7 @@ impl ChunkKey {
     }
 
     /// Packs the key into a single `u64`: group-by id in the high 24 bits,
-    /// chunk number in the low [`PACK_CHUNK_BITS`] bits.
+    /// chunk number in the low `PACK_CHUNK_BITS` bits.
     ///
     /// The packed form is what the hot maps ([`hash::PackedMap`] /
     /// [`hash::PackedSet`]) use as their key — hashing one integer instead

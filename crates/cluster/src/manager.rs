@@ -58,11 +58,11 @@ pub struct NodeTraffic {
     /// Chunks this node received from peers (cooperative fills).
     pub remote_chunks_in: u64,
     /// Payload bytes this node shipped (serves + handoffs).
-    pub bytes_out: u64,
+    pub(crate) bytes_out: u64,
     /// Chunks this node handed off during rebalancing/replication.
-    pub handoffs_out: u64,
+    pub(crate) handoffs_out: u64,
     /// Handed-off chunks this node admitted.
-    pub handoffs_in: u64,
+    pub(crate) handoffs_in: u64,
     /// Times this node was killed.
     pub downs: u64,
 }
@@ -77,7 +77,6 @@ pub struct NodeTraffic {
 pub struct ClusterBuilder {
     nodes: Vec<CacheManager>,
     replication: usize,
-    tracer: Option<Arc<dyn Tracer>>,
 }
 
 impl Default for ClusterBuilder {
@@ -88,11 +87,10 @@ impl Default for ClusterBuilder {
 
 impl ClusterBuilder {
     /// An empty builder: replication 1.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             nodes: Vec::new(),
             replication: 1,
-            tracer: None,
         }
     }
 
@@ -109,20 +107,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Attaches a tracer, propagated to every node so per-node events and
-    /// cluster events land in the same sink.
-    pub fn tracer(mut self, tracer: Arc<dyn Tracer>) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
     /// Validates and builds the cluster.
     pub fn build(self) -> Result<ClusterManager, ClusterError> {
-        let Self {
-            mut nodes,
-            replication,
-            tracer,
-        } = self;
+        let Self { nodes, replication } = self;
         if nodes.is_empty() {
             return Err(ClusterError::NoNodes);
         }
@@ -142,11 +129,6 @@ impl ClusterBuilder {
             }
         }
         let ring = HashRing::new(nodes.len() as u32, replication, DEFAULT_VNODES)?;
-        if let Some(t) = &tracer {
-            for node in &mut nodes {
-                node.set_tracer(Some(t.clone()));
-            }
-        }
         let traffic = vec![NodeTraffic::default(); nodes.len()];
         // Replication above the node count is legal; an owner set is never
         // larger than the cluster.
@@ -154,7 +136,7 @@ impl ClusterBuilder {
         Ok(ClusterManager {
             nodes,
             ring,
-            tracer,
+            tracer: None,
             traffic,
             session_remote: RemoteMetrics::default(),
             owners_buf,
@@ -537,13 +519,10 @@ mod tests {
 
     fn shared_grid() -> Arc<ChunkGrid> {
         let schema = Arc::new(
-            Schema::new(
-                vec![
-                    Dimension::balanced("x", vec![1, 2, 8]).unwrap(),
-                    Dimension::flat("y", 4).unwrap(),
-                ],
-                "m",
-            )
+            Schema::new(vec![
+                Dimension::balanced("x", vec![1, 2, 8]).unwrap(),
+                Dimension::flat("y", 4).unwrap(),
+            ])
             .unwrap(),
         );
         Arc::new(ChunkGrid::build(schema, &[vec![1, 2, 4], vec![1, 2]]).unwrap())
@@ -792,13 +771,12 @@ mod tests {
     fn cluster_events_reach_tracer() {
         let tracer = Arc::new(RecordingTracer::new());
         let grid = shared_grid();
-        let mut b = ClusterManager::builder()
-            .replication(2)
-            .tracer(tracer.clone());
+        let mut b = ClusterManager::builder().replication(2);
         for _ in 0..3 {
             b = b.node(node(&grid));
         }
         let mut c = b.build().unwrap();
+        c.set_tracer(Some(tracer.clone()));
         let req = base_query(&c, (0..4).collect());
         c.run(&req).unwrap();
         c.kill_node(2);

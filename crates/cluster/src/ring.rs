@@ -94,17 +94,12 @@ impl HashRing {
     }
 
     /// Number of nodes (live or dead).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.alive.len()
     }
 
-    /// Whether the ring has no nodes (never true after construction).
-    pub fn is_empty(&self) -> bool {
-        self.alive.is_empty()
-    }
-
     /// The configured replication factor.
-    pub fn replication(&self) -> usize {
+    pub(crate) fn replication(&self) -> usize {
         self.replication
     }
 
@@ -127,7 +122,7 @@ impl HashRing {
     }
 
     /// Iterates live node ids in ascending order.
-    pub fn live_nodes(&self) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn live_nodes(&self) -> impl Iterator<Item = u32> + '_ {
         self.alive
             .iter()
             .enumerate()

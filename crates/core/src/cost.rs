@@ -77,13 +77,8 @@ impl CostTable {
         }
     }
 
-    /// The grid the table is built over.
-    pub fn grid(&self) -> &Arc<ChunkGrid> {
-        &self.grid
-    }
-
     /// The embedded virtual-count table.
-    pub fn counts(&self) -> &CountTable {
+    pub(crate) fn counts(&self) -> &CountTable {
         &self.counts
     }
 
@@ -100,25 +95,13 @@ impl CostTable {
     /// The best parent marker of `key`: a dimension index, [`PARENT_SELF`]
     /// or [`PARENT_NONE`].
     #[inline]
-    pub fn best_parent(&self, key: ChunkKey) -> u8 {
+    pub(crate) fn best_parent(&self, key: ChunkKey) -> u8 {
         self.best.get(key)
-    }
-
-    /// Whether `key` is computable.
-    #[inline]
-    pub fn is_computable(&self, key: ChunkKey) -> bool {
-        self.cost.get(key) != COST_INF
     }
 
     /// Total cost/best/count cell writes so far.
     pub fn updates(&self) -> u64 {
         self.updates + self.counts.updates()
-    }
-
-    /// Memory footprint per the paper's Table 3 accounting: count (1) +
-    /// cost (4) + best-parent (1) bytes per chunk.
-    pub fn array_bytes(&self) -> usize {
-        self.counts.array_bytes() * 6
     }
 
     /// Approximate resident memory of the arrays as actually laid out.
@@ -279,13 +262,10 @@ mod tests {
 
     fn fig4_grid() -> Arc<ChunkGrid> {
         let schema = Arc::new(
-            Schema::new(
-                vec![
-                    Dimension::balanced("x", vec![1, 4]).unwrap(),
-                    Dimension::balanced("y", vec![1, 4]).unwrap(),
-                ],
-                "m",
-            )
+            Schema::new(vec![
+                Dimension::balanced("x", vec![1, 4]).unwrap(),
+                Dimension::balanced("y", vec![1, 4]).unwrap(),
+            ])
             .unwrap(),
         );
         Arc::new(ChunkGrid::build(schema, &[vec![1, 2], vec![1, 2]]).unwrap())
@@ -394,7 +374,7 @@ mod tests {
             }
             // Count/cost computability must agree (Property 1 both ways).
             for &k in &all_keys {
-                assert_eq!(t.counts().is_computable(k), t.is_computable(k));
+                assert_eq!(t.counts().is_computable(k), t.cost(k).is_some());
             }
         }
     }
@@ -433,14 +413,18 @@ mod tests {
             dense.counts().assert_same(sparse.counts());
         }
         assert_eq!(dense.updates(), sparse.updates());
-        assert_eq!(dense.array_bytes(), sparse.array_bytes());
     }
 
     #[test]
     fn table3_accounting() {
         let grid = fig4_grid();
         let t = CostTable::new(grid.clone());
-        assert_eq!(t.array_bytes() as u64, 6 * grid.total_chunk_census());
+        // Table 3's 6 bytes per chunk (count, cost, best parent), plus the
+        // 4-byte cached-size array outside the paper's accounting.
+        assert_eq!(
+            t.resident_bytes() as u64,
+            (6 + 4) * grid.total_chunk_census()
+        );
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl CountTable {
         }
     }
 
-    /// The grid the table is built over.
-    pub fn grid(&self) -> &Arc<ChunkGrid> {
-        &self.grid
-    }
-
     /// The count of a chunk.
     #[inline]
     pub fn count(&self, key: ChunkKey) -> u8 {
@@ -80,12 +75,6 @@ impl CountTable {
     /// Total count-cell writes performed so far.
     pub fn updates(&self) -> u64 {
         self.updates
-    }
-
-    /// Memory footprint of the count array under the paper's Table 3
-    /// accounting: one byte per chunk of the census.
-    pub fn array_bytes(&self) -> usize {
-        self.grid.total_chunk_census() as usize
     }
 
     /// Approximate resident memory of the array as actually laid out
@@ -238,13 +227,10 @@ mod tests {
     /// 4 chunks at (1,1), 2 at (1,0) and (0,1), 1 at (0,0).
     fn fig4_grid() -> Arc<ChunkGrid> {
         let schema = Arc::new(
-            Schema::new(
-                vec![
-                    Dimension::balanced("x", vec![1, 4]).unwrap(),
-                    Dimension::balanced("y", vec![1, 4]).unwrap(),
-                ],
-                "m",
-            )
+            Schema::new(vec![
+                Dimension::balanced("x", vec![1, 4]).unwrap(),
+                Dimension::balanced("y", vec![1, 4]).unwrap(),
+            ])
             .unwrap(),
         );
         Arc::new(ChunkGrid::build(schema, &[vec![1, 2], vec![1, 2]]).unwrap())
@@ -386,7 +372,6 @@ mod tests {
             }
             dense.assert_same(&sparse);
         }
-        assert_eq!(dense.array_bytes(), sparse.array_bytes());
         // On this 9-chunk census the per-entry overhead dominates; the
         // sparse win appears at census scale (the table3 binary reports
         // it). Here just check both layouts report something sensible.
@@ -419,7 +404,6 @@ mod tests {
     fn array_bytes_equals_census() {
         let grid = fig4_grid();
         let t = CountTable::new(grid.clone());
-        assert_eq!(t.array_bytes() as u64, grid.total_chunk_census());
         assert_eq!(t.resident_bytes() as u64, grid.total_chunk_census());
     }
 }

@@ -72,13 +72,10 @@ mod tests {
     #[test]
     fn cache_computed_chunk_matches_backend() {
         let schema = Arc::new(
-            Schema::new(
-                vec![
-                    Dimension::balanced("x", vec![1, 2, 6]).unwrap(),
-                    Dimension::flat("y", 4).unwrap(),
-                ],
-                "m",
-            )
+            Schema::new(vec![
+                Dimension::balanced("x", vec![1, 2, 6]).unwrap(),
+                Dimension::flat("y", 4).unwrap(),
+            ])
             .unwrap(),
         );
         let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 2, 3], vec![1, 2]]).unwrap());
@@ -172,7 +169,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "plan leaf evicted")]
     fn panics_on_missing_leaf() {
-        let schema = Arc::new(Schema::new(vec![Dimension::flat("x", 2).unwrap()], "m").unwrap());
+        let schema = Arc::new(Schema::new(vec![Dimension::flat("x", 2).unwrap()]).unwrap());
         let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 1]]).unwrap());
         let cache = ChunkCache::new(usize::MAX, PolicyKind::Benefit);
         let plan = ComputationPlan {
@@ -187,7 +184,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not roll up into target chunk")]
     fn panics_on_a_leaf_outside_the_target() {
-        let schema = Arc::new(Schema::new(vec![Dimension::flat("x", 4).unwrap()], "m").unwrap());
+        let schema = Arc::new(Schema::new(vec![Dimension::flat("x", 4).unwrap()]).unwrap());
         let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 2]]).unwrap());
         let base = grid.schema().lattice().base();
         let mut cache = ChunkCache::new(usize::MAX, PolicyKind::Benefit);

@@ -26,7 +26,7 @@ pub enum Strategy {
 
 impl Strategy {
     /// Stable lowercase name, used in trace events and exports.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Self::NoAggregation => "no_aggregation",
             Self::Esm => "esm",
@@ -63,11 +63,6 @@ impl LookupOutcome {
     /// aggregation).
     pub fn answerable(&self) -> bool {
         self.plan.is_some()
-    }
-
-    /// Whether the chunk itself is resident (no aggregation needed).
-    pub fn direct_hit(&self) -> bool {
-        self.plan.as_ref().is_some_and(|p| p.direct_hit)
     }
 }
 
@@ -389,13 +384,10 @@ mod tests {
 
     fn fig4_grid() -> Arc<ChunkGrid> {
         let schema = Arc::new(
-            Schema::new(
-                vec![
-                    Dimension::balanced("x", vec![1, 4]).unwrap(),
-                    Dimension::balanced("y", vec![1, 4]).unwrap(),
-                ],
-                "m",
-            )
+            Schema::new(vec![
+                Dimension::balanced("x", vec![1, 4]).unwrap(),
+                Dimension::balanced("y", vec![1, 4]).unwrap(),
+            ])
             .unwrap(),
         );
         Arc::new(ChunkGrid::build(schema, &[vec![1, 2], vec![1, 2]]).unwrap())

@@ -12,29 +12,28 @@ use std::sync::Arc;
 /// Configuration of the middle-tier cache manager.
 ///
 /// Construct validated configurations through [`CacheManagerBuilder`]
-/// (`CacheManager::builder()`); the struct stays public and `Copy` so
-/// experiments can snapshot and tweak it.
+/// (`CacheManager::builder()`); [`CacheManager::config`] reads one back.
 #[derive(Debug, Clone, Copy)]
 pub struct ManagerConfig {
     /// The cache-lookup algorithm.
     pub strategy: Strategy,
     /// The replacement policy.
-    pub policy: PolicyKind,
+    pub(crate) policy: PolicyKind,
     /// The admission policy gating inserts that would evict. The default
     /// ([`AdmissionKind::BenefitMean`]) admits every feasible insert.
-    pub admission: AdmissionKind,
+    pub(crate) admission: AdmissionKind,
     /// Cache budget in accounting bytes (20 bytes/tuple, as in the paper).
-    pub cache_bytes: usize,
+    pub(crate) cache_bytes: usize,
     /// Whether the two-level policy's group clock-boost is applied when a
     /// group of chunks computes an aggregate (§6.3 rule 2). On by default;
     /// disabling it is an ablation knob.
-    pub group_boost: bool,
+    pub(crate) group_boost: bool,
 }
 
 impl ManagerConfig {
     /// Checks the invariants [`CacheManagerBuilder`] enforces: a positive
     /// cache budget and a positive ESMC node budget.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.cache_bytes == 0 {
             return Err(ConfigError::ZeroCacheBudget);
         }
@@ -81,7 +80,7 @@ impl CacheManagerBuilder {
     /// policy) and **no cache budget** — [`CacheManagerBuilder::build`]
     /// fails with [`ConfigError::MissingCacheBudget`] until
     /// [`CacheManagerBuilder::cache_bytes`] is called.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             config: ManagerConfig {
                 strategy: Strategy::Vcmc,
@@ -91,16 +90,6 @@ impl CacheManagerBuilder {
                 group_boost: true,
             },
             cache_bytes: None,
-            tracer: None,
-            spill: None,
-        }
-    }
-
-    /// A builder pre-filled from an existing config (budget included).
-    pub fn from_config(config: ManagerConfig) -> Self {
-        Self {
-            cache_bytes: Some(config.cache_bytes),
-            config,
             tracer: None,
             spill: None,
         }
@@ -163,7 +152,7 @@ impl CacheManagerBuilder {
     }
 
     /// The validated configuration this builder would construct with.
-    pub fn config(&self) -> Result<ManagerConfig, ConfigError> {
+    pub(crate) fn config(&self) -> Result<ManagerConfig, ConfigError> {
         let mut config = self.config;
         config.cache_bytes = self.cache_bytes.ok_or(ConfigError::MissingCacheBudget)?;
         config.validate()?;

@@ -41,8 +41,6 @@ pub struct PreloadReport {
     pub chunks: u64,
     /// Accounting bytes loaded.
     pub bytes: usize,
-    /// Virtual backend cost of the load.
-    pub virtual_ms: f64,
 }
 
 /// The lookup strategy's bookkeeping: VCM's counts, VCMC's costs, or
@@ -422,7 +420,6 @@ impl CacheManager {
             descendants,
             chunks: loaded,
             bytes,
-            virtual_ms: fetch.virtual_ms,
         })
     }
 }
@@ -440,13 +437,10 @@ mod tests {
 
     pub(super) fn backend_with(agg: AggFn) -> Backend {
         let schema = Arc::new(
-            Schema::new(
-                vec![
-                    Dimension::balanced("x", vec![1, 2, 8]).unwrap(),
-                    Dimension::flat("y", 4).unwrap(),
-                ],
-                "m",
-            )
+            Schema::new(vec![
+                Dimension::balanced("x", vec![1, 2, 8]).unwrap(),
+                Dimension::flat("y", 4).unwrap(),
+            ])
             .unwrap(),
         );
         let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 2, 4], vec![1, 2]]).unwrap());

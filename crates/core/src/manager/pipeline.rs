@@ -590,7 +590,7 @@ mod tests {
 
     #[test]
     fn empty_chunk_results_are_negative_cached() {
-        let schema = Arc::new(Schema::new(vec![Dimension::flat("x", 4).unwrap()], "m").unwrap());
+        let schema = Arc::new(Schema::new(vec![Dimension::flat("x", 4).unwrap()]).unwrap());
         let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 4]]).unwrap());
         let base = grid.schema().lattice().base();
         let mut cells = ChunkData::new(1);

@@ -224,7 +224,7 @@ impl CacheManager {
     /// or invalid configuration is an error. Returns what opening and the
     /// warm start cost and found, which is also charged to the session —
     /// all zeros over an empty directory.
-    pub fn attach_spill(&mut self, config: SpillConfig) -> Result<SpillMetrics, SpillError> {
+    pub(crate) fn attach_spill(&mut self, config: SpillConfig) -> Result<SpillMetrics, SpillError> {
         let (mut store, mut delta) = SpillStore::open_metered(config)?;
         if delta.index_rebuilds > 0 {
             let recovered = store.len() as u64;
@@ -258,7 +258,7 @@ impl CacheManager {
     }
 
     /// Checkpoints the RAM-resident population to the spill tier, so the
-    /// next session's [`CacheManager::attach_spill`] warm-starts from it.
+    /// next session's `CacheManager::attach_spill` warm-starts from it.
     /// Every resident chunk is (re)written and marked resident, replacing
     /// any previous checkpoint's marks. Returns the writes, which are also
     /// charged to the session.
@@ -675,7 +675,7 @@ mod tests {
         assert!(0 < checkpointed && checkpointed < spilled);
         drop(a);
 
-        let schema = Arc::new(Schema::new(vec![Dimension::flat("x", 4).unwrap()], "m").unwrap());
+        let schema = Arc::new(Schema::new(vec![Dimension::flat("x", 4).unwrap()]).unwrap());
         let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 2]]).unwrap());
         let lattice = grid.schema().lattice().clone();
         let mut cells = ChunkData::new(1);

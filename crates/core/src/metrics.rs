@@ -166,7 +166,7 @@ pub struct SessionMetrics {
 
 impl SessionMetrics {
     /// Folds one query's metrics into the session.
-    pub fn record(&mut self, q: &QueryMetrics) {
+    pub(crate) fn record(&mut self, q: &QueryMetrics) {
         self.queries += 1;
         self.complete_hits += u64::from(q.complete_hit);
         self.degraded_queries += u64::from(q.chunks_degraded > 0);

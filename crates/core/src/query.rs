@@ -74,13 +74,10 @@ mod tests {
     #[test]
     fn region_query_enumerates_chunks() {
         let schema = Arc::new(
-            Schema::new(
-                vec![
-                    Dimension::flat("a", 4).unwrap(),
-                    Dimension::flat("b", 4).unwrap(),
-                ],
-                "m",
-            )
+            Schema::new(vec![
+                Dimension::flat("a", 4).unwrap(),
+                Dimension::flat("b", 4).unwrap(),
+            ])
             .unwrap(),
         );
         let grid = ChunkGrid::build(schema, &[vec![1, 2], vec![1, 2]]).unwrap();

@@ -121,7 +121,7 @@ pub struct UpdateMetrics {
     /// Resident chunks invalidated (evicted to re-serve via the miss path).
     pub chunks_invalidated: u64,
     /// Stale spilled chunks dropped from the spill index.
-    pub spill_invalidated: u64,
+    pub(crate) spill_invalidated: u64,
     /// Count/cost-table writes performed during maintenance.
     pub table_writes: u64,
     /// Virtual milliseconds charged for maintenance (roll-up work plus
@@ -131,7 +131,7 @@ pub struct UpdateMetrics {
 
 impl UpdateMetrics {
     /// Folds another ingestion's accounting into this one.
-    pub fn merge(&mut self, other: &UpdateMetrics) {
+    pub(crate) fn merge(&mut self, other: &UpdateMetrics) {
         self.delta_batches += other.delta_batches;
         self.tuples_inserted += other.tuples_inserted;
         self.tuples_deleted += other.tuples_deleted;

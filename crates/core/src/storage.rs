@@ -98,7 +98,7 @@ mod tests {
     use std::sync::Arc;
 
     fn grid() -> ChunkGrid {
-        let schema = Arc::new(Schema::new(vec![Dimension::flat("a", 8).unwrap()], "m").unwrap());
+        let schema = Arc::new(Schema::new(vec![Dimension::flat("a", 8).unwrap()]).unwrap());
         ChunkGrid::build(schema, &[vec![1, 4]]).unwrap()
     }
 

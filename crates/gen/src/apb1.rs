@@ -18,16 +18,13 @@ use std::sync::Arc;
 /// parameter "number of channels = 10".
 pub fn apb1_schema() -> Arc<Schema> {
     Arc::new(
-        Schema::new(
-            vec![
-                Dimension::balanced("Product", vec![1, 4, 15, 75, 300, 900, 9000]).unwrap(),
-                Dimension::balanced("Customer", vec![1, 90, 900]).unwrap(),
-                Dimension::balanced("Time", vec![1, 2, 8, 24]).unwrap(),
-                Dimension::flat("Channel", 10).unwrap(),
-                Dimension::flat("Scenario", 2).unwrap(),
-            ],
-            "UnitSales",
-        )
+        Schema::new(vec![
+            Dimension::balanced("Product", vec![1, 4, 15, 75, 300, 900, 9000]).unwrap(),
+            Dimension::balanced("Customer", vec![1, 90, 900]).unwrap(),
+            Dimension::balanced("Time", vec![1, 2, 8, 24]).unwrap(),
+            Dimension::flat("Channel", 10).unwrap(),
+            Dimension::flat("Scenario", 2).unwrap(),
+        ])
         .unwrap(),
     )
 }

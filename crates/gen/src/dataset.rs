@@ -1,18 +1,16 @@
 use aggcache_chunks::hash::mix64;
 use aggcache_chunks::{ChunkData, ChunkGrid, ChunkNumber};
-use aggcache_schema::{GroupById, Schema};
+use aggcache_schema::GroupById;
 use aggcache_store::FactTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// A complete generated dataset: schema, chunk grid, and a chunk-clustered
-/// fact table at a designated group-by.
+/// A complete generated dataset: chunk grid (and through it the schema)
+/// and a chunk-clustered fact table at a designated group-by.
 #[derive(Debug)]
 pub struct Dataset {
-    /// The schema.
-    pub schema: Arc<Schema>,
     /// The chunk grid.
     pub grid: Arc<ChunkGrid>,
     /// The group-by the fact data lives at (for APB-1: `(6, 2, 3, 1, 0)`).
@@ -37,7 +35,6 @@ impl Dataset {
         seed: u64,
     ) -> Self {
         assert!(density > 0.0 && density <= 1.0, "density must be in (0, 1]");
-        let schema = grid.schema().clone();
         let mut rng = StdRng::seed_from_u64(seed);
         let geom = grid.geom(fact_gb);
         let level = geom.level().to_vec();
@@ -73,7 +70,6 @@ impl Dataset {
 
         let fact = FactTable::load(grid.clone(), fact_gb, cells);
         Self {
-            schema,
             grid,
             fact_gb,
             fact,
@@ -162,17 +158,14 @@ fn decode_local(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aggcache_schema::Dimension;
+    use aggcache_schema::{Dimension, Schema};
 
     fn small_grid() -> Arc<ChunkGrid> {
         let schema = Arc::new(
-            Schema::new(
-                vec![
-                    Dimension::balanced("a", vec![1, 3, 12]).unwrap(),
-                    Dimension::flat("b", 8).unwrap(),
-                ],
-                "m",
-            )
+            Schema::new(vec![
+                Dimension::balanced("a", vec![1, 3, 12]).unwrap(),
+                Dimension::flat("b", 8).unwrap(),
+            ])
             .unwrap(),
         );
         Arc::new(ChunkGrid::build(schema, &[vec![1, 3, 6], vec![1, 2]]).unwrap())

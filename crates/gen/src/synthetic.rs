@@ -61,7 +61,7 @@ impl SyntheticSpec {
             .iter()
             .map(|(name, cards, _)| Dimension::balanced(name.clone(), cards.clone()).unwrap())
             .collect();
-        let schema = Arc::new(Schema::new(dims, "m").unwrap());
+        let schema = Arc::new(Schema::new(dims).unwrap());
         let counts: Vec<Vec<u32>> = self.dims.iter().map(|(_, _, c)| c.clone()).collect();
         Arc::new(ChunkGrid::build(schema, &counts).unwrap())
     }
@@ -101,7 +101,7 @@ mod tests {
             .tuples(30)
             .build();
         assert!(ds.num_tuples() >= 25);
-        assert_eq!(ds.fact_gb, ds.schema.lattice().base());
+        assert_eq!(ds.fact_gb, ds.grid.schema().lattice().base());
     }
 
     #[test]

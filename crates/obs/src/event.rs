@@ -27,7 +27,7 @@ pub enum LookupOutcome {
 
 impl LookupOutcome {
     /// Stable lowercase name (used by the JSON export).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Self::Hit => "hit",
             Self::Computable => "computable",
@@ -52,7 +52,7 @@ pub enum Tier {
 
 impl Tier {
     /// Stable lowercase name (used by the JSON export).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Self::Fetched => "fetched",
             Self::Computed => "computed",

@@ -10,11 +10,6 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 pub struct Histogram {
     buckets: [u64; HISTOGRAM_BUCKETS],
     count: u64,
-    /// How many of `count` were finite: what `sum` adds up.
-    finite: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Default for Histogram {
@@ -22,10 +17,6 @@ impl Default for Histogram {
         Self {
             buckets: [0; HISTOGRAM_BUCKETS],
             count: 0,
-            finite: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 }
@@ -39,7 +30,7 @@ impl Histogram {
     /// The bucket index a value falls into: 0 for `v < 1` and for
     /// non-finite `v`, otherwise `floor(log2 v) + 1`, clamped to the last
     /// bucket.
-    pub fn bucket_index(v: f64) -> usize {
+    pub(crate) fn bucket_index(v: f64) -> usize {
         if !v.is_finite() || v < 1.0 {
             // Negative, sub-1, NaN and ±∞ all land in bucket 0.
             return 0;
@@ -52,62 +43,16 @@ impl Histogram {
         ((64 - truncated.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
     }
 
-    /// The inclusive lower bound of bucket `i`.
-    pub fn bucket_lo(i: usize) -> f64 {
-        if i == 0 {
-            0.0
-        } else {
-            (2u128 << (i - 1).min(127)) as f64 / 2.0
-        }
-    }
-
     /// The exclusive upper bound of bucket `i` (the last bucket is
     /// unbounded in practice).
-    pub fn bucket_hi(i: usize) -> f64 {
+    pub(crate) fn bucket_hi(i: usize) -> f64 {
         (1u128 << i.min(127)) as f64
     }
 
-    /// Records one value. Non-finite values count in bucket 0 but are
-    /// excluded from sum/min/max.
+    /// Records one value. Non-finite values count in bucket 0.
     pub fn record(&mut self, v: f64) {
         self.buckets[Self::bucket_index(v)] += 1;
         self.count += 1;
-        if v.is_finite() {
-            self.finite += 1;
-            self.sum += v;
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded (finite) values.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Smallest recorded value, `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.min.is_finite()).then_some(self.min)
-    }
-
-    /// Largest recorded value, `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.max.is_finite()).then_some(self.max)
-    }
-
-    /// Mean of recorded finite values, `None` when there are none.
-    pub fn mean(&self) -> Option<f64> {
-        (self.finite > 0).then(|| self.sum / self.finite as f64)
-    }
-
-    /// The raw bucket counts.
-    pub fn buckets(&self) -> &[u64; HISTOGRAM_BUCKETS] {
-        &self.buckets
     }
 
     /// Upper bound of the bucket containing the `q`-quantile (tail-latency
@@ -154,32 +99,23 @@ mod tests {
     #[test]
     fn bucket_bounds_bracket_their_index() {
         for i in 1..HISTOGRAM_BUCKETS - 1 {
-            let lo = Histogram::bucket_lo(i);
             let hi = Histogram::bucket_hi(i);
-            assert_eq!(Histogram::bucket_index(lo), i, "lo of bucket {i}");
+            assert_eq!(Histogram::bucket_index(hi / 2.0), i, "lo of bucket {i}");
             assert_eq!(Histogram::bucket_index(hi), i + 1, "hi of bucket {i}");
-            assert_eq!(hi, lo * 2.0);
         }
-        assert_eq!(Histogram::bucket_lo(0), 0.0);
         assert_eq!(Histogram::bucket_hi(0), 1.0);
     }
 
     #[test]
     fn record_accumulates_stats() {
         let mut h = Histogram::new();
-        assert_eq!(h.min(), None);
-        assert_eq!(h.mean(), None);
         for v in [1.0, 2.0, 3.0, 1000.0] {
             h.record(v);
         }
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 1006.0);
-        assert_eq!(h.min(), Some(1.0));
-        assert_eq!(h.max(), Some(1000.0));
-        assert_eq!(h.mean(), Some(251.5));
-        assert_eq!(h.buckets()[1], 1); // 1.0
-        assert_eq!(h.buckets()[2], 2); // 2.0, 3.0
-        assert_eq!(h.buckets()[10], 1); // 1000.0 in [512, 1024)
+        assert_eq!(h.count, 4);
+        assert_eq!(h.buckets[1], 1); // 1.0
+        assert_eq!(h.buckets[2], 2); // 2.0, 3.0
+        assert_eq!(h.buckets[10], 1); // 1000.0 in [512, 1024)
     }
 
     #[test]
@@ -201,12 +137,9 @@ mod tests {
         let mut h = Histogram::new();
         h.record(f64::NAN);
         h.record(2.0);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 2.0);
-        assert_eq!(h.min(), Some(2.0));
         h.record(f64::INFINITY);
         h.record(f64::NEG_INFINITY);
-        assert_eq!((h.count(), h.buckets()[0]), (4, 3), "as `record` documents");
-        assert_eq!(h.mean(), Some(2.0), "the mean of what `sum` holds");
+        assert_eq!((h.count, h.buckets[0]), (4, 3), "as `record` documents");
+        assert_eq!(h.quantile(1.0), Some(4.0), "2.0 is the largest bucket");
     }
 }

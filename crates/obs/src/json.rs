@@ -184,7 +184,7 @@ pub enum JsonValue {
 impl JsonValue {
     /// Parses a complete JSON document (trailing whitespace allowed).
     /// Malformed input — an unpaired surrogate escape, nesting deeper than
-    /// [`MAX_DEPTH`] included — is a [`JsonError`], never a panic.
+    /// `MAX_DEPTH` included — is a [`JsonError`], never a panic.
     pub fn parse(src: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
             bytes: src.as_bytes(),
@@ -250,9 +250,9 @@ impl JsonValue {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// What went wrong.
-    pub message: String,
+    pub(crate) message: String,
     /// Byte offset in the source.
-    pub offset: usize,
+    pub(crate) offset: usize,
 }
 
 impl std::fmt::Display for JsonError {
@@ -264,7 +264,7 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 /// How deep arrays and objects may nest in a parsed document.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],

@@ -35,7 +35,7 @@ impl Dimension {
     /// `rollups` must have one entry per level; `rollups[0]` must be empty
     /// and `rollups[l]` (for `l >= 1`) must have `cardinalities[l]` entries,
     /// be monotone non-decreasing, and be onto `0..cardinalities[l - 1]`.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         cardinalities: Vec<u32>,
         rollups: Vec<Vec<u32>>,
@@ -157,11 +157,6 @@ impl Dimension {
     /// Number of distinct values at `level`.
     pub fn cardinality(&self, level: u8) -> u32 {
         self.cardinalities[level as usize]
-    }
-
-    /// All per-level cardinalities, index 0 = most aggregated.
-    pub fn cardinalities(&self) -> &[u32] {
-        &self.cardinalities
     }
 
     /// The roll-up map from `level` to `level - 1`. Panics if `level == 0`.

@@ -104,7 +104,7 @@ impl Lattice {
     }
 
     /// Writes the level tuple of `id` into `out` (must have `num_dims` slots).
-    pub fn level_into(&self, id: GroupById, out: &mut [u8]) {
+    pub(crate) fn level_into(&self, id: GroupById, out: &mut [u8]) {
         debug_assert_eq!(out.len(), self.radices.len());
         for (d, slot) in out.iter_mut().enumerate() {
             *slot = self.digit(id, d);
@@ -136,15 +136,6 @@ impl Lattice {
         (0..self.radices.len())
             .filter(move |&d| u32::from(self.digit(id, d)) + 1 < self.radices[d])
             .map(move |d| (d, GroupById(id.0 + self.weights[d])))
-    }
-
-    /// Immediate children of `id`: for each dimension above level 0, the
-    /// group-by one step more aggregated along that dimension.
-    /// Yields `(dimension, child_id)`.
-    pub fn children(&self, id: GroupById) -> impl Iterator<Item = (usize, GroupById)> + '_ {
-        (0..self.radices.len())
-            .filter(move |&d| self.digit(id, d) > 0)
-            .map(move |d| (d, GroupById(id.0 - self.weights[d])))
     }
 
     /// Whether `target` can be computed from `source` (i.e. `target <=
@@ -283,18 +274,13 @@ mod tests {
     }
 
     #[test]
-    fn children_are_one_step_more_aggregated() {
-        let l = Lattice::new(&APB).unwrap();
-        let id = l.id_of(&[1, 0, 0, 0, 1]).unwrap();
-        let children: Vec<Level> = l.children(id).map(|(_, c)| l.level_of(c)).collect();
-        assert_eq!(children, vec![vec![0, 0, 0, 0, 1], vec![1, 0, 0, 0, 0]]);
-    }
-
-    #[test]
     fn base_has_no_parents_top_no_children() {
         let l = Lattice::new(&APB).unwrap();
         assert_eq!(l.parents(l.base()).count(), 0);
-        assert_eq!(l.children(l.top()).count(), 0);
+        // The top is nobody's parent: nothing is more aggregated.
+        assert!(l
+            .iter_ids()
+            .all(|id| l.parents(id).all(|(_, p)| p != l.top())));
     }
 
     #[test]

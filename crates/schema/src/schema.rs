@@ -1,6 +1,6 @@
 use crate::{Dimension, Lattice, Level, SchemaError};
 
-/// A multi-dimensional schema: an ordered set of dimensions and a measure.
+/// A multi-dimensional schema: an ordered set of dimensions.
 ///
 /// The schema owns the group-by [`Lattice`] induced by its dimensions'
 /// hierarchy sizes. All level tuples used with the schema follow the paper's
@@ -9,20 +9,16 @@ use crate::{Dimension, Lattice, Level, SchemaError};
 #[derive(Debug, Clone)]
 pub struct Schema {
     dimensions: Vec<Dimension>,
-    measure: String,
     lattice: Lattice,
 }
 
 impl Schema {
-    /// Builds a schema from dimensions and a measure name.
+    /// Builds a schema from dimensions.
     ///
     /// Refuses ([`SchemaError::TooManyCells`]) a schema whose base-level
     /// cell space overflows `u64`: the aggregation kernel keys every cell
     /// of a level by one row-major `u64`.
-    pub fn new(
-        dimensions: Vec<Dimension>,
-        measure: impl Into<String>,
-    ) -> Result<Self, SchemaError> {
+    pub fn new(dimensions: Vec<Dimension>) -> Result<Self, SchemaError> {
         if dimensions.is_empty() {
             return Err(SchemaError::NoDimensions);
         }
@@ -37,7 +33,6 @@ impl Schema {
             .ok_or(SchemaError::TooManyCells)?;
         Ok(Self {
             dimensions,
-            measure: measure.into(),
             lattice,
         })
     }
@@ -58,12 +53,6 @@ impl Schema {
     #[inline]
     pub fn dimension(&self, d: usize) -> &Dimension {
         &self.dimensions[d]
-    }
-
-    /// The measure name (e.g. `UnitSales`).
-    #[inline]
-    pub fn measure(&self) -> &str {
-        &self.measure
     }
 
     /// The group-by lattice.
@@ -105,13 +94,10 @@ mod tests {
     use super::*;
 
     fn schema() -> Schema {
-        Schema::new(
-            vec![
-                Dimension::balanced("a", vec![1, 2, 4]).unwrap(),
-                Dimension::flat("b", 6).unwrap(),
-            ],
-            "m",
-        )
+        Schema::new(vec![
+            Dimension::balanced("a", vec![1, 2, 4]).unwrap(),
+            Dimension::flat("b", 6).unwrap(),
+        ])
         .unwrap()
     }
 
@@ -149,7 +135,7 @@ mod tests {
             let dims = (0..n)
                 .map(|d| Dimension::flat(format!("d{d}"), 1 << 17).unwrap())
                 .collect();
-            Schema::new(dims, "m")
+            Schema::new(dims)
         };
         // 2^68 cells.
         assert_eq!(flat(4).unwrap_err(), SchemaError::TooManyCells);
@@ -160,7 +146,7 @@ mod tests {
     #[test]
     fn rejects_empty_schema() {
         assert!(matches!(
-            Schema::new(vec![], "m").unwrap_err(),
+            Schema::new(vec![]).unwrap_err(),
             SchemaError::NoDimensions
         ));
     }

@@ -37,7 +37,7 @@ impl AggFn {
     /// kernel fills its cells with it, so a cell's first contribution needs
     /// no test.
     #[inline]
-    pub fn identity(self) -> f64 {
+    pub(crate) fn identity(self) -> f64 {
         match self {
             AggFn::Sum | AggFn::Count => -0.0,
             AggFn::Min => f64::INFINITY,
@@ -60,7 +60,7 @@ impl AggFn {
     /// representations, `-0.0`, `±∞` and subnormals included. What it does
     /// not: the payload and signalling bits of a NaN are not preserved —
     /// the dense side combines even a cell's only contribution with
-    /// [`AggFn::identity`], and MIN/MAX answer the canonical `f64::NAN`.
+    /// `AggFn::identity`, and MIN/MAX answer the canonical `f64::NAN`.
     #[inline]
     pub fn combine(self, a: f64, b: f64) -> f64 {
         match self {
@@ -201,7 +201,7 @@ impl SourceKeys<'_> {
     /// are computed one live dimension at a time — a lookup and a
     /// multiply-add per cell, table and weight in registers — and equal
     /// "roll each coordinate up, then Horner-encode". Which cells lie in
-    /// the box is a per-*chunk* check ([`Aggregator::add_source_chunk`]).
+    /// the box is a per-*chunk* check ([`ChunkAggregator::add_source_chunk`]).
     #[inline]
     fn keyed_blocks(&self, data: &ChunkData, mut sink: impl FnMut(&[u64], &[f64])) {
         let n = data.n_dims();
@@ -323,13 +323,11 @@ fn radix_sort_by_key(pairs: Vec<(u64, f64)>, bound: u64) -> Vec<(u64, f64)> {
 /// This is the aggregation kernel shared by the backend (fact tuples →
 /// requested chunks) and the cache executor (cached chunks at mixed levels →
 /// a computed chunk). Costs are linear in the number of cells added,
-/// matching the paper's §5 cost model.
+/// matching the paper's §5 cost model. [`Aggregator::new`] targets a whole
+/// level; [`Aggregator::for_chunk`] builds a [`ChunkAggregator`] targeting
+/// one chunk.
 pub struct Aggregator<'s> {
     cell_box: CellBox<'s>,
-    /// The grid and target chunk of an aggregator built by
-    /// [`Aggregator::for_chunk`]: what every source chunk is checked
-    /// against.
-    chunk: Option<(&'s ChunkGrid, ChunkKey)>,
     agg: AggFn,
     cells: Cells,
     cells_added: u64,
@@ -343,7 +341,6 @@ impl<'s> Aggregator<'s> {
     pub fn new(schema: &'s Schema, target: &[u8], agg: AggFn) -> Self {
         Self {
             cell_box: CellBox::whole_level(schema, target),
-            chunk: None,
             agg,
             cells: Cells::Sparse(Vec::new()),
             cells_added: 0,
@@ -351,19 +348,20 @@ impl<'s> Aggregator<'s> {
     }
 
     /// Creates an aggregator producing the cells of one chunk, `target`,
-    /// from source chunks lying under it ([`Aggregator::add_source_chunk`]).
-    /// By the closure property every such cell lands in the chunk's
-    /// [`ChunkGrid::cell_box`]: cells are keyed relative to that box and,
-    /// when it is at most twice `expected_cells` (the cells about to be
-    /// added), accumulated in a dense array; otherwise appended as
-    /// `(key, value)` pairs and sorted once in [`Aggregator::finish`] — a
-    /// choice `finish` never shows ([`AggFn::combine`]).
+    /// from source chunks lying under it
+    /// ([`ChunkAggregator::add_source_chunk`]). By the closure property
+    /// every such cell lands in the chunk's [`ChunkGrid::cell_box`]: cells
+    /// are keyed relative to that box and, when it is at most twice
+    /// `expected_cells` (the cells about to be added), accumulated in a
+    /// dense array; otherwise appended as `(key, value)` pairs and sorted
+    /// once in [`Aggregator::finish`] — a choice `finish` never shows
+    /// ([`AggFn::combine`]).
     pub fn for_chunk(
         grid: &'s ChunkGrid,
         target: ChunkKey,
         agg: AggFn,
         expected_cells: u64,
-    ) -> Self {
+    ) -> ChunkAggregator<'s> {
         let cell_box = CellBox::of_chunk(grid, target);
         let cells = if cell_box.cells <= DENSE_BOX_PER_INPUT_CELL.saturating_mul(expected_cells) {
             let slots = usize::try_from(cell_box.cells).expect("a dense box is addressable");
@@ -374,38 +372,23 @@ impl<'s> Aggregator<'s> {
         } else {
             Cells::Sparse(Vec::new())
         };
-        Self {
-            cell_box,
-            chunk: Some((grid, target)),
-            agg,
-            cells,
-            cells_added: 0,
+        ChunkAggregator {
+            grid,
+            target,
+            kernel: Self {
+                cell_box,
+                agg,
+                cells,
+                cells_added: 0,
+            },
         }
     }
 
     /// Adds an entire [`ChunkData`] of cells at level `from`, rolling them
-    /// up into the target level of an aggregator built by
-    /// [`Aggregator::new`]: cells stream off the columnar arrays against
-    /// the dimensions' memoised roll-up tables and combine into their
-    /// target cells in input order.
-    ///
-    /// # Panics
-    ///
-    /// In release builds too, on an aggregator built by
-    /// [`Aggregator::for_chunk`]: its box is one chunk's, and a cell from
-    /// outside that chunk could alias a neighbour inside it, so such an
-    /// aggregator takes only [`Aggregator::add_source_chunk`], which checks.
+    /// up into the target level: cells stream off the columnar arrays
+    /// against the dimensions' memoised roll-up tables and combine into
+    /// their target cells in input order.
     pub fn add_chunk(&mut self, from: &[u8], data: &ChunkData, lift: Lift) {
-        assert!(
-            self.chunk.is_none(),
-            "add_chunk needs an aggregator built by new; for_chunk takes add_source_chunk"
-        );
-        self.roll_up(from, data, lift);
-    }
-
-    /// The ingest loop behind [`Aggregator::add_chunk`] and
-    /// [`Aggregator::add_source_chunk`], once each has checked its input.
-    fn roll_up(&mut self, from: &[u8], data: &ChunkData, lift: Lift) {
         self.cells_added += data.len() as u64;
         let (agg, cells) = (self.agg, &mut self.cells);
         self.cell_box
@@ -413,28 +396,6 @@ impl<'s> Aggregator<'s> {
             .keyed_blocks(data, |keys, values| {
                 cells.fold(agg, lifted(keys, values, agg, lift))
             });
-    }
-
-    /// Adds the cells of source chunk `src` — a cached chunk, or one
-    /// chunk's run of the fact table — to an aggregator built by
-    /// [`Aggregator::for_chunk`], as [`Aggregator::add_chunk`] does to one
-    /// built by [`Aggregator::new`].
-    ///
-    /// # Panics
-    ///
-    /// In release builds too, unless `src` rolls up into the target chunk:
-    /// a cell from elsewhere would land outside the box or, worse, on a
-    /// neighbour inside it. By closure that is O(dims) per chunk, not per cell.
-    pub fn add_source_chunk(&mut self, src: ChunkKey, data: &ChunkData, lift: Lift) {
-        let (grid, target) = self
-            .chunk
-            .expect("add_source_chunk needs an aggregator built by for_chunk");
-        assert!(
-            grid.schema().lattice().computable_from(target.gb, src.gb)
-                && grid.ascend_chunk(src.gb, src.chunk, target.gb) == target.chunk,
-            "source chunk {src:?} does not roll up into target chunk {target:?}"
-        );
-        self.roll_up(grid.geom(src.gb).level(), data, lift);
     }
 
     /// Number of input cells consumed so far — the paper's aggregation cost
@@ -492,10 +453,54 @@ impl<'s> Aggregator<'s> {
             }
         }
     }
+}
+
+/// An aggregator whose target is one chunk ([`Aggregator::for_chunk`]).
+/// Its box is the chunk's, and a cell from outside the chunk could alias a
+/// neighbour inside it, so it takes only whole source chunks that roll up
+/// into the target, and has no [`Aggregator::add_chunk`]:
+///
+/// ```compile_fail,E0599
+/// # use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey};
+/// # use aggcache_store::{AggFn, Aggregator, Lift};
+/// fn misuse(grid: &ChunkGrid, target: ChunkKey, level: &[u8], cells: &ChunkData) {
+///     let mut kernel = Aggregator::for_chunk(grid, target, AggFn::Sum, 0);
+///     kernel.add_chunk(level, cells, Lift::Raw);
+/// }
+/// ```
+pub struct ChunkAggregator<'s> {
+    grid: &'s ChunkGrid,
+    target: ChunkKey,
+    kernel: Aggregator<'s>,
+}
+
+impl ChunkAggregator<'_> {
+    /// Adds the cells of source chunk `src` — a cached chunk, or one
+    /// chunk's run of the fact table — as [`Aggregator::add_chunk`] does.
+    ///
+    /// # Panics
+    ///
+    /// In release builds too, unless `src` rolls up into the target chunk:
+    /// a cell from elsewhere would land outside the box or, worse, on a
+    /// neighbour inside it. By closure that is O(dims) per chunk, not per cell.
+    pub fn add_source_chunk(&mut self, src: ChunkKey, data: &ChunkData, lift: Lift) {
+        let (grid, target) = (self.grid, self.target);
+        assert!(
+            grid.schema().lattice().computable_from(target.gb, src.gb)
+                && grid.ascend_chunk(src.gb, src.chunk, target.gb) == target.chunk,
+            "source chunk {src:?} does not roll up into target chunk {target:?}"
+        );
+        self.kernel.add_chunk(grid.geom(src.gb).level(), data, lift);
+    }
+
+    /// [`Aggregator::finish`].
+    pub fn finish(self) -> ChunkData {
+        self.kernel.finish()
+    }
 
     #[cfg(test)]
     pub(crate) fn is_dense(&self) -> bool {
-        matches!(self.cells, Cells::Dense { .. })
+        matches!(self.kernel.cells, Cells::Dense { .. })
     }
 }
 
@@ -541,13 +546,10 @@ pub(crate) mod tests {
 
     fn schema() -> Arc<Schema> {
         Arc::new(
-            Schema::new(
-                vec![
-                    Dimension::balanced("a", vec![1, 2, 4]).unwrap(),
-                    Dimension::flat("b", 3).unwrap(),
-                ],
-                "m",
-            )
+            Schema::new(vec![
+                Dimension::balanced("a", vec![1, 2, 4]).unwrap(),
+                Dimension::flat("b", 3).unwrap(),
+            ])
             .unwrap(),
         )
     }
@@ -614,7 +616,7 @@ pub(crate) mod tests {
             kernel.add_source_chunk(src, data, lift);
         }
         let added: usize = sources.iter().map(|(_, d)| d.len()).sum();
-        assert_eq!(kernel.cells_added(), added as u64);
+        assert_eq!(kernel.kernel.cells_added, added as u64);
         kernel.finish()
     }
 
@@ -974,14 +976,15 @@ pub(crate) mod tests {
                         dense,
                         "{cells} cells, {expected_cells} expected"
                     );
-                    assert_eq!(kernel.cells_added(), 0);
+                    assert_eq!(kernel.kernel.cells_added, 0);
                     assert!(kernel.finish().is_empty());
                 }
             }
         }
         let top = ChunkKey::new(g.schema().lattice().top(), 0);
         assert!(Aggregator::for_chunk(&g, top, AggFn::Min, 1).is_dense());
-        assert!(!Aggregator::new(g.schema(), &[0, 0], AggFn::Min).is_dense());
+        let whole_level = Aggregator::new(g.schema(), &[0, 0], AggFn::Min);
+        assert!(matches!(whole_level.cells, Cells::Sparse(_)));
     }
 
     /// One special value per base cell, alone in its cell at the base
@@ -1105,19 +1108,6 @@ pub(crate) mod tests {
         kernel.add_source_chunk(ChunkKey::new(lattice.base(), 3), &stray, Lift::Raw);
     }
 
-    /// Unchecked, base cell `[1, 2]` would land on `[1, 0]` of base chunk
-    /// 0's box: `b` is dead there, so even the debug key check passes.
-    #[test]
-    #[should_panic(expected = "add_chunk needs an aggregator built by new")]
-    fn for_chunk_refuses_add_chunk() {
-        let g = grid();
-        let base = g.schema().lattice().base();
-        let mut kernel = Aggregator::for_chunk(&g, ChunkKey::new(base, 0), AggFn::Sum, u64::MAX);
-        let mut stray = ChunkData::new(2);
-        stray.push(&[1, 2], 7.0);
-        kernel.add_chunk(&[2, 1], &stray, Lift::Raw);
-    }
-
     /// The sparse side at scale: 4,000 cells from four sources, each base
     /// cell arriving two or three times in scrambled order — across sources
     /// and out of key order — with jagged values and every special value,
@@ -1127,14 +1117,11 @@ pub(crate) mod tests {
     /// shares. Reordering equal keys flips SUM bits.
     #[test]
     fn sparse_side_is_bit_identical_to_the_row_reference_at_scale() {
-        let s = Schema::new(
-            vec![
-                Dimension::balanced("a", vec![1, 2, 4]).unwrap(),
-                Dimension::flat("b", 256).unwrap(),
-                Dimension::balanced("c", vec![1, 16, 256]).unwrap(),
-            ],
-            "m",
-        )
+        let s = Schema::new(vec![
+            Dimension::balanced("a", vec![1, 2, 4]).unwrap(),
+            Dimension::flat("b", 256).unwrap(),
+            Dimension::balanced("c", vec![1, 16, 256]).unwrap(),
+        ])
         .unwrap();
         let specials = [
             -0.0,

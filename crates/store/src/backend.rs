@@ -50,7 +50,7 @@ pub enum StoreError {
 
 impl StoreError {
     /// Whether a retry may succeed (`Transient` or `Timeout`).
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         matches!(self, Self::Transient { .. } | Self::Timeout { .. })
     }
 
@@ -74,7 +74,7 @@ impl StoreError {
     }
 
     /// Stable lowercase class name, used in trace events.
-    pub fn class_name(&self) -> &'static str {
+    pub(crate) fn class_name(&self) -> &'static str {
         match self {
             Self::NotComputable { .. } => "not_computable",
             Self::Transient { .. } => "transient",
@@ -129,9 +129,9 @@ pub struct BackendCostModel {
     /// all missing chunks of a query into a single statement).
     pub per_query_ms: f64,
     /// Scan-and-aggregate cost per base tuple read.
-    pub per_tuple_us: f64,
+    pub(crate) per_tuple_us: f64,
     /// Transfer cost per result tuple shipped to the middle tier.
-    pub per_result_tuple_us: f64,
+    pub(crate) per_result_tuple_us: f64,
 }
 
 impl Default for BackendCostModel {
@@ -213,7 +213,7 @@ impl Backend {
     }
 
     /// Installs (or removes) the trace event sink.
-    pub fn set_tracer(&mut self, tracer: Option<Arc<dyn Tracer>>) {
+    pub(crate) fn set_tracer(&mut self, tracer: Option<Arc<dyn Tracer>>) {
         self.tracer = tracer;
     }
 
@@ -233,7 +233,7 @@ impl Backend {
     }
 
     /// The cost model.
-    pub fn cost_model(&self) -> &BackendCostModel {
+    pub(crate) fn cost_model(&self) -> &BackendCostModel {
         &self.cost
     }
 
@@ -307,7 +307,7 @@ impl Backend {
     /// Exact number of fact tuples a fetch of these chunks would scan
     /// (paper §5.2's cost statistic). `None` if the group-by is not
     /// answerable.
-    pub fn estimate_scan(&self, gb: GroupById, chunks: &[ChunkNumber]) -> Option<u64> {
+    pub(crate) fn estimate_scan(&self, gb: GroupById, chunks: &[ChunkNumber]) -> Option<u64> {
         let grid = self.fact.grid();
         let fact_gb = self.fact.gb();
         if !grid.schema().lattice().computable_from(gb, fact_gb) {
@@ -331,13 +331,10 @@ mod tests {
 
     fn backend() -> Backend {
         let schema = Arc::new(
-            Schema::new(
-                vec![
-                    Dimension::balanced("a", vec![1, 2, 8]).unwrap(),
-                    Dimension::flat("b", 4).unwrap(),
-                ],
-                "m",
-            )
+            Schema::new(vec![
+                Dimension::balanced("a", vec![1, 2, 8]).unwrap(),
+                Dimension::flat("b", 4).unwrap(),
+            ])
             .unwrap(),
         );
         let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 2, 4], vec![1, 2]]).unwrap());
@@ -390,7 +387,7 @@ mod tests {
 
     #[test]
     fn empty_region_returns_empty_chunk() {
-        let schema = Arc::new(Schema::new(vec![Dimension::flat("a", 4).unwrap()], "m").unwrap());
+        let schema = Arc::new(Schema::new(vec![Dimension::flat("a", 4).unwrap()]).unwrap());
         let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 2]]).unwrap());
         let base = grid.schema().lattice().base();
         let mut cells = ChunkData::new(1);
@@ -405,13 +402,10 @@ mod tests {
     #[test]
     fn rejects_more_detailed_than_fact() {
         let schema = Arc::new(
-            Schema::new(
-                vec![
-                    Dimension::balanced("a", vec![1, 2, 8]).unwrap(),
-                    Dimension::flat("b", 4).unwrap(),
-                ],
-                "m",
-            )
+            Schema::new(vec![
+                Dimension::balanced("a", vec![1, 2, 8]).unwrap(),
+                Dimension::flat("b", 4).unwrap(),
+            ])
             .unwrap(),
         );
         let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 2, 4], vec![1, 2]]).unwrap());
@@ -503,16 +497,13 @@ mod tests {
     fn every_apb1_group_by_agrees_with_the_level_wide_kernel_on_both_sides() {
         use crate::aggregate::tests::assert_same_bits;
         let schema = Arc::new(
-            Schema::new(
-                vec![
-                    Dimension::balanced("Product", vec![1, 4, 15, 75, 300, 900, 9000]).unwrap(),
-                    Dimension::balanced("Customer", vec![1, 90, 900]).unwrap(),
-                    Dimension::balanced("Time", vec![1, 2, 8, 24]).unwrap(),
-                    Dimension::flat("Channel", 10).unwrap(),
-                    Dimension::flat("Scenario", 2).unwrap(),
-                ],
-                "UnitSales",
-            )
+            Schema::new(vec![
+                Dimension::balanced("Product", vec![1, 4, 15, 75, 300, 900, 9000]).unwrap(),
+                Dimension::balanced("Customer", vec![1, 90, 900]).unwrap(),
+                Dimension::balanced("Time", vec![1, 2, 8, 24]).unwrap(),
+                Dimension::flat("Channel", 10).unwrap(),
+                Dimension::flat("Scenario", 2).unwrap(),
+            ])
             .unwrap(),
         );
         let counts = [

@@ -173,13 +173,10 @@ mod tests {
 
     fn grid() -> Arc<ChunkGrid> {
         let schema = Arc::new(
-            Schema::new(
-                vec![
-                    Dimension::balanced("a", vec![1, 2, 8]).unwrap(),
-                    Dimension::flat("b", 4).unwrap(),
-                ],
-                "m",
-            )
+            Schema::new(vec![
+                Dimension::balanced("a", vec![1, 2, 8]).unwrap(),
+                Dimension::flat("b", 4).unwrap(),
+            ])
             .unwrap(),
         );
         Arc::new(ChunkGrid::build(schema, &[vec![1, 2, 4], vec![1, 2]]).unwrap())

@@ -95,7 +95,7 @@ impl FactTable {
 
     /// The grid this table is chunked under.
     #[inline]
-    pub fn grid(&self) -> &Arc<ChunkGrid> {
+    pub(crate) fn grid(&self) -> &Arc<ChunkGrid> {
         &self.grid
     }
 
@@ -112,7 +112,7 @@ impl FactTable {
     }
 
     /// The tuples of `chunk`, in load order — what the aggregation kernel
-    /// scans ([`Aggregator::add_source_chunk`](crate::Aggregator::add_source_chunk)).
+    /// scans ([`ChunkAggregator::add_source_chunk`](crate::ChunkAggregator::add_source_chunk)).
     #[inline]
     pub fn chunk(&self, chunk: ChunkNumber) -> &ChunkData {
         &self.runs[chunk as usize]
@@ -229,13 +229,10 @@ mod tests {
 
     fn grid() -> Arc<ChunkGrid> {
         let schema = Arc::new(
-            Schema::new(
-                vec![
-                    Dimension::balanced("a", vec![1, 2, 8]).unwrap(),
-                    Dimension::flat("b", 4).unwrap(),
-                ],
-                "m",
-            )
+            Schema::new(vec![
+                Dimension::balanced("a", vec![1, 2, 8]).unwrap(),
+                Dimension::flat("b", 4).unwrap(),
+            ])
             .unwrap(),
         );
         Arc::new(ChunkGrid::build(schema, &[vec![1, 2, 4], vec![1, 2]]).unwrap())

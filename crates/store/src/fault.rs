@@ -61,23 +61,23 @@ impl std::error::Error for FaultProfileError {}
 #[derive(Debug, Clone, Copy)]
 pub struct FaultProfile {
     /// PRNG seed; identical seeds produce identical fault sequences.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Probability a fetch fails with [`StoreError::Transient`].
-    pub transient_rate: f64,
+    pub(crate) transient_rate: f64,
     /// Probability a fetch fails with [`StoreError::Timeout`].
-    pub timeout_rate: f64,
+    pub(crate) timeout_rate: f64,
     /// Probability a successful fetch's virtual cost is multiplied by
     /// [`FaultProfile::latency_spike_mult`].
-    pub latency_spike_rate: f64,
+    pub(crate) latency_spike_rate: f64,
     /// Virtual-cost multiplier of a latency spike (≥ 1).
-    pub latency_spike_mult: f64,
+    pub(crate) latency_spike_mult: f64,
     /// Virtual milliseconds charged for a timed-out attempt: the
     /// per-fetch timeout budget the caller waited out.
-    pub timeout_ms: f64,
+    pub(crate) timeout_ms: f64,
     /// The first `fail_first` fetches fail with [`StoreError::Transient`]
     /// regardless of the rates, then the backend "recovers" — the
     /// deterministic outage script used by the chaos suite.
-    pub fail_first: u64,
+    pub(crate) fail_first: u64,
 }
 
 impl Default for FaultProfile {
@@ -120,7 +120,7 @@ impl FaultProfile {
     }
 
     /// Checks that every rate is a probability and every cost is sane.
-    pub fn validate(&self) -> Result<(), FaultProfileError> {
+    pub(crate) fn validate(&self) -> Result<(), FaultProfileError> {
         for (name, value) in [
             ("transient_rate", self.transient_rate),
             ("timeout_rate", self.timeout_rate),
@@ -190,21 +190,6 @@ impl<B: BackendSource> FaultInjectingBackend<B> {
             }),
             tracer: None,
         })
-    }
-
-    /// The fault profile.
-    pub fn profile(&self) -> &FaultProfile {
-        &self.profile
-    }
-
-    /// Fetches attempted so far (including failed ones).
-    pub fn fetches_attempted(&self) -> u64 {
-        self.state.lock().unwrap().fetches
-    }
-
-    /// The wrapped source.
-    pub fn inner(&self) -> &B {
-        &self.inner
     }
 
     /// Decides the fate of the next fetch. Always draws exactly three
@@ -324,7 +309,7 @@ mod tests {
     use aggcache_schema::{Dimension, Schema};
 
     fn backend() -> Backend {
-        let schema = Arc::new(Schema::new(vec![Dimension::flat("a", 4).unwrap()], "m").unwrap());
+        let schema = Arc::new(Schema::new(vec![Dimension::flat("a", 4).unwrap()]).unwrap());
         let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 2]]).unwrap());
         let base = grid.schema().lattice().base();
         let mut cells = ChunkData::new(1);
@@ -365,7 +350,7 @@ mod tests {
             assert!(err.virtual_ms() > 0.0, "failed trips cost virtual time");
         }
         assert!(wrapped.fetch(base, &[0]).is_ok(), "recovers after N");
-        assert_eq!(wrapped.fetches_attempted(), 4);
+        assert_eq!(wrapped.state.lock().unwrap().fetches, 4);
     }
 
     #[test]

@@ -207,17 +207,8 @@ impl DiskFaultProfile {
         }
     }
 
-    /// A deterministic crash script: the next `n` index writes are
-    /// silently truncated, everything else is healthy.
-    pub fn truncate_index_writes(n: u64) -> Self {
-        Self {
-            truncate_next_index_writes: n,
-            ..Self::default()
-        }
-    }
-
     /// Checks that every rate is a probability in [0, 1].
-    pub fn validate(&self) -> Result<(), SpillError> {
+    pub(crate) fn validate(&self) -> Result<(), SpillError> {
         for (field, value) in [
             ("bit_flip_rate", self.bit_flip_rate),
             ("torn_write_rate", self.torn_write_rate),
@@ -256,7 +247,7 @@ pub struct FaultInjectingSpillIo<I = FsSpillIo> {
 
 impl<I: SpillIo> FaultInjectingSpillIo<I> {
     /// Wraps `inner` with a validated fault profile.
-    pub fn new(inner: I, profile: DiskFaultProfile) -> Result<Self, SpillError> {
+    pub(crate) fn new(inner: I, profile: DiskFaultProfile) -> Result<Self, SpillError> {
         profile.validate()?;
         Ok(Self {
             inner,
@@ -268,11 +259,6 @@ impl<I: SpillIo> FaultInjectingSpillIo<I> {
                 reads: 0,
             }),
         })
-    }
-
-    /// The fault profile.
-    pub fn profile(&self) -> &DiskFaultProfile {
-        &self.profile
     }
 
     /// Draws one write's variates and hands `write` what lands: nothing
@@ -543,8 +529,11 @@ mod tests {
     #[test]
     fn index_truncation_script_hits_only_the_index() {
         let dir = tmpdir("truncidx");
-        let io = FaultInjectingSpillIo::new(FsSpillIo, DiskFaultProfile::truncate_index_writes(1))
-            .unwrap();
+        let profile = DiskFaultProfile {
+            truncate_next_index_writes: 1,
+            ..DiskFaultProfile::default()
+        };
+        let io = FaultInjectingSpillIo::new(FsSpillIo, profile).unwrap();
         let payload = vec![7u8; 80];
         let segment = dir.join("00000000.seg");
         let idx = dir.join("spill.idx");

@@ -28,7 +28,9 @@ mod retry;
 mod source;
 mod spill;
 
-pub use aggregate::{aggregate_to_level, aggregate_to_level_parallel, AggFn, Aggregator, Lift};
+pub use aggregate::{
+    aggregate_to_level, aggregate_to_level_parallel, AggFn, Aggregator, ChunkAggregator, Lift,
+};
 pub use backend::{Backend, BackendCostModel, FetchResult, StoreError};
 pub use delta::{DeltaBatch, DeltaOp, DeltaRecord, EffectiveDelta};
 pub use fact::FactTable;

@@ -25,9 +25,9 @@ pub struct MessageCostModel;
 
 impl MessageCostModel {
     /// Virtual milliseconds per request/response round trip.
-    pub const PER_HOP_MS: f64 = 0.5;
+    pub(crate) const PER_HOP_MS: f64 = 0.5;
     /// Virtual microseconds per payload byte shipped.
-    pub const PER_BYTE_US: f64 = 0.02;
+    pub(crate) const PER_BYTE_US: f64 = 0.02;
 
     /// Virtual milliseconds for one round trip carrying `bytes` of payload.
     pub fn transfer_ms(bytes: u64) -> f64 {

@@ -184,16 +184,6 @@ impl<B: BackendSource> RetryingBackend<B> {
             tracer: None,
         })
     }
-
-    /// The retry policy.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
-    /// The wrapped source.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
 }
 
 impl<B: BackendSource> BackendSource for RetryingBackend<B> {
@@ -283,7 +273,7 @@ mod tests {
     use aggcache_schema::{Dimension, Schema};
 
     fn backend() -> Backend {
-        let schema = Arc::new(Schema::new(vec![Dimension::flat("a", 4).unwrap()], "m").unwrap());
+        let schema = Arc::new(Schema::new(vec![Dimension::flat("a", 4).unwrap()]).unwrap());
         let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 2]]).unwrap());
         let base = grid.schema().lattice().base();
         let mut cells = ChunkData::new(1);
@@ -318,7 +308,7 @@ mod tests {
         let plain = backend().fetch(base, &[0]).unwrap();
         let r = retrying.fetch(base, &[0]).unwrap();
         assert_eq!(r.chunks, plain.chunks, "answer identical after retries");
-        let schedule = retrying.policy().backoff_schedule();
+        let schedule = retrying.policy.backoff_schedule();
         let expected_waste =
             2.0 * BackendCostModel::default().per_query_ms + schedule[0] + schedule[1];
         assert!(
@@ -356,9 +346,8 @@ mod tests {
     fn not_computable_is_never_retried() {
         // Build a backend whose facts live above the base: the base level
         // is not computable, which must pass through without retries.
-        let schema = Arc::new(
-            Schema::new(vec![Dimension::balanced("a", vec![1, 2, 4]).unwrap()], "m").unwrap(),
-        );
+        let schema =
+            Arc::new(Schema::new(vec![Dimension::balanced("a", vec![1, 2, 4]).unwrap()]).unwrap());
         let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 2, 2]]).unwrap());
         let mid = grid.schema().lattice().id_of(&[1]).unwrap();
         let mut cells = ChunkData::new(1);

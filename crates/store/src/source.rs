@@ -137,7 +137,7 @@ mod tests {
     use aggcache_schema::{Dimension, Schema};
 
     fn backend() -> Backend {
-        let schema = Arc::new(Schema::new(vec![Dimension::flat("a", 4).unwrap()], "m").unwrap());
+        let schema = Arc::new(Schema::new(vec![Dimension::flat("a", 4).unwrap()]).unwrap());
         let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 2]]).unwrap());
         let base = grid.schema().lattice().base();
         let mut cells = ChunkData::new(1);

@@ -53,7 +53,7 @@ const INDEX_FILE: &str = "spill.idx";
 /// and invalid configuration.
 ///
 /// [`SpillError::is_corruption`] classifies the variants that trigger
-/// quarantine-and-refetch recovery; [`SpillError::is_retryable`] the ones
+/// quarantine-and-refetch recovery; `SpillError::is_retryable` the ones
 /// worth re-attempting under a [`RetryPolicy`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpillError {
@@ -124,7 +124,7 @@ impl SpillError {
     }
 
     /// Whether a re-attempt can succeed (only transient read errors).
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         matches!(self, Self::TransientRead { .. })
     }
 
@@ -213,13 +213,13 @@ pub struct SpillCostModel;
 
 impl SpillCostModel {
     /// Virtual milliseconds per write operation (seek + dispatch).
-    pub const WRITE_PER_OP_MS: f64 = 0.2;
+    pub(crate) const WRITE_PER_OP_MS: f64 = 0.2;
     /// Virtual microseconds per byte written.
-    pub const WRITE_PER_BYTE_US: f64 = 0.05;
+    pub(crate) const WRITE_PER_BYTE_US: f64 = 0.05;
     /// Virtual milliseconds per read operation (seek + dispatch).
-    pub const READ_PER_OP_MS: f64 = 0.2;
+    pub(crate) const READ_PER_OP_MS: f64 = 0.2;
     /// Virtual microseconds per byte read.
-    pub const READ_PER_BYTE_US: f64 = 0.05;
+    pub(crate) const READ_PER_BYTE_US: f64 = 0.05;
 
     /// Virtual milliseconds for one write of `bytes`.
     pub fn write_ms(bytes: u64) -> f64 {
@@ -234,7 +234,7 @@ impl SpillCostModel {
     /// Virtual milliseconds for a checkpoint of `chunks` records totalling
     /// `bytes`: one per-op charge per chunk plus the byte rate over the
     /// total.
-    pub fn checkpoint_ms(chunks: u64, bytes: u64) -> f64 {
+    pub(crate) fn checkpoint_ms(chunks: u64, bytes: u64) -> f64 {
         chunks as f64 * Self::WRITE_PER_OP_MS + bytes as f64 * Self::WRITE_PER_BYTE_US / 1000.0
     }
 }
@@ -312,15 +312,15 @@ impl SpillMetrics {
 #[derive(Debug, Clone)]
 pub struct SpillConfig {
     /// Directory holding the segments and the index (created if absent).
-    pub dir: PathBuf,
+    pub(crate) dir: PathBuf,
     /// Optional deterministic disk-fault injection; `None` (the default)
     /// uses the plain filesystem backend, and `Some(Default::default())`
     /// is bit-transparent to it.
-    pub fault: Option<DiskFaultProfile>,
+    pub(crate) fault: Option<DiskFaultProfile>,
     /// When set, a proactive scrub pass verifies every stored checksum
     /// each time this much query virtual time elapses; `None` (the
     /// default) disables scrubbing.
-    pub scrub_interval_ms: Option<f64>,
+    pub(crate) scrub_interval_ms: Option<f64>,
 }
 
 impl SpillConfig {
@@ -348,7 +348,7 @@ impl SpillConfig {
     }
 
     /// Validates every knob (the directory is validated on open).
-    pub fn validate(&self) -> Result<(), SpillError> {
+    pub(crate) fn validate(&self) -> Result<(), SpillError> {
         if let Some(profile) = &self.fault {
             profile.validate()?;
         }
@@ -938,7 +938,7 @@ impl SpillStore {
     }
 
     /// Drops every spilled copy `stale` selects, in ascending key order,
-    /// and returns the keys dropped. Each copy is [`SpillStore::retire`]d:
+    /// and returns the keys dropped. Each copy is `SpillStore::retire`d:
     /// it leaves the index, so it is never promoted again, and a tombstone
     /// keeps a later index scavenge from bringing it back. A sweep that
     /// dropped anything persists the index once, so a reopened store does
@@ -960,7 +960,7 @@ impl SpillStore {
     /// first when they hold more dead bytes than live ones.
     ///
     /// Returns the records written (`spill_writes`, `bytes_written`),
-    /// priced by [`SpillCostModel::checkpoint_ms`]; compaction charges
+    /// priced by `SpillCostModel::checkpoint_ms`; compaction charges
     /// nothing. Checkpoints are salvaged record-by-record: a failed write
     /// (ENOSPC, injected fault, OS error) skips that record — counted in
     /// `demote_failures`, left non-resident, never aborting the
@@ -1551,9 +1551,10 @@ mod tests {
         let kb = ChunkKey::new(GroupById(2), 6);
         {
             // One truncated index write: the checkpoint "crashes" mid-index.
-            let mut store = SpillStore::open(
-                SpillConfig::new(&dir).fault(DiskFaultProfile::truncate_index_writes(1)),
-            )
+            let mut store = SpillStore::open(SpillConfig::new(&dir).fault(DiskFaultProfile {
+                truncate_next_index_writes: 1,
+                ..DiskFaultProfile::default()
+            }))
             .unwrap();
             store
                 .checkpoint(

@@ -11,7 +11,7 @@
 //! * **Random** — a jump to a random level and region.
 //!
 //! The paper's stream used 30% drill-down, 30% roll-up, 30% proximity and
-//! 10% random — [`QueryMix::paper`].
+//! 10% random — `QueryMix::paper`.
 
 #![deny(missing_docs)]
 
@@ -56,7 +56,7 @@ pub struct QueryMix {
 
 impl QueryMix {
     /// The paper's mix: 30/30/30/10.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Self {
             drill_down: 0.3,
             roll_up: 0.3,
@@ -77,7 +77,7 @@ impl QueryMix {
 
     /// Checks that every probability is a finite value in `[0, 1]` and
     /// that they sum to 1 (within `1e-9`).
-    pub fn validate(&self) -> Result<(), WorkloadError> {
+    pub(crate) fn validate(&self) -> Result<(), WorkloadError> {
         for (name, value) in [
             ("drill_down", self.drill_down),
             ("roll_up", self.roll_up),
@@ -155,7 +155,7 @@ impl WorkloadConfig {
     /// `max_span >= 1`, a finite positive `aggregated_bias` and a finite
     /// non-negative `level_zipf` (when set). Grid-dependent checks
     /// (`max_level` arity) happen in [`QueryStream::try_new`].
-    pub fn validate(&self) -> Result<(), WorkloadError> {
+    pub(crate) fn validate(&self) -> Result<(), WorkloadError> {
         self.mix.validate()?;
         if self.max_span == 0 {
             return Err(WorkloadError::ZeroSpan);

@@ -39,40 +39,33 @@ use std::sync::Arc;
 /// ```
 /// use aggcache_workload::TenantProfile;
 ///
-/// // Stock profiles cover the lab's three regimes.
-/// let storm = TenantProfile::dashboard_refresh();
-/// assert_eq!(storm.name, "dashboard_refresh");
-///
 /// // A refresh storm arrives far faster than an ad-hoc scanner; the
 /// // engine scales these base rates by Zipf tenant popularity.
+/// let storm = TenantProfile::dashboard_refresh();
 /// assert!(storm.arrival_mean_vms < TenantProfile::ad_hoc_scan().arrival_mean_vms);
 ///
-/// // `lab()` yields the round-robin assignment order used by the sweeps.
-/// let names: Vec<&str> = TenantProfile::lab().iter().map(|p| p.name).collect();
-/// assert_eq!(names, ["drill_down_session", "dashboard_refresh", "ad_hoc_scan"]);
+/// // `lab()` yields the three stock profiles in round-robin order.
+/// assert_eq!(TenantProfile::lab().len(), 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TenantProfile {
-    /// Stable profile name (reports, traces).
-    pub name: &'static str,
     /// Query-kind probabilities.
-    pub mix: QueryMix,
+    pub(crate) mix: QueryMix,
     /// Mean inter-arrival time in virtual milliseconds *before* the Zipf
     /// popularity scaling (hot tenants arrive faster).
     pub arrival_mean_vms: f64,
     /// Bias of random jumps towards aggregated levels (geometric).
-    pub aggregated_bias: f64,
+    pub(crate) aggregated_bias: f64,
     /// Per-dimension cap on the chunk span of a query region.
-    pub max_span: u32,
+    pub(crate) max_span: u32,
 }
 
 impl TenantProfile {
     /// An interactive analyst session: the paper's 30/30/30/10 mix at the
     /// paper's locality parameters. With this profile, a single tenant
     /// reproduces [`WorkloadConfig::paper`] exactly.
-    pub fn drill_down_session() -> Self {
+    pub(crate) fn drill_down_session() -> Self {
         Self {
-            name: "drill_down_session",
             mix: QueryMix::paper(),
             arrival_mean_vms: 50.0,
             aggregated_bias: 0.6,
@@ -85,7 +78,6 @@ impl TenantProfile {
     /// bias, narrow spans.
     pub fn dashboard_refresh() -> Self {
         Self {
-            name: "dashboard_refresh",
             mix: QueryMix {
                 drill_down: 0.05,
                 roll_up: 0.25,
@@ -103,7 +95,6 @@ impl TenantProfile {
     /// tenants' working sets through an admit-everything cache.
     pub fn ad_hoc_scan() -> Self {
         Self {
-            name: "ad_hoc_scan",
             mix: QueryMix {
                 drill_down: 0.1,
                 roll_up: 0.1,
@@ -197,7 +188,7 @@ impl MultiTenantConfig {
     }
 
     /// Checks the configuration invariants.
-    pub fn validate(&self) -> Result<(), WorkloadError> {
+    pub(crate) fn validate(&self) -> Result<(), WorkloadError> {
         if self.tenants == 0 {
             return Err(WorkloadError::NoTenants);
         }
@@ -314,11 +305,6 @@ impl TrafficEngine {
         }
     }
 
-    /// Generates the next `n` arrivals.
-    pub fn take_arrivals(&mut self, n: usize) -> Vec<Arrival> {
-        (0..n).map(|_| self.next_arrival()).collect()
-    }
-
     /// Generates `n` arrivals as `(tenant, query)` pairs; to feed
     /// `CacheManager::run_batch` use [`TrafficEngine::requests`].
     pub fn tagged_queries(&mut self, n: usize) -> Vec<(u32, Query)> {
@@ -363,6 +349,10 @@ mod tests {
         grid.schema().base_level()
     }
 
+    fn take_arrivals(engine: &mut TrafficEngine, n: usize) -> Vec<Arrival> {
+        (0..n).map(|_| engine.next_arrival()).collect()
+    }
+
     #[test]
     fn single_tenant_reproduces_single_stream_bit_identically() {
         let g = grid();
@@ -385,9 +375,7 @@ mod tests {
         let max = max_level(&g);
         let run = |seed: u64| {
             let cfg = MultiTenantConfig::contended(5, 1.0, max.clone(), seed);
-            TrafficEngine::new(g.clone(), &cfg)
-                .unwrap()
-                .take_arrivals(300)
+            take_arrivals(&mut TrafficEngine::new(g.clone(), &cfg).unwrap(), 300)
         };
         let a = run(7);
         let b = run(7);
@@ -410,7 +398,7 @@ mod tests {
         let max = max_level(&g);
         let cfg = MultiTenantConfig::contended(4, 0.5, max, 11);
         let mut engine = TrafficEngine::new(g, &cfg).unwrap();
-        let arrivals = engine.take_arrivals(400);
+        let arrivals = take_arrivals(&mut engine, 400);
         let mut seen = std::collections::BTreeSet::new();
         let mut last = 0.0f64;
         for a in &arrivals {
@@ -430,7 +418,7 @@ mod tests {
             let mut cfg = MultiTenantConfig::uniform(6, max.clone(), 3);
             cfg.skew = skew;
             let mut engine = TrafficEngine::new(g.clone(), &cfg).unwrap();
-            let arrivals = engine.take_arrivals(1200);
+            let arrivals = take_arrivals(&mut engine, 1200);
             arrivals.iter().filter(|a| a.tenant == 0).count() as f64 / 1200.0
         };
         let uniform = share_of_tenant0(0.0);
@@ -486,7 +474,7 @@ mod tests {
             seed: 17,
         };
         let mut engine = TrafficEngine::new(g, &cfg).unwrap();
-        let arrivals = engine.take_arrivals(2000);
+        let arrivals = take_arrivals(&mut engine, 2000);
         let share = |tenant: u32| {
             let mine: Vec<_> = arrivals.iter().filter(|a| a.tenant == tenant).collect();
             let random = mine.iter().filter(|a| a.kind == QueryKind::Random).count();

@@ -71,31 +71,24 @@ pub use aggcache_workload as workload;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use aggcache_cache::{
-        AdmissionKind, CachedChunk, ChunkCache, CountMinSketch, Origin, PolicyKind,
-    };
-    pub use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey, ChunkNumber, PAPER_TUPLE_BYTES};
-    pub use aggcache_cluster::{
-        ClusterBuilder, ClusterError, ClusterManager, HashRing, NodeTraffic,
-    };
+    pub use aggcache_cache::{CachedChunk, ChunkCache, Origin, PolicyKind};
+    pub use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey, PAPER_TUPLE_BYTES};
+    pub use aggcache_cluster::{ClusterError, HashRing};
     pub use aggcache_core::{
-        CacheError, CacheManager, CacheManagerBuilder, ComputationPlan, ConfigError, CostTable,
-        CountTable, ExecOutcome, LookupOutcome, LookupStats, ManagerConfig, PreloadReport, Query,
-        QueryMetrics, QueryProbe, QueryRequest, QueryResult, RemoteMetrics, SessionMetrics,
-        SpillMetrics, Strategy, UpdateMetrics,
+        CacheError, CacheManager, ConfigError, CostTable, CountTable, ExecOutcome, Query,
+        QueryMetrics, QueryProbe, QueryRequest, RemoteMetrics, SessionMetrics, SpillMetrics,
+        Strategy, UpdateMetrics,
     };
-    pub use aggcache_gen::{apb1_schema, Apb1Config, Dataset, SyntheticSpec};
-    pub use aggcache_obs::{Event, MetricsRegistry, RecordingTracer, Tracer};
+    pub use aggcache_gen::{Apb1Config, Dataset, SyntheticSpec};
+    pub use aggcache_obs::{Event, RecordingTracer, Tracer};
     pub use aggcache_schema::{Dimension, GroupById, Lattice, Level, Schema};
     pub use aggcache_store::{
         decode_record, encode_record, spill_checksum, AggFn, Backend, BackendCostModel,
-        BackendSource, DeltaBatch, DeltaOp, DeltaRecord, DiskFaultProfile, EffectiveDelta,
-        FactTable, FaultInjectingBackend, FaultInjectingSpillIo, FaultProfile, FsSpillIo, Lift,
-        MessageCostModel, RetryPolicy, RetryingBackend, SpillConfig, SpillCostModel, SpillError,
-        SpillIo, SpillRecord, SpillStore,
+        BackendSource, DeltaBatch, DeltaOp, DiskFaultProfile, FactTable, FaultInjectingBackend,
+        FaultProfile, FsSpillIo, Lift, RetryPolicy, RetryingBackend, SpillConfig, SpillIo,
+        SpillRecord, SpillStore,
     };
     pub use aggcache_workload::{
-        Arrival, MultiTenantConfig, QueryKind, QueryMix, QueryStream, TenantProfile, TrafficEngine,
-        WorkloadConfig, WorkloadError,
+        MultiTenantConfig, QueryKind, QueryMix, QueryStream, TrafficEngine, WorkloadConfig,
     };
 }

@@ -8,13 +8,10 @@ use std::sync::Arc;
 
 fn tiny_grid() -> Arc<ChunkGrid> {
     let schema = Arc::new(
-        Schema::new(
-            vec![
-                Dimension::balanced("a", vec![1, 2, 8]).unwrap(),
-                Dimension::flat("b", 4).unwrap(),
-            ],
-            "m",
-        )
+        Schema::new(vec![
+            Dimension::balanced("a", vec![1, 2, 8]).unwrap(),
+            Dimension::flat("b", 4).unwrap(),
+        ])
         .unwrap(),
     );
     Arc::new(ChunkGrid::build(schema, &[vec![1, 2, 4], vec![1, 2]]).unwrap())

@@ -99,14 +99,11 @@ fn example1_overlapping_queries_reuse_chunks() {
 #[test]
 fn example2_lattice_computability() {
     let schema = std::sync::Arc::new(
-        Schema::new(
-            vec![
-                Dimension::balanced("A", vec![1, 4]).unwrap(),
-                Dimension::balanced("B", vec![1, 2, 6]).unwrap(),
-                Dimension::balanced("C", vec![1, 4]).unwrap(),
-            ],
-            "m",
-        )
+        Schema::new(vec![
+            Dimension::balanced("A", vec![1, 4]).unwrap(),
+            Dimension::balanced("B", vec![1, 2, 6]).unwrap(),
+            Dimension::balanced("C", vec![1, 4]).unwrap(),
+        ])
         .unwrap(),
     );
     let lattice = schema.lattice().clone();
