@@ -1,5 +1,7 @@
 //! Runs every table and figure experiment in sequence, printing the full
-//! reproduction report (used to populate EXPERIMENTS.md).
+//! reproduction report (used to populate EXPERIMENTS.md). Exits 1 after
+//! the report if any sweep's contract (oracle mismatches, transparency
+//! divergences) is violated, naming each violation on stderr.
 use aggcache_bench::args::Args;
 use aggcache_bench::experiments::{
     cluster, coldstart, faults, recovery, streams, table1, table2, table3, tenants, unit_a, unit_b,
@@ -51,8 +53,17 @@ fn main() {
         })
     );
 
-    // Beyond the paper: availability under backend faults. Scaled down —
-    // the sweep runs one stream per fault rate.
+    // The six beyond-paper sweeps, scaled down; each prints its table and
+    // keeps its contract's verdict for the exit status.
+    let mut violations = Vec::new();
+    let mut report = |name: &str, (table, verdict): (String, Result<(), String>)| {
+        println!("{table}");
+        if let Err(violation) = verdict {
+            violations.push(format!("{name}: {violation}"));
+        }
+    };
+
+    // Availability under backend faults: one stream per fault rate.
     let fault_tuples = tuples.min(200_000);
     let f = faults::run_experiment(faults::Opts {
         tuples: fault_tuples,
@@ -61,57 +72,57 @@ fn main() {
         cache_bytes: faults::Opts::scaled_cache_bytes(fault_tuples),
         ..Default::default()
     });
-    println!("{}", faults::render(&f));
+    report("fig_faults", faults::SWEEP.report(&f));
 
-    // Beyond the paper: multi-tenant traffic under the admission lab.
-    // Scaled down — the sweep runs one merged stream per cell.
+    // Multi-tenant traffic under the admission lab: one merged stream per
+    // cell.
     let t = tenants::run_experiment(tenants::Opts {
         tuples: tuples.min(60_000),
         seed,
         ..Default::default()
     });
-    println!("{}", tenants::render(&t));
+    report("fig_tenants", tenants::SWEEP.report(&t));
 
-    // Beyond the paper: the sharded cache tier. Scaled down — the sweep
-    // runs one stream per (nodes, replication, failure rate) cell.
+    // The sharded cache tier: one stream per (nodes, replication, failure
+    // rate) cell.
     let cl = cluster::run_experiment(cluster::Opts {
         tuples: tuples.min(60_000),
         seed,
         ..Default::default()
     });
-    println!("{}", cluster::render(&cl));
+    report("fig_cluster", cluster::SWEEP.report(&cl));
 
-    // Beyond the paper: restart behavior with the persistent spill tier.
-    // Scaled down — the sweep runs warm-up + two restarts per cell.
-    let cs = coldstart::run_experiment(
-        coldstart::Opts {
-            tuples: tuples.min(60_000),
-            seed,
-            ..Default::default()
-        },
-        "repro",
-    );
-    println!("{}", coldstart::render(&cs));
+    // Restart behavior with the persistent spill tier: warm-up + two
+    // restarts per cell.
+    let cs = coldstart::run_experiment(coldstart::Opts {
+        tuples: tuples.min(60_000),
+        seed,
+        ..Default::default()
+    });
+    report("fig_coldstart", coldstart::SWEEP.report(&cs));
 
-    // Beyond the paper: self-healing storage under injected disk faults.
-    // Scaled down — every cell replays warm-up + a faulty restart.
-    let rc = recovery::run_experiment(
-        recovery::Opts {
-            tuples: tuples.min(60_000),
-            seed,
-            ..Default::default()
-        },
-        "repro",
-    );
-    println!("{}", recovery::render(&rc));
+    // Self-healing storage under injected disk faults: every cell replays
+    // warm-up + a faulty restart.
+    let rc = recovery::run_experiment(recovery::Opts {
+        tuples: tuples.min(60_000),
+        seed,
+        ..Default::default()
+    });
+    report("fig_recovery", recovery::SWEEP.report(&rc));
 
-    // Beyond the paper: base-data deltas propagated up the lattice.
-    // Scaled down — the sweep runs one stream per (mix, strategy) cell
-    // plus the empty-delta transparency check.
+    // Base-data deltas propagated up the lattice: one stream per (mix,
+    // strategy) cell plus the empty-delta transparency check.
     let up = updates::run_experiment(updates::Opts {
         tuples: tuples.min(60_000),
         seed,
         ..Default::default()
     });
-    println!("{}", updates::render(&up));
+    report("fig_updates", updates::SWEEP.report(&up));
+
+    if !violations.is_empty() {
+        for violation in &violations {
+            eprintln!("error: {violation}");
+        }
+        std::process::exit(1);
+    }
 }

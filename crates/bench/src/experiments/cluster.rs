@@ -383,41 +383,34 @@ pub(crate) fn to_csv(r: &ClusterResults) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::assert_golden;
+    use std::sync::OnceLock;
 
-    fn small_opts() -> Opts {
-        Opts {
-            tuples: 4_000,
-            queries: 80,
-            batch: 10,
-            ..Opts::default()
-        }
+    /// `fig_cluster --smoke`, run once per test pass; every test reads it.
+    fn smoke() -> &'static ClusterResults {
+        static RUN: OnceLock<ClusterResults> = OnceLock::new();
+        RUN.get_or_init(|| (SWEEP.run)(Opts::smoke()))
+    }
+
+    /// The smoke cell at (nodes, replication, failure rate).
+    fn cell(nodes: usize, replication: usize, failure_rate: f64) -> &'static CellResult {
+        smoke()
+            .cells
+            .iter()
+            .find(|c| {
+                (c.nodes, c.replication, c.failure_rate) == (nodes, replication, failure_rate)
+            })
+            .expect("a swept cell")
     }
 
     #[test]
-    fn cells_are_deterministic() {
-        let ds = apb_dataset(4_000, 3);
-        let a = run_cell(&ds, small_opts(), 4, 2, 0.3);
-        let b = run_cell(&ds, small_opts(), 4, 2, 0.3);
-        assert_eq!(a.hit_ratio.to_bits(), b.hit_ratio.to_bits());
-        assert_eq!(a.avg_virtual_ms.to_bits(), b.avg_virtual_ms.to_bits());
-        assert_eq!(a.p95_virtual_ms.to_bits(), b.p95_virtual_ms.to_bits());
-        assert_eq!(a.bytes_on_wire, b.bytes_on_wire);
-        assert_eq!(a.remote_chunks, b.remote_chunks);
-        assert_eq!(a.kills, b.kills);
-        assert_eq!(a.per_node.len(), b.per_node.len());
-        for (x, y) in a.per_node.iter().zip(&b.per_node) {
-            assert_eq!(x.queries, y.queries);
-            assert_eq!(x.resident_chunks, y.resident_chunks);
-            assert_eq!(x.traffic, y.traffic);
-        }
+    fn golden() {
+        assert_golden("cluster", &SWEEP, Opts::smoke(), smoke());
     }
 
     #[test]
     fn scale_out_raises_chunk_hits_at_fixed_node_budget() {
-        let ds = apb_dataset(8_000, 3);
-        let opts = Opts::smoke();
-        let one = run_cell(&ds, opts, 1, 1, 0.0);
-        let four = run_cell(&ds, opts, 4, 1, 0.0);
+        let (one, four) = (cell(1, 1, 0.0), cell(4, 1, 0.0));
         assert!(
             four.chunk_hit_ratio > one.chunk_hit_ratio,
             "4-node chunk hits {} not above 1-node {}",
@@ -433,9 +426,7 @@ mod tests {
 
     #[test]
     fn replication_enables_cooperative_serves() {
-        let ds = apb_dataset(8_000, 3);
-        let opts = Opts::smoke();
-        let cell = run_cell(&ds, opts, 4, 2, 0.0);
+        let cell = cell(4, 2, 0.0);
         assert!(
             cell.remote_chunks > 0,
             "no cooperative serves at replication 2"
@@ -446,28 +437,13 @@ mod tests {
 
     #[test]
     fn churn_cells_kill_and_recover() {
-        let ds = apb_dataset(4_000, 3);
-        let cell = run_cell(&ds, small_opts(), 3, 2, 0.8);
-        assert!(cell.kills > 0, "churn schedule never fired at rate 0.8");
-        let downs: u64 = cell.per_node.iter().map(|n| n.traffic.downs).sum();
-        assert_eq!(downs, cell.kills);
-        // Every node ends the run live and useful.
-        assert!(cell.per_node.iter().all(|n| n.queries > 0));
-    }
-
-    #[test]
-    fn exports_are_identical_across_runs() {
-        let ds = apb_dataset(4_000, 3);
-        let run = || ClusterResults {
-            cells: vec![
-                run_cell(&ds, small_opts(), 2, 1, 0.0),
-                run_cell(&ds, small_opts(), 2, 2, 0.5),
-            ],
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(to_json(small_opts(), &a), to_json(small_opts(), &b));
-        assert_eq!(to_csv(&a), to_csv(&b));
-        assert!(to_json(small_opts(), &a).contains("\"experiment\":\"fig_cluster\""));
-        assert!(to_csv(&a).starts_with("nodes,replication,failure_rate,"));
+        let kills: u64 = smoke().cells.iter().map(|c| c.kills).sum();
+        assert!(kills > 0, "churn schedule never fired");
+        for cell in &smoke().cells {
+            let downs: u64 = cell.per_node.iter().map(|n| n.traffic.downs).sum();
+            assert_eq!(downs, cell.kills);
+            // Every node ends the run live and useful.
+            assert!(cell.per_node.iter().all(|n| n.queries > 0));
+        }
     }
 }

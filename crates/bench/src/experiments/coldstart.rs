@@ -87,13 +87,13 @@ impl Opts {
 /// `spill_read`, `spill_promote` and `spill_write` all appear.
 pub const SWEEP: Sweep<Opts, ColdstartResults> = Sweep {
     opts: smoke_opts!(Opts),
-    run: |opts| run_experiment(opts, "bin"),
+    run: run_experiment,
     render,
     check: None,
     exports: Some((to_json, to_csv, |r| r.cells.len())),
     traced: Some(|opts, tracer| -> Meta {
         let dataset = apb_dataset(opts.tuples, opts.seed);
-        let root = scratch_root("coldstart", "trace");
+        let root = scratch_root("coldstart");
         let _ = std::fs::remove_dir_all(&root);
         let dir = root.join("traced");
         let cell = run_cell_traced(&dataset, opts, true, opts.cache_bytes, &dir, Some(tracer));
@@ -255,12 +255,10 @@ pub struct ColdstartResults {
     pub(crate) cells: Vec<CellResult>,
 }
 
-/// Runs the sweep over `BUDGET_SCALES` × {cold, warm}. `tag` isolates
-/// concurrent sweeps' scratch directories (tests); the experiment
-/// binaries pass a constant.
-pub fn run_experiment(opts: Opts, tag: &str) -> ColdstartResults {
+/// Runs the sweep over `BUDGET_SCALES` × {cold, warm}.
+pub fn run_experiment(opts: Opts) -> ColdstartResults {
     let dataset = apb_dataset(opts.tuples, opts.seed);
-    let root = scratch_root("coldstart", tag);
+    let root = scratch_root("coldstart");
     let _ = std::fs::remove_dir_all(&root);
     let mut cells = Vec::new();
     for (i, &scale) in BUDGET_SCALES.iter().enumerate() {
@@ -383,86 +381,53 @@ pub(crate) fn to_csv(r: &ColdstartResults) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::assert_golden;
+    use std::sync::OnceLock;
 
-    fn small_opts() -> Opts {
-        Opts {
-            tuples: 4_000,
-            warmup: 60,
-            queries: 60,
-            cache_bytes: 8 * 1024,
-            batch: 10,
-            ..Opts::default()
-        }
+    /// `fig_coldstart --smoke`, run once per test pass; every test reads it.
+    fn smoke() -> &'static ColdstartResults {
+        static RUN: OnceLock<ColdstartResults> = OnceLock::new();
+        RUN.get_or_init(|| (SWEEP.run)(Opts::smoke()))
     }
 
-    fn cell(tag: &str, opts: Opts, warm: bool) -> CellResult {
-        let ds = apb_dataset(opts.tuples, opts.seed);
-        let root = scratch_root("coldstart", tag);
-        let _ = std::fs::remove_dir_all(&root);
-        let out = run_cell(&ds, opts, warm, opts.cache_bytes, &root.join("cell"));
-        let _ = std::fs::remove_dir_all(&root);
-        out
+    #[test]
+    fn golden() {
+        assert_golden("coldstart", &SWEEP, Opts::smoke(), smoke());
+        assert!(!scratch_root("coldstart").exists(), "scratch left behind");
     }
 
     #[test]
     fn warm_restart_beats_cold_restart() {
-        let cold = cell("beats-cold", small_opts(), false);
-        let warm = cell("beats-warm", small_opts(), true);
-        assert!(warm.warm_start_chunks > 0, "nothing recovered");
-        assert!(cold.warm_start_chunks == 0);
-        // The warm restart's opening batch answers from the recovered
-        // cache; the cold restart starts from nothing.
+        // The cells come in (cold, warm) pairs, one per budget scale.
+        for pair in smoke().cells.chunks(2) {
+            let (cold, warm) = (&pair[0], &pair[1]);
+            assert!(warm.warm && !cold.warm);
+            assert!(warm.warm_start_chunks > 0, "nothing recovered");
+            assert_eq!(cold.warm_start_chunks, 0);
+            // The warm restart opens with the recovered cache; the cold
+            // restart starts from nothing.
+            assert!(warm.batch_hit[0] >= cold.batch_hit[0]);
+            // Disk promotions replace backend fetches at a fraction of the
+            // cost, so warm does less backend work and finishes sooner even
+            // counting its own spill traffic.
+            assert!(
+                warm.backend_virtual_ms < cold.backend_virtual_ms,
+                "warm backend {} not below cold {}",
+                warm.backend_virtual_ms,
+                cold.backend_virtual_ms
+            );
+            assert!(warm.total_virtual_ms < cold.total_virtual_ms);
+            assert!(warm.spill_reads > 0, "no mid-run promotions");
+        }
+        // With room for what it recovered, the warm opening batch hits more.
+        let [.., cold, warm] = &smoke().cells[..] else {
+            panic!("no cells")
+        };
         assert!(
             warm.batch_hit[0] > cold.batch_hit[0],
             "warm first batch {} not above cold {}",
             warm.batch_hit[0],
             cold.batch_hit[0]
         );
-        // Disk promotions replace backend fetches at a fraction of the
-        // cost, so warm does less backend work and finishes sooner even
-        // counting its own spill traffic.
-        assert!(
-            warm.backend_virtual_ms < cold.backend_virtual_ms,
-            "warm backend {} not below cold {}",
-            warm.backend_virtual_ms,
-            cold.backend_virtual_ms
-        );
-        assert!(warm.total_virtual_ms < cold.total_virtual_ms);
-        assert!(warm.spill_reads > 0, "no mid-run promotions");
-    }
-
-    #[test]
-    fn cells_are_deterministic() {
-        let a = cell("det-a", small_opts(), true);
-        let b = cell("det-b", small_opts(), true);
-        assert_eq!(a.final_hit_ratio.to_bits(), b.final_hit_ratio.to_bits());
-        assert_eq!(a.total_virtual_ms.to_bits(), b.total_virtual_ms.to_bits());
-        assert_eq!(a.warm_start_chunks, b.warm_start_chunks);
-        assert_eq!(a.warm_start_bytes, b.warm_start_bytes);
-        assert_eq!(a.spill_reads, b.spill_reads);
-        assert_eq!(a.spill_writes, b.spill_writes);
-        assert_eq!(a.batch_hit.len(), b.batch_hit.len());
-        for (x, y) in a.batch_hit.iter().zip(&b.batch_hit) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn exports_are_identical_across_runs_and_path_free() {
-        let opts = small_opts();
-        let a = run_experiment(opts, "exports-a");
-        let b = run_experiment(opts, "exports-b");
-        let (ja, jb) = (to_json(opts, &a), to_json(opts, &b));
-        assert_eq!(ja, jb);
-        assert_eq!(to_csv(&a), to_csv(&b));
-        assert!(ja.contains("\"experiment\":\"fig_coldstart\""));
-        // Temp-dir isolation: no path ever leaks into an output.
-        let tmp = std::env::temp_dir().display().to_string();
-        assert!(!ja.contains(&tmp));
-        assert!(!to_csv(&a).contains(&tmp));
-        assert!(to_csv(&a).starts_with("mode,cache_bytes,batch,hit_ratio\n"));
-        // Scratch directories are cleaned up.
-        assert!(!scratch_root("coldstart", "exports-a").exists());
-        assert!(!scratch_root("coldstart", "exports-b").exists());
     }
 }

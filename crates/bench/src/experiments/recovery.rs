@@ -91,7 +91,7 @@ impl Opts {
 /// `scrub_pass` appear.
 pub const SWEEP: Sweep<Opts, RecoveryResults> = Sweep {
     opts: smoke_opts!(Opts),
-    run: |opts| run_experiment(opts, "bin"),
+    run: run_experiment,
     render,
     check: Some(
         |r| match r.cells.iter().map(|c| c.oracle_mismatches).sum::<u64>() {
@@ -104,7 +104,7 @@ pub const SWEEP: Sweep<Opts, RecoveryResults> = Sweep {
     exports: Some((to_json, to_csv, |r| r.cells.len())),
     traced: Some(|opts, tracer| -> Meta {
         let dataset = apb_dataset(opts.tuples, opts.seed);
-        let root = scratch_root("recovery", "trace");
+        let root = scratch_root("recovery");
         let _ = std::fs::remove_dir_all(&root);
         let dir = root.join("traced");
         let cell = run_cell_traced(&dataset, opts, 0.2, true, &dir, Some(tracer));
@@ -262,12 +262,10 @@ pub struct RecoveryResults {
     pub(crate) cells: Vec<CellResult>,
 }
 
-/// Runs the sweep over `FAULT_RATES` × {scrub off, scrub on}. `tag`
-/// isolates concurrent sweeps' scratch directories (tests); the
-/// experiment binaries pass a constant.
-pub fn run_experiment(opts: Opts, tag: &str) -> RecoveryResults {
+/// Runs the sweep over `FAULT_RATES` × {scrub off, scrub on}.
+pub fn run_experiment(opts: Opts) -> RecoveryResults {
     let dataset = apb_dataset(opts.tuples, opts.seed);
-    let root = scratch_root("recovery", tag);
+    let root = scratch_root("recovery");
     let _ = std::fs::remove_dir_all(&root);
     let mut cells = Vec::new();
     for (i, &rate) in FAULT_RATES.iter().enumerate() {
@@ -390,47 +388,39 @@ pub(crate) fn to_csv(r: &RecoveryResults) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::assert_golden;
+    use std::sync::OnceLock;
 
-    fn small_opts() -> Opts {
-        Opts {
-            tuples: 4_000,
-            warmup: 60,
-            queries: 60,
-            cache_bytes: 8 * 1024,
-            ..Opts::default()
-        }
+    /// `fig_recovery --smoke`, run once per test pass; every test reads it.
+    fn smoke() -> &'static RecoveryResults {
+        static RUN: OnceLock<RecoveryResults> = OnceLock::new();
+        RUN.get_or_init(|| (SWEEP.run)(Opts::smoke()))
     }
 
-    fn cell(tag: &str, opts: Opts, rate: f64, scrub: bool) -> CellResult {
-        let ds = apb_dataset(opts.tuples, opts.seed);
-        let root = scratch_root("recovery", tag);
-        let _ = std::fs::remove_dir_all(&root);
-        let out = run_cell(&ds, opts, rate, scrub, &root.join("cell"));
-        let _ = std::fs::remove_dir_all(&root);
-        out
+    /// The smoke cell at (fault rate, scrub).
+    fn cell(rate: f64, scrub: bool) -> &'static CellResult {
+        smoke()
+            .cells
+            .iter()
+            .find(|c| (c.rate, c.scrub) == (rate, scrub))
+            .expect("a swept cell")
     }
 
     #[test]
-    fn answers_match_the_oracle_at_every_rate() {
-        for (i, &rate) in FAULT_RATES.iter().enumerate() {
-            let c = cell(&format!("oracle-{i}"), small_opts(), rate, true);
-            assert_eq!(
-                c.oracle_mismatches, 0,
-                "rate {rate}: corrupted answers escaped"
-            );
-            assert_eq!(c.answered, 60, "rate {rate}: queries went unanswered");
-        }
+    fn golden() {
+        assert_golden("recovery", &SWEEP, Opts::smoke(), smoke());
+        assert!(!scratch_root("recovery").exists(), "scratch left behind");
     }
 
     #[test]
     fn faults_are_absorbed_not_surfaced() {
-        let clean = cell("absorb-clean", small_opts(), 0.0, false);
+        let clean = cell(0.0, false);
         assert_eq!(clean.corrupt, 0);
         assert_eq!(clean.quarantined, 0);
         assert_eq!(clean.retries, 0);
-        let faulty = cell("absorb-faulty", small_opts(), 0.2, false);
+        let faulty = cell(0.2, false);
         assert!(faulty.corrupt > 0, "rate 0.2 must corrupt something");
-        assert_eq!(faulty.oracle_mismatches, 0);
+        assert_eq!(faulty.answered, Opts::smoke().queries as u64);
         assert!(
             faulty.backend_virtual_ms > clean.backend_virtual_ms,
             "healing re-fetches must cost backend time"
@@ -439,39 +429,7 @@ mod tests {
 
     #[test]
     fn scrubbing_runs_and_stays_correct() {
-        let c = cell("scrub", small_opts(), 0.05, true);
-        assert!(c.scrub_passes > 0, "scrub never fired");
-        assert_eq!(c.oracle_mismatches, 0);
-        let off = cell("scrub-off", small_opts(), 0.05, false);
-        assert_eq!(off.scrub_passes, 0);
-    }
-
-    #[test]
-    fn cells_are_deterministic() {
-        let a = cell("det-a", small_opts(), 0.2, true);
-        let b = cell("det-b", small_opts(), 0.2, true);
-        assert_eq!(a.corrupt, b.corrupt);
-        assert_eq!(a.quarantined, b.quarantined);
-        assert_eq!(a.retries, b.retries);
-        assert_eq!(a.scrub_passes, b.scrub_passes);
-        assert_eq!(a.warm_start_chunks, b.warm_start_chunks);
-        assert_eq!(a.final_hit_ratio.to_bits(), b.final_hit_ratio.to_bits());
-        assert_eq!(a.total_virtual_ms.to_bits(), b.total_virtual_ms.to_bits());
-    }
-
-    #[test]
-    fn exports_are_identical_across_runs_and_path_free() {
-        let opts = small_opts();
-        let a = run_experiment(opts, "exports-a");
-        let b = run_experiment(opts, "exports-b");
-        let (ja, jb) = (to_json(opts, &a), to_json(opts, &b));
-        assert_eq!(ja, jb);
-        assert_eq!(to_csv(&a), to_csv(&b));
-        assert!(ja.contains("\"experiment\":\"fig_recovery\""));
-        let tmp = std::env::temp_dir().display().to_string();
-        assert!(!ja.contains(&tmp));
-        assert!(!to_csv(&a).contains(&tmp));
-        assert!(!scratch_root("recovery", "exports-a").exists());
-        assert!(!scratch_root("recovery", "exports-b").exists());
+        assert!(cell(0.05, true).scrub_passes > 0, "scrub never fired");
+        assert_eq!(cell(0.05, false).scrub_passes, 0);
     }
 }

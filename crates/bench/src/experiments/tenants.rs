@@ -358,78 +358,26 @@ pub(crate) fn to_csv(r: &TenantResults) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::assert_golden;
+    use std::sync::OnceLock;
 
-    fn small_opts() -> Opts {
-        Opts {
-            tuples: 4_000,
-            queries: 60,
-            ..Opts::default()
-        }
+    /// `fig_tenants --smoke`, run once per test pass; every test reads it.
+    fn smoke() -> &'static TenantResults {
+        static RUN: OnceLock<TenantResults> = OnceLock::new();
+        RUN.get_or_init(|| (SWEEP.run)(Opts::smoke()))
     }
 
     #[test]
-    fn cells_are_deterministic() {
-        let ds = apb_dataset(4_000, 3);
-        let a = run_cell(
-            &ds,
-            small_opts(),
-            "mixed",
-            3,
-            1.2,
-            AdmissionKind::tiny_lfu(),
-        );
-        let b = run_cell(
-            &ds,
-            small_opts(),
-            "mixed",
-            3,
-            1.2,
-            AdmissionKind::tiny_lfu(),
-        );
-        assert_eq!(a.hit_ratio.to_bits(), b.hit_ratio.to_bits());
-        assert_eq!(a.admission_rejects, b.admission_rejects);
-        assert_eq!(a.avg_virtual_ms.to_bits(), b.avg_virtual_ms.to_bits());
-        assert_eq!(a.p95_virtual_us.to_bits(), b.p95_virtual_us.to_bits());
-        assert_eq!(a.per_tenant.len(), b.per_tenant.len());
-        for (x, y) in a.per_tenant.iter().zip(&b.per_tenant) {
-            assert_eq!(x.queries, y.queries);
-            assert_eq!(
-                x.complete_hit_ratio.to_bits(),
-                y.complete_hit_ratio.to_bits()
-            );
-            assert_eq!(x.p99_virtual_us.to_bits(), y.p99_virtual_us.to_bits());
-        }
-    }
-
-    #[test]
-    fn exports_are_identical_across_runs() {
-        let ds = apb_dataset(4_000, 3);
-        let run = || TenantResults {
-            cells: vec![
-                run_cell(
-                    &ds,
-                    small_opts(),
-                    "scan",
-                    2,
-                    1.2,
-                    AdmissionKind::BenefitMean,
-                ),
-                run_cell(&ds, small_opts(), "scan", 2, 1.2, AdmissionKind::tiny_lfu()),
-            ],
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(to_json(small_opts(), &a), to_json(small_opts(), &b));
-        assert_eq!(to_csv(&a), to_csv(&b));
-        assert!(to_json(small_opts(), &a).contains("\"admission\":\"tiny_lfu\""));
-        assert!(to_csv(&a).starts_with("family,tenants,skew,admission,"));
+    fn golden() {
+        assert_golden("tenants", &SWEEP, Opts::smoke(), smoke());
     }
 
     #[test]
     fn every_tenant_is_accounted() {
-        let ds = apb_dataset(4_000, 3);
-        let cell = run_cell(&ds, small_opts(), "mixed", 4, 0.0, AdmissionKind::TwoLevel);
-        assert_eq!(cell.per_tenant.len(), 4);
-        let sum: u64 = cell.per_tenant.iter().map(|t| t.queries).sum();
-        assert_eq!(sum, small_opts().queries as u64);
+        for cell in &smoke().cells {
+            assert_eq!(cell.per_tenant.len(), cell.tenants as usize);
+            let sum: u64 = cell.per_tenant.iter().map(|t| t.queries).sum();
+            assert_eq!(sum, Opts::smoke().queries as u64);
+        }
     }
 }

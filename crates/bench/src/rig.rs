@@ -67,7 +67,7 @@ pub fn dataset_main(run: fn(DatasetOpts) -> String) {
 /// Wraps a dataset's fact table in a backend with the default cost model.
 /// The backend shares the dataset's runs, so one generated dataset feeds
 /// many manager configurations without a copy of its facts.
-pub(crate) fn backend_for(dataset: &Dataset) -> Backend {
+pub fn backend_for(dataset: &Dataset) -> Backend {
     Backend::new(
         dataset.fact.clone(),
         AggFn::Sum,
@@ -107,16 +107,16 @@ pub(crate) fn manager_for(
 }
 
 /// The paper's §7.2 query stream over `dataset`, seeded.
-pub(crate) fn paper_stream(dataset: &Dataset, seed: u64) -> QueryStream {
+pub fn paper_stream(dataset: &Dataset, seed: u64) -> QueryStream {
     let max_level = dataset.grid.geom(dataset.fact_gb).level().to_vec();
     QueryStream::new(dataset.grid.clone(), WorkloadConfig::paper(max_level, seed))
 }
 
-/// The brute-force oracle: whether `got` — a manager's answer to `q`,
-/// cells in any order — is exactly the query's chunks fetched straight
-/// from `backend` (a pristine one, or a shadow that received exactly the
-/// same delta batches), bypassing cache, spill and faults entirely.
-pub(crate) fn matches_oracle(backend: &Backend, q: &Query, got: &ChunkData) -> bool {
+/// The brute-force oracle: the query's chunks fetched straight from
+/// `backend` (a pristine one, or a shadow that received exactly the same
+/// delta batches), bypassing cache, spill and faults entirely, sorted by
+/// coordinates.
+pub fn oracle_answer(backend: &Backend, q: &Query) -> ChunkData {
     let mut want = ChunkData::new(backend.grid().num_dims());
     for (_, data) in backend
         .fetch(q.gb, &q.chunks)
@@ -126,15 +126,21 @@ pub(crate) fn matches_oracle(backend: &Backend, q: &Query, got: &ChunkData) -> b
         want.append(&data);
     }
     want.sort_by_coords();
+    want
+}
+
+/// Whether `got` — a manager's answer to `q`, cells in any order — is
+/// exactly [`oracle_answer`].
+pub(crate) fn matches_oracle(backend: &Backend, q: &Query, got: &ChunkData) -> bool {
     let mut got = got.clone();
     got.sort_by_coords();
-    got == want
+    got == oracle_answer(backend, q)
 }
 
 /// Process-unique scratch root for a sweep's spill directories; never
-/// serialized into any output. `tag` isolates concurrent sweeps (tests).
-pub(crate) fn scratch_root(sweep: &str, tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("aggcache-{sweep}-{tag}-{}", std::process::id()))
+/// serialized into any output.
+pub(crate) fn scratch_root(sweep: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("aggcache-{sweep}-{}", std::process::id()))
 }
 
 /// Human label of a strategy for report tables.

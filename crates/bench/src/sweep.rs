@@ -4,11 +4,14 @@
 //! to its `Opts`, its run, its table, its contract, what it exports and
 //! which cell it traces; [`sweep_main`] owns the rest: argument reading,
 //! the usage error, printing, `--json-out` / `--csv-out` / `--trace-out`
-//! and their receipts on stderr.
+//! and their receipts on stderr. [`Sweep::report`] is the one place a
+//! table and its contract verdict come from, for `sweep_main` and
+//! `repro_all` alike.
 //!
 //! `--smoke` runs a sweep's CI configuration (tiny dataset, short
 //! streams); `--json-out <path>` / `--csv-out <path>` write its
-//! virtual-time results — bit-identical across runs. Spill data lives in
+//! virtual-time results — bit-identical across runs, and pinned by the
+//! golden files under `crates/bench/tests/golden/`. Spill data lives in
 //! process-unique temp directories that are removed on exit and never
 //! appear in any output.
 
@@ -22,7 +25,7 @@ pub struct Sweep<O, R> {
     /// Reads the sweep's flags into its options.
     pub(crate) opts: fn(&Args) -> O,
     /// Runs every cell.
-    pub run: fn(O) -> R,
+    pub(crate) run: fn(O) -> R,
     /// The table printed on stdout.
     pub(crate) render: fn(&R) -> String,
     /// The sweep's contract over its results (oracle mismatches,
@@ -31,7 +34,7 @@ pub struct Sweep<O, R> {
     pub(crate) check: Option<Check<R>>,
     /// `--json-out` / `--csv-out`, for the sweeps that have them: the JSON
     /// document, the CSV, and the cell count their receipts quote.
-    pub exports: Option<Exports<O, R>>,
+    pub(crate) exports: Option<Exports<O, R>>,
     /// `--trace-out`, for the sweeps whose events no paper stream emits:
     /// runs the one cell that emits them with the tracer attached.
     pub(crate) traced: Option<TracedCell<O>>,
@@ -68,6 +71,15 @@ macro_rules! smoke_opts {
 }
 pub(crate) use smoke_opts;
 
+impl<O, R> Sweep<O, R> {
+    /// The sweep's table over `results`, and its contract's verdict on the
+    /// same results (`Ok` for a sweep without a contract).
+    pub fn report(&self, results: &R) -> (String, Result<(), String>) {
+        let verdict = self.check.map_or(Ok(()), |check| check(results));
+        ((self.render)(results), verdict)
+    }
+}
+
 /// Parses the command line, runs `sweep` and writes what was asked for. A
 /// flag the sweep does not read is a usage error (exit 2), so a sweep
 /// without exports or a traced cell refuses those flags.
@@ -81,8 +93,9 @@ pub fn sweep_main<O: Copy, R>(sweep: &Sweep<O, R>) {
     a.finish();
 
     let results = (sweep.run)(opts);
-    println!("{}", (sweep.render)(&results));
-    if let Some(Err(violation)) = sweep.check.map(|check| check(&results)) {
+    let (table, verdict) = sweep.report(&results);
+    println!("{table}");
+    if let Err(violation) = verdict {
         eprintln!("error: {violation}");
         std::process::exit(1);
     }
@@ -101,5 +114,53 @@ pub fn sweep_main<O: Copy, R>(sweep: &Sweep<O, R>) {
     }
     if let (Some(traced), Some(path)) = (sweep.traced, trace_out) {
         write_trace(path, |tracer| traced(opts, tracer));
+    }
+}
+
+/// Checks an exporting sweep's smoke run against its golden files, byte
+/// for byte — `to_json` against `tests/golden/fig_<name>_smoke.json`,
+/// `to_csv` against `fig_<name>_smoke.csv` — and asserts its contract. A
+/// change that means to move one regenerates both with
+///
+/// ```text
+/// cargo run --release -p aggcache-bench --bin fig_<name> -- --smoke \
+///   --json-out crates/bench/tests/golden/fig_<name>_smoke.json \
+///   --csv-out crates/bench/tests/golden/fig_<name>_smoke.csv
+/// ```
+#[cfg(test)]
+pub(crate) fn assert_golden<O: Copy, R>(name: &str, sweep: &Sweep<O, R>, smoke: O, results: &R) {
+    let (json, csv, _) = sweep.exports.expect("an exporting sweep");
+    for (ext, got) in [("json", json(smoke, results)), ("csv", csv(results))] {
+        let path = format!(
+            "{}/tests/golden/fig_{name}_smoke.{ext}",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert!(got == want, "fig_{name} --smoke differs from {path}");
+    }
+    assert_eq!(sweep.report(results).1, Ok(()), "fig_{name} --smoke");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failed_check_is_the_verdict() {
+        let sweep: Sweep<(), u32> = Sweep {
+            opts: |_| (),
+            run: |()| 3,
+            render: |r| format!("{r} cells"),
+            check: Some(|&r| match r {
+                0 => Ok(()),
+                n => Err(format!("{n} mismatch(es)")),
+            }),
+            exports: None,
+            traced: None,
+        };
+        let results = (sweep.run)(());
+        let report = sweep.report(&results);
+        assert_eq!(report, ("3 cells".into(), Err("3 mismatch(es)".into())));
+        assert_eq!(sweep.report(&0).1, Ok(()));
     }
 }

@@ -97,6 +97,22 @@ impl QueryMetrics {
             + self.update_virtual_ms
     }
 
+    /// These metrics with the five wall-clock `*_ns` fields zeroed: the
+    /// deterministic view that two runs of the same work agree on. Compare
+    /// two views through `{:?}` — it prints floats in round-trip form, so
+    /// equal text is equal bits, and a new field is compared without an
+    /// edit.
+    pub fn without_wall_clock(&self) -> QueryMetrics {
+        QueryMetrics {
+            lookup_ns: 0,
+            probe_ns: 0,
+            apply_ns: 0,
+            agg_ns: 0,
+            update_ns: 0,
+            ..*self
+        }
+    }
+
     /// Folds another sub-query's metrics into this one (a cluster request
     /// split across node groups): numeric fields sum, `complete_hit` ANDs.
     /// Wall-clock fields sum too — they stay diagnostics, never part of
@@ -208,6 +224,9 @@ mod tests {
             ..Default::default()
         };
         assert!((q.total_ms() - 48.0).abs() < 1e-9);
+        let view = q.without_wall_clock();
+        assert_eq!(view.lookup_ns, 0);
+        assert_eq!(view.total_ms().to_bits(), q.total_ms().to_bits());
     }
 
     #[test]

@@ -18,10 +18,11 @@ mod common;
 
 use aggcache::cache::AdmissionKind;
 use aggcache::prelude::*;
-use common::{backend, stream_queries};
+use aggcache_bench::rig::{apb_dataset, backend_for, paper_stream};
+use common::digest;
 
 fn dataset() -> Dataset {
-    common::apb_dataset(99)
+    apb_dataset(20_000, 99)
 }
 
 fn manager(ds: &Dataset, strategy: Strategy, admission: AdmissionKind) -> CacheManager {
@@ -30,7 +31,7 @@ fn manager(ds: &Dataset, strategy: Strategy, admission: AdmissionKind) -> CacheM
         .policy(PolicyKind::TwoLevel)
         .admission(admission)
         .cache_bytes(120_000)
-        .build(backend(ds))
+        .build(backend_for(ds))
         .unwrap()
 }
 
@@ -44,45 +45,14 @@ const STRATEGIES: [Strategy; 5] = [
     Strategy::Vcmc,
 ];
 
-/// A bit-exact digest of one query's outcome: the answer cells plus every
-/// virtual-time and chunk-accounting field (wall-clock fields excluded by
-/// construction).
-type Digest = (Vec<(Vec<u32>, u64)>, Vec<u64>, [usize; 4], bool);
-
-fn digest(r: ExecOutcome) -> Digest {
-    let mut r = r.into_result();
-    r.data.sort_by_coords();
-    let cells: Vec<(Vec<u32>, u64)> = r
-        .data
-        .iter()
-        .map(|(coords, v)| (coords.to_vec(), v.to_bits()))
-        .collect();
-    let m = &r.metrics;
-    (
-        cells,
-        vec![
-            m.backend_virtual_ms.to_bits(),
-            m.agg_virtual_ms.to_bits(),
-            m.lookup_virtual_ms.to_bits(),
-            m.update_virtual_ms.to_bits(),
-            m.total_ms().to_bits(),
-        ],
-        [
-            m.chunks_hit,
-            m.chunks_computed,
-            m.chunks_missed,
-            m.table_writes as usize,
-        ],
-        m.complete_hit,
-    )
-}
-
 /// The original single-stream pipeline: `QueryStream` + `run_batch`.
 fn single_stream_run(ds: &Dataset, strategy: Strategy) -> Vec<ExecOutcome> {
     let mut mgr = manager(ds, strategy, AdmissionKind::BenefitMean);
     mgr.preload_best().unwrap();
-    mgr.run_batch(&QueryRequest::batch(&stream_queries(ds, 60, 2000)))
-        .unwrap()
+    mgr.run_batch(&QueryRequest::batch(
+        &paper_stream(ds, 2000).take_queries(60),
+    ))
+    .unwrap()
 }
 
 /// The multi-tenant rig collapsed to one tenant, same seed.
@@ -102,13 +72,10 @@ fn one_tenant_engine_matches_single_stream_for_every_strategy() {
     let ds = dataset();
     for strategy in STRATEGIES {
         let single: Vec<_> = single_stream_run(&ds, strategy)
-            .into_iter()
+            .iter()
             .map(digest)
             .collect();
-        let tenant: Vec<_> = one_tenant_run(&ds, strategy)
-            .into_iter()
-            .map(digest)
-            .collect();
+        let tenant: Vec<_> = one_tenant_run(&ds, strategy).iter().map(digest).collect();
         assert_eq!(tenant, single, "{strategy:?}: one-tenant engine diverged");
     }
 }
@@ -122,11 +89,13 @@ fn benefit_mean_admission_is_a_pure_noop() {
     let mut mgr = manager(&ds, Strategy::Vcmc, AdmissionKind::BenefitMean);
     mgr.preload_best().unwrap();
     let b = mgr
-        .run_batch(&QueryRequest::batch(&stream_queries(&ds, 60, 2000)))
+        .run_batch(&QueryRequest::batch(
+            &paper_stream(&ds, 2000).take_queries(60),
+        ))
         .unwrap();
     assert_eq!(mgr.cache().admission_rejects(), 0);
-    let da: Vec<_> = a.into_iter().map(digest).collect();
-    let db: Vec<_> = b.into_iter().map(digest).collect();
+    let da: Vec<_> = a.iter().map(digest).collect();
+    let db: Vec<_> = b.iter().map(digest).collect();
     assert_eq!(da, db);
 }
 
@@ -140,7 +109,7 @@ fn assert_tables_consistent(strategy: Strategy, admission: AdmissionKind) {
         .admission(admission)
         // Tight budget: the admission gate must actually fire.
         .cache_bytes(60_000)
-        .build(backend(&ds))
+        .build(backend_for(&ds))
         .unwrap();
     mgr.preload_best().unwrap();
     let max_level = ds.grid.geom(ds.fact_gb).level().to_vec();
@@ -174,7 +143,7 @@ fn frequency_filter_actually_rejects_under_contention() {
         .policy(PolicyKind::TwoLevel)
         .admission(AdmissionKind::tiny_lfu())
         .cache_bytes(60_000)
-        .build(backend(&ds))
+        .build(backend_for(&ds))
         .unwrap();
     let max_level = ds.grid.geom(ds.fact_gb).level().to_vec();
     let cfg = MultiTenantConfig::contended(4, 1.2, max_level, 2000);

@@ -1,8 +1,6 @@
 //! Focused behavioural tests of public-API corners not covered by the
 //! larger oracle/property suites.
 
-mod common;
-
 use aggcache::prelude::*;
 use std::sync::Arc;
 
@@ -325,7 +323,7 @@ mod manager_api {
         ] {
             let mut mgr = manager(strategy);
             mgr.run(&hit).unwrap();
-            let before = (mgr.version(), common::sorted_keys(&mgr));
+            let before = (mgr.version(), format!("{:?}", mgr.cache().entries_sorted()));
             let past_the_end = Query::new(gb, vec![0, grid.n_chunks(gb) + 9_993]);
             assert!(
                 matches!(
@@ -354,7 +352,10 @@ mod manager_api {
                 .lookup_chunk(ChunkKey::new(GroupById(777), 0))
                 .plan
                 .is_none());
-            assert_eq!((mgr.version(), common::sorted_keys(&mgr)), before);
+            assert_eq!(
+                (mgr.version(), format!("{:?}", mgr.cache().entries_sorted())),
+                before
+            );
         }
 
         // Malformed delta batches: typed CacheError::Delta at the ingestion

@@ -23,10 +23,16 @@ mod common;
 
 use aggcache::cluster::ClusterManager;
 use aggcache::prelude::*;
-use common::sorted_keys as cache_keys;
+use aggcache_bench::rig::{apb_dataset, backend_for, paper_stream};
+use common::{cells, digest};
 
 fn dataset() -> Dataset {
-    common::apb_dataset(42)
+    apb_dataset(20_000, 42)
+}
+
+/// The resident chunks, their cells and replacement metadata, in key order.
+fn cache_contents(mgr: &CacheManager) -> String {
+    format!("{:?}", mgr.cache().entries_sorted())
 }
 
 fn node_manager(ds: &Dataset, strategy: Strategy, budget: usize) -> CacheManager {
@@ -34,7 +40,7 @@ fn node_manager(ds: &Dataset, strategy: Strategy, budget: usize) -> CacheManager
         .strategy(strategy)
         .policy(PolicyKind::TwoLevel)
         .cache_bytes(budget)
-        .build(common::backend(ds))
+        .build(backend_for(ds))
         .unwrap()
 }
 
@@ -53,7 +59,7 @@ fn cluster(
 }
 
 fn stream_requests(ds: &Dataset, n: usize, seed: u64) -> Vec<QueryRequest> {
-    QueryRequest::batch(&common::stream_queries(ds, n, seed))
+    QueryRequest::batch(&paper_stream(ds, seed).take_queries(n))
 }
 
 const STRATEGIES: [Strategy; 5] = [
@@ -66,29 +72,6 @@ const STRATEGIES: [Strategy; 5] = [
     Strategy::Vcmc,
 ];
 
-/// Sorted answer cells with bit-exact values.
-fn cells(data: &ChunkData) -> Vec<(Vec<u32>, u64)> {
-    let mut d = data.clone();
-    d.sort_by_coords();
-    d.iter().map(|(c, v)| (c.to_vec(), v.to_bits())).collect()
-}
-
-fn metrics_bits(m: &QueryMetrics) -> Vec<u64> {
-    vec![
-        m.backend_virtual_ms.to_bits(),
-        m.agg_virtual_ms.to_bits(),
-        m.lookup_virtual_ms.to_bits(),
-        m.update_virtual_ms.to_bits(),
-        m.total_ms().to_bits(),
-        m.chunks_hit as u64,
-        m.chunks_computed as u64,
-        m.chunks_missed as u64,
-        m.table_writes,
-        m.lookup_nodes,
-        u64::from(m.complete_hit),
-    ]
-}
-
 #[test]
 fn one_node_cluster_is_bit_identical_to_plain_pipeline() {
     let ds = dataset();
@@ -100,21 +83,7 @@ fn one_node_cluster_is_bit_identical_to_plain_pipeline() {
         for req in &requests {
             let a = plain.run(req).unwrap();
             let b = clustered.run(req).unwrap();
-            assert_eq!(
-                cells(&a.data),
-                cells(&b.data),
-                "{strategy:?}: answer diverged"
-            );
-            assert_eq!(
-                metrics_bits(&a.metrics),
-                metrics_bits(&b.metrics),
-                "{strategy:?}: metrics diverged"
-            );
-            assert_eq!(
-                b.remote,
-                RemoteMetrics::default(),
-                "{strategy:?}: 1-node cluster charged remote costs"
-            );
+            assert_eq!(digest(&a), digest(&b), "{strategy:?}: outcome diverged");
             assert_eq!(
                 b.critical_path_ms.to_bits(),
                 a.metrics.total_ms().to_bits(),
@@ -122,8 +91,8 @@ fn one_node_cluster_is_bit_identical_to_plain_pipeline() {
             );
         }
         assert_eq!(
-            cache_keys(&plain),
-            cache_keys(clustered.node(0)),
+            cache_contents(&plain),
+            cache_contents(clustered.node(0)),
             "{strategy:?}: resident sets diverged"
         );
         assert_eq!(
@@ -168,7 +137,7 @@ fn malformed_request_is_refused_before_routing() {
     c.run_batch(&stream_requests(&ds, 10, 3_000)).unwrap();
     let state = |c: &ClusterManager| -> Vec<_> {
         (0..4)
-            .map(|n| (c.node(n).version(), cache_keys(c.node(n))))
+            .map(|n| (c.node(n).version(), cache_contents(c.node(n))))
             .collect()
     };
     let before = state(&c);
@@ -231,12 +200,8 @@ fn cluster_sessions_are_deterministic_across_runs() {
     let run = || {
         let mut c = cluster(&ds, 4, 2, Strategy::Vcmc, 120_000);
         let outs = c.run_batch(&stream_requests(&ds, 50, 7_000)).unwrap();
-        let digest: Vec<(u64, u64)> = outs
-            .iter()
-            .map(|o| (o.total_virtual_ms().to_bits(), o.critical_path_ms.to_bits()))
-            .collect();
         (
-            digest,
+            outs.iter().map(digest).collect::<Vec<_>>(),
             c.session_remote().bytes_on_wire,
             c.session_remote().remote_virtual_ms.to_bits(),
         )

@@ -1,6 +1,8 @@
-//! Fixtures shared by the integration suites: the datasets, the paper-mix
-//! query stream, the brute-force oracle and the bit-exact comparators.
-//! Every suite compiles its own copy of this module and uses a subset.
+//! What the integration suites share beyond the experiment rig
+//! (`aggcache_bench::rig`, which provides the APB-1 dataset, the backend,
+//! the paper stream and the oracle): a small synthetic cube, and one
+//! bit-exact digest of a query outcome. Every suite compiles its own copy
+//! of this module and uses a subset.
 #![allow(dead_code)]
 
 use aggcache::prelude::*;
@@ -18,57 +20,38 @@ pub fn synthetic_dataset() -> Dataset {
         .build()
 }
 
-/// The APB-1-shaped benchmark at reduced scale.
-pub fn apb_dataset(seed: u64) -> Dataset {
-    Apb1Config {
-        n_tuples: 20_000,
-        density: 0.7,
-        seed,
-    }
-    .build()
+/// Everything deterministic about one executed query. The accounting is
+/// compared through `{:?}`, which prints floats in round-trip form, so
+/// equal text is equal bits and a new field is compared without an edit.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Digest {
+    /// The answer cells sorted by coordinates, values as bits.
+    pub cells: Vec<(Vec<u32>, u64)>,
+    /// `metrics.without_wall_clock()`, `remote` and `spill`.
+    pub accounting: String,
+    /// The bits of `critical_path_ms`.
+    pub critical_path: u64,
 }
 
-/// A pristine SUM backend over the dataset's fact table.
-pub fn backend(ds: &Dataset) -> Backend {
-    Backend::new(ds.fact.clone(), AggFn::Sum, BackendCostModel::default())
-}
-
-/// A deterministic paper-mix query stream over the dataset's grid.
-pub fn stream_queries(ds: &Dataset, n: usize, seed: u64) -> Vec<Query> {
-    let max_level = ds.grid.geom(ds.fact_gb).level().to_vec();
-    let mut stream = QueryStream::new(ds.grid.clone(), WorkloadConfig::paper(max_level, seed));
-    stream.take_queries(n)
-}
-
-/// Brute-force oracle: the query's chunks straight from a pristine
-/// backend — independent of all cache, spill and fault machinery — sorted
-/// by coordinates.
-pub fn oracle_answer(backend: &Backend, q: &Query) -> ChunkData {
-    let mut out = ChunkData::new(backend.grid().num_dims());
-    for (_, data) in backend.fetch(q.gb, &q.chunks).unwrap().chunks {
-        out.append(&data);
-    }
-    out.sort_by_coords();
-    out
-}
-
-pub fn assert_data_bit_identical(a: &ChunkData, b: &ChunkData, ctx: &str) {
-    assert_eq!(a.len(), b.len(), "{ctx}: cell counts differ");
-    for i in 0..a.len() {
-        assert_eq!(a.coords_of(i), b.coords_of(i), "{ctx}: coords of cell {i}");
-        assert_eq!(
-            a.value_of(i).to_bits(),
-            b.value_of(i).to_bits(),
-            "{ctx}: value bits of cell {i} ({} vs {})",
-            a.value_of(i),
-            b.value_of(i),
-        );
+pub fn digest(o: &ExecOutcome) -> Digest {
+    Digest {
+        cells: cells(&o.data),
+        accounting: format!(
+            "{:?} {:?} {:?}",
+            o.metrics.without_wall_clock(),
+            o.remote,
+            o.spill
+        ),
+        critical_path: o.critical_path_ms.to_bits(),
     }
 }
 
-/// The resident chunk keys in a canonical order.
-pub fn sorted_keys(mgr: &CacheManager) -> Vec<ChunkKey> {
-    let mut keys: Vec<ChunkKey> = mgr.cache().keys().collect();
-    keys.sort_by_key(|k| (k.gb.index(), k.chunk));
-    keys
+/// Cells sorted by coordinates, values as bits: an answer compared
+/// bit-exactly and in any order.
+pub fn cells(data: &ChunkData) -> Vec<(Vec<u32>, u64)> {
+    let mut data = data.clone();
+    data.sort_by_coords();
+    data.iter()
+        .map(|(c, v)| (c.to_vec(), v.to_bits()))
+        .collect()
 }

@@ -12,9 +12,8 @@ mod common;
 
 use aggcache::core::{esm, LookupStats};
 use aggcache::prelude::*;
-use common::{
-    assert_data_bit_identical, sorted_keys, stream_queries, synthetic_dataset as dataset,
-};
+use aggcache_bench::rig::{backend_for, paper_stream};
+use common::{digest, synthetic_dataset as dataset};
 use std::thread;
 
 fn manager_for(
@@ -27,74 +26,15 @@ fn manager_for(
         .strategy(strategy)
         .policy(policy)
         .cache_bytes(cache_bytes)
-        .build(common::backend(ds))
+        .build(backend_for(ds))
         .unwrap()
 }
 
-/// All deterministic (virtual-time and count) metric fields; the `*_ns`
-/// wall-clock fields are intentionally excluded.
-fn assert_metrics_identical(a: &QueryMetrics, b: &QueryMetrics, ctx: &str) {
-    assert_eq!(a.chunks_hit, b.chunks_hit, "{ctx}: chunks_hit");
-    assert_eq!(
-        a.chunks_computed, b.chunks_computed,
-        "{ctx}: chunks_computed"
-    );
-    assert_eq!(a.chunks_missed, b.chunks_missed, "{ctx}: chunks_missed");
-    assert_eq!(a.complete_hit, b.complete_hit, "{ctx}: complete_hit");
-    assert_eq!(a.lookup_nodes, b.lookup_nodes, "{ctx}: lookup_nodes");
-    assert_eq!(a.table_writes, b.table_writes, "{ctx}: table_writes");
-    assert_eq!(
-        a.tuples_aggregated, b.tuples_aggregated,
-        "{ctx}: tuples_aggregated"
-    );
-    assert_eq!(a.backend_tuples, b.backend_tuples, "{ctx}: backend_tuples");
-    for (name, x, y) in [
-        (
-            "backend_virtual_ms",
-            a.backend_virtual_ms,
-            b.backend_virtual_ms,
-        ),
-        ("agg_virtual_ms", a.agg_virtual_ms, b.agg_virtual_ms),
-        (
-            "lookup_virtual_ms",
-            a.lookup_virtual_ms,
-            b.lookup_virtual_ms,
-        ),
-        (
-            "update_virtual_ms",
-            a.update_virtual_ms,
-            b.update_virtual_ms,
-        ),
-    ] {
-        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: {name} ({x} vs {y})");
-    }
-}
-
-fn assert_caches_identical(a: &CacheManager, b: &CacheManager, ctx: &str) {
-    let ka = sorted_keys(a);
-    let kb = sorted_keys(b);
-    assert_eq!(ka, kb, "{ctx}: cached key sets differ");
-    for key in ka {
-        let da = &a.cache().peek(&key).unwrap().data;
-        let db = &b.cache().peek(&key).unwrap().data;
-        assert_data_bit_identical(da, db, &format!("{ctx}: cached chunk {key:?}"));
-    }
-}
-
-fn assert_sessions_identical(a: &SessionMetrics, b: &SessionMetrics, ctx: &str) {
-    assert_eq!(a.queries, b.queries, "{ctx}: session queries");
-    assert_eq!(
-        a.complete_hits, b.complete_hits,
-        "{ctx}: session complete_hits"
-    );
-    assert_eq!(
-        a.total_ms.to_bits(),
-        b.total_ms.to_bits(),
-        "{ctx}: session total_ms ({} vs {})",
-        a.total_ms,
-        b.total_ms
-    );
-    assert_metrics_identical(&a.sum, &b.sum, &format!("{ctx}: session"));
+/// A session's deterministic totals: everything but the wall-clock
+/// fields of its summed metrics, floats in round-trip form.
+fn session_view(s: &SessionMetrics) -> String {
+    let sum = s.sum.without_wall_clock();
+    format!("{:?}", SessionMetrics { sum, ..s.clone() })
 }
 
 /// Runs the full equivalence check for one strategy: for each policy,
@@ -105,7 +45,7 @@ fn assert_sessions_identical(a: &SessionMetrics, b: &SessionMetrics, ctx: &str) 
 /// runs over ever-changing plans.
 fn assert_equivalence_for(strategy: Strategy) {
     let ds = dataset();
-    let queries = stream_queries(&ds, 36, 2_000);
+    let queries = paper_stream(&ds, 2_000).take_queries(36);
     let budget = 600 * PAPER_TUPLE_BYTES;
     for policy in [PolicyKind::Lru, PolicyKind::Benefit, PolicyKind::TwoLevel] {
         // Baseline: the plain `run` loop.
@@ -126,11 +66,18 @@ fn assert_equivalence_for(strategy: Strategy) {
         assert_eq!(bat_results.len(), seq_results.len());
         for (i, (s, b)) in seq_results.iter().zip(&bat_results).enumerate() {
             let ctx = format!("{ctx}, query {i}");
-            assert_data_bit_identical(&s.data, &b.data, &ctx);
-            assert_metrics_identical(&s.metrics, &b.metrics, &ctx);
+            assert_eq!(digest(s), digest(b), "{ctx}");
         }
-        assert_caches_identical(&seq, &bat, &ctx);
-        assert_sessions_identical(seq.session(), bat.session(), &ctx);
+        assert_eq!(
+            format!("{:?}", seq.cache().entries_sorted()),
+            format!("{:?}", bat.cache().entries_sorted()),
+            "{ctx}: cache contents"
+        );
+        assert_eq!(
+            session_view(seq.session()),
+            session_view(bat.session()),
+            "{ctx}"
+        );
     }
 }
 
@@ -189,7 +136,7 @@ fn concurrent_probes_with_interleaved_writer_keep_count_oracle() {
         PolicyKind::Benefit,
         4_000 * PAPER_TUPLE_BYTES,
     );
-    let queries = stream_queries(&ds, 24, 99);
+    let queries = paper_stream(&ds, 99).take_queries(24);
     let keys = all_keys(&ds.grid);
     let n_dims = ds.grid.num_dims();
 
@@ -270,11 +217,11 @@ fn concurrent_probes_are_deterministic() {
         2_000 * PAPER_TUPLE_BYTES,
     );
     mgr.preload_best().unwrap();
-    for q in stream_queries(&ds, 8, 11) {
+    for q in paper_stream(&ds, 11).take_queries(8) {
         mgr.run(&(&q).into()).unwrap();
     }
 
-    let probe_queries = stream_queries(&ds, 16, 12);
+    let probe_queries = paper_stream(&ds, 12).take_queries(16);
     let reference: Vec<QueryProbe> = probe_queries.iter().map(|q| mgr.probe(q)).collect();
     thread::scope(|s| {
         let mgr = &mgr;

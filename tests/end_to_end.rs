@@ -3,13 +3,11 @@
 //! and both policies — with answers checked against the backend and the
 //! acceleration tables cross-checked against a from-scratch rebuild.
 
-mod common;
-
 use aggcache::prelude::*;
-use common::{backend, oracle_answer};
+use aggcache_bench::rig::{apb_dataset, backend_for, oracle_answer};
 
 fn dataset() -> Dataset {
-    common::apb_dataset(99)
+    apb_dataset(20_000, 99)
 }
 
 fn run_session(
@@ -20,12 +18,12 @@ fn run_session(
     preload: bool,
     queries: usize,
 ) -> (CacheManager, u64) {
-    let oracle = backend(dataset);
+    let oracle = backend_for(dataset);
     let mut mgr = CacheManager::builder()
         .strategy(strategy)
         .policy(policy)
         .cache_bytes(cache_bytes)
-        .build(backend(dataset))
+        .build(backend_for(dataset))
         .unwrap();
     if preload {
         mgr.preload_best().unwrap();
@@ -124,7 +122,7 @@ fn preload_then_aggregated_queries_never_touch_backend() {
         .strategy(Strategy::Vcmc)
         .policy(PolicyKind::TwoLevel)
         .cache_bytes(4_000_000)
-        .build(backend(&ds))
+        .build(backend_for(&ds))
         .unwrap();
     let report = mgr.preload_best().unwrap().unwrap();
     assert_eq!(report.gb, ds.fact_gb);

@@ -10,10 +10,8 @@
 mod common;
 
 use aggcache::prelude::*;
-use common::{
-    assert_data_bit_identical, backend as raw_backend, oracle_answer, sorted_keys, stream_queries,
-    synthetic_dataset as dataset,
-};
+use aggcache_bench::rig::{backend_for, oracle_answer, paper_stream};
+use common::{digest, synthetic_dataset as dataset, Digest};
 
 fn manager_with(
     backend: impl BackendSource + 'static,
@@ -37,7 +35,7 @@ fn decorated_manager(
     fault_seed: u64,
 ) -> CacheManager {
     let faulty =
-        FaultInjectingBackend::new(raw_backend(ds), FaultProfile::uniform(rate, fault_seed))
+        FaultInjectingBackend::new(backend_for(ds), FaultProfile::uniform(rate, fault_seed))
             .unwrap();
     let retrying = RetryingBackend::new(
         faulty,
@@ -54,29 +52,20 @@ fn decorated_manager(
 /// queries are captured by the chunks the error named.
 #[derive(Debug, PartialEq, Eq)]
 enum Outcome {
-    Answered {
-        complete_hit: bool,
-        chunks_degraded: usize,
-        total_ms_bits: u64,
-        cell_bits: Vec<(Vec<u32>, u64)>,
-    },
-    Unavailable {
-        chunks: Vec<u64>,
-    },
+    Answered(Digest),
+    Unavailable { chunks: Vec<u64> },
+}
+
+/// The resident chunks, their cells and replacement metadata, in key order.
+fn cache_contents(mgr: &CacheManager) -> String {
+    format!("{:?}", mgr.cache().entries_sorted())
 }
 
 fn run_stream(mgr: &mut CacheManager, queries: &[Query]) -> Vec<Outcome> {
     queries
         .iter()
         .map(|q| match mgr.run(&(q).into()) {
-            Ok(r) => Outcome::Answered {
-                complete_hit: r.metrics.complete_hit,
-                chunks_degraded: r.metrics.chunks_degraded,
-                total_ms_bits: r.metrics.total_ms().to_bits(),
-                cell_bits: (0..r.data.len())
-                    .map(|i| (r.data.coords_of(i).to_vec(), r.data.value_of(i).to_bits()))
-                    .collect(),
-            },
+            Ok(r) => Outcome::Answered(digest(&r)),
             Err(CacheError::BackendUnavailable { chunks, .. }) => Outcome::Unavailable { chunks },
             Err(e) => panic!("unexpected error under faults: {e}"),
         })
@@ -90,7 +79,7 @@ fn run_stream(mgr: &mut CacheManager, queries: &[Query]) -> Vec<Outcome> {
 #[test]
 fn zero_fault_rate_is_bit_transparent() {
     let ds = dataset();
-    let queries = stream_queries(&ds, 36, 2_000);
+    let queries = paper_stream(&ds, 2_000).take_queries(36);
     let budget = 600 * PAPER_TUPLE_BYTES;
     for strategy in [
         Strategy::NoAggregation,
@@ -102,7 +91,7 @@ fn zero_fault_rate_is_bit_transparent() {
         Strategy::Vcmc,
     ] {
         let ctx = format!("{strategy:?}");
-        let mut plain = manager_with(raw_backend(&ds), strategy, budget);
+        let mut plain = manager_with(backend_for(&ds), strategy, budget);
         let mut stacked = decorated_manager(&ds, strategy, budget, 0.0, 0xFA57);
         plain.preload_best().unwrap();
         stacked.preload_best().unwrap();
@@ -111,35 +100,15 @@ fn zero_fault_rate_is_bit_transparent() {
             let ctx = format!("{ctx}, query {i}");
             let a = plain.run(&(q).into()).unwrap();
             let b = stacked.run(&(q).into()).unwrap();
-            assert_data_bit_identical(&a.data, &b.data, &ctx);
-            assert_eq!(
-                a.metrics.total_ms().to_bits(),
-                b.metrics.total_ms().to_bits(),
-                "{ctx}: total virtual ms ({} vs {})",
-                a.metrics.total_ms(),
-                b.metrics.total_ms(),
-            );
-            assert_eq!(
-                a.metrics.backend_virtual_ms.to_bits(),
-                b.metrics.backend_virtual_ms.to_bits(),
-                "{ctx}: backend virtual ms"
-            );
-            assert_eq!(a.metrics.complete_hit, b.metrics.complete_hit, "{ctx}");
+            assert_eq!(digest(&a), digest(&b), "{ctx}");
             assert_eq!(b.metrics.chunks_degraded, 0, "{ctx}: nothing degrades");
         }
 
         assert_eq!(
-            sorted_keys(&plain),
-            sorted_keys(&stacked),
-            "{ctx}: cache keys"
+            cache_contents(&plain),
+            cache_contents(&stacked),
+            "{ctx}: cache contents"
         );
-        for key in sorted_keys(&plain) {
-            assert_data_bit_identical(
-                &plain.cache().peek(&key).unwrap().data,
-                &stacked.cache().peek(&key).unwrap().data,
-                &format!("{ctx}: cached chunk {key:?}"),
-            );
-        }
         let (sa, sb) = (plain.session(), stacked.session());
         assert_eq!(sa.queries, sb.queries, "{ctx}");
         assert_eq!(sa.complete_hits, sb.complete_hits, "{ctx}");
@@ -166,7 +135,7 @@ fn zero_fault_rate_is_bit_transparent() {
 #[test]
 fn faulty_runs_are_deterministic_per_seed() {
     let ds = dataset();
-    let queries = stream_queries(&ds, 40, 2_000);
+    let queries = paper_stream(&ds, 2_000).take_queries(40);
     let budget = 600 * PAPER_TUPLE_BYTES;
     let strategy = Strategy::Esmc {
         node_budget: Some(64),
@@ -183,7 +152,7 @@ fn faulty_runs_are_deterministic_per_seed() {
                 mgr.session().total_ms.to_bits(),
                 mgr.session().sum.backend_virtual_ms.to_bits(),
             );
-            (outcomes, totals, sorted_keys(&mgr))
+            (outcomes, totals, cache_contents(&mgr))
         };
         assert_eq!(run(), run(), "seed {fault_seed:#x}: outcomes diverged");
     }
@@ -195,14 +164,14 @@ fn faulty_runs_are_deterministic_per_seed() {
 #[test]
 fn fault_injection_never_corrupts_answers() {
     let ds = dataset();
-    let queries = stream_queries(&ds, 60, 3_000);
+    let queries = paper_stream(&ds, 3_000).take_queries(60);
     // Tight budget: the cache churns, so fetches (and thus outages) keep
     // happening throughout the stream.
     let budget = 200 * PAPER_TUPLE_BYTES;
     let strategy = Strategy::Esmc {
         node_budget: Some(64),
     };
-    let oracle = raw_backend(&ds);
+    let oracle = backend_for(&ds);
     let mut mgr = decorated_manager(&ds, strategy, budget, 0.5, 0xC0A5);
     let _ = mgr.preload_best();
     let mut answered = 0u64;
@@ -237,7 +206,7 @@ fn fault_injection_never_corrupts_answers() {
 #[test]
 fn count_tables_stay_consistent_under_faults() {
     let ds = dataset();
-    let queries = stream_queries(&ds, 80, 4_000);
+    let queries = paper_stream(&ds, 4_000).take_queries(80);
     // Tight enough that the stream keeps fetching (and failing) all the
     // way through, with eviction churn between failures.
     let budget = 200 * PAPER_TUPLE_BYTES;
@@ -268,7 +237,7 @@ fn count_tables_stay_consistent_under_faults() {
 #[test]
 fn permanent_outage_serves_degraded_or_fails_cleanly() {
     let ds = dataset();
-    let queries = stream_queries(&ds, 40, 5_000);
+    let queries = paper_stream(&ds, 5_000).take_queries(40);
     // Holds most of the base cube, but not all of it: some roll-ups stay
     // fully coverable (degraded-servable), some chunks are simply gone.
     let budget = 300 * PAPER_TUPLE_BYTES;
@@ -276,7 +245,7 @@ fn permanent_outage_serves_degraded_or_fails_cleanly() {
         node_budget: Some(64),
     };
     let faulty =
-        FaultInjectingBackend::new(raw_backend(&ds), FaultProfile::fail_then_recover(u64::MAX))
+        FaultInjectingBackend::new(backend_for(&ds), FaultProfile::fail_then_recover(u64::MAX))
             .unwrap();
     let retrying = RetryingBackend::new(
         faulty,
@@ -293,7 +262,7 @@ fn permanent_outage_serves_degraded_or_fails_cleanly() {
     // only a fraction of it, so some chunks stay degraded-servable and
     // some are genuinely gone.
     let base = ds.grid.schema().lattice().base();
-    let healthy = raw_backend(&ds);
+    let healthy = backend_for(&ds);
     for (chunk, data) in healthy.fetch_group_by(base).unwrap().chunks {
         down.insert_chunk(ChunkKey::new(base, chunk), data, Origin::Backend, 1.0);
     }

@@ -5,7 +5,8 @@
 mod common;
 
 use aggcache::prelude::*;
-use common::{assert_data_bit_identical, backend, oracle_answer, stream_queries};
+use aggcache_bench::rig::{apb_dataset, backend_for, oracle_answer, paper_stream};
+use common::cells;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -19,12 +20,12 @@ fn stream_against_oracle(strategy: Strategy, policy: PolicyKind, cache_bytes: us
         .seed(17)
         .build();
     let grid = dataset.grid.clone();
-    let oracle_backend = backend(&dataset);
+    let oracle_backend = backend_for(&dataset);
     let mut manager = CacheManager::builder()
         .strategy(strategy)
         .policy(policy)
         .cache_bytes(cache_bytes)
-        .build(backend(&dataset))
+        .build(backend_for(&dataset))
         .unwrap();
 
     let max_level = grid.schema().base_level();
@@ -168,7 +169,7 @@ fn apply_to_model(model: &mut Vec<Tuple>, batch: &DeltaBatch) {
 /// from the test's own tuple list after every batch.
 #[test]
 fn ingest_answers_match_a_freshly_loaded_backend() {
-    let ds = common::apb_dataset(21);
+    let ds = apb_dataset(20_000, 21);
     let (grid, gb) = (ds.grid.clone(), ds.fact_gb);
     let level = grid.geom(gb).level().to_vec();
     let cards: Vec<u32> = (0..grid.num_dims())
@@ -178,7 +179,7 @@ fn ingest_answers_match_a_freshly_loaded_backend() {
     for chunk in ds.fact.non_empty_chunks() {
         initial.extend(ds.fact.scan_chunk(chunk).map(|(c, v)| (c.to_vec(), v)));
     }
-    let queries = stream_queries(&ds, 16, 31);
+    let queries = paper_stream(&ds, 31).take_queries(16);
     let strategies = [
         Strategy::NoAggregation,
         Strategy::Esm,
@@ -209,16 +210,15 @@ fn ingest_answers_match_a_freshly_loaded_backend() {
                 let batch = random_batch(&mut rng, &model, &cards);
                 mgr.ingest(&batch).unwrap();
                 apply_to_model(&mut model, &batch);
-                let mut cells = ChunkData::new(grid.num_dims());
+                let mut facts = ChunkData::new(grid.num_dims());
                 for (coords, value) in &model {
-                    cells.push(coords, *value);
+                    facts.push(coords, *value);
                 }
-                let oracle = Backend::new(FactTable::load(grid.clone(), gb, cells), agg, cost);
+                let oracle = Backend::new(FactTable::load(grid.clone(), gb, facts), agg, cost);
                 for (i, q) in reads.iter().enumerate() {
-                    let mut got = mgr.run(&q.into()).unwrap();
-                    got.data.sort_by_coords();
+                    let got = mgr.run(&q.into()).unwrap();
                     let ctx = format!("{strategy:?} {agg:?} round {round} read {i} {q:?}");
-                    assert_data_bit_identical(&got.data, &oracle_answer(&oracle, q), &ctx);
+                    assert_eq!(cells(&got.data), cells(&oracle_answer(&oracle, q)), "{ctx}");
                 }
                 if let Some(counts) = mgr.counts() {
                     let cached: HashSet<ChunkKey> = mgr.cache().keys().collect();

@@ -8,7 +8,8 @@
 mod common;
 
 use aggcache::prelude::*;
-use common::{backend, oracle_answer, stream_queries};
+use aggcache_bench::rig::{backend_for, oracle_answer, paper_stream};
+use common::{cells, digest, Digest};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,16 +37,12 @@ fn chaotic_manager(ds: &Dataset, strategy: Strategy, spill: SpillConfig) -> Cach
         .policy(PolicyKind::TwoLevel)
         .cache_bytes(1024) // tight: demotions and promotions stay hot
         .spill(spill)
-        .build(backend(ds))
+        .build(backend_for(ds))
         .unwrap()
 }
 
 fn stream(ds: &Dataset, seed: u64, n: usize) -> Vec<QueryRequest> {
-    QueryRequest::batch(&stream_queries(ds, n, seed))
-}
-
-fn value_bits(data: &ChunkData) -> Vec<u64> {
-    data.raw_values().iter().map(|v| v.to_bits()).collect()
+    QueryRequest::batch(&paper_stream(ds, seed).take_queries(n))
 }
 
 /// Every regular file under `dir` as name → contents.
@@ -91,13 +88,7 @@ fn rate_zero_is_bit_transparent_for_all_strategies() {
         for q in &queries {
             let a = plain.run(q).unwrap();
             let b = faulty.run(q).unwrap();
-            assert_eq!(a.data.raw_coords(), b.data.raw_coords());
-            assert_eq!(value_bits(&a.data), value_bits(&b.data));
-            assert_eq!(
-                a.total_virtual_ms().to_bits(),
-                b.total_virtual_ms().to_bits()
-            );
-            assert_eq!(a.spill, b.spill, "strategy {i}: spill accounting drifted");
+            assert_eq!(digest(&a), digest(&b), "strategy {i}: outcome drifted");
         }
         assert_eq!(*plain.session_spill(), *faulty.session_spill());
         let pk: Vec<ChunkKey> = plain
@@ -141,11 +132,8 @@ fn answers_equal_oracle_at_every_fault_rate() {
             let out = mgr.run(q).unwrap_or_else(|e| {
                 panic!("rate {rate}: disk faults must never fail a query: {e}")
             });
-            let mut got = out.data.clone();
-            got.sort_by_coords();
-            let want = oracle_answer(&backend(&ds), &q.query);
-            assert_eq!(got.raw_coords(), want.raw_coords(), "rate {rate}");
-            assert_eq!(value_bits(&got), value_bits(&want), "rate {rate}");
+            let want = oracle_answer(&backend_for(&ds), &q.query);
+            assert_eq!(cells(&out.data), cells(&want), "rate {rate}");
         }
         if rate >= 0.3 {
             assert!(
@@ -158,26 +146,20 @@ fn answers_equal_oracle_at_every_fault_rate() {
 }
 
 /// One chaotic session's full outcome, reduced to comparable bits.
-fn chaos_run(ds: &Dataset, seed: u64, tag: &str) -> (Vec<Vec<u64>>, Vec<u64>, u64) {
+fn chaos_run(ds: &Dataset, seed: u64, tag: &str) -> (Vec<Digest>, u64) {
     let dir = tmpdir(tag);
     let spill = SpillConfig::new(&dir)
         .fault(DiskFaultProfile::uniform(0.3, seed))
         .scrub_interval_ms(300.0);
     let mut mgr = chaotic_manager(ds, Strategy::Vcmc, spill);
     let queries = stream(ds, seed, 50);
-    let mut answers = Vec::new();
-    let mut totals = Vec::new();
+    let mut outcomes = Vec::new();
     for batch in queries.chunks(10) {
-        for out in mgr.run_batch(batch).unwrap() {
-            totals.push(out.total_virtual_ms().to_bits());
-            let mut data = out.data;
-            data.sort_by_coords();
-            answers.push(value_bits(&data));
-        }
+        outcomes.extend(mgr.run_batch(batch).unwrap().iter().map(digest));
     }
     let quarantined = mgr.session_spill().spill_quarantined;
     let _ = std::fs::remove_dir_all(&dir);
-    (answers, totals, quarantined)
+    (outcomes, quarantined)
 }
 
 /// For a fixed seed the whole chaotic session — answers, virtual totals,
@@ -193,10 +175,7 @@ fn chaos_is_deterministic_per_seed() {
     // Different seeds genuinely vary the fault sequence.
     let x = chaos_run(&ds, 5, "det-x");
     let y = chaos_run(&ds, 6, "det-y");
-    assert!(
-        x.1 != y.1 || x.2 != y.2,
-        "seeds 5 and 6 behaved identically"
-    );
+    assert!(x != y, "seeds 5 and 6 behaved identically");
 }
 
 /// A warm restart over a checkpoint with a corrupted record quarantines
@@ -212,7 +191,7 @@ fn warm_restart_after_corrupted_checkpoint_stays_consistent() {
             .policy(PolicyKind::TwoLevel)
             .cache_bytes(64 * 1024)
             .spill(SpillConfig::new(&dir))
-            .build(backend(&ds))
+            .build(backend_for(&ds))
             .unwrap();
         for q in &stream(&ds, 44, 30) {
             first.run(q).unwrap();
@@ -240,7 +219,7 @@ fn warm_restart_after_corrupted_checkpoint_stays_consistent() {
         .policy(PolicyKind::TwoLevel)
         .cache_bytes(64 * 1024)
         .spill(SpillConfig::new(&dir))
-        .build(backend(&ds))
+        .build(backend_for(&ds))
         .unwrap();
     assert_eq!(warm.session_spill().spill_corrupt, 1);
     assert_eq!(warm.session_spill().spill_quarantined, 1);
@@ -252,11 +231,8 @@ fn warm_restart_after_corrupted_checkpoint_stays_consistent() {
     // And the session still answers every query correctly.
     for q in &stream(&ds, 45, 20) {
         let out = warm.run(q).unwrap();
-        let mut got = out.data.clone();
-        got.sort_by_coords();
-        let want = oracle_answer(&backend(&ds), &q.query);
-        assert_eq!(got.raw_coords(), want.raw_coords());
-        assert_eq!(value_bits(&got), value_bits(&want));
+        let want = oracle_answer(&backend_for(&ds), &q.query);
+        assert_eq!(cells(&out.data), cells(&want));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,7 +12,8 @@ mod common;
 
 use aggcache::cache::AdmissionKind;
 use aggcache::prelude::*;
-use common::{backend as raw_backend, oracle_answer, synthetic_dataset as dataset};
+use aggcache_bench::rig::{backend_for, oracle_answer};
+use common::synthetic_dataset as dataset;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -27,7 +28,7 @@ fn tagged_arrivals(ds: &Dataset, n: usize, seed: u64) -> Vec<(u32, Query)> {
 /// A manager over the faulty retrying stack with the given admission.
 fn chaotic_manager(ds: &Dataset, admission: AdmissionKind, rate: f64) -> CacheManager {
     let faulty =
-        FaultInjectingBackend::new(raw_backend(ds), FaultProfile::uniform(rate, 0xFA57)).unwrap();
+        FaultInjectingBackend::new(backend_for(ds), FaultProfile::uniform(rate, 0xFA57)).unwrap();
     let retrying = RetryingBackend::new(
         faulty,
         RetryPolicy {
@@ -50,7 +51,7 @@ fn chaotic_manager(ds: &Dataset, admission: AdmissionKind, rate: f64) -> CacheMa
 #[test]
 fn faulty_multi_tenant_streams_never_corrupt_answers() {
     let ds = dataset();
-    let oracle = raw_backend(&ds);
+    let oracle = backend_for(&ds);
     let arrivals = tagged_arrivals(&ds, 80, 4_000);
     for admission in AdmissionKind::lab() {
         let mut mgr = chaotic_manager(&ds, admission, 0.5);
