@@ -1,4 +1,5 @@
 //! Runs the design-choice ablations (DESIGN.md §7).
+#![forbid(unsafe_code)]
 use aggcache_bench::{args::Args, experiments::ablation};
 
 fn main() {

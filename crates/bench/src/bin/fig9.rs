@@ -1,4 +1,5 @@
 //! Reproduces paper Fig9 as a view of the §7.2 stream experiment.
+#![forbid(unsafe_code)]
 use aggcache_bench::experiments::streams;
 
 fn main() {

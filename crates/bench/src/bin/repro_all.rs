@@ -2,6 +2,7 @@
 //! reproduction report (used to populate EXPERIMENTS.md). Exits 1 after
 //! the report if any sweep's contract (oracle mismatches, transparency
 //! divergences) is violated, naming each violation on stderr.
+#![forbid(unsafe_code)]
 use aggcache_bench::args::Args;
 use aggcache_bench::experiments::{
     cluster, coldstart, faults, recovery, streams, table1, table2, table3, tenants, unit_a, unit_b,

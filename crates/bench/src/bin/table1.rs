@@ -1,4 +1,5 @@
 //! Reproduces paper Table 1 (lookup times).
+#![forbid(unsafe_code)]
 use aggcache_bench::{args::Args, experiments::table1, trace::maybe_write_trace};
 
 fn main() {

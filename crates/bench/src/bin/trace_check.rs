@@ -5,6 +5,7 @@
 //!
 //! Usage: `trace_check <path>` — exits 1 with a message on the first
 //! violation, 2 on a usage error (it reads no `--flag`).
+#![forbid(unsafe_code)]
 
 use aggcache_bench::trace::validate;
 use aggcache_obs::json::JsonValue;

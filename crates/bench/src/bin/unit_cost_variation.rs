@@ -1,4 +1,5 @@
 //! Reproduces §7.1 "Aggregation Cost Optimization" (≈10× path spread).
+#![forbid(unsafe_code)]
 use aggcache_bench::{args::Args, experiments::unit_b};
 
 fn main() {

@@ -14,6 +14,7 @@
 //! Run everything at once with `--bin repro_all` (writes a combined
 //! summary).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;

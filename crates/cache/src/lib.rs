@@ -15,6 +15,7 @@
 //! 20 bytes per tuple ([`aggcache_chunks::PAPER_TUPLE_BYTES`]), so cache
 //! sizes like "10 MB" are comparable to the paper's.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod admission;

@@ -16,6 +16,7 @@
 //! * [`ChunkData`] — a compact structure-of-arrays container for the cells
 //!   of one or more chunks.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod data;

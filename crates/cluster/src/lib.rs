@@ -18,6 +18,7 @@
 //! replication-1 cluster reproduces the non-clustered pipeline bit for
 //! bit, which is the conformance anchor the integration tests pin.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod error;

@@ -31,6 +31,7 @@
 //! data at any cost, or the query fails with a typed
 //! [`CacheError::BackendUnavailable`].
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod cost;

@@ -13,6 +13,7 @@
 //! measures. [`SyntheticSpec`] builds arbitrary smaller schemas for tests
 //! and property checks.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod apb1;

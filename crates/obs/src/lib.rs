@@ -40,6 +40,7 @@
 //! assert_eq!(registry.counter("group_boost"), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod event;

@@ -22,6 +22,7 @@
 //!   `+1`); a **child** is one step more aggregated. Data flows from parents
 //!   to children by aggregation.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod dimension;

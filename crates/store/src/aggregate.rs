@@ -112,16 +112,21 @@ struct CellBox<'s> {
     /// adds 0 to every key, so neither keying nor decoding visits it.
     live: Vec<usize>,
     /// `Σ_d weights[d] · lo[d]`: the key of the box's first cell in
-    /// level-wide terms, subtracted once per cell.
+    /// level-wide terms, subtracted through [`SourceKeys`]'s offset.
     base: u64,
 }
 
-/// How the cells of one source level key into a [`CellBox`]: per live
-/// dimension its index, the dimension's memoised roll-up table and the box
-/// weight, the box's `base`, and its cells (every key is below them).
+/// One live dimension as [`SourceKeys`] keys it: its index, its memoised
+/// roll-up table from the source level and its box weight.
+type KeyDim<'s> = (usize, &'s [u32], u64);
+
+/// How the cells of one source chunk key into a [`CellBox`]: the live
+/// dimensions its cells still vary along, and `offset`, what every key
+/// shares — the box's `base` subtracted, the folded dimensions' share added
+/// ([`CellBox::source`]). Every key is below `cells`.
 struct SourceKeys<'s> {
-    dims: Vec<(usize, &'s [u32], u64)>,
-    base: u64,
+    dims: Vec<KeyDim<'s>>,
+    offset: u64,
     cells: u64,
 }
 
@@ -166,17 +171,30 @@ impl<'s> CellBox<'s> {
         self.live.last().copied().unwrap_or(self.lo.len() - 1)
     }
 
-    fn source(&self, from: &[u8]) -> SourceKeys<'s> {
-        let dim = |&d: &usize| {
+    /// The keying of cells at level `from`. Where `span` knows the value
+    /// range the source cells lie in along a dimension (a source chunk's
+    /// [`ChunkGrid::cell_box`]), a live dimension along which that whole
+    /// range rolls up to one target value is *folded*: its share of every
+    /// key moves into the offset. A roll-up table is monotone, so its two
+    /// ends decide that.
+    fn source(&self, from: &[u8], span: impl Fn(usize) -> Option<(u32, u32)>) -> SourceKeys<'s> {
+        let mut keys = SourceKeys {
+            dims: Vec::with_capacity(self.live.len()),
+            offset: 0u64.wrapping_sub(self.base),
+            cells: self.cells,
+        };
+        for &d in &self.live {
             let dimension = self.schema.dimension(d);
             let table = dimension.composed_rollup(from[d], self.level[d]);
-            (d, table, self.weights[d])
-        };
-        SourceKeys {
-            dims: self.live.iter().map(dim).collect(),
-            base: self.base,
-            cells: self.cells,
+            let w = self.weights[d];
+            match span(d) {
+                Some((lo, hi)) if table[lo as usize] == table[hi as usize - 1] => {
+                    keys.offset = keys.offset.wrapping_add(w * u64::from(table[lo as usize]));
+                }
+                _ => keys.dims.push((d, table, w)),
+            }
         }
+        keys
     }
 
     /// The coordinates of cell `key`, into `out` (which already holds `lo`
@@ -191,56 +209,52 @@ impl<'s> CellBox<'s> {
     }
 }
 
-/// Cells keyed per pass of [`SourceKeys::keyed_blocks`]: the key scratch
-/// stays in L1 beside the slice of each column it is computed from.
-const KEY_BLOCK: usize = 256;
-
 impl SourceKeys<'_> {
-    /// Hands `sink` the target keys and raw values of the cells of `data`,
-    /// in order, a block at a time straight off the columnar arrays. Keys
-    /// are computed one live dimension at a time — a lookup and a
-    /// multiply-add per cell, table and weight in registers — and equal
-    /// "roll each coordinate up, then Horner-encode". Which cells lie in
-    /// the box is a per-*chunk* check ([`ChunkAggregator::add_source_chunk`]).
-    #[inline]
-    fn keyed_blocks(&self, data: &ChunkData, mut sink: impl FnMut(&[u64], &[f64])) {
-        let n = data.n_dims();
-        let mut keys = [0u64; KEY_BLOCK];
-        let blocks = data.raw_coords().chunks(KEY_BLOCK * n);
-        for (coords, values) in blocks.zip(data.raw_values().chunks(KEY_BLOCK)) {
-            let keys = &mut keys[..values.len()];
-            keys.fill(0u64.wrapping_sub(self.base));
-            for &(d, table, w) in &self.dims {
-                for (key, c) in keys.iter_mut().zip(coords.chunks_exact(n)) {
-                    *key = key.wrapping_add(w * u64::from(table[c[d] as usize]));
-                }
+    /// Hands `put` the target key and raw value of each cell of `data`, in
+    /// order, straight off the columnar arrays: a key is the offset plus,
+    /// per dimension left, a lookup and a multiply-add, and equals "roll
+    /// each coordinate up, then Horner-encode". The loop is compiled once
+    /// per dimension count up to APB-1's five, with the count fixed, and
+    /// once over a slice beyond. Which cells lie in the box is a
+    /// per-*chunk* check ([`ChunkAggregator::add_source_chunk`]).
+    #[inline(always)]
+    fn for_each_cell(&self, data: &ChunkData, put: impl FnMut(u64, f64)) {
+        match *self.dims.as_slice() {
+            [] => self.keyed(data, [] as [KeyDim; 0], put),
+            [a] => self.keyed(data, [a], put),
+            [a, b] => self.keyed(data, [a, b], put),
+            [a, b, c] => self.keyed(data, [a, b, c], put),
+            [a, b, c, d] => self.keyed(data, [a, b, c, d], put),
+            [a, b, c, d, e] => self.keyed(data, [a, b, c, d, e], put),
+            _ => self.keyed(data, self.dims.as_slice(), put),
+        }
+    }
+
+    /// [`SourceKeys::for_each_cell`]'s loop, over `dims`.
+    #[inline(always)]
+    fn keyed<'t>(
+        &self,
+        data: &ChunkData,
+        dims: impl AsRef<[KeyDim<'t>]>,
+        mut put: impl FnMut(u64, f64),
+    ) {
+        let coords = data.raw_coords().chunks_exact(data.n_dims());
+        for (c, &v) in coords.zip(data.raw_values()) {
+            let mut key = self.offset;
+            for &(d, table, w) in dims.as_ref() {
+                key = key.wrapping_add(w * u64::from(table[c[d] as usize]));
             }
-            debug_assert!(
-                keys.iter().all(|&key| key < self.cells),
-                "a source cell rolls up outside the target box"
-            );
-            sink(keys, values);
+            debug_assert!(key < self.cells, "a source cell outside the target box");
+            put(key, v);
         }
     }
 }
 
-/// `(key, cube value)` pairs of one keyed block: raw fact measures lifted.
-#[inline]
-fn lifted<'a>(
-    keys: &'a [u64],
-    values: &'a [f64],
-    agg: AggFn,
-    lift: Lift,
-) -> impl Iterator<Item = (u64, f64)> + 'a {
-    keys.iter().zip(values).map(move |(&key, &v)| match lift {
-        Lift::Raw => (key, agg.lift(v)),
-        Lift::Lifted => (key, v),
-    })
-}
-
 /// A target box at most this many times the cells about to be rolled into
-/// it is held dense. 2, 8 and 32 measured within 2 % of each other on the
-/// complete-hit workload, so the smallest: ≤ 18 transient bytes per input cell.
+/// it is held dense. On the complete-hit workload on a 2-core box, three
+/// traced runs each of 2, 8 and 32 read medians of 7.8, 7.1 and 7.9 ns per
+/// input cell, with every setting's runs spread over 5.8–7.9: no measured
+/// difference, so the smallest: ≤ 18 transient bytes per input cell.
 const DENSE_BOX_PER_INPUT_CELL: u64 = 2;
 
 /// The target cells of one aggregation, keyed by [`CellBox`] key.
@@ -257,21 +271,27 @@ enum Cells {
 }
 
 impl Cells {
-    /// The ingest loop: combines each pair into its target cell, in order.
-    /// The dense side has no first-touch test — combining into the
-    /// identity *is* the first touch — so it has no data-dependent branch;
-    /// the sparse side defers every combine to `finish`.
-    #[inline]
-    fn fold(&mut self, agg: AggFn, pairs: impl Iterator<Item = (u64, f64)>) {
+    /// The ingest loop: each cell of `data` keyed, lifted and combined
+    /// into its target cell in one pass, in input order, with `lift` and
+    /// `combine` compiled in. The dense side has no first-touch test —
+    /// combining into the identity *is* the first touch — so it has no
+    /// data-dependent branch; the sparse side defers every combine to
+    /// `finish`.
+    #[inline(always)]
+    fn add(
+        &mut self,
+        keys: &SourceKeys,
+        data: &ChunkData,
+        lift: impl Fn(f64) -> f64,
+        combine: impl Fn(f64, f64) -> f64,
+    ) {
         match self {
-            Cells::Dense { vals, occupied } => {
-                for (key, v) in pairs {
-                    let k = key as usize;
-                    vals[k] = agg.combine(vals[k], v);
-                    occupied[k] = 1;
-                }
-            }
-            Cells::Sparse(run) => run.extend(pairs),
+            Cells::Dense { vals, occupied } => keys.for_each_cell(data, |key, v| {
+                let k = key as usize;
+                vals[k] = combine(vals[k], lift(v));
+                occupied[k] = 1;
+            }),
+            Cells::Sparse(run) => keys.for_each_cell(data, |key, v| run.push((key, lift(v)))),
         }
     }
 }
@@ -389,13 +409,20 @@ impl<'s> Aggregator<'s> {
     /// against the dimensions' memoised roll-up tables and combine into
     /// their target cells in input order.
     pub fn add_chunk(&mut self, from: &[u8], data: &ChunkData, lift: Lift) {
+        self.add(self.cell_box.source(from, |_| None), data, lift);
+    }
+
+    /// [`Cells::add`], compiled once per combine: SUM and COUNT add, MIN,
+    /// MAX, and COUNT of raw facts adds `1.0` ([`AggFn::lift`]).
+    fn add(&mut self, keys: SourceKeys, data: &ChunkData, lift: Lift) {
         self.cells_added += data.len() as u64;
-        let (agg, cells) = (self.agg, &mut self.cells);
-        self.cell_box
-            .source(from)
-            .keyed_blocks(data, |keys, values| {
-                cells.fold(agg, lifted(keys, values, agg, lift))
-            });
+        let (cells, keys) = (&mut self.cells, &keys);
+        match self.agg {
+            AggFn::Count if lift == Lift::Raw => cells.add(keys, data, |_| 1.0, |a, v| a + v),
+            AggFn::Sum | AggFn::Count => cells.add(keys, data, |v| v, |a, v| a + v),
+            AggFn::Min => cells.add(keys, data, |v| v, |a, v| AggFn::Min.combine(a, v)),
+            AggFn::Max => cells.add(keys, data, |v| v, |a, v| AggFn::Max.combine(a, v)),
+        }
     }
 
     /// Number of input cells consumed so far — the paper's aggregation cost
@@ -482,7 +509,9 @@ impl ChunkAggregator<'_> {
     ///
     /// In release builds too, unless `src` rolls up into the target chunk:
     /// a cell from elsewhere would land outside the box or, worse, on a
-    /// neighbour inside it. By closure that is O(dims) per chunk, not per cell.
+    /// neighbour inside it. By closure that is O(dims) per chunk, not per cell,
+    /// and so is finding the dimensions the chunk's cells all share one
+    /// target value along: those cost nothing per cell.
     pub fn add_source_chunk(&mut self, src: ChunkKey, data: &ChunkData, lift: Lift) {
         let (grid, target) = (self.grid, self.target);
         assert!(
@@ -490,7 +519,11 @@ impl ChunkAggregator<'_> {
                 && grid.ascend_chunk(src.gb, src.chunk, target.gb) == target.chunk,
             "source chunk {src:?} does not roll up into target chunk {target:?}"
         );
-        self.kernel.add_chunk(grid.geom(src.gb).level(), data, lift);
+        let (geom, c) = (grid.geom(src.gb), src.chunk);
+        let level = geom.level();
+        let span = |d| Some(grid.dim(d).value_range(level[d], geom.coord(c, d)));
+        let keys = self.kernel.cell_box.source(level, span);
+        self.kernel.add(keys, data, lift);
     }
 
     /// [`Aggregator::finish`].
@@ -541,7 +574,7 @@ pub fn aggregate_to_level_parallel(
 pub(crate) mod tests {
     use super::*;
     use aggcache_schema::{Dimension, GroupById};
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
 
     fn schema() -> Arc<Schema> {
@@ -1050,49 +1083,173 @@ pub(crate) mod tests {
     }
 
     /// Keys through the memoised tables equal "roll each coordinate up,
-    /// subtract the box corner, Horner-encode" — across block boundaries
-    /// and for inputs that end mid-block, dead dimensions contributing
-    /// nothing.
+    /// subtract the box corner, Horner-encode": dead dimensions contribute
+    /// nothing, a dimension the source span rolls up to one value along is
+    /// folded into the offset, and an empty input yields no key.
     #[test]
-    fn keyed_blocks_match_manual_encoding() {
+    fn source_keys_match_manual_encoding() {
         let s = schema();
+        let from = [2u8, 1];
         let mut d = ChunkData::new(2);
-        for i in 0..(2 * KEY_BLOCK as u32 + 44) {
+        for i in 0..300u32 {
             d.push(&[2 + i % 2, i % 3], f64::from(i));
         }
         // Box: a-values {1} at level 1 (dead), b-values 0..3 at level 1.
         let dead_a = CellBox::new(&s, &[1, 1], [(1, 2), (0, 3)].into_iter());
         // Box: a-values 2..4, b-values 1..3 — a corner away from the origin.
         let corner = CellBox::new(&s, &[2, 1], [(2, 4), (1, 3)].into_iter());
-        for (cell_box, range) in [
-            (&dead_a, 0..d.len()),
-            (&dead_a, 3..KEY_BLOCK + 9),
-            (&corner, 1..2),
-        ] {
+        // Box: all of level (1,1); base a-values 2..4 all roll up to 1.
+        let whole = CellBox::new(&s, &[1, 1], [(0, 2), (0, 3)].into_iter());
+        let cases = [
+            (&dead_a, None, 0..d.len(), 1),
+            (&corner, None, 1..2, 2),
+            (&corner, Some([(2, 4), (1, 2)]), 0..d.len(), 1),
+            (&whole, Some([(2, 4), (0, 3)]), 0..d.len(), 1),
+            (&whole, None, 0..0, 2),
+        ];
+        for (cell_box, span, range, dims_left) in cases {
             let mut slice = ChunkData::new(2);
             let mut want = Vec::new();
             for i in range {
-                slice.push(d.coords_of(i), d.value_of(i));
+                let c = d.coords_of(i);
+                if span.is_some_and(|span| (0..2).any(|k| c[k] < span[k].0 || c[k] >= span[k].1)) {
+                    continue;
+                }
+                slice.push(c, d.value_of(i));
                 let key: u64 = (0..2)
                     .map(|k| {
-                        let to = cell_box.level[k];
                         let up = s
                             .dimension(k)
-                            .ancestor_value([2, 1][k], to, d.coords_of(i)[k]);
+                            .ancestor_value(from[k], cell_box.level[k], c[k]);
                         cell_box.weights[k] * u64::from(up - cell_box.lo[k])
                     })
                     .sum();
                 want.push((key, d.value_of(i)));
             }
+            let keys = cell_box.source(&from, |k| span.map(|span| span[k]));
+            assert_eq!(keys.dims.len(), dims_left, "{span:?}");
             let mut got = Vec::new();
-            cell_box
-                .source(&[2, 1])
-                .keyed_blocks(&slice, |keys, values| {
-                    got.extend(lifted(keys, values, AggFn::Sum, Lift::Raw));
-                });
-            assert_eq!(got, want);
+            keys.for_each_cell(&slice, |key, v| got.push((key, v)));
+            assert_eq!(got, want, "{span:?}");
         }
-        assert_eq!(dead_a.source(&[2, 1]).dims.len(), 1);
+    }
+
+    /// Four functions, both lifts and both sides over one grid with chunk 0
+    /// of `n` flat dimensions of 2 and 3 values, the first `live` at their
+    /// base level and the rest rolled away: every arm of
+    /// [`SourceKeys::for_each_cell`] and of the combine agrees with the row
+    /// reference bit for bit — six dimensions reach the slice arm.
+    #[test]
+    fn every_ingest_arm_is_bit_identical_to_the_row_reference() {
+        const N: usize = 6;
+        let dims = (0..N).map(|d| Dimension::flat(format!("f{d}"), 2 + d as u32 % 2).unwrap());
+        let schema = Arc::new(Schema::new(dims.collect()).unwrap());
+        let g = ChunkGrid::build(schema, &vec![vec![1, 1]; N]).unwrap();
+        let s = g.schema();
+        let base = s.lattice().base();
+        // Every base cell twice, in two orders, with jagged values.
+        let mut cells = ChunkData::new(N);
+        let all: u32 = (0..N).map(|d| 2 + d as u32 % 2).product();
+        for pass in 0..2u32 {
+            for i in 0..all {
+                let j = if pass == 0 { i } else { (i * 7 + 3) % all };
+                let mut rest = j;
+                let c: Vec<u32> = (0..N as u32)
+                    .map(|d| {
+                        let v = rest % (2 + d % 2);
+                        rest /= 2 + d % 2;
+                        v
+                    })
+                    .collect();
+                let x = f64::from(pass * all + i);
+                cells.push(&c, 0.1 + x * 1e10 + x.sin());
+            }
+        }
+        let sources = [(ChunkKey::new(base, 0), &cells)];
+        let span = g.cell_box(base, 0);
+        for live in 0..=N {
+            let level: Vec<u8> = (0..N).map(|d| u8::from(d < live)).collect();
+            let target = ChunkKey::new(s.lattice().id_of(&level).unwrap(), 0);
+            let cell_box = CellBox::of_chunk(&g, target);
+            assert_eq!(
+                cell_box
+                    .source(&s.base_level(), |d| Some(span[d]))
+                    .dims
+                    .len(),
+                live
+            );
+            for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
+                for lift in [Lift::Raw, Lift::Lifted] {
+                    let want =
+                        reference_rollup(s, &[(&s.base_level()[..], &cells)], &level, agg, lift);
+                    for expected_cells in [u64::MAX, 0] {
+                        let got = chunk_result(&g, target, &sources, agg, lift, expected_cells);
+                        let ctx = format!("{live} live {agg:?} {lift:?} x{expected_cells}");
+                        assert_same_bits(&got, &want, &ctx);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Under target chunk (1,1,1), base chunks 0 and 3 along `a` lie under
+    /// one level-1 value each and chunks 1 and 2 straddle two, while every
+    /// base chunk along `c` lies under one value: the fold fires for some
+    /// sources of one aggregator and not for others, and every target of
+    /// the grid still agrees with the row reference bit for bit.
+    #[test]
+    fn folded_dimensions_are_bit_identical_to_the_row_reference() {
+        let schema = Schema::new(vec![
+            Dimension::balanced("a", vec![1, 3, 12]).unwrap(),
+            Dimension::flat("b", 3).unwrap(),
+            Dimension::balanced("c", vec![1, 2, 4]).unwrap(),
+        ])
+        .unwrap();
+        let g = ChunkGrid::build(
+            Arc::new(schema),
+            &[vec![1, 1, 4], vec![1, 1], vec![1, 1, 2]],
+        )
+        .unwrap();
+        let s = g.schema();
+        let lattice = s.lattice();
+        let base = lattice.base();
+        let base_level = s.base_level();
+        let mut cells = ChunkData::new(3);
+        for n in 0..2 * 144u32 {
+            let j = n * 97 % 144;
+            let x = f64::from(n);
+            cells.push(&[j % 12, j / 12 % 3, j / 36], 0.1 + x * 1e10 + x.sin());
+        }
+        let by_base = by_chunk(&g, base, &cells);
+        let mid = ChunkKey::new(lattice.id_of(&[1, 1, 1]).unwrap(), 0);
+        let mid_box = CellBox::of_chunk(&g, mid);
+        let left: BTreeSet<usize> = sources_under(&g, mid, base, &by_base)
+            .iter()
+            .map(|(src, _)| {
+                let span = g.cell_box(src.gb, src.chunk);
+                mid_box.source(&base_level, |d| Some(span[d])).dims.len()
+            })
+            .collect();
+        assert_eq!(left, BTreeSet::from([1, 2]));
+        for gb in lattice.iter_ids() {
+            let level = lattice.level_of(gb);
+            for chunk in 0..g.n_chunks(gb) {
+                let target = ChunkKey::new(gb, chunk);
+                let sources = sources_under(&g, target, base, &by_base);
+                let leveled: Vec<(&[u8], &ChunkData)> =
+                    sources.iter().map(|&(_, d)| (&base_level[..], d)).collect();
+                for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
+                    for lift in [Lift::Raw, Lift::Lifted] {
+                        let want = reference_rollup(s, &leveled, &level, agg, lift);
+                        for expected_cells in [u64::MAX, 0] {
+                            let got = chunk_result(&g, target, &sources, agg, lift, expected_cells);
+                            let ctx = format!("{agg:?} {lift:?} {target:?} x{expected_cells}");
+                            assert_same_bits(&got, &want, &ctx);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

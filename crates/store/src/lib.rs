@@ -15,6 +15,7 @@
 //! survive — transient errors, timeouts and latency spikes, all charged to
 //! the same deterministic virtual clock.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod aggregate;

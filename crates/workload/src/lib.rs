@@ -13,6 +13,7 @@
 //! The paper's stream used 30% drill-down, 30% roll-up, 30% proximity and
 //! 10% random — `QueryMix::paper`.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod error;

@@ -57,6 +57,7 @@
 //! | [`obs`] | trace events, tracer trait, recording and counting tracers, JSON |
 //! | [`cluster`] | sharded multi-node tier: hash ring, cooperative lookup |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use aggcache_cache as cache;
