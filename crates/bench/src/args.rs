@@ -173,11 +173,11 @@ mod tests {
         assert_eq!(a.value("json-out"), Some("a.json"));
         assert_eq!(a.try_finish(), Err("unknown flag `--querie`".to_string()));
         // Every way of asking counts, given or not; a bare flag is checked too.
-        let a = args(&["--smoke", "--queries", "4", "--csv-out", "a.csv"]);
+        let a = args(&["--smoke", "--queries", "4", "--trace-out", "a.json"]);
         let _ = (
             a.flag("smoke"),
             a.get("queries", 1usize),
-            a.value("csv-out"),
+            a.value("trace-out"),
         );
         let _ = (a.get("tuples", 1u64), a.value("json-out"));
         assert_eq!(a.try_finish(), Ok(()));
@@ -233,7 +233,7 @@ mod tests {
         assert_eq!(a.try_flag("smoke"), Ok(true));
         assert_eq!(a.try_flag("full"), Ok(false));
         assert_eq!(a.try_value("json-out"), Ok(Some("a.json")));
-        assert_eq!(a.try_value("csv-out"), Ok(None));
+        assert_eq!(a.try_value("trace-out"), Ok(None));
         assert_eq!(a.try_finish(), Ok(()));
     }
 }

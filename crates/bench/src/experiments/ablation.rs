@@ -60,7 +60,7 @@ pub fn run(opts: Opts) -> String {
     {
         let mut table = Table::new(&["strategy", "hit %", "avg ms", "hit lookup ms", "hit agg ms"]);
         for strategy in [Strategy::Esm, Strategy::Vcm, Strategy::Vcmc] {
-            let r = run_stream(&dataset, base_run(strategy));
+            let r = run_stream(&dataset, base_run(strategy), None);
             table.row(vec![
                 crate::rig::strategy_name(strategy).to_string(),
                 f2(r.complete_hit_pct),
@@ -87,6 +87,7 @@ pub fn run(opts: Opts) -> String {
                     group_boost: boost,
                     ..base_run(Strategy::Vcmc)
                 },
+                None,
             );
             table.row(vec![
                 boost.to_string(),
@@ -113,6 +114,7 @@ pub fn run(opts: Opts) -> String {
                     policy,
                     ..base_run(Strategy::Vcmc)
                 },
+                None,
             );
             table.row(vec![name.to_string(), f2(r.complete_hit_pct), f2(r.avg_ms)]);
         }

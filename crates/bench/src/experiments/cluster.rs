@@ -79,7 +79,7 @@ pub const SWEEP: Sweep<Opts, ClusterResults> = Sweep {
     run: run_experiment,
     render,
     check: None,
-    exports: Some((to_json, to_csv, |r| r.cells.len())),
+    exports: Some(to_json),
     traced: None,
 };
 
@@ -351,32 +351,6 @@ pub(crate) fn to_json(opts: Opts, r: &ClusterResults) -> String {
                 });
         })
         .close();
-    out
-}
-
-/// Serializes the per-node breakdown of every cell as CSV.
-pub(crate) fn to_csv(r: &ClusterResults) -> String {
-    let mut out = String::from(
-        "nodes,replication,failure_rate,node,queries,resident_chunks,\
-         used_bytes,serves_out,remote_chunks_in,downs\n",
-    );
-    for cell in &r.cells {
-        for n in &cell.per_node {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{}\n",
-                cell.nodes,
-                cell.replication,
-                cell.failure_rate,
-                n.node,
-                n.queries,
-                n.resident_chunks,
-                n.used_bytes,
-                n.traffic.serves_out,
-                n.traffic.remote_chunks_in,
-                n.traffic.downs,
-            ));
-        }
-    }
     out
 }
 

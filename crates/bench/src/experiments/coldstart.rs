@@ -90,13 +90,13 @@ pub const SWEEP: Sweep<Opts, ColdstartResults> = Sweep {
     run: run_experiment,
     render,
     check: None,
-    exports: Some((to_json, to_csv, |r| r.cells.len())),
+    exports: Some(to_json),
     traced: Some(|opts, tracer| -> Meta {
         let dataset = apb_dataset(opts.tuples, opts.seed);
         let root = scratch_root("coldstart");
         let _ = std::fs::remove_dir_all(&root);
         let dir = root.join("traced");
-        let cell = run_cell_traced(&dataset, opts, true, opts.cache_bytes, &dir, Some(tracer));
+        let cell = run_cell(&dataset, opts, true, opts.cache_bytes, &dir, Some(tracer));
         let _ = std::fs::remove_dir_all(&root);
         vec![
             ("experiment", Box::new("fig_coldstart")),
@@ -160,22 +160,12 @@ pub(crate) struct CellResult {
 /// the workload is seeded and every reported number is virtual-time.
 /// `dir` is this cell's private spill directory (removed by the caller);
 /// it is used even in cold mode's warm-up session so both modes pay the
-/// same warm-up — cold mode then simply abandons it.
+/// same warm-up — cold mode then simply abandons it. `tracer`, if any, is
+/// attached to the *restarted* session — the one that emits `warm_start`
+/// at build and `spill_read`/`spill_promote`/`spill_write` while
+/// measuring. The warm-up session stays untraced so the trace covers one
+/// configuration.
 pub(crate) fn run_cell(
-    dataset: &Dataset,
-    opts: Opts,
-    warm: bool,
-    cache_bytes: usize,
-    dir: &Path,
-) -> CellResult {
-    run_cell_traced(dataset, opts, warm, cache_bytes, dir, None)
-}
-
-/// [`run_cell`] with an optional tracer attached to the *restarted*
-/// session — the one that emits `warm_start` at build and
-/// `spill_read`/`spill_promote`/`spill_write` while measuring. The
-/// warm-up session stays untraced so the trace covers one configuration.
-pub(crate) fn run_cell_traced(
     dataset: &Dataset,
     opts: Opts,
     warm: bool,
@@ -264,13 +254,8 @@ pub fn run_experiment(opts: Opts) -> ColdstartResults {
     for (i, &scale) in BUDGET_SCALES.iter().enumerate() {
         for warm in [false, true] {
             let dir = root.join(format!("cell-{i}-{}", u8::from(warm)));
-            cells.push(run_cell(
-                &dataset,
-                opts,
-                warm,
-                opts.cache_bytes * scale,
-                &dir,
-            ));
+            let cache_bytes = opts.cache_bytes * scale;
+            cells.push(run_cell(&dataset, opts, warm, cache_bytes, &dir, None));
         }
     }
     let _ = std::fs::remove_dir_all(&root);
@@ -357,24 +342,6 @@ pub(crate) fn to_json(opts: Opts, r: &ColdstartResults) -> String {
                 .field("batch_hit", &cell.batch_hit);
         })
         .close();
-    out
-}
-
-/// Serializes the per-batch hit-ratio curves as CSV: one row per
-/// (cell, batch).
-pub(crate) fn to_csv(r: &ColdstartResults) -> String {
-    let mut out = String::from("mode,cache_bytes,batch,hit_ratio\n");
-    for cell in &r.cells {
-        for (i, h) in cell.batch_hit.iter().enumerate() {
-            out.push_str(&format!(
-                "{},{},{},{}\n",
-                if cell.warm { "warm" } else { "cold" },
-                cell.cache_bytes,
-                i,
-                h,
-            ));
-        }
-    }
     out
 }
 

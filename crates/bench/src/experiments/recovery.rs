@@ -101,13 +101,13 @@ pub const SWEEP: Sweep<Opts, RecoveryResults> = Sweep {
             )),
         },
     ),
-    exports: Some((to_json, to_csv, |r| r.cells.len())),
+    exports: Some(to_json),
     traced: Some(|opts, tracer| -> Meta {
         let dataset = apb_dataset(opts.tuples, opts.seed);
         let root = scratch_root("recovery");
         let _ = std::fs::remove_dir_all(&root);
         let dir = root.join("traced");
-        let cell = run_cell_traced(&dataset, opts, 0.2, true, &dir, Some(tracer));
+        let cell = run_cell(&dataset, opts, 0.2, true, &dir, Some(tracer));
         let _ = std::fs::remove_dir_all(&root);
         vec![
             ("experiment", Box::new("fig_recovery")),
@@ -173,22 +173,11 @@ pub(crate) struct CellResult {
 /// Runs one (rate, scrub) cell. Deterministic for fixed opts: the
 /// workload and fault profile are seeded and every reported number is
 /// virtual-time. `dir` is this cell's private spill directory (removed by
-/// the caller).
-pub(crate) fn run_cell(
-    dataset: &Dataset,
-    opts: Opts,
-    rate: f64,
-    scrub: bool,
-    dir: &Path,
-) -> CellResult {
-    run_cell_traced(dataset, opts, rate, scrub, dir, None)
-}
-
-/// [`run_cell`] with an optional tracer attached to the *restarted*
-/// session — the one that emits `spill_corrupt`, `spill_quarantine`,
+/// the caller). `tracer`, if any, is attached to the *restarted* session —
+/// the one that emits `spill_corrupt`, `spill_quarantine`,
 /// `index_rebuild` and `scrub_pass` while recovering and measuring. The
 /// warm-up session stays untraced so the trace covers one configuration.
-pub(crate) fn run_cell_traced(
+pub(crate) fn run_cell(
     dataset: &Dataset,
     opts: Opts,
     rate: f64,
@@ -271,7 +260,7 @@ pub fn run_experiment(opts: Opts) -> RecoveryResults {
     for (i, &rate) in FAULT_RATES.iter().enumerate() {
         for scrub in [false, true] {
             let dir = root.join(format!("cell-{i}-{}", u8::from(scrub)));
-            cells.push(run_cell(&dataset, opts, rate, scrub, &dir));
+            cells.push(run_cell(&dataset, opts, rate, scrub, &dir, None));
         }
     }
     let _ = std::fs::remove_dir_all(&root);
@@ -357,31 +346,6 @@ pub(crate) fn to_json(opts: Opts, r: &RecoveryResults) -> String {
                 .field("total_virtual_ms", cell.total_virtual_ms);
         })
         .close();
-    out
-}
-
-/// Serializes the sweep as CSV: one row per cell.
-pub(crate) fn to_csv(r: &RecoveryResults) -> String {
-    let mut out = String::from(
-        "rate,scrub,answered,oracle_mismatches,warm_start_chunks,corrupt,\
-         quarantined,retries,scrub_passes,final_hit_ratio,backend_virtual_ms\n",
-    );
-    for cell in &r.cells {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{}\n",
-            cell.rate,
-            u8::from(cell.scrub),
-            cell.answered,
-            cell.oracle_mismatches,
-            cell.warm_start_chunks,
-            cell.corrupt,
-            cell.quarantined,
-            cell.retries,
-            cell.scrub_passes,
-            cell.final_hit_ratio,
-            cell.backend_virtual_ms,
-        ));
-    }
     out
 }
 

@@ -87,7 +87,7 @@ pub const SWEEP: Sweep<Opts, TenantResults> = Sweep {
     run: run_experiment,
     render,
     check: None,
-    exports: Some((to_json, to_csv, |r| r.cells.len())),
+    exports: Some(to_json),
     traced: None,
 };
 
@@ -208,13 +208,7 @@ pub(crate) fn run_cell(
     }
     // The cell adds up its tenants' sums in ascending tenant order.
     let mut total = Tally::default();
-    for (tally, _) in by_tenant.values() {
-        total.queries += tally.queries;
-        total.complete_hits += tally.complete_hits;
-        total.chunks_served += tally.chunks_served;
-        total.chunks_missed += tally.chunks_missed;
-        total.total_virtual_ms += tally.total_virtual_ms;
-    }
+    by_tenant.values().for_each(|(tally, _)| total.merge(tally));
     CellResult {
         family,
         tenants,
@@ -325,33 +319,6 @@ pub(crate) fn to_json(opts: Opts, r: &TenantResults) -> String {
                 });
         })
         .close();
-    out
-}
-
-/// Serializes the per-tenant breakdown of every cell as CSV.
-pub(crate) fn to_csv(r: &TenantResults) -> String {
-    let mut out = String::from(
-        "family,tenants,skew,admission,tenant,queries,complete_hit_ratio,\
-         chunk_hit_ratio,avg_virtual_ms,p95_virtual_us,p99_virtual_us\n",
-    );
-    for cell in &r.cells {
-        for t in &cell.per_tenant {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{:.6},{:.6},{:.6},{},{}\n",
-                cell.family,
-                cell.tenants,
-                cell.skew,
-                cell.admission.name(),
-                t.tenant,
-                t.queries,
-                t.complete_hit_ratio,
-                t.chunk_hit_ratio,
-                t.avg_virtual_ms,
-                t.p95_virtual_us,
-                t.p99_virtual_us,
-            ));
-        }
-    }
     out
 }
 

@@ -109,10 +109,10 @@ pub const SWEEP: Sweep<Opts, UpdateResults> = Sweep {
             )),
         },
     ),
-    exports: Some((to_json, to_csv, |r| r.cells.len())),
+    exports: Some(to_json),
     traced: Some(|opts, tracer| -> Meta {
         let dataset = apb_dataset(opts.tuples, opts.seed);
-        let cell = run_cell_traced(&dataset, opts, 0.5, Strategy::Vcmc, Some(tracer));
+        let cell = run_cell(&dataset, opts, 0.5, Strategy::Vcmc, Some(tracer));
         vec![
             ("experiment", Box::new("fig_updates")),
             ("tuples", Box::new(opts.tuples)),
@@ -256,14 +256,9 @@ fn manager(
 
 /// Runs one (mix, strategy) cell. Deterministic for fixed opts: the
 /// workload and delta generator are seeded and every reported number is
-/// virtual-time.
-pub(crate) fn run_cell(dataset: &Dataset, opts: Opts, mix: f64, strategy: Strategy) -> CellResult {
-    run_cell_traced(dataset, opts, mix, strategy, None)
-}
-
-/// [`run_cell`] with an optional tracer, so `delta_ingest`, `chunk_patch`
-/// and `chunk_invalidate` events land in a `--trace-out` document.
-pub(crate) fn run_cell_traced(
+/// virtual-time. `tracer`, if any, receives the `delta_ingest`,
+/// `chunk_patch` and `chunk_invalidate` events of a `--trace-out` document.
+pub(crate) fn run_cell(
     dataset: &Dataset,
     opts: Opts,
     mix: f64,
@@ -381,7 +376,7 @@ pub fn run_experiment(opts: Opts) -> UpdateResults {
     let mut cells = Vec::new();
     for &mix in &WRITE_MIXES {
         for strategy in strategies() {
-            cells.push(run_cell(&dataset, opts, mix, strategy));
+            cells.push(run_cell(&dataset, opts, mix, strategy, None));
         }
     }
     let transparency_diffs = strategies()
@@ -476,35 +471,6 @@ pub(crate) fn to_json(opts: Opts, r: &UpdateResults) -> String {
                 .field("read_virtual_ms", cell.read_virtual_ms);
         })
         .close();
-    out
-}
-
-/// Serializes the sweep as CSV: one row per cell.
-pub(crate) fn to_csv(r: &UpdateResults) -> String {
-    let mut out = String::from(
-        "mix,strategy,answered,oracle_mismatches,hit_ratio,tuples_inserted,\
-         tuples_deleted,deletes_unmatched,chunks_patched,chunks_invalidated,\
-         table_writes,update_virtual_ms,backend_virtual_ms\n",
-    );
-    for cell in &r.cells {
-        let u = &cell.updates;
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            cell.mix,
-            cell.strategy,
-            cell.answered,
-            cell.oracle_mismatches,
-            cell.hit_ratio,
-            u.tuples_inserted,
-            u.tuples_deleted,
-            u.deletes_unmatched,
-            u.chunks_patched,
-            u.chunks_invalidated,
-            u.table_writes,
-            u.update_virtual_ms,
-            cell.backend_virtual_ms,
-        ));
-    }
     out
 }
 

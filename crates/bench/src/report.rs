@@ -107,6 +107,25 @@ impl Tally {
         self.backend_virtual_ms += m.backend_virtual_ms;
     }
 
+    /// Folds in another tally: every field sums.
+    pub(crate) fn merge(&mut self, other: &Tally) {
+        // Exhaustive on purpose: a new field must decide how it merges.
+        let Tally {
+            queries,
+            complete_hits,
+            chunks_served,
+            chunks_missed,
+            total_virtual_ms,
+            backend_virtual_ms,
+        } = *other;
+        self.queries += queries;
+        self.complete_hits += complete_hits;
+        self.chunks_served += chunks_served;
+        self.chunks_missed += chunks_missed;
+        self.total_virtual_ms += total_virtual_ms;
+        self.backend_virtual_ms += backend_virtual_ms;
+    }
+
     /// Fraction of queries answered entirely from the cache.
     pub(crate) fn hit_ratio(&self) -> f64 {
         mean(self.complete_hits as f64, self.queries)
@@ -208,6 +227,52 @@ mod tests {
             tally.chunk_hit_ratio(),
             served as f64 / (served + missed) as f64
         );
+    }
+
+    #[test]
+    fn merge_sums_every_field_of_per_tenant_tallies() {
+        use crate::rig::{apb_dataset, manager_for, MB};
+        use aggcache_workload::{MultiTenantConfig, TrafficEngine};
+        use std::collections::BTreeMap;
+
+        let dataset = apb_dataset(3_000, 7);
+        let max_level = dataset.grid.geom(dataset.fact_gb).level().to_vec();
+        let cfg = MultiTenantConfig::contended(4, 0.0, max_level, 11);
+        let requests = TrafficEngine::new(dataset.grid.clone(), &cfg)
+            .unwrap()
+            .requests(80);
+        let (strategy, policy) = (aggcache_core::Strategy::Vcmc, PolicyKind::TwoLevel);
+        let mut mgr = manager_for(&dataset, strategy, policy, MB / 50);
+        let outs = mgr.run_batch(&requests).unwrap();
+        let mut by_tenant: BTreeMap<u32, Tally> = BTreeMap::new();
+        let mut all = Tally::default();
+        for (request, out) in requests.iter().zip(&outs) {
+            by_tenant.entry(request.tenant).or_default().add(out);
+            all.add(out);
+        }
+        assert_eq!(by_tenant.len(), 4);
+        assert!(all.complete_hits > 0 && all.chunks_missed > 0);
+        let counts = |t: &Tally| (t.queries, t.complete_hits, t.chunks_served, t.chunks_missed);
+        let bits = |t: &Tally| {
+            let ms = (t.total_virtual_ms.to_bits(), t.backend_virtual_ms.to_bits());
+            (counts(t), ms)
+        };
+        // Merged in arrival order, one-outcome tallies are `add` bit for bit.
+        let mut merged = Tally::default();
+        for out in &outs {
+            let mut one = Tally::default();
+            one.add(out);
+            merged.merge(&one);
+        }
+        assert_eq!(bits(&merged), bits(&all));
+        // Merged per tenant, every count is exact; the sums are regrouped,
+        // so they may move in the last bits (a cell sums per tenant).
+        let mut merged = Tally::default();
+        by_tenant.values().for_each(|t| merged.merge(t));
+        assert_eq!(counts(&merged), counts(&all));
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
+        assert!(close(merged.total_virtual_ms, all.total_virtual_ms));
+        assert!(close(merged.backend_virtual_ms, all.backend_virtual_ms));
     }
 
     #[test]

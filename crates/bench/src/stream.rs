@@ -101,6 +101,7 @@ pub(crate) fn run_stream_averaged(
                 seed: run.seed + i,
                 ..run
             },
+            None,
         );
         acc.complete_hit_pct += r.complete_hit_pct;
         acc.avg_ms += r.avg_ms;
@@ -120,20 +121,15 @@ pub(crate) fn run_stream_averaged(
     }
 }
 
-/// Runs one configuration against (a clone of) the dataset's fact table.
+/// Runs one configuration against (a clone of) the dataset's fact table,
+/// with `tracer`, if any, attached to the manager.
 ///
 /// Every run with the same `seed` sees the identical query stream, so
 /// strategies and policies are compared on exactly the same workload, as
-/// in the paper.
-pub fn run_stream(dataset: &Dataset, run: StreamRun) -> StreamResult {
-    run_stream_traced(dataset, run, None)
-}
-
-/// [`run_stream`] with an optional [`Tracer`] attached to the manager.
-///
-/// Tracing observes wall-clock time but never virtual time, so a traced
-/// run produces a bit-identical [`StreamResult`] to an untraced one.
-pub fn run_stream_traced(
+/// in the paper. Tracing observes wall-clock time but never virtual time,
+/// so a traced run produces a bit-identical [`StreamResult`] to an
+/// untraced one.
+pub fn run_stream(
     dataset: &Dataset,
     run: StreamRun,
     tracer: Option<Arc<dyn Tracer>>,
@@ -205,6 +201,7 @@ mod tests {
                 seed: 7,
                 group_boost: true,
             },
+            None,
         );
         assert!(r.complete_hit_pct >= 0.0 && r.complete_hit_pct <= 100.0);
         assert!(r.avg_ms >= 0.0);
@@ -225,8 +222,8 @@ mod tests {
         };
         // VCM and VCMC answer the same set of queries from the cache, so
         // their complete-hit percentages must be identical.
-        let a = run_stream(&ds, mk(Strategy::Vcm));
-        let b = run_stream(&ds, mk(Strategy::Vcmc));
+        let a = run_stream(&ds, mk(Strategy::Vcm), None);
+        let b = run_stream(&ds, mk(Strategy::Vcmc), None);
         assert_eq!(a.complete_hit_pct, b.complete_hit_pct);
     }
 }

@@ -3,15 +3,15 @@
 //! A sweep module declares what is its own in a [`Sweep`] — how flags map
 //! to its `Opts`, its run, its table, its contract, what it exports and
 //! which cell it traces; [`sweep_main`] owns the rest: argument reading,
-//! the usage error, printing, `--json-out` / `--csv-out` / `--trace-out`
-//! and their receipts on stderr. [`Sweep::report`] is the one place a
+//! the usage error, printing, `--json-out` / `--trace-out` and their
+//! receipts on stderr. [`Sweep::report`] is the one place a
 //! table and its contract verdict come from, for `sweep_main` and
 //! `repro_all` alike.
 //!
 //! `--smoke` runs a sweep's CI configuration (tiny dataset, short
-//! streams); `--json-out <path>` / `--csv-out <path>` write its
-//! virtual-time results — bit-identical across runs, and pinned by the
-//! golden files under `crates/bench/tests/golden/`. Spill data lives in
+//! streams); `--json-out <path>` writes its virtual-time results as one
+//! JSON document — bit-identical across runs, and pinned by the golden
+//! files under `crates/bench/tests/golden/`. Spill data lives in
 //! process-unique temp directories that are removed on exit and never
 //! appear in any output.
 
@@ -32,9 +32,8 @@ pub struct Sweep<O, R> {
     /// transparency divergences), if it has one; a violation is printed
     /// and the process exits 1 before anything is written.
     pub(crate) check: Option<Check<R>>,
-    /// `--json-out` / `--csv-out`, for the sweeps that have them: the JSON
-    /// document, the CSV, and the cell count their receipts quote.
-    pub(crate) exports: Option<Exports<O, R>>,
+    /// `--json-out`, for the sweeps that have it: the JSON document.
+    pub(crate) exports: Option<fn(O, &R) -> String>,
     /// `--trace-out`, for the sweeps whose events no paper stream emits:
     /// runs the one cell that emits them with the tracer attached.
     pub(crate) traced: Option<TracedCell<O>>,
@@ -45,9 +44,6 @@ pub(crate) type Check<R> = fn(&R) -> Result<(), String>;
 
 /// Runs a sweep's traced cell with the tracer attached; returns its `meta`.
 pub(crate) type TracedCell<O> = fn(O, Arc<dyn Tracer>) -> Meta;
-
-/// A sweep's JSON writer, CSV writer and cell count.
-pub(crate) type Exports<O, R> = (fn(O, &R) -> String, fn(&R) -> String, fn(&R) -> usize);
 
 /// The flag → `Opts` mapping of the five sweeps with a `--smoke`
 /// configuration: `--smoke` picks `Opts::smoke()` over the default, then
@@ -86,9 +82,7 @@ impl<O, R> Sweep<O, R> {
 pub fn sweep_main<O: Copy, R>(sweep: &Sweep<O, R>) {
     let a = Args::parse();
     let opts = (sweep.opts)(&a);
-    let outs = sweep
-        .exports
-        .map(|_| (a.value("json-out"), a.value("csv-out")));
+    let json_out = sweep.exports.and_then(|_| a.value("json-out"));
     let trace_out = sweep.traced.and_then(|_| a.value("trace-out"));
     a.finish();
 
@@ -99,45 +93,37 @@ pub fn sweep_main<O: Copy, R>(sweep: &Sweep<O, R>) {
         eprintln!("error: {violation}");
         std::process::exit(1);
     }
-    if let (Some((json, csv, cells)), Some((json_out, csv_out))) = (sweep.exports, outs) {
-        let write = |kind: &str, path: &str, body: String| {
-            std::fs::write(path, body)
-                .unwrap_or_else(|e| panic!("writing {} to {path}: {e}", kind.to_uppercase()));
-            eprintln!("{kind}: {} cells -> {path}", cells(&results));
-        };
-        if let Some(path) = json_out {
-            write("json", path, json(opts, &results));
-        }
-        if let Some(path) = csv_out {
-            write("csv", path, csv(&results));
-        }
+    if let (Some(json), Some(path)) = (sweep.exports, json_out) {
+        let body = json(opts, &results);
+        std::fs::write(path, &body).unwrap_or_else(|e| panic!("writing JSON to {path}: {e}"));
+        eprintln!("json: {} bytes -> {path}", body.len());
     }
     if let (Some(traced), Some(path)) = (sweep.traced, trace_out) {
         write_trace(path, |tracer| traced(opts, tracer));
     }
 }
 
-/// Checks an exporting sweep's smoke run against its golden files, byte
-/// for byte — `to_json` against `tests/golden/fig_<name>_smoke.json`,
-/// `to_csv` against `fig_<name>_smoke.csv` — and asserts its contract. A
-/// change that means to move one regenerates both with
+/// Checks an exporting sweep's smoke run against its golden file, byte
+/// for byte — `to_json` against `tests/golden/fig_<name>_smoke.json` —
+/// and asserts its contract. A change that means to move it regenerates
+/// it with
 ///
 /// ```text
 /// cargo run --release -p aggcache-bench --bin fig_<name> -- --smoke \
-///   --json-out crates/bench/tests/golden/fig_<name>_smoke.json \
-///   --csv-out crates/bench/tests/golden/fig_<name>_smoke.csv
+///   --json-out crates/bench/tests/golden/fig_<name>_smoke.json
 /// ```
 #[cfg(test)]
 pub(crate) fn assert_golden<O: Copy, R>(name: &str, sweep: &Sweep<O, R>, smoke: O, results: &R) {
-    let (json, csv, _) = sweep.exports.expect("an exporting sweep");
-    for (ext, got) in [("json", json(smoke, results)), ("csv", csv(results))] {
-        let path = format!(
-            "{}/tests/golden/fig_{name}_smoke.{ext}",
-            env!("CARGO_MANIFEST_DIR")
-        );
-        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        assert!(got == want, "fig_{name} --smoke differs from {path}");
-    }
+    let json = sweep.exports.expect("an exporting sweep");
+    let path = format!(
+        "{}/tests/golden/fig_{name}_smoke.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    assert!(
+        json(smoke, results) == want,
+        "fig_{name} --smoke differs from {path}"
+    );
     assert_eq!(sweep.report(results).1, Ok(()), "fig_{name} --smoke");
 }
 

@@ -13,13 +13,8 @@ pub enum ConfigError {
     /// every lookup; use `None` for the paper's unbounded search.
     ZeroNodeBudget,
     /// The spill tier could not be opened or warm-started (invalid cost
-    /// model, unreadable directory or a corrupt index). Carries the
-    /// rendered [`aggcache_store::SpillError`] so `ConfigError` stays
-    /// `Clone`.
-    Spill {
-        /// The rendered underlying spill error.
-        reason: String,
-    },
+    /// model, unreadable directory or a corrupt index).
+    Spill(SpillError),
 }
 
 impl fmt::Display for ConfigError {
@@ -32,12 +27,19 @@ impl fmt::Display for ConfigError {
             Self::ZeroNodeBudget => {
                 write!(f, "ESMC node budget must be > 0 (None = unbounded)")
             }
-            Self::Spill { reason } => write!(f, "spill tier error: {reason}"),
+            Self::Spill(e) => write!(f, "spill tier error: {e}"),
         }
     }
 }
 
-impl std::error::Error for ConfigError {}
+impl std::error::Error for ConfigError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Self::Spill(e) => Some(e),
+            Self::MissingCacheBudget | Self::ZeroCacheBudget | Self::ZeroNodeBudget => None,
+        }
+    }
+}
 
 /// The unified error surface of the cache manager: everything
 /// [`crate::CacheManager::run`] and [`crate::CacheManager::run_batch`]

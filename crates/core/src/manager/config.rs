@@ -170,11 +170,7 @@ impl CacheManagerBuilder {
             manager.set_tracer(self.tracer);
         }
         if let Some(spill) = self.spill {
-            manager
-                .attach_spill(spill)
-                .map_err(|e| ConfigError::Spill {
-                    reason: e.to_string(),
-                })?;
+            manager.attach_spill(spill).map_err(ConfigError::Spill)?;
         }
         Ok(manager)
     }

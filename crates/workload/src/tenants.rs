@@ -116,16 +116,9 @@ impl TenantProfile {
         ]
     }
 
+    /// Checks the arrival rate, the one knob set from outside the crate;
+    /// the query-shape knobs are checked by [`QueryStream::try_new`].
     fn validate(&self) -> Result<(), WorkloadError> {
-        self.mix.validate()?;
-        if self.max_span == 0 {
-            return Err(WorkloadError::ZeroSpan);
-        }
-        if !self.aggregated_bias.is_finite() || self.aggregated_bias <= 0.0 {
-            return Err(WorkloadError::BadBias {
-                value: self.aggregated_bias,
-            });
-        }
         if !self.arrival_mean_vms.is_finite() || self.arrival_mean_vms <= 0.0 {
             return Err(WorkloadError::BadRate {
                 name: "arrival_mean_vms",

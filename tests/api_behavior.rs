@@ -280,6 +280,28 @@ mod manager_api {
             build(Some(1024), Some(0)),
             Err(ConfigError::ZeroNodeBudget)
         ));
+        // A spill tier that cannot open keeps its typed SpillError.
+        let dir = std::env::temp_dir().join(format!("aggcache-api-spill-{}", std::process::id()));
+        let ds = SyntheticSpec::new()
+            .dim("a", vec![1, 4], vec![1, 2])
+            .tuples(20)
+            .build();
+        let err = CacheManager::builder()
+            .cache_bytes(1024)
+            .spill(SpillConfig::new(&dir).scrub_interval_ms(0.0))
+            .build(Backend::new(
+                ds.fact,
+                AggFn::Sum,
+                BackendCostModel::default(),
+            ))
+            .expect_err("a zero scrub interval is refused");
+        assert!(matches!(
+            err,
+            ConfigError::Spill(aggcache::store::SpillError::BadScrubInterval { .. })
+        ));
+        let source = std::error::Error::source(&err).expect("the spill error is the source");
+        assert_eq!(err.to_string(), format!("spill tier error: {source}"));
+        assert!(!dir.exists(), "a refused config creates no directory");
 
         // A query below the fact level surfaces StoreError::NotComputable
         // through run *and* run_batch (one bad query fails its batch).
