@@ -1,10 +1,9 @@
-use aggcache_chunks::hash::mix64;
-use aggcache_chunks::{ChunkData, ChunkGrid, ChunkNumber};
+use aggcache_chunks::hash::{mix64, PackedSet};
+use aggcache_chunks::{ChunkData, ChunkGrid};
 use aggcache_schema::GroupById;
 use aggcache_store::FactTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A complete generated dataset: chunk grid (and through it the schema)
@@ -21,12 +20,19 @@ pub struct Dataset {
 
 impl Dataset {
     /// Generates a dataset by sampling `n_tuples` fact tuples over the
-    /// chunks of `fact_gb`.
+    /// chunks of `fact_gb`, each chunk straight into its own run.
     ///
     /// `density` in `(0, 1]` controls how evenly chunks fill: 1.0 spreads
     /// tuples uniformly over chunk capacity; lower values draw each chunk's
     /// weight towards a random factor, producing the uneven chunk sizes of
     /// real OLAP data. Tuple values are uniform in `[1, 1000]`.
+    ///
+    /// A chunk's capacity, and the range its cell indices are drawn from,
+    /// is its count of *base-level* cells, while an index decodes to
+    /// coordinates at `fact_gb`'s level. Where `fact_gb` aggregates a
+    /// dimension, several indices decode to one cell, so a chunk's tuples
+    /// have distinct indices but may repeat coordinates (the 1M-tuple
+    /// APB-1 dataset holds 134 such repeats), as a real fact table may.
     pub fn generate(
         grid: Arc<ChunkGrid>,
         fact_gb: GroupById,
@@ -37,7 +43,6 @@ impl Dataset {
         assert!(density > 0.0 && density <= 1.0, "density must be in (0, 1]");
         let mut rng = StdRng::seed_from_u64(seed);
         let geom = grid.geom(fact_gb);
-        let level = geom.level().to_vec();
         let n_dims = grid.num_dims();
         let n_chunks = geom.total_chunks();
 
@@ -54,21 +59,56 @@ impl Dataset {
             .collect();
         let total_weight: f64 = weights.iter().sum();
 
-        let mut cells = ChunkData::with_capacity(n_dims, n_tuples as usize);
+        // Scratch reused across chunks: the chunk's value box (start and
+        // width per dimension), one decoded tuple, and the two draws' state.
+        let mut spans = vec![(0u32, 0u64); n_dims];
         let mut coords = vec![0u32; n_dims];
-        for c in 0..n_chunks {
+        let mut indices: Vec<u64> = Vec::new();
+        let mut seen = PackedSet::default();
+        let mut runs = Vec::with_capacity(n_chunks as usize);
+        for (c, &capacity) in (0..n_chunks).zip(&capacities) {
             let share = weights[c as usize] / total_weight;
-            let want = ((n_tuples as f64 * share).round() as u64).min(capacities[c as usize]);
-            sample_chunk_cells(&grid, fact_gb, c, want, &mut rng, &mut |local| {
-                decode_local(&grid, fact_gb, c, &level, local, &mut coords);
-                let v = f64::from(rng_value(local));
-                (coords.clone(), v)
-            })
-            .into_iter()
-            .for_each(|(co, v)| cells.push(&co, v));
+            let want = ((n_tuples as f64 * share).round() as u64).min(capacity);
+            for (d, span) in spans.iter_mut().enumerate() {
+                let (lo, hi) = grid.dim(d).value_range(geom.level()[d], geom.coord(c, d));
+                *span = (lo, u64::from(hi - lo));
+            }
+            // Row-major over the box: the last dimension varies fastest.
+            let mut push = |run: &mut ChunkData, index: u64| {
+                let mut rest = index;
+                for (x, &(lo, width)) in coords.iter_mut().zip(&spans).rev() {
+                    *x = lo + (rest % width) as u32;
+                    rest /= width;
+                }
+                run.push(&coords, f64::from(rng_value(index)));
+            };
+            let mut run = ChunkData::with_capacity(n_dims, want as usize);
+            if want * 2 >= capacity {
+                // Asked for at least half its cells: the first `want` of a
+                // partial Fisher-Yates shuffle of every index.
+                indices.clear();
+                indices.extend(0..capacity);
+                for i in 0..want {
+                    let j = rng.gen_range(i..capacity);
+                    indices.swap(i as usize, j as usize);
+                }
+                for &index in &indices[..want as usize] {
+                    push(&mut run, index);
+                }
+            } else {
+                // Otherwise draw indices, rejecting repeats.
+                seen.clear();
+                while (run.len() as u64) < want {
+                    let index = rng.gen_range(0..capacity);
+                    if seen.insert(index) {
+                        push(&mut run, index);
+                    }
+                }
+            }
+            runs.push(run);
         }
 
-        let fact = FactTable::load(grid.clone(), fact_gb, cells);
+        let fact = FactTable::from_runs(grid.clone(), fact_gb, runs);
         Self {
             grid,
             fact_gb,
@@ -88,77 +128,11 @@ fn rng_value(local: u64) -> u32 {
     (mix64(local) % 1000) as u32 + 1
 }
 
-/// Samples `want` distinct local cell indices within the chunk's value box
-/// and maps each through `emit`.
-fn sample_chunk_cells(
-    grid: &ChunkGrid,
-    gb: GroupById,
-    chunk: ChunkNumber,
-    want: u64,
-    rng: &mut StdRng,
-    emit: &mut impl FnMut(u64) -> (Vec<u32>, f64),
-) -> Vec<(Vec<u32>, f64)> {
-    let capacity = grid.base_cells_under(gb, chunk);
-    let mut out = Vec::with_capacity(want as usize);
-    if want == 0 {
-        return out;
-    }
-    if want * 2 >= capacity {
-        // Dense chunk: choose by per-cell Bernoulli-ish selection over a
-        // random permutation-free pass (keep the first `want` of a shuffled
-        // index set would need O(capacity) memory; capacity is small here).
-        let mut indices: Vec<u64> = (0..capacity).collect();
-        // Partial Fisher-Yates: shuffle only the prefix we need.
-        for i in 0..want {
-            let j = rng.gen_range(i..capacity);
-            indices.swap(i as usize, j as usize);
-        }
-        for &local in indices.iter().take(want as usize) {
-            out.push(emit(local));
-        }
-    } else {
-        let mut seen: HashSet<u64> = HashSet::with_capacity(want as usize * 2);
-        while (out.len() as u64) < want {
-            let local = rng.gen_range(0..capacity);
-            if seen.insert(local) {
-                out.push(emit(local));
-            }
-        }
-    }
-    out
-}
-
-/// Decodes a local cell index within `chunk`'s value box into absolute
-/// value coordinates at `level`.
-fn decode_local(
-    grid: &ChunkGrid,
-    gb: GroupById,
-    chunk: ChunkNumber,
-    level: &[u8],
-    mut local: u64,
-    out: &mut [u32],
-) {
-    let geom = grid.geom(gb);
-    // Row-major over the per-dimension value ranges of the chunk.
-    let n = out.len();
-    let mut spans = vec![(0u32, 0u32); n];
-    let mut widths = vec![0u64; n];
-    for d in 0..n {
-        let c = geom.coord(chunk, d);
-        let (lo, hi) = grid.dim(d).value_range(level[d], c);
-        spans[d] = (lo, hi);
-        widths[d] = u64::from(hi - lo);
-    }
-    for d in (0..n).rev() {
-        out[d] = spans[d].0 + (local % widths[d]) as u32;
-        local /= widths[d];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aggcache_schema::{Dimension, Schema};
+    use std::collections::HashSet;
 
     fn small_grid() -> Arc<ChunkGrid> {
         let schema = Arc::new(

@@ -79,11 +79,41 @@ impl FactTable {
         for (&cn, (coords, value)) in chunk_nums.iter().zip(cells.iter()) {
             runs[cn as usize].push(coords, value);
         }
+        Self::from_runs(grid, gb, runs)
+    }
+
+    /// Takes tuples that arrive already clustered: `runs[c]` is the run of
+    /// chunk `c` of `gb`, in the order it is to be scanned. Panics unless
+    /// there is exactly one run per chunk; a debug build also checks that
+    /// every tuple lies in its run's chunk.
+    pub fn from_runs(grid: Arc<ChunkGrid>, gb: GroupById, runs: Vec<ChunkData>) -> Self {
+        assert_eq!(
+            runs.len() as u64,
+            grid.n_chunks(gb),
+            "one run per chunk of the group-by"
+        );
+        debug_assert!(
+            runs.iter().enumerate().all(|(c, run)| {
+                let coords = run.iter().map(|(coords, _)| coords);
+                chunk_numbers(&grid, gb, coords)
+                    .iter()
+                    .all(|&cn| cn == c as ChunkNumber)
+            }),
+            "a tuple lies outside its run's chunk"
+        );
+        let num_tuples = runs.iter().map(|run| run.len() as u64).sum();
+        let runs = runs
+            .into_iter()
+            .map(|mut run| {
+                run.shrink_to_fit();
+                Arc::new(run)
+            })
+            .collect();
         Self {
             grid,
             gb,
-            runs: runs.into_iter().map(Arc::new).collect(),
-            num_tuples: cells.len() as u64,
+            runs,
+            num_tuples,
         }
     }
 
@@ -282,6 +312,44 @@ mod tests {
         let t = FactTable::load(grid, base, cells);
         assert_eq!(t.num_tuples(), 2);
         assert_eq!(t.tuples_in(0), 2);
+    }
+
+    #[test]
+    fn from_runs_over_loads_runs_is_bit_equal_to_load() {
+        let mut cells = cells();
+        cells.push(&[0, 0], 1.0);
+        cells.push(&[0, 0], 1.0);
+        let grid = grid();
+        let base = grid.schema().lattice().base();
+        let loaded = FactTable::load(grid.clone(), base, cells);
+        let runs = loaded.runs.iter().map(|r| ChunkData::clone(r)).collect();
+        let t = FactTable::from_runs(grid, base, runs);
+        assert_eq!(t.num_tuples(), loaded.num_tuples());
+        assert_eq!(t.runs.len(), loaded.runs.len());
+        for (c, (got, want)) in t.runs.iter().zip(&loaded.runs).enumerate() {
+            assert_same_bits(got, want, &format!("run of chunk {c}"));
+            assert_eq!(got.heap_bytes(), want.heap_bytes(), "run {c} capacity");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one run per chunk")]
+    fn from_runs_refuses_a_wrong_run_count() {
+        let grid = grid();
+        let base = grid.schema().lattice().base();
+        let runs = vec![ChunkData::new(2); grid.n_chunks(base) as usize - 1];
+        FactTable::from_runs(grid, base, runs);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "outside its run's chunk")]
+    fn from_runs_refuses_a_tuple_in_the_wrong_run() {
+        let grid = grid();
+        let base = grid.schema().lattice().base();
+        let mut runs = vec![ChunkData::new(2); grid.n_chunks(base) as usize];
+        runs[0].push(&[7, 3], 1.0);
+        FactTable::from_runs(grid, base, runs);
     }
 
     #[test]
