@@ -83,9 +83,9 @@ impl FactTable {
     }
 
     /// Takes tuples that arrive already clustered: `runs[c]` is the run of
-    /// chunk `c` of `gb`, in the order it is to be scanned. Panics unless
-    /// there is exactly one run per chunk; a debug build also checks that
-    /// every tuple lies in its run's chunk.
+    /// chunk `c` of `gb`, in the order it is to be scanned, at the capacity
+    /// it keeps. Panics unless there is exactly one run per chunk; a debug
+    /// build also checks that every tuple lies in its run's chunk.
     pub fn from_runs(grid: Arc<ChunkGrid>, gb: GroupById, runs: Vec<ChunkData>) -> Self {
         assert_eq!(
             runs.len() as u64,
@@ -101,19 +101,11 @@ impl FactTable {
             }),
             "a tuple lies outside its run's chunk"
         );
-        let num_tuples = runs.iter().map(|run| run.len() as u64).sum();
-        let runs = runs
-            .into_iter()
-            .map(|mut run| {
-                run.shrink_to_fit();
-                Arc::new(run)
-            })
-            .collect();
         Self {
             grid,
             gb,
-            runs,
-            num_tuples,
+            num_tuples: runs.iter().map(|run| run.len() as u64).sum(),
+            runs: runs.into_iter().map(Arc::new).collect(),
         }
     }
 
