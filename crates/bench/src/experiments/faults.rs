@@ -278,7 +278,10 @@ pub fn render(r: &FaultResults) -> String {
     out.push_str(
         "\nShape: rate 0 matches the undecorated backend bit-for-bit; as the\n\
          rate rises, degraded cache serves replace backend fetches and only\n\
-         queries the cache cannot reconstruct fail.\n",
+         queries the cache cannot reconstruct fail. The sweep runs budgeted\n\
+         ESMC because under exact VCM/VCMC a probe miss is provably\n\
+         uncomputable, so degradation adds answers only under budgeted\n\
+         ESMC or NoAggregation.\n",
     );
     out
 }

@@ -5,13 +5,10 @@
 //! The paper replays one analyst's stream; this experiment replays the
 //! open-loop merged traffic of N tenants with Zipf-distributed popularity
 //! against one shared (deliberately tight) cache budget, under each of
-//! the three admission policies in the lab:
+//! the two admission policies in the lab:
 //!
 //! * `benefit_mean` — the replacement layer's CLOCK bar, admission is a
 //!   no-op (the pre-admission behaviour, bit for bit);
-//! * `two_level` — the paper's policy as an admission gate: computed
-//!   chunks are only admitted under pressure when their benefit clears
-//!   the resident mean;
 //! * `tiny_lfu` — a count-min-sketch frequency filter on packed chunk
 //!   keys: a candidate only displaces a resident it out-references.
 //!

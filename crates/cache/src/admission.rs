@@ -8,18 +8,13 @@
 //! tenant's scan traffic can flush another tenant's hot working set
 //! through a cache that admits everything.
 //!
-//! Three policies are provided, selected by [`AdmissionKind`]:
+//! Two policies are provided, selected by [`AdmissionKind`]:
 //!
 //! * [`AdmissionKind::BenefitMean`] — the repo's historical behaviour and
 //!   the bit-identical default: every feasible insert is admitted, and the
 //!   only "bar" is indirect — a chunk whose benefit is far below the
 //!   resident mean is seeded with a floor clock weight and swept out
 //!   quickly. No admission-time state, no behaviour change.
-//! * [`AdmissionKind::TwoLevel`] — the paper's two-level idea applied at
-//!   admission time: backend-fetched chunks (expensive to reproduce) are
-//!   always admitted, while a *computed* chunk may displace residents only
-//!   if its benefit is at least the resident mean. Cheap recomputable
-//!   chunks stop churning the cache under contention.
 //! * [`AdmissionKind::TinyLfu`] — a TinyLFU-style frequency filter: a
 //!   hand-rolled [`CountMinSketch`] estimates each chunk's reference
 //!   frequency (keyed on the packed `u64` chunk key, so sketch hashing is
@@ -46,9 +41,6 @@ pub enum AdmissionKind {
     /// clock seeding is the only — indirect — admission bar).
     #[default]
     BenefitMean,
-    /// Backend chunks always enter; computed chunks displace residents
-    /// only when their benefit meets the resident mean.
-    TwoLevel,
     /// TinyLFU-style frequency filter over a count-min sketch of 4096
     /// counters per row, aged every 1024 references.
     TinyLfu,
@@ -76,14 +68,13 @@ impl AdmissionKind {
     pub fn name(&self) -> &'static str {
         match self {
             Self::BenefitMean => "benefit_mean",
-            Self::TwoLevel => "two_level",
             Self::TinyLfu => "tiny_lfu",
         }
     }
 
-    /// All three lab policies (sweep order: baseline first).
-    pub fn lab() -> [Self; 3] {
-        [Self::BenefitMean, Self::TwoLevel, Self::tiny_lfu()]
+    /// Both lab policies (sweep order: baseline first).
+    pub fn lab() -> [Self; 2] {
+        [Self::BenefitMean, Self::tiny_lfu()]
     }
 }
 
@@ -192,7 +183,6 @@ impl CountMinSketch {
 #[derive(Debug)]
 pub(crate) enum AdmissionState {
     BenefitMean,
-    TwoLevel,
     TinyLfu(CountMinSketch),
 }
 
@@ -200,7 +190,6 @@ impl AdmissionState {
     pub(crate) fn new(kind: AdmissionKind) -> Self {
         match kind {
             AdmissionKind::BenefitMean => Self::BenefitMean,
-            AdmissionKind::TwoLevel => Self::TwoLevel,
             AdmissionKind::TinyLfu => Self::TinyLfu(CountMinSketch::new(
                 TINY_LFU_COUNTERS,
                 TINY_LFU_SAMPLE_WINDOW,

@@ -344,7 +344,7 @@ impl ChunkCache {
         // Admission gate: only inserts that would evict are questioned.
         // While the cache has room every policy admits everything — an
         // empty slot protects nothing.
-        if need > 0 && !self.admission_allows(packed, origin, benefit) {
+        if need > 0 && !self.admission_allows(packed, origin) {
             self.admission_rejects += 1;
             self.trace_insert(key, origin, bytes, false);
             return InsertOutcome {
@@ -482,23 +482,12 @@ impl ChunkCache {
     /// The admission decision for an insert that must evict to fit.
     ///
     /// * Benefit-mean: always yes (the historical behaviour).
-    /// * Two-level: backend chunks always enter; a computed chunk enters
-    ///   only when its benefit meets the resident mean — cheap
-    ///   recomputables must not churn the cache under contention.
     /// * TinyLFU: the candidate's sketch frequency must *exceed* the
     ///   coldest [`ChunkCache::evictable`] resident's; ties keep the
     ///   resident.
-    fn admission_allows(&self, candidate: PackedChunkKey, origin: Origin, benefit: f64) -> bool {
+    fn admission_allows(&self, candidate: PackedChunkKey, origin: Origin) -> bool {
         match &self.admission {
             AdmissionState::BenefitMean => true,
-            AdmissionState::TwoLevel => match origin {
-                Origin::Backend => true,
-                Origin::Computed => self.normalized(benefit) >= 1.0,
-                // A promotion was demanded by a live query and can only
-                // displace other spilled chunks (feasibility rule), so the
-                // frequency/benefit bar would protect nothing.
-                Origin::Spilled => true,
-            },
             AdmissionState::TinyLfu(sketch) => {
                 let candidate_est = sketch.estimate(candidate);
                 let victim_est = self
@@ -937,23 +926,6 @@ mod tests {
         assert!(c.insert(k(1), chunk(10), Origin::Backend, 1.0).admitted);
         assert!(c.insert(k(2), chunk(10), Origin::Backend, 1.0).admitted);
         assert_eq!(c.admission_rejects(), 0);
-    }
-
-    #[test]
-    fn two_level_admission_bars_low_benefit_computed() {
-        let mut c = ChunkCache::with_admission(400, PolicyKind::Benefit, AdmissionKind::TwoLevel);
-        c.insert(k(1), chunk(10), Origin::Backend, 100.0);
-        c.insert(k(2), chunk(10), Origin::Backend, 100.0);
-        // A computed chunk far below the resident mean is refused...
-        let out = c.insert(k(3), chunk(10), Origin::Computed, 1.0);
-        assert!(!out.admitted);
-        assert_eq!(c.admission_rejects(), 1);
-        // ...but a backend chunk of the same benefit enters unconditionally.
-        let out = c.insert(k(4), chunk(10), Origin::Backend, 1.0);
-        assert!(out.admitted);
-        // And a computed chunk at/above the mean passes the bar.
-        let out = c.insert(k(5), chunk(10), Origin::Computed, 500.0);
-        assert!(out.admitted);
     }
 
     #[test]

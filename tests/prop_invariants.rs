@@ -1,13 +1,19 @@
 //! Property-based tests of the core invariants, on randomly generated
 //! schemas, chunkings and cache states.
 
+mod common;
+
 use aggcache::core::{esm, execute_plan, vcm, vcmc, ComputationPlan, LookupStats};
 use aggcache::prelude::*;
 use proptest::prelude::*;
-// Our `Strategy` enum (from the prelude glob) shadows proptest's trait of
-// the same name; re-import the trait under an alias.
+// Both preludes export a `Strategy`: name our enum explicitly and
+// re-import proptest's trait under an alias.
+use aggcache::prelude::Strategy;
+use aggcache_bench::rig::backend_for;
 use proptest::strategy::Strategy as PropStrategy;
-use std::collections::{BTreeMap, HashMap};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Strategy: a random small schema + aligned chunking (1-3 dims, hierarchy
@@ -109,6 +115,67 @@ proptest! {
                 esm_says,
                 "Property 1 violated at {:?}", key
             );
+        }
+    }
+
+    /// Property 1 through the manager: a VCM manager on a tight budget,
+    /// driven through a random interleaving of paper-stream reads and
+    /// delta batches (fresh inserts plus deletes of live tuples), keeps
+    /// `count > 0` iff ESM finds the chunk computable for every chunk,
+    /// and its count table equal to one rebuilt from the resident set,
+    /// after every step — ingest's patches and invalidations included.
+    #[test]
+    fn vcm_manager_tracks_esm_through_reads_and_ingest(
+        workload_seed in 0u64..1_000,
+        steps in proptest::collection::vec((0u8..3, 0u64..u64::MAX), 1..16),
+    ) {
+        let ds = common::synthetic_dataset();
+        let grid = ds.grid.clone();
+        let level = grid.geom(ds.fact_gb).level().to_vec();
+        let cards: Vec<u32> = (0..grid.num_dims())
+            .map(|d| grid.schema().dimension(d).cardinality(level[d]))
+            .collect();
+        let mut live: Vec<(Vec<u32>, f64)> = Vec::new();
+        for chunk in ds.fact.non_empty_chunks() {
+            live.extend(ds.fact.scan_chunk(chunk).map(|(c, v)| (c.to_vec(), v)));
+        }
+        let mut stream = QueryStream::new(grid.clone(), WorkloadConfig::paper(level, workload_seed));
+        let mut mgr = CacheManager::builder()
+            .strategy(Strategy::Vcm)
+            .policy(PolicyKind::TwoLevel)
+            .cache_bytes(8 * 1024)
+            .build(backend_for(&ds))
+            .unwrap();
+        let keys = all_keys(&grid);
+        for (kind, seed) in steps {
+            if kind < 2 {
+                mgr.run(&(&stream.next_with_kind().0).into()).unwrap();
+            } else {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut batch = DeltaBatch::new();
+                for _ in 0..rng.gen_range(1..=6usize) {
+                    if rng.gen_range(0..2u32) == 0 || live.is_empty() {
+                        let coords: Vec<u32> = cards.iter().map(|&c| rng.gen_range(0..c)).collect();
+                        batch.insert(&coords, f64::from(rng.gen_range(1..1000u32)));
+                    } else {
+                        let (coords, value) = live.swap_remove(rng.gen_range(0..live.len()));
+                        batch.delete(&coords, value);
+                    }
+                }
+                mgr.ingest(&batch).unwrap();
+            }
+            let counts = mgr.counts().expect("VCM keeps a count table");
+            for &key in &keys {
+                let mut stats = LookupStats::default();
+                let esm_says = esm(mgr.cache(), &grid, key, &mut stats).is_some();
+                prop_assert_eq!(
+                    counts.is_computable(key),
+                    esm_says,
+                    "Property 1 violated at {:?}", key
+                );
+            }
+            let cached: HashSet<ChunkKey> = mgr.cache().keys().collect();
+            counts.assert_same(&CountTable::rebuild_from(grid.clone(), |k| cached.contains(&k)));
         }
     }
 
