@@ -5,8 +5,7 @@
 #![forbid(unsafe_code)]
 use aggcache_bench::args::Args;
 use aggcache_bench::experiments::{
-    cluster, coldstart, faults, recovery, streams, table1, table2, table3, tenants, unit_a, unit_b,
-    updates,
+    cluster, faults, recovery, streams, table1, table2, table3, tenants, unit_a, unit_b, updates,
 };
 
 fn main() {
@@ -54,7 +53,7 @@ fn main() {
         })
     );
 
-    // The six beyond-paper sweeps, scaled down; each prints its table and
+    // The five beyond-paper sweeps, scaled down; each prints its table and
     // keeps its contract's verdict for the exit status.
     let mut violations = Vec::new();
     let mut report = |name: &str, (table, verdict): (String, Result<(), String>)| {
@@ -93,17 +92,9 @@ fn main() {
     });
     report("fig_cluster", cluster::SWEEP.report(&cl));
 
-    // Restart behavior with the persistent spill tier: warm-up + two
-    // restarts per cell.
-    let cs = coldstart::run_experiment(coldstart::Opts {
-        tuples: tuples.min(60_000),
-        seed,
-        ..Default::default()
-    });
-    report("fig_coldstart", coldstart::SWEEP.report(&cs));
-
     // Self-healing storage under injected disk faults: every cell replays
-    // warm-up + a faulty restart.
+    // warm-up + a faulty restart, and a cold row restarts with no spill
+    // tier.
     let rc = recovery::run_experiment(recovery::Opts {
         tuples: tuples.min(60_000),
         seed,

@@ -2,7 +2,6 @@
 
 pub mod ablation;
 pub mod cluster;
-pub mod coldstart;
 pub mod faults;
 pub mod recovery;
 pub mod streams;

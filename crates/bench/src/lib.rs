@@ -9,7 +9,7 @@
 //! * [`stream`] — runs a query stream against a manager configuration and
 //!   collects the paper's metrics;
 //! * [`report`] — plain-text table formatting and outcome tallies;
-//! * [`sweep`] — the one `main` of the six `fig_*` sweep binaries.
+//! * [`sweep`] — the one `main` of the five `fig_*` sweep binaries.
 //!
 //! Run everything at once with `--bin repro_all` (writes a combined
 //! summary).

@@ -1,4 +1,4 @@
-//! The one `main` of the six beyond-paper sweep binaries (`fig_*`).
+//! The one `main` of the five beyond-paper sweep binaries (`fig_*`).
 //!
 //! A sweep module declares what is its own in a [`Sweep`] — how flags map
 //! to its `Opts`, its run, its table, its contract, what it exports and
@@ -45,7 +45,7 @@ pub(crate) type Check<R> = fn(&R) -> Result<(), String>;
 /// Runs a sweep's traced cell with the tracer attached; returns its `meta`.
 pub(crate) type TracedCell<O> = fn(O, Arc<dyn Tracer>) -> Meta;
 
-/// The flag → `Opts` mapping of the five sweeps with a `--smoke`
+/// The flag → `Opts` mapping of the four sweeps with a `--smoke`
 /// configuration: `--smoke` picks `Opts::smoke()` over the default, then
 /// `--tuples --seed --queries` override their fields.
 macro_rules! smoke_opts {

@@ -10,9 +10,9 @@
 //! {"meta": {...}, "events": [...]}
 //! ```
 //!
-//! The four sweeps whose events no paper stream emits (`fig_faults`,
-//! `fig_coldstart`, `fig_recovery`, `fig_updates`) take the same flag and
-//! trace one cell of their own through `write_trace`.
+//! The three sweeps whose events no paper stream emits (`fig_faults`,
+//! `fig_recovery`, `fig_updates`) take the same flag and trace one cell of
+//! their own through `write_trace`.
 //!
 //! The traced run is separate from the experiment's own measurement loops,
 //! so a multi-configuration experiment never mixes events from different

@@ -505,24 +505,31 @@ mod tests {
         assert!(m.complete_hit);
     }
 
-    /// The PR 8 bugfix regression: a demotion whose disk write fails must
-    /// degrade to a plain eviction — `on_evict` still fires, so the count
-    /// tables stay consistent with the RAM population, and the chunk is
-    /// simply re-fetched from the backend next time.
+    /// A demotion whose disk write fails must degrade to a plain eviction:
+    /// `on_evict` still fires, so the count tables stay consistent with the
+    /// RAM population, and the chunk is simply re-fetched from the backend
+    /// next time.
     #[test]
     fn failed_spill_write_falls_back_to_plain_eviction() {
-        let mut mgr = spill_manager("failwrite", 160);
+        let dir = spill_dir("failwrite");
+        let mut mgr = spill_manager_over(dir.clone(), 160);
         let base = mgr.grid().schema().lattice().base();
         run_and_check(&mut mgr, &Query::new(base, vec![0]));
         run_and_check(&mut mgr, &Query::new(base, vec![1]));
-        mgr.tiering.store.as_mut().unwrap().fail_next_writes(1);
+        // From here on the disk is full.
+        mgr.attach_spill(SpillConfig::new(&dir).fault(DiskFaultProfile {
+            enospc_after_bytes: Some(0),
+            ..DiskFaultProfile::default()
+        }))
+        .unwrap();
         // Evicts chunk 0; its demotion write fails.
         run_and_check(&mut mgr, &Query::new(base, vec![2]));
         let store = mgr.spill_store().unwrap();
         assert_eq!(store.len(), 0, "failed write must not land in the index");
         assert!(!mgr.cache().contains(&ChunkKey::new(base, 0)));
         assert_eq!(mgr.session_spill().spill_writes, 0);
-        // The fix: the count table wound down despite the failed demotion.
+        assert_eq!(mgr.session_spill().demote_failures, 1);
+        // The count table wound down despite the failed demotion.
         assert_counts_consistent(&mgr);
         // And the chunk is served by the backend again, correctly.
         let m = run_and_check(&mut mgr, &Query::new(base, vec![0]));
@@ -915,19 +922,30 @@ mod tests {
         );
     }
 
-    /// A partially failing checkpoint salvages what it can and reports the
-    /// casualties.
+    /// A checkpoint that runs out of space part-way keeps what landed and
+    /// reports the rest: with room for the first record only, the second
+    /// fails, and so does the index after it (ENOSPC counts failed bytes),
+    /// which is the checkpoint's error. The next open scavenges the record
+    /// that landed.
     #[test]
     fn checkpoint_reports_failed_records() {
-        let mut mgr = spill_manager("ckptfail", usize::MAX >> 1);
+        let mut mgr = manager(Strategy::Vcm);
         let base = mgr.grid().schema().lattice().base();
         run_and_check(&mut mgr, &Query::new(base, vec![0, 1]));
-        mgr.tiering.store.as_mut().unwrap().fail_next_writes(1);
-        let written = mgr.checkpoint().unwrap();
-        assert_eq!(written.demote_failures, 1);
-        assert_eq!(written.spill_writes, 1);
-        assert_eq!(mgr.session_spill().demote_failures, 1);
-        assert_eq!(mgr.spill_store().unwrap().len(), 1);
+        let (key, first) = mgr.cache.entries_sorted()[0];
+        let first = encode_record(key, 0, first.benefit, &first.data).len() as u64;
+        let dir = spill_dir("ckptfail");
+        let disk = DiskFaultProfile {
+            enospc_after_bytes: Some(first),
+            ..DiskFaultProfile::default()
+        };
+        mgr.attach_spill(SpillConfig::new(&dir).fault(disk))
+            .unwrap();
+        assert_eq!(mgr.checkpoint().unwrap_err(), SpillError::NoSpace);
+        assert_eq!(mgr.spill_store().unwrap().len(), 1, "one record landed");
+        let reopened = mgr.attach_spill(SpillConfig::new(&dir)).unwrap();
+        assert_eq!(reopened.index_rebuilds, 1);
+        assert_eq!(mgr.spill_store().unwrap().keys(), [key]);
     }
 
     /// Checkpointing without a spill tier is a typed error, not a panic.

@@ -178,7 +178,8 @@ impl ExecOutcome {
         self.metrics.total_ms() + self.remote.remote_virtual_ms + self.spill.spill_virtual_ms
     }
 
-    /// Converts into the legacy [`QueryResult`] (drops remote accounting).
+    /// Converts into the legacy [`QueryResult`]: keeps `data` and
+    /// `metrics`, and drops `remote`, `spill` and `critical_path_ms`.
     pub fn into_result(self) -> QueryResult {
         QueryResult {
             data: self.data,

@@ -282,10 +282,6 @@ impl<B: BackendSource> BackendSource for FaultInjectingBackend<B> {
         self.inner.estimate_scan(gb, chunks)
     }
 
-    fn estimate_fetch_ms(&self, gb: GroupById, chunks: &[ChunkNumber]) -> Option<(f64, f64)> {
-        self.inner.estimate_fetch_ms(gb, chunks)
-    }
-
     // Maintenance is local, not a network round trip: faults are never
     // injected into it, matching the trait's infallible-outage contract.
     fn apply_delta(

@@ -245,10 +245,6 @@ impl<B: BackendSource> BackendSource for RetryingBackend<B> {
         self.inner.estimate_scan(gb, chunks)
     }
 
-    fn estimate_fetch_ms(&self, gb: GroupById, chunks: &[ChunkNumber]) -> Option<(f64, f64)> {
-        self.inner.estimate_fetch_ms(gb, chunks)
-    }
-
     // Maintenance never fails with an outage, so there is nothing to
     // retry: forward straight to the inner source.
     fn apply_delta(
@@ -296,6 +292,14 @@ mod tests {
         let b = retrying.fetch(base, &[0, 1]).unwrap();
         assert_eq!(a.chunks, b.chunks);
         assert_eq!(a.virtual_ms.to_bits(), b.virtual_ms.to_bits());
+        // Both decorators leave the cost estimate to the trait default,
+        // which reads the inner backend's scan and cost model.
+        let faulty = FaultInjectingBackend::new(backend(), FaultProfile::default()).unwrap();
+        let bits = |est: Option<(f64, f64)>| est.map(|(q, s)| (q.to_bits(), s.to_bits()));
+        let want = bits(plain.estimate_fetch_ms(base, &[0, 1]));
+        assert!(want.is_some());
+        assert_eq!(bits(retrying.estimate_fetch_ms(base, &[0, 1])), want);
+        assert_eq!(bits(faulty.estimate_fetch_ms(base, &[0, 1])), want);
     }
 
     #[test]

@@ -81,9 +81,6 @@ pub enum SpillError {
     },
     /// The trailing checksum does not match the record bytes.
     BadChecksum,
-    /// A deterministic write failure injected by
-    /// `SpillStore::fail_next_writes` (test support).
-    Injected,
     /// The disk is out of space (the injector's ENOSPC-after-N-bytes
     /// budget is exhausted). A failed demotion degrades to a plain
     /// eviction; a failed checkpoint record is skipped and counted.
@@ -136,7 +133,6 @@ impl SpillError {
             Self::BadVersion { .. } => "bad_version",
             Self::Corrupt { .. } => "corrupt",
             Self::BadChecksum => "bad_checksum",
-            Self::Injected => "injected",
             Self::NoSpace => "no_space",
             Self::TransientRead { .. } => "transient_read",
             Self::NotAttached => "not_attached",
@@ -159,7 +155,6 @@ impl std::fmt::Display for SpillError {
             }
             Self::Corrupt { reason } => write!(f, "spill record corrupt: {reason}"),
             Self::BadChecksum => write!(f, "spill record: checksum mismatch"),
-            Self::Injected => write!(f, "spill write failure (injected)"),
             Self::NoSpace => write!(f, "spill write: no space left on device"),
             Self::TransientRead { seq } => {
                 write!(f, "spill read: transient error (read op {seq})")
@@ -566,7 +561,6 @@ pub struct SpillStore {
     index: BTreeMap<u64, IndexEntry>,
     /// The segment the next append goes to: the highest-numbered one.
     active: u32,
-    fail_writes: u64,
 }
 
 impl std::fmt::Debug for SpillStore {
@@ -614,7 +608,6 @@ impl SpillStore {
                 .filter_map(segment_number)
                 .max()
                 .unwrap_or(0),
-            fail_writes: 0,
         };
         let mut delta = SpillMetrics::default();
         let idx = store.index_path();
@@ -708,10 +701,6 @@ impl SpillStore {
         benefit: f64,
         data: &ChunkData,
     ) -> Result<u64, SpillError> {
-        if self.fail_writes > 0 {
-            self.fail_writes -= 1;
-            return Err(SpillError::Injected);
-        }
         let encoded = encode_record(key, origin, benefit, data);
         let (segment, offset) = self.append(encoded.len(), |io, to| io.append(to, &encoded))?;
         let bytes = encoded.len() as u32;
@@ -1098,21 +1087,13 @@ impl SpillStore {
         }
         Ok(())
     }
-
-    /// Makes the next `n` chunk writes fail deterministically with
-    /// [`SpillError::Injected`] — test support for the demote-failure
-    /// fallback path (a failed demotion must degrade to a plain eviction,
-    /// never a silent count-table drop).
-    #[doc(hidden)]
-    pub fn fail_next_writes(&mut self, n: u64) {
-        self.fail_writes = n;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use aggcache_schema::GroupById;
+    use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
     fn sample_chunk() -> ChunkData {
         let mut d = ChunkData::new(2);
@@ -1289,11 +1270,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The file system, except that no tombstone ever lands.
+    /// The file system, scripted: the next `fail_appends` record appends
+    /// fail with ENOSPC, and with `tombstones` off no tombstone ever lands.
     #[derive(Debug)]
-    struct NoTombstoneIo;
+    struct ScriptedIo {
+        fail_appends: AtomicU64,
+        tombstones: bool,
+    }
 
-    impl SpillIo for NoTombstoneIo {
+    impl ScriptedIo {
+        fn new(fail_appends: u64, tombstones: bool) -> Self {
+            Self {
+                fail_appends: AtomicU64::new(fail_appends),
+                tombstones,
+            }
+        }
+    }
+
+    impl SpillIo for ScriptedIo {
         fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), SpillError> {
             FsSpillIo.write(path, bytes)
         }
@@ -1301,13 +1295,22 @@ mod tests {
             FsSpillIo.read(path)
         }
         fn append(&self, path: &Path, bytes: &[u8]) -> Result<u64, SpillError> {
+            let failing = self
+                .fail_appends
+                .fetch_update(SeqCst, SeqCst, |n| n.checked_sub(1));
+            if failing.is_ok() {
+                return Err(SpillError::NoSpace);
+            }
             FsSpillIo.append(path, bytes)
         }
         fn read_at(&self, path: &Path, offset: u64, len: usize) -> Result<Vec<u8>, SpillError> {
             FsSpillIo.read_at(path, offset, len)
         }
-        fn append_tombstone(&self, _: &Path, _: &[u8]) -> Result<u64, SpillError> {
-            Err(SpillError::NoSpace)
+        fn append_tombstone(&self, path: &Path, bytes: &[u8]) -> Result<u64, SpillError> {
+            if !self.tombstones {
+                return Err(SpillError::NoSpace);
+            }
+            FsSpillIo.append_tombstone(path, bytes)
         }
         fn remove(&self, path: &Path) -> Result<(), SpillError> {
             FsSpillIo.remove(path)
@@ -1333,7 +1336,7 @@ mod tests {
                 .write(key, ORIGIN_BACKEND, 3.0, &sample_chunk())
                 .unwrap();
         }
-        store.io = Box::new(NoTombstoneIo);
+        store.io = Box::new(ScriptedIo::new(0, false));
         assert_eq!(store.discard(|key| key == keys[0]), [keys[0]]);
         // What a bit flip in transit leaves: a quarantined, intact record.
         let mut delta = SpillMetrics::default();
@@ -1429,25 +1432,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_write_failure_fails_once_each() {
-        let dir = tmpdir("inject");
-        let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
-        store.fail_next_writes(2);
-        let d = sample_chunk();
-        assert!(matches!(
-            store.write(sample_key(), ORIGIN_BACKEND, 1.0, &d),
-            Err(SpillError::Injected)
-        ));
-        assert!(matches!(
-            store.write(sample_key(), ORIGIN_BACKEND, 1.0, &d),
-            Err(SpillError::Injected)
-        ));
-        assert!(store.write(sample_key(), ORIGIN_BACKEND, 1.0, &d).is_ok());
-        assert!(!store.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn config_validation_covers_every_knob() {
         let dir = tmpdir("cfg");
         assert!(matches!(
@@ -1525,7 +1509,7 @@ mod tests {
         let kb = ChunkKey::new(GroupById(2), 6);
         {
             let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
-            store.fail_next_writes(1);
+            store.io = Box::new(ScriptedIo::new(1, true));
             let stats = store
                 .checkpoint(
                     [
