@@ -1,16 +1,7 @@
-//! Runs the design-choice ablations (DESIGN.md §7).
+//! Runs the design-choice ablations as a view of the §7.2 stream experiment.
 #![forbid(unsafe_code)]
-use aggcache_bench::{args::Args, experiments::ablation};
+use aggcache_bench::experiments::streams;
 
 fn main() {
-    let a = Args::parse();
-    let d = ablation::Opts::default();
-    let opts = ablation::Opts {
-        tuples: a.get("tuples", d.tuples),
-        seed: a.get("seed", d.seed),
-        queries: a.get("queries", d.queries),
-        ..d
-    };
-    a.finish();
-    println!("{}", ablation::run(opts));
+    streams::main_with(&streams::ABLATION, streams::render_ablation);
 }

@@ -30,7 +30,7 @@ fn main() {
     println!("{}", table2::run(table2::Opts { tuples, seed }));
     println!("{}", table3::run(table3::Opts { tuples, seed }));
 
-    // One run of all four schemes; the five artefacts are views of it.
+    // One run of every scheme; the six artefacts are views of it.
     let opts = streams::Opts {
         tuples,
         seed,
@@ -43,6 +43,7 @@ fn main() {
     println!("{}", streams::render_fig9(&s));
     println!("{}", streams::render_fig10(&s));
     println!("{}", streams::render_table4(&s));
+    println!("{}", streams::render_ablation(&s));
 
     println!("{}", unit_a::run(unit_a::Opts { tuples, seed }));
     println!(

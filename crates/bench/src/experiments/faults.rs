@@ -14,15 +14,28 @@
 
 use crate::args::Args;
 use crate::report::{f2, mean, Table};
-use crate::rig::{apb_dataset, backend_for, builder_for, paper_stream, MB};
+use crate::rig::{apb_dataset, backend_for, MB};
+use crate::stream::{run_stream, StreamResult, StreamRun};
 use crate::sweep::Sweep;
 use crate::trace::Meta;
 use aggcache_cache::PolicyKind;
-use aggcache_core::{CacheError, Strategy};
+use aggcache_core::Strategy;
 use aggcache_gen::Dataset;
 use aggcache_obs::Tracer;
 use aggcache_store::{FaultInjectingBackend, FaultProfile, RetryPolicy, RetryingBackend};
 use std::sync::Arc;
+
+/// Fault-injection seed (also the retry jitter's).
+const FAULT_SEED: u64 = 0xFA57;
+/// Retry attempts per fetch (including the first).
+const ATTEMPTS: u32 = 3;
+/// ESMC lookup node budget. The sweep runs the budgeted ESMC strategy:
+/// its lookup gives up on deep aggregation paths, so some computable
+/// chunks are classified as misses — exactly the chunks the at-any-cost
+/// degradation fallback can still rescue when the backend is down. (Under
+/// exact VCM/VCMC a probe miss is provably uncomputable and degradation
+/// can never add availability.)
+const NODE_BUDGET: u64 = 128;
 
 /// Options for the fault sweep.
 #[derive(Debug, Clone, Copy)]
@@ -35,19 +48,8 @@ pub struct Opts {
     pub queries: usize,
     /// Workload seed (one stream, shared by every fault rate).
     pub workload_seed: u64,
-    /// Fault-injection seed.
-    pub fault_seed: u64,
-    /// Retry attempts per fetch (including the first).
-    pub attempts: u32,
     /// Cache budget in accounting bytes.
     pub cache_bytes: usize,
-    /// ESMC lookup node budget. The sweep runs the budgeted ESMC strategy:
-    /// its lookup gives up on deep aggregation paths, so some computable
-    /// chunks are classified as misses — exactly the chunks the
-    /// at-any-cost degradation fallback can still rescue when the backend
-    /// is down. (Under exact VCM/VCMC a probe miss is provably
-    /// uncomputable and degradation can never add availability.)
-    pub node_budget: u64,
 }
 
 impl Default for Opts {
@@ -57,14 +59,11 @@ impl Default for Opts {
             seed: 0xA9B1,
             queries: 100,
             workload_seed: 2000,
-            fault_seed: 0xFA57,
-            attempts: 3,
             // The paper's smallest sweep budget (10 MB : 1.1 M tuples),
             // scaled to the default dataset — small enough that a real
             // share of queries needs the backend, which is what the fault
             // sweep is about. See [`Opts::scaled_cache_bytes`].
             cache_bytes: Opts::scaled_cache_bytes(200_000),
-            node_budget: 128,
         }
     }
 }
@@ -75,8 +74,8 @@ impl Opts {
         (((10 * MB) as f64 * tuples as f64 / 1_100_000.0).max(64.0 * 1024.0)) as usize
     }
 
-    /// `--tuples --seed --queries --fault-seed --attempts --node-budget`
-    /// over the defaults; the cache budget follows `--tuples`.
+    /// `--tuples --seed --queries` over the defaults; the cache budget
+    /// follows `--tuples`.
     fn from_args(a: &Args) -> Self {
         let d = Self::default();
         let tuples = a.get("tuples", d.tuples);
@@ -84,10 +83,7 @@ impl Opts {
             tuples,
             seed: a.get("seed", d.seed),
             queries: a.get("queries", d.queries),
-            fault_seed: a.get("fault-seed", d.fault_seed),
-            attempts: a.get("attempts", d.attempts),
             cache_bytes: Self::scaled_cache_bytes(tuples),
-            node_budget: a.get("node-budget", d.node_budget),
             ..d
         }
     }
@@ -116,11 +112,11 @@ pub const SWEEP: Sweep<Opts, FaultResults> = Sweep {
             ("seed", Box::new(opts.seed)),
             ("queries", Box::new(opts.queries)),
             ("workload_seed", Box::new(opts.workload_seed)),
-            ("fault_seed", Box::new(opts.fault_seed)),
+            ("fault_seed", Box::new(FAULT_SEED)),
             ("fault_rate", Box::new(TRACE_RATE)),
-            ("attempts", Box::new(opts.attempts)),
+            ("attempts", Box::new(ATTEMPTS)),
             ("cache_bytes", Box::new(opts.cache_bytes)),
-            ("node_budget", Box::new(opts.node_budget)),
+            ("node_budget", Box::new(NODE_BUDGET)),
             ("strategy", Box::new("esmc")),
             ("policy", Box::new("two_level")),
             ("answered", Box::new(run.answered)),
@@ -133,43 +129,7 @@ pub const SWEEP: Sweep<Opts, FaultResults> = Sweep {
 /// The fault rates swept (probability per fetch of *any* injected fault).
 pub(crate) const FAULT_RATES: [f64; 6] = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8];
 
-/// Outcome of one stream at one fault rate.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct FaultStreamResult {
-    /// Queries issued.
-    pub(crate) queries: u64,
-    /// Queries answered (from any source).
-    pub(crate) answered: u64,
-    /// Queries answered entirely from the cache by the normal lookup path.
-    pub(crate) complete_hits: u64,
-    /// Queries whose misses were all served degraded (answered from cache
-    /// despite a backend outage).
-    pub(crate) degraded_queries: u64,
-    /// Queries that failed with `BackendUnavailable`.
-    pub(crate) failed: u64,
-    /// Chunks served degraded across the stream.
-    pub(crate) chunks_degraded: u64,
-    /// Mean end-to-end virtual ms over answered queries.
-    pub(crate) avg_ms: f64,
-}
-
-impl FaultStreamResult {
-    /// Fraction of *all* queries answered from the cache: complete hits
-    /// plus fully-degraded serves.
-    pub(crate) fn cache_served_fraction(&self) -> f64 {
-        mean(
-            (self.complete_hits + self.degraded_queries) as f64,
-            self.queries,
-        )
-    }
-
-    /// Fraction of all queries answered at all.
-    pub(crate) fn answered_fraction(&self) -> f64 {
-        mean(self.answered as f64, self.queries)
-    }
-}
-
-/// Runs one query stream against a faulty, retrying backend at the given
+/// Replays the paper stream over a faulty, retrying backend at the given
 /// fault rate. Deterministic for fixed opts and rate; an attached tracer
 /// changes no output.
 pub(crate) fn run_stream_faulty(
@@ -177,64 +137,35 @@ pub(crate) fn run_stream_faulty(
     opts: Opts,
     rate: f64,
     tracer: Option<Arc<dyn Tracer>>,
-) -> FaultStreamResult {
+) -> StreamResult {
     let faulty = FaultInjectingBackend::new(
         backend_for(dataset),
-        FaultProfile::uniform(rate, opts.fault_seed),
+        FaultProfile::uniform(rate, FAULT_SEED),
     )
     .expect("sweep rates are valid");
     let retrying = RetryingBackend::new(
         faulty,
         RetryPolicy {
-            max_attempts: opts.attempts,
-            seed: opts.fault_seed,
+            max_attempts: ATTEMPTS,
+            seed: FAULT_SEED,
         },
     )
     .expect("retry policy is valid");
     let strategy = Strategy::Esmc {
-        node_budget: Some(opts.node_budget.max(1)),
+        node_budget: Some(NODE_BUDGET),
     };
-    let policy = PolicyKind::TwoLevel;
-    let mut mgr = builder_for(strategy, policy, opts.cache_bytes, tracer)
-        .build(retrying)
-        .expect("fault-sweep configuration is valid");
-    // Pre-load as in the paper's runs; under heavy faults even the
-    // pre-load fetch can fail, which simply leaves the cache cold.
-    let _ = mgr.preload_best();
-
-    let mut stream = paper_stream(dataset, opts.workload_seed);
-
-    let mut r = FaultStreamResult {
-        queries: opts.queries as u64,
-        ..FaultStreamResult::default()
+    let run = StreamRun {
+        queries: opts.queries,
+        seed: opts.workload_seed,
+        ..StreamRun::paper(strategy, PolicyKind::TwoLevel, opts.cache_bytes)
     };
-    let mut total_ms = 0.0f64;
-    for _ in 0..opts.queries {
-        let (query, _) = stream.next_with_kind();
-        match mgr.run(&(&query).into()) {
-            Ok(result) => {
-                let m = result.metrics;
-                r.answered += 1;
-                total_ms += m.total_ms();
-                if m.complete_hit {
-                    r.complete_hits += 1;
-                } else if m.chunks_degraded == m.chunks_missed && m.chunks_missed > 0 {
-                    r.degraded_queries += 1;
-                }
-                r.chunks_degraded += m.chunks_degraded as u64;
-            }
-            Err(CacheError::BackendUnavailable { .. }) => r.failed += 1,
-            Err(e) => panic!("unexpected error in fault sweep: {e}"),
-        }
-    }
-    r.avg_ms = mean(total_ms, r.answered);
-    r
+    run_stream(dataset, retrying, run, tracer)
 }
 
 /// Results of the full sweep.
 pub struct FaultResults {
     /// One stream result per entry of [`FAULT_RATES`].
-    pub(crate) runs: Vec<FaultStreamResult>,
+    pub(crate) runs: Vec<StreamResult>,
 }
 
 /// Runs the sweep over `FAULT_RATES`.
@@ -262,11 +193,13 @@ pub fn render(r: &FaultResults) -> String {
         "avg ms",
     ]);
     for (&rate, run) in FAULT_RATES.iter().zip(&r.runs) {
-        let pct = |n: u64| f2(100.0 * n as f64 / run.queries.max(1) as f64);
+        let queries = run.answered + run.failed;
+        let pct = |n: u64| f2(100.0 * n as f64 / queries.max(1) as f64);
+        let from_cache = (run.complete_hits + run.degraded_queries) as f64;
         table.row(vec![
             f2(rate),
-            f2(100.0 * run.answered_fraction()),
-            f2(100.0 * run.cache_served_fraction()),
+            f2(100.0 * mean(run.answered as f64, queries)),
+            f2(100.0 * mean(from_cache, queries)),
             pct(run.complete_hits),
             pct(run.degraded_queries),
             pct(run.failed),
@@ -303,7 +236,7 @@ mod tests {
     fn zero_rate_answers_everything() {
         let ds = apb_dataset(4_000, 3);
         let r = run_stream_faulty(&ds, small_opts(), 0.0, None);
-        assert_eq!(r.answered, r.queries);
+        assert_eq!(r.answered, small_opts().queries as u64);
         assert_eq!(r.failed, 0);
         assert_eq!(r.chunks_degraded, 0);
     }
@@ -323,7 +256,7 @@ mod tests {
     fn heavy_faults_degrade_but_everything_answered_accounts() {
         let ds = apb_dataset(4_000, 3);
         let r = run_stream_faulty(&ds, small_opts(), 0.8, None);
-        assert_eq!(r.answered + r.failed, r.queries);
+        assert_eq!(r.answered + r.failed, small_opts().queries as u64);
         // The bookkeeping never counts a query twice.
         assert!(r.complete_hits + r.degraded_queries <= r.answered);
     }

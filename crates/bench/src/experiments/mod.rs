@@ -1,6 +1,5 @@
 //! One module per paper table/figure, plus the two unit experiments.
 
-pub mod ablation;
 pub mod cluster;
 pub mod faults;
 pub mod recovery;

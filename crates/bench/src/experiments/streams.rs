@@ -1,6 +1,6 @@
-//! **Figures 7–10 and Table 4** — the paper's §7.2 experiment: one
-//! 100-query stream replayed at every cache size under each of four
-//! schemes, read five ways.
+//! **Figures 7–10, Table 4 and the ablations** — the paper's §7.2
+//! experiment: one 100-query stream replayed at every cache size under
+//! each scheme, read six ways.
 //!
 //! Figs. 7 & 8 compare the two replacement policies under VCMC. Paper
 //! shape: the two-level policy (with pre-loading) achieves a higher
@@ -14,13 +14,18 @@
 //! 10 MB falling to ≈1.1× at 25 MB); Fig. 10's breakdown shows ESM's time
 //! dominated by lookup at small caches while VCMC's lookup is negligible
 //! throughout.
+//!
+//! The ablations change one design choice of the "two-level" scheme at a
+//! time: the lookup (VCM, ESM), the replacement policy (benefit, LRU),
+//! the group clock-boost (§6.3, rule 2) and the pre-load (§6.3, rule 3).
 
 use crate::args::Args;
 use crate::report::{f2, Table};
 use crate::rig::{apb_dataset, MB, PAPER_CACHE_SIZES_MB};
+use crate::stream::Preload::{self, MaxDescendants, MostDetailed};
 use crate::stream::{run_stream_averaged, AveragedResult, StreamRun};
-use aggcache_cache::PolicyKind;
-use aggcache_core::Strategy;
+use aggcache_cache::PolicyKind::{self, Benefit, Lru, TwoLevel};
+use aggcache_core::Strategy::{self, Esm, NoAggregation, Vcm, Vcmc};
 
 /// Options for the stream experiment.
 #[derive(Debug, Clone, Copy)]
@@ -49,31 +54,44 @@ impl Default for Opts {
     }
 }
 
-/// The four ways §7.2 runs the stream: label, lookup strategy,
-/// replacement policy, pre-load. A binary runs the schemes its view prints.
-pub const SCHEMES: [(&str, Strategy, PolicyKind, bool); 4] = [
+/// The ways the stream is run: label, lookup strategy, replacement
+/// policy, pre-load, group clock-boost. The first four are §7.2's; a
+/// binary runs the schemes its view prints.
+pub const SCHEMES: [(&str, Strategy, PolicyKind, Preload, bool); 9] = [
     // "for the no aggregation case, the simple benefit based policy was
     // used since detail chunks don't have any higher benefit in the
     // absence of aggregation" (§7.2).
-    (
-        "no-agg",
-        Strategy::NoAggregation,
-        PolicyKind::Benefit,
-        false,
-    ),
-    ("esm", Strategy::Esm, PolicyKind::TwoLevel, true),
+    ("no-agg", NoAggregation, Benefit, Preload::None, true),
+    ("esm", Esm, TwoLevel, MaxDescendants, true),
     // Fig. 7/8's "two-level" and Fig. 9/10's and Table 4's "VCMC".
-    ("two-level", Strategy::Vcmc, PolicyKind::TwoLevel, true),
+    ("two-level", Vcmc, TwoLevel, MaxDescendants, true),
     // "For each experiment the cache was pre-loaded with a group-by"
     // (§7.2) — the plain benefit policy is pre-loaded too; the policies
     // differ only in replacement behaviour.
-    ("benefit", Strategy::Vcmc, PolicyKind::Benefit, true),
+    ("benefit", Vcmc, Benefit, MaxDescendants, true),
+    // The ablations: "two-level" with one design choice changed.
+    ("vcm", Vcm, TwoLevel, MaxDescendants, true),
+    ("lru", Vcmc, Lru, MaxDescendants, true),
+    ("no-boost", Vcmc, TwoLevel, MaxDescendants, false),
+    ("no-preload", Vcmc, TwoLevel, Preload::None, true),
+    ("most-detailed", Vcmc, TwoLevel, MostDetailed, true),
 ];
 
 /// The schemes Figs. 7 and 8 print.
 pub const POLICIES: [&str; 2] = ["two-level", "benefit"];
 /// The schemes Figs. 9 and 10 and Table 4 print.
 pub const COMPARISON: [&str; 3] = ["no-agg", "esm", "two-level"];
+/// The schemes the ablation view prints, in its row order.
+pub const ABLATION: [&str; 8] = [
+    "two-level",
+    "vcm",
+    "esm",
+    "benefit",
+    "lru",
+    "no-boost",
+    "no-preload",
+    "most-detailed",
+];
 
 /// The per-cache-size results of the schemes that were run.
 pub struct StreamResults {
@@ -97,10 +115,11 @@ pub fn run_experiment(opts: Opts, schemes: &[&str]) -> StreamResults {
     let scale = opts.tuples as f64 / 1_100_000.0;
     let wanted = SCHEMES.iter().filter(|(label, ..)| schemes.contains(label));
     let runs = wanted
-        .map(|&(label, strategy, policy, preload)| {
+        .map(|&(label, strategy, policy, preload, group_boost)| {
             let at_size = |&mb: &usize| {
                 let run = StreamRun {
                     preload,
+                    group_boost,
                     queries: opts.queries,
                     ..StreamRun::paper(strategy, policy, ((mb * MB) as f64 * scale) as usize)
                 };
@@ -112,7 +131,7 @@ pub fn run_experiment(opts: Opts, schemes: &[&str]) -> StreamResults {
     StreamResults { runs }
 }
 
-/// The `main` of `fig7`–`fig10` and `table4`: reads `--tuples --seed
+/// The `main` of `fig7`–`fig10`, `table4` and `ablation`: reads `--tuples --seed
 /// --queries`, runs `schemes` and prints `render`'s view of them.
 pub fn main_with(schemes: &[&str], render: fn(&StreamResults) -> String) {
     let a = Args::parse();
@@ -256,6 +275,44 @@ pub fn render_table4(r: &StreamResults) -> String {
     out
 }
 
+/// Renders the ablations: each design choice of "two-level" changed in
+/// turn.
+pub fn render_ablation(r: &StreamResults) -> String {
+    let mut out = String::from(
+        "Ablations: the two-level VCMC scheme with one design choice changed (virtual ms)\n\n",
+    );
+    let mut table = Table::new(&[
+        "cache MB",
+        "scheme",
+        "hit %",
+        "avg ms",
+        "hit lookup ms",
+        "hit agg ms",
+    ]);
+    for (i, &mb) in PAPER_CACHE_SIZES_MB.iter().enumerate() {
+        for scheme in ABLATION {
+            let res = &r.of(scheme)[i];
+            table.row(vec![
+                mb.to_string(),
+                scheme.to_string(),
+                f2(res.complete_hit_pct),
+                f2(res.avg_ms),
+                f2(res.hit_lookup_ms),
+                f2(res.hit_agg_ms),
+            ]);
+        }
+    }
+    out.push_str(&table.render());
+    out.push_str(
+        "\nvcm drops cost maintenance (first path, not cheapest); esm drops the\n\
+         count short-circuit too; benefit and lru replace the policy; no-boost\n\
+         drops the group clock-boost; no-preload and most-detailed replace the\n\
+         max-descendants pre-load. ESM and VCM pick the same plans, so their\n\
+         hit % and hit agg ms are equal: only lookup separates them.\n",
+    );
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,17 +326,30 @@ mod tests {
             ..Opts::default()
         };
         let all = run_experiment(opts, &SCHEMES.map(|(label, ..)| label));
-        let alone = run_experiment(opts, &["two-level"]);
+        let alone = run_experiment(opts, &["two-level", "most-detailed"]);
         // `{:?}` of an `f64` round-trips, so equal text is equal bits.
-        let bits = |r: &StreamResults| format!("{:?}", r.of("two-level"));
-        assert_eq!(bits(&all), bits(&alone));
-        // Fig. 7's two-level column is Table 4's hit column: one run, two
-        // views. (A rendered table's data rows start at its fifth line.)
-        let column = |text: String, c: usize| -> Vec<String> {
-            let rows = text.lines().skip(4).take(4);
+        let bits = |r: &StreamResults, scheme| format!("{:?}", r.of(scheme));
+        for scheme in ["two-level", "most-detailed"] {
+            assert_eq!(bits(&all, scheme), bits(&alone, scheme), "{scheme}");
+        }
+        // ESM and VCM pick the same plans, so they hit and aggregate alike.
+        for (esm, vcm) in all.of("esm").iter().zip(all.of("vcm")) {
+            assert_eq!(
+                esm.complete_hit_pct.to_bits(),
+                vcm.complete_hit_pct.to_bits()
+            );
+            assert_eq!(esm.hit_agg_ms.to_bits(), vcm.hit_agg_ms.to_bits());
+        }
+        // Fig. 7's two-level column is Table 4's hit column and the
+        // ablation view's first row at each size: one run, three views.
+        // (A rendered table's data rows start at its fifth line.)
+        let column = |text: String, step: usize, c: usize| -> Vec<String> {
+            let rows = text.lines().skip(4).step_by(step).take(4);
             rows.map(|l| l.split_whitespace().nth(c).unwrap().to_string())
                 .collect()
         };
-        assert_eq!(column(render_fig7(&all), 1), column(render_table4(&all), 1));
+        let fig7 = column(render_fig7(&all), 1, 1);
+        assert_eq!(fig7, column(render_table4(&all), 1, 1));
+        assert_eq!(fig7, column(render_ablation(&all), ABLATION.len(), 2));
     }
 }

@@ -20,7 +20,7 @@
 //! virtual time, so the traced stream's virtual-time outputs are
 //! bit-identical to the untraced run's.
 
-use crate::rig::{apb_dataset, MB};
+use crate::rig::{apb_dataset, backend_for, MB};
 use crate::stream::{run_stream, StreamRun};
 use aggcache_cache::PolicyKind;
 use aggcache_core::Strategy;
@@ -96,7 +96,7 @@ pub fn maybe_write_trace(trace_out: Option<&str>, tuples: u64, seed: u64) {
     let cache_bytes = ((15 * MB) as f64 * tuples as f64 / 1_100_000.0).max(64.0 * 1024.0) as usize;
     let run = StreamRun::paper(Strategy::Vcmc, PolicyKind::TwoLevel, cache_bytes);
     write_trace(path, |tracer| {
-        let result = run_stream(&dataset, run, Some(tracer));
+        let result = run_stream(&dataset, backend_for(&dataset), run, Some(tracer));
         vec![
             ("experiment", Box::new("table1")),
             ("tuples", Box::new(tuples)),
@@ -236,7 +236,7 @@ mod tests {
             queries: 10,
             ..StreamRun::paper(Strategy::Vcmc, PolicyKind::TwoLevel, 256 * 1024)
         };
-        let result = run_stream(&dataset, run, Some(sink.tracer()));
+        let result = run_stream(&dataset, backend_for(&dataset), run, Some(sink.tracer()));
         assert!(sink.events_recorded() > 0);
         sink.render(&[("avg_ms", Box::new(result.avg_ms))])
     }

@@ -3,7 +3,7 @@
 //! **bit-identical** (`f64::to_bits`) to an untraced run of the same
 //! configuration — across strategies, policies and cache budgets.
 
-use aggcache_bench::rig::apb_dataset;
+use aggcache_bench::rig::{apb_dataset, backend_for};
 use aggcache_bench::stream::{run_stream, StreamRun};
 use aggcache_bench::trace::TraceSink;
 use aggcache_cache::PolicyKind;
@@ -25,9 +25,9 @@ fn traced_streams_are_bit_identical_to_untraced() {
             queries: 30,
             ..StreamRun::paper(strategy, policy, cache_bytes)
         };
-        let plain = run_stream(&dataset, run, None);
+        let plain = run_stream(&dataset, backend_for(&dataset), run, None);
         let sink = TraceSink::new();
-        let traced = run_stream(&dataset, run, Some(sink.tracer()));
+        let traced = run_stream(&dataset, backend_for(&dataset), run, Some(sink.tracer()));
         let ctx = format!("{strategy:?}/{policy:?}/{cache_bytes}");
         assert!(sink.events_recorded() > 0, "{ctx}: tracer saw no events");
 

@@ -298,17 +298,6 @@ impl TrafficEngine {
         }
     }
 
-    /// Generates `n` arrivals as `(tenant, query)` pairs; to feed
-    /// `CacheManager::run_batch` use [`TrafficEngine::requests`].
-    pub fn tagged_queries(&mut self, n: usize) -> Vec<(u32, Query)> {
-        (0..n)
-            .map(|_| {
-                let a = self.next_arrival();
-                (a.tenant, a.query)
-            })
-            .collect()
-    }
-
     /// Generates `n` arrivals as tenant-tagged [`QueryRequest`]s — the
     /// shape `CacheManager::run_batch` and the cluster tier consume.
     pub fn requests(&mut self, n: usize) -> Vec<QueryRequest> {

@@ -18,11 +18,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Multi-tenant arrivals: all three lab profiles, Zipf-skewed.
-fn tagged_arrivals(ds: &Dataset, n: usize, seed: u64) -> Vec<(u32, Query)> {
+fn tagged_arrivals(ds: &Dataset, n: usize, seed: u64) -> Vec<QueryRequest> {
     let max_level = ds.grid.geom(ds.fact_gb).level().to_vec();
     let cfg = MultiTenantConfig::contended(4, 1.2, max_level, seed);
     let mut engine = TrafficEngine::new(ds.grid.clone(), &cfg).unwrap();
-    engine.tagged_queries(n)
+    engine.requests(n)
 }
 
 /// A manager over the faulty retrying stack with the given admission.
@@ -57,16 +57,17 @@ fn faulty_multi_tenant_streams_never_corrupt_answers() {
         let mut mgr = chaotic_manager(&ds, admission, 0.5);
         let _ = mgr.preload_best();
         let (mut answered, mut failed, mut degraded) = (0u64, 0u64, 0u64);
-        for (i, (tenant, q)) in arrivals.iter().enumerate() {
-            let expected = oracle_answer(&oracle, q);
-            match mgr.run(&QueryRequest::new(q.clone()).tenant(*tenant)) {
+        for (i, request) in arrivals.iter().enumerate() {
+            let expected = oracle_answer(&oracle, &request.query);
+            match mgr.run(request) {
                 Ok(mut r) => {
                     answered += 1;
                     degraded += u64::from(r.metrics.chunks_degraded > 0);
                     r.data.sort_by_coords();
                     assert_eq!(
                         r.data, expected,
-                        "{admission:?}: tenant {tenant} query #{i} corrupted under faults"
+                        "{admission:?}: tenant {} query #{i} corrupted under faults",
+                        request.tenant
                     );
                 }
                 Err(CacheError::BackendUnavailable { .. }) => failed += 1,
@@ -92,8 +93,8 @@ fn per_tenant_degraded_counts_sum_to_session_totals() {
         // Per tenant: queries, degraded chunks, degraded queries.
         let mut tenants: BTreeMap<u32, [u64; 3]> = BTreeMap::new();
         let mut failed = 0u64;
-        for (tenant, q) in &arrivals {
-            let answered = match mgr.run(&QueryRequest::new(q.clone()).tenant(*tenant)) {
+        for request in &arrivals {
+            let answered = match mgr.run(request) {
                 Ok(_) => true,
                 Err(CacheError::BackendUnavailable { .. }) => false,
                 Err(e) => panic!("{admission:?}: unexpected error under faults: {e}"),
@@ -117,7 +118,10 @@ fn per_tenant_degraded_counts_sum_to_session_totals() {
                 "{admission:?}: one query_done per answered query"
             );
             for (event_tenant, degraded) in done {
-                assert_eq!(event_tenant, *tenant, "{admission:?}: query_done tenant");
+                assert_eq!(
+                    event_tenant, request.tenant,
+                    "{admission:?}: query_done tenant"
+                );
                 let t = tenants.entry(event_tenant).or_default();
                 t[0] += 1;
                 t[1] += degraded;
@@ -164,16 +168,16 @@ fn chaotic_multi_tenant_sessions_are_deterministic() {
         let mut mgr = chaotic_manager(&ds, AdmissionKind::tiny_lfu(), 0.4);
         let _ = mgr.preload_best();
         let mut outcomes = Vec::new();
-        for (tenant, q) in &arrivals {
-            match mgr.run(&QueryRequest::new(q.clone()).tenant(*tenant)) {
+        for request in &arrivals {
+            match mgr.run(request) {
                 Ok(r) => outcomes.push((
-                    *tenant,
+                    request.tenant,
                     true,
                     r.metrics.total_ms().to_bits(),
                     r.metrics.chunks_degraded,
                 )),
                 Err(CacheError::BackendUnavailable { .. }) => {
-                    outcomes.push((*tenant, false, 0, 0));
+                    outcomes.push((request.tenant, false, 0, 0));
                 }
                 Err(e) => panic!("unexpected error: {e}"),
             }
