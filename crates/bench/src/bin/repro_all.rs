@@ -1,12 +1,13 @@
 //! Runs every table and figure experiment in sequence, printing the full
 //! reproduction report (used to populate EXPERIMENTS.md). Exits 1 after
-//! the report if any sweep's contract (oracle mismatches, transparency
-//! divergences) is violated, naming each violation on stderr.
+//! the report if any sweep's contract (oracle mismatches) is violated,
+//! naming each violation on stderr.
 #![forbid(unsafe_code)]
 use aggcache_bench::args::Args;
 use aggcache_bench::experiments::{
     cluster, faults, recovery, streams, table1, table2, table3, tenants, unit_a, unit_b, updates,
 };
+use aggcache_bench::rig::DatasetOpts;
 
 fn main() {
     let a = Args::parse();
@@ -19,23 +20,16 @@ fn main() {
         "=== aggcache reproduction: all experiments (tuples={tuples}, queries={queries}) ===\n"
     );
 
-    println!(
-        "{}",
-        table1::run(table1::Opts {
-            tuples,
-            seed,
-            ..Default::default()
-        })
-    );
-    println!("{}", table2::run(table2::Opts { tuples, seed }));
-    println!("{}", table3::run(table3::Opts { tuples, seed }));
+    let dataset = DatasetOpts { tuples, seed };
+    println!("{}", table1::run(dataset));
+    println!("{}", table2::run(dataset));
+    println!("{}", table3::run(dataset));
 
     // One run of every scheme; the six artefacts are views of it.
     let opts = streams::Opts {
         tuples,
         seed,
         queries,
-        ..Default::default()
     };
     let s = streams::run_experiment(opts, &streams::SCHEMES.map(|(label, ..)| label));
     println!("{}", streams::render_fig7(&s));
@@ -45,7 +39,7 @@ fn main() {
     println!("{}", streams::render_table4(&s));
     println!("{}", streams::render_ablation(&s));
 
-    println!("{}", unit_a::run(unit_a::Opts { tuples, seed }));
+    println!("{}", unit_a::run(dataset));
     println!(
         "{}",
         unit_b::run(unit_b::Opts {
@@ -65,13 +59,10 @@ fn main() {
     };
 
     // Availability under backend faults: one stream per fault rate.
-    let fault_tuples = tuples.min(200_000);
     let f = faults::run_experiment(faults::Opts {
-        tuples: fault_tuples,
+        tuples: tuples.min(200_000),
         seed,
         queries,
-        cache_bytes: faults::Opts::scaled_cache_bytes(fault_tuples),
-        ..Default::default()
     });
     report("fig_faults", faults::SWEEP.report(&f));
 
@@ -104,7 +95,7 @@ fn main() {
     report("fig_recovery", recovery::SWEEP.report(&rc));
 
     // Base-data deltas propagated up the lattice: one stream per (mix,
-    // strategy) cell plus the empty-delta transparency check.
+    // strategy) cell.
     let up = updates::run_experiment(updates::Opts {
         tuples: tuples.min(60_000),
         seed,

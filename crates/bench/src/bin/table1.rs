@@ -1,14 +1,13 @@
 //! Reproduces paper Table 1 (lookup times).
 #![forbid(unsafe_code)]
-use aggcache_bench::{args::Args, experiments::table1, trace::maybe_write_trace};
+use aggcache_bench::{args::Args, experiments::table1, rig::DatasetOpts, trace::maybe_write_trace};
 
 fn main() {
     let a = Args::parse();
-    let d = table1::Opts::default();
-    let opts = table1::Opts {
+    let d = DatasetOpts::default();
+    let opts = DatasetOpts {
         tuples: a.get("tuples", d.tuples),
         seed: a.get("seed", d.seed),
-        ..d
     };
     let trace_out = a.value("trace-out");
     a.finish();

@@ -37,14 +37,15 @@ pub struct Opts {
     pub seed: u64,
     /// Queries per cell.
     pub queries: usize,
-    /// Workload seed (same paper stream in every cell).
-    pub workload_seed: u64,
     /// Cache budget **per node** in accounting bytes. Fixed across node
     /// counts, so aggregate RAM scales with the cell's node count.
     pub node_cache_bytes: usize,
-    /// Queries per batch; churn steps run between batches.
-    pub batch: usize,
 }
+
+/// Workload seed (same paper stream in every cell).
+const WORKLOAD_SEED: u64 = 2000;
+/// Queries per batch; churn steps run between batches.
+const BATCH: usize = 25;
 
 impl Default for Opts {
     fn default() -> Self {
@@ -52,9 +53,7 @@ impl Default for Opts {
             tuples: 60_000,
             seed: 0xA9B1,
             queries: 1_000,
-            workload_seed: 2000,
             node_cache_bytes: 24 * 1024,
-            batch: 25,
         }
     }
 }
@@ -183,7 +182,7 @@ pub(crate) fn run_cell(
     failure_rate: f64,
 ) -> CellResult {
     let requests =
-        QueryRequest::batch(&paper_stream(dataset, opts.workload_seed).take_queries(opts.queries));
+        QueryRequest::batch(&paper_stream(dataset, WORKLOAD_SEED).take_queries(opts.queries));
     let mut builder = ClusterManager::builder().replication(replication);
     for _ in 0..nodes {
         let (strategy, policy) = (Strategy::Vcmc, PolicyKind::TwoLevel);
@@ -201,7 +200,7 @@ pub(crate) fn run_cell(
     let mut tally = Tally::default();
     let mut total_lat_ms = 0.0;
     let mut lat: Vec<f64> = Vec::with_capacity(requests.len());
-    for batch in requests.chunks(opts.batch.max(1)) {
+    for batch in requests.chunks(BATCH) {
         let outs = cluster
             .run_batch(batch)
             .expect("at least one node stays live");

@@ -37,6 +37,9 @@ const ATTEMPTS: u32 = 3;
 /// can never add availability.)
 const NODE_BUDGET: u64 = 128;
 
+/// Workload seed (one stream, shared by every fault rate).
+const WORKLOAD_SEED: u64 = 2000;
+
 /// Options for the fault sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct Opts {
@@ -46,10 +49,6 @@ pub struct Opts {
     pub seed: u64,
     /// Queries per run.
     pub queries: usize,
-    /// Workload seed (one stream, shared by every fault rate).
-    pub workload_seed: u64,
-    /// Cache budget in accounting bytes.
-    pub cache_bytes: usize,
 }
 
 impl Default for Opts {
@@ -58,33 +57,26 @@ impl Default for Opts {
             tuples: 200_000,
             seed: 0xA9B1,
             queries: 100,
-            workload_seed: 2000,
-            // The paper's smallest sweep budget (10 MB : 1.1 M tuples),
-            // scaled to the default dataset — small enough that a real
-            // share of queries needs the backend, which is what the fault
-            // sweep is about. See [`Opts::scaled_cache_bytes`].
-            cache_bytes: Opts::scaled_cache_bytes(200_000),
         }
     }
 }
 
 impl Opts {
-    /// The 10 MB-per-1.1 M-tuple cache budget scaled to `tuples`.
-    pub fn scaled_cache_bytes(tuples: u64) -> usize {
-        (((10 * MB) as f64 * tuples as f64 / 1_100_000.0).max(64.0 * 1024.0)) as usize
+    /// The cache budget in accounting bytes: the paper's smallest sweep
+    /// budget (10 MB : 1.1 M tuples) scaled to `tuples` — small enough
+    /// that a real share of queries needs the backend, which is what the
+    /// fault sweep is about.
+    pub(crate) fn cache_bytes(self) -> usize {
+        (((10 * MB) as f64 * self.tuples as f64 / 1_100_000.0).max(64.0 * 1024.0)) as usize
     }
 
-    /// `--tuples --seed --queries` over the defaults; the cache budget
-    /// follows `--tuples`.
+    /// `--tuples --seed --queries` over the defaults.
     fn from_args(a: &Args) -> Self {
         let d = Self::default();
-        let tuples = a.get("tuples", d.tuples);
         Self {
-            tuples,
+            tuples: a.get("tuples", d.tuples),
             seed: a.get("seed", d.seed),
             queries: a.get("queries", d.queries),
-            cache_bytes: Self::scaled_cache_bytes(tuples),
-            ..d
         }
     }
 }
@@ -111,11 +103,11 @@ pub const SWEEP: Sweep<Opts, FaultResults> = Sweep {
             ("tuples", Box::new(opts.tuples)),
             ("seed", Box::new(opts.seed)),
             ("queries", Box::new(opts.queries)),
-            ("workload_seed", Box::new(opts.workload_seed)),
+            ("workload_seed", Box::new(WORKLOAD_SEED)),
             ("fault_seed", Box::new(FAULT_SEED)),
             ("fault_rate", Box::new(TRACE_RATE)),
             ("attempts", Box::new(ATTEMPTS)),
-            ("cache_bytes", Box::new(opts.cache_bytes)),
+            ("cache_bytes", Box::new(opts.cache_bytes())),
             ("node_budget", Box::new(NODE_BUDGET)),
             ("strategy", Box::new("esmc")),
             ("policy", Box::new("two_level")),
@@ -156,8 +148,8 @@ pub(crate) fn run_stream_faulty(
     };
     let run = StreamRun {
         queries: opts.queries,
-        seed: opts.workload_seed,
-        ..StreamRun::paper(strategy, PolicyKind::TwoLevel, opts.cache_bytes)
+        seed: WORKLOAD_SEED,
+        ..StreamRun::paper(strategy, PolicyKind::TwoLevel, opts.cache_bytes())
     };
     run_stream(dataset, retrying, run, tracer)
 }
@@ -227,9 +219,26 @@ mod tests {
         Opts {
             tuples: 4_000,
             queries: 20,
-            cache_bytes: MB,
             ..Opts::default()
         }
+    }
+
+    /// `fig_faults --tuples 8000 --queries 40` prints
+    /// `tests/golden/fig_faults_smoke.txt`, byte for byte.
+    #[test]
+    fn golden() {
+        let opts = Opts {
+            tuples: 8_000,
+            queries: 40,
+            ..Opts::default()
+        };
+        let path = format!(
+            "{}/tests/golden/fig_faults_smoke.txt",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let stdout = format!("{}\n", render(&run_experiment(opts)));
+        assert!(stdout == want, "fig_faults differs from {path}");
     }
 
     #[test]

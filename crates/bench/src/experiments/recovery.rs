@@ -51,17 +51,18 @@ pub struct Opts {
     pub warmup: usize,
     /// Measurement queries replayed after the restart.
     pub queries: usize,
-    /// Workload seed (one stream; the measurement segment continues it).
-    pub workload_seed: u64,
     /// Cache budget in accounting bytes — tight, so demotions and
     /// promotions keep the faulty disk on the hot path.
     pub cache_bytes: usize,
-    /// Disk-fault profile seed (each cell offsets it for independence).
-    pub fault_seed: u64,
-    /// Virtual milliseconds of query time between scrub passes, for the
-    /// scrub-enabled half of the sweep.
-    pub scrub_interval_ms: f64,
 }
+
+/// Workload seed (one stream; the measurement segment continues it).
+const WORKLOAD_SEED: u64 = 9_000;
+/// Disk-fault profile seed (the restart offsets it for independence).
+const FAULT_SEED: u64 = 0xFA11;
+/// Virtual milliseconds of query time between scrub passes, for the
+/// scrub-enabled half of the sweep.
+const SCRUB_INTERVAL_MS: f64 = 500.0;
 
 impl Default for Opts {
     fn default() -> Self {
@@ -70,10 +71,7 @@ impl Default for Opts {
             seed: 0x5C2B,
             warmup: 400,
             queries: 400,
-            workload_seed: 9_000,
             cache_bytes: 24 * 1024,
-            fault_seed: 0xFA11,
-            scrub_interval_ms: 500.0,
         }
     }
 }
@@ -124,7 +122,7 @@ pub const SWEEP: Sweep<Opts, RecoveryResults> = Sweep {
             ("seed", Box::new(opts.seed)),
             ("warmup", Box::new(opts.warmup)),
             ("queries", Box::new(opts.queries)),
-            ("workload_seed", Box::new(opts.workload_seed)),
+            ("workload_seed", Box::new(WORKLOAD_SEED)),
             ("cache_bytes", Box::new(opts.cache_bytes)),
             ("fault_rate", Box::new(0.2)),
             ("strategy", Box::new("vcmc")),
@@ -198,7 +196,7 @@ pub(crate) fn run_cell(
     dir: &Path,
     tracer: Option<Arc<dyn Tracer>>,
 ) -> CellResult {
-    let mut stream = paper_stream(dataset, opts.workload_seed);
+    let mut stream = paper_stream(dataset, WORKLOAD_SEED);
     let warmup = QueryRequest::batch(&stream.take_queries(opts.warmup));
     let measure = QueryRequest::batch(&stream.take_queries(opts.queries));
     let build = |fault_seed: u64, spilled: bool, tracer| {
@@ -208,7 +206,7 @@ pub(crate) fn run_cell(
             let mut spill =
                 SpillConfig::new(dir).fault(DiskFaultProfile::uniform(rate, fault_seed));
             if scrub {
-                spill = spill.scrub_interval_ms(opts.scrub_interval_ms);
+                spill = spill.scrub_interval_ms(SCRUB_INTERVAL_MS);
             }
             builder = builder.spill(spill);
         }
@@ -220,7 +218,7 @@ pub(crate) fn run_cell(
     // Session 1: warm up *under faults* (torn demotions land on disk as
     // damage the restart must absorb) and checkpoint.
     let checkpointed = {
-        let mut first = build(opts.fault_seed, true, None);
+        let mut first = build(FAULT_SEED, true, None);
         first
             .run_batch(&warmup)
             .expect("simulated backend cannot fail");
@@ -230,7 +228,7 @@ pub(crate) fn run_cell(
 
     // Session 2: restart over the damaged directory, still under faults
     // (fresh fault stream), and measure — or, cold, forget the disk.
-    let mut mgr = build(opts.fault_seed ^ 0x9E37, warm, tracer);
+    let mut mgr = build(FAULT_SEED ^ 0x9E37, warm, tracer);
     let recovery = *mgr.session_spill();
     let oracle_backend = backend_for(dataset);
 
@@ -358,7 +356,7 @@ pub(crate) fn to_json(opts: Opts, r: &RecoveryResults) -> String {
         .field("tuples", opts.tuples)
         .field("warmup", opts.warmup)
         .field("queries", opts.queries)
-        .field("scrub_interval_ms", opts.scrub_interval_ms)
+        .field("scrub_interval_ms", SCRUB_INTERVAL_MS)
         .object("cold", |o| cell_json(o, &r.cold))
         .array("cells", &r.cells, cell_json)
         .close();

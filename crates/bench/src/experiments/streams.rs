@@ -36,9 +36,10 @@ pub struct Opts {
     pub seed: u64,
     /// Queries per run (paper: 100).
     pub queries: usize,
-    /// Number of streams (consecutive seeds) to average.
-    pub repeats: u64,
 }
+
+/// Number of streams (consecutive seeds) to average.
+const REPEATS: u64 = 3;
 
 impl Default for Opts {
     fn default() -> Self {
@@ -49,7 +50,6 @@ impl Default for Opts {
             tuples: 1_100_000,
             seed: 0xA9B1,
             queries: 100,
-            repeats: 3,
         }
     }
 }
@@ -123,7 +123,7 @@ pub fn run_experiment(opts: Opts, schemes: &[&str]) -> StreamResults {
                     queries: opts.queries,
                     ..StreamRun::paper(strategy, policy, ((mb * MB) as f64 * scale) as usize)
                 };
-                run_stream_averaged(&dataset, run, opts.repeats)
+                run_stream_averaged(&dataset, run, REPEATS)
             };
             (label, PAPER_CACHE_SIZES_MB.iter().map(at_size).collect())
         })
@@ -140,7 +140,6 @@ pub fn main_with(schemes: &[&str], render: fn(&StreamResults) -> String) {
         tuples: a.get("tuples", d.tuples),
         seed: a.get("seed", d.seed),
         queries: a.get("queries", d.queries),
-        ..d
     };
     a.finish();
     println!("{}", render(&run_experiment(opts, schemes)));
@@ -322,7 +321,6 @@ mod tests {
         let opts = Opts {
             tuples: 5_000,
             queries: 30,
-            repeats: 1,
             ..Opts::default()
         };
         let all = run_experiment(opts, &SCHEMES.map(|(label, ..)| label));

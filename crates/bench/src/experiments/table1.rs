@@ -9,35 +9,17 @@
 //! through every computable chunk, with full chunk fan-out).
 
 use crate::report::{f3, MinMaxAvg, Table};
-use crate::rig::{apb_dataset, manager_for, strategy_name};
+use crate::rig::{apb_dataset, manager_for, strategy_name, DatasetOpts};
 use aggcache_cache::PolicyKind;
 use aggcache_chunks::ChunkKey;
 use aggcache_core::{CacheManager, LookupOutcome, Strategy};
 use aggcache_gen::Dataset;
 use std::time::Instant;
 
-/// Options for the Table 1 run.
-#[derive(Debug, Clone, Copy)]
-pub struct Opts {
-    /// Fact tuples (paper: 1 M).
-    pub tuples: u64,
-    /// Dataset seed.
-    pub seed: u64,
-    /// Node budget per ESMC lookup; lookups that exceed it are reported as
-    /// aborted (the paper ran them to completion — up to 5.5 *hours* for
-    /// one lookup).
-    pub esmc_budget: u64,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Self {
-            tuples: 1_000_000,
-            seed: 0xA9B1,
-            esmc_budget: 5_000_000,
-        }
-    }
-}
+/// Node budget per ESMC lookup; lookups that exceed it are reported as
+/// aborted (the paper ran them to completion — up to 5.5 *hours* for one
+/// lookup).
+const ESMC_BUDGET: u64 = 5_000_000;
 
 struct AlgoResult {
     name: &'static str,
@@ -74,12 +56,12 @@ fn measure(mgr: &CacheManager, dataset: &Dataset, name: &'static str) -> AlgoRes
 }
 
 /// Runs the experiment and renders the report.
-pub fn run(opts: Opts) -> String {
+pub fn run(opts: DatasetOpts) -> String {
     let dataset = apb_dataset(opts.tuples, opts.seed);
     let strategies = [
         Strategy::Esm,
         Strategy::Esmc {
-            node_budget: Some(opts.esmc_budget),
+            node_budget: Some(ESMC_BUDGET),
         },
         Strategy::Vcm,
         Strategy::Vcmc,
@@ -105,7 +87,7 @@ pub fn run(opts: Opts) -> String {
                 f3(r.times_us.max),
                 f3(r.times_us.avg()),
                 if r.aborted > 0 {
-                    format!("{} (> {} nodes)", r.aborted, opts.esmc_budget)
+                    format!("{} (> {ESMC_BUDGET} nodes)", r.aborted)
                 } else {
                     "0".to_string()
                 },

@@ -48,12 +48,13 @@ pub struct Opts {
     pub seed: u64,
     /// Arrivals (queries) per cell.
     pub queries: usize,
-    /// Base workload seed (tenant 0 inherits it verbatim).
-    pub workload_seed: u64,
-    /// Shared cache budget in accounting bytes. Deliberately tight —
-    /// admission only matters when tenants contend for room.
-    pub cache_bytes: usize,
 }
+
+/// Base workload seed (tenant 0 inherits it verbatim).
+const WORKLOAD_SEED: u64 = 2000;
+/// Shared cache budget in accounting bytes. Deliberately tight —
+/// admission only matters when tenants contend for room.
+const CACHE_BYTES: usize = 64 * 1024;
 
 impl Default for Opts {
     fn default() -> Self {
@@ -61,8 +62,6 @@ impl Default for Opts {
             tuples: 60_000,
             seed: 0xA9B1,
             queries: 1_200,
-            workload_seed: 2000,
-            cache_bytes: 64 * 1024,
         }
     }
 }
@@ -179,14 +178,14 @@ pub(crate) fn run_cell(
     let max_level = dataset.grid.geom(dataset.fact_gb).level().to_vec();
     let cfg = MultiTenantConfig {
         profiles: family_profiles(family),
-        ..MultiTenantConfig::contended(tenants, skew, max_level, opts.workload_seed)
+        ..MultiTenantConfig::contended(tenants, skew, max_level, WORKLOAD_SEED)
     };
     let mut engine =
         TrafficEngine::new(dataset.grid.clone(), &cfg).expect("sweep configuration is valid");
     let requests = engine.requests(opts.queries);
 
     let (strategy, policy) = (Strategy::Vcmc, PolicyKind::TwoLevel);
-    let mut mgr = builder_for(strategy, policy, opts.cache_bytes, None)
+    let mut mgr = builder_for(strategy, policy, CACHE_BYTES, None)
         .admission(admission)
         .build(backend_for(dataset))
         .expect("sweep configuration is valid");
@@ -294,7 +293,7 @@ pub(crate) fn to_json(opts: Opts, r: &TenantResults) -> String {
         .field("experiment", "fig_tenants")
         .field("tuples", opts.tuples)
         .field("queries", opts.queries)
-        .field("cache_bytes", opts.cache_bytes)
+        .field("cache_bytes", CACHE_BYTES)
         .array("cells", &r.cells, |o, cell| {
             o.field("family", cell.family)
                 .field("tenants", cell.tenants)

@@ -6,21 +6,16 @@
 //! [`DeltaBatch`]es (inserts of fresh tuples plus deletes of tuples the
 //! generator drew from the initial fact table, so deletes really match).
 //! After every read batch the next delta batch is ingested through
-//! [`CacheManager::ingest`] *and* applied to a pristine shadow backend;
-//! **every answer is then compared against that brute-force oracle**, so a
-//! single stale cell anywhere in the lattice shows up as a mismatch. The
-//! mismatch count must be zero in every cell.
+//! [`CacheManager::ingest`](aggcache_core::CacheManager::ingest) *and*
+//! applied to a pristine shadow backend; **every answer is then compared
+//! against that brute-force oracle**, so a single stale cell anywhere in
+//! the lattice shows up as a mismatch. The mismatch count must be zero in
+//! every cell.
 //!
 //! Measures are integers (the generator draws values in `[1, 1000]` and so
 //! does the delta generator), which keeps every SUM exactly representable
 //! in an `f64` — patched totals and recomputed totals agree *bitwise*, so
 //! the oracle comparison is exact equality, no epsilon.
-//!
-//! The sweep also verifies the tentpole's transparency contract: a session
-//! that ingests an **empty** delta batch between every read batch produces
-//! bit-identical answers, cache contents and deterministic `QueryMetrics`
-//! fields to a session that never calls [`CacheManager::ingest`] at all —
-//! under every swept strategy.
 //!
 //! All maintenance cost is charged to [`UpdateMetrics`] (never to
 //! `QueryMetrics`), and every reported number is virtual-time, so two runs
@@ -32,12 +27,9 @@ use crate::rig::{
 };
 use crate::sweep::{smoke_opts, Sweep};
 use crate::trace::Meta;
-use aggcache_cache::{Origin, PolicyKind};
+use aggcache_cache::PolicyKind;
 use aggcache_chunks::hash::SplitMix64;
-use aggcache_chunks::ChunkData;
-use aggcache_core::{
-    CacheManager, DeltaBatch, QueryMetrics, QueryRequest, Strategy, UpdateMetrics,
-};
+use aggcache_core::{DeltaBatch, QueryRequest, Strategy, UpdateMetrics};
 use aggcache_gen::Dataset;
 use aggcache_obs::json::JsonObject;
 use aggcache_obs::Tracer;
@@ -52,15 +44,16 @@ pub struct Opts {
     pub seed: u64,
     /// Read queries per cell.
     pub queries: usize,
-    /// Workload seed.
-    pub workload_seed: u64,
     /// Cache budget in accounting bytes.
     pub cache_bytes: usize,
-    /// Read queries per batch; one delta batch is ingested after each.
-    pub batch: usize,
-    /// Delta-generator seed.
-    pub delta_seed: u64,
 }
+
+/// Workload seed.
+const WORKLOAD_SEED: u64 = 11_000;
+/// Read queries per batch; one delta batch is ingested after each.
+const BATCH: usize = 25;
+/// Delta-generator seed.
+const DELTA_SEED: u64 = 0xF00D;
 
 impl Default for Opts {
     fn default() -> Self {
@@ -68,10 +61,7 @@ impl Default for Opts {
             tuples: 60_000,
             seed: 0xDE17A,
             queries: 300,
-            workload_seed: 11_000,
             cache_bytes: 64 * 1024,
-            batch: 25,
-            delta_seed: 0xF00D,
         }
     }
 }
@@ -89,9 +79,8 @@ impl Opts {
 }
 
 /// `fig_updates`, as [`crate::sweep::sweep_main`] runs it. The process
-/// exits non-zero if any cell reports an oracle mismatch or the
-/// transparency check reports a divergence. `--trace-out` traces one
-/// write-heavy VCMC cell, so `delta_ingest`, `chunk_patch` and
+/// exits non-zero if any cell reports an oracle mismatch. `--trace-out`
+/// traces one write-heavy VCMC cell, so `delta_ingest`, `chunk_patch` and
 /// `chunk_invalidate` appear.
 pub const SWEEP: Sweep<Opts, UpdateResults> = Sweep {
     opts: smoke_opts!(Opts),
@@ -99,11 +88,7 @@ pub const SWEEP: Sweep<Opts, UpdateResults> = Sweep {
     render,
     check: Some(
         |r| match r.cells.iter().map(|c| c.oracle_mismatches).sum::<u64>() {
-            0 if r.transparency_diffs == 0 => Ok(()),
-            0 => Err(format!(
-                "empty-delta transparency violated: {} divergence(s) from the no-update session",
-                r.transparency_diffs
-            )),
+            0 => Ok(()),
             n => Err(format!(
                 "update propagation violated: {n} answer(s) diverged from the oracle"
             )),
@@ -118,7 +103,7 @@ pub const SWEEP: Sweep<Opts, UpdateResults> = Sweep {
             ("tuples", Box::new(opts.tuples)),
             ("seed", Box::new(opts.seed)),
             ("queries", Box::new(opts.queries)),
-            ("workload_seed", Box::new(opts.workload_seed)),
+            ("workload_seed", Box::new(WORKLOAD_SEED)),
             ("cache_bytes", Box::new(opts.cache_bytes)),
             ("write_mix", Box::new(0.5)),
             ("strategy", Box::new("vcmc")),
@@ -158,7 +143,7 @@ pub(crate) struct CellResult {
     /// Complete-hit ratio over the read stream.
     pub(crate) hit_ratio: f64,
     /// Maintenance totals across every ingested batch, straight from
-    /// [`CacheManager::session_updates`].
+    /// [`CacheManager::session_updates`](aggcache_core::CacheManager::session_updates).
     pub(crate) updates: UpdateMetrics,
     /// Virtual backend milliseconds over the read stream.
     pub(crate) backend_virtual_ms: f64,
@@ -237,18 +222,6 @@ impl DeltaGen {
     }
 }
 
-/// A two-level manager at the sweep's budget over a fresh backend.
-fn manager(
-    dataset: &Dataset,
-    opts: Opts,
-    strategy: Strategy,
-    tracer: Option<Arc<dyn Tracer>>,
-) -> CacheManager {
-    builder_for(strategy, PolicyKind::TwoLevel, opts.cache_bytes, tracer)
-        .build(backend_for(dataset))
-        .expect("sweep configuration is valid")
-}
-
 /// Runs one (mix, strategy) cell. Deterministic for fixed opts: the
 /// workload and delta generator are seeded and every reported number is
 /// virtual-time. `tracer`, if any, receives the `delta_ingest`,
@@ -261,17 +234,18 @@ pub(crate) fn run_cell(
     tracer: Option<Arc<dyn Tracer>>,
 ) -> CellResult {
     let requests =
-        QueryRequest::batch(&paper_stream(dataset, opts.workload_seed).take_queries(opts.queries));
-    let batch = opts.batch.max(1);
-    let writes_per_batch = (mix * batch as f64).round() as usize;
+        QueryRequest::batch(&paper_stream(dataset, WORKLOAD_SEED).take_queries(opts.queries));
+    let writes_per_batch = (mix * BATCH as f64).round() as usize;
 
-    let mut mgr = manager(dataset, opts, strategy, tracer);
+    let mut mgr = builder_for(strategy, PolicyKind::TwoLevel, opts.cache_bytes, tracer)
+        .build(backend_for(dataset))
+        .expect("sweep configuration is valid");
     let mut shadow = backend_for(dataset);
-    let mut gen = DeltaGen::new(dataset, opts.delta_seed ^ mix.to_bits());
+    let mut gen = DeltaGen::new(dataset, DELTA_SEED ^ mix.to_bits());
 
     let mut tally = Tally::default();
     let mut oracle_mismatches = 0u64;
-    for reqs in requests.chunks(batch) {
+    for reqs in requests.chunks(BATCH) {
         let outs = mgr.run_batch(reqs).expect("simulated backend cannot fail");
         for (out, req) in outs.iter().zip(reqs) {
             tally.add(out);
@@ -298,74 +272,13 @@ pub(crate) fn run_cell(
     }
 }
 
-/// The deterministic view of a query's metrics, as text: `{:?}` prints
-/// floats in round-trip form, so equal text is equal bits.
-fn metrics_view(m: &QueryMetrics) -> String {
-    format!("{:?}", m.without_wall_clock())
-}
-
-/// Everything a cache holds, in key order: `(packed key, cells, origin,
-/// benefit bits)` per resident chunk.
-fn cache_contents(mgr: &CacheManager) -> Vec<(u64, ChunkData, Origin, u64)> {
-    let mut keys: Vec<_> = mgr.cache().keys().collect();
-    keys.sort_unstable_by_key(|k| k.pack());
-    keys.into_iter()
-        .map(|k| {
-            let c = mgr.cache().peek(&k).expect("listed key is resident");
-            (k.pack(), c.data.clone(), c.origin, c.benefit.to_bits())
-        })
-        .collect()
-}
-
-/// Verifies the transparency contract for one strategy:
-/// a session that ingests an empty [`DeltaBatch`] after every read batch
-/// must be indistinguishable — answers, deterministic `QueryMetrics`
-/// fields, final cache contents — from one that never ingests at all.
-/// Returns the number of divergences (0 = bit-transparent).
-pub(crate) fn empty_delta_divergences(dataset: &Dataset, opts: Opts, strategy: Strategy) -> u64 {
-    let requests =
-        QueryRequest::batch(&paper_stream(dataset, opts.workload_seed).take_queries(opts.queries));
-    let batch = opts.batch.max(1);
-    let build = || manager(dataset, opts, strategy, None);
-    let (mut plain, mut noisy) = (build(), build());
-    let empty = DeltaBatch::new();
-
-    let mut diffs = 0u64;
-    for reqs in requests.chunks(batch) {
-        let a = plain
-            .run_batch(reqs)
-            .expect("simulated backend cannot fail");
-        let b = noisy
-            .run_batch(reqs)
-            .expect("simulated backend cannot fail");
-        let m = noisy.ingest(&empty).expect("empty batches are valid");
-        diffs += u64::from(m != UpdateMetrics::default());
-        for (x, y) in a.iter().zip(&b) {
-            let mut dx = x.data.clone();
-            let mut dy = y.data.clone();
-            dx.sort_by_coords();
-            dy.sort_by_coords();
-            diffs += u64::from(dx != dy);
-            diffs += u64::from(metrics_view(&x.metrics) != metrics_view(&y.metrics));
-        }
-    }
-    diffs += u64::from(cache_contents(&plain) != cache_contents(&noisy));
-    diffs += u64::from(*noisy.session_updates() != UpdateMetrics::default());
-    diffs += u64::from(noisy.version() != plain.version());
-    diffs
-}
-
 /// Results of the full sweep.
 pub struct UpdateResults {
     /// The swept cells, mix-major, strategy-minor.
     pub(crate) cells: Vec<CellResult>,
-    /// Empty-delta divergences summed over every swept strategy. The
-    /// transparency contract makes this zero.
-    pub(crate) transparency_diffs: u64,
 }
 
-/// Runs the sweep over `WRITE_MIXES` × `strategies`, then the
-/// empty-delta transparency check over all strategies.
+/// Runs the sweep over `WRITE_MIXES` × `strategies`.
 pub fn run_experiment(opts: Opts) -> UpdateResults {
     let dataset = apb_dataset(opts.tuples, opts.seed);
     let mut cells = Vec::new();
@@ -374,14 +287,7 @@ pub fn run_experiment(opts: Opts) -> UpdateResults {
             cells.push(run_cell(&dataset, opts, mix, strategy, None));
         }
     }
-    let transparency_diffs = strategies()
-        .into_iter()
-        .map(|strategy| empty_delta_divergences(&dataset, opts, strategy))
-        .sum();
-    UpdateResults {
-        cells,
-        transparency_diffs,
-    }
+    UpdateResults { cells }
 }
 
 /// Renders the sweep as a table: one row per cell.
@@ -422,17 +328,14 @@ pub fn render(r: &UpdateResults) -> String {
         ]);
     }
     out.push_str(&table.render());
-    out.push_str(&format!(
-        "\nEmpty-delta transparency divergences ({} strategies): {}\n\
-         Shape: the mismatch column is identically zero — inserts patch\n\
+    out.push_str(
+        "\nShape: the mismatch column is identically zero — inserts patch\n\
          SUM chunks in place through the roll-up kernel, deletes\n\
          invalidate what they touch, and invalidated chunks re-serve\n\
          through the normal miss path. Rising write mixes erode the hit\n\
          ratio and shift cost into the maintenance column, which is\n\
          charged to UpdateMetrics and never to any query.\n",
-        strategies().len(),
-        r.transparency_diffs
-    ));
+    );
     out
 }
 
@@ -444,8 +347,7 @@ pub(crate) fn to_json(opts: Opts, r: &UpdateResults) -> String {
         .field("experiment", "fig_updates")
         .field("tuples", opts.tuples)
         .field("queries", opts.queries)
-        .field("batch", opts.batch)
-        .field("transparency_diffs", r.transparency_diffs)
+        .field("batch", BATCH)
         .array("cells", &r.cells, |o, cell| {
             let u = &cell.updates;
             o.field("mix", cell.mix)
@@ -502,8 +404,8 @@ mod tests {
         // may get *more* expensive under updates (invalidation refetches),
         // but the charge itself never leaks into the read stream: with
         // zero writes it is exactly zero (`pure_read_cells_do_no_maintenance`),
-        // and an empty ingest leaves every query's metrics bit-identical
-        // (`SWEEP.check`, asserted by `golden`).
+        // and an empty ingest is a no-op under every strategy (the core
+        // crate's `ingest_empty_batch_is_a_guaranteed_no_op`).
         for c in smoke().cells.iter().filter(|c| c.mix == 0.5) {
             assert!(c.updates.tuples_inserted > 0, "{}", c.strategy);
             assert!(c.updates.tuples_deleted > 0, "{}", c.strategy);

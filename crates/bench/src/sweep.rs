@@ -51,17 +51,15 @@ pub(crate) type TracedCell<O> = fn(O, Arc<dyn Tracer>) -> Meta;
 macro_rules! smoke_opts {
     ($Opts:ident) => {
         |a| {
-            let d = if a.flag("smoke") {
+            let mut o = if a.flag("smoke") {
                 $Opts::smoke()
             } else {
                 $Opts::default()
             };
-            $Opts {
-                tuples: a.get("tuples", d.tuples),
-                seed: a.get("seed", d.seed),
-                queries: a.get("queries", d.queries),
-                ..d
-            }
+            o.tuples = a.get("tuples", o.tuples);
+            o.seed = a.get("seed", o.seed);
+            o.queries = a.get("queries", o.queries);
+            o
         }
     };
 }

@@ -172,12 +172,11 @@ mod tests {
         let schema = Arc::new(Schema::new(vec![Dimension::flat("x", 2).unwrap()]).unwrap());
         let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 1]]).unwrap());
         let cache = ChunkCache::new(usize::MAX, PolicyKind::Benefit);
-        let plan = ComputationPlan {
-            target: ChunkKey::new(grid.schema().lattice().top(), 0),
-            leaves: vec![ChunkKey::new(grid.schema().lattice().base(), 0)],
-            cost: 0,
-            direct_hit: false,
-        };
+        let plan = ComputationPlan::new(
+            ChunkKey::new(grid.schema().lattice().top(), 0),
+            vec![ChunkKey::new(grid.schema().lattice().base(), 0)],
+            0,
+        );
         let _ = execute_plan(&grid, &cache, AggFn::Sum, &plan);
     }
 
@@ -193,12 +192,7 @@ mod tests {
         cache.insert(ChunkKey::new(base, 1), cells, Origin::Backend, 1.0);
         // Base chunk 1 is chunk 0's sibling: its cell would alias one of
         // chunk 0's in a box keyed relative to chunk 0.
-        let plan = ComputationPlan {
-            target: ChunkKey::new(base, 0),
-            leaves: vec![ChunkKey::new(base, 1)],
-            cost: 1,
-            direct_hit: false,
-        };
+        let plan = ComputationPlan::new(ChunkKey::new(base, 0), vec![ChunkKey::new(base, 1)], 1);
         let _ = execute_plan(&grid, &cache, AggFn::Sum, &plan);
     }
 }

@@ -85,6 +85,20 @@ pub struct ComputationPlan {
     pub direct_hit: bool,
 }
 
+impl ComputationPlan {
+    /// The plan aggregating `leaves` (`cost` tuples in all) into `target`;
+    /// a direct hit iff the one leaf is the target itself.
+    pub(crate) fn new(target: ChunkKey, leaves: Vec<ChunkKey>, cost: u64) -> Self {
+        let direct_hit = leaves == [target];
+        Self {
+            target,
+            leaves,
+            cost,
+            direct_hit,
+        }
+    }
+}
+
 fn leaf_size(cache: &ChunkCache, key: &ChunkKey) -> u64 {
     cache.peek(key).map_or(0, |e| e.data.len() as u64)
 }
@@ -96,12 +110,9 @@ pub fn no_aggregation(
     stats: &mut LookupStats,
 ) -> Option<ComputationPlan> {
     stats.nodes_visited += 1;
-    cache.contains(&key).then(|| ComputationPlan {
-        target: key,
-        leaves: vec![key],
-        cost: leaf_size(cache, &key),
-        direct_hit: true,
-    })
+    cache
+        .contains(&key)
+        .then(|| ComputationPlan::new(key, vec![key], leaf_size(cache, &key)))
 }
 
 /// The Exhaustive Search Method (paper §3.1).
@@ -120,13 +131,7 @@ pub fn esm(
     let mut leaves = Vec::new();
     if esm_rec(cache, grid, key, stats, &mut leaves) {
         let cost = leaves.iter().map(|l| leaf_size(cache, l)).sum();
-        let direct_hit = leaves.len() == 1 && leaves[0] == key;
-        Some(ComputationPlan {
-            target: key,
-            leaves,
-            cost,
-            direct_hit,
-        })
+        Some(ComputationPlan::new(key, leaves, cost))
     } else {
         None
     }
@@ -187,15 +192,7 @@ pub fn esmc(
     if aborted {
         return None;
     }
-    result.map(|(cost, leaves)| {
-        let direct_hit = leaves.len() == 1 && leaves[0] == key;
-        ComputationPlan {
-            target: key,
-            leaves,
-            cost,
-            direct_hit,
-        }
-    })
+    result.map(|(cost, leaves)| ComputationPlan::new(key, leaves, cost))
 }
 
 fn esmc_rec(
@@ -277,13 +274,7 @@ pub fn vcm(
     let mut leaves = Vec::new();
     vcm_rec(counts, cache, grid, key, stats, &mut leaves);
     let cost = leaves.iter().map(|l| leaf_size(cache, l)).sum();
-    let direct_hit = leaves.len() == 1 && leaves[0] == key;
-    Some(ComputationPlan {
-        target: key,
-        leaves,
-        cost,
-        direct_hit,
-    })
+    Some(ComputationPlan::new(key, leaves, cost))
 }
 
 fn vcm_rec(
@@ -343,14 +334,8 @@ pub fn vcmc(
     let total = costs.cost(key)?;
     let mut leaves = Vec::new();
     vcmc_rec(costs, grid, key, stats, &mut leaves);
-    let direct_hit = leaves.len() == 1 && leaves[0] == key;
     debug_assert!(leaves.iter().all(|l| cache.contains(l)));
-    Some(ComputationPlan {
-        target: key,
-        leaves,
-        cost: u64::from(total),
-        direct_hit,
-    })
+    Some(ComputationPlan::new(key, leaves, u64::from(total)))
 }
 
 fn vcmc_rec(

@@ -381,25 +381,43 @@ mod tests {
         }
     }
 
+    /// `ingest` returns on an empty batch before any strategy-dependent
+    /// code runs, so the no-op holds under every strategy.
     #[test]
     fn ingest_empty_batch_is_a_guaranteed_no_op() {
-        let tracer = Arc::new(RecordingTracer::new());
-        let mut mgr = CacheManager::builder()
-            .strategy(Strategy::Vcm)
-            .policy(PolicyKind::TwoLevel)
-            .cache_bytes(usize::MAX >> 1)
-            .tracer(tracer.clone())
-            .build(make_backend())
-            .unwrap();
-        let base = mgr.grid().schema().lattice().base();
-        run_and_check(&mut mgr, &Query::new(base, vec![0]));
-        let version = mgr.version();
-        let events_before = tracer.events().len();
-        let m = mgr.ingest(&DeltaBatch::new()).unwrap();
-        assert_eq!(m, UpdateMetrics::default());
-        assert_eq!(mgr.version(), version, "no version bump");
-        assert_eq!(mgr.session_updates(), &UpdateMetrics::default());
-        assert_eq!(tracer.events().len(), events_before, "no events");
+        for strategy in [
+            Strategy::NoAggregation,
+            Strategy::Esm,
+            Strategy::Esmc { node_budget: None },
+            Strategy::Vcm,
+            Strategy::Vcmc,
+        ] {
+            let tracer = Arc::new(RecordingTracer::new());
+            let mut mgr = CacheManager::builder()
+                .strategy(strategy)
+                .policy(PolicyKind::TwoLevel)
+                .cache_bytes(usize::MAX >> 1)
+                .tracer(tracer.clone())
+                .build(make_backend())
+                .unwrap();
+            let base = mgr.grid().schema().lattice().base();
+            run_and_check(&mut mgr, &Query::new(base, vec![0]));
+            let version = mgr.version();
+            let events_before = tracer.events().len();
+            let m = mgr.ingest(&DeltaBatch::new()).unwrap();
+            assert_eq!(m, UpdateMetrics::default(), "{strategy:?}");
+            assert_eq!(mgr.version(), version, "{strategy:?}: no version bump");
+            assert_eq!(
+                mgr.session_updates(),
+                &UpdateMetrics::default(),
+                "{strategy:?}"
+            );
+            assert_eq!(
+                tracer.events().len(),
+                events_before,
+                "{strategy:?}: no events"
+            );
+        }
     }
 
     #[test]

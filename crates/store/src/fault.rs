@@ -26,14 +26,6 @@ pub enum FaultProfileError {
         /// The offending value.
         value: f64,
     },
-    /// A virtual-cost or multiplier field is invalid (must be finite; the
-    /// latency-spike multiplier must be ≥ 1).
-    InvalidCost {
-        /// Which cost field was invalid.
-        name: &'static str,
-        /// The offending value.
-        value: f64,
-    },
 }
 
 impl fmt::Display for FaultProfileError {
@@ -41,9 +33,6 @@ impl fmt::Display for FaultProfileError {
         match self {
             Self::InvalidRate { name, value } => {
                 write!(f, "fault rate `{name}` must be in [0, 1], got {value}")
-            }
-            Self::InvalidCost { name, value } => {
-                write!(f, "fault cost `{name}` is invalid: {value}")
             }
         }
     }
@@ -55,57 +44,38 @@ impl std::error::Error for FaultProfileError {}
 ///
 /// Each fetch draws three uniform variates from the seeded PRNG — timeout,
 /// transient error, latency spike, in that order, *always all three* so
-/// the random stream stays aligned whatever the rates are — plus an
+/// the random stream stays aligned whatever the rate is — plus an
 /// optional fail-N-then-recover script that overrides the randomness for
 /// the first `fail_first` fetches.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FaultProfile {
     /// PRNG seed; identical seeds produce identical fault sequences.
     pub(crate) seed: u64,
-    /// Probability a fetch fails with [`StoreError::Transient`].
-    pub(crate) transient_rate: f64,
-    /// Probability a fetch fails with [`StoreError::Timeout`].
-    pub(crate) timeout_rate: f64,
-    /// Probability a successful fetch's virtual cost is multiplied by
-    /// [`FaultProfile::latency_spike_mult`].
-    pub(crate) latency_spike_rate: f64,
-    /// Virtual-cost multiplier of a latency spike (≥ 1).
-    pub(crate) latency_spike_mult: f64,
-    /// Virtual milliseconds charged for a timed-out attempt: the
-    /// per-fetch timeout budget the caller waited out.
-    pub(crate) timeout_ms: f64,
+    /// Probability of any injected fault per fetch: a fetch times out with
+    /// probability `rate / 2`, else fails with [`StoreError::Transient`]
+    /// with probability `rate / 2`, and a successful fetch's virtual cost
+    /// is multiplied by [`FaultProfile::SPIKE_MULT`] with probability
+    /// `rate`. The default, 0, is bit-transparent.
+    pub(crate) rate: f64,
     /// The first `fail_first` fetches fail with [`StoreError::Transient`]
-    /// regardless of the rates, then the backend "recovers" — the
+    /// regardless of the rate, then the backend "recovers" — the
     /// deterministic outage script used by the chaos suite.
     pub(crate) fail_first: u64,
 }
 
-impl Default for FaultProfile {
-    /// A fault-free profile (all rates zero): wrapping a backend with the
-    /// default profile changes nothing, bit for bit.
-    fn default() -> Self {
-        Self {
-            seed: 0,
-            transient_rate: 0.0,
-            timeout_rate: 0.0,
-            latency_spike_rate: 0.0,
-            latency_spike_mult: 1.0,
-            timeout_ms: 1_000.0,
-            fail_first: 0,
-        }
-    }
-}
-
 impl FaultProfile {
+    /// Virtual-cost multiplier of a latency spike.
+    pub(crate) const SPIKE_MULT: f64 = 4.0;
+    /// Virtual milliseconds charged for a timed-out attempt: the
+    /// per-fetch timeout budget the caller waited out.
+    pub(crate) const TIMEOUT_MS: f64 = 1_000.0;
+
     /// A profile failing every fetch class at `rate` (transient errors and
     /// timeouts each at `rate / 2`), seeded with `seed`.
     pub fn uniform(rate: f64, seed: u64) -> Self {
         Self {
             seed,
-            transient_rate: rate / 2.0,
-            timeout_rate: rate / 2.0,
-            latency_spike_rate: rate,
-            latency_spike_mult: 4.0,
+            rate,
             ..Self::default()
         }
     }
@@ -119,27 +89,12 @@ impl FaultProfile {
         }
     }
 
-    /// Checks that every rate is a probability and every cost is sane.
+    /// Checks that the rate is a probability.
     pub(crate) fn validate(&self) -> Result<(), FaultProfileError> {
-        for (name, value) in [
-            ("transient_rate", self.transient_rate),
-            ("timeout_rate", self.timeout_rate),
-            ("latency_spike_rate", self.latency_spike_rate),
-        ] {
-            if !value.is_finite() || !(0.0..=1.0).contains(&value) {
-                return Err(FaultProfileError::InvalidRate { name, value });
-            }
-        }
-        if !self.latency_spike_mult.is_finite() || self.latency_spike_mult < 1.0 {
-            return Err(FaultProfileError::InvalidCost {
-                name: "latency_spike_mult",
-                value: self.latency_spike_mult,
-            });
-        }
-        if !self.timeout_ms.is_finite() || self.timeout_ms < 0.0 {
-            return Err(FaultProfileError::InvalidCost {
-                name: "timeout_ms",
-                value: self.timeout_ms,
+        if !self.rate.is_finite() || !(0.0..=1.0).contains(&self.rate) {
+            return Err(FaultProfileError::InvalidRate {
+                name: "rate",
+                value: self.rate,
             });
         }
         Ok(())
@@ -213,16 +168,16 @@ impl<B: BackendSource> FaultInjectingBackend<B> {
                 1.0,
             );
         }
-        if u_timeout < self.profile.timeout_rate {
+        if u_timeout < self.profile.rate / 2.0 {
             return (
                 seq,
                 Some(StoreError::Timeout {
-                    virtual_ms: self.profile.timeout_ms,
+                    virtual_ms: FaultProfile::TIMEOUT_MS,
                 }),
                 1.0,
             );
         }
-        if u_transient < self.profile.transient_rate {
+        if u_transient < self.profile.rate / 2.0 {
             let virtual_ms = self.inner.cost_model().per_query_ms;
             return (
                 seq,
@@ -233,8 +188,8 @@ impl<B: BackendSource> FaultInjectingBackend<B> {
                 1.0,
             );
         }
-        let mult = if u_spike < self.profile.latency_spike_rate {
-            self.profile.latency_spike_mult
+        let mult = if u_spike < self.profile.rate {
+            FaultProfile::SPIKE_MULT
         } else {
             1.0
         };
@@ -352,16 +307,8 @@ mod tests {
     #[test]
     fn same_seed_same_fault_sequence() {
         let outcomes = |seed| {
-            let w = FaultInjectingBackend::new(
-                backend(),
-                FaultProfile {
-                    transient_rate: 0.3,
-                    timeout_rate: 0.2,
-                    seed,
-                    ..FaultProfile::default()
-                },
-            )
-            .unwrap();
+            let w =
+                FaultInjectingBackend::new(backend(), FaultProfile::uniform(0.5, seed)).unwrap();
             let base = w.grid().schema().lattice().base();
             (0..50)
                 .map(|_| match w.fetch(base, &[0]) {
@@ -380,51 +327,29 @@ mod tests {
 
     #[test]
     fn latency_spike_multiplies_cost_only() {
-        let w = FaultInjectingBackend::new(
-            backend(),
-            FaultProfile {
-                latency_spike_rate: 1.0,
-                latency_spike_mult: 3.0,
-                ..FaultProfile::default()
-            },
-        )
-        .unwrap();
+        // At rate 1 half the fetches fail; every one that succeeds spikes.
+        let w = FaultInjectingBackend::new(backend(), FaultProfile::uniform(1.0, 7)).unwrap();
         let base = w.grid().schema().lattice().base();
         let plain = backend().fetch(base, &[0]).unwrap();
-        let spiked = w.fetch(base, &[0]).unwrap();
+        let spiked = (0..50)
+            .find_map(|_| w.fetch(base, &[0]).ok())
+            .expect("some fetch succeeds");
         assert_eq!(plain.chunks, spiked.chunks, "data unaffected");
-        assert_eq!(spiked.virtual_ms, plain.virtual_ms * 3.0);
+        assert_eq!(
+            spiked.virtual_ms,
+            plain.virtual_ms * FaultProfile::SPIKE_MULT
+        );
     }
 
     #[test]
     fn profile_validation_rejects_bad_values() {
-        assert!(matches!(
-            FaultInjectingBackend::new(
-                backend(),
-                FaultProfile {
-                    transient_rate: 1.5,
-                    ..FaultProfile::default()
-                }
-            )
-            .unwrap_err(),
-            FaultProfileError::InvalidRate {
-                name: "transient_rate",
-                ..
-            }
-        ));
-        assert!(matches!(
-            FaultInjectingBackend::new(
-                backend(),
-                FaultProfile {
-                    latency_spike_mult: 0.5,
-                    ..FaultProfile::default()
-                }
-            )
-            .unwrap_err(),
-            FaultProfileError::InvalidCost {
-                name: "latency_spike_mult",
-                ..
-            }
-        ));
+        for rate in [1.5, -0.1, f64::NAN] {
+            let err =
+                FaultInjectingBackend::new(backend(), FaultProfile::uniform(rate, 0)).unwrap_err();
+            assert!(
+                matches!(err, FaultProfileError::InvalidRate { name: "rate", .. }),
+                "{rate}"
+            );
+        }
     }
 }
