@@ -18,7 +18,7 @@
 //! SplitMix64 stream, so every cell is bit-identical across runs — all
 //! reported numbers are virtual-time.
 
-use crate::report::{f2, mean, Table, Tally};
+use crate::report::{f2, mean, quantile, Table, Tally};
 use crate::rig::{apb_dataset, backend_for, builder_for, paper_stream};
 use crate::sweep::{smoke_opts, Sweep};
 use aggcache_cache::PolicyKind;
@@ -213,12 +213,7 @@ pub(crate) fn run_cell(
             churn_step(&mut cluster, &mut rng, failure_rate, &mut kills);
         }
     }
-    lat.sort_by(f64::total_cmp);
-    let p95 = if lat.is_empty() {
-        0.0
-    } else {
-        lat[((lat.len() as f64 * 0.95).ceil() as usize).clamp(1, lat.len()) - 1]
-    };
+    let p95 = quantile(&mut lat, 0.95);
     // The session totals include rebalance handoff bytes, which per-query
     // outcomes do not see.
     let remote = *cluster.session_remote();

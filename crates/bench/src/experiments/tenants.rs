@@ -28,14 +28,13 @@
 //! All reported numbers are virtual-time, so every cell is bit-identical
 //! across runs.
 
-use crate::report::{f2, mean, Table, Tally};
+use crate::report::{f2, mean, quantile, Table, Tally};
 use crate::rig::{apb_dataset, backend_for, builder_for};
 use crate::sweep::{smoke_opts, Sweep};
 use aggcache_cache::{AdmissionKind, PolicyKind};
 use aggcache_core::Strategy;
 use aggcache_gen::Dataset;
 use aggcache_obs::json::JsonObject;
-use aggcache_obs::Histogram;
 use aggcache_workload::{MultiTenantConfig, TenantProfile, TrafficEngine};
 use std::collections::BTreeMap;
 
@@ -117,11 +116,9 @@ pub(crate) struct TenantOutcome {
     pub(crate) chunk_hit_ratio: f64,
     /// Mean per-query virtual latency in milliseconds.
     pub(crate) avg_virtual_ms: f64,
-    /// p95 per-query virtual latency in microseconds (log2-bucket upper
-    /// bound).
+    /// p95 per-query virtual latency in microseconds (nearest rank).
     pub(crate) p95_virtual_us: f64,
-    /// p99 per-query virtual latency in microseconds (log2-bucket upper
-    /// bound).
+    /// p99 per-query virtual latency in microseconds (nearest rank).
     pub(crate) p99_virtual_us: f64,
 }
 
@@ -152,15 +149,15 @@ pub(crate) struct CellResult {
 
 /// One tenant's answers, folded in arrival order: the tally plus each
 /// query's virtual latency in microseconds, for the tail quantiles.
-fn outcome(tenant: u32, (tally, latency_us): &(Tally, Histogram)) -> TenantOutcome {
+fn outcome(tenant: u32, (tally, latency_us): &mut (Tally, Vec<f64>)) -> TenantOutcome {
     TenantOutcome {
         tenant,
         queries: tally.queries,
         complete_hit_ratio: tally.hit_ratio(),
         chunk_hit_ratio: tally.chunk_hit_ratio(),
         avg_virtual_ms: mean(tally.total_virtual_ms, tally.queries),
-        p95_virtual_us: latency_us.quantile(0.95).unwrap_or(0.0),
-        p99_virtual_us: latency_us.quantile(0.99).unwrap_or(0.0),
+        p95_virtual_us: quantile(latency_us, 0.95),
+        p99_virtual_us: quantile(latency_us, 0.99),
     }
 }
 
@@ -193,14 +190,14 @@ pub(crate) fn run_cell(
         .run_batch(&requests)
         .expect("fault-free backend answers everything");
 
-    let mut by_tenant: BTreeMap<u32, (Tally, Histogram)> = BTreeMap::new();
-    let mut all = Histogram::new();
+    let mut by_tenant: BTreeMap<u32, (Tally, Vec<f64>)> = BTreeMap::new();
+    let mut all = Vec::with_capacity(requests.len());
     for (request, out) in requests.iter().zip(&outcomes) {
         let latency_us = out.metrics.total_ms() * 1000.0;
         let (tally, latency) = by_tenant.entry(request.tenant).or_default();
         tally.add(out);
-        latency.record(latency_us);
-        all.record(latency_us);
+        latency.push(latency_us);
+        all.push(latency_us);
     }
     // The cell adds up its tenants' sums in ascending tenant order.
     let mut total = Tally::default();
@@ -214,8 +211,8 @@ pub(crate) fn run_cell(
         chunk_hit_ratio: total.chunk_hit_ratio(),
         admission_rejects: mgr.cache().admission_rejects(),
         avg_virtual_ms: mean(total.total_virtual_ms, total.queries),
-        p95_virtual_us: all.quantile(0.95).unwrap_or(0.0),
-        per_tenant: by_tenant.iter().map(|(&t, s)| outcome(t, s)).collect(),
+        p95_virtual_us: quantile(&mut all, 0.95),
+        per_tenant: by_tenant.iter_mut().map(|(&t, s)| outcome(t, s)).collect(),
     }
 }
 

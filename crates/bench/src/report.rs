@@ -77,6 +77,18 @@ pub(crate) fn mean(sum: f64, n: u64) -> f64 {
     }
 }
 
+/// The nearest-rank `q`-quantile of `values`, which it sorts in place:
+/// the `⌈q·n⌉`-th smallest value (the smallest when `q·n ≤ 1`), or 0 when
+/// `values` is empty.
+pub(crate) fn quantile(values: &mut [f64], q: f64) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    values.sort_by(f64::total_cmp);
+    let rank = (values.len() as f64 * q).ceil() as usize;
+    values[rank.clamp(1, values.len()) - 1]
+}
+
 /// What a sweep cell reports about the stream it ran: outcomes folded in
 /// arrival order, so every sum is the same bits as a loop over them.
 #[derive(Debug, Clone, Copy, Default)]
@@ -190,6 +202,19 @@ mod tests {
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[2].ends_with(" 1"));
+    }
+
+    #[test]
+    fn quantile_is_nearest_rank() {
+        assert_eq!(quantile(&mut [], 0.95), 0.0);
+        let mut unsorted = [3.0, 1.0, 2.0];
+        assert_eq!(quantile(&mut unsorted, 0.5), 2.0);
+        assert_eq!(quantile(&mut unsorted, 0.0), 1.0);
+        assert_eq!(quantile(&mut unsorted, 1.0), 3.0);
+        let mut ranks: Vec<f64> = (1..=20).rev().map(f64::from).collect();
+        // ⌈0.95 · 20⌉ = 19 and ⌈0.99 · 20⌉ = 20.
+        assert_eq!(quantile(&mut ranks, 0.95), 19.0);
+        assert_eq!(quantile(&mut ranks, 0.99), 20.0);
     }
 
     #[test]

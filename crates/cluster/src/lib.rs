@@ -6,8 +6,9 @@
 //!   virtual nodes, configurable replication and minimal-movement
 //!   failover/failback.
 //! * [`ClusterManager`] — routes each [`aggcache_core::QueryRequest`]'s
-//!   chunks to their ring owners, runs the probe/apply split per node,
-//!   and on local misses performs *cooperative lookup*: peers that can
+//!   chunks to their ring owners, runs each node's group through that
+//!   node's own `CacheManager::run`, and on local misses first performs
+//!   *cooperative lookup*: peers that can
 //!   answer a chunk from cache ship it to the owner instead of the
 //!   owner paying the backend.
 //! * [`aggcache_store::MessageCostModel`] — per-hop and per-byte

@@ -5,14 +5,18 @@
 //! # Execution flow
 //!
 //! [`ClusterManager::run`] partitions the request's chunks by ring owner,
-//! then drives each node through the same probe/apply split the
-//! single-node pipeline uses:
+//! then runs each node group through that node's own
+//! [`CacheManager::run`], the single-node pipeline itself:
 //!
 //! 1. **Route** — each chunk goes to its primary ring owner.
-//! 2. **Probe** — the owner probes its sub-query immutably.
+//! 2. **Find misses** — the owner looks up each chunk of its group
+//!    without executing anything; the chunks with no plan are the ones
+//!    it would send to the backend.
 //! 3. **Cooperate** — each chunk the owner would send to the backend is
 //!    first offered to its replica peers (then any other live node): a
-//!    peer that holds it ships the cells to the owner, which admits them.
+//!    peer that holds it answers a one-chunk request with its own
+//!    [`CacheManager::run`] and ships the cells to the owner, which
+//!    admits them.
 //!    Peer selection is gated by free summary checks (nodes exchange
 //!    digests of their resident keys), so only peers whose summary claims
 //!    the chunk are probed and a cold miss pays no hops. Probe and
@@ -20,24 +24,24 @@
 //!    [`MessageCostModel`]'s fixed rates — never to
 //!    [`aggcache_core::QueryMetrics`], whose total remains exactly the
 //!    sum of its four local components.
-//! 4. **Apply** — the owner applies the original probe. Cooperative
-//!    inserts bumped its cache version, so apply transparently re-probes
-//!    and the shipped chunks are direct hits.
+//! 4. **Run** — the owner runs its group with [`CacheManager::run`]; the
+//!    shipped chunks are direct hits. The group's whole [`ExecOutcome`]
+//!    (metrics, spill and critical path) folds into the request's.
 //! 5. **Replicate** — with replication > 1, chunks now resident at the
 //!    owner are handed to replica owners that lack them — the same
 //!    bytes-only, off-the-critical-path handoff `rebalance` uses.
 //!
-//! Every request takes this one path. On a 1-node cluster steps 3 and 5
-//! have no peer to talk to and the merge of one group is the identity,
-//! which is what makes it bit-identical to the non-clustered pipeline.
+//! Every request takes this one path. On a 1-node cluster steps 2, 3 and
+//! 5 have no peer to talk to, the one group is the node's own `run` and
+//! its merge is the identity, which is what makes it bit-identical to the
+//! non-clustered pipeline.
 
 use std::sync::Arc;
 
 use aggcache_cache::Origin;
 use aggcache_chunks::{ChunkData, ChunkKey};
 use aggcache_core::{
-    CacheError, CacheManager, ExecOutcome, Query, QueryMetrics, QueryRequest, QueryResult,
-    RemoteMetrics,
+    CacheError, CacheManager, ExecOutcome, Query, QueryMetrics, QueryRequest, RemoteMetrics,
 };
 use aggcache_obs::{Event, Tracer};
 use aggcache_schema::GroupById;
@@ -118,28 +122,15 @@ impl ClusterBuilder {
             if !Arc::ptr_eq(node.grid(), &grid) {
                 return Err(ClusterError::MismatchedGrids { node: i as u32 });
             }
-            // `ClusterManager::run` merges each node's `QueryMetrics` and
-            // its own `RemoteMetrics`; a node's disk traffic would vanish
-            // from `ExecOutcome::total_virtual_ms`. Refuse rather than
-            // mis-account.
-            if node.spill_store().is_some() {
-                return Err(ClusterError::BadConfig(format!(
-                    "node {i} has a spill tier, which cluster execution does not account for"
-                )));
-            }
         }
         let ring = HashRing::new(nodes.len() as u32, replication, DEFAULT_VNODES)?;
         let traffic = vec![NodeTraffic::default(); nodes.len()];
-        // Replication above the node count is legal; an owner set is never
-        // larger than the cluster.
-        let owners_buf = Vec::with_capacity(replication.min(nodes.len()));
         Ok(ClusterManager {
             nodes,
             ring,
             tracer: None,
             traffic,
             session_remote: RemoteMetrics::default(),
-            owners_buf,
         })
     }
 }
@@ -157,8 +148,6 @@ pub struct ClusterManager {
     tracer: Option<Arc<dyn Tracer>>,
     traffic: Vec<NodeTraffic>,
     session_remote: RemoteMetrics,
-    /// Scratch for owner lookups — avoids a per-chunk allocation.
-    owners_buf: Vec<u32>,
 }
 
 impl std::fmt::Debug for ClusterManager {
@@ -310,7 +299,6 @@ impl ClusterManager {
                 ..QueryMetrics::default()
             },
             remote: RemoteMetrics::default(),
-            // No node has a spill tier: `ClusterBuilder::build` refuses one.
             spill: aggcache_core::SpillMetrics::default(),
             critical_path_ms: 0.0,
         };
@@ -320,15 +308,17 @@ impl ClusterManager {
             // can include its own cooperative hops before folding into
             // the request totals.
             let mut remote = RemoteMetrics::default();
-            let group = self.run_group(node, &Query::new(gb, chunks), request.tenant, &mut remote);
+            let sub = QueryRequest::new(Query::new(gb, chunks)).tenant(request.tenant);
+            let group = self.run_group(node, &sub, &mut remote);
             out.remote.merge(&remote);
             let group = group?;
             // Node groups execute concurrently in a real deployment: the
             // request's latency is the slowest group's end-to-end path,
             // while the metrics keep charging the summed work.
-            let path_ms = group.metrics.total_ms() + remote.remote_virtual_ms;
+            let path_ms = group.critical_path_ms + remote.remote_virtual_ms;
             out.critical_path_ms = out.critical_path_ms.max(path_ms);
             out.metrics.merge(&group.metrics);
+            out.spill.merge(&group.spill);
             if out.data.is_empty() {
                 out.data = group.data; // moved, not copied
             } else {
@@ -342,32 +332,38 @@ impl ClusterManager {
         result.map(|()| out)
     }
 
-    /// Steps 2–5 of the flow for one node group: probe at the owner, offer
-    /// its misses to peers, apply, replicate.
+    /// Steps 2–5 of the flow for one node group: find the owner's misses,
+    /// offer them to peers, run the group at the owner, replicate.
     fn run_group(
         &mut self,
         node: u32,
-        sub: &Query,
-        tenant: u32,
+        sub: &QueryRequest,
         remote: &mut RemoteMetrics,
-    ) -> Result<QueryResult, ClusterError> {
+    ) -> Result<ExecOutcome, ClusterError> {
         let live = self.ring.live_count();
-        let probe = self.nodes[node as usize].probe_as(sub, tenant);
+        let gb = sub.query.gb;
         if live > 1 {
-            for chunk in probe.missing().to_vec() {
-                self.cooperative_fill(node, sub.gb, chunk, tenant, remote)?;
+            // Every miss is found before any fill: a fill's insert can
+            // evict what a later lookup would have used.
+            let owner = &self.nodes[node as usize];
+            let missing: Vec<u64> = sub
+                .query
+                .chunks
+                .iter()
+                .copied()
+                .filter(|&chunk| owner.lookup_chunk(ChunkKey::new(gb, chunk)).plan.is_none())
+                .collect();
+            for chunk in missing {
+                self.cooperative_fill(node, gb, chunk, sub.tenant, remote)?;
             }
-            // Apply re-probes transparently: every admitted fill bumped
-            // the owner's cache version, so shipped chunks land as
-            // direct hits below.
         }
-        let result = self.nodes[node as usize]
-            .apply(sub, probe)
+        let out = self.nodes[node as usize]
+            .run(sub)
             .map_err(ClusterError::Cache)?;
         if live > 1 && self.ring.replication() > 1 {
-            self.replicate(sub.gb, &sub.chunks, node, remote);
+            self.replicate(gb, &sub.query.chunks, node, remote);
         }
-        Ok(result)
+        Ok(out)
     }
 
     /// Executes requests in order: exactly a loop over
@@ -409,8 +405,8 @@ impl ClusterManager {
     }
 
     /// Offers one backend-bound chunk to peers. The first peer whose
-    /// cache holds it executes the single-chunk query locally and ships
-    /// the cells; the owner admits them. Peers are tried in replica-owner
+    /// cache holds it runs the single-chunk request and ships the cells;
+    /// the owner admits them. Peers are tried in replica-owner
     /// order first (they are the likeliest holders), then the remaining
     /// live nodes in id order.
     ///
@@ -430,15 +426,13 @@ impl ClusterManager {
         remote: &mut RemoteMetrics,
     ) -> Result<(), ClusterError> {
         let key = ChunkKey::new(gb, chunk);
-        let mut owners = std::mem::take(&mut self.owners_buf);
-        self.ring.owners_into(key, &mut owners);
-        let mut candidates: Vec<u32> = owners.iter().copied().filter(|&n| n != owner).collect();
+        let mut candidates = self.ring.owners(key);
+        candidates.retain(|&n| n != owner);
         for n in self.ring.live_nodes() {
             if n != owner && !candidates.contains(&n) {
                 candidates.push(n);
             }
         }
-        self.owners_buf = owners;
 
         for peer in candidates {
             // Summary gate: free, models the periodically exchanged
@@ -448,14 +442,9 @@ impl ClusterManager {
             }
             remote.probe_hops += 1;
             remote.remote_virtual_ms += MessageCostModel::probe_ms();
-            let single = Query::new(gb, vec![chunk]);
-            let probe = self.nodes[peer as usize].probe_as(&single, tenant);
-            if !probe.is_complete_hit() {
-                // The cheap lookup raced a concurrent plan; treat as a miss.
-                continue;
-            }
+            let single = QueryRequest::new(Query::new(gb, vec![chunk])).tenant(tenant);
             let served = self.nodes[peer as usize]
-                .apply(&single, probe)
+                .run(&single)
                 .map_err(ClusterError::Cache)?;
             let bytes = served.data.accounting_bytes() as u64;
             let cost = MessageCostModel::transfer_ms(bytes);
@@ -495,14 +484,11 @@ impl ClusterManager {
             else {
                 continue;
             };
-            let mut owners = std::mem::take(&mut self.owners_buf);
-            self.ring.owners_into(key, &mut owners);
-            for &other in &owners {
+            for other in self.ring.owners(key) {
                 if other != node && !self.nodes[other as usize].cache().contains(&key) {
                     self.handoff(node, other, entry.clone(), remote);
                 }
             }
-            self.owners_buf = owners;
         }
     }
 }
@@ -596,28 +582,6 @@ mod tests {
         let mut c = cluster(2, usize::MAX);
         let request = base_query(&c, vec![0]);
         assert!(c.run(&request).is_ok());
-    }
-
-    #[test]
-    fn builder_refuses_a_node_with_a_spill_tier() {
-        let grid = shared_grid();
-        let dir =
-            std::env::temp_dir().join(format!("aggcache-cluster-spill-{}", std::process::id()));
-        let spilling = CacheManager::builder()
-            .cache_bytes(usize::MAX >> 1)
-            .spill(aggcache_store::SpillConfig::new(&dir))
-            .build(backend_for(&grid))
-            .unwrap();
-        let err = ClusterManager::builder()
-            .node(node(&grid))
-            .node(spilling)
-            .build()
-            .unwrap_err();
-        let _ = std::fs::remove_dir_all(&dir);
-        match err {
-            ClusterError::BadConfig(msg) => assert!(msg.contains("node 1"), "{msg}"),
-            other => panic!("expected BadConfig, got {other:?}"),
-        }
     }
 
     #[test]

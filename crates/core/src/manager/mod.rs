@@ -254,9 +254,10 @@ impl CacheManager {
         self.update_session = UpdateMetrics::default();
     }
 
-    /// Runs one cache lookup without executing anything — the probe used by
-    /// the paper's Table 1 lookup-time experiment and by the cluster tier's
-    /// cooperative peer probes. Returns the plan (if the chunk is
+    /// Runs one cache lookup without executing anything and without
+    /// emitting events — the probe used by the paper's Table 1 lookup-time
+    /// experiment and by the cluster tier to find a node group's misses
+    /// before its cooperative fills. Returns the plan (if the chunk is
     /// answerable) together with the lookup statistics. A key outside the
     /// grid is a miss that visited nothing.
     pub fn lookup_chunk(&self, key: ChunkKey) -> LookupOutcome {
@@ -642,7 +643,7 @@ mod tests {
         let base = mgr.grid().schema().lattice().base();
         assert_eq!(mgr.version(), 0);
         let q = Query::new(base, vec![0]);
-        let probe = mgr.probe(&q);
+        let probe = mgr.probe_as(&q, 0);
         assert_eq!(mgr.version(), 0, "probing must not mutate");
         assert!(!probe.is_complete_hit());
         mgr.run(&(&q).into()).unwrap();

@@ -64,15 +64,12 @@ impl CacheManager {
     /// against `&self`, so any number of probes can run concurrently.
     /// Applying a probe after an intervening mutation transparently
     /// re-probes.
-    pub fn probe(&self, query: &Query) -> QueryProbe {
-        self.probe_as(query, 0)
-    }
-
-    /// Like [`CacheManager::probe`], attributing the query to `tenant`.
-    /// Attribution changes only the tenant tag on the closing
-    /// [`Event::QueryDone`]; results, cache state and virtual time are
-    /// untouched. A query that fails [`Query::validate`] is not looked up:
-    /// its probe carries the error for [`CacheManager::apply`] to return.
+    ///
+    /// The query is attributed to `tenant`, which changes only the tenant
+    /// tag on the closing [`Event::QueryDone`]; results, cache state and
+    /// virtual time are untouched. A query that fails [`Query::validate`]
+    /// is not looked up: its probe carries the error for
+    /// [`CacheManager::apply`] to return.
     pub fn probe_as(&self, query: &Query, tenant: u32) -> QueryProbe {
         if let Err(invalid) = query.validate(&self.grid) {
             return QueryProbe {
@@ -578,7 +575,7 @@ mod tests {
         let mut mgr = manager(Strategy::Vcm);
         let base = mgr.grid().schema().lattice().base();
         let q = Query::new(base, vec![0, 1]);
-        let stale = mgr.probe(&q);
+        let stale = mgr.probe_as(&q, 0);
         // Mutate between probe and apply: the probe's version is now old.
         mgr.run(&Query::new(base, vec![0]).into()).unwrap();
         assert_ne!(stale.version(), mgr.version());

@@ -44,12 +44,10 @@
 #![deny(missing_docs)]
 
 mod event;
-mod histogram;
 pub mod json;
 mod registry;
 mod tracer;
 
 pub use event::{Event, LookupOutcome, Tier};
-pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
 pub use registry::MetricsRegistry;
 pub use tracer::{RecordingTracer, Tracer};

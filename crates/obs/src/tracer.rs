@@ -4,7 +4,7 @@ use std::sync::Mutex;
 /// A sink for trace [`Event`]s.
 ///
 /// Implementations must be `Send + Sync`: callers may probe one manager
-/// from several threads (`CacheManager::probe` takes `&self`).
+/// from several threads (`CacheManager::probe_as` takes `&self`).
 ///
 /// **Zero cost when disabled.** Components hold an `Option<Arc<dyn
 /// Tracer>>` and construct events only inside an `if let Some(..)` — with

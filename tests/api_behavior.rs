@@ -368,7 +368,7 @@ mod manager_api {
                     "{strategy:?}"
                 );
             }
-            let probe = mgr.probe(&past_the_end);
+            let probe = mgr.probe_as(&past_the_end, 0);
             assert!(probe.plans().is_empty() && probe.missing().is_empty());
             assert!(mgr
                 .lookup_chunk(ChunkKey::new(GroupById(777), 0))

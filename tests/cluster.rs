@@ -5,8 +5,11 @@
 //! * **1-node collapse** — a 1-node replication-1 cluster reproduces the
 //!   non-clustered pipeline bit for bit: answers, per-query metrics,
 //!   session totals and the resident cache set, for every lookup
-//!   strategy. The cluster tier is a strict superset of the single-node
-//!   pipeline, not a fork of it.
+//!   strategy, and over a spill tier. The cluster tier is a strict
+//!   superset of the single-node pipeline, not a fork of it.
+//! * **Spilling nodes** — each request's spill accounting is the sum of
+//!   its node groups' own, and answers stay exact through failure,
+//!   revival and rebalancing.
 //! * **Correctness under sharding** — an N-node cooperative cluster
 //!   returns the same answer cells as a fresh single-node run of the
 //!   same stream.
@@ -23,8 +26,10 @@ mod common;
 
 use aggcache::cluster::ClusterManager;
 use aggcache::prelude::*;
-use aggcache_bench::rig::{apb_dataset, backend_for, paper_stream};
+use aggcache_bench::rig::{apb_dataset, backend_for, oracle_answer, paper_stream};
 use common::{cells, digest};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn dataset() -> Dataset {
     apb_dataset(20_000, 42)
@@ -42,6 +47,42 @@ fn node_manager(ds: &Dataset, strategy: Strategy, budget: usize) -> CacheManager
         .cache_bytes(budget)
         .build(backend_for(ds))
         .unwrap()
+}
+
+/// A process- and call-unique spill directory (removed by each test).
+fn tmpdir() -> PathBuf {
+    static COUNTER: AtomicUsize = AtomicUsize::new(0);
+    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("aggcache-cluster-it-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn remove_dirs(dirs: &[PathBuf]) {
+    for dir in dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// A VCMC node over a spill tier in `dir`.
+fn spilling_manager(ds: &Dataset, budget: usize, dir: &Path) -> CacheManager {
+    CacheManager::builder()
+        .strategy(Strategy::Vcmc)
+        .policy(PolicyKind::TwoLevel)
+        .cache_bytes(budget)
+        .spill(SpillConfig::new(dir))
+        .build(backend_for(ds))
+        .unwrap()
+}
+
+/// Three spilling nodes at replication 1, and their spill directories.
+fn spilling_cluster(ds: &Dataset, budget: usize) -> (ClusterManager, Vec<PathBuf>) {
+    let dirs: Vec<PathBuf> = (0..3).map(|_| tmpdir()).collect();
+    let mut b = ClusterManager::builder();
+    for dir in &dirs {
+        b = b.node(spilling_manager(ds, budget, dir));
+    }
+    (b.build().unwrap(), dirs)
 }
 
 fn cluster(
@@ -76,32 +117,118 @@ const STRATEGIES: [Strategy; 5] = [
 fn one_node_cluster_is_bit_identical_to_plain_pipeline() {
     let ds = dataset();
     let budget = 120_000;
-    for strategy in STRATEGIES {
+    // Every strategy in RAM alone, then VCMC over a spill tier whose RAM
+    // budget is tight enough to demote and promote.
+    let dirs: Vec<PathBuf> = (0..2).map(|_| tmpdir()).collect();
+    let ram_only = STRATEGIES.map(|strategy| {
+        let nodes = (
+            node_manager(&ds, strategy, budget),
+            node_manager(&ds, strategy, budget),
+        );
+        (format!("{strategy:?}"), nodes)
+    });
+    let spilling = (
+        "Vcmc over a spill tier".to_string(),
+        (
+            spilling_manager(&ds, 16 * 1024, &dirs[0]),
+            spilling_manager(&ds, 16 * 1024, &dirs[1]),
+        ),
+    );
+    for (label, (mut plain, node)) in ram_only.into_iter().chain([spilling]) {
         let requests = stream_requests(&ds, 60, 2_000);
-        let mut plain = node_manager(&ds, strategy, budget);
-        let mut clustered = cluster(&ds, 1, 1, strategy, budget);
+        let mut clustered = ClusterManager::builder().node(node).build().unwrap();
         for req in &requests {
             let a = plain.run(req).unwrap();
             let b = clustered.run(req).unwrap();
-            assert_eq!(digest(&a), digest(&b), "{strategy:?}: outcome diverged");
+            assert_eq!(digest(&a), digest(&b), "{label}: outcome diverged");
+            assert_eq!(b.spill, a.spill, "{label}: spill accounting diverged");
             assert_eq!(
                 b.critical_path_ms.to_bits(),
-                a.metrics.total_ms().to_bits(),
-                "{strategy:?}: single-group critical path must equal the local total"
+                a.critical_path_ms.to_bits(),
+                "{label}: single-group critical path must equal the node's own"
             );
         }
         assert_eq!(
             cache_contents(&plain),
             cache_contents(clustered.node(0)),
-            "{strategy:?}: resident sets diverged"
+            "{label}: resident sets diverged"
         );
         assert_eq!(
             plain.session().total_ms.to_bits(),
             clustered.node(0).session().total_ms.to_bits(),
-            "{strategy:?}: session totals diverged"
+            "{label}: session totals diverged"
         );
+        assert_eq!(plain.session_spill(), clustered.node(0).session_spill());
         assert_eq!(*clustered.session_remote(), RemoteMetrics::default());
+        if plain.spill_store().is_some() {
+            let spill = plain.session_spill();
+            assert!(
+                spill.spill_writes > 0 && spill.spill_promotes > 0,
+                "{spill:?}"
+            );
+        }
     }
+    remove_dirs(&dirs);
+}
+
+#[test]
+fn spilling_cluster_charges_each_request_its_groups_spill() {
+    let ds = dataset();
+    let (mut c, dirs) = spilling_cluster(&ds, 16 * 1024);
+    let outs = c.run_batch(&stream_requests(&ds, 150, 8_000)).unwrap();
+    // Churn-free at replication 1: every resident chunk sits at its owner,
+    // so no peer ever serves and no fill or push demotes outside a run.
+    assert_eq!(c.session_remote().remote_chunks, 0);
+    let mut requests = SpillMetrics::default();
+    outs.iter().for_each(|o| requests.merge(&o.spill));
+    let mut nodes = SpillMetrics::default();
+    (0..3).for_each(|n| nodes.merge(c.node(n).session_spill()));
+    assert!(
+        requests.spill_writes > 0 && requests.spill_reads > 0,
+        "{requests:?}"
+    );
+    // The integer counters match exactly; virtual time is summed in
+    // another order, so it matches to rounding.
+    let virtual_ms = (requests.spill_virtual_ms, nodes.spill_virtual_ms);
+    assert!(
+        (virtual_ms.0 - virtual_ms.1).abs() <= 1e-9 * virtual_ms.1,
+        "{virtual_ms:?}"
+    );
+    requests.spill_virtual_ms = nodes.spill_virtual_ms;
+    assert_eq!(requests, nodes);
+    remove_dirs(&dirs);
+}
+
+#[test]
+fn spilling_cluster_answers_match_the_oracle_through_churn() {
+    let ds = dataset();
+    let (mut c, dirs) = spilling_cluster(&ds, 16 * 1024);
+    let oracle = backend_for(&ds);
+    let requests = stream_requests(&ds, 240, 9_000);
+    // The last requests served while node 1 was down run again between
+    // its revival and the rebalance, when its peers still hold its slice.
+    let replay = &requests[150..170];
+    let schedule = requests[..170].iter().chain(replay).chain(&requests[170..]);
+    for (i, req) in schedule.enumerate() {
+        match i {
+            100 => c.kill_node(1),
+            170 => c.revive_node(1),
+            190 => {
+                c.rebalance();
+            }
+            _ => {}
+        }
+        let out = c.run(req).unwrap();
+        let want = oracle_answer(&oracle, &req.query);
+        assert_eq!(cells(&out.data), cells(&want), "request {i} diverged");
+    }
+    let reads: u64 = (0..3).map(|n| c.node(n).session_spill().spill_reads).sum();
+    assert!(reads > 0, "the spill tier never served");
+    assert!(
+        c.session_remote().remote_chunks > 0,
+        "no cooperative serves"
+    );
+    remove_dirs(&dirs);
 }
 
 #[test]

@@ -174,7 +174,7 @@ fn concurrent_probes_with_interleaved_writer_keep_count_oracle() {
             for t in 0..8usize {
                 s.spawn(move || {
                     for q in queries.iter().cycle().skip(t).take(queries.len()) {
-                        let probe = mgr.probe(q);
+                        let probe = mgr.probe_as(q, 0);
                         // Plans handed out by a probe may only reference
                         // chunks that are actually cached right now.
                         for plan in probe.plans() {
@@ -222,7 +222,7 @@ fn concurrent_probes_are_deterministic() {
     }
 
     let probe_queries = paper_stream(&ds, 12).take_queries(16);
-    let reference: Vec<QueryProbe> = probe_queries.iter().map(|q| mgr.probe(q)).collect();
+    let reference: Vec<QueryProbe> = probe_queries.iter().map(|q| mgr.probe_as(q, 0)).collect();
     thread::scope(|s| {
         let mgr = &mgr;
         let probe_queries = &probe_queries;
@@ -230,7 +230,7 @@ fn concurrent_probes_are_deterministic() {
         for _ in 0..8 {
             s.spawn(move || {
                 for (q, r) in probe_queries.iter().zip(reference) {
-                    let p = mgr.probe(q);
+                    let p = mgr.probe_as(q, 0);
                     assert_eq!(p.missing(), r.missing());
                     assert_eq!(p.version(), r.version());
                     assert_eq!(p.is_complete_hit(), r.is_complete_hit());
