@@ -67,11 +67,13 @@ impl ChunkData {
         self.values.is_empty()
     }
 
-    /// Appends a cell.
+    /// Appends a cell. The coordinates are copied by a plain loop:
+    /// `extend_from_slice` of a runtime-length slice is a libc `memmove`
+    /// call per cell, which costs more than the 4–20 bytes it moves.
     #[inline]
     pub fn push(&mut self, coords: &[u32], value: f64) {
         debug_assert_eq!(coords.len(), self.n_dims);
-        self.coords.extend_from_slice(coords);
+        self.coords.extend(coords.iter().copied());
         self.values.push(value);
     }
 
@@ -125,6 +127,13 @@ impl ChunkData {
             + self.values.capacity() * std::mem::size_of::<f64>()
     }
 
+    /// Makes room for exactly `cells` more cells, so that appending parts
+    /// whose total is known costs one allocation and leaves no slack.
+    pub fn reserve_exact(&mut self, cells: usize) {
+        self.coords.reserve_exact(cells * self.n_dims);
+        self.values.reserve_exact(cells);
+    }
+
     /// Appends all cells of `other` (same arity required).
     pub fn append(&mut self, other: &ChunkData) {
         assert_eq!(self.n_dims, other.n_dims, "arity mismatch");
@@ -133,19 +142,37 @@ impl ChunkData {
     }
 
     /// Sorts cells lexicographically by coordinates (for deterministic
-    /// comparison in tests and stable output).
+    /// comparison in tests and stable output), in place: the order is
+    /// sorted as a `u32` index, then applied cycle by cycle inside the
+    /// cell arrays, so the only extra memory is the index (4 bytes a cell).
     pub fn sort_by_coords(&mut self) {
         let n = self.len();
+        let d = self.n_dims;
+        // `order[i]` is the cell that belongs at slot `i`; a slot is marked
+        // finished by pointing it at itself.
         let mut order: Vec<u32> = (0..n as u32).collect();
         order.sort_unstable_by(|&a, &b| self.coords_of(a as usize).cmp(self.coords_of(b as usize)));
-        let mut coords = Vec::with_capacity(self.coords.len());
-        let mut values = Vec::with_capacity(n);
-        for &i in &order {
-            coords.extend_from_slice(self.coords_of(i as usize));
-            values.push(self.values[i as usize]);
+        let mut held = vec![0u32; d];
+        for start in 0..n {
+            if order[start] as usize == start {
+                continue;
+            }
+            held.copy_from_slice(self.coords_of(start));
+            let held_value = self.values[start];
+            let mut slot = start;
+            loop {
+                let from = order[slot] as usize;
+                order[slot] = slot as u32;
+                if from == start {
+                    self.coords[slot * d..(slot + 1) * d].copy_from_slice(&held);
+                    self.values[slot] = held_value;
+                    break;
+                }
+                self.coords.copy_within(from * d..(from + 1) * d, slot * d);
+                self.values[slot] = self.values[from];
+                slot = from;
+            }
         }
-        self.coords = coords;
-        self.values = values;
     }
 
     /// Shrinks the backing buffers to fit (cached chunks are immutable once
@@ -159,6 +186,7 @@ impl ChunkData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn push_and_read_back() {
@@ -193,6 +221,43 @@ mod tests {
         assert_eq!(d.coords_of(1), &[0, 9]);
         assert_eq!(d.coords_of(2), &[2, 0]);
         assert_eq!(d.value_of(0), 4.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The in-place sort puts the cells where a gather into fresh
+        /// buffers would, keeps every cell, and allocates no cell buffer.
+        #[test]
+        fn sort_by_coords_permutes_in_place(
+            cells in (1usize..=5).prop_flat_map(|d| {
+                proptest::collection::vec(
+                    (proptest::collection::vec(0u32..4, d), -1e3f64..1e3),
+                    0..=300,
+                )
+                .prop_map(move |cells| (d, cells))
+            }),
+        ) {
+            let (d, cells) = cells;
+            let mut data = ChunkData::new(d);
+            for (coords, value) in &cells {
+                data.push(coords, *value);
+            }
+            let heap = data.heap_bytes();
+            let mut gathered = cells.clone();
+            gathered.sort_by(|a, b| a.0.cmp(&b.0));
+            data.sort_by_coords();
+            prop_assert_eq!(data.heap_bytes(), heap);
+            let want: Vec<u32> = gathered.iter().flat_map(|(c, _)| c.iter().copied()).collect();
+            prop_assert_eq!(data.raw_coords(), &want[..]);
+            // Equal coordinates may come out in any order: compare the
+            // cells as a multiset.
+            let mut got: Vec<_> = data.iter().map(|(c, v)| (c.to_vec(), v.to_bits())).collect();
+            let mut want: Vec<_> = cells.iter().map(|(c, v)| (c.clone(), v.to_bits())).collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

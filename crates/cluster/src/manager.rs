@@ -302,8 +302,9 @@ impl ClusterManager {
             spill: aggcache_core::SpillMetrics::default(),
             critical_path_ms: 0.0,
         };
+        let mut parts: Vec<ChunkData> = Vec::new();
         let mut groups = self.assign(&request.query).into_iter();
-        let result = groups.try_for_each(|(node, chunks)| {
+        let result: Result<(), ClusterError> = groups.try_for_each(|(node, chunks)| {
             // Per-group remote accounting, so the group's critical path
             // can include its own cooperative hops before folding into
             // the request totals.
@@ -319,17 +320,25 @@ impl ClusterManager {
             out.critical_path_ms = out.critical_path_ms.max(path_ms);
             out.metrics.merge(&group.metrics);
             out.spill.merge(&group.spill);
-            if out.data.is_empty() {
-                out.data = group.data; // moved, not copied
-            } else {
-                out.data.append(&group.data);
-            }
+            parts.push(group.data);
             Ok(())
         });
         // A failed request is charged too: its cooperative fills already
         // shipped, and the peers' `NodeTraffic` already counts them.
         self.session_remote.merge(&out.remote);
-        result.map(|()| out)
+        result?;
+        // One group's answer moves through; several are concatenated into
+        // one buffer of their total size.
+        if parts.len() == 1 {
+            out.data = parts.pop().expect("one part");
+        } else {
+            out.data
+                .reserve_exact(parts.iter().map(ChunkData::len).sum());
+            for part in &parts {
+                out.data.append(part);
+            }
+        }
+        Ok(out)
     }
 
     /// Steps 2–5 of the flow for one node group: find the owner's misses,

@@ -167,20 +167,35 @@ impl CacheManager {
         let (plans, trace_id) = (&probe.plans, probe.trace_id);
         let mut metrics = probe.metrics;
         let writes_before = self.tables.updates();
-        let mut data = ChunkData::new(self.grid.num_dims());
 
         self.pin_leaves(plans, true);
 
         // Phase 2: answer from the cache (direct hits + aggregations).
+        // Every plan runs first — plans read only their pinned leaves and
+        // emit nothing — so the answer is allocated once, at its final
+        // size; admission then goes plan by plan, hits touched and
+        // computed chunks admitted in plan order.
+        let computed = self.execute_plans(plans.iter().filter(|p| !p.direct_hit), &mut metrics);
+        let hit_cells: usize = plans
+            .iter()
+            .filter(|p| p.direct_hit)
+            .map(|p| self.cache.peek(&p.target).map_or(0, |e| e.data.len()))
+            .sum();
+        let computed_cells: usize = computed.iter().map(|(cells, _)| cells.len()).sum();
+        let mut data = ChunkData::with_capacity(self.grid.num_dims(), hit_cells + computed_cells);
+        let mut computed = computed.into_iter();
         for plan in plans {
             if plan.direct_hit {
                 metrics.chunks_hit += 1;
-                if let Some(entry) = self.cache.get(&plan.target) {
-                    data.append(&entry.data);
-                }
+                let entry = self
+                    .cache
+                    .get(&plan.target)
+                    .expect("direct hit pinned since the probe");
+                data.append(&entry.data);
             } else {
                 metrics.chunks_computed += 1;
-                self.compute_and_admit(plan, &mut data, &mut metrics, |tuples| {
+                let (cells, tuples) = computed.next().expect("one output per computed plan");
+                self.admit_computed(plan, cells, tuples, &mut data, &mut metrics, |tuples| {
                     let mut levels: Vec<u32> = plan.leaves.iter().map(|l| l.gb.0).collect();
                     levels.sort_unstable();
                     levels.dedup();
@@ -213,6 +228,7 @@ impl CacheManager {
                     metrics.backend_virtual_ms += fetch.virtual_ms;
                     metrics.backend_tuples += fetch.tuples_scanned;
                     let per_chunk_benefit = fetch.virtual_ms / missing.len() as f64;
+                    data.reserve_exact(fetch.chunks.iter().map(|(_, cells)| cells.len()).sum());
                     for (chunk, cells) in fetch.chunks {
                         data.append(&cells);
                         let key = ChunkKey::new(query.gb, chunk);
@@ -261,19 +277,39 @@ impl CacheManager {
         }
     }
 
-    /// Executes one aggregation plan: rolls its leaves up into the target
-    /// chunk, charges the aggregation to `metrics`, emits `event(tuples)`,
-    /// rewards the leaves and admits the computed chunk.
-    fn compute_and_admit(
+    /// Executes `plans` in order, charging the wall time to
+    /// `metrics.agg_ns`. Nothing mutates: each plan reads only its leaves,
+    /// which the caller has pinned, so running them all ahead of admission
+    /// computes what running each just before its own admission would.
+    fn execute_plans<'p>(
+        &self,
+        plans: impl IntoIterator<Item = &'p ComputationPlan>,
+        metrics: &mut QueryMetrics,
+    ) -> Vec<(ChunkData, u64)> {
+        plans
+            .into_iter()
+            .map(|plan| {
+                let t_agg = Instant::now();
+                let out = execute_plan(&self.grid, &self.cache, self.backend.agg(), plan);
+                metrics.agg_ns += t_agg.elapsed().as_nanos() as u64;
+                out
+            })
+            .collect()
+    }
+
+    /// Admits one executed plan's output, `data` rolled up from `tuples`
+    /// leaf cells: charges the aggregation to `metrics`, emits
+    /// `event(tuples)`, appends the cells to `result`, rewards the leaves
+    /// and inserts the computed chunk.
+    fn admit_computed(
         &mut self,
         plan: &ComputationPlan,
+        data: ChunkData,
+        tuples: u64,
         result: &mut ChunkData,
         metrics: &mut QueryMetrics,
         event: impl FnOnce(u64) -> Event,
     ) {
-        let t_agg = Instant::now();
-        let (data, tuples) = execute_plan(&self.grid, &self.cache, self.backend.agg(), plan);
-        metrics.agg_ns += t_agg.elapsed().as_nanos() as u64;
         self.emit(|| event(tuples));
         metrics.tuples_aggregated += tuples;
         let benefit_ms = tuples as f64 * CACHE_PER_TUPLE_US / 1000.0;
@@ -339,13 +375,19 @@ impl CacheManager {
             });
         }
         self.pin_leaves(&plans, true);
-        for plan in &plans {
+        // A budgeted lookup can miss a resident chunk, so a plan here may
+        // be a direct hit: it is executed and re-admitted like any other.
+        let computed = self.execute_plans(&plans, metrics);
+        result.reserve_exact(computed.iter().map(|(cells, _)| cells.len()).sum());
+        for (plan, (cells, tuples)) in plans.iter().zip(computed) {
             metrics.chunks_degraded += 1;
-            self.compute_and_admit(plan, result, metrics, |tuples| Event::DegradedServe {
-                gb: plan.target.gb.0,
-                chunk: plan.target.chunk,
-                leaves: plan.leaves.len() as u64,
-                tuples,
+            self.admit_computed(plan, cells, tuples, result, metrics, |tuples| {
+                Event::DegradedServe {
+                    gb: plan.target.gb.0,
+                    chunk: plan.target.chunk,
+                    leaves: plan.leaves.len() as u64,
+                    tuples,
+                }
             });
         }
         self.pin_leaves(&plans, false);
@@ -480,6 +522,46 @@ mod tests {
         let m2 = run_and_check(&mut mgr, &top_q);
         assert_eq!(m2.chunks_hit, 1);
         assert_eq!(m2.chunks_computed, 0);
+    }
+
+    /// The answer is allocated once at its final size: its buffers hold
+    /// exactly its cells, whether they come from direct hits, in-cache
+    /// aggregations or the backend.
+    #[test]
+    fn answers_carry_no_spare_capacity() {
+        let assert_exact = |d: &ChunkData| {
+            assert_eq!(
+                d.heap_bytes(),
+                d.len() * (4 * d.n_dims() + 8),
+                "{} cells",
+                d.len()
+            );
+        };
+        let mut mgr = manager(Strategy::Vcmc);
+        let grid = mgr.grid().clone();
+        let lattice = grid.schema().lattice().clone();
+        let base = lattice.base();
+        // Backend misses alone, then misses beside direct hits.
+        let r = mgr.run(&Query::new(base, vec![0, 1]).into()).unwrap();
+        assert_eq!(r.metrics.chunks_missed, 2);
+        assert_exact(&r.data);
+        let r = mgr.run(&Query::full_group_by(&grid, base).into()).unwrap();
+        assert!(r.metrics.chunks_hit == 2 && r.metrics.chunks_missed > 0);
+        assert_exact(&r.data);
+        // All from the cache: one chunk computed, then a hit beside a
+        // computed chunk.
+        let gb = lattice
+            .iter_ids()
+            .find(|&gb| gb != base && grid.n_chunks(gb) >= 2)
+            .expect("a coarser level with two chunks");
+        let r = mgr.run(&Query::new(gb, vec![0]).into()).unwrap();
+        assert_eq!(r.metrics.chunks_computed, 1);
+        assert_exact(&r.data);
+        let r = mgr.run(&Query::new(gb, vec![0, 1]).into()).unwrap();
+        assert!(r.metrics.complete_hit);
+        assert_eq!((r.metrics.chunks_hit, r.metrics.chunks_computed), (1, 1));
+        assert!(!r.data.is_empty());
+        assert_exact(&r.data);
     }
 
     #[test]
@@ -680,6 +762,34 @@ mod tests {
             .metrics;
         assert!(m2.complete_hit);
         assert_eq!(m2.chunks_hit, 1);
+    }
+
+    /// A budgeted ESMC probe can give up on a chunk that is resident; when
+    /// the backend is down, the degraded serve finds it as a direct hit and
+    /// still answers it, once, with its own cells.
+    #[test]
+    fn degraded_serve_answers_a_resident_chunk_the_budgeted_probe_missed() {
+        let mut mgr = down_manager(
+            Strategy::Esmc {
+                node_budget: Some(1),
+            },
+            2,
+        );
+        let grid = mgr.grid().clone();
+        let top = grid.schema().lattice().top();
+        let q = Query::full_group_by(&grid, top);
+        let mut expected = ChunkData::new(grid.num_dims());
+        for (chunk, data) in make_backend().fetch_group_by(top).unwrap().chunks {
+            expected.append(&data);
+            mgr.insert_chunk(ChunkKey::new(top, chunk), data, Origin::Backend, 1.0);
+        }
+        assert!(
+            mgr.probe_as(&q, 0).plans().is_empty(),
+            "the budget hides the hit"
+        );
+        let r = mgr.run(&q.into()).unwrap();
+        assert_eq!(r.metrics.chunks_degraded, 1);
+        assert_eq!(r.data, expected);
     }
 
     #[test]

@@ -390,7 +390,9 @@ impl<'s> Aggregator<'s> {
                 occupied: vec![0; slots],
             }
         } else {
-            Cells::Sparse(Vec::new())
+            // Exactly the pairs about to be appended: the run never regrows.
+            let pairs = usize::try_from(expected_cells).expect("a sparse run is addressable");
+            Cells::Sparse(Vec::with_capacity(pairs))
         };
         ChunkAggregator {
             grid,

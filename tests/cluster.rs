@@ -257,6 +257,50 @@ fn sharded_cluster_answers_match_single_node_oracle() {
     assert!((0..4).all(|n| c.node(n).session().queries > 0));
 }
 
+/// A request spanning several node groups is concatenated into one buffer
+/// of exactly its cells: backend misses, hits and in-cache aggregations.
+/// Replication 3 on three nodes puts every fetched chunk on every node, so
+/// a roll-up is computable at whichever node owns it.
+#[test]
+fn multi_group_answers_carry_no_spare_capacity() {
+    let ds = dataset();
+    let mut c = cluster(&ds, 3, 3, Strategy::Vcmc, usize::MAX >> 1);
+    let grid = c.node(0).grid().clone();
+    let lattice = grid.schema().lattice().clone();
+    let mut requests: Vec<QueryRequest> = vec![Query::full_group_by(&grid, ds.fact_gb).into()];
+    requests.push(requests[0].clone());
+    requests.extend(
+        lattice
+            .iter_ids_under(ds.fact_gb)
+            .filter(|&gb| gb != ds.fact_gb && grid.n_chunks(gb) >= 8)
+            .take(4)
+            .map(|gb| Query::full_group_by(&grid, gb).into()),
+    );
+    let (mut missed, mut hit, mut computed) = (0, 0, 0);
+    for req in &requests {
+        let runs_before: u64 = (0..3).map(|n| c.node(n).session().queries).sum();
+        let out = c.run(req).unwrap();
+        let runs: u64 = (0..3).map(|n| c.node(n).session().queries).sum::<u64>() - runs_before;
+        assert!(runs >= 2, "the request spans {runs} node group(s)");
+        let d = &out.data;
+        assert_eq!(
+            d.heap_bytes(),
+            d.len() * (4 * d.n_dims() + 8),
+            "{} cells",
+            d.len()
+        );
+        missed += out.metrics.chunks_missed;
+        hit += out.metrics.chunks_hit;
+        computed += out.metrics.chunks_computed;
+    }
+    assert!(
+        missed > 0 && hit > 0 && computed > 0,
+        "{missed} / {hit} / {computed}"
+    );
+    // No peer served a chunk, so each node run above was one group.
+    assert_eq!(c.session_remote().remote_chunks, 0);
+}
+
 #[test]
 fn malformed_request_is_refused_before_routing() {
     let ds = dataset();
