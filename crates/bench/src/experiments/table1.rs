@@ -77,7 +77,7 @@ pub fn run(opts: DatasetOpts) -> String {
         for strategy in strategies {
             let mut mgr = manager_for(&dataset, strategy, PolicyKind::Benefit, usize::MAX >> 1);
             if warm {
-                mgr.preload_group_by(dataset.fact_gb, 0)
+                mgr.preload_group_by(dataset.fact_gb)
                     .expect("fact level is computable");
             }
             let r = measure(&mgr, &dataset, strategy_name(strategy));

@@ -48,7 +48,7 @@ pub fn run(opts: Opts) -> String {
     // Materialize and cache the entire (answerable) cube so every path is
     // available.
     for gb in lattice.iter_ids_under(dataset.fact_gb) {
-        mgr.preload_group_by(gb, 0)
+        mgr.preload_group_by(gb)
             .expect("answerable group-bys are backend-computable");
     }
 
@@ -106,10 +106,9 @@ pub fn run(opts: Opts) -> String {
             step_ratios.add(step);
         }
         // (b) End-to-end: cheapest path vs the fact-level scan.
-        let cover = dataset.grid.cover_at(gb, 0, dataset.fact_gb);
         let base_cost: u64 = dataset
             .grid
-            .enumerate_region(dataset.fact_gb, &cover)
+            .chunks_under(gb, 0, dataset.fact_gb)
             .iter()
             .map(|&c| dataset.fact.tuples_in(c))
             .sum();

@@ -150,8 +150,8 @@ pub(crate) fn run_stream_averaged(
 }
 
 /// The most detailed group-by (largest level sum) whose estimated size
-/// fits `cache_bytes`, with its descendant count.
-fn most_detailed_fitting(dataset: &Dataset, cache_bytes: usize) -> Option<(GroupById, u64)> {
+/// fits `cache_bytes`.
+fn most_detailed_fitting(dataset: &Dataset, cache_bytes: usize) -> Option<GroupById> {
     let schema = dataset.grid.schema();
     let lattice = schema.lattice();
     let n_facts = dataset.fact.num_tuples();
@@ -166,11 +166,10 @@ fn most_detailed_fitting(dataset: &Dataset, cache_bytes: usize) -> Option<(Group
             .map(|&l| u32::from(l))
             .sum::<u32>()
     };
-    let gb = lattice
+    lattice
         .iter_ids_under(dataset.fact_gb)
         .filter(fits)
-        .max_by_key(detail)?;
-    Some((gb, lattice.descendant_count(gb)))
+        .max_by_key(detail)
 }
 
 /// Replays one configuration's stream over `backend` (the dataset's own,
@@ -198,9 +197,7 @@ pub fn run_stream(
         Preload::None => Ok(None),
         Preload::MaxDescendants => mgr.preload_best(),
         Preload::MostDetailed => most_detailed_fitting(dataset, run.cache_bytes)
-            .map_or(Ok(None), |(gb, desc)| {
-                mgr.preload_group_by(gb, desc).map(Some)
-            }),
+            .map_or(Ok(None), |gb| mgr.preload_group_by(gb).map(Some)),
     };
     let preload = match preload {
         Ok(report) => report,

@@ -89,8 +89,6 @@ pub struct ChunkCache {
     /// removal, so evicted and replaced entries do not pollute the mean.
     benefit_sum: f64,
     benefit_count: u64,
-    hits: u64,
-    misses: u64,
     /// Admission-policy state; a no-op under the default
     /// [`AdmissionKind::BenefitMean`].
     admission: AdmissionState,
@@ -132,8 +130,6 @@ impl ChunkCache {
             pinned: PackedSet::default(),
             benefit_sum: 0.0,
             benefit_count: 0,
-            hits: 0,
-            misses: 0,
             admission: AdmissionState::new(admission),
             admission_rejects: 0,
             tracer: None,
@@ -200,16 +196,6 @@ impl ChunkCache {
         self.map.is_empty()
     }
 
-    /// Cache hits observed via [`ChunkCache::get`].
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses observed via [`ChunkCache::get`].
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Inserts refused by the admission policy (feasible inserts turned
     /// away by the frequency or benefit bar — not oversize/pin refusals).
     pub fn admission_rejects(&self) -> u64 {
@@ -237,20 +223,15 @@ impl ChunkCache {
     pub fn get(&mut self, key: &ChunkKey) -> Option<&CachedChunk> {
         let packed = key.pack();
         self.admission.record(packed);
-        if let Some(entry) = self.map.get(&packed) {
-            self.hits += 1;
-            // LRU: a use sets the reference weight above the insert seed
-            // (0.5), so recently-used entries survive the sweep.
-            let clock = match self.policy {
-                PolicyKind::Lru => 1.0,
-                _ => self.normalized(entry.benefit),
-            };
-            self.rings[self.level(entry.origin)].touch(packed, clock);
-            self.map.get(&packed)
-        } else {
-            self.misses += 1;
-            None
-        }
+        let entry = self.map.get(&packed)?;
+        // LRU: a use sets the reference weight above the insert seed (0.5),
+        // so recently-used entries survive the sweep.
+        let clock = match self.policy {
+            PolicyKind::Lru => 1.0,
+            _ => self.normalized(entry.benefit),
+        };
+        self.rings[self.level(entry.origin)].touch(packed, clock);
+        self.map.get(&packed)
     }
 
     /// Looks up a chunk without touching replacement state.
@@ -622,8 +603,6 @@ mod tests {
         assert_eq!(c.used_bytes(), 200);
         assert!(c.get(&k(1)).is_some());
         assert!(c.get(&k(2)).is_none());
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]

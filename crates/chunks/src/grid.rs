@@ -85,8 +85,10 @@ impl LevelGeometry {
 /// This is the geometric core of chunk-based caching: it implements the
 /// paper's `GetParentChunkNumbers` ([`ChunkGrid::parent_chunks`]) and
 /// `GetChildChunkNumber` ([`ChunkGrid::child_chunk`]) functions, plus the
-/// descent from any chunk to the base-table chunks that cover it (used by
-/// the backend to translate missing chunks into a selection predicate).
+/// two placements every other layer asks of it: the chunk a tuple lands in
+/// ([`ChunkGrid::chunk_numbers`]) and the fact-table chunks under any chunk
+/// ([`ChunkGrid::chunks_under`]: what the backend scans for a missing
+/// chunk, the paper's selection predicate).
 #[derive(Debug, Clone)]
 pub struct ChunkGrid {
     schema: Arc<Schema>,
@@ -275,10 +277,50 @@ impl ChunkGrid {
         (child_gb, num)
     }
 
+    /// The chunk of `gb` each of `tuples` lands in, where the tuples carry
+    /// value coordinates at level `from` (at or below `gb`'s level
+    /// componentwise): per dimension, the value rolls up to `gb`'s level
+    /// through the composed roll-up table, then the value→chunk table and
+    /// the linearization weight place it. The composed table is the
+    /// identity when `from` is `gb`'s own level.
+    pub fn chunk_numbers<'a>(
+        &self,
+        from: &[u8],
+        gb: GroupById,
+        tuples: impl Iterator<Item = &'a [u32]>,
+    ) -> Vec<ChunkNumber> {
+        let geom = self.geom(gb);
+        let dims: Vec<(&[u32], &[u32], u64)> = (0..self.dims.len())
+            .map(|d| {
+                let level = geom.level()[d];
+                let rollup = self.schema.dimension(d).composed_rollup(from[d], level);
+                (rollup, self.dims[d].chunk_of_table(level), geom.weight(d))
+            })
+            .collect();
+        let chunk_of = |coords: &[u32]| -> ChunkNumber {
+            let parts = dims.iter().zip(coords);
+            parts
+                .map(|(&(rollup, table, w), &c)| w * u64::from(table[rollup[c as usize] as usize]))
+                .sum()
+        };
+        tuples.map(chunk_of).collect()
+    }
+
+    /// The chunks of group-by `to` (more detailed than `gb` componentwise)
+    /// under `chunk` of `gb`, ascending: the chunks a computation of
+    /// `chunk` from `to` reads, such as a backend scan of the fact table.
+    pub fn chunks_under(
+        &self,
+        gb: GroupById,
+        chunk: ChunkNumber,
+        to: GroupById,
+    ) -> Vec<ChunkNumber> {
+        self.enumerate_region(to, &self.cover_at(gb, chunk, to))
+    }
+
     /// The per-dimension chunk ranges at group-by `to` (more detailed than
-    /// `gb` componentwise) covering `chunk` of `gb`. Used to descend a chunk
-    /// to the base table for backend scans.
-    pub fn cover_at(&self, gb: GroupById, chunk: ChunkNumber, to: GroupById) -> Vec<(u32, u32)> {
+    /// `gb` componentwise) covering `chunk` of `gb`.
+    fn cover_at(&self, gb: GroupById, chunk: ChunkNumber, to: GroupById) -> Vec<(u32, u32)> {
         let geom = self.geom(gb);
         let to_level = self.geom(to).level();
         debug_assert!(
@@ -383,6 +425,7 @@ fn lattice_weight(lattice: &aggcache_schema::Lattice, d: usize) -> u32 {
 mod tests {
     use super::*;
     use aggcache_schema::Dimension;
+    use proptest::prelude::*;
 
     fn grid() -> ChunkGrid {
         let schema = Arc::new(
@@ -490,8 +533,7 @@ mod tests {
         for gb in lattice.iter_ids() {
             let base = lattice.base();
             for chunk in 0..g.n_chunks(gb) {
-                let cover = g.cover_at(gb, chunk, base);
-                for b in g.enumerate_region(base, &cover) {
+                for b in g.chunks_under(gb, chunk, base) {
                     assert_eq!(g.ascend_chunk(base, b, gb), chunk);
                 }
             }
@@ -513,7 +555,7 @@ mod tests {
                     .iter()
                     .map(|&(lo, hi)| u64::from(hi - lo))
                     .product::<u64>();
-                for b in g.enumerate_region(base, &g.cover_at(gb, chunk, base)) {
+                for b in g.chunks_under(gb, chunk, base) {
                     for (d, &(lo, hi)) in g.cell_box(base, b).iter().enumerate() {
                         for v in lo..hi {
                             let up = schema
@@ -548,5 +590,92 @@ mod tests {
             .map(|c| g.base_cells_under(base, c))
             .sum();
         assert_eq!(total, 12 * 6);
+    }
+
+    /// Three dimensions with uneven per-level chunkings, for the placement
+    /// properties.
+    fn uneven_grid() -> ChunkGrid {
+        let schema = Arc::new(
+            Schema::new(vec![
+                Dimension::balanced("a", vec![1, 3, 7, 20]).unwrap(),
+                Dimension::balanced("b", vec![1, 6]).unwrap(),
+                Dimension::balanced("c", vec![1, 2, 9]).unwrap(),
+            ])
+            .unwrap(),
+        );
+        ChunkGrid::build(schema, &[vec![1, 2, 3, 5], vec![1, 4], vec![1, 2, 3]]).unwrap()
+    }
+
+    /// A level per dimension from raw draws: `draws[d]` reduced into
+    /// `0..=ceiling[d]`.
+    fn level_under(draws: &[u8], ceiling: &[u8]) -> Vec<u8> {
+        draws
+            .iter()
+            .zip(ceiling)
+            .map(|(&r, &c)| r % (c + 1))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `chunk_numbers` from any level at or below the group-by's places
+        /// each tuple where the per-coordinate walk does: the ancestor
+        /// value, its chunk, the linearized chunk coordinates.
+        #[test]
+        fn chunk_numbers_match_the_per_coordinate_walk(
+            from_draws in proptest::collection::vec(0u8..8, 3),
+            gb_draws in proptest::collection::vec(0u8..8, 3),
+            raw in proptest::collection::vec(proptest::collection::vec(0u32..1000, 3), 0..24),
+        ) {
+            let g = uneven_grid();
+            let schema = g.schema().clone();
+            let from = level_under(&from_draws, &schema.base_level());
+            let level = level_under(&gb_draws, &from);
+            let gb = schema.lattice().id_of(&level).unwrap();
+            let tuples: Vec<Vec<u32>> = raw
+                .iter()
+                .map(|t| {
+                    let dims = t.iter().enumerate();
+                    dims.map(|(d, &v)| v % schema.dimension(d).cardinality(from[d])).collect()
+                })
+                .collect();
+            let got = g.chunk_numbers(&from, gb, tuples.iter().map(|t| &t[..]));
+            let want: Vec<ChunkNumber> = tuples
+                .iter()
+                .map(|t| {
+                    let coords: Vec<u32> = (0..3)
+                        .map(|d| {
+                            let rolled = schema.dimension(d).ancestor_value(from[d], level[d], t[d]);
+                            g.dim(d).chunk_of_value(level[d], rolled)
+                        })
+                        .collect();
+                    g.geom(gb).linearize(&coords)
+                })
+                .collect();
+            prop_assert_eq!(got, want);
+        }
+
+        /// `chunks_under` is ascending and holds exactly the chunks of the
+        /// more detailed group-by that ascend onto the chunk.
+        #[test]
+        fn chunks_under_is_the_ascending_preimage_of_ascend_chunk(
+            to_draws in proptest::collection::vec(0u8..8, 3),
+            gb_draws in proptest::collection::vec(0u8..8, 3),
+            chunk_draw in 0u64..1000,
+        ) {
+            let g = uneven_grid();
+            let lattice = g.schema().lattice();
+            let to_level = level_under(&to_draws, &g.schema().base_level());
+            let to = lattice.id_of(&to_level).unwrap();
+            let gb = lattice.id_of(&level_under(&gb_draws, &to_level)).unwrap();
+            let chunk = chunk_draw % g.n_chunks(gb);
+            let under = g.chunks_under(gb, chunk, to);
+            prop_assert!(under.windows(2).all(|w| w[0] < w[1]), "{:?}", under);
+            let preimage: Vec<ChunkNumber> = (0..g.n_chunks(to))
+                .filter(|&t| g.ascend_chunk(to, t, gb) == chunk)
+                .collect();
+            prop_assert_eq!(under, preimage);
+        }
     }
 }

@@ -10,81 +10,37 @@ use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey, ChunkNumber};
 use aggcache_obs::Event;
 use aggcache_schema::GroupById;
 use aggcache_store::{AggFn, Aggregator, DeltaBatch, EffectiveDelta, Lift};
-use std::collections::HashMap;
 use std::ops::Range;
 
-/// Where one side (inserts or deletes) of an effective delta lands in one
-/// group-by: each tuple's target chunk, in order, and the sorted set hit.
+/// Where an effective delta lands in one group-by: each insert's target
+/// chunk, then each delete's, in order, and the sorted set of chunks hit.
 struct Landing {
+    gb: GroupById,
     chunks: Vec<ChunkNumber>,
     hit: Vec<ChunkNumber>,
 }
 
 impl Landing {
-    fn of(grid: &ChunkGrid, fact_level: &[u8], gb: GroupById, data: &ChunkData) -> Self {
-        let geom = grid.geom(gb);
-        let level = geom.level();
-        let n = grid.num_dims();
-        let mut chunk_coords = vec![0u32; n];
-        let mut chunks = Vec::with_capacity(data.len());
-        for (coords, _) in data.iter() {
-            for d in 0..n {
-                let dim = grid.schema().dimension(d);
-                let rolled = dim.ancestor_value(fact_level[d], level[d], coords[d]);
-                chunk_coords[d] = grid.dim(d).chunk_of_value(level[d], rolled);
-            }
-            chunks.push(geom.linearize(&chunk_coords));
-        }
+    fn of(grid: &ChunkGrid, fact_level: &[u8], gb: GroupById, eff: &EffectiveDelta) -> Self {
+        let tuples = eff.inserted.iter().chain(eff.deleted.iter());
+        let chunks = grid.chunk_numbers(fact_level, gb, tuples.map(|(coords, _)| coords));
         let mut hit = chunks.clone();
         hit.sort_unstable();
         hit.dedup();
-        Self { chunks, hit }
-    }
-
-    fn hits(&self, chunk: ChunkNumber) -> bool {
-        self.hit.binary_search(&chunk).is_ok()
-    }
-
-    /// The tuples of `data` (this landing's side) that roll up into `chunk`.
-    fn share<'a>(
-        &'a self,
-        data: &'a ChunkData,
-        chunk: ChunkNumber,
-    ) -> impl Iterator<Item = (&'a [u32], f64)> {
-        data.iter()
-            .zip(&self.chunks)
-            .filter(move |(_, &c)| c == chunk)
-            .map(|(tuple, _)| tuple)
+        Self { gb, chunks, hit }
     }
 }
 
-/// One group-by's view of an effective delta, built lazily: only
-/// group-bys with resident or spilled chunks pay for the mapping.
-struct GbDelta {
-    inserts: Landing,
-    deletes: Landing,
-}
-
-impl GbDelta {
-    fn build(grid: &ChunkGrid, fact_level: &[u8], gb: GroupById, eff: &EffectiveDelta) -> Self {
-        debug_assert!(
-            grid.geom(gb)
-                .level()
-                .iter()
-                .zip(fact_level)
-                .all(|(g, f)| g <= f),
-            "resident chunks always live at levels computable from the fact table"
-        );
-        Self {
-            inserts: Landing::of(grid, fact_level, gb, &eff.inserted),
-            deletes: Landing::of(grid, fact_level, gb, &eff.deleted),
-        }
-    }
-
-    /// Whether any effective insert or delete lands in `chunk`.
-    fn affects(&self, chunk: ChunkNumber) -> bool {
-        self.inserts.hits(chunk) || self.deletes.hits(chunk)
-    }
+/// The tuples of `data` whose landing (`chunks`, in order) is `chunk`.
+fn share<'a>(
+    data: &'a ChunkData,
+    chunks: &'a [ChunkNumber],
+    chunk: ChunkNumber,
+) -> impl Iterator<Item = (&'a [u32], f64)> {
+    data.iter()
+        .zip(chunks)
+        .filter(move |(_, &c)| c == chunk)
+        .map(|(tuple, _)| tuple)
 }
 
 /// The first cell of `data[range]` whose coordinates do not sort before
@@ -220,38 +176,42 @@ impl CacheManager {
         Ok(m)
     }
 
-    /// Pushes an effective delta up the lattice: every resident chunk a
-    /// delta tuple rolls into is patched in place or invalidated per the
-    /// policy documented on [`CacheManager::ingest`], then stale spilled
-    /// copies are dropped. Returns the tuples rolled through the
-    /// aggregation kernel, for the virtual-time charge.
+    /// Pushes an effective delta up the lattice by following its landings:
+    /// every resident chunk a delta tuple rolls into is patched in place or
+    /// invalidated per the policy documented on [`CacheManager::ingest`],
+    /// then stale spilled copies are dropped. Returns the tuples rolled
+    /// through the aggregation kernel, for the virtual-time charge.
     fn propagate_delta(&mut self, eff: &EffectiveDelta, m: &mut UpdateMetrics) -> u64 {
         let grid = self.grid.clone();
         let agg = self.backend.agg();
-        let fact_level = grid.geom(self.backend.fact().gb()).level().to_vec();
-        let mut per_gb: HashMap<u32, GbDelta> = HashMap::new();
+        let fact_gb = self.backend.fact().gb();
+        let fact_level = grid.geom(fact_gb).level();
+        // One landing per group-by the fact table answers, by ascending id,
+        // each hit set ascending: the sweep runs in ascending packed key,
+        // like every other whole-cache enumeration.
+        let landings: Vec<Landing> = grid
+            .schema()
+            .lattice()
+            .iter_ids_under(fact_gb)
+            .map(|gb| Landing::of(&grid, fact_level, gb, eff))
+            .collect();
         let mut rolled_up: u64 = 0;
 
-        // Deterministic sweep order: ascending packed key, like every
-        // other whole-cache enumeration.
-        let mut resident: Vec<ChunkKey> = self.cache.keys().collect();
-        resident.sort_unstable_by_key(|k| k.pack());
-        for key in resident {
-            let gbd = per_gb
-                .entry(key.gb.0)
-                .or_insert_with(|| GbDelta::build(&grid, &fact_level, key.gb, eff));
-            if !gbd.affects(key.chunk) {
-                continue;
-            }
-            // Re-check residency: an earlier re-admission may have evicted
-            // this chunk as a policy victim (the spill sweep below catches
-            // any demoted copy).
+        let hits = landings
+            .iter()
+            .flat_map(|l| l.hit.iter().map(move |&chunk| (l, chunk)));
+        for (landing, chunk) in hits {
+            let key = ChunkKey::new(landing.gb, chunk);
+            // Residency at the visit: an earlier re-admission may have
+            // evicted this chunk as a policy victim (the spill sweep below
+            // catches any demoted copy).
             let Some(old) = self.cache.peek(&key) else {
                 continue;
             };
+            let (inserts, deletes) = landing.chunks.split_at(eff.inserted.len());
             let reason = match agg {
                 AggFn::Min | AggFn::Max => Some("min_max"),
-                AggFn::Sum if gbd.deletes.hits(key.chunk) => Some("sum_delete"),
+                AggFn::Sum if deletes.contains(&chunk) => Some("sum_delete"),
                 AggFn::Sum | AggFn::Count => None,
             };
             if let Some(reason) = reason {
@@ -262,15 +222,15 @@ impl CacheManager {
             // to the chunk's level (deletes as negated lifted values),
             // then merge the few sorted delta cells into the cached cells.
             let (origin, benefit) = (old.origin, old.benefit);
-            let mut share = ChunkData::new(grid.num_dims());
-            for (c, v) in gbd.inserts.share(&eff.inserted, key.chunk) {
-                share.push(c, agg.lift(v));
+            let mut delta = ChunkData::new(grid.num_dims());
+            for (c, v) in share(&eff.inserted, inserts, chunk) {
+                delta.push(c, agg.lift(v));
             }
-            for (c, v) in gbd.deletes.share(&eff.deleted, key.chunk) {
-                share.push(c, -agg.lift(v));
+            for (c, v) in share(&eff.deleted, deletes, chunk) {
+                delta.push(c, -agg.lift(v));
             }
             let mut patch = Aggregator::new(grid.schema(), grid.geom(key.gb).level(), agg);
-            patch.add_chunk(&fact_level, &share, Lift::Lifted);
+            patch.add_chunk(fact_level, &delta, Lift::Lifted);
             let tuples = patch.cells_added();
             let delta_cells = patch.finish();
             rolled_up += tuples + (old.data.len() + delta_cells.len()) as u64;
@@ -317,11 +277,11 @@ impl CacheManager {
         let dropped = self.tiering.discard(|key| {
             // A copy of a chunk the grid does not have (a directory another
             // schema wrote) was never valid.
+            // A group-by the fact table cannot answer has no landing: the
+            // delta cannot reach it.
+            let landing = landings.binary_search_by_key(&key.gb, |l| l.gb);
             !grid.has_chunk(key)
-                || per_gb
-                    .entry(key.gb.0)
-                    .or_insert_with(|| GbDelta::build(&grid, &fact_level, key.gb, eff))
-                    .affects(key.chunk)
+                || landing.is_ok_and(|i| landings[i].hit.binary_search(&key.chunk).is_ok())
         });
         for key in dropped {
             m.spill_invalidated += 1;

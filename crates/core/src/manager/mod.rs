@@ -383,20 +383,16 @@ impl CacheManager {
                 best = Some((desc, est_bytes, gb));
             }
         }
-        let Some((descendants, _, gb)) = best else {
+        let Some((_, _, gb)) = best else {
             return Ok(None);
         };
-        Ok(Some(self.preload_group_by(gb, descendants)?))
+        Ok(Some(self.preload_group_by(gb)?))
     }
 
     /// Pre-loads every chunk of an explicitly chosen group-by from the
     /// backend ([`CacheManager::preload_best`] makes the two-level
     /// policy's choice; this entry point serves the pre-loading ablation).
-    pub fn preload_group_by(
-        &mut self,
-        gb: GroupById,
-        descendants: u64,
-    ) -> Result<PreloadReport, CacheError> {
+    pub fn preload_group_by(&mut self, gb: GroupById) -> Result<PreloadReport, CacheError> {
         let fetch = self.backend.fetch_group_by(gb)?;
         let n = fetch.chunks.len().max(1);
         let per_chunk_benefit = fetch.virtual_ms / n as f64;
@@ -418,7 +414,7 @@ impl CacheManager {
         Ok(PreloadReport {
             gb,
             level: self.grid.geom(gb).level().to_vec(),
-            descendants,
+            descendants: self.grid.schema().lattice().descendant_count(gb),
             chunks: loaded,
             bytes,
         })
@@ -595,6 +591,16 @@ mod tests {
             .run(&Query::full_group_by(&mgr.grid().clone(), top).into())
             .unwrap();
         assert!(m.metrics.complete_hit);
+    }
+
+    #[test]
+    fn preload_group_by_reports_the_group_bys_own_descendant_count() {
+        let mut mgr = manager(Strategy::Vcmc);
+        let lattice = mgr.grid().schema().lattice().clone();
+        let base = lattice.base();
+        let report = mgr.preload_group_by(base).unwrap();
+        assert_eq!(report.descendants, lattice.descendant_count(base));
+        assert!(report.descendants > 1, "{report:?}");
     }
 
     #[test]

@@ -629,7 +629,7 @@ pub(crate) mod tests {
         gb: GroupById,
         cells: &'a [ChunkData],
     ) -> Vec<(ChunkKey, &'a ChunkData)> {
-        grid.enumerate_region(gb, &grid.cover_at(target.gb, target.chunk, gb))
+        grid.chunks_under(target.gb, target.chunk, gb)
             .into_iter()
             .map(|c| (ChunkKey::new(gb, c), &cells[c as usize]))
             .collect()

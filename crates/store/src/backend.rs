@@ -254,8 +254,7 @@ impl Backend {
         let mut scanned = 0u64;
         let mut returned = 0u64;
         for &chunk in chunks {
-            let cover = grid.cover_at(gb, chunk, fact_gb);
-            let source_chunks = grid.enumerate_region(fact_gb, &cover);
+            let source_chunks = grid.chunks_under(gb, chunk, fact_gb);
             let run_cells: u64 = source_chunks
                 .iter()
                 .map(|&sc| self.fact.tuples_in(sc))
@@ -315,8 +314,7 @@ impl Backend {
         }
         let mut total = 0u64;
         for &chunk in chunks {
-            let cover = grid.cover_at(gb, chunk, fact_gb);
-            for sc in grid.enumerate_region(fact_gb, &cover) {
+            for sc in grid.chunks_under(gb, chunk, fact_gb) {
                 total += self.fact.tuples_in(sc);
             }
         }
@@ -553,8 +551,7 @@ mod tests {
                 sparse += 1;
             }
             let mut whole = Aggregator::new(grid.schema(), &lattice.level_of(gb), AggFn::Sum);
-            let cover = grid.cover_at(gb, chunk, fact_gb);
-            for sc in grid.enumerate_region(fact_gb, &cover) {
+            for sc in grid.chunks_under(gb, chunk, fact_gb) {
                 whole.add_chunk(&fact_level, backend.fact().chunk(sc), Lift::Raw);
             }
             assert_eq!(whole.cells_added(), scanned);

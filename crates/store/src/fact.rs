@@ -38,34 +38,14 @@ impl fmt::Debug for FactTable {
     }
 }
 
-/// The chunk of `gb` each of `tuples` (value coordinates at `gb`'s level)
-/// lies in: per dimension, the value→chunk table and the linearization
-/// weight of its chunk coordinate.
-fn chunk_numbers<'a>(
-    grid: &ChunkGrid,
-    gb: GroupById,
-    tuples: impl Iterator<Item = &'a [u32]>,
-) -> Vec<ChunkNumber> {
-    let geom = grid.geom(gb);
-    let dims: Vec<(&[u32], u64)> = (0..grid.num_dims())
-        .map(|d| (grid.dim(d).chunk_of_table(geom.level()[d]), geom.weight(d)))
-        .collect();
-    let chunk_of = |coords: &[u32]| -> ChunkNumber {
-        let parts = dims.iter().zip(coords);
-        parts
-            .map(|(&(table, w), &c)| w * u64::from(table[c as usize]))
-            .sum()
-    };
-    tuples.map(chunk_of).collect()
-}
-
 impl FactTable {
     /// Loads raw fact tuples (value coordinates at `gb`'s level) and
     /// clusters them by chunk number, keeping load order within a chunk.
     /// Duplicate coordinates are kept as separate tuples, as in a real
     /// fact table.
     pub fn load(grid: Arc<ChunkGrid>, gb: GroupById, cells: ChunkData) -> Self {
-        let chunk_nums = chunk_numbers(&grid, gb, cells.iter().map(|(coords, _)| coords));
+        let level = grid.geom(gb).level();
+        let chunk_nums = grid.chunk_numbers(level, gb, cells.iter().map(|(coords, _)| coords));
 
         // A size pass, then one push per tuple into its chunk's run.
         let mut sizes = vec![0usize; grid.n_chunks(gb) as usize];
@@ -95,7 +75,7 @@ impl FactTable {
         debug_assert!(
             runs.iter().enumerate().all(|(c, run)| {
                 let coords = run.iter().map(|(coords, _)| coords);
-                chunk_numbers(&grid, gb, coords)
+                grid.chunk_numbers(grid.geom(gb).level(), gb, coords)
                     .iter()
                     .all(|&cn| cn == c as ChunkNumber)
             }),
@@ -173,11 +153,13 @@ impl FactTable {
         // Each record's base chunk, through the tables `load` clusters by.
         // The stable sort keeps batch order within a chunk.
         let coords = batch.records().iter().map(|rec| &rec.coords[..]);
-        let mut by_chunk: Vec<(ChunkNumber, &DeltaRecord)> =
-            chunk_numbers(&self.grid, self.gb, coords)
-                .into_iter()
-                .zip(batch.records())
-                .collect();
+        let level = self.grid.geom(self.gb).level();
+        let mut by_chunk: Vec<(ChunkNumber, &DeltaRecord)> = self
+            .grid
+            .chunk_numbers(level, self.gb, coords)
+            .into_iter()
+            .zip(batch.records())
+            .collect();
         by_chunk.sort_by_key(|&(chunk, _)| chunk);
 
         // Ascending chunk × in-run order is scan order, which `deleted`

@@ -112,15 +112,21 @@ mod cache_behavior {
 
     #[test]
     fn peek_does_not_count_hits() {
-        let mut c = ChunkCache::new(10_000, PolicyKind::Benefit);
-        let k = ChunkKey::new(GroupById(0), 1);
-        c.insert(k, cell(), Origin::Backend, 1.0);
-        assert!(c.peek(&k).is_some());
-        assert_eq!(c.hits(), 0);
-        assert!(c.get(&k).is_some());
-        assert_eq!(c.hits(), 1);
-        assert!(c.get(&ChunkKey::new(GroupById(0), 2)).is_none());
-        assert_eq!(c.misses(), 1);
+        // Under LRU a `get` is a use that saves its chunk from the next
+        // sweep; a peek is not, so the peeked chunk stays the victim.
+        let victim_after = |touch: fn(&mut ChunkCache, &ChunkKey) -> bool| {
+            let mut c = ChunkCache::new(2 * 20, PolicyKind::Lru);
+            let k1 = ChunkKey::new(GroupById(0), 1);
+            c.insert(k1, cell(), Origin::Backend, 1.0);
+            c.insert(ChunkKey::new(GroupById(0), 2), cell(), Origin::Backend, 1.0);
+            assert!(touch(&mut c, &k1));
+            let out = c.insert(ChunkKey::new(GroupById(0), 3), cell(), Origin::Backend, 1.0);
+            assert!(out.admitted);
+            let evicted: Vec<u64> = out.evicted.iter().map(|(key, _)| key.chunk).collect();
+            evicted
+        };
+        assert_eq!(victim_after(|c, k| c.peek(k).is_some()), vec![1]);
+        assert_eq!(victim_after(|c, k| c.get(k).is_some()), vec![2]);
     }
 
     #[test]

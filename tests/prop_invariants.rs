@@ -375,7 +375,7 @@ proptest! {
         let fetched = backend.fetch(target.gb, &[target.chunk]).unwrap();
         let fetched = &fetched.chunks[0].1;
         let under: Vec<ChunkData> = grid
-            .enumerate_region(base, &grid.cover_at(target.gb, target.chunk, base))
+            .chunks_under(target.gb, target.chunk, base)
             .into_iter()
             .map(|c| {
                 let mut run = ChunkData::new(grid.num_dims());
