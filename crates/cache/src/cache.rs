@@ -84,6 +84,11 @@ pub struct ChunkCache {
     /// spill tier feeds `Origin::Spilled` inserts.
     rings: [ClockRing; 3],
     pinned: PackedSet,
+    /// Per ring level: the bytes of its resident chunks, and of those the
+    /// pinned ones' — so [`ChunkCache::freeable_bytes`] is a sum of three
+    /// differences, not a scan.
+    level_bytes: [usize; 3],
+    pinned_bytes: [usize; 3],
     /// Mean benefit of the *resident* chunks, used to normalize clock
     /// seeds. Contributions are added on admission and subtracted on
     /// removal, so evicted and replaced entries do not pollute the mean.
@@ -128,6 +133,8 @@ impl ChunkCache {
             policy,
             rings: Default::default(),
             pinned: PackedSet::default(),
+            level_bytes: [0; 3],
+            pinned_bytes: [0; 3],
             benefit_sum: 0.0,
             benefit_count: 0,
             admission: AdmissionState::new(admission),
@@ -247,12 +254,28 @@ impl ChunkCache {
     /// Pins a chunk: it cannot be chosen as an eviction victim until
     /// unpinned.
     pub fn pin(&mut self, key: ChunkKey) {
-        self.pinned.insert(key.pack());
+        let packed = key.pack();
+        if self.pinned.insert(packed) {
+            if let Some((level, bytes)) = self.resident_bytes(packed) {
+                self.pinned_bytes[level] += bytes;
+            }
+        }
     }
 
     /// Unpins a chunk.
     pub fn unpin(&mut self, key: &ChunkKey) {
-        self.pinned.remove(&key.pack());
+        let packed = key.pack();
+        if self.pinned.remove(&packed) {
+            if let Some((level, bytes)) = self.resident_bytes(packed) {
+                self.pinned_bytes[level] -= bytes;
+            }
+        }
+    }
+
+    /// The ring level and bytes of `key`, if it is resident.
+    fn resident_bytes(&self, key: PackedChunkKey) -> Option<(usize, usize)> {
+        let entry = self.map.get(&key)?;
+        Some((self.level(entry.origin), entry.bytes))
     }
 
     /// Boosts the clocks of a group of chunks by (normalized) `benefit` —
@@ -365,8 +388,13 @@ impl ChunkCache {
             PolicyKind::Lru => 0.5,
             _ => self.normalized(benefit),
         };
-        self.rings[self.level(origin)].insert(packed, clock);
+        let level = self.level(origin);
+        self.rings[level].insert(packed, clock);
         self.used += bytes;
+        self.level_bytes[level] += bytes;
+        if self.pinned.contains(&packed) {
+            self.pinned_bytes[level] += bytes;
+        }
         self.map.insert(
             packed,
             CachedChunk {
@@ -485,10 +513,19 @@ impl ChunkCache {
         }
     }
 
+    /// The bytes of [`ChunkCache::evictable`], from the per-level ledger:
+    /// the unpinned resident bytes at or below the inserting origin's level,
+    /// less the entry being replaced if it is among them.
     fn freeable_bytes(&self, origin: Origin, replacing: PackedChunkKey) -> usize {
-        self.evictable(origin, replacing)
-            .map(|(_, e)| e.bytes)
-            .sum()
+        let top = self.level(origin);
+        let unpinned: usize = (0..=top)
+            .map(|l| self.level_bytes[l] - self.pinned_bytes[l])
+            .sum();
+        let replaced = match self.resident_bytes(replacing) {
+            Some((level, bytes)) if level <= top && !self.pinned.contains(&replacing) => bytes,
+            _ => 0,
+        };
+        unpinned - replaced
     }
 
     /// The first victim the rings offer, searched from the lowest level
@@ -514,7 +551,12 @@ impl ChunkCache {
         if self.benefit_count == 0 || self.benefit_sum < 0.0 {
             self.benefit_sum = 0.0;
         }
-        self.rings[self.level(entry.origin)].remove(key);
+        let level = self.level(entry.origin);
+        self.rings[level].remove(key);
+        self.level_bytes[level] -= entry.bytes;
+        if self.pinned.contains(&key) {
+            self.pinned_bytes[level] -= entry.bytes;
+        }
         Some(entry)
     }
 
@@ -918,5 +960,53 @@ mod tests {
         let out = c.insert(k(4), chunk(10), Origin::Computed, 1.0);
         assert!(out.admitted);
         assert_eq!(keys(&out), vec![k(3)]);
+    }
+
+    /// The per-level ledger answers what a scan of the evictable residents
+    /// does, for every origin and every key being replaced, through a
+    /// random run of inserts (admitted, refused and replacing), removals,
+    /// pins of resident and absent keys, unpins and ownership drains.
+    #[test]
+    fn freeable_bytes_matches_the_evictable_scan() {
+        let origins = [Origin::Backend, Origin::Computed, Origin::Spilled];
+        for policy in [PolicyKind::Benefit, PolicyKind::TwoLevel, PolicyKind::Lru] {
+            let mut c = ChunkCache::new(2_000, policy);
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            let mut next = |n: u64| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                (state >> 33) % n
+            };
+            for step in 0..2_000 {
+                let key = k(next(24));
+                match next(10) {
+                    0..=4 => {
+                        let origin = origins[next(3) as usize];
+                        c.insert(key, chunk(1 + next(30) as usize), origin, next(5) as f64);
+                    }
+                    5 => {
+                        c.remove(&key);
+                    }
+                    6 | 7 => c.pin(key),
+                    8 => c.unpin(&key),
+                    _ => {
+                        let cut = next(24);
+                        c.evict_unowned(|key| key.chunk != cut);
+                    }
+                }
+                for origin in origins {
+                    for i in 0..24 {
+                        let scan: usize =
+                            c.evictable(origin, k(i).pack()).map(|(_, e)| e.bytes).sum();
+                        assert_eq!(
+                            c.freeable_bytes(origin, k(i).pack()),
+                            scan,
+                            "{policy:?} step {step}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,8 +1,210 @@
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
+
 /// Tuple size used for cache-budget accounting, matching the paper's setup
 /// (§7: "each of 20 bytes"). The in-memory representation differs, but
 /// budgets and sizes are expressed in these accounting bytes so that cache
 /// sizes like "10 MB" mean the same thing they meant in the paper.
 pub const PAPER_TUPLE_BYTES: usize = 20;
+
+/// The largest coordinate a chunk holds at the narrow (`u16`) width.
+pub const NARROW_MAX: u32 = u16::MAX as u32;
+
+/// A width a [`ChunkData`] holds its coordinates at: `u16` while every
+/// coordinate fits, `u32` once one does not. Code over a chunk's cells is
+/// written once, generic over this trait, and instantiated per width by a
+/// `match` on [`ChunkData::raw_coords`].
+pub trait Coord: Copy + Ord + Into<u32> + 'static {
+    /// `c` at this width; the caller knows it fits.
+    fn from_u32(c: u32) -> Self;
+
+    /// The coordinate as an index into a per-value table.
+    #[inline(always)]
+    fn index(self) -> usize {
+        let c: u32 = self.into();
+        c as usize
+    }
+
+    /// [`ChunkData::from_raw`] at this width.
+    #[doc(hidden)]
+    fn chunk(n_dims: usize, coords: Vec<Self>, values: Vec<f64>) -> ChunkData;
+}
+
+impl Coord for u16 {
+    #[inline(always)]
+    fn from_u32(c: u32) -> Self {
+        debug_assert!(c <= NARROW_MAX, "coordinate {c} does not fit u16");
+        c as u16
+    }
+
+    fn chunk(n_dims: usize, coords: Vec<u16>, values: Vec<f64>) -> ChunkData {
+        ChunkData {
+            n_dims,
+            coords: CoordVec::U16(coords),
+            values,
+        }
+    }
+}
+
+impl Coord for u32 {
+    #[inline(always)]
+    fn from_u32(c: u32) -> Self {
+        c
+    }
+
+    fn chunk(n_dims: usize, coords: Vec<u32>, values: Vec<f64>) -> ChunkData {
+        ChunkData {
+            n_dims,
+            coords: CoordVec::U32(coords),
+            values,
+        }
+    }
+}
+
+/// Whether every coordinate of `coords` fits the narrow width.
+#[inline]
+fn fits_narrow(coords: &[u32]) -> bool {
+    coords.iter().fold(0, |all, &c| all | c) <= NARROW_MAX
+}
+
+/// Row-major coordinates as a chunk holds them, tagged with their width:
+/// all of a chunk's cells ([`ChunkData::raw_coords`]) or one cell's
+/// ([`ChunkData::coords_of`]). Two views compare and hash by their
+/// values, whatever their widths.
+#[derive(Clone, Copy)]
+pub enum Coords<'a> {
+    /// Every coordinate fits 16 bits.
+    U16(&'a [u16]),
+    /// Some coordinate may not.
+    U32(&'a [u32]),
+}
+
+impl<'a> Coords<'a> {
+    /// Number of coordinates.
+    #[inline]
+    pub fn len(self) -> usize {
+        match self {
+            Coords::U16(c) => c.len(),
+            Coords::U32(c) => c.len(),
+        }
+    }
+
+    /// Whether the view holds no coordinate.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Coordinate `i`.
+    #[inline]
+    pub fn get(self, i: usize) -> u32 {
+        match self {
+            Coords::U16(c) => u32::from(c[i]),
+            Coords::U32(c) => c[i],
+        }
+    }
+
+    /// The coordinates in order, each as a `u32`.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = u32> + 'a {
+        (0..self.len()).map(move |i| self.get(i))
+    }
+
+    /// The coordinates as a `u32` vector.
+    pub fn to_vec(self) -> Vec<u32> {
+        self.iter().collect()
+    }
+
+    /// Coordinates `range` of the view.
+    #[inline]
+    fn slice(self, range: Range<usize>) -> Self {
+        match self {
+            Coords::U16(c) => Coords::U16(&c[range]),
+            Coords::U32(c) => Coords::U32(&c[range]),
+        }
+    }
+
+    fn eq_u32(self, other: &[u32]) -> bool {
+        match self {
+            Coords::U32(c) => c == other,
+            Coords::U16(_) => self.len() == other.len() && self.iter().eq(other.iter().copied()),
+        }
+    }
+}
+
+impl PartialEq for Coords<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (*self, *other) {
+            (Coords::U16(a), Coords::U16(b)) => a == b,
+            (_, Coords::U32(b)) => self.eq_u32(b),
+            (Coords::U32(a), _) => other.eq_u32(a),
+        }
+    }
+}
+
+impl Eq for Coords<'_> {}
+
+impl Hash for Coords<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.len());
+        self.iter().for_each(|c| state.write_u32(c));
+    }
+}
+
+impl fmt::Debug for Coords<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq<[u32]> for Coords<'_> {
+    fn eq(&self, other: &[u32]) -> bool {
+        self.eq_u32(other)
+    }
+}
+
+impl<const N: usize> PartialEq<[u32; N]> for Coords<'_> {
+    fn eq(&self, other: &[u32; N]) -> bool {
+        self.eq_u32(other)
+    }
+}
+
+impl<const N: usize> PartialEq<&[u32; N]> for Coords<'_> {
+    fn eq(&self, other: &&[u32; N]) -> bool {
+        self.eq_u32(*other)
+    }
+}
+
+impl<'a> From<&'a [u32]> for Coords<'a> {
+    fn from(coords: &'a [u32]) -> Self {
+        Coords::U32(coords)
+    }
+}
+
+impl<'a> From<&'a Vec<u32>> for Coords<'a> {
+    fn from(coords: &'a Vec<u32>) -> Self {
+        Coords::U32(coords)
+    }
+}
+
+impl<'a, const N: usize> From<&'a [u32; N]> for Coords<'a> {
+    fn from(coords: &'a [u32; N]) -> Self {
+        Coords::U32(coords)
+    }
+}
+
+/// A chunk's row-major coordinates, at its width.
+#[derive(Debug, Clone)]
+enum CoordVec {
+    U16(Vec<u16>),
+    U32(Vec<u32>),
+}
+
+impl Default for CoordVec {
+    fn default() -> Self {
+        CoordVec::U16(Vec::new())
+    }
+}
 
 /// The cells of a chunk (or of a query result spanning several chunks), as
 /// a structure of arrays: `n_dims` value coordinates per cell plus one
@@ -10,12 +212,26 @@ pub const PAPER_TUPLE_BYTES: usize = 20;
 ///
 /// Coordinates are value ids *at the chunk's group-by level* — a cell of a
 /// chunk at level `(0, 2)` stores a level-0 id for dimension 0 and a level-2
-/// id for dimension 1.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// id for dimension 1. They are held row-major at the narrowest [`Coord`]
+/// width that fits them: `u16` from the start, widened in place to `u32`
+/// the first time a pushed or appended coordinate passes [`NARROW_MAX`]
+/// (or built at `u32` by a producer whose bounds may pass it,
+/// [`ChunkData::from_raw`]). On APB-1 every coordinate fits, so a cell is
+/// `2·dims + 8` bytes of heap. The width is invisible to `==`, which
+/// compares cells, and to [`ChunkData::accounting_bytes`].
+#[derive(Debug, Clone, Default)]
 pub struct ChunkData {
     n_dims: usize,
-    coords: Vec<u32>,
+    coords: CoordVec,
     values: Vec<f64>,
+}
+
+impl PartialEq for ChunkData {
+    fn eq(&self, other: &Self) -> bool {
+        self.n_dims == other.n_dims
+            && self.values == other.values
+            && self.raw_coords() == other.raw_coords()
+    }
 }
 
 impl ChunkData {
@@ -23,30 +239,27 @@ impl ChunkData {
     pub fn new(n_dims: usize) -> Self {
         Self {
             n_dims,
-            coords: Vec::new(),
+            coords: CoordVec::default(),
             values: Vec::new(),
         }
     }
 
-    /// Creates an empty container with room for `cells` cells.
+    /// Creates an empty container with room for `cells` narrow cells.
     pub fn with_capacity(n_dims: usize, cells: usize) -> Self {
         Self {
             n_dims,
-            coords: Vec::with_capacity(cells * n_dims),
+            coords: CoordVec::U16(Vec::with_capacity(cells * n_dims)),
             values: Vec::with_capacity(cells),
         }
     }
 
-    /// Builds a container from parallel raw arrays.
+    /// Builds a container from parallel raw arrays, holding `coords` at
+    /// their own width.
     ///
     /// `coords.len()` must equal `values.len() * n_dims`.
-    pub fn from_raw(n_dims: usize, coords: Vec<u32>, values: Vec<f64>) -> Self {
+    pub fn from_raw<C: Coord>(n_dims: usize, coords: Vec<C>, values: Vec<f64>) -> Self {
         assert_eq!(coords.len(), values.len() * n_dims);
-        Self {
-            n_dims,
-            coords,
-            values,
-        }
+        C::chunk(n_dims, coords, values)
     }
 
     /// Number of coordinate slots per cell.
@@ -67,20 +280,51 @@ impl ChunkData {
         self.values.is_empty()
     }
 
-    /// Appends a cell. The coordinates are copied by a plain loop:
-    /// `extend_from_slice` of a runtime-length slice is a libc `memmove`
-    /// call per cell, which costs more than the 4–20 bytes it moves.
+    /// Appends a cell — coordinates as a `u32` slice, array or vector, or
+    /// read off another chunk — widening the container first if a
+    /// coordinate does not fit its width.
     #[inline]
-    pub fn push(&mut self, coords: &[u32], value: f64) {
+    pub fn push<'c>(&mut self, coords: impl Into<Coords<'c>>, value: f64) {
+        let coords = coords.into();
         debug_assert_eq!(coords.len(), self.n_dims);
-        self.coords.extend(coords.iter().copied());
+        self.extend_coords(coords);
         self.values.push(value);
+    }
+
+    /// Appends `coords` to the coordinate array, widening it first if one
+    /// does not fit. Copies by a plain loop: `extend_from_slice` of a
+    /// runtime-length slice is a libc `memmove` call, which costs more
+    /// than the few bytes of one cell.
+    #[inline]
+    fn extend_coords(&mut self, coords: Coords<'_>) {
+        if let Coords::U32(c) = coords {
+            if !fits_narrow(c) {
+                self.widen();
+            }
+        }
+        match (&mut self.coords, coords) {
+            (CoordVec::U16(v), Coords::U16(c)) => v.extend(c.iter().copied()),
+            (CoordVec::U16(v), Coords::U32(c)) => v.extend(c.iter().map(|&x| u16::from_u32(x))),
+            (CoordVec::U32(v), Coords::U16(c)) => v.extend(c.iter().map(|&x| u32::from(x))),
+            (CoordVec::U32(v), Coords::U32(c)) => v.extend(c.iter().copied()),
+        }
+    }
+
+    /// Moves the coordinates to `u32`, keeping the capacity (a no-op when
+    /// they are already there).
+    fn widen(&mut self) {
+        if let CoordVec::U16(narrow) = &self.coords {
+            let mut wide = Vec::with_capacity(narrow.capacity());
+            wide.extend(narrow.iter().map(|&c| u32::from(c)));
+            self.coords = CoordVec::U32(wide);
+        }
     }
 
     /// The coordinates of cell `i`.
     #[inline]
-    pub fn coords_of(&self, i: usize) -> &[u32] {
-        &self.coords[i * self.n_dims..(i + 1) * self.n_dims]
+    pub fn coords_of(&self, i: usize) -> Coords<'_> {
+        self.raw_coords()
+            .slice(i * self.n_dims..(i + 1) * self.n_dims)
     }
 
     /// The measure value of cell `i`.
@@ -95,17 +339,20 @@ impl ChunkData {
         &mut self.values[i]
     }
 
-    /// Iterates over `(coords, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&[u32], f64)> + '_ {
-        self.coords
-            .chunks_exact(self.n_dims)
-            .zip(self.values.iter().copied())
+    /// Iterates over `(coords, value)` pairs. A hot loop reads
+    /// [`ChunkData::raw_coords`] instead, once per chunk.
+    pub fn iter(&self) -> impl Iterator<Item = (Coords<'_>, f64)> + '_ {
+        (0..self.len()).map(|i| (self.coords_of(i), self.values[i]))
     }
 
-    /// The flattened coordinate array (`len() * n_dims()` entries).
+    /// The flattened coordinate array (`len() * n_dims()` entries) at its
+    /// width.
     #[inline]
-    pub fn raw_coords(&self) -> &[u32] {
-        &self.coords
+    pub fn raw_coords(&self) -> Coords<'_> {
+        match &self.coords {
+            CoordVec::U16(c) => Coords::U16(c),
+            CoordVec::U32(c) => Coords::U32(c),
+        }
     }
 
     /// The measure array.
@@ -114,7 +361,8 @@ impl ChunkData {
         &self.values
     }
 
-    /// Accounting size in bytes (paper convention: 20 bytes per tuple).
+    /// Accounting size in bytes (paper convention: 20 bytes per tuple),
+    /// whatever the width.
     #[inline]
     pub fn accounting_bytes(&self) -> usize {
         self.len() * PAPER_TUPLE_BYTES
@@ -123,22 +371,35 @@ impl ChunkData {
     /// Actual in-memory payload size in bytes.
     #[inline]
     pub fn heap_bytes(&self) -> usize {
-        self.coords.capacity() * std::mem::size_of::<u32>()
-            + self.values.capacity() * std::mem::size_of::<f64>()
+        let coords = match &self.coords {
+            CoordVec::U16(c) => c.capacity() * std::mem::size_of::<u16>(),
+            CoordVec::U32(c) => c.capacity() * std::mem::size_of::<u32>(),
+        };
+        coords + self.values.capacity() * std::mem::size_of::<f64>()
     }
 
-    /// Makes room for exactly `cells` more cells, so that appending parts
-    /// whose total is known costs one allocation and leaves no slack.
+    /// Makes room for exactly `cells` more cells at the current width, so
+    /// that appending parts whose total is known costs one allocation and
+    /// leaves no slack.
     pub fn reserve_exact(&mut self, cells: usize) {
-        self.coords.reserve_exact(cells * self.n_dims);
+        match &mut self.coords {
+            CoordVec::U16(c) => c.reserve_exact(cells * self.n_dims),
+            CoordVec::U32(c) => c.reserve_exact(cells * self.n_dims),
+        }
         self.values.reserve_exact(cells);
     }
 
     /// Appends all cells of `other` (same arity required).
     pub fn append(&mut self, other: &ChunkData) {
-        assert_eq!(self.n_dims, other.n_dims, "arity mismatch");
-        self.coords.extend_from_slice(&other.coords);
-        self.values.extend_from_slice(&other.values);
+        self.extend_from(other, 0..other.len());
+    }
+
+    /// Appends cells `cells` of `src` (same arity required).
+    pub fn extend_from(&mut self, src: &ChunkData, cells: Range<usize>) {
+        assert_eq!(self.n_dims, src.n_dims, "arity mismatch");
+        let n = self.n_dims;
+        self.extend_coords(src.raw_coords().slice(cells.start * n..cells.end * n));
+        self.values.extend_from_slice(&src.values[cells]);
     }
 
     /// Sorts cells lexicographically by coordinates (for deterministic
@@ -146,40 +407,53 @@ impl ChunkData {
     /// sorted as a `u32` index, then applied cycle by cycle inside the
     /// cell arrays, so the only extra memory is the index (4 bytes a cell).
     pub fn sort_by_coords(&mut self) {
-        let n = self.len();
-        let d = self.n_dims;
-        // `order[i]` is the cell that belongs at slot `i`; a slot is marked
-        // finished by pointing it at itself.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|&a, &b| self.coords_of(a as usize).cmp(self.coords_of(b as usize)));
-        let mut held = vec![0u32; d];
-        for start in 0..n {
-            if order[start] as usize == start {
-                continue;
-            }
-            held.copy_from_slice(self.coords_of(start));
-            let held_value = self.values[start];
-            let mut slot = start;
-            loop {
-                let from = order[slot] as usize;
-                order[slot] = slot as u32;
-                if from == start {
-                    self.coords[slot * d..(slot + 1) * d].copy_from_slice(&held);
-                    self.values[slot] = held_value;
-                    break;
-                }
-                self.coords.copy_within(from * d..(from + 1) * d, slot * d);
-                self.values[slot] = self.values[from];
-                slot = from;
-            }
+        let (d, values) = (self.n_dims, &mut self.values);
+        match &mut self.coords {
+            CoordVec::U16(c) => sort_cells(c, values, d),
+            CoordVec::U32(c) => sort_cells(c, values, d),
         }
     }
 
     /// Shrinks the backing buffers to fit (cached chunks are immutable once
     /// built, so excess capacity is pure waste).
     pub fn shrink_to_fit(&mut self) {
-        self.coords.shrink_to_fit();
+        match &mut self.coords {
+            CoordVec::U16(c) => c.shrink_to_fit(),
+            CoordVec::U32(c) => c.shrink_to_fit(),
+        }
         self.values.shrink_to_fit();
+    }
+}
+
+/// [`ChunkData::sort_by_coords`] at one width.
+fn sort_cells<C: Coord>(coords: &mut [C], values: &mut [f64], d: usize) {
+    let n = values.len();
+    let cell = |i: usize| i * d..(i + 1) * d;
+    // `order[i]` is the cell that belongs at slot `i`; a slot is marked
+    // finished by pointing it at itself.
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_unstable_by(|&a, &b| coords[cell(a as usize)].cmp(&coords[cell(b as usize)]));
+    let mut held: Vec<C> = Vec::with_capacity(d);
+    for start in 0..n {
+        if order[start] as usize == start {
+            continue;
+        }
+        held.clear();
+        held.extend_from_slice(&coords[cell(start)]);
+        let held_value = values[start];
+        let mut slot = start;
+        loop {
+            let from = order[slot] as usize;
+            order[slot] = slot as u32;
+            if from == start {
+                coords[cell(slot)].copy_from_slice(&held);
+                values[slot] = held_value;
+                break;
+            }
+            coords.copy_within(cell(from), slot * d);
+            values[slot] = values[from];
+            slot = from;
+        }
     }
 }
 
@@ -187,6 +461,22 @@ impl ChunkData {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn is_wide(d: &ChunkData) -> bool {
+        matches!(d.raw_coords(), Coords::U32(_))
+    }
+
+    /// `cells` pushed into a fresh (narrow) container, and the same cells
+    /// built at `u32`.
+    fn both_widths(d: usize, cells: &[(Vec<u32>, f64)]) -> (ChunkData, ChunkData) {
+        let mut narrow = ChunkData::new(d);
+        for (coords, value) in cells {
+            narrow.push(coords, *value);
+        }
+        let coords: Vec<u32> = cells.iter().flat_map(|(c, _)| c.iter().copied()).collect();
+        let values = cells.iter().map(|&(_, v)| v).collect();
+        (narrow, ChunkData::from_raw(d, coords, values))
+    }
 
     #[test]
     fn push_and_read_back() {
@@ -197,7 +487,9 @@ mod tests {
         assert_eq!(d.coords_of(0), &[1, 2]);
         assert_eq!(d.value_of(1), 7.0);
         let cells: Vec<_> = d.iter().collect();
-        assert_eq!(cells[1], (&[0u32, 5][..], 7.0));
+        assert_eq!(cells[1].0, [0, 5]);
+        assert_eq!(cells[1].1, 7.0);
+        assert!(!is_wide(&d));
     }
 
     #[test]
@@ -207,6 +499,55 @@ mod tests {
             d.push(&[i, 0, 0, 0, 0], 1.0);
         }
         assert_eq!(d.accounting_bytes(), 200);
+        d.push(&[70_000, 0, 0, 0, 0], 1.0);
+        assert_eq!(d.accounting_bytes(), 220, "the width is not accounted");
+    }
+
+    #[test]
+    fn a_narrow_cell_costs_two_bytes_a_coordinate() {
+        let mut d = ChunkData::with_capacity(5, 10);
+        for i in 0..10 {
+            d.push(&[i, 1, 2, 3, NARROW_MAX], 1.0);
+        }
+        assert!(!is_wide(&d));
+        assert_eq!(d.heap_bytes(), 10 * (2 * 5 + 8));
+    }
+
+    #[test]
+    fn push_widens_on_the_first_coordinate_past_u16() {
+        let mut d = ChunkData::with_capacity(2, 4);
+        d.push(&[1, NARROW_MAX], 1.0);
+        assert!(!is_wide(&d));
+        d.push(&[NARROW_MAX + 1, 0], 2.0);
+        assert!(is_wide(&d));
+        assert_eq!(
+            d.heap_bytes(),
+            4 * (4 * 2 + 8),
+            "widening keeps the capacity"
+        );
+        d.push(&[3, 4], 3.0);
+        assert_eq!(d.coords_of(0), &[1, NARROW_MAX]);
+        assert_eq!(d.coords_of(1), &[NARROW_MAX + 1, 0]);
+        assert_eq!(d.coords_of(2), &[3, 4]);
+    }
+
+    #[test]
+    fn append_widens_only_when_a_coordinate_does_not_fit() {
+        let (narrow, wide_small) = both_widths(1, &[(vec![5], 1.0), (vec![6], 2.0)]);
+        let mut a = narrow.clone();
+        a.append(&wide_small);
+        assert!(!is_wide(&a), "u32 cells that fit stay narrow");
+        let mut big = ChunkData::new(1);
+        big.push(&[1 << 16], 3.0);
+        a.append(&big);
+        assert!(is_wide(&a));
+        a.append(&narrow);
+        let got: Vec<Vec<u32>> = a.iter().map(|(c, _)| c.to_vec()).collect();
+        assert_eq!(got, [[5], [6], [5], [6], [1 << 16], [5], [6]]);
+        let mut b = ChunkData::new(1);
+        b.extend_from(&a, 3..5);
+        assert_eq!(b.raw_values(), &[2.0, 3.0]);
+        assert_eq!(b.coords_of(1), [1 << 16]);
     }
 
     #[test]
@@ -249,7 +590,7 @@ mod tests {
             data.sort_by_coords();
             prop_assert_eq!(data.heap_bytes(), heap);
             let want: Vec<u32> = gathered.iter().flat_map(|(c, _)| c.iter().copied()).collect();
-            prop_assert_eq!(data.raw_coords(), &want[..]);
+            prop_assert_eq!(data.raw_coords().to_vec(), want);
             // Equal coordinates may come out in any order: compare the
             // cells as a multiset.
             let mut got: Vec<_> = data.iter().map(|(c, v)| (c.to_vec(), v.to_bits())).collect();
@@ -258,17 +599,69 @@ mod tests {
             want.sort_unstable();
             prop_assert_eq!(got, want);
         }
+
+        /// A `u16` and a `u32` chunk holding the same cells are equal,
+        /// iterate alike and sort alike; a changed cell breaks equality.
+        #[test]
+        fn the_two_widths_hold_the_same_cells(
+            cells in (1usize..=4).prop_flat_map(|d| {
+                proptest::collection::vec(
+                    (proptest::collection::vec(0u32..6, d), -1e3f64..1e3),
+                    1..=100,
+                )
+                .prop_map(move |cells| (d, cells))
+            }),
+        ) {
+            let (d, cells) = cells;
+            let (mut narrow, mut wide) = both_widths(d, &cells);
+            prop_assert!(!is_wide(&narrow) && is_wide(&wide));
+            prop_assert_eq!(&narrow, &wide);
+            prop_assert!(narrow.iter().eq(wide.iter()));
+            narrow.shrink_to_fit();
+            wide.shrink_to_fit();
+            prop_assert_eq!(narrow.heap_bytes() + 2 * d * cells.len(), wide.heap_bytes());
+            // Distinct cells sort to one order; equal ones carry their
+            // value, so compare the multiset after the sort.
+            narrow.sort_by_coords();
+            wide.sort_by_coords();
+            prop_assert_eq!(narrow.raw_coords(), wide.raw_coords());
+            let key = |d: &ChunkData| {
+                let mut cells: Vec<_> = d.iter().map(|(c, v)| (c.to_vec(), v.to_bits())).collect();
+                cells.sort_unstable();
+                cells
+            };
+            prop_assert_eq!(key(&narrow), key(&wide));
+            let mut other = wide.clone();
+            other.push(&vec![0; d], 0.0);
+            prop_assert_ne!(&narrow, &other);
+        }
+    }
+
+    #[test]
+    fn views_compare_by_value_across_widths() {
+        let narrow = Coords::U16(&[1, 2]);
+        let wide = Coords::U32(&[1, 2]);
+        assert_eq!(narrow, wide);
+        assert_ne!(narrow, Coords::U32(&[1, 70_000]));
+        assert_ne!(narrow, Coords::U32(&[1, 2, 3]));
+        let hash = |c: Coords| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            c.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(narrow), hash(wide));
+        assert_eq!(format!("{narrow:?}"), "[1, 2]");
     }
 
     #[test]
     fn from_raw_checks_arity() {
-        let d = ChunkData::from_raw(2, vec![1, 2, 3, 4], vec![1.0, 2.0]);
+        let d = ChunkData::from_raw(2, vec![1u16, 2, 3, 4], vec![1.0, 2.0]);
         assert_eq!(d.len(), 2);
     }
 
     #[test]
     #[should_panic]
     fn from_raw_rejects_mismatch() {
-        let _ = ChunkData::from_raw(2, vec![1, 2, 3], vec![1.0, 2.0]);
+        let _ = ChunkData::from_raw(2, vec![1u32, 2, 3], vec![1.0, 2.0]);
     }
 }

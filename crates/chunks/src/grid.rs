@@ -1,4 +1,4 @@
-use crate::{ChunkError, ChunkKey, ChunkNumber, DimChunking, PACK_CHUNK_BITS};
+use crate::{ChunkError, ChunkKey, ChunkNumber, Coord, Coords, DimChunking, PACK_CHUNK_BITS};
 use aggcache_schema::{GroupById, Schema};
 use std::sync::Arc;
 
@@ -277,17 +277,17 @@ impl ChunkGrid {
         (child_gb, num)
     }
 
-    /// The chunk of `gb` each of `tuples` lands in, where the tuples carry
-    /// value coordinates at level `from` (at or below `gb`'s level
-    /// componentwise): per dimension, the value rolls up to `gb`'s level
-    /// through the composed roll-up table, then the value→chunk table and
-    /// the linearization weight place it. The composed table is the
-    /// identity when `from` is `gb`'s own level.
-    pub fn chunk_numbers<'a>(
+    /// The chunk of `gb` each tuple of `tuples` lands in, where the tuples
+    /// are row-major value coordinates (one per dimension) at level `from`
+    /// (at or below `gb`'s level componentwise): per dimension, the value
+    /// rolls up to `gb`'s level through the composed roll-up table, then
+    /// the value→chunk table and the linearization weight place it. The
+    /// composed table is the identity when `from` is `gb`'s own level.
+    pub fn chunk_numbers(
         &self,
         from: &[u8],
         gb: GroupById,
-        tuples: impl Iterator<Item = &'a [u32]>,
+        tuples: Coords<'_>,
     ) -> Vec<ChunkNumber> {
         let geom = self.geom(gb);
         let dims: Vec<(&[u32], &[u32], u64)> = (0..self.dims.len())
@@ -297,13 +297,10 @@ impl ChunkGrid {
                 (rollup, self.dims[d].chunk_of_table(level), geom.weight(d))
             })
             .collect();
-        let chunk_of = |coords: &[u32]| -> ChunkNumber {
-            let parts = dims.iter().zip(coords);
-            parts
-                .map(|(&(rollup, table, w), &c)| w * u64::from(table[rollup[c as usize] as usize]))
-                .sum()
-        };
-        tuples.map(chunk_of).collect()
+        match tuples {
+            Coords::U16(c) => chunk_numbers_at(&dims, c),
+            Coords::U32(c) => chunk_numbers_at(&dims, c),
+        }
     }
 
     /// The chunks of group-by `to` (more detailed than `gb` componentwise)
@@ -419,6 +416,18 @@ fn lattice_weight(lattice: &aggcache_schema::Lattice, d: usize) -> u32 {
         .id_of(&level)
         .expect("dimension has at least one hierarchy level");
     one.0 - zero.0
+}
+
+/// [`ChunkGrid::chunk_numbers`] at one width, given each dimension's
+/// roll-up table, value→chunk table and weight.
+fn chunk_numbers_at<C: Coord>(dims: &[(&[u32], &[u32], u64)], tuples: &[C]) -> Vec<ChunkNumber> {
+    let chunk_of = |coords: &[C]| -> ChunkNumber {
+        let parts = dims.iter().zip(coords);
+        parts
+            .map(|(&(rollup, table, w), &c)| w * u64::from(table[rollup[c.index()] as usize]))
+            .sum()
+    };
+    tuples.chunks_exact(dims.len()).map(chunk_of).collect()
 }
 
 #[cfg(test)]
@@ -640,7 +649,8 @@ mod tests {
                     dims.map(|(d, &v)| v % schema.dimension(d).cardinality(from[d])).collect()
                 })
                 .collect();
-            let got = g.chunk_numbers(&from, gb, tuples.iter().map(|t| &t[..]));
+            let flat: Vec<u32> = tuples.concat();
+            let got = g.chunk_numbers(&from, gb, Coords::U32(&flat));
             let want: Vec<ChunkNumber> = tuples
                 .iter()
                 .map(|t| {

@@ -25,7 +25,7 @@ mod error;
 mod grid;
 pub mod hash;
 
-pub use data::{ChunkData, PAPER_TUPLE_BYTES};
+pub use data::{ChunkData, Coord, Coords, NARROW_MAX, PAPER_TUPLE_BYTES};
 pub use dimchunk::DimChunking;
 pub use error::ChunkError;
 pub use grid::{ChunkGrid, LevelGeometry};

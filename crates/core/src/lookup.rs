@@ -13,7 +13,8 @@ pub enum Strategy {
     Esm,
     /// Cost-based ESM (§5.1): explores **all** paths to find the cheapest.
     /// `node_budget` caps visited nodes (`None` = unbounded, as in the
-    /// paper); when exceeded the lookup gives up and reports a miss.
+    /// paper); when exceeded the lookup gives up and reports a miss,
+    /// unless the chunk itself is resident: that is a direct hit.
     Esmc {
         /// Maximum nodes to visit before giving up.
         node_budget: Option<u64>,
@@ -179,7 +180,8 @@ fn esm_rec(
 /// every path (including through chunks that are themselves cached) for the
 /// cheapest one. The paper finds its lookup times "unreasonable" when the
 /// cache is warm — reproduced faithfully here, with an optional node budget
-/// as a safety valve.
+/// as a safety valve. A search the budget cuts short plans a direct hit on
+/// a resident `key`, and nothing otherwise.
 pub fn esmc(
     cache: &ChunkCache,
     grid: &ChunkGrid,
@@ -190,7 +192,11 @@ pub fn esmc(
     let mut aborted = false;
     let result = esmc_rec(cache, grid, key, stats, node_budget, &mut aborted);
     if aborted {
-        return None;
+        // The budget cut the search short, but a resident key is its own
+        // plan whatever the search would have found.
+        return cache
+            .contains(&key)
+            .then(|| ComputationPlan::new(key, vec![key], leaf_size(cache, &key)));
     }
     result.map(|(cost, leaves)| ComputationPlan::new(key, leaves, cost))
 }
@@ -565,6 +571,25 @@ mod tests {
         );
         assert!(r.is_none());
         assert!(s.nodes_visited <= 5);
+    }
+
+    /// A budget that stops the search before it returns still plans a
+    /// resident key as a direct hit, with the nodes counted as before.
+    #[test]
+    fn esmc_node_budget_keeps_a_direct_hit() {
+        let mut rig = Rig::new();
+        let (_, _, _, b00) = ids(&rig.grid);
+        let key = ChunkKey::new(b00, 0);
+        rig.add(key, 7);
+        let mut s = LookupStats::default();
+        let plan = esmc(&rig.cache, &rig.grid, key, &mut s, Some(1)).expect("a direct hit");
+        assert!(plan.direct_hit);
+        assert_eq!(plan.leaves, vec![key]);
+        assert_eq!(plan.cost, 7);
+        assert_eq!(
+            s.nodes_visited, 2,
+            "the node that broke the budget is counted"
+        );
     }
 
     #[test]

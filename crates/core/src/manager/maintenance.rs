@@ -6,7 +6,7 @@ use super::CacheManager;
 use crate::error::CacheError;
 use crate::metrics::{CACHE_PER_TUPLE_US, UPDATE_PER_WRITE_US};
 use crate::request::UpdateMetrics;
-use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey, ChunkNumber};
+use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey, ChunkNumber, Coord, Coords};
 use aggcache_obs::Event;
 use aggcache_schema::GroupById;
 use aggcache_store::{AggFn, Aggregator, DeltaBatch, EffectiveDelta, Lift};
@@ -22,8 +22,8 @@ struct Landing {
 
 impl Landing {
     fn of(grid: &ChunkGrid, fact_level: &[u8], gb: GroupById, eff: &EffectiveDelta) -> Self {
-        let tuples = eff.inserted.iter().chain(eff.deleted.iter());
-        let chunks = grid.chunk_numbers(fact_level, gb, tuples.map(|(coords, _)| coords));
+        let mut chunks = grid.chunk_numbers(fact_level, gb, eff.inserted.raw_coords());
+        chunks.extend(grid.chunk_numbers(fact_level, gb, eff.deleted.raw_coords()));
         let mut hit = chunks.clone();
         hit.sort_unstable();
         hit.dedup();
@@ -36,20 +36,21 @@ fn share<'a>(
     data: &'a ChunkData,
     chunks: &'a [ChunkNumber],
     chunk: ChunkNumber,
-) -> impl Iterator<Item = (&'a [u32], f64)> {
+) -> impl Iterator<Item = (Coords<'a>, f64)> {
     data.iter()
         .zip(chunks)
         .filter(move |(_, &c)| c == chunk)
         .map(|(tuple, _)| tuple)
 }
 
-/// The first cell of `data[range]` whose coordinates do not sort before
-/// `coords` (`range.end` if none), for coordinate-sorted `data`.
-fn lower_bound(data: &ChunkData, range: Range<usize>, coords: &[u32]) -> usize {
+/// The first of cells `range` of row-major `coords` (`n` a cell) whose
+/// coordinates do not sort before `key` (`range.end` if none), for
+/// coordinate-sorted cells.
+fn lower_bound<C: Coord>(coords: &[C], n: usize, range: Range<usize>, key: &[C]) -> usize {
     let (mut lo, mut hi) = (range.start, range.end);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if data.coords_of(mid) < coords {
+        if &coords[mid * n..(mid + 1) * n] < key {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -68,31 +69,57 @@ fn lower_bound(data: &ChunkData, range: Range<usize>, coords: &[u32]) -> usize {
 /// is right whatever order `old` is in; the order equals a fresh
 /// recompute's because every producer of resident data
 /// ([`Aggregator::finish`], a spill decode or peer copy of one) emits
-/// coordinate-sorted cells.
+/// coordinate-sorted cells. The merge runs at the two chunks' width, or at
+/// `u32` when only one of them holds a coordinate past `u16`.
 fn merge_cells(old: &ChunkData, delta: &ChunkData, agg: AggFn) -> ChunkData {
-    let n = old.n_dims();
-    let mut values = old.raw_values().to_vec();
-    let mut matched = vec![false; delta.len()];
-    for (value, coords) in values.iter_mut().zip(old.raw_coords().chunks_exact(n)) {
-        let j = lower_bound(delta, 0..delta.len(), coords);
-        if j < delta.len() && delta.coords_of(j) == coords {
-            *value = agg.combine(*value, delta.value_of(j));
+    let (old_values, delta_values) = (old.raw_values(), delta.raw_values());
+    match (old.raw_coords(), delta.raw_coords()) {
+        (Coords::U16(o), Coords::U16(d)) => {
+            merge_at(old.n_dims(), (o, old_values), (d, delta_values), agg)
+        }
+        (Coords::U32(o), Coords::U32(d)) => {
+            merge_at(old.n_dims(), (o, old_values), (d, delta_values), agg)
+        }
+        (o, d) => merge_at(
+            old.n_dims(),
+            (&o.to_vec(), old_values),
+            (&d.to_vec(), delta_values),
+            agg,
+        ),
+    }
+}
+
+/// [`merge_cells`] at one width, over `(coords, values)` pairs.
+fn merge_at<C: Coord>(
+    n: usize,
+    old: (&[C], &[f64]),
+    delta: (&[C], &[f64]),
+    agg: AggFn,
+) -> ChunkData {
+    let ((old, old_values), (delta, delta_values)) = (old, delta);
+    let delta_cell = |j: usize| &delta[j * n..(j + 1) * n];
+    let mut values = old_values.to_vec();
+    let mut matched = vec![false; delta_values.len()];
+    for (value, coords) in values.iter_mut().zip(old.chunks_exact(n)) {
+        let j = lower_bound(delta, n, 0..delta_values.len(), coords);
+        if j < delta_values.len() && delta_cell(j) == coords {
+            *value = agg.combine(*value, delta_values[j]);
             matched[j] = true;
         }
     }
     let new_cells = matched.iter().filter(|&&m| !m).count();
-    let mut out_coords = Vec::with_capacity((old.len() + new_cells) * n);
-    let mut out_values = Vec::with_capacity(old.len() + new_cells);
+    let mut out_coords = Vec::with_capacity((values.len() + new_cells) * n);
+    let mut out_values = Vec::with_capacity(values.len() + new_cells);
     let mut from = 0;
-    for j in (0..delta.len()).filter(|&j| !matched[j]) {
-        let at = lower_bound(old, from..old.len(), delta.coords_of(j));
-        out_coords.extend_from_slice(&old.raw_coords()[from * n..at * n]);
+    for j in (0..delta_values.len()).filter(|&j| !matched[j]) {
+        let at = lower_bound(old, n, from..values.len(), delta_cell(j));
+        out_coords.extend_from_slice(&old[from * n..at * n]);
         out_values.extend_from_slice(&values[from..at]);
-        out_coords.extend_from_slice(delta.coords_of(j));
-        out_values.push(delta.value_of(j));
+        out_coords.extend_from_slice(delta_cell(j));
+        out_values.push(delta_values[j]);
         from = at;
     }
-    out_coords.extend_from_slice(&old.raw_coords()[from * n..]);
+    out_coords.extend_from_slice(&old[from * n..]);
     out_values.extend_from_slice(&values[from..]);
     ChunkData::from_raw(n, out_coords, out_values)
 }
@@ -561,6 +588,18 @@ mod tests {
         recompute.add_chunk(&level, &delta, Lift::Lifted);
         let want = recompute.finish();
         assert_same_bits(&merge_cells(&old, &delta, AggFn::Sum), &want, "sorted");
+        // Either side, or both, at `u32`.
+        let wide = |d: &ChunkData| {
+            ChunkData::from_raw(2, d.raw_coords().to_vec(), d.raw_values().to_vec())
+        };
+        for (o, d) in [(wide(&old), delta.clone()), (old.clone(), wide(&delta))] {
+            assert_same_bits(&merge_cells(&o, &d, AggFn::Sum), &want, "mixed widths");
+        }
+        assert_same_bits(
+            &merge_cells(&wide(&old), &wide(&delta), AggFn::Sum),
+            &want,
+            "u32",
+        );
 
         let reversed = cells(&[([5, 2], 0.3), ([3, 0], 0.2), ([1, 1], 0.1)]);
         let mut got = merge_cells(&reversed, &delta, AggFn::Sum);

@@ -375,8 +375,6 @@ impl CacheManager {
             });
         }
         self.pin_leaves(&plans, true);
-        // A budgeted lookup can miss a resident chunk, so a plan here may
-        // be a direct hit: it is executed and re-admitted like any other.
         let computed = self.execute_plans(&plans, metrics);
         result.reserve_exact(computed.iter().map(|(cells, _)| cells.len()).sum());
         for (plan, (cells, tuples)) in plans.iter().zip(computed) {
@@ -525,14 +523,14 @@ mod tests {
     }
 
     /// The answer is allocated once at its final size: its buffers hold
-    /// exactly its cells, whether they come from direct hits, in-cache
-    /// aggregations or the backend.
+    /// exactly its cells, at two bytes a coordinate, whether they come from
+    /// direct hits, in-cache aggregations or the backend.
     #[test]
     fn answers_carry_no_spare_capacity() {
         let assert_exact = |d: &ChunkData| {
             assert_eq!(
                 d.heap_bytes(),
-                d.len() * (4 * d.n_dims() + 8),
+                d.len() * (2 * d.n_dims() + 8),
                 "{} cells",
                 d.len()
             );
@@ -764,11 +762,11 @@ mod tests {
         assert_eq!(m2.chunks_hit, 1);
     }
 
-    /// A budgeted ESMC probe can give up on a chunk that is resident; when
-    /// the backend is down, the degraded serve finds it as a direct hit and
-    /// still answers it, once, with its own cells.
+    /// A budgeted ESMC probe that runs out of nodes still plans a resident
+    /// chunk as a direct hit, so with the backend down the chunk is served
+    /// from the cache, not degraded.
     #[test]
-    fn degraded_serve_answers_a_resident_chunk_the_budgeted_probe_missed() {
+    fn budgeted_esmc_probe_plans_a_resident_chunk_as_a_direct_hit() {
         let mut mgr = down_manager(
             Strategy::Esmc {
                 node_budget: Some(1),
@@ -783,12 +781,12 @@ mod tests {
             expected.append(&data);
             mgr.insert_chunk(ChunkKey::new(top, chunk), data, Origin::Backend, 1.0);
         }
-        assert!(
-            mgr.probe_as(&q, 0).plans().is_empty(),
-            "the budget hides the hit"
-        );
+        let probe = mgr.probe_as(&q, 0);
+        assert!(probe.missing().is_empty());
+        assert!(!probe.plans().is_empty() && probe.plans().iter().all(|p| p.direct_hit));
         let r = mgr.run(&q.into()).unwrap();
-        assert_eq!(r.metrics.chunks_degraded, 1);
+        assert!(r.metrics.complete_hit);
+        assert_eq!(r.metrics.chunks_degraded, 0);
         assert_eq!(r.data, expected);
     }
 

@@ -128,7 +128,7 @@ mod tests {
         // Scenario coordinate is the single level-0 value everywhere.
         let some_chunk = ds.fact.non_empty_chunks()[0];
         for (coords, _) in ds.fact.scan_chunk(some_chunk) {
-            assert_eq!(coords[4], 0);
+            assert_eq!(coords.get(4), 0);
         }
     }
 }

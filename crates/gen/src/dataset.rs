@@ -166,7 +166,7 @@ mod tests {
         let geom = grid.geom(base);
         for c in 0..geom.total_chunks() {
             for (coords, v) in ds.fact.scan_chunk(c) {
-                assert!(coords[0] < 12 && coords[1] < 8);
+                assert!(coords.get(0) < 12 && coords.get(1) < 8);
                 assert!((1.0..=1000.0).contains(&v));
             }
         }
@@ -229,7 +229,10 @@ mod tests {
         assert!(ds.num_tuples() >= 8);
         for c in 0..grid.n_chunks(gb) {
             for (coords, _) in ds.fact.scan_chunk(c) {
-                assert!(coords[1] == 0, "dim b must be at its single level-0 value");
+                assert!(
+                    coords.get(1) == 0,
+                    "dim b must be at its single level-0 value"
+                );
             }
         }
     }

@@ -8,6 +8,7 @@
 //! within its run or any value changes it, and with it every golden and
 //! sweep number built on the data.
 
+use aggcache_chunks::Coords;
 use aggcache_gen::{Apb1Config, Dataset, SyntheticSpec};
 use std::collections::HashSet;
 use std::sync::OnceLock;
@@ -18,7 +19,7 @@ fn digest(ds: &Dataset) -> u64 {
     for c in 0..ds.grid.n_chunks(ds.fact_gb) {
         let run = ds.fact.chunk(c);
         fold(run.len() as u64);
-        run.raw_coords().iter().for_each(|&x| fold(u64::from(x)));
+        run.raw_coords().iter().for_each(|x| fold(u64::from(x)));
         run.raw_values().iter().for_each(|v| fold(v.to_bits()));
     }
     h
@@ -30,7 +31,7 @@ fn duplicate_coords(ds: &Dataset) -> u64 {
     (0..ds.grid.n_chunks(ds.fact_gb))
         .map(|c| {
             let run = ds.fact.chunk(c);
-            let distinct: HashSet<&[u32]> = run.iter().map(|(coords, _)| coords).collect();
+            let distinct: HashSet<Coords> = run.iter().map(|(coords, _)| coords).collect();
             (run.len() - distinct.len()) as u64
         })
         .sum()

@@ -1,4 +1,4 @@
-use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey};
+use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey, Coord, Coords, NARROW_MAX};
 use aggcache_schema::Schema;
 
 /// A distributive aggregate function over the cube measure.
@@ -214,35 +214,52 @@ impl SourceKeys<'_> {
     /// order, straight off the columnar arrays: a key is the offset plus,
     /// per dimension left, a lookup and a multiply-add, and equals "roll
     /// each coordinate up, then Horner-encode". The loop is compiled once
-    /// per dimension count up to APB-1's five, with the count fixed, and
-    /// once over a slice beyond. Which cells lie in the box is a
-    /// per-*chunk* check ([`ChunkAggregator::add_source_chunk`]).
+    /// per coordinate width and per dimension count up to APB-1's five,
+    /// with the count fixed, and once over a slice beyond; the width and
+    /// the count are matched once per chunk. Which cells lie in the box is
+    /// a per-*chunk* check ([`ChunkAggregator::add_source_chunk`]).
     #[inline(always)]
     fn for_each_cell(&self, data: &ChunkData, put: impl FnMut(u64, f64)) {
+        let (n, values) = (data.n_dims(), data.raw_values());
+        match data.raw_coords() {
+            Coords::U16(coords) => self.for_each_cell_at(coords, n, values, put),
+            Coords::U32(coords) => self.for_each_cell_at(coords, n, values, put),
+        }
+    }
+
+    /// [`SourceKeys::for_each_cell`] at one width.
+    #[inline(always)]
+    fn for_each_cell_at<C: Coord>(
+        &self,
+        coords: &[C],
+        n: usize,
+        values: &[f64],
+        put: impl FnMut(u64, f64),
+    ) {
+        let cells = coords.chunks_exact(n).zip(values);
         match *self.dims.as_slice() {
-            [] => self.keyed(data, [] as [KeyDim; 0], put),
-            [a] => self.keyed(data, [a], put),
-            [a, b] => self.keyed(data, [a, b], put),
-            [a, b, c] => self.keyed(data, [a, b, c], put),
-            [a, b, c, d] => self.keyed(data, [a, b, c, d], put),
-            [a, b, c, d, e] => self.keyed(data, [a, b, c, d, e], put),
-            _ => self.keyed(data, self.dims.as_slice(), put),
+            [] => self.keyed(cells, [] as [KeyDim; 0], put),
+            [a] => self.keyed(cells, [a], put),
+            [a, b] => self.keyed(cells, [a, b], put),
+            [a, b, c] => self.keyed(cells, [a, b, c], put),
+            [a, b, c, d] => self.keyed(cells, [a, b, c, d], put),
+            [a, b, c, d, e] => self.keyed(cells, [a, b, c, d, e], put),
+            _ => self.keyed(cells, self.dims.as_slice(), put),
         }
     }
 
     /// [`SourceKeys::for_each_cell`]'s loop, over `dims`.
     #[inline(always)]
-    fn keyed<'t>(
+    fn keyed<'c, 't, C: Coord>(
         &self,
-        data: &ChunkData,
+        cells: impl Iterator<Item = (&'c [C], &'c f64)>,
         dims: impl AsRef<[KeyDim<'t>]>,
         mut put: impl FnMut(u64, f64),
     ) {
-        let coords = data.raw_coords().chunks_exact(data.n_dims());
-        for (c, &v) in coords.zip(data.raw_values()) {
+        for (c, &v) in cells {
             let mut key = self.offset;
             for &(d, table, w) in dims.as_ref() {
-                key = key.wrapping_add(w * u64::from(table[c[d] as usize]));
+                key = key.wrapping_add(w * u64::from(table[c[d].index()]));
             }
             debug_assert!(key < self.cells, "a source cell outside the target box");
             put(key, v);
@@ -433,7 +450,8 @@ impl<'s> Aggregator<'s> {
         self.cells_added
     }
 
-    /// Finishes into coordinate-sorted [`ChunkData`] at the target level.
+    /// Finishes into coordinate-sorted [`ChunkData`] at the target level,
+    /// at the narrow width when the box's upper corner fits it.
     /// Row-major box keys *are* coordinate order: the dense side walks its
     /// slots in place — no collect, no sort — dividing once per row. The
     /// sparse side radix-sorts its pairs by key, stably, then folds each
@@ -441,13 +459,28 @@ impl<'s> Aggregator<'s> {
     /// the dense side combines in, so both answer the same bits — and
     /// decodes once per distinct key.
     pub fn finish(self) -> ChunkData {
+        let b = &self.cell_box;
+        if b.lo
+            .iter()
+            .zip(&b.len)
+            .all(|(&lo, &len)| lo + len <= NARROW_MAX + 1)
+        {
+            self.finish_at::<u16>()
+        } else {
+            self.finish_at::<u32>()
+        }
+    }
+
+    /// [`Aggregator::finish`] at one width.
+    fn finish_at<C: Coord>(self) -> ChunkData {
         let cell_box = &self.cell_box;
         let n = cell_box.lo.len();
-        let mut coords = cell_box.lo.clone();
-        match self.cells {
+        let mut cell = cell_box.lo.clone();
+        let (coords, values) = match self.cells {
             Cells::Dense { vals, occupied } => {
                 let reached = occupied.iter().filter(|&&o| o != 0).count();
-                let mut out = ChunkData::with_capacity(n, reached);
+                let mut coords: Vec<C> = Vec::with_capacity(reached * n);
+                let mut values = Vec::with_capacity(reached);
                 let inner = cell_box.inner();
                 let row_len = cell_box.len[inner] as usize;
                 for (row, slots) in occupied.chunks(row_len).enumerate() {
@@ -455,13 +488,14 @@ impl<'s> Aggregator<'s> {
                         continue;
                     }
                     let start = row * row_len;
-                    cell_box.decode(start as u64, &mut coords);
+                    cell_box.decode(start as u64, &mut cell);
                     for (i, _) in slots.iter().enumerate().filter(|&(_, &o)| o != 0) {
-                        coords[inner] = cell_box.lo[inner] + i as u32;
-                        out.push(&coords, vals[start + i]);
+                        cell[inner] = cell_box.lo[inner] + i as u32;
+                        coords.extend(cell.iter().map(|&c| C::from_u32(c)));
+                        values.push(vals[start + i]);
                     }
                 }
-                out
+                (coords, values)
             }
             Cells::Sparse(run) => {
                 let mut cells = radix_sort_by_key(run, cell_box.cells);
@@ -473,14 +507,17 @@ impl<'s> Aggregator<'s> {
                     }
                     same
                 });
-                let mut out = ChunkData::with_capacity(n, cells.len());
+                let mut coords: Vec<C> = Vec::with_capacity(cells.len() * n);
+                let mut values = Vec::with_capacity(cells.len());
                 for (key, v) in cells {
-                    cell_box.decode(key, &mut coords);
-                    out.push(&coords, v);
+                    cell_box.decode(key, &mut cell);
+                    coords.extend(cell.iter().map(|&c| C::from_u32(c)));
+                    values.push(v);
                 }
-                out
+                (coords, values)
             }
-        }
+        };
+        ChunkData::from_raw(n, coords, values)
     }
 }
 
@@ -614,7 +651,7 @@ pub(crate) mod tests {
         let mut out = vec![ChunkData::new(cells.n_dims()); geom.total_chunks() as usize];
         for (c, v) in cells.iter() {
             let cc: Vec<u32> = (0..c.len())
-                .map(|d| grid.dim(d).chunk_of_value(geom.level()[d], c[d]))
+                .map(|d| grid.dim(d).chunk_of_value(geom.level()[d], c.get(d)))
                 .collect();
             out[geom.linearize(&cc) as usize].push(c, v);
         }
@@ -678,7 +715,7 @@ pub(crate) mod tests {
                     .map(|d| {
                         schema
                             .dimension(d)
-                            .ancestor_value(from[d], target[d], coords[d])
+                            .ancestor_value(from[d], target[d], coords.get(d))
                     })
                     .collect();
                 cells
@@ -772,7 +809,7 @@ pub(crate) mod tests {
         let mut lo = ChunkData::new(2);
         let mut hi = ChunkData::new(2);
         for (c, v) in base.iter() {
-            if c[0] < 2 {
+            if c.get(0) < 2 {
                 lo.push(c, v);
             } else {
                 hi.push(c, v);
@@ -984,6 +1021,60 @@ pub(crate) mod tests {
         }
     }
 
+    /// A level of 70,000 values: a chunk whose box reaches past `u16`
+    /// finishes at `u32`, every other at `u16`, and either way each roll-up
+    /// — per chunk on the dense and the sparse side, from source chunks of
+    /// both widths, and level-wide — equals the row reference bit for bit.
+    #[test]
+    fn a_level_past_u16_rolls_up_bit_identically_at_both_widths() {
+        let s = Arc::new(
+            Schema::new(vec![
+                Dimension::balanced("a", vec![1, 7, 70_000]).unwrap(),
+                Dimension::flat("b", 3).unwrap(),
+            ])
+            .unwrap(),
+        );
+        let g = ChunkGrid::build(s.clone(), &[vec![1, 2, 4], vec![1, 2]]).unwrap();
+        let lattice = s.lattice();
+        let (base, base_level) = (lattice.base(), s.base_level());
+        let mut cells = ChunkData::new(2);
+        let edges = [0, NARROW_MAX - 1, NARROW_MAX, NARROW_MAX + 1, 69_999];
+        let spread = (0..600u32).map(|i| i * 116_663 % 70_000);
+        for (i, a) in edges.into_iter().chain(spread).enumerate() {
+            cells.push(&[a, i as u32 % 3], 0.1 + i as f64 * 1e10 + (i as f64).sin());
+        }
+        let by_base = by_chunk(&g, base, &cells);
+        let wide = |d: &ChunkData| matches!(d.raw_coords(), Coords::U32(_));
+        assert!(by_base.iter().any(wide) && by_base.iter().any(|d| !d.is_empty() && !wide(d)));
+        for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
+            for gb in lattice.iter_ids() {
+                let level = lattice.level_of(gb);
+                for chunk in 0..g.n_chunks(gb) {
+                    let target = ChunkKey::new(gb, chunk);
+                    let sources = sources_under(&g, target, base, &by_base);
+                    let leveled: Vec<(&[u8], &ChunkData)> =
+                        sources.iter().map(|&(_, d)| (&base_level[..], d)).collect();
+                    let want = reference_rollup(&s, &leveled, &level, agg, Lift::Raw);
+                    let past_u16 = g
+                        .cell_box(gb, chunk)
+                        .iter()
+                        .any(|&(_, hi)| hi > NARROW_MAX + 1);
+                    for expected_cells in [u64::MAX, 0] {
+                        let got =
+                            chunk_result(&g, target, &sources, agg, Lift::Raw, expected_cells);
+                        let ctx = format!("{agg:?} {target:?} x{expected_cells}");
+                        assert_same_bits(&got, &want, &ctx);
+                        assert_eq!(wide(&got), past_u16, "{ctx}");
+                    }
+                }
+                let all = [(&base_level[..], &cells)];
+                let got = aggregate_to_level(&s, &all, &level, agg, Lift::Raw);
+                let want = reference_rollup(&s, &all, &level, agg, Lift::Raw);
+                assert_same_bits(&got, &want, &format!("{agg:?} level {level:?}"));
+            }
+        }
+    }
+
     /// The rule is a function of (box cells, expected cells): dense up to
     /// and including a box twice the input, sparse from one cell beyond —
     /// a box of one cell included, and an empty input on either side
@@ -1114,15 +1205,17 @@ pub(crate) mod tests {
             let mut want = Vec::new();
             for i in range {
                 let c = d.coords_of(i);
-                if span.is_some_and(|span| (0..2).any(|k| c[k] < span[k].0 || c[k] >= span[k].1)) {
+                if span.is_some_and(|span| {
+                    (0..2).any(|k| c.get(k) < span[k].0 || c.get(k) >= span[k].1)
+                }) {
                     continue;
                 }
                 slice.push(c, d.value_of(i));
                 let key: u64 = (0..2)
                     .map(|k| {
-                        let up = s
-                            .dimension(k)
-                            .ancestor_value(from[k], cell_box.level[k], c[k]);
+                        let up =
+                            s.dimension(k)
+                                .ancestor_value(from[k], cell_box.level[k], c.get(k));
                         cell_box.weights[k] * u64::from(up - cell_box.lo[k])
                     })
                     .sum();
@@ -1341,7 +1434,7 @@ pub(crate) mod tests {
         let mut prev: Option<Vec<u32>> = None;
         for (c, _) in out.iter() {
             if let Some(p) = &prev {
-                assert!(p.as_slice() < c);
+                assert!(p.as_slice() < &c.to_vec()[..]);
             }
             prev = Some(c.to_vec());
         }

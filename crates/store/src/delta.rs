@@ -12,7 +12,7 @@
 //! tuples that actually landed or left, and which base chunks they touched
 //! — which the cache layer then propagates *up* the lattice.
 
-use aggcache_chunks::{ChunkData, ChunkError, ChunkGrid, ChunkNumber};
+use aggcache_chunks::{ChunkData, ChunkError, ChunkGrid, ChunkNumber, Coords};
 use aggcache_schema::GroupById;
 use std::collections::HashMap;
 
@@ -52,20 +52,20 @@ impl DeltaBatch {
     }
 
     /// Appends an insert of `(coords, value)`.
-    pub fn insert(&mut self, coords: &[u32], value: f64) -> &mut Self {
+    pub fn insert<'c>(&mut self, coords: impl Into<Coords<'c>>, value: f64) -> &mut Self {
         self.records.push(DeltaRecord {
             op: DeltaOp::Insert,
-            coords: coords.to_vec(),
+            coords: coords.into().to_vec(),
             value,
         });
         self
     }
 
     /// Appends a delete of one instance of `(coords, value)`.
-    pub fn delete(&mut self, coords: &[u32], value: f64) -> &mut Self {
+    pub fn delete<'c>(&mut self, coords: impl Into<Coords<'c>>, value: f64) -> &mut Self {
         self.records.push(DeltaRecord {
             op: DeltaOp::Delete,
-            coords: coords.to_vec(),
+            coords: coords.into().to_vec(),
             value,
         });
         self

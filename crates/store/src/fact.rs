@@ -1,5 +1,5 @@
 use crate::delta::{delete_multiset, DeltaBatch, DeltaOp, DeltaRecord, EffectiveDelta};
-use aggcache_chunks::{ChunkData, ChunkError, ChunkGrid, ChunkNumber};
+use aggcache_chunks::{ChunkData, ChunkError, ChunkGrid, ChunkNumber, Coords};
 use aggcache_schema::GroupById;
 use std::fmt;
 use std::sync::Arc;
@@ -45,7 +45,7 @@ impl FactTable {
     /// fact table.
     pub fn load(grid: Arc<ChunkGrid>, gb: GroupById, cells: ChunkData) -> Self {
         let level = grid.geom(gb).level();
-        let chunk_nums = grid.chunk_numbers(level, gb, cells.iter().map(|(coords, _)| coords));
+        let chunk_nums = grid.chunk_numbers(level, gb, cells.raw_coords());
 
         // A size pass, then one push per tuple into its chunk's run.
         let mut sizes = vec![0usize; grid.n_chunks(gb) as usize];
@@ -74,8 +74,7 @@ impl FactTable {
         );
         debug_assert!(
             runs.iter().enumerate().all(|(c, run)| {
-                let coords = run.iter().map(|(coords, _)| coords);
-                grid.chunk_numbers(grid.geom(gb).level(), gb, coords)
+                grid.chunk_numbers(grid.geom(gb).level(), gb, run.raw_coords())
                     .iter()
                     .all(|&cn| cn == c as ChunkNumber)
             }),
@@ -121,7 +120,7 @@ impl FactTable {
     }
 
     /// Iterates the `(coords, value)` tuples of `chunk`.
-    pub fn scan_chunk(&self, chunk: ChunkNumber) -> impl Iterator<Item = (&[u32], f64)> + '_ {
+    pub fn scan_chunk(&self, chunk: ChunkNumber) -> impl Iterator<Item = (Coords<'_>, f64)> + '_ {
         self.chunk(chunk).iter()
     }
 
@@ -152,11 +151,15 @@ impl FactTable {
 
         // Each record's base chunk, through the tables `load` clusters by.
         // The stable sort keeps batch order within a chunk.
-        let coords = batch.records().iter().map(|rec| &rec.coords[..]);
+        let coords: Vec<u32> = batch
+            .records()
+            .iter()
+            .flat_map(|rec| rec.coords.iter().copied())
+            .collect();
         let level = self.grid.geom(self.gb).level();
         let mut by_chunk: Vec<(ChunkNumber, &DeltaRecord)> = self
             .grid
-            .chunk_numbers(level, self.gb, coords)
+            .chunk_numbers(level, self.gb, Coords::U32(&coords))
             .into_iter()
             .zip(batch.records())
             .collect();
@@ -170,23 +173,25 @@ impl FactTable {
         let mut base_chunks = Vec::new();
         for group in by_chunk.chunk_by(|a, b| a.0 == b.0) {
             let chunk = group[0].0;
-            let has_delete = group.iter().any(|(_, rec)| rec.op == DeltaOp::Delete);
             let old = &self.runs[chunk as usize];
+            // Survivors are copied a stretch at a time, between deletes.
             let mut new = ChunkData::with_capacity(n_dims, old.len() + group.len());
-            for (coords, value) in old.iter() {
-                let goes = has_delete && {
+            let mut kept_from = 0;
+            let has_delete = group.iter().any(|(_, rec)| rec.op == DeltaOp::Delete);
+            if has_delete {
+                for (i, (coords, value)) in old.iter().enumerate() {
                     probe.0.clear();
-                    probe.0.extend_from_slice(coords);
+                    probe.0.extend(coords.iter());
                     probe.1 = value.to_bits();
                     let due = pending.get_mut(&probe).filter(|n| **n > 0);
-                    due.map(|n| *n -= 1).is_some()
-                };
-                if goes {
-                    deleted.push(coords, value);
-                } else {
-                    new.push(coords, value);
+                    if due.map(|n| *n -= 1).is_some() {
+                        new.extend_from(old, kept_from..i);
+                        deleted.push(coords, value);
+                        kept_from = i + 1;
+                    }
                 }
             }
+            new.extend_from(old, kept_from..old.len());
             let survivors = new.len();
             for (_, rec) in group {
                 if rec.op == DeltaOp::Insert {
@@ -267,8 +272,8 @@ mod tests {
         // Every chunk's tuples map back to that chunk.
         for c in 0..geom.total_chunks() {
             for (coords, _) in t.scan_chunk(c) {
-                let a_chunk = t.grid().dim(0).chunk_of_value(2, coords[0]);
-                let b_chunk = t.grid().dim(1).chunk_of_value(1, coords[1]);
+                let a_chunk = t.grid().dim(0).chunk_of_value(2, coords.get(0));
+                let b_chunk = t.grid().dim(1).chunk_of_value(1, coords.get(1));
                 assert_eq!(geom.linearize(&[a_chunk, b_chunk]), c);
             }
         }

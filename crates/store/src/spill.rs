@@ -19,7 +19,7 @@
 
 use crate::io::{DiskFaultProfile, FaultInjectingSpillIo, FsSpillIo, SpillIo};
 use crate::retry::RetryPolicy;
-use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey};
+use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey, Coord, Coords, NARROW_MAX};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -389,7 +389,8 @@ fn encode(key: ChunkKey, flags: u16, origin: u8, benefit: f64, data: &ChunkData)
     let n_cells = data.len();
     let coord_bytes = n_cells * n_dims * 4;
     let value_bytes = n_cells * 8;
-    let mut out = Vec::with_capacity(SPILL_HEADER_BYTES + 8 + coord_bytes + value_bytes + 8);
+    let len = SPILL_HEADER_BYTES + 8 + coord_bytes + value_bytes + 8;
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&SPILL_MAGIC);
     out.extend_from_slice(&SPILL_FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&flags.to_le_bytes());
@@ -400,17 +401,47 @@ fn encode(key: ChunkKey, flags: u16, origin: u8, benefit: f64, data: &ChunkData)
     out.extend_from_slice(&(n_cells as u32).to_le_bytes());
     out.extend_from_slice(&benefit.to_bits().to_le_bytes());
     debug_assert_eq!(out.len(), SPILL_HEADER_BYTES);
+    // Each block is sized, then filled in place: `u32` LE coordinates
+    // whatever the chunk's width in memory, then the values' bits.
     out.extend_from_slice(&(coord_bytes as u32).to_le_bytes());
-    for &c in data.raw_coords() {
-        out.extend_from_slice(&c.to_le_bytes());
+    let coords_at = out.len();
+    out.resize(coords_at + coord_bytes, 0);
+    match data.raw_coords() {
+        Coords::U16(c) => put_coords(c, &mut out[coords_at..]),
+        Coords::U32(c) => put_coords(c, &mut out[coords_at..]),
     }
     out.extend_from_slice(&(value_bytes as u32).to_le_bytes());
-    for &v in data.raw_values() {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    let values_at = out.len();
+    out.resize(values_at + value_bytes, 0);
+    for (to, v) in out[values_at..].chunks_exact_mut(8).zip(data.raw_values()) {
+        to.copy_from_slice(&v.to_bits().to_le_bytes());
     }
     let checksum = spill_checksum(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
+    debug_assert_eq!(out.len(), len);
     out
+}
+
+/// Writes `coords` as `u32` LE into `out`, four bytes each.
+fn put_coords<C: Coord>(coords: &[C], out: &mut [u8]) {
+    for (to, &c) in out.chunks_exact_mut(4).zip(coords) {
+        let c: u32 = c.into();
+        to.copy_from_slice(&c.to_le_bytes());
+    }
+}
+
+/// One `u32` LE coordinate of a record's coordinate block.
+fn get_coord(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("four bytes"))
+}
+
+/// Reads a block of `u32` LE coordinates at width `C`, which the caller
+/// has checked holds every one of them.
+fn get_coords<C: Coord>(block: &[u8]) -> Vec<C> {
+    block
+        .chunks_exact(4)
+        .map(|c| C::from_u32(get_coord(c)))
+        .collect()
 }
 
 /// Checks what every checksummed `SpillFormat` object — a record, the
@@ -494,19 +525,25 @@ fn decode(bytes: &[u8]) -> Result<(SpillRecord, bool), SpillError> {
             reason: "flags or block lengths disagree with the header or the record's length",
         });
     }
-    let coords = bytes[coords_at..values_len_at]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("four bytes")))
-        .collect();
     let values = bytes[values_at..body_len]
         .chunks_exact(8)
         .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("eight bytes"))))
         .collect();
+    // Straight into the narrow width unless some coordinate is past it.
+    // The check ORs every coordinate with no early exit, which vectorises;
+    // a test per coordinate that stops at the first wide one is several
+    // times slower on a block that is all narrow.
+    let block = &bytes[coords_at..values_len_at];
+    let data = if block.chunks_exact(4).fold(0, |all, c| all | get_coord(c)) <= NARROW_MAX {
+        ChunkData::from_raw(n_dims, get_coords::<u16>(block), values)
+    } else {
+        ChunkData::from_raw(n_dims, get_coords::<u32>(block), values)
+    };
     let record = SpillRecord {
         key: ChunkKey::unpack(packed),
         origin,
         benefit,
-        data: ChunkData::from_raw(n_dims, coords, values),
+        data,
     };
     Ok((record, tombstone))
 }
@@ -1169,6 +1206,50 @@ mod tests {
             encode_record(dec.key, dec.origin, dec.benefit, &dec.data),
             enc
         );
+    }
+
+    /// SpillFormat v2's exact bytes for `sample_chunk`. Coordinates are
+    /// `u32` LE on disk whatever their width in memory, so a record
+    /// written from either width is these bytes.
+    #[test]
+    fn a_record_keeps_its_format_v2_bytes() {
+        const RECORD: &str = "41435350020000000700000000030000010002000300000000000000000004401800\
+            000000000000010000000200000003000000070000000000000018000000000000000000f83f0000000000\
+            0011c0000000000000000028c4c0cb46754613";
+        let want: Vec<u8> = (0..RECORD.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&RECORD[i..i + 2], 16).unwrap())
+            .collect();
+        let narrow = sample_chunk();
+        let wide = ChunkData::from_raw(
+            2,
+            narrow.raw_coords().to_vec(),
+            narrow.raw_values().to_vec(),
+        );
+        assert!(matches!(narrow.raw_coords(), Coords::U16(_)));
+        for data in [&narrow, &wide] {
+            assert_eq!(
+                encode_record(sample_key(), ORIGIN_COMPUTED, 2.5, data),
+                want
+            );
+        }
+        assert_eq!(record_len(&want).unwrap(), want.len());
+    }
+
+    /// A chunk with a coordinate past `u16` comes back wide and equal; one
+    /// without comes back narrow, whatever width it was written from.
+    #[test]
+    fn each_width_survives_a_round_trip() {
+        let mut wide = sample_chunk();
+        wide.push(&[70_000, 1], 9.0);
+        let dec = decode_record(&encode_record(sample_key(), ORIGIN_BACKEND, 1.0, &wide)).unwrap();
+        assert!(matches!(dec.data.raw_coords(), Coords::U32(_)));
+        assert_eq!(dec.data, wide);
+        let narrow = ChunkData::from_raw(2, vec![0u32, 1, 65_535, 3], vec![1.0, 2.0]);
+        let dec =
+            decode_record(&encode_record(sample_key(), ORIGIN_BACKEND, 1.0, &narrow)).unwrap();
+        assert!(matches!(dec.data.raw_coords(), Coords::U16(_)));
+        assert_eq!(dec.data, narrow);
     }
 
     #[test]

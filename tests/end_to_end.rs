@@ -134,3 +134,26 @@ fn preload_then_aggregated_queries_never_touch_backend() {
     }
     assert_eq!(mgr.session().sum.backend_tuples, 0);
 }
+
+/// The budget charges a cached cell the paper's 20 bytes; on APB-1 every
+/// coordinate fits 16 bits, so a five-dimensional cell holds 18 bytes of
+/// heap. Checked over every chunk of a manager filled to its budget.
+#[test]
+fn a_full_apb_cache_holds_less_heap_than_it_accounts() {
+    let ds = dataset();
+    let budget = 200_000;
+    let (mgr, _) = run_session(&ds, Strategy::Vcmc, PolicyKind::TwoLevel, budget, true, 100);
+    let cache = mgr.cache();
+    assert!(
+        cache.used_bytes() * 10 >= budget * 9,
+        "{} of {budget} bytes used",
+        cache.used_bytes()
+    );
+    let entries = cache.entries_sorted();
+    let heap: usize = entries.iter().map(|(_, e)| e.data.heap_bytes()).sum();
+    let accounted: usize = entries.iter().map(|(_, e)| e.data.accounting_bytes()).sum();
+    assert!(
+        heap * 10 <= accounted * 9,
+        "{heap} heap bytes for {accounted} accounted"
+    );
+}

@@ -164,9 +164,11 @@ fn faulty_runs_are_deterministic_per_seed() {
 #[test]
 fn fault_injection_never_corrupts_answers() {
     let ds = dataset();
-    let queries = paper_stream(&ds, 3_000).take_queries(60);
+    let queries = paper_stream(&ds, 3_000).take_queries(200);
     // Tight budget: the cache churns, so fetches (and thus outages) keep
-    // happening throughout the stream.
+    // happening throughout the stream: 67 chunk fetches, and 3 queries
+    // whose retries run out. The budgeted probe serves resident chunks from
+    // the cache, so the stream is long enough to fetch that often.
     let budget = 200 * PAPER_TUPLE_BYTES;
     let strategy = Strategy::Esmc {
         node_budget: Some(64),

@@ -350,7 +350,7 @@ proptest! {
             for &(from, data) in sources {
                 for (c, v) in data.iter() {
                     let to: Vec<u32> = (0..c.len())
-                        .map(|d| schema.dimension(d).ancestor_value(from[d], level[d], c[d]))
+                        .map(|d| schema.dimension(d).ancestor_value(from[d], level[d], c.get(d)))
                         .collect();
                     let v = if lift == Lift::Raw { agg.lift(v) } else { v };
                     cells.entry(to).and_modify(|acc| *acc = agg.combine(*acc, v)).or_insert(v);
@@ -360,7 +360,7 @@ proptest! {
         };
         let same_bits = |got: &ChunkData, want: &[(Vec<u32>, f64)]| {
             got.len() == want.len()
-                && got.iter().zip(want).all(|((c, v), (wc, wv))| c == &wc[..] && v.to_bits() == wv.to_bits())
+                && got.iter().zip(want).all(|((c, v), (wc, wv))| c == wc[..] && v.to_bits() == wv.to_bits())
         };
         let from_leaves: Vec<(&[u8], &ChunkData)> = plan
             .leaves
