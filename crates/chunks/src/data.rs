@@ -28,7 +28,7 @@ pub trait Coord: Copy + Ord + Into<u32> + 'static {
 
     /// [`ChunkData::from_raw`] at this width.
     #[doc(hidden)]
-    fn chunk(n_dims: usize, coords: Vec<Self>, values: Vec<f64>) -> ChunkData;
+    fn chunk(n_dims: usize, coords: Vec<Self>, values: ValueVec) -> ChunkData;
 }
 
 impl Coord for u16 {
@@ -38,7 +38,7 @@ impl Coord for u16 {
         c as u16
     }
 
-    fn chunk(n_dims: usize, coords: Vec<u16>, values: Vec<f64>) -> ChunkData {
+    fn chunk(n_dims: usize, coords: Vec<u16>, values: ValueVec) -> ChunkData {
         ChunkData {
             n_dims,
             coords: CoordVec::U16(coords),
@@ -53,7 +53,7 @@ impl Coord for u32 {
         c
     }
 
-    fn chunk(n_dims: usize, coords: Vec<u32>, values: Vec<f64>) -> ChunkData {
+    fn chunk(n_dims: usize, coords: Vec<u32>, values: ValueVec) -> ChunkData {
         ChunkData {
             n_dims,
             coords: CoordVec::U32(coords),
@@ -206,6 +206,269 @@ impl Default for CoordVec {
     }
 }
 
+/// A width a [`ChunkData`] holds its measure values at: `f32` while every
+/// value survives `f64 → f32 → f64` bit for bit, `f64` once one does not.
+/// Code over a chunk's values is written once, generic over this trait,
+/// and instantiated per width by a `match` on [`ChunkData::raw_values`];
+/// widening to `f64` is exact.
+pub trait Value: Copy + Into<f64> + 'static {}
+
+impl Value for f32 {}
+
+impl Value for f64 {}
+
+/// Whether `v` survives the round trip through `f32` bit for bit: not a
+/// NaN payload or signalling bit `f32` drops, not an `f64` subnormal, not
+/// a value like `0.1` or an odd integer past 2²⁴ that `f32` rounds.
+#[inline(always)]
+fn fits_f32(v: f64) -> bool {
+    f64::from(v as f32).to_bits() == v.to_bits()
+}
+
+/// Measure values as a chunk holds them, tagged with their width: all of a
+/// chunk's cells ([`ChunkData::raw_values`]). Two views compare by value,
+/// whatever their widths.
+#[derive(Clone, Copy)]
+pub enum Values<'a> {
+    /// Every value round-trips through `f32`.
+    F32(&'a [f32]),
+    /// Some value may not.
+    F64(&'a [f64]),
+}
+
+impl<'a> Values<'a> {
+    /// Number of values.
+    #[inline]
+    pub fn len(self) -> usize {
+        match self {
+            Values::F32(v) => v.len(),
+            Values::F64(v) => v.len(),
+        }
+    }
+
+    /// Whether the view holds no value.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Value `i`, exactly.
+    #[inline]
+    pub fn get(self, i: usize) -> f64 {
+        match self {
+            Values::F32(v) => f64::from(v[i]),
+            Values::F64(v) => v[i],
+        }
+    }
+
+    /// The values in order, each as an `f64`.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = f64> + 'a {
+        (0..self.len()).map(move |i| self.get(i))
+    }
+
+    /// The values as an `f64` vector.
+    pub fn to_vec(self) -> Vec<f64> {
+        self.iter().collect()
+    }
+
+    /// Values `range` of the view.
+    #[inline]
+    fn slice(self, range: Range<usize>) -> Self {
+        match self {
+            Values::F32(v) => Values::F32(&v[range]),
+            Values::F64(v) => Values::F64(&v[range]),
+        }
+    }
+}
+
+impl PartialEq for Values<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (*self, *other) {
+            (Values::F32(a), Values::F32(b)) => a == b,
+            (Values::F64(a), Values::F64(b)) => a == b,
+            (a, b) => a.len() == b.len() && a.iter().eq(b.iter()),
+        }
+    }
+}
+
+impl fmt::Debug for Values<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Measure values at their width, as a [`ChunkData`] holds them: `f32`
+/// from the start ([`ValueVec::with_capacity`], [`FromIterator`]), widened
+/// in place to `f64` by the first pushed value whose bits do not survive
+/// the round trip through `f32`. A producer that fills values before it
+/// has the coordinates builds one and hands it to [`ChunkData::from_raw`];
+/// a `Vec<f32>` converts at `f32` and a `Vec<f64>` at `f64`, as given.
+#[derive(Debug, Clone)]
+pub struct ValueVec(ValueStore);
+
+#[derive(Debug, Clone)]
+enum ValueStore {
+    F32(Vec<f32>),
+    F64(Vec<f64>),
+}
+
+impl Default for ValueVec {
+    fn default() -> Self {
+        ValueVec(ValueStore::F32(Vec::new()))
+    }
+}
+
+impl From<Vec<f64>> for ValueVec {
+    fn from(values: Vec<f64>) -> Self {
+        ValueVec(ValueStore::F64(values))
+    }
+}
+
+impl From<Vec<f32>> for ValueVec {
+    fn from(values: Vec<f32>) -> Self {
+        ValueVec(ValueStore::F32(values))
+    }
+}
+
+impl ValueVec {
+    /// An empty narrow buffer with room for `values` values.
+    pub fn with_capacity(values: usize) -> Self {
+        ValueVec(ValueStore::F32(Vec::with_capacity(values)))
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.view().len()
+    }
+
+    /// Appends `v`, widening the buffer first if it does not fit.
+    #[inline]
+    pub fn push(&mut self, v: f64) {
+        match &mut self.0 {
+            ValueStore::F32(n) if fits_f32(v) => n.push(v as f32),
+            ValueStore::F64(w) => w.push(v),
+            ValueStore::F32(_) => self.widen().push(v),
+        }
+    }
+
+    /// Sets value `i` to `v`, widening the buffer first if it does not fit.
+    fn set(&mut self, i: usize, v: f64) {
+        match &mut self.0 {
+            ValueStore::F32(n) if fits_f32(v) => n[i] = v as f32,
+            ValueStore::F64(w) => w[i] = v,
+            ValueStore::F32(_) => self.widen()[i] = v,
+        }
+    }
+
+    /// Appends `values`, widening the buffer first if one does not fit.
+    fn extend_from_view(&mut self, values: Values<'_>) {
+        if let Values::F64(v) = values {
+            if !v.iter().all(|&x| fits_f32(x)) {
+                self.widen();
+            }
+        }
+        match (&mut self.0, values) {
+            (ValueStore::F32(to), Values::F32(v)) => to.extend_from_slice(v),
+            (ValueStore::F32(to), Values::F64(v)) => to.extend(v.iter().map(|&x| x as f32)),
+            (ValueStore::F64(to), Values::F32(v)) => to.extend(v.iter().map(|&x| f64::from(x))),
+            (ValueStore::F64(to), Values::F64(v)) => to.extend_from_slice(v),
+        }
+    }
+
+    /// Moves the values to `f64`, keeping the capacity (a no-op when they
+    /// are already there), and hands back the wide buffer. Out of line:
+    /// a chunk widens once at most, and [`ValueVec::push`] stays small
+    /// enough to inline into every producer's loop.
+    #[cold]
+    #[inline(never)]
+    fn widen(&mut self) -> &mut Vec<f64> {
+        if let ValueStore::F32(narrow) = &self.0 {
+            let mut wide = Vec::with_capacity(narrow.capacity());
+            wide.extend(narrow.iter().map(|&v| f64::from(v)));
+            self.0 = ValueStore::F64(wide);
+        }
+        match &mut self.0 {
+            ValueStore::F64(wide) => wide,
+            ValueStore::F32(_) => unreachable!("just widened"),
+        }
+    }
+
+    /// The values at their width.
+    #[inline]
+    fn view(&self) -> Values<'_> {
+        match &self.0 {
+            ValueStore::F32(v) => Values::F32(v),
+            ValueStore::F64(v) => Values::F64(v),
+        }
+    }
+
+    /// Bytes of heap the buffer holds.
+    fn heap_bytes(&self) -> usize {
+        match &self.0 {
+            ValueStore::F32(v) => v.capacity() * std::mem::size_of::<f32>(),
+            ValueStore::F64(v) => v.capacity() * std::mem::size_of::<f64>(),
+        }
+    }
+
+    fn reserve_exact(&mut self, values: usize) {
+        match &mut self.0 {
+            ValueStore::F32(v) => v.reserve_exact(values),
+            ValueStore::F64(v) => v.reserve_exact(values),
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        match &mut self.0 {
+            ValueStore::F32(v) => v.shrink_to_fit(),
+            ValueStore::F64(v) => v.shrink_to_fit(),
+        }
+    }
+}
+
+impl Extend<f64> for ValueVec {
+    fn extend<I: IntoIterator<Item = f64>>(&mut self, values: I) {
+        values.into_iter().for_each(|v| self.push(v));
+    }
+}
+
+impl FromIterator<f64> for ValueVec {
+    fn from_iter<I: IntoIterator<Item = f64>>(values: I) -> Self {
+        let values = values.into_iter();
+        let mut out = ValueVec::with_capacity(values.size_hint().0);
+        out.extend(values);
+        out
+    }
+}
+
+/// A cell's value borrowed for writing ([`ChunkData::value_of_mut`]). It
+/// reads and writes as an `f64` and stores back when dropped, widening the
+/// chunk's values first if the one written does not fit their width.
+pub struct ValueMut<'a> {
+    values: &'a mut ValueVec,
+    i: usize,
+    value: f64,
+}
+
+impl std::ops::Deref for ValueMut<'_> {
+    type Target = f64;
+
+    fn deref(&self) -> &f64 {
+        &self.value
+    }
+}
+
+impl std::ops::DerefMut for ValueMut<'_> {
+    fn deref_mut(&mut self) -> &mut f64 {
+        &mut self.value
+    }
+}
+
+impl Drop for ValueMut<'_> {
+    fn drop(&mut self) {
+        self.values.set(self.i, self.value);
+    }
+}
+
 /// The cells of a chunk (or of a query result spanning several chunks), as
 /// a structure of arrays: `n_dims` value coordinates per cell plus one
 /// measure value.
@@ -216,20 +479,24 @@ impl Default for CoordVec {
 /// width that fits them: `u16` from the start, widened in place to `u32`
 /// the first time a pushed or appended coordinate passes [`NARROW_MAX`]
 /// (or built at `u32` by a producer whose bounds may pass it,
-/// [`ChunkData::from_raw`]). On APB-1 every coordinate fits, so a cell is
-/// `2·dims + 8` bytes of heap. The width is invisible to `==`, which
-/// compares cells, and to [`ChunkData::accounting_bytes`].
+/// [`ChunkData::from_raw`]). Values likewise are held at the narrowest
+/// [`Value`] width they round-trip through exactly: `f32` from the start,
+/// widened in place to `f64` by the first pushed, appended or written
+/// value that does not ([`ValueVec`]). On APB-1 every coordinate and every
+/// value fits, so a cell is `2·dims + 4` bytes of heap. The widths are
+/// invisible to `==`, which compares cells by value, and to
+/// [`ChunkData::accounting_bytes`].
 #[derive(Debug, Clone, Default)]
 pub struct ChunkData {
     n_dims: usize,
     coords: CoordVec,
-    values: Vec<f64>,
+    values: ValueVec,
 }
 
 impl PartialEq for ChunkData {
     fn eq(&self, other: &Self) -> bool {
         self.n_dims == other.n_dims
-            && self.values == other.values
+            && self.raw_values() == other.raw_values()
             && self.raw_coords() == other.raw_coords()
     }
 }
@@ -240,7 +507,7 @@ impl ChunkData {
         Self {
             n_dims,
             coords: CoordVec::default(),
-            values: Vec::new(),
+            values: ValueVec::default(),
         }
     }
 
@@ -249,15 +516,16 @@ impl ChunkData {
         Self {
             n_dims,
             coords: CoordVec::U16(Vec::with_capacity(cells * n_dims)),
-            values: Vec::with_capacity(cells),
+            values: ValueVec::with_capacity(cells),
         }
     }
 
-    /// Builds a container from parallel raw arrays, holding `coords` at
-    /// their own width.
+    /// Builds a container from parallel raw arrays, holding `coords` and
+    /// `values` at their own widths.
     ///
     /// `coords.len()` must equal `values.len() * n_dims`.
-    pub fn from_raw<C: Coord>(n_dims: usize, coords: Vec<C>, values: Vec<f64>) -> Self {
+    pub fn from_raw<C: Coord>(n_dims: usize, coords: Vec<C>, values: impl Into<ValueVec>) -> Self {
+        let values = values.into();
         assert_eq!(coords.len(), values.len() * n_dims);
         C::chunk(n_dims, coords, values)
     }
@@ -277,12 +545,12 @@ impl ChunkData {
     /// Whether the container holds no cells.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len() == 0
     }
 
     /// Appends a cell — coordinates as a `u32` slice, array or vector, or
     /// read off another chunk — widening the container first if a
-    /// coordinate does not fit its width.
+    /// coordinate or the value does not fit its width.
     #[inline]
     pub fn push<'c>(&mut self, coords: impl Into<Coords<'c>>, value: f64) {
         let coords = coords.into();
@@ -330,19 +598,27 @@ impl ChunkData {
     /// The measure value of cell `i`.
     #[inline]
     pub fn value_of(&self, i: usize) -> f64 {
-        self.values[i]
+        self.raw_values().get(i)
     }
 
-    /// Mutable measure value of cell `i`.
+    /// The measure value of cell `i`, for writing: the value is stored
+    /// back, at whatever width it needs, when the borrow ends.
     #[inline]
-    pub fn value_of_mut(&mut self, i: usize) -> &mut f64 {
-        &mut self.values[i]
+    pub fn value_of_mut(&mut self, i: usize) -> ValueMut<'_> {
+        let value = self.value_of(i);
+        ValueMut {
+            values: &mut self.values,
+            i,
+            value,
+        }
     }
 
     /// Iterates over `(coords, value)` pairs. A hot loop reads
-    /// [`ChunkData::raw_coords`] instead, once per chunk.
+    /// [`ChunkData::raw_coords`] and [`ChunkData::raw_values`] instead,
+    /// once per chunk.
     pub fn iter(&self) -> impl Iterator<Item = (Coords<'_>, f64)> + '_ {
-        (0..self.len()).map(|i| (self.coords_of(i), self.values[i]))
+        let values = self.raw_values();
+        (0..self.len()).map(move |i| (self.coords_of(i), values.get(i)))
     }
 
     /// The flattened coordinate array (`len() * n_dims()` entries) at its
@@ -355,30 +631,30 @@ impl ChunkData {
         }
     }
 
-    /// The measure array.
+    /// The measure array at its width.
     #[inline]
-    pub fn raw_values(&self) -> &[f64] {
-        &self.values
+    pub fn raw_values(&self) -> Values<'_> {
+        self.values.view()
     }
 
     /// Accounting size in bytes (paper convention: 20 bytes per tuple),
-    /// whatever the width.
+    /// whatever the widths.
     #[inline]
     pub fn accounting_bytes(&self) -> usize {
         self.len() * PAPER_TUPLE_BYTES
     }
 
-    /// Actual in-memory payload size in bytes.
+    /// Actual in-memory payload size in bytes, at the widths held.
     #[inline]
     pub fn heap_bytes(&self) -> usize {
         let coords = match &self.coords {
             CoordVec::U16(c) => c.capacity() * std::mem::size_of::<u16>(),
             CoordVec::U32(c) => c.capacity() * std::mem::size_of::<u32>(),
         };
-        coords + self.values.capacity() * std::mem::size_of::<f64>()
+        coords + self.values.heap_bytes()
     }
 
-    /// Makes room for exactly `cells` more cells at the current width, so
+    /// Makes room for exactly `cells` more cells at the current widths, so
     /// that appending parts whose total is known costs one allocation and
     /// leaves no slack.
     pub fn reserve_exact(&mut self, cells: usize) {
@@ -399,7 +675,7 @@ impl ChunkData {
         assert_eq!(self.n_dims, src.n_dims, "arity mismatch");
         let n = self.n_dims;
         self.extend_coords(src.raw_coords().slice(cells.start * n..cells.end * n));
-        self.values.extend_from_slice(&src.values[cells]);
+        self.values.extend_from_view(src.raw_values().slice(cells));
     }
 
     /// Sorts cells lexicographically by coordinates (for deterministic
@@ -407,10 +683,10 @@ impl ChunkData {
     /// sorted as a `u32` index, then applied cycle by cycle inside the
     /// cell arrays, so the only extra memory is the index (4 bytes a cell).
     pub fn sort_by_coords(&mut self) {
-        let (d, values) = (self.n_dims, &mut self.values);
-        match &mut self.coords {
-            CoordVec::U16(c) => sort_cells(c, values, d),
-            CoordVec::U32(c) => sort_cells(c, values, d),
+        let d = self.n_dims;
+        match &mut self.values.0 {
+            ValueStore::F32(values) => sort_at(&mut self.coords, values, d),
+            ValueStore::F64(values) => sort_at(&mut self.coords, values, d),
         }
     }
 
@@ -425,8 +701,16 @@ impl ChunkData {
     }
 }
 
-/// [`ChunkData::sort_by_coords`] at one width.
-fn sort_cells<C: Coord>(coords: &mut [C], values: &mut [f64], d: usize) {
+/// [`ChunkData::sort_by_coords`] at one value width.
+fn sort_at<V: Value>(coords: &mut CoordVec, values: &mut [V], d: usize) {
+    match coords {
+        CoordVec::U16(c) => sort_cells(c, values, d),
+        CoordVec::U32(c) => sort_cells(c, values, d),
+    }
+}
+
+/// [`ChunkData::sort_by_coords`] at one pair of widths.
+fn sort_cells<C: Coord, V: Value>(coords: &mut [C], values: &mut [V], d: usize) {
     let n = values.len();
     let cell = |i: usize| i * d..(i + 1) * d;
     // `order[i]` is the cell that belongs at slot `i`; a slot is marked
@@ -466,17 +750,30 @@ mod tests {
         matches!(d.raw_coords(), Coords::U32(_))
     }
 
+    fn has_wide_values(d: &ChunkData) -> bool {
+        matches!(d.raw_values(), Values::F64(_))
+    }
+
     /// `cells` pushed into a fresh (narrow) container, and the same cells
-    /// built at `u32`.
+    /// built at `u32` and `f64`.
     fn both_widths(d: usize, cells: &[(Vec<u32>, f64)]) -> (ChunkData, ChunkData) {
         let mut narrow = ChunkData::new(d);
         for (coords, value) in cells {
             narrow.push(coords, *value);
         }
         let coords: Vec<u32> = cells.iter().flat_map(|(c, _)| c.iter().copied()).collect();
-        let values = cells.iter().map(|&(_, v)| v).collect();
+        let values: Vec<f64> = cells.iter().map(|&(_, v)| v).collect();
         (narrow, ChunkData::from_raw(d, coords, values))
     }
+
+    /// Values whose bits `f32` does not keep: one rounded, one integer past
+    /// 2²⁴, one `f64` subnormal and one NaN payload.
+    const WIDE_VALUES: [f64; 4] = [
+        0.1,
+        16_777_217.0,
+        f64::MIN_POSITIVE / 2.0,
+        f64::from_bits(0x7ff8_0000_0000_0001),
+    ];
 
     #[test]
     fn push_and_read_back() {
@@ -509,8 +806,8 @@ mod tests {
         for i in 0..10 {
             d.push(&[i, 1, 2, 3, NARROW_MAX], 1.0);
         }
-        assert!(!is_wide(&d));
-        assert_eq!(d.heap_bytes(), 10 * (2 * 5 + 8));
+        assert!(!is_wide(&d) && !has_wide_values(&d));
+        assert_eq!(d.heap_bytes(), 10 * (2 * 5 + 4));
     }
 
     #[test]
@@ -522,7 +819,7 @@ mod tests {
         assert!(is_wide(&d));
         assert_eq!(
             d.heap_bytes(),
-            4 * (4 * 2 + 8),
+            4 * (4 * 2 + 4),
             "widening keeps the capacity"
         );
         d.push(&[3, 4], 3.0);
@@ -546,7 +843,7 @@ mod tests {
         assert_eq!(got, [[5], [6], [5], [6], [1 << 16], [5], [6]]);
         let mut b = ChunkData::new(1);
         b.extend_from(&a, 3..5);
-        assert_eq!(b.raw_values(), &[2.0, 3.0]);
+        assert_eq!(b.raw_values().to_vec(), [2.0, 3.0]);
         assert_eq!(b.coords_of(1), [1 << 16]);
     }
 
@@ -619,7 +916,11 @@ mod tests {
             prop_assert!(narrow.iter().eq(wide.iter()));
             narrow.shrink_to_fit();
             wide.shrink_to_fit();
-            prop_assert_eq!(narrow.heap_bytes() + 2 * d * cells.len(), wide.heap_bytes());
+            let narrow_values = if has_wide_values(&narrow) { 0 } else { 4 * cells.len() };
+            prop_assert_eq!(
+                narrow.heap_bytes() + 2 * d * cells.len() + narrow_values,
+                wide.heap_bytes()
+            );
             // Distinct cells sort to one order; equal ones carry their
             // value, so compare the multiset after the sort.
             narrow.sort_by_coords();
@@ -635,6 +936,153 @@ mod tests {
             other.push(&vec![0; d], 0.0);
             prop_assert_ne!(&narrow, &other);
         }
+
+    /// The value analogue: an `f32` and an `f64` chunk holding the same
+    /// cells (values every width keeps exactly, `-0.0` and `±∞` among
+    /// them) are equal, iterate alike, sort alike and differ in heap by
+    /// four bytes a cell; a changed value breaks equality.
+    #[test]
+    fn the_two_value_widths_hold_the_same_cells(
+        cells in (1usize..=4).prop_flat_map(|d| {
+            let value = prop_oneof![
+                (0u32..2000).prop_map(|v| f64::from(v) - 1000.0),
+                (-1e3f64..1e3).prop_map(|v| f64::from(v as f32)),
+                Just(-0.0),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+            ];
+            proptest::collection::vec((proptest::collection::vec(0u16..6, d), value), 1..=100)
+                .prop_map(move |cells| (d, cells))
+        }),
+    ) {
+        let (d, cells) = cells;
+        let coords: Vec<u16> = cells.iter().flat_map(|(c, _)| c.iter().copied()).collect();
+        let values: Vec<f64> = cells.iter().map(|&(_, v)| v).collect();
+        let mut wide = ChunkData::from_raw(d, coords.clone(), values.clone());
+        let mut narrow = ChunkData::from_raw(d, coords, values.iter().copied().collect::<ValueVec>());
+        prop_assert!(!has_wide_values(&narrow) && has_wide_values(&wide));
+        prop_assert_eq!(&narrow, &wide);
+        prop_assert!(narrow.iter().eq(wide.iter()));
+        let bits = |d: &ChunkData| d.raw_values().iter().map(f64::to_bits).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&narrow), bits(&wide));
+        narrow.shrink_to_fit();
+        wide.shrink_to_fit();
+        prop_assert_eq!(narrow.heap_bytes() + 4 * cells.len(), wide.heap_bytes());
+        narrow.sort_by_coords();
+        wide.sort_by_coords();
+        prop_assert_eq!(narrow.raw_coords(), wide.raw_coords());
+        let key = |d: &ChunkData| {
+            let mut cells: Vec<_> = d.iter().map(|(c, v)| (c.to_vec(), v.to_bits())).collect();
+            cells.sort_unstable();
+            cells
+        };
+        prop_assert_eq!(key(&narrow), key(&wide));
+        let mut other = narrow.clone();
+        let changed = if other.value_of(0) == 7.0 { 8.0 } else { 7.0 };
+        *other.value_of_mut(0) = changed;
+        prop_assert_ne!(&other, &wide);
+    }
+    }
+
+    #[test]
+    fn values_that_f32_keeps_stay_narrow() {
+        let mut d = ChunkData::new(1);
+        for v in [
+            1.0,
+            -0.0,
+            1000.0,
+            16_777_216.0,
+            f64::INFINITY,
+            f64::NAN,
+            0.5,
+        ] {
+            d.push(&[0], v);
+        }
+        assert!(!has_wide_values(&d));
+        let bits: Vec<u64> = d.raw_values().iter().map(f64::to_bits).collect();
+        assert_eq!(bits[1], (-0.0f64).to_bits());
+        assert_eq!(bits[5], f64::NAN.to_bits());
+        *d.value_of_mut(0) = 2.0;
+        assert!(
+            !has_wide_values(&d),
+            "a written value that fits stays narrow"
+        );
+        assert_eq!(d.value_of(0), 2.0);
+    }
+
+    /// Every way a value enters a chunk widens it on a value `f32` would
+    /// change, keeps the capacity, and keeps every value's bits.
+    #[test]
+    fn each_entry_widens_on_a_value_f32_does_not_keep() {
+        for wide in WIDE_VALUES {
+            let narrow_cells = || {
+                let mut d = ChunkData::with_capacity(1, 4);
+                d.push(&[0], 1.0);
+                d.push(&[1], 2.5);
+                d
+            };
+            let mut source = ChunkData::new(1);
+            source.push(&[7], wide);
+            assert!(has_wide_values(&source), "push of {wide:e}");
+            let want = [1.0f64.to_bits(), 2.5f64.to_bits(), wide.to_bits()];
+            let check = |d: &ChunkData, how: &str| {
+                assert!(has_wide_values(d), "{how} of {wide:e}");
+                let got: Vec<u64> = d.raw_values().iter().map(f64::to_bits).collect();
+                assert_eq!(got, want, "{how} of {wide:e}");
+            };
+
+            let mut pushed = narrow_cells();
+            pushed.push(&[7], wide);
+            assert_eq!(
+                pushed.heap_bytes(),
+                4 * (2 + 8),
+                "widening keeps the capacity"
+            );
+            check(&pushed, "push");
+
+            let mut appended = narrow_cells();
+            appended.append(&source);
+            check(&appended, "append");
+
+            let mut extended = narrow_cells();
+            extended.extend_from(&pushed, 2..3);
+            check(&extended, "extend_from");
+
+            let mut written = narrow_cells();
+            written.push(&[7], 3.0);
+            *written.value_of_mut(2) = wide;
+            check(&written, "value_of_mut");
+
+            let collected: ValueVec = [1.0, 2.5, wide].into_iter().collect();
+            check(
+                &ChunkData::from_raw(1, vec![0u16, 1, 7], collected),
+                "collect",
+            );
+        }
+    }
+
+    #[test]
+    fn a_wide_source_whose_values_fit_appends_narrow() {
+        let wide = ChunkData::from_raw(1, vec![0u16, 1], vec![1.0, -0.0]);
+        assert!(has_wide_values(&wide));
+        let mut d = ChunkData::new(1);
+        d.append(&wide);
+        assert!(!has_wide_values(&d));
+        assert_eq!(d, wide);
+        assert_eq!(d.value_of(1).to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn value_views_compare_by_value_across_widths() {
+        assert_eq!(Values::F32(&[1.0, 2.0]), Values::F64(&[1.0, 2.0]));
+        assert_ne!(Values::F32(&[1.0, 2.0]), Values::F64(&[1.0, 0.1]));
+        assert_ne!(Values::F32(&[1.0]), Values::F64(&[1.0, 2.0]));
+        assert_ne!(
+            Values::F32(&[f32::NAN]),
+            Values::F64(&[f64::NAN]),
+            "NaN is never equal"
+        );
+        assert_eq!(format!("{:?}", Values::F32(&[1.5])), "[1.5]");
     }
 
     #[test]

@@ -25,7 +25,9 @@ mod error;
 mod grid;
 pub mod hash;
 
-pub use data::{ChunkData, Coord, Coords, NARROW_MAX, PAPER_TUPLE_BYTES};
+pub use data::{
+    ChunkData, Coord, Coords, Value, ValueMut, ValueVec, Values, NARROW_MAX, PAPER_TUPLE_BYTES,
+};
 pub use dimchunk::DimChunking;
 pub use error::ChunkError;
 pub use grid::{ChunkGrid, LevelGeometry};

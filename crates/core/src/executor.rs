@@ -159,7 +159,7 @@ mod tests {
             let fetched = backend.fetch(key.gb, &[key.chunk]).unwrap();
             let fetched = &fetched.chunks[0].1;
             assert_eq!(data.raw_coords(), fetched.raw_coords(), "chunk {key:?}");
-            for (v, w) in data.raw_values().iter().zip(fetched.raw_values()) {
+            for (v, w) in data.raw_values().iter().zip(fetched.raw_values().iter()) {
                 assert!((v - w).abs() <= 1e-9 * w.abs(), "chunk {key:?}: {v} vs {w}");
             }
         }

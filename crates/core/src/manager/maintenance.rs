@@ -6,7 +6,9 @@ use super::CacheManager;
 use crate::error::CacheError;
 use crate::metrics::{CACHE_PER_TUPLE_US, UPDATE_PER_WRITE_US};
 use crate::request::UpdateMetrics;
-use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey, ChunkNumber, Coord, Coords};
+use aggcache_chunks::{
+    ChunkData, ChunkGrid, ChunkKey, ChunkNumber, Coord, Coords, ValueVec, Values,
+};
 use aggcache_obs::Event;
 use aggcache_schema::GroupById;
 use aggcache_store::{AggFn, Aggregator, DeltaBatch, EffectiveDelta, Lift};
@@ -69,8 +71,8 @@ fn lower_bound<C: Coord>(coords: &[C], n: usize, range: Range<usize>, key: &[C])
 /// is right whatever order `old` is in; the order equals a fresh
 /// recompute's because every producer of resident data
 /// ([`Aggregator::finish`], a spill decode or peer copy of one) emits
-/// coordinate-sorted cells. The merge runs at the two chunks' width, or at
-/// `u32` when only one of them holds a coordinate past `u16`.
+/// coordinate-sorted cells. The merge runs at the two chunks' coordinate
+/// width, or at `u32` when only one of them holds a coordinate past `u16`.
 fn merge_cells(old: &ChunkData, delta: &ChunkData, agg: AggFn) -> ChunkData {
     let (old_values, delta_values) = (old.raw_values(), delta.raw_values());
     match (old.raw_coords(), delta.raw_coords()) {
@@ -89,11 +91,13 @@ fn merge_cells(old: &ChunkData, delta: &ChunkData, agg: AggFn) -> ChunkData {
     }
 }
 
-/// [`merge_cells`] at one width, over `(coords, values)` pairs.
+/// [`merge_cells`] at one coordinate width, over `(coords, values)`
+/// pairs. Values combine at `f64` and land at `f32` until one does not fit
+/// ([`ValueVec`]).
 fn merge_at<C: Coord>(
     n: usize,
-    old: (&[C], &[f64]),
-    delta: (&[C], &[f64]),
+    old: (&[C], Values),
+    delta: (&[C], Values),
     agg: AggFn,
 ) -> ChunkData {
     let ((old, old_values), (delta, delta_values)) = (old, delta);
@@ -103,24 +107,24 @@ fn merge_at<C: Coord>(
     for (value, coords) in values.iter_mut().zip(old.chunks_exact(n)) {
         let j = lower_bound(delta, n, 0..delta_values.len(), coords);
         if j < delta_values.len() && delta_cell(j) == coords {
-            *value = agg.combine(*value, delta_values[j]);
+            *value = agg.combine(*value, delta_values.get(j));
             matched[j] = true;
         }
     }
     let new_cells = matched.iter().filter(|&&m| !m).count();
     let mut out_coords = Vec::with_capacity((values.len() + new_cells) * n);
-    let mut out_values = Vec::with_capacity(values.len() + new_cells);
+    let mut out_values = ValueVec::with_capacity(values.len() + new_cells);
     let mut from = 0;
     for j in (0..delta_values.len()).filter(|&j| !matched[j]) {
         let at = lower_bound(old, n, from..values.len(), delta_cell(j));
         out_coords.extend_from_slice(&old[from * n..at * n]);
-        out_values.extend_from_slice(&values[from..at]);
+        out_values.extend(values[from..at].iter().copied());
         out_coords.extend_from_slice(delta_cell(j));
-        out_values.push(delta_values[j]);
+        out_values.push(delta_values.get(j));
         from = at;
     }
     out_coords.extend_from_slice(&old[from * n..]);
-    out_values.extend_from_slice(&values[from..]);
+    out_values.extend(values[from..].iter().copied());
     ChunkData::from_raw(n, out_coords, out_values)
 }
 
@@ -509,11 +513,11 @@ mod tests {
             let fresh = mgr.backend().fetch(key.gb, &[key.chunk]).unwrap();
             let (want, got) = (&fresh.chunks[0].1, &mgr.cache().peek(&key).unwrap().data);
             assert_eq!(got.raw_coords(), want.raw_coords(), "{key:?}");
-            let same_bits = |(a, b): (&f64, &f64)| a.to_bits() == b.to_bits();
+            let same_bits = |(a, b): (f64, f64)| a.to_bits() == b.to_bits();
             assert!(
                 got.raw_values()
                     .iter()
-                    .zip(want.raw_values())
+                    .zip(want.raw_values().iter())
                     .all(same_bits),
                 "{key:?}"
             );

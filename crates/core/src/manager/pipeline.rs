@@ -523,14 +523,15 @@ mod tests {
     }
 
     /// The answer is allocated once at its final size: its buffers hold
-    /// exactly its cells, at two bytes a coordinate, whether they come from
-    /// direct hits, in-cache aggregations or the backend.
+    /// exactly its cells, at two bytes a coordinate and four a value,
+    /// whether they come from direct hits, in-cache aggregations or the
+    /// backend.
     #[test]
     fn answers_carry_no_spare_capacity() {
         let assert_exact = |d: &ChunkData| {
             assert_eq!(
                 d.heap_bytes(),
-                d.len() * (2 * d.n_dims() + 8),
+                d.len() * (2 * d.n_dims() + 4),
                 "{} cells",
                 d.len()
             );

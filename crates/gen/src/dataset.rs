@@ -1,5 +1,5 @@
 use aggcache_chunks::hash::{mix64, PackedSet};
-use aggcache_chunks::{ChunkData, ChunkGrid};
+use aggcache_chunks::{ChunkData, ChunkGrid, Coord, NARROW_MAX};
 use aggcache_schema::GroupById;
 use aggcache_store::FactTable;
 use rand::rngs::StdRng;
@@ -62,9 +62,11 @@ impl Dataset {
         // Scratch reused across chunks: the chunk's value box (start and
         // width per dimension), one decoded tuple, and the two draws' state.
         let mut spans = vec![(0u32, 0u64); n_dims];
-        let mut coords = vec![0u32; n_dims];
-        let mut indices: Vec<u64> = Vec::new();
-        let mut seen = PackedSet::default();
+        let mut scratch = Scratch {
+            cell: vec![0u32; n_dims],
+            indices: Vec::new(),
+            seen: PackedSet::default(),
+        };
         let mut runs = Vec::with_capacity(n_chunks as usize);
         for (c, &capacity) in (0..n_chunks).zip(&capacities) {
             let share = weights[c as usize] / total_weight;
@@ -73,39 +75,15 @@ impl Dataset {
                 let (lo, hi) = grid.dim(d).value_range(geom.level()[d], geom.coord(c, d));
                 *span = (lo, u64::from(hi - lo));
             }
-            // Row-major over the box: the last dimension varies fastest.
-            let mut push = |run: &mut ChunkData, index: u64| {
-                let mut rest = index;
-                for (x, &(lo, width)) in coords.iter_mut().zip(&spans).rev() {
-                    *x = lo + (rest % width) as u32;
-                    rest /= width;
-                }
-                run.push(&coords, f64::from(rng_value(index)));
-            };
-            let mut run = ChunkData::with_capacity(n_dims, want as usize);
-            if want * 2 >= capacity {
-                // Asked for at least half its cells: the first `want` of a
-                // partial Fisher-Yates shuffle of every index.
-                indices.clear();
-                indices.extend(0..capacity);
-                for i in 0..want {
-                    let j = rng.gen_range(i..capacity);
-                    indices.swap(i as usize, j as usize);
-                }
-                for &index in &indices[..want as usize] {
-                    push(&mut run, index);
-                }
+            let narrow = spans
+                .iter()
+                .all(|&(lo, width)| u64::from(lo) + width <= u64::from(NARROW_MAX) + 1);
+            let (rng, scratch) = (&mut rng, &mut scratch);
+            runs.push(if narrow {
+                sample_run::<u16>(rng, &spans, want, capacity, scratch)
             } else {
-                // Otherwise draw indices, rejecting repeats.
-                seen.clear();
-                while (run.len() as u64) < want {
-                    let index = rng.gen_range(0..capacity);
-                    if seen.insert(index) {
-                        push(&mut run, index);
-                    }
-                }
-            }
-            runs.push(run);
+                sample_run::<u32>(rng, &spans, want, capacity, scratch)
+            });
         }
 
         let fact = FactTable::from_runs(grid.clone(), fact_gb, runs);
@@ -122,6 +100,71 @@ impl Dataset {
     }
 }
 
+/// Scratch [`sample_run`] reuses across chunks: one decoded tuple, and the
+/// two draws' state.
+struct Scratch {
+    cell: Vec<u32>,
+    indices: Vec<u64>,
+    seen: PackedSet,
+}
+
+/// One chunk's run: `want` of the `capacity` cell indices of the value box
+/// `spans` (start and width per dimension), written straight at their
+/// widths — coordinates at `C`, which the caller has checked holds the
+/// box, and values at `f32`, which holds every value in `[1, 1000]`
+/// exactly.
+fn sample_run<C: Coord>(
+    rng: &mut StdRng,
+    spans: &[(u32, u64)],
+    want: u64,
+    capacity: u64,
+    scratch: &mut Scratch,
+) -> ChunkData {
+    let n_dims = spans.len();
+    let mut coords: Vec<C> = Vec::with_capacity(want as usize * n_dims);
+    let mut values: Vec<f32> = Vec::with_capacity(want as usize);
+    let Scratch {
+        cell,
+        indices,
+        seen,
+    } = scratch;
+    // Row-major over the box: the last dimension varies fastest.
+    let mut push = |index: u64| {
+        let mut rest = index;
+        for (x, &(lo, width)) in cell.iter_mut().zip(spans).rev() {
+            *x = lo + (rest % width) as u32;
+            rest /= width;
+        }
+        coords.extend(cell.iter().map(|&x| C::from_u32(x)));
+        values.push(rng_value(index) as f32);
+    };
+    if want * 2 >= capacity {
+        // Asked for at least half its cells: the first `want` of a
+        // partial Fisher-Yates shuffle of every index.
+        indices.clear();
+        indices.extend(0..capacity);
+        for i in 0..want {
+            let j = rng.gen_range(i..capacity);
+            indices.swap(i as usize, j as usize);
+        }
+        for &index in &indices[..want as usize] {
+            push(index);
+        }
+    } else {
+        // Otherwise draw indices, rejecting repeats.
+        seen.clear();
+        let mut drawn = 0;
+        while drawn < want {
+            let index = rng.gen_range(0..capacity);
+            if seen.insert(index) {
+                push(index);
+                drawn += 1;
+            }
+        }
+    }
+    ChunkData::from_raw(n_dims, coords, values)
+}
+
 /// Deterministic per-cell value in `[1, 1000]` derived from the local cell
 /// index (keeps generation order-independent).
 fn rng_value(local: u64) -> u32 {
@@ -131,6 +174,7 @@ fn rng_value(local: u64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aggcache_chunks::{Coords, Values};
     use aggcache_schema::{Dimension, Schema};
     use std::collections::HashSet;
 
@@ -218,6 +262,33 @@ mod tests {
             let coords: Vec<Vec<u32>> = ds.fact.scan_chunk(c).map(|(x, _)| x.to_vec()).collect();
             let set: HashSet<Vec<u32>> = coords.iter().cloned().collect();
             assert_eq!(set.len(), coords.len());
+        }
+    }
+
+    /// Each run is written at its narrowest widths: `f32` values, and
+    /// `u16` coordinates unless its chunk's box reaches past them.
+    #[test]
+    fn runs_are_written_at_their_widths() {
+        let schema = Arc::new(
+            Schema::new(vec![
+                Dimension::balanced("a", vec![1, 70_000]).unwrap(),
+                Dimension::flat("b", 2).unwrap(),
+            ])
+            .unwrap(),
+        );
+        let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 4], vec![1, 1]]).unwrap());
+        let base = grid.schema().lattice().base();
+        let ds = Dataset::generate(grid.clone(), base, 400, 1.0, 5);
+        for c in 0..grid.n_chunks(base) {
+            let run = ds.fact.chunk(c);
+            let past_u16 = grid.cell_box(base, c)[0].1 > NARROW_MAX + 1;
+            assert!(!run.is_empty());
+            assert_eq!(
+                matches!(run.raw_coords(), Coords::U32(_)),
+                past_u16,
+                "chunk {c}"
+            );
+            assert!(matches!(run.raw_values(), Values::F32(_)), "chunk {c}");
         }
     }
 

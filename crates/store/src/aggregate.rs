@@ -1,4 +1,6 @@
-use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey, Coord, Coords, NARROW_MAX};
+use aggcache_chunks::{
+    ChunkData, ChunkGrid, ChunkKey, Coord, Coords, Value, ValueVec, Values, NARROW_MAX,
+};
 use aggcache_schema::Schema;
 
 /// A distributive aggregate function over the cube measure.
@@ -213,27 +215,30 @@ impl SourceKeys<'_> {
     /// Hands `put` the target key and raw value of each cell of `data`, in
     /// order, straight off the columnar arrays: a key is the offset plus,
     /// per dimension left, a lookup and a multiply-add, and equals "roll
-    /// each coordinate up, then Horner-encode". The loop is compiled once
-    /// per coordinate width and per dimension count up to APB-1's five,
-    /// with the count fixed, and once over a slice beyond; the width and
-    /// the count are matched once per chunk. Which cells lie in the box is
-    /// a per-*chunk* check ([`ChunkAggregator::add_source_chunk`]).
+    /// each coordinate up, then Horner-encode"; a value widens to `f64`
+    /// exactly. The loop is compiled once per coordinate width, per value
+    /// width and per dimension count up to APB-1's five, with the count
+    /// fixed, and once over a slice beyond; the widths and the count are
+    /// matched once per chunk. Which cells lie in the box is a per-*chunk*
+    /// check ([`ChunkAggregator::add_source_chunk`]).
     #[inline(always)]
     fn for_each_cell(&self, data: &ChunkData, put: impl FnMut(u64, f64)) {
-        let (n, values) = (data.n_dims(), data.raw_values());
-        match data.raw_coords() {
-            Coords::U16(coords) => self.for_each_cell_at(coords, n, values, put),
-            Coords::U32(coords) => self.for_each_cell_at(coords, n, values, put),
+        let n = data.n_dims();
+        match (data.raw_coords(), data.raw_values()) {
+            (Coords::U16(c), Values::F32(v)) => self.for_each_cell_at(c, n, v, put),
+            (Coords::U16(c), Values::F64(v)) => self.for_each_cell_at(c, n, v, put),
+            (Coords::U32(c), Values::F32(v)) => self.for_each_cell_at(c, n, v, put),
+            (Coords::U32(c), Values::F64(v)) => self.for_each_cell_at(c, n, v, put),
         }
     }
 
-    /// [`SourceKeys::for_each_cell`] at one width.
+    /// [`SourceKeys::for_each_cell`] at one pair of widths.
     #[inline(always)]
-    fn for_each_cell_at<C: Coord>(
+    fn for_each_cell_at<C: Coord, V: Value>(
         &self,
         coords: &[C],
         n: usize,
-        values: &[f64],
+        values: &[V],
         put: impl FnMut(u64, f64),
     ) {
         let cells = coords.chunks_exact(n).zip(values);
@@ -250,9 +255,9 @@ impl SourceKeys<'_> {
 
     /// [`SourceKeys::for_each_cell`]'s loop, over `dims`.
     #[inline(always)]
-    fn keyed<'c, 't, C: Coord>(
+    fn keyed<'c, 't, C: Coord, V: Value>(
         &self,
-        cells: impl Iterator<Item = (&'c [C], &'c f64)>,
+        cells: impl Iterator<Item = (&'c [C], &'c V)>,
         dims: impl AsRef<[KeyDim<'t>]>,
         mut put: impl FnMut(u64, f64),
     ) {
@@ -262,9 +267,21 @@ impl SourceKeys<'_> {
                 key = key.wrapping_add(w * u64::from(table[c[d].index()]));
             }
             debug_assert!(key < self.cells, "a source cell outside the target box");
-            put(key, v);
+            put(key, v.into());
         }
     }
+}
+
+/// Folds `values`, widened exactly, into `acc` in order: one register, no
+/// store until the caller's.
+#[inline(always)]
+fn fold_values<V: Value>(
+    values: &[V],
+    acc: f64,
+    lift: impl Fn(f64) -> f64,
+    combine: impl Fn(f64, f64) -> f64,
+) -> f64 {
+    values.iter().fold(acc, |a, &v| combine(a, lift(v.into())))
 }
 
 /// A target box at most this many times the cells about to be rolled into
@@ -303,6 +320,21 @@ impl Cells {
         combine: impl Fn(f64, f64) -> f64,
     ) {
         match self {
+            // Every cell lands on one target cell: fold them in a register
+            // and store once, rather than load and store per cell with each
+            // add waiting on the previous store. Same combines, same order.
+            Cells::Dense { vals, occupied } if keys.dims.is_empty() && !data.is_empty() => {
+                let k = keys.offset as usize;
+                debug_assert!(
+                    keys.offset < keys.cells,
+                    "a source cell outside the target box"
+                );
+                vals[k] = match data.raw_values() {
+                    Values::F32(v) => fold_values(v, vals[k], lift, combine),
+                    Values::F64(v) => fold_values(v, vals[k], lift, combine),
+                };
+                occupied[k] = 1;
+            }
             Cells::Dense { vals, occupied } => keys.for_each_cell(data, |key, v| {
                 let k = key as usize;
                 vals[k] = combine(vals[k], lift(v));
@@ -451,7 +483,9 @@ impl<'s> Aggregator<'s> {
     }
 
     /// Finishes into coordinate-sorted [`ChunkData`] at the target level,
-    /// at the narrow width when the box's upper corner fits it.
+    /// its coordinates at the narrow width when the box's upper corner fits
+    /// it, its values at `f32` until one does not round-trip
+    /// ([`ValueVec`]); every value is accumulated at `f64`.
     /// Row-major box keys *are* coordinate order: the dense side walks its
     /// slots in place — no collect, no sort — dividing once per row. The
     /// sparse side radix-sorts its pairs by key, stably, then folds each
@@ -480,7 +514,7 @@ impl<'s> Aggregator<'s> {
             Cells::Dense { vals, occupied } => {
                 let reached = occupied.iter().filter(|&&o| o != 0).count();
                 let mut coords: Vec<C> = Vec::with_capacity(reached * n);
-                let mut values = Vec::with_capacity(reached);
+                let mut values = ValueVec::with_capacity(reached);
                 let inner = cell_box.inner();
                 let row_len = cell_box.len[inner] as usize;
                 for (row, slots) in occupied.chunks(row_len).enumerate() {
@@ -508,7 +542,7 @@ impl<'s> Aggregator<'s> {
                     same
                 });
                 let mut coords: Vec<C> = Vec::with_capacity(cells.len() * n);
-                let mut values = Vec::with_capacity(cells.len());
+                let mut values = ValueVec::with_capacity(cells.len());
                 for (key, v) in cells {
                     cell_box.decode(key, &mut cell);
                     coords.extend(cell.iter().map(|&c| C::from_u32(c)));
@@ -1342,6 +1376,130 @@ pub(crate) mod tests {
                             assert_same_bits(&got, &want, &ctx);
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// `jagged_cells` at either value width, with a `-0.0` and a NaN among
+    /// them: the narrow cells are the jagged values rounded to `f32`, so
+    /// they stay `f32` in the chunk and still make a SUM's bits depend on
+    /// its order.
+    fn jagged_cells_at(narrow: bool) -> ChunkData {
+        let mut cells = ChunkData::new(2);
+        for (i, (c, v)) in jagged_cells().iter().enumerate() {
+            let v = match i {
+                4 => -0.0,
+                7 => f64::NAN,
+                _ if narrow => f64::from(v as f32),
+                _ => v,
+            };
+            cells.push(c, v);
+        }
+        assert_eq!(matches!(cells.raw_values(), Values::F32(_)), narrow);
+        cells
+    }
+
+    fn narrow_values(d: &ChunkData) -> bool {
+        matches!(d.raw_values(), Values::F32(_))
+    }
+
+    /// A source chunk every cell of which lands on one target cell is
+    /// folded in a register on the dense side; at either value width it
+    /// answers the row reference's bits, and so does the sparse side.
+    #[test]
+    fn a_fully_folded_source_chunk_is_bit_identical_at_both_value_widths() {
+        let g = grid();
+        let s = g.schema();
+        let lattice = s.lattice();
+        let (base, base_level) = (lattice.base(), s.base_level());
+        for narrow in [true, false] {
+            let by_base = by_chunk(&g, base, &jagged_cells_at(narrow));
+            let mut folded = 0;
+            for gb in lattice.iter_ids() {
+                let level = lattice.level_of(gb);
+                for chunk in 0..g.n_chunks(gb) {
+                    let target = ChunkKey::new(gb, chunk);
+                    let sources = sources_under(&g, target, base, &by_base);
+                    let cell_box = CellBox::of_chunk(&g, target);
+                    folded += sources
+                        .iter()
+                        .filter(|(src, d)| {
+                            let span = g.cell_box(src.gb, src.chunk);
+                            d.len() > 1
+                                && cell_box
+                                    .source(&base_level, |d| Some(span[d]))
+                                    .dims
+                                    .is_empty()
+                        })
+                        .count();
+                    let leveled: Vec<(&[u8], &ChunkData)> =
+                        sources.iter().map(|&(_, d)| (&base_level[..], d)).collect();
+                    for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
+                        for lift in [Lift::Raw, Lift::Lifted] {
+                            let want = reference_rollup(s, &leveled, &level, agg, lift);
+                            for expected_cells in [u64::MAX, 0] {
+                                let got =
+                                    chunk_result(&g, target, &sources, agg, lift, expected_cells);
+                                let ctx = format!(
+                                    "narrow {narrow} {agg:?} {lift:?} {target:?} x{expected_cells}"
+                                );
+                                assert_same_bits(&got, &want, &ctx);
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(folded > 10, "{folded} fully folded source chunks");
+        }
+    }
+
+    /// Narrow and wide source chunks in one aggregator — per chunk on both
+    /// sides, and level-wide — answer the row reference's bits; the output
+    /// is `f32` exactly when every output value round-trips through it.
+    #[test]
+    fn narrow_and_wide_sources_mix_in_one_aggregator() {
+        let g = grid();
+        let s = g.schema();
+        let lattice = s.lattice();
+        let (base, base_level) = (lattice.base(), s.base_level());
+        let (narrow, wide) = (
+            by_chunk(&g, base, &jagged_cells_at(true)),
+            by_chunk(&g, base, &jagged_cells_at(false)),
+        );
+        let mixed: Vec<ChunkData> = (0..narrow.len())
+            .map(|c| if c % 2 == 0 { &narrow[c] } else { &wide[c] }.clone())
+            .collect();
+        assert!(mixed.iter().any(|d| !d.is_empty() && narrow_values(d)));
+        assert!(mixed.iter().any(|d| !narrow_values(d)));
+        let fits = |d: &ChunkData| {
+            d.iter()
+                .all(|(_, v)| f64::from(v as f32).to_bits() == v.to_bits())
+        };
+        for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
+            for lift in [Lift::Raw, Lift::Lifted] {
+                for gb in lattice.iter_ids() {
+                    let level = lattice.level_of(gb);
+                    for chunk in 0..g.n_chunks(gb) {
+                        let target = ChunkKey::new(gb, chunk);
+                        let sources = sources_under(&g, target, base, &mixed);
+                        let leveled: Vec<(&[u8], &ChunkData)> =
+                            sources.iter().map(|&(_, d)| (&base_level[..], d)).collect();
+                        let want = reference_rollup(s, &leveled, &level, agg, lift);
+                        for expected_cells in [u64::MAX, 0] {
+                            let got = chunk_result(&g, target, &sources, agg, lift, expected_cells);
+                            let ctx = format!("{agg:?} {lift:?} {target:?} x{expected_cells}");
+                            assert_same_bits(&got, &want, &ctx);
+                            assert_eq!(narrow_values(&got), fits(&got), "{ctx}");
+                        }
+                    }
+                    let all: Vec<(&[u8], &ChunkData)> =
+                        mixed.iter().map(|d| (&base_level[..], d)).collect();
+                    let got = aggregate_to_level(s, &all, &level, agg, lift);
+                    let want = reference_rollup(s, &all, &level, agg, lift);
+                    let ctx = format!("{agg:?} {lift:?} level {level:?}");
+                    assert_same_bits(&got, &want, &ctx);
+                    assert_eq!(narrow_values(&got), fits(&got), "{ctx}");
                 }
             }
         }

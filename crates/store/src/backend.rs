@@ -378,7 +378,11 @@ mod tests {
         // Level (1,1): dim a has 2 chunks (2 values), dim b has 2 chunks.
         let r = b.fetch(gb, &[0, 3]).unwrap();
         assert_eq!(r.chunks.len(), 2);
-        let total: f64 = r.chunks.iter().flat_map(|(_, d)| d.raw_values()).sum();
+        let total: f64 = r
+            .chunks
+            .iter()
+            .flat_map(|(_, d)| d.raw_values().iter())
+            .sum();
         // Chunks 0 and 3 are half the grid.
         assert_eq!(total, 16.0);
     }
@@ -429,7 +433,11 @@ mod tests {
         let gb = lattice.id_of(&[2, 0]).unwrap();
         let r = b.fetch_group_by(gb).unwrap();
         assert_eq!(r.chunks.len() as u64, b.grid().n_chunks(gb));
-        let total: f64 = r.chunks.iter().flat_map(|(_, d)| d.raw_values()).sum();
+        let total: f64 = r
+            .chunks
+            .iter()
+            .flat_map(|(_, d)| d.raw_values().iter())
+            .sum();
         assert_eq!(total, 32.0);
     }
 

@@ -432,9 +432,8 @@ mod tests {
     #[test]
     fn apply_delta_writes_nothing_when_every_delete_is_unmatched() {
         let mut t = table();
-        let runs_at = |t: &FactTable| -> Vec<*const f64> {
-            t.runs.iter().map(|r| r.raw_values().as_ptr()).collect()
-        };
+        let runs_at =
+            |t: &FactTable| -> Vec<*const ChunkData> { t.runs.iter().map(Arc::as_ptr).collect() };
         let (runs, at) = (t.runs.clone(), runs_at(&t));
         let mut batch = DeltaBatch::new();
         batch.delete(&[0, 0], 1.0).delete(&[1, 1], 12345.0);

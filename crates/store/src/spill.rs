@@ -19,7 +19,9 @@
 
 use crate::io::{DiskFaultProfile, FaultInjectingSpillIo, FsSpillIo, SpillIo};
 use crate::retry::RetryPolicy;
-use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey, Coord, Coords, NARROW_MAX};
+use aggcache_chunks::{
+    ChunkData, ChunkGrid, ChunkKey, Coord, Coords, Value, ValueVec, Values, NARROW_MAX,
+};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -402,7 +404,7 @@ fn encode(key: ChunkKey, flags: u16, origin: u8, benefit: f64, data: &ChunkData)
     out.extend_from_slice(&benefit.to_bits().to_le_bytes());
     debug_assert_eq!(out.len(), SPILL_HEADER_BYTES);
     // Each block is sized, then filled in place: `u32` LE coordinates
-    // whatever the chunk's width in memory, then the values' bits.
+    // and `f64` LE values, whatever the chunk's widths in memory.
     out.extend_from_slice(&(coord_bytes as u32).to_le_bytes());
     let coords_at = out.len();
     out.resize(coords_at + coord_bytes, 0);
@@ -413,8 +415,9 @@ fn encode(key: ChunkKey, flags: u16, origin: u8, benefit: f64, data: &ChunkData)
     out.extend_from_slice(&(value_bytes as u32).to_le_bytes());
     let values_at = out.len();
     out.resize(values_at + value_bytes, 0);
-    for (to, v) in out[values_at..].chunks_exact_mut(8).zip(data.raw_values()) {
-        to.copy_from_slice(&v.to_bits().to_le_bytes());
+    match data.raw_values() {
+        Values::F32(v) => put_values(v, &mut out[values_at..]),
+        Values::F64(v) => put_values(v, &mut out[values_at..]),
     }
     let checksum = spill_checksum(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
@@ -427,6 +430,14 @@ fn put_coords<C: Coord>(coords: &[C], out: &mut [u8]) {
     for (to, &c) in out.chunks_exact_mut(4).zip(coords) {
         let c: u32 = c.into();
         to.copy_from_slice(&c.to_le_bytes());
+    }
+}
+
+/// Writes `values` as `f64` LE bits into `out`, eight bytes each.
+fn put_values<V: Value>(values: &[V], out: &mut [u8]) {
+    for (to, &v) in out.chunks_exact_mut(8).zip(values) {
+        let v: f64 = v.into();
+        to.copy_from_slice(&v.to_bits().to_le_bytes());
     }
 }
 
@@ -525,7 +536,8 @@ fn decode(bytes: &[u8]) -> Result<(SpillRecord, bool), SpillError> {
             reason: "flags or block lengths disagree with the header or the record's length",
         });
     }
-    let values = bytes[values_at..body_len]
+    // `f32` until a value's bits do not survive it ([`ValueVec`]).
+    let values: ValueVec = bytes[values_at..body_len]
         .chunks_exact(8)
         .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("eight bytes"))))
         .collect();
@@ -1209,8 +1221,9 @@ mod tests {
     }
 
     /// SpillFormat v2's exact bytes for `sample_chunk`. Coordinates are
-    /// `u32` LE on disk whatever their width in memory, so a record
-    /// written from either width is these bytes.
+    /// `u32` LE and values `f64` LE on disk whatever their widths in
+    /// memory, so a record written from either pair of widths is these
+    /// bytes.
     #[test]
     fn a_record_keeps_its_format_v2_bytes() {
         const RECORD: &str = "41435350020000000700000000030000010002000300000000000000000004401800\
@@ -1227,6 +1240,8 @@ mod tests {
             narrow.raw_values().to_vec(),
         );
         assert!(matches!(narrow.raw_coords(), Coords::U16(_)));
+        assert!(matches!(narrow.raw_values(), Values::F32(_)));
+        assert!(matches!(wide.raw_values(), Values::F64(_)));
         for data in [&narrow, &wide] {
             assert_eq!(
                 encode_record(sample_key(), ORIGIN_COMPUTED, 2.5, data),
@@ -1250,6 +1265,39 @@ mod tests {
             decode_record(&encode_record(sample_key(), ORIGIN_BACKEND, 1.0, &narrow)).unwrap();
         assert!(matches!(dec.data.raw_coords(), Coords::U16(_)));
         assert_eq!(dec.data, narrow);
+    }
+
+    /// A chunk holding a value `f32` does not keep comes back at `f64`,
+    /// every bit intact; one without comes back at `f32`, whatever width it
+    /// was written from.
+    #[test]
+    fn each_value_width_survives_a_round_trip() {
+        let round_trip = |d: &ChunkData| {
+            decode_record(&encode_record(sample_key(), ORIGIN_BACKEND, 1.0, d))
+                .unwrap()
+                .data
+        };
+        let bits = |d: &ChunkData| d.raw_values().iter().map(f64::to_bits).collect::<Vec<_>>();
+        let payload_nan = f64::from_bits(0x7ff8_0000_0000_0001);
+        for v in [0.1, 16_777_217.0, f64::MIN_POSITIVE / 2.0, payload_nan] {
+            let mut wide = sample_chunk();
+            wide.push(&[4, 4], v);
+            assert!(matches!(wide.raw_values(), Values::F64(_)));
+            let dec = round_trip(&wide);
+            assert!(matches!(dec.raw_values(), Values::F64(_)), "{v:e}");
+            assert_eq!(bits(&dec), bits(&wide), "{v:e}");
+        }
+        let narrow = sample_chunk();
+        let wide = ChunkData::from_raw(
+            2,
+            narrow.raw_coords().to_vec(),
+            narrow.raw_values().to_vec(),
+        );
+        for d in [&narrow, &wide] {
+            let dec = round_trip(d);
+            assert!(matches!(dec.raw_values(), Values::F32(_)));
+            assert_eq!((&dec, bits(&dec)), (&narrow, bits(&narrow)));
+        }
     }
 
     #[test]

@@ -136,7 +136,8 @@ fn preload_then_aggregated_queries_never_touch_backend() {
 }
 
 /// The budget charges a cached cell the paper's 20 bytes; on APB-1 every
-/// coordinate fits 16 bits, so a five-dimensional cell holds 18 bytes of
+/// coordinate fits 16 bits and every value this session caches
+/// round-trips through `f32`, so a five-dimensional cell holds 14 bytes of
 /// heap. Checked over every chunk of a manager filled to its budget.
 #[test]
 fn a_full_apb_cache_holds_less_heap_than_it_accounts() {
@@ -153,7 +154,7 @@ fn a_full_apb_cache_holds_less_heap_than_it_accounts() {
     let heap: usize = entries.iter().map(|(_, e)| e.data.heap_bytes()).sum();
     let accounted: usize = entries.iter().map(|(_, e)| e.data.accounting_bytes()).sum();
     assert!(
-        heap * 10 <= accounted * 9,
+        heap * 10 <= accounted * 7,
         "{heap} heap bytes for {accounted} accounted"
     );
 }

@@ -392,7 +392,7 @@ proptest! {
         );
 
         prop_assert_eq!(computed.raw_coords(), fetched.raw_coords());
-        for (v, w) in computed.raw_values().iter().zip(fetched.raw_values()) {
+        for (v, w) in computed.raw_values().iter().zip(fetched.raw_values().iter()) {
             if agg == AggFn::Sum {
                 prop_assert!((v - w).abs() <= 1e-3, "{} vs {}", v, w);
             } else {
