@@ -12,7 +12,7 @@ use aggcache_chunks::{ChunkData, ChunkGrid, ChunkKey};
 use aggcache_obs::{Event, Tracer};
 use aggcache_schema::GroupById;
 use aggcache_store::{
-    SpillConfig, SpillCostModel, SpillError, SpillMetrics, SpillRecord, SpillStore, ORIGIN_BACKEND,
+    SpillConfig, SpillError, SpillMetrics, SpillRecord, SpillStore, ORIGIN_BACKEND,
     ORIGIN_COMPUTED, ORIGIN_SPILLED,
 };
 use std::sync::Arc;
@@ -40,21 +40,22 @@ fn origin_from_code(code: u8) -> Origin {
 /// The read both warm start and promote-on-miss go through:
 /// [`SpillStore::read_checked`] against the grid, charged to `delta` and
 /// counted as a read, with a record the store quarantined reported as a
-/// `SpillCorrupt` + `SpillQuarantine` pair. Returns the record with its
-/// on-disk size; `None` sends the chunk to the miss path.
+/// `SpillCorrupt` + `SpillQuarantine` pair. Returns the record with what
+/// reading it cost ([`SpillStore::read_cost`]); `None` sends the chunk to
+/// the miss path.
 fn read_checked(
     store: &mut SpillStore,
     grid: &ChunkGrid,
     key: ChunkKey,
     tracer: Option<&dyn Tracer>,
     delta: &mut SpillMetrics,
-) -> Option<(SpillRecord, u64)> {
-    let bytes = store.bytes_of(key)?;
+) -> Option<(SpillRecord, SpillMetrics)> {
+    let cost = store.read_cost(key)?;
     match store.read_checked(key, Some(grid), delta) {
         Ok(record) => record.map(|record| {
-            delta.spill_reads += 1;
-            delta.bytes_read += bytes;
-            (record, bytes)
+            delta.spill_reads += cost.spill_reads;
+            delta.bytes_read += cost.bytes_read;
+            (record, cost)
         }),
         Err(e) => {
             if let (true, Some(tracer)) = (e.is_corruption(), tracer) {
@@ -66,7 +67,7 @@ fn read_checked(
                 tracer.emit(&Event::SpillQuarantine {
                     gb: key.gb.0,
                     chunk: key.chunk,
-                    bytes,
+                    bytes: cost.bytes_read,
                 });
             }
             None
@@ -130,23 +131,20 @@ impl Tiering {
             if *key == inserted || (entry.origin == Origin::Spilled && store.contains(*key)) {
                 continue;
             }
-            let Ok(bytes) =
+            let Ok(written) =
                 store.write(*key, origin_code(entry.origin), entry.benefit, &entry.data)
             else {
                 // ENOSPC, injected fault, OS error: counted, never fatal.
                 delta.demote_failures += 1;
                 continue;
             };
-            let virtual_ms = SpillCostModel::write_ms(bytes);
-            delta.spill_writes += 1;
-            delta.bytes_written += bytes;
-            delta.spill_virtual_ms += virtual_ms;
+            delta.merge(&written);
             if let Some(tracer) = &self.tracer {
                 tracer.emit(&Event::SpillWrite {
                     gb: key.gb.0,
                     chunk: key.chunk,
-                    bytes,
-                    virtual_ms,
+                    bytes: written.bytes_written,
+                    virtual_ms: written.spill_virtual_ms,
                 });
             }
         }
@@ -299,7 +297,7 @@ impl CacheManager {
             let key = ChunkKey::new(gb, chunk);
             let store = self.tiering.store.as_mut().expect("checked above");
             let tracer = self.tiering.tracer.as_deref();
-            let Some((record, bytes)) = read_checked(store, &self.grid, key, tracer, &mut delta)
+            let Some((record, cost)) = read_checked(store, &self.grid, key, tracer, &mut delta)
             else {
                 still_missing.push(chunk);
                 continue;
@@ -307,8 +305,8 @@ impl CacheManager {
             self.tiering.emit(Event::SpillRead {
                 gb: gb.0,
                 chunk,
-                bytes,
-                virtual_ms: SpillCostModel::read_ms(bytes),
+                bytes: cost.bytes_read,
+                virtual_ms: cost.spill_virtual_ms,
             });
             result.append(&record.data);
             let (admitted, update_ns) =

@@ -14,7 +14,8 @@
 use crate::spill::SpillError;
 use aggcache_chunks::hash::SplitMix64;
 use std::fs::{File, OpenOptions};
-use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
+use std::io::{ErrorKind, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -107,7 +108,7 @@ impl SpillIo for FsSpillIo {
     fn read_at(&self, path: &Path, offset: u64, len: usize) -> Result<Vec<u8>, SpillError> {
         let err = |e| io_err("read at", path, e);
         let corrupt = |reason| SpillError::Corrupt { reason };
-        let mut file = File::open(path).map_err(|e| match e.kind() {
+        let file = File::open(path).map_err(|e| match e.kind() {
             ErrorKind::NotFound => corrupt("segment missing"),
             _ => err(e),
         })?;
@@ -116,8 +117,7 @@ impl SpillIo for FsSpillIo {
             return Err(corrupt("record past the end of its segment"));
         }
         let mut bytes = vec![0; len];
-        file.seek(SeekFrom::Start(offset)).map_err(err)?;
-        file.read_exact(&mut bytes).map_err(err)?;
+        file.read_exact_at(&mut bytes, offset).map_err(err)?;
         Ok(bytes)
     }
 
@@ -366,6 +366,7 @@ impl<I: SpillIo> SpillIo for FaultInjectingSpillIo<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spill::SPILL_HEADER_BYTES;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("aggcache-io-{tag}-{}", std::process::id()));
@@ -493,15 +494,22 @@ mod tests {
         )
         .unwrap();
         let path = dir.join("t.seg");
-        assert_eq!(io.append_tombstone(&path, &[7; 48]).unwrap(), 0);
-        assert_eq!(io.append_tombstone(&path, &[7; 48]).unwrap(), 48);
-        assert_eq!(std::fs::read(&path).unwrap(), [7; 96], "neither torn");
+        // A tombstone's length: header, two empty blocks' prefixes, checksum.
+        let tombstone = [7; SPILL_HEADER_BYTES + 16];
+        let len = tombstone.len() as u64;
+        assert_eq!(io.append_tombstone(&path, &tombstone).unwrap(), 0);
+        assert_eq!(io.append_tombstone(&path, &tombstone).unwrap(), len);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            [tombstone; 2].concat(),
+            "neither torn"
+        );
         assert!(matches!(
-            io.append(&path, &[7; 48]),
+            io.append(&path, &tombstone),
             Err(SpillError::NoSpace)
         ));
         let st = io.state.lock().unwrap();
-        assert_eq!(st.bytes_submitted, 48, "only the record append counted");
+        assert_eq!(st.bytes_submitted, len, "only the record append counted");
         drop(st);
         let _ = std::fs::remove_dir_all(&dir);
     }

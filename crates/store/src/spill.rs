@@ -1,15 +1,17 @@
 //! The persistent second-tier chunk store: chunks evicted from RAM are
 //! *demoted* to disk instead of destroyed, and promoted back on demand.
 //!
-//! The on-disk representation is `SpillFormat` v2 — a versioned,
+//! The on-disk representation is `SpillFormat` v3 — a versioned,
 //! length-prefixed, checksummed serialization of one columnar
-//! [`ChunkData`] per record, records appended back to back to segment
-//! files, specified byte-for-byte in `docs/FORMAT.md` (the normative
-//! spec; the golden-file tests in `tests/spill.rs` fail if the bytes
-//! drift from it). Alongside the segments, [`SpillStore`] persists a small
-//! index (`spill.idx`) recording where each record lies and which chunks
-//! were RAM-resident at the last checkpoint, so a restarted cache manager
-//! can warm-start with exactly the chunk population it shut down with.
+//! [`ChunkData`] per record, its coordinates and values at the narrowest
+//! widths that hold them (as RAM holds them), records appended back to
+//! back to segment files, specified byte-for-byte in `docs/FORMAT.md`
+//! (the normative spec; the golden-file tests in `tests/spill.rs` fail if
+//! the bytes drift from it). Alongside the segments, [`SpillStore`]
+//! persists a small index (`spill.idx`) recording where each record lies,
+//! what its read is priced at, and which chunks were RAM-resident at the
+//! last checkpoint, so a restarted cache manager can warm-start with
+//! exactly the chunk population it shut down with.
 //!
 //! Disk traffic is charged to the same deterministic virtual clock as
 //! backend fetches, through [`SpillCostModel`], into one ledger:
@@ -20,7 +22,7 @@
 use crate::io::{DiskFaultProfile, FaultInjectingSpillIo, FsSpillIo, SpillIo};
 use crate::retry::RetryPolicy;
 use aggcache_chunks::{
-    ChunkData, ChunkGrid, ChunkKey, Coord, Coords, Value, ValueVec, Values, NARROW_MAX,
+    ChunkData, ChunkGrid, ChunkKey, Coord, Coords, ValueVec, Values, NARROW_MAX,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -30,7 +32,7 @@ pub const SPILL_MAGIC: [u8; 4] = *b"ACSP";
 /// Magic bytes opening the spill index file (`b"ACSI"`).
 pub const SPILL_INDEX_MAGIC: [u8; 4] = *b"ACSI";
 /// The `SpillFormat` version this build writes and reads.
-pub const SPILL_FORMAT_VERSION: u16 = 2;
+pub const SPILL_FORMAT_VERSION: u16 = 3;
 /// Fixed byte length of the record header (everything before the
 /// coordinate block's length prefix).
 pub const SPILL_HEADER_BYTES: usize = 32;
@@ -44,10 +46,14 @@ pub const ORIGIN_SPILLED: u8 = 2;
 /// The record flag of a tombstone: a record with no cells that retires
 /// every earlier record of its key from an index scavenge.
 const FLAG_TOMBSTONE: u16 = 1;
+/// The record flag of `u32` coordinates; without it they are `u16`.
+const FLAG_WIDE_COORDS: u16 = 2;
+/// The record flag of `f64` values; without it they are `f32`.
+const FLAG_WIDE_VALUES: u16 = 4;
 /// A segment grown to this many bytes is sealed: the next append starts
 /// a new one.
 const SEGMENT_BYTES: u64 = 8 << 20;
-const INDEX_ENTRY_BYTES: usize = 28;
+const INDEX_ENTRY_BYTES: usize = 32;
 const INDEX_HEADER_BYTES: usize = 12;
 const INDEX_FILE: &str = "spill.idx";
 
@@ -177,21 +183,33 @@ impl std::fmt::Display for SpillError {
 
 impl std::error::Error for SpillError {}
 
-/// FNV-1a 64 over `bytes` read as little-endian `u64` words, then the
-/// 0–7 tail bytes one at a time — the `SpillFormat` checksum (no
-/// dependencies, byte-order independent, specified in `docs/FORMAT.md`).
-/// Each step is a bijection of the running hash, so a change to any one
-/// byte always changes the result.
+/// The `SpillFormat` checksum of `bytes` (no dependencies, byte-order
+/// independent, specified in `docs/FORMAT.md`): their little-endian `u64`
+/// words dealt round-robin to four FNV-1a 64 lanes, word `i` to lane
+/// `i mod 4`, the four lane hashes then folded in order into a fifth, and
+/// the 0–7 tail bytes folded into that one at a time. The lanes are
+/// independent chains, so they run side by side. Each step is a
+/// bijection of the hash it updates, so a change to any one byte always
+/// changes the result.
 pub fn spill_checksum(bytes: &[u8]) -> u64 {
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let words = bytes.chunks_exact(8);
-    let tail = words.remainder().iter().map(|&b| u64::from(b));
-    words
-        .map(|w| u64::from_le_bytes(w.try_into().expect("eight bytes")))
-        .chain(tail)
-        .fold(0xcbf2_9ce4_8422_2325, |hash, x| {
-            (hash ^ x).wrapping_mul(PRIME)
-        })
+    let step = |hash: u64, x: u64| (hash ^ x).wrapping_mul(PRIME);
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("eight bytes"));
+    let mut lanes = [BASIS; 4];
+    let blocks = bytes.chunks_exact(32);
+    let words = blocks.remainder().chunks_exact(8);
+    let tail = words.remainder();
+    for block in blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, word(w));
+        }
+    }
+    for (lane, w) in lanes.iter_mut().zip(words) {
+        *lane = step(*lane, word(w));
+    }
+    let folded = lanes.into_iter().fold(BASIS, step);
+    tail.iter().map(|&b| u64::from(b)).fold(folded, step)
 }
 
 /// Virtual cost of spill-tier disk traffic: a per-operation seek/dispatch
@@ -200,11 +218,13 @@ pub fn spill_checksum(bytes: &[u8]) -> u64 {
 ///
 /// Costs are deterministic virtual milliseconds / microseconds in the same
 /// domain as [`crate::BackendCostModel`] — never wall clock. The rates are
-/// constants because they only mean something against that model: a
-/// promotion read of a 20-byte accounting tuple costs ≈1 µs, about 4×
-/// cheaper than the backend's ≈4 µs/tuple scan, so the disk tier pays off
-/// exactly when it spares a backend round trip. They price logical record
-/// operations, whatever the on-disk layout.
+/// constants because they only mean something against that model. They
+/// price the *logical* record, `SpillCostModel::record_bytes`: `u32`
+/// coordinates and `f64` values, 28 bytes a tuple on APB-1's five
+/// dimensions, whatever widths the record is written at. A promotion read
+/// of such a tuple costs ≈1.4 µs, about 3× cheaper than the backend's
+/// ≈4 µs/tuple scan, so the disk tier pays off exactly when it spares a
+/// backend round trip.
 #[derive(Debug, Clone, Copy)]
 pub struct SpillCostModel;
 
@@ -217,6 +237,15 @@ impl SpillCostModel {
     pub(crate) const READ_PER_OP_MS: f64 = 0.2;
     /// Virtual microseconds per byte read.
     pub(crate) const READ_PER_BYTE_US: f64 = 0.05;
+
+    /// The bytes a record of `n_cells` cells of `n_dims` coordinates is
+    /// priced at: its length with `u32` coordinates and `f64` values,
+    /// `48 + n_cells × (4·n_dims + 8)` (`docs/FORMAT.md`), the length every
+    /// record had before records kept their chunk's widths.
+    pub(crate) fn record_bytes(n_dims: usize, n_cells: usize) -> u64 {
+        let (n_dims, n_cells) = (n_dims as u64, n_cells as u64);
+        SPILL_HEADER_BYTES as u64 + 16 + n_cells * (4 * n_dims + 8)
+    }
 
     /// Virtual milliseconds for one write of `bytes`.
     pub fn write_ms(bytes: u64) -> f64 {
@@ -258,9 +287,9 @@ pub struct SpillMetrics {
     pub spill_reads: u64,
     /// Read-back chunks the RAM cache re-admitted.
     pub spill_promotes: u64,
-    /// Serialized bytes written to disk.
+    /// Serialized bytes written to disk, at the records' own widths.
     pub bytes_written: u64,
-    /// Serialized bytes read from disk.
+    /// Serialized bytes read from disk, at the records' own widths.
     pub bytes_read: u64,
     /// Records found corrupt (checksum/decode failure) on any spill path.
     pub spill_corrupt: u64,
@@ -376,7 +405,9 @@ pub struct SpillRecord {
 /// Serializes one chunk as a `SpillFormat` record — the byte-level
 /// layout is specified normatively in `docs/FORMAT.md`. The encoding is a
 /// pure function of its inputs (no timestamps, no platform state), so
-/// records are bit-identical across runs and machines.
+/// records are bit-identical across runs and machines, and of the cells'
+/// values, not their widths: a chunk is written at the narrowest widths
+/// that hold its cells, whatever widths it holds them at.
 pub fn encode_record(key: ChunkKey, origin: u8, benefit: f64, data: &ChunkData) -> Vec<u8> {
     encode(key, 0, origin, benefit, data)
 }
@@ -386,11 +417,77 @@ fn encode_tombstone(key: ChunkKey) -> Vec<u8> {
     encode(key, FLAG_TOMBSTONE, 0, 0.0, &ChunkData::new(0))
 }
 
+/// A number a record's block holds, little-endian at its own width.
+trait Le: Copy {
+    const BYTES: usize;
+    fn put(self, to: &mut [u8]);
+    fn get(from: &[u8]) -> Self;
+}
+
+macro_rules! le {
+    ($($t:ty),*) => {$(
+        impl Le for $t {
+            const BYTES: usize = std::mem::size_of::<$t>();
+            #[inline(always)]
+            fn put(self, to: &mut [u8]) {
+                to.copy_from_slice(&self.to_le_bytes());
+            }
+            #[inline(always)]
+            fn get(from: &[u8]) -> Self {
+                Self::from_le_bytes(from.try_into().expect("one number's bytes"))
+            }
+        }
+    )*};
+}
+
+le!(u16, u32, f32, f64);
+
+/// Writes `items` into `block`, [`Le::BYTES`] each.
+fn put<T: Le>(items: impl Iterator<Item = T>, block: &mut [u8]) {
+    for (to, x) in block.chunks_exact_mut(T::BYTES).zip(items) {
+        x.put(to);
+    }
+}
+
+/// Reads `block` as consecutive `T`s.
+fn get<T: Le>(block: &[u8]) -> Vec<T> {
+    block.chunks_exact(T::BYTES).map(T::get).collect()
+}
+
+/// The coordinate and value widths, in bytes, that a record's `flags`
+/// name.
+fn widths(flags: u16) -> (usize, usize) {
+    let coord = if flags & FLAG_WIDE_COORDS != 0 { 4 } else { 2 };
+    let value = if flags & FLAG_WIDE_VALUES != 0 { 8 } else { 4 };
+    (coord, value)
+}
+
+/// The width flags of `data`'s narrowest widths: a coordinate past `u16`
+/// needs [`FLAG_WIDE_COORDS`], a value whose bits `f32` does not keep
+/// [`FLAG_WIDE_VALUES`]. Either check folds the whole block with no early
+/// exit, which vectorises.
+fn width_flags(data: &ChunkData) -> u16 {
+    let wide_coords = match data.raw_coords() {
+        Coords::U16(_) => false,
+        Coords::U32(c) => c.iter().fold(0, |all, &c| all | c) > NARROW_MAX,
+    };
+    let wide_values = match data.raw_values() {
+        Values::F32(_) => false,
+        Values::F64(v) => !v.iter().fold(true, |all, &v| {
+            all & (f64::from(v as f32).to_bits() == v.to_bits())
+        }),
+    };
+    (if wide_coords { FLAG_WIDE_COORDS } else { 0 })
+        | (if wide_values { FLAG_WIDE_VALUES } else { 0 })
+}
+
 fn encode(key: ChunkKey, flags: u16, origin: u8, benefit: f64, data: &ChunkData) -> Vec<u8> {
+    let flags = flags | width_flags(data);
+    let (coord_width, value_width) = widths(flags);
     let n_dims = data.n_dims();
     let n_cells = data.len();
-    let coord_bytes = n_cells * n_dims * 4;
-    let value_bytes = n_cells * 8;
+    let coord_bytes = n_cells * n_dims * coord_width;
+    let value_bytes = n_cells * value_width;
     let len = SPILL_HEADER_BYTES + 8 + coord_bytes + value_bytes + 8;
     let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&SPILL_MAGIC);
@@ -403,56 +500,30 @@ fn encode(key: ChunkKey, flags: u16, origin: u8, benefit: f64, data: &ChunkData)
     out.extend_from_slice(&(n_cells as u32).to_le_bytes());
     out.extend_from_slice(&benefit.to_bits().to_le_bytes());
     debug_assert_eq!(out.len(), SPILL_HEADER_BYTES);
-    // Each block is sized, then filled in place: `u32` LE coordinates
-    // and `f64` LE values, whatever the chunk's widths in memory.
+    // Each block is sized, then filled in place at the flagged width: a
+    // straight copy from a chunk held at it, narrowed from one held wider.
     out.extend_from_slice(&(coord_bytes as u32).to_le_bytes());
     let coords_at = out.len();
     out.resize(coords_at + coord_bytes, 0);
+    let block = &mut out[coords_at..];
     match data.raw_coords() {
-        Coords::U16(c) => put_coords(c, &mut out[coords_at..]),
-        Coords::U32(c) => put_coords(c, &mut out[coords_at..]),
+        Coords::U16(c) => put(c.iter().copied(), block),
+        Coords::U32(c) if flags & FLAG_WIDE_COORDS != 0 => put(c.iter().copied(), block),
+        Coords::U32(c) => put(c.iter().map(|&c| u16::from_u32(c)), block),
     }
     out.extend_from_slice(&(value_bytes as u32).to_le_bytes());
     let values_at = out.len();
     out.resize(values_at + value_bytes, 0);
+    let block = &mut out[values_at..];
     match data.raw_values() {
-        Values::F32(v) => put_values(v, &mut out[values_at..]),
-        Values::F64(v) => put_values(v, &mut out[values_at..]),
+        Values::F32(v) => put(v.iter().copied(), block),
+        Values::F64(v) if flags & FLAG_WIDE_VALUES != 0 => put(v.iter().copied(), block),
+        Values::F64(v) => put(v.iter().map(|&v| v as f32), block),
     }
     let checksum = spill_checksum(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     debug_assert_eq!(out.len(), len);
     out
-}
-
-/// Writes `coords` as `u32` LE into `out`, four bytes each.
-fn put_coords<C: Coord>(coords: &[C], out: &mut [u8]) {
-    for (to, &c) in out.chunks_exact_mut(4).zip(coords) {
-        let c: u32 = c.into();
-        to.copy_from_slice(&c.to_le_bytes());
-    }
-}
-
-/// Writes `values` as `f64` LE bits into `out`, eight bytes each.
-fn put_values<V: Value>(values: &[V], out: &mut [u8]) {
-    for (to, &v) in out.chunks_exact_mut(8).zip(values) {
-        let v: f64 = v.into();
-        to.copy_from_slice(&v.to_bits().to_le_bytes());
-    }
-}
-
-/// One `u32` LE coordinate of a record's coordinate block.
-fn get_coord(bytes: &[u8]) -> u32 {
-    u32::from_le_bytes(bytes.try_into().expect("four bytes"))
-}
-
-/// Reads a block of `u32` LE coordinates at width `C`, which the caller
-/// has checked holds every one of them.
-fn get_coords<C: Coord>(block: &[u8]) -> Vec<C> {
-    block
-        .chunks_exact(4)
-        .map(|c| C::from_u32(get_coord(c)))
-        .collect()
 }
 
 /// Checks what every checksummed `SpillFormat` object — a record, the
@@ -490,9 +561,10 @@ fn take<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], SpillError> 
 /// Decodes (and fully validates) one `SpillFormat` chunk record: magic,
 /// version, flags, length prefixes, structural consistency and the
 /// trailing checksum; a tombstone is not a chunk record and is `Corrupt`
-/// here. The round trip `decode_record(&encode_record(..))` is
-/// bit-identical — coordinates and IEEE-754 value bit patterns survive
-/// exactly.
+/// here. The cells come back at the widths the record's flags name. The
+/// round trip `decode_record(&encode_record(..))` is bit-identical —
+/// coordinates and IEEE-754 value bit patterns survive exactly, at the
+/// narrowest widths that hold them.
 pub fn decode_record(bytes: &[u8]) -> Result<SpillRecord, SpillError> {
     match decode(bytes)? {
         (record, false) => Ok(record),
@@ -502,12 +574,14 @@ pub fn decode_record(bytes: &[u8]) -> Result<SpillRecord, SpillError> {
     }
 }
 
-/// The length of the record whose header opens `bytes`, from its cell
-/// count and dimensionality: how far a scan steps to the next record.
+/// The length of the record whose header opens `bytes`, from its flags,
+/// cell count and dimensionality: how far a scan steps to the next record.
 fn record_len(bytes: &[u8]) -> Result<usize, SpillError> {
+    let (coord_width, value_width) = widths(u16::from_le_bytes(take::<2>(bytes, 6)?));
     let n_dims = u64::from(u16::from_le_bytes(take::<2>(bytes, 18)?));
     let n_cells = u64::from(u32::from_le_bytes(take::<4>(bytes, 20)?));
-    let len = SPILL_HEADER_BYTES as u64 + 16 + n_cells * (n_dims * 4 + 8);
+    let cell = n_dims * coord_width as u64 + value_width as u64;
+    let len = SPILL_HEADER_BYTES as u64 + 16 + n_cells * cell;
     usize::try_from(len).map_err(|_| SpillError::Corrupt {
         reason: "record longer than memory",
     })
@@ -523,33 +597,34 @@ fn decode(bytes: &[u8]) -> Result<(SpillRecord, bool), SpillError> {
     let n_dims = u16::from_le_bytes(take::<2>(bytes, 18)?) as usize;
     let n_cells = u32::from_le_bytes(take::<4>(bytes, 20)?) as usize;
     let benefit = f64::from_bits(u64::from_le_bytes(take::<8>(bytes, 24)?));
-    let tombstone = flags == FLAG_TOMBSTONE;
+    let tombstone = flags & FLAG_TOMBSTONE != 0;
+    let (coord_width, value_width) = widths(flags);
     let coord_len = u32::from_le_bytes(take::<4>(bytes, SPILL_HEADER_BYTES)?) as usize;
     let coords_at = SPILL_HEADER_BYTES + 4;
     let values_len_at = coords_at + coord_len;
     let value_len = u32::from_le_bytes(take::<4>(bytes, values_len_at)?) as usize;
     let values_at = values_len_at + 4;
-    let bad_flags = flags & !FLAG_TOMBSTONE != 0 || (tombstone && n_cells != 0);
-    let bad_blocks = coord_len != n_cells * n_dims * 4 || value_len != n_cells * 8;
+    let known = FLAG_TOMBSTONE | FLAG_WIDE_COORDS | FLAG_WIDE_VALUES;
+    let bad_flags = flags & !known != 0 || (tombstone && (flags != FLAG_TOMBSTONE || n_cells != 0));
+    let bad_blocks =
+        coord_len != n_cells * n_dims * coord_width || value_len != n_cells * value_width;
     if bad_flags || bad_blocks || values_at + value_len != body_len {
         return Err(SpillError::Corrupt {
             reason: "flags or block lengths disagree with the header or the record's length",
         });
     }
-    // `f32` until a value's bits do not survive it ([`ValueVec`]).
-    let values: ValueVec = bytes[values_at..body_len]
-        .chunks_exact(8)
-        .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("eight bytes"))))
-        .collect();
-    // Straight into the narrow width unless some coordinate is past it.
-    // The check ORs every coordinate with no early exit, which vectorises;
-    // a test per coordinate that stops at the first wide one is several
-    // times slower on a block that is all narrow.
-    let block = &bytes[coords_at..values_len_at];
-    let data = if block.chunks_exact(4).fold(0, |all, c| all | get_coord(c)) <= NARROW_MAX {
-        ChunkData::from_raw(n_dims, get_coords::<u16>(block), values)
+    // Each block is held at the width its flag names: a straight copy.
+    let block = &bytes[values_at..body_len];
+    let values: ValueVec = if flags & FLAG_WIDE_VALUES != 0 {
+        get::<f64>(block).into()
     } else {
-        ChunkData::from_raw(n_dims, get_coords::<u32>(block), values)
+        get::<f32>(block).into()
+    };
+    let block = &bytes[coords_at..values_len_at];
+    let data = if flags & FLAG_WIDE_COORDS != 0 {
+        ChunkData::from_raw(n_dims, get::<u32>(block), values)
+    } else {
+        ChunkData::from_raw(n_dims, get::<u16>(block), values)
     };
     let record = SpillRecord {
         key: ChunkKey::unpack(packed),
@@ -572,18 +647,31 @@ fn decode_as(key: ChunkKey, bytes: &[u8]) -> Result<SpillRecord, SpillError> {
     Ok(record)
 }
 
+/// What one read of the record `entry` names costs: see
+/// [`SpillStore::read_cost`].
+fn read_cost(entry: &IndexEntry) -> SpillMetrics {
+    SpillMetrics {
+        spill_reads: 1,
+        bytes_read: u64::from(entry.bytes),
+        spill_virtual_ms: SpillCostModel::read_ms(u64::from(entry.priced)),
+        ..SpillMetrics::default()
+    }
+}
+
 /// The number of a listed segment file (`{n:08x}.seg`).
 fn segment_number((path, _): &(PathBuf, u64)) -> Option<u32> {
     u32::from_str_radix(path.file_stem()?.to_str()?, 16).ok()
 }
 
-/// Where one chunk's record lies, and whether the last checkpoint found
-/// the chunk RAM-resident. Its origin and benefit are in the record.
+/// Where one chunk's record lies, the size its read is priced at
+/// ([`SpillCostModel::record_bytes`]), and whether the last checkpoint
+/// found the chunk RAM-resident. Its origin and benefit are in the record.
 #[derive(Debug, Clone, Copy)]
 struct IndexEntry {
     segment: u32,
     offset: u64,
     bytes: u32,
+    priced: u32,
     resident: bool,
 }
 
@@ -740,23 +828,50 @@ impl SpillStore {
         Ok((segment, offset))
     }
 
-    /// Demotes one chunk to disk. Returns the serialized byte count (the
-    /// quantity the write cost is charged over). The chunk is recorded as
-    /// non-resident: residency is a checkpoint-time property.
+    /// Demotes one chunk to disk. Returns what the write cost:
+    /// `spill_writes` 1, the serialized `bytes_written`, and
+    /// [`SpillCostModel::write_ms`] of the record's priced size. The chunk
+    /// is recorded as non-resident: residency is a checkpoint-time
+    /// property.
     pub fn write(
         &mut self,
         key: ChunkKey,
         origin: u8,
         benefit: f64,
         data: &ChunkData,
-    ) -> Result<u64, SpillError> {
+    ) -> Result<SpillMetrics, SpillError> {
+        let entry = self.append_record(key, origin, benefit, data)?;
+        Ok(SpillMetrics {
+            spill_writes: 1,
+            bytes_written: u64::from(entry.bytes),
+            spill_virtual_ms: SpillCostModel::write_ms(u64::from(entry.priced)),
+            ..SpillMetrics::default()
+        })
+    }
+
+    /// Appends one chunk's record and indexes it, non-resident; returns
+    /// its index entry. A record too long for an index entry to name is
+    /// refused before anything is written.
+    fn append_record(
+        &mut self,
+        key: ChunkKey,
+        origin: u8,
+        benefit: f64,
+        data: &ChunkData,
+    ) -> Result<IndexEntry, SpillError> {
+        // The priced size bounds the record's own, so it fits as well.
+        let priced = SpillCostModel::record_bytes(data.n_dims(), data.len());
+        let priced = u32::try_from(priced).map_err(|_| SpillError::Io {
+            op: "append",
+            error: format!("a {priced}-byte record is longer than an index entry can name"),
+        })?;
         let encoded = encode_record(key, origin, benefit, data);
         let (segment, offset) = self.append(encoded.len(), |io, to| io.append(to, &encoded))?;
-        let bytes = encoded.len() as u32;
         let entry = IndexEntry {
             segment,
             offset,
-            bytes,
+            bytes: encoded.len() as u32,
+            priced,
             resident: false,
         };
         self.index.insert(key.pack(), entry);
@@ -765,13 +880,16 @@ impl SpillStore {
         if self.active != segment && self.wasteful() {
             let _ = self.compact();
         }
-        Ok(u64::from(bytes))
+        Ok(entry)
     }
 
-    /// Serialized size on disk of one spilled chunk, from the index (no
-    /// I/O); `None` when the key is not spilled.
-    pub fn bytes_of(&self, key: ChunkKey) -> Option<u64> {
-        self.index.get(&key.pack()).map(|e| u64::from(e.bytes))
+    /// What reading one spilled chunk costs, from the index (no I/O):
+    /// `spill_reads` 1, its serialized `bytes_read`, and
+    /// [`SpillCostModel::read_ms`] of its priced size — what
+    /// [`SpillStore::read_checked`] charges for a read that completes.
+    /// `None` when the key is not spilled.
+    pub fn read_cost(&self, key: ChunkKey) -> Option<SpillMetrics> {
+        self.index.get(&key.pack()).map(read_cost)
     }
 
     /// Promotes one chunk from disk with one positioned read: `Ok(None)`
@@ -794,8 +912,8 @@ impl SpillStore {
     /// The read warm start, promote-on-miss and scrubbing go through,
     /// charged to `delta`: [`SpillStore::read`] with transient errors
     /// retried under [`RetryPolicy::default`] (retry waste first, then
-    /// [`SpillCostModel::read_ms`] of the indexed size for a read that
-    /// completes, intact or not), and a record that fails its checksum or
+    /// [`SpillCostModel::read_ms`] of the indexed priced size for a read
+    /// that completes, intact or not), and a record that fails its checksum or
     /// decode — or, when `grid` is given, is intact but not of it: a key
     /// the grid does not have, cells of another dimension count, what a
     /// directory checkpointed under another schema holds — counted corrupt
@@ -815,7 +933,8 @@ impl SpillStore {
         let Some(&entry) = self.index.get(&key.pack()) else {
             return Ok(None);
         };
-        let bytes = u64::from(entry.bytes);
+        // Priced before it is decoded, so a corrupt read costs the same.
+        let read_ms = read_cost(&entry).spill_virtual_ms;
         let (read, retries) = self.read_retrying(|| self.read_entry(&entry));
         delta.merge(&retries);
         let of_grid = |r: &SpillRecord| {
@@ -828,12 +947,12 @@ impl SpillStore {
         });
         match record {
             Ok(record) => {
-                delta.spill_virtual_ms += SpillCostModel::read_ms(bytes);
+                delta.spill_virtual_ms += read_ms;
                 Ok(Some(record))
             }
             Err(e) if e.is_corruption() => {
                 // The wasted read is still charged.
-                delta.spill_virtual_ms += SpillCostModel::read_ms(bytes);
+                delta.spill_virtual_ms += read_ms;
                 delta.spill_corrupt += 1;
                 self.quarantine(key, delta);
                 Err(e)
@@ -945,6 +1064,11 @@ impl SpillStore {
                         segment,
                         offset: at as u64,
                         bytes: len as u32,
+                        priced: u32::try_from(SpillCostModel::record_bytes(
+                            record.data.n_dims(),
+                            record.data.len(),
+                        ))
+                        .unwrap_or(u32::MAX),
                         resident: false,
                     };
                     self.index.insert(packed, entry);
@@ -998,7 +1122,8 @@ impl SpillStore {
     /// first when they hold more dead bytes than live ones.
     ///
     /// Returns the records written (`spill_writes`, `bytes_written`),
-    /// priced by `SpillCostModel::checkpoint_ms`; compaction charges
+    /// priced by `SpillCostModel::checkpoint_ms` over their priced sizes;
+    /// compaction charges
     /// nothing. Checkpoints are salvaged record-by-record: a failed write
     /// (ENOSPC, injected fault, OS error) skips that record — counted in
     /// `demote_failures`, left non-resident, never aborting the
@@ -1011,15 +1136,16 @@ impl SpillStore {
         for entry in self.index.values_mut() {
             entry.resident = false;
         }
-        let mut delta = SpillMetrics::default();
+        let (mut delta, mut priced) = (SpillMetrics::default(), 0);
         for (key, origin, benefit, data) in resident {
-            match self.write(key, origin, benefit, data) {
+            match self.append_record(key, origin, benefit, data) {
                 Ok(written) => {
                     if let Some(entry) = self.index.get_mut(&key.pack()) {
                         entry.resident = true;
                     }
-                    delta.bytes_written += written;
+                    delta.bytes_written += u64::from(written.bytes);
                     delta.spill_writes += 1;
+                    priced += u64::from(written.priced);
                 }
                 Err(_) => delta.demote_failures += 1,
             }
@@ -1029,8 +1155,7 @@ impl SpillStore {
         } else {
             self.persist_index()?;
         }
-        delta.spill_virtual_ms =
-            SpillCostModel::checkpoint_ms(delta.spill_writes, delta.bytes_written);
+        delta.spill_virtual_ms = SpillCostModel::checkpoint_ms(delta.spill_writes, priced);
         Ok(delta)
     }
 
@@ -1107,6 +1232,7 @@ impl SpillStore {
             out.extend_from_slice(&e.offset.to_le_bytes());
             out.extend_from_slice(&e.segment.to_le_bytes());
             out.extend_from_slice(&e.bytes.to_le_bytes());
+            out.extend_from_slice(&e.priced.to_le_bytes());
             out.extend_from_slice(&[u8::from(e.resident), 0, 0, 0]); // resident, pad
         }
         let checksum = spill_checksum(&out);
@@ -1130,7 +1256,8 @@ impl SpillStore {
                 offset: u64::from_le_bytes(take::<8>(bytes, at + 8)?),
                 segment: u32::from_le_bytes(take::<4>(bytes, at + 16)?),
                 bytes: u32::from_le_bytes(take::<4>(bytes, at + 20)?),
-                resident: bytes[at + 24] != 0,
+                priced: u32::from_le_bytes(take::<4>(bytes, at + 24)?),
+                resident: bytes[at + 28] != 0,
             };
             self.index.insert(packed, entry);
         }
@@ -1177,18 +1304,31 @@ mod tests {
         segments.iter().map(|(_, len)| len).sum()
     }
 
+    /// The checksum as `docs/FORMAT.md` spells it, one word at a time:
+    /// word `i` into lane `i mod 4`, the lanes folded in order, then the
+    /// tail bytes — over every length from empty to past two blocks.
     #[test]
     fn checksum_hashes_words_then_the_tail_bytes() {
         const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
-        assert_eq!(spill_checksum(&[]), BASIS);
-        let bytes: Vec<u8> = (1..=10).collect();
-        let word = u64::from_le_bytes(bytes[..8].try_into().unwrap());
-        let mut want = (BASIS ^ word).wrapping_mul(PRIME);
-        for &b in &bytes[8..] {
-            want = (want ^ u64::from(b)).wrapping_mul(PRIME);
+        let step = |hash: u64, x: u64| (hash ^ x).wrapping_mul(PRIME);
+        let bytes: Vec<u8> = (1..=77).collect();
+        for len in 0..=bytes.len() {
+            let bytes = &bytes[..len];
+            let mut lanes = [BASIS; 4];
+            for (i, w) in bytes.chunks_exact(8).enumerate() {
+                lanes[i % 4] = step(lanes[i % 4], u64::from_le_bytes(w.try_into().unwrap()));
+            }
+            let mut want = lanes.into_iter().fold(BASIS, step);
+            for &b in &bytes[len / 8 * 8..] {
+                want = step(want, u64::from(b));
+            }
+            assert_eq!(spill_checksum(bytes), want, "{len} bytes");
         }
-        assert_eq!(spill_checksum(&bytes), want);
+        // Every word's lane matters: swapping two words moves the sum.
+        let mut swapped = bytes.clone();
+        swapped[..16].rotate_left(8);
+        assert_ne!(spill_checksum(&swapped), spill_checksum(&bytes));
     }
 
     #[test]
@@ -1220,15 +1360,14 @@ mod tests {
         );
     }
 
-    /// SpillFormat v2's exact bytes for `sample_chunk`. Coordinates are
-    /// `u32` LE and values `f64` LE on disk whatever their widths in
-    /// memory, so a record written from either pair of widths is these
-    /// bytes.
+    /// SpillFormat v3's exact bytes for `sample_chunk`. A record holds
+    /// the narrowest widths that hold its cells, here `u16` LE coordinates
+    /// and `f32` LE values, whatever the widths in memory, so a record
+    /// written from either pair of widths is these bytes.
     #[test]
-    fn a_record_keeps_its_format_v2_bytes() {
-        const RECORD: &str = "41435350020000000700000000030000010002000300000000000000000004401800\
-            000000000000010000000200000003000000070000000000000018000000000000000000f83f0000000000\
-            0011c0000000000000000028c4c0cb46754613";
+    fn a_record_keeps_its_format_v3_bytes() {
+        const RECORD: &str = "41435350030000000700000000030000010002000300000000000000000004400c00\
+            00000000010002000300070000000c0000000000c03f000088c00000000092176b8967fd0d69";
         let want: Vec<u8> = (0..RECORD.len())
             .step_by(2)
             .map(|i| u8::from_str_radix(&RECORD[i..i + 2], 16).unwrap())
@@ -1241,6 +1380,7 @@ mod tests {
         );
         assert!(matches!(narrow.raw_coords(), Coords::U16(_)));
         assert!(matches!(narrow.raw_values(), Values::F32(_)));
+        assert!(matches!(wide.raw_coords(), Coords::U32(_)));
         assert!(matches!(wide.raw_values(), Values::F64(_)));
         for data in [&narrow, &wide] {
             assert_eq!(
@@ -1249,6 +1389,55 @@ mod tests {
             );
         }
         assert_eq!(record_len(&want).unwrap(), want.len());
+        assert_eq!(want.len(), SPILL_HEADER_BYTES + 16 + 3 * (2 * 2 + 4));
+    }
+
+    /// Each flag widens its own block: a coordinate past `u16` sets flag
+    /// bit 1 and writes every coordinate as `u32`, a value `f32` does not
+    /// keep sets bit 2 and writes every value as `f64`, and the scan's
+    /// record length follows both.
+    #[test]
+    fn each_width_flag_widens_its_own_block() {
+        let n_cells = 4;
+        for (coord, value, flags, cell) in [
+            (9, 9.0, 0, 2 * 2 + 4),
+            (70_000, 9.0, FLAG_WIDE_COORDS, 2 * 4 + 4),
+            (9, 0.1, FLAG_WIDE_VALUES, 2 * 2 + 8),
+            (70_000, 0.1, FLAG_WIDE_COORDS | FLAG_WIDE_VALUES, 2 * 4 + 8),
+        ] {
+            let mut data = sample_chunk();
+            data.push(&[coord, 1], value);
+            let bytes = encode_record(sample_key(), ORIGIN_BACKEND, 1.0, &data);
+            assert_eq!(u16::from_le_bytes([bytes[6], bytes[7]]), flags);
+            assert_eq!(bytes.len(), SPILL_HEADER_BYTES + 16 + n_cells * cell);
+            assert_eq!(record_len(&bytes).unwrap(), bytes.len());
+            assert_eq!(decode_record(&bytes).unwrap().data, data);
+        }
+    }
+
+    /// A record whose flags disagree with its blocks, an unknown flag, or
+    /// a tombstone flag beside a width flag is corrupt even when its
+    /// checksum matches.
+    #[test]
+    fn a_flag_its_blocks_do_not_match_is_corrupt() {
+        let enc = encode_record(sample_key(), ORIGIN_COMPUTED, 2.5, &sample_chunk());
+        let tombstone = encode_tombstone(sample_key());
+        for (bytes, flags) in [
+            (&enc, FLAG_WIDE_COORDS),
+            (&enc, FLAG_WIDE_VALUES),
+            (&enc, 8),
+            (&tombstone, FLAG_TOMBSTONE | FLAG_WIDE_COORDS),
+        ] {
+            let mut bad = bytes.clone();
+            bad[6..8].copy_from_slice(&flags.to_le_bytes());
+            let body = bad.len() - 8;
+            let sum = spill_checksum(&bad[..body]).to_le_bytes();
+            bad[body..].copy_from_slice(&sum);
+            assert!(
+                matches!(decode(&bad), Err(SpillError::Corrupt { .. })),
+                "flags {flags:#x}"
+            );
+        }
     }
 
     /// A chunk with a coordinate past `u16` comes back wide and equal; one
@@ -1353,10 +1542,22 @@ mod tests {
         let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
         assert!(store.is_empty());
         let data = sample_chunk();
-        let bytes = store
+        let written = store
             .write(sample_key(), ORIGIN_BACKEND, 3.0, &data)
             .unwrap();
-        assert_eq!(bytes, store.bytes_on_disk());
+        assert_eq!(written.bytes_written, store.bytes_on_disk());
+        let bytes = encode_record(sample_key(), ORIGIN_BACKEND, 3.0, &data).len() as u64;
+        let priced = SpillCostModel::record_bytes(data.n_dims(), data.len());
+        let want = SpillMetrics {
+            spill_writes: 1,
+            bytes_written: bytes,
+            spill_virtual_ms: SpillCostModel::write_ms(priced),
+            ..SpillMetrics::default()
+        };
+        assert_eq!(written, want);
+        let read = store.read_cost(sample_key()).unwrap();
+        assert_eq!(read.bytes_read, bytes);
+        assert_eq!(read.spill_virtual_ms, SpillCostModel::read_ms(priced));
         assert!(store.contains(sample_key()));
         let rec = store.read(sample_key()).unwrap().unwrap();
         assert_eq!(rec.data.raw_coords(), data.raw_coords());
@@ -1495,7 +1696,8 @@ mod tests {
             for &key in &keys {
                 let len = store
                     .write(key, ORIGIN_BACKEND, f64::from(round), &data)
-                    .unwrap();
+                    .unwrap()
+                    .bytes_written;
                 written += len;
                 let bound = 2 * store.bytes_on_disk() + SEGMENT_BYTES + len;
                 assert!(segment_bytes(&dir) <= bound, "round {round}, {key:?}");
@@ -1539,9 +1741,11 @@ mod tests {
             assert_eq!(stats.spill_writes, 2);
             assert!(stats.bytes_written > 0);
             assert_eq!(stats.demote_failures, 0);
+            let priced =
+                SpillCostModel::record_bytes(2, a.len()) + SpillCostModel::record_bytes(2, b.len());
             assert_eq!(
                 stats.spill_virtual_ms.to_bits(),
-                SpillCostModel::checkpoint_ms(2, stats.bytes_written).to_bits()
+                SpillCostModel::checkpoint_ms(2, priced).to_bits()
             );
         }
         let store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
@@ -1610,12 +1814,14 @@ mod tests {
     #[test]
     fn enospc_budget_surfaces_as_no_space() {
         let dir = tmpdir("enospc");
+        let d = sample_chunk();
+        // Room for one record and a half: the second write does not fit.
+        let len = encode_record(ChunkKey::new(GroupById(1), 1), ORIGIN_BACKEND, 1.0, &d).len();
         let mut store = SpillStore::open(SpillConfig::new(&dir).fault(DiskFaultProfile {
-            enospc_after_bytes: Some(150),
+            enospc_after_bytes: Some((len + len / 2) as u64),
             ..DiskFaultProfile::default()
         }))
         .unwrap();
-        let d = sample_chunk();
         assert!(store
             .write(ChunkKey::new(GroupById(1), 1), ORIGIN_BACKEND, 1.0, &d)
             .is_ok());
@@ -1684,6 +1890,10 @@ mod tests {
         assert_eq!(opened.spill_quarantined, 0);
         assert_eq!(store.len(), 2, "segments fully recovered");
         assert_eq!(store.resident_count(), 0, "residency is not reconstructed");
+        // The scavenge recomputes each read's priced size from the header.
+        let priced = SpillCostModel::record_bytes(2, sample_chunk().len());
+        let read = store.read_cost(ka).unwrap();
+        assert_eq!(read.spill_virtual_ms, SpillCostModel::read_ms(priced));
         // The scavenge persisted a fresh index: the next open is clean.
         let (store, opened) = SpillStore::open_metered(SpillConfig::new(&dir)).unwrap();
         assert_eq!(opened, SpillMetrics::default());
@@ -1854,7 +2064,7 @@ mod tests {
         assert_eq!(pass.spill_corrupt, 1);
         assert_eq!(pass.spill_quarantined, 1);
         assert_eq!((pass.spill_reads, pass.bytes_read), (0, 0), "no promotion");
-        let two_reads = SpillCostModel::read_ms(store.bytes_of(kb).unwrap()) * 2.0;
+        let two_reads = SpillCostModel::read_ms(SpillCostModel::record_bytes(2, 3)) * 2.0;
         assert_eq!(pass.spill_virtual_ms, two_reads, "both reads are charged");
         assert!(!store.contains(ka), "corrupt record quarantined");
         assert!(store.read(kb).unwrap().is_some(), "clean record untouched");
@@ -1875,9 +2085,10 @@ mod tests {
         }))
         .unwrap();
         let data = sample_chunk();
-        let bytes = store
+        store
             .write(sample_key(), ORIGIN_BACKEND, 1.0, &data)
             .unwrap();
+        let priced = SpillCostModel::record_bytes(data.n_dims(), data.len());
         let mut retried = 0u64;
         for _ in 0..20 {
             let mut delta = SpillMetrics::default();
@@ -1886,7 +2097,7 @@ mod tests {
                 .unwrap()
                 .unwrap();
             assert_eq!(rec.data.raw_coords(), data.raw_coords());
-            let read_ms = SpillCostModel::read_ms(bytes);
+            let read_ms = SpillCostModel::read_ms(priced);
             if delta.spill_retries > 0 {
                 retried += 1;
                 assert!(

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 // Our `Strategy` enum collides with proptest's trait of the same name
 // under the two glob imports; re-import both under unambiguous names.
 use aggcache::prelude::Strategy;
-use aggcache::store::{SPILL_FORMAT_VERSION, SPILL_HEADER_BYTES};
+use aggcache::store::{SpillCostModel, SPILL_FORMAT_VERSION, SPILL_HEADER_BYTES};
 use proptest::strategy::Strategy as PropStrategy;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,12 +33,24 @@ fn segments(dir: &Path) -> Vec<PathBuf> {
     listed.into_iter().map(|(path, _)| path).collect()
 }
 
-/// The length of the record whose header opens `bytes`: header, two
-/// length prefixes and the checksum, then `n_cells × (n_dims × 4 + 8)`.
+/// The length of the record whose header opens `bytes`, per
+/// `docs/FORMAT.md`: header, two length prefixes and the checksum, then
+/// `n_cells × (n_dims × cw + vw)` at the widths its flags name — `cw` 4
+/// with flag bit 1, else 2; `vw` 8 with flag bit 2, else 4.
 fn record_len(bytes: &[u8]) -> usize {
+    let flags = u16::from_le_bytes([bytes[6], bytes[7]]);
     let n_dims = u16::from_le_bytes([bytes[18], bytes[19]]) as usize;
     let n_cells = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
-    SPILL_HEADER_BYTES + 16 + n_cells * (n_dims * 4 + 8)
+    let cw = if flags & 2 != 0 { 4 } else { 2 };
+    let vw = if flags & 4 != 0 { 8 } else { 4 };
+    SPILL_HEADER_BYTES + 16 + n_cells * (n_dims * cw + vw)
+}
+
+/// What `SpillCostModel` prices a record of `n_cells` cells of `n_dims`
+/// coordinates at, per `docs/FORMAT.md`: its length with `u32`
+/// coordinates and `f64` values, whatever widths it is written at.
+fn priced_len(n_dims: usize, n_cells: usize) -> u64 {
+    (SPILL_HEADER_BYTES + 16 + n_cells * (n_dims * 4 + 8)) as u64
 }
 
 fn assert_records_equal(a: &SpillRecord, b: &SpillRecord) {
@@ -117,6 +129,88 @@ proptest! {
             decode_record(&bad).is_err(),
             "flipping byte {i} by {delta:#04x} went undetected"
         );
+    }
+}
+
+/// Strategy: a chunk shape — dimensionality 1-4 and 0-40 cells — with
+/// cells every width holds: coordinates that fit `u16` and values that
+/// fit `f32`.
+fn arb_narrow_cells() -> impl PropStrategy<Value = (usize, Vec<u32>, Vec<f32>)> {
+    (1usize..=4, 0usize..40).prop_flat_map(|(n_dims, n_cells)| {
+        (
+            proptest::collection::vec(0u32..=u32::from(u16::MAX), n_dims * n_cells),
+            proptest::collection::vec(0u32..(1 << 24), n_cells),
+        )
+            .prop_map(move |(coords, values)| {
+                // Negative, fractional and whole, each exact in f32.
+                let values = values
+                    .into_iter()
+                    .map(|v| (v as f32 - 4_000_000.0) / 64.0)
+                    .collect();
+                (n_dims, coords, values)
+            })
+    })
+}
+
+/// The spill store's write, checkpoint and read charges of `data` in a
+/// fresh directory, as bits.
+fn spill_charges(data: &ChunkData, tag: &str) -> [u64; 3] {
+    let dir = tmpdir(tag);
+    let key = ChunkKey::new(GroupById(5), 9);
+    let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
+    let write = store.write(key, 1, 2.0, data).unwrap();
+    let checkpoint = store.checkpoint([(key, 1, 2.0, data)].into_iter()).unwrap();
+    let mut read = SpillMetrics::default();
+    let record = store.read_checked(key, None, &mut read).unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(&record.data, data);
+    let bytes = encode_record(key, 1, 2.0, data).len() as u64;
+    assert_eq!(write.bytes_written, bytes, "the real bytes are reported");
+    assert_eq!(checkpoint.bytes_written, bytes);
+    [write, checkpoint, read].map(|m| m.spill_virtual_ms.to_bits())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The widths a record is written at never move virtual time: the same
+    /// cells held at each of the four coordinate × value width pairs — and
+    /// the same shape with a coordinate past `u16` or a value past `f32`,
+    /// written wide — are written, checkpointed and read back at
+    /// bit-identical charges, those of the fixed-width record
+    /// `48 + n_cells × (4·n_dims + 8)` that `docs/FORMAT.md` prices.
+    #[test]
+    fn widths_never_move_virtual_time(cells in arb_narrow_cells()) {
+        let (n_dims, coords, values) = cells;
+        let n_cells = values.len();
+        let wide_coords = || coords.clone();
+        let narrow_coords = || coords.iter().map(|&c| c as u16).collect::<Vec<_>>();
+        let wide_values = || values.iter().map(|&v| f64::from(v)).collect::<Vec<_>>();
+        let mut chunks = vec![
+            ChunkData::from_raw(n_dims, narrow_coords(), values.clone()),
+            ChunkData::from_raw(n_dims, narrow_coords(), wide_values()),
+            ChunkData::from_raw(n_dims, wide_coords(), values.clone()),
+            ChunkData::from_raw(n_dims, wide_coords(), wide_values()),
+        ];
+        if n_cells > 0 {
+            let mut past_u16 = wide_coords();
+            past_u16[0] = 70_000;
+            let mut past_f32 = wide_values();
+            past_f32[0] = 0.1;
+            chunks.push(ChunkData::from_raw(n_dims, past_u16.clone(), wide_values()));
+            chunks.push(ChunkData::from_raw(n_dims, wide_coords(), past_f32.clone()));
+            chunks.push(ChunkData::from_raw(n_dims, past_u16, past_f32));
+        }
+        let priced = priced_len(n_dims, n_cells);
+        let want = [
+            SpillCostModel::write_ms(priced),
+            SpillCostModel::write_ms(priced),
+            SpillCostModel::read_ms(priced),
+        ]
+        .map(f64::to_bits);
+        for (i, data) in chunks.iter().enumerate() {
+            prop_assert_eq!(spill_charges(data, "widths"), want, "width pair {}", i);
+        }
     }
 }
 
@@ -392,7 +486,8 @@ fn format_md_golden_tombstone_matches_implementation() {
     assert_eq!(store.discard(|_| true), [key]);
     let segment = std::fs::read(dir.join("00000000.seg")).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
-    let want = to_hex(&segment[96..]);
+    let record = encode_record(key, origin, benefit, &data).len();
+    let want = to_hex(&segment[record..]);
     assert_eq!(
         golden_hex(&format_md(), "TOMBSTONE"),
         want,
@@ -402,8 +497,10 @@ fn format_md_golden_tombstone_matches_implementation() {
 }
 
 /// `spill.idx` bytes laid out per `docs/FORMAT.md`, with a valid
-/// checksum: each entry is `(key, segment, offset, bytes)`, resident.
+/// checksum: each entry is `(key, segment, offset, bytes)`, resident, and
+/// priced as the worked example's record.
 fn index_bytes(entries: &[(ChunkKey, u32, u64, u32)]) -> Vec<u8> {
+    let priced = priced_len(2, 3) as u32;
     let mut out = b"ACSI".to_vec();
     out.extend_from_slice(&SPILL_FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&[0, 0]);
@@ -413,6 +510,7 @@ fn index_bytes(entries: &[(ChunkKey, u32, u64, u32)]) -> Vec<u8> {
         out.extend_from_slice(&offset.to_le_bytes());
         out.extend_from_slice(&segment.to_le_bytes());
         out.extend_from_slice(&bytes.to_le_bytes());
+        out.extend_from_slice(&priced.to_le_bytes());
         out.extend_from_slice(&[1, 0, 0, 0]);
     }
     let checksum = spill_checksum(&out);
@@ -431,15 +529,24 @@ fn hostile_index_entries_read_as_corruption() {
     let (key, origin, benefit, data) = golden_fixture();
     let len = {
         let mut store = SpillStore::open(SpillConfig::new(&dir)).unwrap();
-        store.write(key, origin, benefit, &data).unwrap() as u32
+        store
+            .write(key, origin, benefit, &data)
+            .unwrap()
+            .bytes_written as u32
     };
+    assert_eq!(
+        len as usize,
+        encode_record(key, origin, benefit, &data).len()
+    );
+    // The shortest record there is: a tombstone's header, prefixes, checksum.
+    let least = SPILL_HEADER_BYTES as u32 + 16;
     let at = |chunk| ChunkKey::new(GroupById(3), chunk);
     let hostile = [
-        (at(1), 0, 1, len),             // one byte past the segment's end
-        (at(2), 0, u64::from(len), 48), // wholly past it
-        (at(3), 7, 0, len),             // segment 7 does not exist
-        (at(4), 0, 0, u32::MAX),        // 4 GiB from a 96-byte segment
-        (at(5), 0, u64::MAX, 48),       // offset + bytes overflows
+        (at(1), 0, 1, len),                // one byte past the segment's end
+        (at(2), 0, u64::from(len), least), // wholly past it
+        (at(3), 7, 0, len),                // segment 7 does not exist
+        (at(4), 0, 0, u32::MAX),           // 4 GiB from a one-record segment
+        (at(5), 0, u64::MAX, least),       // offset + bytes overflows
     ];
     let mut entries = vec![(key, 0, 0, len)];
     entries.extend(hostile);

@@ -236,3 +236,96 @@ fn warm_restart_after_corrupted_checkpoint_stays_consistent() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// FNV-1a 64 over little-endian words, then the tail bytes: the
+/// single-lane checksum of `SpillFormat` version 2.
+fn v2_checksum(bytes: &[u8]) -> u64 {
+    let step = |hash: u64, x: u64| (hash ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder().iter().map(|&b| u64::from(b));
+    words
+        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+        .chain(tail)
+        .fold(0xcbf2_9ce4_8422_2325, step)
+}
+
+/// `bytes` with its version 2 checksum appended.
+fn v2_sealed(mut bytes: Vec<u8>) -> Vec<u8> {
+    let checksum = v2_checksum(&bytes);
+    bytes.extend_from_slice(&checksum.to_le_bytes());
+    bytes
+}
+
+/// A `SpillFormat` version 2 record of `data` under `key`: `u32`
+/// coordinates and `f64` values whatever the cells, flags 0, origin 0.
+fn v2_record(key: ChunkKey, data: &ChunkData) -> Vec<u8> {
+    let mut out = b"ACSP".to_vec();
+    out.extend_from_slice(&2u16.to_le_bytes());
+    out.extend_from_slice(&0u16.to_le_bytes());
+    out.extend_from_slice(&key.pack().to_le_bytes());
+    out.extend_from_slice(&[0, 0]);
+    out.extend_from_slice(&(data.n_dims() as u16).to_le_bytes());
+    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+    out.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+    let coords = data.raw_coords().to_vec();
+    out.extend_from_slice(&(coords.len() as u32 * 4).to_le_bytes());
+    coords
+        .iter()
+        .for_each(|c| out.extend_from_slice(&c.to_le_bytes()));
+    out.extend_from_slice(&(data.len() as u32 * 8).to_le_bytes());
+    for v in data.raw_values().iter() {
+        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+    v2_sealed(out)
+}
+
+/// A spill directory written by a version 2 build — its records and its
+/// index built here byte by byte, every record checkpointed resident and
+/// holding cells the backend does not — opens without panicking: the
+/// index is refused by version and scavenged, the scavenge refuses the
+/// segment's run of version 2 records as one quarantined span, the warm
+/// start is cold, and every answer equals the oracle.
+#[test]
+fn a_version_2_spill_directory_restarts_cold() {
+    let ds = dataset();
+    let dir = tmpdir("v2");
+    std::fs::create_dir_all(&dir).unwrap();
+    let backend = backend_for(&ds);
+    let base: Vec<u64> = (0..ds.grid.n_chunks(ds.fact_gb)).collect();
+    let mut segment = Vec::new();
+    let mut index = Vec::new();
+    for (chunk, mut data) in backend.fetch(ds.fact_gb, &base).unwrap().chunks {
+        for i in 0..data.len() {
+            *data.value_of_mut(i) += 1000.0; // wrong, were it ever served
+        }
+        let key = ChunkKey::new(ds.fact_gb, chunk);
+        let record = v2_record(key, &data);
+        index.extend_from_slice(&key.pack().to_le_bytes());
+        index.extend_from_slice(&(segment.len() as u64).to_le_bytes());
+        index.extend_from_slice(&0u32.to_le_bytes());
+        index.extend_from_slice(&(record.len() as u32).to_le_bytes());
+        index.extend_from_slice(&[1, 0, 0, 0]); // resident, pad
+        segment.extend_from_slice(&record);
+    }
+    let mut head = b"ACSI".to_vec();
+    head.extend_from_slice(&2u16.to_le_bytes());
+    head.extend_from_slice(&0u16.to_le_bytes());
+    head.extend_from_slice(&((index.len() / 28) as u32).to_le_bytes());
+    head.extend_from_slice(&index);
+    std::fs::write(dir.join("00000000.seg"), &segment).unwrap();
+    std::fs::write(dir.join("spill.idx"), v2_sealed(head)).unwrap();
+
+    let mut mgr = chaotic_manager(&ds, Strategy::Vcmc, SpillConfig::new(&dir));
+    let opened = *mgr.session_spill();
+    assert_eq!(opened.index_rebuilds, 1);
+    assert_eq!((opened.spill_corrupt, opened.spill_quarantined), (1, 1));
+    assert_eq!(opened.spill_reads, 0);
+    assert!(mgr.cache().is_empty(), "a cold warm start");
+    assert!(mgr.spill_store().unwrap().is_empty());
+    for q in &stream(&ds, 46, 40) {
+        let out = mgr.run(q).unwrap();
+        let want = oracle_answer(&backend_for(&ds), &q.query);
+        assert_eq!(cells(&out.data), cells(&want));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
