@@ -24,8 +24,9 @@ pub enum Origin {
 /// A cached chunk with its replacement metadata.
 #[derive(Debug)]
 pub struct CachedChunk {
-    /// The chunk's cells.
-    pub data: ChunkData,
+    /// The chunk's cells: one immutable buffer that every holder shares
+    /// (cluster replicas and handoffs clone the `Arc`, not the cells).
+    pub data: Arc<ChunkData>,
     /// Benefit class.
     pub origin: Origin,
     /// The benefit (cost of recomputation, in virtual milliseconds).
@@ -312,10 +313,11 @@ impl ChunkCache {
     pub fn insert(
         &mut self,
         key: ChunkKey,
-        data: ChunkData,
+        data: impl Into<Arc<ChunkData>>,
         origin: Origin,
         benefit: f64,
     ) -> InsertOutcome {
+        let data = data.into();
         let packed = key.pack();
         let bytes = data.accounting_bytes();
         let mut evicted = Vec::new();
@@ -460,7 +462,7 @@ impl ChunkCache {
     pub fn evict_unowned(
         &mut self,
         mut owned: impl FnMut(ChunkKey) -> bool,
-    ) -> Vec<(ChunkKey, ChunkData, Origin, f64)> {
+    ) -> Vec<(ChunkKey, Arc<ChunkData>, Origin, f64)> {
         let mut stale: Vec<PackedChunkKey> = self
             .map
             .keys()

@@ -16,7 +16,7 @@
 //!    first offered to its replica peers (then any other live node): a
 //!    peer that holds it answers a one-chunk request with its own
 //!    [`CacheManager::run`] and ships the cells to the owner, which
-//!    admits them.
+//!    admits them — in one process, the peer's own buffer, shared.
 //!    Peer selection is gated by free summary checks (nodes exchange
 //!    digests of their resident keys), so only peers whose summary claims
 //!    the chunk are probed and a cold miss pays no hops. Probe and
@@ -29,7 +29,8 @@
 //!    (metrics, spill and critical path) folds into the request's.
 //! 5. **Replicate** — with replication > 1, chunks now resident at the
 //!    owner are handed to replica owners that lack them — the same
-//!    bytes-only, off-the-critical-path handoff `rebalance` uses.
+//!    bytes-only, off-the-critical-path handoff `rebalance` uses, which
+//!    shares the sender's buffer too.
 //!
 //! Every request takes this one path. On a 1-node cluster steps 2, 3 and
 //! 5 have no peer to talk to, the one group is the node's own `run` and
@@ -246,15 +247,16 @@ impl ClusterManager {
         moved
     }
 
-    /// Ships one drained or copied cache entry from node `from` to node
-    /// `to`, which admits it under its own policy. Bytes are charged to
-    /// the sender and to `remote`; no latency — handoffs ride outside any
-    /// query's critical path.
+    /// Ships one drained or replicated cache entry from node `from` to
+    /// node `to`, which admits it under its own policy. The receiver
+    /// shares the sender's buffer; bytes are charged to the sender and to
+    /// `remote` as if the cells crossed the wire; no latency — handoffs
+    /// ride outside any query's critical path.
     fn handoff(
         &mut self,
         from: u32,
         to: u32,
-        (key, data, origin, benefit): (ChunkKey, ChunkData, Origin, f64),
+        (key, data, origin, benefit): (ChunkKey, Arc<ChunkData>, Origin, f64),
         remote: &mut RemoteMetrics,
     ) {
         let bytes = data.accounting_bytes() as u64;
@@ -415,7 +417,7 @@ impl ClusterManager {
 
     /// Offers one backend-bound chunk to peers. The first peer whose
     /// cache holds it runs the single-chunk request and ships the cells;
-    /// the owner admits them. Peers are tried in replica-owner
+    /// the owner admits the peer's buffer. Peers are tried in replica-owner
     /// order first (they are the likeliest holders), then the remaining
     /// live nodes in id order.
     ///
@@ -445,10 +447,16 @@ impl ClusterManager {
 
         for peer in candidates {
             // Summary gate: free, models the periodically exchanged
-            // digest of the peer's resident keys.
-            if !self.nodes[peer as usize].cache().contains(&key) {
+            // digest of the peer's resident keys. The owner will admit
+            // the peer's own buffer: in one process the served cells need
+            // to be held once.
+            let Some(cells) = self.nodes[peer as usize]
+                .cache()
+                .peek(&key)
+                .map(|e| Arc::clone(&e.data))
+            else {
                 continue;
-            }
+            };
             remote.probe_hops += 1;
             remote.remote_virtual_ms += MessageCostModel::probe_ms();
             let single = QueryRequest::new(Query::new(gb, vec![chunk])).tenant(tenant);
@@ -467,7 +475,7 @@ impl ClusterManager {
             // Benefit: what answering remotely cost end to end — losing
             // this chunk means paying a peer (or the backend) again.
             let benefit = served.metrics.total_ms() + cost;
-            self.nodes[owner as usize].insert_chunk(key, served.data, Origin::Computed, benefit);
+            self.nodes[owner as usize].insert_chunk(key, cells, Origin::Computed, benefit);
             self.emit(Event::RemoteServe {
                 gb: gb.0,
                 chunk,
@@ -482,21 +490,27 @@ impl ClusterManager {
     }
 
     /// Pushes chunks resident at `node` to replica owners that lack them
-    /// (off the critical path: see [`ClusterManager::handoff`]).
+    /// (off the critical path: see [`ClusterManager::handoff`]). A chunk
+    /// every replica owner already holds is not touched.
     fn replicate(&mut self, gb: GroupById, chunks: &[u64], node: u32, remote: &mut RemoteMetrics) {
         for &chunk in chunks {
             let key = ChunkKey::new(gb, chunk);
+            let mut lacking = self.ring.owners(key);
+            lacking.retain(|&other| {
+                other != node && !self.nodes[other as usize].cache().contains(&key)
+            });
+            if lacking.is_empty() {
+                continue;
+            }
             let Some(entry) = self.nodes[node as usize]
                 .cache()
                 .peek(&key)
-                .map(|e| (key, e.data.clone(), e.origin, e.benefit))
+                .map(|e| (key, Arc::clone(&e.data), e.origin, e.benefit))
             else {
                 continue;
             };
-            for other in self.ring.owners(key) {
-                if other != node && !self.nodes[other as usize].cache().contains(&key) {
-                    self.handoff(node, other, entry.clone(), remote);
-                }
+            for other in lacking {
+                self.handoff(node, other, entry.clone(), remote);
             }
         }
     }

@@ -52,6 +52,9 @@ pub struct CostTable {
     /// Size (tuples) of the chunk while cached, else `COST_INF`.
     direct: Cells<u32>,
     updates: u64,
+    /// Scratch for [`CostTable::recompute`]'s parent-chunk lists, reused
+    /// across calls so a relaxation allocates nothing.
+    parents: Vec<ChunkNumber>,
 }
 
 impl CostTable {
@@ -74,6 +77,7 @@ impl CostTable {
             direct: Cells::new(&grid, kind, COST_INF),
             grid,
             updates: 0,
+            parents: Vec::new(),
         }
     }
 
@@ -118,7 +122,7 @@ impl CostTable {
         let before = self.updates();
         self.counts.on_insert(key);
         self.direct.set(key, size);
-        self.relax(key.gb, key.chunk);
+        self.relax_from(key);
         self.updates() - before
     }
 
@@ -128,17 +132,25 @@ impl CostTable {
         let before = self.updates();
         self.counts.on_evict(key);
         self.direct.set(key, COST_INF);
-        self.relax(key.gb, key.chunk);
+        self.relax_from(key);
         self.updates() - before
+    }
+
+    /// Relaxes `key` and everything below it, lending the recursion the
+    /// table's scratch buffer.
+    fn relax_from(&mut self, key: ChunkKey) {
+        let mut parents = std::mem::take(&mut self.parents);
+        self.relax(key.gb, key.chunk, &mut parents);
+        self.parents = parents;
     }
 
     /// Recomputes `chunk`'s (cost, best-parent) from the current state of
     /// its parents, and recursively relaxes children when the value
     /// changed. Values move monotonically within one insert (down) or evict
     /// (up), so the recursion terminates.
-    fn relax(&mut self, gb: GroupById, chunk: ChunkNumber) {
+    fn relax(&mut self, gb: GroupById, chunk: ChunkNumber, parents: &mut Vec<ChunkNumber>) {
         let key = ChunkKey::new(gb, chunk);
-        let (new_cost, new_best) = self.recompute(gb, chunk);
+        let (new_cost, new_best) = self.recompute(gb, chunk, parents);
         let old_cost = self.cost.get(key);
         let old_best = self.best.get(key);
         if new_cost == old_cost && new_best == old_best {
@@ -157,19 +169,24 @@ impl CostTable {
                 continue;
             }
             let (child_gb, child_chunk) = self.grid.child_chunk(gb, chunk, dim);
-            self.relax(child_gb, child_chunk);
+            self.relax(child_gb, child_chunk, parents);
         }
     }
 
     /// The (cost, best-parent) of a chunk given current parent costs.
-    fn recompute(&self, gb: GroupById, chunk: ChunkNumber) -> (u32, u8) {
+    /// `parents` is scratch: its contents on entry and exit mean nothing.
+    fn recompute(
+        &self,
+        gb: GroupById,
+        chunk: ChunkNumber,
+        parents: &mut Vec<ChunkNumber>,
+    ) -> (u32, u8) {
         let mut best_cost = self.direct.get(ChunkKey::new(gb, chunk));
         let mut best_parent = if best_cost != COST_INF {
             PARENT_SELF
         } else {
             PARENT_NONE
         };
-        let mut parents: Vec<ChunkNumber> = Vec::new();
         for dim in 0..self.grid.num_dims() {
             let geom = self.grid.geom(gb);
             if u32::from(geom.level()[dim])
@@ -178,10 +195,10 @@ impl CostTable {
                 continue; // already at the most detailed level on this dim
             }
             parents.clear();
-            let parent_gb = self.grid.parent_chunks_into(gb, chunk, dim, &mut parents);
+            let parent_gb = self.grid.parent_chunks_into(gb, chunk, dim, parents);
             let mut sum: u64 = 0;
             let mut ok = true;
-            for &p in &parents {
+            for &p in parents.iter() {
                 let c = self.cost.get(ChunkKey::new(parent_gb, p));
                 if c == COST_INF {
                     ok = false;

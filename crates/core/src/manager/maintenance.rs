@@ -555,7 +555,7 @@ mod tests {
             batch.insert(&[0, 1], 2.5).insert(&[1, 0], 0.25);
             let m = mgr.ingest(&batch).unwrap();
             assert_eq!((m.chunks_patched, m.chunks_invalidated), (1, 0));
-            let mut got = mgr.cache().peek(&key).unwrap().data.clone();
+            let mut got = ChunkData::clone(&mgr.cache().peek(&key).unwrap().data);
             if reversed {
                 // Each old cell found its delta; the order is the resident's.
                 assert_eq!(got.coords_of(0), &[1, 1]);

@@ -296,10 +296,11 @@ impl CacheManager {
     pub fn insert_chunk(
         &mut self,
         key: ChunkKey,
-        data: ChunkData,
+        data: impl Into<Arc<ChunkData>>,
         origin: Origin,
         benefit: f64,
     ) -> (bool, u64) {
+        let data = data.into();
         let replacing = self.cache.contains(&key);
         let size = data.len() as u32;
         let outcome = self.cache.insert(key, data, origin, benefit);
@@ -347,7 +348,7 @@ impl CacheManager {
     pub fn evict_unowned(
         &mut self,
         owned: impl FnMut(ChunkKey) -> bool,
-    ) -> Vec<(ChunkKey, ChunkData, Origin, f64)> {
+    ) -> Vec<(ChunkKey, Arc<ChunkData>, Origin, f64)> {
         let drained = self.cache.evict_unowned(owned);
         if !drained.is_empty() {
             self.version += 1;

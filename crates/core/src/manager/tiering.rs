@@ -270,7 +270,7 @@ impl CacheManager {
         let store = self.tiering.store.as_mut().ok_or(SpillError::NotAttached)?;
         let resident = self.cache.entries_sorted().into_iter();
         let delta = store.checkpoint(
-            resident.map(|(key, e)| (key, origin_code(e.origin), e.benefit, &e.data)),
+            resident.map(|(key, e)| (key, origin_code(e.origin), e.benefit, &*e.data)),
         )?;
         self.tiering.session.merge(&delta);
         Ok(delta)

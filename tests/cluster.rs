@@ -21,6 +21,9 @@
 //!   and wire accounting.
 //! * **One copy of the facts** — every node's backend reads the dataset's
 //!   own fact runs, not a copy of them.
+//! * **One copy of the cells** — replica pushes, peer fills and rebalance
+//!   handoffs hand a chunk's buffer over instead of copying it, and a
+//!   replica's cells outlive their owner's death unchanged.
 
 mod common;
 
@@ -28,8 +31,10 @@ use aggcache::cluster::ClusterManager;
 use aggcache::prelude::*;
 use aggcache_bench::rig::{apb_dataset, backend_for, oracle_answer, paper_stream};
 use common::{cells, digest};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn dataset() -> Dataset {
     apb_dataset(20_000, 42)
@@ -378,4 +383,136 @@ fn cluster_sessions_are_deterministic_across_runs() {
         )
     };
     assert_eq!(run(), run(), "same-seed cluster runs diverged");
+}
+
+/// Every live node's resident buffers, by chunk in key order.
+fn resident_buffers(c: &ClusterManager) -> BTreeMap<ChunkKey, Vec<(u32, Arc<ChunkData>)>> {
+    let mut held: BTreeMap<ChunkKey, Vec<(u32, Arc<ChunkData>)>> = BTreeMap::new();
+    for n in (0..c.num_nodes() as u32).filter(|&n| c.ring().is_alive(n)) {
+        for (key, entry) in c.node(n).cache().entries_sorted() {
+            held.entry(key)
+                .or_default()
+                .push((n, Arc::clone(&entry.data)));
+        }
+    }
+    held
+}
+
+/// A 4-node VCMC session at ring replication 2, with a per-node budget
+/// tight enough that owners evict what their replicas still hold, so
+/// replica pushes and peer fills both fire.
+fn replicated_session(ds: &Dataset) -> ClusterManager {
+    let mut c = cluster(ds, 4, 2, Strategy::Vcmc, 60_000);
+    c.run_batch(&stream_requests(ds, 60, 3_000)).unwrap();
+    c
+}
+
+/// Owners that never aggregate and never refuse an insert only fetch,
+/// fill from a peer, take a replica push or take a handoff, so at every
+/// point a chunk resident on two nodes is one buffer. (An owner that
+/// recomputes a chunk its replica holds, or that fetches it after
+/// refusing a peer's copy, holds an equal second buffer: replacing the
+/// replica's entry would reset its clock.)
+#[test]
+fn replicas_share_one_buffer() {
+    let ds = dataset();
+    let mut c = cluster(&ds, 4, 2, Strategy::NoAggregation, usize::MAX >> 1);
+    let mut shared = 0;
+    for (i, req) in stream_requests(&ds, 90, 3_000).iter().enumerate() {
+        match i {
+            30 => c.kill_node(1),
+            60 => c.revive_node(1),
+            _ => {}
+        }
+        c.run(req).unwrap();
+        for (key, holders) in resident_buffers(&c) {
+            let (first, rest) = holders.split_first().unwrap();
+            for (n, data) in rest {
+                assert!(
+                    Arc::ptr_eq(&first.1, data),
+                    "request {i}, {key:?}: nodes {} and {n} hold separate copies",
+                    first.0
+                );
+                shared += 1;
+            }
+        }
+    }
+    assert!(shared > 0, "no chunk was ever resident on two nodes");
+    assert!(c.session_remote().remote_chunks > 0, "no peer fills");
+    // The process holds each buffer once, while each node still charges
+    // its own copy.
+    let held = resident_buffers(&c);
+    let per_node: usize = held.values().flatten().map(|(_, d)| d.heap_bytes()).sum();
+    let distinct: usize = held.values().map(|h| h[0].1.heap_bytes()).sum();
+    assert!(
+        distinct < per_node,
+        "{distinct} B distinct vs {per_node} B per node"
+    );
+    let accounted: usize = (0..4).map(|n| c.node(n).cache().used_bytes()).sum();
+    let charged: usize = held
+        .values()
+        .flatten()
+        .map(|(_, d)| d.accounting_bytes())
+        .sum();
+    assert_eq!(accounted, charged);
+}
+
+#[test]
+fn rebalance_moves_buffers_without_copying_them() {
+    let ds = dataset();
+    let mut c = replicated_session(&ds);
+    c.kill_node(1);
+    c.run_batch(&stream_requests(&ds, 30, 5_000)).unwrap();
+    c.revive_node(1);
+    let before = resident_buffers(&c);
+    let moved = c.rebalance();
+    assert!(moved > 0, "nothing to hand off");
+    let after = resident_buffers(&c);
+    let mut received = 0;
+    for (key, holders) in &after {
+        for (n, data) in holders {
+            let was = before.get(key).map_or(&[][..], Vec::as_slice);
+            assert!(
+                was.iter().any(|(_, old)| Arc::ptr_eq(old, data)),
+                "{key:?} at node {n}: a buffer no node held before the rebalance"
+            );
+            received += usize::from(!was.iter().any(|(m, _)| m == n));
+        }
+    }
+    assert!(received > 0, "no node admitted a handed-off chunk");
+}
+
+#[test]
+fn killing_the_owner_leaves_the_replica_intact() {
+    let ds = dataset();
+    let mut c = replicated_session(&ds);
+    let oracle = backend_for(&ds);
+    // A chunk its primary and its replica both hold.
+    let (key, replica, before) = resident_buffers(&c)
+        .into_iter()
+        .filter(|(_, holders)| holders.len() == 2)
+        .find_map(|(key, holders)| {
+            let owners = c.ring().owners(key);
+            let replica = holders.iter().find(|(n, _)| *n == owners[1])?;
+            holders
+                .iter()
+                .any(|(n, _)| *n == owners[0])
+                .then(|| (key, replica.0, cells(&replica.1)))
+        })
+        .expect("a chunk held by both of its owners");
+    let primary = c.ring().primary(key).unwrap();
+    c.kill_node(primary);
+    let entry = c
+        .node(replica)
+        .cache()
+        .peek(&key)
+        .expect("the replica keeps its chunk");
+    assert_eq!(cells(&entry.data), before, "the replica's cells changed");
+    for req in stream_requests(&ds, 30, 8_000) {
+        let out = c.run(&req).unwrap();
+        assert_eq!(cells(&out.data), cells(&oracle_answer(&oracle, &req.query)));
+    }
+    let req = QueryRequest::new(Query::new(key.gb, vec![key.chunk]));
+    let out = c.run(&req).unwrap();
+    assert_eq!(cells(&out.data), cells(&oracle_answer(&oracle, &req.query)));
 }

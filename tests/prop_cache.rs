@@ -30,7 +30,11 @@ struct Resident {
 impl Resident {
     /// Asserts `entry` is exactly what was inserted under this record.
     fn assert_intact(&self, entry: &CachedChunk) {
-        assert_eq!(entry.data, chunk_of(self.cells, self.stamp), "data damaged");
+        assert_eq!(
+            *entry.data,
+            chunk_of(self.cells, self.stamp),
+            "data damaged"
+        );
         assert_eq!(entry.origin, self.origin);
         assert_eq!(entry.benefit, self.benefit);
         assert_eq!(entry.bytes, self.cells * PAPER_TUPLE_BYTES);

@@ -365,7 +365,7 @@ proptest! {
         let from_leaves: Vec<(&[u8], &ChunkData)> = plan
             .leaves
             .iter()
-            .map(|leaf| (grid.geom(leaf.gb).level(), &cache.peek(leaf).unwrap().data))
+            .map(|leaf| (grid.geom(leaf.gb).level(), &*cache.peek(leaf).unwrap().data))
             .collect();
         prop_assert!(
             same_bits(&computed, &reference(&from_leaves, Lift::Lifted)),
