@@ -206,23 +206,102 @@ impl Default for CoordVec {
     }
 }
 
-/// A width a [`ChunkData`] holds its measure values at: `f32` while every
-/// value survives `f64 → f32 → f64` bit for bit, `f64` once one does not.
-/// Code over a chunk's values is written once, generic over this trait,
-/// and instantiated per width by a `match` on [`ChunkData::raw_values`];
-/// widening to `f64` is exact.
-pub trait Value: Copy + Into<f64> + 'static {}
+/// A width a [`ChunkData`] holds its measure values at, narrowest first:
+/// `u16` while every value is a whole number from 0 to 65,535 (`+0.0`, not
+/// `-0.0`), `f32` while every value survives `f64 → f32 → f64` bit for
+/// bit, `f64` once one does not. Code over a chunk's values is written
+/// once, generic over this trait, and instantiated per width by a `match`
+/// on [`ChunkData::raw_values`]; widening to `f64` is exact.
+pub trait Value: Copy + Into<f64> + 'static {
+    /// Whether `v` survives the round trip through this width bit for bit.
+    fn holds(v: f64) -> bool;
 
-impl Value for f32 {}
+    /// `v` at this width; the caller knows it holds.
+    fn from_f64(v: f64) -> Self;
+}
 
-impl Value for f64 {}
+impl Value for u16 {
+    /// Not a fraction, a negative number, `-0.0`, a NaN or a number past
+    /// 65,535, each of which the saturating cast changes.
+    #[inline(always)]
+    fn holds(v: f64) -> bool {
+        f64::from(v as u16).to_bits() == v.to_bits()
+    }
 
-/// Whether `v` survives the round trip through `f32` bit for bit: not a
-/// NaN payload or signalling bit `f32` drops, not an `f64` subnormal, not
-/// a value like `0.1` or an odd integer past 2²⁴ that `f32` rounds.
-#[inline(always)]
-fn fits_f32(v: f64) -> bool {
-    f64::from(v as f32).to_bits() == v.to_bits()
+    #[inline(always)]
+    fn from_f64(v: f64) -> Self {
+        debug_assert!(Self::holds(v), "value {v:e} does not fit u16");
+        v as u16
+    }
+}
+
+impl Value for f32 {
+    /// Not a NaN payload or signalling bit `f32` drops, not an `f64`
+    /// subnormal, not a value like `0.1` or an odd integer past 2²⁴ that
+    /// `f32` rounds.
+    #[inline(always)]
+    fn holds(v: f64) -> bool {
+        f64::from(v as f32).to_bits() == v.to_bits()
+    }
+
+    #[inline(always)]
+    fn from_f64(v: f64) -> Self {
+        debug_assert!(Self::holds(v), "value {v:e} does not fit f32");
+        v as f32
+    }
+}
+
+impl Value for f64 {
+    #[inline(always)]
+    fn holds(_: f64) -> bool {
+        true
+    }
+
+    #[inline(always)]
+    fn from_f64(v: f64) -> Self {
+        v
+    }
+}
+
+/// The [`Value`] widths, narrowest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ValueWidth {
+    /// `u16`: whole numbers from 0 to 65,535.
+    U16,
+    /// `f32`: values that survive `f64 → f32 → f64` bit for bit.
+    F32,
+    /// `f64`: every value.
+    F64,
+}
+
+impl ValueWidth {
+    /// The narrowest width that holds every value of `values`: one fold
+    /// with no early exit, which vectorises.
+    fn of<V: Value>(values: &[V]) -> Self {
+        let (u16s, f32s) = values.iter().fold((true, true), |(u16s, f32s), &v| {
+            let v = v.into();
+            (u16s & u16::holds(v), f32s & f32::holds(v))
+        });
+        if u16s {
+            ValueWidth::U16
+        } else if f32s {
+            ValueWidth::F32
+        } else {
+            ValueWidth::F64
+        }
+    }
+}
+
+/// One `match` arm per value width of `$enum` (`Values` or `ValueStore`),
+/// each binding the width's buffer to `$v`.
+macro_rules! each_width {
+    ($enum:ident, $on:expr, $v:ident => $body:expr) => {
+        match $on {
+            $enum::U16($v) => $body,
+            $enum::F32($v) => $body,
+            $enum::F64($v) => $body,
+        }
+    };
 }
 
 /// Measure values as a chunk holds them, tagged with their width: all of a
@@ -230,6 +309,8 @@ fn fits_f32(v: f64) -> bool {
 /// whatever their widths.
 #[derive(Clone, Copy)]
 pub enum Values<'a> {
+    /// Every value is a whole number from 0 to 65,535.
+    U16(&'a [u16]),
     /// Every value round-trips through `f32`.
     F32(&'a [f32]),
     /// Some value may not.
@@ -240,10 +321,7 @@ impl<'a> Values<'a> {
     /// Number of values.
     #[inline]
     pub fn len(self) -> usize {
-        match self {
-            Values::F32(v) => v.len(),
-            Values::F64(v) => v.len(),
-        }
+        each_width!(Values, self, v => v.len())
     }
 
     /// Whether the view holds no value.
@@ -256,6 +334,7 @@ impl<'a> Values<'a> {
     #[inline]
     pub fn get(self, i: usize) -> f64 {
         match self {
+            Values::U16(v) => f64::from(v[i]),
             Values::F32(v) => f64::from(v[i]),
             Values::F64(v) => v[i],
         }
@@ -271,10 +350,32 @@ impl<'a> Values<'a> {
         self.iter().collect()
     }
 
+    /// The width the view holds its values at.
+    #[inline]
+    pub fn width(self) -> ValueWidth {
+        match self {
+            Values::U16(_) => ValueWidth::U16,
+            Values::F32(_) => ValueWidth::F32,
+            Values::F64(_) => ValueWidth::F64,
+        }
+    }
+
+    /// The narrowest width that holds every value of the view: its own, or
+    /// a narrower one all its values fit. A view at `u16` costs nothing;
+    /// a wider one is folded once, with no early exit.
+    pub fn narrowest(self) -> ValueWidth {
+        match self {
+            Values::U16(_) => ValueWidth::U16,
+            Values::F32(v) => ValueWidth::of(v),
+            Values::F64(v) => ValueWidth::of(v),
+        }
+    }
+
     /// Values `range` of the view.
     #[inline]
     fn slice(self, range: Range<usize>) -> Self {
         match self {
+            Values::U16(v) => Values::U16(&v[range]),
             Values::F32(v) => Values::F32(&v[range]),
             Values::F64(v) => Values::F64(&v[range]),
         }
@@ -284,6 +385,7 @@ impl<'a> Values<'a> {
 impl PartialEq for Values<'_> {
     fn eq(&self, other: &Self) -> bool {
         match (*self, *other) {
+            (Values::U16(a), Values::U16(b)) => a == b,
             (Values::F32(a), Values::F32(b)) => a == b,
             (Values::F64(a), Values::F64(b)) => a == b,
             (a, b) => a.len() == b.len() && a.iter().eq(b.iter()),
@@ -297,30 +399,32 @@ impl fmt::Debug for Values<'_> {
     }
 }
 
-/// Measure values at their width, as a [`ChunkData`] holds them: `f32`
-/// from the start ([`ValueVec::with_capacity`], [`FromIterator`]), widened
-/// in place to `f64` by the first pushed value whose bits do not survive
-/// the round trip through `f32`. A producer that fills values before it
-/// has the coordinates builds one and hands it to [`ChunkData::from_raw`];
-/// a `Vec<f32>` converts at `f32` and a `Vec<f64>` at `f64`, as given.
+/// Measure values at their width, as a [`ChunkData`] holds them: `u16`
+/// from the start ([`ValueVec::with_capacity`], [`Default`],
+/// [`FromIterator`]), widened in place, straight to the width it needs, by
+/// the first pushed value the buffer's width does not hold. A producer
+/// that fills values before it has the coordinates builds one and hands it
+/// to [`ChunkData::from_raw`]; a `Vec<u16>`, `Vec<f32>` or `Vec<f64>`
+/// converts at its own width, as given.
 #[derive(Debug, Clone)]
 pub struct ValueVec(ValueStore);
 
 #[derive(Debug, Clone)]
 enum ValueStore {
+    U16(Vec<u16>),
     F32(Vec<f32>),
     F64(Vec<f64>),
 }
 
 impl Default for ValueVec {
     fn default() -> Self {
-        ValueVec(ValueStore::F32(Vec::new()))
+        ValueVec(ValueStore::U16(Vec::new()))
     }
 }
 
-impl From<Vec<f64>> for ValueVec {
-    fn from(values: Vec<f64>) -> Self {
-        ValueVec(ValueStore::F64(values))
+impl From<Vec<u16>> for ValueVec {
+    fn from(values: Vec<u16>) -> Self {
+        ValueVec(ValueStore::U16(values))
     }
 }
 
@@ -330,10 +434,36 @@ impl From<Vec<f32>> for ValueVec {
     }
 }
 
+impl From<Vec<f64>> for ValueVec {
+    fn from(values: Vec<f64>) -> Self {
+        ValueVec(ValueStore::F64(values))
+    }
+}
+
+/// Appends `values` to `to` at width `T`; each value holds.
+fn extend_at<T: Value>(to: &mut Vec<T>, values: Values<'_>) {
+    fn cast<S: Value, T: Value>(to: &mut Vec<T>, from: &[S]) {
+        to.extend(from.iter().map(|&x| T::from_f64(x.into())));
+    }
+    each_width!(Values, values, v => cast(to, v));
+}
+
+/// `values` at width `T`, in a buffer of `capacity`; each value holds.
+fn converted<T: Value>(values: Values<'_>, capacity: usize) -> Vec<T> {
+    let mut to = Vec::with_capacity(capacity);
+    extend_at(&mut to, values);
+    to
+}
+
+/// Bytes of heap `v` holds.
+fn heap<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
 impl ValueVec {
     /// An empty narrow buffer with room for `values` values.
     pub fn with_capacity(values: usize) -> Self {
-        ValueVec(ValueStore::F32(Vec::with_capacity(values)))
+        ValueVec(ValueStore::U16(Vec::with_capacity(values)))
     }
 
     #[inline]
@@ -345,51 +475,66 @@ impl ValueVec {
     #[inline]
     pub fn push(&mut self, v: f64) {
         match &mut self.0 {
-            ValueStore::F32(n) if fits_f32(v) => n.push(v as f32),
+            ValueStore::U16(n) if u16::holds(v) => n.push(v as u16),
+            ValueStore::F32(n) if f32::holds(v) => n.push(v as f32),
             ValueStore::F64(w) => w.push(v),
-            ValueStore::F32(_) => self.widen().push(v),
+            _ => self.widen_and_push(v),
+        }
+    }
+
+    /// [`ValueVec::push`] of a value the buffer's width does not hold.
+    #[cold]
+    #[inline(never)]
+    fn widen_and_push(&mut self, v: f64) {
+        self.widen(ValueWidth::of(&[v]));
+        match &mut self.0 {
+            ValueStore::F32(n) => n.push(v as f32),
+            ValueStore::F64(w) => w.push(v),
+            ValueStore::U16(_) => unreachable!("widened past u16"),
         }
     }
 
     /// Sets value `i` to `v`, widening the buffer first if it does not fit.
     fn set(&mut self, i: usize, v: f64) {
+        let width = ValueWidth::of(&[v]);
+        if width > self.view().width() {
+            self.widen(width);
+        }
         match &mut self.0 {
-            ValueStore::F32(n) if fits_f32(v) => n[i] = v as f32,
+            ValueStore::U16(n) => n[i] = u16::from_f64(v),
+            ValueStore::F32(n) => n[i] = f32::from_f64(v),
             ValueStore::F64(w) => w[i] = v,
-            ValueStore::F32(_) => self.widen()[i] = v,
         }
     }
 
-    /// Appends `values`, widening the buffer first if one does not fit.
+    /// Appends `values`, widening the buffer first, to the narrowest width
+    /// that holds them, if one does not fit.
     fn extend_from_view(&mut self, values: Values<'_>) {
-        if let Values::F64(v) = values {
-            if !v.iter().all(|&x| fits_f32(x)) {
-                self.widen();
-            }
+        if values.width() > self.view().width() {
+            self.widen(values.narrowest());
         }
         match (&mut self.0, values) {
+            (ValueStore::U16(to), Values::U16(v)) => to.extend_from_slice(v),
             (ValueStore::F32(to), Values::F32(v)) => to.extend_from_slice(v),
-            (ValueStore::F32(to), Values::F64(v)) => to.extend(v.iter().map(|&x| x as f32)),
-            (ValueStore::F64(to), Values::F32(v)) => to.extend(v.iter().map(|&x| f64::from(x))),
             (ValueStore::F64(to), Values::F64(v)) => to.extend_from_slice(v),
+            (store, v) => each_width!(ValueStore, store, to => extend_at(to, v)),
         }
     }
 
-    /// Moves the values to `f64`, keeping the capacity (a no-op when they
-    /// are already there), and hands back the wide buffer. Out of line:
-    /// a chunk widens once at most, and [`ValueVec::push`] stays small
-    /// enough to inline into every producer's loop.
+    /// Moves the values to width `to`, keeping the capacity (a no-op when
+    /// they are already at least that wide). Out of line: a chunk widens
+    /// twice at most, and [`ValueVec::push`] stays small enough to inline
+    /// into every producer's loop.
     #[cold]
     #[inline(never)]
-    fn widen(&mut self) -> &mut Vec<f64> {
-        if let ValueStore::F32(narrow) = &self.0 {
-            let mut wide = Vec::with_capacity(narrow.capacity());
-            wide.extend(narrow.iter().map(|&v| f64::from(v)));
-            self.0 = ValueStore::F64(wide);
-        }
-        match &mut self.0 {
-            ValueStore::F64(wide) => wide,
-            ValueStore::F32(_) => unreachable!("just widened"),
+    fn widen(&mut self, to: ValueWidth) {
+        let (values, capacity) = (self.view(), self.capacity());
+        if to > values.width() {
+            self.0 = match to {
+                ValueWidth::F32 => ValueStore::F32(converted(values, capacity)),
+                ValueWidth::F64 => ValueStore::F64(converted(values, capacity)),
+                ValueWidth::U16 => unreachable!("nothing is narrower than u16"),
+            };
         }
     }
 
@@ -397,31 +542,27 @@ impl ValueVec {
     #[inline]
     fn view(&self) -> Values<'_> {
         match &self.0 {
+            ValueStore::U16(v) => Values::U16(v),
             ValueStore::F32(v) => Values::F32(v),
             ValueStore::F64(v) => Values::F64(v),
         }
     }
 
+    fn capacity(&self) -> usize {
+        each_width!(ValueStore, &self.0, v => v.capacity())
+    }
+
     /// Bytes of heap the buffer holds.
     fn heap_bytes(&self) -> usize {
-        match &self.0 {
-            ValueStore::F32(v) => v.capacity() * std::mem::size_of::<f32>(),
-            ValueStore::F64(v) => v.capacity() * std::mem::size_of::<f64>(),
-        }
+        each_width!(ValueStore, &self.0, v => heap(v))
     }
 
     fn reserve_exact(&mut self, values: usize) {
-        match &mut self.0 {
-            ValueStore::F32(v) => v.reserve_exact(values),
-            ValueStore::F64(v) => v.reserve_exact(values),
-        }
+        each_width!(ValueStore, &mut self.0, v => v.reserve_exact(values))
     }
 
     fn shrink_to_fit(&mut self) {
-        match &mut self.0 {
-            ValueStore::F32(v) => v.shrink_to_fit(),
-            ValueStore::F64(v) => v.shrink_to_fit(),
-        }
+        each_width!(ValueStore, &mut self.0, v => v.shrink_to_fit())
     }
 }
 
@@ -480,10 +621,11 @@ impl Drop for ValueMut<'_> {
 /// the first time a pushed or appended coordinate passes [`NARROW_MAX`]
 /// (or built at `u32` by a producer whose bounds may pass it,
 /// [`ChunkData::from_raw`]). Values likewise are held at the narrowest
-/// [`Value`] width they round-trip through exactly: `f32` from the start,
-/// widened in place to `f64` by the first pushed, appended or written
-/// value that does not ([`ValueVec`]). On APB-1 every coordinate and every
-/// value fits, so a cell is `2·dims + 4` bytes of heap. The widths are
+/// [`Value`] width they round-trip through exactly: `u16` from the start,
+/// widened in place to `f32` or `f64` by the first pushed, appended or
+/// written value that does not ([`ValueVec`]). On APB-1 every coordinate
+/// fits, and nearly every value is a whole number that does, so a cell is
+/// `2·dims + 2` bytes of heap. The widths are
 /// invisible to `==`, which compares cells by value, and to
 /// [`ChunkData::accounting_bytes`].
 #[derive(Debug, Clone, Default)]
@@ -684,10 +826,7 @@ impl ChunkData {
     /// cell arrays, so the only extra memory is the index (4 bytes a cell).
     pub fn sort_by_coords(&mut self) {
         let d = self.n_dims;
-        match &mut self.values.0 {
-            ValueStore::F32(values) => sort_at(&mut self.coords, values, d),
-            ValueStore::F64(values) => sort_at(&mut self.coords, values, d),
-        }
+        each_width!(ValueStore, &mut self.values.0, values => sort_at(&mut self.coords, values, d))
     }
 
     /// Shrinks the backing buffers to fit (cached chunks are immutable once
@@ -754,6 +893,15 @@ mod tests {
         matches!(d.raw_values(), Values::F64(_))
     }
 
+    /// Bytes a value takes at `d`'s value width.
+    fn value_bytes(d: &ChunkData) -> usize {
+        match d.raw_values() {
+            Values::U16(_) => 2,
+            Values::F32(_) => 4,
+            Values::F64(_) => 8,
+        }
+    }
+
     /// `cells` pushed into a fresh (narrow) container, and the same cells
     /// built at `u32` and `f64`.
     fn both_widths(d: usize, cells: &[(Vec<u32>, f64)]) -> (ChunkData, ChunkData) {
@@ -806,8 +954,8 @@ mod tests {
         for i in 0..10 {
             d.push(&[i, 1, 2, 3, NARROW_MAX], 1.0);
         }
-        assert!(!is_wide(&d) && !has_wide_values(&d));
-        assert_eq!(d.heap_bytes(), 10 * (2 * 5 + 4));
+        assert!(!is_wide(&d) && value_bytes(&d) == 2);
+        assert_eq!(d.heap_bytes(), 10 * (2 * 5 + 2));
     }
 
     #[test]
@@ -819,7 +967,7 @@ mod tests {
         assert!(is_wide(&d));
         assert_eq!(
             d.heap_bytes(),
-            4 * (4 * 2 + 4),
+            4 * (4 * 2 + 2),
             "widening keeps the capacity"
         );
         d.push(&[3, 4], 3.0);
@@ -916,9 +1064,8 @@ mod tests {
             prop_assert!(narrow.iter().eq(wide.iter()));
             narrow.shrink_to_fit();
             wide.shrink_to_fit();
-            let narrow_values = if has_wide_values(&narrow) { 0 } else { 4 * cells.len() };
             prop_assert_eq!(
-                narrow.heap_bytes() + 2 * d * cells.len() + narrow_values,
+                narrow.heap_bytes() + (2 * d + 8 - value_bytes(&narrow)) * cells.len(),
                 wide.heap_bytes()
             );
             // Distinct cells sort to one order; equal ones carry their
@@ -938,14 +1085,16 @@ mod tests {
         }
 
     /// The value analogue: an `f32` and an `f64` chunk holding the same
-    /// cells (values every width keeps exactly, `-0.0` and `±∞` among
-    /// them) are equal, iterate alike, sort alike and differ in heap by
-    /// four bytes a cell; a changed value breaks equality.
+    /// cells (values `f32` keeps exactly, `-0.0` and `±∞` among them), and
+    /// one collected at the narrowest width, are equal, iterate alike,
+    /// sort alike and differ in heap by the value widths; a changed value
+    /// breaks equality.
     #[test]
     fn the_two_value_widths_hold_the_same_cells(
         cells in (1usize..=4).prop_flat_map(|d| {
             let value = prop_oneof![
                 (0u32..2000).prop_map(|v| f64::from(v) - 1000.0),
+                (0u32..2000).prop_map(f64::from),
                 (-1e3f64..1e3).prop_map(|v| f64::from(v as f32)),
                 Just(-0.0),
                 Just(f64::INFINITY),
@@ -959,24 +1108,37 @@ mod tests {
         let coords: Vec<u16> = cells.iter().flat_map(|(c, _)| c.iter().copied()).collect();
         let values: Vec<f64> = cells.iter().map(|&(_, v)| v).collect();
         let mut wide = ChunkData::from_raw(d, coords.clone(), values.clone());
+        let singles: Vec<f32> = values.iter().map(|&v| v as f32).collect();
+        let mut single = ChunkData::from_raw(d, coords.clone(), singles);
         let mut narrow = ChunkData::from_raw(d, coords, values.iter().copied().collect::<ValueVec>());
         prop_assert!(!has_wide_values(&narrow) && has_wide_values(&wide));
-        prop_assert_eq!(&narrow, &wide);
-        prop_assert!(narrow.iter().eq(wide.iter()));
+        let whole = values.iter().all(|&v| v.fract() == 0.0 && (0.0..=65_535.0).contains(&v)
+            && v.is_sign_positive());
+        prop_assert_eq!(value_bytes(&narrow), if whole { 2 } else { 4 });
         let bits = |d: &ChunkData| d.raw_values().iter().map(f64::to_bits).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&narrow), bits(&wide));
-        narrow.shrink_to_fit();
-        wide.shrink_to_fit();
-        prop_assert_eq!(narrow.heap_bytes() + 4 * cells.len(), wide.heap_bytes());
-        narrow.sort_by_coords();
-        wide.sort_by_coords();
-        prop_assert_eq!(narrow.raw_coords(), wide.raw_coords());
         let key = |d: &ChunkData| {
             let mut cells: Vec<_> = d.iter().map(|(c, v)| (c.to_vec(), v.to_bits())).collect();
             cells.sort_unstable();
             cells
         };
-        prop_assert_eq!(key(&narrow), key(&wide));
+        for other in [&mut single, &mut narrow] {
+            prop_assert_eq!(&*other, &wide);
+            prop_assert!(other.iter().eq(wide.iter()));
+            prop_assert_eq!(bits(other), bits(&wide));
+            other.shrink_to_fit();
+        }
+        wide.shrink_to_fit();
+        prop_assert_eq!(single.heap_bytes() + 4 * cells.len(), wide.heap_bytes());
+        prop_assert_eq!(
+            narrow.heap_bytes() + (8 - value_bytes(&narrow)) * cells.len(),
+            wide.heap_bytes()
+        );
+        wide.sort_by_coords();
+        for other in [&mut single, &mut narrow] {
+            other.sort_by_coords();
+            prop_assert_eq!(other.raw_coords(), wide.raw_coords());
+            prop_assert_eq!(key(other), key(&wide));
+        }
         let mut other = narrow.clone();
         let changed = if other.value_of(0) == 7.0 { 8.0 } else { 7.0 };
         *other.value_of_mut(0) = changed;
@@ -1061,6 +1223,159 @@ mod tests {
         }
     }
 
+    /// Whole numbers from 0 to 65,535 stay at `u16`, two bytes a value;
+    /// `-0.0`, a fraction, 65,536 and a negative number each widen the
+    /// buffer to `f32`, every bit kept.
+    #[test]
+    fn whole_numbers_stay_at_u16() {
+        let mut d = ChunkData::with_capacity(1, 8);
+        for v in [0.0, 1.0, 1000.0, 65_535.0] {
+            d.push(&[0], v);
+        }
+        assert_eq!(value_bytes(&d), 2);
+        assert_eq!(d.heap_bytes(), 8 * (2 + 2));
+        *d.value_of_mut(0) = 7.0;
+        assert_eq!(value_bytes(&d), 2, "a written value that fits stays narrow");
+        for v in [-0.0, 0.5, 65_536.0, -1.0] {
+            let mut e = d.clone();
+            e.push(&[1], v);
+            assert_eq!(value_bytes(&e), 4, "{v:e}");
+            let bits: Vec<u64> = e.raw_values().iter().map(f64::to_bits).collect();
+            let want: Vec<u64> = [7.0, 1.0, 1000.0, 65_535.0, v].map(f64::to_bits).to_vec();
+            assert_eq!(bits, want, "{v:e}");
+        }
+    }
+
+    /// A value `f32` does not keep widens a `u16` buffer straight to
+    /// `f64`, keeping its capacity.
+    #[test]
+    fn a_u16_buffer_widens_straight_to_the_width_a_value_needs() {
+        for wide in WIDE_VALUES {
+            let mut d = ChunkData::with_capacity(1, 4);
+            d.push(&[0], 3.0);
+            d.push(&[1], wide);
+            assert!(has_wide_values(&d), "{wide:e}");
+            assert_eq!(d.heap_bytes(), 4 * (2 + 8), "widening keeps the capacity");
+            let bits: Vec<u64> = d.raw_values().iter().map(f64::to_bits).collect();
+            assert_eq!(bits, [3.0f64.to_bits(), wide.to_bits()]);
+        }
+    }
+
+    /// One way values enter a chunk.
+    #[derive(Debug, Clone)]
+    enum Entry {
+        Push(f64),
+        /// Appends a chunk holding these values, at `f64` or, pushed, at
+        /// their narrowest width.
+        Append(Vec<f64>, bool),
+        /// `extend_from` over a range of a chunk holding these values.
+        ExtendFrom(Vec<f64>, usize, usize),
+        /// `value_of_mut` of cell `i mod len`.
+        Write(usize, f64),
+    }
+
+    /// Values on every width's edge: whole numbers `u16` holds, `-0.0`,
+    /// 65,535, 65,536, `0.5`, a negative whole number, a NaN `f32` keeps,
+    /// values exact only in `f64`, and NaN payloads.
+    fn arb_value() -> impl Strategy<Value = f64> {
+        const EDGES: [f64; 6] = [-0.0, 65_535.0, 65_536.0, 0.5, -3.0, f64::NAN];
+        prop_oneof![
+            (0u32..=65_535).prop_map(f64::from),
+            (0u32..=65_535).prop_map(f64::from),
+            (0usize..EDGES.len()).prop_map(|i| EDGES[i]),
+            (0usize..WIDE_VALUES.len()).prop_map(|i| WIDE_VALUES[i]),
+            (1u64..1 << 51).prop_map(|p| f64::from_bits(0x7ff0_0000_0000_0000 | p)),
+        ]
+    }
+
+    fn arb_entry() -> impl Strategy<Value = Entry> {
+        let values = || proptest::collection::vec(arb_value(), 0..6);
+        prop_oneof![
+            arb_value().prop_map(Entry::Push),
+            (values(), proptest::bool::ANY).prop_map(|(v, wide)| Entry::Append(v, wide)),
+            (values(), 0usize..6, 0usize..6).prop_map(|(v, a, b)| Entry::ExtendFrom(v, a, b)),
+            (0usize..64, arb_value()).prop_map(|(i, v)| Entry::Write(i, v)),
+        ]
+    }
+
+    /// The bytes a value takes at the narrowest width that holds every one
+    /// of `values`, by their numbers rather than by round trips.
+    fn narrowest_bytes(values: &[f64]) -> usize {
+        let bytes = |v: f64| {
+            if (0.0..=65_535.0).contains(&v) && v.fract() == 0.0 && v.is_sign_positive() {
+                2
+            } else if f64::from(v as f32).to_bits() == v.to_bits() {
+                4
+            } else {
+                8
+            }
+        };
+        values.iter().map(|&v| bytes(v)).max().unwrap_or(2)
+    }
+
+    /// A one-dimensional chunk of `values`, at `f64` or at the narrowest
+    /// width.
+    fn chunk_of(values: &[f64], wide: bool) -> ChunkData {
+        let coords: Vec<u16> = (0..values.len() as u16).collect();
+        if wide {
+            ChunkData::from_raw(1, coords, values.to_vec())
+        } else {
+            ChunkData::from_raw(1, coords, values.iter().copied().collect::<ValueVec>())
+        }
+    }
+
+    fn value_bits(d: &ChunkData) -> Vec<u64> {
+        d.raw_values().iter().map(f64::to_bits).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Pushes, appends, `extend_from`, `value_of_mut` and `collect`
+        /// keep every value's bits, and after each a chunk holds its
+        /// values at the narrowest width that holds every value that ever
+        /// entered it: a buffer widens, never narrows.
+        #[test]
+        fn every_entry_keeps_bits_at_the_narrowest_width(
+            entries in proptest::collection::vec(arb_entry(), 1..24),
+        ) {
+            let mut d = ChunkData::new(1);
+            let (mut want, mut entered) = (Vec::<f64>::new(), Vec::<f64>::new());
+            for entry in entries {
+                match entry {
+                    Entry::Push(v) => {
+                        d.push(&[0], v);
+                        want.push(v);
+                        entered.push(v);
+                    }
+                    Entry::Append(values, wide) => {
+                        d.append(&chunk_of(&values, wide));
+                        want.extend(&values);
+                        entered.extend(&values);
+                    }
+                    Entry::ExtendFrom(values, a, b) => {
+                        let (a, b) = (a.min(b).min(values.len()), a.max(b).min(values.len()));
+                        d.extend_from(&chunk_of(&values, true), a..b);
+                        want.extend(&values[a..b]);
+                        entered.extend(&values[a..b]);
+                    }
+                    Entry::Write(_, _) if want.is_empty() => {}
+                    Entry::Write(i, v) => {
+                        let i = i % want.len();
+                        *d.value_of_mut(i) = v;
+                        want[i] = v;
+                        entered.push(v);
+                    }
+                }
+                prop_assert_eq!(value_bits(&d), want.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+                prop_assert_eq!(value_bytes(&d), narrowest_bytes(&entered));
+            }
+            let collected = chunk_of(&want, false);
+            prop_assert_eq!(value_bits(&collected), value_bits(&d));
+            prop_assert_eq!(value_bytes(&collected), narrowest_bytes(&want));
+        }
+    }
+
     #[test]
     fn a_wide_source_whose_values_fit_appends_narrow() {
         let wide = ChunkData::from_raw(1, vec![0u16, 1], vec![1.0, -0.0]);
@@ -1075,6 +1390,15 @@ mod tests {
     #[test]
     fn value_views_compare_by_value_across_widths() {
         assert_eq!(Values::F32(&[1.0, 2.0]), Values::F64(&[1.0, 2.0]));
+        assert_eq!(Values::U16(&[1, 2]), Values::F32(&[1.0, 2.0]));
+        assert_eq!(Values::U16(&[1, 2]), Values::F64(&[1.0, 2.0]));
+        assert_ne!(Values::U16(&[1, 2]), Values::F64(&[1.0, 2.5]));
+        assert_eq!(
+            Values::U16(&[0]),
+            Values::F64(&[-0.0]),
+            "zeros are equal by value"
+        );
+        assert_eq!(format!("{:?}", Values::U16(&[7])), "[7.0]");
         assert_ne!(Values::F32(&[1.0, 2.0]), Values::F64(&[1.0, 0.1]));
         assert_ne!(Values::F32(&[1.0]), Values::F64(&[1.0, 2.0]));
         assert_ne!(

@@ -92,8 +92,8 @@ fn merge_cells(old: &ChunkData, delta: &ChunkData, agg: AggFn) -> ChunkData {
 }
 
 /// [`merge_cells`] at one coordinate width, over `(coords, values)`
-/// pairs. Values combine at `f64` and land at `f32` until one does not fit
-/// ([`ValueVec`]).
+/// pairs. Values combine at `f64` and land at the narrowest width that
+/// holds them ([`ValueVec`]).
 fn merge_at<C: Coord>(
     n: usize,
     old: (&[C], Values),

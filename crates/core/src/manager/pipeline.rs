@@ -523,7 +523,7 @@ mod tests {
     }
 
     /// The answer is allocated once at its final size: its buffers hold
-    /// exactly its cells, at two bytes a coordinate and four a value,
+    /// exactly its cells, at two bytes a coordinate and two a value,
     /// whether they come from direct hits, in-cache aggregations or the
     /// backend.
     #[test]
@@ -531,7 +531,7 @@ mod tests {
         let assert_exact = |d: &ChunkData| {
             assert_eq!(
                 d.heap_bytes(),
-                d.len() * (2 * d.n_dims() + 4),
+                d.len() * (2 * d.n_dims() + 2),
                 "{} cells",
                 d.len()
             );

@@ -577,17 +577,18 @@ mod tests {
     /// `dir` — the one the index names — simulating at-rest corruption
     /// between sessions.
     fn corrupt_chunk_file(dir: &std::path::Path, key: ChunkKey) {
-        let mut head = SPILL_MAGIC.to_vec();
-        head.extend_from_slice(&SPILL_FORMAT_VERSION.to_le_bytes());
-        head.extend_from_slice(&[0, 0]);
-        head.extend_from_slice(&key.pack().to_le_bytes());
+        let mut magic = SPILL_MAGIC.to_vec();
+        magic.extend_from_slice(&SPILL_FORMAT_VERSION.to_le_bytes());
+        let packed = key.pack().to_le_bytes();
+        // Magic and version, any flags, then the key.
+        let head = |w: &[u8]| w[..6] == magic[..] && w[8..] == packed[..];
         let segments = FsSpillIo.list_files(dir, "seg").unwrap();
         let (path, mut bytes, at) = segments
             .into_iter()
             .rev()
             .find_map(|(path, _)| {
                 let bytes = std::fs::read(&path).unwrap();
-                let at = bytes.windows(head.len()).rposition(|w| w == head)?;
+                let at = bytes.windows(16).rposition(head)?;
                 Some((path, bytes, at))
             })
             .expect("a record of the key");

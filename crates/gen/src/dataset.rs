@@ -111,8 +111,7 @@ struct Scratch {
 /// One chunk's run: `want` of the `capacity` cell indices of the value box
 /// `spans` (start and width per dimension), written straight at their
 /// widths — coordinates at `C`, which the caller has checked holds the
-/// box, and values at `f32`, which holds every value in `[1, 1000]`
-/// exactly.
+/// box, and values at `u16`, which holds every value in `[1, 1000]`.
 fn sample_run<C: Coord>(
     rng: &mut StdRng,
     spans: &[(u32, u64)],
@@ -122,7 +121,7 @@ fn sample_run<C: Coord>(
 ) -> ChunkData {
     let n_dims = spans.len();
     let mut coords: Vec<C> = Vec::with_capacity(want as usize * n_dims);
-    let mut values: Vec<f32> = Vec::with_capacity(want as usize);
+    let mut values: Vec<u16> = Vec::with_capacity(want as usize);
     let Scratch {
         cell,
         indices,
@@ -136,7 +135,7 @@ fn sample_run<C: Coord>(
             rest /= width;
         }
         coords.extend(cell.iter().map(|&x| C::from_u32(x)));
-        values.push(rng_value(index) as f32);
+        values.push(rng_value(index));
     };
     if want * 2 >= capacity {
         // Asked for at least half its cells: the first `want` of a
@@ -167,8 +166,8 @@ fn sample_run<C: Coord>(
 
 /// Deterministic per-cell value in `[1, 1000]` derived from the local cell
 /// index (keeps generation order-independent).
-fn rng_value(local: u64) -> u32 {
-    (mix64(local) % 1000) as u32 + 1
+fn rng_value(local: u64) -> u16 {
+    (mix64(local) % 1000) as u16 + 1
 }
 
 #[cfg(test)]
@@ -288,7 +287,7 @@ mod tests {
                 past_u16,
                 "chunk {c}"
             );
-            assert!(matches!(run.raw_values(), Values::F32(_)), "chunk {c}");
+            assert!(matches!(run.raw_values(), Values::U16(_)), "chunk {c}");
         }
     }
 

@@ -225,8 +225,10 @@ impl SourceKeys<'_> {
     fn for_each_cell(&self, data: &ChunkData, put: impl FnMut(u64, f64)) {
         let n = data.n_dims();
         match (data.raw_coords(), data.raw_values()) {
+            (Coords::U16(c), Values::U16(v)) => self.for_each_cell_at(c, n, v, put),
             (Coords::U16(c), Values::F32(v)) => self.for_each_cell_at(c, n, v, put),
             (Coords::U16(c), Values::F64(v)) => self.for_each_cell_at(c, n, v, put),
+            (Coords::U32(c), Values::U16(v)) => self.for_each_cell_at(c, n, v, put),
             (Coords::U32(c), Values::F32(v)) => self.for_each_cell_at(c, n, v, put),
             (Coords::U32(c), Values::F64(v)) => self.for_each_cell_at(c, n, v, put),
         }
@@ -330,6 +332,7 @@ impl Cells {
                     "a source cell outside the target box"
                 );
                 vals[k] = match data.raw_values() {
+                    Values::U16(v) => fold_values(v, vals[k], lift, combine),
                     Values::F32(v) => fold_values(v, vals[k], lift, combine),
                     Values::F64(v) => fold_values(v, vals[k], lift, combine),
                 };
@@ -484,8 +487,9 @@ impl<'s> Aggregator<'s> {
 
     /// Finishes into coordinate-sorted [`ChunkData`] at the target level,
     /// its coordinates at the narrow width when the box's upper corner fits
-    /// it, its values at `f32` until one does not round-trip
-    /// ([`ValueVec`]); every value is accumulated at `f64`.
+    /// it, its values at `u16` until one is not a whole number that fits,
+    /// then at `f32` until one does not round-trip ([`ValueVec`]); every
+    /// value is accumulated at `f64`.
     /// Row-major box keys *are* coordinate order: the dense side walks its
     /// slots in place — no collect, no sort — dividing once per row. The
     /// sparse side radix-sorts its pairs by key, stably, then folds each
@@ -646,6 +650,7 @@ pub fn aggregate_to_level_parallel(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use aggcache_chunks::ValueWidth;
     use aggcache_schema::{Dimension, GroupById};
     use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
@@ -1381,40 +1386,40 @@ pub(crate) mod tests {
         }
     }
 
-    /// `jagged_cells` at either value width, with a `-0.0` and a NaN among
-    /// them: the narrow cells are the jagged values rounded to `f32`, so
-    /// they stay `f32` in the chunk and still make a SUM's bits depend on
-    /// its order.
-    fn jagged_cells_at(narrow: bool) -> ChunkData {
+    /// `jagged_cells`' coordinates at each value width. At `u16` the values
+    /// are whole numbers up to 65,535 whose sums pass it; at `f32` and
+    /// `f64` a `-0.0` and a NaN are among them, and the `f32` cells are the
+    /// jagged values rounded to `f32`, so they stay `f32` in the chunk and
+    /// still make a SUM's bits depend on its order.
+    fn jagged_cells_at(width: ValueWidth) -> ChunkData {
         let mut cells = ChunkData::new(2);
         for (i, (c, v)) in jagged_cells().iter().enumerate() {
-            let v = match i {
-                4 => -0.0,
-                7 => f64::NAN,
-                _ if narrow => f64::from(v as f32),
-                _ => v,
+            let v = match (width, i) {
+                (ValueWidth::U16, _) => (i * 40_009 % 65_536) as f64,
+                (_, 4) => -0.0,
+                (_, 7) => f64::NAN,
+                (ValueWidth::F32, _) => f64::from(v as f32),
+                (ValueWidth::F64, _) => v,
             };
             cells.push(c, v);
         }
-        assert_eq!(matches!(cells.raw_values(), Values::F32(_)), narrow);
+        assert_eq!(cells.raw_values().width(), width);
         cells
     }
 
-    fn narrow_values(d: &ChunkData) -> bool {
-        matches!(d.raw_values(), Values::F32(_))
-    }
+    const WIDTHS: [ValueWidth; 3] = [ValueWidth::U16, ValueWidth::F32, ValueWidth::F64];
 
     /// A source chunk every cell of which lands on one target cell is
-    /// folded in a register on the dense side; at either value width it
+    /// folded in a register on the dense side; at each value width it
     /// answers the row reference's bits, and so does the sparse side.
     #[test]
-    fn a_fully_folded_source_chunk_is_bit_identical_at_both_value_widths() {
+    fn a_fully_folded_source_chunk_is_bit_identical_at_each_value_width() {
         let g = grid();
         let s = g.schema();
         let lattice = s.lattice();
         let (base, base_level) = (lattice.base(), s.base_level());
-        for narrow in [true, false] {
-            let by_base = by_chunk(&g, base, &jagged_cells_at(narrow));
+        for width in WIDTHS {
+            let by_base = by_chunk(&g, base, &jagged_cells_at(width));
             let mut folded = 0;
             for gb in lattice.iter_ids() {
                 let level = lattice.level_of(gb);
@@ -1442,7 +1447,7 @@ pub(crate) mod tests {
                                 let got =
                                     chunk_result(&g, target, &sources, agg, lift, expected_cells);
                                 let ctx = format!(
-                                    "narrow {narrow} {agg:?} {lift:?} {target:?} x{expected_cells}"
+                                    "{width:?} {agg:?} {lift:?} {target:?} x{expected_cells}"
                                 );
                                 assert_same_bits(&got, &want, &ctx);
                             }
@@ -1454,28 +1459,25 @@ pub(crate) mod tests {
         }
     }
 
-    /// Narrow and wide source chunks in one aggregator — per chunk on both
-    /// sides, and level-wide — answer the row reference's bits; the output
-    /// is `f32` exactly when every output value round-trips through it.
+    /// Source chunks at each value width in one aggregator — per chunk on
+    /// both sides, and level-wide — answer the row reference's bits; the
+    /// output is at the narrowest width that holds every output value.
     #[test]
     fn narrow_and_wide_sources_mix_in_one_aggregator() {
         let g = grid();
         let s = g.schema();
         let lattice = s.lattice();
         let (base, base_level) = (lattice.base(), s.base_level());
-        let (narrow, wide) = (
-            by_chunk(&g, base, &jagged_cells_at(true)),
-            by_chunk(&g, base, &jagged_cells_at(false)),
-        );
-        let mixed: Vec<ChunkData> = (0..narrow.len())
-            .map(|c| if c % 2 == 0 { &narrow[c] } else { &wide[c] }.clone())
+        let by_width = WIDTHS.map(|w| by_chunk(&g, base, &jagged_cells_at(w)));
+        let mixed: Vec<ChunkData> = (0..by_width[0].len())
+            .map(|c| by_width[c % 3][c].clone())
             .collect();
-        assert!(mixed.iter().any(|d| !d.is_empty() && narrow_values(d)));
-        assert!(mixed.iter().any(|d| !narrow_values(d)));
-        let fits = |d: &ChunkData| {
-            d.iter()
-                .all(|(_, v)| f64::from(v as f32).to_bits() == v.to_bits())
-        };
+        for w in WIDTHS {
+            assert!(mixed
+                .iter()
+                .any(|d| !d.is_empty() && d.raw_values().width() == w));
+        }
+        let narrowest = |d: &ChunkData| d.raw_values().width() == d.raw_values().narrowest();
         for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
             for lift in [Lift::Raw, Lift::Lifted] {
                 for gb in lattice.iter_ids() {
@@ -1490,7 +1492,7 @@ pub(crate) mod tests {
                             let got = chunk_result(&g, target, &sources, agg, lift, expected_cells);
                             let ctx = format!("{agg:?} {lift:?} {target:?} x{expected_cells}");
                             assert_same_bits(&got, &want, &ctx);
-                            assert_eq!(narrow_values(&got), fits(&got), "{ctx}");
+                            assert!(narrowest(&got), "{ctx}");
                         }
                     }
                     let all: Vec<(&[u8], &ChunkData)> =
@@ -1499,7 +1501,7 @@ pub(crate) mod tests {
                     let want = reference_rollup(s, &all, &level, agg, lift);
                     let ctx = format!("{agg:?} {lift:?} level {level:?}");
                     assert_same_bits(&got, &want, &ctx);
-                    assert_eq!(narrow_values(&got), fits(&got), "{ctx}");
+                    assert!(narrowest(&got), "{ctx}");
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! The persistent second-tier chunk store: chunks evicted from RAM are
 //! *demoted* to disk instead of destroyed, and promoted back on demand.
 //!
-//! The on-disk representation is `SpillFormat` v3 — a versioned,
+//! The on-disk representation is `SpillFormat` v4 — a versioned,
 //! length-prefixed, checksummed serialization of one columnar
 //! [`ChunkData`] per record, its coordinates and values at the narrowest
 //! widths that hold them (as RAM holds them), records appended back to
@@ -22,7 +22,7 @@
 use crate::io::{DiskFaultProfile, FaultInjectingSpillIo, FsSpillIo, SpillIo};
 use crate::retry::RetryPolicy;
 use aggcache_chunks::{
-    ChunkData, ChunkGrid, ChunkKey, Coord, Coords, ValueVec, Values, NARROW_MAX,
+    ChunkData, ChunkGrid, ChunkKey, Coord, Coords, Value, ValueVec, ValueWidth, Values, NARROW_MAX,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -32,7 +32,7 @@ pub const SPILL_MAGIC: [u8; 4] = *b"ACSP";
 /// Magic bytes opening the spill index file (`b"ACSI"`).
 pub const SPILL_INDEX_MAGIC: [u8; 4] = *b"ACSI";
 /// The `SpillFormat` version this build writes and reads.
-pub const SPILL_FORMAT_VERSION: u16 = 3;
+pub const SPILL_FORMAT_VERSION: u16 = 4;
 /// Fixed byte length of the record header (everything before the
 /// coordinate block's length prefix).
 pub const SPILL_HEADER_BYTES: usize = 32;
@@ -48,8 +48,11 @@ pub const ORIGIN_SPILLED: u8 = 2;
 const FLAG_TOMBSTONE: u16 = 1;
 /// The record flag of `u32` coordinates; without it they are `u16`.
 const FLAG_WIDE_COORDS: u16 = 2;
-/// The record flag of `f64` values; without it they are `f32`.
+/// The record flag of `f64` values; without it or [`FLAG_NARROW_VALUES`]
+/// they are `f32`.
 const FLAG_WIDE_VALUES: u16 = 4;
+/// The record flag of `u16` values; never beside [`FLAG_WIDE_VALUES`].
+const FLAG_NARROW_VALUES: u16 = 8;
 /// A segment grown to this many bytes is sealed: the next append starts
 /// a new one.
 const SEGMENT_BYTES: u64 = 8 << 20;
@@ -409,7 +412,7 @@ pub struct SpillRecord {
 /// values, not their widths: a chunk is written at the narrowest widths
 /// that hold its cells, whatever widths it holds them at.
 pub fn encode_record(key: ChunkKey, origin: u8, benefit: f64, data: &ChunkData) -> Vec<u8> {
-    encode(key, 0, origin, benefit, data)
+    encode(key, width_flags(data), origin, benefit, data)
 }
 
 /// The tombstone of `key`: a record flagged [`FLAG_TOMBSTONE`], no cells.
@@ -442,6 +445,17 @@ macro_rules! le {
 
 le!(u16, u32, f32, f64);
 
+/// The value width a record's `flags` name.
+fn value_width_of(flags: u16) -> ValueWidth {
+    if flags & FLAG_WIDE_VALUES != 0 {
+        ValueWidth::F64
+    } else if flags & FLAG_NARROW_VALUES != 0 {
+        ValueWidth::U16
+    } else {
+        ValueWidth::F32
+    }
+}
+
 /// Writes `items` into `block`, [`Le::BYTES`] each.
 fn put<T: Le>(items: impl Iterator<Item = T>, block: &mut [u8]) {
     for (to, x) in block.chunks_exact_mut(T::BYTES).zip(items) {
@@ -458,31 +472,36 @@ fn get<T: Le>(block: &[u8]) -> Vec<T> {
 /// name.
 fn widths(flags: u16) -> (usize, usize) {
     let coord = if flags & FLAG_WIDE_COORDS != 0 { 4 } else { 2 };
-    let value = if flags & FLAG_WIDE_VALUES != 0 { 8 } else { 4 };
+    let value = match value_width_of(flags) {
+        ValueWidth::U16 => 2,
+        ValueWidth::F32 => 4,
+        ValueWidth::F64 => 8,
+    };
     (coord, value)
 }
 
 /// The width flags of `data`'s narrowest widths: a coordinate past `u16`
-/// needs [`FLAG_WIDE_COORDS`], a value whose bits `f32` does not keep
-/// [`FLAG_WIDE_VALUES`]. Either check folds the whole block with no early
-/// exit, which vectorises.
+/// needs [`FLAG_WIDE_COORDS`]; values that are all whole numbers from 0 to
+/// 65,535 take [`FLAG_NARROW_VALUES`], and a value whose bits `f32` does
+/// not keep needs [`FLAG_WIDE_VALUES`]. A block held at `u16` is not
+/// checked; a wider one is folded whole with no early exit, which
+/// vectorises.
 fn width_flags(data: &ChunkData) -> u16 {
     let wide_coords = match data.raw_coords() {
         Coords::U16(_) => false,
         Coords::U32(c) => c.iter().fold(0, |all, &c| all | c) > NARROW_MAX,
     };
-    let wide_values = match data.raw_values() {
-        Values::F32(_) => false,
-        Values::F64(v) => !v.iter().fold(true, |all, &v| {
-            all & (f64::from(v as f32).to_bits() == v.to_bits())
-        }),
+    let values = match data.raw_values().narrowest() {
+        ValueWidth::U16 => FLAG_NARROW_VALUES,
+        ValueWidth::F32 => 0,
+        ValueWidth::F64 => FLAG_WIDE_VALUES,
     };
-    (if wide_coords { FLAG_WIDE_COORDS } else { 0 })
-        | (if wide_values { FLAG_WIDE_VALUES } else { 0 })
+    (if wide_coords { FLAG_WIDE_COORDS } else { 0 }) | values
 }
 
+/// A record of `data` under `key` at the widths `flags` name, which hold
+/// its cells.
 fn encode(key: ChunkKey, flags: u16, origin: u8, benefit: f64, data: &ChunkData) -> Vec<u8> {
-    let flags = flags | width_flags(data);
     let (coord_width, value_width) = widths(flags);
     let n_dims = data.n_dims();
     let n_cells = data.len();
@@ -515,10 +534,13 @@ fn encode(key: ChunkKey, flags: u16, origin: u8, benefit: f64, data: &ChunkData)
     let values_at = out.len();
     out.resize(values_at + value_bytes, 0);
     let block = &mut out[values_at..];
-    match data.raw_values() {
-        Values::F32(v) => put(v.iter().copied(), block),
-        Values::F64(v) if flags & FLAG_WIDE_VALUES != 0 => put(v.iter().copied(), block),
-        Values::F64(v) => put(v.iter().map(|&v| v as f32), block),
+    match (value_width_of(flags), data.raw_values()) {
+        (ValueWidth::U16, Values::U16(v)) => put(v.iter().copied(), block),
+        (ValueWidth::F32, Values::F32(v)) => put(v.iter().copied(), block),
+        (ValueWidth::F64, Values::F64(v)) => put(v.iter().copied(), block),
+        (ValueWidth::U16, v) => put(v.iter().map(u16::from_f64), block),
+        (ValueWidth::F32, v) => put(v.iter().map(f32::from_f64), block),
+        (ValueWidth::F64, v) => put(v.iter(), block),
     }
     let checksum = spill_checksum(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
@@ -604,8 +626,12 @@ fn decode(bytes: &[u8]) -> Result<(SpillRecord, bool), SpillError> {
     let values_len_at = coords_at + coord_len;
     let value_len = u32::from_le_bytes(take::<4>(bytes, values_len_at)?) as usize;
     let values_at = values_len_at + 4;
-    let known = FLAG_TOMBSTONE | FLAG_WIDE_COORDS | FLAG_WIDE_VALUES;
-    let bad_flags = flags & !known != 0 || (tombstone && (flags != FLAG_TOMBSTONE || n_cells != 0));
+    let known = FLAG_TOMBSTONE | FLAG_WIDE_COORDS | FLAG_WIDE_VALUES | FLAG_NARROW_VALUES;
+    let two_value_widths =
+        flags & (FLAG_WIDE_VALUES | FLAG_NARROW_VALUES) == FLAG_WIDE_VALUES | FLAG_NARROW_VALUES;
+    let bad_flags = flags & !known != 0
+        || two_value_widths
+        || (tombstone && (flags != FLAG_TOMBSTONE || n_cells != 0));
     let bad_blocks =
         coord_len != n_cells * n_dims * coord_width || value_len != n_cells * value_width;
     if bad_flags || bad_blocks || values_at + value_len != body_len {
@@ -615,10 +641,10 @@ fn decode(bytes: &[u8]) -> Result<(SpillRecord, bool), SpillError> {
     }
     // Each block is held at the width its flag names: a straight copy.
     let block = &bytes[values_at..body_len];
-    let values: ValueVec = if flags & FLAG_WIDE_VALUES != 0 {
-        get::<f64>(block).into()
-    } else {
-        get::<f32>(block).into()
+    let values: ValueVec = match value_width_of(flags) {
+        ValueWidth::U16 => get::<u16>(block).into(),
+        ValueWidth::F32 => get::<f32>(block).into(),
+        ValueWidth::F64 => get::<f64>(block).into(),
     };
     let block = &bytes[coords_at..values_len_at];
     let data = if flags & FLAG_WIDE_COORDS != 0 {
@@ -1279,6 +1305,15 @@ mod tests {
         d
     }
 
+    /// `sample_chunk`'s coordinates with whole-number values `u16` holds.
+    fn whole_chunk() -> ChunkData {
+        let mut d = ChunkData::new(2);
+        d.push(&[0, 1], 3.0);
+        d.push(&[2, 3], 65_535.0);
+        d.push(&[7, 0], 0.0);
+        d
+    }
+
     fn sample_key() -> ChunkKey {
         ChunkKey::new(GroupById(3), 7)
     }
@@ -1360,52 +1395,86 @@ mod tests {
         );
     }
 
-    /// SpillFormat v3's exact bytes for `sample_chunk`. A record holds
-    /// the narrowest widths that hold its cells, here `u16` LE coordinates
-    /// and `f32` LE values, whatever the widths in memory, so a record
-    /// written from either pair of widths is these bytes.
+    /// SpillFormat v4's exact bytes for `sample_chunk` and `whole_chunk`.
+    /// A record holds the narrowest widths that hold its cells — `u16` LE
+    /// coordinates, and `f32` LE values for the first, `u16` LE values
+    /// (flag bit 3) for the second — whatever the widths in memory, so a
+    /// record written from any widths is these bytes.
     #[test]
-    fn a_record_keeps_its_format_v3_bytes() {
-        const RECORD: &str = "41435350030000000700000000030000010002000300000000000000000004400c00\
-            00000000010002000300070000000c0000000000c03f000088c00000000092176b8967fd0d69";
-        let want: Vec<u8> = (0..RECORD.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&RECORD[i..i + 2], 16).unwrap())
-            .collect();
-        let narrow = sample_chunk();
-        let wide = ChunkData::from_raw(
-            2,
-            narrow.raw_coords().to_vec(),
-            narrow.raw_values().to_vec(),
-        );
-        assert!(matches!(narrow.raw_coords(), Coords::U16(_)));
-        assert!(matches!(narrow.raw_values(), Values::F32(_)));
-        assert!(matches!(wide.raw_coords(), Coords::U32(_)));
-        assert!(matches!(wide.raw_values(), Values::F64(_)));
-        for data in [&narrow, &wide] {
+    fn a_record_keeps_its_format_v4_bytes() {
+        const RECORD: &str = "41435350040000000700000000030000010002000300000000000000000004400c00\
+            00000000010002000300070000000c0000000000c03f000088c00000000092176b89be7e5759";
+        const WHOLE: &str = "41435350040008000700000000030000010002000300000000000000000004400c00\
+            0000000001000200030007000000060000000300ffff00000e54a6dae990e28c";
+        for (narrow, hex, value_bytes) in [(sample_chunk(), RECORD, 4), (whole_chunk(), WHOLE, 2)] {
+            let want: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect();
+            let coords = narrow.raw_coords().to_vec();
+            let values = narrow.raw_values().to_vec();
+            let single: Vec<f32> = values.iter().map(|&v| v as f32).collect();
+            let wide = ChunkData::from_raw(2, coords.clone(), values);
+            let single = ChunkData::from_raw(2, coords, single);
+            assert!(matches!(narrow.raw_coords(), Coords::U16(_)));
             assert_eq!(
-                encode_record(sample_key(), ORIGIN_COMPUTED, 2.5, data),
-                want
+                narrow.raw_values().width() == ValueWidth::U16,
+                value_bytes == 2
+            );
+            assert!(matches!(wide.raw_coords(), Coords::U32(_)));
+            assert!(matches!(wide.raw_values(), Values::F64(_)));
+            assert!(matches!(single.raw_values(), Values::F32(_)));
+            for data in [&narrow, &single, &wide] {
+                assert_eq!(
+                    to_hex(&encode_record(sample_key(), ORIGIN_COMPUTED, 2.5, data)),
+                    to_hex(&want)
+                );
+            }
+            assert_eq!(record_len(&want).unwrap(), want.len());
+            assert_eq!(
+                want.len(),
+                SPILL_HEADER_BYTES + 16 + 3 * (2 * 2 + value_bytes)
             );
         }
-        assert_eq!(record_len(&want).unwrap(), want.len());
-        assert_eq!(want.len(), SPILL_HEADER_BYTES + 16 + 3 * (2 * 2 + 4));
     }
 
-    /// Each flag widens its own block: a coordinate past `u16` sets flag
-    /// bit 1 and writes every coordinate as `u32`, a value `f32` does not
-    /// keep sets bit 2 and writes every value as `f64`, and the scan's
-    /// record length follows both.
+    fn to_hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Each flag sets its own block's width: a coordinate past `u16` sets
+    /// flag bit 1 and writes every coordinate as `u32`; whole numbers `u16`
+    /// holds set bit 3 and write every value as `u16`, and a value `f32`
+    /// does not keep sets bit 2 and writes every value as `f64`; the
+    /// scan's record length follows both.
     #[test]
     fn each_width_flag_widens_its_own_block() {
         let n_cells = 4;
-        for (coord, value, flags, cell) in [
-            (9, 9.0, 0, 2 * 2 + 4),
-            (70_000, 9.0, FLAG_WIDE_COORDS, 2 * 4 + 4),
-            (9, 0.1, FLAG_WIDE_VALUES, 2 * 2 + 8),
-            (70_000, 0.1, FLAG_WIDE_COORDS | FLAG_WIDE_VALUES, 2 * 4 + 8),
+        let narrow = FLAG_NARROW_VALUES;
+        for (chunk, coord, value, flags, cell) in [
+            (sample_chunk(), 9, 9.0, 0, 2 * 2 + 4),
+            (sample_chunk(), 70_000, 9.0, FLAG_WIDE_COORDS, 2 * 4 + 4),
+            (sample_chunk(), 9, 0.1, FLAG_WIDE_VALUES, 2 * 2 + 8),
+            (
+                sample_chunk(),
+                70_000,
+                0.1,
+                FLAG_WIDE_COORDS | FLAG_WIDE_VALUES,
+                2 * 4 + 8,
+            ),
+            (whole_chunk(), 9, 9.0, narrow, 2 * 2 + 2),
+            (
+                whole_chunk(),
+                70_000,
+                9.0,
+                FLAG_WIDE_COORDS | narrow,
+                2 * 4 + 2,
+            ),
+            (whole_chunk(), 9, 65_536.0, 0, 2 * 2 + 4),
+            (whole_chunk(), 9, -0.0, 0, 2 * 2 + 4),
+            (whole_chunk(), 9, 0.1, FLAG_WIDE_VALUES, 2 * 2 + 8),
         ] {
-            let mut data = sample_chunk();
+            let mut data = chunk;
             data.push(&[coord, 1], value);
             let bytes = encode_record(sample_key(), ORIGIN_BACKEND, 1.0, &data);
             assert_eq!(u16::from_le_bytes([bytes[6], bytes[7]]), flags);
@@ -1415,18 +1484,28 @@ mod tests {
         }
     }
 
-    /// A record whose flags disagree with its blocks, an unknown flag, or
-    /// a tombstone flag beside a width flag is corrupt even when its
-    /// checksum matches.
+    /// A record whose flags disagree with its blocks, an unknown flag, both
+    /// value-width flags, or a tombstone flag beside a width flag is
+    /// corrupt even when its checksum matches.
     #[test]
     fn a_flag_its_blocks_do_not_match_is_corrupt() {
         let enc = encode_record(sample_key(), ORIGIN_COMPUTED, 2.5, &sample_chunk());
+        let whole = encode_record(sample_key(), ORIGIN_COMPUTED, 2.5, &whole_chunk());
+        let mut wide = sample_chunk();
+        wide.push(&[4, 4], 0.1);
+        let wide = encode_record(sample_key(), ORIGIN_COMPUTED, 2.5, &wide);
         let tombstone = encode_tombstone(sample_key());
+        let both = FLAG_WIDE_VALUES | FLAG_NARROW_VALUES;
         for (bytes, flags) in [
             (&enc, FLAG_WIDE_COORDS),
             (&enc, FLAG_WIDE_VALUES),
-            (&enc, 8),
+            (&enc, FLAG_NARROW_VALUES),
+            (&enc, 16),
+            (&whole, 0),
+            (&whole, FLAG_WIDE_VALUES),
+            (&wide, both),
             (&tombstone, FLAG_TOMBSTONE | FLAG_WIDE_COORDS),
+            (&tombstone, FLAG_TOMBSTONE | FLAG_NARROW_VALUES),
         ] {
             let mut bad = bytes.clone();
             bad[6..8].copy_from_slice(&flags.to_le_bytes());
@@ -1457,8 +1536,8 @@ mod tests {
     }
 
     /// A chunk holding a value `f32` does not keep comes back at `f64`,
-    /// every bit intact; one without comes back at `f32`, whatever width it
-    /// was written from.
+    /// every bit intact; one without comes back at `f32`, and one of whole
+    /// numbers `u16` holds at `u16`, whatever width it was written from.
     #[test]
     fn each_value_width_survives_a_round_trip() {
         let round_trip = |d: &ChunkData| {
@@ -1486,6 +1565,25 @@ mod tests {
             let dec = round_trip(d);
             assert!(matches!(dec.raw_values(), Values::F32(_)));
             assert_eq!((&dec, bits(&dec)), (&narrow, bits(&narrow)));
+        }
+        let whole = whole_chunk();
+        let coords = whole.raw_coords().to_vec();
+        let values = whole.raw_values().to_vec();
+        let single: Vec<f32> = values.iter().map(|&v| v as f32).collect();
+        let wide = ChunkData::from_raw(2, coords.clone(), values);
+        let single = ChunkData::from_raw(2, coords, single);
+        assert!(matches!(whole.raw_values(), Values::U16(_)));
+        for d in [&whole, &single, &wide] {
+            let dec = round_trip(d);
+            assert!(matches!(dec.raw_values(), Values::U16(_)));
+            assert_eq!((&dec, bits(&dec)), (&whole, bits(&whole)));
+        }
+        for v in [65_536.0, -0.0, 0.5] {
+            let mut past = whole_chunk();
+            past.push(&[4, 4], v);
+            let dec = round_trip(&past);
+            assert!(matches!(dec.raw_values(), Values::F32(_)), "{v:e}");
+            assert_eq!(bits(&dec), bits(&past), "{v:e}");
         }
     }
 

@@ -36,13 +36,18 @@ fn segments(dir: &Path) -> Vec<PathBuf> {
 /// The length of the record whose header opens `bytes`, per
 /// `docs/FORMAT.md`: header, two length prefixes and the checksum, then
 /// `n_cells × (n_dims × cw + vw)` at the widths its flags name — `cw` 4
-/// with flag bit 1, else 2; `vw` 8 with flag bit 2, else 4.
+/// with flag bit 1, else 2; `vw` 8 with flag bit 2, 2 with flag bit 3,
+/// else 4.
 fn record_len(bytes: &[u8]) -> usize {
     let flags = u16::from_le_bytes([bytes[6], bytes[7]]);
     let n_dims = u16::from_le_bytes([bytes[18], bytes[19]]) as usize;
     let n_cells = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
     let cw = if flags & 2 != 0 { 4 } else { 2 };
-    let vw = if flags & 4 != 0 { 8 } else { 4 };
+    let vw = match (flags & 4 != 0, flags & 8 != 0) {
+        (true, _) => 8,
+        (false, true) => 2,
+        (false, false) => 4,
+    };
     SPILL_HEADER_BYTES + 16 + n_cells * (n_dims * cw + vw)
 }
 
@@ -174,8 +179,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The widths a record is written at never move virtual time: the same
-    /// cells held at each of the four coordinate × value width pairs — and
-    /// the same shape with a coordinate past `u16` or a value past `f32`,
+    /// cells held at each of the four coordinate × value width pairs, the
+    /// same shape with whole-number values held at `u16` at each coordinate
+    /// width — and with a coordinate past `u16` or a value past `f32`,
     /// written wide — are written, checkpointed and read back at
     /// bit-identical charges, those of the fixed-width record
     /// `48 + n_cells × (4·n_dims + 8)` that `docs/FORMAT.md` prices.
@@ -192,6 +198,9 @@ proptest! {
             ChunkData::from_raw(n_dims, wide_coords(), values.clone()),
             ChunkData::from_raw(n_dims, wide_coords(), wide_values()),
         ];
+        let whole = || values.iter().map(|&v| v.to_bits() as u16).collect::<Vec<_>>();
+        chunks.push(ChunkData::from_raw(n_dims, narrow_coords(), whole()));
+        chunks.push(ChunkData::from_raw(n_dims, wide_coords(), whole()));
         if n_cells > 0 {
             let mut past_u16 = wide_coords();
             past_u16[0] = 70_000;
@@ -448,6 +457,24 @@ fn format_md_golden_record_matches_implementation() {
     for needle in ["`ACSP`", "`ACSI`", "FNV-1a", "little-endian"] {
         assert!(doc.contains(needle), "docs/FORMAT.md lost {needle}");
     }
+}
+
+/// And for the worked example whose values are whole numbers, which a
+/// record holds at `u16`.
+#[test]
+fn format_md_golden_whole_number_record_matches_implementation() {
+    let (key, origin, benefit, fractional) = golden_fixture();
+    let mut data = ChunkData::new(2);
+    for ((coords, _), v) in fractional.iter().zip([3.0, 65_535.0, 0.0]) {
+        data.push(coords, v);
+    }
+    let want = to_hex(&encode_record(key, origin, benefit, &data));
+    assert_eq!(
+        golden_hex(&format_md(), "WHOLE_RECORD"),
+        want,
+        "docs/FORMAT.md whole-number record fixture drifted from the implementation;\n\
+         the bytes this build writes are:\n{want}"
+    );
 }
 
 /// Same for the index file: a store checkpointed with exactly the worked

@@ -279,26 +279,50 @@ fn v2_record(key: ChunkKey, data: &ChunkData) -> Vec<u8> {
     v2_sealed(out)
 }
 
+/// The fact table's base chunks with every value off by 1,000: wrong,
+/// were any of them ever served.
+fn wrong_base_chunks(ds: &Dataset) -> Vec<(ChunkKey, ChunkData)> {
+    let base: Vec<u64> = (0..ds.grid.n_chunks(ds.fact_gb)).collect();
+    let chunks = backend_for(ds).fetch(ds.fact_gb, &base).unwrap().chunks;
+    let wrong = chunks.into_iter().map(|(chunk, mut data)| {
+        for i in 0..data.len() {
+            *data.value_of_mut(i) += 1000.0;
+        }
+        (ChunkKey::new(ds.fact_gb, chunk), data)
+    });
+    wrong.collect()
+}
+
+/// Opens `dir`, a spill directory an older build wrote whose every record
+/// holds [`wrong_base_chunks`] and was checkpointed resident, without
+/// panicking: the index is refused by version and scavenged, the scavenge
+/// refuses the segment's run of old records as one quarantined span, the
+/// warm start is cold, and every answer equals the oracle.
+fn restarts_cold(ds: &Dataset, dir: &Path) {
+    let mut mgr = chaotic_manager(ds, Strategy::Vcmc, SpillConfig::new(dir));
+    let opened = *mgr.session_spill();
+    assert_eq!(opened.index_rebuilds, 1);
+    assert_eq!((opened.spill_corrupt, opened.spill_quarantined), (1, 1));
+    assert_eq!(opened.spill_reads, 0);
+    assert!(mgr.cache().is_empty(), "a cold warm start");
+    assert!(mgr.spill_store().unwrap().is_empty());
+    for q in &stream(ds, 46, 40) {
+        let out = mgr.run(q).unwrap();
+        let want = oracle_answer(&backend_for(ds), &q.query);
+        assert_eq!(cells(&out.data), cells(&want));
+    }
+}
+
 /// A spill directory written by a version 2 build — its records and its
-/// index built here byte by byte, every record checkpointed resident and
-/// holding cells the backend does not — opens without panicking: the
-/// index is refused by version and scavenged, the scavenge refuses the
-/// segment's run of version 2 records as one quarantined span, the warm
-/// start is cold, and every answer equals the oracle.
+/// index built here byte by byte — restarts cold.
 #[test]
 fn a_version_2_spill_directory_restarts_cold() {
     let ds = dataset();
     let dir = tmpdir("v2");
     std::fs::create_dir_all(&dir).unwrap();
-    let backend = backend_for(&ds);
-    let base: Vec<u64> = (0..ds.grid.n_chunks(ds.fact_gb)).collect();
     let mut segment = Vec::new();
     let mut index = Vec::new();
-    for (chunk, mut data) in backend.fetch(ds.fact_gb, &base).unwrap().chunks {
-        for i in 0..data.len() {
-            *data.value_of_mut(i) += 1000.0; // wrong, were it ever served
-        }
-        let key = ChunkKey::new(ds.fact_gb, chunk);
+    for (key, data) in wrong_base_chunks(&ds) {
         let record = v2_record(key, &data);
         index.extend_from_slice(&key.pack().to_le_bytes());
         index.extend_from_slice(&(segment.len() as u64).to_le_bytes());
@@ -314,18 +338,71 @@ fn a_version_2_spill_directory_restarts_cold() {
     head.extend_from_slice(&index);
     std::fs::write(dir.join("00000000.seg"), &segment).unwrap();
     std::fs::write(dir.join("spill.idx"), v2_sealed(head)).unwrap();
+    restarts_cold(&ds, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    let mut mgr = chaotic_manager(&ds, Strategy::Vcmc, SpillConfig::new(&dir));
-    let opened = *mgr.session_spill();
-    assert_eq!(opened.index_rebuilds, 1);
-    assert_eq!((opened.spill_corrupt, opened.spill_quarantined), (1, 1));
-    assert_eq!(opened.spill_reads, 0);
-    assert!(mgr.cache().is_empty(), "a cold warm start");
-    assert!(mgr.spill_store().unwrap().is_empty());
-    for q in &stream(&ds, 46, 40) {
-        let out = mgr.run(q).unwrap();
-        let want = oracle_answer(&backend_for(&ds), &q.query);
-        assert_eq!(cells(&out.data), cells(&want));
+/// `bytes` with its checksum, which version 3 computes as version 4 does,
+/// appended.
+fn v3_sealed(mut bytes: Vec<u8>) -> Vec<u8> {
+    let checksum = spill_checksum(&bytes);
+    bytes.extend_from_slice(&checksum.to_le_bytes());
+    bytes
+}
+
+/// A `SpillFormat` version 3 record of `data` under `key`: `u16`
+/// coordinates and `f32` values, the narrowest widths version 3 had (flags
+/// 0), origin 0.
+fn v3_record(key: ChunkKey, data: &ChunkData) -> Vec<u8> {
+    let mut out = b"ACSP".to_vec();
+    out.extend_from_slice(&3u16.to_le_bytes());
+    out.extend_from_slice(&0u16.to_le_bytes());
+    out.extend_from_slice(&key.pack().to_le_bytes());
+    out.extend_from_slice(&[0, 0]);
+    out.extend_from_slice(&(data.n_dims() as u16).to_le_bytes());
+    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+    out.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+    let coords = data.raw_coords().to_vec();
+    out.extend_from_slice(&(coords.len() as u32 * 2).to_le_bytes());
+    for c in coords {
+        out.extend_from_slice(&u16::try_from(c).unwrap().to_le_bytes());
     }
+    out.extend_from_slice(&(data.len() as u32 * 4).to_le_bytes());
+    for v in data.raw_values().iter() {
+        assert_eq!(f64::from(v as f32).to_bits(), v.to_bits(), "{v:e} fits f32");
+        out.extend_from_slice(&(v as f32).to_bits().to_le_bytes());
+    }
+    v3_sealed(out)
+}
+
+/// A spill directory written by a version 3 build — `u16` coordinates,
+/// `f32` values, its index entries carrying the priced size — restarts
+/// cold.
+#[test]
+fn a_version_3_spill_directory_restarts_cold() {
+    let ds = dataset();
+    let dir = tmpdir("v3");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut segment = Vec::new();
+    let mut index = Vec::new();
+    for (key, data) in wrong_base_chunks(&ds) {
+        let record = v3_record(key, &data);
+        let priced = 48 + data.len() * (4 * data.n_dims() + 8);
+        index.extend_from_slice(&key.pack().to_le_bytes());
+        index.extend_from_slice(&(segment.len() as u64).to_le_bytes());
+        index.extend_from_slice(&0u32.to_le_bytes());
+        index.extend_from_slice(&(record.len() as u32).to_le_bytes());
+        index.extend_from_slice(&(priced as u32).to_le_bytes());
+        index.extend_from_slice(&[1, 0, 0, 0]); // resident, pad
+        segment.extend_from_slice(&record);
+    }
+    let mut head = b"ACSI".to_vec();
+    head.extend_from_slice(&3u16.to_le_bytes());
+    head.extend_from_slice(&0u16.to_le_bytes());
+    head.extend_from_slice(&((index.len() / 32) as u32).to_le_bytes());
+    head.extend_from_slice(&index);
+    std::fs::write(dir.join("00000000.seg"), &segment).unwrap();
+    std::fs::write(dir.join("spill.idx"), v3_sealed(head)).unwrap();
+    restarts_cold(&ds, &dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
