@@ -193,6 +193,65 @@ pub fn validate(doc: &JsonValue) -> Result<TraceSummary, String> {
     })
 }
 
+/// `v` with every wall-clock field (`*_ns`, `wall_*`) dropped, at any depth.
+fn masked(v: &JsonValue) -> JsonValue {
+    match v {
+        JsonValue::Arr(items) => JsonValue::Arr(items.iter().map(masked).collect()),
+        JsonValue::Obj(pairs) => {
+            let kept = pairs
+                .iter()
+                .filter(|(k, _)| !k.ends_with("_ns") && !k.starts_with("wall_"));
+            JsonValue::Obj(kept.map(|(k, v)| (k.clone(), masked(v))).collect())
+        }
+        other => other.clone(),
+    }
+}
+
+/// What `trace_check --digest` prints for a valid document: the event
+/// count, the count of each kind in kind order, and an FNV-1a 64 digest
+/// of the document with every wall-clock field dropped. Equal reports
+/// mean equal event sequences, virtual times and real byte counts.
+pub fn digest(doc: &JsonValue) -> String {
+    let events = doc.get("events").and_then(JsonValue::as_arr).unwrap_or(&[]);
+    let mut kinds: Vec<&str> = events
+        .iter()
+        .filter_map(|e| e.get("type")?.as_str())
+        .collect();
+    kinds.sort_unstable();
+    let mut out = format!("events {}\n", events.len());
+    for run in kinds.chunk_by(|a, b| a == b) {
+        out += &format!("{} {}\n", run[0], run.len());
+    }
+    let fnv = fold(0xcbf2_9ce4_8422_2325, &masked(doc));
+    out + &format!("digest {fnv:016x}\n")
+}
+
+/// `h` folded (FNV-1a 64) over `bytes`.
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    (bytes.iter()).fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `h` folded over `v` by an explicit walk, so the digest depends on the
+/// value alone: a tag per node, a string's length and bytes, a number's
+/// `f64` bits, and an array's items or an object's keys and values in
+/// order, each container closed by its own tag.
+fn fold(h: u64, v: &JsonValue) -> u64 {
+    let text = |h: u64, s: &str| fnv(fnv(h, &(s.len() as u64).to_le_bytes()), s.as_bytes());
+    match v {
+        JsonValue::Null => fnv(h, b"n"),
+        JsonValue::Bool(b) => fnv(h, if *b { b"t" } else { b"f" }),
+        JsonValue::Num(x) => fnv(fnv(h, b"#"), &x.to_bits().to_le_bytes()),
+        JsonValue::Str(s) => text(fnv(h, b"s"), s),
+        JsonValue::Arr(items) => fnv(items.iter().fold(fnv(h, b"["), fold), b"]"),
+        JsonValue::Obj(pairs) => {
+            let h = (pairs.iter()).fold(fnv(h, b"{"), |h, (k, v)| fold(text(h, k), v));
+            fnv(h, b"}")
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,6 +313,39 @@ mod tests {
         }
         let summary = validate(&v).unwrap();
         assert_eq!((summary.events, summary.queries), (events.len(), 10));
+    }
+
+    /// The mask drops exactly the `*_ns` and `wall_*` fields, in meta and
+    /// events and nested at any depth, and keeps every other field —
+    /// `ns`, `walls`, `virtual_ms`, `bytes` — as it was.
+    #[test]
+    fn the_digest_mask_drops_exactly_the_wall_clock_fields() {
+        let doc = JsonValue::parse(
+            r#"{"meta":{"wall_s":1,"seed":7,"ns":2},"events":[
+                {"type":"a","probe_ns":5,"wall_ns":6,"virtual_ms":1.5,"bytes":100},
+                {"type":"b","walls":[{"x_ns":1,"y":2}],"ns_total":3,"wall_":4},
+                {"type":"a","apply_ns":9}]}"#,
+        )
+        .unwrap();
+        let want = r#"{"meta":{"seed":7,"ns":2},"events":[{"type":"a","virtual_ms":1.5,"bytes":100},
+            {"type":"b","walls":[{"y":2}],"ns_total":3},{"type":"a"}]}"#;
+        assert_eq!(masked(&doc), JsonValue::parse(want).unwrap());
+        let report = digest(&doc);
+        assert!(
+            report.starts_with("events 3\na 2\nb 1\ndigest "),
+            "{report}"
+        );
+        // Wall-clock values do not move the digest; anything else does.
+        let src = r#"{"meta":{},"events":[{"type":"a","probe_ns":5,"bytes":100}]}"#;
+        let moved = |from: &str, to: &str| {
+            let other = JsonValue::parse(&src.replace(from, to)).unwrap();
+            digest(&other) != digest(&JsonValue::parse(src).unwrap())
+        };
+        assert!(!moved("\"probe_ns\":5", "\"probe_ns\":6"));
+        assert!(moved("\"bytes\":100", "\"bytes\":101"));
+        // The digest reads values, not how the document spells them.
+        assert!(!moved("\"bytes\":100", "\"bytes\":1e2"));
+        assert!(moved("\"type\":\"a\"", "\"type\":\"a\",\"t\":\"\""));
     }
 
     #[test]

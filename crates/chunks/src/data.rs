@@ -1,5 +1,4 @@
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 /// Tuple size used for cache-budget accounting, matching the paper's setup
@@ -14,7 +13,7 @@ pub const NARROW_MAX: u32 = u16::MAX as u32;
 /// A width a [`ChunkData`] holds its coordinates at: `u16` while every
 /// coordinate fits, `u32` once one does not. Code over a chunk's cells is
 /// written once, generic over this trait, and instantiated per width by a
-/// `match` on [`ChunkData::raw_coords`].
+/// `match` on [`ChunkData::stored_coords`].
 pub trait Coord: Copy + Ord + Into<u32> + 'static {
     /// `c` at this width; the caller knows it fits.
     fn from_u32(c: u32) -> Self;
@@ -26,9 +25,9 @@ pub trait Coord: Copy + Ord + Into<u32> + 'static {
         c as usize
     }
 
-    /// [`ChunkData::from_raw`] at this width.
+    /// `chunk` holding `coords`, at this width, as its stored coordinates.
     #[doc(hidden)]
-    fn chunk(n_dims: usize, coords: Vec<Self>, values: ValueVec) -> ChunkData;
+    fn holding(coords: Vec<Self>, chunk: ChunkData) -> ChunkData;
 }
 
 impl Coord for u16 {
@@ -38,12 +37,9 @@ impl Coord for u16 {
         c as u16
     }
 
-    fn chunk(n_dims: usize, coords: Vec<u16>, values: ValueVec) -> ChunkData {
-        ChunkData {
-            n_dims,
-            coords: CoordVec::U16(coords),
-            values,
-        }
+    fn holding(coords: Vec<u16>, chunk: ChunkData) -> ChunkData {
+        let coords = CoordVec::U16(coords);
+        ChunkData { coords, ..chunk }
     }
 }
 
@@ -53,12 +49,9 @@ impl Coord for u32 {
         c
     }
 
-    fn chunk(n_dims: usize, coords: Vec<u32>, values: ValueVec) -> ChunkData {
-        ChunkData {
-            n_dims,
-            coords: CoordVec::U32(coords),
-            values,
-        }
+    fn holding(coords: Vec<u32>, chunk: ChunkData) -> ChunkData {
+        let coords = CoordVec::U32(coords);
+        ChunkData { coords, ..chunk }
     }
 }
 
@@ -68,11 +61,9 @@ fn fits_narrow(coords: &[u32]) -> bool {
     coords.iter().fold(0, |all, &c| all | c) <= NARROW_MAX
 }
 
-/// Row-major coordinates as a chunk holds them, tagged with their width:
-/// all of a chunk's cells ([`ChunkData::raw_coords`]) or one cell's
-/// ([`ChunkData::coords_of`]). Two views compare and hash by their
-/// values, whatever their widths.
-#[derive(Clone, Copy)]
+/// Row-major coordinates at their width: a chunk's stored columns
+/// ([`ChunkData::stored_coords`]).
+#[derive(Debug, Clone, Copy)]
 pub enum Coords<'a> {
     /// Every coordinate fits 16 bits.
     U16(&'a [u16]),
@@ -81,24 +72,17 @@ pub enum Coords<'a> {
 }
 
 impl<'a> Coords<'a> {
-    /// Number of coordinates.
     #[inline]
-    pub fn len(self) -> usize {
+    fn len(self) -> usize {
         match self {
             Coords::U16(c) => c.len(),
             Coords::U32(c) => c.len(),
         }
     }
 
-    /// Whether the view holds no coordinate.
-    #[inline]
-    pub fn is_empty(self) -> bool {
-        self.len() == 0
-    }
-
     /// Coordinate `i`.
     #[inline]
-    pub fn get(self, i: usize) -> u32 {
+    fn get(self, i: usize) -> u32 {
         match self {
             Coords::U16(c) => u32::from(c[i]),
             Coords::U32(c) => c[i],
@@ -106,13 +90,8 @@ impl<'a> Coords<'a> {
     }
 
     /// The coordinates in order, each as a `u32`.
-    pub fn iter(self) -> impl ExactSizeIterator<Item = u32> + 'a {
+    fn iter(self) -> impl ExactSizeIterator<Item = u32> + 'a {
         (0..self.len()).map(move |i| self.get(i))
-    }
-
-    /// The coordinates as a `u32` vector.
-    pub fn to_vec(self) -> Vec<u32> {
-        self.iter().collect()
     }
 
     /// Coordinates `range` of the view.
@@ -123,73 +102,72 @@ impl<'a> Coords<'a> {
             Coords::U32(c) => Coords::U32(&c[range]),
         }
     }
+}
 
-    fn eq_u32(self, other: &[u32]) -> bool {
+/// One cell's coordinates, one per dimension: given as a `u32` slice,
+/// array or vector, or read off a chunk ([`ChunkData::coords_of`],
+/// [`ChunkData::iter`]) with its constant columns from the chunk's header.
+/// Two compare by their values.
+#[derive(Clone, Copy)]
+pub enum CellCoords<'a> {
+    /// Every coordinate, in dimension order.
+    Given(&'a [u32]),
+    /// Cell `i` of a chunk.
+    Of(&'a ChunkData, usize),
+}
+
+impl<'a> CellCoords<'a> {
+    #[inline]
+    fn len(self) -> usize {
         match self {
-            Coords::U32(c) => c == other,
-            Coords::U16(_) => self.len() == other.len() && self.iter().eq(other.iter().copied()),
+            CellCoords::Given(c) => c.len(),
+            CellCoords::Of(chunk, _) => chunk.n_dims(),
         }
+    }
+
+    /// Coordinate `d`.
+    #[inline]
+    pub fn get(self, d: usize) -> u32 {
+        match self {
+            CellCoords::Given(c) => c[d],
+            CellCoords::Of(chunk, i) => chunk.coord(i, d),
+        }
+    }
+
+    /// The coordinates in order.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = u32> + 'a {
+        (0..self.len()).map(move |d| self.get(d))
+    }
+
+    /// The coordinates as a vector.
+    pub fn to_vec(self) -> Vec<u32> {
+        self.iter().collect()
     }
 }
 
-impl PartialEq for Coords<'_> {
+impl PartialEq for CellCoords<'_> {
     fn eq(&self, other: &Self) -> bool {
-        match (*self, *other) {
-            (Coords::U16(a), Coords::U16(b)) => a == b,
-            (_, Coords::U32(b)) => self.eq_u32(b),
-            (Coords::U32(a), _) => other.eq_u32(a),
-        }
+        self.iter().eq(other.iter())
     }
 }
 
-impl Eq for Coords<'_> {}
+impl Eq for CellCoords<'_> {}
 
-impl Hash for Coords<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_usize(self.len());
-        self.iter().for_each(|c| state.write_u32(c));
+impl<T: AsRef<[u32]> + ?Sized> PartialEq<T> for CellCoords<'_> {
+    fn eq(&self, other: &T) -> bool {
+        self.iter().eq(other.as_ref().iter().copied())
     }
 }
 
-impl fmt::Debug for Coords<'_> {
+impl fmt::Debug for CellCoords<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
 }
 
-impl PartialEq<[u32]> for Coords<'_> {
-    fn eq(&self, other: &[u32]) -> bool {
-        self.eq_u32(other)
-    }
-}
-
-impl<const N: usize> PartialEq<[u32; N]> for Coords<'_> {
-    fn eq(&self, other: &[u32; N]) -> bool {
-        self.eq_u32(other)
-    }
-}
-
-impl<const N: usize> PartialEq<&[u32; N]> for Coords<'_> {
-    fn eq(&self, other: &&[u32; N]) -> bool {
-        self.eq_u32(*other)
-    }
-}
-
-impl<'a> From<&'a [u32]> for Coords<'a> {
-    fn from(coords: &'a [u32]) -> Self {
-        Coords::U32(coords)
-    }
-}
-
-impl<'a> From<&'a Vec<u32>> for Coords<'a> {
-    fn from(coords: &'a Vec<u32>) -> Self {
-        Coords::U32(coords)
-    }
-}
-
-impl<'a, const N: usize> From<&'a [u32; N]> for Coords<'a> {
-    fn from(coords: &'a [u32; N]) -> Self {
-        Coords::U32(coords)
+impl<'a, T: AsRef<[u32]> + ?Sized> From<&'a T> for CellCoords<'a> {
+    fn from(coords: &'a T) -> Self {
+        CellCoords::Given(coords.as_ref())
     }
 }
 
@@ -203,6 +181,15 @@ enum CoordVec {
 impl Default for CoordVec {
     fn default() -> Self {
         CoordVec::U16(Vec::new())
+    }
+}
+
+impl CoordVec {
+    fn view(&self) -> Coords<'_> {
+        match self {
+            CoordVec::U16(c) => Coords::U16(c),
+            CoordVec::U32(c) => Coords::U32(c),
+        }
     }
 }
 
@@ -610,72 +597,234 @@ impl Drop for ValueMut<'_> {
     }
 }
 
+/// How a [`ChunkData`] holds one dimension's coordinates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Column {
+    /// In the stored coordinates, at this position of each cell's.
+    Stored(u32),
+    /// Once, in the chunk's header: every cell holds this coordinate.
+    Constant(u32),
+}
+
+impl Column {
+    /// The coordinate every cell holds, for a constant column.
+    #[inline]
+    pub fn constant(self) -> Option<u32> {
+        match self {
+            Column::Constant(c) => Some(c),
+            Column::Stored(_) => None,
+        }
+    }
+}
+
+/// The header over `constants` (per dimension, the coordinate held once,
+/// or `None` for a stored column) and its stride.
+fn header(constants: impl IntoIterator<Item = Option<u32>>) -> (std::sync::Arc<[Column]>, usize) {
+    let mut stride = 0;
+    let header = constants.into_iter().map(|c| match c {
+        Some(c) => Column::Constant(c),
+        None => {
+            stride += 1;
+            Column::Stored(stride - 1)
+        }
+    });
+    (header.collect(), stride as usize)
+}
+
+/// The dimensions `header` stores, in order.
+fn stored_dims(header: &[Column]) -> impl Iterator<Item = usize> + '_ {
+    (0..header.len()).filter(|&d| header[d].constant().is_none())
+}
+
+/// Appends the `n` cells of `from` (row-major, `stride` coordinates a
+/// cell) to `out` at the columns `take` names ([`gather_columns`]).
+fn gather<S: Coord, C: Coord>(
+    from: &[S],
+    stride: usize,
+    n: usize,
+    take: &[Column],
+    out: &mut Vec<C>,
+) {
+    let start = out.len();
+    out.resize(start + n * take.len(), C::from_u32(0));
+    let item = |c: S| C::from_u32(c.into());
+    gather_columns(from, stride, take, &mut out[start..], item, C::from_u32);
+}
+
+/// Writes the cells of `from` (`stride` items a cell) into `to`, row-major
+/// at the columns `take` names (`take.len()` items a cell, as many cells
+/// as `to` holds): each column from the position in a cell its
+/// [`Column::Stored`] names, through `item`, or its [`Column::Constant`],
+/// through `constant`. It is how a block moves between layouts — a
+/// chunk's, another chunk's, a spill record's rows — so that each cell's
+/// adjacent stored columns move together: one strided pass a run of up to
+/// four, each cell's run a fixed-size copy. That runs about twice as fast
+/// as a pass a column on APB-1's layouts, and three to six times as fast
+/// as a cell at a time (whose inner loop is a `match` a coordinate).
+pub fn gather_columns<A: Copy, B: Copy>(
+    from: &[A],
+    stride: usize,
+    take: &[Column],
+    to: &mut [B],
+    item: impl Fn(A) -> B,
+    constant: impl Fn(u32) -> B,
+) {
+    let width = take.len();
+    let mut d = 0;
+    while d < width && !to.is_empty() {
+        d += match take[d] {
+            Column::Constant(c) => {
+                let c = constant(c);
+                to[d..].iter_mut().step_by(width).for_each(|x| *x = c);
+                1
+            }
+            Column::Stored(j) => {
+                let run = take[d..].iter().zip(j..);
+                let (from, at) = (from.chunks_exact(stride), j as usize);
+                let to = to.chunks_exact_mut(width);
+                match run
+                    .take_while(|&(&col, k)| col == Column::Stored(k))
+                    .count()
+                {
+                    1 => run_pass::<_, _, 1>(from, at, to, d, &item),
+                    2 | 3 => run_pass::<_, _, 2>(from, at, to, d, &item),
+                    _ => run_pass::<_, _, 4>(from, at, to, d, &item),
+                }
+            }
+        };
+    }
+}
+
+/// One pass of [`gather_columns`]: `K` adjacent columns of each cell of
+/// `from`, from position `at`, to position `d` of the same cell of `to`.
+/// Returns `K`.
+fn run_pass<'a, A: Copy + 'a, B: 'a, const K: usize>(
+    from: impl Iterator<Item = &'a [A]>,
+    at: usize,
+    to: impl Iterator<Item = &'a mut [B]>,
+    d: usize,
+    item: &impl Fn(A) -> B,
+) -> usize {
+    for (cell, row) in from.zip(to) {
+        let src: &[A; K] = cell[at..at + K].try_into().expect("K columns");
+        let dst: &mut [B; K] = (&mut row[d..d + K]).try_into().expect("K columns");
+        for k in 0..K {
+            dst[k] = item(src[k]);
+        }
+    }
+    K
+}
+
 /// The cells of a chunk (or of a query result spanning several chunks), as
 /// a structure of arrays: `n_dims` value coordinates per cell plus one
 /// measure value.
 ///
 /// Coordinates are value ids *at the chunk's group-by level* — a cell of a
 /// chunk at level `(0, 2)` stores a level-0 id for dimension 0 and a level-2
-/// id for dimension 1. They are held row-major at the narrowest [`Coord`]
-/// width that fits them: `u16` from the start, widened in place to `u32`
-/// the first time a pushed or appended coordinate passes [`NARROW_MAX`]
-/// (or built at `u32` by a producer whose bounds may pass it,
-/// [`ChunkData::from_raw`]). Values likewise are held at the narrowest
-/// [`Value`] width they round-trip through exactly: `u16` from the start,
-/// widened in place to `f32` or `f64` by the first pushed, appended or
-/// written value that does not ([`ValueVec`]). On APB-1 every coordinate
-/// fits, and nearly every value is a whole number that does, so a cell is
-/// `2·dims + 2` bytes of heap. The widths are
-/// invisible to `==`, which compares cells by value, and to
-/// [`ChunkData::accounting_bytes`].
+/// id for dimension 1. A dimension every cell agrees on is held once, in
+/// the header ([`Column::Constant`]); the others are stored row-major,
+/// `stride` a cell, at the narrowest [`Coord`] width that fits them. A
+/// column stays constant until the first pushed or appended cell that
+/// differs along it, and a stored coordinate `u16` until the first that
+/// passes [`NARROW_MAX`]; each switch happens in place, keeping the
+/// capacity in cells. An empty chunk takes the layout of the first chunk
+/// appended to it. Values likewise are held at the narrowest [`Value`]
+/// width they round-trip through exactly ([`ValueVec`]). On APB-1 every
+/// coordinate and nearly every value fits 16 bits, and Scenario is constant
+/// in every base chunk, so a base cell is `2·4 + 2` bytes of heap. The
+/// layout and widths are invisible to `==`, which compares cells by value,
+/// and to [`ChunkData::accounting_bytes`].
 #[derive(Debug, Clone, Default)]
 pub struct ChunkData {
-    n_dims: usize,
+    /// Where each dimension's coordinates are held, shared by clones.
+    header: std::sync::Arc<[Column]>,
+    /// The number of stored columns.
+    stride: usize,
     coords: CoordVec,
     values: ValueVec,
 }
 
 impl PartialEq for ChunkData {
     fn eq(&self, other: &Self) -> bool {
-        self.n_dims == other.n_dims
+        self.n_dims() == other.n_dims()
             && self.raw_values() == other.raw_values()
-            && self.raw_coords() == other.raw_coords()
+            && if self.header == other.header {
+                self.stored_coords().iter().eq(other.stored_coords().iter())
+            } else {
+                let cells = 0..self.len();
+                (0..self.n_dims())
+                    .all(|d| cells.clone().all(|i| self.coord(i, d) == other.coord(i, d)))
+            }
     }
 }
 
 impl ChunkData {
     /// Creates an empty container for cells with `n_dims` coordinates.
     pub fn new(n_dims: usize) -> Self {
-        Self {
-            n_dims,
-            coords: CoordVec::default(),
-            values: ValueVec::default(),
-        }
+        Self::with_capacity(n_dims, 0)
     }
 
-    /// Creates an empty container with room for `cells` narrow cells.
+    /// Creates an empty container with room for `cells` cells; the
+    /// coordinates get theirs once the layout is known.
     pub fn with_capacity(n_dims: usize, cells: usize) -> Self {
+        let (header, stride) = header((0..n_dims).map(|_| Some(0)));
         Self {
-            n_dims,
-            coords: CoordVec::U16(Vec::with_capacity(cells * n_dims)),
+            header,
+            stride,
+            coords: CoordVec::default(),
             values: ValueVec::with_capacity(cells),
         }
     }
 
-    /// Builds a container from parallel raw arrays, holding `coords` and
-    /// `values` at their own widths.
+    /// Builds a container from parallel raw arrays — every coordinate of
+    /// every cell, row-major — holding `values` at their own width and
+    /// each column all cells agree on once. `coords` is held as given when
+    /// no column is dropped; otherwise the stored columns are gathered
+    /// ([`gather`]) into a block at `u16` if they all fit.
     ///
     /// `coords.len()` must equal `values.len() * n_dims`.
     pub fn from_raw<C: Coord>(n_dims: usize, coords: Vec<C>, values: impl Into<ValueVec>) -> Self {
-        let values = values.into();
-        assert_eq!(coords.len(), values.len() * n_dims);
-        C::chunk(n_dims, coords, values)
+        // A column that varies mostly does so within its first few cells.
+        let constants: Vec<Option<u32>> = (0..n_dims)
+            .map(|d| match coords.get(d) {
+                Some(&first) => {
+                    let agree = coords.chunks_exact(n_dims).all(|cell| cell[d] == first);
+                    agree.then(|| first.into())
+                }
+                None => Some(0),
+            })
+            .collect();
+        let mut chunk = Self::from_stored(&vec![None; n_dims], coords, values);
+        if constants.iter().any(Option::is_some) {
+            chunk.relayout(constants);
+        }
+        chunk
     }
 
-    /// Number of coordinate slots per cell.
+    /// Builds a container laid out as `constants` says: per dimension, the
+    /// coordinate every cell holds, or `None` for a column `coords` holds
+    /// (row-major, at its own width; `values.len()` times the `None`s).
+    pub fn from_stored<C: Coord>(
+        constants: &[Option<u32>],
+        coords: Vec<C>,
+        values: impl Into<ValueVec>,
+    ) -> Self {
+        let (header, stride) = header(constants.iter().copied());
+        let values = values.into();
+        assert_eq!(coords.len(), values.len() * stride);
+        let chunk = ChunkData {
+            header,
+            stride,
+            coords: CoordVec::default(),
+            values,
+        };
+        C::holding(coords, chunk)
+    }
+
+    /// Number of coordinates per cell.
     #[inline]
     pub fn n_dims(&self) -> usize {
-        self.n_dims
+        self.header.len()
     }
 
     /// Number of cells.
@@ -690,21 +839,43 @@ impl ChunkData {
         self.len() == 0
     }
 
+    /// Where each dimension's coordinates are held.
+    #[inline]
+    pub fn columns(&self) -> &[Column] {
+        &self.header
+    }
+
+    /// The number of stored columns: coordinates a cell holds in
+    /// [`ChunkData::stored_coords`].
+    #[inline]
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
     /// Appends a cell — coordinates as a `u32` slice, array or vector, or
-    /// read off another chunk — widening the container first if a
+    /// read off another chunk — storing each column it differs from the
+    /// chunk's constant along and widening the container first if a stored
     /// coordinate or the value does not fit its width.
     #[inline]
-    pub fn push<'c>(&mut self, coords: impl Into<Coords<'c>>, value: f64) {
-        let coords = coords.into();
-        debug_assert_eq!(coords.len(), self.n_dims);
-        self.extend_coords(coords);
+    pub fn push<'c>(&mut self, coords: impl Into<CellCoords<'c>>, value: f64) {
+        let cell = coords.into();
+        debug_assert_eq!(cell.len(), self.n_dims());
+        self.hold(|d| Some(cell.get(d)));
+        if stored_dims(&self.header).any(|d| cell.get(d) > NARROW_MAX) {
+            self.widen();
+        }
+        let stored = stored_dims(&self.header).map(|d| cell.get(d));
+        match &mut self.coords {
+            CoordVec::U16(v) => v.extend(stored.map(u16::from_u32)),
+            CoordVec::U32(v) => v.extend(stored),
+        }
         self.values.push(value);
     }
 
-    /// Appends `coords` to the coordinate array, widening it first if one
-    /// does not fit. Copies by a plain loop: `extend_from_slice` of a
-    /// runtime-length slice is a libc `memmove` call, which costs more
-    /// than the few bytes of one cell.
+    /// Appends `coords`, stored columns laid out as this chunk's, widening
+    /// the array first if one does not fit. Copies by a plain loop:
+    /// `extend_from_slice` of a runtime-length slice is a libc `memmove`
+    /// call, which costs more than the few bytes of one cell.
     #[inline]
     fn extend_coords(&mut self, coords: Coords<'_>) {
         if let Coords::U32(c) = coords {
@@ -730,11 +901,80 @@ impl ChunkData {
         }
     }
 
+    /// Lays this chunk out to take cells holding dimension `d` once at
+    /// `incoming(d)` (or storing it, `None`): empty, it takes their layout;
+    /// else it stores each column it holds at another value than they do.
+    #[inline]
+    fn hold(&mut self, incoming: impl Fn(usize) -> Option<u32>) {
+        let kept = |d: usize| match self.header[d].constant() {
+            _ if self.is_empty() => incoming(d),
+            held => held.filter(|&c| incoming(d) == Some(c)),
+        };
+        if (0..self.n_dims()).any(|d| kept(d) != self.header[d].constant()) {
+            let constants = (0..self.n_dims()).map(kept).collect();
+            self.relayout(constants);
+        }
+    }
+
+    /// Moves the cells to the header over `constants` (a column it drops
+    /// must be constant), rebuilding the stored coordinates at the new
+    /// stride with the capacity in cells kept, at `u16` unless one they
+    /// hold does not fit. Out of line: a chunk does this at most once per
+    /// dimension after its first cell.
+    #[cold]
+    #[inline(never)]
+    fn relayout(&mut self, constants: Vec<Option<u32>>) {
+        let (header, stride) = header(constants);
+        let take = self.take(&header);
+        let empty = CoordVec::U16(Vec::with_capacity(self.values.capacity() * stride));
+        let old = std::mem::replace(&mut self.coords, empty);
+        self.extend_gathered(old.view(), self.stride, self.len(), &take);
+        (self.header, self.stride) = (header, stride);
+    }
+
+    /// Per column `header` stores, where `self` holds it: the column `take`
+    /// argument of [`gather`] that lays this chunk's cells out as `header`.
+    fn take(&self, header: &[Column]) -> Vec<Column> {
+        stored_dims(header).map(|d| self.header[d]).collect()
+    }
+
+    /// Appends the `n` cells of `from` (row-major, `stride` coordinates a
+    /// cell) at the columns `take` names ([`gather`]), widening the
+    /// coordinates first if one written does not fit `u16`.
+    fn extend_gathered(&mut self, from: Coords<'_>, stride: usize, n: usize, take: &[Column]) {
+        let narrow = n == 0
+            || take.iter().all(|&col| match (col, from) {
+                (Column::Constant(c), _) => c <= NARROW_MAX,
+                (Column::Stored(_), Coords::U16(_)) => true,
+                (Column::Stored(j), Coords::U32(c)) => c
+                    .chunks_exact(stride)
+                    .all(|cell| cell[j as usize] <= NARROW_MAX),
+            });
+        if !narrow {
+            self.widen();
+        }
+        match (&mut self.coords, from) {
+            (CoordVec::U16(to), Coords::U16(c)) => gather(c, stride, n, take, to),
+            (CoordVec::U16(to), Coords::U32(c)) => gather(c, stride, n, take, to),
+            (CoordVec::U32(to), Coords::U16(c)) => gather(c, stride, n, take, to),
+            (CoordVec::U32(to), Coords::U32(c)) => gather(c, stride, n, take, to),
+        }
+    }
+
+    /// Coordinate `d` of cell `i`.
+    #[inline]
+    fn coord(&self, i: usize, d: usize) -> u32 {
+        match self.header[d] {
+            Column::Stored(j) => self.stored_coords().get(i * self.stride + j as usize),
+            Column::Constant(c) => c,
+        }
+    }
+
     /// The coordinates of cell `i`.
     #[inline]
-    pub fn coords_of(&self, i: usize) -> Coords<'_> {
-        self.raw_coords()
-            .slice(i * self.n_dims..(i + 1) * self.n_dims)
+    pub fn coords_of(&self, i: usize) -> CellCoords<'_> {
+        assert!(i < self.len(), "cell {i} of {}", self.len());
+        CellCoords::Of(self, i)
     }
 
     /// The measure value of cell `i`.
@@ -756,21 +996,18 @@ impl ChunkData {
     }
 
     /// Iterates over `(coords, value)` pairs. A hot loop reads
-    /// [`ChunkData::raw_coords`] and [`ChunkData::raw_values`] instead,
-    /// once per chunk.
-    pub fn iter(&self) -> impl Iterator<Item = (Coords<'_>, f64)> + '_ {
+    /// [`ChunkData::columns`], [`ChunkData::stored_coords`] and
+    /// [`ChunkData::raw_values`] instead, once per chunk.
+    pub fn iter(&self) -> impl Iterator<Item = (CellCoords<'_>, f64)> + '_ {
         let values = self.raw_values();
-        (0..self.len()).map(move |i| (self.coords_of(i), values.get(i)))
+        (0..self.len()).map(move |i| (CellCoords::Of(self, i), values.get(i)))
     }
 
-    /// The flattened coordinate array (`len() * n_dims()` entries) at its
-    /// width.
+    /// The stored coordinates (`len() * stride()` entries, row-major over
+    /// the stored columns in dimension order) at their width.
     #[inline]
-    pub fn raw_coords(&self) -> Coords<'_> {
-        match &self.coords {
-            CoordVec::U16(c) => Coords::U16(c),
-            CoordVec::U32(c) => Coords::U32(c),
-        }
+    pub fn stored_coords(&self) -> Coords<'_> {
+        self.coords.view()
     }
 
     /// The measure array at its width.
@@ -780,29 +1017,31 @@ impl ChunkData {
     }
 
     /// Accounting size in bytes (paper convention: 20 bytes per tuple),
-    /// whatever the widths.
+    /// whatever the layout and widths.
     #[inline]
     pub fn accounting_bytes(&self) -> usize {
         self.len() * PAPER_TUPLE_BYTES
     }
 
-    /// Actual in-memory payload size in bytes, at the widths held.
+    /// Actual in-memory payload size in bytes: the stored coordinates and
+    /// the values, at the widths held (the header, a word a dimension, is
+    /// per chunk and not counted).
     #[inline]
     pub fn heap_bytes(&self) -> usize {
         let coords = match &self.coords {
-            CoordVec::U16(c) => c.capacity() * std::mem::size_of::<u16>(),
-            CoordVec::U32(c) => c.capacity() * std::mem::size_of::<u32>(),
+            CoordVec::U16(c) => heap(c),
+            CoordVec::U32(c) => heap(c),
         };
         coords + self.values.heap_bytes()
     }
 
-    /// Makes room for exactly `cells` more cells at the current widths, so
-    /// that appending parts whose total is known costs one allocation and
-    /// leaves no slack.
+    /// Makes room for exactly `cells` more cells at the current layout and
+    /// widths, so that appending parts whose total is known costs one
+    /// allocation and leaves no slack.
     pub fn reserve_exact(&mut self, cells: usize) {
         match &mut self.coords {
-            CoordVec::U16(c) => c.reserve_exact(cells * self.n_dims),
-            CoordVec::U32(c) => c.reserve_exact(cells * self.n_dims),
+            CoordVec::U16(c) => c.reserve_exact(cells * self.stride),
+            CoordVec::U32(c) => c.reserve_exact(cells * self.stride),
         }
         self.values.reserve_exact(cells);
     }
@@ -812,21 +1051,71 @@ impl ChunkData {
         self.extend_from(other, 0..other.len());
     }
 
-    /// Appends cells `cells` of `src` (same arity required).
+    /// Appends cells `cells` of `src` (same arity required): one block
+    /// copy when the two chunks share a layout. Otherwise this chunk first
+    /// stores every column it holds once that `src` stores or holds at
+    /// another value — or, empty, takes `src`'s layout — and then takes
+    /// each stored column from `src`'s column or constant.
     pub fn extend_from(&mut self, src: &ChunkData, cells: Range<usize>) {
-        assert_eq!(self.n_dims, src.n_dims, "arity mismatch");
-        let n = self.n_dims;
-        self.extend_coords(src.raw_coords().slice(cells.start * n..cells.end * n));
+        assert_eq!(self.n_dims(), src.n_dims(), "arity mismatch");
+        if cells.is_empty() {
+            return;
+        }
+        self.hold(|d| src.header[d].constant());
+        let (n, s) = (cells.len(), src.stride);
+        let from = src.stored_coords().slice(cells.start * s..cells.end * s);
+        if self.header == src.header {
+            self.extend_coords(from);
+        } else {
+            self.extend_gathered(from, s, n, &src.take(&self.header));
+        }
         self.values.extend_from_view(src.raw_values().slice(cells));
+    }
+
+    /// This chunk's cells laid out as `like` holds its own — `like`'s
+    /// header and coordinate width — so that code can walk the stored
+    /// coordinates of both side by side; `None` when they differ along a
+    /// column `like` holds once, or a coordinate that `like` stores does
+    /// not fit its width.
+    pub fn laid_out_as(&self, like: &ChunkData) -> Option<ChunkData> {
+        assert_eq!(self.n_dims(), like.n_dims(), "arity mismatch");
+        let held = |d: usize| match like.header[d] {
+            Column::Constant(_) => like.header[d] == self.header[d],
+            Column::Stored(_) => true,
+        };
+        if !self.is_empty() && !(0..self.n_dims()).all(held) {
+            return None;
+        }
+        let room = self.len() * like.stride;
+        let coords = match like.coords {
+            CoordVec::U16(_) => CoordVec::U16(Vec::with_capacity(room)),
+            CoordVec::U32(_) => CoordVec::U32(Vec::with_capacity(room)),
+        };
+        let (header, stride) = (like.header.clone(), like.stride);
+        let values = self.values.clone();
+        let mut out = ChunkData {
+            header,
+            stride,
+            coords,
+            values,
+        };
+        let take = self.take(&like.header);
+        out.extend_gathered(self.stored_coords(), self.stride, self.len(), &take);
+        let same_width =
+            std::mem::discriminant(&out.coords) == std::mem::discriminant(&like.coords);
+        same_width.then_some(out)
     }
 
     /// Sorts cells lexicographically by coordinates (for deterministic
     /// comparison in tests and stable output), in place: the order is
-    /// sorted as a `u32` index, then applied cycle by cycle inside the
-    /// cell arrays, so the only extra memory is the index (4 bytes a cell).
+    /// sorted as a `u32` index over the stored columns — a constant one
+    /// orders nothing — then applied cycle by cycle inside the cell arrays,
+    /// so the only extra memory is the index (4 bytes a cell).
     pub fn sort_by_coords(&mut self) {
-        let d = self.n_dims;
-        each_width!(ValueStore, &mut self.values.0, values => sort_at(&mut self.coords, values, d))
+        let d = self.stride;
+        if d > 0 {
+            each_width!(ValueStore, &mut self.values.0, values => sort_at(&mut self.coords, values, d))
+        }
     }
 
     /// Shrinks the backing buffers to fit (cached chunks are immutable once
@@ -886,7 +1175,12 @@ mod tests {
     use proptest::prelude::*;
 
     fn is_wide(d: &ChunkData) -> bool {
-        matches!(d.raw_coords(), Coords::U32(_))
+        matches!(d.stored_coords(), Coords::U32(_))
+    }
+
+    /// Every coordinate of every cell, row-major over all dimensions.
+    fn all_coords(d: &ChunkData) -> Vec<u32> {
+        d.iter().flat_map(|(c, _)| c.iter()).collect()
     }
 
     fn has_wide_values(d: &ChunkData) -> bool {
@@ -903,15 +1197,16 @@ mod tests {
     }
 
     /// `cells` pushed into a fresh (narrow) container, and the same cells
-    /// built at `u32` and `f64`.
+    /// in the same layout built at `u32` and `f64`.
     fn both_widths(d: usize, cells: &[(Vec<u32>, f64)]) -> (ChunkData, ChunkData) {
         let mut narrow = ChunkData::new(d);
         for (coords, value) in cells {
             narrow.push(coords, *value);
         }
-        let coords: Vec<u32> = cells.iter().flat_map(|(c, _)| c.iter().copied()).collect();
+        let constants: Vec<Option<u32>> = narrow.columns().iter().map(|c| c.constant()).collect();
+        let stored: Vec<u32> = narrow.stored_coords().iter().collect();
         let values: Vec<f64> = cells.iter().map(|&(_, v)| v).collect();
-        (narrow, ChunkData::from_raw(d, coords, values))
+        (narrow, ChunkData::from_stored(&constants, stored, values))
     }
 
     /// Values whose bits `f32` does not keep: one rounded, one integer past
@@ -948,6 +1243,9 @@ mod tests {
         assert_eq!(d.accounting_bytes(), 220, "the width is not accounted");
     }
 
+    /// Two bytes a stored coordinate; the four columns every cell agrees
+    /// on, the one at `NARROW_MAX` among them, are held once and cost no
+    /// heap a cell.
     #[test]
     fn a_narrow_cell_costs_two_bytes_a_coordinate() {
         let mut d = ChunkData::with_capacity(5, 10);
@@ -955,7 +1253,65 @@ mod tests {
             d.push(&[i, 1, 2, 3, NARROW_MAX], 1.0);
         }
         assert!(!is_wide(&d) && value_bytes(&d) == 2);
-        assert_eq!(d.heap_bytes(), 10 * (2 * 5 + 2));
+        assert_eq!(d.stride(), 1);
+        assert_eq!(d.heap_bytes(), 10 * (2 + 2));
+        let mut e = ChunkData::with_capacity(5, 10);
+        for i in 0..10 {
+            e.push(&[i, i + 1, i + 2, i + 3, NARROW_MAX - i], 1.0);
+        }
+        assert_eq!(e.heap_bytes(), 10 * (2 * 5 + 2));
+    }
+
+    /// A coordinate past `u16` that every cell holds is held once, at
+    /// `u32`, and leaves the stored coordinates at `u16` — through every
+    /// entry — until a cell differs along its column, which stores it
+    /// wide.
+    #[test]
+    fn a_constant_past_u16_keeps_a_chunk_narrow() {
+        let big = NARROW_MAX + 7;
+        let cells = [[1, big], [2, big], [3, big]];
+        let mut pushed = ChunkData::with_capacity(2, 4);
+        for c in &cells {
+            pushed.push(c, 1.0);
+        }
+        let flat: Vec<u32> = cells.concat();
+        let raw = ChunkData::from_raw(2, flat.clone(), vec![1.0; 3]);
+        let mut appended = ChunkData::new(2);
+        appended.append(&pushed);
+        let stored = ChunkData::from_stored(&[None, Some(big)], vec![1u16, 2, 3], vec![1.0; 3]);
+        for d in [&pushed, &appended, &stored, &raw] {
+            assert!(!is_wide(d));
+            assert_eq!(d.columns(), [Column::Stored(0), Column::Constant(big)]);
+            assert_eq!(all_coords(d), flat);
+            assert_eq!(*d, raw);
+        }
+        assert_eq!(raw.columns(), pushed.columns());
+        assert_eq!(pushed.heap_bytes(), 4 * (2 + 2));
+        pushed.push(&[4, 5], 1.0);
+        assert!(is_wide(&pushed));
+        assert_eq!(pushed.heap_bytes(), 4 * (4 * 2 + 2), "the capacity is kept");
+        assert_eq!(pushed.coords_of(2), [3, big]);
+        assert_eq!(pushed.coords_of(3), [4, 5]);
+    }
+
+    /// A chunk is laid out as another only where that one's constants
+    /// and width hold its cells.
+    #[test]
+    fn laid_out_as_refuses_what_the_layout_cannot_hold() {
+        let like = ChunkData::from_raw(2, vec![1u16, 5, 2, 5], vec![1.0, 2.0]);
+        assert_eq!(like.columns(), [Column::Stored(0), Column::Constant(5)]);
+        let fits = ChunkData::from_raw(2, vec![3u32, 5, 4, 5], vec![3.0, 4.0]);
+        let laid = fits.laid_out_as(&like).unwrap();
+        assert!(!is_wide(&laid));
+        assert_eq!((laid.columns(), &laid), (like.columns(), &fits));
+        let other_constant = ChunkData::from_raw(2, vec![3u16, 6, 4, 6], vec![3.0, 4.0]);
+        assert!(other_constant.laid_out_as(&like).is_none());
+        let too_wide = ChunkData::from_raw(2, vec![NARROW_MAX + 1, 5, 4, 5], vec![3.0, 4.0]);
+        assert!(too_wide.laid_out_as(&like).is_none());
+        // Laid out as a wide chunk, narrow cells widen.
+        let laid = like.laid_out_as(&too_wide).unwrap();
+        assert!(is_wide(&laid));
+        assert_eq!(laid, like);
     }
 
     #[test]
@@ -1035,7 +1391,7 @@ mod tests {
             data.sort_by_coords();
             prop_assert_eq!(data.heap_bytes(), heap);
             let want: Vec<u32> = gathered.iter().flat_map(|(c, _)| c.iter().copied()).collect();
-            prop_assert_eq!(data.raw_coords().to_vec(), want);
+            prop_assert_eq!(all_coords(&data), want);
             // Equal coordinates may come out in any order: compare the
             // cells as a multiset.
             let mut got: Vec<_> = data.iter().map(|(c, v)| (c.to_vec(), v.to_bits())).collect();
@@ -1064,15 +1420,16 @@ mod tests {
             prop_assert!(narrow.iter().eq(wide.iter()));
             narrow.shrink_to_fit();
             wide.shrink_to_fit();
+            prop_assert_eq!(narrow.columns(), wide.columns());
             prop_assert_eq!(
-                narrow.heap_bytes() + (2 * d + 8 - value_bytes(&narrow)) * cells.len(),
+                narrow.heap_bytes() + (2 * narrow.stride() + 8 - value_bytes(&narrow)) * cells.len(),
                 wide.heap_bytes()
             );
             // Distinct cells sort to one order; equal ones carry their
             // value, so compare the multiset after the sort.
             narrow.sort_by_coords();
             wide.sort_by_coords();
-            prop_assert_eq!(narrow.raw_coords(), wide.raw_coords());
+            prop_assert_eq!(all_coords(&narrow), all_coords(&wide));
             let key = |d: &ChunkData| {
                 let mut cells: Vec<_> = d.iter().map(|(c, v)| (c.to_vec(), v.to_bits())).collect();
                 cells.sort_unstable();
@@ -1136,7 +1493,7 @@ mod tests {
         wide.sort_by_coords();
         for other in [&mut single, &mut narrow] {
             other.sort_by_coords();
-            prop_assert_eq!(other.raw_coords(), wide.raw_coords());
+            prop_assert_eq!(all_coords(other), all_coords(&wide));
             prop_assert_eq!(key(other), key(&wide));
         }
         let mut other = narrow.clone();
@@ -1233,7 +1590,7 @@ mod tests {
             d.push(&[0], v);
         }
         assert_eq!(value_bytes(&d), 2);
-        assert_eq!(d.heap_bytes(), 8 * (2 + 2));
+        assert_eq!(d.heap_bytes(), 8 * 2, "the one coordinate is held once");
         *d.value_of_mut(0) = 7.0;
         assert_eq!(value_bytes(&d), 2, "a written value that fits stays narrow");
         for v in [-0.0, 0.5, 65_536.0, -1.0] {
@@ -1376,6 +1733,120 @@ mod tests {
         }
     }
 
+    /// `d`-dimensional cells (no NaN among their values) where some
+    /// dimensions hold one coordinate, past `u16` for some, and the others
+    /// vary over a few values — or happen to agree too.
+    fn arb_layout() -> impl Strategy<Value = (usize, Vec<(Vec<u32>, f64)>)> {
+        (1usize..=4).prop_flat_map(|d| {
+            let value = prop_oneof![(0u32..=70_000).prop_map(f64::from), -1e3f64..1e3];
+            let cells =
+                proptest::collection::vec((proptest::collection::vec(0u32..6, d), value), 1..=40);
+            (proptest::collection::vec(0u32..8, d), cells, 0u32..6).prop_map(
+                move |(kinds, mut cells, spread)| {
+                    for (coords, _) in &mut cells {
+                        for (c, &kind) in coords.iter_mut().zip(&kinds) {
+                            *c = match kind {
+                                0..=3 => *c % (spread + 1),
+                                4 | 5 => kind - 4,
+                                _ => NARROW_MAX + kind - 6,
+                            };
+                        }
+                    }
+                    (d, cells)
+                },
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Chunks built from the same cells by `push`, `append`,
+        /// `extend_from`, `from_raw` and a collected `from_raw` each equal
+        /// the cells held fully, by value; each holds the columns its cells
+        /// agree on once (`extend_from` of a fully held chunk keeps its
+        /// layout), and its heap is its stored columns and values only.
+        #[test]
+        fn constant_columns_are_held_once_through_every_entry(
+            layout in arb_layout(),
+            cut in 0usize..40,
+        ) {
+            let (d, cells) = layout;
+            let flat: Vec<u32> = cells.iter().flat_map(|(c, _)| c.iter().copied()).collect();
+            let values: Vec<f64> = cells.iter().map(|&(_, v)| v).collect();
+            let full = ChunkData::from_stored(&vec![None; d], flat.clone(), values.clone());
+            prop_assert_eq!(full.stride(), d);
+            let agreed: Vec<Option<u32>> = (0..d)
+                .map(|k| {
+                    let first = cells[0].0[k];
+                    cells.iter().all(|(c, _)| c[k] == first).then_some(first)
+                })
+                .collect();
+
+            let mut pushed = ChunkData::new(d);
+            let cut = cut.min(cells.len());
+            let mut parts = [ChunkData::new(d), ChunkData::new(d)];
+            for (i, (c, v)) in cells.iter().enumerate() {
+                pushed.push(c, *v);
+                parts[usize::from(i >= cut)].push(c, *v);
+            }
+            let mut appended = ChunkData::with_capacity(d, cells.len());
+            parts.iter().for_each(|part| appended.append(part));
+            let mut extended = ChunkData::new(d);
+            extended.extend_from(&full, 0..cut);
+            extended.extend_from(&full, cut..cells.len());
+            let raw = ChunkData::from_raw(d, flat.clone(), values.clone());
+            let collected =
+                ChunkData::from_raw(d, flat.clone(), values.iter().copied().collect::<ValueVec>());
+
+            let chunks_pushed = pushed.clone();
+            for (how, mut chunk) in [
+                ("push", pushed),
+                ("append", appended),
+                ("extend_from", extended),
+                ("from_raw", raw),
+                ("collect", collected),
+            ] {
+                prop_assert_eq!(&chunk, &full, "{}", how);
+                prop_assert_eq!(&full, &chunk, "{}", how);
+                prop_assert_eq!(all_coords(&chunk), flat.clone(), "{}", how);
+                let constants: Vec<Option<u32>> =
+                    chunk.columns().iter().map(|c| c.constant()).collect();
+                if how == "extend_from" {
+                    prop_assert_eq!(chunk.columns(), full.columns());
+                } else {
+                    prop_assert_eq!(&constants, &agreed, "{}", how);
+                }
+                // `from_raw` keeps the width it is given unless it drops a
+                // column; the others widen on the first stored coordinate
+                // past `u16`.
+                let wide = chunk.stored_coords().iter().any(|c| c > NARROW_MAX);
+                let given = (how == "from_raw" || how == "collect") && chunk.stride() == d;
+                prop_assert_eq!(is_wide(&chunk), wide || given, "{}", how);
+                // The pushed cells laid out as this chunk are this chunk.
+                let laid = chunks_pushed.laid_out_as(&chunk).expect("the layout holds them");
+                prop_assert_eq!(laid.columns(), chunk.columns(), "{}", how);
+                prop_assert_eq!(is_wide(&laid), is_wide(&chunk), "{}", how);
+                prop_assert_eq!(&laid, &chunk, "{}", how);
+                chunk.shrink_to_fit();
+                let coord_bytes = if is_wide(&chunk) { 4 } else { 2 };
+                prop_assert_eq!(
+                    chunk.heap_bytes(),
+                    cells.len() * (chunk.stride() * coord_bytes + value_bytes(&chunk)),
+                    "{}", how
+                );
+            }
+
+            // A cell that differs only along a column the others hold
+            // once breaks equality.
+            if let Some(k) = agreed.iter().position(Option::is_some) {
+                let mut changed = flat.clone();
+                changed[k] += 1;
+                prop_assert_ne!(&ChunkData::from_raw(d, changed, values.clone()), &full);
+            }
+        }
+    }
+
     #[test]
     fn a_wide_source_whose_values_fit_appends_narrow() {
         let wide = ChunkData::from_raw(1, vec![0u16, 1], vec![1.0, -0.0]);
@@ -1409,20 +1880,26 @@ mod tests {
         assert_eq!(format!("{:?}", Values::F32(&[1.5])), "[1.5]");
     }
 
+    /// One cell given, or read off a chunk at either width that holds
+    /// its second column once, compares alike.
     #[test]
     fn views_compare_by_value_across_widths() {
-        let narrow = Coords::U16(&[1, 2]);
-        let wide = Coords::U32(&[1, 2]);
-        assert_eq!(narrow, wide);
-        assert_ne!(narrow, Coords::U32(&[1, 70_000]));
-        assert_ne!(narrow, Coords::U32(&[1, 2, 3]));
-        let hash = |c: Coords| {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            c.hash(&mut h);
-            h.finish()
-        };
-        assert_eq!(hash(narrow), hash(wide));
-        assert_eq!(format!("{narrow:?}"), "[1, 2]");
+        let chunk = ChunkData::from_raw(2, vec![1u16, 2, 3, 2], vec![0.0, 0.0]);
+        let wide_chunk = ChunkData::from_raw(2, vec![1u32, 2, 3, 2], vec![0.0, 0.0]);
+        assert_eq!(chunk.columns(), [Column::Stored(0), Column::Constant(2)]);
+        let cells = [
+            CellCoords::from(&[1, 2]),
+            chunk.coords_of(0),
+            wide_chunk.coords_of(0),
+        ];
+        for c in &cells {
+            assert_eq!(*c, cells[0]);
+            assert_eq!(format!("{c:?}"), "[1, 2]");
+        }
+        assert_ne!(chunk.coords_of(1), cells[0]);
+        assert_ne!(chunk.coords_of(0), [1, 2, 3]);
+        assert_eq!(chunk.coords_of(1), [3, 2]);
+        assert_eq!(chunk, wide_chunk);
     }
 
     #[test]

@@ -1,3 +1,4 @@
+use crate::{ChunkData, Column};
 use crate::{ChunkError, ChunkKey, ChunkNumber, Coord, Coords, DimChunking, PACK_CHUNK_BITS};
 use aggcache_schema::{GroupById, Schema};
 use std::sync::Arc;
@@ -278,28 +279,33 @@ impl ChunkGrid {
     }
 
     /// The chunk of `gb` each tuple of `tuples` lands in, where the tuples
-    /// are row-major value coordinates (one per dimension) at level `from`
-    /// (at or below `gb`'s level componentwise): per dimension, the value
-    /// rolls up to `gb`'s level through the composed roll-up table, then
-    /// the value→chunk table and the linearization weight place it. The
-    /// composed table is the identity when `from` is `gb`'s own level.
+    /// are value coordinates at level `from` (at or below `gb`'s level
+    /// componentwise): per dimension, the value rolls up to `gb`'s level
+    /// through the composed roll-up table, then the value→chunk table and
+    /// the linearization weight place it. The composed table is the
+    /// identity when `from` is `gb`'s own level. A column the tuples hold
+    /// once is placed once, for all of them.
     pub fn chunk_numbers(
         &self,
         from: &[u8],
         gb: GroupById,
-        tuples: Coords<'_>,
+        tuples: &ChunkData,
     ) -> Vec<ChunkNumber> {
         let geom = self.geom(gb);
-        let dims: Vec<(&[u32], &[u32], u64)> = (0..self.dims.len())
-            .map(|d| {
-                let level = geom.level()[d];
-                let rollup = self.schema.dimension(d).composed_rollup(from[d], level);
-                (rollup, self.dims[d].chunk_of_table(level), geom.weight(d))
-            })
-            .collect();
-        match tuples {
-            Coords::U16(c) => chunk_numbers_at(&dims, c),
-            Coords::U32(c) => chunk_numbers_at(&dims, c),
+        let mut shared = 0;
+        let mut dims: Vec<(&[u32], &[u32], u64)> = Vec::with_capacity(tuples.stride());
+        for (d, col) in tuples.columns().iter().enumerate() {
+            let level = geom.level()[d];
+            let rollup = self.schema.dimension(d).composed_rollup(from[d], level);
+            let (table, w) = (self.dims[d].chunk_of_table(level), geom.weight(d));
+            match *col {
+                Column::Constant(c) => shared += w * u64::from(table[rollup[c as usize] as usize]),
+                Column::Stored(_) => dims.push((rollup, table, w)),
+            }
+        }
+        match tuples.stored_coords() {
+            Coords::U16(c) => chunk_numbers_at(&dims, shared, tuples.len(), c),
+            Coords::U32(c) => chunk_numbers_at(&dims, shared, tuples.len(), c),
         }
     }
 
@@ -418,16 +424,22 @@ fn lattice_weight(lattice: &aggcache_schema::Lattice, d: usize) -> u32 {
     one.0 - zero.0
 }
 
-/// [`ChunkGrid::chunk_numbers`] at one width, given each dimension's
-/// roll-up table, value→chunk table and weight.
-fn chunk_numbers_at<C: Coord>(dims: &[(&[u32], &[u32], u64)], tuples: &[C]) -> Vec<ChunkNumber> {
-    let chunk_of = |coords: &[C]| -> ChunkNumber {
-        let parts = dims.iter().zip(coords);
-        parts
-            .map(|(&(rollup, table, w), &c)| w * u64::from(table[rollup[c.index()] as usize]))
-            .sum()
+/// [`ChunkGrid::chunk_numbers`] at one width over `n` tuples' stored
+/// coordinates, given each stored dimension's roll-up table, value→chunk
+/// table and weight, and what the constant ones add.
+fn chunk_numbers_at<C: Coord>(
+    dims: &[(&[u32], &[u32], u64)],
+    shared: u64,
+    n: usize,
+    tuples: &[C],
+) -> Vec<ChunkNumber> {
+    let chunk_of = |i: usize| -> ChunkNumber {
+        let parts = dims.iter().zip(&tuples[i * dims.len()..]);
+        parts.fold(shared, |num, (&(rollup, table, w), &c)| {
+            num + w * u64::from(table[rollup[c.index()] as usize])
+        })
     };
-    tuples.chunks_exact(dims.len()).map(chunk_of).collect()
+    (0..n).map(chunk_of).collect()
 }
 
 #[cfg(test)]
@@ -650,7 +662,8 @@ mod tests {
                 })
                 .collect();
             let flat: Vec<u32> = tuples.concat();
-            let got = g.chunk_numbers(&from, gb, Coords::U32(&flat));
+            let values = vec![0.0; tuples.len()];
+            let got = g.chunk_numbers(&from, gb, &ChunkData::from_raw(3, flat, values));
             let want: Vec<ChunkNumber> = tuples
                 .iter()
                 .map(|t| {

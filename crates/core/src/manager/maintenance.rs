@@ -7,7 +7,7 @@ use crate::error::CacheError;
 use crate::metrics::{CACHE_PER_TUPLE_US, UPDATE_PER_WRITE_US};
 use crate::request::UpdateMetrics;
 use aggcache_chunks::{
-    ChunkData, ChunkGrid, ChunkKey, ChunkNumber, Coord, Coords, ValueVec, Values,
+    CellCoords, ChunkData, ChunkGrid, ChunkKey, ChunkNumber, Coord, Coords, ValueVec, Values,
 };
 use aggcache_obs::Event;
 use aggcache_schema::GroupById;
@@ -24,8 +24,8 @@ struct Landing {
 
 impl Landing {
     fn of(grid: &ChunkGrid, fact_level: &[u8], gb: GroupById, eff: &EffectiveDelta) -> Self {
-        let mut chunks = grid.chunk_numbers(fact_level, gb, eff.inserted.raw_coords());
-        chunks.extend(grid.chunk_numbers(fact_level, gb, eff.deleted.raw_coords()));
+        let mut chunks = grid.chunk_numbers(fact_level, gb, &eff.inserted);
+        chunks.extend(grid.chunk_numbers(fact_level, gb, &eff.deleted));
         let mut hit = chunks.clone();
         hit.sort_unstable();
         hit.dedup();
@@ -38,7 +38,7 @@ fn share<'a>(
     data: &'a ChunkData,
     chunks: &'a [ChunkNumber],
     chunk: ChunkNumber,
-) -> impl Iterator<Item = (Coords<'a>, f64)> {
+) -> impl Iterator<Item = (CellCoords<'a>, f64)> {
     data.iter()
         .zip(chunks)
         .filter(move |(_, &c)| c == chunk)
@@ -71,40 +71,50 @@ fn lower_bound<C: Coord>(coords: &[C], n: usize, range: Range<usize>, key: &[C])
 /// is right whatever order `old` is in; the order equals a fresh
 /// recompute's because every producer of resident data
 /// ([`Aggregator::finish`], a spill decode or peer copy of one) emits
-/// coordinate-sorted cells. The merge runs at the two chunks' coordinate
-/// width, or at `u32` when only one of them holds a coordinate past `u16`.
+/// coordinate-sorted cells. The merge walks `old`'s stored coordinates in
+/// place and the delta laid out as `old` ([`ChunkData::laid_out_as`]), and
+/// writes `old`'s layout. Only when `delta` differs along a column `old`
+/// holds once, or stores a coordinate past `old`'s width, are both first
+/// copied into the layout that holds them together.
 fn merge_cells(old: &ChunkData, delta: &ChunkData, agg: AggFn) -> ChunkData {
-    let (old_values, delta_values) = (old.raw_values(), delta.raw_values());
-    match (old.raw_coords(), delta.raw_coords()) {
-        (Coords::U16(o), Coords::U16(d)) => {
-            merge_at(old.n_dims(), (o, old_values), (d, delta_values), agg)
+    let joint;
+    let (old, delta) = match delta.laid_out_as(old) {
+        Some(delta) => (old, delta),
+        None => {
+            let mut both = ChunkData::with_capacity(old.n_dims(), old.len() + delta.len());
+            both.append(old);
+            both.append(delta);
+            let laid_out = |d: &ChunkData| d.laid_out_as(&both).expect("both hold every cell");
+            joint = laid_out(old);
+            (&joint, laid_out(delta))
         }
-        (Coords::U32(o), Coords::U32(d)) => {
-            merge_at(old.n_dims(), (o, old_values), (d, delta_values), agg)
-        }
-        (o, d) => merge_at(
-            old.n_dims(),
-            (&o.to_vec(), old_values),
-            (&d.to_vec(), delta_values),
-            agg,
-        ),
+    };
+    let constants: Vec<Option<u32>> = old.columns().iter().map(|c| c.constant()).collect();
+    let values = (old.raw_values(), delta.raw_values());
+    let n = old.stride();
+    match (old.stored_coords(), delta.stored_coords()) {
+        (Coords::U16(o), Coords::U16(d)) => merge_at(&constants, n, (o, d), values, agg),
+        (Coords::U32(o), Coords::U32(d)) => merge_at(&constants, n, (o, d), values, agg),
+        _ => unreachable!("a chunk laid out as another holds its width"),
     }
 }
 
-/// [`merge_cells`] at one coordinate width, over `(coords, values)`
-/// pairs. Values combine at `f64` and land at the narrowest width that
-/// holds them ([`ValueVec`]).
+/// [`merge_cells`] at one coordinate width, over the `(old, delta)` cells'
+/// stored coordinates, `n` a cell, and their values, into a chunk holding
+/// `constants`. Values combine at `f64` and land at the narrowest width
+/// that holds them ([`ValueVec`]).
 fn merge_at<C: Coord>(
+    constants: &[Option<u32>],
     n: usize,
-    old: (&[C], Values),
-    delta: (&[C], Values),
+    (old, delta): (&[C], &[C]),
+    (old_values, delta_values): (Values, Values),
     agg: AggFn,
 ) -> ChunkData {
-    let ((old, old_values), (delta, delta_values)) = (old, delta);
     let delta_cell = |j: usize| &delta[j * n..(j + 1) * n];
     let mut values = old_values.to_vec();
     let mut matched = vec![false; delta_values.len()];
-    for (value, coords) in values.iter_mut().zip(old.chunks_exact(n)) {
+    for (i, value) in values.iter_mut().enumerate() {
+        let coords = &old[i * n..(i + 1) * n];
         let j = lower_bound(delta, n, 0..delta_values.len(), coords);
         if j < delta_values.len() && delta_cell(j) == coords {
             *value = agg.combine(*value, delta_values.get(j));
@@ -125,7 +135,7 @@ fn merge_at<C: Coord>(
     }
     out_coords.extend_from_slice(&old[from * n..]);
     out_values.extend(values[from..].iter().copied());
-    ChunkData::from_raw(n, out_coords, out_values)
+    ChunkData::from_stored(constants, out_coords, out_values)
 }
 
 impl CacheManager {
@@ -344,6 +354,11 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Every coordinate of every cell, row-major, whatever the layout.
+    fn all_coords(d: &ChunkData) -> Vec<u32> {
+        d.iter().flat_map(|(c, _)| c.iter()).collect()
+    }
+
     fn manager_with(strategy: Strategy, agg: AggFn) -> CacheManager {
         CacheManager::builder()
             .strategy(strategy)
@@ -512,7 +527,7 @@ mod tests {
         for key in keys {
             let fresh = mgr.backend().fetch(key.gb, &[key.chunk]).unwrap();
             let (want, got) = (&fresh.chunks[0].1, &mgr.cache().peek(&key).unwrap().data);
-            assert_eq!(got.raw_coords(), want.raw_coords(), "{key:?}");
+            assert_eq!(all_coords(got), all_coords(want), "{key:?}");
             let same_bits = |(a, b): (f64, f64)| a.to_bits() == b.to_bits();
             assert!(
                 got.raw_values()
@@ -526,7 +541,7 @@ mod tests {
     }
 
     fn assert_same_bits(got: &ChunkData, want: &ChunkData, ctx: &str) {
-        assert_eq!(got.raw_coords(), want.raw_coords(), "{ctx}: coords");
+        assert_eq!(all_coords(got), all_coords(want), "{ctx}: coords");
         let bits = |d: &ChunkData| {
             d.raw_values()
                 .iter()
@@ -593,9 +608,7 @@ mod tests {
         let want = recompute.finish();
         assert_same_bits(&merge_cells(&old, &delta, AggFn::Sum), &want, "sorted");
         // Either side, or both, at `u32`.
-        let wide = |d: &ChunkData| {
-            ChunkData::from_raw(2, d.raw_coords().to_vec(), d.raw_values().to_vec())
-        };
+        let wide = |d: &ChunkData| ChunkData::from_raw(2, all_coords(d), d.raw_values().to_vec());
         for (o, d) in [(wide(&old), delta.clone()), (old.clone(), wide(&delta))] {
             assert_same_bits(&merge_cells(&o, &d, AggFn::Sum), &want, "mixed widths");
         }

@@ -531,7 +531,7 @@ mod tests {
         let assert_exact = |d: &ChunkData| {
             assert_eq!(
                 d.heap_bytes(),
-                d.len() * (2 * d.n_dims() + 2),
+                d.len() * (2 * d.stride() + 2),
                 "{} cells",
                 d.len()
             );

@@ -75,9 +75,9 @@ impl Dataset {
                 let (lo, hi) = grid.dim(d).value_range(geom.level()[d], geom.coord(c, d));
                 *span = (lo, u64::from(hi - lo));
             }
-            let narrow = spans
-                .iter()
-                .all(|&(lo, width)| u64::from(lo) + width <= u64::from(NARROW_MAX) + 1);
+            let narrow = spans.iter().all(|&(lo, width)| {
+                width == 1 || u64::from(lo) + width <= u64::from(NARROW_MAX) + 1
+            });
             let (rng, scratch) = (&mut rng, &mut scratch);
             runs.push(if narrow {
                 sample_run::<u16>(rng, &spans, want, capacity, scratch)
@@ -111,7 +111,8 @@ struct Scratch {
 /// One chunk's run: `want` of the `capacity` cell indices of the value box
 /// `spans` (start and width per dimension), written straight at their
 /// widths — coordinates at `C`, which the caller has checked holds the
-/// box, and values at `u16`, which holds every value in `[1, 1000]`.
+/// box, and values at `u16`, which holds every value in `[1, 1000]`. A
+/// dimension the box is one value wide along is held once.
 fn sample_run<C: Coord>(
     rng: &mut StdRng,
     spans: &[(u32, u64)],
@@ -119,18 +120,20 @@ fn sample_run<C: Coord>(
     capacity: u64,
     scratch: &mut Scratch,
 ) -> ChunkData {
-    let n_dims = spans.len();
-    let mut coords: Vec<C> = Vec::with_capacity(want as usize * n_dims);
-    let mut values: Vec<u16> = Vec::with_capacity(want as usize);
     let Scratch {
         cell,
         indices,
         seen,
     } = scratch;
-    // Row-major over the box: the last dimension varies fastest.
+    let stored: Vec<&(u32, u64)> = spans.iter().filter(|&&(_, width)| width > 1).collect();
+    let cell = &mut cell[..stored.len()];
+    let mut coords: Vec<C> = Vec::with_capacity(want as usize * stored.len());
+    let mut values: Vec<u16> = Vec::with_capacity(want as usize);
+    // Row-major over the box: the last dimension varies fastest. A
+    // dimension one value wide adds nothing to an index.
     let mut push = |index: u64| {
         let mut rest = index;
-        for (x, &(lo, width)) in cell.iter_mut().zip(spans).rev() {
+        for (x, &&(lo, width)) in cell.iter_mut().zip(&stored).rev() {
             *x = lo + (rest % width) as u32;
             rest /= width;
         }
@@ -161,7 +164,11 @@ fn sample_run<C: Coord>(
             }
         }
     }
-    ChunkData::from_raw(n_dims, coords, values)
+    let constants: Vec<Option<u32>> = spans
+        .iter()
+        .map(|&(lo, width)| (width == 1).then_some(lo))
+        .collect();
+    ChunkData::from_stored(&constants, coords, values)
 }
 
 /// Deterministic per-cell value in `[1, 1000]` derived from the local cell
@@ -264,8 +271,10 @@ mod tests {
         }
     }
 
-    /// Each run is written at its narrowest widths: `f32` values, and
-    /// `u16` coordinates unless its chunk's box reaches past them.
+    /// Each run is written at its narrowest widths: `u16` values, and
+    /// `u16` coordinates unless its chunk's box reaches past them along a
+    /// dimension it is more than one value wide along. It stores no column
+    /// its box holds at one value: that one is held once, at the box's.
     #[test]
     fn runs_are_written_at_their_widths() {
         let schema = Arc::new(
@@ -275,19 +284,29 @@ mod tests {
             ])
             .unwrap(),
         );
-        let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 4], vec![1, 1]]).unwrap());
+        let grid = Arc::new(ChunkGrid::build(schema, &[vec![1, 4], vec![1, 2]]).unwrap());
         let base = grid.schema().lattice().base();
         let ds = Dataset::generate(grid.clone(), base, 400, 1.0, 5);
         for c in 0..grid.n_chunks(base) {
             let run = ds.fact.chunk(c);
-            let past_u16 = grid.cell_box(base, c)[0].1 > NARROW_MAX + 1;
+            let cell_box = grid.cell_box(base, c);
+            let past_u16 = cell_box[0].1 > NARROW_MAX + 1;
             assert!(!run.is_empty());
             assert_eq!(
-                matches!(run.raw_coords(), Coords::U32(_)),
+                matches!(run.stored_coords(), Coords::U32(_)),
                 past_u16,
                 "chunk {c}"
             );
             assert!(matches!(run.raw_values(), Values::U16(_)), "chunk {c}");
+            assert_eq!(
+                run.columns()[1].constant(),
+                Some(cell_box[1].0),
+                "chunk {c}"
+            );
+            for (&(lo, hi), col) in cell_box.iter().zip(run.columns()) {
+                let one_value = (hi - lo == 1).then_some(lo);
+                assert_eq!(col.constant(), one_value, "chunk {c}");
+            }
         }
     }
 

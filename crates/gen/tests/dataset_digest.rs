@@ -3,12 +3,12 @@
 //!
 //! The digest folds `h = (h ^ x) * 0x100000001b3` from
 //! `0xcbf29ce484222325`. For each fact chunk in chunk order it folds the
-//! run's length, then every coordinate as a `u64`, then every value's
+//! run's length, then every coordinate as a `u64` (row-major, a column
+//! the run holds once read into every cell), then every value's
 //! bits. A change to the generator that moves any draw, any tuple's place
 //! within its run or any value changes it, and with it every golden and
 //! sweep number built on the data.
 
-use aggcache_chunks::Coords;
 use aggcache_gen::{Apb1Config, Dataset, SyntheticSpec};
 use std::collections::HashSet;
 use std::sync::OnceLock;
@@ -19,7 +19,9 @@ fn digest(ds: &Dataset) -> u64 {
     for c in 0..ds.grid.n_chunks(ds.fact_gb) {
         let run = ds.fact.chunk(c);
         fold(run.len() as u64);
-        run.raw_coords().iter().for_each(|x| fold(u64::from(x)));
+        run.iter()
+            .flat_map(|(coords, _)| coords.iter())
+            .for_each(|x| fold(u64::from(x)));
         run.raw_values().iter().for_each(|v| fold(v.to_bits()));
     }
     h
@@ -31,7 +33,8 @@ fn duplicate_coords(ds: &Dataset) -> u64 {
     (0..ds.grid.n_chunks(ds.fact_gb))
         .map(|c| {
             let run = ds.fact.chunk(c);
-            let distinct: HashSet<Coords> = run.iter().map(|(coords, _)| coords).collect();
+            let distinct: HashSet<Vec<u32>> =
+                run.iter().map(|(coords, _)| coords.to_vec()).collect();
             (run.len() - distinct.len()) as u64
         })
         .sum()

@@ -1,5 +1,5 @@
 use aggcache_chunks::{
-    ChunkData, ChunkGrid, ChunkKey, Coord, Coords, Value, ValueVec, Values, NARROW_MAX,
+    ChunkData, ChunkGrid, ChunkKey, Column, Coord, Coords, Value, ValueVec, Values, NARROW_MAX,
 };
 use aggcache_schema::Schema;
 
@@ -118,12 +118,13 @@ struct CellBox<'s> {
     base: u64,
 }
 
-/// One live dimension as [`SourceKeys`] keys it: its index, its memoised
-/// roll-up table from the source level and its box weight.
+/// One live dimension as [`SourceKeys`] keys it: its column's position in
+/// a source cell's stored coordinates, its memoised roll-up table from the
+/// source level and its box weight.
 type KeyDim<'s> = (usize, &'s [u32], u64);
 
 /// How the cells of one source chunk key into a [`CellBox`]: the live
-/// dimensions its cells still vary along, and `offset`, what every key
+/// dimensions its cells may still vary along, and `offset`, what every key
 /// shares — the box's `base` subtracted, the folded dimensions' share added
 /// ([`CellBox::source`]). Every key is below `cells`.
 struct SourceKeys<'s> {
@@ -173,13 +174,17 @@ impl<'s> CellBox<'s> {
         self.live.last().copied().unwrap_or(self.lo.len() - 1)
     }
 
-    /// The keying of cells at level `from`. Where `span` knows the value
-    /// range the source cells lie in along a dimension (a source chunk's
-    /// [`ChunkGrid::cell_box`]), a live dimension along which that whole
-    /// range rolls up to one target value is *folded*: its share of every
-    /// key moves into the offset. A roll-up table is monotone, so its two
-    /// ends decide that.
-    fn source(&self, from: &[u8], span: impl Fn(usize) -> Option<(u32, u32)>) -> SourceKeys<'s> {
+    /// The keying of a chunk's cells at level `from`, laid out as
+    /// `columns`. A live dimension is *folded* — its share of every key
+    /// moves into the offset — where the chunk holds it once, or where
+    /// `span` knows the range the cells lie in (a source chunk's
+    /// [`ChunkGrid::cell_box`]) and its two ends roll up to one value.
+    fn source(
+        &self,
+        from: &[u8],
+        columns: &[Column],
+        span: impl Fn(usize) -> Option<(u32, u32)>,
+    ) -> SourceKeys<'s> {
         let mut keys = SourceKeys {
             dims: Vec::with_capacity(self.live.len()),
             offset: 0u64.wrapping_sub(self.base),
@@ -189,12 +194,17 @@ impl<'s> CellBox<'s> {
             let dimension = self.schema.dimension(d);
             let table = dimension.composed_rollup(from[d], self.level[d]);
             let w = self.weights[d];
-            match span(d) {
-                Some((lo, hi)) if table[lo as usize] == table[hi as usize - 1] => {
-                    keys.offset = keys.offset.wrapping_add(w * u64::from(table[lo as usize]));
+            let folded = match (columns[d], span(d)) {
+                (Column::Constant(c), _) => table[c as usize],
+                (_, Some((lo, hi))) if table[lo as usize] == table[hi as usize - 1] => {
+                    table[lo as usize]
                 }
-                _ => keys.dims.push((d, table, w)),
-            }
+                (Column::Stored(j), _) => {
+                    keys.dims.push((j as usize, table, w));
+                    continue;
+                }
+            };
+            keys.offset = keys.offset.wrapping_add(w * u64::from(folded));
         }
         keys
     }
@@ -223,8 +233,8 @@ impl SourceKeys<'_> {
     /// check ([`ChunkAggregator::add_source_chunk`]).
     #[inline(always)]
     fn for_each_cell(&self, data: &ChunkData, put: impl FnMut(u64, f64)) {
-        let n = data.n_dims();
-        match (data.raw_coords(), data.raw_values()) {
+        let n = data.stride();
+        match (data.stored_coords(), data.raw_values()) {
             (Coords::U16(c), Values::U16(v)) => self.for_each_cell_at(c, n, v, put),
             (Coords::U16(c), Values::F32(v)) => self.for_each_cell_at(c, n, v, put),
             (Coords::U16(c), Values::F64(v)) => self.for_each_cell_at(c, n, v, put),
@@ -241,11 +251,14 @@ impl SourceKeys<'_> {
         coords: &[C],
         n: usize,
         values: &[V],
-        put: impl FnMut(u64, f64),
+        mut put: impl FnMut(u64, f64),
     ) {
+        if self.dims.is_empty() {
+            // One key for every cell; the chunk may store no column.
+            return values.iter().for_each(|&v| put(self.offset, v.into()));
+        }
         let cells = coords.chunks_exact(n).zip(values);
         match *self.dims.as_slice() {
-            [] => self.keyed(cells, [] as [KeyDim; 0], put),
             [a] => self.keyed(cells, [a], put),
             [a, b] => self.keyed(cells, [a, b], put),
             [a, b, c] => self.keyed(cells, [a, b, c], put),
@@ -463,7 +476,8 @@ impl<'s> Aggregator<'s> {
     /// against the dimensions' memoised roll-up tables and combine into
     /// their target cells in input order.
     pub fn add_chunk(&mut self, from: &[u8], data: &ChunkData, lift: Lift) {
-        self.add(self.cell_box.source(from, |_| None), data, lift);
+        let keys = self.cell_box.source(from, data.columns(), |_| None);
+        self.add(keys, data, lift);
     }
 
     /// [`Cells::add`], compiled once per combine: SUM and COUNT add, MIN,
@@ -486,8 +500,9 @@ impl<'s> Aggregator<'s> {
     }
 
     /// Finishes into coordinate-sorted [`ChunkData`] at the target level,
-    /// its coordinates at the narrow width when the box's upper corner fits
-    /// it, its values at `u16` until one is not a whole number that fits,
+    /// storing the box's live columns and holding each dead one once: its
+    /// coordinates at the narrow width when the box's upper corner fits it
+    /// along the live ones, its values at `u16` until one does not fit,
     /// then at `f32` until one does not round-trip ([`ValueVec`]); every
     /// value is accumulated at `f64`.
     /// Row-major box keys *are* coordinate order: the dense side walks its
@@ -498,11 +513,7 @@ impl<'s> Aggregator<'s> {
     /// decodes once per distinct key.
     pub fn finish(self) -> ChunkData {
         let b = &self.cell_box;
-        if b.lo
-            .iter()
-            .zip(&b.len)
-            .all(|(&lo, &len)| lo + len <= NARROW_MAX + 1)
-        {
+        if b.live.iter().all(|&d| b.lo[d] + b.len[d] <= NARROW_MAX + 1) {
             self.finish_at::<u16>()
         } else {
             self.finish_at::<u32>()
@@ -512,7 +523,7 @@ impl<'s> Aggregator<'s> {
     /// [`Aggregator::finish`] at one width.
     fn finish_at<C: Coord>(self) -> ChunkData {
         let cell_box = &self.cell_box;
-        let n = cell_box.lo.len();
+        let (live, n) = (&cell_box.live, cell_box.live.len());
         let mut cell = cell_box.lo.clone();
         let (coords, values) = match self.cells {
             Cells::Dense { vals, occupied } => {
@@ -529,7 +540,7 @@ impl<'s> Aggregator<'s> {
                     cell_box.decode(start as u64, &mut cell);
                     for (i, _) in slots.iter().enumerate().filter(|&(_, &o)| o != 0) {
                         cell[inner] = cell_box.lo[inner] + i as u32;
-                        coords.extend(cell.iter().map(|&c| C::from_u32(c)));
+                        coords.extend(live.iter().map(|&d| C::from_u32(cell[d])));
                         values.push(vals[start + i]);
                     }
                 }
@@ -549,13 +560,16 @@ impl<'s> Aggregator<'s> {
                 let mut values = ValueVec::with_capacity(cells.len());
                 for (key, v) in cells {
                     cell_box.decode(key, &mut cell);
-                    coords.extend(cell.iter().map(|&c| C::from_u32(c)));
+                    coords.extend(live.iter().map(|&d| C::from_u32(cell[d])));
                     values.push(v);
                 }
                 (coords, values)
             }
         };
-        ChunkData::from_raw(n, coords, values)
+        let constants: Vec<Option<u32>> = (cell_box.lo.iter().zip(&cell_box.len))
+            .map(|(&lo, &len)| (len == 1).then_some(lo))
+            .collect();
+        ChunkData::from_stored(&constants, coords, values)
     }
 }
 
@@ -599,7 +613,7 @@ impl ChunkAggregator<'_> {
         let (geom, c) = (grid.geom(src.gb), src.chunk);
         let level = geom.level();
         let span = |d| Some(grid.dim(d).value_range(level[d], geom.coord(c, d)));
-        let keys = self.kernel.cell_box.source(level, span);
+        let keys = self.kernel.cell_box.source(level, data.columns(), span);
         self.kernel.add(keys, data, lift);
     }
 
@@ -689,8 +703,8 @@ pub(crate) mod tests {
         let geom = grid.geom(gb);
         let mut out = vec![ChunkData::new(cells.n_dims()); geom.total_chunks() as usize];
         for (c, v) in cells.iter() {
-            let cc: Vec<u32> = (0..c.len())
-                .map(|d| grid.dim(d).chunk_of_value(geom.level()[d], c.get(d)))
+            let cc: Vec<u32> = (c.iter().enumerate())
+                .map(|(d, x)| grid.dim(d).chunk_of_value(geom.level()[d], x))
                 .collect();
             out[geom.linearize(&cc) as usize].push(c, v);
         }
@@ -1083,7 +1097,7 @@ pub(crate) mod tests {
             cells.push(&[a, i as u32 % 3], 0.1 + i as f64 * 1e10 + (i as f64).sin());
         }
         let by_base = by_chunk(&g, base, &cells);
-        let wide = |d: &ChunkData| matches!(d.raw_coords(), Coords::U32(_));
+        let wide = |d: &ChunkData| matches!(d.stored_coords(), Coords::U32(_));
         assert!(by_base.iter().any(wide) && by_base.iter().any(|d| !d.is_empty() && !wide(d)));
         for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
             for gb in lattice.iter_ids() {
@@ -1214,10 +1228,79 @@ pub(crate) mod tests {
         }
     }
 
+    /// A source chunk holding a column once that the target box is live
+    /// along — its value range in the source chunk is wider than one
+    /// target value, so only the constant folds it — rolls up bit for bit
+    /// as the reference does, dense and sparse, for every function and
+    /// lift, whether one column or every column is held once.
+    #[test]
+    fn a_constant_column_live_in_the_target_is_bit_identical_to_the_reference() {
+        let g = grid();
+        let s = g.schema();
+        let lattice = s.lattice();
+        let (base, base_level) = (lattice.base(), s.base_level());
+        // `b` is 0 or 2 only: constant within each base chunk, though the
+        // first spans `b`-values 0 and 1. The second set also holds `a` once.
+        let cell_sets = [
+            (0..4u32).flat_map(|a| [[a, 0], [a, 2]]).collect::<Vec<_>>(),
+            [0, 2u32]
+                .into_iter()
+                .flat_map(|a| [[a, 0], [a, 2]])
+                .collect(),
+        ];
+        let full = [Column::Stored(0), Column::Stored(1)];
+        let mut folded = 0;
+        for set in &cell_sets {
+            let mut cells = ChunkData::new(2);
+            for (i, c) in set.iter().chain(set).enumerate() {
+                let x = i as f64;
+                cells.push(c, 0.1 + x * 1e10 + x.sin());
+            }
+            let by_base = by_chunk(&g, base, &cells);
+            assert!(by_base.iter().any(|d| d.len() > 1 && d.stride() < 2));
+            for gb in lattice.iter_ids() {
+                let level = lattice.level_of(gb);
+                for chunk in 0..g.n_chunks(gb) {
+                    let target = ChunkKey::new(gb, chunk);
+                    let sources = sources_under(&g, target, base, &by_base);
+                    let cell_box = CellBox::of_chunk(&g, target);
+                    folded += sources
+                        .iter()
+                        .filter(|(src, d)| {
+                            let span = g.cell_box(src.gb, src.chunk);
+                            let keyed = |cols: &[Column]| {
+                                cell_box
+                                    .source(&base_level, cols, |k| Some(span[k]))
+                                    .dims
+                                    .len()
+                            };
+                            !d.is_empty() && keyed(d.columns()) < keyed(&full)
+                        })
+                        .count();
+                    let leveled: Vec<(&[u8], &ChunkData)> =
+                        sources.iter().map(|&(_, d)| (&base_level[..], d)).collect();
+                    for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
+                        for lift in [Lift::Raw, Lift::Lifted] {
+                            let want = reference_rollup(s, &leveled, &level, agg, lift);
+                            for expected_cells in [u64::MAX, 0] {
+                                let got =
+                                    chunk_result(&g, target, &sources, agg, lift, expected_cells);
+                                let ctx = format!("{agg:?} {lift:?} {target:?} x{expected_cells}");
+                                assert_same_bits(&got, &want, &ctx);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(folded > 0, "no source held a live column once");
+    }
+
     /// Keys through the memoised tables equal "roll each coordinate up,
     /// subtract the box corner, Horner-encode": dead dimensions contribute
-    /// nothing, a dimension the source span rolls up to one value along is
-    /// folded into the offset, and an empty input yields no key.
+    /// nothing, a dimension the source span rolls up to one value along, or
+    /// one the source holds once, is folded into the offset, and an empty
+    /// input yields no key.
     #[test]
     fn source_keys_match_manual_encoding() {
         let s = schema();
@@ -1232,12 +1315,14 @@ pub(crate) mod tests {
         let corner = CellBox::new(&s, &[2, 1], [(2, 4), (1, 3)].into_iter());
         // Box: all of level (1,1); base a-values 2..4 all roll up to 1.
         let whole = CellBox::new(&s, &[1, 1], [(0, 2), (0, 3)].into_iter());
+        // A one-cell or empty slice holds both its columns once: both fold.
         let cases = [
             (&dead_a, None, 0..d.len(), 1),
-            (&corner, None, 1..2, 2),
+            (&corner, None, 1..3, 2),
+            (&corner, None, 1..2, 0),
             (&corner, Some([(2, 4), (1, 2)]), 0..d.len(), 1),
             (&whole, Some([(2, 4), (0, 3)]), 0..d.len(), 1),
-            (&whole, None, 0..0, 2),
+            (&whole, None, 0..0, 0),
         ];
         for (cell_box, span, range, dims_left) in cases {
             let mut slice = ChunkData::new(2);
@@ -1260,7 +1345,7 @@ pub(crate) mod tests {
                     .sum();
                 want.push((key, d.value_of(i)));
             }
-            let keys = cell_box.source(&from, |k| span.map(|span| span[k]));
+            let keys = cell_box.source(&from, slice.columns(), |k| span.map(|span| span[k]));
             assert_eq!(keys.dims.len(), dims_left, "{span:?}");
             let mut got = Vec::new();
             keys.for_each_cell(&slice, |key, v| got.push((key, v)));
@@ -1307,7 +1392,7 @@ pub(crate) mod tests {
             let cell_box = CellBox::of_chunk(&g, target);
             assert_eq!(
                 cell_box
-                    .source(&s.base_level(), |d| Some(span[d]))
+                    .source(&s.base_level(), cells.columns(), |d| Some(span[d]))
                     .dims
                     .len(),
                 live
@@ -1359,9 +1444,12 @@ pub(crate) mod tests {
         let mid_box = CellBox::of_chunk(&g, mid);
         let left: BTreeSet<usize> = sources_under(&g, mid, base, &by_base)
             .iter()
-            .map(|(src, _)| {
+            .map(|(src, data)| {
                 let span = g.cell_box(src.gb, src.chunk);
-                mid_box.source(&base_level, |d| Some(span[d])).dims.len()
+                mid_box
+                    .source(&base_level, data.columns(), |d| Some(span[d]))
+                    .dims
+                    .len()
             })
             .collect();
         assert_eq!(left, BTreeSet::from([1, 2]));
@@ -1433,7 +1521,7 @@ pub(crate) mod tests {
                             let span = g.cell_box(src.gb, src.chunk);
                             d.len() > 1
                                 && cell_box
-                                    .source(&base_level, |d| Some(span[d]))
+                                    .source(&base_level, d.columns(), |d| Some(span[d]))
                                     .dims
                                     .is_empty()
                         })

@@ -12,7 +12,7 @@
 //! tuples that actually landed or left, and which base chunks they touched
 //! — which the cache layer then propagates *up* the lattice.
 
-use aggcache_chunks::{ChunkData, ChunkError, ChunkGrid, ChunkNumber, Coords};
+use aggcache_chunks::{CellCoords, ChunkData, ChunkError, ChunkGrid, ChunkNumber};
 use aggcache_schema::GroupById;
 use std::collections::HashMap;
 
@@ -52,7 +52,7 @@ impl DeltaBatch {
     }
 
     /// Appends an insert of `(coords, value)`.
-    pub fn insert<'c>(&mut self, coords: impl Into<Coords<'c>>, value: f64) -> &mut Self {
+    pub fn insert<'c>(&mut self, coords: impl Into<CellCoords<'c>>, value: f64) -> &mut Self {
         self.records.push(DeltaRecord {
             op: DeltaOp::Insert,
             coords: coords.into().to_vec(),
@@ -62,7 +62,7 @@ impl DeltaBatch {
     }
 
     /// Appends a delete of one instance of `(coords, value)`.
-    pub fn delete<'c>(&mut self, coords: impl Into<Coords<'c>>, value: f64) -> &mut Self {
+    pub fn delete<'c>(&mut self, coords: impl Into<CellCoords<'c>>, value: f64) -> &mut Self {
         self.records.push(DeltaRecord {
             op: DeltaOp::Delete,
             coords: coords.into().to_vec(),

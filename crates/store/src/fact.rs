@@ -1,5 +1,5 @@
 use crate::delta::{delete_multiset, DeltaBatch, DeltaOp, DeltaRecord, EffectiveDelta};
-use aggcache_chunks::{ChunkData, ChunkError, ChunkGrid, ChunkNumber, Coords};
+use aggcache_chunks::{CellCoords, ChunkData, ChunkError, ChunkGrid, ChunkNumber};
 use aggcache_schema::GroupById;
 use std::fmt;
 use std::sync::Arc;
@@ -45,7 +45,7 @@ impl FactTable {
     /// fact table.
     pub fn load(grid: Arc<ChunkGrid>, gb: GroupById, cells: ChunkData) -> Self {
         let level = grid.geom(gb).level();
-        let chunk_nums = grid.chunk_numbers(level, gb, cells.raw_coords());
+        let chunk_nums = grid.chunk_numbers(level, gb, &cells);
 
         // A size pass, then one push per tuple into its chunk's run.
         let mut sizes = vec![0usize; grid.n_chunks(gb) as usize];
@@ -74,7 +74,7 @@ impl FactTable {
         );
         debug_assert!(
             runs.iter().enumerate().all(|(c, run)| {
-                grid.chunk_numbers(grid.geom(gb).level(), gb, run.raw_coords())
+                grid.chunk_numbers(grid.geom(gb).level(), gb, run)
                     .iter()
                     .all(|&cn| cn == c as ChunkNumber)
             }),
@@ -120,7 +120,10 @@ impl FactTable {
     }
 
     /// Iterates the `(coords, value)` tuples of `chunk`.
-    pub fn scan_chunk(&self, chunk: ChunkNumber) -> impl Iterator<Item = (Coords<'_>, f64)> + '_ {
+    pub fn scan_chunk(
+        &self,
+        chunk: ChunkNumber,
+    ) -> impl Iterator<Item = (CellCoords<'_>, f64)> + '_ {
         self.chunk(chunk).iter()
     }
 
@@ -149,17 +152,19 @@ impl FactTable {
         batch.validate(&self.grid, self.gb)?;
         let n_dims = self.grid.num_dims();
 
-        // Each record's base chunk, through the tables `load` clusters by.
+        // Each record's base chunk, through the tables `load` clusters by,
+        // read off the records' coordinates held whole (values unused).
         // The stable sort keeps batch order within a chunk.
         let coords: Vec<u32> = batch
             .records()
             .iter()
             .flat_map(|rec| rec.coords.iter().copied())
             .collect();
+        let tuples = ChunkData::from_stored(&vec![None; n_dims], coords, vec![0u16; batch.len()]);
         let level = self.grid.geom(self.gb).level();
         let mut by_chunk: Vec<(ChunkNumber, &DeltaRecord)> = self
             .grid
-            .chunk_numbers(level, self.gb, Coords::U32(&coords))
+            .chunk_numbers(level, self.gb, &tuples)
             .into_iter()
             .zip(batch.records())
             .collect();
@@ -235,6 +240,11 @@ mod tests {
     use super::*;
     use aggcache_schema::{Dimension, Schema};
     use proptest::prelude::*;
+
+    /// Every coordinate of every cell, row-major, whatever the layout.
+    fn all_coords(d: &ChunkData) -> Vec<u32> {
+        d.iter().flat_map(|(c, _)| c.iter()).collect()
+    }
 
     fn grid() -> Arc<ChunkGrid> {
         let schema = Arc::new(
@@ -616,7 +626,7 @@ mod tests {
     }
 
     fn assert_same_bits(got: &ChunkData, want: &ChunkData, what: &str) {
-        assert_eq!(got.raw_coords(), want.raw_coords(), "{what}: coords");
+        assert_eq!(all_coords(got), all_coords(want), "{what}: coords");
         let bits = |d: &ChunkData| {
             d.raw_values()
                 .iter()

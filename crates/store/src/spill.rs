@@ -22,7 +22,8 @@
 use crate::io::{DiskFaultProfile, FaultInjectingSpillIo, FsSpillIo, SpillIo};
 use crate::retry::RetryPolicy;
 use aggcache_chunks::{
-    ChunkData, ChunkGrid, ChunkKey, Coord, Coords, Value, ValueVec, ValueWidth, Values, NARROW_MAX,
+    gather_columns, ChunkData, ChunkGrid, ChunkKey, Column, Coord, Coords, Value, ValueVec,
+    ValueWidth, Values, NARROW_MAX,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -422,22 +423,33 @@ fn encode_tombstone(key: ChunkKey) -> Vec<u8> {
 
 /// A number a record's block holds, little-endian at its own width.
 trait Le: Copy {
-    const BYTES: usize;
-    fn put(self, to: &mut [u8]);
-    fn get(from: &[u8]) -> Self;
+    /// Its bytes.
+    type Bytes: Copy + PartialEq;
+    /// `block` as consecutive numbers' bytes (a tail too short for one
+    /// is left out).
+    fn words(block: &[u8]) -> &[Self::Bytes];
+    fn words_mut(block: &mut [u8]) -> &mut [Self::Bytes];
+    fn to_le(self) -> Self::Bytes;
+    fn from_le(bytes: Self::Bytes) -> Self;
 }
 
 macro_rules! le {
     ($($t:ty),*) => {$(
         impl Le for $t {
-            const BYTES: usize = std::mem::size_of::<$t>();
-            #[inline(always)]
-            fn put(self, to: &mut [u8]) {
-                to.copy_from_slice(&self.to_le_bytes());
+            type Bytes = [u8; std::mem::size_of::<$t>()];
+            fn words(block: &[u8]) -> &[Self::Bytes] {
+                block.as_chunks().0
+            }
+            fn words_mut(block: &mut [u8]) -> &mut [Self::Bytes] {
+                block.as_chunks_mut().0
             }
             #[inline(always)]
-            fn get(from: &[u8]) -> Self {
-                Self::from_le_bytes(from.try_into().expect("one number's bytes"))
+            fn to_le(self) -> Self::Bytes {
+                self.to_le_bytes()
+            }
+            #[inline(always)]
+            fn from_le(bytes: Self::Bytes) -> Self {
+                Self::from_le_bytes(bytes)
             }
         }
     )*};
@@ -456,16 +468,67 @@ fn value_width_of(flags: u16) -> ValueWidth {
     }
 }
 
-/// Writes `items` into `block`, [`Le::BYTES`] each.
+/// Writes `items` into `block`, one number's bytes each.
 fn put<T: Le>(items: impl Iterator<Item = T>, block: &mut [u8]) {
-    for (to, x) in block.chunks_exact_mut(T::BYTES).zip(items) {
-        x.put(to);
+    for (to, x) in T::words_mut(block).iter_mut().zip(items) {
+        *to = x.to_le();
     }
+}
+
+/// Writes every coordinate of `data`'s cells (`stored`, its stored ones)
+/// into `block` at width `T`, row-major ([`gather_columns`]): each column
+/// from its stored position in a cell or its constant.
+fn put_cells<C: Coord, T: Coord + Le>(stored: &[C], data: &ChunkData, block: &mut [u8]) {
+    let item = |c: C| T::from_u32(c.into()).to_le();
+    let constant = |c: u32| T::from_u32(c).to_le();
+    let to = T::words_mut(block);
+    gather_columns(stored, data.stride(), data.columns(), to, item, constant);
 }
 
 /// Reads `block` as consecutive `T`s.
 fn get<T: Le>(block: &[u8]) -> Vec<T> {
-    block.chunks_exact(T::BYTES).map(T::get).collect()
+    T::words(block).iter().map(|&w| T::from_le(w)).collect()
+}
+
+/// A chunk of `values` and the `n` cells of a record's coordinate `block`
+/// (`n_dims` coordinates a cell at width `S`), read straight from the
+/// bytes: each column every cell agrees on held once, and the others
+/// gathered ([`gather_columns`]) at `u16` unless one does not fit.
+fn get_cells<S: Le + Coord>(block: &[u8], n_dims: usize, n: usize, values: ValueVec) -> ChunkData {
+    let words = S::words(block);
+    // A column that varies mostly does so within its first few cells.
+    let constants: Vec<Option<u32>> = (0..n_dims)
+        .map(|d| match words.get(d) {
+            Some(&first) => {
+                let agree = words.chunks_exact(n_dims).all(|cell| cell[d] == first);
+                agree.then(|| S::from_le(first).into())
+            }
+            None => Some(0),
+        })
+        .collect();
+    let kept: Vec<usize> = (0..n_dims).filter(|&d| constants[d].is_none()).collect();
+    // A `u16` block fits by its width; a `u32` one may have been wide only
+    // in a column now held once.
+    let narrow =
+        |d: usize| (words.chunks_exact(n_dims)).all(|c| S::from_le(c[d]).into() <= NARROW_MAX);
+    let cells = (words, n_dims, n, &kept[..]);
+    if std::mem::size_of::<S>() == 2 || kept.iter().all(|&d| narrow(d)) {
+        ChunkData::from_stored(&constants, gather::<S, u16>(cells), values)
+    } else {
+        ChunkData::from_stored(&constants, gather::<S, u32>(cells), values)
+    }
+}
+
+/// The columns `kept` of the `n` cells of `words` (`n_dims` a cell),
+/// row-major at width `T` ([`gather_columns`]).
+fn gather<S: Le + Coord, T: Coord>(
+    (words, n_dims, n, kept): (&[S::Bytes], usize, usize, &[usize]),
+) -> Vec<T> {
+    let take: Vec<Column> = kept.iter().map(|&d| Column::Stored(d as u32)).collect();
+    let mut out = vec![T::from_u32(0); n * kept.len()];
+    let item = |w: S::Bytes| T::from_u32(S::from_le(w).into());
+    gather_columns(words, n_dims, &take, &mut out, item, T::from_u32);
+    out
 }
 
 /// The coordinate and value widths, in bytes, that a record's `flags`
@@ -480,17 +543,17 @@ fn widths(flags: u16) -> (usize, usize) {
     (coord, value)
 }
 
-/// The width flags of `data`'s narrowest widths: a coordinate past `u16`
-/// needs [`FLAG_WIDE_COORDS`]; values that are all whole numbers from 0 to
-/// 65,535 take [`FLAG_NARROW_VALUES`], and a value whose bits `f32` does
-/// not keep needs [`FLAG_WIDE_VALUES`]. A block held at `u16` is not
-/// checked; a wider one is folded whole with no early exit, which
-/// vectorises.
+/// The width flags of `data`'s narrowest widths: a coordinate past `u16`,
+/// stored or held once, needs [`FLAG_WIDE_COORDS`]; values that are all
+/// whole numbers from 0 to 65,535 take [`FLAG_NARROW_VALUES`], and a value
+/// whose bits `f32` does not keep needs [`FLAG_WIDE_VALUES`]. A block held
+/// at `u16` is not checked; a wider one is folded whole with no early
+/// exit, which vectorises.
 fn width_flags(data: &ChunkData) -> u16 {
-    let wide_coords = match data.raw_coords() {
-        Coords::U16(_) => false,
-        Coords::U32(c) => c.iter().fold(0, |all, &c| all | c) > NARROW_MAX,
-    };
+    let wide_constant = |col: &Column| col.constant().is_some_and(|c| c > NARROW_MAX);
+    let wide_stored = |c: &[u32]| c.iter().fold(0, |all, &c| all | c) > NARROW_MAX;
+    let wide_coords = (!data.is_empty() && data.columns().iter().any(wide_constant))
+        || matches!(data.stored_coords(), Coords::U32(c) if wide_stored(c));
     let values = match data.raw_values().narrowest() {
         ValueWidth::U16 => FLAG_NARROW_VALUES,
         ValueWidth::F32 => 0,
@@ -520,15 +583,17 @@ fn encode(key: ChunkKey, flags: u16, origin: u8, benefit: f64, data: &ChunkData)
     out.extend_from_slice(&benefit.to_bits().to_le_bytes());
     debug_assert_eq!(out.len(), SPILL_HEADER_BYTES);
     // Each block is sized, then filled in place at the flagged width: a
-    // straight copy from a chunk held at it, narrowed from one held wider.
+    // straight copy from a chunk held at it, narrowed from one held wider;
+    // a column the chunk holds once is written into every cell.
     out.extend_from_slice(&(coord_bytes as u32).to_le_bytes());
     let coords_at = out.len();
     out.resize(coords_at + coord_bytes, 0);
     let block = &mut out[coords_at..];
-    match data.raw_coords() {
-        Coords::U16(c) => put(c.iter().copied(), block),
-        Coords::U32(c) if flags & FLAG_WIDE_COORDS != 0 => put(c.iter().copied(), block),
-        Coords::U32(c) => put(c.iter().map(|&c| u16::from_u32(c)), block),
+    match (data.stored_coords(), flags & FLAG_WIDE_COORDS != 0) {
+        (Coords::U16(c), false) => put_cells::<_, u16>(c, data, block),
+        (Coords::U16(c), true) => put_cells::<_, u32>(c, data, block),
+        (Coords::U32(c), false) => put_cells::<_, u16>(c, data, block),
+        (Coords::U32(c), true) => put_cells::<_, u32>(c, data, block),
     }
     out.extend_from_slice(&(value_bytes as u32).to_le_bytes());
     let values_at = out.len();
@@ -648,9 +713,9 @@ fn decode(bytes: &[u8]) -> Result<(SpillRecord, bool), SpillError> {
     };
     let block = &bytes[coords_at..values_len_at];
     let data = if flags & FLAG_WIDE_COORDS != 0 {
-        ChunkData::from_raw(n_dims, get::<u32>(block), values)
+        get_cells::<u32>(block, n_dims, n_cells, values)
     } else {
-        ChunkData::from_raw(n_dims, get::<u16>(block), values)
+        get_cells::<u16>(block, n_dims, n_cells, values)
     };
     let record = SpillRecord {
         key: ChunkKey::unpack(packed),
@@ -1297,6 +1362,11 @@ mod tests {
     use aggcache_schema::GroupById;
     use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
+    /// Every coordinate of every cell, row-major, whatever the layout.
+    fn all_coords(d: &ChunkData) -> Vec<u32> {
+        d.iter().flat_map(|(c, _)| c.iter()).collect()
+    }
+
     fn sample_chunk() -> ChunkData {
         let mut d = ChunkData::new(2);
         d.push(&[0, 1], 1.5);
@@ -1384,7 +1454,7 @@ mod tests {
         assert_eq!(dec.key, sample_key());
         assert_eq!(dec.origin, ORIGIN_COMPUTED);
         assert_eq!(dec.benefit.to_bits(), 2.5f64.to_bits());
-        assert_eq!(dec.data.raw_coords(), data.raw_coords());
+        assert_eq!(all_coords(&dec.data), all_coords(&data));
         let got: Vec<u64> = dec.data.raw_values().iter().map(|v| v.to_bits()).collect();
         let want: Vec<u64> = data.raw_values().iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, want);
@@ -1411,17 +1481,17 @@ mod tests {
                 .step_by(2)
                 .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
                 .collect();
-            let coords = narrow.raw_coords().to_vec();
+            let coords = all_coords(&narrow);
             let values = narrow.raw_values().to_vec();
             let single: Vec<f32> = values.iter().map(|&v| v as f32).collect();
             let wide = ChunkData::from_raw(2, coords.clone(), values);
             let single = ChunkData::from_raw(2, coords, single);
-            assert!(matches!(narrow.raw_coords(), Coords::U16(_)));
+            assert!(matches!(narrow.stored_coords(), Coords::U16(_)));
             assert_eq!(
                 narrow.raw_values().width() == ValueWidth::U16,
                 value_bytes == 2
             );
-            assert!(matches!(wide.raw_coords(), Coords::U32(_)));
+            assert!(matches!(wide.stored_coords(), Coords::U32(_)));
             assert!(matches!(wide.raw_values(), Values::F64(_)));
             assert!(matches!(single.raw_values(), Values::F32(_)));
             for data in [&narrow, &single, &wide] {
@@ -1519,6 +1589,41 @@ mod tests {
         }
     }
 
+    /// A record holds every coordinate of every cell: a chunk that holds a
+    /// column once encodes to the bytes of the same cells held fully —
+    /// wide when the constant is past `u16`, even over `u16` stored
+    /// coordinates — and decodes holding the column once again, at `u16`.
+    #[test]
+    fn either_layout_encodes_to_the_same_bytes() {
+        for constant in [5, NARROW_MAX + 9] {
+            let cells = [[0, constant], [2, constant], [7, constant]];
+            let values = vec![1.5, -4.25, 0.0];
+            let flat: Vec<u32> = cells.concat();
+            let full = ChunkData::from_stored(&[None, None], flat.clone(), values.clone());
+            let mut pushed = ChunkData::new(2);
+            for (c, &v) in cells.iter().zip(&values) {
+                pushed.push(c, v);
+            }
+            let raw = ChunkData::from_raw(2, flat, values);
+            assert!(matches!(pushed.stored_coords(), Coords::U16(_)));
+            let enc = encode_record(sample_key(), ORIGIN_COMPUTED, 2.5, &full);
+            for dropped in [&pushed, &raw] {
+                assert_eq!(dropped.columns()[1], Column::Constant(constant));
+                let bytes = encode_record(sample_key(), ORIGIN_COMPUTED, 2.5, dropped);
+                assert_eq!(to_hex(&bytes), to_hex(&enc));
+            }
+            let flags = u16::from_le_bytes([enc[6], enc[7]]);
+            assert_eq!(flags & FLAG_WIDE_COORDS != 0, constant > NARROW_MAX);
+            let dec = decode_record(&enc).unwrap().data;
+            assert_eq!(dec.columns(), pushed.columns());
+            assert_eq!(dec, full);
+            // Every stored coordinate fits `u16`, so both come back narrow.
+            for chunk in [&raw, &dec] {
+                assert!(matches!(chunk.stored_coords(), Coords::U16(_)));
+            }
+        }
+    }
+
     /// A chunk with a coordinate past `u16` comes back wide and equal; one
     /// without comes back narrow, whatever width it was written from.
     #[test]
@@ -1526,12 +1631,12 @@ mod tests {
         let mut wide = sample_chunk();
         wide.push(&[70_000, 1], 9.0);
         let dec = decode_record(&encode_record(sample_key(), ORIGIN_BACKEND, 1.0, &wide)).unwrap();
-        assert!(matches!(dec.data.raw_coords(), Coords::U32(_)));
+        assert!(matches!(dec.data.stored_coords(), Coords::U32(_)));
         assert_eq!(dec.data, wide);
         let narrow = ChunkData::from_raw(2, vec![0u32, 1, 65_535, 3], vec![1.0, 2.0]);
         let dec =
             decode_record(&encode_record(sample_key(), ORIGIN_BACKEND, 1.0, &narrow)).unwrap();
-        assert!(matches!(dec.data.raw_coords(), Coords::U16(_)));
+        assert!(matches!(dec.data.stored_coords(), Coords::U16(_)));
         assert_eq!(dec.data, narrow);
     }
 
@@ -1556,18 +1661,14 @@ mod tests {
             assert_eq!(bits(&dec), bits(&wide), "{v:e}");
         }
         let narrow = sample_chunk();
-        let wide = ChunkData::from_raw(
-            2,
-            narrow.raw_coords().to_vec(),
-            narrow.raw_values().to_vec(),
-        );
+        let wide = ChunkData::from_raw(2, all_coords(&narrow), narrow.raw_values().to_vec());
         for d in [&narrow, &wide] {
             let dec = round_trip(d);
             assert!(matches!(dec.raw_values(), Values::F32(_)));
             assert_eq!((&dec, bits(&dec)), (&narrow, bits(&narrow)));
         }
         let whole = whole_chunk();
-        let coords = whole.raw_coords().to_vec();
+        let coords = all_coords(&whole);
         let values = whole.raw_values().to_vec();
         let single: Vec<f32> = values.iter().map(|&v| v as f32).collect();
         let wide = ChunkData::from_raw(2, coords.clone(), values);
@@ -1658,7 +1759,7 @@ mod tests {
         assert_eq!(read.spill_virtual_ms, SpillCostModel::read_ms(priced));
         assert!(store.contains(sample_key()));
         let rec = store.read(sample_key()).unwrap().unwrap();
-        assert_eq!(rec.data.raw_coords(), data.raw_coords());
+        assert_eq!(all_coords(&rec.data), all_coords(&data));
         assert!(store
             .read(ChunkKey::new(GroupById(0), 0))
             .unwrap()
@@ -1855,7 +1956,7 @@ mod tests {
             "ascending packed-key order"
         );
         let rec = store.read(ka).unwrap().unwrap();
-        assert_eq!(rec.data.raw_coords(), a.raw_coords());
+        assert_eq!(all_coords(&rec.data), all_coords(&a));
         assert_eq!(rec.origin, ORIGIN_BACKEND);
         let rec = store.read(kb).unwrap().unwrap();
         assert_eq!(rec.benefit.to_bits(), 4.0f64.to_bits());
@@ -2194,7 +2295,7 @@ mod tests {
                 .read_checked(sample_key(), None, &mut delta)
                 .unwrap()
                 .unwrap();
-            assert_eq!(rec.data.raw_coords(), data.raw_coords());
+            assert_eq!(all_coords(&rec.data), all_coords(&data));
             let read_ms = SpillCostModel::read_ms(priced);
             if delta.spill_retries > 0 {
                 retried += 1;

@@ -290,7 +290,7 @@ fn multi_group_answers_carry_no_spare_capacity() {
         let d = &out.data;
         assert_eq!(
             d.heap_bytes(),
-            d.len() * (2 * d.n_dims() + 2),
+            d.len() * (2 * d.stride() + 2),
             "{} cells",
             d.len()
         );

@@ -349,8 +349,8 @@ proptest! {
             let mut cells: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
             for &(from, data) in sources {
                 for (c, v) in data.iter() {
-                    let to: Vec<u32> = (0..c.len())
-                        .map(|d| schema.dimension(d).ancestor_value(from[d], level[d], c.get(d)))
+                    let to: Vec<u32> = (c.iter().enumerate())
+                        .map(|(d, x)| schema.dimension(d).ancestor_value(from[d], level[d], x))
                         .collect();
                     let v = if lift == Lift::Raw { agg.lift(v) } else { v };
                     cells.entry(to).and_modify(|acc| *acc = agg.combine(*acc, v)).or_insert(v);
@@ -391,7 +391,8 @@ proptest! {
             "Backend::fetch vs reference over the facts, {:?} {:?}", agg, target
         );
 
-        prop_assert_eq!(computed.raw_coords(), fetched.raw_coords());
+        let coords = |d: &ChunkData| d.iter().map(|(c, _)| c.to_vec()).collect::<Vec<_>>();
+        prop_assert_eq!(coords(&computed), coords(fetched));
         for (v, w) in computed.raw_values().iter().zip(fetched.raw_values().iter()) {
             if agg == AggFn::Sum {
                 prop_assert!((v - w).abs() <= 1e-3, "{} vs {}", v, w);

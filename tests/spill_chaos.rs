@@ -267,7 +267,7 @@ fn v2_record(key: ChunkKey, data: &ChunkData) -> Vec<u8> {
     out.extend_from_slice(&(data.n_dims() as u16).to_le_bytes());
     out.extend_from_slice(&(data.len() as u32).to_le_bytes());
     out.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
-    let coords = data.raw_coords().to_vec();
+    let coords: Vec<u32> = data.iter().flat_map(|(c, _)| c.iter()).collect();
     out.extend_from_slice(&(coords.len() as u32 * 4).to_le_bytes());
     coords
         .iter()
@@ -362,7 +362,7 @@ fn v3_record(key: ChunkKey, data: &ChunkData) -> Vec<u8> {
     out.extend_from_slice(&(data.n_dims() as u16).to_le_bytes());
     out.extend_from_slice(&(data.len() as u32).to_le_bytes());
     out.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
-    let coords = data.raw_coords().to_vec();
+    let coords: Vec<u32> = data.iter().flat_map(|(c, _)| c.iter()).collect();
     out.extend_from_slice(&(coords.len() as u32 * 2).to_le_bytes());
     for c in coords {
         out.extend_from_slice(&u16::try_from(c).unwrap().to_le_bytes());
