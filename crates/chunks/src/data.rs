@@ -193,12 +193,11 @@ impl CoordVec {
     }
 }
 
-/// A width a [`ChunkData`] holds its measure values at, narrowest first:
-/// `u16` while every value is a whole number from 0 to 65,535 (`+0.0`, not
-/// `-0.0`), `f32` while every value survives `f64 → f32 → f64` bit for
-/// bit, `f64` once one does not. Code over a chunk's values is written
-/// once, generic over this trait, and instantiated per width by a `match`
-/// on [`ChunkData::raw_values`]; widening to `f64` is exact.
+/// A width a [`ChunkData`] holds its measure values at: `u16` while every
+/// value is a whole number from 0 to 65,535 (`+0.0`, not `-0.0`), `f64`
+/// once one is not. Code over a chunk's values is written once, generic
+/// over this trait, and instantiated per width by a `match` on
+/// [`ChunkData::raw_values`]; widening to `f64` is exact.
 pub trait Value: Copy + Into<f64> + 'static {
     /// Whether `v` survives the round trip through this width bit for bit.
     fn holds(v: f64) -> bool;
@@ -222,22 +221,6 @@ impl Value for u16 {
     }
 }
 
-impl Value for f32 {
-    /// Not a NaN payload or signalling bit `f32` drops, not an `f64`
-    /// subnormal, not a value like `0.1` or an odd integer past 2²⁴ that
-    /// `f32` rounds.
-    #[inline(always)]
-    fn holds(v: f64) -> bool {
-        f64::from(v as f32).to_bits() == v.to_bits()
-    }
-
-    #[inline(always)]
-    fn from_f64(v: f64) -> Self {
-        debug_assert!(Self::holds(v), "value {v:e} does not fit f32");
-        v as f32
-    }
-}
-
 impl Value for f64 {
     #[inline(always)]
     fn holds(_: f64) -> bool {
@@ -255,8 +238,6 @@ impl Value for f64 {
 pub enum ValueWidth {
     /// `u16`: whole numbers from 0 to 65,535.
     U16,
-    /// `f32`: values that survive `f64 → f32 → f64` bit for bit.
-    F32,
     /// `f64`: every value.
     F64,
 }
@@ -265,14 +246,11 @@ impl ValueWidth {
     /// The narrowest width that holds every value of `values`: one fold
     /// with no early exit, which vectorises.
     fn of<V: Value>(values: &[V]) -> Self {
-        let (u16s, f32s) = values.iter().fold((true, true), |(u16s, f32s), &v| {
-            let v = v.into();
-            (u16s & u16::holds(v), f32s & f32::holds(v))
-        });
+        let u16s = values
+            .iter()
+            .fold(true, |all, &v| all & u16::holds(v.into()));
         if u16s {
             ValueWidth::U16
-        } else if f32s {
-            ValueWidth::F32
         } else {
             ValueWidth::F64
         }
@@ -285,7 +263,6 @@ macro_rules! each_width {
     ($enum:ident, $on:expr, $v:ident => $body:expr) => {
         match $on {
             $enum::U16($v) => $body,
-            $enum::F32($v) => $body,
             $enum::F64($v) => $body,
         }
     };
@@ -298,9 +275,7 @@ macro_rules! each_width {
 pub enum Values<'a> {
     /// Every value is a whole number from 0 to 65,535.
     U16(&'a [u16]),
-    /// Every value round-trips through `f32`.
-    F32(&'a [f32]),
-    /// Some value may not.
+    /// Some value may not be.
     F64(&'a [f64]),
 }
 
@@ -322,7 +297,6 @@ impl<'a> Values<'a> {
     pub fn get(self, i: usize) -> f64 {
         match self {
             Values::U16(v) => f64::from(v[i]),
-            Values::F32(v) => f64::from(v[i]),
             Values::F64(v) => v[i],
         }
     }
@@ -342,18 +316,16 @@ impl<'a> Values<'a> {
     pub fn width(self) -> ValueWidth {
         match self {
             Values::U16(_) => ValueWidth::U16,
-            Values::F32(_) => ValueWidth::F32,
             Values::F64(_) => ValueWidth::F64,
         }
     }
 
     /// The narrowest width that holds every value of the view: its own, or
-    /// a narrower one all its values fit. A view at `u16` costs nothing;
-    /// a wider one is folded once, with no early exit.
+    /// `u16` if all its values fit. A view at `u16` costs nothing; one at
+    /// `f64` is folded once, with no early exit.
     pub fn narrowest(self) -> ValueWidth {
         match self {
             Values::U16(_) => ValueWidth::U16,
-            Values::F32(v) => ValueWidth::of(v),
             Values::F64(v) => ValueWidth::of(v),
         }
     }
@@ -363,7 +335,6 @@ impl<'a> Values<'a> {
     fn slice(self, range: Range<usize>) -> Self {
         match self {
             Values::U16(v) => Values::U16(&v[range]),
-            Values::F32(v) => Values::F32(&v[range]),
             Values::F64(v) => Values::F64(&v[range]),
         }
     }
@@ -373,7 +344,6 @@ impl PartialEq for Values<'_> {
     fn eq(&self, other: &Self) -> bool {
         match (*self, *other) {
             (Values::U16(a), Values::U16(b)) => a == b,
-            (Values::F32(a), Values::F32(b)) => a == b,
             (Values::F64(a), Values::F64(b)) => a == b,
             (a, b) => a.len() == b.len() && a.iter().eq(b.iter()),
         }
@@ -388,18 +358,16 @@ impl fmt::Debug for Values<'_> {
 
 /// Measure values at their width, as a [`ChunkData`] holds them: `u16`
 /// from the start ([`ValueVec::with_capacity`], [`Default`],
-/// [`FromIterator`]), widened in place, straight to the width it needs, by
-/// the first pushed value the buffer's width does not hold. A producer
-/// that fills values before it has the coordinates builds one and hands it
-/// to [`ChunkData::from_raw`]; a `Vec<u16>`, `Vec<f32>` or `Vec<f64>`
-/// converts at its own width, as given.
+/// [`FromIterator`]), widened in place to `f64` by the first pushed value
+/// `u16` does not hold. A producer that fills values before it has the
+/// coordinates builds one and hands it to [`ChunkData::from_raw`]; a
+/// `Vec<u16>` or `Vec<f64>` converts at its own width, as given.
 #[derive(Debug, Clone)]
 pub struct ValueVec(ValueStore);
 
 #[derive(Debug, Clone)]
 enum ValueStore {
     U16(Vec<u16>),
-    F32(Vec<f32>),
     F64(Vec<f64>),
 }
 
@@ -415,12 +383,6 @@ impl From<Vec<u16>> for ValueVec {
     }
 }
 
-impl From<Vec<f32>> for ValueVec {
-    fn from(values: Vec<f32>) -> Self {
-        ValueVec(ValueStore::F32(values))
-    }
-}
-
 impl From<Vec<f64>> for ValueVec {
     fn from(values: Vec<f64>) -> Self {
         ValueVec(ValueStore::F64(values))
@@ -433,13 +395,6 @@ fn extend_at<T: Value>(to: &mut Vec<T>, values: Values<'_>) {
         to.extend(from.iter().map(|&x| T::from_f64(x.into())));
     }
     each_width!(Values, values, v => cast(to, v));
-}
-
-/// `values` at width `T`, in a buffer of `capacity`; each value holds.
-fn converted<T: Value>(values: Values<'_>, capacity: usize) -> Vec<T> {
-    let mut to = Vec::with_capacity(capacity);
-    extend_at(&mut to, values);
-    to
 }
 
 /// Bytes of heap `v` holds.
@@ -463,33 +418,26 @@ impl ValueVec {
     pub fn push(&mut self, v: f64) {
         match &mut self.0 {
             ValueStore::U16(n) if u16::holds(v) => n.push(v as u16),
-            ValueStore::F32(n) if f32::holds(v) => n.push(v as f32),
             ValueStore::F64(w) => w.push(v),
-            _ => self.widen_and_push(v),
+            ValueStore::U16(_) => self.widen_and_push(v),
         }
     }
 
-    /// [`ValueVec::push`] of a value the buffer's width does not hold.
+    /// [`ValueVec::push`] of a value `u16` does not hold.
     #[cold]
     #[inline(never)]
     fn widen_and_push(&mut self, v: f64) {
-        self.widen(ValueWidth::of(&[v]));
-        match &mut self.0 {
-            ValueStore::F32(n) => n.push(v as f32),
-            ValueStore::F64(w) => w.push(v),
-            ValueStore::U16(_) => unreachable!("widened past u16"),
-        }
+        self.widen();
+        self.push(v);
     }
 
     /// Sets value `i` to `v`, widening the buffer first if it does not fit.
     fn set(&mut self, i: usize, v: f64) {
-        let width = ValueWidth::of(&[v]);
-        if width > self.view().width() {
-            self.widen(width);
+        if !u16::holds(v) {
+            self.widen();
         }
         match &mut self.0 {
             ValueStore::U16(n) => n[i] = u16::from_f64(v),
-            ValueStore::F32(n) => n[i] = f32::from_f64(v),
             ValueStore::F64(w) => w[i] = v,
         }
     }
@@ -497,31 +445,27 @@ impl ValueVec {
     /// Appends `values`, widening the buffer first, to the narrowest width
     /// that holds them, if one does not fit.
     fn extend_from_view(&mut self, values: Values<'_>) {
-        if values.width() > self.view().width() {
-            self.widen(values.narrowest());
+        if values.width() > self.view().width() && values.narrowest() == ValueWidth::F64 {
+            self.widen();
         }
         match (&mut self.0, values) {
             (ValueStore::U16(to), Values::U16(v)) => to.extend_from_slice(v),
-            (ValueStore::F32(to), Values::F32(v)) => to.extend_from_slice(v),
             (ValueStore::F64(to), Values::F64(v)) => to.extend_from_slice(v),
             (store, v) => each_width!(ValueStore, store, to => extend_at(to, v)),
         }
     }
 
-    /// Moves the values to width `to`, keeping the capacity (a no-op when
-    /// they are already at least that wide). Out of line: a chunk widens
-    /// twice at most, and [`ValueVec::push`] stays small enough to inline
-    /// into every producer's loop.
+    /// Moves the values to `f64`, keeping the capacity (a no-op when they
+    /// are already there). Out of line: a chunk widens once at most, and
+    /// [`ValueVec::push`] stays small enough to inline into every
+    /// producer's loop.
     #[cold]
     #[inline(never)]
-    fn widen(&mut self, to: ValueWidth) {
-        let (values, capacity) = (self.view(), self.capacity());
-        if to > values.width() {
-            self.0 = match to {
-                ValueWidth::F32 => ValueStore::F32(converted(values, capacity)),
-                ValueWidth::F64 => ValueStore::F64(converted(values, capacity)),
-                ValueWidth::U16 => unreachable!("nothing is narrower than u16"),
-            };
+    fn widen(&mut self) {
+        if let ValueStore::U16(narrow) = &self.0 {
+            let mut wide = Vec::with_capacity(narrow.capacity());
+            wide.extend(narrow.iter().map(|&v| f64::from(v)));
+            self.0 = ValueStore::F64(wide);
         }
     }
 
@@ -530,7 +474,6 @@ impl ValueVec {
     fn view(&self) -> Values<'_> {
         match &self.0 {
             ValueStore::U16(v) => Values::U16(v),
-            ValueStore::F32(v) => Values::F32(v),
             ValueStore::F64(v) => Values::F64(v),
         }
     }
@@ -637,7 +580,14 @@ fn stored_dims(header: &[Column]) -> impl Iterator<Item = usize> + '_ {
 }
 
 /// Appends the `n` cells of `from` (row-major, `stride` coordinates a
-/// cell) to `out` at the columns `take` names ([`gather_columns`]).
+/// cell) to `out`, row-major at the columns `take` names (`take.len()` a
+/// cell): each column from the position in a cell its [`Column::Stored`]
+/// names, or its [`Column::Constant`]. It is how cells move between two
+/// chunks' layouts, so that each cell's adjacent stored columns move
+/// together: one strided pass a run of up to four, each cell's run a
+/// fixed-size copy. That runs about twice as fast as a pass a column on
+/// APB-1's layouts, and three to six times as fast as a cell at a time
+/// (whose inner loop is a `match` a coordinate).
 fn gather<S: Coord, C: Coord>(
     from: &[S],
     stride: usize,
@@ -647,34 +597,12 @@ fn gather<S: Coord, C: Coord>(
 ) {
     let start = out.len();
     out.resize(start + n * take.len(), C::from_u32(0));
-    let item = |c: S| C::from_u32(c.into());
-    gather_columns(from, stride, take, &mut out[start..], item, C::from_u32);
-}
-
-/// Writes the cells of `from` (`stride` items a cell) into `to`, row-major
-/// at the columns `take` names (`take.len()` items a cell, as many cells
-/// as `to` holds): each column from the position in a cell its
-/// [`Column::Stored`] names, through `item`, or its [`Column::Constant`],
-/// through `constant`. It is how a block moves between layouts — a
-/// chunk's, another chunk's, a spill record's rows — so that each cell's
-/// adjacent stored columns move together: one strided pass a run of up to
-/// four, each cell's run a fixed-size copy. That runs about twice as fast
-/// as a pass a column on APB-1's layouts, and three to six times as fast
-/// as a cell at a time (whose inner loop is a `match` a coordinate).
-pub fn gather_columns<A: Copy, B: Copy>(
-    from: &[A],
-    stride: usize,
-    take: &[Column],
-    to: &mut [B],
-    item: impl Fn(A) -> B,
-    constant: impl Fn(u32) -> B,
-) {
-    let width = take.len();
+    let (to, width) = (&mut out[start..], take.len());
     let mut d = 0;
     while d < width && !to.is_empty() {
         d += match take[d] {
             Column::Constant(c) => {
-                let c = constant(c);
+                let c = C::from_u32(c);
                 to[d..].iter_mut().step_by(width).for_each(|x| *x = c);
                 1
             }
@@ -686,30 +614,29 @@ pub fn gather_columns<A: Copy, B: Copy>(
                     .take_while(|&(&col, k)| col == Column::Stored(k))
                     .count()
                 {
-                    1 => run_pass::<_, _, 1>(from, at, to, d, &item),
-                    2 | 3 => run_pass::<_, _, 2>(from, at, to, d, &item),
-                    _ => run_pass::<_, _, 4>(from, at, to, d, &item),
+                    1 => run_pass::<_, _, 1>(from, at, to, d),
+                    2 | 3 => run_pass::<_, _, 2>(from, at, to, d),
+                    _ => run_pass::<_, _, 4>(from, at, to, d),
                 }
             }
         };
     }
 }
 
-/// One pass of [`gather_columns`]: `K` adjacent columns of each cell of
-/// `from`, from position `at`, to position `d` of the same cell of `to`.
-/// Returns `K`.
-fn run_pass<'a, A: Copy + 'a, B: 'a, const K: usize>(
-    from: impl Iterator<Item = &'a [A]>,
+/// One pass of [`gather`]: `K` adjacent columns of each cell of `from`,
+/// from position `at`, to position `d` of the same cell of `to`. Returns
+/// `K`.
+fn run_pass<'a, S: Coord, C: Coord, const K: usize>(
+    from: impl Iterator<Item = &'a [S]>,
     at: usize,
-    to: impl Iterator<Item = &'a mut [B]>,
+    to: impl Iterator<Item = &'a mut [C]>,
     d: usize,
-    item: &impl Fn(A) -> B,
 ) -> usize {
     for (cell, row) in from.zip(to) {
-        let src: &[A; K] = cell[at..at + K].try_into().expect("K columns");
-        let dst: &mut [B; K] = (&mut row[d..d + K]).try_into().expect("K columns");
+        let src: &[S; K] = cell[at..at + K].try_into().expect("K columns");
+        let dst: &mut [C; K] = (&mut row[d..d + K]).try_into().expect("K columns");
         for k in 0..K {
-            dst[k] = item(src[k]);
+            dst[k] = C::from_u32(src[k].into());
         }
     }
     K
@@ -1191,7 +1118,6 @@ mod tests {
     fn value_bytes(d: &ChunkData) -> usize {
         match d.raw_values() {
             Values::U16(_) => 2,
-            Values::F32(_) => 4,
             Values::F64(_) => 8,
         }
     }
@@ -1209,8 +1135,8 @@ mod tests {
         (narrow, ChunkData::from_stored(&constants, stored, values))
     }
 
-    /// Values whose bits `f32` does not keep: one rounded, one integer past
-    /// 2²⁴, one `f64` subnormal and one NaN payload.
+    /// Values only `f64` holds: one fraction, one odd integer past 2²⁴,
+    /// one `f64` subnormal and one NaN payload.
     const WIDE_VALUES: [f64; 4] = [
         0.1,
         16_777_217.0,
@@ -1441,18 +1367,17 @@ mod tests {
             prop_assert_ne!(&narrow, &other);
         }
 
-    /// The value analogue: an `f32` and an `f64` chunk holding the same
-    /// cells (values `f32` keeps exactly, `-0.0` and `±∞` among them), and
-    /// one collected at the narrowest width, are equal, iterate alike,
-    /// sort alike and differ in heap by the value widths; a changed value
-    /// breaks equality.
+    /// The value analogue: an `f64` chunk and one collected at the
+    /// narrowest width holding the same cells (whole numbers, fractions,
+    /// `-0.0` and `±∞` among them) are equal, iterate alike, sort alike and
+    /// differ in heap by the value widths; a changed value breaks equality.
     #[test]
     fn the_two_value_widths_hold_the_same_cells(
         cells in (1usize..=4).prop_flat_map(|d| {
             let value = prop_oneof![
                 (0u32..2000).prop_map(|v| f64::from(v) - 1000.0),
                 (0u32..2000).prop_map(f64::from),
-                (-1e3f64..1e3).prop_map(|v| f64::from(v as f32)),
+                -1e3f64..1e3,
                 Just(-0.0),
                 Just(f64::INFINITY),
                 Just(f64::NEG_INFINITY),
@@ -1465,37 +1390,30 @@ mod tests {
         let coords: Vec<u16> = cells.iter().flat_map(|(c, _)| c.iter().copied()).collect();
         let values: Vec<f64> = cells.iter().map(|&(_, v)| v).collect();
         let mut wide = ChunkData::from_raw(d, coords.clone(), values.clone());
-        let singles: Vec<f32> = values.iter().map(|&v| v as f32).collect();
-        let mut single = ChunkData::from_raw(d, coords.clone(), singles);
         let mut narrow = ChunkData::from_raw(d, coords, values.iter().copied().collect::<ValueVec>());
-        prop_assert!(!has_wide_values(&narrow) && has_wide_values(&wide));
+        prop_assert!(has_wide_values(&wide));
         let whole = values.iter().all(|&v| v.fract() == 0.0 && (0.0..=65_535.0).contains(&v)
             && v.is_sign_positive());
-        prop_assert_eq!(value_bytes(&narrow), if whole { 2 } else { 4 });
+        prop_assert_eq!(value_bytes(&narrow), if whole { 2 } else { 8 });
         let bits = |d: &ChunkData| d.raw_values().iter().map(f64::to_bits).collect::<Vec<_>>();
         let key = |d: &ChunkData| {
             let mut cells: Vec<_> = d.iter().map(|(c, v)| (c.to_vec(), v.to_bits())).collect();
             cells.sort_unstable();
             cells
         };
-        for other in [&mut single, &mut narrow] {
-            prop_assert_eq!(&*other, &wide);
-            prop_assert!(other.iter().eq(wide.iter()));
-            prop_assert_eq!(bits(other), bits(&wide));
-            other.shrink_to_fit();
-        }
+        prop_assert_eq!(&narrow, &wide);
+        prop_assert!(narrow.iter().eq(wide.iter()));
+        prop_assert_eq!(bits(&narrow), bits(&wide));
+        narrow.shrink_to_fit();
         wide.shrink_to_fit();
-        prop_assert_eq!(single.heap_bytes() + 4 * cells.len(), wide.heap_bytes());
         prop_assert_eq!(
             narrow.heap_bytes() + (8 - value_bytes(&narrow)) * cells.len(),
             wide.heap_bytes()
         );
         wide.sort_by_coords();
-        for other in [&mut single, &mut narrow] {
-            other.sort_by_coords();
-            prop_assert_eq!(all_coords(other), all_coords(&wide));
-            prop_assert_eq!(key(other), key(&wide));
-        }
+        narrow.sort_by_coords();
+        prop_assert_eq!(all_coords(&narrow), all_coords(&wide));
+        prop_assert_eq!(key(&narrow), key(&wide));
         let mut other = narrow.clone();
         let changed = if other.value_of(0) == 7.0 { 8.0 } else { 7.0 };
         *other.value_of_mut(0) = changed;
@@ -1503,47 +1421,22 @@ mod tests {
     }
     }
 
+    /// Every way a value enters a chunk widens it on a value `u16` does
+    /// not hold, keeps the capacity, and keeps every value's bits.
     #[test]
-    fn values_that_f32_keeps_stay_narrow() {
-        let mut d = ChunkData::new(1);
-        for v in [
-            1.0,
-            -0.0,
-            1000.0,
-            16_777_216.0,
-            f64::INFINITY,
-            f64::NAN,
-            0.5,
-        ] {
-            d.push(&[0], v);
-        }
-        assert!(!has_wide_values(&d));
-        let bits: Vec<u64> = d.raw_values().iter().map(f64::to_bits).collect();
-        assert_eq!(bits[1], (-0.0f64).to_bits());
-        assert_eq!(bits[5], f64::NAN.to_bits());
-        *d.value_of_mut(0) = 2.0;
-        assert!(
-            !has_wide_values(&d),
-            "a written value that fits stays narrow"
-        );
-        assert_eq!(d.value_of(0), 2.0);
-    }
-
-    /// Every way a value enters a chunk widens it on a value `f32` would
-    /// change, keeps the capacity, and keeps every value's bits.
-    #[test]
-    fn each_entry_widens_on_a_value_f32_does_not_keep() {
+    fn each_entry_widens_on_a_value_u16_does_not_hold() {
         for wide in WIDE_VALUES {
             let narrow_cells = || {
                 let mut d = ChunkData::with_capacity(1, 4);
                 d.push(&[0], 1.0);
-                d.push(&[1], 2.5);
+                d.push(&[1], 2.0);
+                assert!(!has_wide_values(&d));
                 d
             };
             let mut source = ChunkData::new(1);
             source.push(&[7], wide);
             assert!(has_wide_values(&source), "push of {wide:e}");
-            let want = [1.0f64.to_bits(), 2.5f64.to_bits(), wide.to_bits()];
+            let want = [1.0f64.to_bits(), 2.0f64.to_bits(), wide.to_bits()];
             let check = |d: &ChunkData, how: &str| {
                 assert!(has_wide_values(d), "{how} of {wide:e}");
                 let got: Vec<u64> = d.raw_values().iter().map(f64::to_bits).collect();
@@ -1572,7 +1465,7 @@ mod tests {
             *written.value_of_mut(2) = wide;
             check(&written, "value_of_mut");
 
-            let collected: ValueVec = [1.0, 2.5, wide].into_iter().collect();
+            let collected: ValueVec = [1.0, 2.0, wide].into_iter().collect();
             check(
                 &ChunkData::from_raw(1, vec![0u16, 1, 7], collected),
                 "collect",
@@ -1582,7 +1475,7 @@ mod tests {
 
     /// Whole numbers from 0 to 65,535 stay at `u16`, two bytes a value;
     /// `-0.0`, a fraction, 65,536 and a negative number each widen the
-    /// buffer to `f32`, every bit kept.
+    /// buffer to `f64`, every bit kept.
     #[test]
     fn whole_numbers_stay_at_u16() {
         let mut d = ChunkData::with_capacity(1, 8);
@@ -1596,15 +1489,15 @@ mod tests {
         for v in [-0.0, 0.5, 65_536.0, -1.0] {
             let mut e = d.clone();
             e.push(&[1], v);
-            assert_eq!(value_bytes(&e), 4, "{v:e}");
+            assert_eq!(value_bytes(&e), 8, "{v:e}");
             let bits: Vec<u64> = e.raw_values().iter().map(f64::to_bits).collect();
             let want: Vec<u64> = [7.0, 1.0, 1000.0, 65_535.0, v].map(f64::to_bits).to_vec();
             assert_eq!(bits, want, "{v:e}");
         }
     }
 
-    /// A value `f32` does not keep widens a `u16` buffer straight to
-    /// `f64`, keeping its capacity.
+    /// A value only `f64` holds widens a `u16` buffer straight to `f64`,
+    /// keeping its capacity.
     #[test]
     fn a_u16_buffer_widens_straight_to_the_width_a_value_needs() {
         for wide in WIDE_VALUES {
@@ -1631,9 +1524,9 @@ mod tests {
         Write(usize, f64),
     }
 
-    /// Values on every width's edge: whole numbers `u16` holds, `-0.0`,
-    /// 65,535, 65,536, `0.5`, a negative whole number, a NaN `f32` keeps,
-    /// values exact only in `f64`, and NaN payloads.
+    /// Values on the `u16` width's edge: whole numbers it holds, `-0.0`,
+    /// 65,535, 65,536, `0.5`, a negative whole number, a NaN, values exact
+    /// only in `f64`, and NaN payloads.
     fn arb_value() -> impl Strategy<Value = f64> {
         const EDGES: [f64; 6] = [-0.0, 65_535.0, 65_536.0, 0.5, -3.0, f64::NAN];
         prop_oneof![
@@ -1661,8 +1554,6 @@ mod tests {
         let bytes = |v: f64| {
             if (0.0..=65_535.0).contains(&v) && v.fract() == 0.0 && v.is_sign_positive() {
                 2
-            } else if f64::from(v as f32).to_bits() == v.to_bits() {
-                4
             } else {
                 8
             }
@@ -1849,19 +1740,19 @@ mod tests {
 
     #[test]
     fn a_wide_source_whose_values_fit_appends_narrow() {
-        let wide = ChunkData::from_raw(1, vec![0u16, 1], vec![1.0, -0.0]);
+        let wide = ChunkData::from_raw(1, vec![0u16, 1], vec![1.0, 65_535.0]);
         assert!(has_wide_values(&wide));
         let mut d = ChunkData::new(1);
         d.append(&wide);
         assert!(!has_wide_values(&d));
         assert_eq!(d, wide);
-        assert_eq!(d.value_of(1).to_bits(), (-0.0f64).to_bits());
+        d.append(&ChunkData::from_raw(1, vec![2u16], vec![-0.0]));
+        assert!(has_wide_values(&d));
+        assert_eq!(d.value_of(2).to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
     fn value_views_compare_by_value_across_widths() {
-        assert_eq!(Values::F32(&[1.0, 2.0]), Values::F64(&[1.0, 2.0]));
-        assert_eq!(Values::U16(&[1, 2]), Values::F32(&[1.0, 2.0]));
         assert_eq!(Values::U16(&[1, 2]), Values::F64(&[1.0, 2.0]));
         assert_ne!(Values::U16(&[1, 2]), Values::F64(&[1.0, 2.5]));
         assert_eq!(
@@ -1870,14 +1761,13 @@ mod tests {
             "zeros are equal by value"
         );
         assert_eq!(format!("{:?}", Values::U16(&[7])), "[7.0]");
-        assert_ne!(Values::F32(&[1.0, 2.0]), Values::F64(&[1.0, 0.1]));
-        assert_ne!(Values::F32(&[1.0]), Values::F64(&[1.0, 2.0]));
+        assert_ne!(Values::U16(&[1]), Values::F64(&[1.0, 2.0]));
         assert_ne!(
-            Values::F32(&[f32::NAN]),
+            Values::F64(&[f64::NAN]),
             Values::F64(&[f64::NAN]),
             "NaN is never equal"
         );
-        assert_eq!(format!("{:?}", Values::F32(&[1.5])), "[1.5]");
+        assert_eq!(format!("{:?}", Values::F64(&[1.5])), "[1.5]");
     }
 
     /// One cell given, or read off a chunk at either width that holds

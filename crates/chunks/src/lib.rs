@@ -26,8 +26,8 @@ mod grid;
 pub mod hash;
 
 pub use data::{
-    gather_columns, CellCoords, ChunkData, Column, Coord, Coords, Value, ValueMut, ValueVec,
-    ValueWidth, Values, NARROW_MAX, PAPER_TUPLE_BYTES,
+    CellCoords, ChunkData, Column, Coord, Coords, Value, ValueMut, ValueVec, ValueWidth, Values,
+    NARROW_MAX, PAPER_TUPLE_BYTES,
 };
 pub use dimchunk::DimChunking;
 pub use error::ChunkError;

@@ -236,10 +236,8 @@ impl SourceKeys<'_> {
         let n = data.stride();
         match (data.stored_coords(), data.raw_values()) {
             (Coords::U16(c), Values::U16(v)) => self.for_each_cell_at(c, n, v, put),
-            (Coords::U16(c), Values::F32(v)) => self.for_each_cell_at(c, n, v, put),
             (Coords::U16(c), Values::F64(v)) => self.for_each_cell_at(c, n, v, put),
             (Coords::U32(c), Values::U16(v)) => self.for_each_cell_at(c, n, v, put),
-            (Coords::U32(c), Values::F32(v)) => self.for_each_cell_at(c, n, v, put),
             (Coords::U32(c), Values::F64(v)) => self.for_each_cell_at(c, n, v, put),
         }
     }
@@ -346,7 +344,6 @@ impl Cells {
                 );
                 vals[k] = match data.raw_values() {
                     Values::U16(v) => fold_values(v, vals[k], lift, combine),
-                    Values::F32(v) => fold_values(v, vals[k], lift, combine),
                     Values::F64(v) => fold_values(v, vals[k], lift, combine),
                 };
                 occupied[k] = 1;
@@ -503,8 +500,7 @@ impl<'s> Aggregator<'s> {
     /// storing the box's live columns and holding each dead one once: its
     /// coordinates at the narrow width when the box's upper corner fits it
     /// along the live ones, its values at `u16` until one does not fit,
-    /// then at `f32` until one does not round-trip ([`ValueVec`]); every
-    /// value is accumulated at `f64`.
+    /// then at `f64` ([`ValueVec`]); every value is accumulated at `f64`.
     /// Row-major box keys *are* coordinate order: the dense side walks its
     /// slots in place — no collect, no sort — dividing once per row. The
     /// sparse side radix-sorts its pairs by key, stably, then folds each
@@ -1475,10 +1471,9 @@ pub(crate) mod tests {
     }
 
     /// `jagged_cells`' coordinates at each value width. At `u16` the values
-    /// are whole numbers up to 65,535 whose sums pass it; at `f32` and
-    /// `f64` a `-0.0` and a NaN are among them, and the `f32` cells are the
-    /// jagged values rounded to `f32`, so they stay `f32` in the chunk and
-    /// still make a SUM's bits depend on its order.
+    /// are whole numbers up to 65,535 whose sums pass it; at `f64` a `-0.0`
+    /// and a NaN are among the jagged values, which make a SUM's bits
+    /// depend on its order.
     fn jagged_cells_at(width: ValueWidth) -> ChunkData {
         let mut cells = ChunkData::new(2);
         for (i, (c, v)) in jagged_cells().iter().enumerate() {
@@ -1486,7 +1481,6 @@ pub(crate) mod tests {
                 (ValueWidth::U16, _) => (i * 40_009 % 65_536) as f64,
                 (_, 4) => -0.0,
                 (_, 7) => f64::NAN,
-                (ValueWidth::F32, _) => f64::from(v as f32),
                 (ValueWidth::F64, _) => v,
             };
             cells.push(c, v);
@@ -1495,7 +1489,7 @@ pub(crate) mod tests {
         cells
     }
 
-    const WIDTHS: [ValueWidth; 3] = [ValueWidth::U16, ValueWidth::F32, ValueWidth::F64];
+    const WIDTHS: [ValueWidth; 2] = [ValueWidth::U16, ValueWidth::F64];
 
     /// A source chunk every cell of which lands on one target cell is
     /// folded in a register on the dense side; at each value width it
@@ -1558,7 +1552,7 @@ pub(crate) mod tests {
         let (base, base_level) = (lattice.base(), s.base_level());
         let by_width = WIDTHS.map(|w| by_chunk(&g, base, &jagged_cells_at(w)));
         let mixed: Vec<ChunkData> = (0..by_width[0].len())
-            .map(|c| by_width[c % 3][c].clone())
+            .map(|c| by_width[c % WIDTHS.len()][c].clone())
             .collect();
         for w in WIDTHS {
             assert!(mixed

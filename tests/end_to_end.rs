@@ -139,9 +139,9 @@ fn preload_then_aggregated_queries_never_touch_backend() {
 /// The budget charges a cached cell the paper's 20 bytes; on APB-1 every
 /// coordinate fits 16 bits, nearly every value this session caches is a
 /// whole number that fits too (a few sums pass 65,535 and are held at
-/// `f32`), and a dimension every cell of a chunk agrees on is held once
+/// `f64`), and a dimension every cell of a chunk agrees on is held once
 /// per chunk, so a five-dimensional cell holds about 8 bytes of heap
-/// (0.394 heap bytes per accounted byte; 12 bytes, 0.60, with every
+/// (0.395 heap bytes per accounted byte; 12 bytes, 0.60, with every
 /// column stored). Checked over every chunk of a manager filled to its
 /// budget.
 #[test]
@@ -165,14 +165,13 @@ fn a_full_apb_cache_holds_less_heap_than_it_accounts() {
 }
 
 /// `ds` with every fact run rebuilt holding the same values at `width`:
-/// `u16`, `f32` or `f64`, its coordinates at their own width.
+/// `u16` or `f64`, its coordinates at their own width.
 fn with_value_width(ds: &Dataset, width: ValueWidth) -> Dataset {
     let runs = (0..ds.grid.n_chunks(ds.fact_gb)).map(|c| {
         let run = ds.fact.chunk(c);
         let values = run.raw_values().to_vec();
         let values: ValueVec = match width {
             ValueWidth::U16 => values.iter().map(|&v| v as u16).collect::<Vec<_>>().into(),
-            ValueWidth::F32 => values.iter().map(|&v| v as f32).collect::<Vec<_>>().into(),
             ValueWidth::F64 => values.into(),
         };
         let constants: Vec<Option<u32>> = run.columns().iter().map(|c| c.constant()).collect();
@@ -252,13 +251,13 @@ fn session_at(ds: &Dataset, dir: &std::path::Path) -> Observed {
 }
 
 /// The width a fact value is held at is invisible: the same dataset with
-/// every run at `u16`, `f32` and `f64` answers one VCMC stream — across an
+/// every run at `u16` and at `f64` answers one VCMC stream — across an
 /// ingest batch, a spill checkpoint and a warm restart — cell for cell and
 /// bit for bit, with identical query metrics and spill virtual time.
 #[test]
 fn answers_and_virtual_time_do_not_depend_on_the_value_width() {
     let ds = apb_dataset(5_000, 31);
-    let observed: Vec<Observed> = [ValueWidth::U16, ValueWidth::F32, ValueWidth::F64]
+    let observed: Vec<Observed> = [ValueWidth::U16, ValueWidth::F64]
         .into_iter()
         .map(|width| {
             let dir = std::env::temp_dir().join(format!(
@@ -273,7 +272,7 @@ fn answers_and_virtual_time_do_not_depend_on_the_value_width() {
         .collect();
     let u16s = &observed[0];
     assert_eq!(u16s.answers.len(), 80);
-    for (other, name) in observed[1..].iter().zip(["f32", "f64"]) {
+    for (other, name) in observed[1..].iter().zip(["f64"]) {
         let answer = first_diff(&u16s.answers, &other.answers);
         assert_eq!(answer, None, "answers: u16 against {name}");
         let metrics = first_diff(&u16s.metrics, &other.metrics)

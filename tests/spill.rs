@@ -10,7 +10,7 @@ use proptest::prelude::*;
 // Our `Strategy` enum collides with proptest's trait of the same name
 // under the two glob imports; re-import both under unambiguous names.
 use aggcache::prelude::Strategy;
-use aggcache::store::{SpillCostModel, SPILL_FORMAT_VERSION, SPILL_HEADER_BYTES};
+use aggcache::store::{SpillCostModel, SpillError, SPILL_FORMAT_VERSION, SPILL_HEADER_BYTES};
 use proptest::strategy::Strategy as PropStrategy;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -34,21 +34,19 @@ fn segments(dir: &Path) -> Vec<PathBuf> {
 }
 
 /// The length of the record whose header opens `bytes`, per
-/// `docs/FORMAT.md`: header, two length prefixes and the checksum, then
-/// `n_cells × (n_dims × cw + vw)` at the widths its flags name — `cw` 4
-/// with flag bit 1, else 2; `vw` 8 with flag bit 2, 2 with flag bit 3,
-/// else 4.
+/// `docs/FORMAT.md`: header, column table (five bytes a dimension), two
+/// length prefixes and the checksum, then `n_cells × (n_stored × cw + vw)`
+/// — `n_stored` the table's entries tagged 0 (stored), `cw` 4 with flag
+/// bit 1, else 2, and `vw` 8 with flag bit 2, else 2.
 fn record_len(bytes: &[u8]) -> usize {
     let flags = u16::from_le_bytes([bytes[6], bytes[7]]);
     let n_dims = u16::from_le_bytes([bytes[18], bytes[19]]) as usize;
     let n_cells = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
+    let table = &bytes[SPILL_HEADER_BYTES..SPILL_HEADER_BYTES + 5 * n_dims];
+    let n_stored = table.iter().step_by(5).filter(|&&tag| tag == 0).count();
     let cw = if flags & 2 != 0 { 4 } else { 2 };
-    let vw = match (flags & 4 != 0, flags & 8 != 0) {
-        (true, _) => 8,
-        (false, true) => 2,
-        (false, false) => 4,
-    };
-    SPILL_HEADER_BYTES + 16 + n_cells * (n_dims * cw + vw)
+    let vw = if flags & 4 != 0 { 8 } else { 2 };
+    SPILL_HEADER_BYTES + table.len() + 16 + n_cells * (n_stored * cw + vw)
 }
 
 /// What `SpillCostModel` prices a record of `n_cells` cells of `n_dims`
@@ -75,7 +73,9 @@ fn assert_records_equal(a: &SpillRecord, b: &SpillRecord) {
 }
 
 /// Strategy: an arbitrary record — any dimensionality 1-4, any coords,
-/// any f64 *bit pattern* (NaN payloads, -0.0 and infinities included).
+/// some dimensions one coordinate every cell holds (past `u16` or not),
+/// any f64 *bit pattern* (NaN payloads, -0.0 and infinities included) or
+/// whole numbers `u16` holds.
 fn arb_record() -> impl PropStrategy<Value = SpillRecord> {
     (
         1usize..=4,
@@ -83,27 +83,48 @@ fn arb_record() -> impl PropStrategy<Value = SpillRecord> {
         0u64..(1u64 << 40),
         0u8..=2,
         0u64..u64::MAX,
+        proptest::bool::ANY,
     )
-        .prop_flat_map(|(n_dims, gb, chunk, origin, benefit_bits)| {
-            proptest::collection::vec(
-                (
-                    proptest::collection::vec(0u32..u32::MAX, n_dims),
-                    0u64..u64::MAX,
+        .prop_flat_map(|(n_dims, gb, chunk, origin, benefit_bits, whole)| {
+            // Per dimension: stored (kinds 0 and 1), or held once at a
+            // small coordinate (2) or at any (3).
+            let held = (0u8..4, 0u32..u32::MAX).prop_map(|(kind, c)| match kind {
+                2 => Some(c % 8),
+                3 => Some(c),
+                _ => None,
+            });
+            (
+                proptest::collection::vec(held, n_dims),
+                proptest::collection::vec(
+                    (
+                        proptest::collection::vec(0u32..u32::MAX, n_dims),
+                        0u64..u64::MAX,
+                    ),
+                    0..40,
                 ),
-                0..40,
             )
-            .prop_map(move |cells| {
-                let mut data = ChunkData::new(n_dims);
-                for (coords, value_bits) in &cells {
-                    data.push(coords, f64::from_bits(*value_bits));
-                }
-                SpillRecord {
-                    key: ChunkKey::new(GroupById(gb), chunk),
-                    origin,
-                    benefit: f64::from_bits(benefit_bits),
-                    data,
-                }
-            })
+                .prop_map(move |(held, cells)| {
+                    let mut data = ChunkData::new(n_dims);
+                    for (coords, value_bits) in &cells {
+                        let coords: Vec<u32> = coords
+                            .iter()
+                            .zip(&held)
+                            .map(|(&c, h)| h.unwrap_or(c))
+                            .collect();
+                        let value = if whole {
+                            f64::from(*value_bits as u16)
+                        } else {
+                            f64::from_bits(*value_bits)
+                        };
+                        data.push(&coords, value);
+                    }
+                    SpillRecord {
+                        key: ChunkKey::new(GroupById(gb), chunk),
+                        origin,
+                        benefit: f64::from_bits(benefit_bits),
+                        data,
+                    }
+                })
         })
 }
 
@@ -117,6 +138,7 @@ proptest! {
         let encoded = encode_record(record.key, record.origin, record.benefit, &record.data);
         let decoded = decode_record(&encoded).unwrap();
         assert_records_equal(&decoded, &record);
+        prop_assert_eq!(decoded.data.columns(), record.data.columns());
         let re = encode_record(decoded.key, decoded.origin, decoded.benefit, &decoded.data);
         prop_assert_eq!(re, encoded);
     }
@@ -140,23 +162,87 @@ proptest! {
             "flipping byte {i} by {delta:#04x} went undetected"
         );
     }
+
+    /// Hostile bytes in and around a valid record's column table, its
+    /// checksum made to match so that only the structure can refuse them,
+    /// decode to a chunk or to `Corrupt` — never a panic and never another
+    /// error.
+    #[test]
+    fn a_hostile_column_table_decodes_or_is_corrupt(
+        record in arb_record(),
+        damage in arb_table_damage(),
+    ) {
+        let encoded = encode_record(record.key, record.origin, record.benefit, &record.data);
+        let bad = damaged(encoded, &damage);
+        let got = decode_record(&bad);
+        prop_assert!(
+            matches!(got, Ok(_) | Err(SpillError::Corrupt { .. })),
+            "{damage:?}: {got:?}"
+        );
+    }
+}
+
+/// One way to damage a record's column table or what it sizes.
+#[derive(Debug, Clone)]
+enum TableDamage {
+    /// XORs the tag of dimension `d mod n_dims` with the mask: 1 turns a
+    /// stored column into one held once, or back.
+    FlipTag(usize, u8),
+    /// Sets `coord_len` to `n_cells × n × cw`: `n` stored columns where
+    /// the table may name another count.
+    CoordLen(usize),
+    /// Cuts the record this many bytes (mod its table's length) into its
+    /// table.
+    Truncate(usize),
+    /// Sets `n_dims` to 0, and `n_cells` to 1 if it is 0.
+    NoDims,
+}
+
+fn arb_table_damage() -> impl PropStrategy<Value = TableDamage> {
+    prop_oneof![
+        (0usize..4, 1u8..=255).prop_map(|(d, mask)| TableDamage::FlipTag(d, mask)),
+        (0usize..4, 1u8..=1).prop_map(|(d, mask)| TableDamage::FlipTag(d, mask)),
+        (0usize..6).prop_map(TableDamage::CoordLen),
+        (0usize..20).prop_map(TableDamage::Truncate),
+        Just(TableDamage::NoDims),
+    ]
+}
+
+/// `record` with `damage` done and its checksum recomputed.
+fn damaged(record: Vec<u8>, damage: &TableDamage) -> Vec<u8> {
+    let n_dims = u16::from_le_bytes([record[18], record[19]]) as usize;
+    let n_cells = u32::from_le_bytes(record[20..24].try_into().unwrap());
+    let table = SPILL_HEADER_BYTES..SPILL_HEADER_BYTES + 5 * n_dims;
+    let mut body = record[..record.len() - 8].to_vec();
+    match *damage {
+        TableDamage::FlipTag(d, mask) => body[table.start + 5 * (d % n_dims)] ^= mask,
+        TableDamage::CoordLen(n) => {
+            let cw = if body[6] & 2 != 0 { 4 } else { 2 };
+            let len = n_cells * n as u32 * cw;
+            body[table.end..table.end + 4].copy_from_slice(&len.to_le_bytes());
+        }
+        TableDamage::Truncate(k) => body.truncate(table.start + k % table.len()),
+        TableDamage::NoDims => {
+            body[18..20].copy_from_slice(&0u16.to_le_bytes());
+            body[20..24].copy_from_slice(&n_cells.max(1).to_le_bytes());
+        }
+    }
+    let checksum = spill_checksum(&body);
+    body.extend_from_slice(&checksum.to_le_bytes());
+    body
 }
 
 /// Strategy: a chunk shape — dimensionality 1-4 and 0-40 cells — with
-/// cells every width holds: coordinates that fit `u16` and values that
-/// fit `f32`.
-fn arb_narrow_cells() -> impl PropStrategy<Value = (usize, Vec<u32>, Vec<f32>)> {
+/// cells every width holds: coordinates that fit `u16` and whole-number
+/// values from 0 to 65,535.
+fn arb_narrow_cells() -> impl PropStrategy<Value = (usize, Vec<u32>, Vec<u16>)> {
     (1usize..=4, 0usize..40).prop_flat_map(|(n_dims, n_cells)| {
         (
             proptest::collection::vec(0u32..=u32::from(u16::MAX), n_dims * n_cells),
-            proptest::collection::vec(0u32..(1 << 24), n_cells),
+            proptest::collection::vec(0u32..=u32::from(u16::MAX), n_cells),
         )
             .prop_map(move |(coords, values)| {
-                // Negative, fractional and whole, each exact in f32.
-                let values = values
-                    .into_iter()
-                    .map(|v| (v as f32 - 4_000_000.0) / 64.0)
-                    .collect();
+                let values = values.into_iter().map(|v| v as u16).collect();
                 (n_dims, coords, values)
             })
     })
@@ -183,11 +269,11 @@ fn spill_charges(data: &ChunkData, tag: &str) -> [u64; 3] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The widths a record is written at never move virtual time: the same
-    /// cells held at each of the four coordinate × value width pairs, the
-    /// same shape with whole-number values held at `u16` at each coordinate
-    /// width — and with a coordinate past `u16` or a value past `f32`,
-    /// written wide — are written, checkpointed and read back at
+    /// The layout and widths a record is written at never move virtual
+    /// time: the same cells held at each of the four coordinate × value
+    /// width pairs, with a first column held once (at `u32`, past `u16`)
+    /// or stored, and with a coordinate past `u16` or a value past `u16`
+    /// written wide, are written, checkpointed and read back at
     /// bit-identical charges, those of the fixed-width record
     /// `48 + n_cells × (4·n_dims + 8)` that `docs/FORMAT.md` prices.
     #[test]
@@ -203,17 +289,19 @@ proptest! {
             ChunkData::from_raw(n_dims, wide_coords(), values.clone()),
             ChunkData::from_raw(n_dims, wide_coords(), wide_values()),
         ];
-        let whole = || values.iter().map(|&v| v.to_bits() as u16).collect::<Vec<_>>();
-        chunks.push(ChunkData::from_raw(n_dims, narrow_coords(), whole()));
-        chunks.push(ChunkData::from_raw(n_dims, wide_coords(), whole()));
+        let mut held = wide_coords();
+        held.iter_mut().step_by(n_dims).for_each(|c| *c = 70_000);
+        let stored = vec![None; n_dims];
+        chunks.push(ChunkData::from_raw(n_dims, held.clone(), values.clone()));
+        chunks.push(ChunkData::from_stored(&stored, held, values.clone()));
         if n_cells > 0 {
             let mut past_u16 = wide_coords();
             past_u16[0] = 70_000;
-            let mut past_f32 = wide_values();
-            past_f32[0] = 0.1;
+            let mut past_whole = wide_values();
+            past_whole[0] = 0.1;
             chunks.push(ChunkData::from_raw(n_dims, past_u16.clone(), wide_values()));
-            chunks.push(ChunkData::from_raw(n_dims, wide_coords(), past_f32.clone()));
-            chunks.push(ChunkData::from_raw(n_dims, past_u16, past_f32));
+            chunks.push(ChunkData::from_raw(n_dims, wide_coords(), past_whole.clone()));
+            chunks.push(ChunkData::from_raw(n_dims, past_u16, past_whole));
         }
         let priced = priced_len(n_dims, n_cells);
         let want = [
@@ -409,10 +497,31 @@ fn golden_fixture() -> (ChunkKey, u8, f64, ChunkData) {
     (ChunkKey::new(GroupById(3), 7), 1, 2.5, data)
 }
 
+/// `docs/FORMAT.md`, whose title and version rows must name this build's
+/// `SPILL_FORMAT_VERSION`, so that a version bump cannot leave the spec
+/// describing the old one.
 fn format_md() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/FORMAT.md");
-    std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("docs/FORMAT.md must exist (the normative spec): {e}"))
+    let doc = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("docs/FORMAT.md must exist (the normative spec): {e}"));
+    let v = SPILL_FORMAT_VERSION;
+    for (what, needle) in [
+        ("title", format!("# SpillFormat v{v} ")),
+        (
+            "record version row",
+            format!("this document describes version **{v}**"),
+        ),
+        (
+            "index version row",
+            format!("| 4 | 2 | version | `u16`, **{v}** |"),
+        ),
+    ] {
+        assert!(
+            doc.contains(&needle),
+            "docs/FORMAT.md's {what} does not name version {v}"
+        );
+    }
+    doc
 }
 
 /// Hex bytes between `<!-- GOLDEN:tag -->` and `<!-- /GOLDEN:tag -->`.
@@ -478,6 +587,25 @@ fn format_md_golden_whole_number_record_matches_implementation() {
         golden_hex(&format_md(), "WHOLE_RECORD"),
         want,
         "docs/FORMAT.md whole-number record fixture drifted from the implementation;\n\
+         the bytes this build writes are:\n{want}"
+    );
+}
+
+/// And for the worked example whose chunk holds a column once, at `u32`,
+/// beside a `u16` coordinate block.
+#[test]
+fn format_md_golden_constant_record_matches_implementation() {
+    let (key, origin, benefit, fractional) = golden_fixture();
+    let mut data = ChunkData::new(2);
+    for ((coords, _), v) in fractional.iter().zip([3.0, 65_535.0, 0.0]) {
+        data.push(&[coords.get(0), 70_000], v);
+    }
+    assert_eq!(data.stride(), 1, "the second column is held once");
+    let want = to_hex(&encode_record(key, origin, benefit, &data));
+    assert_eq!(
+        golden_hex(&format_md(), "CONSTANT_RECORD"),
+        want,
+        "docs/FORMAT.md constant-column record fixture drifted from the implementation;\n\
          the bytes this build writes are:\n{want}"
     );
 }

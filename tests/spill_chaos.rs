@@ -342,20 +342,21 @@ fn a_version_2_spill_directory_restarts_cold() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `bytes` with its checksum, which version 3 computes as version 4 does,
-/// appended.
+/// `bytes` with its checksum, which versions 3 and 4 compute as version 5
+/// does, appended.
 fn v3_sealed(mut bytes: Vec<u8>) -> Vec<u8> {
     let checksum = spill_checksum(&bytes);
     bytes.extend_from_slice(&checksum.to_le_bytes());
     bytes
 }
 
-/// A `SpillFormat` version 3 record of `data` under `key`: `u16`
-/// coordinates and `f32` values, the narrowest widths version 3 had (flags
-/// 0), origin 0.
-fn v3_record(key: ChunkKey, data: &ChunkData) -> Vec<u8> {
+/// A `SpillFormat` record of `data` under `key` at `version` 3 or 4: every
+/// coordinate of every cell at `u16` and the values at `f32`, the
+/// narrowest widths version 3 had (flags 0, which version 4 reads the
+/// same way), origin 0.
+fn v3_record(version: u16, key: ChunkKey, data: &ChunkData) -> Vec<u8> {
     let mut out = b"ACSP".to_vec();
-    out.extend_from_slice(&3u16.to_le_bytes());
+    out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&0u16.to_le_bytes());
     out.extend_from_slice(&key.pack().to_le_bytes());
     out.extend_from_slice(&[0, 0]);
@@ -375,18 +376,17 @@ fn v3_record(key: ChunkKey, data: &ChunkData) -> Vec<u8> {
     v3_sealed(out)
 }
 
-/// A spill directory written by a version 3 build — `u16` coordinates,
+/// A spill directory written at `version` 3 or 4 — `u16` coordinates,
 /// `f32` values, its index entries carrying the priced size — restarts
 /// cold.
-#[test]
-fn a_version_3_spill_directory_restarts_cold() {
+fn a_v3_spill_directory_restarts_cold(version: u16) {
     let ds = dataset();
-    let dir = tmpdir("v3");
+    let dir = tmpdir(&format!("v{version}"));
     std::fs::create_dir_all(&dir).unwrap();
     let mut segment = Vec::new();
     let mut index = Vec::new();
     for (key, data) in wrong_base_chunks(&ds) {
-        let record = v3_record(key, &data);
+        let record = v3_record(version, key, &data);
         let priced = 48 + data.len() * (4 * data.n_dims() + 8);
         index.extend_from_slice(&key.pack().to_le_bytes());
         index.extend_from_slice(&(segment.len() as u64).to_le_bytes());
@@ -397,7 +397,7 @@ fn a_version_3_spill_directory_restarts_cold() {
         segment.extend_from_slice(&record);
     }
     let mut head = b"ACSI".to_vec();
-    head.extend_from_slice(&3u16.to_le_bytes());
+    head.extend_from_slice(&version.to_le_bytes());
     head.extend_from_slice(&0u16.to_le_bytes());
     head.extend_from_slice(&((index.len() / 32) as u32).to_le_bytes());
     head.extend_from_slice(&index);
@@ -405,4 +405,17 @@ fn a_version_3_spill_directory_restarts_cold() {
     std::fs::write(dir.join("spill.idx"), v3_sealed(head)).unwrap();
     restarts_cold(&ds, &dir);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spill directory written by a version 3 build restarts cold.
+#[test]
+fn a_version_3_spill_directory_restarts_cold() {
+    a_v3_spill_directory_restarts_cold(3);
+}
+
+/// A spill directory written by a version 4 build — whose rows at flags 0
+/// are version 3's bytes — restarts cold.
+#[test]
+fn a_version_4_spill_directory_restarts_cold() {
+    a_v3_spill_directory_restarts_cold(4);
 }
