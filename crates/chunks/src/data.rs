@@ -24,10 +24,6 @@ pub trait Coord: Copy + Ord + Into<u32> + 'static {
         let c: u32 = self.into();
         c as usize
     }
-
-    /// `chunk` holding `coords`, at this width, as its stored coordinates.
-    #[doc(hidden)]
-    fn holding(coords: Vec<Self>, chunk: ChunkData) -> ChunkData;
 }
 
 impl Coord for u16 {
@@ -36,11 +32,6 @@ impl Coord for u16 {
         debug_assert!(c <= NARROW_MAX, "coordinate {c} does not fit u16");
         c as u16
     }
-
-    fn holding(coords: Vec<u16>, chunk: ChunkData) -> ChunkData {
-        let coords = CoordVec::U16(coords);
-        ChunkData { coords, ..chunk }
-    }
 }
 
 impl Coord for u32 {
@@ -48,59 +39,120 @@ impl Coord for u32 {
     fn from_u32(c: u32) -> Self {
         c
     }
+}
 
-    fn holding(coords: Vec<u32>, chunk: ChunkData) -> ChunkData {
-        let coords = CoordVec::U32(coords);
-        ChunkData { coords, ..chunk }
+/// The type a [`Buf`] widens to from `u16` once an entry does not fit:
+/// `u32` for coordinates, `f64` for measure values, which `u16` holds while
+/// each is a whole number from 0 to 65,535 (`+0.0`, not `-0.0`). Widening
+/// is exact.
+pub trait Wide: Copy + PartialEq + From<u16> + fmt::Debug + 'static {
+    /// This number at `u16`, if it survives the round trip bit for bit.
+    fn narrow(self) -> Option<u16>;
+}
+
+impl Wide for u32 {
+    #[inline(always)]
+    fn narrow(self) -> Option<u16> {
+        u16::try_from(self).ok()
     }
 }
 
-/// Whether every coordinate of `coords` fits the narrow width.
-#[inline]
-fn fits_narrow(coords: &[u32]) -> bool {
-    coords.iter().fold(0, |all, &c| all | c) <= NARROW_MAX
+impl Wide for f64 {
+    /// `None` for a fraction, a negative number, `-0.0`, a NaN or a number
+    /// past 65,535, each of which the saturating cast changes.
+    #[inline(always)]
+    fn narrow(self) -> Option<u16> {
+        let n = self as u16;
+        (f64::from(n).to_bits() == self.to_bits()).then_some(n)
+    }
 }
 
-/// Row-major coordinates at their width: a chunk's stored columns
-/// ([`ChunkData::stored_coords`]).
-#[derive(Debug, Clone, Copy)]
-pub enum Coords<'a> {
-    /// Every coordinate fits 16 bits.
+/// Entries as a [`Buf`] holds them, tagged with their width: a chunk's
+/// stored coordinates ([`Coords`]) or its values ([`Values`]). Two views
+/// compare by value, whatever their widths.
+#[derive(Clone, Copy)]
+pub enum Held<'a, W> {
+    /// Every entry fits 16 bits.
     U16(&'a [u16]),
-    /// Some coordinate may not.
-    U32(&'a [u32]),
+    /// Some entry may not.
+    Wide(&'a [W]),
 }
 
-impl<'a> Coords<'a> {
+/// Row-major coordinates at their width, `u16` or `u32`: a chunk's stored
+/// columns ([`ChunkData::stored_coords`]).
+pub type Coords<'a> = Held<'a, u32>;
+
+/// Measure values at their width, `u16` or `f64`: all of a chunk's cells
+/// ([`ChunkData::raw_values`]).
+pub type Values<'a> = Held<'a, f64>;
+
+impl<'a, W: Wide> Held<'a, W> {
+    /// Number of entries.
     #[inline]
-    fn len(self) -> usize {
+    pub fn len(self) -> usize {
         match self {
-            Coords::U16(c) => c.len(),
-            Coords::U32(c) => c.len(),
+            Held::U16(v) => v.len(),
+            Held::Wide(v) => v.len(),
         }
     }
 
-    /// Coordinate `i`.
+    /// Whether the view holds no entry.
     #[inline]
-    fn get(self, i: usize) -> u32 {
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Entry `i`, exactly.
+    #[inline]
+    pub fn get(self, i: usize) -> W {
         match self {
-            Coords::U16(c) => u32::from(c[i]),
-            Coords::U32(c) => c[i],
+            Held::U16(v) => W::from(v[i]),
+            Held::Wide(v) => v[i],
         }
     }
 
-    /// The coordinates in order, each as a `u32`.
-    fn iter(self) -> impl ExactSizeIterator<Item = u32> + 'a {
+    /// The entries in order, each at `W`.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = W> + 'a {
         (0..self.len()).map(move |i| self.get(i))
     }
 
-    /// Coordinates `range` of the view.
+    /// The entries as a vector at `W`.
+    pub fn to_vec(self) -> Vec<W> {
+        self.iter().collect()
+    }
+
+    /// Whether every entry fits `u16`: free for a view at `u16`, one fold
+    /// with no early exit, which vectorises, for one at `W`.
+    pub fn fits_u16(self) -> bool {
+        match self {
+            Held::U16(_) => true,
+            Held::Wide(v) => v.iter().fold(true, |all, &w| all & w.narrow().is_some()),
+        }
+    }
+
+    /// Entries `range` of the view.
     #[inline]
     fn slice(self, range: Range<usize>) -> Self {
         match self {
-            Coords::U16(c) => Coords::U16(&c[range]),
-            Coords::U32(c) => Coords::U32(&c[range]),
+            Held::U16(v) => Held::U16(&v[range]),
+            Held::Wide(v) => Held::Wide(&v[range]),
         }
+    }
+}
+
+impl<W: Wide> PartialEq for Held<'_, W> {
+    fn eq(&self, other: &Self) -> bool {
+        match (*self, *other) {
+            (Held::U16(a), Held::U16(b)) => a == b,
+            (Held::Wide(a), Held::Wide(b)) => a == b,
+            (a, b) => a.len() == b.len() && a.iter().eq(b.iter()),
+        }
+    }
+}
+
+impl<W: Wide> fmt::Debug for Held<'_, W> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -171,241 +223,54 @@ impl<'a, T: AsRef<[u32]> + ?Sized> From<&'a T> for CellCoords<'a> {
     }
 }
 
-/// A chunk's row-major coordinates, at its width.
+/// Entries at their width, as a [`ChunkData`] holds its coordinates
+/// (`Buf<u32>`) and its values ([`ValueVec`]): `u16` from the start
+/// ([`Buf::with_capacity`], [`Default`], [`FromIterator`]), widened in
+/// place to `W`, capacity kept, by the first entry `u16` does not hold. A
+/// `Vec<u16>` or `Vec<W>` converts at its own width, as given.
 #[derive(Debug, Clone)]
-enum CoordVec {
+pub enum Buf<W> {
+    /// Every entry fits 16 bits.
     U16(Vec<u16>),
-    U32(Vec<u32>),
+    /// Some entry may not.
+    Wide(Vec<W>),
 }
 
-impl Default for CoordVec {
+/// Measure values at their width. A producer that fills values before it
+/// has the coordinates builds one and hands it to [`ChunkData::from_raw`].
+pub type ValueVec = Buf<f64>;
+
+impl<W> Default for Buf<W> {
     fn default() -> Self {
-        CoordVec::U16(Vec::new())
+        Buf::U16(Vec::new())
     }
 }
 
-impl CoordVec {
-    fn view(&self) -> Coords<'_> {
-        match self {
-            CoordVec::U16(c) => Coords::U16(c),
-            CoordVec::U32(c) => Coords::U32(c),
-        }
+impl<W: Wide> From<Vec<u16>> for Buf<W> {
+    fn from(entries: Vec<u16>) -> Self {
+        Buf::U16(entries)
     }
 }
 
-/// A width a [`ChunkData`] holds its measure values at: `u16` while every
-/// value is a whole number from 0 to 65,535 (`+0.0`, not `-0.0`), `f64`
-/// once one is not. Code over a chunk's values is written once, generic
-/// over this trait, and instantiated per width by a `match` on
-/// [`ChunkData::raw_values`]; widening to `f64` is exact.
-pub trait Value: Copy + Into<f64> + 'static {
-    /// Whether `v` survives the round trip through this width bit for bit.
-    fn holds(v: f64) -> bool;
-
-    /// `v` at this width; the caller knows it holds.
-    fn from_f64(v: f64) -> Self;
-}
-
-impl Value for u16 {
-    /// Not a fraction, a negative number, `-0.0`, a NaN or a number past
-    /// 65,535, each of which the saturating cast changes.
-    #[inline(always)]
-    fn holds(v: f64) -> bool {
-        f64::from(v as u16).to_bits() == v.to_bits()
-    }
-
-    #[inline(always)]
-    fn from_f64(v: f64) -> Self {
-        debug_assert!(Self::holds(v), "value {v:e} does not fit u16");
-        v as u16
+impl<W: Wide> From<Vec<W>> for Buf<W> {
+    fn from(entries: Vec<W>) -> Self {
+        Buf::Wide(entries)
     }
 }
 
-impl Value for f64 {
-    #[inline(always)]
-    fn holds(_: f64) -> bool {
-        true
+impl<W: Wide> Buf<W> {
+    /// An empty narrow buffer with room for `n` entries.
+    pub fn with_capacity(n: usize) -> Self {
+        Buf::U16(Vec::with_capacity(n))
     }
 
-    #[inline(always)]
-    fn from_f64(v: f64) -> Self {
-        v
-    }
-}
-
-/// The [`Value`] widths, narrowest first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ValueWidth {
-    /// `u16`: whole numbers from 0 to 65,535.
-    U16,
-    /// `f64`: every value.
-    F64,
-}
-
-impl ValueWidth {
-    /// The narrowest width that holds every value of `values`: one fold
-    /// with no early exit, which vectorises.
-    fn of<V: Value>(values: &[V]) -> Self {
-        let u16s = values
-            .iter()
-            .fold(true, |all, &v| all & u16::holds(v.into()));
-        if u16s {
-            ValueWidth::U16
-        } else {
-            ValueWidth::F64
-        }
-    }
-}
-
-/// One `match` arm per value width of `$enum` (`Values` or `ValueStore`),
-/// each binding the width's buffer to `$v`.
-macro_rules! each_width {
-    ($enum:ident, $on:expr, $v:ident => $body:expr) => {
-        match $on {
-            $enum::U16($v) => $body,
-            $enum::F64($v) => $body,
-        }
-    };
-}
-
-/// Measure values as a chunk holds them, tagged with their width: all of a
-/// chunk's cells ([`ChunkData::raw_values`]). Two views compare by value,
-/// whatever their widths.
-#[derive(Clone, Copy)]
-pub enum Values<'a> {
-    /// Every value is a whole number from 0 to 65,535.
-    U16(&'a [u16]),
-    /// Some value may not be.
-    F64(&'a [f64]),
-}
-
-impl<'a> Values<'a> {
-    /// Number of values.
+    /// The entries at their width.
     #[inline]
-    pub fn len(self) -> usize {
-        each_width!(Values, self, v => v.len())
-    }
-
-    /// Whether the view holds no value.
-    #[inline]
-    pub fn is_empty(self) -> bool {
-        self.len() == 0
-    }
-
-    /// Value `i`, exactly.
-    #[inline]
-    pub fn get(self, i: usize) -> f64 {
+    fn view(&self) -> Held<'_, W> {
         match self {
-            Values::U16(v) => f64::from(v[i]),
-            Values::F64(v) => v[i],
+            Buf::U16(v) => Held::U16(v),
+            Buf::Wide(v) => Held::Wide(v),
         }
-    }
-
-    /// The values in order, each as an `f64`.
-    pub fn iter(self) -> impl ExactSizeIterator<Item = f64> + 'a {
-        (0..self.len()).map(move |i| self.get(i))
-    }
-
-    /// The values as an `f64` vector.
-    pub fn to_vec(self) -> Vec<f64> {
-        self.iter().collect()
-    }
-
-    /// The width the view holds its values at.
-    #[inline]
-    pub fn width(self) -> ValueWidth {
-        match self {
-            Values::U16(_) => ValueWidth::U16,
-            Values::F64(_) => ValueWidth::F64,
-        }
-    }
-
-    /// The narrowest width that holds every value of the view: its own, or
-    /// `u16` if all its values fit. A view at `u16` costs nothing; one at
-    /// `f64` is folded once, with no early exit.
-    pub fn narrowest(self) -> ValueWidth {
-        match self {
-            Values::U16(_) => ValueWidth::U16,
-            Values::F64(v) => ValueWidth::of(v),
-        }
-    }
-
-    /// Values `range` of the view.
-    #[inline]
-    fn slice(self, range: Range<usize>) -> Self {
-        match self {
-            Values::U16(v) => Values::U16(&v[range]),
-            Values::F64(v) => Values::F64(&v[range]),
-        }
-    }
-}
-
-impl PartialEq for Values<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        match (*self, *other) {
-            (Values::U16(a), Values::U16(b)) => a == b,
-            (Values::F64(a), Values::F64(b)) => a == b,
-            (a, b) => a.len() == b.len() && a.iter().eq(b.iter()),
-        }
-    }
-}
-
-impl fmt::Debug for Values<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-/// Measure values at their width, as a [`ChunkData`] holds them: `u16`
-/// from the start ([`ValueVec::with_capacity`], [`Default`],
-/// [`FromIterator`]), widened in place to `f64` by the first pushed value
-/// `u16` does not hold. A producer that fills values before it has the
-/// coordinates builds one and hands it to [`ChunkData::from_raw`]; a
-/// `Vec<u16>` or `Vec<f64>` converts at its own width, as given.
-#[derive(Debug, Clone)]
-pub struct ValueVec(ValueStore);
-
-#[derive(Debug, Clone)]
-enum ValueStore {
-    U16(Vec<u16>),
-    F64(Vec<f64>),
-}
-
-impl Default for ValueVec {
-    fn default() -> Self {
-        ValueVec(ValueStore::U16(Vec::new()))
-    }
-}
-
-impl From<Vec<u16>> for ValueVec {
-    fn from(values: Vec<u16>) -> Self {
-        ValueVec(ValueStore::U16(values))
-    }
-}
-
-impl From<Vec<f64>> for ValueVec {
-    fn from(values: Vec<f64>) -> Self {
-        ValueVec(ValueStore::F64(values))
-    }
-}
-
-/// Appends `values` to `to` at width `T`; each value holds.
-fn extend_at<T: Value>(to: &mut Vec<T>, values: Values<'_>) {
-    fn cast<S: Value, T: Value>(to: &mut Vec<T>, from: &[S]) {
-        to.extend(from.iter().map(|&x| T::from_f64(x.into())));
-    }
-    each_width!(Values, values, v => cast(to, v));
-}
-
-/// Bytes of heap `v` holds.
-fn heap<T>(v: &Vec<T>) -> usize {
-    v.capacity() * std::mem::size_of::<T>()
-}
-
-impl ValueVec {
-    /// An empty narrow buffer with room for `values` values.
-    pub fn with_capacity(values: usize) -> Self {
-        ValueVec(ValueStore::U16(Vec::with_capacity(values)))
     }
 
     #[inline]
@@ -413,100 +278,113 @@ impl ValueVec {
         self.view().len()
     }
 
-    /// Appends `v`, widening the buffer first if it does not fit.
+    /// Appends `w`, widening the buffer first if it does not fit.
     #[inline]
-    pub fn push(&mut self, v: f64) {
-        match &mut self.0 {
-            ValueStore::U16(n) if u16::holds(v) => n.push(v as u16),
-            ValueStore::F64(w) => w.push(v),
-            ValueStore::U16(_) => self.widen_and_push(v),
+    pub fn push(&mut self, w: W) {
+        match self {
+            Buf::U16(v) => match w.narrow() {
+                Some(n) => v.push(n),
+                None => self.widen_and_push(w),
+            },
+            Buf::Wide(v) => v.push(w),
         }
     }
 
-    /// [`ValueVec::push`] of a value `u16` does not hold.
+    /// [`Buf::push`] of an entry `u16` does not hold.
     #[cold]
     #[inline(never)]
-    fn widen_and_push(&mut self, v: f64) {
+    fn widen_and_push(&mut self, w: W) {
         self.widen();
-        self.push(v);
+        self.push(w);
     }
 
-    /// Sets value `i` to `v`, widening the buffer first if it does not fit.
-    fn set(&mut self, i: usize, v: f64) {
-        if !u16::holds(v) {
+    /// Sets entry `i` to `w`, widening the buffer first if it does not fit.
+    fn set(&mut self, i: usize, w: W) {
+        match self {
+            Buf::U16(v) => match w.narrow() {
+                Some(n) => v[i] = n,
+                None => {
+                    self.widen();
+                    self.set(i, w);
+                }
+            },
+            Buf::Wide(v) => v[i] = w,
+        }
+    }
+
+    /// Appends `from`, widening the buffer first if an entry does not fit.
+    /// Copies by a plain loop: `extend_from_slice` of a runtime-length
+    /// slice is a libc `memmove` call, which costs more than the few bytes
+    /// of one cell.
+    #[inline]
+    fn append(&mut self, from: Held<'_, W>) {
+        if matches!(self, Buf::U16(_)) && !from.fits_u16() {
             self.widen();
         }
-        match &mut self.0 {
-            ValueStore::U16(n) => n[i] = u16::from_f64(v),
-            ValueStore::F64(w) => w[i] = v,
+        match (self, from) {
+            (Buf::U16(to), Held::U16(v)) => to.extend(v.iter().copied()),
+            (Buf::U16(to), Held::Wide(v)) => to.extend(v.iter().map(|w| w.narrow().unwrap_or(0))),
+            (Buf::Wide(to), Held::U16(v)) => to.extend(v.iter().map(|&n| W::from(n))),
+            (Buf::Wide(to), Held::Wide(v)) => to.extend(v.iter().copied()),
         }
     }
 
-    /// Appends `values`, widening the buffer first, to the narrowest width
-    /// that holds them, if one does not fit.
-    fn extend_from_view(&mut self, values: Values<'_>) {
-        if values.width() > self.view().width() && values.narrowest() == ValueWidth::F64 {
-            self.widen();
-        }
-        match (&mut self.0, values) {
-            (ValueStore::U16(to), Values::U16(v)) => to.extend_from_slice(v),
-            (ValueStore::F64(to), Values::F64(v)) => to.extend_from_slice(v),
-            (store, v) => each_width!(ValueStore, store, to => extend_at(to, v)),
-        }
-    }
-
-    /// Moves the values to `f64`, keeping the capacity (a no-op when they
-    /// are already there). Out of line: a chunk widens once at most, and
-    /// [`ValueVec::push`] stays small enough to inline into every
-    /// producer's loop.
+    /// Moves the entries to `W`, keeping the capacity (a no-op when they
+    /// are already there). Out of line: a buffer widens once at most, and
+    /// [`Buf::push`] stays small enough to inline into every producer's
+    /// loop.
     #[cold]
     #[inline(never)]
     fn widen(&mut self) {
-        if let ValueStore::U16(narrow) = &self.0 {
+        if let Buf::U16(narrow) = self {
             let mut wide = Vec::with_capacity(narrow.capacity());
-            wide.extend(narrow.iter().map(|&v| f64::from(v)));
-            self.0 = ValueStore::F64(wide);
-        }
-    }
-
-    /// The values at their width.
-    #[inline]
-    fn view(&self) -> Values<'_> {
-        match &self.0 {
-            ValueStore::U16(v) => Values::U16(v),
-            ValueStore::F64(v) => Values::F64(v),
+            wide.extend(narrow.iter().map(|&n| W::from(n)));
+            *self = Buf::Wide(wide);
         }
     }
 
     fn capacity(&self) -> usize {
-        each_width!(ValueStore, &self.0, v => v.capacity())
+        match self {
+            Buf::U16(v) => v.capacity(),
+            Buf::Wide(v) => v.capacity(),
+        }
     }
 
     /// Bytes of heap the buffer holds.
     fn heap_bytes(&self) -> usize {
-        each_width!(ValueStore, &self.0, v => heap(v))
+        let entry = match self {
+            Buf::U16(_) => 2,
+            Buf::Wide(_) => std::mem::size_of::<W>(),
+        };
+        self.capacity() * entry
     }
 
-    fn reserve_exact(&mut self, values: usize) {
-        each_width!(ValueStore, &mut self.0, v => v.reserve_exact(values))
+    fn reserve_exact(&mut self, n: usize) {
+        match self {
+            Buf::U16(v) => v.reserve_exact(n),
+            Buf::Wide(v) => v.reserve_exact(n),
+        }
     }
 
     fn shrink_to_fit(&mut self) {
-        each_width!(ValueStore, &mut self.0, v => v.shrink_to_fit())
+        match self {
+            Buf::U16(v) => v.shrink_to_fit(),
+            Buf::Wide(v) => v.shrink_to_fit(),
+        }
     }
 }
 
-impl Extend<f64> for ValueVec {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, values: I) {
-        values.into_iter().for_each(|v| self.push(v));
+impl<W: Wide> Extend<W> for Buf<W> {
+    fn extend<I: IntoIterator<Item = W>>(&mut self, entries: I) {
+        entries.into_iter().for_each(|w| self.push(w));
     }
 }
 
-impl FromIterator<f64> for ValueVec {
-    fn from_iter<I: IntoIterator<Item = f64>>(values: I) -> Self {
-        let values = values.into_iter();
-        let mut out = ValueVec::with_capacity(values.size_hint().0);
-        out.extend(values);
+impl<W: Wide> FromIterator<W> for Buf<W> {
+    fn from_iter<I: IntoIterator<Item = W>>(entries: I) -> Self {
+        let entries = entries.into_iter();
+        let mut out = Buf::with_capacity(entries.size_hint().0);
+        out.extend(entries);
         out
     }
 }
@@ -650,13 +528,13 @@ fn run_pass<'a, S: Coord, C: Coord, const K: usize>(
 /// chunk at level `(0, 2)` stores a level-0 id for dimension 0 and a level-2
 /// id for dimension 1. A dimension every cell agrees on is held once, in
 /// the header ([`Column::Constant`]); the others are stored row-major,
-/// `stride` a cell, at the narrowest [`Coord`] width that fits them. A
+/// `stride` a cell, at `u16` while they fit it ([`Buf`]). A
 /// column stays constant until the first pushed or appended cell that
 /// differs along it, and a stored coordinate `u16` until the first that
 /// passes [`NARROW_MAX`]; each switch happens in place, keeping the
 /// capacity in cells. An empty chunk takes the layout of the first chunk
-/// appended to it. Values likewise are held at the narrowest [`Value`]
-/// width they round-trip through exactly ([`ValueVec`]). On APB-1 every
+/// appended to it. Values likewise are held at `u16` while every value
+/// round-trips through it exactly ([`ValueVec`]). On APB-1 every
 /// coordinate and nearly every value fits 16 bits, and Scenario is constant
 /// in every base chunk, so a base cell is `2·4 + 2` bytes of heap. The
 /// layout and widths are invisible to `==`, which compares cells by value,
@@ -667,7 +545,7 @@ pub struct ChunkData {
     header: std::sync::Arc<[Column]>,
     /// The number of stored columns.
     stride: usize,
-    coords: CoordVec,
+    coords: Buf<u32>,
     values: ValueVec,
 }
 
@@ -676,7 +554,7 @@ impl PartialEq for ChunkData {
         self.n_dims() == other.n_dims()
             && self.raw_values() == other.raw_values()
             && if self.header == other.header {
-                self.stored_coords().iter().eq(other.stored_coords().iter())
+                self.stored_coords() == other.stored_coords()
             } else {
                 let cells = 0..self.len();
                 (0..self.n_dims())
@@ -698,7 +576,7 @@ impl ChunkData {
         Self {
             header,
             stride,
-            coords: CoordVec::default(),
+            coords: Buf::default(),
             values: ValueVec::with_capacity(cells),
         }
     }
@@ -707,21 +585,25 @@ impl ChunkData {
     /// every cell, row-major — holding `values` at their own width and
     /// each column all cells agree on once. `coords` is held as given when
     /// no column is dropped; otherwise the stored columns are gathered
-    /// ([`gather`]) into a block at `u16` if they all fit.
+    /// into a block at `u16` if they all fit.
     ///
     /// `coords.len()` must equal `values.len() * n_dims`.
-    pub fn from_raw<C: Coord>(n_dims: usize, coords: Vec<C>, values: impl Into<ValueVec>) -> Self {
+    pub fn from_raw(
+        n_dims: usize,
+        coords: impl Into<Buf<u32>>,
+        values: impl Into<ValueVec>,
+    ) -> Self {
+        let mut chunk = Self::from_stored(&vec![None; n_dims], coords, values);
         // A column that varies mostly does so within its first few cells.
+        let (cells, n) = (chunk.stored_coords(), chunk.len());
         let constants: Vec<Option<u32>> = (0..n_dims)
-            .map(|d| match coords.get(d) {
-                Some(&first) => {
-                    let agree = coords.chunks_exact(n_dims).all(|cell| cell[d] == first);
-                    agree.then(|| first.into())
-                }
-                None => Some(0),
+            .map(|d| {
+                let first = if n == 0 { 0 } else { cells.get(d) };
+                (0..n)
+                    .all(|i| cells.get(i * n_dims + d) == first)
+                    .then_some(first)
             })
             .collect();
-        let mut chunk = Self::from_stored(&vec![None; n_dims], coords, values);
         if constants.iter().any(Option::is_some) {
             chunk.relayout(constants);
         }
@@ -731,21 +613,20 @@ impl ChunkData {
     /// Builds a container laid out as `constants` says: per dimension, the
     /// coordinate every cell holds, or `None` for a column `coords` holds
     /// (row-major, at its own width; `values.len()` times the `None`s).
-    pub fn from_stored<C: Coord>(
+    pub fn from_stored(
         constants: &[Option<u32>],
-        coords: Vec<C>,
+        coords: impl Into<Buf<u32>>,
         values: impl Into<ValueVec>,
     ) -> Self {
         let (header, stride) = header(constants.iter().copied());
-        let values = values.into();
+        let (coords, values) = (coords.into(), values.into());
         assert_eq!(coords.len(), values.len() * stride);
-        let chunk = ChunkData {
+        ChunkData {
             header,
             stride,
-            coords: CoordVec::default(),
+            coords,
             values,
-        };
-        C::holding(coords, chunk)
+        }
     }
 
     /// Number of coordinates per cell.
@@ -788,44 +669,9 @@ impl ChunkData {
         let cell = coords.into();
         debug_assert_eq!(cell.len(), self.n_dims());
         self.hold(|d| Some(cell.get(d)));
-        if stored_dims(&self.header).any(|d| cell.get(d) > NARROW_MAX) {
-            self.widen();
-        }
-        let stored = stored_dims(&self.header).map(|d| cell.get(d));
-        match &mut self.coords {
-            CoordVec::U16(v) => v.extend(stored.map(u16::from_u32)),
-            CoordVec::U32(v) => v.extend(stored),
-        }
+        self.coords
+            .extend(stored_dims(&self.header).map(|d| cell.get(d)));
         self.values.push(value);
-    }
-
-    /// Appends `coords`, stored columns laid out as this chunk's, widening
-    /// the array first if one does not fit. Copies by a plain loop:
-    /// `extend_from_slice` of a runtime-length slice is a libc `memmove`
-    /// call, which costs more than the few bytes of one cell.
-    #[inline]
-    fn extend_coords(&mut self, coords: Coords<'_>) {
-        if let Coords::U32(c) = coords {
-            if !fits_narrow(c) {
-                self.widen();
-            }
-        }
-        match (&mut self.coords, coords) {
-            (CoordVec::U16(v), Coords::U16(c)) => v.extend(c.iter().copied()),
-            (CoordVec::U16(v), Coords::U32(c)) => v.extend(c.iter().map(|&x| u16::from_u32(x))),
-            (CoordVec::U32(v), Coords::U16(c)) => v.extend(c.iter().map(|&x| u32::from(x))),
-            (CoordVec::U32(v), Coords::U32(c)) => v.extend(c.iter().copied()),
-        }
-    }
-
-    /// Moves the coordinates to `u32`, keeping the capacity (a no-op when
-    /// they are already there).
-    fn widen(&mut self) {
-        if let CoordVec::U16(narrow) = &self.coords {
-            let mut wide = Vec::with_capacity(narrow.capacity());
-            wide.extend(narrow.iter().map(|&c| u32::from(c)));
-            self.coords = CoordVec::U32(wide);
-        }
     }
 
     /// Lays this chunk out to take cells holding dimension `d` once at
@@ -853,7 +699,7 @@ impl ChunkData {
     fn relayout(&mut self, constants: Vec<Option<u32>>) {
         let (header, stride) = header(constants);
         let take = self.take(&header);
-        let empty = CoordVec::U16(Vec::with_capacity(self.values.capacity() * stride));
+        let empty = Buf::with_capacity(self.values.capacity() * stride);
         let old = std::mem::replace(&mut self.coords, empty);
         self.extend_gathered(old.view(), self.stride, self.len(), &take);
         (self.header, self.stride) = (header, stride);
@@ -872,19 +718,19 @@ impl ChunkData {
         let narrow = n == 0
             || take.iter().all(|&col| match (col, from) {
                 (Column::Constant(c), _) => c <= NARROW_MAX,
-                (Column::Stored(_), Coords::U16(_)) => true,
-                (Column::Stored(j), Coords::U32(c)) => c
+                (Column::Stored(_), Held::U16(_)) => true,
+                (Column::Stored(j), Held::Wide(c)) => c
                     .chunks_exact(stride)
                     .all(|cell| cell[j as usize] <= NARROW_MAX),
             });
         if !narrow {
-            self.widen();
+            self.coords.widen();
         }
         match (&mut self.coords, from) {
-            (CoordVec::U16(to), Coords::U16(c)) => gather(c, stride, n, take, to),
-            (CoordVec::U16(to), Coords::U32(c)) => gather(c, stride, n, take, to),
-            (CoordVec::U32(to), Coords::U16(c)) => gather(c, stride, n, take, to),
-            (CoordVec::U32(to), Coords::U32(c)) => gather(c, stride, n, take, to),
+            (Buf::U16(to), Held::U16(c)) => gather(c, stride, n, take, to),
+            (Buf::U16(to), Held::Wide(c)) => gather(c, stride, n, take, to),
+            (Buf::Wide(to), Held::U16(c)) => gather(c, stride, n, take, to),
+            (Buf::Wide(to), Held::Wide(c)) => gather(c, stride, n, take, to),
         }
     }
 
@@ -955,21 +801,14 @@ impl ChunkData {
     /// per chunk and not counted).
     #[inline]
     pub fn heap_bytes(&self) -> usize {
-        let coords = match &self.coords {
-            CoordVec::U16(c) => heap(c),
-            CoordVec::U32(c) => heap(c),
-        };
-        coords + self.values.heap_bytes()
+        self.coords.heap_bytes() + self.values.heap_bytes()
     }
 
     /// Makes room for exactly `cells` more cells at the current layout and
     /// widths, so that appending parts whose total is known costs one
     /// allocation and leaves no slack.
     pub fn reserve_exact(&mut self, cells: usize) {
-        match &mut self.coords {
-            CoordVec::U16(c) => c.reserve_exact(cells * self.stride),
-            CoordVec::U32(c) => c.reserve_exact(cells * self.stride),
-        }
+        self.coords.reserve_exact(cells * self.stride);
         self.values.reserve_exact(cells);
     }
 
@@ -992,11 +831,11 @@ impl ChunkData {
         let (n, s) = (cells.len(), src.stride);
         let from = src.stored_coords().slice(cells.start * s..cells.end * s);
         if self.header == src.header {
-            self.extend_coords(from);
+            self.coords.append(from);
         } else {
             self.extend_gathered(from, s, n, &src.take(&self.header));
         }
-        self.values.extend_from_view(src.raw_values().slice(cells));
+        self.values.append(src.raw_values().slice(cells));
     }
 
     /// This chunk's cells laid out as `like` holds its own — `like`'s
@@ -1015,8 +854,8 @@ impl ChunkData {
         }
         let room = self.len() * like.stride;
         let coords = match like.coords {
-            CoordVec::U16(_) => CoordVec::U16(Vec::with_capacity(room)),
-            CoordVec::U32(_) => CoordVec::U32(Vec::with_capacity(room)),
+            Buf::U16(_) => Buf::U16(Vec::with_capacity(room)),
+            Buf::Wide(_) => Buf::Wide(Vec::with_capacity(room)),
         };
         let (header, stride) = (like.header.clone(), like.stride);
         let values = self.values.clone();
@@ -1040,32 +879,25 @@ impl ChunkData {
     /// so the only extra memory is the index (4 bytes a cell).
     pub fn sort_by_coords(&mut self) {
         let d = self.stride;
-        if d > 0 {
-            each_width!(ValueStore, &mut self.values.0, values => sort_at(&mut self.coords, values, d))
+        match (&mut self.coords, &mut self.values) {
+            _ if d == 0 => {}
+            (Buf::U16(c), Buf::U16(v)) => sort_cells(c, v, d),
+            (Buf::U16(c), Buf::Wide(v)) => sort_cells(c, v, d),
+            (Buf::Wide(c), Buf::U16(v)) => sort_cells(c, v, d),
+            (Buf::Wide(c), Buf::Wide(v)) => sort_cells(c, v, d),
         }
     }
 
     /// Shrinks the backing buffers to fit (cached chunks are immutable once
     /// built, so excess capacity is pure waste).
     pub fn shrink_to_fit(&mut self) {
-        match &mut self.coords {
-            CoordVec::U16(c) => c.shrink_to_fit(),
-            CoordVec::U32(c) => c.shrink_to_fit(),
-        }
+        self.coords.shrink_to_fit();
         self.values.shrink_to_fit();
     }
 }
 
-/// [`ChunkData::sort_by_coords`] at one value width.
-fn sort_at<V: Value>(coords: &mut CoordVec, values: &mut [V], d: usize) {
-    match coords {
-        CoordVec::U16(c) => sort_cells(c, values, d),
-        CoordVec::U32(c) => sort_cells(c, values, d),
-    }
-}
-
 /// [`ChunkData::sort_by_coords`] at one pair of widths.
-fn sort_cells<C: Coord, V: Value>(coords: &mut [C], values: &mut [V], d: usize) {
+fn sort_cells<C: Coord, V: Copy>(coords: &mut [C], values: &mut [V], d: usize) {
     let n = values.len();
     let cell = |i: usize| i * d..(i + 1) * d;
     // `order[i]` is the cell that belongs at slot `i`; a slot is marked
@@ -1102,7 +934,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn is_wide(d: &ChunkData) -> bool {
-        matches!(d.stored_coords(), Coords::U32(_))
+        matches!(d.stored_coords(), Coords::Wide(_))
     }
 
     /// Every coordinate of every cell, row-major over all dimensions.
@@ -1111,14 +943,14 @@ mod tests {
     }
 
     fn has_wide_values(d: &ChunkData) -> bool {
-        matches!(d.raw_values(), Values::F64(_))
+        matches!(d.raw_values(), Values::Wide(_))
     }
 
     /// Bytes a value takes at `d`'s value width.
     fn value_bytes(d: &ChunkData) -> usize {
         match d.raw_values() {
             Values::U16(_) => 2,
-            Values::F64(_) => 8,
+            Values::Wide(_) => 8,
         }
     }
 
@@ -1258,23 +1090,91 @@ mod tests {
         assert_eq!(d.coords_of(2), &[3, 4]);
     }
 
-    #[test]
-    fn append_widens_only_when_a_coordinate_does_not_fit() {
-        let (narrow, wide_small) = both_widths(1, &[(vec![5], 1.0), (vec![6], 2.0)]);
+    /// One side of a one-dimensional chunk's cells as one buffer: its
+    /// coordinates (`u32`) or its values (`f64`).
+    trait Side: Wide {
+        /// The cells `(entry, other)`, each `other` on the other side, with
+        /// the entries at `Self` if `wide`, else collected narrowest.
+        fn chunk(cells: &[(Self, u16)], wide: bool) -> ChunkData;
+        /// This side of `d`'s cells.
+        fn held(d: &ChunkData) -> Held<'_, Self>;
+        fn bits(self) -> u64;
+    }
+
+    impl Side for u32 {
+        fn chunk(cells: &[(u32, u16)], wide: bool) -> ChunkData {
+            let coords = cells.iter().map(|&(c, _)| c);
+            let coords: Buf<u32> = if wide {
+                coords.collect::<Vec<_>>().into()
+            } else {
+                coords.collect()
+            };
+            let values: ValueVec = cells.iter().map(|&(_, v)| f64::from(v)).collect();
+            ChunkData::from_stored(&[None], coords, values)
+        }
+
+        fn held(d: &ChunkData) -> Coords<'_> {
+            d.stored_coords()
+        }
+
+        fn bits(self) -> u64 {
+            self.into()
+        }
+    }
+
+    impl Side for f64 {
+        fn chunk(cells: &[(f64, u16)], wide: bool) -> ChunkData {
+            let values = cells.iter().map(|&(v, _)| v);
+            let values: ValueVec = if wide {
+                values.collect::<Vec<_>>().into()
+            } else {
+                values.collect()
+            };
+            let coords: Vec<u16> = cells.iter().map(|&(_, c)| c).collect();
+            ChunkData::from_stored(&[None], coords, values)
+        }
+
+        fn held(d: &ChunkData) -> Values<'_> {
+            d.raw_values()
+        }
+
+        fn bits(self) -> u64 {
+            self.to_bits()
+        }
+    }
+
+    /// A source held at `W` whose entries `fit` appends narrow, to a narrow
+    /// chunk or to an empty one, which then equals it; the first entry
+    /// `past` `u16` widens the chunk, every entry kept bit for bit, and
+    /// `extend_from` takes cells with both their sides.
+    fn append_widens_only_when_an_entry_does_not_fit_at<W: Side>(fit: [W; 2], past: W) {
+        let is_wide = |d: &ChunkData| matches!(W::held(d), Held::Wide(_));
+        let bits = |d: &ChunkData| W::held(d).iter().map(W::bits).collect::<Vec<_>>();
+        let cells = [(fit[0], 1), (fit[1], 2)];
+        let (narrow, wide_small) = (W::chunk(&cells, false), W::chunk(&cells, true));
+        assert!(!is_wide(&narrow) && is_wide(&wide_small));
+        let mut d = ChunkData::new(1);
+        d.append(&wide_small);
+        assert!(!is_wide(&d), "entries that fit stay narrow");
+        assert_eq!(d, wide_small);
         let mut a = narrow.clone();
         a.append(&wide_small);
-        assert!(!is_wide(&a), "u32 cells that fit stay narrow");
-        let mut big = ChunkData::new(1);
-        big.push(&[1 << 16], 3.0);
-        a.append(&big);
+        assert!(!is_wide(&a), "entries that fit stay narrow");
+        a.append(&W::chunk(&[(past, 3)], false));
         assert!(is_wide(&a));
         a.append(&narrow);
-        let got: Vec<Vec<u32>> = a.iter().map(|(c, _)| c.to_vec()).collect();
-        assert_eq!(got, [[5], [6], [5], [6], [1 << 16], [5], [6]]);
+        let want = [fit[0], fit[1], fit[0], fit[1], past, fit[0], fit[1]];
+        assert_eq!(bits(&a), want.map(W::bits));
         let mut b = ChunkData::new(1);
         b.extend_from(&a, 3..5);
-        assert_eq!(b.raw_values().to_vec(), [2.0, 3.0]);
-        assert_eq!(b.coords_of(1), [1 << 16]);
+        assert_eq!(b, W::chunk(&[(fit[1], 2), (past, 3)], false));
+        assert_eq!(bits(&b), [fit[1], past].map(W::bits));
+    }
+
+    #[test]
+    fn append_widens_only_when_an_entry_does_not_fit() {
+        append_widens_only_when_an_entry_does_not_fit_at::<u32>([5, 6], 1 << 16);
+        append_widens_only_when_an_entry_does_not_fit_at::<f64>([1.0, 65_535.0], -0.0);
     }
 
     #[test]
@@ -1739,35 +1639,22 @@ mod tests {
     }
 
     #[test]
-    fn a_wide_source_whose_values_fit_appends_narrow() {
-        let wide = ChunkData::from_raw(1, vec![0u16, 1], vec![1.0, 65_535.0]);
-        assert!(has_wide_values(&wide));
-        let mut d = ChunkData::new(1);
-        d.append(&wide);
-        assert!(!has_wide_values(&d));
-        assert_eq!(d, wide);
-        d.append(&ChunkData::from_raw(1, vec![2u16], vec![-0.0]));
-        assert!(has_wide_values(&d));
-        assert_eq!(d.value_of(2).to_bits(), (-0.0f64).to_bits());
-    }
-
-    #[test]
     fn value_views_compare_by_value_across_widths() {
-        assert_eq!(Values::U16(&[1, 2]), Values::F64(&[1.0, 2.0]));
-        assert_ne!(Values::U16(&[1, 2]), Values::F64(&[1.0, 2.5]));
+        assert_eq!(Values::U16(&[1, 2]), Values::Wide(&[1.0, 2.0]));
+        assert_ne!(Values::U16(&[1, 2]), Values::Wide(&[1.0, 2.5]));
         assert_eq!(
             Values::U16(&[0]),
-            Values::F64(&[-0.0]),
+            Values::Wide(&[-0.0]),
             "zeros are equal by value"
         );
         assert_eq!(format!("{:?}", Values::U16(&[7])), "[7.0]");
-        assert_ne!(Values::U16(&[1]), Values::F64(&[1.0, 2.0]));
+        assert_ne!(Values::U16(&[1]), Values::Wide(&[1.0, 2.0]));
         assert_ne!(
-            Values::F64(&[f64::NAN]),
-            Values::F64(&[f64::NAN]),
+            Values::Wide(&[f64::NAN]),
+            Values::Wide(&[f64::NAN]),
             "NaN is never equal"
         );
-        assert_eq!(format!("{:?}", Values::F64(&[1.5])), "[1.5]");
+        assert_eq!(format!("{:?}", Values::Wide(&[1.5])), "[1.5]");
     }
 
     /// One cell given, or read off a chunk at either width that holds

@@ -305,7 +305,7 @@ impl ChunkGrid {
         }
         match tuples.stored_coords() {
             Coords::U16(c) => chunk_numbers_at(&dims, shared, tuples.len(), c),
-            Coords::U32(c) => chunk_numbers_at(&dims, shared, tuples.len(), c),
+            Coords::Wide(c) => chunk_numbers_at(&dims, shared, tuples.len(), c),
         }
     }
 

@@ -26,7 +26,7 @@ mod grid;
 pub mod hash;
 
 pub use data::{
-    CellCoords, ChunkData, Column, Coord, Coords, Value, ValueMut, ValueVec, ValueWidth, Values,
+    Buf, CellCoords, ChunkData, Column, Coord, Coords, Held, ValueMut, ValueVec, Values, Wide,
     NARROW_MAX, PAPER_TUPLE_BYTES,
 };
 pub use dimchunk::DimChunking;

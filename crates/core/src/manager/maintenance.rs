@@ -7,7 +7,7 @@ use crate::error::CacheError;
 use crate::metrics::{CACHE_PER_TUPLE_US, UPDATE_PER_WRITE_US};
 use crate::request::UpdateMetrics;
 use aggcache_chunks::{
-    CellCoords, ChunkData, ChunkGrid, ChunkKey, ChunkNumber, Coord, Coords, ValueVec, Values,
+    Buf, CellCoords, ChunkData, ChunkGrid, ChunkKey, ChunkNumber, Coord, Coords, ValueVec, Values,
 };
 use aggcache_obs::Event;
 use aggcache_schema::GroupById;
@@ -94,7 +94,7 @@ fn merge_cells(old: &ChunkData, delta: &ChunkData, agg: AggFn) -> ChunkData {
     let n = old.stride();
     match (old.stored_coords(), delta.stored_coords()) {
         (Coords::U16(o), Coords::U16(d)) => merge_at(&constants, n, (o, d), values, agg),
-        (Coords::U32(o), Coords::U32(d)) => merge_at(&constants, n, (o, d), values, agg),
+        (Coords::Wide(o), Coords::Wide(d)) => merge_at(&constants, n, (o, d), values, agg),
         _ => unreachable!("a chunk laid out as another holds its width"),
     }
 }
@@ -109,7 +109,10 @@ fn merge_at<C: Coord>(
     (old, delta): (&[C], &[C]),
     (old_values, delta_values): (Values, Values),
     agg: AggFn,
-) -> ChunkData {
+) -> ChunkData
+where
+    Buf<u32>: From<Vec<C>>,
+{
     let delta_cell = |j: usize| &delta[j * n..(j + 1) * n];
     let mut values = old_values.to_vec();
     let mut matched = vec![false; delta_values.len()];

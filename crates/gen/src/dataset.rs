@@ -1,5 +1,5 @@
 use aggcache_chunks::hash::{mix64, PackedSet};
-use aggcache_chunks::{ChunkData, ChunkGrid, Coord, NARROW_MAX};
+use aggcache_chunks::{Buf, ChunkData, ChunkGrid, Coord, NARROW_MAX};
 use aggcache_schema::GroupById;
 use aggcache_store::FactTable;
 use rand::rngs::StdRng;
@@ -119,7 +119,10 @@ fn sample_run<C: Coord>(
     want: u64,
     capacity: u64,
     scratch: &mut Scratch,
-) -> ChunkData {
+) -> ChunkData
+where
+    Buf<u32>: From<Vec<C>>,
+{
     let Scratch {
         cell,
         indices,
@@ -293,7 +296,7 @@ mod tests {
             let past_u16 = cell_box[0].1 > NARROW_MAX + 1;
             assert!(!run.is_empty());
             assert_eq!(
-                matches!(run.stored_coords(), Coords::U32(_)),
+                matches!(run.stored_coords(), Coords::Wide(_)),
                 past_u16,
                 "chunk {c}"
             );

@@ -1,5 +1,5 @@
 use aggcache_chunks::{
-    ChunkData, ChunkGrid, ChunkKey, Column, Coord, Coords, Value, ValueVec, Values, NARROW_MAX,
+    Buf, ChunkData, ChunkGrid, ChunkKey, Column, Coord, Coords, ValueVec, Values, NARROW_MAX,
 };
 use aggcache_schema::Schema;
 
@@ -236,15 +236,15 @@ impl SourceKeys<'_> {
         let n = data.stride();
         match (data.stored_coords(), data.raw_values()) {
             (Coords::U16(c), Values::U16(v)) => self.for_each_cell_at(c, n, v, put),
-            (Coords::U16(c), Values::F64(v)) => self.for_each_cell_at(c, n, v, put),
-            (Coords::U32(c), Values::U16(v)) => self.for_each_cell_at(c, n, v, put),
-            (Coords::U32(c), Values::F64(v)) => self.for_each_cell_at(c, n, v, put),
+            (Coords::U16(c), Values::Wide(v)) => self.for_each_cell_at(c, n, v, put),
+            (Coords::Wide(c), Values::U16(v)) => self.for_each_cell_at(c, n, v, put),
+            (Coords::Wide(c), Values::Wide(v)) => self.for_each_cell_at(c, n, v, put),
         }
     }
 
     /// [`SourceKeys::for_each_cell`] at one pair of widths.
     #[inline(always)]
-    fn for_each_cell_at<C: Coord, V: Value>(
+    fn for_each_cell_at<C: Coord, V: Copy + Into<f64>>(
         &self,
         coords: &[C],
         n: usize,
@@ -268,7 +268,7 @@ impl SourceKeys<'_> {
 
     /// [`SourceKeys::for_each_cell`]'s loop, over `dims`.
     #[inline(always)]
-    fn keyed<'c, 't, C: Coord, V: Value>(
+    fn keyed<'c, 't, C: Coord, V: Copy + Into<f64> + 'c>(
         &self,
         cells: impl Iterator<Item = (&'c [C], &'c V)>,
         dims: impl AsRef<[KeyDim<'t>]>,
@@ -288,7 +288,7 @@ impl SourceKeys<'_> {
 /// Folds `values`, widened exactly, into `acc` in order: one register, no
 /// store until the caller's.
 #[inline(always)]
-fn fold_values<V: Value>(
+fn fold_values<V: Copy + Into<f64>>(
     values: &[V],
     acc: f64,
     lift: impl Fn(f64) -> f64,
@@ -344,7 +344,7 @@ impl Cells {
                 );
                 vals[k] = match data.raw_values() {
                     Values::U16(v) => fold_values(v, vals[k], lift, combine),
-                    Values::F64(v) => fold_values(v, vals[k], lift, combine),
+                    Values::Wide(v) => fold_values(v, vals[k], lift, combine),
                 };
                 occupied[k] = 1;
             }
@@ -517,7 +517,10 @@ impl<'s> Aggregator<'s> {
     }
 
     /// [`Aggregator::finish`] at one width.
-    fn finish_at<C: Coord>(self) -> ChunkData {
+    fn finish_at<C: Coord>(self) -> ChunkData
+    where
+        Buf<u32>: From<Vec<C>>,
+    {
         let cell_box = &self.cell_box;
         let (live, n) = (&cell_box.live, cell_box.live.len());
         let mut cell = cell_box.lo.clone();
@@ -660,7 +663,6 @@ pub fn aggregate_to_level_parallel(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use aggcache_chunks::ValueWidth;
     use aggcache_schema::{Dimension, GroupById};
     use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
@@ -1093,7 +1095,7 @@ pub(crate) mod tests {
             cells.push(&[a, i as u32 % 3], 0.1 + i as f64 * 1e10 + (i as f64).sin());
         }
         let by_base = by_chunk(&g, base, &cells);
-        let wide = |d: &ChunkData| matches!(d.stored_coords(), Coords::U32(_));
+        let wide = |d: &ChunkData| matches!(d.stored_coords(), Coords::Wide(_));
         assert!(by_base.iter().any(wide) && by_base.iter().any(|d| !d.is_empty() && !wide(d)));
         for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
             for gb in lattice.iter_ids() {
@@ -1470,26 +1472,32 @@ pub(crate) mod tests {
         }
     }
 
-    /// `jagged_cells`' coordinates at each value width. At `u16` the values
-    /// are whole numbers up to 65,535 whose sums pass it; at `f64` a `-0.0`
-    /// and a NaN are among the jagged values, which make a SUM's bits
-    /// depend on its order.
-    fn jagged_cells_at(width: ValueWidth) -> ChunkData {
+    /// `jagged_cells`' coordinates at each value width: `f64` if `wide`.
+    /// At `u16` the values are whole numbers up to 65,535 whose sums pass
+    /// it; at `f64` a `-0.0` and a NaN are among the jagged values, which
+    /// make a SUM's bits depend on its order.
+    fn jagged_cells_at(wide: bool) -> ChunkData {
         let mut cells = ChunkData::new(2);
         for (i, (c, v)) in jagged_cells().iter().enumerate() {
-            let v = match (width, i) {
-                (ValueWidth::U16, _) => (i * 40_009 % 65_536) as f64,
+            let v = match (wide, i) {
+                (false, _) => (i * 40_009 % 65_536) as f64,
                 (_, 4) => -0.0,
                 (_, 7) => f64::NAN,
-                (ValueWidth::F64, _) => v,
+                (true, _) => v,
             };
             cells.push(c, v);
         }
-        assert_eq!(cells.raw_values().width(), width);
+        assert_eq!(is_wide(cells.raw_values()), wide);
         cells
     }
 
-    const WIDTHS: [ValueWidth; 2] = [ValueWidth::U16, ValueWidth::F64];
+    /// Whether `values` are held at `f64`.
+    fn is_wide(values: Values) -> bool {
+        matches!(values, Values::Wide(_))
+    }
+
+    /// The value widths, `u16` then `f64`.
+    const WIDTHS: [bool; 2] = [false, true];
 
     /// A source chunk every cell of which lands on one target cell is
     /// folded in a register on the dense side; at each value width it
@@ -1500,8 +1508,8 @@ pub(crate) mod tests {
         let s = g.schema();
         let lattice = s.lattice();
         let (base, base_level) = (lattice.base(), s.base_level());
-        for width in WIDTHS {
-            let by_base = by_chunk(&g, base, &jagged_cells_at(width));
+        for wide in WIDTHS {
+            let by_base = by_chunk(&g, base, &jagged_cells_at(wide));
             let mut folded = 0;
             for gb in lattice.iter_ids() {
                 let level = lattice.level_of(gb);
@@ -1529,7 +1537,7 @@ pub(crate) mod tests {
                                 let got =
                                     chunk_result(&g, target, &sources, agg, lift, expected_cells);
                                 let ctx = format!(
-                                    "{width:?} {agg:?} {lift:?} {target:?} x{expected_cells}"
+                                    "wide {wide} {agg:?} {lift:?} {target:?} x{expected_cells}"
                                 );
                                 assert_same_bits(&got, &want, &ctx);
                             }
@@ -1557,9 +1565,9 @@ pub(crate) mod tests {
         for w in WIDTHS {
             assert!(mixed
                 .iter()
-                .any(|d| !d.is_empty() && d.raw_values().width() == w));
+                .any(|d| !d.is_empty() && is_wide(d.raw_values()) == w));
         }
-        let narrowest = |d: &ChunkData| d.raw_values().width() == d.raw_values().narrowest();
+        let narrowest = |d: &ChunkData| is_wide(d.raw_values()) != d.raw_values().fits_u16();
         for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
             for lift in [Lift::Raw, Lift::Lifted] {
                 for gb in lattice.iter_ids() {

@@ -22,10 +22,7 @@
 
 use crate::io::{DiskFaultProfile, FaultInjectingSpillIo, FsSpillIo, SpillIo};
 use crate::retry::RetryPolicy;
-use aggcache_chunks::{
-    ChunkData, ChunkGrid, ChunkKey, Column, Coord, Coords, Value, ValueVec, ValueWidth, Values,
-    NARROW_MAX,
-};
+use aggcache_chunks::{Buf, ChunkData, ChunkGrid, ChunkKey, Column, Held, Wide};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -419,14 +416,7 @@ pub struct SpillRecord {
 /// stored block and the values at the narrowest widths that hold them: a
 /// block held wider than its cells need is written narrow.
 pub fn encode_record(key: ChunkKey, origin: u8, benefit: f64, data: &ChunkData) -> Vec<u8> {
-    let wide_coords = match data.stored_coords() {
-        Coords::U16(_) => false,
-        Coords::U32(c) => c.iter().fold(0, |all, &c| all | c) > NARROW_MAX,
-    };
-    let wide_values = data.raw_values().narrowest() == ValueWidth::F64;
-    let flags = (if wide_coords { FLAG_WIDE_COORDS } else { 0 })
-        | (if wide_values { FLAG_WIDE_VALUES } else { 0 });
-    encode(key, flags, origin, benefit, data)
+    encode(key, 0, origin, benefit, data)
 }
 
 /// The tombstone of `key`: a record flagged [`FLAG_TOMBSTONE`], no cells.
@@ -477,15 +467,35 @@ fn put<T: Le>(items: impl Iterator<Item = T>, block: &mut [u8]) {
     }
 }
 
-/// Writes `coords` into `block` at width `T`: a copy when they are held
-/// at it, narrowed when they are held wider than they need.
-fn put_coords<C: Coord, T: Coord + Le>(coords: &[C], block: &mut [u8]) {
-    put(coords.iter().map(|&c| T::from_u32(c.into())), block);
-}
-
 /// Reads `block` as consecutive `T`s.
 fn get<T: Le>(block: &[u8]) -> Vec<T> {
     T::words(block).iter().map(|&w| T::from_le(w)).collect()
+}
+
+/// Appends `held` as a block, its byte length first: at `W` if `wide`,
+/// else at `u16`, which then holds every entry — a straight copy from a
+/// view at that width, narrowed from one held wider than it needs.
+fn put_block<W: Wide + Le>(out: &mut Vec<u8>, held: Held<'_, W>, wide: bool) {
+    let bytes = held.len() * if wide { std::mem::size_of::<W>() } else { 2 };
+    out.extend_from_slice(&(bytes as u32).to_le_bytes());
+    let at = out.len();
+    out.resize(at + bytes, 0);
+    let block = &mut out[at..];
+    match held {
+        Held::U16(v) => put(v.iter().copied(), block),
+        Held::Wide(v) if wide => put(v.iter().copied(), block),
+        Held::Wide(v) => put(v.iter().map(|w| w.narrow().unwrap_or(0)), block),
+    }
+}
+
+/// `block` held as the record lays it out, at `W` if `wide`, else at
+/// `u16`: a straight copy.
+fn get_block<W: Wide + Le>(block: &[u8], wide: bool) -> Buf<W> {
+    if wide {
+        Buf::Wide(get(block))
+    } else {
+        Buf::U16(get(block))
+    }
 }
 
 /// The coordinate and value widths, in bytes, that a record's `flags`
@@ -496,9 +506,14 @@ fn widths(flags: u16) -> (usize, usize) {
     (coord, value)
 }
 
-/// A record of `data` under `key` at the widths `flags` name, which hold
-/// its cells.
+/// A record of `data` under `key` with `flags` and, per block, the wide
+/// flag when an entry of it does not fit `u16`.
 fn encode(key: ChunkKey, flags: u16, origin: u8, benefit: f64, data: &ChunkData) -> Vec<u8> {
+    let (coords, values) = (data.stored_coords(), data.raw_values());
+    let (wide_coords, wide_values) = (!coords.fits_u16(), !values.fits_u16());
+    let flags = flags
+        | if wide_coords { FLAG_WIDE_COORDS } else { 0 }
+        | if wide_values { FLAG_WIDE_VALUES } else { 0 };
     let (coord_width, value_width) = widths(flags);
     let n_dims = data.n_dims();
     let n_cells = data.len();
@@ -524,28 +539,8 @@ fn encode(key: ChunkKey, flags: u16, origin: u8, benefit: f64, data: &ChunkData)
         out.push(tag);
         out.extend_from_slice(&c.to_le_bytes());
     }
-    // Each block is sized, then filled in place at the flagged width: a
-    // straight copy from a chunk held at it, narrowed from one held wider.
-    out.extend_from_slice(&(coord_bytes as u32).to_le_bytes());
-    let coords_at = out.len();
-    out.resize(coords_at + coord_bytes, 0);
-    let block = &mut out[coords_at..];
-    match (data.stored_coords(), flags & FLAG_WIDE_COORDS != 0) {
-        (Coords::U16(c), false) => put_coords::<_, u16>(c, block),
-        (Coords::U16(c), true) => put_coords::<_, u32>(c, block),
-        (Coords::U32(c), false) => put_coords::<_, u16>(c, block),
-        (Coords::U32(c), true) => put_coords::<_, u32>(c, block),
-    }
-    out.extend_from_slice(&(value_bytes as u32).to_le_bytes());
-    let values_at = out.len();
-    out.resize(values_at + value_bytes, 0);
-    let block = &mut out[values_at..];
-    match (flags & FLAG_WIDE_VALUES != 0, data.raw_values()) {
-        (false, Values::U16(v)) => put(v.iter().copied(), block),
-        (true, Values::F64(v)) => put(v.iter().copied(), block),
-        (false, v) => put(v.iter().map(u16::from_f64), block),
-        (true, v) => put(v.iter(), block),
-    }
+    put_block(&mut out, coords, wide_coords);
+    put_block(&mut out, values, wide_values);
     let checksum = spill_checksum(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     debug_assert_eq!(out.len(), len);
@@ -662,20 +657,12 @@ fn decode(bytes: &[u8]) -> Result<(SpillRecord, bool), SpillError> {
             reason: "flags or block lengths disagree with the header or the record's length",
         });
     }
-    // Each block is held at the width its flag names, as the record lays
-    // it out: a straight copy.
-    let block = &body[values_at..];
-    let values: ValueVec = if flags & FLAG_WIDE_VALUES != 0 {
-        get::<f64>(block).into()
-    } else {
-        get::<u16>(block).into()
-    };
-    let block = &body[coords_at..values_len_at];
-    let data = if flags & FLAG_WIDE_COORDS != 0 {
-        ChunkData::from_stored(&columns, get::<u32>(block), values)
-    } else {
-        ChunkData::from_stored(&columns, get::<u16>(block), values)
-    };
+    let coords = get_block::<u32>(
+        &body[coords_at..values_len_at],
+        flags & FLAG_WIDE_COORDS != 0,
+    );
+    let values = get_block::<f64>(&body[values_at..], flags & FLAG_WIDE_VALUES != 0);
+    let data = ChunkData::from_stored(&columns, coords, values);
     let record = SpillRecord {
         key: ChunkKey::unpack(packed),
         origin,
@@ -1318,6 +1305,7 @@ impl SpillStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aggcache_chunks::{Coords, Values, NARROW_MAX};
     use aggcache_schema::GroupById;
     use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
@@ -1442,8 +1430,8 @@ mod tests {
                 .collect();
             let wide = ChunkData::from_raw(2, all_coords(&narrow), narrow.raw_values().to_vec());
             assert!(matches!(narrow.stored_coords(), Coords::U16(_)));
-            assert!(matches!(wide.stored_coords(), Coords::U32(_)));
-            assert!(matches!(wide.raw_values(), Values::F64(_)));
+            assert!(matches!(wide.stored_coords(), Coords::Wide(_)));
+            assert!(matches!(wide.raw_values(), Values::Wide(_)));
             assert_eq!(wide.columns(), narrow.columns());
             for data in [&narrow, &wide] {
                 assert_eq!(
@@ -1566,7 +1554,7 @@ mod tests {
                 assert_eq!(flags & FLAG_WIDE_COORDS != 0, wide);
                 let dec = decode_record(&enc).unwrap().data;
                 assert_eq!(dec.columns(), data.columns());
-                assert_eq!(matches!(dec.stored_coords(), Coords::U32(_)), wide);
+                assert_eq!(matches!(dec.stored_coords(), Coords::Wide(_)), wide);
                 assert_eq!(&dec, data);
                 let re = encode_record(sample_key(), ORIGIN_COMPUTED, 2.5, &dec);
                 assert_eq!(to_hex(&re), to_hex(&enc));
@@ -1574,51 +1562,56 @@ mod tests {
         }
     }
 
-    /// A chunk with a coordinate past `u16` comes back wide and equal; one
-    /// without comes back narrow, whatever width it was written from.
-    #[test]
-    fn each_width_survives_a_round_trip() {
-        let mut wide = sample_chunk();
-        wide.push(&[70_000, 1], 9.0);
-        let dec = decode_record(&encode_record(sample_key(), ORIGIN_BACKEND, 1.0, &wide)).unwrap();
-        assert!(matches!(dec.data.stored_coords(), Coords::U32(_)));
-        assert_eq!(dec.data, wide);
-        let narrow = ChunkData::from_raw(2, vec![0u32, 1, 65_535, 3], vec![1.0, 2.0]);
-        let dec =
-            decode_record(&encode_record(sample_key(), ORIGIN_BACKEND, 1.0, &narrow)).unwrap();
-        assert!(matches!(dec.data.stored_coords(), Coords::U16(_)));
-        assert_eq!(dec.data, narrow);
-    }
-
-    /// A chunk holding a value `u16` does not hold comes back at `f64`,
-    /// every bit intact; one of whole numbers `u16` holds comes back at
-    /// `u16`, whatever width it was written from.
-    #[test]
-    fn each_value_width_survives_a_round_trip() {
+    /// Each chunk of `past` holds an entry of the block `held` reads that
+    /// `u16` does not hold, and comes back with that block wide, every bit
+    /// intact; each of `fit` holds none and comes back with it narrow and
+    /// its cells equal, whatever width it was written from.
+    fn each_width_survives_a_round_trip_at<W: Wide>(
+        held: fn(&ChunkData) -> Held<'_, W>,
+        past: &[ChunkData],
+        fit: &[ChunkData],
+    ) {
         let round_trip = |d: &ChunkData| {
             decode_record(&encode_record(sample_key(), ORIGIN_BACKEND, 1.0, d))
                 .unwrap()
                 .data
         };
+        let wide = |d: &ChunkData| matches!(held(d), Held::Wide(_));
         let bits = |d: &ChunkData| d.raw_values().iter().map(f64::to_bits).collect::<Vec<_>>();
+        for d in past {
+            let dec = round_trip(d);
+            assert!(wide(d) && wide(&dec), "{d:?}");
+            assert_eq!((all_coords(&dec), bits(&dec)), (all_coords(d), bits(d)));
+        }
+        for d in fit {
+            let dec = round_trip(d);
+            assert!(!wide(&dec), "{d:?}");
+            assert_eq!((&dec, bits(&dec)), (&fit[0], bits(&fit[0])));
+        }
+    }
+
+    /// A stored coordinate past `u16`, or a value it does not hold, comes
+    /// back at `u32` or `f64`; a chunk whose coordinates, or values, all
+    /// fit comes back at `u16`, written from either width.
+    #[test]
+    fn each_width_survives_a_round_trip() {
+        let mut past = sample_chunk();
+        past.push(&[70_000, 1], 9.0);
+        let narrow = ChunkData::from_raw(2, vec![0u32, 1, 65_535, 3], vec![1.0, 2.0]);
+        assert!(matches!(narrow.stored_coords(), Coords::Wide(_)));
+        each_width_survives_a_round_trip_at(ChunkData::stored_coords, &[past], &[narrow]);
+
         let payload_nan = f64::from_bits(0x7ff8_0000_0000_0001);
-        for v in [0.1, 65_536.0, -0.0, f64::MIN_POSITIVE / 2.0, payload_nan] {
+        let past = [0.1, 65_536.0, -0.0, f64::MIN_POSITIVE / 2.0, payload_nan].map(|v| {
             let mut wide = whole_chunk();
             wide.push(&[4, 4], v);
-            assert!(matches!(wide.raw_values(), Values::F64(_)));
-            let dec = round_trip(&wide);
-            assert!(matches!(dec.raw_values(), Values::F64(_)), "{v:e}");
-            assert_eq!(bits(&dec), bits(&wide), "{v:e}");
-        }
+            wide
+        });
         let whole = whole_chunk();
         let wide = ChunkData::from_raw(2, all_coords(&whole), whole.raw_values().to_vec());
         assert!(matches!(whole.raw_values(), Values::U16(_)));
-        assert!(matches!(wide.raw_values(), Values::F64(_)));
-        for d in [&whole, &wide] {
-            let dec = round_trip(d);
-            assert!(matches!(dec.raw_values(), Values::U16(_)));
-            assert_eq!((&dec, bits(&dec)), (&whole, bits(&whole)));
-        }
+        assert!(matches!(wide.raw_values(), Values::Wide(_)));
+        each_width_survives_a_round_trip_at(ChunkData::raw_values, &past, &[whole, wide]);
     }
 
     /// A chunk with no cells, and one with cells but no dimensions (an

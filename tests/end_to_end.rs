@@ -3,7 +3,7 @@
 //! and both policies — with answers checked against the backend and the
 //! acceleration tables cross-checked against a from-scratch rebuild.
 
-use aggcache::chunks::{Coords, ValueVec, ValueWidth};
+use aggcache::chunks::{Coords, ValueVec, Values};
 use aggcache::prelude::*;
 use aggcache_bench::rig::{apb_dataset, backend_for, oracle_answer};
 
@@ -164,23 +164,24 @@ fn a_full_apb_cache_holds_less_heap_than_it_accounts() {
     );
 }
 
-/// `ds` with every fact run rebuilt holding the same values at `width`:
-/// `u16` or `f64`, its coordinates at their own width.
-fn with_value_width(ds: &Dataset, width: ValueWidth) -> Dataset {
+/// `ds` with every fact run rebuilt holding the same values at `f64` if
+/// `wide`, else at `u16`, its coordinates at their own width.
+fn with_value_width(ds: &Dataset, wide: bool) -> Dataset {
     let runs = (0..ds.grid.n_chunks(ds.fact_gb)).map(|c| {
         let run = ds.fact.chunk(c);
         let values = run.raw_values().to_vec();
-        let values: ValueVec = match width {
-            ValueWidth::U16 => values.iter().map(|&v| v as u16).collect::<Vec<_>>().into(),
-            ValueWidth::F64 => values.into(),
+        let values: ValueVec = match wide {
+            false => values.iter().map(|&v| v as u16).collect::<Vec<_>>().into(),
+            true => values.into(),
         };
         let constants: Vec<Option<u32>> = run.columns().iter().map(|c| c.constant()).collect();
         let held = match run.stored_coords() {
             Coords::U16(c) => ChunkData::from_stored(&constants, c.to_vec(), values),
-            Coords::U32(c) => ChunkData::from_stored(&constants, c.to_vec(), values),
+            Coords::Wide(c) => ChunkData::from_stored(&constants, c.to_vec(), values),
         };
         assert_eq!(held, *run, "chunk {c}");
-        assert_eq!(held.raw_values().width(), width, "chunk {c}");
+        let held_wide = matches!(held.raw_values(), Values::Wide(_));
+        assert_eq!(held_wide, wide, "chunk {c}");
         held
     });
     Dataset {
@@ -257,15 +258,13 @@ fn session_at(ds: &Dataset, dir: &std::path::Path) -> Observed {
 #[test]
 fn answers_and_virtual_time_do_not_depend_on_the_value_width() {
     let ds = apb_dataset(5_000, 31);
-    let observed: Vec<Observed> = [ValueWidth::U16, ValueWidth::F64]
+    let observed: Vec<Observed> = [false, true]
         .into_iter()
-        .map(|width| {
-            let dir = std::env::temp_dir().join(format!(
-                "aggcache-e2e-width-{width:?}-{}",
-                std::process::id()
-            ));
+        .map(|wide| {
+            let dir = std::env::temp_dir()
+                .join(format!("aggcache-e2e-wide-{wide}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
-            let seen = session_at(&with_value_width(&ds, width), &dir);
+            let seen = session_at(&with_value_width(&ds, wide), &dir);
             let _ = std::fs::remove_dir_all(&dir);
             seen
         })
