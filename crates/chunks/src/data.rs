@@ -1172,8 +1172,12 @@ mod tests {
     }
 
     #[test]
-    fn append_widens_only_when_an_entry_does_not_fit() {
+    fn append_widens_only_when_a_coordinate_does_not_fit() {
         append_widens_only_when_an_entry_does_not_fit_at::<u32>([5, 6], 1 << 16);
+    }
+
+    #[test]
+    fn a_wide_source_whose_values_fit_appends_narrow() {
         append_widens_only_when_an_entry_does_not_fit_at::<f64>([1.0, 65_535.0], -0.0);
     }
 

@@ -1590,9 +1590,8 @@ mod tests {
         }
     }
 
-    /// A stored coordinate past `u16`, or a value it does not hold, comes
-    /// back at `u32` or `f64`; a chunk whose coordinates, or values, all
-    /// fit comes back at `u16`, written from either width.
+    /// A stored coordinate past `u16` comes back at `u32`; a chunk whose
+    /// coordinates all fit comes back at `u16`, written from either width.
     #[test]
     fn each_width_survives_a_round_trip() {
         let mut past = sample_chunk();
@@ -1600,7 +1599,13 @@ mod tests {
         let narrow = ChunkData::from_raw(2, vec![0u32, 1, 65_535, 3], vec![1.0, 2.0]);
         assert!(matches!(narrow.stored_coords(), Coords::Wide(_)));
         each_width_survives_a_round_trip_at(ChunkData::stored_coords, &[past], &[narrow]);
+    }
 
+    /// A value `u16` does not hold comes back at `f64`, every bit intact; a
+    /// chunk whose values all fit comes back at `u16`, written from either
+    /// width.
+    #[test]
+    fn each_value_width_survives_a_round_trip() {
         let payload_nan = f64::from_bits(0x7ff8_0000_0000_0001);
         let past = [0.1, 65_536.0, -0.0, f64::MIN_POSITIVE / 2.0, payload_nan].map(|v| {
             let mut wide = whole_chunk();
